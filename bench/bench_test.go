@@ -2,7 +2,13 @@ package bench
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"dynctrl/internal/workload"
 )
@@ -112,6 +118,54 @@ func TestRecorderNilIsOff(t *testing.T) {
 	sp := r.Begin(r.Name("x"), -1, 1)
 	if sp != -1 || r.End(sp) != 0 {
 		t.Errorf("a nil recorder recorded something")
+	}
+}
+
+func TestConfineBindsEveryThread(t *testing.T) {
+	defer Confine(false) //nolint:errcheck // checked below
+	if err := Confine(true); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != 1 {
+		t.Errorf("GOMAXPROCS = %d after Confine(true)", got)
+	}
+	one := allowed.last()
+	tasks, err := filepath.Glob("/proc/self/task/*/status")
+	if err != nil || len(tasks) == 0 {
+		t.Fatalf("no threads listed: %v", err)
+	}
+	for _, path := range tasks {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			continue // exited since the listing
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if list, ok := strings.CutPrefix(line, "Cpus_allowed_list:"); ok {
+				cpu, err := strconv.Atoi(strings.TrimSpace(list))
+				if err != nil || !one.has(cpu) {
+					t.Errorf("%s: Cpus_allowed_list %q, want the one processor of %v", path, list, one[:1])
+				}
+			}
+		}
+	}
+	if err := Confine(false); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := getAffinity(); err != nil || now != allowed || runtime.GOMAXPROCS(0) != allowed.count() {
+		t.Errorf("Confine(false) left mask %v (%v), GOMAXPROCS %d; started with %v", now[:1], err, runtime.GOMAXPROCS(0), allowed[:1])
+	}
+}
+
+func TestHostProbe(t *testing.T) {
+	p := startProbe()
+	time.Sleep(10 * probePeriod)
+	p.Stop()
+	slowdown, err := p.Take()
+	if err != nil || slowdown <= 0 {
+		t.Errorf("Take = %v, %v after ten periods", slowdown, err)
+	}
+	if _, err := p.Take(); err == nil {
+		t.Errorf("a second Take with no new sample returned no error")
 	}
 }
 

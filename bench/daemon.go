@@ -77,8 +77,8 @@ func NewEnv(root string) (*Env, error) {
 // Describe is the one-line record of what the numbers were measured on.
 func (e *Env) Describe() string {
 	kernel, _ := os.ReadFile("/proc/sys/kernel/osrelease")
-	return fmt.Sprintf("nproc=%d GOMAXPROCS=%d go=%s kernel=%s wal_fs=%s net=\"loopback, not a link\" conns=%d scale=1/%d",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), strings.TrimSpace(string(kernel)),
+	return fmt.Sprintf("nproc=%d (closed loops: generator and daemon confined to 1, GOMAXPROCS=1 in both) go=%s kernel=%s wal_fs=%s net=\"loopback, not a link\" conns=%d scale=1/%d",
+		runtime.NumCPU(), runtime.Version(), strings.TrimSpace(string(kernel)),
 		fsName(e.Scratch), Conns, Scale)
 }
 

@@ -253,28 +253,58 @@ type E2E struct {
 }
 
 // RunE2E measures the workload for about the given number of seconds with
-// every span off.
+// every span off. The three timings are calibrated iteration by iteration
+// against the host probe (probe.go); what the clock read is in Info.
 func (e *Env) RunE2E(in *Input, seconds float64) (*E2E, error) {
+	if err := Confine(in.W.OpenRate == 0); err != nil {
+		return nil, err
+	}
 	r := &E2E{Values: newValues()}
 	start := time.Now()
 	var floor []int64
 	if in.W.OpenRate > 0 {
 		floor = openFloor(in)
 	}
-	var setup, thr, cpu, rss, recov []float64
+	// The open loop is not calibrated: its throughput is its schedule's,
+	// and its dispatcher shares its processor with nothing.
+	var probe *hostProbe
+	if in.W.OpenRate == 0 {
+		probe = startProbe()
+		defer probe.Stop()
+	}
+	var setup, thr, cpu, rss, recov, slow, rawSetup, rawThr, rawCPU []float64
 	var lat, svc, lag []int64
-	for r.Iterations < minIterations || time.Since(start).Seconds() < seconds {
+	for {
+		// An iteration is started only if it should end inside the time
+		// given: the driver's budget is per run, and on deep-exhaust one
+		// iteration takes five seconds.
+		elapsed := time.Since(start).Seconds()
+		if r.Iterations >= minIterations && elapsed+elapsed/float64(r.Iterations) > seconds {
+			break
+		}
+		if probe != nil {
+			probe.Take() //nolint:errcheck // drops the samples taken between iterations
+		}
 		// Only a WAL has anything to check after kill -9; the restart time
 		// itself is the traced run's bench.recovery_s.
 		it, err := e.RunIteration(in, IterOpts{Restart: in.W.WAL})
 		if err != nil {
 			return nil, err
 		}
+		slowdown := 1.0
+		if probe != nil {
+			if slowdown, err = probe.Take(); err != nil {
+				return nil, err
+			}
+		}
 		r.Iterations++
 		r.absorb(it.Checks)
-		setup = append(setup, it.SetupS)
-		thr = append(thr, float64(it.Ops)/it.WindowS)
-		cpu = append(cpu, float64(it.CPU.Microseconds())/float64(it.Ops))
+		opsPerS, cpuPerOp := float64(it.Ops)/it.WindowS, float64(it.CPU.Microseconds())/float64(it.Ops)
+		slow = append(slow, slowdown)
+		rawSetup, rawThr, rawCPU = append(rawSetup, it.SetupS), append(rawThr, opsPerS), append(rawCPU, cpuPerOp)
+		setup = append(setup, it.SetupS/slowdown)
+		thr = append(thr, opsPerS*slowdown)
+		cpu = append(cpu, cpuPerOp/slowdown)
 		rss = append(rss, it.RSSMiB)
 		recov = append(recov, it.RecoveryS...)
 		lat = append(lat, it.Lat...)
@@ -287,13 +317,20 @@ func (e *Env) RunE2E(in *Input, seconds float64) (*E2E, error) {
 	v := r.Values
 	v.set("setup_s", Median(setup), len(setup))
 	v.set("throughput_ops_s", Median(thr), len(thr))
-	v.set("lat_p50_us", us(Percentile(lat, 50)), len(lat))
 	v.set("server_cpu_us_per_op", Median(cpu), len(cpu))
 	v.set("server_rss_mb", Median(rss), len(rss))
 
+	if probe != nil {
+		r.Info = append(r.Info,
+			Info{"host probe over its reference, median", Median(slow), "ratio", len(slow)},
+			Info{"setup_s as the clock read it", Median(rawSetup), "s", len(rawSetup)},
+			Info{"throughput_ops_s as the clock read it", Median(rawThr), "1/s", len(rawThr)},
+			Info{"server_cpu_us_per_op as the clock read it", Median(rawCPU), "us", len(rawCPU)})
+	}
 	info := func(name string, sorted []int64, p float64) {
 		r.Info = append(r.Info, Info{fmt.Sprintf("%s p%g", name, p), us(Percentile(sorted, p)), "us", len(sorted)})
 	}
+	info("latency", lat, 50)
 	info("latency", lat, 99)
 	if tail := HighestPercentile(len(lat)); tail > 99 {
 		info("latency tail (10 samples beyond)", lat, tail)

@@ -25,6 +25,11 @@ type Traced struct {
 // WAL, tree.add_leaf without additions, the open-loop generator's numbers
 // in a closed loop) read 0. Request counts, not durations, size this run.
 func (e *Env) RunTraced(in *Input) (*Traced, error) {
+	// The rungs and the daemon runs share the end-to-end run's processors,
+	// or the deltas between them would compare two machines.
+	if err := Confine(in.W.OpenRate == 0); err != nil {
+		return nil, err
+	}
 	w := in.W
 	t := &Traced{Values: newValues()}
 	v := t.Values
@@ -118,6 +123,7 @@ func (e *Env) RunTraced(in *Input) (*Traced, error) {
 	v.set("bench.recovery_s", Median(recov), len(recov))
 	serverMetrics(v, plain.Scrape)
 	lat := sortedCopy(plain.Lat)
+	v.set("bench.lat_p50_us", us(Percentile(lat, 50)), len(lat))
 	v.set("bench.lat_p99_us", us(Percentile(lat, 99)), len(lat))
 	openMetrics(v, in, plain.Open)
 
