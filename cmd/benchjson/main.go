@@ -111,6 +111,11 @@ const (
 
 	churnNodes = 128
 	churnSeed  = 9
+
+	// daemonSched labels the loopback-TCP measurements: the daemon's
+	// transport schedule is fixed, so -sched steers only the in-process
+	// runs.
+	daemonSched = "random"
 )
 
 func main() {
@@ -120,7 +125,7 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 2.0, "maximum tolerated ops/sec regression factor vs the baseline")
 	maxObsOverhead := flag.Float64("max-obs-overhead", 1.03, "maximum tolerated tracing overhead ratio (tcp-fanin-noobs over tcp-fanin throughput)")
 	runs := flag.Int("runs", 5, "measurement repetitions (best run is reported)")
-	sched := flag.String("sched", "random", "transport scheduler for the pinned runs (one of "+strings.Join(sim.SchedulerNames(), ", ")+")")
+	sched := flag.String("sched", "random", "transport scheduler for the pinned in-process runs (one of "+strings.Join(sim.SchedulerNames(), ", ")+")")
 	flag.Parse()
 	if _, err := sim.NewScheduler(*sched, ctlSeed); err != nil {
 		fatalf("%v", err)
@@ -188,9 +193,9 @@ func main() {
 	rep.Results["pipeline"] = pipeM
 
 	tcpM := measure(*runs, total, func() (func(), func() int64, func()) {
-		return setupTCP(*sched, m, w, clients, clients, 1, "", 0)
+		return setupTCP(m, w, clients, clients, 1, "", 0)
 	})
-	tcpM.Scenario, tcpM.Scheduler, tcpM.Transport = tcpScenario, *sched, benchfmt.TransportTCP
+	tcpM.Scenario, tcpM.Scheduler, tcpM.Transport = tcpScenario, daemonSched, benchfmt.TransportTCP
 	tcpM.Durability = benchfmt.DurabilityNone
 	rep.Results["tcp"] = tcpM
 
@@ -203,15 +208,15 @@ func main() {
 	// drift cancels out of the obs_overhead ratio gated below.
 	tcpFaninM, tcpFaninNoobsM := measurePair(*runs, total*walRounds,
 		func() (func(), func() int64, func()) {
-			return setupTCP(*sched, walM, walM/2, walClients, walStreams, walRounds, "", 0)
+			return setupTCP(walM, walM/2, walClients, walStreams, walRounds, "", 0)
 		},
 		func() (func(), func() int64, func()) {
-			return setupTCP(*sched, walM, walM/2, walClients, walStreams, walRounds, "", -1)
+			return setupTCP(walM, walM/2, walClients, walStreams, walRounds, "", -1)
 		})
-	tcpFaninM.Scenario, tcpFaninM.Scheduler, tcpFaninM.Transport = tcpFaninScenario, *sched, benchfmt.TransportTCP
+	tcpFaninM.Scenario, tcpFaninM.Scheduler, tcpFaninM.Transport = tcpFaninScenario, daemonSched, benchfmt.TransportTCP
 	tcpFaninM.Durability = benchfmt.DurabilityNone
 	rep.Results["tcp-fanin"] = tcpFaninM
-	tcpFaninNoobsM.Scenario, tcpFaninNoobsM.Scheduler, tcpFaninNoobsM.Transport = tcpFaninNoobsScenario, *sched, benchfmt.TransportTCP
+	tcpFaninNoobsM.Scenario, tcpFaninNoobsM.Scheduler, tcpFaninNoobsM.Transport = tcpFaninNoobsScenario, daemonSched, benchfmt.TransportTCP
 	tcpFaninNoobsM.Durability = benchfmt.DurabilityNone
 	rep.Results["tcp-fanin-noobs"] = tcpFaninNoobsM
 
@@ -220,17 +225,17 @@ func main() {
 		if err != nil {
 			fatalf("wal dir: %v", err)
 		}
-		run, msgs, cleanup := setupTCP(*sched, walM, walM/2, walClients, walStreams, walRounds, walDir, 0)
+		run, msgs, cleanup := setupTCP(walM, walM/2, walClients, walStreams, walRounds, walDir, 0)
 		return run, msgs, func() {
 			cleanup()
 			os.RemoveAll(walDir)
 		}
 	})
-	tcpWalM.Scenario, tcpWalM.Scheduler, tcpWalM.Transport = tcpWalScenario, *sched, benchfmt.TransportTCP
+	tcpWalM.Scenario, tcpWalM.Scheduler, tcpWalM.Transport = tcpWalScenario, daemonSched, benchfmt.TransportTCP
 	tcpWalM.Durability = benchfmt.DurabilityWALSnap
 	rep.Results["tcp-wal"] = tcpWalM
 
-	openM := measureOpenLoop(*runs, *sched)
+	openM := measureOpenLoop(*runs)
 	rep.Results["tcp-openloop"] = openM
 	rep.Workload["open_rate"] = openLoopRate
 	rep.Workload["open_total"] = openLoopTotal
@@ -282,12 +287,11 @@ func main() {
 // concurrent client streams (same constructor, same seed) and replayed
 // rounds times per measured run. traceRing is the server's batch-trace
 // ring size (0 = production default, negative disables tracing).
-func setupTCP(sched string, m, w int64, conns, streams, rounds int, walDir string, traceRing int) (func(), func() int64, func()) {
+func setupTCP(m, w int64, conns, streams, rounds int, walDir string, traceRing int) (func(), func() int64, func()) {
 	srv, err := server.New(server.Config{
 		Addr:          "127.0.0.1:0",
 		Topology:      workload.TopologySpec{Kind: "balanced", Nodes: treeNodes},
 		Seed:          1,
-		Scheduler:     sched,
 		M:             m,
 		W:             w,
 		WALDir:        walDir,
@@ -329,7 +333,7 @@ func setupTCP(sched string, m, w int64, conns, streams, rounds int, walDir strin
 // against a fresh loopback daemon each time and reports the run with the
 // best p99 (the least-noisy latency estimate, the open-loop analogue of
 // taking the fastest closed-loop run).
-func measureOpenLoop(runs int, sched string) benchfmt.Measurement {
+func measureOpenLoop(runs int) benchfmt.Measurement {
 	if runs < 1 {
 		runs = 1
 	}
@@ -337,12 +341,11 @@ func measureOpenLoop(runs int, sched string) benchfmt.Measurement {
 	var best benchfmt.Measurement
 	for i := 0; i < runs; i++ {
 		srv, err := server.New(server.Config{
-			Addr:      "127.0.0.1:0",
-			Topology:  workload.TopologySpec{Kind: "balanced", Nodes: treeNodes},
-			Seed:      1,
-			Scheduler: sched,
-			M:         m,
-			W:         m / 2,
+			Addr:     "127.0.0.1:0",
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: treeNodes},
+			Seed:     1,
+			M:        m,
+			W:        m / 2,
 		})
 		if err != nil {
 			fatalf("open-loop server: %v", err)
@@ -378,7 +381,7 @@ func measureOpenLoop(runs int, sched string) benchfmt.Measurement {
 
 		cur := benchfmt.Measurement{
 			Scenario:   openLoopScenario,
-			Scheduler:  sched,
+			Scheduler:  daemonSched,
 			Transport:  benchfmt.TransportTCP,
 			Durability: benchfmt.DurabilityNone,
 			NsPerOp:    float64(res.Elapsed.Nanoseconds()) / float64(openLoopTotal),

@@ -16,15 +16,15 @@
 //
 // The daemon serves one or more isolated tenant namespaces. Without
 // -tenant flags it serves the single default namespace configured by the
-// top-level -topology/-nodes/-seed/-sched/-m/-w flags. Each repeatable
+// top-level -topology/-nodes/-seed/-m/-w flags. Each repeatable
 // -tenant flag declares one namespace with its own contract and topology:
 //
 //	dynctrld -tenant team-a,m=500000,w=250000,nodes=128 \
 //	         -tenant team-b,m=1000,w=100,topology=star,nodes=16
 //
-// The spec is name[,key=value,...] with keys topology, nodes, seed,
-// sched, m, w; unspecified keys inherit the top-level flags. Clients name
-// their namespace in the wire handshake and can never touch any other.
+// The spec is name[,key=value,...] with keys topology, nodes, seed, m, w;
+// unspecified keys inherit the top-level flags. Clients name their
+// namespace in the wire handshake and can never touch any other.
 //
 // With -wal-dir the daemon is durable: every tenant logs decided batches
 // to its own subdirectory (<wal-dir>/<tenant>) of the internal/persist
@@ -59,7 +59,6 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/server"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
@@ -92,8 +91,6 @@ func parseTenantSpec(spec string, def server.TenantConfig) (server.TenantConfig,
 			tc.Topology.Nodes, err = strconv.Atoi(v)
 		case "seed":
 			tc.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "sched":
-			tc.Scheduler = v
 		case "m":
 			tc.M, err = strconv.ParseInt(v, 10, 64)
 		case "w":
@@ -115,7 +112,6 @@ func main() {
 	topology := flag.String("topology", "balanced", "initial tree shape: balanced, path, or star")
 	nodes := flag.Int("nodes", 256, "initial tree size")
 	seed := flag.Int64("seed", 1, "topology and transport seed")
-	sched := flag.String("sched", "random", "transport scheduler (one of "+strings.Join(sim.SchedulerNames(), ", ")+")")
 	m := flag.Int64("m", 1_000_000, "permit bound M of the admission contract")
 	w := flag.Int64("w", 500_000, "waste bound W of the admission contract")
 	paranoid := flag.Bool("paranoid", false, "re-check every served request with the internal/oracle invariant checkers")
@@ -131,7 +127,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 0, "per-tenant batch-trace ring size for /tracez (0 = default, <0 disables tracing and stage histograms)")
 	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the metrics listener")
 	var tenants tenantFlags
-	flag.Var(&tenants, "tenant", "serve this tenant namespace: name[,key=value,...] with keys topology, nodes, seed, sched, m, w (repeatable; unset keys inherit the top-level flags)")
+	flag.Var(&tenants, "tenant", "serve this tenant namespace: name[,key=value,...] with keys topology, nodes, seed, m, w (repeatable; unset keys inherit the top-level flags)")
 	flag.Parse()
 
 	level, err := obs.ParseLevel(*logLevel)
@@ -148,7 +144,6 @@ func main() {
 		MetricsAddr: *metrics,
 		Topology:    workload.TopologySpec{Kind: *topology, Nodes: *nodes},
 		Seed:        *seed,
-		Scheduler:   *sched,
 		M:           *m,
 		W:           *w,
 		Paranoid:    *paranoid,
@@ -171,11 +166,10 @@ func main() {
 	}
 	for _, spec := range tenants {
 		tc, err := parseTenantSpec(spec, server.TenantConfig{
-			Topology:  cfg.Topology,
-			Seed:      cfg.Seed,
-			Scheduler: cfg.Scheduler,
-			M:         cfg.M,
-			W:         cfg.W,
+			Topology: cfg.Topology,
+			Seed:     cfg.Seed,
+			M:        cfg.M,
+			W:        cfg.W,
 		})
 		if err != nil {
 			fatalf("-tenant: %v", err)

@@ -87,7 +87,7 @@ func TestMarkdownLinksResolve(t *testing.T) {
 // server's /metricsz writer emits and requires docs/OPERATIONS.md to
 // document each one.
 func TestMetricsFieldsDocumented(t *testing.T) {
-	src := readFile(t, filepath.Join("internal", "server", "server.go"))
+	src := readFile(t, filepath.Join("internal", "server", "metrics.go"))
 	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
 
 	names := regexp.MustCompile(`dynctrld_[a-z_]+`).FindAllString(src, -1)
@@ -102,7 +102,7 @@ func TestMetricsFieldsDocumented(t *testing.T) {
 		}
 	}
 	if len(seen) < 20 {
-		t.Fatalf("extracted only %d metric names from internal/server/server.go — the extractor regex is likely stale", len(seen))
+		t.Fatalf("extracted only %d metric names from internal/server/metrics.go — the extractor regex is likely stale", len(seen))
 	}
 }
 
@@ -179,11 +179,15 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestCommandFlagsDocumented extracts every CLI flag declared by
 // cmd/dynctrld and cmd/loadgen and requires docs/OPERATIONS.md to
-// document each one as `-name`.
+// document each one as `-name` — and, the other way round, requires
+// every flag a reference-table row of OPERATIONS.md leads with to still
+// be declared by one of the two commands, so removing a flag without
+// removing its row fails just like adding one without a row.
 func TestCommandFlagsDocumented(t *testing.T) {
 	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
 	flagDecl := regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Float64|Duration)\("([a-z-]+)"`)
 	flagVar := regexp.MustCompile(`flag\.Var\([^,]+, "([a-z-]+)"`)
+	declared := map[string]bool{}
 	for _, cmd := range []string{"dynctrld", "loadgen"} {
 		src := readFile(t, filepath.Join("cmd", cmd, "main.go"))
 		names := flagDecl.FindAllStringSubmatch(src, -1)
@@ -192,8 +196,24 @@ func TestCommandFlagsDocumented(t *testing.T) {
 			t.Fatalf("extracted only %d flags from cmd/%s/main.go — the extractor regex is likely stale", len(names), cmd)
 		}
 		for _, m := range names {
+			declared[m[1]] = true
 			if !strings.Contains(doc, "`-"+m[1]+"`") {
 				t.Errorf("cmd/%s flag -%s is not documented in docs/OPERATIONS.md", cmd, m[1])
+			}
+		}
+	}
+
+	// Flag-table rows lead with the flag (or a comma-separated group).
+	flagRow := regexp.MustCompile("(?m)^\\| ((?:`-[a-z-]+`(?:, )?)+) \\|")
+	flagName := regexp.MustCompile("`-([a-z-]+)`")
+	rows := flagRow.FindAllStringSubmatch(doc, -1)
+	if len(rows) < 20 {
+		t.Fatalf("extracted only %d flag-table rows from docs/OPERATIONS.md — the row regex is likely stale", len(rows))
+	}
+	for _, row := range rows {
+		for _, m := range flagName.FindAllStringSubmatch(row[1], -1) {
+			if !declared[m[1]] {
+				t.Errorf("docs/OPERATIONS.md documents flag -%s, which neither cmd/dynctrld nor cmd/loadgen declares", m[1])
 			}
 		}
 	}

@@ -48,25 +48,3 @@ func (h nopHandler) WithGroup(string) slog.Handler           { return h }
 // NopLogger returns a logger that discards everything — the default for
 // embedded servers (tests, benchmarks) that did not configure logging.
 func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
-
-// EscapeLabel escapes a Prometheus label value per the text exposition
-// format: backslash, double-quote and newline.
-func EscapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}

@@ -34,12 +34,14 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"sync"
 	"time"
 
 	"dynctrl/internal/controller"
+	"dynctrl/internal/obs"
 )
 
 // ErrClosed is returned by operations on a closed engine.
@@ -68,9 +70,10 @@ type Options struct {
 	// fsyncs per decided batch under concurrent load at the cost of that
 	// much added commit latency.
 	CommitWindow time.Duration
-	// Logf, when set, receives recovery warnings (torn tails truncated,
-	// corrupt snapshots skipped).
-	Logf func(format string, args ...any)
+	// Logger, when set, receives recovery and checkpoint warnings (torn
+	// tails truncated, corrupt snapshots skipped, failed background
+	// checkpoints).
+	Logger *slog.Logger
 	// SyncObserver, when set, is called by the group-commit syncer after
 	// every fsync wave with the number of records the wave made durable
 	// and its write+fsync duration. Called from the syncer goroutine, one
@@ -151,14 +154,14 @@ func Open(dir string, opts Options) (*Engine, *Recovery, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
+	if opts.Logger == nil {
+		opts.Logger = obs.NopLogger()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
 
-	rec, lastIndex, maxSeq, err := recoverDir(dir, opts.Logf)
+	rec, lastIndex, maxSeq, err := recoverDir(dir, opts.Logger)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -218,14 +221,14 @@ func Open(dir string, opts Options) (*Engine, *Recovery, error) {
 // recoverDir scans snapshots and segments, truncating a torn tail in the
 // final segment. It returns the recovery report, the highest WAL index on
 // disk, and the highest segment sequence number.
-func recoverDir(dir string, logf func(string, ...any)) (*Recovery, uint64, uint64, error) {
+func recoverDir(dir string, logger *slog.Logger) (*Recovery, uint64, uint64, error) {
 	rec := &Recovery{}
 
-	if err := loadLatestSnapshot(dir, rec, logf); err != nil {
+	if err := loadLatestSnapshot(dir, rec, logger); err != nil {
 		return nil, 0, 0, err
 	}
 
-	scans, tornBytes, maxSeq, err := scanSegments(dir, true, logf)
+	scans, tornBytes, maxSeq, err := scanSegments(dir, true, logger)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -255,7 +258,7 @@ func recoverDir(dir string, logf func(string, ...any)) (*Recovery, uint64, uint6
 // valid snapshot in dir. Corrupt ones are skipped (counted in rec) so a
 // crash mid-checkpoint (or bit rot) degrades to the previous snapshot
 // plus a longer replay, never to a failed boot.
-func loadLatestSnapshot(dir string, rec *Recovery, logf func(string, ...any)) error {
+func loadLatestSnapshot(dir string, rec *Recovery, logger *slog.Logger) error {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return err
@@ -268,13 +271,13 @@ func loadLatestSnapshot(dir string, rec *Recovery, logf func(string, ...any)) er
 		st, err := DecodeSnapshot(buf)
 		if err != nil {
 			rec.CorruptSnapshots++
-			logf("persist: skipping corrupt snapshot %s: %v", snapshotPath(dir, snaps[i]), err)
+			logger.Warn("skipping corrupt snapshot", "path", snapshotPath(dir, snaps[i]), "err", err)
 			continue
 		}
 		if st.Index != snaps[i] {
 			rec.CorruptSnapshots++
-			logf("persist: snapshot %s covers index %d, name says %d; skipping",
-				snapshotPath(dir, snaps[i]), st.Index, snaps[i])
+			logger.Warn("skipping snapshot whose name disagrees with its index",
+				"path", snapshotPath(dir, snaps[i]), "index", st.Index, "named", snaps[i])
 			continue
 		}
 		rec.Snapshot = st
@@ -289,7 +292,7 @@ func loadLatestSnapshot(dir string, rec *Recovery, logf func(string, ...any)) er
 // under.
 func ReadLatestSnapshot(dir string) (*State, error) {
 	rec := &Recovery{}
-	if err := loadLatestSnapshot(dir, rec, func(string, ...any) {}); err != nil {
+	if err := loadLatestSnapshot(dir, rec, obs.NopLogger()); err != nil {
 		return nil, err
 	}
 	return rec.Snapshot, nil
@@ -609,7 +612,7 @@ func (e *Engine) CheckpointAsync(st *State) {
 	go func() {
 		defer e.wg.Done()
 		if err := e.writeSnapshot(st); err != nil {
-			e.opts.Logf("persist: checkpoint at index %d failed: %v", st.Index, err)
+			e.opts.Logger.Warn("checkpoint failed", "index", st.Index, "err", err)
 		}
 		e.mu.Lock()
 		e.snapBusy = false

@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
+	"dynctrl/internal/obs"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -271,18 +273,17 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	}
 	f.Close()
 
-	var warned bool
-	eng2, rec, err := persist.Open(dir, persist.Options{
-		Logf: func(format string, args ...any) {
-			if strings.Contains(format, "torn") {
-				warned = true
-			}
-		},
-	})
+	var logged bytes.Buffer
+	logger, err := obs.NewLogger(&logged, slog.LevelWarn, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2, rec, err := persist.Open(dir, persist.Options{Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
+	warned := strings.Contains(logged.String(), "level=WARN") && strings.Contains(logged.String(), "torn tail")
 	if rec.TruncatedBytes == 0 || !warned {
 		t.Fatalf("torn tail not truncated (bytes=%d warned=%v)", rec.TruncatedBytes, warned)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
+	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -80,7 +81,7 @@ type IncarnationEffects struct {
 // corruption anywhere else refused), so the audit and recovery can never
 // accept different histories.
 func ReadHistory(dir string) ([]IncarnationEffects, error) {
-	scans, _, _, err := scanSegments(dir, false, func(string, ...any) {})
+	scans, _, _, err := scanSegments(dir, false, obs.NopLogger())
 	if err != nil {
 		return nil, err
 	}

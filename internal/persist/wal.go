@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -178,7 +179,7 @@ func scanSegment(dir string, seq uint64) (*segmentRecords, error) {
 // this one policy, so they can never accept different histories. It
 // returns the surviving scans, the torn bytes found in the final segment,
 // and the highest sequence number present.
-func scanSegments(dir string, truncate bool, logf func(string, ...any)) ([]*segmentRecords, int64, uint64, error) {
+func scanSegments(dir string, truncate bool, logger *slog.Logger) ([]*segmentRecords, int64, uint64, error) {
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return nil, 0, 0, err
@@ -199,7 +200,7 @@ func scanSegments(dir string, truncate bool, logf func(string, ...any)) ([]*segm
 			// a headerless file that decodably contains nothing. Skip it —
 			// if it ever held real records, the callers' index-contiguity
 			// checks flag the gap instead of silently dropping history.
-			logf("persist: skipping headerless segment %s: %v", segmentPath(dir, seq), sr.err)
+			logger.Warn("skipping headerless segment", "path", segmentPath(dir, seq), "err", sr.err)
 			continue
 		}
 		if sr.tornAt > 0 {
@@ -210,8 +211,8 @@ func scanSegments(dir string, truncate bool, logf func(string, ...any)) ([]*segm
 			if fi, err := os.Stat(segmentPath(dir, seq)); err == nil {
 				tornBytes = fi.Size() - sr.tornAt
 			}
-			logf("persist: torn tail of %s at offset %d (%d bytes): %v",
-				segmentPath(dir, seq), sr.tornAt, tornBytes, sr.err)
+			logger.Warn("torn tail in final segment", "path", segmentPath(dir, seq),
+				"offset", sr.tornAt, "bytes", tornBytes, "err", sr.err)
 			if truncate {
 				if err := os.Truncate(segmentPath(dir, seq), sr.tornAt); err != nil {
 					return nil, 0, 0, err

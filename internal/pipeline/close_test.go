@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynctrl/internal/controller"
 )
@@ -41,7 +42,7 @@ func TestCloseRace(t *testing.T) {
 	sub := &countingSubmitter{}
 	var closeReturned atomic.Bool
 	var lateBatch atomic.Bool
-	pl := New(sub, WithMaxBatch(32), WithBatchHook(func(requests int) {
+	pl := New(sub, WithMaxBatch(32), WithCycleHook(func(_, _ int, _ time.Duration) {
 		if closeReturned.Load() {
 			lateBatch.Store(true)
 		}

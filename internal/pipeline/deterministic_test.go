@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
@@ -29,7 +30,7 @@ func (g *gatedSubmitter) SubmitBatch(reqs []controller.Request, out []controller
 // TestPipelineCombinesDeterministically proves the combining behavior
 // without timing dependence: while the first leader is held inside the
 // core, every other client enqueues; on release the leader must drain all
-// of them in exactly one more cycle. The batch hook observes the cycle
+// of them in exactly one more cycle. The cycle hook observes the cycle
 // boundaries deterministically.
 func TestPipelineCombinesDeterministically(t *testing.T) {
 	const followers = 12
@@ -43,7 +44,7 @@ func TestPipelineCombinesDeterministically(t *testing.T) {
 	)
 	pl := pipeline.New(gate,
 		pipeline.WithMaxBatch(followers+1),
-		pipeline.WithBatchHook(func(requests int) {
+		pipeline.WithCycleHook(func(_, requests int, _ time.Duration) {
 			mu.Lock()
 			batches = append(batches, requests)
 			mu.Unlock()

@@ -38,18 +38,35 @@ var ErrClosed = errors.New("pipeline: closed")
 // WithMaxBatch.
 const DefaultMaxBatch = 1024
 
-// call is one queued run of requests and its result slot. Single-request
-// submissions ride in the pooled call's inline buffers; SubmitMany attaches
-// the caller's slices directly (the leader writes results into them, the
-// channel handoff publishes the writes).
+// Runner is one unit of work the batch leader executes on its caller's
+// behalf. Run is invoked exactly once, by whichever goroutine leads the
+// cycle, never concurrently with another Run of the same pipeline; whatever
+// it stores in its receiver is published to the goroutine blocked in Do by
+// the completion handoff. The pipeline carries the caller's run without
+// looking inside it, so anything the backend learns about the run (a
+// durability ticket, timings) travels back as the Runner's own fields.
+type Runner interface{ Run() }
+
+// call is one queued run and its completion signal. Do queues the caller's
+// Runner; Submit and SubmitMany queue the pooled call itself, whose Run
+// drives the pipeline's BatchSubmitter. Single-request submissions ride in
+// the call's inline buffers; SubmitMany attaches the caller's slices
+// directly (the leader writes results into them, the channel handoff
+// publishes the writes).
 type call struct {
+	run  Runner
+	n    int // requests the run carries (cycle sizing and stats)
+	done chan struct{}
+
+	sub     controller.BatchSubmitter
 	reqs    []controller.Request
 	results []controller.BatchResult
-	done    chan struct{}
-
-	req1 [1]controller.Request
-	res1 [1]controller.BatchResult
+	req1    [1]controller.Request
+	res1    [1]controller.BatchResult
 }
+
+// Run implements Runner for Submit and SubmitMany.
+func (c *call) Run() { c.results = c.sub.SubmitBatch(c.reqs, c.results) }
 
 var callPool = sync.Pool{
 	New: func() any { return &call{done: make(chan struct{}, 1)} },
@@ -77,7 +94,6 @@ type Stats struct {
 type Pipeline struct {
 	sub       controller.BatchSubmitter
 	maxBatch  int
-	batchHook func(requests int)
 	cycleHook func(calls, requests int, dur time.Duration)
 
 	mu      sync.Mutex
@@ -106,27 +122,20 @@ func WithMaxBatch(n int) Option {
 	}
 }
 
-// WithBatchHook installs fn to be called by the batch leader after each
-// leadership cycle completes, with the number of requests the cycle drove
-// through the core. Calls are serialized (only one leader runs at a time)
-// and happen before the leader re-checks the queue, so tests can use the
-// hook as a deterministic batch-boundary rendezvous instead of waiting on
-// timing, and services can export batch-size metrics from it.
-func WithBatchHook(fn func(requests int)) Option {
-	return func(p *Pipeline) { p.batchHook = fn }
-}
-
 // WithCycleHook installs fn to be called by the batch leader after each
 // leadership cycle, with the number of calls combined, the number of
 // requests driven, and the cycle's wall-clock duration (core execution
-// plus submitter wakeups). Like WithBatchHook, calls are serialized and
-// happen before the leader re-checks the queue; services use it to
-// export combining-cycle latency distributions.
+// plus submitter wakeups). Calls are serialized (only one leader runs at a
+// time) and happen before the leader re-checks the queue, so tests can use
+// the hook as a deterministic cycle-boundary rendezvous instead of waiting
+// on timing, and services export batch-size and combining-cycle latency
+// distributions from it.
 func WithCycleHook(fn func(calls, requests int, dur time.Duration)) Option {
 	return func(p *Pipeline) { p.cycleHook = fn }
 }
 
-// New builds a pipeline over the given batch-capable controller.
+// New builds a pipeline over the given batch-capable controller. sub may be
+// nil for a pipeline whose every run enters through Do.
 func New(sub controller.BatchSubmitter, opts ...Option) *Pipeline {
 	p := &Pipeline{sub: sub, maxBatch: DefaultMaxBatch}
 	for _, opt := range opts {
@@ -140,15 +149,12 @@ func New(sub controller.BatchSubmitter, opts ...Option) *Pipeline {
 func (p *Pipeline) Submit(req controller.Request) (controller.Grant, error) {
 	c := callPool.Get().(*call)
 	c.req1[0] = req
-	c.reqs = c.req1[:]
-	c.results = c.res1[:0]
-	if err := p.run(c); err != nil {
-		callPool.Put(c)
+	c.sub, c.reqs, c.results = p.sub, c.req1[:], c.res1[:0]
+	defer c.release()
+	if err := p.enqueue(c, c, 1); err != nil {
 		return controller.Grant{}, err
 	}
-	res := c.results[0]
-	callPool.Put(c)
-	return res.Grant, res.Err
+	return c.results[0].Grant, c.results[0].Err
 }
 
 // SubmitMany enqueues a run of requests as one unit and blocks until all of
@@ -162,29 +168,43 @@ func (p *Pipeline) SubmitMany(reqs []controller.Request, out []controller.BatchR
 		return out, nil
 	}
 	c := callPool.Get().(*call)
-	c.reqs = reqs
-	c.results = out
-	if err := p.run(c); err != nil {
-		c.reqs, c.results = nil, nil // do not retain caller slices in the pool
-		callPool.Put(c)
+	c.sub, c.reqs, c.results = p.sub, reqs, out
+	defer c.release()
+	if err := p.enqueue(c, c, len(reqs)); err != nil {
 		return out, err
 	}
-	out = c.results
-	c.reqs, c.results = nil, nil // do not retain caller slices in the pool
-	callPool.Put(c)
-	return out, nil
+	return c.results, nil
 }
 
-// run enqueues the call, leads the queue if no leader is active, and waits
-// for the call to complete.
-func (p *Pipeline) run(c *call) error {
+// Do enqueues r as one run of n requests and blocks until the batch leader
+// has executed r.Run, or fails with ErrClosed without running it. Like a
+// SubmitMany run it is executed as a unit, in queue order, under the same
+// one-leader-at-a-time guarantee; n only sizes combining cycles and feeds
+// Stats. Do allocates nothing, so a connection can push one reusable run
+// value through it for its whole life.
+func (p *Pipeline) Do(n int, r Runner) error {
+	c := callPool.Get().(*call)
+	defer c.release()
+	return p.enqueue(c, r, n)
+}
+
+// release returns c to the pool without retaining caller-owned values.
+func (c *call) release() {
+	c.run, c.sub, c.reqs, c.results = nil, nil, nil, nil
+	callPool.Put(c)
+}
+
+// enqueue queues r on c, leads the queue if no leader is active, and waits
+// for the run to complete.
+func (p *Pipeline) enqueue(c *call, r Runner, n int) error {
+	c.run, c.n = r, n
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
 	p.stats.Calls++
-	p.stats.Requests += int64(len(c.reqs))
+	p.stats.Requests += int64(n)
 	p.queue = append(p.queue, c)
 	if p.leading {
 		// A leader is active and will pick this call up.
@@ -205,7 +225,7 @@ func (p *Pipeline) lead() {
 	for len(p.queue) > 0 {
 		taken, reqs := 0, 0
 		for taken < len(p.queue) && (taken == 0 || reqs < p.maxBatch) {
-			reqs += len(p.queue[taken].reqs)
+			reqs += p.queue[taken].n
 			taken++
 		}
 		p.batch = append(p.batch[:0], p.queue[:taken]...)
@@ -225,14 +245,11 @@ func (p *Pipeline) lead() {
 			cycleStart = time.Now()
 		}
 		for _, c := range p.batch {
-			c.results = p.sub.SubmitBatch(c.reqs, c.results)
+			c.run.Run()
 			c.done <- struct{}{}
 		}
 		if p.cycleHook != nil {
 			p.cycleHook(taken, reqs, time.Since(cycleStart))
-		}
-		if p.batchHook != nil {
-			p.batchHook(reqs)
 		}
 
 		p.mu.Lock()

@@ -1,0 +1,427 @@
+package server
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dynctrl/internal/controller"
+	"dynctrl/internal/dist"
+	"dynctrl/internal/obs"
+	"dynctrl/internal/pipeline"
+	"dynctrl/internal/wire"
+)
+
+// connRun is the unit that flows through the serving stack: one read
+// batch's requests going in, its results and the guard's receipt coming
+// back. Each connection owns exactly one and reuses it for every batch; the
+// pipeline leader fills it (Run) and the completion handoff publishes it to
+// the connection's goroutine, so nothing about a run is ever looked up.
+type connRun struct {
+	guard   *guardedSubmitter
+	reqs    []controller.Request
+	results []controller.BatchResult
+	rcpt    receipt
+}
+
+// Run implements pipeline.Runner.
+func (r *connRun) Run() { r.results, r.rcpt = r.guard.submit(r.reqs, r.results[:0]) }
+
+// srvConn is one accepted wire-protocol connection, bound to a single
+// tenant namespace by the handshake.
+type srvConn struct {
+	s      *Server
+	nc     net.Conn
+	remote string
+	br     *bufio.Reader
+	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
+
+	wmu sync.Mutex // guards bw and the underlying write side
+	bw  *bufio.Writer
+
+	readClosed atomic.Bool
+
+	// Serve-goroutine state, reused across read batches.
+	lastTrace uint64 // most recent batch-trace ID
+	rbuf      []byte
+	sub       wire.Submit
+	ids       []uint64 // one per Submit frame of the current read batch
+	counts    []int    // requests carried by each of those frames
+	run       connRun
+	wbuf      []byte
+	wres      []wire.Result
+}
+
+func newSrvConn(s *Server, nc net.Conn) *srvConn {
+	return &srvConn{
+		s: s, nc: nc, remote: nc.RemoteAddr().String(),
+		br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
+	}
+}
+
+// closeRead shuts the read side so the serve loop drains out; responses for
+// in-flight batches still go to the client.
+func (c *srvConn) closeRead() {
+	c.readClosed.Store(true)
+	if tc, ok := c.nc.(*net.TCPConn); ok {
+		tc.CloseRead() //nolint:errcheck
+		return
+	}
+	// Non-TCP (e.g. in-memory test pipes): fall back to a hard close.
+	c.nc.Close()
+}
+
+// send writes buf (one or more encoded frames) to the peer and flushes it.
+// It is the only place the write side is touched: the serve goroutine's
+// replies and another connection's reject-wave push serialize on wmu.
+func (c *srvConn) send(buf []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if _, err := c.bw.Write(buf); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// fail writes a connection-fatal error frame and gives up on the peer.
+func (c *srvConn) fail(code uint8, detail string) {
+	tenant := ""
+	if c.tn != nil {
+		tenant = c.tn.name
+	}
+	c.s.logger.Warn("connection fatal",
+		"remote", c.remote, "tenant", tenant,
+		"code", code, "detail", detail, "trace_id", c.lastTrace)
+	// The connection is being torn down either way; a peer that cannot be
+	// told why learns it from the close.
+	_ = c.send(wire.AppendError(nil, wire.ErrorFrame{Code: code, Detail: detail}))
+}
+
+// refuse ends a handshake that cannot bind: one "handshake failed" event
+// and one typed error frame naming the reason.
+func (c *srvConn) refuse(code uint8, detail string) {
+	c.s.logger.Warn("handshake failed", "remote", c.remote, "err", detail)
+	c.fail(code, detail)
+}
+
+func (c *srvConn) serve() {
+	defer c.s.wg.Done()
+	defer c.s.removeConn(c)
+	defer c.nc.Close()
+	if c.handshake() {
+		c.loop()
+	}
+}
+
+// handshake reads exactly one Hello and answers it with Welcome. The Hello
+// names the tenant namespace the connection binds to; everything after the
+// handshake is implicitly scoped to it. It reports false when the
+// connection is finished (refused, aborted or unwritable).
+func (c *srvConn) handshake() bool {
+	// A deadline that cannot be armed is connection-fatal: serving an
+	// undeadlined handshake would hand a slow-loris peer a goroutine
+	// forever.
+	hsTimeout := c.s.cfg.HandshakeTimeout
+	if hsTimeout <= 0 {
+		hsTimeout = DefaultHandshakeTimeout
+	}
+	if err := c.nc.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
+		return false
+	}
+	ft, p, err := wire.ReadFrame(c.br, &c.rbuf)
+	if err != nil {
+		// A clean immediate close (port probe, peer gave up) is routine;
+		// anything else — garbage bytes, a torn frame, the handshake
+		// deadline — is a fault worth flagging.
+		if errors.Is(err, io.EOF) || c.readClosed.Load() {
+			c.s.logger.Debug("handshake aborted", "remote", c.remote, "err", err)
+		} else {
+			c.s.logger.Warn("handshake failed", "remote", c.remote, "err", err)
+		}
+		return false
+	}
+	if ft != wire.FrameHello {
+		c.refuse(wire.CodeProtocol, fmt.Sprintf("expected hello, got %v", ft))
+		return false
+	}
+	hello, err := wire.DecodeHello(p)
+	if err != nil {
+		code := wire.CodeProtocol
+		if errors.Is(err, wire.ErrBadTenant) {
+			code = wire.CodeTenant
+		}
+		c.refuse(code, err.Error())
+		return false
+	}
+	if hello.Version != wire.Version {
+		c.refuse(wire.CodeVersion, fmt.Sprintf("server speaks version %d, client sent %d", wire.Version, hello.Version))
+		return false
+	}
+	tn := c.s.tenants[hello.Tenant]
+	if tn == nil {
+		c.refuse(wire.CodeTenant, fmt.Sprintf("unknown tenant %q (served: %v)", hello.Tenant, c.s.order))
+		return false
+	}
+	c.tn = tn
+	c.run.guard = tn.guard
+	tn.bind(c)
+	c.s.logger.Debug("connection bound", "remote", c.remote, "tenant", tn.name, "incarnation", tn.incarnation)
+	if c.s.cfg.IdleTimeout <= 0 {
+		// No idle policy: clear the handshake deadline. Failing to clear
+		// it would strand the connection behind a stale deadline, so it
+		// is connection-fatal too.
+		if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
+			return false
+		}
+	}
+	return c.send(wire.AppendWelcome(nil, wire.Welcome{
+		Version:     wire.Version,
+		Tenant:      tn.name,
+		M:           tn.cfg.M,
+		W:           tn.cfg.W,
+		TopoSig:     tn.topoSig,
+		Incarnation: tn.incarnation,
+	})) == nil
+}
+
+// loop is the request loop with read-batching: each wakeup takes the frame
+// that unblocked the read plus every complete Submit frame already sitting
+// in the socket buffer (up to ReadBatch requests), answers them all through
+// one pipeline run, then writes one Results frame per Submit. It returns
+// when the peer can no longer be read from or written to.
+func (c *srvConn) loop() {
+	tn, run := c.tn, &c.run
+	idle := c.s.cfg.IdleTimeout
+	tracer := tn.tracer
+	for {
+		c.ids, c.counts, run.reqs = c.ids[:0], c.counts[:0], run.reqs[:0]
+
+		// Rolling idle deadline, re-armed per frame: any complete frame
+		// resets the clock, but a peer that dribbles bytes (or nothing)
+		// for IdleTimeout is cut loose.
+		if idle > 0 {
+			if err := c.nc.SetReadDeadline(time.Now().Add(idle)); err != nil {
+				return
+			}
+		}
+		ft, p, err := wire.ReadFrame(c.br, &c.rbuf)
+		if err != nil {
+			if idle > 0 && !c.readClosed.Load() {
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					tn.idleTimeouts.Add(1)
+					c.s.logger.Info("idle timeout", "remote", c.remote, "tenant", tn.name)
+				}
+			}
+			return // peer closed, idle timeout, shutdown, or read error: drain out
+		}
+		// The trace clock starts once the first frame has arrived: time a
+		// connection spends idle waiting for traffic is not server latency.
+		var bt *obs.BatchTrace
+		if tracer != nil {
+			bt = &obs.BatchTrace{ID: tracer.NextID(), Start: time.Now(), Conn: c.remote}
+		}
+		if !c.ingest(ft, p) {
+			return
+		}
+		for len(run.reqs) < c.s.cfg.ReadBatch && c.completeFrameBuffered() {
+			ft, p, err := wire.ReadFrame(c.br, &c.rbuf)
+			if err != nil || !c.ingest(ft, p) {
+				return
+			}
+		}
+		if len(run.reqs) == 0 {
+			// Empty Submit frames still get their (empty) Results reply:
+			// every submitted id is answered, always.
+			if _, _, _, err := c.accountAndReply(); err != nil {
+				return
+			}
+			continue
+		}
+
+		n := int64(len(run.reqs))
+		tn.readBatches.Add(1)
+		tn.readReqs.Add(n)
+		if hi := tn.maxRead.Load(); n > hi {
+			tn.maxRead.CompareAndSwap(hi, n) // best-effort high-water mark
+		}
+
+		// One clock read ends the decode span and starts the submit span;
+		// the counter updates above are charged to decode, which is noise.
+		var submitStart time.Time
+		if bt != nil {
+			submitStart = time.Now()
+			bt.Stages[obs.StageDecode] = submitStart.Sub(bt.Start)
+		}
+		if err := tn.pl.Do(len(run.reqs), run); err != nil {
+			// pipeline.ErrClosed — admitted after the drain began: answer
+			// everything with the shutdown code so the client can tell
+			// these were not served.
+			run.results, run.rcpt = run.results[:0], receipt{}
+			for range run.reqs {
+				run.results = append(run.results, controller.BatchResult{Err: err})
+			}
+		}
+		submitWall := time.Duration(0)
+		if bt != nil {
+			submitWall = time.Since(submitStart)
+		}
+
+		// Group commit: results may not reach the wire before this batch's
+		// WAL records are fsynced. The pipeline keeps driving other batches
+		// while we ride out the fsync. A missing ticket is only legal when
+		// the run decided nothing (shutdown/dead-WAL error results) — with
+		// any successful result it means the durability chain broke, and
+		// the connection dies rather than reply early.
+		var walWait time.Duration
+		if eng := tn.eng; eng != nil {
+			if !run.rcpt.hasTicket {
+				for _, br := range run.results {
+					if br.Err == nil {
+						c.fail(wire.CodeProtocol, "wal: decided batch has no durability ticket")
+						return
+					}
+				}
+			} else {
+				waitStart := time.Now() // two clock reads are noise next to an fsync
+				if werr := eng.WaitDurable(run.rcpt.ticket); werr != nil {
+					c.fail(wire.CodeProtocol, fmt.Sprintf("wal: %v", werr))
+					return
+				}
+				walWait = time.Since(waitStart)
+			}
+		}
+
+		grants, rejects, errCount, err := c.accountAndReply()
+		if err != nil {
+			return
+		}
+
+		if bt != nil {
+			// The pipeline wait is what is left of the run's wall time
+			// once its own execute and WAL-append work is taken out.
+			rc := run.rcpt
+			bt.Stages[obs.StageQueue] = max(submitWall-rc.exec-rc.walAppend, 0)
+			bt.Stages[obs.StageExecute] = rc.exec
+			bt.Stages[obs.StageWAL] = rc.walAppend + walWait
+			bt.Total = time.Since(bt.Start)
+			bt.Stages[obs.StageWrite] = max(bt.Total-bt.Stages[obs.StageDecode]-submitWall-walWait, 0)
+			bt.Frames = len(c.ids)
+			bt.Requests = len(run.reqs)
+			bt.Grants, bt.Rejects, bt.Errors = grants, rejects, errCount
+			bt.CtlMsgs = rc.ctlMsgs
+			bt.Wave = rejects > 0
+			tracer.Record(bt)
+			c.lastTrace = bt.ID
+		}
+	}
+}
+
+// ingest folds one frame into the current read batch. It reports false
+// when the connection must be torn down (protocol error).
+func (c *srvConn) ingest(ft wire.FrameType, p []byte) bool {
+	if ft != wire.FrameSubmit {
+		c.fail(wire.CodeProtocol, fmt.Sprintf("unexpected %v frame", ft))
+		return false
+	}
+	if err := wire.DecodeSubmit(p, &c.sub); err != nil {
+		c.fail(wire.CodeProtocol, err.Error())
+		return false
+	}
+	c.ids = append(c.ids, c.sub.ID)
+	c.counts = append(c.counts, len(c.sub.Reqs))
+	for _, r := range c.sub.Reqs {
+		c.run.reqs = append(c.run.reqs, controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child})
+	}
+	return true
+}
+
+// completeFrameBuffered reports whether at least one whole frame sits in
+// the read buffer, so reading it cannot block.
+func (c *srvConn) completeFrameBuffered() bool {
+	if c.br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4) // cannot fail: four bytes are buffered
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n < 1 || n > wire.MaxFrame {
+		// Let ReadFrame consume it and report the protocol error.
+		return true
+	}
+	return c.br.Buffered() >= 4+n
+}
+
+// accountAndReply updates the bound tenant's wire-level tallies, writes one
+// Results frame per submitted frame of the current read batch in order, and
+// returns the batch's verdict tallies. The tallies are published before the
+// write, so /metricsz never reports fewer answers than a client has seen; a
+// write error means the peer can no longer be answered and ends the serve
+// loop.
+func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
+	results := c.run.results
+	buf := c.wbuf[:0]
+	off := 0
+	for i, id := range c.ids {
+		n := c.counts[i]
+		res := c.wres[:0]
+		for _, br := range results[off : off+n] {
+			var r wire.Result
+			switch {
+			case br.Err == nil:
+				r = wire.Result{
+					Outcome: uint8(br.Grant.Outcome),
+					Code:    wire.CodeOK,
+					Serial:  br.Grant.Serial,
+					NewNode: br.Grant.NewNode,
+				}
+				switch br.Grant.Outcome {
+				case controller.Granted:
+					grants++
+				case controller.Rejected:
+					rejects++
+				}
+			case errors.Is(br.Err, pipeline.ErrClosed):
+				r = wire.Result{Code: wire.CodeShutdown}
+				errs++
+			case errors.Is(br.Err, dist.ErrTerminated):
+				r = wire.Result{Code: wire.CodeTerminated}
+				errs++
+			case errors.Is(br.Err, errWALUnavailable):
+				r = wire.Result{Code: wire.CodeInternal}
+				errs++
+			default:
+				r = wire.Result{Code: wire.CodeBadRequest}
+				errs++
+			}
+			res = append(res, r)
+		}
+		off += n
+		buf = wire.AppendResults(buf, id, res)
+		c.wres = res
+	}
+	c.wbuf = buf
+
+	tn := c.tn
+	tn.ops.Add(int64(off))
+	tn.grants.Add(grants)
+	tn.rejects.Add(rejects)
+	tn.errs.Add(errs)
+
+	if err = c.send(buf); err != nil {
+		c.s.logger.Debug("results write failed", "remote", c.remote, "tenant", tn.name, "err", err)
+	}
+
+	// First reject observed on the wire for this tenant: announce the wave
+	// to every connection bound to it. The wave is the tenant's, so it runs
+	// even when this peer could not be told its own verdicts.
+	if rejects > 0 && tn.rejectWave.CompareAndSwap(false, true) {
+		tn.broadcastRejectWave(c.s.logger)
+	}
+	return grants, rejects, errs, err
+}

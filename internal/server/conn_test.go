@@ -1,0 +1,265 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"net"
+	"regexp"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dynctrl/internal/client"
+	"dynctrl/internal/controller"
+	"dynctrl/internal/obs"
+	"dynctrl/internal/tree"
+	"dynctrl/internal/wire"
+	"dynctrl/internal/workload"
+)
+
+// TestRejectWaveRacesHandshakes pins the reject wave's view of the
+// connection table: one connection drives a tiny contract into its reject
+// wave while a crowd of others are completing handshakes against the same
+// tenant. The wave must only ever look at connections the tenant's own set
+// holds — before the per-tenant set it scanned every live connection's
+// tenant binding under the server lock while handshakes wrote that field
+// with no lock, which this test fails on under -race.
+func TestRejectWaveRacesHandshakes(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	s := startServer(t, Config{Topology: spec, Seed: 1, M: 4, W: 1})
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var bound atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Keep binding fresh connections (and keep them bound, idle,
+			// while the wave fires) until the driver is done.
+			var held []*client.Client
+			defer func() {
+				for _, cl := range held {
+					cl.Close()
+				}
+			}()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				cl, err := client.Dial(s.Addr(), client.Options{})
+				if err != nil {
+					t.Errorf("crowd dial: %v", err)
+					return
+				}
+				held = append(held, cl)
+				bound.Add(1)
+				if len(held) > 8 {
+					held[0].Close()
+					held = held[1:]
+				}
+			}
+		}()
+	}
+
+	driver, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("driver dial: %v", err)
+	}
+	defer driver.Close()
+	for bound.Load() < 8 {
+		time.Sleep(time.Millisecond)
+	}
+	rejected := false
+	for i := 0; i < 64 && !rejected; i++ {
+		g, err := driver.Submit(controller.Request{Node: tr.Root(), Kind: tree.None})
+		if err != nil {
+			t.Fatalf("driver submit %d: %v", i, err)
+		}
+		rejected = g.Outcome == controller.Rejected
+	}
+	close(stop)
+	wg.Wait()
+	if !rejected {
+		t.Fatal("contract M=4 never rejected")
+	}
+	if !s.defaultTenant().rejectWave.Load() {
+		t.Fatal("reject wave never fired")
+	}
+	if v := s.Violations(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+}
+
+// brokenWriteConn is a net.Conn whose Write starts failing once armed.
+type brokenWriteConn struct {
+	net.Conn
+	broken atomic.Bool
+}
+
+var errBrokenWrite = errors.New("injected write failure")
+
+func (c *brokenWriteConn) Write(p []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, errBrokenWrite
+	}
+	return c.Conn.Write(p)
+}
+
+// TestResultsWriteFailureEndsServeLoop: once a Results frame cannot be
+// written the peer can no longer be answered, so the serve loop must end
+// there — not go on to read, execute and grant permits for it. Before the
+// single send helper the write error was discarded and the second batch
+// below reached the pipeline.
+func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	s := startServer(t, Config{Topology: spec, Seed: 1, M: 100, W: 10})
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	peer, srvSide := net.Pipe()
+	defer peer.Close()
+	bc := &brokenWriteConn{Conn: srvSide}
+	if !s.adopt(bc) {
+		t.Fatal("adopt refused on a live server")
+	}
+
+	// Handshake over the healthy pipe.
+	if _, err := peer.Write(wire.AppendHello(nil, wire.Hello{Version: wire.Version})); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	br := bufio.NewReader(peer)
+	var rbuf []byte
+	if ft, _, err := wire.ReadFrame(br, &rbuf); err != nil || ft != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %v err %v, want welcome", ft, err)
+	}
+	waitLifecycle(t, s, "bind", func(open, _, _ int64) bool { return open == 1 })
+
+	// From here on the server cannot write. net.Pipe writes are
+	// synchronous, so each Submit frame below is its own read batch.
+	bc.broken.Store(true)
+	reqs := []wire.Req{{Node: tr.Root(), Kind: tree.None}}
+	if _, err := peer.Write(wire.AppendSubmit(nil, 1, reqs)); err != nil {
+		t.Fatalf("write submit 1: %v", err)
+	}
+	// The second frame is either never read (the serve goroutine closed
+	// the pipe) or read by a loop that should no longer be running.
+	peer.SetWriteDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	peer.Write(wire.AppendSubmit(nil, 2, reqs))            //nolint:errcheck
+
+	waitLifecycle(t, s, "serve loop exit", func(open, _, _ int64) bool { return open == 0 })
+	if ps := s.PipelineStatsForTests(); ps.Calls != 1 || ps.Requests != 1 {
+		t.Fatalf("pipeline saw %d calls / %d requests, want exactly the one batch read before the write failed",
+			ps.Calls, ps.Requests)
+	}
+	// Accounting order is tallies-before-write: the executed batch is
+	// counted even though its answer was lost.
+	if ops, grants, _, _ := s.Accounting(); ops != 1 || grants != 1 {
+		t.Fatalf("accounting ops=%d grants=%d, want 1/1", ops, grants)
+	}
+}
+
+var ctlMsgsRe = regexp.MustCompile(`(?m)^dynctrld_tenant_control_messages_total\{tenant="default"\} (\d+)$`)
+
+func scrapeControlMessages(t *testing.T, s *Server) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	s.WriteMetrics(&buf)
+	m := ctlMsgsRe.FindSubmatch(buf.Bytes())
+	if m == nil {
+		t.Fatalf("no control_messages_total sample in:\n%s", buf.String())
+	}
+	n, err := strconv.ParseInt(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestReceiptFeedsTraces: with a WAL and tracing on, every batch trace is
+// built from its own run's receipt — it has controller time and WAL time of
+// its own, its stages fit inside its total, and the control-message deltas
+// of all traces partition exactly what /metricsz counted.
+func TestReceiptFeedsTraces(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "balanced", Nodes: 32}
+	s := startServer(t, Config{
+		// The contract is smaller than the load, so the run crosses
+		// iteration restarts and the exhaustion wave — the events that
+		// cost control messages.
+		Topology: spec, Seed: 5, M: 300, W: 30,
+		WALDir: t.TempDir(), TraceRing: 4096,
+	})
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 5); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []tree.NodeID
+	tr.WalkDFS(func(id tree.NodeID, _ int) bool { nodes = append(nodes, id); return true })
+	before := scrapeControlMessages(t, s)
+
+	const conns, perConn, chunk = 4, 40, 8
+	cl, err := client.Dial(s.Addr(), client.Options{Conns: conns})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < conns; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			reqs := make([]controller.Request, chunk)
+			for i := 0; i < perConn; i++ {
+				for j := range reqs {
+					reqs[j] = controller.Request{Node: nodes[(g*131+i*17+j)%len(nodes)], Kind: tree.None}
+				}
+				if _, err := cl.SubmitMany(reqs, nil); err != nil {
+					t.Errorf("SubmitMany: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	cl.Close()
+	// A batch's trace is recorded after its reply is written; once every
+	// serve loop has exited they are all in.
+	waitLifecycle(t, s, "connections drained", func(open, _, _ int64) bool { return open == 0 })
+
+	tn := s.defaultTenant()
+	traces := tn.tracer.Recent(4096)
+	if got, want := uint64(len(traces)), tn.tracer.Recorded(); got != want || got == 0 {
+		t.Fatalf("ring holds %d traces of %d recorded", got, want)
+	}
+	var ctl, reqs int64
+	for _, bt := range traces {
+		exec, wal, queue := bt.Stages[obs.StageExecute], bt.Stages[obs.StageWAL], bt.Stages[obs.StageQueue]
+		if exec <= 0 {
+			t.Errorf("trace %d: execute %v, want > 0", bt.ID, exec)
+		}
+		if wal <= 0 {
+			t.Errorf("trace %d: wal %v, want > 0", bt.ID, wal)
+		}
+		if queue+exec+wal > bt.Total {
+			t.Errorf("trace %d: queue %v + execute %v + wal %v exceeds total %v", bt.ID, queue, exec, wal, bt.Total)
+		}
+		ctl += bt.CtlMsgs
+		reqs += int64(bt.Requests)
+	}
+	if want := int64(conns * perConn * chunk); reqs != want {
+		t.Errorf("traces carry %d requests, want %d", reqs, want)
+	}
+	if delta := scrapeControlMessages(t, s) - before; ctl != delta || delta == 0 {
+		t.Errorf("traces sum to %d control messages, /metricsz counted %d", ctl, delta)
+	}
+}

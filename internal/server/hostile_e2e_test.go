@@ -13,6 +13,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
 	"dynctrl/internal/faultnet"
+	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/server"
@@ -30,7 +32,26 @@ import (
 	"dynctrl/internal/workload"
 )
 
-func hostileConfig(sc workload.HostileScenario, walDir string, logf func(string, ...any)) server.Config {
+// tLogWriter adapts t.Log to the io.Writer a slog handler writes to.
+type tLogWriter struct{ t *testing.T }
+
+func (w tLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimRight(string(p), "\n"))
+	return len(p), nil
+}
+
+// warnLogger routes the daemon's warnings (recovery, durability, refused
+// handshakes) to the test log through a slog text handler.
+func warnLogger(t *testing.T) *slog.Logger {
+	t.Helper()
+	logger, err := obs.NewLogger(tLogWriter{t}, slog.LevelWarn, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logger
+}
+
+func hostileConfig(t *testing.T, sc workload.HostileScenario, walDir string) server.Config {
 	cfg := server.Config{
 		Addr:     "127.0.0.1:0",
 		Topology: sc.Topology,
@@ -39,7 +60,7 @@ func hostileConfig(sc workload.HostileScenario, walDir string, logf func(string,
 		Paranoid:         true,
 		IdleTimeout:      sc.IdleTimeout,
 		HandshakeTimeout: sc.HandshakeTimeout,
-		Logf:             logf,
+		Logger:           warnLogger(t),
 	}
 	if sc.WAL {
 		cfg.WALDir = walDir
@@ -49,7 +70,7 @@ func hostileConfig(sc workload.HostileScenario, walDir string, logf func(string,
 
 func bootHostileServer(t *testing.T, sc workload.HostileScenario, walDir string) *server.Server {
 	t.Helper()
-	s, err := server.New(hostileConfig(sc, walDir, t.Logf))
+	s, err := server.New(hostileConfig(t, sc, walDir))
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}

@@ -24,7 +24,7 @@ func walConfig(t *testing.T, dir string) server.Config {
 		Paranoid:      true,
 		WALDir:        dir,
 		SnapshotEvery: 500,
-		Logf:          t.Logf,
+		Logger:        warnLogger(t),
 	}
 }
 

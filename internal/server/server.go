@@ -18,7 +18,7 @@
 //
 // Two layers of batching amortize the protocol overhead under load: each
 // connection coalesces the frames already buffered on its socket into one
-// SubmitMany run (read-batching), and each tenant's pipeline combines
+// pipeline run (read-batching), and each tenant's pipeline combines
 // runs from all of that tenant's connections into controller batches
 // (flat combining).
 //
@@ -26,7 +26,7 @@
 // tenant logs to its own subdirectory (WALDir/<tenant>), every decided
 // batch is appended to that tenant's internal/persist write-ahead log,
 // and a connection's Results frame is not written until the batch's
-// records are fsynced — group commit, at most one fsync per SubmitMany
+// records are fsynced — group commit, at most one fsync per pipeline
 // run, usually amortized over many concurrent runs. On boot each tenant
 // recovers independently: the latest snapshot is restored, the WAL tail
 // is replayed (and verified) through a rebuilt controller, and the
@@ -48,58 +48,26 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"path/filepath"
-	"runtime"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
-	"dynctrl/internal/persist"
-	"dynctrl/internal/pipeline"
-	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
-	"dynctrl/internal/tree"
-	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
 
 // DefaultReadBatch bounds how many requests one connection coalesces from
-// its socket buffer into a single SubmitMany run.
+// its socket buffer into a single pipeline run.
 const DefaultReadBatch = 4096
-
-// TenantConfig describes one tenant namespace: its name (the Hello
-// handshake key, also its WAL subdirectory and /metricsz label) and the
-// private admission stack it owns.
-type TenantConfig struct {
-	// Name is the namespace name; it must satisfy wire.ValidTenant.
-	Name string
-
-	// Topology and Seed determine the tenant's initial tree, exactly as in
-	// the scenario engine: the same (spec, seed) pair always builds the
-	// same tree, which is how a remote load generator reconstructs it.
-	Topology workload.TopologySpec
-	Seed     int64
-	// Scheduler names the transport schedule of the tenant's message
-	// runtime (default "random").
-	Scheduler string
-
-	// M and W are the tenant's admission contract.
-	M, W int64
-}
 
 // Config describes one daemon instance.
 type Config struct {
@@ -110,13 +78,12 @@ type Config struct {
 	// empty disables it.
 	MetricsAddr string
 
-	// Topology, Seed, Scheduler, M and W describe the single
-	// wire.DefaultTenant namespace served when Tenants is empty. They are
-	// ignored when Tenants is set.
-	Topology  workload.TopologySpec
-	Seed      int64
-	Scheduler string
-	M, W      int64
+	// Topology, Seed, M and W describe the single wire.DefaultTenant
+	// namespace served when Tenants is empty. They are ignored when
+	// Tenants is set.
+	Topology workload.TopologySpec
+	Seed     int64
+	M, W     int64
 
 	// Tenants, when non-empty, declares the namespaces this daemon serves.
 	// Names must be unique and satisfy wire.ValidTenant.
@@ -156,14 +123,12 @@ type Config struct {
 	// CommitWindow is the group-commit coalescing window (0 =
 	// DefaultCommitWindow; negative fsyncs immediately).
 	CommitWindow time.Duration
-	// Logf receives recovery and durability warnings (default: forward to
-	// Logger at warn level).
-	Logf func(format string, args ...any)
 
 	// Logger receives the daemon's structured log events (accepts,
-	// handshakes, binds, reject waves, recovery, idle timeouts, drain,
-	// connection-fatal errors) with tenant and trace-ID attributes.
-	// Nil discards everything (the embedded-server default).
+	// handshakes, binds, reject waves, recovery and durability warnings,
+	// idle timeouts, drain, connection-fatal errors) with tenant and
+	// trace-ID attributes. Nil discards everything (the embedded-server
+	// default).
 	Logger *slog.Logger
 
 	// TraceRing sizes each tenant's batch-trace ring (0 = obs.DefaultRing;
@@ -189,48 +154,6 @@ const DefaultCommitWindow = 200 * time.Microsecond
 // its Hello within this window is dropped.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// tenant is one namespace's private admission stack plus its wire-level
-// accounting. Nothing in here is shared between tenants: the tree, the
-// runtime, the controller, the pipeline, the WAL engine, the oracle and
-// every counter are per-namespace, which is what the cross-tenant
-// isolation oracle (oracle.CheckTenantIsolation) relies on.
-type tenant struct {
-	name    string
-	cfg     TenantConfig
-	tr      *tree.Tree
-	rt      sim.Runtime
-	ctl     *dist.Dynamic
-	pl      *pipeline.Pipeline
-	guard   *guardedSubmitter
-	ctrs    *stats.Counters
-	topoSig uint64
-
-	// Durability engine state (nil/zero without a WAL).
-	eng              *persist.Engine
-	incarnation      uint64
-	recoveredEffects int
-	recoveredTrunc   int64
-
-	// Wire-level accounting: what the server actually answered over the
-	// network for this tenant. The controller's own counters (grants,
-	// messages, ...) are reported separately on /metricsz; these are the
-	// numbers a load generator must reconcile against.
-	ops, grants, rejects, errs atomic.Int64
-	readBatches, readReqs      atomic.Int64
-	maxRead                    atomic.Int64
-	connsOpen, connsTotal      atomic.Int64
-	idleTimeouts               atomic.Int64
-	rejectWave                 atomic.Bool
-	waveGranted                atomic.Int64
-
-	// Observability (all nil when Config.TraceRing < 0): the batch-trace
-	// ring + per-stage histograms, the pipeline combining-cycle recorder
-	// and the WAL fsync-wave recorder.
-	tracer  *obs.Tracer
-	combine *obs.Recorder
-	fsync   *obs.Recorder
-}
-
 // Server is a running daemon instance.
 type Server struct {
 	cfg     Config
@@ -252,286 +175,6 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// guardedSubmitter serializes controller access (the pipeline leader is
-// the only submitter, but /metricsz samples the non-thread-safe runtime
-// counters concurrently) and optionally routes every request through the
-// oracle. With a durability engine attached it also appends every decided
-// batch to the WAL — still under the lock, so log order is execution order
-// — and triggers background checkpoints; it does NOT wait for the fsync
-// (connections do that before replying), so the pipeline keeps combining
-// batches while earlier batches ride out their group commit.
-type guardedSubmitter struct {
-	mu      sync.Mutex
-	sub     controller.BatchSubmitter
-	orc     *oracle.Oracle                   // non-nil in paranoid mode
-	eng     *persist.Engine                  // non-nil with a WAL
-	capture func() *persist.State            // deep state copy for checkpoints
-	logf    func(format string, args ...any) // durability warnings
-	ctrs    *stats.Counters                  // tenant counters (control-message sampling)
-	trace   bool                             // record per-run stage timings
-	// dead is set when the WAL can no longer accept records: from then on
-	// batches are refused *before* touching the controller, because a
-	// grant that cannot be logged would burn the permit budget against a
-	// state no recovery can ever reconstruct.
-	dead bool
-
-	// runs maps an in-flight SubmitMany run (identified by the address
-	// of its first request — the pipeline hands the caller's slice through
-	// unchanged) to the group-commit ticket covering exactly its records
-	// plus the run's measured controller work, so each connection waits
-	// for its own fsync window instead of the engine's append high-water
-	// mark (which other connections keep advancing — a convoy) and can
-	// attribute its trace's execute/WAL time to exactly its own run.
-	tmu  sync.Mutex
-	runs map[*controller.Request]runInfo
-}
-
-// runInfo is what the guard learned about one SubmitMany run: its
-// group-commit ticket (when a WAL is attached and the append succeeded)
-// and, with tracing on, the run's controller execution time, in-guard WAL
-// append time and control-message count.
-type runInfo struct {
-	ticket    uint64
-	hasTicket bool
-	exec      time.Duration
-	walAppend time.Duration
-	ctlMsgs   int64
-}
-
-// takeRun claims (and forgets) the info recorded for the run whose first
-// request lives at key. ok is false when the run never reached the guard —
-// legitimate only for runs that decided nothing (every result an error);
-// the caller treats a miss with successful results as a broken durability
-// invariant, never as permission to reply early.
-func (g *guardedSubmitter) takeRun(key *controller.Request) (info runInfo, ok bool) {
-	g.tmu.Lock()
-	defer g.tmu.Unlock()
-	info, ok = g.runs[key]
-	delete(g.runs, key)
-	return info, ok
-}
-
-// errWALUnavailable answers requests once the WAL has permanently failed.
-var errWALUnavailable = errors.New("server: wal unavailable")
-
-func (g *guardedSubmitter) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.dead {
-		for range reqs {
-			out = append(out, controller.BatchResult{Err: errWALUnavailable})
-		}
-		return out
-	}
-	var info runInfo
-	var execStart time.Time
-	var ctlBefore int64
-	if g.trace {
-		ctlBefore = g.ctrs.Get(dist.CounterControl)
-		execStart = time.Now()
-	}
-	base := len(out)
-	if g.orc == nil {
-		out = g.sub.SubmitBatch(reqs, out)
-	} else {
-		for _, req := range reqs {
-			gr, err := g.orc.Submit(req)
-			out = append(out, controller.BatchResult{Grant: gr, Err: err})
-		}
-	}
-	if g.trace {
-		info.exec = time.Since(execStart)
-		info.ctlMsgs = g.ctrs.Get(dist.CounterControl) - ctlBefore
-	}
-	if g.eng != nil {
-		var walStart time.Time
-		if g.trace {
-			walStart = time.Now()
-		}
-		ticket, err := g.eng.AppendEffects(reqs, out[base:])
-		if g.trace {
-			info.walAppend = time.Since(walStart)
-		}
-		if err != nil {
-			g.dead = true
-			g.logf("server: wal append failed, refusing further admissions: %v", err)
-		} else {
-			info.ticket, info.hasTicket = ticket, true
-		}
-		if g.eng.ShouldCheckpoint() {
-			g.eng.CheckpointAsync(g.capture())
-		}
-	}
-	if len(reqs) > 0 && (g.trace || info.hasTicket) {
-		g.tmu.Lock()
-		g.runs[&reqs[0]] = info
-		g.tmu.Unlock()
-	}
-	return out
-}
-
-// tenantConfigs normalizes cfg into the tenant list: the explicit Tenants
-// slice, or a single wire.DefaultTenant namespace built from the
-// single-tenant fields.
-func tenantConfigs(cfg Config) []TenantConfig {
-	if len(cfg.Tenants) > 0 {
-		return cfg.Tenants
-	}
-	return []TenantConfig{{
-		Name:      wire.DefaultTenant,
-		Topology:  cfg.Topology,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
-		M:         cfg.M,
-		W:         cfg.W,
-	}}
-}
-
-// newTenant builds (or, when its WAL subdirectory has history, recovers)
-// one namespace's admission stack.
-func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
-	if !wire.ValidTenant(tc.Name) {
-		return nil, fmt.Errorf("server: invalid tenant name %q", tc.Name)
-	}
-	if tc.M < 0 || tc.W < 0 || tc.W > tc.M {
-		return nil, fmt.Errorf("server: tenant %q: invalid contract (M=%d, W=%d)", tc.Name, tc.M, tc.W)
-	}
-	if tc.Topology.Kind == "" {
-		tc.Topology.Kind = "balanced"
-	}
-	if tc.Topology.Nodes < 1 {
-		tc.Topology.Nodes = 1
-	}
-	if tc.Scheduler == "" {
-		tc.Scheduler = "random"
-	}
-	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, tc.Topology, tc.Seed); err != nil {
-		return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
-	}
-	// The handshake's topology signature always names the *initial* tree
-	// (the one a remote load generator can reconstruct from the spec and
-	// seed); recovery below may evolve the live tree past it.
-	topoSig := workload.TopologySignature(tr)
-	rt, err := sim.NewRuntime(tc.Scheduler, tc.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
-	}
-	ctrs := stats.NewCounters()
-
-	tn := &tenant{
-		name:    tc.Name,
-		cfg:     tc,
-		tr:      tr,
-		rt:      rt,
-		ctl:     dist.NewDynamic(tr, rt, tc.M, tc.W, false, ctrs),
-		ctrs:    ctrs,
-		topoSig: topoSig,
-	}
-	traced := cfg.TraceRing >= 0
-	if traced {
-		tn.tracer = obs.NewTracer(cfg.TraceRing, obs.DefaultSlow)
-		tn.combine = obs.NewRecorder()
-	}
-
-	var walDir string
-	if cfg.WALDir != "" {
-		walDir = filepath.Join(cfg.WALDir, tc.Name)
-		snapEvery := cfg.SnapshotEvery
-		if snapEvery < 0 {
-			snapEvery = 0
-		}
-		window := cfg.CommitWindow
-		if window < 0 {
-			window = 0
-		}
-		popts := persist.Options{
-			SnapshotEvery: snapEvery,
-			CommitWindow:  window,
-			Logf:          cfg.Logf,
-		}
-		if traced {
-			tn.fsync = obs.NewRecorder()
-			popts.SyncObserver = func(_ int, d time.Duration) { tn.fsync.Record(d) }
-		}
-		eng, rec, err := persist.Open(walDir, popts)
-		if err != nil {
-			return nil, fmt.Errorf("server: tenant %q: open wal: %w", tc.Name, err)
-		}
-		if rec.Snapshot != nil {
-			if rec.Snapshot.M != tc.M || rec.Snapshot.W != tc.W {
-				eng.Close()
-				return nil, fmt.Errorf("server: tenant %q: wal snapshot was taken under (M=%d, W=%d), daemon started with (M=%d, W=%d)",
-					tc.Name, rec.Snapshot.M, rec.Snapshot.W, tc.M, tc.W)
-			}
-			tn.ctl, err = persist.RestoreInto(rec.Snapshot, tr, rt, ctrs)
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
-			}
-		}
-		applied, err := persist.Replay(rec.Tail, tn.ctl)
-		if err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
-		}
-		tn.eng = eng
-		tn.incarnation = eng.Incarnation()
-		tn.recoveredEffects = applied
-		tn.recoveredTrunc = rec.TruncatedBytes
-		if rec.Snapshot != nil || applied > 0 {
-			var snapIndex uint64
-			if rec.Snapshot != nil {
-				snapIndex = rec.Snapshot.Index
-			}
-			cfg.Logger.Info("tenant recovered",
-				"tenant", tc.Name, "incarnation", tn.incarnation,
-				"snapshot_index", snapIndex, "effects_replayed", applied,
-				"truncated_bytes", rec.TruncatedBytes)
-		}
-	}
-
-	guard := &guardedSubmitter{
-		sub:     tn.ctl,
-		eng:     tn.eng,
-		capture: tn.captureState,
-		logf:    cfg.Logf,
-		ctrs:    ctrs,
-		trace:   traced,
-		runs:    make(map[*controller.Request]runInfo),
-	}
-	if cfg.Paranoid {
-		// Seed the oracle with the recovered totals — and every serial the
-		// retained history ever granted — so the safety counter and serial
-		// uniqueness span incarnations.
-		var priorSerials []int64
-		if tn.eng != nil {
-			history, err := persist.ReadHistory(walDir)
-			if err != nil {
-				cfg.Logf("server: tenant %q: reading wal history for the oracle baseline: %v", tc.Name, err)
-			}
-			for _, sum := range persist.Summaries(history) {
-				priorSerials = append(priorSerials, sum.Serials...)
-			}
-		}
-		guard.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
-			oracle.WithMessages(rt.Messages),
-			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
-	}
-	var opts []pipeline.Option
-	if cfg.MaxBatch > 0 {
-		opts = append(opts, pipeline.WithMaxBatch(cfg.MaxBatch))
-	}
-	if traced {
-		opts = append(opts, pipeline.WithCycleHook(func(_, _ int, d time.Duration) {
-			tn.combine.Record(d)
-		}))
-	}
-	tn.guard = guard
-	tn.pl = pipeline.New(guard, opts...)
-	return tn, nil
-}
-
 // New builds a server over fresh per-tenant admission stacks — or, when
 // cfg.WALDir names a directory with history, over the recovered ones:
 // each tenant's latest snapshot is restored in place, its WAL tail is
@@ -541,12 +184,6 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
-	}
-	if cfg.Logf == nil {
-		logger := cfg.Logger
-		cfg.Logf = func(format string, args ...any) {
-			logger.Warn(fmt.Sprintf(format, args...))
-		}
 	}
 	if cfg.ReadBatch < 1 {
 		cfg.ReadBatch = DefaultReadBatch
@@ -588,20 +225,6 @@ func (s *Server) closeTenants() {
 		if tn.eng != nil {
 			tn.eng.Close()
 		}
-	}
-}
-
-// captureState deep-copies a tenant's admission stack into a snapshot
-// state. Called with guard.mu held (no submission in flight).
-func (t *tenant) captureState() *persist.State {
-	return &persist.State{
-		Index:       t.eng.AppendedIndex(),
-		Incarnation: t.incarnation,
-		M:           t.cfg.M,
-		W:           t.cfg.W,
-		Tree:        t.tr.Snapshot(),
-		Ctl:         t.ctl.State(),
-		Counters:    t.ctrs.Snapshot(),
 	}
 }
 
@@ -648,7 +271,11 @@ func (s *Server) Start() error {
 		})
 		mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			s.WriteTraces(w, r.URL.Query().Get("tenant"), atoiDefault(r.URL.Query().Get("n"), 16))
+			n, err := strconv.Atoi(r.URL.Query().Get("n"))
+			if err != nil || n < 1 {
+				n = 16
+			}
+			s.WriteTraces(w, r.URL.Query().Get("tenant"), n)
 		})
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintln(w, "ok")
@@ -669,37 +296,6 @@ func (s *Server) Start() error {
 		"addr", s.Addr(), "metrics", s.MetricsAddr(),
 		"tenants", len(s.order), "paranoid", s.cfg.Paranoid,
 		"wal", s.cfg.WALDir != "", "pprof", s.cfg.Pprof)
-	return nil
-}
-
-// atoiDefault parses a query parameter, falling back on def.
-func atoiDefault(s string, def int) int {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return def
-	}
-	return n
-}
-
-// WriteTraces renders the plain-text /tracez document: per tenant, the
-// stage-latency digest plus the slowest-n and most-recent-n batch traces.
-// A non-empty tenant filter restricts the report to that namespace.
-func (s *Server) WriteTraces(w io.Writer, tenant string, n int) {
-	for _, name := range s.order {
-		if tenant != "" && name != tenant {
-			continue
-		}
-		obs.WriteTracez(w, name, s.tenants[name].tracer, n, n)
-	}
-}
-
-// TenantStageStats returns the named tenant's server-side stage-latency
-// digest (decode, queue, execute, wal, write, total), or nil when the
-// tenant is unknown or tracing is disabled.
-func (s *Server) TenantStageStats(name string) []obs.StageStats {
-	if tn := s.tenants[name]; tn != nil {
-		return tn.tracer.Snapshot()
-	}
 	return nil
 }
 
@@ -740,52 +336,37 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (shutdown)
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if !s.adopt(nc) {
 			nc.Close()
 			return
 		}
-		c := &srvConn{s: s, nc: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10)}
-		s.conns[c] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.logger.Debug("connection accepted", "remote", nc.RemoteAddr().String())
-		go c.serve()
 	}
 }
 
-// removeConn drops c from the live set (idempotent).
+// adopt registers nc as a live connection and starts its serve goroutine.
+// It reports false once the drain has begun.
+func (s *Server) adopt(nc net.Conn) bool {
+	c := newSrvConn(s, nc)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.logger.Debug("connection accepted", "remote", c.remote)
+	go c.serve()
+	return true
+}
+
+// removeConn drops c from the live set and from its tenant's.
 func (s *Server) removeConn(c *srvConn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-	if tn := c.tn; tn != nil {
-		tn.connsOpen.Add(-1)
-	}
-}
-
-// broadcastRejectWave pushes a RejectWave frame to every live connection
-// bound to tn and logs the wave completion to tn's WAL. Called at most
-// once per tenant, by whichever connection observed the first reject.
-func (s *Server) broadcastRejectWave(tn *tenant, granted int64) {
-	tn.waveGranted.Store(granted)
-	if tn.eng != nil {
-		if _, err := tn.eng.AppendWave(granted); err != nil {
-			s.cfg.Logf("server: tenant %q: wal wave append failed: %v", tn.name, err)
-		}
-	}
-	s.mu.Lock()
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		if c.tn == tn {
-			conns = append(conns, c)
-		}
-	}
-	s.mu.Unlock()
-	s.logger.Info("reject wave", "tenant", tn.name, "granted", granted, "connections", len(conns))
-	for _, c := range conns {
-		c.pushRejectWave(granted)
+	if c.tn != nil {
+		c.tn.unbind(c)
 	}
 }
 
@@ -801,10 +382,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	conns := slices.Collect(maps.Keys(s.conns))
 	s.mu.Unlock()
 	s.logger.Info("draining", "connections", len(conns))
 
@@ -841,13 +419,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if tn.eng != nil {
 			// Final checkpoint: a graceful restart replays nothing.
 			if err := tn.eng.Checkpoint(tn.captureState()); err != nil {
-				s.cfg.Logf("server: tenant %q: final checkpoint failed: %v", tn.name, err)
+				s.logger.Warn("final checkpoint failed", "tenant", tn.name, "err", err)
 			}
 		}
 		tn.guard.mu.Unlock()
 		if tn.eng != nil {
 			if err := tn.eng.Close(); err != nil {
-				s.cfg.Logf("server: tenant %q: wal close failed: %v", tn.name, err)
+				s.logger.Warn("wal close failed", "tenant", tn.name, "err", err)
 			}
 		}
 	}
@@ -918,680 +496,4 @@ func (s *Server) TransportMessages() int64 {
 		tn.guard.mu.Unlock()
 	}
 	return total
-}
-
-// srvConn is one accepted wire-protocol connection, bound to a single
-// tenant namespace by the handshake.
-type srvConn struct {
-	s  *Server
-	nc net.Conn
-	br *bufio.Reader
-	tn *tenant // nil until the handshake binds the namespace
-
-	wmu sync.Mutex // guards bw and the underlying write side
-	bw  *bufio.Writer
-
-	readClosed atomic.Bool
-	lastTrace  uint64 // most recent batch-trace ID (serve goroutine only)
-}
-
-// closeRead shuts the read side so the serve loop drains out; responses for
-// in-flight batches still go to the client.
-func (c *srvConn) closeRead() {
-	c.readClosed.Store(true)
-	if tc, ok := c.nc.(*net.TCPConn); ok {
-		tc.CloseRead() //nolint:errcheck
-		return
-	}
-	// Non-TCP (e.g. in-memory test pipes): fall back to a hard close.
-	c.nc.Close()
-}
-
-// pushRejectWave writes the async reject-wave notification.
-func (c *srvConn) pushRejectWave(granted int64) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	buf := wire.AppendRejectWave(nil, wire.RejectWave{Granted: granted})
-	c.bw.Write(buf) //nolint:errcheck // write errors surface on the conn
-	c.bw.Flush()    //nolint:errcheck
-}
-
-// fail writes a connection-fatal error frame and gives up on the peer.
-func (c *srvConn) fail(code uint8, detail string) {
-	tenant := ""
-	if c.tn != nil {
-		tenant = c.tn.name
-	}
-	c.s.logger.Warn("connection fatal",
-		"remote", c.nc.RemoteAddr().String(), "tenant", tenant,
-		"code", code, "detail", detail, "trace_id", c.lastTrace)
-	c.wmu.Lock()
-	c.bw.Write(wire.AppendError(nil, wire.ErrorFrame{Code: code, Detail: detail})) //nolint:errcheck
-	c.bw.Flush()                                                                   //nolint:errcheck
-	c.wmu.Unlock()
-}
-
-func (c *srvConn) serve() {
-	defer c.s.wg.Done()
-	defer c.s.removeConn(c)
-	defer c.nc.Close()
-
-	var rbuf []byte
-
-	// Handshake: exactly one Hello, answered with Welcome. The Hello names
-	// the tenant namespace the connection binds to; everything after the
-	// handshake is implicitly scoped to it. A deadline that cannot be
-	// armed is connection-fatal: serving an undeadlined handshake would
-	// hand a slow-loris peer a goroutine forever.
-	hsTimeout := c.s.cfg.HandshakeTimeout
-	if hsTimeout <= 0 {
-		hsTimeout = DefaultHandshakeTimeout
-	}
-	if err := c.nc.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
-		return
-	}
-	remote := c.nc.RemoteAddr().String()
-	ft, p, err := wire.ReadFrame(c.br, &rbuf)
-	if err != nil {
-		// A clean immediate close (port probe, peer gave up) is routine;
-		// anything else — garbage bytes, a torn frame, the handshake
-		// deadline — is a fault worth flagging.
-		if errors.Is(err, io.EOF) || c.readClosed.Load() {
-			c.s.logger.Debug("handshake aborted", "remote", remote, "err", err)
-		} else {
-			c.s.logger.Warn("handshake failed", "remote", remote, "err", err)
-		}
-		return
-	}
-	if ft != wire.FrameHello {
-		c.s.logger.Warn("handshake failed", "remote", remote, "err", fmt.Sprintf("expected hello, got %v", ft))
-		c.fail(wire.CodeProtocol, fmt.Sprintf("expected hello, got %v", ft))
-		return
-	}
-	hello, err := wire.DecodeHello(p)
-	if err != nil {
-		c.s.logger.Warn("handshake failed", "remote", remote, "err", err)
-		if errors.Is(err, wire.ErrBadTenant) {
-			c.fail(wire.CodeTenant, err.Error())
-		} else {
-			c.fail(wire.CodeProtocol, err.Error())
-		}
-		return
-	}
-	if hello.Version != wire.Version {
-		c.s.logger.Warn("handshake failed", "remote", remote,
-			"err", fmt.Sprintf("version mismatch: server %d, client %d", wire.Version, hello.Version))
-		c.fail(wire.CodeVersion, fmt.Sprintf("server speaks version %d, client sent %d", wire.Version, hello.Version))
-		return
-	}
-	tn := c.s.tenants[hello.Tenant]
-	if tn == nil {
-		c.s.logger.Warn("handshake failed", "remote", remote, "err", fmt.Sprintf("unknown tenant %q", hello.Tenant))
-		c.fail(wire.CodeTenant, fmt.Sprintf("unknown tenant %q (served: %v)", hello.Tenant, c.s.order))
-		return
-	}
-	c.tn = tn
-	tn.connsOpen.Add(1)
-	tn.connsTotal.Add(1)
-	c.s.logger.Debug("connection bound", "remote", remote, "tenant", tn.name, "incarnation", tn.incarnation)
-	idle := c.s.cfg.IdleTimeout
-	if idle <= 0 {
-		// No idle policy: clear the handshake deadline. Failing to clear
-		// it would strand the connection behind a stale deadline, so it
-		// is connection-fatal too.
-		if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
-			return
-		}
-	}
-	c.wmu.Lock()
-	c.bw.Write(wire.AppendWelcome(nil, wire.Welcome{ //nolint:errcheck
-		Version:     wire.Version,
-		Tenant:      tn.name,
-		M:           tn.cfg.M,
-		W:           tn.cfg.W,
-		TopoSig:     tn.topoSig,
-		Incarnation: tn.incarnation,
-	}))
-	if err := c.bw.Flush(); err != nil {
-		c.wmu.Unlock()
-		return
-	}
-	c.wmu.Unlock()
-
-	// Request loop with read-batching: each wakeup takes the frame that
-	// unblocked the read plus every complete Submit frame already sitting
-	// in the socket buffer (up to ReadBatch requests), answers them all
-	// through one SubmitMany run, then writes one Results frame per Submit.
-	var (
-		sub     wire.Submit
-		ids     []uint64
-		counts  []int
-		reqs    []controller.Request
-		results []controller.BatchResult
-		wbuf    []byte
-		wres    []wire.Result
-	)
-	tracer := tn.tracer
-	for {
-		ids, counts, reqs = ids[:0], counts[:0], reqs[:0]
-
-		// Rolling idle deadline, re-armed per frame: any complete frame
-		// resets the clock, but a peer that dribbles bytes (or nothing)
-		// for IdleTimeout is cut loose.
-		if idle > 0 {
-			if err := c.nc.SetReadDeadline(time.Now().Add(idle)); err != nil {
-				return
-			}
-		}
-		ft, p, err := wire.ReadFrame(c.br, &rbuf)
-		if err != nil {
-			if idle > 0 && !c.readClosed.Load() {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					tn.idleTimeouts.Add(1)
-					c.s.logger.Info("idle timeout", "remote", remote, "tenant", tn.name)
-				}
-			}
-			return // peer closed, idle timeout, shutdown, or read error: drain out
-		}
-		// The trace clock starts once the first frame has arrived: time a
-		// connection spends idle waiting for traffic is not server latency.
-		var bt *obs.BatchTrace
-		if tracer != nil {
-			bt = &obs.BatchTrace{ID: tracer.NextID(), Start: time.Now(), Conn: remote}
-		}
-		if ok := c.ingest(ft, p, &sub, &ids, &counts, &reqs); !ok {
-			return
-		}
-		for len(reqs) < c.s.cfg.ReadBatch {
-			if !c.completeFrameBuffered() {
-				break
-			}
-			ft, p, err := wire.ReadFrame(c.br, &rbuf)
-			if err != nil {
-				return
-			}
-			if ok := c.ingest(ft, p, &sub, &ids, &counts, &reqs); !ok {
-				return
-			}
-		}
-		if len(reqs) == 0 {
-			if len(ids) > 0 {
-				// Empty Submit frames still get their (empty) Results reply:
-				// every submitted id is answered, always.
-				c.accountAndReply(ids, counts, nil, &wbuf, &wres)
-			}
-			continue
-		}
-
-		n := int64(len(reqs))
-		tn.readBatches.Add(1)
-		tn.readReqs.Add(n)
-		if max := tn.maxRead.Load(); n > max {
-			tn.maxRead.CompareAndSwap(max, n) // best-effort high-water mark
-		}
-
-		// One clock read ends the decode span and starts the submit span;
-		// the counter updates above are charged to decode, which is noise.
-		var submitStart time.Time
-		if bt != nil {
-			submitStart = time.Now()
-			bt.Stages[obs.StageDecode] = submitStart.Sub(bt.Start)
-		}
-		results, err = tn.pl.SubmitMany(reqs, results[:0])
-		if errors.Is(err, pipeline.ErrClosed) {
-			// Admitted after the drain began: answer everything with the
-			// shutdown code so the client can tell these were not served.
-			results = results[:0]
-			for range reqs {
-				results = append(results, controller.BatchResult{Err: pipeline.ErrClosed})
-			}
-		} else if err != nil {
-			c.fail(wire.CodeProtocol, err.Error())
-			return
-		}
-		submitWall := time.Duration(0)
-		if bt != nil {
-			submitWall = time.Since(submitStart)
-		}
-
-		// The guard recorded what it learned about exactly this run — the
-		// group-commit ticket and, with tracing, the measured controller/
-		// WAL-append work (keyed by the first request's address: the
-		// pipeline hands the slice through unchanged).
-		var info runInfo
-		var haveInfo bool
-		if tn.eng != nil || bt != nil {
-			info, haveInfo = tn.guard.takeRun(&reqs[0])
-		}
-
-		// Group commit: results may not reach the wire before this batch's
-		// WAL records are fsynced. The pipeline keeps driving other batches
-		// while we ride out the fsync. A missing ticket is only legal when
-		// the run decided nothing (shutdown/dead-WAL error results) — with
-		// any successful result it means the durability chain broke, and
-		// the connection dies rather than reply early.
-		var walWait time.Duration
-		if eng := tn.eng; eng != nil {
-			if !haveInfo || !info.hasTicket {
-				for _, br := range results {
-					if br.Err == nil {
-						c.fail(wire.CodeProtocol, "wal: decided batch has no durability ticket")
-						return
-					}
-				}
-			} else {
-				var waitStart time.Time
-				if bt != nil {
-					waitStart = time.Now()
-				}
-				if werr := eng.WaitDurable(info.ticket); werr != nil {
-					c.fail(wire.CodeProtocol, fmt.Sprintf("wal: %v", werr))
-					return
-				}
-				if bt != nil {
-					walWait = time.Since(waitStart)
-				}
-			}
-		}
-
-		grants, rejects, errCount := c.accountAndReply(ids, counts, results, &wbuf, &wres)
-
-		if bt != nil {
-			// The pipeline wait is what is left of the SubmitMany wall time
-			// once the run's own execute and WAL-append work is taken out.
-			queue := submitWall - info.exec - info.walAppend
-			if queue < 0 {
-				queue = 0
-			}
-			bt.Stages[obs.StageQueue] = queue
-			bt.Stages[obs.StageExecute] = info.exec
-			bt.Stages[obs.StageWAL] = info.walAppend + walWait
-			bt.Total = time.Since(bt.Start)
-			bt.Stages[obs.StageWrite] = bt.Total - bt.Stages[obs.StageDecode] - submitWall - walWait
-			if bt.Stages[obs.StageWrite] < 0 {
-				bt.Stages[obs.StageWrite] = 0
-			}
-			bt.Frames = len(ids)
-			bt.Requests = len(reqs)
-			bt.Grants, bt.Rejects, bt.Errors = grants, rejects, errCount
-			bt.CtlMsgs = info.ctlMsgs
-			bt.Wave = rejects > 0
-			tracer.Record(bt)
-			c.lastTrace = bt.ID
-		}
-	}
-}
-
-// ingest folds one frame into the current read batch. It reports false
-// when the connection must be torn down (protocol error).
-func (c *srvConn) ingest(ft wire.FrameType, p []byte, sub *wire.Submit,
-	ids *[]uint64, counts *[]int, reqs *[]controller.Request) bool {
-	if ft != wire.FrameSubmit {
-		c.fail(wire.CodeProtocol, fmt.Sprintf("unexpected %v frame", ft))
-		return false
-	}
-	if err := wire.DecodeSubmit(p, sub); err != nil {
-		c.fail(wire.CodeProtocol, err.Error())
-		return false
-	}
-	*ids = append(*ids, sub.ID)
-	*counts = append(*counts, len(sub.Reqs))
-	for _, r := range sub.Reqs {
-		*reqs = append(*reqs, controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child})
-	}
-	return true
-}
-
-// completeFrameBuffered reports whether at least one whole frame sits in
-// the read buffer, so reading it cannot block.
-func (c *srvConn) completeFrameBuffered() bool {
-	if c.br.Buffered() < 4 {
-		return false
-	}
-	hdr, err := c.br.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := int(uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3]))
-	if n < 1 || n > wire.MaxFrame {
-		// Let ReadFrame consume it and report the protocol error.
-		return true
-	}
-	return c.br.Buffered() >= 4+n
-}
-
-// accountAndReply updates the bound tenant's wire-level tallies, writes
-// one Results frame per submitted frame in order, and returns the batch's
-// verdict tallies.
-func (c *srvConn) accountAndReply(ids []uint64, counts []int,
-	results []controller.BatchResult, wbuf *[]byte, wres *[]wire.Result) (int64, int64, int64) {
-	var grants, rejects, errs int64
-	buf := (*wbuf)[:0]
-	off := 0
-	for i, id := range ids {
-		n := counts[i]
-		res := (*wres)[:0]
-		for _, br := range results[off : off+n] {
-			var r wire.Result
-			switch {
-			case br.Err == nil:
-				r = wire.Result{
-					Outcome: uint8(br.Grant.Outcome),
-					Code:    wire.CodeOK,
-					Serial:  br.Grant.Serial,
-					NewNode: br.Grant.NewNode,
-				}
-				switch br.Grant.Outcome {
-				case controller.Granted:
-					grants++
-				case controller.Rejected:
-					rejects++
-				}
-			case errors.Is(br.Err, pipeline.ErrClosed):
-				r = wire.Result{Code: wire.CodeShutdown}
-				errs++
-			case errors.Is(br.Err, dist.ErrTerminated):
-				r = wire.Result{Code: wire.CodeTerminated}
-				errs++
-			case errors.Is(br.Err, errWALUnavailable):
-				r = wire.Result{Code: wire.CodeInternal}
-				errs++
-			default:
-				r = wire.Result{Code: wire.CodeBadRequest}
-				errs++
-			}
-			res = append(res, r)
-		}
-		off += n
-		buf = wire.AppendResults(buf, id, res)
-		*wres = res
-	}
-	*wbuf = buf
-
-	tn := c.tn
-	tn.ops.Add(int64(off))
-	tn.grants.Add(grants)
-	tn.rejects.Add(rejects)
-	tn.errs.Add(errs)
-
-	c.wmu.Lock()
-	c.bw.Write(buf) //nolint:errcheck // write errors surface on the next op
-	c.bw.Flush()    //nolint:errcheck
-	c.wmu.Unlock()
-
-	// First reject observed on the wire for this tenant: announce the wave
-	// to every connection bound to it.
-	if rejects > 0 && tn.rejectWave.CompareAndSwap(false, true) {
-		c.s.broadcastRejectWave(tn, tn.grants.Load())
-	}
-	return grants, rejects, errs
-}
-
-// promSample is one rendered sample line of a family: optional name
-// suffix (summary _sum/_count), rendered label set, rendered value.
-type promSample struct {
-	suffix string
-	labels string
-	value  string
-}
-
-// promFamily is one metric family of the Prometheus text exposition
-// format: the HELP/TYPE header plus the family's samples, kept
-// consecutive regardless of which tenant contributed them.
-type promFamily struct {
-	name, typ, help string
-	samples         []promSample
-}
-
-func (f *promFamily) add(labels, format string, args ...any) {
-	f.samples = append(f.samples, promSample{labels: labels, value: fmt.Sprintf(format, args...)})
-}
-
-func (f *promFamily) addSuffixed(suffix, labels, format string, args ...any) {
-	f.samples = append(f.samples, promSample{suffix: suffix, labels: labels, value: fmt.Sprintf(format, args...)})
-}
-
-// promDoc collects families in first-use order and renders the document.
-type promDoc struct {
-	fams []*promFamily
-	idx  map[string]*promFamily
-}
-
-func newPromDoc() *promDoc { return &promDoc{idx: map[string]*promFamily{}} }
-
-func (d *promDoc) family(name, typ, help string) *promFamily {
-	if f, ok := d.idx[name]; ok {
-		return f
-	}
-	f := &promFamily{name: name, typ: typ, help: help}
-	d.fams = append(d.fams, f)
-	d.idx[name] = f
-	return f
-}
-
-func (d *promDoc) write(w io.Writer) {
-	for _, f := range d.fams {
-		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		for _, sm := range f.samples {
-			fmt.Fprintf(w, "%s%s%s %s\n", f.name, sm.suffix, sm.labels, sm.value)
-		}
-	}
-}
-
-// addSummary renders one LatencyStats distribution as a summary family's
-// quantile/_sum/_count samples in seconds, under the given base labels
-// (without the closing brace).
-func addSummary(f *promFamily, base string, ls obs.LatencyStats) {
-	f.add(base+`,quantile="p50"}`, "%.9f", ls.P50.Seconds())
-	f.add(base+`,quantile="p99"}`, "%.9f", ls.P99.Seconds())
-	f.add(base+`,quantile="p999"}`, "%.9f", ls.P999.Seconds())
-	f.addSuffixed("_sum", base+"}", "%.9f", ls.Sum.Seconds())
-	f.addSuffixed("_count", base+"}", "%d", ls.Count)
-}
-
-// WriteMetrics renders the /metricsz document in the Prometheus text
-// exposition format (version 0.0.4): every family carries HELP and TYPE
-// lines, label values are escaped, and samples of a family are grouped —
-// process-wide aggregates first, then the per-tenant families with
-// {tenant="name"} labels. Every field is documented in docs/OPERATIONS.md
-// (enforced by internal/docscheck).
-func (s *Server) WriteMetrics(w io.Writer) {
-	var ops, grants, rejects, errs, violations, connsOpen, connsTotal int64
-	wave, wal := 0, 0
-	for _, name := range s.order {
-		tn := s.tenants[name]
-		ops += tn.ops.Load()
-		grants += tn.grants.Load()
-		rejects += tn.rejects.Load()
-		errs += tn.errs.Load()
-		violations += int64(len(s.TenantViolations(name)))
-		connsOpen += tn.connsOpen.Load()
-		connsTotal += tn.connsTotal.Load()
-		if tn.rejectWave.Load() {
-			wave = 1
-		}
-		if tn.eng != nil {
-			wal = 1
-		}
-	}
-	paranoid := 0
-	if s.cfg.Paranoid {
-		paranoid = 1
-	}
-	uptime, startTime := 0.0, 0.0
-	if !s.started.IsZero() {
-		// Uptime comes from the monotonic reading time.Since carries;
-		// start time is the wall reading of the same instant.
-		uptime = time.Since(s.started).Seconds()
-		startTime = float64(s.started.UnixNano()) / 1e9
-	}
-
-	d := newPromDoc()
-	d.family("dynctrld_protocol_version", "gauge",
-		"Wire protocol version this daemon speaks.").add("", "%d", wire.Version)
-	d.family("dynctrld_build_info", "gauge",
-		"Build metadata; always 1, labeled with the Go runtime and wire protocol versions.").
-		add(`{go_version="`+obs.EscapeLabel(runtime.Version())+`",wire_version="`+strconv.Itoa(wire.Version)+`"}`, "1")
-	d.family("dynctrld_start_time_seconds", "gauge",
-		"Unix time Start() bound the listeners, in seconds (0 before Start).").add("", "%.3f", startTime)
-	d.family("dynctrld_uptime_seconds", "gauge",
-		"Seconds since Start(), from the monotonic clock (0 before Start).").add("", "%.3f", uptime)
-	d.family("dynctrld_tenants", "gauge",
-		"Number of tenant namespaces served.").add("", "%d", len(s.order))
-	d.family("dynctrld_paranoid", "gauge",
-		"1 when every submitter is wrapped in the oracle invariant checkers.").add("", "%d", paranoid)
-	d.family("dynctrld_wal_enabled", "gauge",
-		"1 when at least one tenant runs with a durability engine.").add("", "%d", wal)
-	d.family("dynctrld_ops_total", "counter",
-		"Requests answered over the wire, all tenants.").add("", "%d", ops)
-	d.family("dynctrld_grants_total", "counter",
-		"Grant verdicts written to the wire, all tenants.").add("", "%d", grants)
-	d.family("dynctrld_rejects_total", "counter",
-		"Reject verdicts written to the wire, all tenants.").add("", "%d", rejects)
-	d.family("dynctrld_errors_total", "counter",
-		"Per-request errors written to the wire, all tenants.").add("", "%d", errs)
-	d.family("dynctrld_reject_wave", "gauge",
-		"1 once any tenant's reject wave has fired.").add("", "%d", wave)
-	d.family("dynctrld_oracle_violations", "gauge",
-		"Oracle violations observed so far, all tenants (paranoid mode).").add("", "%d", violations)
-	d.family("dynctrld_connections_open", "gauge",
-		"Currently bound wire connections, all tenants.").add("", "%d", connsOpen)
-	d.family("dynctrld_connections_total", "counter",
-		"Wire connections ever bound, all tenants.").add("", "%d", connsTotal)
-
-	for _, name := range s.order {
-		s.collectTenantMetrics(d, s.tenants[name])
-	}
-	d.write(w)
-}
-
-// collectTenantMetrics appends one tenant's samples to the document's
-// per-tenant families.
-func (s *Server) collectTenantMetrics(d *promDoc, tn *tenant) {
-	l := `{tenant="` + obs.EscapeLabel(tn.name) + `"}`
-	base := `{tenant="` + obs.EscapeLabel(tn.name) + `"`
-	ps := tn.pl.Stats()
-	snap := tn.ctrs.Snapshot()
-
-	// The runtime is not thread-safe: sample it under the same lock the
-	// pipeline leader holds while driving batches.
-	tn.guard.mu.Lock()
-	transport := tn.rt.Messages()
-	var violations int
-	if tn.guard.orc != nil {
-		violations = len(tn.guard.orc.Violations())
-	}
-	tn.guard.mu.Unlock()
-
-	wave := 0
-	if tn.rejectWave.Load() {
-		wave = 1
-	}
-
-	d.family("dynctrld_tenant_m", "gauge",
-		"Tenant admission contract: maximum permits M.").add(l, "%d", tn.cfg.M)
-	d.family("dynctrld_tenant_w", "gauge",
-		"Tenant admission contract: guaranteed grants W.").add(l, "%d", tn.cfg.W)
-	d.family("dynctrld_tenant_topology_signature", "gauge",
-		"Signature of the tenant's initial tree, as sent in Welcome.").add(l, "%d", tn.topoSig)
-	d.family("dynctrld_tenant_incarnation", "gauge",
-		"Durability incarnation recovered at boot (0 without a WAL).").add(l, "%d", tn.incarnation)
-
-	walOn := 0
-	if tn.eng != nil {
-		walOn = 1
-	}
-	d.family("dynctrld_tenant_wal_enabled", "gauge",
-		"1 when this tenant logs to a durability engine.").add(l, "%d", walOn)
-	if tn.eng != nil {
-		es := tn.eng.StatsSnapshot()
-		d.family("dynctrld_tenant_wal_appended_records", "counter",
-			"WAL records appended this incarnation.").add(l, "%d", es.AppendedRecords)
-		d.family("dynctrld_tenant_wal_appended_index", "gauge",
-			"Index of the last appended WAL record.").add(l, "%d", es.AppendedIndex)
-		d.family("dynctrld_tenant_wal_durable_index", "gauge",
-			"Index of the last fsynced WAL record.").add(l, "%d", es.DurableIndex)
-		d.family("dynctrld_tenant_wal_fsyncs_total", "counter",
-			"Group-commit fsync waves completed.").add(l, "%d", es.Fsyncs)
-		d.family("dynctrld_tenant_wal_bytes_written", "counter",
-			"Bytes written to WAL segments this incarnation.").add(l, "%d", es.BytesWritten)
-		d.family("dynctrld_tenant_wal_segments", "gauge",
-			"WAL segment files in the tenant's directory.").add(l, "%d", es.Segments)
-		d.family("dynctrld_tenant_wal_snapshots_total", "counter",
-			"Snapshots written this incarnation.").add(l, "%d", es.Snapshots)
-		d.family("dynctrld_tenant_wal_last_snapshot_index", "gauge",
-			"WAL index covered by the latest snapshot.").add(l, "%d", es.LastSnapshotIndex)
-		d.family("dynctrld_tenant_wal_recovered_effects", "gauge",
-			"Effect records replayed during boot recovery.").add(l, "%d", tn.recoveredEffects)
-		d.family("dynctrld_tenant_wal_recovered_truncated_bytes", "gauge",
-			"Torn-tail bytes truncated during boot recovery.").add(l, "%d", tn.recoveredTrunc)
-	}
-
-	d.family("dynctrld_tenant_ops_total", "counter",
-		"Requests answered over the wire for this tenant.").add(l, "%d", tn.ops.Load())
-	d.family("dynctrld_tenant_grants_total", "counter",
-		"Grant verdicts written to the wire for this tenant.").add(l, "%d", tn.grants.Load())
-	d.family("dynctrld_tenant_rejects_total", "counter",
-		"Reject verdicts written to the wire for this tenant.").add(l, "%d", tn.rejects.Load())
-	d.family("dynctrld_tenant_errors_total", "counter",
-		"Per-request errors written to the wire for this tenant.").add(l, "%d", tn.errs.Load())
-	d.family("dynctrld_tenant_reject_wave", "gauge",
-		"1 once this tenant's reject wave has fired.").add(l, "%d", wave)
-	d.family("dynctrld_tenant_reject_wave_granted", "gauge",
-		"Grant count announced by this tenant's reject wave.").add(l, "%d", tn.waveGranted.Load())
-
-	d.family("dynctrld_tenant_connections_open", "gauge",
-		"Currently bound wire connections.").add(l, "%d", tn.connsOpen.Load())
-	d.family("dynctrld_tenant_connections_total", "counter",
-		"Wire connections ever bound to this tenant.").add(l, "%d", tn.connsTotal.Load())
-	d.family("dynctrld_tenant_idle_timeouts_total", "counter",
-		"Connections reaped by the rolling idle deadline.").add(l, "%d", tn.idleTimeouts.Load())
-
-	d.family("dynctrld_tenant_read_batches_total", "counter",
-		"Read batches coalesced from connection sockets.").add(l, "%d", tn.readBatches.Load())
-	d.family("dynctrld_tenant_read_batch_requests_total", "counter",
-		"Requests carried by those read batches.").add(l, "%d", tn.readReqs.Load())
-	d.family("dynctrld_tenant_read_batch_max", "gauge",
-		"Largest read batch observed.").add(l, "%d", tn.maxRead.Load())
-	d.family("dynctrld_tenant_pipeline_batches_total", "counter",
-		"Flat-combining leadership cycles driven.").add(l, "%d", ps.Batches)
-	d.family("dynctrld_tenant_pipeline_requests_total", "counter",
-		"Requests driven through the pipeline.").add(l, "%d", ps.Requests)
-	d.family("dynctrld_tenant_pipeline_batch_max", "gauge",
-		"Largest combining cycle observed (requests).").add(l, "%d", ps.MaxBatch)
-
-	d.family("dynctrld_tenant_transport_messages_total", "counter",
-		"Messages delivered by the tenant's controller transport.").add(l, "%d", transport)
-	d.family("dynctrld_tenant_control_messages_total", "counter",
-		"Controller control messages (climbs, descents, waves).").add(l, "%d", snap[dist.CounterControl])
-	d.family("dynctrld_tenant_ctl_grants_total", "counter",
-		"Grants decided by the controller core.").add(l, "%d", snap[stats.CounterGrants])
-	d.family("dynctrld_tenant_ctl_rejects_total", "counter",
-		"Rejects decided by the controller core.").add(l, "%d", snap[stats.CounterRejects])
-	d.family("dynctrld_tenant_topo_changes_total", "counter",
-		"Topology changes applied to the tenant's tree.").add(l, "%d", snap[stats.CounterTopoChanges])
-	d.family("dynctrld_tenant_tree_nodes", "gauge",
-		"Current tree size (nodes).").add(l, "%d", tn.tr.Size())
-	d.family("dynctrld_tenant_tree_height", "gauge",
-		"Current tree height.").add(l, "%d", tn.tr.Height())
-	d.family("dynctrld_tenant_oracle_violations", "gauge",
-		"Oracle violations observed for this tenant (paranoid mode).").add(l, "%d", violations)
-
-	if tn.tracer != nil {
-		d.family("dynctrld_tenant_traces_total", "counter",
-			"Batch traces recorded by the tenant's tracer.").add(l, "%d", tn.tracer.Recorded())
-		stageFam := d.family("dynctrld_tenant_stage_seconds", "summary",
-			"Server-side batch latency by stage (decode, queue, execute, wal, write, total), seconds.")
-		for _, st := range tn.tracer.Snapshot() {
-			addSummary(stageFam, base+`,stage="`+st.Stage+`"`, st.LatencyStats)
-		}
-		addSummary(d.family("dynctrld_tenant_combine_seconds", "summary",
-			"Flat-combining leadership cycle duration, seconds."), base, tn.combine.Stats())
-		if tn.fsync != nil {
-			addSummary(d.family("dynctrld_tenant_fsync_seconds", "summary",
-				"WAL group-commit fsync wave duration, seconds."), base, tn.fsync.Stats())
-		}
-	}
 }
