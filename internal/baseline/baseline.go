@@ -69,7 +69,7 @@ func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	t.granted++
 	t.counters.Inc(stats.CounterGrants)
 	g := controller.Grant{Outcome: controller.Granted}
-	g.NewNode, err = applyChange(t.tr, req)
+	g.NewNode, err = controller.ApplyChange(t.tr, req)
 	if err != nil {
 		return controller.Grant{}, err
 	}
@@ -77,23 +77,6 @@ func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 		t.counters.Inc(stats.CounterTopoChanges)
 	}
 	return g, nil
-}
-
-func applyChange(tr *tree.Tree, req controller.Request) (tree.NodeID, error) {
-	switch req.Kind {
-	case tree.None:
-		return tree.InvalidNode, nil
-	case tree.AddLeaf:
-		return tr.ApplyAddLeaf(req.Node)
-	case tree.AddInternal:
-		return tr.ApplyAddInternal(req.Child)
-	case tree.RemoveLeaf:
-		return tree.InvalidNode, tr.ApplyRemoveLeaf(req.Node)
-	case tree.RemoveInternal:
-		return tree.InvalidNode, tr.ApplyRemoveInternal(req.Node)
-	default:
-		return tree.InvalidNode, fmt.Errorf("baseline: unknown kind %v", req.Kind)
-	}
 }
 
 // ErrUnsupportedChange is returned by GrowOnly for any topological change
@@ -213,7 +196,7 @@ func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
 	g.counters.Inc(stats.CounterGrants)
 	out := controller.Grant{Outcome: controller.Granted}
 	var err error
-	out.NewNode, err = applyChange(g.tr, req)
+	out.NewNode, err = controller.ApplyChange(g.tr, req)
 	if err != nil {
 		return controller.Grant{}, err
 	}

@@ -6,11 +6,13 @@
 // The cost measure is move complexity: every move of a set of objects from
 // a node to a neighbor costs one unit, so moving a package across d edges
 // costs d. The distributed implementation (package dist) translates the
-// move complexity into message complexity (Section 4).
+// move complexity into message complexity (Section 4) by swapping the
+// transport under the same whiteboards and the same drivers: Whiteboard is
+// the state both execution models share, Transport the seam between them,
+// and Terminating, Iterated and Dynamic are written once against it.
 package controller
 
 import (
-	"errors"
 	"fmt"
 
 	"dynctrl/internal/pkgstore"
@@ -74,27 +76,19 @@ type Grant struct {
 // estimator of Section 5.3 uses this hook.
 type DescentObserver func(size int64, path []tree.NodeID)
 
-// Core is the fixed-U centralized (M,W)-Controller of Section 3.1.
-// It is not safe for concurrent use; the centralized setting is sequential
-// by definition.
+// Core is the fixed-U centralized (M,W)-Controller of Section 3.1: the
+// shared whiteboards plus a transport that moves a package across d edges
+// in one step at a cost of d moves. It is not safe for concurrent use; the
+// centralized setting is sequential by definition.
 type Core struct {
-	tr       *tree.Tree
-	params   pkgstore.Params
-	stores   map[tree.NodeID]*pkgstore.Store
-	storage  int64             // permits remaining at the root's storage
-	serials  pkgstore.Interval // serial numbers backing the storage, if any
-	counters *stats.Counters
-	domains  *DomainTracker
-	descent  DescentObserver
+	*Whiteboard
+	domains *DomainTracker
+	descent DescentObserver
 	// pathBuf is the reusable ancestor-walk buffer of the filler search;
 	// findFiller overwrites it on every call, so no path escapes a request.
 	pathBuf []tree.NodeID
 
-	noRejects    bool
 	trackDomains bool
-	rejectWave   bool
-	granted      int64
-	rejected     int64
 }
 
 // CoreOption configures a Core.
@@ -132,23 +126,13 @@ func WithDescentObserver(fn DescentObserver) CoreOption {
 // NewCore creates a fixed-U (m, w)-Controller over tr assuming at most u
 // nodes ever exist. The root's storage initially holds the m permits.
 func NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Core {
-	c := &Core{
-		tr:      tr,
-		params:  pkgstore.NewParams(u, m, w),
-		stores:  make(map[tree.NodeID]*pkgstore.Store),
-		storage: m,
-	}
+	c := &Core{Whiteboard: new(Whiteboard)}
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.init(tr, u, m, w)
 	if c.trackDomains {
 		c.domains = NewDomainTracker(tr, c.params)
-	}
-	if c.counters == nil {
-		c.counters = stats.NewCounters()
-	}
-	for _, id := range tr.Nodes() {
-		c.stores[id] = pkgstore.NewStore()
 	}
 	return c
 }
@@ -161,94 +145,24 @@ func (c *Core) EnableDomainTracking() {
 	}
 }
 
-// Params exposes the derived φ/ψ parameters.
-func (c *Core) Params() pkgstore.Params { return c.params }
-
-// Granted returns the number of permits granted so far.
-func (c *Core) Granted() int64 { return c.granted }
-
-// Rejected returns the number of rejects delivered so far.
-func (c *Core) Rejected() int64 { return c.rejected }
-
-// Storage returns the permits remaining in the root's storage.
-func (c *Core) Storage() int64 { return c.storage }
-
-// Counters returns the cost counters.
-func (c *Core) Counters() *stats.Counters { return c.counters }
-
 // Domains returns the domain tracker (nil unless tracking is enabled).
 func (c *Core) Domains() *DomainTracker { return c.domains }
-
-// NodePermits returns the number of permits (static and mobile) currently
-// stored at the given node.
-func (c *Core) NodePermits(id tree.NodeID) int64 {
-	s, ok := c.stores[id]
-	if !ok {
-		return 0
-	}
-	return s.PermitCount()
-}
-
-// HasRejectAt reports whether a reject package resides at the given node.
-func (c *Core) HasRejectAt(id tree.NodeID) bool {
-	s, ok := c.stores[id]
-	return ok && s.HasReject()
-}
-
-// UnusedPermits returns the permits not yet granted: root storage plus all
-// permits sitting in packages. The iteration drivers use this as L.
-func (c *Core) UnusedPermits() int64 {
-	n := c.storage
-	for _, s := range c.stores {
-		n += s.PermitCount()
-	}
-	return n
-}
-
-// store returns the package store of a live node, creating it lazily (new
-// nodes join with empty stores).
-func (c *Core) store(id tree.NodeID) *pkgstore.Store {
-	s, ok := c.stores[id]
-	if !ok {
-		s = pkgstore.NewStore()
-		c.stores[id] = s
-	}
-	return s
-}
-
-// ClearPackages removes every package from the graph and returns all
-// unused permits to the root storage (iteration resets, Section 3.3).
-func (c *Core) ClearPackages() {
-	total := c.storage
-	for _, s := range c.stores {
-		total += s.PermitCount()
-		s.Clear()
-	}
-	c.storage = total
-	c.rejectWave = false
-	if c.domains != nil {
-		c.domains.Reset()
-	}
-}
 
 // Submit runs Protocol GrantOrReject (Section 3.1) for one request and, if
 // the request is topological and granted, applies the change to the tree.
 func (c *Core) Submit(req Request) (Grant, error) {
-	if !c.tr.Contains(req.Node) {
-		return Grant{}, fmt.Errorf("submit at %d: %w", req.Node, tree.ErrNoSuchNode)
-	}
-	if err := c.validate(req); err != nil {
+	if err := c.Validate(req); err != nil {
 		return Grant{}, err
 	}
 	u := req.Node
 
 	// Item 1: a reject package at u rejects the request outright.
-	if c.store(u).HasReject() {
-		return c.reject(), nil
+	if c.Store(u).HasReject() {
+		return c.Reject(), nil
 	}
 
 	// Item 2: grant from a local static package when possible.
-	if static := c.store(u).Static(); static != nil {
+	if static := c.Store(u).Static(); static != nil {
 		return c.grantFromStatic(req, static)
 	}
 
@@ -264,18 +178,16 @@ func (c *Core) Submit(req Request) (Grant, error) {
 		if err != nil {
 			return Grant{}, err
 		}
-		level := c.params.RootLevel(int64(dRoot))
-		need := c.params.MobileSize(level)
-		if c.storage < need {
+		pkg, err = c.CreateAtRoot(int64(dRoot))
+		if err != nil {
+			return Grant{}, err
+		}
+		if pkg == nil {
 			if c.noRejects {
 				return Grant{Outcome: WouldReject}, nil
 			}
 			c.broadcastRejectWave()
-			return c.reject(), nil
-		}
-		pkg, err = c.createAtRoot(level)
-		if err != nil {
-			return Grant{}, err
+			return c.Reject(), nil
 		}
 		host = c.tr.Root()
 	}
@@ -285,47 +197,8 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	if err != nil {
 		return Grant{}, err
 	}
-	c.store(u).AddStatic(static)
+	c.Store(u).AddStatic(static)
 	return c.grantFromStatic(req, static)
-}
-
-func (c *Core) validate(req Request) error {
-	switch req.Kind {
-	case tree.RemoveLeaf:
-		if req.Node == c.tr.Root() {
-			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
-		}
-		if !c.tr.IsLeaf(req.Node) {
-			return fmt.Errorf("remove-leaf at %d: %w", req.Node, tree.ErrNotLeaf)
-		}
-	case tree.RemoveInternal:
-		if req.Node == c.tr.Root() {
-			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
-		}
-		if c.tr.IsLeaf(req.Node) {
-			return fmt.Errorf("remove-internal at %d: %w", req.Node, tree.ErrNotInternal)
-		}
-	case tree.AddInternal:
-		p, err := c.tr.Parent(req.Child)
-		if err != nil {
-			return fmt.Errorf("add-internal: %w", err)
-		}
-		if p != req.Node {
-			return fmt.Errorf("add-internal: request must arrive at the parent-to-be: %w",
-				tree.ErrNotRelated)
-		}
-	case tree.None, tree.AddLeaf:
-		// No preconditions beyond the node existing.
-	default:
-		return fmt.Errorf("unknown request kind %v", req.Kind)
-	}
-	return nil
-}
-
-func (c *Core) reject() Grant {
-	c.rejected++
-	c.counters.Inc(stats.CounterRejects)
-	return Grant{Outcome: Rejected}
 }
 
 // findFiller walks the ancestors of u from u itself up to the root and
@@ -338,35 +211,11 @@ func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, *pkgstore.Package, error)
 	}
 	c.pathBuf = path[:0]
 	for d, w := range path {
-		if pk := c.store(w).MobileAtFillerDistance(c.params, int64(d)); pk != nil {
+		if pk := c.Store(w).MobileAtFillerDistance(c.params, int64(d)); pk != nil {
 			return w, pk, nil
 		}
 	}
 	return tree.InvalidNode, nil, nil
-}
-
-// createAtRoot creates a mobile package of the given level at the root,
-// funding it from the root storage (which the caller has checked).
-func (c *Core) createAtRoot(level int) (*pkgstore.Package, error) {
-	size := c.params.MobileSize(level)
-	var pk *pkgstore.Package
-	if c.serials.Valid() {
-		iv := pkgstore.Interval{Lo: c.serials.Lo, Hi: c.serials.Lo + size - 1}
-		if iv.Hi > c.serials.Hi {
-			return nil, fmt.Errorf("root serials exhausted: need %d, have %d", size, c.serials.Len())
-		}
-		var err error
-		pk, err = pkgstore.NewMobileWithSerials(c.params, level, iv)
-		if err != nil {
-			return nil, err
-		}
-		c.serials.Lo = iv.Hi + 1
-	} else {
-		pk = pkgstore.NewMobile(c.params, level)
-	}
-	c.storage -= size
-	c.store(c.tr.Root()).AddMobile(pk)
-	return pk, nil
 }
 
 // distribute implements procedure Proc (Section 3.1, item 4): the level-j
@@ -376,7 +225,7 @@ func (c *Core) createAtRoot(level int) (*pkgstore.Package, error) {
 // final static package reaches u. It returns that static package (not yet
 // added to u's store).
 func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID) (*pkgstore.Package, error) {
-	if err := c.store(host).RemoveMobile(pkg); err != nil {
+	if err := c.Store(host).RemoveMobile(pkg); err != nil {
 		return nil, fmt.Errorf("distribute: %w", err)
 	}
 	if c.domains != nil {
@@ -401,7 +250,7 @@ func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID) (*pkgstore
 		if err != nil {
 			return nil, err
 		}
-		c.store(target).AddMobile(p1)
+		c.Store(target).AddMobile(p1)
 		if c.domains != nil {
 			if err := c.domains.OnFormed(p1, u, target); err != nil {
 				return nil, err
@@ -436,159 +285,38 @@ func (c *Core) moveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int
 	}
 }
 
-// grantFromStatic implements item 2: one permit from the static package at
-// the request's node is granted, the package shrinks (and is canceled when
-// empty), and a granted topological request is applied to the tree.
+// grantFromStatic grants one permit of the static package at the request's
+// node (item 2) and keeps the domain bookkeeping in step with the change.
 func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, error) {
-	serial, empty, err := static.TakePermit()
-	if err != nil {
-		return Grant{}, err
+	g, err := c.Grant(req, static, c.handoff)
+	if err == nil && req.Kind == tree.AddInternal && c.domains != nil {
+		c.domains.OnAddInternal(g.NewNode, req.Child)
 	}
-	if empty {
-		if err := c.store(req.Node).RemoveStatic(static); err != nil {
-			return Grant{}, err
-		}
-	}
-	c.granted++
-	c.counters.Inc(stats.CounterGrants)
-
-	g := Grant{Outcome: Granted, Serial: serial}
-	switch req.Kind {
-	case tree.None:
-		// Non-topological event: nothing further.
-	case tree.AddLeaf:
-		id, err := c.tr.ApplyAddLeaf(req.Node)
-		if err != nil {
-			return Grant{}, err
-		}
-		c.stores[id] = pkgstore.NewStore()
-		g.NewNode = id
-		c.counters.Inc(stats.CounterTopoChanges)
-	case tree.AddInternal:
-		id, err := c.tr.ApplyAddInternal(req.Child)
-		if err != nil {
-			return Grant{}, err
-		}
-		c.stores[id] = pkgstore.NewStore()
-		if c.domains != nil {
-			c.domains.OnAddInternal(id, req.Child)
-		}
-		g.NewNode = id
-		c.counters.Inc(stats.CounterTopoChanges)
-	case tree.RemoveLeaf, tree.RemoveInternal:
-		if err := c.removeNode(req.Node, req.Kind); err != nil {
-			return Grant{}, err
-		}
-		c.counters.Inc(stats.CounterTopoChanges)
-	}
-	return g, nil
+	return g, err
 }
 
-// removeNode performs the graceful deletion of item 2: the node's packages
-// move to its parent in one move, then the node is removed.
-func (c *Core) removeNode(id tree.NodeID, kind tree.ChangeKind) error {
-	parent, err := c.tr.Parent(id)
-	if err != nil {
-		return err
+// handoff is the graceful deletion of item 2: one move carries the whole
+// set of objects across the edge to the parent.
+func (c *Core) handoff(_, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+	c.counters.Add(stats.CounterMoves, 1)
+	c.Store(parent).Absorb(pkgs, hadReject)
+	if c.domains != nil {
+		c.domains.OnHostMoved(pkgs, parent)
 	}
-	s := c.store(id)
-	pkgs, hadReject := s.TakeAll()
-	if len(pkgs) > 0 || hadReject {
-		// One move carries the whole set of objects across one edge.
-		c.counters.Add(stats.CounterMoves, 1)
-		c.store(parent).Absorb(pkgs, hadReject)
-		if c.domains != nil {
-			c.domains.OnHostMoved(pkgs, parent)
-		}
-	}
-	delete(c.stores, id)
-	switch kind {
-	case tree.RemoveLeaf:
-		err = c.tr.ApplyRemoveLeaf(id)
-	case tree.RemoveInternal:
-		err = c.tr.ApplyRemoveInternal(id)
-	default:
-		err = fmt.Errorf("removeNode: unexpected kind %v", kind)
-	}
-	return err
 }
 
 // broadcastRejectWave places a reject package in every node (item 3b). The
 // centralized simulation is instantaneous; the move cost is one per tree
 // edge (the packages split at each node and one copy crosses each edge).
 func (c *Core) broadcastRejectWave() {
-	if c.rejectWave {
+	if !c.StartRejectWave() {
 		return
 	}
-	c.rejectWave = true
 	nodes := c.tr.Nodes()
 	for _, id := range nodes {
-		c.store(id).SetReject()
+		c.Store(id).SetReject()
 	}
 	if moves := int64(len(nodes) - 1); moves > 0 {
 		c.counters.Add(stats.CounterMoves, moves)
-	}
-}
-
-// ErrTerminated is returned by terminating controllers after termination.
-var ErrTerminated = errors.New("controller: terminated")
-
-// Terminating wraps a no-reject Core as a terminating (M,W)-Controller
-// (Observation 2.1): instead of ever rejecting, it terminates. At
-// termination the number of granted permits m satisfies M−W ≤ m ≤ M.
-type Terminating struct {
-	core       *Core
-	terminated bool
-}
-
-// NewTerminating builds a terminating (m,w)-Controller over tr with the
-// fixed bound u.
-func NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {
-	opts = append(opts, WithNoRejects())
-	return &Terminating{core: NewCore(tr, u, m, w, opts...)}
-}
-
-// Core exposes the wrapped core (for inspection in drivers and tests).
-func (t *Terminating) Core() *Core { return t.core }
-
-// Terminated reports whether the controller has terminated.
-func (t *Terminating) Terminated() bool { return t.terminated }
-
-// Granted returns the permits granted before termination.
-func (t *Terminating) Granted() int64 { return t.core.Granted() }
-
-// Submit forwards the request unless terminated. The first request the core
-// cannot fund flips the controller into the terminated state; that request
-// (and all later ones) receive ErrTerminated. Per Observation 2.1, the
-// broadcast/upcast that verifies granted events costs O(n) extra moves,
-// accounted here at termination time.
-func (t *Terminating) Submit(req Request) (Grant, error) {
-	if t.terminated {
-		return Grant{}, ErrTerminated
-	}
-	g, err := t.core.Submit(req)
-	if err != nil {
-		return Grant{}, err
-	}
-	if g.Outcome == WouldReject {
-		t.terminate()
-		return Grant{}, ErrTerminated
-	}
-	return g, nil
-}
-
-// Terminate forces termination (drivers use this when an iteration ends
-// for an external reason, e.g. the topological-change budget is spent).
-func (t *Terminating) Terminate() {
-	if !t.terminated {
-		t.terminate()
-	}
-}
-
-func (t *Terminating) terminate() {
-	t.terminated = true
-	// Broadcast + upcast over the current tree (Observation 2.1).
-	if n := int64(t.core.tr.Size()); n > 1 {
-		t.core.counters.Add(stats.CounterMoves, 2*(n-1))
 	}
 }

@@ -2,8 +2,8 @@ package controller
 
 import (
 	"errors"
-	"fmt"
 
+	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -20,15 +20,24 @@ var ErrIterationCap = errors.New("controller: iteration cap exceeded (U bound vi
 // special case W = 0 appends the trivial controller that walks remaining
 // permits directly from the root.
 //
-// Move complexity: O(U·log²U·log(M/(W+1))).
+// Complexity: O(U·log²U·log(M/(W+1))) moves (Observation 3.4), and as many
+// messages over a message-passing transport (Theorem 4.7).
 type Iterated struct {
+	tp          Transport
 	tr          *tree.Tree
 	u           int64
 	w           int64
 	counters    *stats.Counters
 	terminating bool
 
-	cur        *Core
+	// wb is the current iteration's whiteboards and core their slow path
+	// over the transport; the batch fast path grants from wb directly. wb
+	// stays its own allocation: held by value in this struct it cost the
+	// daemon 15% of its throughput on an 8192-deep path (measured end to
+	// end in PR 13; the store lookups of a climb missed the cache twice as
+	// often).
+	wb         *Whiteboard
+	core       Submitter
 	curM       int64
 	iterations int
 	finalPhase bool
@@ -57,10 +66,16 @@ func AsTerminating() IteratedOption {
 	return func(it *Iterated) { it.terminating = true }
 }
 
-// NewIterated builds the waste-halving (m, w)-Controller over tr with the
-// fixed node bound u.
+// NewIterated builds the centralized waste-halving (m, w)-Controller over
+// tr with the fixed node bound u.
 func NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
-	it := &Iterated{tr: tr, u: u, w: w, curM: m}
+	return centralized.NewIterated(tr, u, m, w, opts...)
+}
+
+// NewIterated builds the waste-halving (m, w)-Controller over tr with the
+// fixed node bound u, its cores moving packages this transport's way.
+func (tp Transport) NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
+	it := &Iterated{tp: tp, tr: tr, u: u, w: w}
 	for _, opt := range opts {
 		opt(it)
 	}
@@ -75,16 +90,15 @@ func (it *Iterated) startIteration(m int64) {
 	it.iterations++
 	it.counters.Inc(stats.CounterIterations)
 	it.curM = m
+	w := max(m/2, 1)
 	if it.w > 0 && m <= 2*it.w {
-		// Final iteration: an (m, W)-controller; rejects allowed unless
-		// the driver is terminating.
+		// Final iteration: an (m, W)-controller. Rejects are issued by the
+		// driver, so no core ever floods the wave itself.
 		it.finalPhase = true
-		it.cur = NewCore(it.tr, it.u, m, it.w,
-			WithCounters(it.counters), WithNoRejects())
-		return
+		w = it.w
 	}
-	it.cur = NewCore(it.tr, it.u, m, maxInt64(m/2, 1),
-		WithCounters(it.counters), WithNoRejects())
+	it.wb = NewWhiteboard(it.tr, it.u, m, w, it.counters, pkgstore.Interval{}, true)
+	it.core = it.tp.Attach(it.wb)
 }
 
 // Granted returns the total permits granted across all iterations.
@@ -98,13 +112,6 @@ func (it *Iterated) Terminated() bool { return it.terminated }
 
 // Counters returns the shared cost counters.
 func (it *Iterated) Counters() *stats.Counters { return it.counters }
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Submit answers one request. A terminating driver returns ErrTerminated
 // once the permit budget is exhausted; otherwise exhaustion triggers a
@@ -121,7 +128,7 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 		if it.trivialPhase {
 			return it.submitTrivial(req)
 		}
-		g, err := it.cur.Submit(req)
+		g, err := it.core.Submit(req)
 		if err != nil {
 			return Grant{}, err
 		}
@@ -130,15 +137,17 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 			return g, nil
 		}
 		if g.Outcome == Rejected {
-			// Only the final phase rejects (reject package present).
+			// Only a reject package already present rejects here.
 			return g, nil
 		}
 		// WouldReject: the current iteration is exhausted.
 		if it.finalPhase {
 			return it.exhausted()
 		}
-		l := it.cur.UnusedPermits()
-		it.cur.ClearPackages()
+		// Collect the unused permits back to the root.
+		l := it.wb.UnusedPermits()
+		it.wb.ClearPackages()
+		it.tp.restart(it.counters, it.tr)
 		if it.w == 0 {
 			if l == 0 {
 				return it.exhausted()
@@ -153,8 +162,13 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 }
 
 // submitTrivial implements the trivial tail controller used when W = 0:
-// each remaining permit is walked directly from the root to the requesting
-// node, costing its depth in moves.
+// each remaining permit walks directly from the root to the requesting
+// node, costing its depth. The change is applied before any state is
+// consumed: an invalid request (e.g. remove-leaf naming an internal node,
+// which bypasses the core's validation here) must leave the permit budget
+// and the shared counters untouched, or liveness would reject before M
+// grants and the durability engine — which logs only decided requests —
+// could never reconstruct the state.
 func (it *Iterated) submitTrivial(req Request) (Grant, error) {
 	if it.trivialLeft <= 0 {
 		return it.exhausted()
@@ -163,58 +177,31 @@ func (it *Iterated) submitTrivial(req Request) (Grant, error) {
 	if err != nil {
 		return Grant{}, err
 	}
-	it.counters.Add(stats.CounterMoves, int64(d))
-	it.trivialLeft--
-	it.granted++
-	it.counters.Inc(stats.CounterGrants)
-	g := Grant{Outcome: Granted}
-	newNode, err := applyChange(it.tr, req)
+	newNode, err := ApplyChange(it.tr, req)
 	if err != nil {
 		return Grant{}, err
 	}
-	g.NewNode = newNode
+	it.counters.Add(it.tp.Counter, int64(d))
+	it.trivialLeft--
+	it.granted++
+	it.counters.Inc(stats.CounterGrants)
 	if req.Kind != tree.None {
 		it.counters.Inc(stats.CounterTopoChanges)
 	}
-	return g, nil
+	return Grant{Outcome: Granted, NewNode: newNode}, nil
 }
 
-// exhausted handles global permit exhaustion: terminating drivers
-// terminate; otherwise a reject wave floods the tree and the request is
-// rejected.
+// exhausted handles global permit exhaustion: terminating drivers terminate
+// (paying the broadcast/upcast of Observation 2.1); otherwise a reject wave
+// floods the tree and the request is rejected.
 func (it *Iterated) exhausted() (Grant, error) {
 	if it.terminating {
 		it.terminated = true
-		// Broadcast + upcast of Observation 2.1.
-		if n := int64(it.tr.Size()); n > 1 {
-			it.counters.Add(stats.CounterMoves, 2*(n-1))
-		}
+		it.tp.sweep(it.counters, it.tr, 2)
 		return Grant{}, ErrTerminated
 	}
 	it.rejectAll = true
-	if n := int64(it.tr.Size()); n > 1 {
-		it.counters.Add(stats.CounterMoves, n-1)
-	}
+	it.tp.sweep(it.counters, it.tr, 1)
 	it.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil
-}
-
-// applyChange applies a granted topological request to the tree and returns
-// the id of a created node, if any. It is used by phases that run without
-// package stores (the trivial tail and the baselines).
-func applyChange(tr *tree.Tree, req Request) (tree.NodeID, error) {
-	switch req.Kind {
-	case tree.None:
-		return tree.InvalidNode, nil
-	case tree.AddLeaf:
-		return tr.ApplyAddLeaf(req.Node)
-	case tree.AddInternal:
-		return tr.ApplyAddInternal(req.Child)
-	case tree.RemoveLeaf:
-		return tree.InvalidNode, tr.ApplyRemoveLeaf(req.Node)
-	case tree.RemoveInternal:
-		return tree.InvalidNode, tr.ApplyRemoveInternal(req.Node)
-	default:
-		return tree.InvalidNode, fmt.Errorf("applyChange: unknown kind %v", req.Kind)
-	}
 }

@@ -27,10 +27,12 @@ const (
 )
 
 // Dynamic is the (M,W)-Controller for the general case where no fixed bound
-// U on the number of nodes ever to exist is known in advance (Section 3.3).
-// It runs the waste-halving controller in iterations, re-estimating
+// U on the number of nodes ever to exist is known in advance (Section 3.3;
+// over a message-passing transport, the paper's headline Theorem 4.9). It
+// runs the waste-halving controller in iterations, re-estimating
 // U_i = 2·N_i from the current node count at each iteration start.
 type Dynamic struct {
+	tp       Transport
 	tr       *tree.Tree
 	w        int64
 	policy   Policy
@@ -69,9 +71,15 @@ func DynamicTerminating() DynamicOption {
 	return func(d *Dynamic) { d.terminating = true }
 }
 
-// NewDynamic builds an unknown-U (m, w)-Controller over tr.
+// NewDynamic builds the centralized unknown-U (m, w)-Controller over tr.
 func NewDynamic(tr *tree.Tree, m, w int64, opts ...DynamicOption) *Dynamic {
-	d := &Dynamic{tr: tr, w: w, policy: PolicyChangesQuarter, mi: m}
+	return centralized.NewDynamic(tr, m, w, opts...)
+}
+
+// NewDynamic builds an unknown-U (m, w)-Controller over tr, its cores
+// moving packages this transport's way.
+func (tp Transport) NewDynamic(tr *tree.Tree, m, w int64, opts ...DynamicOption) *Dynamic {
+	d := &Dynamic{tp: tp, tr: tr, w: w, policy: PolicyChangesQuarter, mi: m}
 	for _, opt := range opts {
 		opt(d)
 	}
@@ -100,13 +108,11 @@ func (d *Dynamic) startIteration() {
 	}
 	d.zi = 0
 	d.adds = 0
-	d.inner = NewIterated(d.tr, d.ui, d.mi, d.w,
-		WithIteratedCounters(d.counters), AsTerminating())
-	d.grantedBase = d.totalGrantedSoFar()
-}
-
-func (d *Dynamic) totalGrantedSoFar() int64 {
-	return d.counters.Get(stats.CounterGrants)
+	// Counting N_i.
+	d.tp.restart(d.counters, d.tr)
+	d.inner = &Iterated{tp: d.tp, tr: d.tr, u: d.ui, w: d.w, counters: d.counters, terminating: true}
+	d.inner.startIteration(d.mi)
+	d.grantedBase = d.Granted()
 }
 
 // Granted returns the total permits granted across all iterations.
@@ -160,18 +166,17 @@ func (d *Dynamic) iterationDone() bool {
 	switch d.policy {
 	case PolicyDoubleMaxN:
 		startMax := d.ui / 2
-		return int64(d.tr.Size()) >= 2*startMax || d.adds >= maxInt64(startMax/2, 1)
+		return int64(d.tr.Size()) >= 2*startMax || d.adds >= max(startMax/2, 1)
 	default:
-		return d.zi >= maxInt64(d.ui/4, 1)
+		return d.zi >= max(d.ui/4, 1)
 	}
 }
 
-// endIteration closes the books on the current iteration: in the
-// centralized setting N_{i+1}, Y_i and the package cleanup are computed
-// directly (the distributed implementation pays O(n) messages for the
-// corresponding broadcast/upcast, see Appendix A).
+// endIteration closes the books on the current iteration: Y_i permits were
+// consumed, so M_{i+1} = M_i − Y_i, and the next iteration restarts the
+// inner stack with a fresh U estimate.
 func (d *Dynamic) endIteration() {
-	yi := d.totalGrantedSoFar() - d.grantedBase
+	yi := d.Granted() - d.grantedBase
 	d.mi -= yi
 	if d.mi < 0 {
 		d.mi = 0
@@ -185,9 +190,7 @@ func (d *Dynamic) exhausted() (Grant, error) {
 		return Grant{}, ErrTerminated
 	}
 	d.rejectAll = true
-	if n := int64(d.tr.Size()); n > 1 {
-		d.counters.Add(stats.CounterMoves, n-1)
-	}
+	d.tp.sweep(d.counters, d.tr, 1)
 	d.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil
 }

@@ -1,0 +1,373 @@
+package controller
+
+import (
+	"fmt"
+	"sort"
+
+	"dynctrl/internal/pkgstore"
+	"dynctrl/internal/stats"
+	"dynctrl/internal/tree"
+)
+
+// Whiteboard is the per-node state of one fixed-U (M,W)-controller: every
+// node's package store, the root's permit storage and its serial interval,
+// and the grant/reject tallies. Both execution models keep exactly this
+// state and differ only in how a package gets from one whiteboard to the
+// next — a direct move in Core (Section 3), messages over a runtime in
+// dist.Core (Section 4) — so the items of Protocol GrantOrReject that touch
+// no edge are written here once and the cores add the transport.
+type Whiteboard struct {
+	tr       *tree.Tree
+	params   pkgstore.Params
+	stores   map[tree.NodeID]*pkgstore.Store
+	storage  int64             // permits remaining at the root's storage
+	serials  pkgstore.Interval // serial numbers backing the storage, if any
+	counters *stats.Counters
+
+	noRejects  bool
+	rejectWave bool
+	granted    int64
+	rejected   int64
+}
+
+// NewWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
+// tr assuming at most u nodes ever exist; the root's storage holds the m
+// permits. counters may be nil; a valid serials interval (of length at
+// least m) attaches explicit serial numbers to the storage; noRejects makes
+// the core answer WouldReject instead of flooding the reject wave.
+func NewWhiteboard(tr *tree.Tree, u, m, w int64, counters *stats.Counters, serials pkgstore.Interval, noRejects bool) *Whiteboard {
+	wb := &Whiteboard{counters: counters, serials: serials, noRejects: noRejects}
+	wb.init(tr, u, m, w)
+	return wb
+}
+
+// init fills in what the options of a constructor do not set.
+func (wb *Whiteboard) init(tr *tree.Tree, u, m, w int64) {
+	wb.tr = tr
+	wb.params = pkgstore.NewParams(u, m, w)
+	wb.storage = m
+	nodes := tr.Nodes()
+	wb.stores = make(map[tree.NodeID]*pkgstore.Store, len(nodes))
+	for _, id := range nodes {
+		wb.stores[id] = pkgstore.NewStore()
+	}
+	if wb.counters == nil {
+		wb.counters = stats.NewCounters()
+	}
+}
+
+// Tree returns the tree the whiteboards hang off.
+func (wb *Whiteboard) Tree() *tree.Tree { return wb.tr }
+
+// Params exposes the derived φ/ψ parameters.
+func (wb *Whiteboard) Params() pkgstore.Params { return wb.params }
+
+// Granted returns the number of permits granted so far.
+func (wb *Whiteboard) Granted() int64 { return wb.granted }
+
+// Rejected returns the number of rejects delivered so far.
+func (wb *Whiteboard) Rejected() int64 { return wb.rejected }
+
+// Storage returns the permits remaining in the root's storage.
+func (wb *Whiteboard) Storage() int64 { return wb.storage }
+
+// Counters returns the cost counters.
+func (wb *Whiteboard) Counters() *stats.Counters { return wb.counters }
+
+// NoRejects reports whether the core answers WouldReject instead of
+// rejecting (the terminating transformation of Observation 2.1).
+func (wb *Whiteboard) NoRejects() bool { return wb.noRejects }
+
+// NodePermits returns the number of permits (static and mobile) currently
+// stored at the given node.
+func (wb *Whiteboard) NodePermits(id tree.NodeID) int64 {
+	s, ok := wb.stores[id]
+	if !ok {
+		return 0
+	}
+	return s.PermitCount()
+}
+
+// HasRejectAt reports whether a reject package resides at the given node.
+func (wb *Whiteboard) HasRejectAt(id tree.NodeID) bool {
+	s, ok := wb.stores[id]
+	return ok && s.HasReject()
+}
+
+// MemoryBitsAt estimates the whiteboard size of the given node in bits
+// (Claim 4.8).
+func (wb *Whiteboard) MemoryBitsAt(id tree.NodeID) int {
+	s, ok := wb.stores[id]
+	if !ok {
+		return 0
+	}
+	return s.MemoryBits(wb.params)
+}
+
+// UnusedPermits returns the permits not yet granted: root storage plus all
+// permits sitting in packages. The iteration drivers use this as L.
+func (wb *Whiteboard) UnusedPermits() int64 {
+	n := wb.storage
+	for _, s := range wb.stores {
+		n += s.PermitCount()
+	}
+	return n
+}
+
+// ClearPackages removes every package from the graph and returns all
+// unused permits to the root storage (iteration resets, Section 3.3). A
+// Core that tracks domains resets its tracker itself.
+func (wb *Whiteboard) ClearPackages() {
+	total := wb.storage
+	for _, s := range wb.stores {
+		total += s.PermitCount()
+		s.Clear()
+	}
+	wb.storage = total
+	wb.rejectWave = false
+}
+
+// Store returns the package store of a live node, creating it lazily (new
+// nodes join with empty stores).
+func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
+	s, ok := wb.stores[id]
+	if !ok {
+		s = pkgstore.NewStore()
+		wb.stores[id] = s
+	}
+	return s
+}
+
+// Validate checks the request preconditions of Section 2.1: the node
+// exists, a deletion names a node of the right shape, and an internal
+// addition arrives at the parent-to-be.
+func (wb *Whiteboard) Validate(req Request) error {
+	tr := wb.tr
+	if !tr.Contains(req.Node) {
+		return fmt.Errorf("submit at %d: %w", req.Node, tree.ErrNoSuchNode)
+	}
+	switch req.Kind {
+	case tree.RemoveLeaf:
+		if req.Node == tr.Root() {
+			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
+		}
+		if !tr.IsLeaf(req.Node) {
+			return fmt.Errorf("remove-leaf at %d: %w", req.Node, tree.ErrNotLeaf)
+		}
+	case tree.RemoveInternal:
+		if req.Node == tr.Root() {
+			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
+		}
+		if tr.IsLeaf(req.Node) {
+			return fmt.Errorf("remove-internal at %d: %w", req.Node, tree.ErrNotInternal)
+		}
+	case tree.AddInternal:
+		p, err := tr.Parent(req.Child)
+		if err != nil {
+			return fmt.Errorf("add-internal: %w", err)
+		}
+		if p != req.Node {
+			return fmt.Errorf("add-internal: request must arrive at the parent-to-be: %w",
+				tree.ErrNotRelated)
+		}
+	case tree.None, tree.AddLeaf:
+		// No preconditions beyond the node existing.
+	default:
+		return fmt.Errorf("unknown request kind %v", req.Kind)
+	}
+	return nil
+}
+
+// Reject delivers one reject (item 1, or item 3b after the wave).
+func (wb *Whiteboard) Reject() Grant {
+	wb.rejected++
+	wb.counters.Inc(stats.CounterRejects)
+	return Grant{Outcome: Rejected}
+}
+
+// StartRejectWave marks the reject wave as flooded and reports whether the
+// caller is the one to flood it: the wave runs once per whiteboard life
+// (until ClearPackages), later requests find the reject package locally.
+func (wb *Whiteboard) StartRejectWave() bool {
+	if wb.rejectWave {
+		return false
+	}
+	wb.rejectWave = true
+	return true
+}
+
+// CreateAtRoot handles a filler search that reached the root from dRoot
+// hops below without finding a filler (item 3b): it funds a mobile package
+// of level j(u) from the root storage and places it in the root's store.
+// It returns nil when the storage cannot fund the package; the caller then
+// rejects.
+func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
+	level := wb.params.RootLevel(dRoot)
+	size := wb.params.MobileSize(level)
+	if wb.storage < size {
+		return nil, nil
+	}
+	var pk *pkgstore.Package
+	if wb.serials.Valid() {
+		iv := pkgstore.Interval{Lo: wb.serials.Lo, Hi: wb.serials.Lo + size - 1}
+		if iv.Hi > wb.serials.Hi {
+			return nil, fmt.Errorf("root serials exhausted: need %d, have %d", size, wb.serials.Len())
+		}
+		var err error
+		pk, err = pkgstore.NewMobileWithSerials(wb.params, level, iv)
+		if err != nil {
+			return nil, err
+		}
+		wb.serials.Lo = iv.Hi + 1
+	} else {
+		pk = pkgstore.NewMobile(wb.params, level)
+	}
+	wb.storage -= size
+	wb.Store(wb.tr.Root()).AddMobile(pk)
+	return pk, nil
+}
+
+// Handoff carries the packages (and the reject package, if any) of a node
+// that is being gracefully deleted across the edge to its parent: one move
+// centrally, one message distributed.
+type Handoff func(from, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool)
+
+// Grant implements item 2 of Protocol GrantOrReject: one permit of the
+// static package at the request's node is granted, the package shrinks (and
+// is canceled when empty), and a granted topological request is applied to
+// the tree. A deleted node's objects leave through handoff before the node
+// does.
+func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Handoff) (Grant, error) {
+	serial, empty, err := static.TakePermit()
+	if err != nil {
+		return Grant{}, err
+	}
+	if empty {
+		if err := wb.Store(req.Node).RemoveStatic(static); err != nil {
+			return Grant{}, err
+		}
+	}
+	wb.granted++
+	wb.counters.Inc(stats.CounterGrants)
+
+	g := Grant{Outcome: Granted, Serial: serial}
+	switch req.Kind {
+	case tree.None:
+		return g, nil
+	case tree.AddLeaf, tree.AddInternal:
+		g.NewNode, err = ApplyChange(wb.tr, req)
+		if err != nil {
+			return Grant{}, err
+		}
+		wb.stores[g.NewNode] = pkgstore.NewStore()
+	case tree.RemoveLeaf, tree.RemoveInternal:
+		parent, err := wb.tr.Parent(req.Node)
+		if err != nil {
+			return Grant{}, err
+		}
+		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
+			handoff(req.Node, parent, pkgs, hadReject)
+		}
+		delete(wb.stores, req.Node)
+		if _, err := ApplyChange(wb.tr, req); err != nil {
+			return Grant{}, err
+		}
+	}
+	wb.counters.Inc(stats.CounterTopoChanges)
+	return g, nil
+}
+
+// ApplyChange applies a granted topological request to the tree and returns
+// the id of a created node, if any. Grant calls it, and so do the phases
+// that run without package stores: the trivial tail and the baselines.
+func ApplyChange(tr *tree.Tree, req Request) (tree.NodeID, error) {
+	switch req.Kind {
+	case tree.None:
+		return tree.InvalidNode, nil
+	case tree.AddLeaf:
+		return tr.ApplyAddLeaf(req.Node)
+	case tree.AddInternal:
+		return tr.ApplyAddInternal(req.Child)
+	case tree.RemoveLeaf:
+		return tree.InvalidNode, tr.ApplyRemoveLeaf(req.Node)
+	case tree.RemoveInternal:
+		return tree.InvalidNode, tr.ApplyRemoveInternal(req.Node)
+	default:
+		return tree.InvalidNode, fmt.Errorf("applyChange: unknown kind %v", req.Kind)
+	}
+}
+
+// NodeStoreState pairs one node with its captured whiteboard contents.
+type NodeStoreState struct {
+	Node  tree.NodeID
+	Store pkgstore.StoreState
+}
+
+// WhiteboardState is the captured state of a fixed-U core. The transport
+// holds none between requests (a runtime is drained before Submit returns),
+// so this is all of it.
+type WhiteboardState struct {
+	// U, M, W are the constructor parameters (already clamped by
+	// pkgstore.NewParams, which is idempotent, so re-deriving φ/ψ from them
+	// reproduces the original parameters bit for bit).
+	U, M, W int64
+
+	Storage            int64
+	SerialLo, SerialHi int64
+	Granted, Rejected  int64
+	NoRejects          bool
+	RejectWave         bool
+
+	// Stores lists every node whiteboard in ascending node order.
+	Stores []NodeStoreState
+}
+
+// State captures the whiteboards' complete state. Must not be called while
+// a submission is in flight.
+func (wb *Whiteboard) State() WhiteboardState {
+	st := WhiteboardState{
+		U:          wb.params.U,
+		M:          wb.params.M,
+		W:          wb.params.W,
+		Storage:    wb.storage,
+		SerialLo:   wb.serials.Lo,
+		SerialHi:   wb.serials.Hi,
+		Granted:    wb.granted,
+		Rejected:   wb.rejected,
+		NoRejects:  wb.noRejects,
+		RejectWave: wb.rejectWave,
+	}
+	ids := make([]tree.NodeID, 0, len(wb.stores))
+	for id := range wb.stores {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		st.Stores = append(st.Stores, NodeStoreState{Node: id, Store: wb.stores[id].State()})
+	}
+	return st
+}
+
+// restoreWhiteboard rebuilds the whiteboards captured in st, over tr.
+func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counters) (*Whiteboard, error) {
+	wb := &Whiteboard{
+		tr:         tr,
+		params:     pkgstore.NewParams(st.U, st.M, st.W),
+		stores:     make(map[tree.NodeID]*pkgstore.Store, len(st.Stores)),
+		storage:    st.Storage,
+		serials:    pkgstore.Interval{Lo: st.SerialLo, Hi: st.SerialHi},
+		counters:   counters,
+		noRejects:  st.NoRejects,
+		rejectWave: st.RejectWave,
+		granted:    st.Granted,
+		rejected:   st.Rejected,
+	}
+	for _, ns := range st.Stores {
+		s, err := pkgstore.RestoreStore(ns.Store)
+		if err != nil {
+			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, err)
+		}
+		wb.stores[ns.Node] = s
+	}
+	return wb, nil
+}

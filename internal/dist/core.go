@@ -16,27 +16,18 @@ import (
 // observer, which reports the whole entered path at once.
 type DescentObserver func(size int64, enters tree.NodeID)
 
-// Core is the fixed-U distributed (M,W)-Controller of Section 4: the
-// waste-halving core of Section 3.1 executed by message passing. One request
-// is processed at a time (Submit drains the runtime before returning), which
-// models the paper's assumption that a single agent is active per request.
+// Core is the fixed-U distributed (M,W)-Controller of Section 4: the shared
+// whiteboards of Section 3.1 plus a transport that moves packages by message
+// passing. One request is processed at a time (Submit drains the runtime
+// before returning), which models the paper's assumption that a single agent
+// is active per request.
 type Core struct {
-	tr       *tree.Tree
-	rt       sim.Runtime
-	params   pkgstore.Params
-	stores   map[tree.NodeID]*pkgstore.Store
-	storage  int64             // permits remaining in the root's storage
-	serials  pkgstore.Interval // serial numbers backing the storage, if any
-	counters *stats.Counters
-	descent  DescentObserver
-
-	noRejects  bool
-	rejectWave bool
-	granted    int64
-	rejected   int64
+	*controller.Whiteboard
+	rt      sim.Runtime
+	descent DescentObserver
 
 	// cur holds the in-flight request; it is only non-nil between the
-	// start of submit and the completion of the matching Drain. It points
+	// start of Submit and the completion of the matching Drain. It points
 	// at pendingSlot, which is reused across requests (one request is in
 	// flight at a time).
 	cur         *pending
@@ -52,132 +43,57 @@ type pending struct {
 }
 
 // CoreOption configures a Core.
-type CoreOption func(*Core)
+type CoreOption func(*coreOptions)
+
+type coreOptions struct {
+	counters  *stats.Counters
+	serials   pkgstore.Interval
+	noRejects bool
+	descent   DescentObserver
+}
 
 // WithCounters directs cost accounting into c (shared counters let drivers
 // aggregate across iterations).
 func WithCounters(c *stats.Counters) CoreOption {
-	return func(co *Core) { co.counters = c }
+	return func(o *coreOptions) { o.counters = c }
 }
 
 // WithSerials attaches explicit permit serial numbers to the root storage;
 // the interval length must be at least M.
 func WithSerials(iv pkgstore.Interval) CoreOption {
-	return func(co *Core) { co.serials = iv }
+	return func(o *coreOptions) { o.serials = iv }
 }
 
 // WithNoRejects makes the core answer WouldReject instead of flooding the
 // reject wave (the terminating transformation of Observation 2.1).
 func WithNoRejects() CoreOption {
-	return func(co *Core) { co.noRejects = true }
+	return func(o *coreOptions) { o.noRejects = true }
 }
 
 // WithDescentObserver registers fn to observe downward package moves.
 func WithDescentObserver(fn DescentObserver) CoreOption {
-	return func(co *Core) { co.descent = fn }
+	return func(o *coreOptions) { o.descent = fn }
 }
 
 // NewCore creates a fixed-U distributed (m, w)-Controller over tr, moving
 // messages through rt. The root's storage initially holds the m permits.
 func NewCore(tr *tree.Tree, rt sim.Runtime, u, m, w int64, opts ...CoreOption) *Core {
-	c := &Core{
-		tr:      tr,
-		rt:      rt,
-		params:  pkgstore.NewParams(u, m, w),
-		stores:  make(map[tree.NodeID]*pkgstore.Store),
-		storage: m,
-	}
+	var o coreOptions
 	for _, opt := range opts {
-		opt(c)
+		opt(&o)
 	}
-	if c.counters == nil {
-		c.counters = stats.NewCounters()
+	return &Core{
+		Whiteboard: controller.NewWhiteboard(tr, u, m, w, o.counters, o.serials, o.noRejects),
+		rt:         rt,
+		descent:    o.descent,
 	}
-	for _, id := range tr.Nodes() {
-		c.stores[id] = pkgstore.NewStore()
-	}
-	return c
 }
 
-// Params exposes the derived φ/ψ parameters.
-func (c *Core) Params() pkgstore.Params { return c.params }
-
-// Granted returns the number of permits granted so far.
-func (c *Core) Granted() int64 { return c.granted }
-
-// Rejected returns the number of rejects delivered so far.
-func (c *Core) Rejected() int64 { return c.rejected }
-
-// Storage returns the permits remaining in the root's storage.
-func (c *Core) Storage() int64 { return c.storage }
-
-// Counters returns the cost counters.
-func (c *Core) Counters() *stats.Counters { return c.counters }
-
-// NodePermits returns the number of permits (static and mobile) currently
-// stored at the given node's whiteboard (parity with the centralized
-// core's accessor; the scenario tests use it to find drop-point packages).
-func (c *Core) NodePermits(id tree.NodeID) int64 {
-	s, ok := c.stores[id]
-	if !ok {
-		return 0
-	}
-	return s.PermitCount()
-}
-
-// UnusedPermits returns the permits not yet granted: root storage plus all
-// permits sitting in packages. The iteration drivers use this as L.
-func (c *Core) UnusedPermits() int64 {
-	n := c.storage
-	for _, s := range c.stores {
-		n += s.PermitCount()
-	}
-	return n
-}
-
-// MemoryBitsAt estimates the whiteboard size of the given node in bits
-// (Claim 4.8).
-func (c *Core) MemoryBitsAt(id tree.NodeID) int {
-	s, ok := c.stores[id]
-	if !ok {
-		return 0
-	}
-	return s.MemoryBits(c.params)
-}
-
-// ClearPackages removes every package from the tree and returns all unused
-// permits to the root storage (iteration resets, Section 3.3). The drivers
-// account the corresponding broadcast/upcast in CounterControl.
-func (c *Core) ClearPackages() {
-	total := c.storage
-	for _, s := range c.stores {
-		total += s.PermitCount()
-		s.Clear()
-	}
-	c.storage = total
-	c.rejectWave = false
-}
-
-// store returns the package store of a node, creating it lazily (new nodes
-// join with empty whiteboards).
-func (c *Core) store(id tree.NodeID) *pkgstore.Store {
-	s, ok := c.stores[id]
-	if !ok {
-		s = pkgstore.NewStore()
-		c.stores[id] = s
-	}
-	return s
-}
-
-// submit runs one request through the message-passing protocol and blocks
-// (draining the runtime) until the verdict is in. Drivers and the public
-// Submitter front-end call it; the decision sequence matches the
-// centralized Core.Submit on identical traces.
-func (c *Core) submit(req controller.Request) (controller.Grant, error) {
-	if !c.tr.Contains(req.Node) {
-		return controller.Grant{}, fmt.Errorf("submit at %d: %w", req.Node, tree.ErrNoSuchNode)
-	}
-	if err := c.validate(req); err != nil {
+// Submit runs one request through the message-passing protocol and blocks
+// (draining the runtime) until the verdict is in. The decision sequence
+// matches the centralized Core.Submit on identical traces.
+func (c *Core) Submit(req controller.Request) (controller.Grant, error) {
+	if err := c.Validate(req); err != nil {
 		return controller.Grant{}, err
 	}
 	c.rt.SetHandler(c.handle)
@@ -193,62 +109,28 @@ func (c *Core) submit(req controller.Request) (controller.Grant, error) {
 	return p.grant, p.err
 }
 
-// validate mirrors the centralized request preconditions (Section 2.1).
-func (c *Core) validate(req controller.Request) error {
-	switch req.Kind {
-	case tree.RemoveLeaf:
-		if req.Node == c.tr.Root() {
-			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
-		}
-		if !c.tr.IsLeaf(req.Node) {
-			return fmt.Errorf("remove-leaf at %d: %w", req.Node, tree.ErrNotLeaf)
-		}
-	case tree.RemoveInternal:
-		if req.Node == c.tr.Root() {
-			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
-		}
-		if c.tr.IsLeaf(req.Node) {
-			return fmt.Errorf("remove-internal at %d: %w", req.Node, tree.ErrNotInternal)
-		}
-	case tree.AddInternal:
-		p, err := c.tr.Parent(req.Child)
-		if err != nil {
-			return fmt.Errorf("add-internal: %w", err)
-		}
-		if p != req.Node {
-			return fmt.Errorf("add-internal: request must arrive at the parent-to-be: %w",
-				tree.ErrNotRelated)
-		}
-	case tree.None, tree.AddLeaf:
-		// No preconditions beyond the node existing.
-	default:
-		return fmt.Errorf("unknown request kind %v", req.Kind)
-	}
-	return nil
-}
-
 // localStep runs the request's first protocol step at the requesting node u
 // itself: items 1 and 2 of Protocol GrantOrReject, the d = 0 case of the
 // filler search, and the degenerate u = root case. No message is spent on
 // the request's arrival (requests originate at their node).
 func (c *Core) localStep(u tree.NodeID) {
-	if c.store(u).HasReject() {
-		c.finishReject()
+	if c.Store(u).HasReject() {
+		c.finish(c.Reject())
 		return
 	}
-	if static := c.store(u).Static(); static != nil {
+	if static := c.Store(u).Static(); static != nil {
 		c.finishGrant(static)
 		return
 	}
-	if pk := c.store(u).MobileAtFillerDistance(c.params, 0); pk != nil {
+	if pk := c.Store(u).MobileAtFillerDistance(c.Params(), 0); pk != nil {
 		c.startDescent(u, pk, u)
 		return
 	}
-	if u == c.tr.Root() {
+	if u == c.Tree().Root() {
 		c.rootStep(u, 0)
 		return
 	}
-	parent, err := c.tr.Parent(u)
+	parent, err := c.Tree().Parent(u)
 	if err != nil {
 		c.fail(err)
 		return
@@ -273,7 +155,7 @@ func (c *Core) handle(m sim.Message) {
 	case rejectFlood:
 		c.handleRejectFlood(m.To)
 	case transfer:
-		c.store(m.To).Absorb(pl.packages, pl.hadReject)
+		c.Store(m.To).Absorb(pl.packages, pl.hadReject)
 	default:
 		c.fail(fmt.Errorf("dist: unknown payload %T", m.Payload))
 	}
@@ -284,19 +166,19 @@ func (c *Core) handle(m sim.Message) {
 // re-sends the same pooled envelope hop after hop and releases it when the
 // search ends.
 func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
-	if pk := c.store(w).MobileAtFillerDistance(c.params, pl.dist); pk != nil {
+	if pk := c.Store(w).MobileAtFillerDistance(c.Params(), pl.dist); pk != nil {
 		origin := pl.origin
 		putSearchUp(pl)
 		c.startDescent(w, pk, origin)
 		return
 	}
-	if w == c.tr.Root() {
+	if w == c.Tree().Root() {
 		origin, dist := pl.origin, pl.dist
 		putSearchUp(pl)
 		c.rootStep(origin, dist)
 		return
 	}
-	parent, err := c.tr.Parent(w)
+	parent, err := c.Tree().Parent(w)
 	if err != nil {
 		putSearchUp(pl)
 		c.fail(err)
@@ -309,53 +191,28 @@ func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
 // rootStep handles a search that reached the root without finding a filler
 // (item 3b): fund a fresh package of level j(u) from the storage, or reject.
 func (c *Core) rootStep(origin tree.NodeID, dRoot int64) {
-	level := c.params.RootLevel(dRoot)
-	need := c.params.MobileSize(level)
-	if c.storage < need {
-		if c.noRejects {
-			c.finish(controller.Grant{Outcome: controller.WouldReject})
-			return
-		}
-		c.broadcastRejectWave()
-		c.finishReject()
-		return
-	}
-	pk, err := c.createAtRoot(level)
+	pk, err := c.CreateAtRoot(dRoot)
 	if err != nil {
 		c.fail(err)
 		return
 	}
-	c.startDescent(c.tr.Root(), pk, origin)
-}
-
-// createAtRoot creates a mobile package of the given level at the root,
-// funding it from the root storage (which the caller has checked).
-func (c *Core) createAtRoot(level int) (*pkgstore.Package, error) {
-	size := c.params.MobileSize(level)
-	var pk *pkgstore.Package
-	if c.serials.Valid() {
-		iv := pkgstore.Interval{Lo: c.serials.Lo, Hi: c.serials.Lo + size - 1}
-		if iv.Hi > c.serials.Hi {
-			return nil, fmt.Errorf("root serials exhausted: need %d, have %d", size, c.serials.Len())
+	if pk == nil {
+		if c.NoRejects() {
+			c.finish(controller.Grant{Outcome: controller.WouldReject})
+			return
 		}
-		var err error
-		pk, err = pkgstore.NewMobileWithSerials(c.params, level, iv)
-		if err != nil {
-			return nil, err
-		}
-		c.serials.Lo = iv.Hi + 1
-	} else {
-		pk = pkgstore.NewMobile(c.params, level)
+		c.broadcastRejectWave()
+		c.finish(c.Reject())
+		return
 	}
-	c.storage -= size
-	c.store(c.tr.Root()).AddMobile(pk)
+	root := c.Tree().Root()
 	// Permits leaving the storage enter the root's whiteboard: the subtree
 	// estimator needs them counted as passing through the root so that
 	// ω̃(root) dominates the root's true super-weight.
 	if c.descent != nil {
-		c.descent(size, c.tr.Root())
+		c.descent(pk.Size, root)
 	}
-	return pk, nil
+	c.startDescent(root, pk, origin)
 }
 
 // startDescent removes pkg from host's store and sends it down the tree
@@ -363,12 +220,12 @@ func (c *Core) createAtRoot(level int) (*pkgstore.Package, error) {
 // the breadcrumb trail the upward search established; it lives in a pooled
 // descend envelope whose buffer is reused across requests.
 func (c *Core) startDescent(host tree.NodeID, pkg *pkgstore.Package, origin tree.NodeID) {
-	if err := c.store(host).RemoveMobile(pkg); err != nil {
+	if err := c.Store(host).RemoveMobile(pkg); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
 		return
 	}
 	pl := descendPool.Get().(*descend)
-	path, err := c.tr.AppendPathBetween(origin, host, pl.path[:0])
+	path, err := c.Tree().AppendPathBetween(origin, host, pl.path[:0])
 	if err != nil {
 		putDescend(pl)
 		c.fail(err)
@@ -405,14 +262,14 @@ func (c *Core) handleDescend(pl *descend) {
 	// Split at drop points: for every level k > 0 whose drop distance
 	// matches, one half stays here and the other half continues (the drop
 	// distances are strictly decreasing in k, so at most one level fires).
-	for pkg.Level > 0 && dist == c.params.UKDistance(pkg.Level-1) {
+	for pkg.Level > 0 && dist == c.Params().UKDistance(pkg.Level-1) {
 		p1, p2, err := pkg.Split()
 		if err != nil {
 			putDescend(pl)
 			c.fail(err)
 			return
 		}
-		c.store(node).AddMobile(p1)
+		c.Store(node).AddMobile(p1)
 		pkg = p2
 	}
 	if dist == 0 {
@@ -432,120 +289,56 @@ func (c *Core) arrive(pkg *pkgstore.Package, u tree.NodeID) {
 		c.fail(err)
 		return
 	}
-	c.store(u).AddStatic(pkg)
+	c.Store(u).AddStatic(pkg)
 	c.finishGrant(pkg)
 }
 
-// finishGrant takes one permit from the static package at the request's
-// node, applies a granted topological change, and completes the request
-// (item 2 of Protocol GrantOrReject).
+// finishGrant grants the pending request one permit of the static package
+// at its node (item 2 of Protocol GrantOrReject) and completes it.
 func (c *Core) finishGrant(static *pkgstore.Package) {
-	req := c.cur.req
-	serial, empty, err := static.TakePermit()
+	g, err := c.Grant(c.cur.req, static, c.handoff)
 	if err != nil {
 		c.fail(err)
 		return
 	}
-	if empty {
-		if err := c.store(req.Node).RemoveStatic(static); err != nil {
-			c.fail(err)
-			return
-		}
-	}
-	c.granted++
-	c.counters.Inc(stats.CounterGrants)
-
-	g := controller.Grant{Outcome: controller.Granted, Serial: serial}
-	switch req.Kind {
-	case tree.None:
-		// Non-topological event: nothing further.
-	case tree.AddLeaf:
-		id, err := c.tr.ApplyAddLeaf(req.Node)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.stores[id] = pkgstore.NewStore()
-		g.NewNode = id
-		c.counters.Inc(stats.CounterTopoChanges)
-	case tree.AddInternal:
-		id, err := c.tr.ApplyAddInternal(req.Child)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.stores[id] = pkgstore.NewStore()
-		g.NewNode = id
-		c.counters.Inc(stats.CounterTopoChanges)
-	case tree.RemoveLeaf, tree.RemoveInternal:
-		if err := c.removeNode(req.Node, req.Kind); err != nil {
-			c.fail(err)
-			return
-		}
-		c.counters.Inc(stats.CounterTopoChanges)
-	}
 	c.finish(g)
 }
 
-// removeNode performs the graceful deletion: the node's packages travel to
-// its parent in one message, then the node leaves the tree. The runtime is
+// handoff is the graceful deletion: the node's packages travel to its
+// parent in one message before the node leaves the tree. The runtime is
 // quiet toward the node at this point (the protocol is sequential), which
 // is the handshake the paper requires for graceful deletions.
-func (c *Core) removeNode(id tree.NodeID, kind tree.ChangeKind) error {
-	parent, err := c.tr.Parent(id)
-	if err != nil {
-		return err
-	}
-	pkgs, hadReject := c.store(id).TakeAll()
-	if len(pkgs) > 0 || hadReject {
-		c.rt.Send(id, parent, transfer{packages: pkgs, hadReject: hadReject})
-	}
-	delete(c.stores, id)
-	switch kind {
-	case tree.RemoveLeaf:
-		err = c.tr.ApplyRemoveLeaf(id)
-	case tree.RemoveInternal:
-		err = c.tr.ApplyRemoveInternal(id)
-	default:
-		err = fmt.Errorf("removeNode: unexpected kind %v", kind)
-	}
-	return err
+func (c *Core) handoff(from, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+	c.rt.Send(from, parent, transfer{packages: pkgs, hadReject: hadReject})
 }
 
 // broadcastRejectWave floods a reject package to every node, one message
 // per tree edge (item 3b). Idempotent: once the wave ran, later requests
 // find the reject package locally.
 func (c *Core) broadcastRejectWave() {
-	if c.rejectWave {
+	if !c.StartRejectWave() {
 		return
 	}
-	c.rejectWave = true
-	root := c.tr.Root()
-	c.store(root).SetReject()
+	root := c.Tree().Root()
+	c.Store(root).SetReject()
 	c.floodChildren(root)
 }
 
 // handleRejectFlood stores the reject package at the receiver and forwards
 // the wave to its children.
 func (c *Core) handleRejectFlood(id tree.NodeID) {
-	c.store(id).SetReject()
+	c.Store(id).SetReject()
 	c.floodChildren(id)
 }
 
 func (c *Core) floodChildren(id tree.NodeID) {
-	kids, err := c.tr.Children(id)
+	kids, err := c.Tree().Children(id)
 	if err != nil {
 		return // the node left the tree while the wave was in flight
 	}
 	for _, kid := range kids {
 		c.rt.Send(id, kid, rejectFlood{})
 	}
-}
-
-func (c *Core) finishReject() {
-	c.rejected++
-	c.counters.Inc(stats.CounterRejects)
-	c.finish(controller.Grant{Outcome: controller.Rejected})
 }
 
 func (c *Core) finish(g controller.Grant) {
@@ -559,7 +352,7 @@ func (c *Core) fail(err error) {
 }
 
 // Submitter is the request-submission front-end of the distributed core; it
-// satisfies workload.Submitter.
+// satisfies workload.Submitter and controller.BatchSubmitter.
 type Submitter struct {
 	core *Core
 }
@@ -575,5 +368,15 @@ func NewSubmitter(core *Core, rt sim.Runtime) *Submitter {
 // Submit answers one request, blocking until the distributed protocol has
 // delivered the verdict.
 func (s *Submitter) Submit(req controller.Request) (controller.Grant, error) {
-	return s.core.submit(req)
+	return s.core.Submit(req)
 }
+
+// SubmitBatch answers a batch with serial-equivalent semantics: a request
+// whose node already holds a static package is granted from the local
+// whiteboard without installing a handler, starting an agent or draining
+// the runtime (items 1–2 of Protocol GrantOrReject need no message).
+func (s *Submitter) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
+	return s.core.BatchOver(s.core, reqs, out)
+}
+
+var _ controller.BatchSubmitter = (*Submitter)(nil)

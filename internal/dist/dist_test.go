@@ -14,7 +14,7 @@ import (
 	"dynctrl/internal/workload"
 )
 
-func buildTree(t *testing.T, n int, seed int64) *tree.Tree {
+func buildTree(t testing.TB, n int, seed int64) *tree.Tree {
 	t.Helper()
 	tr, _ := tree.New()
 	if err := workload.BuildBalanced(tr, n, seed); err != nil {
@@ -133,13 +133,18 @@ func TestTerminatingRejectsAfterTermination(t *testing.T) {
 	}
 }
 
-// TestCoreMatchesCentralized replays identical traces through the
+// TestCoreMatchesCentralized is the engine-equivalence table. Its first
+// rows replay identical traces through the two fixed-U cores, the
 // centralized controller.Core and the distributed dist.Core: the grant and
 // reject sequences must be bitwise identical (same outcomes, serials and
 // created node ids), the permit accounting must agree, and the delivered
 // message count must stay within a constant factor of the centralized move
-// count (Lemma 4.5 / Theorem 4.7).
+// count (Lemma 4.5 / Theorem 4.7). The "drivers" rows
+// (engine_equiv_test.go) hold the one unknown-U driver stack to the same
+// standard over both cores, batched and restored mid-trace.
 func TestCoreMatchesCentralized(t *testing.T) {
+	t.Run("drivers", testDriversMatchAcrossEngines)
+
 	cases := []struct {
 		n    int
 		m, w int64

@@ -1,7 +1,7 @@
 // Package persist is the durability engine of the dynctrld admission
 // stack: a length-prefixed, checksummed write-ahead log of controller
 // effects (grants, rejects, topology changes, reject-wave completions)
-// plus periodic snapshots of the full tree + dist.Dynamic + serial
+// plus periodic snapshots of the full tree + controller.Dynamic + serial
 // allocator state.
 //
 // # Write path
@@ -605,7 +605,7 @@ func (e *Engine) ShouldCheckpoint() bool {
 
 // CheckpointAsync encodes and writes the captured state in the background.
 // The capture itself must already be a deep copy (tree.Snapshot and
-// dist.State copy); the engine only serializes it. Close waits for
+// Dynamic.State copy); the engine only serializes it. Close waits for
 // in-flight checkpoints.
 func (e *Engine) CheckpointAsync(st *State) {
 	e.wg.Add(1)
@@ -637,6 +637,10 @@ func (e *Engine) writeSnapshot(st *State) error {
 		return ErrClosed
 	}
 	e.mu.Unlock()
+	if st.Ctl.Policy != controller.PolicyChangesQuarter {
+		return fmt.Errorf("persist: snapshot format %d carries only the changes-quarter driver, state has policy %d",
+			snapshotFormat, st.Ctl.Policy)
+	}
 	buf := AppendState(nil, st)
 	if err := writeFileAtomic(snapshotPath(e.dir, st.Index), buf); err != nil {
 		return err

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"sort"
 
-	"dynctrl/internal/dist"
+	"dynctrl/internal/controller"
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/tree"
 )
@@ -21,9 +21,12 @@ import (
 //
 // The payload is the fixed-width little-endian encoding of a State: the
 // applied-index watermark, the admission contract, the complete tree
-// snapshot, the dist.Dynamic driver stack including every node's package
-// store, and the shared counters. Everything is emitted in sorted order, so
-// identical states encode to identical bytes.
+// snapshot, the controller.Dynamic driver stack including every node's
+// package store, and the shared counters. Format 1 carries the
+// PolicyChangesQuarter driver, the only one the daemon builds: the policy
+// and the two tallies only PolicyDoubleMaxN reads are not on disk.
+// Everything is emitted in sorted order, so identical states encode to
+// identical bytes.
 
 var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}
 
@@ -47,7 +50,7 @@ type State struct {
 	M, W int64
 
 	Tree     *tree.Snapshot
-	Ctl      *dist.DynamicState
+	Ctl      *controller.DynamicState
 	Counters map[string]int64
 }
 
@@ -246,7 +249,7 @@ func decodeStore(d *dec) pkgstore.StoreState {
 	return st
 }
 
-func appendCore(e *enc, c dist.CoreState) {
+func appendCore(e *enc, c controller.WhiteboardState) {
 	e.i64(c.U)
 	e.i64(c.M)
 	e.i64(c.W)
@@ -264,8 +267,8 @@ func appendCore(e *enc, c dist.CoreState) {
 	}
 }
 
-func decodeCore(d *dec) dist.CoreState {
-	c := dist.CoreState{
+func decodeCore(d *dec) controller.WhiteboardState {
+	c := controller.WhiteboardState{
 		U:          d.i64(),
 		M:          d.i64(),
 		W:          d.i64(),
@@ -280,12 +283,12 @@ func decodeCore(d *dec) dist.CoreState {
 	n := d.count(8 + 1 + 4 + 4)
 	for i := 0; i < n && d.err == nil; i++ {
 		node := tree.NodeID(d.u64())
-		c.Stores = append(c.Stores, dist.NodeStoreState{Node: node, Store: decodeStore(d)})
+		c.Stores = append(c.Stores, controller.NodeStoreState{Node: node, Store: decodeStore(d)})
 	}
 	return c
 }
 
-func appendDynamic(e *enc, st *dist.DynamicState) {
+func appendDynamic(e *enc, st *controller.DynamicState) {
 	e.i64(st.W)
 	e.i64(st.Mi)
 	e.i64(st.Ui)
@@ -308,11 +311,11 @@ func appendDynamic(e *enc, st *dist.DynamicState) {
 	e.bool(it.Terminated)
 	e.bool(it.RejectAll)
 	e.i64(it.Granted)
-	appendCore(e, it.Core)
+	appendCore(e, it.Board)
 }
 
-func decodeDynamic(d *dec) *dist.DynamicState {
-	st := &dist.DynamicState{
+func decodeDynamic(d *dec) *controller.DynamicState {
+	st := &controller.DynamicState{
 		W:           d.i64(),
 		Mi:          d.i64(),
 		Ui:          d.i64(),
@@ -322,8 +325,9 @@ func decodeDynamic(d *dec) *dist.DynamicState {
 		Terminating: d.bool(),
 		Terminated:  d.bool(),
 		RejectAll:   d.bool(),
+		Policy:      controller.PolicyChangesQuarter,
 	}
-	st.Inner = dist.IteratedState{
+	st.Inner = controller.IteratedState{
 		U:            d.i64(),
 		W:            d.i64(),
 		CurM:         d.i64(),
@@ -336,7 +340,7 @@ func decodeDynamic(d *dec) *dist.DynamicState {
 		RejectAll:    d.bool(),
 		Granted:      d.i64(),
 	}
-	st.Inner.Core = decodeCore(d)
+	st.Inner.Board = decodeCore(d)
 	return st
 }
 

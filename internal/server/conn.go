@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/pipeline"
 	"dynctrl/internal/wire"
@@ -389,7 +388,7 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 			case errors.Is(br.Err, pipeline.ErrClosed):
 				r = wire.Result{Code: wire.CodeShutdown}
 				errs++
-			case errors.Is(br.Err, dist.ErrTerminated):
+			case errors.Is(br.Err, controller.ErrTerminated):
 				r = wire.Result{Code: wire.CodeTerminated}
 				errs++
 			case errors.Is(br.Err, errWALUnavailable):

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/wire"
@@ -87,7 +86,7 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	// The runtime is not thread-safe: sample it under the same lock the
 	// pipeline leader holds while driving batches.
 	tn.guard.mu.Lock()
-	transport := tn.rt.Messages()
+	transport := tn.transportMsgs()
 	var violations int
 	if tn.guard.orc != nil {
 		violations = len(tn.guard.orc.Violations())
@@ -133,7 +132,7 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest combining cycle observed (requests).", l, ps.MaxBatch)
 
 	d.Counter("dynctrld_tenant_transport_messages_total", "Messages delivered by the tenant's controller transport.", l, transport)
-	d.Counter("dynctrld_tenant_control_messages_total", "Controller control messages (climbs, descents, waves).", l, snap[dist.CounterControl])
+	d.Counter("dynctrld_tenant_control_messages_total", "Controller control messages (climbs, descents, waves).", l, snap[stats.CounterControl])
 	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, snap[stats.CounterGrants])
 	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, snap[stats.CounterRejects])
 	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, snap[stats.CounterTopoChanges])

@@ -492,7 +492,7 @@ func (s *Server) TransportMessages() int64 {
 	for _, name := range s.order {
 		tn := s.tenants[name]
 		tn.guard.mu.Lock()
-		total += tn.rt.Messages()
+		total += tn.transportMsgs()
 		tn.guard.mu.Unlock()
 	}
 	return total

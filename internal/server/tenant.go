@@ -66,15 +66,18 @@ func tenantConfigs(cfg Config) []TenantConfig {
 // every counter are per-namespace, which is what the cross-tenant
 // isolation oracle (oracle.CheckTenantIsolation) relies on.
 type tenant struct {
-	name    string
-	cfg     TenantConfig
-	tr      *tree.Tree
-	rt      sim.Runtime
-	ctl     *dist.Dynamic
-	pl      *pipeline.Pipeline
-	guard   *guardedSubmitter
-	ctrs    *stats.Counters
-	topoSig uint64
+	name string
+	cfg  TenantConfig
+	tr   *tree.Tree
+	// ctl is the engine: the unknown-U driver, here over the message-passing
+	// transport whose delivered-message count transportMsgs reads. newTenant
+	// is the one place that says which transport.
+	ctl           *controller.Dynamic
+	transportMsgs func() int64
+	pl            *pipeline.Pipeline
+	guard         *guardedSubmitter
+	ctrs          *stats.Counters
+	topoSig       uint64
 
 	// Durability engine state (nil/zero without a WAL).
 	eng              *persist.Engine
@@ -119,7 +122,7 @@ type tenant struct {
 // batches while earlier batches ride out their group commit.
 type guardedSubmitter struct {
 	mu      sync.Mutex
-	sub     controller.BatchSubmitter
+	sub     *controller.Dynamic
 	orc     *oracle.Oracle        // non-nil in paranoid mode
 	eng     *persist.Engine       // non-nil with a WAL
 	capture func() *persist.State // deep state copy for checkpoints
@@ -169,7 +172,7 @@ func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.Ba
 	var execStart time.Time
 	var ctlBefore int64
 	if g.trace {
-		ctlBefore = g.ctrs.Get(dist.CounterControl)
+		ctlBefore = g.ctrs.Get(stats.CounterControl)
 		execStart = time.Now()
 	}
 	base := len(out)
@@ -183,7 +186,7 @@ func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.Ba
 	}
 	if g.trace {
 		rc.exec = time.Since(execStart)
-		rc.ctlMsgs = g.ctrs.Get(dist.CounterControl) - ctlBefore
+		rc.ctlMsgs = g.ctrs.Get(stats.CounterControl) - ctlBefore
 	}
 	if g.eng != nil {
 		walStart := time.Now()
@@ -229,14 +232,14 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	ctrs := stats.NewCounters()
 
 	tn := &tenant{
-		name:    tc.Name,
-		cfg:     tc,
-		tr:      tr,
-		rt:      rt,
-		ctl:     dist.NewDynamic(tr, rt, tc.M, tc.W, false, ctrs),
-		ctrs:    ctrs,
-		topoSig: topoSig,
-		conns:   map[*srvConn]struct{}{},
+		name:          tc.Name,
+		cfg:           tc,
+		tr:            tr,
+		ctl:           dist.NewDynamic(tr, rt, tc.M, tc.W, false, ctrs).Dynamic,
+		transportMsgs: rt.Messages,
+		ctrs:          ctrs,
+		topoSig:       topoSig,
+		conns:         map[*srvConn]struct{}{},
 	}
 	traced := cfg.TraceRing >= 0
 	if traced {
@@ -266,11 +269,12 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 				return nil, fmt.Errorf("server: tenant %q: wal snapshot was taken under (M=%d, W=%d), daemon started with (M=%d, W=%d)",
 					tc.Name, rec.Snapshot.M, rec.Snapshot.W, tc.M, tc.W)
 			}
-			tn.ctl, err = persist.RestoreInto(rec.Snapshot, tr, rt, ctrs)
+			restored, err := persist.RestoreInto(rec.Snapshot, tr, rt, ctrs)
 			if err != nil {
 				eng.Close()
 				return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 			}
+			tn.ctl = restored.Dynamic
 		}
 		applied, err := persist.Replay(rec.Tail, tn.ctl)
 		if err != nil {
@@ -317,7 +321,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 			}
 		}
 		guard.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
-			oracle.WithMessages(rt.Messages),
+			oracle.WithMessages(tn.transportMsgs),
 			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
 	}
 	var opts []pipeline.Option

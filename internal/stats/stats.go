@@ -96,8 +96,9 @@ const (
 	// CounterMoves counts centralized move complexity (one unit per move
 	// of a set of objects across one tree edge, Section 2.2).
 	CounterMoves = "moves"
-	// CounterMessages counts distributed message complexity.
-	CounterMessages = "messages"
+	// CounterControl counts the control-plane messages of the distributed
+	// setting: broadcast/upcast phases no transport carries explicitly.
+	CounterControl = "control-messages"
 	// CounterGrants counts permits granted to requests.
 	CounterGrants = "grants"
 	// CounterRejects counts rejects delivered to requests.

@@ -40,12 +40,12 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc(CounterMessages)
+				c.Inc(CounterControl)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.Get(CounterMessages); got != 8000 {
+	if got := c.Get(CounterControl); got != 8000 {
 		t.Fatalf("messages = %d, want 8000", got)
 	}
 }
