@@ -69,8 +69,8 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 	// Store presence implies liveness: stores are created only for nodes in
 	// the tree and removed with their node, so this replaces the Contains
 	// check of the slow path.
-	s, ok := wb.stores[req.Node]
-	if !ok || s.HasReject() {
+	s := wb.lookup(req.Node)
+	if s == nil || s.HasReject() {
 		return Grant{}, false
 	}
 	serial, ok := s.TakeStaticPermit()

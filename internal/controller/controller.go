@@ -84,9 +84,6 @@ type Core struct {
 	*Whiteboard
 	domains *DomainTracker
 	descent DescentObserver
-	// pathBuf is the reusable ancestor-walk buffer of the filler search;
-	// findFiller overwrites it on every call, so no path escapes a request.
-	pathBuf []tree.NodeID
 
 	trackDomains bool
 }
@@ -167,18 +164,15 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	}
 
 	// Item 3: find the closest filler node with respect to u.
-	host, pkg, err := c.findFiller(u)
+	host, dist, pkg, err := c.findFiller(u)
 	if err != nil {
 		return Grant{}, err
 	}
 	if pkg == nil {
-		// Item 3b: no filler; create a package at the root if the
-		// storage suffices, otherwise reject with a reject wave.
-		dRoot, err := c.tr.Distance(u, c.tr.Root())
-		if err != nil {
-			return Grant{}, err
-		}
-		pkg, err = c.CreateAtRoot(int64(dRoot))
+		// Item 3b: no filler, so the search ended at the root; create a
+		// package there if the storage suffices, otherwise reject with a
+		// reject wave.
+		pkg, err = c.CreateAtRoot(dist)
 		if err != nil {
 			return Grant{}, err
 		}
@@ -189,11 +183,10 @@ func (c *Core) Submit(req Request) (Grant, error) {
 			c.broadcastRejectWave()
 			return c.Reject(), nil
 		}
-		host = c.tr.Root()
 	}
 
 	// Item 4: distribute the package's content along the path to u.
-	static, err := c.distribute(pkg, host, u)
+	static, err := c.distribute(pkg, host, u, dist)
 	if err != nil {
 		return Grant{}, err
 	}
@@ -201,30 +194,34 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	return c.grantFromStatic(req, static)
 }
 
-// findFiller walks the ancestors of u from u itself up to the root and
-// returns the first (closest) filler node and its qualifying package of the
-// smallest qualifying level, or (0, nil) when none exists.
-func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, *pkgstore.Package, error) {
-	path, err := c.tr.AppendPathToRoot(u, c.pathBuf[:0])
-	if err != nil {
-		return tree.InvalidNode, nil, err
-	}
-	c.pathBuf = path[:0]
-	for d, w := range path {
-		if pk := c.Store(w).MobileAtFillerDistance(c.params, int64(d)); pk != nil {
-			return w, pk, nil
+// findFiller climbs from u toward the root, one tree call per hop, and
+// stops at the first (closest) filler node: it returns that node, its
+// distance from u and its qualifying package of the smallest qualifying
+// level. When no filler exists the climb ends at the root, which it returns
+// with a nil package.
+func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
+	for w, d := u, int64(0); ; d++ {
+		if pk := c.Store(w).MobileAtFillerDistance(c.params, d); pk != nil {
+			return w, d, pk, nil
 		}
+		parent, err := c.tr.Parent(w)
+		if err != nil {
+			return tree.InvalidNode, 0, nil, err
+		}
+		if parent == tree.InvalidNode {
+			return w, d, nil, nil
+		}
+		w = parent
 	}
-	return tree.InvalidNode, nil, nil
 }
 
 // distribute implements procedure Proc (Section 3.1, item 4): the level-j
 // package pkg found (or created) at host is moved down toward u, splitting
 // at each drop point u_k so that for every k ∈ {0..j-1} one level-k mobile
 // package remains at the ancestor u_k of u at distance 3·2^{k-1}ψ, and a
-// final static package reaches u. It returns that static package (not yet
-// added to u's store).
-func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID) (*pkgstore.Package, error) {
+// final static package reaches u, curDist hops below host. It returns that
+// static package (not yet added to u's store).
+func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID, curDist int64) (*pkgstore.Package, error) {
 	if err := c.Store(host).RemoveMobile(pkg); err != nil {
 		return nil, fmt.Errorf("distribute: %w", err)
 	}
@@ -233,11 +230,6 @@ func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID) (*pkgstore
 	}
 	cur := pkg
 	curHost := host
-	d, err := c.tr.Distance(u, curHost)
-	if err != nil {
-		return nil, err
-	}
-	curDist := int64(d)
 	for k := cur.Level; k > 0; k-- {
 		targetDist := c.params.UKDistance(k - 1)
 		target, err := c.tr.Ancestor(u, int(targetDist))

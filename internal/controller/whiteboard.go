@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
@@ -17,9 +16,12 @@ import (
 // dist.Core (Section 4) — so the items of Protocol GrantOrReject that touch
 // no edge are written here once and the cores add the transport.
 type Whiteboard struct {
-	tr       *tree.Tree
-	params   pkgstore.Params
-	stores   map[tree.NodeID]*pkgstore.Store
+	tr     *tree.Tree
+	root   tree.NodeID // tr's root, which outlives every whiteboard
+	params pkgstore.Params
+	// stores is indexed by NodeID (ids are dense, see package tree); nil
+	// marks an id without a whiteboard: never seen, or deleted.
+	stores   []*pkgstore.Store
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
@@ -44,12 +46,16 @@ func NewWhiteboard(tr *tree.Tree, u, m, w int64, counters *stats.Counters, seria
 // init fills in what the options of a constructor do not set.
 func (wb *Whiteboard) init(tr *tree.Tree, u, m, w int64) {
 	wb.tr = tr
+	wb.root = tr.Root()
 	wb.params = pkgstore.NewParams(u, m, w)
 	wb.storage = m
+	// Every live node starts with an empty store (State lists them all);
+	// they come out of one slab, in id order like the climbs that read them.
 	nodes := tr.Nodes()
-	wb.stores = make(map[tree.NodeID]*pkgstore.Store, len(nodes))
-	for _, id := range nodes {
-		wb.stores[id] = pkgstore.NewStore()
+	slab := make([]pkgstore.Store, len(nodes))
+	wb.stores = make([]*pkgstore.Store, nodes[len(nodes)-1]+1)
+	for i, id := range nodes {
+		wb.stores[id] = &slab[i]
 	}
 	if wb.counters == nil {
 		wb.counters = stats.NewCounters()
@@ -81,8 +87,8 @@ func (wb *Whiteboard) NoRejects() bool { return wb.noRejects }
 // NodePermits returns the number of permits (static and mobile) currently
 // stored at the given node.
 func (wb *Whiteboard) NodePermits(id tree.NodeID) int64 {
-	s, ok := wb.stores[id]
-	if !ok {
+	s := wb.lookup(id)
+	if s == nil {
 		return 0
 	}
 	return s.PermitCount()
@@ -90,15 +96,15 @@ func (wb *Whiteboard) NodePermits(id tree.NodeID) int64 {
 
 // HasRejectAt reports whether a reject package resides at the given node.
 func (wb *Whiteboard) HasRejectAt(id tree.NodeID) bool {
-	s, ok := wb.stores[id]
-	return ok && s.HasReject()
+	s := wb.lookup(id)
+	return s != nil && s.HasReject()
 }
 
 // MemoryBitsAt estimates the whiteboard size of the given node in bits
 // (Claim 4.8).
 func (wb *Whiteboard) MemoryBitsAt(id tree.NodeID) int {
-	s, ok := wb.stores[id]
-	if !ok {
+	s := wb.lookup(id)
+	if s == nil {
 		return 0
 	}
 	return s.MemoryBits(wb.params)
@@ -109,7 +115,9 @@ func (wb *Whiteboard) MemoryBitsAt(id tree.NodeID) int {
 func (wb *Whiteboard) UnusedPermits() int64 {
 	n := wb.storage
 	for _, s := range wb.stores {
-		n += s.PermitCount()
+		if s != nil {
+			n += s.PermitCount()
+		}
 	}
 	return n
 }
@@ -120,8 +128,10 @@ func (wb *Whiteboard) UnusedPermits() int64 {
 func (wb *Whiteboard) ClearPackages() {
 	total := wb.storage
 	for _, s := range wb.stores {
-		total += s.PermitCount()
-		s.Clear()
+		if s != nil {
+			total += s.PermitCount()
+			s.Clear()
+		}
 	}
 	wb.storage = total
 	wb.rejectWave = false
@@ -130,12 +140,22 @@ func (wb *Whiteboard) ClearPackages() {
 // Store returns the package store of a live node, creating it lazily (new
 // nodes join with empty stores).
 func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
-	s, ok := wb.stores[id]
-	if !ok {
-		s = pkgstore.NewStore()
-		wb.stores[id] = s
+	if s := wb.lookup(id); s != nil {
+		return s
 	}
-	return s
+	for int(id) >= len(wb.stores) {
+		wb.stores = append(wb.stores, nil)
+	}
+	wb.stores[id] = pkgstore.NewStore()
+	return wb.stores[id]
+}
+
+// lookup returns the store of id, or nil when id has none.
+func (wb *Whiteboard) lookup(id tree.NodeID) *pkgstore.Store {
+	if uint64(id) < uint64(len(wb.stores)) {
+		return wb.stores[id]
+	}
+	return nil
 }
 
 // Validate checks the request preconditions of Section 2.1: the node
@@ -148,14 +168,14 @@ func (wb *Whiteboard) Validate(req Request) error {
 	}
 	switch req.Kind {
 	case tree.RemoveLeaf:
-		if req.Node == tr.Root() {
+		if req.Node == wb.root {
 			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
 		}
 		if !tr.IsLeaf(req.Node) {
 			return fmt.Errorf("remove-leaf at %d: %w", req.Node, tree.ErrNotLeaf)
 		}
 	case tree.RemoveInternal:
-		if req.Node == tr.Root() {
+		if req.Node == wb.root {
 			return fmt.Errorf("remove root: %w", tree.ErrIsRoot)
 		}
 		if tr.IsLeaf(req.Node) {
@@ -223,7 +243,7 @@ func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 		pk = pkgstore.NewMobile(wb.params, level)
 	}
 	wb.storage -= size
-	wb.Store(wb.tr.Root()).AddMobile(pk)
+	wb.Store(wb.root).AddMobile(pk)
 	return pk, nil
 }
 
@@ -259,7 +279,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if err != nil {
 			return Grant{}, err
 		}
-		wb.stores[g.NewNode] = pkgstore.NewStore()
+		wb.Store(g.NewNode)
 	case tree.RemoveLeaf, tree.RemoveInternal:
 		parent, err := wb.tr.Parent(req.Node)
 		if err != nil {
@@ -268,7 +288,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
 			handoff(req.Node, parent, pkgs, hadReject)
 		}
-		delete(wb.stores, req.Node)
+		wb.stores[req.Node] = nil
 		if _, err := ApplyChange(wb.tr, req); err != nil {
 			return Grant{}, err
 		}
@@ -337,23 +357,31 @@ func (wb *Whiteboard) State() WhiteboardState {
 		NoRejects:  wb.noRejects,
 		RejectWave: wb.rejectWave,
 	}
-	ids := make([]tree.NodeID, 0, len(wb.stores))
-	for id := range wb.stores {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st.Stores = append(st.Stores, NodeStoreState{Node: id, Store: wb.stores[id].State()})
+	for id, s := range wb.stores {
+		if s != nil {
+			st.Stores = append(st.Stores, NodeStoreState{Node: tree.NodeID(id), Store: s.State()})
+		}
 	}
 	return st
 }
 
-// restoreWhiteboard rebuilds the whiteboards captured in st, over tr.
+// restoreWhiteboard rebuilds the whiteboards captured in st, over tr. A
+// store must belong to a node tr holds or held (the whiteboards of the
+// trivial tail outlive the nodes it deletes), so the restored tree bounds
+// the store index: a corrupt id is an error, not an allocation.
 func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counters) (*Whiteboard, error) {
+	var top tree.NodeID
+	for _, ns := range st.Stores {
+		if !tr.Contains(ns.Node) && !tr.WasDeleted(ns.Node) {
+			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, tree.ErrNoSuchNode)
+		}
+		top = max(top, ns.Node)
+	}
 	wb := &Whiteboard{
 		tr:         tr,
+		root:       tr.Root(),
 		params:     pkgstore.NewParams(st.U, st.M, st.W),
-		stores:     make(map[tree.NodeID]*pkgstore.Store, len(st.Stores)),
+		stores:     make([]*pkgstore.Store, top+1),
 		storage:    st.Storage,
 		serials:    pkgstore.Interval{Lo: st.SerialLo, Hi: st.SerialHi},
 		counters:   counters,
@@ -366,6 +394,9 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		s, err := pkgstore.RestoreStore(ns.Store)
 		if err != nil {
 			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, err)
+		}
+		if wb.stores[ns.Node] != nil {
+			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, tree.ErrAlreadyExists)
 		}
 		wb.stores[ns.Node] = s
 	}

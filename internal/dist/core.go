@@ -126,13 +126,14 @@ func (c *Core) localStep(u tree.NodeID) {
 		c.startDescent(u, pk, u)
 		return
 	}
-	if u == c.Tree().Root() {
-		c.rootStep(u, 0)
-		return
-	}
+	// One tree call per hop: the root is the node without a parent.
 	parent, err := c.Tree().Parent(u)
 	if err != nil {
 		c.fail(err)
+		return
+	}
+	if parent == tree.InvalidNode {
+		c.rootStep(u, u, 0)
 		return
 	}
 	pl := searchUpPool.Get().(*searchUp)
@@ -172,16 +173,16 @@ func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
 		c.startDescent(w, pk, origin)
 		return
 	}
-	if w == c.Tree().Root() {
-		origin, dist := pl.origin, pl.dist
-		putSearchUp(pl)
-		c.rootStep(origin, dist)
-		return
-	}
 	parent, err := c.Tree().Parent(w)
 	if err != nil {
 		putSearchUp(pl)
 		c.fail(err)
+		return
+	}
+	if parent == tree.InvalidNode {
+		origin, dist := pl.origin, pl.dist
+		putSearchUp(pl)
+		c.rootStep(w, origin, dist)
 		return
 	}
 	pl.dist++
@@ -190,7 +191,7 @@ func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
 
 // rootStep handles a search that reached the root without finding a filler
 // (item 3b): fund a fresh package of level j(u) from the storage, or reject.
-func (c *Core) rootStep(origin tree.NodeID, dRoot int64) {
+func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 	pk, err := c.CreateAtRoot(dRoot)
 	if err != nil {
 		c.fail(err)
@@ -205,7 +206,6 @@ func (c *Core) rootStep(origin tree.NodeID, dRoot int64) {
 		c.finish(c.Reject())
 		return
 	}
-	root := c.Tree().Root()
 	// Permits leaving the storage enter the root's whiteboard: the subtree
 	// estimator needs them counted as passing through the root so that
 	// ω̃(root) dominates the root's true super-weight.

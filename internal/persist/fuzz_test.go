@@ -85,11 +85,28 @@ func FuzzDecodeWALRecord(f *testing.F) {
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot decoder: no
 // panics, no unbounded allocations, and decode→encode→decode must be a
-// fixed point for anything it accepts.
+// fixed point for anything it accepts. What decodes is then restored the
+// way boot recovery does it, which must fail or succeed within the memory
+// the input paid for: the tree and the whiteboards index by node id, so an
+// id nothing bounds would become an allocation.
 func FuzzDecodeSnapshot(f *testing.F) {
 	st := fuzzState()
 	canonical := persist.AppendState(nil, st)
 	f.Add(canonical)
+	// A well-formed snapshot (checksum and all) whose tree agrees with
+	// itself that its newest node has id 2^40, and one whose whiteboards
+	// hold a store for that id.
+	huge := fuzzState()
+	nodes := huge.Tree.Nodes
+	newest := &nodes[len(nodes)-1]
+	kids := nodes[0].Children
+	kids[len(kids)-1], newest.ID = 1<<40, 1<<40
+	huge.Tree.NextID, huge.Tree.EverExisted = 1<<40+1, 1<<40
+	f.Add(persist.AppendState(nil, huge))
+	huge = fuzzState()
+	stores := huge.Ctl.Inner.Board.Stores
+	stores[len(stores)-1].Node = 1 << 40
+	f.Add(persist.AppendState(nil, huge))
 	// Flip a payload byte: the checksum must catch it.
 	corrupt := append([]byte(nil), canonical...)
 	corrupt[len(corrupt)-3] ^= 0x40
@@ -111,6 +128,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		enc2 := persist.AppendState(nil, st2)
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatal("snapshot codec is not idempotent on an accepted input")
+		}
+		tr, _ := tree.New()
+		rt, err := sim.NewRuntime("fifo", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := persist.RestoreInto(st, tr, rt, stats.NewCounters()); err != nil {
+			return
+		}
+		if tr.Size() > len(data) {
+			t.Fatalf("a %d-byte snapshot restored a tree of %d nodes", len(data), tr.Size())
 		}
 	})
 }

@@ -1,0 +1,308 @@
+package tree
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// This file holds the tree's reference model: the hash-map representation
+// the dense tree replaced, kept as small as it can be, and the differential
+// test that replays seeded random histories of all four change kinds through
+// both and compares full snapshots after every step. What the model pins is
+// everything the snapshot bytes depend on: ids, the order swap-removes leave
+// children in, which ports count as taken when an assigner draws (including
+// the port a re-linked node last used toward a parent), the deleted set and
+// the change sequence.
+
+type refNode struct {
+	id         NodeID
+	parent     NodeID
+	children   []NodeID
+	childIndex map[NodeID]int
+	parentPort int
+	childPorts map[NodeID]int
+}
+
+type refTree struct {
+	nodes       map[NodeID]*refNode
+	root        NodeID
+	nextID      NodeID
+	ports       PortAssigner
+	changeSeq   uint64
+	everExisted int
+	deleted     map[NodeID]struct{}
+}
+
+// refPorts is the materialised port set the model hands its assigner.
+type refPorts map[int]struct{}
+
+func (s refPorts) Has(port int) bool { _, ok := s[port]; return ok }
+
+func newRefTree(ports PortAssigner) *refTree {
+	r := &refTree{nodes: map[NodeID]*refNode{}, nextID: 1, ports: ports, deleted: map[NodeID]struct{}{}}
+	r.root = r.alloc(InvalidNode).id
+	return r
+}
+
+func (r *refTree) alloc(parent NodeID) *refNode {
+	n := &refNode{id: r.nextID, parent: parent, childIndex: map[NodeID]int{}, childPorts: map[NodeID]int{}}
+	r.nextID++
+	r.everExisted++
+	r.nodes[n.id] = n
+	return n
+}
+
+func (r *refTree) used(n *refNode) refPorts {
+	used := refPorts{}
+	if n.parent != InvalidNode {
+		used[n.parentPort] = struct{}{}
+	}
+	for _, p := range n.childPorts {
+		used[p] = struct{}{}
+	}
+	return used
+}
+
+func (r *refTree) link(p, c *refNode) {
+	c.parent = p.id
+	c.parentPort = r.ports.Assign(c.id, r.used(c))
+	p.childIndex[c.id] = len(p.children)
+	p.children = append(p.children, c.id)
+	p.childPorts[c.id] = r.ports.Assign(p.id, r.used(p))
+}
+
+func (r *refTree) unlink(p, c *refNode) {
+	idx, last := p.childIndex[c.id], len(p.children)-1
+	if idx != last {
+		moved := p.children[last]
+		p.children[idx] = moved
+		p.childIndex[moved] = idx
+	}
+	p.children = p.children[:last]
+	delete(p.childIndex, c.id)
+	delete(p.childPorts, c.id)
+	c.parent = InvalidNode
+}
+
+func (r *refTree) drop(n *refNode) {
+	delete(r.nodes, n.id)
+	r.deleted[n.id] = struct{}{}
+}
+
+func (r *refTree) addLeaf(parent NodeID) {
+	r.link(r.nodes[parent], r.alloc(parent))
+	r.changeSeq++
+}
+
+func (r *refTree) removeLeaf(id NodeID) {
+	n := r.nodes[id]
+	r.unlink(r.nodes[n.parent], n)
+	r.drop(n)
+	r.changeSeq++
+}
+
+func (r *refTree) addInternal(child NodeID) {
+	c := r.nodes[child]
+	p := r.nodes[c.parent]
+	u := r.alloc(p.id)
+	r.unlink(p, c)
+	r.link(p, u)
+	r.link(u, c)
+	r.changeSeq++
+}
+
+func (r *refTree) removeInternal(id NodeID) {
+	n := r.nodes[id]
+	p := r.nodes[n.parent]
+	for _, cid := range append([]NodeID(nil), n.children...) {
+		c := r.nodes[cid]
+		r.unlink(n, c)
+		r.link(p, c)
+	}
+	r.unlink(p, n)
+	r.drop(n)
+	r.changeSeq++
+}
+
+func (r *refTree) snapshot() *Snapshot {
+	s := &Snapshot{
+		Root:        r.root,
+		NextID:      r.nextID,
+		ChangeSeq:   r.changeSeq,
+		EverExisted: r.everExisted,
+		Deleted:     make([]NodeID, 0, len(r.deleted)),
+		Nodes:       make([]NodeSnapshot, 0, len(r.nodes)),
+	}
+	for id := range r.deleted {
+		s.Deleted = append(s.Deleted, id)
+	}
+	sort.Slice(s.Deleted, func(i, j int) bool { return s.Deleted[i] < s.Deleted[j] })
+	for _, n := range r.nodes {
+		ns := NodeSnapshot{
+			ID:         n.id,
+			Parent:     n.parent,
+			ParentPort: n.parentPort,
+			Children:   append([]NodeID(nil), n.children...),
+			ChildPorts: make([]int, len(n.children)),
+		}
+		for i, cid := range n.children {
+			ns.ChildPorts[i] = n.childPorts[cid]
+		}
+		s.Nodes = append(s.Nodes, ns)
+	}
+	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
+	return s
+}
+
+func TestTreeMatchesMapModel(t *testing.T) {
+	assigners := map[string]func(seed int64) PortAssigner{
+		"sequential":  func(int64) PortAssigner { return NewSequentialPorts() },
+		"adversarial": func(seed int64) PortAssigner { return NewAdversarialPorts(seed) },
+	}
+	for name, assigner := range assigners {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 12; seed++ {
+				replayAgainstModel(t, seed, assigner)
+			}
+		})
+	}
+}
+
+// replayAgainstModel applies one seeded history to a tree and to the model.
+// The mix leans toward growth early and toward removal late, so histories
+// visit both wide nodes and long runs of swap-removes.
+func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssigner) {
+	const steps = 400
+	rng := rand.New(rand.NewSource(seed))
+	tr, root := New(WithPortAssigner(assigner(seed)))
+	ref := newRefTree(assigner(seed))
+	for step := 0; step < steps; step++ {
+		nodes := tr.Nodes()
+		id := nodes[rng.Intn(len(nodes))]
+		op := rng.Intn(4)
+		if step > steps/2 && rng.Intn(3) == 0 {
+			op = 1 + 2*rng.Intn(2) // a removal
+		}
+		var err error
+		switch {
+		case op == 0:
+			_, err = tr.ApplyAddLeaf(id)
+			ref.addLeaf(id)
+		case op == 1 && id != root && tr.IsLeaf(id):
+			err = tr.ApplyRemoveLeaf(id)
+			ref.removeLeaf(id)
+		case op == 2 && id != root:
+			_, err = tr.ApplyAddInternal(id)
+			ref.addInternal(id)
+		case op == 3 && id != root && !tr.IsLeaf(id):
+			err = tr.ApplyRemoveInternal(id)
+			ref.removeInternal(id)
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d step %d: op %d at %d: %v", seed, step, op, id, err)
+		}
+		if got, want := tr.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d step %d: after op %d at %d the tree and the model differ:\n tree  %+v\n model %+v",
+				seed, step, op, id, got, want)
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	for id := NodeID(-1); id <= NodeID(tr.EverExisted())+1; id++ {
+		_, live := ref.nodes[id]
+		_, deleted := ref.deleted[id]
+		if tr.Contains(id) != live || tr.WasDeleted(id) != deleted {
+			t.Fatalf("seed %d: id %d: Contains %v, WasDeleted %v; model says live %v, deleted %v",
+				seed, id, tr.Contains(id), tr.WasDeleted(id), live, deleted)
+		}
+	}
+	// The snapshot restores into an identical tree.
+	snap := tr.Snapshot()
+	back, _ := New()
+	if err := back.Restore(snap); err != nil {
+		t.Fatalf("seed %d: restore: %v", seed, err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("seed %d: restored tree: %v", seed, err)
+	}
+	if got := back.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("seed %d: restore changed the snapshot", seed)
+	}
+}
+
+// TestNodesAndLeavesAscending pins the order Nodes and Leaves promise: the
+// seeded generators of internal/workload index into it without sorting.
+func TestNodesAndLeavesAscending(t *testing.T) {
+	tr := randomScenario(11, 600)
+	ascending := func(ids []NodeID) bool {
+		return sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	}
+	nodes, leaves := tr.Nodes(), tr.Leaves()
+	if len(nodes) != tr.Size() || !ascending(nodes) {
+		t.Fatalf("Nodes() = %v: want all %d live ids ascending", nodes, tr.Size())
+	}
+	if len(leaves) == 0 || !ascending(leaves) {
+		t.Fatalf("Leaves() = %v: want ascending", leaves)
+	}
+}
+
+// corruptions are snapshot edits Restore must refuse before it sizes
+// anything from them. The first is the one that matters with dense storage:
+// every field agrees that ids run up to 2^40.
+var corruptions = map[string]func(s *Snapshot){
+	"consistent huge id": func(s *Snapshot) {
+		last := &s.Nodes[len(s.Nodes)-1]
+		for _, n := range s.Nodes {
+			for i, c := range n.Children {
+				if c == last.ID {
+					n.Children[i] = 1 << 40
+				}
+			}
+		}
+		for _, c := range last.Children {
+			for i := range s.Nodes {
+				if s.Nodes[i].ID == c {
+					s.Nodes[i].Parent = 1 << 40
+				}
+			}
+		}
+		last.ID, s.NextID, s.EverExisted = 1<<40, 1<<40+1, 1<<40
+	},
+	"node id beyond next id": func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = s.NextID },
+	"node id zero":           func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = 0 },
+	"node id negative":       func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = -7 },
+	"next id beyond count":   func(s *Snapshot) { s.NextID += 3 },
+	"ever existed inflated":  func(s *Snapshot) { s.EverExisted, s.NextID = 1<<40, 1<<40+1 },
+	"deleted id out of range": func(s *Snapshot) {
+		s.Deleted[len(s.Deleted)-1] = 1 << 40
+	},
+	"deleted id live":    func(s *Snapshot) { s.Deleted[0] = s.Root },
+	"deleted id twice":   func(s *Snapshot) { s.Deleted[1] = s.Deleted[0] },
+	"child out of range": func(s *Snapshot) { s.Nodes[0].Children[0] = 1 << 40 },
+}
+
+func TestRestoreRejectsCorruptIDs(t *testing.T) {
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			snap := randomScenario(3, 300).Snapshot()
+			if len(snap.Deleted) < 2 || len(snap.Nodes[0].Children) == 0 {
+				t.Fatal("scenario too small for the corruption table")
+			}
+			corrupt(snap)
+			tr, root := New()
+			leaf := mustAddLeaf(t, tr, root)
+			before := tr.Snapshot()
+			if err := tr.Restore(snap); err == nil {
+				t.Fatal("Restore accepted the corrupt snapshot")
+			}
+			if !reflect.DeepEqual(tr.Snapshot(), before) || !tr.Contains(leaf) {
+				t.Fatal("a refused Restore changed the tree")
+			}
+		})
+	}
+}

@@ -9,7 +9,13 @@ import "math/rand"
 type PortAssigner interface {
 	// Assign returns a port number for a new edge at node id that does not
 	// collide with any port in used.
-	Assign(id NodeID, used map[int]struct{}) int
+	Assign(id NodeID, used PortSet) int
+}
+
+// PortSet is the membership test over the ports in use at one node. The
+// tree answers it from the node in place, so assigning a port builds no set.
+type PortSet interface {
+	Has(port int) bool
 }
 
 // SequentialPorts assigns the smallest unused non-negative port number at
@@ -20,9 +26,9 @@ type SequentialPorts struct{}
 func NewSequentialPorts() *SequentialPorts { return &SequentialPorts{} }
 
 // Assign implements PortAssigner.
-func (*SequentialPorts) Assign(_ NodeID, used map[int]struct{}) int {
+func (*SequentialPorts) Assign(_ NodeID, used PortSet) int {
 	for p := 0; ; p++ {
-		if _, taken := used[p]; !taken {
+		if !used.Has(p) {
 			return p
 		}
 	}
@@ -41,10 +47,10 @@ func NewAdversarialPorts(seed int64) *AdversarialPorts {
 }
 
 // Assign implements PortAssigner.
-func (a *AdversarialPorts) Assign(_ NodeID, used map[int]struct{}) int {
+func (a *AdversarialPorts) Assign(_ NodeID, used PortSet) int {
 	for {
 		p := a.rng.Intn(1 << 30)
-		if _, taken := used[p]; !taken {
+		if !used.Has(p) {
 			return p
 		}
 	}

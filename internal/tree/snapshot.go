@@ -2,7 +2,7 @@ package tree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the tree's state-capture boundary for the durability engine
@@ -46,34 +46,26 @@ func (t *Tree) Snapshot() *Snapshot {
 	defer t.mu.RUnlock()
 	s := &Snapshot{
 		Root:        t.root,
-		NextID:      t.nextID,
+		NextID:      NodeID(len(t.nodes)),
 		ChangeSeq:   t.changeSeq,
-		EverExisted: t.everExisted,
-		Deleted:     make([]NodeID, 0, len(t.deleted)),
-		Nodes:       make([]NodeSnapshot, 0, len(t.nodes)),
+		EverExisted: len(t.nodes) - 1,
+		Deleted:     make([]NodeID, 0, len(t.nodes)-1-t.live),
+		Nodes:       make([]NodeSnapshot, 0, t.live),
 	}
-	for id := range t.deleted {
-		s.Deleted = append(s.Deleted, id)
-	}
-	sort.Slice(s.Deleted, func(i, j int) bool { return s.Deleted[i] < s.Deleted[j] })
-	ids := make([]NodeID, 0, len(t.nodes))
-	for id := range t.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := t.nodes[id]
-		ns := NodeSnapshot{
+	for id, n := range t.nodes[1:] {
+		if n == nil {
+			s.Deleted = append(s.Deleted, NodeID(id+1))
+			continue
+		}
+		s.Nodes = append(s.Nodes, NodeSnapshot{
 			ID:         n.id,
 			Parent:     n.parent,
 			ParentPort: n.parentPort,
+			// Built the same way whatever slices the node's history left
+			// it, so equal trees give deeply equal snapshots.
 			Children:   append([]NodeID(nil), n.children...),
-			ChildPorts: make([]int, len(n.children)),
-		}
-		for i, cid := range n.children {
-			ns.ChildPorts[i] = n.childPorts[cid]
-		}
-		s.Nodes = append(s.Nodes, ns)
+			ChildPorts: append(make([]int, 0, len(n.childPorts)), n.childPorts...),
+		})
 	}
 	return s
 }
@@ -84,37 +76,52 @@ func (t *Tree) Snapshot() *Snapshot {
 // not a topological change. The restored tree is validated before the
 // receiver is touched; on error the tree is left unchanged.
 func (t *Tree) Restore(s *Snapshot) error {
-	nodes := make(map[NodeID]*node, len(s.Nodes))
+	// Ids are dense, so the next id, the count of nodes that ever existed
+	// and the lengths of the two lists determine one another. Checked before
+	// the node slice is sized from them, this bounds the allocation by what
+	// the snapshot actually lists: a corrupt id cannot become a huge slice.
+	if s.NextID < 1 || int64(s.NextID)-1 != int64(s.EverExisted) ||
+		s.EverExisted != len(s.Nodes)+len(s.Deleted) {
+		return fmt.Errorf("restore: next id %d and %d nodes ever existed, but %d live and %d deleted listed",
+			s.NextID, s.EverExisted, len(s.Nodes), len(s.Deleted))
+	}
+	inRange := func(id NodeID) bool { return id > InvalidNode && id < s.NextID }
+	nodes := make([]*node, s.NextID)
+	get := (&Tree{nodes: nodes}).get // the live tree's bounds-checked lookup
 	for _, ns := range s.Nodes {
+		if !inRange(ns.ID) {
+			return fmt.Errorf("restore: node id %d outside 1..%d: %w", ns.ID, s.NextID-1, ErrNoSuchNode)
+		}
 		if len(ns.ChildPorts) != len(ns.Children) {
 			return fmt.Errorf("restore: node %d has %d children but %d child ports",
 				ns.ID, len(ns.Children), len(ns.ChildPorts))
 		}
-		if _, dup := nodes[ns.ID]; dup {
+		if nodes[ns.ID] != nil {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
-		n := &node{
+		nodes[ns.ID] = &node{
 			id:         ns.ID,
 			parent:     ns.Parent,
 			parentPort: ns.ParentPort,
-			children:   append([]NodeID(nil), ns.Children...),
-			childIndex: make(map[NodeID]int, len(ns.Children)),
-			childPorts: make(map[NodeID]int, len(ns.Children)),
+			children:   slices.Clone(ns.Children),
+			childPorts: slices.Clone(ns.ChildPorts),
 		}
-		for i, cid := range ns.Children {
-			n.childIndex[cid] = i
-			n.childPorts[cid] = ns.ChildPorts[i]
-		}
-		nodes[ns.ID] = n
 	}
-	root, ok := nodes[s.Root]
-	if !ok {
+	// The deleted ids are the nil entries; with the counts above, listing
+	// each of them once is the same as listing exactly them.
+	for i, id := range s.Deleted {
+		if !inRange(id) || nodes[id] != nil || (i > 0 && id <= s.Deleted[i-1]) {
+			return fmt.Errorf("restore: deleted id %d is live, out of range or out of order", id)
+		}
+	}
+	root := get(s.Root)
+	if root == nil {
 		return fmt.Errorf("restore: root %d: %w", s.Root, ErrNoSuchNode)
 	}
 	if root.parent != InvalidNode {
 		return fmt.Errorf("restore: root %d has parent %d", s.Root, root.parent)
 	}
-	// Recompute depths and check reachability before committing.
+	// Recompute depths and slots and check reachability before committing.
 	seen := 0
 	stack := []*node{root}
 	root.depth = 0
@@ -122,33 +129,31 @@ func (t *Tree) Restore(s *Snapshot) error {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		seen++
-		for _, cid := range n.children {
-			c, ok := nodes[cid]
-			if !ok {
+		if seen > len(s.Nodes) {
+			return fmt.Errorf("restore: node %d reachable twice", n.id)
+		}
+		for i, cid := range n.children {
+			c := get(cid)
+			if c == nil {
 				return fmt.Errorf("restore: child %d of %d: %w", cid, n.id, ErrNoSuchNode)
 			}
 			if c.parent != n.id {
 				return fmt.Errorf("restore: child %d of %d has parent %d", cid, n.id, c.parent)
 			}
 			c.depth = n.depth + 1
+			c.slot = i
 			stack = append(stack, c)
 		}
 	}
-	if seen != len(nodes) {
-		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(nodes))
-	}
-	deleted := make(map[NodeID]struct{}, len(s.Deleted))
-	for _, id := range s.Deleted {
-		deleted[id] = struct{}{}
+	if seen != len(s.Nodes) {
+		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(s.Nodes))
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nodes = nodes
+	t.live = len(s.Nodes)
 	t.root = s.Root
-	t.nextID = s.NextID
 	t.changeSeq = s.ChangeSeq
-	t.everExisted = s.EverExisted
-	t.deleted = deleted
 	return nil
 }

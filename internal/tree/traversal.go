@@ -45,7 +45,7 @@ func (t *Tree) DFSNumbers() map[NodeID]int {
 func (t *Tree) Intervals() map[NodeID][2]int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make(map[NodeID][2]int, len(t.nodes))
+	out := make(map[NodeID][2]int, t.live)
 	num := 0
 	var visit func(id NodeID)
 	visit = func(id NodeID) {
@@ -65,7 +65,7 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if _, ok := t.nodes[id]; !ok {
+	if t.get(id) == nil {
 		return 0, fmt.Errorf("subtree size of %d: %w", id, ErrNoSuchNode)
 	}
 	count := 0
@@ -85,7 +85,7 @@ func (t *Tree) Height() int {
 	defer t.mu.RUnlock()
 	max := 0
 	for _, n := range t.nodes {
-		if n.depth > max {
+		if n != nil && n.depth > max {
 			max = n.depth
 		}
 	}
@@ -94,16 +94,30 @@ func (t *Tree) Height() int {
 
 // NCA returns the nearest common ancestor of u and v.
 func (t *Tree) NCA(u, v NodeID) (NodeID, error) {
+	w, _, err := t.nca(u, v)
+	return w, err
+}
+
+// TreeDistance returns the hop distance between two arbitrary live nodes
+// (through their nearest common ancestor).
+func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
+	_, d, err := t.nca(u, v)
+	return d, err
+}
+
+// nca returns the nearest common ancestor of u and v and the hop distance
+// between the two through it.
+func (t *Tree) nca(u, v NodeID) (NodeID, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	un, ok := t.nodes[u]
-	if !ok {
-		return InvalidNode, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
+	un, vn := t.get(u), t.get(v)
+	if un == nil {
+		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
 	}
-	vn, ok := t.nodes[v]
-	if !ok {
-		return InvalidNode, fmt.Errorf("nca of %d: %w", v, ErrNoSuchNode)
+	if vn == nil {
+		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", v, ErrNoSuchNode)
 	}
+	d := un.depth + vn.depth
 	for un.depth > vn.depth {
 		un = t.nodes[un.parent]
 	}
@@ -114,23 +128,5 @@ func (t *Tree) NCA(u, v NodeID) (NodeID, error) {
 		un = t.nodes[un.parent]
 		vn = t.nodes[vn.parent]
 	}
-	return un.id, nil
-}
-
-// TreeDistance returns the hop distance between two arbitrary live nodes
-// (through their nearest common ancestor).
-func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
-	w, err := t.NCA(u, v)
-	if err != nil {
-		return 0, err
-	}
-	du, err := t.Distance(u, w)
-	if err != nil {
-		return 0, err
-	}
-	dv, err := t.Distance(v, w)
-	if err != nil {
-		return 0, err
-	}
-	return du + dv, nil
+	return un.id, d - 2*un.depth, nil
 }

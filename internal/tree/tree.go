@@ -14,12 +14,25 @@
 // Port numbers at every vertex are distinct and, to model the paper's
 // adversarial port assumption, are produced by a pluggable PortAssigner.
 //
-// A Tree is safe for concurrent use.
+// Storage. Node ids are dense by construction (they count up from 1 and are
+// never reused), so the tree keeps its nodes in a slice indexed by NodeID: a
+// nil entry below the next id is a deleted node, and no lookup hashes. A
+// node lists its children in a slice with the port to each child beside it,
+// and knows its own slot in its parent's list, so linking tests the ports at
+// the two endpoints in place and unlinking is a swap-remove. Nodes, Leaves
+// and Snapshot walk the slice and therefore answer in ascending id order.
+//
+// Locking. A Tree is safe for concurrent use: one RWMutex guards the whole
+// structure, so a reader (the daemon's metrics page reads Size and Height)
+// may run beside the single mutator. The methods on the request path take
+// the lock exactly once, and the controller engines make one tree call,
+// hence one lock acquisition, per protocol hop.
 package tree
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -91,27 +104,32 @@ type Change struct {
 type node struct {
 	id         NodeID
 	parent     NodeID // InvalidNode for the root
-	children   []NodeID
-	childIndex map[NodeID]int // position of each child in children
+	slot       int    // position of this node in its parent's children
 	parentPort int
-	childPorts map[NodeID]int
 	depth      int // cached; maintained incrementally
+	children   []NodeID
+	childPorts []int // childPorts[i] is the port leading to children[i]
+}
+
+// Has implements PortSet over the ports in use at n: the port to the parent
+// and the port to every child.
+func (n *node) Has(port int) bool {
+	return n.parent != InvalidNode && n.parentPort == port || slices.Contains(n.childPorts, port)
 }
 
 // Tree is a dynamic rooted tree. The root is created by New and is never
 // deleted (the paper assumes the root survives the whole scenario).
 type Tree struct {
-	mu        sync.RWMutex
-	nodes     map[NodeID]*node
+	mu sync.RWMutex
+	// nodes is indexed by NodeID. Its length is the next id to hand out, so
+	// len(nodes)-1 nodes ever existed (the quantity the paper calls U, when
+	// bounded) and a nil entry from index 1 on is a deleted node.
+	nodes     []*node
+	live      int // non-nil entries of nodes
 	root      NodeID
-	nextID    NodeID
 	ports     PortAssigner
 	changeSeq uint64
-	// everExisted counts all nodes ever created, including deleted ones.
-	// This is the quantity the paper calls U (when bounded).
-	everExisted int
-	deleted     map[NodeID]struct{}
-	observers   []func(Change)
+	observers []func(Change)
 }
 
 // Option configures a Tree.
@@ -127,10 +145,8 @@ func WithPortAssigner(p PortAssigner) Option {
 // the root's id.
 func New(opts ...Option) (*Tree, NodeID) {
 	t := &Tree{
-		nodes:   make(map[NodeID]*node),
-		nextID:  1,
-		ports:   NewAdversarialPorts(1),
-		deleted: make(map[NodeID]struct{}),
+		nodes: make([]*node, 1), // index 0 is InvalidNode
+		ports: NewAdversarialPorts(1),
 	}
 	for _, opt := range opts {
 		opt(t)
@@ -149,17 +165,24 @@ func (t *Tree) Observe(fn func(Change)) {
 }
 
 func (t *Tree) allocNode(parent NodeID, depth int) *node {
-	n := &node{
-		id:         t.nextID,
-		parent:     parent,
-		childIndex: make(map[NodeID]int),
-		childPorts: make(map[NodeID]int),
-		depth:      depth,
-	}
-	t.nextID++
-	t.everExisted++
-	t.nodes[n.id] = n
+	n := &node{id: NodeID(len(t.nodes)), parent: parent, depth: depth}
+	t.nodes = append(t.nodes, n)
+	t.live++
 	return n
+}
+
+// get returns the live node id, or nil.
+func (t *Tree) get(id NodeID) *node {
+	if uint64(id) < uint64(len(t.nodes)) {
+		return t.nodes[id]
+	}
+	return nil
+}
+
+// remove drops the unlinked node n from the tree.
+func (t *Tree) remove(n *node) {
+	t.nodes[n.id] = nil
+	t.live--
 }
 
 func (t *Tree) notify(kind ChangeKind, id, parent NodeID) Change {
@@ -182,7 +205,7 @@ func (t *Tree) Root() NodeID {
 func (t *Tree) Size() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.nodes)
+	return t.live
 }
 
 // EverExisted returns the number of nodes ever created, including deleted
@@ -190,7 +213,7 @@ func (t *Tree) Size() int {
 func (t *Tree) EverExisted() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.everExisted
+	return len(t.nodes) - 1
 }
 
 // Changes returns the number of topological changes applied so far.
@@ -204,24 +227,22 @@ func (t *Tree) Changes() uint64 {
 func (t *Tree) Contains(id NodeID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.nodes[id]
-	return ok
+	return t.get(id) != nil
 }
 
 // WasDeleted reports whether id names a node that existed and was deleted.
 func (t *Tree) WasDeleted(id NodeID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.deleted[id]
-	return ok
+	return id > InvalidNode && int(id) < len(t.nodes) && t.nodes[id] == nil
 }
 
 // Parent returns the parent of id. The root's parent is InvalidNode.
 func (t *Tree) Parent(id NodeID) (NodeID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return InvalidNode, fmt.Errorf("parent of %d: %w", id, ErrNoSuchNode)
 	}
 	return n.parent, nil
@@ -231,8 +252,8 @@ func (t *Tree) Parent(id NodeID) (NodeID, error) {
 func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return nil, fmt.Errorf("children of %d: %w", id, ErrNoSuchNode)
 	}
 	out := make([]NodeID, len(n.children))
@@ -245,8 +266,8 @@ func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 func (t *Tree) ChildCount(id NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return 0, fmt.Errorf("child count of %d: %w", id, ErrNoSuchNode)
 	}
 	return len(n.children), nil
@@ -256,8 +277,8 @@ func (t *Tree) ChildCount(id NodeID) (int, error) {
 func (t *Tree) Depth(id NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return 0, fmt.Errorf("depth of %d: %w", id, ErrNoSuchNode)
 	}
 	return n.depth, nil
@@ -267,16 +288,16 @@ func (t *Tree) Depth(id NodeID) (int, error) {
 func (t *Tree) IsLeaf(id NodeID) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	return ok && len(n.children) == 0
+	n := t.get(id)
+	return n != nil && len(n.children) == 0
 }
 
 // ParentPort returns the port number at id leading to its parent.
 func (t *Tree) ParentPort(id NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return 0, fmt.Errorf("parent port of %d: %w", id, ErrNoSuchNode)
 	}
 	if n.parent == InvalidNode {
@@ -289,23 +310,23 @@ func (t *Tree) ParentPort(id NodeID) (int, error) {
 func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	p, ok := t.nodes[parent]
-	if !ok {
+	p := t.get(parent)
+	if p == nil {
 		return 0, fmt.Errorf("child port at %d: %w", parent, ErrNoSuchNode)
 	}
-	port, ok := p.childPorts[child]
-	if !ok {
+	c := t.get(child)
+	if c == nil || c.parent != parent {
 		return 0, fmt.Errorf("child port %d->%d: %w", parent, child, ErrNotRelated)
 	}
-	return port, nil
+	return p.childPorts[c.slot], nil
 }
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
 func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p, ok := t.nodes[parent]
-	if !ok {
+	p := t.get(parent)
+	if p == nil {
 		return InvalidNode, fmt.Errorf("add leaf under %d: %w", parent, ErrNoSuchNode)
 	}
 	n := t.allocNode(parent, p.depth+1)
@@ -318,8 +339,8 @@ func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
 func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return fmt.Errorf("remove leaf %d: %w", id, ErrNoSuchNode)
 	}
 	if id == t.root {
@@ -330,8 +351,7 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 	}
 	parent := n.parent
 	t.unlink(t.nodes[parent], n)
-	delete(t.nodes, id)
-	t.deleted[id] = struct{}{}
+	t.remove(n)
 	t.notify(RemoveLeaf, id, parent)
 	return nil
 }
@@ -342,8 +362,8 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.nodes[child]
-	if !ok {
+	c := t.get(child)
+	if c == nil {
 		return InvalidNode, fmt.Errorf("add internal above %d: %w", child, ErrNoSuchNode)
 	}
 	if child == t.root {
@@ -365,8 +385,8 @@ func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
 func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, ok := t.nodes[id]
-	if !ok {
+	n := t.get(id)
+	if n == nil {
 		return fmt.Errorf("remove internal %d: %w", id, ErrNoSuchNode)
 	}
 	if id == t.root {
@@ -376,55 +396,44 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 		return fmt.Errorf("remove internal %d: %w", id, ErrNotInternal)
 	}
 	p := t.nodes[n.parent]
-	children := make([]NodeID, len(n.children))
-	copy(children, n.children)
-	for _, cid := range children {
+	// The children move over in order; n leaves whole, so they need no
+	// unlinking from it one by one.
+	for _, cid := range n.children {
 		c := t.nodes[cid]
-		t.unlink(n, c)
 		t.link(p, c)
 		t.recomputeDepths(c)
 	}
 	t.unlink(p, n)
-	delete(t.nodes, id)
-	t.deleted[id] = struct{}{}
+	t.remove(n)
 	t.notify(RemoveInternal, id, p.id)
 	return nil
 }
 
-// link makes c a child of p and assigns fresh ports on both endpoints.
+// link makes c a child of p and assigns fresh ports on both endpoints: at c
+// first, where the port c last used toward a parent still counts as taken,
+// then at p.
 func (t *Tree) link(p, c *node) {
 	c.parent = p.id
 	c.depth = p.depth + 1
-	c.parentPort = t.ports.Assign(c.id, usedPorts(c))
-	p.childIndex[c.id] = len(p.children)
+	c.parentPort = t.ports.Assign(c.id, c)
+	c.slot = len(p.children)
+	port := t.ports.Assign(p.id, p)
 	p.children = append(p.children, c.id)
-	p.childPorts[c.id] = t.ports.Assign(p.id, usedPorts(p))
+	p.childPorts = append(p.childPorts, port)
 }
 
-// unlink removes c from p's child list.
+// unlink removes c from p's child list; p's last child takes c's slot.
 func (t *Tree) unlink(p, c *node) {
-	idx := p.childIndex[c.id]
 	last := len(p.children) - 1
-	if idx != last {
-		moved := p.children[last]
-		p.children[idx] = moved
-		p.childIndex[moved] = idx
+	if c.slot != last {
+		moved := t.nodes[p.children[last]]
+		moved.slot = c.slot
+		p.children[c.slot] = moved.id
+		p.childPorts[c.slot] = p.childPorts[last]
 	}
 	p.children = p.children[:last]
-	delete(p.childIndex, c.id)
-	delete(p.childPorts, c.id)
+	p.childPorts = p.childPorts[:last]
 	c.parent = InvalidNode
-}
-
-func usedPorts(n *node) map[int]struct{} {
-	used := make(map[int]struct{}, len(n.childPorts)+1)
-	if n.parent != InvalidNode {
-		used[n.parentPort] = struct{}{}
-	}
-	for _, p := range n.childPorts {
-		used[p] = struct{}{}
-	}
-	return used
 }
 
 // recomputeDepths refreshes cached depths in the subtree rooted at c.
@@ -445,12 +454,16 @@ func (t *Tree) recomputeDepths(c *node) {
 func (t *Tree) Distance(u, w NodeID) (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	un, ok := t.nodes[u]
-	if !ok {
+	return t.distance(u, w)
+}
+
+func (t *Tree) distance(u, w NodeID) (int, error) {
+	un := t.get(u)
+	if un == nil {
 		return 0, fmt.Errorf("distance from %d: %w", u, ErrNoSuchNode)
 	}
-	wn, ok := t.nodes[w]
-	if !ok {
+	wn := t.get(w)
+	if wn == nil {
 		return 0, fmt.Errorf("distance to %d: %w", w, ErrNoSuchNode)
 	}
 	d := un.depth - wn.depth
@@ -472,12 +485,12 @@ func (t *Tree) Distance(u, w NodeID) (int, error) {
 func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	an, ok := t.nodes[a]
-	if !ok {
+	an := t.get(a)
+	if an == nil {
 		return false, fmt.Errorf("ancestor test %d: %w", a, ErrNoSuchNode)
 	}
-	dn, ok := t.nodes[d]
-	if !ok {
+	dn := t.get(d)
+	if dn == nil {
 		return false, fmt.Errorf("ancestor test %d: %w", d, ErrNoSuchNode)
 	}
 	for dn.depth > an.depth {
@@ -491,8 +504,8 @@ func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
 func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[u]
-	if !ok {
+	n := t.get(u)
+	if n == nil {
 		return InvalidNode, fmt.Errorf("ancestor of %d: %w", u, ErrNoSuchNode)
 	}
 	if dist < 0 || dist > n.depth {
@@ -518,22 +531,21 @@ func (t *Tree) PathToRoot(u NodeID) ([]NodeID, error) {
 func (t *Tree) AppendPathToRoot(u NodeID, buf []NodeID) ([]NodeID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n, ok := t.nodes[u]
-	if !ok {
+	n := t.get(u)
+	if n == nil {
 		return nil, fmt.Errorf("path to root from %d: %w", u, ErrNoSuchNode)
 	}
-	if need := len(buf) + n.depth + 1; cap(buf) < need {
-		grown := make([]NodeID, len(buf), need)
-		copy(grown, buf)
-		buf = grown
-	}
-	for {
+	return t.appendPath(n, n.depth, buf), nil
+}
+
+// appendPath appends n and its d nearest ancestors to buf, bottom-up.
+func (t *Tree) appendPath(n *node, d int, buf []NodeID) []NodeID {
+	buf = slices.Grow(buf, d+1)
+	for ; d >= 0; d-- {
 		buf = append(buf, n.id)
-		if n.parent == InvalidNode {
-			return buf, nil
-		}
 		n = t.nodes[n.parent]
 	}
+	return buf
 }
 
 // PathBetween returns the node ids from u (inclusive) up to its ancestor w
@@ -546,47 +558,37 @@ func (t *Tree) PathBetween(u, w NodeID) ([]NodeID, error) {
 // ancestor w (inclusive) to buf and returns the extended slice, reusing
 // buf's capacity when it suffices.
 func (t *Tree) AppendPathBetween(u, w NodeID, buf []NodeID) ([]NodeID, error) {
-	d, err := t.Distance(u, w)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	d, err := t.distance(u, w)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if need := len(buf) + d + 1; cap(buf) < need {
-		grown := make([]NodeID, len(buf), need)
-		copy(grown, buf)
-		buf = grown
-	}
-	n := t.nodes[u]
-	for i := 0; i <= d; i++ {
-		buf = append(buf, n.id)
-		if n.parent == InvalidNode {
-			break
-		}
-		n = t.nodes[n.parent]
-	}
-	return buf, nil
+	return t.appendPath(t.nodes[u], d, buf), nil
 }
 
-// Nodes returns the ids of all live nodes in unspecified order.
+// Nodes returns the ids of all live nodes in ascending order. The order is
+// part of the contract: seeded generators index into it.
 func (t *Tree) Nodes() []NodeID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]NodeID, 0, len(t.nodes))
-	for id := range t.nodes {
-		out = append(out, id)
+	out := make([]NodeID, 0, t.live)
+	for _, n := range t.nodes {
+		if n != nil {
+			out = append(out, n.id)
+		}
 	}
 	return out
 }
 
-// Leaves returns the ids of all current leaves.
+// Leaves returns the ids of all current leaves in ascending order.
 func (t *Tree) Leaves() []NodeID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []NodeID
-	for id, n := range t.nodes {
-		if len(n.children) == 0 {
-			out = append(out, id)
+	for _, n := range t.nodes {
+		if n != nil && len(n.children) == 0 {
+			out = append(out, n.id)
 		}
 	}
 	return out
@@ -598,7 +600,7 @@ func (t *Tree) Leaves() []NodeID {
 func (t *Tree) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[NodeID]struct{}, len(t.nodes))
+	seen := make(map[NodeID]struct{}, t.live)
 	type frame struct {
 		id    NodeID
 		depth int
@@ -611,9 +613,13 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("validate: node %d reachable twice", f.id)
 		}
 		seen[f.id] = struct{}{}
-		n, ok := t.nodes[f.id]
-		if !ok {
+		n := t.get(f.id)
+		if n == nil {
 			return fmt.Errorf("validate: reachable node %d missing: %w", f.id, ErrNoSuchNode)
+		}
+		if len(n.childPorts) != len(n.children) {
+			return fmt.Errorf("validate: node %d has %d children but %d child ports",
+				f.id, len(n.children), len(n.childPorts))
 		}
 		if n.depth != f.depth {
 			return fmt.Errorf("validate: node %d cached depth %d, actual %d", f.id, n.depth, f.depth)
@@ -623,20 +629,17 @@ func (t *Tree) Validate() error {
 			ports[n.parentPort] = struct{}{}
 		}
 		for i, cid := range n.children {
-			c, ok := t.nodes[cid]
-			if !ok {
+			c := t.get(cid)
+			if c == nil {
 				return fmt.Errorf("validate: child %d of %d missing: %w", cid, f.id, ErrNoSuchNode)
 			}
 			if c.parent != f.id {
 				return fmt.Errorf("validate: child %d of %d has parent %d", cid, f.id, c.parent)
 			}
-			if n.childIndex[cid] != i {
-				return fmt.Errorf("validate: child index of %d under %d is stale", cid, f.id)
+			if c.slot != i {
+				return fmt.Errorf("validate: slot of %d under %d is stale", cid, f.id)
 			}
-			port, ok := n.childPorts[cid]
-			if !ok {
-				return fmt.Errorf("validate: no port for child %d of %d", cid, f.id)
-			}
+			port := n.childPorts[i]
 			if _, dup := ports[port]; dup {
 				return fmt.Errorf("validate: duplicate port %d at node %d", port, f.id)
 			}
@@ -644,8 +647,8 @@ func (t *Tree) Validate() error {
 			stack = append(stack, frame{cid, f.depth + 1})
 		}
 	}
-	if len(seen) != len(t.nodes) {
-		return fmt.Errorf("validate: %d nodes reachable, %d stored", len(seen), len(t.nodes))
+	if len(seen) != t.live {
+		return fmt.Errorf("validate: %d nodes reachable, %d stored", len(seen), t.live)
 	}
 	return nil
 }

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func mustAddLeaf(t *testing.T, tr *Tree, parent NodeID) NodeID {
+func mustAddLeaf(t testing.TB, tr *Tree, parent NodeID) NodeID {
 	t.Helper()
 	id, err := tr.ApplyAddLeaf(parent)
 	if err != nil {

@@ -53,7 +53,7 @@ func NewConcurrentTrace(tr *tree.Tree, clients, perClient int, mix ConcurrentMix
 	if mix.Event < 0 || mix.AddLeaf < 0 || mix.Event+mix.AddLeaf <= 0 {
 		return nil, fmt.Errorf("concurrent trace: invalid mix %+v", mix)
 	}
-	nodes := sortIDs(tr.Nodes())
+	nodes := tr.Nodes()
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("concurrent trace: empty tree")
 	}

@@ -259,7 +259,7 @@ func buildTopology(spec TopologySpec, seed int64) (*tree.Tree, error) {
 // smallest id so the choice is deterministic.
 func deepestNode(tr *tree.Tree) tree.NodeID {
 	best, bestD := tr.Root(), -1
-	for _, id := range sortIDs(tr.Nodes()) {
+	for _, id := range tr.Nodes() {
 		if d, err := tr.Depth(id); err == nil && d > bestD {
 			best, bestD = id, d
 		}
@@ -302,7 +302,7 @@ func (f *faultInjector) next(i int) (controller.Request, faultKind) {
 	}
 	if len(f.pending) > 0 && f.pending[0] <= i {
 		f.pending = f.pending[1:]
-		nodes := sortIDs(f.tr.Nodes())
+		nodes := f.tr.Nodes()
 		if len(nodes) == 0 {
 			return controller.Request{}, faultNone
 		}
@@ -318,7 +318,7 @@ func (f *faultInjector) next(i int) (controller.Request, faultKind) {
 		return controller.Request{}, faultNone
 	}
 	root := f.tr.Root()
-	nodes := sortIDs(f.tr.Nodes())
+	nodes := f.tr.Nodes()
 	for attempt := 0; attempt < 8; attempt++ {
 		victim := nodes[f.rng.Intn(len(nodes))]
 		if victim == root {

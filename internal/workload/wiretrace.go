@@ -30,7 +30,7 @@ func TopologySignature(tr *tree.Tree) uint64 {
 		binary.LittleEndian.PutUint64(word[:], uint64(v))
 		h.Write(word[:])
 	}
-	for _, id := range sortIDs(tr.Nodes()) {
+	for _, id := range tr.Nodes() {
 		put(int64(id))
 		parent, err := tr.Parent(id)
 		if err != nil {

@@ -7,7 +7,6 @@ package workload
 import (
 	"errors"
 	"math/rand"
-	"sort"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/tree"
@@ -110,15 +109,8 @@ func (c *Churn) Next() (controller.Request, bool) {
 	return controller.Request{}, false
 }
 
-// sortIDs orders node ids ascending so generator draws are deterministic
-// for a given seed (tree.Nodes iterates a map).
-func sortIDs(ids []tree.NodeID) []tree.NodeID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 func (c *Churn) randomNode() (tree.NodeID, bool) {
-	nodes := sortIDs(c.tr.Nodes())
+	nodes := c.tr.Nodes()
 	if len(nodes) == 0 {
 		return tree.InvalidNode, false
 	}
@@ -137,7 +129,7 @@ func (c *Churn) removeLeaf() (controller.Request, bool) {
 	if c.tr.Size() <= c.minSize {
 		return controller.Request{}, false
 	}
-	leaves := sortIDs(c.tr.Leaves())
+	leaves := c.tr.Leaves()
 	root := c.tr.Root()
 	for attempt := 0; attempt < 8 && len(leaves) > 0; attempt++ {
 		id := leaves[c.rng.Intn(len(leaves))]
@@ -309,7 +301,7 @@ func Run(sub Submitter, gen Generator, n int) (Result, error) {
 // up initial topologies for experiments.
 func BuildBalanced(tr *tree.Tree, n int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	nodes := sortIDs(tr.Nodes())
+	nodes := tr.Nodes()
 	for tr.Size() < n {
 		parent := nodes[rng.Intn(len(nodes))]
 		id, err := tr.ApplyAddLeaf(parent)
