@@ -112,9 +112,10 @@ const (
 	churnNodes = 128
 	churnSeed  = 9
 
-	// daemonSched labels the loopback-TCP measurements: the daemon's
-	// transport schedule is fixed, so -sched steers only the in-process
-	// runs.
+	// daemonSched labels the loopback-TCP measurements. The daemon's
+	// centralized engine has no transport schedule, so -sched steers only
+	// the in-process runs; the label stays what BENCH_baseline.json
+	// recorded so the two reports remain comparable.
 	daemonSched = "random"
 )
 
@@ -286,7 +287,9 @@ func main() {
 // connections, and the pinned total trace re-partitioned across streams
 // concurrent client streams (same constructor, same seed) and replayed
 // rounds times per measured run. traceRing is the server's batch-trace
-// ring size (0 = production default, negative disables tracing).
+// ring size (0 = production default, negative disables tracing). It
+// returns no message sampler: the daemon's engine moves packages directly,
+// so messages_per_op is a metric of the in-process dist rows only.
 func setupTCP(m, w int64, conns, streams, rounds int, walDir string, traceRing int) (func(), func() int64, func()) {
 	srv, err := server.New(server.Config{
 		Addr:          "127.0.0.1:0",
@@ -326,7 +329,7 @@ func setupTCP(m, w int64, conns, streams, rounds int, walDir string, traceRing i
 				fatalf("tcp run: %d request errors", res.Errors)
 			}
 		}
-	}, srv.TransportMessages, cleanup
+	}, nil, cleanup
 }
 
 // measureOpenLoop runs the pinned open-loop experiment `runs` times

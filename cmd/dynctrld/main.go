@@ -111,7 +111,7 @@ func main() {
 	scenario := flag.String("scenario", "", "take topology and (M, W) from this workload catalog scenario")
 	topology := flag.String("topology", "balanced", "initial tree shape: balanced, path, or star")
 	nodes := flag.Int("nodes", 256, "initial tree size")
-	seed := flag.Int64("seed", 1, "topology and transport seed")
+	seed := flag.Int64("seed", 1, "topology seed")
 	m := flag.Int64("m", 1_000_000, "permit bound M of the admission contract")
 	w := flag.Int64("w", 500_000, "waste bound W of the admission contract")
 	paranoid := flag.Bool("paranoid", false, "re-check every served request with the internal/oracle invariant checkers")
@@ -257,8 +257,7 @@ func main() {
 	}
 	ops, grants, rejects, errs := s.Accounting()
 	logger.Info("final accounting",
-		"ops", ops, "grants", grants, "rejects", rejects, "errors", errs,
-		"transport_messages", s.TransportMessages())
+		"ops", ops, "grants", grants, "rejects", rejects, "errors", errs)
 	if v := s.Violations(); len(v) != 0 {
 		for _, viol := range v {
 			logger.Error("oracle violation", "violation", viol.String())

@@ -60,14 +60,21 @@ func TestWriteTimeoutOnStalledNetwork(t *testing.T) {
 	tr, _ := tree.New()
 	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	// One shared max-frame-sized run; every goroutine submits it twice
-	// (SubmitMany splits at MaxBatchLen), so the writers together push far
-	// more than loopback TCP can buffer.
+	// (SubmitMany splits at MaxBatchLen) and parks on its first frame's
+	// reply, so the writers together push one ~0.94 MiB frame each. There
+	// must be more of them than loopback TCP can buffer, or no write ever
+	// blocks and every writer waits for a reply the stall withholds: with
+	// 12 writers the test wedged for its full 30 s once, and a count over
+	// 80 runs beside a parallel test load showed the kernel absorbing 5 to
+	// 11 frames (send buffer plus autotuned receive buffer) before a write
+	// blocked. 64 writers are five times that; the surplus costs nothing,
+	// its submissions find the connection already dead.
 	reqs := make([]controller.Request, 2*wire.MaxBatchLen)
 	for i := range reqs {
 		reqs[i] = controller.Request{Node: tr.Root(), Kind: tree.None}
 	}
 
-	errCh := make(chan error, 12)
+	errCh := make(chan error, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < cap(errCh); g++ {
 		wg.Add(1)

@@ -194,25 +194,18 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	return c.grantFromStatic(req, static)
 }
 
-// findFiller climbs from u toward the root, one tree call per hop, and
-// stops at the first (closest) filler node: it returns that node, its
-// distance from u and its qualifying package of the smallest qualifying
-// level. When no filler exists the climb ends at the root, which it returns
-// with a nil package.
+// findFiller climbs from u toward the root in one tree call and stops at
+// the first (closest) filler node: it returns that node, its distance from
+// u and its qualifying package of the smallest qualifying level. When no
+// filler exists the climb ends at the root, which it returns with a nil
+// package. The visitor reads whiteboards only, as tree.Climb requires.
 func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
-	for w, d := u, int64(0); ; d++ {
-		if pk := c.Store(w).MobileAtFillerDistance(c.params, d); pk != nil {
-			return w, d, pk, nil
-		}
-		parent, err := c.tr.Parent(w)
-		if err != nil {
-			return tree.InvalidNode, 0, nil, err
-		}
-		if parent == tree.InvalidNode {
-			return w, d, nil, nil
-		}
-		w = parent
-	}
+	var pk *pkgstore.Package
+	host, d, err := c.tr.Climb(u, func(w tree.NodeID, d int) bool {
+		pk = c.Store(w).MobileAtFillerDistance(c.params, int64(d))
+		return pk != nil
+	})
+	return host, int64(d), pk, err
 }
 
 // distribute implements procedure Proc (Section 3.1, item 4): the level-j

@@ -6,8 +6,8 @@
 // every coalesced run of Submit frames a connection takes off its socket
 // becomes one BatchTrace with a per-stage duration breakdown (frame
 // decode, pipeline queue wait, controller execute, WAL append→durable,
-// Results write) plus controller-work tags (batch size, control-message
-// hops, reject-wave membership). Traces land in a fixed-size lock-free
+// Results write) plus controller-work tags (batch size, controller moves,
+// reject-wave membership). Traces land in a fixed-size lock-free
 // ring (most-recent-N) and a small bounded top-K (slowest-N), and every
 // stage duration is folded into an internal/hdr log-linear histogram, so
 // /tracez can show individual slow batches while /metricsz reports
@@ -98,9 +98,10 @@ type BatchTrace struct {
 	Grants  int64
 	Rejects int64
 	Errors  int64
-	// CtlMsgs counts the controller control messages (filler-search climb
-	// hops, package descents, wave traffic) this run triggered.
-	CtlMsgs int64
+	// Moves counts the controller moves (package descents, graceful
+	// deletions, wave and termination sweeps: Section 3's cost measure)
+	// this run triggered.
+	Moves int64
 	// Wave marks reject-wave membership: the batch carried rejects.
 	Wave bool
 	// Conn is the remote address of the connection that read the batch.

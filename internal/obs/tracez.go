@@ -36,16 +36,16 @@ func writeTraces(w io.Writer, traces []*BatchTrace) {
 		fmt.Fprintf(w, "  (none)\n")
 		return
 	}
-	fmt.Fprintf(w, "  %-8s %-15s %10s %7s %7s %7s %7s %5s %5s  %s\n",
-		"trace", "start", "total", "frames", "reqs", "grants", "rej", "ctl", "wave", "stages")
+	fmt.Fprintf(w, "  %-8s %-15s %10s %7s %7s %7s %7s %8s %5s  %s\n",
+		"trace", "start", "total", "frames", "reqs", "grants", "rej", "moves", "wave", "stages")
 	for _, bt := range traces {
 		wave := "-"
 		if bt.Wave {
 			wave = "yes"
 		}
-		fmt.Fprintf(w, "  %-8d %-15s %10s %7d %7d %7d %7d %5d %5s  dec=%s queue=%s exec=%s wal=%s write=%s conn=%s\n",
+		fmt.Fprintf(w, "  %-8d %-15s %10s %7d %7d %7d %7d %8d %5s  dec=%s queue=%s exec=%s wal=%s write=%s conn=%s\n",
 			bt.ID, bt.Start.Format("15:04:05.000"), fdur(bt.Total),
-			bt.Frames, bt.Requests, bt.Grants, bt.Rejects, bt.CtlMsgs, wave,
+			bt.Frames, bt.Requests, bt.Grants, bt.Rejects, bt.Moves, wave,
 			fdur(bt.Stages[StageDecode]), fdur(bt.Stages[StageQueue]),
 			fdur(bt.Stages[StageExecute]), fdur(bt.Stages[StageWAL]),
 			fdur(bt.Stages[StageWrite]), bt.Conn)

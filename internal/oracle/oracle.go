@@ -18,11 +18,13 @@
 //   - serial-unique / serial-range: explicit permit serials are pairwise
 //     distinct and lie in [1, M] (the name-assignment invariant of
 //     Section 5.2).
-//   - message-budget: the transport messages spent on one request stay
-//     within the per-request geometric envelope of Lemma 4.5 — a climb and
-//     a descent bounded by the tree height per driver attempt, plus one
-//     reject-wave flood — with a generous constant so only runaway
-//     protocols (resend loops, livelock) trip it.
+//   - message-budget: the transport messages — or, for the centralized
+//     engine, the moves — spent on one request stay within the per-request
+//     geometric envelope of Lemma 4.5 — a climb and a descent bounded by
+//     the tree height per driver attempt, plus the sweeps of the one
+//     request that exhausts the contract (termination detection's
+//     broadcast and upcast, then the reject-wave flood) — with a generous
+//     constant so only runaway protocols (resend loops, livelock) trip it.
 //   - tree-structure: the tree stays structurally valid (parent/child
 //     symmetry, depth cache, port uniqueness, reachability).
 //
@@ -66,9 +68,9 @@ func (v Violation) String() string {
 // Option configures an Oracle.
 type Option func(*Oracle)
 
-// WithMessages attaches a sampler of the transport's delivered-message
-// count (typically rt.Messages) and enables the per-request message-budget
-// check.
+// WithMessages attaches a sampler of the engine's cost counter — the
+// transport's delivered-message count (rt.Messages) or the centralized
+// engine's move counter — and enables the per-request message-budget check.
 func WithMessages(fn func() int64) Option {
 	return func(o *Oracle) { o.msgs = fn }
 }
@@ -243,10 +245,13 @@ func (o *Oracle) Submit(req controller.Request) (controller.Grant, error) {
 		spent := now - o.lastMsgs
 		o.lastMsgs = now
 		// One protocol attempt costs at most a climb plus a descent (each
-		// bounded by the height), one graceful-deletion transfer, and at
-		// most one reject-wave flood (one message per edge) per request.
+		// bounded by the height) and one graceful-deletion transfer. The
+		// request that exhausts the contract also pays at most three edge
+		// sweeps: the reject-wave flood, and — where the sampler counts
+		// driver-level sweeps, as the move counter does — the broadcast
+		// and upcast of termination detection (Observation 2.1).
 		perAttempt := int64(2*(height+1) + 2)
-		budget := perAttempt*o.budgetAttempts + int64(size)
+		budget := perAttempt*o.budgetAttempts + 3*int64(size)
 		if spent > budget {
 			o.report("message-budget", idx,
 				"request spent %d transport messages, budget %d (height %d, %d nodes, %d attempts)",

@@ -130,11 +130,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatal("snapshot codec is not idempotent on an accepted input")
 		}
 		tr, _ := tree.New()
-		rt, err := sim.NewRuntime("fifo", 1)
-		if err != nil {
-			t.Fatal(err)
+		ctrs := stats.NewCounters()
+		if err := persist.RestoreInto(st, tr, ctrs); err != nil {
+			return
 		}
-		if _, err := persist.RestoreInto(st, tr, rt, stats.NewCounters()); err != nil {
+		if _, err := controller.RestoreDynamic(tr, st.Ctl, ctrs); err != nil {
 			return
 		}
 		if tr.Size() > len(data) {

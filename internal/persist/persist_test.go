@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -24,22 +25,64 @@ const (
 	testW = 800
 )
 
+// engine is one execution model a stack runs over: build returns a fresh
+// (testM, testW) controller over tr, or, given captured state, the one that
+// continues it.
+type engine struct {
+	name  string
+	build func(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error)
+}
+
+// The daemon's engine (centralized) and the scenario suite's
+// (message-passing): every stack test runs over both, and the crash-restart
+// test also recovers each one's directory under the other.
+var (
+	centralized = engine{"centralized", func(tr *tree.Tree, _ int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
+		if st != nil {
+			return controller.RestoreDynamic(tr, st, ctrs)
+		}
+		return controller.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(ctrs)), nil
+	}}
+	distributed = engine{"distributed", func(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
+		rt, err := sim.NewRuntime("random", seed)
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
+			d, err := dist.RestoreDynamic(tr, rt, st, ctrs)
+			if err != nil {
+				return nil, err
+			}
+			return d.Dynamic, nil
+		}
+		return dist.NewDynamic(tr, rt, testM, testW, false, ctrs).Dynamic, nil
+	}}
+	engines = []engine{centralized, distributed}
+)
+
+// forEngines runs fn as one subtest per engine.
+func forEngines(t *testing.T, fn func(t *testing.T, e engine)) {
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) { fn(t, e) })
+	}
+}
+
 // stack is one live admission stack a test drives traffic through.
 type stack struct {
 	tr       *tree.Tree
-	ctl      *dist.Dynamic
+	ctl      *controller.Dynamic
 	counters *stats.Counters
 }
 
-func newStack(t *testing.T, seed int64) *stack {
+func newStack(t *testing.T, e engine, seed int64) *stack {
 	t.Helper()
 	tr, _ := tree.New()
-	rt, err := sim.NewRuntime("random", seed)
+	counters := stats.NewCounters()
+	ctl, err := e.build(tr, seed, nil, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := stats.NewCounters()
-	return &stack{tr: tr, ctl: dist.NewDynamic(tr, rt, testM, testW, false, counters), counters: counters}
+	return &stack{tr: tr, ctl: ctl, counters: counters}
 }
 
 // trafficGen deterministically produces the identical request sequence on
@@ -150,21 +193,19 @@ func captureState(s *stack, eng *persist.Engine) *persist.State {
 
 // recoverStack boots a stack from dir: restore the snapshot when present,
 // replay the tail, and return the engine plus the live stack.
-func recoverStack(t *testing.T, dir string, seed int64, opts persist.Options) (*persist.Engine, *stack, *persist.Recovery) {
+func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.Options) (*persist.Engine, *stack, *persist.Recovery) {
 	t.Helper()
 	eng, rec, err := persist.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
-	s := newStack(t, seed)
+	s := newStack(t, e, seed)
 	if rec.Snapshot != nil {
-		rt, err := sim.NewRuntime("random", seed+100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ctl, err = persist.RestoreInto(rec.Snapshot, s.tr, rt, s.counters)
-		if err != nil {
+		if err := persist.RestoreInto(rec.Snapshot, s.tr, s.counters); err != nil {
 			t.Fatalf("restore: %v", err)
+		}
+		if s.ctl, err = e.build(s.tr, seed+100, rec.Snapshot.Ctl, s.counters); err != nil {
+			t.Fatalf("restore controller: %v", err)
 		}
 	}
 	if _, err := persist.Replay(rec.Tail, s.ctl); err != nil {
@@ -176,61 +217,68 @@ func recoverStack(t *testing.T, dir string, seed int64, opts persist.Options) (*
 // TestRecoveryMatchesUninterruptedRun is the core determinism property: a
 // run that crashes (at a point of the test's choosing) and recovers
 // produces the identical grant/reject/serial/new-node trace as the same
-// request sequence against a never-crashed stack.
+// request sequence against a never-crashed stack — whichever engine wrote
+// the directory and whichever recovers it, so a WAL survives the daemon
+// changing engines.
 func TestRecoveryMatchesUninterruptedRun(t *testing.T) {
 	const total, crashAt = 600, 337
-	for _, snapEvery := range []int64{0, 100} {
-		ref := newStack(t, 7)
-		refGen := newTrafficGen(ref.tr.Root(), 11)
-		want := runLogged(t, ref, refGen, nil, total)
+	for _, writer := range engines {
+		for _, recoverer := range engines {
+			for _, snapEvery := range []int64{0, 100} {
+				t.Run(fmt.Sprintf("%s-to-%s/snap%d", writer.name, recoverer.name, snapEvery), func(t *testing.T) {
+					ref := newStack(t, recoverer, 7)
+					refGen := newTrafficGen(ref.tr.Root(), 11)
+					want := runLogged(t, ref, refGen, nil, total)
 
-		dir := t.TempDir()
-		eng, rec, err := persist.Open(dir, persist.Options{SnapshotEvery: snapEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Snapshot != nil || len(rec.Tail) != 0 {
-			t.Fatalf("fresh dir recovered snapshot=%v tail=%d", rec.Snapshot, len(rec.Tail))
-		}
-		if eng.Incarnation() != 1 {
-			t.Fatalf("first boot incarnation %d, want 1", eng.Incarnation())
-		}
-		s := newStack(t, 7)
-		gen := newTrafficGen(s.tr.Root(), 11)
-		got := runLogged(t, s, gen, eng, crashAt)
-		eng.Abandon() // kill -9: nothing after the last fsync survives
+					dir := t.TempDir()
+					eng, rec, err := persist.Open(dir, persist.Options{SnapshotEvery: snapEvery})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rec.Snapshot != nil || len(rec.Tail) != 0 {
+						t.Fatalf("fresh dir recovered snapshot=%v tail=%d", rec.Snapshot, len(rec.Tail))
+					}
+					if eng.Incarnation() != 1 {
+						t.Fatalf("first boot incarnation %d, want 1", eng.Incarnation())
+					}
+					s := newStack(t, writer, 7)
+					gen := newTrafficGen(s.tr.Root(), 11)
+					got := runLogged(t, s, gen, eng, crashAt)
+					eng.Abandon() // kill -9: nothing after the last fsync survives
 
-		eng2, s2, rec2 := recoverStack(t, dir, 7, persist.Options{SnapshotEvery: snapEvery})
-		if eng2.Incarnation() != 2 {
-			t.Fatalf("second boot incarnation %d, want 2", eng2.Incarnation())
-		}
-		if snapEvery > 0 && rec2.Snapshot == nil {
-			t.Fatalf("no snapshot recovered despite SnapshotEvery=%d over %d effects", snapEvery, crashAt)
-		}
-		got = append(got, runLogged(t, s2, gen, eng2, total-crashAt)...)
-		if err := eng2.Close(); err != nil {
-			t.Fatal(err)
-		}
+					eng2, s2, rec2 := recoverStack(t, recoverer, dir, 7, persist.Options{SnapshotEvery: snapEvery})
+					if eng2.Incarnation() != 2 {
+						t.Fatalf("second boot incarnation %d, want 2", eng2.Incarnation())
+					}
+					if snapEvery > 0 && rec2.Snapshot == nil {
+						t.Fatalf("no snapshot recovered despite SnapshotEvery=%d over %d effects", snapEvery, crashAt)
+					}
+					got = append(got, runLogged(t, s2, gen, eng2, total-crashAt)...)
+					if err := eng2.Close(); err != nil {
+						t.Fatal(err)
+					}
 
-		if len(got) != len(want) {
-			t.Fatalf("trace length %d, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("snapEvery=%d: trace diverges at request %d: got %+v, want %+v",
-					snapEvery, i, got[i], want[i])
+					if len(got) != len(want) {
+						t.Fatalf("trace length %d, want %d", len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("trace diverges at request %d: got %+v, want %+v", i, got[i], want[i])
+						}
+					}
+
+					sums, violations, err := persist.VerifyDir(dir, testM)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(violations) != 0 {
+						t.Fatalf("cross-incarnation violations: %v", violations)
+					}
+					if len(sums) != 2 {
+						t.Fatalf("%d incarnations in history, want 2", len(sums))
+					}
+				})
 			}
-		}
-
-		sums, violations, err := persist.VerifyDir(dir, testM)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(violations) != 0 {
-			t.Fatalf("cross-incarnation violations: %v", violations)
-		}
-		if len(sums) != 2 {
-			t.Fatalf("%d incarnations in history, want 2", len(sums))
 		}
 	}
 }
@@ -338,47 +386,49 @@ func TestRecoveryHeaderlessSegment(t *testing.T) {
 // TestRecoveryTruncatedSnapshot: a snapshot file cut short fails its frame
 // checks and recovery falls back to replaying the whole log.
 func TestRecoveryTruncatedSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	eng, _, err := persist.Open(dir, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newStack(t, 3)
-	gen := newTrafficGen(s.tr.Root(), 5)
-	runLogged(t, s, gen, eng, 60)
-	if err := eng.Checkpoint(captureState(s, eng)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
+	forEngines(t, func(t *testing.T, e engine) {
+		dir := t.TempDir()
+		eng, _, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newStack(t, e, 3)
+		gen := newTrafficGen(s.tr.Root(), 5)
+		runLogged(t, s, gen, eng, 60)
+		if err := eng.Checkpoint(captureState(s, eng)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("snapshots: %v %v", snaps, err)
-	}
-	buf, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snaps[0], buf[:len(buf)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshots: %v %v", snaps, err)
+		}
+		buf, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snaps[0], buf[:len(buf)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	eng2, s2, rec := recoverStack(t, dir, 3, persist.Options{})
-	defer eng2.Close()
-	if rec.CorruptSnapshots != 1 {
-		t.Fatalf("CorruptSnapshots = %d, want 1", rec.CorruptSnapshots)
-	}
-	if rec.Snapshot != nil {
-		t.Fatal("truncated snapshot was accepted")
-	}
-	if len(rec.Tail) != 60 {
-		t.Fatalf("tail %d records, want full replay of 60", len(rec.Tail))
-	}
-	if s2.ctl.Granted() != s.ctl.Granted() {
-		t.Fatalf("recovered %d grants, want %d", s2.ctl.Granted(), s.ctl.Granted())
-	}
+		eng2, s2, rec := recoverStack(t, e, dir, 3, persist.Options{})
+		defer eng2.Close()
+		if rec.CorruptSnapshots != 1 {
+			t.Fatalf("CorruptSnapshots = %d, want 1", rec.CorruptSnapshots)
+		}
+		if rec.Snapshot != nil {
+			t.Fatal("truncated snapshot was accepted")
+		}
+		if len(rec.Tail) != 60 {
+			t.Fatalf("tail %d records, want full replay of 60", len(rec.Tail))
+		}
+		if s2.ctl.Granted() != s.ctl.Granted() {
+			t.Fatalf("recovered %d grants, want %d", s2.ctl.Granted(), s.ctl.Granted())
+		}
+	})
 }
 
 // TestRecoveryEmptyDir: opening a fresh directory boots cleanly.
@@ -412,52 +462,54 @@ func TestRecoveryEmptyDir(t *testing.T) {
 // snapshot is gone (or the snapshot outran a lost tail), recovery proceeds
 // from the snapshot alone and indexing continues past it.
 func TestRecoverySnapshotNewerThanWAL(t *testing.T) {
-	dir := t.TempDir()
-	eng, _, err := persist.Open(dir, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newStack(t, 3)
-	gen := newTrafficGen(s.tr.Root(), 5)
-	runLogged(t, s, gen, eng, 40)
-	if err := eng.Checkpoint(captureState(s, eng)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Remove every WAL segment, leaving only MANIFEST + snapshot.
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	for _, seg := range segs {
-		os.Remove(seg)
-	}
+	forEngines(t, func(t *testing.T, e engine) {
+		dir := t.TempDir()
+		eng, _, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newStack(t, e, 3)
+		gen := newTrafficGen(s.tr.Root(), 5)
+		runLogged(t, s, gen, eng, 40)
+		if err := eng.Checkpoint(captureState(s, eng)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Remove every WAL segment, leaving only MANIFEST + snapshot.
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		for _, seg := range segs {
+			os.Remove(seg)
+		}
 
-	eng2, s2, rec := recoverStack(t, dir, 3, persist.Options{})
-	if rec.Snapshot == nil || rec.Snapshot.Index != 40 {
-		t.Fatalf("snapshot not recovered: %+v", rec.Snapshot)
-	}
-	if len(rec.Tail) != 0 {
-		t.Fatalf("tail %d records, want none", len(rec.Tail))
-	}
-	// New effects continue the index space after the snapshot.
-	reqs := []controller.Request{{Node: s2.tr.Root(), Kind: tree.None}}
-	g, err := s2.ctl.Submit(reqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticket, err := eng2.AppendEffects(reqs, []controller.BatchResult{{Grant: g}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticket != 41 {
-		t.Fatalf("next index %d, want 41", ticket)
-	}
-	if err := eng2.WaitDurable(ticket); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Close(); err != nil {
-		t.Fatal(err)
-	}
+		eng2, s2, rec := recoverStack(t, e, dir, 3, persist.Options{})
+		if rec.Snapshot == nil || rec.Snapshot.Index != 40 {
+			t.Fatalf("snapshot not recovered: %+v", rec.Snapshot)
+		}
+		if len(rec.Tail) != 0 {
+			t.Fatalf("tail %d records, want none", len(rec.Tail))
+		}
+		// New effects continue the index space after the snapshot.
+		reqs := []controller.Request{{Node: s2.tr.Root(), Kind: tree.None}}
+		g, err := s2.ctl.Submit(reqs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticket, err := eng2.AppendEffects(reqs, []controller.BatchResult{{Grant: g}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ticket != 41 {
+			t.Fatalf("next index %d, want 41", ticket)
+		}
+		if err := eng2.WaitDurable(ticket); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCloseDuringCheckpointRace is the raced regression test: Close racing
@@ -470,7 +522,7 @@ func TestCloseDuringCheckpointRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newStack(t, int64(round))
+		s := newStack(t, centralized, int64(round))
 		gen := newTrafficGen(s.tr.Root(), int64(round)+50)
 
 		var wg sync.WaitGroup
@@ -659,58 +711,61 @@ func TestSegmentRotation(t *testing.T) {
 // TestStateCodecRoundTrip: encode → decode → encode is the identity on a
 // real captured state.
 func TestStateCodecRoundTrip(t *testing.T) {
-	s := newStack(t, 21)
-	gen := newTrafficGen(s.tr.Root(), 22)
-	runLogged(t, s, gen, nil, 150)
-	st := &persist.State{
-		Index:       150,
-		Incarnation: 3,
-		M:           testM,
-		W:           testW,
-		Tree:        s.tr.Snapshot(),
-		Ctl:         s.ctl.State(),
-		Counters:    s.counters.Snapshot(),
-	}
-	enc1 := persist.AppendState(nil, st)
-	dec, err := persist.DecodeSnapshot(enc1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2 := persist.AppendState(nil, dec)
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("state codec round trip is not the identity")
-	}
+	forEngines(t, func(t *testing.T, e engine) {
+		s := newStack(t, e, 21)
+		gen := newTrafficGen(s.tr.Root(), 22)
+		runLogged(t, s, gen, nil, 150)
+		st := &persist.State{
+			Index:       150,
+			Incarnation: 3,
+			M:           testM,
+			W:           testW,
+			Tree:        s.tr.Snapshot(),
+			Ctl:         s.ctl.State(),
+			Counters:    s.counters.Snapshot(),
+		}
+		enc1 := persist.AppendState(nil, st)
+		dec, err := persist.DecodeSnapshot(enc1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc2 := persist.AppendState(nil, dec)
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatal("state codec round trip is not the identity")
+		}
 
-	// The decoded state restores into an equivalent stack.
-	tr, _ := tree.New()
-	rt, err := sim.NewRuntime("random", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters := stats.NewCounters()
-	ctl, err := persist.RestoreInto(dec, tr, rt, counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctl.Granted() != s.ctl.Granted() {
-		t.Fatalf("restored %d grants, want %d", ctl.Granted(), s.ctl.Granted())
-	}
-	if tr.Size() != s.tr.Size() || tr.Changes() != s.tr.Changes() {
-		t.Fatalf("restored tree size/changes %d/%d, want %d/%d",
-			tr.Size(), tr.Changes(), s.tr.Size(), s.tr.Changes())
-	}
+		// The decoded state restores into an equivalent stack.
+		tr, _ := tree.New()
+		counters := stats.NewCounters()
+		if err := persist.RestoreInto(dec, tr, counters); err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := e.build(tr, 99, dec.Ctl, counters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctl.Granted() != s.ctl.Granted() {
+			t.Fatalf("restored %d grants, want %d", ctl.Granted(), s.ctl.Granted())
+		}
+		if tr.Size() != s.tr.Size() || tr.Changes() != s.tr.Changes() {
+			t.Fatalf("restored tree size/changes %d/%d, want %d/%d",
+				tr.Size(), tr.Changes(), s.tr.Size(), s.tr.Changes())
+		}
+	})
 }
 
 // TestReplayDivergenceDetected: a doctored effect record makes replay fail
 // loudly instead of continuing from a diverged state.
 func TestReplayDivergenceDetected(t *testing.T) {
-	s := newStack(t, 2)
-	tail := []persist.Record{{
-		Index: 1, Type: persist.RecEffect,
-		Node: s.tr.Root(), Kind: tree.AddLeaf,
-		Outcome: controller.Granted, NewNode: 999, // the real id will be 2
-	}}
-	if _, err := persist.Replay(tail, s.ctl); err == nil {
-		t.Fatal("replay accepted a diverged new-node id")
-	}
+	forEngines(t, func(t *testing.T, e engine) {
+		s := newStack(t, e, 2)
+		tail := []persist.Record{{
+			Index: 1, Type: persist.RecEffect,
+			Node: s.tr.Root(), Kind: tree.AddLeaf,
+			Outcome: controller.Granted, NewNode: 999, // the real id will be 2
+		}}
+		if _, err := persist.Replay(tail, s.ctl); err == nil {
+			t.Fatal("replay accepted a diverged new-node id")
+		}
+	})
 }

@@ -4,40 +4,36 @@ import (
 	"fmt"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
 // RestoreInto applies a recovered snapshot to a live stack: the tree is
 // restored in place (so generators, servers and oracles holding the *Tree
-// observe the recovered topology), the shared counters are re-seeded, and
-// a controller equivalent to the captured one is rebuilt over the given
-// runtime. The runtime's schedule seed need not match the crashed
-// process's: the controller's verdicts are delivery-schedule invariant
-// (the schedule-invariance property the scenario suite pins), which is
-// what makes replay deterministic without persisting transport state.
-func RestoreInto(st *State, tr *tree.Tree, rt sim.Runtime, counters *stats.Counters) (*dist.Dynamic, error) {
+// observe the recovered topology) and validated, and the shared counters
+// are re-seeded. The caller then rebuilds the controller from st.Ctl over
+// the engine it serves with (controller.RestoreDynamic, or
+// dist.RestoreDynamic over a runtime whose schedule seed need not match
+// the crashed process's): the two produce identical verdicts and states
+// and the distributed one is delivery-schedule invariant (the
+// engine-equivalence table and the scenario suite pin both), which is what
+// makes replay deterministic without persisting transport state.
+func RestoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
 	if st.Tree == nil || st.Ctl == nil {
-		return nil, fmt.Errorf("persist: snapshot missing tree or controller state")
+		return fmt.Errorf("persist: snapshot missing tree or controller state")
 	}
 	if err := tr.Restore(st.Tree); err != nil {
-		return nil, fmt.Errorf("persist: restore tree: %w", err)
+		return fmt.Errorf("persist: restore tree: %w", err)
 	}
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: restored tree invalid: %w", err)
+		return fmt.Errorf("persist: restored tree invalid: %w", err)
 	}
 	if counters != nil {
 		counters.Restore(st.Counters)
 	}
-	ctl, err := dist.RestoreDynamic(tr, rt, st.Ctl, counters)
-	if err != nil {
-		return nil, fmt.Errorf("persist: restore controller: %w", err)
-	}
-	return ctl, nil
+	return nil
 }
 
 // Replay re-submits the tail's effect records through sub in log order and

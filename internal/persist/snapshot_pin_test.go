@@ -19,7 +19,7 @@ import (
 // notice which package declares the state types. A deliberate format change
 // bumps snapshotFormat and replaces the constants.
 func TestSnapshotEncodingPinned(t *testing.T) {
-	capture := func(tr *tree.Tree, ctl *dist.Dynamic, counters *stats.Counters, index uint64, m, w int64) string {
+	capture := func(tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters, index uint64, m, w int64) string {
 		sum := sha256.Sum256(persist.AppendState(nil, &persist.State{
 			Index: index, Incarnation: 3, M: m, W: w,
 			Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: counters.Snapshot(),
@@ -28,7 +28,9 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 	}
 
 	t.Run("churn", func(t *testing.T) {
-		s := newStack(t, 5)
+		// The distributed engine: the constants were computed over it, and
+		// the counters it charges are part of the bytes.
+		s := newStack(t, distributed, 5)
 		g := newTrafficGen(s.tr.Root(), 5)
 		runLogged(t, s, g, nil, 1500)
 		st := s.ctl.State()
@@ -82,7 +84,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 			submit(path[depth-1])
 		}
 		const want = "384cb97620b14d4245a12d346d9b3497801a153df8d3e40f02f66c873d931143"
-		if got := capture(tr, ctl, counters, uint64(n), m, 0); got != want {
+		if got := capture(tr, ctl.Dynamic, counters, uint64(n), m, 0); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}
 	})

@@ -82,6 +82,11 @@ func (c *srvConn) closeRead() {
 func (c *srvConn) send(buf []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.sendLocked(buf)
+}
+
+// sendLocked is send for a caller that already holds wmu.
+func (c *srvConn) sendLocked(buf []byte) error {
 	if _, err := c.bw.Write(buf); err != nil {
 		return err
 	}
@@ -169,6 +174,11 @@ func (c *srvConn) handshake() bool {
 	}
 	c.tn = tn
 	c.run.guard = tn.guard
+	// Joining the tenant's set and writing Welcome are one step under the
+	// write lock: the reject wave writes to every connection in the set,
+	// and a wave frame that overtook the Welcome fails the peer's handshake.
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	tn.bind(c)
 	c.s.logger.Debug("connection bound", "remote", c.remote, "tenant", tn.name, "incarnation", tn.incarnation)
 	if c.s.cfg.IdleTimeout <= 0 {
@@ -179,7 +189,7 @@ func (c *srvConn) handshake() bool {
 			return false
 		}
 	}
-	return c.send(wire.AppendWelcome(nil, wire.Welcome{
+	return c.sendLocked(wire.AppendWelcome(nil, wire.Welcome{
 		Version:     wire.Version,
 		Tenant:      tn.name,
 		M:           tn.cfg.M,
@@ -314,7 +324,7 @@ func (c *srvConn) loop() {
 			bt.Frames = len(c.ids)
 			bt.Requests = len(run.reqs)
 			bt.Grants, bt.Rejects, bt.Errors = grants, rejects, errCount
-			bt.CtlMsgs = rc.ctlMsgs
+			bt.Moves = rc.moves
 			bt.Wave = rejects > 0
 			tracer.Record(bt)
 			c.lastTrace = bt.ID

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"regexp"
 	"strconv"
@@ -100,6 +102,51 @@ func TestRejectWaveRacesHandshakes(t *testing.T) {
 	}
 }
 
+// waveOnBound is a slog handler that runs fire on the handshake's
+// "connection bound" event, i.e. between the connection joining its tenant's
+// set and its Welcome.
+type waveOnBound struct{ fire func() }
+
+func (waveOnBound) Enabled(context.Context, slog.Level) bool { return true }
+func (h waveOnBound) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "connection bound" {
+		h.fire()
+	}
+	return nil
+}
+func (h waveOnBound) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h waveOnBound) WithGroup(string) slog.Handler      { return h }
+
+// TestRejectWaveWaitsForWelcome: a reject wave that fires after a
+// connection joined its tenant's set and before it was welcomed reaches the
+// peer behind the Welcome. The wave is started from the handshake's own log
+// event and given time to get to its write; it used to go out first, and
+// the client failed its handshake on "unexpected reject-wave frame"
+// (TestRejectWaveRacesHandshakes met that interleaving once in 40 runs).
+func TestRejectWaveWaitsForWelcome(t *testing.T) {
+	var s *Server
+	var once sync.Once
+	logger := slog.New(waveOnBound{fire: func() {
+		once.Do(func() {
+			tn := s.defaultTenant()
+			tn.rejectWave.Store(true)
+			go tn.broadcastRejectWave(s.logger)
+			time.Sleep(50 * time.Millisecond)
+		})
+	}})
+	s = startServer(t, Config{
+		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
+		Seed:     1, M: 4, W: 1, Logger: logger,
+	})
+	cl, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("dial while the wave fires: %v", err)
+	}
+	defer cl.Close()
+	// The connection was in the tenant's set when the wave fired.
+	waitUntil(t, "the wave to reach the new connection", cl.RejectWaveSeen)
+}
+
 // brokenWriteConn is a net.Conn whose Write starts failing once armed.
 type brokenWriteConn struct {
 	net.Conn
@@ -170,15 +217,15 @@ func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	}
 }
 
-var ctlMsgsRe = regexp.MustCompile(`(?m)^dynctrld_tenant_control_messages_total\{tenant="default"\} (\d+)$`)
+var movesRe = regexp.MustCompile(`(?m)^dynctrld_tenant_moves_total\{tenant="default"\} (\d+)$`)
 
-func scrapeControlMessages(t *testing.T, s *Server) int64 {
+func scrapeMoves(t *testing.T, s *Server) int64 {
 	t.Helper()
 	var buf bytes.Buffer
 	s.WriteMetrics(&buf)
-	m := ctlMsgsRe.FindSubmatch(buf.Bytes())
+	m := movesRe.FindSubmatch(buf.Bytes())
 	if m == nil {
-		t.Fatalf("no control_messages_total sample in:\n%s", buf.String())
+		t.Fatalf("no moves_total sample in:\n%s", buf.String())
 	}
 	n, err := strconv.ParseInt(string(m[1]), 10, 64)
 	if err != nil {
@@ -189,14 +236,14 @@ func scrapeControlMessages(t *testing.T, s *Server) int64 {
 
 // TestReceiptFeedsTraces: with a WAL and tracing on, every batch trace is
 // built from its own run's receipt — it has controller time and WAL time of
-// its own, its stages fit inside its total, and the control-message deltas
-// of all traces partition exactly what /metricsz counted.
+// its own, its stages fit inside its total, and the move deltas of all
+// traces partition exactly what /metricsz counted.
 func TestReceiptFeedsTraces(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "balanced", Nodes: 32}
 	s := startServer(t, Config{
 		// The contract is smaller than the load, so the run crosses
-		// iteration restarts and the exhaustion wave — the events that
-		// cost control messages.
+		// waste-halving iterations and the exhaustion wave on top of the
+		// package descents every slow-path grant costs.
 		Topology: spec, Seed: 5, M: 300, W: 30,
 		WALDir: t.TempDir(), TraceRing: 4096,
 	})
@@ -206,7 +253,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	}
 	var nodes []tree.NodeID
 	tr.WalkDFS(func(id tree.NodeID, _ int) bool { nodes = append(nodes, id); return true })
-	before := scrapeControlMessages(t, s)
+	before := scrapeMoves(t, s)
 
 	const conns, perConn, chunk = 4, 40, 8
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: conns})
@@ -241,7 +288,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	if got, want := uint64(len(traces)), tn.tracer.Recorded(); got != want || got == 0 {
 		t.Fatalf("ring holds %d traces of %d recorded", got, want)
 	}
-	var ctl, reqs int64
+	var moves, reqs int64
 	for _, bt := range traces {
 		exec, wal, queue := bt.Stages[obs.StageExecute], bt.Stages[obs.StageWAL], bt.Stages[obs.StageQueue]
 		if exec <= 0 {
@@ -253,13 +300,13 @@ func TestReceiptFeedsTraces(t *testing.T) {
 		if queue+exec+wal > bt.Total {
 			t.Errorf("trace %d: queue %v + execute %v + wal %v exceeds total %v", bt.ID, queue, exec, wal, bt.Total)
 		}
-		ctl += bt.CtlMsgs
+		moves += bt.Moves
 		reqs += int64(bt.Requests)
 	}
 	if want := int64(conns * perConn * chunk); reqs != want {
 		t.Errorf("traces carry %d requests, want %d", reqs, want)
 	}
-	if delta := scrapeControlMessages(t, s) - before; ctl != delta || delta == 0 {
-		t.Errorf("traces sum to %d control messages, /metricsz counted %d", ctl, delta)
+	if delta := scrapeMoves(t, s) - before; moves != delta || delta == 0 {
+		t.Errorf("traces sum to %d moves, /metricsz counted %d", moves, delta)
 	}
 }

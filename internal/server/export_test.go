@@ -65,6 +65,10 @@ func (s *Server) EngineStatsForTests() (st persist.Stats) {
 	return st
 }
 
+// RecoveredEffectsForTests returns how many logged effects the first
+// tenant's boot replayed (and verified) through its controller.
+func (s *Server) RecoveredEffectsForTests() int { return s.defaultTenant().recoveredEffects }
+
 // PipelineStatsForTests samples the first tenant's pipeline counters.
 func (s *Server) PipelineStatsForTests() pipeline.Stats { return s.defaultTenant().pl.Stats() }
 

@@ -83,16 +83,6 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	ps := tn.pl.Stats()
 	snap := tn.ctrs.Snapshot()
 
-	// The runtime is not thread-safe: sample it under the same lock the
-	// pipeline leader holds while driving batches.
-	tn.guard.mu.Lock()
-	transport := tn.transportMsgs()
-	var violations int
-	if tn.guard.orc != nil {
-		violations = len(tn.guard.orc.Violations())
-	}
-	tn.guard.mu.Unlock()
-
 	d.Gauge("dynctrld_tenant_m", "Tenant admission contract: maximum permits M.", l, tn.cfg.M)
 	d.Gauge("dynctrld_tenant_w", "Tenant admission contract: guaranteed grants W.", l, tn.cfg.W)
 	d.Gauge("dynctrld_tenant_topology_signature", "Signature of the tenant's initial tree, as sent in Welcome.", l, tn.topoSig)
@@ -131,14 +121,13 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests driven through the pipeline.", l, ps.Requests)
 	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest combining cycle observed (requests).", l, ps.MaxBatch)
 
-	d.Counter("dynctrld_tenant_transport_messages_total", "Messages delivered by the tenant's controller transport.", l, transport)
-	d.Counter("dynctrld_tenant_control_messages_total", "Controller control messages (climbs, descents, waves).", l, snap[stats.CounterControl])
+	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, snap[stats.CounterMoves])
 	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, snap[stats.CounterGrants])
 	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, snap[stats.CounterRejects])
 	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, snap[stats.CounterTopoChanges])
 	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, tn.tr.Size())
 	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, tn.tr.Height())
-	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, violations)
+	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(s.TenantViolations(tn.name)))
 
 	if tn.tracer != nil {
 		d.Counter("dynctrld_tenant_traces_total", "Batch traces recorded by the tenant's tracer.", l, tn.tracer.Recorded())

@@ -173,6 +173,10 @@ func TestTracezEndpoint(t *testing.T) {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
+	// A batch's trace is recorded after its reply is written, so the tenth
+	// reply can reach this goroutine before the tenth trace is in.
+	tracer := s.defaultTenant().tracer
+	waitUntil(t, "the tenth trace", func() bool { return tracer.Recorded() >= 10 })
 
 	get := func(path string) string {
 		t.Helper()

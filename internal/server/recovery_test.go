@@ -2,13 +2,19 @@ package server_test
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"dynctrl/internal/client"
+	"dynctrl/internal/controller"
+	"dynctrl/internal/dist"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/server"
+	"dynctrl/internal/sim"
+	"dynctrl/internal/stats"
+	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
@@ -146,5 +152,135 @@ func TestServerCrashRecovery(t *testing.T) {
 	defer cancel2()
 	if err := s3.ShutdownGraceful(ctx2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveryAcrossEngineSwap: a WAL directory written by the
+// message-passing engine the daemon used to serve with — a snapshot plus a
+// tail, then a kill -9 — boots under today's daemon. The boot replays the
+// tail through the centralized engine and verifies every logged verdict;
+// the requests served afterwards are answered exactly as a run that never
+// crashed and never changed engines answers them, through the exhaustion
+// of the contract and into the rejects.
+func TestRecoveryAcrossEngineSwap(t *testing.T) {
+	const (
+		m, w, seed           = 450, 50, 4
+		total, cut, snapshot = 600, 337, 100
+	)
+	spec := workload.TopologySpec{Kind: "balanced", Nodes: 24}
+	build := func() *tree.Tree {
+		tr, _ := tree.New()
+		if err := workload.BuildTopology(tr, spec, seed); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+
+	// The undisturbed run, on the engine the daemon serves with. It also
+	// fixes the request sequence: each request names nodes the run itself
+	// created, which every engine creates under the same ids.
+	ref := build()
+	refCtl := controller.NewDynamic(ref, m, w)
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]controller.Request, total)
+	want := make([]controller.Grant, total)
+	for i := range reqs {
+		nodes := ref.Nodes()
+		req := controller.Request{Node: nodes[rng.Intn(len(nodes))]}
+		switch leaves := ref.Leaves(); rng.Intn(10) {
+		case 0, 1, 2:
+			req.Kind = tree.AddLeaf
+		case 3:
+			req = controller.Request{Node: leaves[rng.Intn(len(leaves))], Kind: tree.RemoveLeaf}
+		}
+		if req.Kind == tree.RemoveLeaf && req.Node == ref.Root() {
+			req.Kind = tree.None
+		}
+		g, err := refCtl.Submit(req)
+		if err != nil {
+			t.Fatalf("reference request %d (%+v): %v", i, req, err)
+		}
+		reqs[i], want[i] = req, g
+	}
+	if want[cut].Outcome != controller.Granted || want[total-1].Outcome != controller.Rejected {
+		t.Fatalf("trace does not cross the exhaustion after the cut: request %d %v, last %v",
+			cut, want[cut].Outcome, want[total-1].Outcome)
+	}
+
+	// The old daemon: dist.Dynamic over a seeded runtime, logging as the
+	// guard does, checkpointing every `snapshot` effects, killed at `cut`.
+	root := t.TempDir()
+	eng, _, err := persist.Open(filepath.Join(root, wire.DefaultTenant), persist.Options{SnapshotEvery: snapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := build()
+	ctrs := stats.NewCounters()
+	oldCtl := dist.NewDynamic(old, sim.NewScheduled(sim.Random(seed)), m, w, false, ctrs)
+	for i, req := range reqs[:cut] {
+		g, err := oldCtl.Submit(req)
+		if err != nil || g != want[i] {
+			t.Fatalf("old engine, request %d: %+v, %v; the reference answered %+v", i, g, err, want[i])
+		}
+		if err := eng.CommitEffects([]controller.Request{req}, []controller.BatchResult{{Grant: g}}); err != nil {
+			t.Fatal(err)
+		}
+		if eng.ShouldCheckpoint() {
+			err := eng.Checkpoint(&persist.State{
+				Index: eng.AppendedIndex(), Incarnation: eng.Incarnation(), M: m, W: w,
+				Tree: old.Snapshot(), Ctl: oldCtl.State(), Counters: ctrs.Snapshot(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng.Abandon()
+
+	s, err := server.New(server.Config{
+		Addr: "127.0.0.1:0", Topology: spec, Seed: seed, M: m, W: w,
+		Paranoid: true, WALDir: root, SnapshotEvery: snapshot, Logger: warnLogger(t),
+	})
+	if err != nil {
+		t.Fatalf("boot over the old engine's directory: %v", err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.CrashForTests()
+	if got := s.Incarnation(); got != 2 {
+		t.Fatalf("incarnation %d, want 2", got)
+	}
+	st := s.EngineStatsForTests()
+	if st.LastSnapshotIndex == 0 || st.LastSnapshotIndex >= cut {
+		t.Fatalf("recovered from snapshot index %d, want one strictly inside the first %d effects", st.LastSnapshotIndex, cut)
+	}
+	if got, wantTail := s.RecoveredEffectsForTests(), cut-int(st.LastSnapshotIndex); got != wantTail {
+		t.Fatalf("replayed %d effects, want the %d after the snapshot", got, wantTail)
+	}
+	var granted int64
+	for _, g := range want[:cut] {
+		if g.Outcome == controller.Granted {
+			granted++
+		}
+	}
+	if got := s.ControllerGranted(); got != granted {
+		t.Fatalf("recovered %d grants, the log holds %d", got, granted)
+	}
+
+	cl, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := cut; i < total; i++ {
+		g, err := cl.Submit(reqs[i])
+		if err != nil || g != want[i] {
+			t.Fatalf("continuation diverges at request %d (%+v): %+v, %v; the undisturbed run answered %+v",
+				i, reqs[i], g, err, want[i])
+		}
+	}
+	if v := s.Violations(); len(v) != 0 {
+		t.Fatalf("oracle violations across the swap: %v", v)
 	}
 }

@@ -4,8 +4,9 @@
 // behind one process.
 //
 // Every tenant namespace owns a complete, private admission stack — tree,
-// message runtime, distributed unknown-U controller, batching pipeline,
-// and (with durability enabled) its own WAL+snapshot directory — so the
+// centralized unknown-U controller (Section 3 of the paper; one process
+// holds the whole tree, so no move needs a message), batching pipeline, and
+// (with durability enabled) its own WAL+snapshot directory — so the
 // paper's safety invariant (at most M permits granted, ever) is enforced
 // per tenant across all of that tenant's connections, and no tenant's
 // traffic can move another tenant's verdicts, counters, or recovery
@@ -448,17 +449,16 @@ func (s *Server) Violations() []oracle.Violation {
 }
 
 // TenantViolations returns the named tenant's oracle violations (nil when
-// not paranoid or unknown).
+// not paranoid or unknown). The guard's lock is taken only when there is an
+// oracle to read: a scrape of a daemon that is not paranoid never contends
+// with the pipeline leader.
 func (s *Server) TenantViolations(name string) []oracle.Violation {
 	tn := s.tenants[name]
-	if tn == nil {
+	if tn == nil || tn.guard.orc == nil {
 		return nil
 	}
 	tn.guard.mu.Lock()
 	defer tn.guard.mu.Unlock()
-	if tn.guard.orc == nil {
-		return nil
-	}
 	return append([]oracle.Violation(nil), tn.guard.orc.Violations()...)
 }
 
@@ -481,19 +481,4 @@ func (s *Server) TenantAccounting(name string) (ops, grants, rejects, errs int64
 		return 0, 0, 0, 0
 	}
 	return tn.ops.Load(), tn.grants.Load(), tn.rejects.Load(), tn.errs.Load()
-}
-
-// TransportMessages samples the tenants' controller transports'
-// delivered-message counts, summed. The runtimes are not thread-safe, so
-// each sample is taken under the lock its pipeline leader holds while
-// driving batches.
-func (s *Server) TransportMessages() int64 {
-	var total int64
-	for _, name := range s.order {
-		tn := s.tenants[name]
-		tn.guard.mu.Lock()
-		total += tn.transportMsgs()
-		tn.guard.mu.Unlock()
-	}
-	return total
 }

@@ -14,6 +14,7 @@ import (
 
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
+	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
@@ -39,6 +40,16 @@ func startServer(t *testing.T, cfg Config) *Server {
 		s.Shutdown(ctx) //nolint:errcheck
 	})
 	return s
+}
+
+// waitUntil polls cond until it holds, failing the test after ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func TestSubmitOverWire(t *testing.T) {
@@ -251,11 +262,48 @@ func TestMetricsz(t *testing.T) {
 		`dynctrld_tenant_oracle_violations{tenant="default"} 0`,
 		`dynctrld_tenant_read_batches_total{tenant="default"}`,
 		`dynctrld_tenant_pipeline_requests_total{tenant="default"} 10`,
-		`dynctrld_tenant_transport_messages_total{tenant="default"}`,
+		`dynctrld_tenant_moves_total{tenant="default"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metricsz missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestParanoidBudgetFollowsMoveCounter: the paranoid daemon's per-request
+// budget check is fed the move counter, so an engine that overspends on one
+// request is reported. The overspend is injected into the tenant's counters
+// between two requests; the oracle charges it to the next one.
+func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "balanced", Nodes: 8}
+	s := startServer(t, Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true})
+	cl, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 3); err != nil {
+		t.Fatal(err)
+	}
+	submit := func() {
+		t.Helper()
+		if _, err := cl.Submit(controller.Request{Node: tr.Leaves()[0], Kind: tree.None}); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	submit()
+	if v := s.Violations(); len(v) != 0 {
+		t.Fatalf("honest engine flagged: %v", v)
+	}
+	tn := s.defaultTenant()
+	tn.guard.mu.Lock()
+	tn.ctrs.Add(stats.CounterMoves, 100_000)
+	tn.guard.mu.Unlock()
+	submit()
+	v := s.Violations()
+	if len(v) != 1 || v[0].Invariant != "message-budget" {
+		t.Fatalf("100k moves on one request: violations %v, want one message-budget", v)
 	}
 }
 

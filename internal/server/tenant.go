@@ -12,12 +12,10 @@ import (
 	"time"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/pipeline"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
@@ -34,9 +32,6 @@ type TenantConfig struct {
 	// Topology and Seed determine the tenant's initial tree, exactly as in
 	// the scenario engine: the same (spec, seed) pair always builds the
 	// same tree, which is how a remote load generator reconstructs it.
-	// Seed also seeds the message runtime; its transport schedule is fixed
-	// (random) because verdicts are schedule-invariant, which
-	// `cmd/scenario -sched all` pins.
 	Topology workload.TopologySpec
 	Seed     int64
 
@@ -62,22 +57,20 @@ func tenantConfigs(cfg Config) []TenantConfig {
 
 // tenant is one namespace's private admission stack plus its wire-level
 // accounting. Nothing in here is shared between tenants: the tree, the
-// runtime, the controller, the pipeline, the WAL engine, the oracle and
-// every counter are per-namespace, which is what the cross-tenant
-// isolation oracle (oracle.CheckTenantIsolation) relies on.
+// controller, the pipeline, the WAL engine, the oracle and every counter
+// are per-namespace, which is what the cross-tenant isolation oracle
+// (oracle.CheckTenantIsolation) relies on.
 type tenant struct {
 	name string
 	cfg  TenantConfig
 	tr   *tree.Tree
-	// ctl is the engine: the unknown-U driver, here over the message-passing
-	// transport whose delivered-message count transportMsgs reads. newTenant
-	// is the one place that says which transport.
-	ctl           *controller.Dynamic
-	transportMsgs func() int64
-	pl            *pipeline.Pipeline
-	guard         *guardedSubmitter
-	ctrs          *stats.Counters
-	topoSig       uint64
+	// ctl is the engine: the centralized unknown-U controller of Section 3,
+	// whose cost is the move counter in ctrs.
+	ctl     *controller.Dynamic
+	pl      *pipeline.Pipeline
+	guard   *guardedSubmitter
+	ctrs    *stats.Counters
+	topoSig uint64
 
 	// Durability engine state (nil/zero without a WAL).
 	eng              *persist.Engine
@@ -94,7 +87,7 @@ type tenant struct {
 
 	// Wire-level accounting: what the server actually answered over the
 	// network for this tenant. The controller's own counters (grants,
-	// messages, ...) are reported separately on /metricsz; these are the
+	// moves, ...) are reported separately on /metricsz; these are the
 	// numbers a load generator must reconcile against.
 	ops, grants, rejects, errs atomic.Int64
 	readBatches, readReqs      atomic.Int64
@@ -112,12 +105,14 @@ type tenant struct {
 	fsync   *obs.Recorder
 }
 
-// guardedSubmitter serializes controller access (the pipeline leader is
-// the only submitter, but /metricsz samples the non-thread-safe runtime
-// counters concurrently) and optionally routes every request through the
-// oracle. With a durability engine attached it also appends every decided
-// batch to the WAL — still under the lock, so log order is execution order
-// — and triggers background checkpoints; it does NOT wait for the fsync
+// guardedSubmitter drives the controller and optionally routes every
+// request through the oracle. The pipeline leader is the only submitter;
+// what mu orders is a run's execution with its WAL append (log order is
+// execution order), the checkpoint's capture of tree, controller and
+// counters (never mid-run), the reject wave's read of the final grant
+// total, and the scrape's read of the oracle's violations. With a
+// durability engine attached the guard appends every decided batch and
+// triggers background checkpoints; it does NOT wait for the fsync
 // (connections do that before replying), so the pipeline keeps combining
 // batches while earlier batches ride out their group commit.
 type guardedSubmitter struct {
@@ -128,7 +123,7 @@ type guardedSubmitter struct {
 	capture func() *persist.State // deep state copy for checkpoints
 	logger  *slog.Logger          // durability warnings
 	tenant  string                // log attribute
-	ctrs    *stats.Counters       // tenant counters (control-message sampling)
+	ctrs    *stats.Counters       // tenant counters (move sampling)
 	trace   bool                  // record per-run stage timings
 	// dead is set when the WAL can no longer accept records: from then on
 	// batches are refused *before* touching the controller, because a
@@ -143,7 +138,7 @@ type guardedSubmitter struct {
 // connection waits for its own fsync window instead of the engine's append
 // high-water mark (which other connections keep advancing — a convoy); the
 // in-guard WAL append time; and, with tracing on, the run's controller
-// execution time and control-message count. A ticketless receipt with
+// execution time and move count. A ticketless receipt with
 // successful results is a broken durability invariant, never permission to
 // reply early — it is legitimate only for runs that decided nothing.
 type receipt struct {
@@ -151,7 +146,7 @@ type receipt struct {
 	hasTicket bool
 	exec      time.Duration
 	walAppend time.Duration
-	ctlMsgs   int64
+	moves     int64
 }
 
 // errWALUnavailable answers requests once the WAL has permanently failed.
@@ -170,9 +165,9 @@ func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.Ba
 		return out, rc
 	}
 	var execStart time.Time
-	var ctlBefore int64
+	var movesBefore int64
 	if g.trace {
-		ctlBefore = g.ctrs.Get(stats.CounterControl)
+		movesBefore = g.ctrs.Get(stats.CounterMoves)
 		execStart = time.Now()
 	}
 	base := len(out)
@@ -186,7 +181,7 @@ func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.Ba
 	}
 	if g.trace {
 		rc.exec = time.Since(execStart)
-		rc.ctlMsgs = g.ctrs.Get(stats.CounterControl) - ctlBefore
+		rc.moves = g.ctrs.Get(stats.CounterMoves) - movesBefore
 	}
 	if g.eng != nil {
 		walStart := time.Now()
@@ -228,18 +223,16 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	// (the one a remote load generator can reconstruct from the spec and
 	// seed); recovery below may evolve the live tree past it.
 	topoSig := workload.TopologySignature(tr)
-	rt := sim.NewScheduled(sim.Random(tc.Seed))
 	ctrs := stats.NewCounters()
 
 	tn := &tenant{
-		name:          tc.Name,
-		cfg:           tc,
-		tr:            tr,
-		ctl:           dist.NewDynamic(tr, rt, tc.M, tc.W, false, ctrs).Dynamic,
-		transportMsgs: rt.Messages,
-		ctrs:          ctrs,
-		topoSig:       topoSig,
-		conns:         map[*srvConn]struct{}{},
+		name:    tc.Name,
+		cfg:     tc,
+		tr:      tr,
+		ctl:     controller.NewDynamic(tr, tc.M, tc.W, controller.WithDynamicCounters(ctrs)),
+		ctrs:    ctrs,
+		topoSig: topoSig,
+		conns:   map[*srvConn]struct{}{},
 	}
 	traced := cfg.TraceRing >= 0
 	if traced {
@@ -269,12 +262,14 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 				return nil, fmt.Errorf("server: tenant %q: wal snapshot was taken under (M=%d, W=%d), daemon started with (M=%d, W=%d)",
 					tc.Name, rec.Snapshot.M, rec.Snapshot.W, tc.M, tc.W)
 			}
-			restored, err := persist.RestoreInto(rec.Snapshot, tr, rt, ctrs)
+			err := persist.RestoreInto(rec.Snapshot, tr, ctrs)
+			if err == nil {
+				tn.ctl, err = controller.RestoreDynamic(tr, rec.Snapshot.Ctl, ctrs)
+			}
 			if err != nil {
 				eng.Close()
 				return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 			}
-			tn.ctl = restored.Dynamic
 		}
 		applied, err := persist.Replay(rec.Tail, tn.ctl)
 		if err != nil {
@@ -321,7 +316,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 			}
 		}
 		guard.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
-			oracle.WithMessages(tn.transportMsgs),
+			oracle.WithMessages(func() int64 { return ctrs.Get(stats.CounterMoves) }),
 			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
 	}
 	var opts []pipeline.Option
@@ -356,7 +351,8 @@ func (t *tenant) captureState() *persist.State {
 }
 
 // bind adds c to the tenant's connection set (the handshake's last step
-// before Welcome); unbind removes it when c's serve loop exits.
+// before Welcome, under c's write lock so no wave frame gets between the
+// two); unbind removes it when c's serve loop exits.
 func (t *tenant) bind(c *srvConn) {
 	t.cmu.Lock()
 	t.conns[c] = struct{}{}

@@ -40,28 +40,41 @@ func BenchmarkTreeAddLeaf(b *testing.B) {
 }
 
 // BenchmarkTreeClimb walks a path of 8 192 nodes from the tip to the root
-// the way the engines' filler search does: one Parent call, hence one lock
-// acquisition and one slice index, per hop.
+// the two ways the engines' filler searches do: one Parent call a hop (the
+// message-passing core, whose hops are separate deliveries), hence one lock
+// acquisition and one slice index per hop, and one Climb over the whole
+// path (the centralized core) under a single acquisition.
 func BenchmarkTreeClimb(b *testing.B) {
 	const n = 8192
-	b.Run(fmt.Sprintf("path-%d", n), func(b *testing.B) {
-		tr, at := New()
-		for i := 1; i < n; i++ {
-			at = mustAddLeaf(b, tr, at)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			hops := 0
-			for w := at; w != InvalidNode; hops++ {
-				var err error
-				if w, err = tr.Parent(w); err != nil {
-					b.Fatal(err)
+	tr, tip := New()
+	for i := 1; i < n; i++ {
+		tip = mustAddLeaf(b, tr, tip)
+	}
+	run := func(name string, climb func() int) {
+		b.Run(fmt.Sprintf("%s-%d", name, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if hops := climb(); hops != n {
+					b.Fatalf("climbed %d hops, want %d", hops, n)
 				}
 			}
-			if hops != n {
-				b.Fatalf("climbed %d hops, want %d", hops, n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/hop")
+		})
+	}
+	run("path", func() int {
+		hops := 0
+		for w := tip; w != InvalidNode; hops++ {
+			var err error
+			if w, err = tr.Parent(w); err != nil {
+				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/hop")
+		return hops
+	})
+	run("climb", func() int {
+		hops := 0
+		if _, _, err := tr.Climb(tip, func(NodeID, int) bool { hops++; return false }); err != nil {
+			b.Fatal(err)
+		}
+		return hops
 	})
 }

@@ -518,6 +518,26 @@ func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
 	return n.id, nil
 }
 
+// Climb visits u and then its ancestors, nearest first, until visit
+// returns true or the root has been visited, and returns the node it
+// stopped at with its hop distance from u. The whole climb takes the read
+// lock once, where a loop over Parent takes it once a hop. visit runs with
+// that lock held, so it must not call back into the tree.
+func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := t.get(u)
+	if n == nil {
+		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
+	}
+	for d := 0; ; d++ {
+		if visit(n.id, d) || n.parent == InvalidNode {
+			return n.id, d, nil
+		}
+		n = t.nodes[n.parent]
+	}
+}
+
 // PathToRoot returns the node ids from u (inclusive) up to the root
 // (inclusive).
 func (t *Tree) PathToRoot(u NodeID) ([]NodeID, error) {

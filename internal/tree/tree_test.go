@@ -254,6 +254,62 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestClimb: the climb visits u and then each ancestor once with its hop
+// distance, stops where the visitor says so or at the root, and agrees with
+// the Parent loop it replaces — also after the path under it was re-linked.
+func TestClimb(t *testing.T) {
+	tr, root := New()
+	a := mustAddLeaf(t, tr, root)
+	b := mustAddLeaf(t, tr, a)
+	mid, err := tr.ApplyAddInternal(b) // root - a - mid - b
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib := mustAddLeaf(t, tr, a)
+
+	type visit struct {
+		id   NodeID
+		dist int
+	}
+	climb := func(u, stopAt NodeID) (seen []visit, at NodeID, dist int) {
+		t.Helper()
+		at, dist, err := tr.Climb(u, func(id NodeID, d int) bool {
+			seen = append(seen, visit{id, d})
+			return id == stopAt
+		})
+		if err != nil {
+			t.Fatalf("Climb(%d): %v", u, err)
+		}
+		return seen, at, dist
+	}
+	for _, tc := range []struct {
+		u, stopAt NodeID
+		want      []NodeID
+	}{
+		{b, InvalidNode, []NodeID{b, mid, a, root}}, // never stopped: ends at the root
+		{b, mid, []NodeID{b, mid}},
+		{b, b, []NodeID{b}},
+		{sib, root, []NodeID{sib, a, root}},
+		{root, InvalidNode, []NodeID{root}},
+	} {
+		seen, at, dist := climb(tc.u, tc.stopAt)
+		if len(seen) != len(tc.want) {
+			t.Fatalf("Climb(%d) visited %v, want %v", tc.u, seen, tc.want)
+		}
+		for i, id := range tc.want {
+			if seen[i] != (visit{id, i}) {
+				t.Fatalf("Climb(%d) visit %d = %+v, want {%d %d}", tc.u, i, seen[i], id, i)
+			}
+		}
+		if last := len(tc.want) - 1; at != tc.want[last] || dist != last {
+			t.Fatalf("Climb(%d) stopped at %d after %d hops, want %d after %d", tc.u, at, dist, tc.want[last], last)
+		}
+	}
+	if _, _, err := tr.Climb(99, func(NodeID, int) bool { t.Fatal("visited an unknown node"); return true }); !errors.Is(err, ErrNoSuchNode) {
+		t.Fatalf("Climb(unknown) err = %v, want ErrNoSuchNode", err)
+	}
+}
+
 func TestNCAAndTreeDistance(t *testing.T) {
 	tr, root := New()
 	a := mustAddLeaf(t, tr, root)

@@ -523,7 +523,10 @@ func RunScenario(sc Scenario, scheduler string, seed int64, long bool) (Scenario
 				return res, err
 			}
 			if rec.Snapshot != nil {
-				dyn, err = persist.RestoreInto(rec.Snapshot, tr, rt, counters)
+				if err := persist.RestoreInto(rec.Snapshot, tr, counters); err != nil {
+					return res, err
+				}
+				dyn, err = dist.RestoreDynamic(tr, rt, rec.Snapshot.Ctl, counters)
 				if err != nil {
 					return res, err
 				}
