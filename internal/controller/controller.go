@@ -86,6 +86,11 @@ type Core struct {
 	descent DescentObserver
 
 	trackDomains bool
+
+	// Scratch of distribute, reused across requests: the hop distances of
+	// the drop points u_0..u_{j-1} from the requesting node, and the nodes.
+	dropDists []int
+	drops     []tree.NodeID
 }
 
 // CoreOption configures a Core.
@@ -196,13 +201,14 @@ func (c *Core) Submit(req Request) (Grant, error) {
 
 // findFiller climbs from u toward the root in one tree call and stops at
 // the first (closest) filler node: it returns that node, its distance from
-// u and its qualifying package of the smallest qualifying level. When no
-// filler exists the climb ends at the root, which it returns with a nil
-// package. The visitor reads whiteboards only, as tree.Climb requires.
+// u and its qualifying package. When no filler exists the climb ends at the
+// root, which it returns with a nil package. The climb scans the level masks
+// and runs the filler test only at nodes that hold a mobile package at all;
+// the visitor reads whiteboards only, as tree.ClimbMarked requires.
 func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
 	var pk *pkgstore.Package
-	host, d, err := c.tr.Climb(u, func(w tree.NodeID, d int) bool {
-		pk = c.Store(w).MobileAtFillerDistance(c.params, int64(d))
+	host, d, err := c.tr.ClimbMarked(u, c.masks, func(w tree.NodeID, d int) bool {
+		pk = c.Filler(w, int64(d))
 		return pk != nil
 	})
 	return host, int64(d), pk, err
@@ -215,27 +221,34 @@ func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package,
 // final static package reaches u, curDist hops below host. It returns that
 // static package (not yet added to u's store).
 func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID, curDist int64) (*pkgstore.Package, error) {
-	if err := c.Store(host).RemoveMobile(pkg); err != nil {
+	if err := c.RemoveMobile(host, pkg); err != nil {
 		return nil, fmt.Errorf("distribute: %w", err)
 	}
 	if c.domains != nil {
 		c.domains.OnConsumed(pkg)
 	}
+	// The drop points lie on one path, u_0 nearest u: one ascending walk
+	// finds them all before the package starts down past them.
+	c.dropDists = c.dropDists[:0]
+	for k := 0; k < pkg.Level; k++ {
+		c.dropDists = append(c.dropDists, int(c.params.UKDistance(k)))
+	}
+	var err error
+	c.drops, err = c.tr.AppendAncestors(u, c.dropDists, c.drops[:0])
+	if err != nil {
+		return nil, fmt.Errorf("distribute: drop points u_0..u_%d up to distance %d: %w",
+			pkg.Level-1, c.params.UKDistance(pkg.Level-1), err)
+	}
 	cur := pkg
 	curHost := host
 	for k := cur.Level; k > 0; k-- {
-		targetDist := c.params.UKDistance(k - 1)
-		target, err := c.tr.Ancestor(u, int(targetDist))
-		if err != nil {
-			return nil, fmt.Errorf("distribute: drop point u_%d at distance %d: %w",
-				k-1, targetDist, err)
-		}
+		targetDist, target := int64(c.dropDists[k-1]), c.drops[k-1]
 		c.moveDown(cur, curHost, target, curDist-targetDist)
 		p1, p2, err := cur.Split()
 		if err != nil {
 			return nil, err
 		}
-		c.Store(target).AddMobile(p1)
+		c.AddMobile(target, p1)
 		if c.domains != nil {
 			if err := c.domains.OnFormed(p1, u, target); err != nil {
 				return nil, err
@@ -284,7 +297,7 @@ func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, er
 // set of objects across the edge to the parent.
 func (c *Core) handoff(_, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
 	c.counters.Add(stats.CounterMoves, 1)
-	c.Store(parent).Absorb(pkgs, hadReject)
+	c.Absorb(parent, pkgs, hadReject)
 	if c.domains != nil {
 		c.domains.OnHostMoved(pkgs, parent)
 	}

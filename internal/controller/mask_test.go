@@ -1,0 +1,199 @@
+package controller_test
+
+import (
+	"testing"
+
+	ctl "dynctrl/internal/controller"
+	"dynctrl/internal/dist"
+	"dynctrl/internal/sim"
+	"dynctrl/internal/stats"
+	"dynctrl/internal/tree"
+	"dynctrl/internal/workload"
+)
+
+// maskRun is one unknown-U controller, centralized or message-passing, whose
+// level masks are checked against its stores after every request.
+type maskRun struct {
+	distributed bool
+	tr          *tree.Tree
+	counters    *stats.Counters
+	d           *ctl.Dynamic
+	levels      uint64 // union of every mask seen
+	resting     bool   // some mobile package rested in a store after the last request
+	// handoffs counts graceful deletions of a node holding a mobile package
+	// its own request cannot consume (level 1 and up): it moves to the parent.
+	handoffs int
+}
+
+func newMaskRun(tr *tree.Tree, distributed bool, m, w int64) *maskRun {
+	r := &maskRun{distributed: distributed, tr: tr, counters: stats.NewCounters()}
+	if distributed {
+		r.d = dist.NewDynamic(tr, sim.NewDeterministic(7), m, w, false, r.counters).Dynamic
+	} else {
+		r.d = ctl.NewDynamic(tr, m, w, ctl.WithDynamicCounters(r.counters))
+	}
+	return r
+}
+
+// submit answers one request and checks the masks of the whiteboards it left.
+func (r *maskRun) submit(t testing.TB, req ctl.Request) ctl.Grant {
+	t.Helper()
+	if req.Kind.IsRemoval() && r.d.MaskAt(req.Node)&^1 != 0 {
+		r.handoffs++
+	}
+	g, err := r.d.Submit(req)
+	if err != nil {
+		t.Fatalf("submit %+v: %v", req, err)
+	}
+	r.check(t)
+	return g
+}
+
+func (r *maskRun) check(t testing.TB) {
+	t.Helper()
+	levels, err := r.d.CheckMasks()
+	if err != nil {
+		t.Fatalf("level masks out of step with the stores: %v", err)
+	}
+	r.levels |= levels
+	r.resting = levels != 0
+}
+
+// roundTrip continues on a controller rebuilt from the captured state over
+// the same tree: the masks are derived state, so the rebuild must derive them.
+func (r *maskRun) roundTrip(t testing.TB) {
+	t.Helper()
+	var err error
+	if r.distributed {
+		var d *dist.Dynamic
+		if d, err = dist.RestoreDynamic(r.tr, sim.NewDeterministic(11), r.d.State(), r.counters); err == nil {
+			r.d = d.Dynamic
+		}
+	} else {
+		r.d, err = ctl.RestoreDynamic(r.tr, r.d.State(), r.counters)
+	}
+	if err != nil {
+		t.Fatalf("State → RestoreDynamic: %v", err)
+	}
+	r.check(t)
+}
+
+func deepTree(t testing.TB, n int) *tree.Tree {
+	t.Helper()
+	tr, _ := tree.New()
+	if err := workload.BuildPath(tr, n); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestPropertyLevelMasks drives seeded traces over a path deep enough for
+// mobile packages of three levels to rest at their drop points, through
+// iteration restarts, graceful deletions of package-holding nodes, the
+// exhaustion of the permits and State → RestoreDynamic round trips, over
+// both transports, and holds mask[id] == OR(1 << level) over the mobile
+// packages of store id, for every id, after every request. The churn leans
+// on internal additions and removals, which keep the tree a deep path and
+// delete the nodes packages rest at. The W = 0 case is the one in which
+// cleared whiteboards stay referenced (the trivial tail runs beside them), so
+// it is what pins ClearPackages.
+func TestPropertyLevelMasks(t *testing.T) {
+	const depth, m = 400, 4000
+	for _, tc := range []struct {
+		name    string
+		w       int64
+		mix     workload.Mix
+		minSize int
+	}{
+		{name: "churn", w: 100, minSize: 240,
+			mix: workload.Mix{AddLeaf: 5, RemoveLeaf: 5, AddInternal: 25, RemoveInternal: 25, Event: 40}},
+		{name: "w0-tail", w: 0, mix: workload.EventOnlyMix()},
+	} {
+		for _, distributed := range []bool{false, true} {
+			name := tc.name + "/centralized"
+			if distributed {
+				name = tc.name + "/distributed"
+			}
+			t.Run(name, func(t *testing.T) {
+				for seed := int64(1); seed <= 2; seed++ {
+					r := newMaskRun(deepTree(t, depth), distributed, m, tc.w)
+					gen := workload.NewChurn(r.tr, tc.mix, seed)
+					gen.SetMinSize(tc.minSize)
+					rejected, collectedResting := false, false
+					for i := 0; i < 2*m && !rejected; i++ {
+						req, ok := gen.Next()
+						if !ok {
+							t.Fatalf("seed %d: generator dried up at %d", seed, i)
+						}
+						resting, tail := r.resting, r.d.InTrivialTail()
+						rejected = r.submit(t, req).Outcome == ctl.Rejected
+						if !tail && r.d.InTrivialTail() {
+							collectedResting = resting
+						}
+						if i%211 == 210 {
+							r.roundTrip(t)
+						}
+					}
+					switch {
+					case !rejected:
+						t.Fatalf("seed %d: the permits never ran out", seed)
+					case r.levels&^1 == 0:
+						t.Fatalf("seed %d: vacuous run: no mobile package above level 0 ever rested in a store (levels %#b)", seed, r.levels)
+					case tc.w > 0 && (r.d.Iterations() < 3 || r.handoffs == 0):
+						t.Fatalf("seed %d: vacuous run: %d iterations, %d package-holding nodes deleted", seed, r.d.Iterations(), r.handoffs)
+					case tc.w == 0 && !collectedResting:
+						t.Fatalf("seed %d: vacuous run: no mobile package rested when the permits were collected", seed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzWhiteboardMask lets the fuzzer write the trace: the first byte picks
+// the transport, then two bytes a request (a kind and a node selector) or a
+// State → RestoreDynamic round trip, over a path of 96 with few permits per
+// node so that packages split, rest and are collected within a short input.
+// The masks are checked after every step.
+func FuzzWhiteboardMask(f *testing.F) {
+	f.Add([]byte("\x00" + "0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_"))
+	f.Add([]byte("\x01" + "0\xff0\xf03\xe00\xff5\x000\xfe3\xd00\xff1\x102\x204\x00"))
+	f.Add([]byte{0, 0, 255, 3, 250, 0, 255, 3, 240, 5, 0, 0, 255, 0, 200, 3, 230, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		r := newMaskRun(deepTree(t, 96), data[0]%2 == 1, 512, 64)
+		for i := 1; i+1 < len(data) && i < 600; i += 2 {
+			nodes := r.tr.Nodes()
+			at := nodes[int(data[i+1])*len(nodes)/256]
+			req := ctl.Request{Node: at}
+			switch data[i] % 6 {
+			case 0:
+				req.Kind = tree.None
+			case 1:
+				req.Kind = tree.AddLeaf
+			case 2:
+				p, err := r.tr.Parent(at)
+				if err != nil || p == tree.InvalidNode {
+					continue
+				}
+				req = ctl.Request{Node: p, Kind: tree.AddInternal, Child: at}
+			case 3:
+				if at == r.tr.Root() || r.tr.IsLeaf(at) {
+					continue
+				}
+				req.Kind = tree.RemoveInternal
+			case 4:
+				if at == r.tr.Root() || !r.tr.IsLeaf(at) {
+					continue
+				}
+				req.Kind = tree.RemoveLeaf
+			case 5:
+				r.roundTrip(t)
+				continue
+			}
+			r.submit(t, req)
+		}
+	})
+}

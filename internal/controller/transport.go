@@ -26,7 +26,7 @@ type Transport struct {
 	// Counter names the counter a driver-level broadcast or upcast over the
 	// tree is charged to: the reject wave, termination detection, the walk
 	// of a trivial-tail permit.
-	Counter string
+	Counter stats.Counter
 	// RestartCosts says whether restarting an iteration costs a
 	// broadcast/upcast. Collecting the unused permits and counting N_i is
 	// a direct computation centrally and 2(n−1) messages distributed

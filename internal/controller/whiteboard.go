@@ -21,7 +21,17 @@ type Whiteboard struct {
 	params pkgstore.Params
 	// stores is indexed by NodeID (ids are dense, see package tree); nil
 	// marks an id without a whiteboard: never seen, or deleted.
-	stores   []*pkgstore.Store
+	stores []*pkgstore.Store
+	// masks is indexed by NodeID like stores and as long: bit j of masks[id]
+	// is set iff stores[id] holds a mobile package of level j (levelBit).
+	// It is the one-bit-a-level projection of Claim 4.8's whiteboard
+	// encoding, derived from stores (State does not carry it, restoring
+	// rebuilds it), and what the filler search scans: a climb reads this
+	// slice and opens a store only where the level it needs is present. To
+	// keep the two in step, a mobile package enters or leaves a store
+	// through the Whiteboard methods below and never through the
+	// pkgstore.Store a caller got from Store.
+	masks    []uint64
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
@@ -54,6 +64,7 @@ func (wb *Whiteboard) init(tr *tree.Tree, u, m, w int64) {
 	nodes := tr.Nodes()
 	slab := make([]pkgstore.Store, len(nodes))
 	wb.stores = make([]*pkgstore.Store, nodes[len(nodes)-1]+1)
+	wb.masks = make([]uint64, len(wb.stores))
 	for i, id := range nodes {
 		wb.stores[id] = &slab[i]
 	}
@@ -133,21 +144,80 @@ func (wb *Whiteboard) ClearPackages() {
 			s.Clear()
 		}
 	}
+	clear(wb.masks)
 	wb.storage = total
 	wb.rejectWave = false
 }
 
 // Store returns the package store of a live node, creating it lazily (new
-// nodes join with empty stores).
+// nodes join with empty stores). Callers read it, and add or take static
+// packages and the reject flag through it; its mobile packages change only
+// through AddMobile, RemoveMobile and Absorb.
 func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 	if s := wb.lookup(id); s != nil {
 		return s
 	}
-	for int(id) >= len(wb.stores) {
-		wb.stores = append(wb.stores, nil)
+	if grow := int(id) + 1 - len(wb.stores); grow > 0 {
+		wb.stores = append(wb.stores, make([]*pkgstore.Store, grow)...)
+		wb.masks = append(wb.masks, make([]uint64, grow)...)
 	}
 	wb.stores[id] = pkgstore.NewStore()
 	return wb.stores[id]
+}
+
+// levelBit is the mask bit of a mobile package level. Levels lie in
+// [0, Params.MaxLevel] and MaxLevel is below 64 for every U that fits an
+// int64; a level outside 0..62 shares the top bit, so whatever a store
+// holds, a clear bit still proves the level absent.
+func levelBit(level int) uint64 { return 1 << min(uint(level), 63) }
+
+// remask recomputes the mask of id from its store.
+func (wb *Whiteboard) remask(id tree.NodeID, s *pkgstore.Store) {
+	var m uint64
+	for _, pk := range s.Mobiles() {
+		m |= levelBit(pk.Level)
+	}
+	wb.masks[id] = m
+}
+
+// AddMobile places the mobile package pk in the store of id.
+func (wb *Whiteboard) AddMobile(id tree.NodeID, pk *pkgstore.Package) {
+	wb.Store(id).AddMobile(pk)
+	wb.masks[id] |= levelBit(pk.Level)
+}
+
+// RemoveMobile takes the mobile package pk out of the store of id.
+func (wb *Whiteboard) RemoveMobile(id tree.NodeID, pk *pkgstore.Package) error {
+	s := wb.Store(id)
+	if err := s.RemoveMobile(pk); err != nil {
+		return err
+	}
+	wb.remask(id, s)
+	return nil
+}
+
+// Absorb merges the packages of a gracefully deleted child, and its reject
+// package if it had one, into the store of id.
+func (wb *Whiteboard) Absorb(id tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+	s := wb.Store(id)
+	s.Absorb(pkgs, hadReject)
+	wb.remask(id, s)
+}
+
+// Filler is the filler-node test of Section 3.1, item 3, at the node id, d
+// hops above the requesting node: it returns the mobile package there that
+// qualifies for distance d, or nil. Exactly one level qualifies for a given
+// distance (level 0 up to 2ψ, then level j on (2^jψ, 2^{j+1}ψ], which is
+// Params.RootLevel), so the mask answers almost every call without opening
+// the store, and a node without a store is not given one.
+func (wb *Whiteboard) Filler(id tree.NodeID, d int64) *pkgstore.Package {
+	if uint64(id) >= uint64(len(wb.masks)) {
+		return nil
+	}
+	if m := wb.masks[id]; m == 0 || m&levelBit(wb.params.RootLevel(d)) == 0 {
+		return nil
+	}
+	return wb.stores[id].MobileAtFillerDistance(wb.params, d)
 }
 
 // lookup returns the store of id, or nil when id has none.
@@ -243,7 +313,7 @@ func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 		pk = pkgstore.NewMobile(wb.params, level)
 	}
 	wb.storage -= size
-	wb.Store(wb.root).AddMobile(pk)
+	wb.AddMobile(wb.root, pk)
 	return pk, nil
 }
 
@@ -288,7 +358,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
 			handoff(req.Node, parent, pkgs, hadReject)
 		}
-		wb.stores[req.Node] = nil
+		wb.stores[req.Node], wb.masks[req.Node] = nil, 0
 		if _, err := ApplyChange(wb.tr, req); err != nil {
 			return Grant{}, err
 		}
@@ -382,6 +452,7 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		root:       tr.Root(),
 		params:     pkgstore.NewParams(st.U, st.M, st.W),
 		stores:     make([]*pkgstore.Store, top+1),
+		masks:      make([]uint64, top+1),
 		storage:    st.Storage,
 		serials:    pkgstore.Interval{Lo: st.SerialLo, Hi: st.SerialHi},
 		counters:   counters,
@@ -399,6 +470,7 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, tree.ErrAlreadyExists)
 		}
 		wb.stores[ns.Node] = s
+		wb.remask(ns.Node, s)
 	}
 	return wb, nil
 }

@@ -122,7 +122,7 @@ func (c *Core) localStep(u tree.NodeID) {
 		c.finishGrant(static)
 		return
 	}
-	if pk := c.Store(u).MobileAtFillerDistance(c.Params(), 0); pk != nil {
+	if pk := c.Filler(u, 0); pk != nil {
 		c.startDescent(u, pk, u)
 		return
 	}
@@ -156,7 +156,7 @@ func (c *Core) handle(m sim.Message) {
 	case rejectFlood:
 		c.handleRejectFlood(m.To)
 	case transfer:
-		c.Store(m.To).Absorb(pl.packages, pl.hadReject)
+		c.Absorb(m.To, pl.packages, pl.hadReject)
 	default:
 		c.fail(fmt.Errorf("dist: unknown payload %T", m.Payload))
 	}
@@ -167,7 +167,7 @@ func (c *Core) handle(m sim.Message) {
 // re-sends the same pooled envelope hop after hop and releases it when the
 // search ends.
 func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
-	if pk := c.Store(w).MobileAtFillerDistance(c.Params(), pl.dist); pk != nil {
+	if pk := c.Filler(w, pl.dist); pk != nil {
 		origin := pl.origin
 		putSearchUp(pl)
 		c.startDescent(w, pk, origin)
@@ -220,7 +220,7 @@ func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 // the breadcrumb trail the upward search established; it lives in a pooled
 // descend envelope whose buffer is reused across requests.
 func (c *Core) startDescent(host tree.NodeID, pkg *pkgstore.Package, origin tree.NodeID) {
-	if err := c.Store(host).RemoveMobile(pkg); err != nil {
+	if err := c.RemoveMobile(host, pkg); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
 		return
 	}
@@ -269,7 +269,7 @@ func (c *Core) handleDescend(pl *descend) {
 			c.fail(err)
 			return
 		}
-		c.Store(node).AddMobile(p1)
+		c.AddMobile(node, p1)
 		pkg = p2
 	}
 	if dist == 0 {

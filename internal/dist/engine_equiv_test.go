@@ -89,8 +89,10 @@ func (e *engine) restart(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.counters = stats.NewCounters()
-	e.counters.Restore(counts)
-	var err error
+	err := e.counters.Restore(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(e.runtimes) > 0 {
 		rt := sim.NewDeterministic(int64(len(e.runtimes)) + 40)
 		e.runtimes = append(e.runtimes, rt)
@@ -238,7 +240,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 							if !reflect.DeepEqual(shape(e.tr), wantTree) {
 								t.Fatal("trees diverged")
 							}
-							for _, name := range []string{stats.CounterGrants, stats.CounterRejects,
+							for _, name := range []stats.Counter{stats.CounterGrants, stats.CounterRejects,
 								stats.CounterTopoChanges, stats.CounterIterations} {
 								if got, want := e.counters.Get(name), ref.counters.Get(name); got != want {
 									t.Fatalf("counter %s = %d, reference %d", name, got, want)

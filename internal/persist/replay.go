@@ -31,7 +31,9 @@ func RestoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
 		return fmt.Errorf("persist: restored tree invalid: %w", err)
 	}
 	if counters != nil {
-		counters.Restore(st.Counters)
+		if err := counters.Restore(st.Counters); err != nil {
+			return fmt.Errorf("persist: restore counters: %w", err)
+		}
 	}
 	return nil
 }

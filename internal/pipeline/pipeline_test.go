@@ -136,7 +136,7 @@ func TestBatchSerialEquivalenceCentralized(t *testing.T) {
 	if s, b := serial.Granted(), batch.Granted(); s != b {
 		t.Fatalf("granted: serial %d, batch %d", s, b)
 	}
-	for _, key := range []string{stats.CounterGrants, stats.CounterRejects, stats.CounterMoves} {
+	for _, key := range []stats.Counter{stats.CounterGrants, stats.CounterRejects, stats.CounterMoves} {
 		if s, b := countersSerial.Get(key), countersBatch.Get(key); s != b {
 			t.Fatalf("counter %s: serial %d, batch %d", key, s, b)
 		}

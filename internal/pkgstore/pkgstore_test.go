@@ -106,11 +106,15 @@ func TestRootLevel(t *testing.T) {
 		}
 	}
 	// Consistency: the root at distance d must satisfy the filler condition
-	// for a fresh package at level RootLevel(d), for any d ≥ 1.
-	for d := int64(1); d < 40*psi; d += 7 {
+	// for a fresh package at level RootLevel(d), for any d ≥ 0, and no other
+	// level does: the filler windows partition the distances, which is what
+	// lets the whiteboards' level mask answer the filler test with one bit.
+	for d := int64(0); d < 40*psi; d += 7 {
 		j := p.RootLevel(d)
-		if !p.IsFillerDistance(j, d) {
-			t.Fatalf("RootLevel(%d)=%d does not satisfy filler condition", d, j)
+		for level := 0; level <= p.MaxLevel+2; level++ {
+			if got := p.IsFillerDistance(level, d); got != (level == j) {
+				t.Fatalf("IsFillerDistance(%d, %d) = %v with RootLevel(%d) = %d", level, d, got, d, j)
+			}
 		}
 	}
 }

@@ -81,7 +81,6 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	base := `{tenant="` + obs.EscapeLabel(tn.name) + `"`
 	l := base + "}"
 	ps := tn.pl.Stats()
-	snap := tn.ctrs.Snapshot()
 
 	d.Gauge("dynctrld_tenant_m", "Tenant admission contract: maximum permits M.", l, tn.cfg.M)
 	d.Gauge("dynctrld_tenant_w", "Tenant admission contract: guaranteed grants W.", l, tn.cfg.W)
@@ -121,10 +120,10 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests driven through the pipeline.", l, ps.Requests)
 	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest combining cycle observed (requests).", l, ps.MaxBatch)
 
-	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, snap[stats.CounterMoves])
-	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, snap[stats.CounterGrants])
-	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, snap[stats.CounterRejects])
-	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, snap[stats.CounterTopoChanges])
+	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, tn.ctrs.Get(stats.CounterMoves))
+	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, tn.ctrs.Get(stats.CounterGrants))
+	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, tn.ctrs.Get(stats.CounterRejects))
+	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, tn.ctrs.Get(stats.CounterTopoChanges))
 	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, tn.tr.Size())
 	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, tn.tr.Height())
 	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(s.TenantViolations(tn.name)))

@@ -11,69 +11,125 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 )
 
-// Counters accumulates named event counts. It is safe for concurrent use.
+// Counter names one of the repository's canonical event counts. The set is
+// closed, so a Counters value is a fixed array indexed by Counter and an
+// update is one atomic add: no lock, no hashing of a name.
+type Counter uint8
+
+// The canonical counters. Their String names are what Snapshot, Restore and
+// String speak, and so what a persisted snapshot holds.
+const (
+	// CounterMoves counts centralized move complexity (one unit per move
+	// of a set of objects across one tree edge, Section 2.2).
+	CounterMoves Counter = iota
+	// CounterControl counts the control-plane messages of the distributed
+	// setting: broadcast/upcast phases no transport carries explicitly.
+	CounterControl
+	// CounterGrants counts permits granted to requests.
+	CounterGrants
+	// CounterRejects counts rejects delivered to requests.
+	CounterRejects
+	// CounterTopoChanges counts applied topological changes.
+	CounterTopoChanges
+	// CounterIterations counts driver iterations (Obs 3.4 / Thm 3.5).
+	CounterIterations
+
+	numCounters
+)
+
+var counterNames = [numCounters]string{
+	CounterMoves:       "moves",
+	CounterControl:     "control-messages",
+	CounterGrants:      "grants",
+	CounterRejects:     "rejects",
+	CounterTopoChanges: "topo-changes",
+	CounterIterations:  "iterations",
+}
+
+// String returns the counter's persisted name.
+func (c Counter) String() string {
+	if c < numCounters {
+		return counterNames[c]
+	}
+	return fmt.Sprintf("Counter(%d)", uint8(c))
+}
+
+// Counters accumulates the canonical event counts. It is safe for
+// concurrent use.
 type Counters struct {
-	mu     sync.Mutex
-	counts map[string]int64
+	counts [numCounters]atomic.Int64
+	// touched has bit c set once counter c was added to or restored.
+	// Snapshot lists exactly those, zero or not, as the map this type used
+	// to be did, so the bytes of a persisted snapshot do not change.
+	touched atomic.Uint32
 }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{counts: make(map[string]int64)}
-}
+func NewCounters() *Counters { return new(Counters) }
 
-// Add adds delta to the named counter.
-func (c *Counters) Add(name string, delta int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts[name] += delta
-}
-
-// Inc adds one to the named counter.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the value of the named counter (zero if never touched).
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
-
-// Reset zeroes every counter.
-func (c *Counters) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts = make(map[string]int64)
-}
-
-// Restore replaces every counter with the given values (the durability
-// engine's recovery path re-seeds the shared counters from a snapshot).
-func (c *Counters) Restore(values map[string]int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counts = make(map[string]int64, len(values))
-	for k, v := range values {
-		c.counts[k] = v
+// Add adds delta to counter name.
+func (c *Counters) Add(name Counter, delta int64) {
+	c.counts[name].Add(delta)
+	if bit := uint32(1) << name; c.touched.Load()&bit == 0 {
+		c.touched.Or(bit)
 	}
 }
 
-// Snapshot returns a copy of all counters.
+// Inc adds one to counter name.
+func (c *Counters) Inc(name Counter) { c.Add(name, 1) }
+
+// Get returns the value of counter name (zero if never touched).
+func (c *Counters) Get(name Counter) int64 { return c.counts[name].Load() }
+
+// Reset zeroes every counter.
+func (c *Counters) Reset() {
+	c.touched.Store(0)
+	for i := range c.counts {
+		c.counts[i].Store(0)
+	}
+}
+
+// Restore replaces every counter with the given values, keyed by counter
+// name (the durability engine's recovery path re-seeds the shared counters
+// from a snapshot). A name outside the canonical set is an error and leaves
+// the counters as they were.
+func (c *Counters) Restore(values map[string]int64) error {
+	var counts [numCounters]int64
+	var touched uint32
+	for name, v := range values {
+		i := slices.Index(counterNames[:], name)
+		if i < 0 {
+			return fmt.Errorf("stats: restore unknown counter %q", name)
+		}
+		counts[i] = v
+		touched |= 1 << i
+	}
+	for i, v := range counts {
+		c.counts[i].Store(v)
+	}
+	c.touched.Store(touched)
+	return nil
+}
+
+// Snapshot returns a copy of every touched counter, keyed by counter name.
 func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counts))
-	for k, v := range c.counts {
-		out[k] = v
+	touched := c.touched.Load()
+	out := make(map[string]int64, numCounters)
+	for i, name := range counterNames {
+		if touched&(1<<i) != 0 {
+			out[name] = c.counts[i].Load()
+		}
 	}
 	return out
 }
 
-// String renders the counters sorted by name.
+// String renders the touched counters sorted by name.
 func (c *Counters) String() string {
 	snap := c.Snapshot()
 	names := make([]string, 0, len(snap))
@@ -90,24 +146,6 @@ func (c *Counters) String() string {
 	}
 	return b.String()
 }
-
-// Canonical counter names used across the repository.
-const (
-	// CounterMoves counts centralized move complexity (one unit per move
-	// of a set of objects across one tree edge, Section 2.2).
-	CounterMoves = "moves"
-	// CounterControl counts the control-plane messages of the distributed
-	// setting: broadcast/upcast phases no transport carries explicitly.
-	CounterControl = "control-messages"
-	// CounterGrants counts permits granted to requests.
-	CounterGrants = "grants"
-	// CounterRejects counts rejects delivered to requests.
-	CounterRejects = "rejects"
-	// CounterTopoChanges counts applied topological changes.
-	CounterTopoChanges = "topo-changes"
-	// CounterIterations counts driver iterations (Obs 3.4 / Thm 3.5).
-	CounterIterations = "iterations"
-)
 
 // Point is one (x, y) measurement in a parameter sweep.
 type Point struct {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,20 +16,56 @@ func TestCountersBasic(t *testing.T) {
 	if got := c.Get(CounterMoves); got != 5 {
 		t.Fatalf("moves = %d, want 5", got)
 	}
-	if got := c.Get("never-touched"); got != 0 {
+	if got := c.Get(CounterRejects); got != 0 {
 		t.Fatalf("untouched counter = %d, want 0", got)
 	}
 	snap := c.Snapshot()
-	if snap[CounterGrants] != 2 {
-		t.Fatalf("snapshot grants = %d, want 2", snap[CounterGrants])
+	if _, listed := snap[CounterRejects.String()]; listed || len(snap) != 2 {
+		t.Fatalf("snapshot %v lists an untouched counter", snap)
 	}
-	snap[CounterGrants] = 99
+	if snap["grants"] != 2 {
+		t.Fatalf("snapshot grants = %d, want 2", snap["grants"])
+	}
+	snap["grants"] = 99
 	if got := c.Get(CounterGrants); got != 2 {
 		t.Fatal("snapshot must be a copy")
 	}
 	c.Reset()
-	if got := c.Get(CounterMoves); got != 0 {
-		t.Fatalf("after reset moves = %d, want 0", got)
+	if got := c.Get(CounterMoves); got != 0 || len(c.Snapshot()) != 0 {
+		t.Fatalf("after reset moves = %d and snapshot %v, want 0 and empty", got, c.Snapshot())
+	}
+}
+
+// TestCountersRestore pins what a persisted snapshot relies on: Restore and
+// Snapshot speak the counter names, a counter that was touched is listed
+// even at zero (a zero-hop move adds 0 to the move count) and one that never
+// was is not, and a name outside the canonical set is refused whole.
+func TestCountersRestore(t *testing.T) {
+	c := NewCounters()
+	c.Add(CounterMoves, 0)
+	c.Inc(CounterIterations)
+	want := map[string]int64{"moves": 0, "iterations": 1}
+	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot %v, want %v", got, want)
+	}
+	back := NewCounters()
+	back.Inc(CounterGrants)
+	if err := back.Restore(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored snapshot %v, want %v", got, want)
+	}
+	if err := back.Restore(map[string]int64{"grants": 7, "gremlins": 1}); err == nil {
+		t.Fatal("Restore accepted an unknown counter name")
+	}
+	if got := back.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a refused Restore changed the counters to %v", got)
+	}
+	for i, name := range counterNames {
+		if name == "" || Counter(i).String() != name {
+			t.Fatalf("counter %d has name %q", i, name)
+		}
 	}
 }
 
@@ -52,10 +89,10 @@ func TestCountersConcurrent(t *testing.T) {
 
 func TestCountersString(t *testing.T) {
 	c := NewCounters()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	if got := c.String(); got != "a=1 b=2" {
-		t.Fatalf("String() = %q, want %q", got, "a=1 b=2")
+	c.Add(CounterMoves, 2)
+	c.Add(CounterGrants, 1)
+	if got := c.String(); got != "grants=1 moves=2" {
+		t.Fatalf("String() = %q, want %q", got, "grants=1 moves=2")
 	}
 }
 
@@ -133,5 +170,18 @@ func TestLog2(t *testing.T) {
 	}
 	if got := Log2(8); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("Log2(8) = %v, want 3", got)
+	}
+}
+
+// BenchmarkCountersAdd is the cost the engine's slow path pays per counted
+// event: one atomic add into a fixed array, 0 allocs/op.
+func BenchmarkCountersAdd(b *testing.B) {
+	c := NewCounters()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Add(CounterMoves, 3)
+	}
+	if got := c.Get(CounterMoves); got != 3*int64(b.N) {
+		b.Fatalf("moves = %d, want %d", got, 3*b.N)
 	}
 }

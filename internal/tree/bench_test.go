@@ -40,10 +40,13 @@ func BenchmarkTreeAddLeaf(b *testing.B) {
 }
 
 // BenchmarkTreeClimb walks a path of 8 192 nodes from the tip to the root
-// the two ways the engines' filler searches do: one Parent call a hop (the
+// the ways the engines' filler searches do: one Parent call a hop (the
 // message-passing core, whose hops are separate deliveries), hence one lock
-// acquisition and one slice index per hop, and one Climb over the whole
-// path (the centralized core) under a single acquisition.
+// acquisition and one slice index per hop; one Climb over the whole path
+// under a single acquisition, the visitor called at every node; and one
+// ClimbMarked (the centralized core) over a mark slice as sparse as the
+// level masks are, one node in 64 marked, so a hop is two loads and the
+// visitor runs 128 times.
 func BenchmarkTreeClimb(b *testing.B) {
 	const n = 8192
 	tr, tip := New()
@@ -76,5 +79,17 @@ func BenchmarkTreeClimb(b *testing.B) {
 			b.Fatal(err)
 		}
 		return hops
+	})
+	marks := make([]uint64, n+1)
+	for id := 64; id <= n; id += 64 {
+		marks[id] = 1
+	}
+	run("marked", func() int {
+		visits := 0
+		_, d, err := tr.ClimbMarked(tip, marks, func(NodeID, int) bool { visits++; return false })
+		if err != nil || visits != n/64 {
+			b.Fatalf("visited %d marked nodes (%v), want %d", visits, err, n/64)
+		}
+		return d + 1
 	})
 }

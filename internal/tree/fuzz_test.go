@@ -11,6 +11,9 @@ import (
 //
 //   - Validate: parent/child symmetry, depth cache, port uniqueness,
 //     reachability.
+//   - The dense parent and depth slices agree with the map model of
+//     model_test.go, which replays the same history, after every operation
+//     and after a Snapshot → Restore round trip.
 //   - PathToRoot/Ancestor/Distance agree with each other and with Depth.
 //   - The DFS interval labeling (the Kannan–Naor–Rudich ancestry encoding
 //     the labeling application builds on) answers ancestry exactly like
@@ -25,6 +28,7 @@ func FuzzTreeOps(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, root := New()
+		ref := newRefTree(NewAdversarialPorts(1)) // New's default assigner
 		sorted := func(ids []NodeID) []NodeID {
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			return ids
@@ -38,6 +42,7 @@ func FuzzTreeOps(f *testing.F) {
 				if _, err := tr.ApplyAddLeaf(parent); err != nil {
 					t.Fatalf("add leaf under %d: %v", parent, err)
 				}
+				ref.addLeaf(parent)
 			case 1: // remove a non-root leaf
 				var leaves []NodeID
 				for _, id := range sorted(tr.Leaves()) {
@@ -52,6 +57,7 @@ func FuzzTreeOps(f *testing.F) {
 				if err := tr.ApplyRemoveLeaf(id); err != nil {
 					t.Fatalf("remove leaf %d: %v", id, err)
 				}
+				ref.removeLeaf(id)
 			case 2: // split a parent edge (add internal)
 				var cands []NodeID
 				for _, id := range sorted(tr.Nodes()) {
@@ -66,6 +72,7 @@ func FuzzTreeOps(f *testing.F) {
 				if _, err := tr.ApplyAddInternal(child); err != nil {
 					t.Fatalf("add internal above %d: %v", child, err)
 				}
+				ref.addInternal(child)
 			case 3: // remove a non-root internal node
 				var cands []NodeID
 				for _, id := range sorted(tr.Nodes()) {
@@ -80,7 +87,18 @@ func FuzzTreeOps(f *testing.F) {
 				if err := tr.ApplyRemoveInternal(id); err != nil {
 					t.Fatalf("remove internal %d: %v", id, err)
 				}
+				ref.removeInternal(id)
 			}
+			if err := ref.checkDense(tr); err != nil {
+				t.Fatalf("after operation %d (opcode %d): %v", i/2, op, err)
+			}
+		}
+		back, _ := New()
+		if err := back.Restore(tr.Snapshot()); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if err := ref.checkDense(back); err != nil {
+			t.Fatalf("restored tree: %v", err)
 		}
 
 		if err := tr.Validate(); err != nil {

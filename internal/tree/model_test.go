@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -156,6 +157,31 @@ func (r *refTree) snapshot() *Snapshot {
 	return s
 }
 
+// checkDense compares the tree's dense parent and depth slices, entry by
+// entry over the whole id space, with the model: a live id carries the
+// model's parent and the depth the model's parent chain gives it, a deleted
+// one (and index 0) InvalidNode and 0.
+func (r *refTree) checkDense(tr *Tree) error {
+	if len(tr.parent) != int(r.nextID) || len(tr.depth) != int(r.nextID) {
+		return fmt.Errorf("%d parent links and %d depths for ids below %d", len(tr.parent), len(tr.depth), r.nextID)
+	}
+	for id := NodeID(0); id < r.nextID; id++ {
+		var parent NodeID
+		depth := 0
+		if n, live := r.nodes[id]; live {
+			parent = n.parent
+			for p := parent; p != InvalidNode; p = r.nodes[p].parent {
+				depth++
+			}
+		}
+		if tr.parent[id] != parent || int(tr.depth[id]) != depth {
+			return fmt.Errorf("id %d: parent %d at depth %d, the model says parent %d at depth %d",
+				id, tr.parent[id], tr.depth[id], parent, depth)
+		}
+	}
+	return nil
+}
+
 func TestTreeMatchesMapModel(t *testing.T) {
 	assigners := map[string]func(seed int64) PortAssigner{
 		"sequential":  func(int64) PortAssigner { return NewSequentialPorts() },
@@ -209,6 +235,9 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 			t.Fatalf("seed %d step %d: after op %d at %d the tree and the model differ:\n tree  %+v\n model %+v",
 				seed, step, op, id, got, want)
 		}
+		if err := ref.checkDense(tr); err != nil {
+			t.Fatalf("seed %d step %d: after op %d at %d: %v", seed, step, op, id, err)
+		}
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -232,6 +261,9 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 	}
 	if got := back.Snapshot(); !reflect.DeepEqual(got, snap) {
 		t.Fatalf("seed %d: restore changed the snapshot", seed)
+	}
+	if err := ref.checkDense(back); err != nil {
+		t.Fatalf("seed %d: restored tree: %v", seed, err)
 	}
 }
 

@@ -52,14 +52,15 @@ func (t *Tree) Snapshot() *Snapshot {
 		Deleted:     make([]NodeID, 0, len(t.nodes)-1-t.live),
 		Nodes:       make([]NodeSnapshot, 0, t.live),
 	}
-	for id, n := range t.nodes[1:] {
+	for i, n := range t.nodes[1:] {
+		id := NodeID(i + 1)
 		if n == nil {
-			s.Deleted = append(s.Deleted, NodeID(id+1))
+			s.Deleted = append(s.Deleted, id)
 			continue
 		}
 		s.Nodes = append(s.Nodes, NodeSnapshot{
-			ID:         n.id,
-			Parent:     n.parent,
+			ID:         id,
+			Parent:     t.parent[id],
 			ParentPort: n.parentPort,
 			// Built the same way whatever slices the node's history left
 			// it, so equal trees give deeply equal snapshots.
@@ -86,8 +87,13 @@ func (t *Tree) Restore(s *Snapshot) error {
 			s.NextID, s.EverExisted, len(s.Nodes), len(s.Deleted))
 	}
 	inRange := func(id NodeID) bool { return id > InvalidNode && id < s.NextID }
-	nodes := make([]*node, s.NextID)
-	get := (&Tree{nodes: nodes}).get // the live tree's bounds-checked lookup
+	// Built as a tree of its own, so the live tree's bounds-checked lookup
+	// serves the checks below and nothing of t is touched before they pass.
+	r := &Tree{
+		nodes:  make([]*node, s.NextID),
+		parent: make([]NodeID, s.NextID),
+		depth:  make([]int32, s.NextID),
+	}
 	for _, ns := range s.Nodes {
 		if !inRange(ns.ID) {
 			return fmt.Errorf("restore: node id %d outside 1..%d: %w", ns.ID, s.NextID-1, ErrNoSuchNode)
@@ -96,53 +102,50 @@ func (t *Tree) Restore(s *Snapshot) error {
 			return fmt.Errorf("restore: node %d has %d children but %d child ports",
 				ns.ID, len(ns.Children), len(ns.ChildPorts))
 		}
-		if nodes[ns.ID] != nil {
+		if r.nodes[ns.ID] != nil {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
-		nodes[ns.ID] = &node{
-			id:         ns.ID,
-			parent:     ns.Parent,
+		r.nodes[ns.ID] = &node{
 			parentPort: ns.ParentPort,
 			children:   slices.Clone(ns.Children),
 			childPorts: slices.Clone(ns.ChildPorts),
 		}
+		r.parent[ns.ID] = ns.Parent
 	}
 	// The deleted ids are the nil entries; with the counts above, listing
 	// each of them once is the same as listing exactly them.
 	for i, id := range s.Deleted {
-		if !inRange(id) || nodes[id] != nil || (i > 0 && id <= s.Deleted[i-1]) {
+		if !inRange(id) || r.nodes[id] != nil || (i > 0 && id <= s.Deleted[i-1]) {
 			return fmt.Errorf("restore: deleted id %d is live, out of range or out of order", id)
 		}
 	}
-	root := get(s.Root)
-	if root == nil {
+	if r.get(s.Root) == nil {
 		return fmt.Errorf("restore: root %d: %w", s.Root, ErrNoSuchNode)
 	}
-	if root.parent != InvalidNode {
-		return fmt.Errorf("restore: root %d has parent %d", s.Root, root.parent)
+	if p := r.parent[s.Root]; p != InvalidNode {
+		return fmt.Errorf("restore: root %d has parent %d", s.Root, p)
 	}
 	// Recompute depths and slots and check reachability before committing.
 	seen := 0
-	stack := []*node{root}
-	root.depth = 0
+	stack := []NodeID{s.Root}
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		seen++
 		if seen > len(s.Nodes) {
-			return fmt.Errorf("restore: node %d reachable twice", n.id)
+			return fmt.Errorf("restore: node %d reachable twice", id)
 		}
-		for i, cid := range n.children {
-			c := get(cid)
+		for i, cid := range r.nodes[id].children {
+			c := r.get(cid)
 			if c == nil {
-				return fmt.Errorf("restore: child %d of %d: %w", cid, n.id, ErrNoSuchNode)
+				return fmt.Errorf("restore: child %d of %d: %w", cid, id, ErrNoSuchNode)
 			}
-			if c.parent != n.id {
-				return fmt.Errorf("restore: child %d of %d has parent %d", cid, n.id, c.parent)
+			if r.parent[cid] != id {
+				return fmt.Errorf("restore: child %d of %d has parent %d", cid, id, r.parent[cid])
 			}
-			c.depth = n.depth + 1
+			r.depth[cid] = r.depth[id] + 1
 			c.slot = i
-			stack = append(stack, c)
+			stack = append(stack, cid)
 		}
 	}
 	if seen != len(s.Nodes) {
@@ -151,9 +154,10 @@ func (t *Tree) Restore(s *Snapshot) error {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nodes = nodes
+	t.nodes, t.parent, t.depth = r.nodes, r.parent, r.depth
 	t.live = len(s.Nodes)
 	t.root = s.Root
 	t.changeSeq = s.ChangeSeq
+	t.generation++
 	return nil
 }

@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // WalkDFS visits every live node in depth-first preorder starting at the
 // root, calling fn with the node id and its DFS number (1-based, in visit
@@ -83,13 +86,8 @@ func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 func (t *Tree) Height() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	max := 0
-	for _, n := range t.nodes {
-		if n != nil && n.depth > max {
-			max = n.depth
-		}
-	}
-	return max
+	// A deleted id keeps depth 0, so the scan needs no liveness test.
+	return int(slices.Max(t.depth))
 }
 
 // NCA returns the nearest common ancestor of u and v.
@@ -110,23 +108,16 @@ func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
 func (t *Tree) nca(u, v NodeID) (NodeID, int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	un, vn := t.get(u), t.get(v)
-	if un == nil {
+	if t.get(u) == nil {
 		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
 	}
-	if vn == nil {
+	if t.get(v) == nil {
 		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", v, ErrNoSuchNode)
 	}
-	d := un.depth + vn.depth
-	for un.depth > vn.depth {
-		un = t.nodes[un.parent]
+	du, dv := int(t.depth[u]), int(t.depth[v])
+	u, v = t.ancestor(u, max(du-dv, 0)), t.ancestor(v, max(dv-du, 0))
+	for u != v {
+		u, v = t.parent[u], t.parent[v]
 	}
-	for vn.depth > un.depth {
-		vn = t.nodes[vn.parent]
-	}
-	for un.id != vn.id {
-		un = t.nodes[un.parent]
-		vn = t.nodes[vn.parent]
-	}
-	return un.id, d - 2*un.depth, nil
+	return u, du + dv - 2*int(t.depth[u]), nil
 }

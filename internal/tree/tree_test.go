@@ -3,6 +3,7 @@ package tree
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -308,6 +309,118 @@ func TestClimb(t *testing.T) {
 	if _, _, err := tr.Climb(99, func(NodeID, int) bool { t.Fatal("visited an unknown node"); return true }); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("Climb(unknown) err = %v, want ErrNoSuchNode", err)
 	}
+
+	// The marked climb from b (root - a - mid - b): the visitor sees the
+	// marked nodes only, with their true distances, and the climb ends where
+	// it says so or at the root.
+	marks := func(ids ...NodeID) []uint64 {
+		m := make([]uint64, tr.EverExisted()+1)
+		for _, id := range ids {
+			m[id] = 1 << 5
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name   string
+		marks  []uint64
+		stopAt NodeID
+		want   []visit
+		at     NodeID
+		dist   int
+	}{
+		{"no mark set", marks(), InvalidNode, nil, root, 3},
+		{"nil marks", nil, InvalidNode, nil, root, 3},
+		{"mark on u itself", marks(b), b, []visit{{b, 0}}, b, 0},
+		{"mark on u, not taken", marks(b), InvalidNode, []visit{{b, 0}}, root, 3},
+		{"unmarked skipped", marks(a, sib), a, []visit{{a, 2}}, a, 2},
+		{"first taken wins", marks(mid, a, root), a, []visit{{mid, 1}, {a, 2}}, a, 2},
+		{"marked root", marks(root), root, []visit{{root, 3}}, root, 3},
+		// mid was created after b: a slice that stops short of its id leaves
+		// it unmarked, and the climb passes it on the way to a.
+		{"marks shorter than the id space", marks(a, mid, b)[:mid], InvalidNode, []visit{{b, 0}, {a, 2}}, root, 3},
+	} {
+		var seen []visit
+		at, dist, err := tr.ClimbMarked(b, tc.marks, func(id NodeID, d int) bool {
+			seen = append(seen, visit{id, d})
+			return id == tc.stopAt
+		})
+		if err != nil || at != tc.at || dist != tc.dist || !reflect.DeepEqual(seen, tc.want) {
+			t.Fatalf("%s: ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), want %v ending at %d after %d",
+				tc.name, b, seen, at, dist, err, tc.want, tc.at, tc.dist)
+		}
+	}
+	if mid <= b || mid <= a {
+		t.Fatalf("ids a=%d b=%d mid=%d: the short-marks case needs mid to be the largest", a, b, mid)
+	}
+	if _, _, err := tr.ClimbMarked(99, marks(), func(NodeID, int) bool { return true }); !errors.Is(err, ErrNoSuchNode) {
+		t.Fatalf("ClimbMarked(unknown) err = %v, want ErrNoSuchNode", err)
+	}
+}
+
+// TestAppendAncestors checks the one-walk lookup against Ancestor, distance
+// for distance, and that it refuses what Ancestor refuses.
+func TestAppendAncestors(t *testing.T) {
+	tr, tip := New()
+	for i := 0; i < 40; i++ {
+		tip = mustAddLeaf(t, tr, tip)
+	}
+	side := mustAddLeaf(t, tr, tr.Root())
+	for _, dists := range [][]int{nil, {0}, {40}, {0, 0, 3, 3, 17, 40}, {6, 12, 24}} {
+		buf := []NodeID{side}
+		got, err := tr.AppendAncestors(tip, dists, buf)
+		if err != nil || len(got) != 1+len(dists) || got[0] != side {
+			t.Fatalf("AppendAncestors(%v) = %v, %v", dists, got, err)
+		}
+		for i, d := range dists {
+			if want, _ := tr.Ancestor(tip, d); got[1+i] != want {
+				t.Fatalf("AppendAncestors(%v)[%d] = %d, Ancestor says %d", dists, i, got[1+i], want)
+			}
+		}
+	}
+	for _, dists := range [][]int{{41}, {3, 41}, {-1}, {5, 4}} {
+		if got, err := tr.AppendAncestors(tip, dists, nil); !errors.Is(err, ErrNotRelated) {
+			t.Fatalf("AppendAncestors(%v) = %v, %v, want ErrNotRelated", dists, got, err)
+		}
+	}
+	if _, err := tr.AppendAncestors(99, []int{0}, nil); !errors.Is(err, ErrNoSuchNode) {
+		t.Fatalf("AppendAncestors(unknown) err = %v, want ErrNoSuchNode", err)
+	}
+}
+
+// TestGeneration pins what a holder of derived state relies on: the count
+// moves on every applied change and on a Restore, which Changes alone does
+// not show, and on nothing else.
+func TestGeneration(t *testing.T) {
+	tr, root := New()
+	at := tr.Generation()
+	moved := func(what string, want bool) {
+		t.Helper()
+		if got := tr.Generation(); (got != at) != want {
+			t.Fatalf("%s: generation %d -> %d, want moved = %v", what, at, got, want)
+		}
+		at = tr.Generation()
+	}
+	leaf := mustAddLeaf(t, tr, root)
+	moved("add leaf", true)
+	if err := tr.ApplyRemoveLeaf(root); err == nil {
+		t.Fatal("removed the root")
+	}
+	tr.Nodes()
+	moved("refused change and a read", false)
+	snap := tr.Snapshot()
+	if err := tr.ApplyRemoveLeaf(leaf); err != nil {
+		t.Fatal(err)
+	}
+	moved("remove leaf", true)
+	if err := tr.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	moved("restore", true)
+	snap.NextID++
+	if err := tr.Restore(snap); err == nil {
+		t.Fatal("restored a corrupt snapshot")
+	}
+	moved("refused restore", false)
 }
 
 func TestNCAAndTreeDistance(t *testing.T) {

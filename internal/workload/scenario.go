@@ -531,7 +531,7 @@ func RunScenario(sc Scenario, scheduler string, seed int64, long bool) (Scenario
 					return res, err
 				}
 			} else {
-				counters.Restore(nil)
+				counters.Reset()
 				if err := tr.Restore(bootSnap); err != nil {
 					return res, err
 				}

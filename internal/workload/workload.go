@@ -64,6 +64,12 @@ type Churn struct {
 	rng     *rand.Rand
 	mix     Mix
 	minSize int
+
+	// nodes caches tr.Nodes() as of tree generation nodesAt: picking a
+	// random node indexes into it, and listing the tree again for every
+	// request is an O(n) scan and allocation a static tree never needs.
+	nodes   []tree.NodeID
+	nodesAt uint64
 }
 
 // NewChurn builds a churn generator over tr.
@@ -110,11 +116,13 @@ func (c *Churn) Next() (controller.Request, bool) {
 }
 
 func (c *Churn) randomNode() (tree.NodeID, bool) {
-	nodes := c.tr.Nodes()
-	if len(nodes) == 0 {
+	if at := c.tr.Generation(); c.nodes == nil || at != c.nodesAt {
+		c.nodes, c.nodesAt = c.tr.Nodes(), at
+	}
+	if len(c.nodes) == 0 {
 		return tree.InvalidNode, false
 	}
-	return nodes[c.rng.Intn(len(nodes))], true
+	return c.nodes[c.rng.Intn(len(c.nodes))], true
 }
 
 func (c *Churn) addLeaf() (controller.Request, bool) {

@@ -1,6 +1,9 @@
 package workload_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	ctl "dynctrl/internal/controller"
@@ -112,6 +115,88 @@ func TestChurnDeterministicForSeed(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("request %d diverged: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestChurnTracePinned holds the request trace of one seed per mix against
+// checksums computed when Churn listed the tree afresh for every request:
+// the cached node list must pick the same nodes draw for draw, or every
+// seeded scenario, golden and experiment table moves.
+func TestChurnTracePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mix  workload.Mix
+		want string
+	}{
+		{"events", workload.EventOnlyMix(), "9cbb22860cf688a91a5a3643858c37bff8bc6714245334c30f12ef7c56471d9e"},
+		{"grow", workload.Mix{AddLeaf: 50, Event: 50}, "a1f0b92522a930b5cb1c70c39700dad22d0a414fe17d0a928b4960c7bc07acec"},
+		{"churn", workload.DefaultMix(), "2a59c872a40b1e68f71aa68dd4117cf3753be7d31b446ccfc765e43335084ba7"},
+		{"shrink", workload.ShrinkHeavyMix(), "1202de6ff716fd3af6bb2edc3fb05ff234236017a601da85acd912f4628d6ee9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, _ := tree.New()
+			if err := workload.BuildBalanced(tr, 48, 7); err != nil {
+				t.Fatal(err)
+			}
+			gen := workload.NewChurn(tr, tc.mix, 11)
+			gen.SetMinSize(8)
+			h := sha256.New()
+			for i := 0; i < 2000; i++ {
+				req, ok := gen.Next()
+				if !ok {
+					t.Fatalf("generator dried up at %d", i)
+				}
+				if err := binary.Write(h, binary.LittleEndian, []int64{int64(req.Node), int64(req.Kind), int64(req.Child)}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ctl.ApplyChange(tr, req); err != nil {
+					t.Fatalf("request %d (%+v): %v", i, req, err)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Fatalf("trace changed: sha256 %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestChurnFollowsRestore restores a different tree with the same change
+// count under a generator whose node list is warm: the list must be dropped
+// (a Restore moves tree.Generation, not tree.Changes), or the generator
+// keeps naming nodes the restored tree never had.
+func TestChurnFollowsRestore(t *testing.T) {
+	tr, _ := tree.New()
+	if err := workload.BuildStar(tr, 40); err != nil { // ids 1..40 in 39 changes
+		t.Fatal(err)
+	}
+	other, root := tree.New()
+	var leaves []tree.NodeID
+	for i := 0; i < 29; i++ {
+		id, err := other.ApplyAddLeaf(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, id)
+	}
+	for _, id := range leaves[:10] {
+		if err := other.ApplyRemoveLeaf(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Changes() != other.Changes() {
+		t.Fatalf("setup: %d changes against %d", tr.Changes(), other.Changes())
+	}
+	gen := workload.NewChurn(tr, workload.EventOnlyMix(), 3)
+	if _, ok := gen.Next(); !ok {
+		t.Fatal("generator dried up")
+	}
+	if err := tr.Restore(other.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if req, ok := gen.Next(); !ok || !tr.Contains(req.Node) {
+			t.Fatalf("request %d after the restore: %+v, ok %v: not a node of the restored tree", i, req, ok)
 		}
 	}
 }
