@@ -1,6 +1,10 @@
 package experiments_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,4 +66,59 @@ func TestE14OccupancyBelowBound(t *testing.T) {
 			t.Fatalf("occupancy %s reaches the bound: %v", occ, row)
 		}
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden E-tables")
+
+// TestGoldenTables pins every number of E1–E14: the tables are seeded and
+// deterministic, so one more message in an application, one different
+// verdict or one more iteration anywhere under them fails here until the
+// golden is regenerated with
+//
+//	go test ./internal/experiments -run TestGoldenTables -update
+func TestGoldenTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment tables; skipped in -short")
+	}
+	var b strings.Builder
+	for _, tb := range experiments.All() {
+		b.WriteString(tb.String())
+		b.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "tables.golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden tables (regenerate with -update): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("E-tables drifted from %s (regenerate with -update if intended):\n%s", path, lineDiff(string(want), got))
+	}
+}
+
+// lineDiff lists the lines that differ between two renderings.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n want %s\n  got %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
