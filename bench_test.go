@@ -152,7 +152,7 @@ func BenchmarkE5DistVsCentral(b *testing.B) {
 		cenCounters := stats.NewCounters()
 		cen := controller.NewCore(trC, u, m, m/2, controller.WithCounters(cenCounters))
 		rt := sim.NewDeterministic(5)
-		sub := dist.NewSubmitter(dist.NewCore(trD, rt, u, m, m/2), rt)
+		sub := dist.Over(rt).NewCore(trD, u, m, m/2)
 		genC := workload.NewChurn(trC, workload.DefaultMix(), 13)
 		genD := workload.NewChurn(trD, workload.DefaultMix(), 13)
 		for j := 0; j < 4*n; j++ {
@@ -182,8 +182,7 @@ func BenchmarkE6Liveness(b *testing.B) {
 	var granted int
 	for i := 0; i < b.N; i++ {
 		tr := benchTree(b, 40, 6)
-		rt := sim.NewDeterministic(6)
-		it := dist.NewIterated(tr, rt, 40+2*m, m, w, false, stats.NewCounters())
+		it := dist.Over(sim.NewDeterministic(6)).NewIterated(tr, 40+2*m, m, w)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 15)
 		gen.SetMinSize(8)
 		granted = benchDrain(b, it, gen, int(m)*5)
@@ -202,16 +201,15 @@ func BenchmarkE7VsGrowOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		trA := benchTree(b, 1, 7)
 		trB := benchTree(b, 1, 7)
-		rt := sim.NewDeterministic(7)
-		countersA := stats.NewCounters()
-		ours := dist.NewIterated(trA, rt, m+8, m, 1, false, countersA)
+		tp := dist.Over(sim.NewDeterministic(7))
+		ours := tp.NewIterated(trA, m+8, m, 1)
 		countersB := stats.NewCounters()
 		aaps := baseline.NewGrowOnlyIterated(trB, m+8, m, 1, countersB)
 		genA := workload.NewChurn(trA, workload.GrowOnlyMix(), 17)
 		genB := workload.NewChurn(trB, workload.GrowOnlyMix(), 17)
 		benchDrain(b, ours, genA, int(m)*2)
 		benchDrain(b, aaps, genB, int(m)*2)
-		ratio = float64(dist.TotalMessages(rt, countersA)) /
+		ratio = float64(tp.Cost(ours.Counters())) /
 			float64(countersB.Get(stats.CounterMoves)+1)
 	}
 	b.ReportMetric(ratio, "ours/AAPS")
@@ -227,9 +225,8 @@ func BenchmarkE8VsTrivial(b *testing.B) {
 		trA := benchPath(b, depth)
 		trB := benchPath(b, depth)
 		trivial := baseline.NewTrivial(trA, m, nil)
-		rt := sim.NewDeterministic(8)
-		countersB := stats.NewCounters()
-		ours := dist.NewIterated(trB, rt, int64(depth)+16, m, 1, false, countersB)
+		tp := dist.Over(sim.NewDeterministic(8))
+		ours := tp.NewIterated(trB, int64(depth)+16, m, 1)
 		deepA := deepestNode(trA)
 		deepB := deepestNode(trB)
 		for j := 0; j < int(m)-1; j++ {
@@ -241,7 +238,7 @@ func BenchmarkE8VsTrivial(b *testing.B) {
 			}
 		}
 		ratio = float64(trivial.Counters().Get(stats.CounterMoves)) /
-			float64(dist.TotalMessages(rt, countersB)+1)
+			float64(tp.Cost(ours.Counters())+1)
 	}
 	b.ReportMetric(ratio, "trivial/ours")
 }
@@ -262,9 +259,8 @@ func BenchmarkE9SizeEstimation(b *testing.B) {
 	var perChange float64
 	for i := 0; i < b.N; i++ {
 		tr := benchTree(b, n, 9)
-		rt := sim.NewDeterministic(9)
-		counters := stats.NewCounters()
-		est, err := estimator.New(tr, rt, 2, estimator.WithCounters(counters))
+		tp := dist.Over(sim.NewDeterministic(9))
+		est, err := estimator.New(tr, tp, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -272,7 +268,7 @@ func BenchmarkE9SizeEstimation(b *testing.B) {
 		gen.SetMinSize(n / 4)
 		changes := benchDrain(b, est, gen, 6*n)
 		if changes > 0 {
-			perChange = float64(dist.TotalMessages(rt, counters)) / float64(changes)
+			perChange = float64(tp.Cost(est.Counters())) / float64(changes)
 		}
 	}
 	b.ReportMetric(perChange, "msgs/change")
@@ -285,9 +281,8 @@ func BenchmarkE10Naming(b *testing.B) {
 	var perChange float64
 	for i := 0; i < b.N; i++ {
 		tr := benchTree(b, n, 10)
-		rt := sim.NewDeterministic(10)
-		counters := stats.NewCounters()
-		nm := naming.New(tr, rt, counters)
+		tp := dist.Over(sim.NewDeterministic(10))
+		nm := naming.New(tr, tp, nil)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 23)
 		gen.SetMinSize(n / 4)
 		changes := benchDrain(b, nm, gen, 4*n)
@@ -295,7 +290,7 @@ func BenchmarkE10Naming(b *testing.B) {
 			b.Fatal(err)
 		}
 		if changes > 0 {
-			perChange = float64(dist.TotalMessages(rt, counters)) / float64(changes)
+			perChange = float64(tp.Cost(nm.Counters())) / float64(changes)
 		}
 	}
 	b.ReportMetric(perChange, "msgs/change")
@@ -308,8 +303,7 @@ func BenchmarkE11HeavyChild(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		tr := benchTree(b, n, 11)
-		rt := sim.NewDeterministic(11)
-		hc, err := heavychild.New(tr, rt, nil)
+		hc, err := heavychild.New(tr, dist.Over(sim.NewDeterministic(11)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,8 +327,7 @@ func BenchmarkE12Labeling(b *testing.B) {
 	var bitsRatio float64
 	for i := 0; i < b.N; i++ {
 		tr := benchTree(b, n, 12)
-		rt := sim.NewDeterministic(12)
-		dyn, err := labeling.NewDynamic(tr, rt,
+		dyn, err := labeling.NewDynamic(tr, dist.Over(sim.NewDeterministic(12)),
 			func(tr *tree.Tree) (labeling.Scheme, int64) {
 				return labeling.BuildAncestry(tr), int64(tr.Size())
 			}, nil)
@@ -366,11 +359,9 @@ func BenchmarkE13Memory(b *testing.B) {
 		tr := benchPath(b, n)
 		m := int64(8 * n)
 		u := int64(n) + 2*m
-		rt := sim.NewDeterministic(13)
-		core := dist.NewCore(tr, rt, u, m, m/2)
-		sub := dist.NewSubmitter(core, rt)
+		core := dist.Over(sim.NewDeterministic(13)).NewCore(tr, u, m, m/2)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 29)
-		benchDrain(b, sub, gen, 4*n)
+		benchDrain(b, core, gen, 4*n)
 		for _, id := range tr.Nodes() {
 			if bits := core.MemoryBitsAt(id); float64(bits) > maxBits {
 				maxBits = float64(bits)
@@ -388,7 +379,8 @@ func BenchmarkE14Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := benchPath(b, n)
 		u := int64(n + 200)
-		c := controller.NewCore(tr, u, 1<<30, u, controller.WithDomainTracking())
+		c := controller.NewCore(tr, u, 1<<30, u)
+		c.EnableDomainTracking()
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 31)
 		gen.SetMinSize(n / 2)
 		for j := 0; j < 200; j++ {

@@ -47,6 +47,7 @@ import (
 
 	"dynctrl/internal/benchfmt"
 	"dynctrl/internal/client"
+	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/obs"
 	"dynctrl/internal/pipeline"
@@ -160,10 +161,11 @@ func main() {
 
 	serialM := measure(*runs, total, func() (func(), func() int64, func()) {
 		tr := buildBenchTree()
-		ctl := dist.NewDynamic(tr, benchRuntime(*sched), m, w, false, nil)
+		tp := benchTransport(*sched)
+		ctl := tp.NewDynamic(tr, m, w)
 		ct := buildBenchTrace(tr)
 		reqs := ct.Serial()
-		rt := ctlRuntime(ctl)
+		rt := costSampler(tp, ctl)
 		return func() {
 			for _, req := range reqs {
 				if _, err := ctl.Submit(req); err != nil {
@@ -178,10 +180,11 @@ func main() {
 
 	pipeM := measure(*runs, total, func() (func(), func() int64, func()) {
 		tr := buildBenchTree()
-		ctl := dist.NewDynamic(tr, benchRuntime(*sched), m, w, false, nil)
+		tp := benchTransport(*sched)
+		ctl := tp.NewDynamic(tr, m, w)
 		pl := pipeline.New(ctl)
 		ct := buildBenchTrace(tr)
-		rt := ctlRuntime(ctl)
+		rt := costSampler(tp, ctl)
 		return func() {
 			res := workload.RunConcurrentChunked(pl, ct, chunk)
 			if res.Errors > 0 {
@@ -447,14 +450,14 @@ func serverLatency(stats []obs.StageStats) *benchfmt.ServerLatency {
 	return &benchfmt.ServerLatency{Unit: "ns", Stages: stages}
 }
 
-// benchRuntime builds the pinned transport; the scheduler name was
+// benchTransport builds the pinned transport; the scheduler name was
 // validated at flag-parse time.
-func benchRuntime(sched string) sim.Runtime {
+func benchTransport(sched string) controller.Transport {
 	rt, err := sim.NewRuntime(sched, ctlSeed)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return rt
+	return dist.Over(rt)
 }
 
 func buildBenchTree() *tree.Tree {
@@ -473,9 +476,9 @@ func buildBenchTrace(tr *tree.Tree) *workload.ConcurrentTrace {
 	return ct
 }
 
-// ctlRuntime returns a sampler of the controller's delivered-message count.
-func ctlRuntime(ctl *dist.Dynamic) func() int64 {
-	return func() int64 { return dist.TotalMessages(ctl.Runtime(), ctl.Counters()) }
+// costSampler returns a sampler of the controller's total message count.
+func costSampler(tp controller.Transport, ctl *controller.Dynamic) func() int64 {
+	return func() int64 { return tp.Cost(ctl.Counters()) }
 }
 
 // measure runs setup+run `runs` times and reports the best run (standard
@@ -563,8 +566,9 @@ func measureChurnMessages(sched string) float64 {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	tp := dist.Over(rt)
 	m := int64(16 * churnNodes)
-	ctl := dist.NewDynamic(tr, rt, m, 0, false, counters)
+	ctl := tp.NewDynamic(tr, m, 0, controller.WithDynamicCounters(counters))
 	gen := workload.NewChurn(tr, workload.Mix{AddLeaf: 30, RemoveLeaf: 25, AddInternal: 20, RemoveInternal: 25}, churnSeed)
 	gen.SetMinSize(churnNodes / 4)
 	for i := 0; i < 4*churnNodes; i++ {
@@ -580,7 +584,7 @@ func measureChurnMessages(sched string) float64 {
 	if changes == 0 {
 		return 0
 	}
-	return float64(dist.TotalMessages(rt, counters)) / float64(changes)
+	return float64(tp.Cost(counters)) / float64(changes)
 }
 
 func fatalf(format string, args ...any) {

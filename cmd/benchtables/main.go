@@ -1,7 +1,7 @@
-// Command benchtables regenerates every experiment table recorded in
-// EXPERIMENTS.md (E1–E14). Each table corresponds to one claim of the
-// paper's evaluation (its complexity theorems); see DESIGN.md for the
-// experiment index.
+// Command benchtables prints every experiment table (E1–E14). Each table
+// corresponds to one claim of the paper's evaluation (its complexity
+// theorems); internal/experiments documents each, and its
+// testdata/tables.golden pins the numbers.
 //
 // Usage:
 //

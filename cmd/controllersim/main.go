@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -56,8 +57,9 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 		return err
 	}
 	rt := sim.NewDeterministic(seed)
+	tp := dist.Over(rt)
 	counters := stats.NewCounters()
-	ctl := dist.NewDynamic(tr, rt, m, w, false, counters)
+	ctl := tp.NewDynamic(tr, m, w, controller.WithDynamicCounters(counters))
 	gen := workload.NewChurn(tr, mix, seed+1)
 	gen.SetMinSize(maxInt(2, n0/8))
 
@@ -73,10 +75,10 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 		tr.Size(), tr.EverExisted(), tr.Height())
 	fmt.Printf("iterations   : %d (unknown-U restarts)\n", ctl.Iterations())
 	fmt.Printf("messages     : %d transport + %d control = %d total\n",
-		rt.Messages(), counters.Get(dist.CounterControl), dist.TotalMessages(rt, counters))
+		rt.Messages(), counters.Get(tp.Counter), tp.Cost(counters))
 	if ch := counters.Get(stats.CounterTopoChanges); ch > 0 {
 		fmt.Printf("amortized    : %.1f messages per applied topological change\n",
-			float64(dist.TotalMessages(rt, counters))/float64(ch))
+			float64(tp.Cost(counters))/float64(ch))
 	}
 	if res.Granted > int(m) {
 		return fmt.Errorf("SAFETY VIOLATION: granted %d > M=%d", res.Granted, m)

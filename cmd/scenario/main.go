@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"strings"
 
+	"dynctrl/internal/scenario"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/workload"
@@ -68,16 +69,16 @@ func main() {
 		schedulers = strings.Split(*sched, ",")
 	}
 
-	results, err := workload.Sweep(scenarios, schedulers, *seed, *long)
+	results, err := scenario.Sweep(scenarios, schedulers, *seed, *long)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
 	report := struct {
-		Schema  int                       `json:"schema"`
-		Seed    int64                     `json:"seed"`
-		Long    bool                      `json:"long"`
-		Results []workload.ScenarioResult `json:"results"`
+		Schema  int               `json:"schema"`
+		Seed    int64             `json:"seed"`
+		Long    bool              `json:"long"`
+		Results []scenario.Result `json:"results"`
 	}{Schema: 1, Seed: *seed, Long: *long, Results: results}
 
 	buf, err := json.MarshalIndent(report, "", "  ")

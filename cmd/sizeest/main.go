@@ -41,9 +41,9 @@ func run(n0 int, beta float64, changes int, seed int64) error {
 	if err := workload.BuildBalanced(tr, n0, seed); err != nil {
 		return err
 	}
-	rt := sim.NewDeterministic(seed)
+	tp := dist.Over(sim.NewDeterministic(seed))
 	counters := stats.NewCounters()
-	est, err := estimator.New(tr, rt, beta, estimator.WithCounters(counters))
+	est, err := estimator.New(tr, tp, beta, estimator.WithCounters(counters))
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func run(n0 int, beta float64, changes int, seed int64) error {
 				applied, n, e, lo, hi, mark, est.Iteration())
 		}
 	}
-	total := dist.TotalMessages(rt, counters)
+	total := tp.Cost(counters)
 	fmt.Printf("\nmessages: %d total, %.1f per change (log²n = %.0f at n=%d)\n",
 		total, float64(total)/float64(applied),
 		stats.Log2(float64(tr.Size()))*stats.Log2(float64(tr.Size())), tr.Size())

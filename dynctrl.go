@@ -201,7 +201,7 @@ type Estimator = estimator.Estimator
 
 // NewEstimator builds the size-estimation protocol (Theorem 5.1).
 func NewEstimator(tr *Tree, rt Runtime, beta float64) (*Estimator, error) {
-	return estimator.New(tr, rt, beta)
+	return estimator.New(tr, dist.Over(rt), beta)
 }
 
 // Naming maintains unique node identities in [1, 4n].
@@ -209,7 +209,7 @@ type Naming = naming.Naming
 
 // NewNaming builds the name-assignment protocol (Theorem 5.2).
 func NewNaming(tr *Tree, rt Runtime) *Naming {
-	return naming.New(tr, rt, nil)
+	return naming.New(tr, dist.Over(rt), nil)
 }
 
 // HeavyChild maintains a heavy-child decomposition (Theorem 5.4).
@@ -217,7 +217,7 @@ type HeavyChild = heavychild.Decomposition
 
 // NewHeavyChild builds the heavy-child decomposition protocol.
 func NewHeavyChild(tr *Tree, rt Runtime) (*HeavyChild, error) {
-	return heavychild.New(tr, rt, nil)
+	return heavychild.New(tr, dist.Over(rt), nil)
 }
 
 // Labeling types (Section 5.4).
@@ -258,7 +258,7 @@ func QueryDistance(a, b labeling.DistanceLabel) (int, error) { return labeling.Q
 // NewDynamicAncestryLabeling wraps the ancestry scheme with size-driven
 // rebuilds so label sizes track the current n (Corollary 5.7).
 func NewDynamicAncestryLabeling(tr *Tree, rt Runtime) (*DynamicLabeling, error) {
-	return labeling.NewDynamic(tr, rt, func(tr *tree.Tree) (labeling.Scheme, int64) {
+	return labeling.NewDynamic(tr, dist.Over(rt), func(tr *tree.Tree) (labeling.Scheme, int64) {
 		return labeling.BuildAncestry(tr), int64(tr.Size())
 	}, nil)
 }
@@ -269,5 +269,5 @@ type Majority = majority.Protocol
 // NewMajority starts majority commitment over the given population,
 // returning the protocol and its (single-root) tree.
 func NewMajority(population int, seed int64) (*Majority, *Tree, error) {
-	return majority.New(population, seed)
+	return majority.New(population, dist.Over(sim.NewDeterministic(seed)))
 }

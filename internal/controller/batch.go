@@ -81,20 +81,16 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 	return Grant{Outcome: Granted, Serial: serial}, true
 }
 
-// BatchOver answers a batch over the fixed-U core whose slow path is core:
-// requests are answered in order with semantics identical to serial Submit
-// calls. The local fast path amortizes the per-request overhead —
+// SubmitBatch implements BatchSubmitter over a fixed-U core: requests are
+// answered in order with semantics identical to serial Submit calls. The
+// local fast path answers a request whose node already holds a static
+// package without starting the transport (items 1–2 of Protocol
+// GrantOrReject move nothing) and amortizes the per-request overhead,
 // including the shared counter updates, which are flushed once per run of
-// fast grants — whenever a static package already waits at the requesting
-// node.
-func (wb *Whiteboard) BatchOver(core Submitter, reqs []Request, out []BatchResult) []BatchResult {
-	return RunBatch(reqs, out, wb.FastGrant, core.Submit,
-		func(grants int64) { wb.counters.Add(stats.CounterGrants, grants) })
-}
-
-// SubmitBatch implements BatchSubmitter over the centralized core.
-func (c *Core) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	return c.BatchOver(c, reqs, out)
+// fast grants.
+func (f *Fixed) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
+	return RunBatch(reqs, out, f.FastGrant, f.core.Submit,
+		func(grants int64) { f.counters.Add(stats.CounterGrants, grants) })
 }
 
 // fastGrant forwards the local fast path through the waste-halving driver:
@@ -168,7 +164,7 @@ func (d *Dynamic) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
 }
 
 var (
-	_ BatchSubmitter = (*Core)(nil)
+	_ BatchSubmitter = (*Fixed)(nil)
 	_ BatchSubmitter = (*Iterated)(nil)
 	_ BatchSubmitter = (*Dynamic)(nil)
 )

@@ -70,12 +70,6 @@ type Grant struct {
 	NewNode tree.NodeID
 }
 
-// DescentObserver is notified when a permit package of the given size moves
-// down the tree; path lists the nodes the package enters, from the first
-// node below the source down to the destination (inclusive). The subtree
-// estimator of Section 5.3 uses this hook.
-type DescentObserver func(size int64, path []tree.NodeID)
-
 // Core is the fixed-U centralized (M,W)-Controller of Section 3.1: the
 // shared whiteboards plus a transport that moves a package across d edges
 // in one step at a cost of d moves. It is not safe for concurrent use; the
@@ -83,9 +77,6 @@ type DescentObserver func(size int64, path []tree.NodeID)
 type Core struct {
 	*Whiteboard
 	domains *DomainTracker
-	descent DescentObserver
-
-	trackDomains bool
 
 	// Scratch of distribute, reused across requests: the hop distances of
 	// the drop points u_0..u_{j-1} from the requesting node, and the nodes.
@@ -93,53 +84,16 @@ type Core struct {
 	drops     []tree.NodeID
 }
 
-// CoreOption configures a Core.
-type CoreOption func(*Core)
-
-// WithCounters directs cost accounting into c (shared counters let drivers
-// aggregate across iterations).
-func WithCounters(c *stats.Counters) CoreOption {
-	return func(co *Core) { co.counters = c }
-}
-
-// WithDomainTracking enables the analysis-only domain bookkeeping of
-// Section 3.2 so tests can assert the domain invariants.
-func WithDomainTracking() CoreOption {
-	return func(co *Core) { co.trackDomains = true }
-}
-
-// WithSerials attaches explicit permit serial numbers to the root storage;
-// the interval length must be at least M.
-func WithSerials(iv pkgstore.Interval) CoreOption {
-	return func(co *Core) { co.serials = iv }
-}
-
-// WithNoRejects makes the core return WouldReject instead of issuing
-// rejects (the terminating transformation of Observation 2.1).
-func WithNoRejects() CoreOption {
-	return func(co *Core) { co.noRejects = true }
-}
-
-// WithDescentObserver registers fn to observe downward package moves.
-func WithDescentObserver(fn DescentObserver) CoreOption {
-	return func(co *Core) { co.descent = fn }
-}
-
 // NewCore creates a fixed-U (m, w)-Controller over tr assuming at most u
-// nodes ever exist. The root's storage initially holds the m permits.
+// nodes ever exist. The root's storage initially holds the m permits. It is
+// what Centralized attaches to whiteboards, returned as itself for the
+// callers that want the domain analysis of Section 3.2.
 func NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Core {
-	c := &Core{Whiteboard: new(Whiteboard)}
-	for _, opt := range opts {
-		opt(c)
-	}
-	c.init(tr, u, m, w)
-	if c.trackDomains {
-		c.domains = NewDomainTracker(tr, c.params)
-	}
-	return c
+	return &Core{Whiteboard: newWhiteboard(tr, u, m, w, opts...)}
 }
 
-// EnableDomainTracking switches on domain bookkeeping. It must be called
+// EnableDomainTracking switches on the analysis-only domain bookkeeping of
+// Section 3.2 so tests can assert the domain invariants. It must be called
 // before the first request is submitted.
 func (c *Core) EnableDomainTracking() {
 	if c.domains == nil {
@@ -277,8 +231,10 @@ func (c *Core) moveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int
 		path, err := c.tr.PathBetween(target, host)
 		if err == nil {
 			// path is target..host bottom-up; the package enters every
-			// node strictly below host, i.e. all but the last entry.
-			c.descent(pk.Size, path[:len(path)-1])
+			// node strictly below host, top-down.
+			for i := len(path) - 2; i >= 0; i-- {
+				c.descent(pk.Size, path[i])
+			}
 		}
 	}
 }

@@ -306,7 +306,8 @@ func TestDomainInvariantsUnderChurn(t *testing.T) {
 	}
 	const requests = 400
 	u := int64(tr.Size() + requests + 8)
-	c := ctl.NewCore(tr, u, 1<<30, 1, ctl.WithDomainTracking())
+	c := ctl.NewCore(tr, u, 1<<30, 1)
+	c.EnableDomainTracking()
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 99)
 	for i := 0; i < requests; i++ {
 		req, ok := gen.Next()
@@ -333,7 +334,8 @@ func TestDomainInvariantsDeepPath(t *testing.T) {
 	}
 	const requests = 200
 	u := int64(tr.Size() + requests + 8)
-	c := ctl.NewCore(tr, u, 1<<30, 1, ctl.WithDomainTracking())
+	c := ctl.NewCore(tr, u, 1<<30, 1)
+	c.EnableDomainTracking()
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 17)
 	for i := 0; i < requests; i++ {
 		req, ok := gen.Next()
@@ -357,7 +359,8 @@ func TestLevelPackageCountBound(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	u := int64(tr.Size() + 300)
-	c := ctl.NewCore(tr, u, 1<<30, 1, ctl.WithDomainTracking())
+	c := ctl.NewCore(tr, u, 1<<30, 1)
+	c.EnableDomainTracking()
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 7)
 	for i := 0; i < 250; i++ {
 		req, ok := gen.Next()
@@ -449,24 +452,30 @@ func TestMoveComplexityWithinTheoreticalBound(t *testing.T) {
 	}
 }
 
+// TestDescentObserver pins the observer's contract on the centralized core:
+// one call for each node a package enters, the root included when the
+// storage funds a package there.
 func TestDescentObserver(t *testing.T) {
 	tr, ids := newPathTree(t, 300)
-	var totalEntered int64
+	var entered, atRoot int64
 	c := ctl.NewCore(tr, 1024, 1<<20, 1, ctl.WithDescentObserver(
-		func(size int64, path []tree.NodeID) {
-			totalEntered += size * int64(len(path))
+		func(size int64, enters tree.NodeID) {
+			if size < 1 {
+				t.Errorf("package of size %d entered %d", size, enters)
+			}
+			entered++
+			if enters == tr.Root() {
+				atRoot++
+			}
 		}))
 	if _, err := c.Submit(ctl.Request{Node: ids[len(ids)-1], Kind: tree.None}); err != nil {
 		t.Fatal(err)
 	}
+	// Every move of a package over one edge enters one node, and the one
+	// package the request made the storage fund entered the root first.
 	moves := c.Counters().Get(stats.CounterMoves)
-	if totalEntered == 0 {
-		t.Fatal("descent observer saw nothing")
-	}
-	// Every move of a size-s package over one edge enters one node, so
-	// Σ size·|path| ≥ moves (sizes ≥ 1).
-	if totalEntered < moves {
-		t.Fatalf("entered %d < moves %d", totalEntered, moves)
+	if moves == 0 || atRoot != 1 || entered != moves+1 {
+		t.Fatalf("observer heard %d entries, %d of them at the root; %d moves", entered, atRoot, moves)
 	}
 }
 

@@ -3,7 +3,6 @@ package controller
 import (
 	"errors"
 
-	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -69,7 +68,7 @@ func AsTerminating() IteratedOption {
 // NewIterated builds the centralized waste-halving (m, w)-Controller over
 // tr with the fixed node bound u.
 func NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
-	return centralized.NewIterated(tr, u, m, w, opts...)
+	return Centralized.NewIterated(tr, u, m, w, opts...)
 }
 
 // NewIterated builds the waste-halving (m, w)-Controller over tr with the
@@ -97,7 +96,7 @@ func (it *Iterated) startIteration(m int64) {
 		it.finalPhase = true
 		w = it.w
 	}
-	it.wb = NewWhiteboard(it.tr, it.u, m, w, it.counters, pkgstore.Interval{}, true)
+	it.wb = newWhiteboard(it.tr, it.u, m, w, WithCounters(it.counters), WithNoRejects())
 	it.core = it.tp.Attach(it.wb)
 }
 
@@ -197,11 +196,11 @@ func (it *Iterated) submitTrivial(req Request) (Grant, error) {
 func (it *Iterated) exhausted() (Grant, error) {
 	if it.terminating {
 		it.terminated = true
-		it.tp.sweep(it.counters, it.tr, 2)
+		it.tp.Sweep(it.counters, it.tr, 2)
 		return Grant{}, ErrTerminated
 	}
 	it.rejectAll = true
-	it.tp.sweep(it.counters, it.tr, 1)
+	it.tp.Sweep(it.counters, it.tr, 1)
 	it.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil
 }

@@ -25,13 +25,18 @@ type maskRun struct {
 	handoffs int
 }
 
+// transport returns the run's execution model; the message-passing one
+// over a fresh runtime.
+func (r *maskRun) transport(seed int64) ctl.Transport {
+	if r.distributed {
+		return dist.Over(sim.NewDeterministic(seed))
+	}
+	return ctl.Centralized
+}
+
 func newMaskRun(tr *tree.Tree, distributed bool, m, w int64) *maskRun {
 	r := &maskRun{distributed: distributed, tr: tr, counters: stats.NewCounters()}
-	if distributed {
-		r.d = dist.NewDynamic(tr, sim.NewDeterministic(7), m, w, false, r.counters).Dynamic
-	} else {
-		r.d = ctl.NewDynamic(tr, m, w, ctl.WithDynamicCounters(r.counters))
-	}
+	r.d = r.transport(7).NewDynamic(tr, m, w, ctl.WithDynamicCounters(r.counters))
 	return r
 }
 
@@ -63,18 +68,11 @@ func (r *maskRun) check(t testing.TB) {
 // the same tree: the masks are derived state, so the rebuild must derive them.
 func (r *maskRun) roundTrip(t testing.TB) {
 	t.Helper()
-	var err error
-	if r.distributed {
-		var d *dist.Dynamic
-		if d, err = dist.RestoreDynamic(r.tr, sim.NewDeterministic(11), r.d.State(), r.counters); err == nil {
-			r.d = d.Dynamic
-		}
-	} else {
-		r.d, err = ctl.RestoreDynamic(r.tr, r.d.State(), r.counters)
-	}
+	d, err := r.transport(11).RestoreDynamic(r.tr, r.d.State(), r.counters)
 	if err != nil {
 		t.Fatalf("State → RestoreDynamic: %v", err)
 	}
+	r.d = d
 	r.check(t)
 }
 

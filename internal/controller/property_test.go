@@ -83,7 +83,8 @@ func TestPropertyDomainInvariants(t *testing.T) {
 		u := int64(size + requests + 8)
 		// Random W spanning both the φ=1 and φ>1 regimes.
 		w := int64(wRaw%4096) + u
-		c := ctl.NewCore(tr, u, 1<<30, w, ctl.WithDomainTracking())
+		c := ctl.NewCore(tr, u, 1<<30, w)
+		c.EnableDomainTracking()
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+2)
 		for i := 0; i < requests; i++ {
 			req, ok := gen.Next()

@@ -152,5 +152,5 @@ func (tp Transport) RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *st
 // RestoreDynamic rebuilds a centralized unknown-U controller from captured
 // state.
 func RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *stats.Counters) (*Dynamic, error) {
-	return centralized.RestoreDynamic(tr, st, counters)
+	return Centralized.RestoreDynamic(tr, st, counters)
 }

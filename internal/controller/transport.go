@@ -32,18 +32,22 @@ type Transport struct {
 	// a direct computation centrally and 2(n−1) messages distributed
 	// (Appendix A).
 	RestartCosts bool
+	// Delivered reports what the transport carried itself and no counter
+	// holds: the messages a runtime delivered. Nil when every cost is a
+	// counter.
+	Delivered func() int64
 }
 
-// centralized is the execution model of Section 3: Core moves packages directly
-// and every cost is a move.
-var centralized = Transport{
+// Centralized is the execution model of Section 3: Core moves packages
+// directly and every cost is a move.
+var Centralized = Transport{
 	Attach:  func(wb *Whiteboard) Submitter { return &Core{Whiteboard: wb} },
 	Counter: stats.CounterMoves,
 }
 
-// sweep charges perEdge crossings of every edge of the current tree: 1 for
-// a broadcast, 2 for a broadcast with its upcast.
-func (tp Transport) sweep(counters *stats.Counters, tr *tree.Tree, perEdge int64) {
+// Sweep charges perEdge crossings of every edge of the current tree: 1 for
+// a broadcast, 2 for a broadcast with its upcast or for a DFS traversal.
+func (tp Transport) Sweep(counters *stats.Counters, tr *tree.Tree, perEdge int64) {
 	if n := int64(tr.Size()); n > 1 {
 		counters.Add(tp.Counter, perEdge*(n-1))
 	}
@@ -53,9 +57,38 @@ func (tp Transport) sweep(counters *stats.Counters, tr *tree.Tree, perEdge int64
 // execution model has one.
 func (tp Transport) restart(counters *stats.Counters, tr *tree.Tree) {
 	if tp.RestartCosts {
-		tp.sweep(counters, tr, 2)
+		tp.Sweep(counters, tr, 2)
 	}
 }
+
+// Cost returns what running over this transport has cost so far, in its own
+// measure: the moves or control messages charged to counters plus whatever
+// the transport delivered itself.
+func (tp Transport) Cost(counters *stats.Counters) int64 {
+	n := counters.Get(tp.Counter)
+	if tp.Delivered != nil {
+		n += tp.Delivered()
+	}
+	return n
+}
+
+// Fixed is a fixed-U (M,W)-controller over some transport: the whiteboards,
+// which answer alone whatever needs no package moved, and the transport's
+// core for the rest.
+type Fixed struct {
+	*Whiteboard
+	core Submitter
+}
+
+// NewCore builds the fixed-U (m, w)-controller over tr assuming at most u
+// nodes ever exist, its packages moving this transport's way.
+func (tp Transport) NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Fixed {
+	wb := newWhiteboard(tr, u, m, w, opts...)
+	return &Fixed{Whiteboard: wb, core: tp.Attach(wb)}
+}
+
+// Submit runs Protocol GrantOrReject for one request.
+func (f *Fixed) Submit(req Request) (Grant, error) { return f.core.Submit(req) }
 
 // ErrTerminated is returned by terminating controllers after termination.
 var ErrTerminated = errors.New("controller: terminated")
@@ -66,29 +99,27 @@ var ErrTerminated = errors.New("controller: terminated")
 // M−W ≤ m ≤ M.
 type Terminating struct {
 	tp         Transport
-	core       Submitter
-	wb         *Whiteboard
+	core       *Fixed
 	terminated bool
 }
 
-// NewTerminating builds a terminating (m,w)-Controller over tr with the
-// fixed bound u.
+// NewTerminating builds a centralized terminating (m,w)-Controller over tr
+// with the fixed bound u.
 func NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {
-	core := NewCore(tr, u, m, w, append(opts, WithNoRejects())...)
-	return centralized.Terminating(core, core.Whiteboard)
+	return Centralized.NewTerminating(tr, u, m, w, opts...)
 }
 
-// Terminating wraps core, a fixed-U core over the no-reject whiteboards wb
-// that moves packages this transport's way.
-func (tp Transport) Terminating(core Submitter, wb *Whiteboard) *Terminating {
-	return &Terminating{tp: tp, core: core, wb: wb}
+// NewTerminating builds a terminating (m,w)-Controller over tr with the
+// fixed bound u, its core moving packages this transport's way.
+func (tp Transport) NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {
+	return &Terminating{tp: tp, core: tp.NewCore(tr, u, m, w, append(opts, WithNoRejects())...)}
 }
 
 // Terminated reports whether the controller has terminated.
 func (t *Terminating) Terminated() bool { return t.terminated }
 
 // Granted returns the permits granted before termination.
-func (t *Terminating) Granted() int64 { return t.wb.Granted() }
+func (t *Terminating) Granted() int64 { return t.core.Granted() }
 
 // Submit forwards the request unless terminated. The first request the core
 // cannot fund flips the controller into the terminated state; that request
@@ -117,5 +148,5 @@ func (t *Terminating) Terminate() {
 		return
 	}
 	t.terminated = true
-	t.tp.sweep(t.wb.counters, t.wb.tr, 2)
+	t.tp.Sweep(t.core.counters, t.core.tr, 2)
 }

@@ -73,7 +73,7 @@ func DynamicTerminating() DynamicOption {
 
 // NewDynamic builds the centralized unknown-U (m, w)-Controller over tr.
 func NewDynamic(tr *tree.Tree, m, w int64, opts ...DynamicOption) *Dynamic {
-	return centralized.NewDynamic(tr, m, w, opts...)
+	return Centralized.NewDynamic(tr, m, w, opts...)
 }
 
 // NewDynamic builds an unknown-U (m, w)-Controller over tr, its cores
@@ -190,7 +190,7 @@ func (d *Dynamic) exhausted() (Grant, error) {
 		return Grant{}, ErrTerminated
 	}
 	d.rejectAll = true
-	d.tp.sweep(d.counters, d.tr, 1)
+	d.tp.Sweep(d.counters, d.tr, 1)
 	d.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil
 }

@@ -35,6 +35,7 @@ type Whiteboard struct {
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
+	descent  DescentObserver // nil unless an application listens
 
 	noRejects  bool
 	rejectWave bool
@@ -42,23 +43,50 @@ type Whiteboard struct {
 	rejected   int64
 }
 
-// NewWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
-// tr assuming at most u nodes ever exist; the root's storage holds the m
-// permits. counters may be nil; a valid serials interval (of length at
-// least m) attaches explicit serial numbers to the storage; noRejects makes
-// the core answer WouldReject instead of flooding the reject wave.
-func NewWhiteboard(tr *tree.Tree, u, m, w int64, counters *stats.Counters, serials pkgstore.Interval, noRejects bool) *Whiteboard {
-	wb := &Whiteboard{counters: counters, serials: serials, noRejects: noRejects}
-	wb.init(tr, u, m, w)
-	return wb
+// CoreOption configures the whiteboards of a fixed-U core; the options are
+// the same whichever transport moves the packages.
+type CoreOption func(*Whiteboard)
+
+// WithCounters directs cost accounting into c (shared counters let drivers
+// aggregate across iterations).
+func WithCounters(c *stats.Counters) CoreOption {
+	return func(wb *Whiteboard) { wb.counters = c }
 }
 
-// init fills in what the options of a constructor do not set.
-func (wb *Whiteboard) init(tr *tree.Tree, u, m, w int64) {
-	wb.tr = tr
-	wb.root = tr.Root()
-	wb.params = pkgstore.NewParams(u, m, w)
-	wb.storage = m
+// WithSerials attaches explicit permit serial numbers to the root storage;
+// the interval length must be at least M.
+func WithSerials(iv pkgstore.Interval) CoreOption {
+	return func(wb *Whiteboard) { wb.serials = iv }
+}
+
+// WithNoRejects makes the core return WouldReject instead of flooding the
+// reject wave (the terminating transformation of Observation 2.1).
+func WithNoRejects() CoreOption {
+	return func(wb *Whiteboard) { wb.noRejects = true }
+}
+
+// DescentObserver is called once for each node a permit package of the
+// given size enters on its way down the tree: the root when the storage
+// funds a package there (the permits leave the storage and enter the root's
+// whiteboard), then every node below the package's host down to its
+// destination, in the order the package reaches them. The subtree
+// estimator of Section 5.3 sums what passed through each node, and needs
+// the root counted for ω̃(root) to dominate the root's super-weight.
+type DescentObserver func(size int64, enters tree.NodeID)
+
+// WithDescentObserver registers fn to observe downward package moves.
+func WithDescentObserver(fn DescentObserver) CoreOption {
+	return func(wb *Whiteboard) { wb.descent = fn }
+}
+
+// newWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
+// tr assuming at most u nodes ever exist; the root's storage holds the m
+// permits.
+func newWhiteboard(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Whiteboard {
+	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m}
+	for _, opt := range opts {
+		opt(wb)
+	}
 	// Every live node starts with an empty store (State lists them all);
 	// they come out of one slab, in id order like the climbs that read them.
 	nodes := tr.Nodes()
@@ -71,6 +99,7 @@ func (wb *Whiteboard) init(tr *tree.Tree, u, m, w int64) {
 	if wb.counters == nil {
 		wb.counters = stats.NewCounters()
 	}
+	return wb
 }
 
 // Tree returns the tree the whiteboards hang off.
@@ -290,7 +319,8 @@ func (wb *Whiteboard) StartRejectWave() bool {
 // hops below without finding a filler (item 3b): it funds a mobile package
 // of level j(u) from the root storage and places it in the root's store.
 // It returns nil when the storage cannot fund the package; the caller then
-// rejects.
+// rejects. The funded package enters the root: the descent observer hears
+// of it here, once for both transports.
 func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 	level := wb.params.RootLevel(dRoot)
 	size := wb.params.MobileSize(level)
@@ -314,7 +344,16 @@ func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 	}
 	wb.storage -= size
 	wb.AddMobile(wb.root, pk)
+	wb.Entered(size, wb.root)
 	return pk, nil
+}
+
+// Entered tells the descent observer, if there is one, that a package of
+// the given size entered the node id.
+func (wb *Whiteboard) Entered(size int64, id tree.NodeID) {
+	if wb.descent != nil {
+		wb.descent(size, id)
+	}
 }
 
 // Handoff carries the packages (and the reject package, if any) of a node

@@ -108,8 +108,7 @@ func TestGracefulDeletionOfDropPointNode(t *testing.T) {
 			// package holds enough permits to survive the grant that
 			// consumes one.
 			m, w := int64(600), int64(512)
-			core := dist.NewCore(tr, rt, 128, m, w)
-			sub := dist.NewSubmitter(core, rt)
+			core := dist.Over(rt).NewCore(tr, 128, m, w)
 			if p := core.Params(); 2*p.Psi >= int64(n) {
 				t.Fatalf("tuning broken: 2ψ = %d >= path length %d, no drop points will form", 2*p.Psi, n)
 			}
@@ -125,7 +124,7 @@ func TestGracefulDeletionOfDropPointNode(t *testing.T) {
 			// A request at the path's tip forces a root-funded package to
 			// descend the full path, splitting at every drop point.
 			tip := deepestOf(t, tr)
-			if g, err := sub.Submit(controller.Request{Node: tip, Kind: tree.None}); err != nil ||
+			if g, err := core.Submit(controller.Request{Node: tip, Kind: tree.None}); err != nil ||
 				g.Outcome != controller.Granted {
 				t.Fatalf("deep request: grant %+v, err %v", g, err)
 			}
@@ -156,7 +155,7 @@ func TestGracefulDeletionOfDropPointNode(t *testing.T) {
 
 			// Gracefully delete the drop point (the deletion request itself
 			// consumes one permit, possibly from the victim's own store).
-			if g, err := sub.Submit(controller.Request{Node: victim, Kind: tree.RemoveInternal}); err != nil ||
+			if g, err := core.Submit(controller.Request{Node: victim, Kind: tree.RemoveInternal}); err != nil ||
 				g.Outcome != controller.Granted {
 				t.Fatalf("delete drop point: grant %+v, err %v", g, err)
 			}
@@ -177,7 +176,7 @@ func TestGracefulDeletionOfDropPointNode(t *testing.T) {
 			// The protocol keeps working: requests at the new tip (one hop
 			// below the deleted node's position) and at the root both land.
 			for _, at := range []tree.NodeID{deepestOf(t, tr), tr.Root()} {
-				if g, err := sub.Submit(controller.Request{Node: at, Kind: tree.None}); err != nil ||
+				if g, err := core.Submit(controller.Request{Node: at, Kind: tree.None}); err != nil ||
 					g.Outcome != controller.Granted {
 					t.Fatalf("post-deletion request at %d: grant %+v, err %v", at, g, err)
 				}
@@ -222,13 +221,12 @@ func TestRejectWaveFromDeepSearchUnderSchedulers(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, w := int64(48), int64(24)
-			core := dist.NewCore(tr, rt, int64(n)*4, m, w)
-			sub := dist.NewSubmitter(core, rt)
+			core := dist.Over(rt).NewCore(tr, int64(n)*4, m, w)
 
 			tip := deepestOf(t, tr)
 			sawReject := false
 			for i := 0; i < 3*int(m); i++ {
-				g, err := sub.Submit(controller.Request{Node: tip, Kind: tree.None})
+				g, err := core.Submit(controller.Request{Node: tip, Kind: tree.None})
 				if err != nil {
 					t.Fatalf("request %d: %v", i, err)
 				}
@@ -249,7 +247,7 @@ func TestRejectWaveFromDeepSearchUnderSchedulers(t *testing.T) {
 			// The wave must have flooded every node: a request anywhere is
 			// rejected from the local reject package without new grants.
 			for _, id := range tr.Nodes() {
-				g, err := sub.Submit(controller.Request{Node: id, Kind: tree.None})
+				g, err := core.Submit(controller.Request{Node: id, Kind: tree.None})
 				if err != nil {
 					t.Fatalf("post-wave request at %d: %v", id, err)
 				}
@@ -278,8 +276,7 @@ func TestChurnPermitConservationAcrossSchedulers(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := int64(steps) * 2
-			core := dist.NewCore(tr, rt, int64(n+steps), m, m/4)
-			sub := dist.NewSubmitter(core, rt)
+			core := dist.Over(rt).NewCore(tr, int64(n+steps), m, m/4)
 			mix, err := workload.MixByName("storm")
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +288,7 @@ func TestChurnPermitConservationAcrossSchedulers(t *testing.T) {
 				if !ok {
 					break
 				}
-				if _, err := sub.Submit(req); err != nil {
+				if _, err := core.Submit(req); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				if got := core.UnusedPermits() + core.Granted(); got != m {

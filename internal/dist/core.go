@@ -6,15 +6,8 @@ import (
 	"dynctrl/internal/controller"
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
-
-// DescentObserver is notified for every node a permit package of the given
-// size enters while descending the tree. The subtree estimator of Section
-// 5.3 uses this hook; it is the distributed counterpart of the centralized
-// observer, which reports the whole entered path at once.
-type DescentObserver func(size int64, enters tree.NodeID)
 
 // Core is the fixed-U distributed (M,W)-Controller of Section 4: the shared
 // whiteboards of Section 3.1 plus a transport that moves packages by message
@@ -23,8 +16,7 @@ type DescentObserver func(size int64, enters tree.NodeID)
 // is active per request.
 type Core struct {
 	*controller.Whiteboard
-	rt      sim.Runtime
-	descent DescentObserver
+	rt sim.Runtime
 
 	// cur holds the in-flight request; it is only non-nil between the
 	// start of Submit and the completion of the matching Drain. It points
@@ -40,53 +32,6 @@ type pending struct {
 	done  bool
 	grant controller.Grant
 	err   error
-}
-
-// CoreOption configures a Core.
-type CoreOption func(*coreOptions)
-
-type coreOptions struct {
-	counters  *stats.Counters
-	serials   pkgstore.Interval
-	noRejects bool
-	descent   DescentObserver
-}
-
-// WithCounters directs cost accounting into c (shared counters let drivers
-// aggregate across iterations).
-func WithCounters(c *stats.Counters) CoreOption {
-	return func(o *coreOptions) { o.counters = c }
-}
-
-// WithSerials attaches explicit permit serial numbers to the root storage;
-// the interval length must be at least M.
-func WithSerials(iv pkgstore.Interval) CoreOption {
-	return func(o *coreOptions) { o.serials = iv }
-}
-
-// WithNoRejects makes the core answer WouldReject instead of flooding the
-// reject wave (the terminating transformation of Observation 2.1).
-func WithNoRejects() CoreOption {
-	return func(o *coreOptions) { o.noRejects = true }
-}
-
-// WithDescentObserver registers fn to observe downward package moves.
-func WithDescentObserver(fn DescentObserver) CoreOption {
-	return func(o *coreOptions) { o.descent = fn }
-}
-
-// NewCore creates a fixed-U distributed (m, w)-Controller over tr, moving
-// messages through rt. The root's storage initially holds the m permits.
-func NewCore(tr *tree.Tree, rt sim.Runtime, u, m, w int64, opts ...CoreOption) *Core {
-	var o coreOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return &Core{
-		Whiteboard: controller.NewWhiteboard(tr, u, m, w, o.counters, o.serials, o.noRejects),
-		rt:         rt,
-		descent:    o.descent,
-	}
 }
 
 // Submit runs one request through the message-passing protocol and blocks
@@ -206,12 +151,6 @@ func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 		c.finish(c.Reject())
 		return
 	}
-	// Permits leaving the storage enter the root's whiteboard: the subtree
-	// estimator needs them counted as passing through the root so that
-	// ω̃(root) dominates the root's true super-weight.
-	if c.descent != nil {
-		c.descent(pk.Size, root)
-	}
 	c.startDescent(root, pk, origin)
 }
 
@@ -256,9 +195,7 @@ func (c *Core) handleDescend(pl *descend) {
 	node := pl.path[pl.idx]
 	dist := int64(len(pl.path) - 1 - pl.idx)
 	pkg := pl.pkg
-	if c.descent != nil {
-		c.descent(pkg.Size, node)
-	}
+	c.Entered(pkg.Size, node)
 	// Split at drop points: for every level k > 0 whose drop distance
 	// matches, one half stays here and the other half continues (the drop
 	// distances are strictly decreasing in k, so at most one level fires).
@@ -350,33 +287,3 @@ func (c *Core) fail(err error) {
 	c.cur.err = err
 	c.cur.done = true
 }
-
-// Submitter is the request-submission front-end of the distributed core; it
-// satisfies workload.Submitter and controller.BatchSubmitter.
-type Submitter struct {
-	core *Core
-}
-
-// NewSubmitter wraps a Core for direct request submission. rt names the
-// runtime the core was built with (the core drives it; the parameter keeps
-// the wiring explicit at call sites).
-func NewSubmitter(core *Core, rt sim.Runtime) *Submitter {
-	_ = rt
-	return &Submitter{core: core}
-}
-
-// Submit answers one request, blocking until the distributed protocol has
-// delivered the verdict.
-func (s *Submitter) Submit(req controller.Request) (controller.Grant, error) {
-	return s.core.Submit(req)
-}
-
-// SubmitBatch answers a batch with serial-equivalent semantics: a request
-// whose node already holds a static package is granted from the local
-// whiteboard without installing a handler, starting an agent or draining
-// the runtime (items 1–2 of Protocol GrantOrReject need no message).
-func (s *Submitter) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
-	return s.core.BatchOver(s.core, reqs, out)
-}
-
-var _ controller.BatchSubmitter = (*Submitter)(nil)

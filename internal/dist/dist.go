@@ -4,7 +4,8 @@
 // driver live in package controller, written once; this package supplies
 // the fixed-U core that moves their packages as messages over a
 // sim.Runtime, so that the cost measure is message complexity instead of
-// move complexity, and the constructors that plug it in.
+// move complexity, and Over, the controller.Transport that plugs it in.
+// Everything above the drivers names this engine only as dist.Over(rt).
 //
 // The translation follows the paper's simulation (Lemma 4.5 / Theorem 4.7):
 //
@@ -30,7 +31,8 @@
 // Costs that the full protocol pays in broadcast/upcast phases the
 // simulation cannot route through the transport (iteration restarts,
 // termination detection, the N_i count of the unknown-U controller) are
-// accounted in the CounterControl tally; TotalMessages adds the two.
+// accounted in the stats.CounterControl tally; the transport's Cost adds the
+// two.
 package dist
 
 import (
@@ -43,98 +45,46 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// ErrTerminated is returned by terminating controllers after termination.
-// It aliases controller.ErrTerminated so errors.Is works across layers.
-var ErrTerminated = controller.ErrTerminated
-
-// CounterControl names the stats counter accumulating control-plane
-// messages: broadcast/upcast phases that the message transport does not
-// carry explicitly (iteration bookkeeping, termination detection, DFS
-// relabelings of the applications).
-const CounterControl = stats.CounterControl
-
-// TotalMessages returns the total message complexity spent so far: messages
-// delivered by the transport plus accounted control messages.
-func TotalMessages(rt sim.Runtime, counters *stats.Counters) int64 {
-	return rt.Messages() + counters.Get(CounterControl)
-}
-
-// over returns the message-passing execution model over rt: fixed-U cores
+// Over returns the message-passing execution model over rt: fixed-U cores
 // that move packages as messages, driver-level broadcasts charged as
 // control messages, and iteration restarts that cost a broadcast/upcast.
-func over(rt sim.Runtime) controller.Transport {
+func Over(rt sim.Runtime) controller.Transport {
 	return controller.Transport{
 		Attach: func(wb *controller.Whiteboard) controller.Submitter {
 			return &Core{Whiteboard: wb, rt: rt}
 		},
-		Counter:      CounterControl,
+		Counter:      stats.CounterControl,
 		RestartCosts: true,
+		Delivered:    rt.Messages,
 	}
 }
 
-// Iterated is the waste-halving (M,W)-Controller (Observation 3.4) and
-// Terminating the terminating transformation (Observation 2.1); over this
-// package's transport their cost is Theorem 4.7's message complexity.
-type (
-	Iterated    = controller.Iterated
-	Terminating = controller.Terminating
-)
+// The three names below are what bench/rungs.go compiles against; nothing
+// under bench/ may change with the engine, so they keep their signatures.
+// Everyone else builds Over(rt).NewDynamic and reads Over(rt).Cost.
 
-// NewIterated builds the distributed waste-halving (m, w)-Controller over
-// tr with the fixed node bound u. When terminating is true the driver
-// returns ErrTerminated on exhaustion instead of rejecting. counters may be
-// nil.
-func NewIterated(tr *tree.Tree, rt sim.Runtime, u, m, w int64, terminating bool, counters *stats.Counters) *Iterated {
-	opts := []controller.IteratedOption{controller.WithIteratedCounters(counters)}
-	if terminating {
-		opts = append(opts, controller.AsTerminating())
-	}
-	return over(rt).NewIterated(tr, u, m, w, opts...)
+// TotalMessages returns the total message complexity spent so far: messages
+// delivered by the transport plus accounted control messages.
+func TotalMessages(rt sim.Runtime, counters *stats.Counters) int64 {
+	return Over(rt).Cost(counters)
 }
 
-// NewTerminating builds a terminating distributed (m,w)-Controller over tr
-// with the fixed bound u, accounting costs into counters (which may be
-// nil).
-func NewTerminating(tr *tree.Tree, rt sim.Runtime, u, m, w int64, counters *stats.Counters, opts ...CoreOption) *Terminating {
-	opts = append(opts, WithNoRejects())
-	if counters != nil {
-		opts = append(opts, WithCounters(counters))
-	}
-	core := NewCore(tr, rt, u, m, w, opts...)
-	return over(rt).Terminating(core, core.Whiteboard)
-}
-
-// Dynamic is the distributed (M,W)-Controller for the general case where no
-// bound U on the number of nodes ever to exist is known in advance — the
-// paper's headline construction (Theorem 4.9): controller.Dynamic over this
-// package's transport, plus the runtime it runs over. Message complexity:
-// O(n₀log²n₀·log(M/(W+1)) + Σ_j log²n_j·log(M/(W+1))).
+// Dynamic is controller.Dynamic over this package's transport (the paper's
+// headline Theorem 4.9) together with the runtime it runs over.
 type Dynamic struct {
 	*controller.Dynamic
 	rt sim.Runtime
 }
 
 // NewDynamic builds a distributed unknown-U (m, w)-Controller over tr. When
-// terminating is true the controller returns ErrTerminated on exhaustion
-// instead of rejecting. counters may be nil.
+// terminating is true the controller returns controller.ErrTerminated on
+// exhaustion instead of rejecting. counters may be nil.
 func NewDynamic(tr *tree.Tree, rt sim.Runtime, m, w int64, terminating bool, counters *stats.Counters) *Dynamic {
 	opts := []controller.DynamicOption{controller.WithDynamicCounters(counters)}
 	if terminating {
 		opts = append(opts, controller.DynamicTerminating())
 	}
-	return &Dynamic{Dynamic: over(rt).NewDynamic(tr, m, w, opts...), rt: rt}
-}
-
-// RestoreDynamic rebuilds an unknown-U controller from captured state over
-// tr, moving messages through rt and accounting into counters. The caller
-// restores tr and counters to their captured states first; the returned
-// controller then continues exactly where the captured one stopped.
-func RestoreDynamic(tr *tree.Tree, rt sim.Runtime, st *controller.DynamicState, counters *stats.Counters) (*Dynamic, error) {
-	d, err := over(rt).RestoreDynamic(tr, st, counters)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{Dynamic: d, rt: rt}, nil
+	return &Dynamic{Dynamic: Over(rt).NewDynamic(tr, m, w, opts...), rt: rt}
 }
 
 // Runtime returns the message transport the controller runs over.

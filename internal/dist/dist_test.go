@@ -46,7 +46,7 @@ func TestSafetyAndLivenessUnderChurn(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				tr := buildTree(t, tc.n, seed)
 				rt := sim.NewDeterministic(seed)
-				it := dist.NewIterated(tr, rt, int64(tc.n)+2*tc.m, tc.m, tc.w, false, stats.NewCounters())
+				it := dist.Over(rt).NewIterated(tr, int64(tc.n)+2*tc.m, tc.m, tc.w)
 				gen := workload.NewChurn(tr, tc.mix, seed+100)
 				gen.SetMinSize(tc.n/4 + 1)
 
@@ -100,13 +100,13 @@ func TestTerminatingRejectsAfterTermination(t *testing.T) {
 	tr := buildTree(t, 12, 7)
 	rt := sim.NewDeterministic(7)
 	counters := stats.NewCounters()
-	term := dist.NewTerminating(tr, rt, 64, 20, 5, counters)
+	term := dist.Over(rt).NewTerminating(tr, 64, 20, 5, controller.WithCounters(counters))
 
 	root := tr.Root()
 	var granted int64
 	for i := 0; i < 64; i++ {
 		_, err := term.Submit(controller.Request{Node: root, Kind: tree.None})
-		if errors.Is(err, dist.ErrTerminated) {
+		if errors.Is(err, controller.ErrTerminated) {
 			break
 		}
 		if err != nil {
@@ -124,7 +124,7 @@ func TestTerminatingRejectsAfterTermination(t *testing.T) {
 		t.Fatalf("granted %d outside [M−W, M] = [15, 20]", granted)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := term.Submit(controller.Request{Node: root, Kind: tree.None}); !errors.Is(err, dist.ErrTerminated) {
+		if _, err := term.Submit(controller.Request{Node: root, Kind: tree.None}); !errors.Is(err, controller.ErrTerminated) {
 			t.Fatalf("post-termination submit %d: err = %v, want ErrTerminated", i, err)
 		}
 	}
@@ -144,6 +144,7 @@ func TestTerminatingRejectsAfterTermination(t *testing.T) {
 // standard over both cores, batched and restored mid-trace.
 func TestCoreMatchesCentralized(t *testing.T) {
 	t.Run("drivers", testDriversMatchAcrossEngines)
+	t.Run("applications", testApplicationsMatchAcrossEngines)
 
 	cases := []struct {
 		n    int
@@ -165,9 +166,8 @@ func TestCoreMatchesCentralized(t *testing.T) {
 			trD := buildTree(t, tc.n, tc.seed)
 			cenCounters := stats.NewCounters()
 			cen := controller.NewCore(trC, u, tc.m, tc.w, controller.WithCounters(cenCounters))
-			rt := sim.NewDeterministic(tc.seed)
-			core := dist.NewCore(trD, rt, u, tc.m, tc.w)
-			sub := dist.NewSubmitter(core, rt)
+			tp := dist.Over(sim.NewDeterministic(tc.seed))
+			core := tp.NewCore(trD, u, tc.m, tc.w)
 			genC := workload.NewChurn(trC, tc.mix, tc.seed+50)
 			genD := workload.NewChurn(trD, tc.mix, tc.seed+50)
 			genC.SetMinSize(tc.n/4 + 1)
@@ -192,7 +192,7 @@ func TestCoreMatchesCentralized(t *testing.T) {
 					t.Fatalf("step %d: requests diverged: %+v vs %+v", i, reqC, reqD)
 				}
 				gC, errC := cen.Submit(reqC)
-				gD, errD := sub.Submit(reqD)
+				gD, errD := core.Submit(reqD)
 				if (errC == nil) != (errD == nil) {
 					t.Fatalf("step %d: error divergence: centralized %v, dist %v", i, errC, errD)
 				}
@@ -217,7 +217,7 @@ func TestCoreMatchesCentralized(t *testing.T) {
 			}
 
 			moves := cenCounters.Get(stats.CounterMoves)
-			msgs := dist.TotalMessages(rt, core.Counters())
+			msgs := tp.Cost(core.Counters())
 			if msgs < moves {
 				t.Fatalf("messages %d below centralized moves %d: descent accounting broken", msgs, moves)
 			}
@@ -242,8 +242,7 @@ func TestSerialsMatchCentralized(t *testing.T) {
 	trD := buildTree(t, n, 9)
 	cen := controller.NewCore(trC, u, m, w, controller.WithSerials(serials))
 	rt := sim.NewDeterministic(9)
-	core := dist.NewCore(trD, rt, u, m, w, dist.WithSerials(serials))
-	sub := dist.NewSubmitter(core, rt)
+	core := dist.Over(rt).NewCore(trD, u, m, w, controller.WithSerials(serials))
 	genC := workload.NewChurn(trC, workload.GrowOnlyMix(), 77)
 	genD := workload.NewChurn(trD, workload.GrowOnlyMix(), 77)
 
@@ -254,7 +253,7 @@ func TestSerialsMatchCentralized(t *testing.T) {
 		}
 		reqD, _ := genD.Next()
 		gC, errC := cen.Submit(reqC)
-		gD, errD := sub.Submit(reqD)
+		gD, errD := core.Submit(reqD)
 		if (errC == nil) != (errD == nil) {
 			t.Fatalf("step %d: error divergence: %v vs %v", i, errC, errD)
 		}
@@ -278,11 +277,10 @@ func TestDescentObserverCoversGrants(t *testing.T) {
 	tr := buildTree(t, n, 13)
 	rt := sim.NewDeterministic(13)
 	passed := make(map[tree.NodeID]int64)
-	core := dist.NewCore(tr, rt, int64(n)+2*m, m, m/2,
-		dist.WithDescentObserver(func(size int64, enters tree.NodeID) {
+	core := dist.Over(rt).NewCore(tr, int64(n)+2*m, m, m/2,
+		controller.WithDescentObserver(func(size int64, enters tree.NodeID) {
 			passed[enters] += size
 		}))
-	sub := dist.NewSubmitter(core, rt)
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 29)
 	grantsBelowRoot := int64(0)
 	for i := 0; i < 60; i++ {
@@ -290,7 +288,7 @@ func TestDescentObserverCoversGrants(t *testing.T) {
 		if !ok {
 			break
 		}
-		g, err := sub.Submit(req)
+		g, err := core.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,15 +336,14 @@ func TestMemoryBits(t *testing.T) {
 	const n, m = 32, 200
 	tr := buildTree(t, n, 3)
 	rt := sim.NewDeterministic(3)
-	core := dist.NewCore(tr, rt, int64(n)+2*m, m, m/2)
-	sub := dist.NewSubmitter(core, rt)
+	core := dist.Over(rt).NewCore(tr, int64(n)+2*m, m, m/2)
 	gen := workload.NewChurn(tr, workload.EventOnlyMix(), 11)
 	for i := 0; i < 32; i++ {
 		req, ok := gen.Next()
 		if !ok {
 			break
 		}
-		if _, err := sub.Submit(req); err != nil {
+		if _, err := core.Submit(req); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -71,7 +71,7 @@ func newEngine(t testing.TB, distributed bool, tc engineTrace) *engine {
 	if distributed {
 		rt := sim.NewDeterministic(7)
 		e.runtimes = []sim.Runtime{rt}
-		e.d = dist.NewDynamic(e.tr, rt, tc.m, tc.w, false, e.counters).Dynamic
+		e.d = dist.Over(rt).NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))
 	} else {
 		e.d = controller.NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))
 	}
@@ -96,11 +96,7 @@ func (e *engine) restart(t *testing.T) {
 	if len(e.runtimes) > 0 {
 		rt := sim.NewDeterministic(int64(len(e.runtimes)) + 40)
 		e.runtimes = append(e.runtimes, rt)
-		var d *dist.Dynamic
-		d, err = dist.RestoreDynamic(e.tr, rt, st, e.counters)
-		if err == nil {
-			e.d = d.Dynamic
-		}
+		e.d, err = dist.Over(rt).RestoreDynamic(e.tr, st, e.counters)
 	} else {
 		e.d, err = controller.RestoreDynamic(e.tr, st, e.counters)
 	}

@@ -18,8 +18,6 @@ import (
 	"sync"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -33,13 +31,11 @@ var ErrBadBeta = errors.New("estimator: beta must be greater than 1")
 type Estimator struct {
 	mu       sync.Mutex
 	tr       *tree.Tree
-	rt       sim.Runtime
 	beta     float64
 	counters *stats.Counters
 
-	term      *dist.Terminating
-	ni        int64
-	iteration int
+	// epochs runs the iterations; its N_i is every node's estimate.
+	epochs *controller.Epochs
 
 	// Subtree-estimator state (Section 5.3): per-node ω₀ of the current
 	// iteration and the permits seen passing down through each node.
@@ -63,67 +59,54 @@ func WithSubtreeEstimates() Option {
 	return func(e *Estimator) { e.subtree = true }
 }
 
-// New builds a size estimator over tr with approximation parameter beta.
-func New(tr *tree.Tree, rt sim.Runtime, beta float64, opts ...Option) (*Estimator, error) {
+// New builds a size estimator over tr with approximation parameter beta,
+// its controllers moving packages tp's way.
+func New(tr *tree.Tree, tp controller.Transport, beta float64, opts ...Option) (*Estimator, error) {
 	if beta <= 1 {
 		return nil, ErrBadBeta
 	}
-	e := &Estimator{tr: tr, rt: rt, beta: beta}
+	e := &Estimator{tr: tr, beta: beta}
 	for _, opt := range opts {
 		opt(e)
 	}
 	if e.counters == nil {
 		e.counters = stats.NewCounters()
 	}
-	e.startIteration()
+	e.epochs = tp.NewEpochs(tr, e.counters, e.plan)
 	return e, nil
 }
 
-// alphaM returns the controller budget ⌊αN⌋ clamped to ≥ 1 so tiny trees
+// plan is the estimator's controller.Plan: a terminating
+// (αN_i, αN_i/2)-controller, the budget ⌊αN_i⌋ clamped to ≥ 1 so tiny trees
 // still make progress (granting one change on n=1 keeps n ≤ 2 ≤ βN for
-// β ≥ 2; for 1 < β < 2 the clamp only triggers when αN < 1, i.e. N <
-// 1/α, where a single change still respects the bound because N ≥ 1).
-func (e *Estimator) alphaM() int64 {
+// β ≥ 2; for 1 < β < 2 the clamp only triggers when αN < 1, i.e. N < 1/α,
+// where a single change still respects the bound because N ≥ 1). The
+// broadcast/upcast that counted N_i also broadcasts it, and in the subtree
+// variant computes ω₀(v) in the same upcast.
+func (e *Estimator) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOption) {
 	alpha := 1 - 1/e.beta
-	m := int64(alpha * float64(e.ni))
-	if m < 1 {
-		m = 1
-	}
-	return m
-}
-
-func (e *Estimator) startIteration() {
-	e.iteration++
-	e.counters.Inc(stats.CounterIterations)
-	e.ni = int64(e.tr.Size())
-	// Count N_i (upcast) and broadcast it: 2(n−1) messages; the subtree
-	// variant also computes ω₀(v) in the same upcast.
-	if n := e.ni; n > 1 {
-		e.counters.Add(dist.CounterControl, 2*(n-1))
-	}
-	m := e.alphaM()
-	opts := []dist.CoreOption{}
+	m = max(int64(alpha*float64(ni)), 1)
 	if e.subtree {
-		e.omega0 = make(map[tree.NodeID]int64, e.tr.Size())
-		e.passed = make(map[tree.NodeID]int64, e.tr.Size())
+		e.omega0 = make(map[tree.NodeID]int64, ni)
+		e.passed = make(map[tree.NodeID]int64, ni)
 		for _, id := range e.tr.Nodes() {
 			sz, err := e.tr.SubtreeSize(id)
 			if err == nil {
 				e.omega0[id] = int64(sz)
 			}
 		}
-		opts = append(opts, dist.WithDescentObserver(func(size int64, enters tree.NodeID) {
+		opts = append(opts, controller.WithDescentObserver(func(size int64, enters tree.NodeID) {
 			e.passed[enters] += size
 		}))
 	}
-	e.term = dist.NewTerminating(e.tr, e.rt, 2*e.ni+int64(4), m, m/2, e.counters, opts...)
+	return m, m / 2, opts
 }
 
 // Iteration returns the current iteration number (1-based).
 func (e *Estimator) Iteration() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.iteration
+	return e.epochs.Epoch()
 }
 
 // Counters returns the shared counters.
@@ -139,7 +122,7 @@ func (e *Estimator) Estimate(v tree.NodeID) (int64, error) {
 	if !e.tr.Contains(v) {
 		return 0, fmt.Errorf("estimate at %d: %w", v, tree.ErrNoSuchNode)
 	}
-	return e.ni, nil
+	return e.epochs.N(), nil
 }
 
 // Beta returns the approximation parameter.
@@ -171,18 +154,7 @@ func (e *Estimator) SubtreeEstimate(v tree.NodeID) (int64, error) {
 func (e *Estimator) RequestChange(req controller.Request) (controller.Grant, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for attempt := 0; attempt < 64; attempt++ {
-		g, err := e.term.Submit(req)
-		if errors.Is(err, controller.ErrTerminated) {
-			e.startIteration()
-			continue
-		}
-		if err != nil {
-			return controller.Grant{}, err
-		}
-		return g, nil
-	}
-	return controller.Grant{}, errors.New("estimator: iteration churn without progress")
+	return e.epochs.Submit(req)
 }
 
 // Submit implements workload.Submitter.
@@ -196,7 +168,7 @@ func (e *Estimator) CheckApproximation() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := float64(e.tr.Size())
-	est := float64(e.ni)
+	est := float64(e.epochs.N())
 	if est < n/e.beta-1e-9 || est > e.beta*n+1e-9 {
 		return fmt.Errorf("estimate %v outside [n/β, βn] = [%v, %v] (n=%v)",
 			est, n/e.beta, e.beta*n, n)

@@ -14,11 +14,11 @@ import (
 
 func TestEstimatorRejectsBadBeta(t *testing.T) {
 	tr, _ := tree.New()
-	rt := sim.NewDeterministic(1)
-	if _, err := estimator.New(tr, rt, 1.0); err == nil {
+	tp := dist.Over(sim.NewDeterministic(1))
+	if _, err := estimator.New(tr, tp, 1.0); err == nil {
 		t.Fatal("beta = 1 must be rejected")
 	}
-	if _, err := estimator.New(tr, rt, 0.5); err == nil {
+	if _, err := estimator.New(tr, tp, 0.5); err == nil {
 		t.Fatal("beta < 1 must be rejected")
 	}
 }
@@ -29,8 +29,8 @@ func TestEstimatorApproximationUnderChurn(t *testing.T) {
 		if err := workload.BuildBalanced(tr, 32, 3); err != nil {
 			t.Fatal(err)
 		}
-		rt := sim.NewDeterministic(3)
-		est, err := estimator.New(tr, rt, beta)
+		tp := dist.Over(sim.NewDeterministic(3))
+		est, err := estimator.New(tr, tp, beta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +62,8 @@ func TestEstimatorShrinkingTree(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 200, 5); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(5)
-	est, err := estimator.New(tr, rt, 2)
+	tp := dist.Over(sim.NewDeterministic(5))
+	est, err := estimator.New(tr, tp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +93,9 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 64, 7); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(7)
+	tp := dist.Over(sim.NewDeterministic(7))
 	counters := stats.NewCounters()
-	est, err := estimator.New(tr, rt, 2, estimator.WithCounters(counters))
+	est, err := estimator.New(tr, tp, 2, estimator.WithCounters(counters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 			applied++
 		}
 	}
-	total := float64(dist.TotalMessages(rt, counters))
+	total := float64(tp.Cost(counters))
 	logN := stats.Log2(float64(tr.EverExisted()))
 	perChange := total / float64(applied)
 	if bound := 160 * logN * logN; perChange > bound {
@@ -126,8 +126,8 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 
 func TestEstimateQueryErrors(t *testing.T) {
 	tr, root := tree.New()
-	rt := sim.NewDeterministic(9)
-	est, err := estimator.New(tr, rt, 2)
+	tp := dist.Over(sim.NewDeterministic(9))
+	est, err := estimator.New(tr, tp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestSubtreeEstimatorSandwich(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 48, 11); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(11)
-	est, err := estimator.New(tr, rt, 2, estimator.WithSubtreeEstimates())
+	tp := dist.Over(sim.NewDeterministic(11))
+	est, err := estimator.New(tr, tp, 2, estimator.WithSubtreeEstimates())
 	if err != nil {
 		t.Fatal(err)
 	}

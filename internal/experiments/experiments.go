@@ -1,9 +1,9 @@
-// Package experiments regenerates every experiment of EXPERIMENTS.md
-// (E1–E14). The paper is a theory contribution whose "tables and figures"
-// are complexity theorems; each function here measures the corresponding
-// quantity on synthetic workloads and prints the series/rows whose *shape*
-// the paper predicts. cmd/benchtables prints all tables; bench_test.go
-// exposes each as a testing.B benchmark.
+// Package experiments regenerates the experiments E1–E14. The paper is a
+// theory contribution whose "tables and figures" are complexity theorems;
+// each function here measures the corresponding quantity on synthetic
+// workloads and prints the series/rows whose *shape* the paper predicts.
+// cmd/benchtables prints all tables; bench_test.go exposes each as a
+// testing.B benchmark; testdata/tables.golden pins every number.
 package experiments
 
 import (
@@ -167,8 +167,7 @@ func E5DistVsCentral() *stats.Table {
 		cenCounters := stats.NewCounters()
 		cen := controller.NewCore(trC, u, m, w, controller.WithCounters(cenCounters))
 		rt := sim.NewDeterministic(5)
-		distCore := dist.NewCore(trD, rt, u, m, w)
-		sub := dist.NewSubmitter(distCore, rt)
+		sub := dist.Over(rt).NewCore(trD, u, m, w)
 		genC := workload.NewChurn(trC, workload.DefaultMix(), 13)
 		genD := workload.NewChurn(trD, workload.DefaultMix(), 13)
 		for i := 0; i < 4*n; i++ {
@@ -204,9 +203,7 @@ func E6Liveness() *stats.Table {
 		{100, 0}, {100, 10}, {500, 100}, {1000, 500}, {2000, 1},
 	} {
 		tr := buildTree(40, 6)
-		rt := sim.NewDeterministic(6)
-		counters := stats.NewCounters()
-		it := dist.NewIterated(tr, rt, int64(40)+2*tc.m, tc.m, tc.w, false, counters)
+		it := dist.Over(sim.NewDeterministic(6)).NewIterated(tr, int64(40)+2*tc.m, tc.m, tc.w)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 15)
 		gen.SetMinSize(8)
 		granted, _ := drain(it, gen, int(tc.m)*5)
@@ -226,16 +223,15 @@ func E7VsGrowOnly() *stats.Table {
 		u := m + 8
 		trA := buildTree(1, 7)
 		trB := buildTree(1, 7)
-		countersA := stats.NewCounters()
-		rt := sim.NewDeterministic(7)
-		ours := dist.NewIterated(trA, rt, u, m, 1, false, countersA)
+		tp := dist.Over(sim.NewDeterministic(7))
+		ours := tp.NewIterated(trA, u, m, 1)
 		countersB := stats.NewCounters()
 		aaps := baseline.NewGrowOnlyIterated(trB, u, m, 1, countersB)
 		genA := workload.NewChurn(trA, workload.GrowOnlyMix(), 17)
 		genB := workload.NewChurn(trB, workload.GrowOnlyMix(), 17)
 		drain(ours, genA, int(m)*2)
 		drain(aaps, genB, int(m)*2)
-		oursTotal := dist.TotalMessages(rt, countersA)
+		oursTotal := tp.Cost(ours.Counters())
 		aapsTotal := countersB.Get(stats.CounterMoves)
 		tb.AddRow(m, oursTotal, aapsTotal, float64(oursTotal)/float64(aapsTotal+1))
 	}
@@ -259,12 +255,11 @@ func E8VsTrivial() *stats.Table {
 			panic(err)
 		}
 		trivial := baseline.NewTrivial(trA, m, nil)
-		rt := sim.NewDeterministic(8)
-		countersB := stats.NewCounters()
+		tp := dist.Over(sim.NewDeterministic(8))
 		// U bounds nodes ever to exist: the workload is purely
 		// non-topological, so U is just the path length (inflating U
 		// shrinks φ and would cripple package batching).
-		ours := dist.NewIterated(trB, rt, int64(depth)+16, m, 1, false, countersB)
+		ours := tp.NewIterated(trB, int64(depth)+16, m, 1)
 		// All requests arrive at the deepest node: the trivial controller
 		// pays the full depth per request; ours seeds the path once and
 		// then serves from nearby fillers.
@@ -282,7 +277,7 @@ func E8VsTrivial() *stats.Table {
 			}
 		}
 		trivialMoves := trivial.Counters().Get(stats.CounterMoves)
-		oursTotal := dist.TotalMessages(rt, countersB)
+		oursTotal := tp.Cost(ours.Counters())
 		tb.AddRow(depth, reqs, trivialMoves, oursTotal,
 			float64(trivialMoves)/float64(oursTotal+1))
 	}
@@ -297,9 +292,8 @@ func E9SizeEstimation() *stats.Table {
 		"n0", "changes", "messages", "msgs/change", "log²(n)", "β-invariant")
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 9)
-		rt := sim.NewDeterministic(9)
-		counters := stats.NewCounters()
-		est, err := estimator.New(tr, rt, 2, estimator.WithCounters(counters))
+		tp := dist.Over(sim.NewDeterministic(9))
+		est, err := estimator.New(tr, tp, 2)
 		if err != nil {
 			panic(err)
 		}
@@ -323,7 +317,7 @@ func E9SizeEstimation() *stats.Table {
 				invariantOK = false
 			}
 		}
-		total := dist.TotalMessages(rt, counters)
+		total := tp.Cost(est.Counters())
 		logN := stats.Log2(float64(n))
 		tb.AddRow(n, changes, total, float64(total)/float64(changes), logN*logN, invariantOK)
 	}
@@ -337,9 +331,8 @@ func E10Naming() *stats.Table {
 		"n0", "changes", "messages", "msgs/change", "maxID/n(final)", "invariant")
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 10)
-		rt := sim.NewDeterministic(10)
-		counters := stats.NewCounters()
-		nm := naming.New(tr, rt, counters)
+		tp := dist.Over(sim.NewDeterministic(10))
+		nm := naming.New(tr, tp, nil)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 23)
 		gen.SetMinSize(n / 4)
 		invariantOK := true
@@ -366,7 +359,7 @@ func E10Naming() *stats.Table {
 				maxID = id
 			}
 		}
-		total := dist.TotalMessages(rt, counters)
+		total := tp.Cost(nm.Counters())
 		tb.AddRow(n, changes, total, float64(total)/float64(changes),
 			float64(maxID)/float64(tr.Size()), invariantOK)
 	}
@@ -380,8 +373,7 @@ func E11HeavyChild() *stats.Table {
 		"n0", "final n", "max light ancestors", "log4/3(n)", "ratio")
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 11)
-		rt := sim.NewDeterministic(11)
-		hc, err := heavychild.New(tr, rt, nil)
+		hc, err := heavychild.New(tr, dist.Over(sim.NewDeterministic(11)), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -415,8 +407,7 @@ func E12Labeling() *stats.Table {
 		"n(start)", "n(end)", "static bits (no rebuild)", "dynamic bits", "rebuilds")
 	for _, n := range []int{512, 2048} {
 		tr := buildTree(n, 12)
-		rt := sim.NewDeterministic(12)
-		dyn, err := labeling.NewDynamic(tr, rt,
+		dyn, err := labeling.NewDynamic(tr, dist.Over(sim.NewDeterministic(12)),
 			func(tr *tree.Tree) (labeling.Scheme, int64) {
 				return labeling.BuildAncestry(tr), int64(tr.Size())
 			}, nil)
@@ -459,16 +450,14 @@ func E13Memory() *stats.Table {
 		}
 		m := int64(8 * n)
 		u := int64(n) + 2*m
-		rt := sim.NewDeterministic(13)
-		core := dist.NewCore(tr, rt, u, m, m/2)
-		sub := dist.NewSubmitter(core, rt)
+		core := dist.Over(sim.NewDeterministic(13)).NewCore(tr, u, m, m/2)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 29)
 		for i := 0; i < 4*n; i++ {
 			req, ok := gen.Next()
 			if !ok {
 				break
 			}
-			if _, err := sub.Submit(req); err != nil {
+			if _, err := core.Submit(req); err != nil {
 				break
 			}
 		}
@@ -502,7 +491,8 @@ func E14Ablation() *stats.Table {
 	// W = U keeps psi minimal so the 800-deep path spans several package
 	// levels (with W = 1, psi >= 4U exceeds any depth and only level-0
 	// packages exist).
-	c := controller.NewCore(tr, u, 1<<30, u, controller.WithDomainTracking())
+	c := controller.NewCore(tr, u, 1<<30, u)
+	c.EnableDomainTracking()
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 31)
 	gen.SetMinSize(n / 2)
 	maxPerLevel := make(map[int]int)

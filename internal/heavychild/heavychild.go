@@ -16,9 +16,7 @@ import (
 	"math"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/estimator"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -26,24 +24,26 @@ import (
 // Decomposition maintains the heavy-child pointers.
 type Decomposition struct {
 	tr       *tree.Tree
+	tp       controller.Transport
 	est      *estimator.Estimator
 	counters *stats.Counters
 	heavy    map[tree.NodeID]tree.NodeID
 }
 
-// New builds a heavy-child decomposition over tr. All topological changes
-// must flow through RequestChange.
-func New(tr *tree.Tree, rt sim.Runtime, counters *stats.Counters) (*Decomposition, error) {
+// New builds a heavy-child decomposition over tr, its estimator running
+// over tp. All topological changes must flow through RequestChange.
+func New(tr *tree.Tree, tp controller.Transport, counters *stats.Counters) (*Decomposition, error) {
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
-	est, err := estimator.New(tr, rt, math.Sqrt(3),
+	est, err := estimator.New(tr, tp, math.Sqrt(3),
 		estimator.WithCounters(counters), estimator.WithSubtreeEstimates())
 	if err != nil {
 		return nil, err
 	}
 	d := &Decomposition{
 		tr:       tr,
+		tp:       tp,
 		est:      est,
 		counters: counters,
 		heavy:    make(map[tree.NodeID]tree.NodeID),
@@ -125,10 +125,10 @@ func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant,
 			touch = g.NewNode
 		}
 		if !d.tr.Contains(touch) {
-			touch, err = d.climbableAncestor(req.Node)
-			if err != nil {
-				return g, err
-			}
+			// After a removal the removed node is gone; refresh at the
+			// root instead (conservative, costs nothing extra
+			// asymptotically).
+			touch = d.tr.Root()
 		}
 		path, err := d.tr.PathToRoot(touch)
 		if err != nil {
@@ -137,7 +137,7 @@ func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant,
 		for _, id := range path {
 			d.refresh(id)
 		}
-		d.counters.Add(dist.CounterControl, int64(len(path)))
+		d.counters.Add(d.tp.Counter, int64(len(path)))
 	}
 	return g, nil
 }
@@ -145,12 +145,6 @@ func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant,
 // Submit implements workload.Submitter.
 func (d *Decomposition) Submit(req controller.Request) (controller.Grant, error) {
 	return d.RequestChange(req)
-}
-
-func (d *Decomposition) climbableAncestor(id tree.NodeID) (tree.NodeID, error) {
-	// After a removal the removed node is gone; refresh from the root
-	// downward instead (conservative, costs nothing extra asymptotically).
-	return d.tr.Root(), nil
 }
 
 // refreshAll recomputes every pointer from current subtree estimates.

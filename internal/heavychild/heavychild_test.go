@@ -3,6 +3,7 @@ package heavychild_test
 import (
 	"testing"
 
+	"dynctrl/internal/dist"
 	"dynctrl/internal/heavychild"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/tree"
@@ -14,8 +15,8 @@ func TestHeavyChildOnStaticTree(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(1)
-	d, err := heavychild.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(1))
+	d, err := heavychild.New(tr, tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +56,8 @@ func TestHeavyChildLightAncestorsOnPath(t *testing.T) {
 	if err := workload.BuildPath(tr, 100); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(2)
-	d, err := heavychild.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(2))
+	d, err := heavychild.New(tr, tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,8 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 48, 3); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(3)
-	d, err := heavychild.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(3))
+	d, err := heavychild.New(tr, tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,8 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 
 func TestHeavyChildGrowth(t *testing.T) {
 	tr, _ := tree.New()
-	rt := sim.NewDeterministic(4)
-	d, err := heavychild.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(4))
+	d, err := heavychild.New(tr, tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

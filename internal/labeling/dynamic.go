@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/estimator"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -30,6 +28,7 @@ type Builder func(tr *tree.Tree) (Scheme, int64)
 // estimator's O(log²n).
 type Dynamic struct {
 	tr       *tree.Tree
+	tp       controller.Transport
 	est      *estimator.Estimator
 	build    Builder
 	counters *stats.Counters
@@ -39,17 +38,17 @@ type Dynamic struct {
 	lastN    int64
 }
 
-// NewDynamic wraps a static scheme builder. beta is the estimator's
-// approximation parameter (2 is the natural choice).
-func NewDynamic(tr *tree.Tree, rt sim.Runtime, build Builder, counters *stats.Counters) (*Dynamic, error) {
+// NewDynamic wraps a static scheme builder; its size estimator (β = 2, the
+// natural choice for a doubling rule) runs over tp.
+func NewDynamic(tr *tree.Tree, tp controller.Transport, build Builder, counters *stats.Counters) (*Dynamic, error) {
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
-	est, err := estimator.New(tr, rt, 2, estimator.WithCounters(counters))
+	est, err := estimator.New(tr, tp, 2, estimator.WithCounters(counters))
 	if err != nil {
 		return nil, err
 	}
-	d := &Dynamic{tr: tr, est: est, build: build, counters: counters}
+	d := &Dynamic{tr: tr, tp: tp, est: est, build: build, counters: counters}
 	d.rebuild()
 	return d, nil
 }
@@ -59,7 +58,7 @@ func (d *Dynamic) rebuild() {
 	d.scheme = scheme
 	d.rebuilds++
 	d.lastN = int64(d.tr.Size())
-	d.counters.Add(dist.CounterControl, msgs)
+	d.counters.Add(d.tp.Counter, msgs)
 }
 
 // Scheme returns the current static scheme (replaced on rebuilds).

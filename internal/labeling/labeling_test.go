@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	ctl "dynctrl/internal/controller"
+	"dynctrl/internal/dist"
 	"dynctrl/internal/labeling"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -202,9 +203,9 @@ func TestDynamicLabelingShrinks(t *testing.T) {
 	// Corollary 5.7's point: without rebuilds, labels stay sized for the
 	// historical maximum; the dynamic wrapper must shrink them.
 	tr := randomTree(t, 512, 9)
-	rt := sim.NewDeterministic(9)
+	tp := dist.Over(sim.NewDeterministic(9))
 	counters := stats.NewCounters()
-	dyn, err := labeling.NewDynamic(tr, rt,
+	dyn, err := labeling.NewDynamic(tr, tp,
 		func(tr *tree.Tree) (labeling.Scheme, int64) {
 			return labeling.BuildAncestry(tr), int64(tr.Size())
 		}, counters)
@@ -244,8 +245,8 @@ func TestDynamicLabelingShrinks(t *testing.T) {
 
 func TestDynamicLabelingGrowth(t *testing.T) {
 	tr := randomTree(t, 16, 10)
-	rt := sim.NewDeterministic(10)
-	dyn, err := labeling.NewDynamic(tr, rt,
+	tp := dist.Over(sim.NewDeterministic(10))
+	dyn, err := labeling.NewDynamic(tr, tp,
 		func(tr *tree.Tree) (labeling.Scheme, int64) {
 			return labeling.BuildAncestry(tr), int64(tr.Size())
 		}, nil)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dynctrl/internal/dist"
 	"dynctrl/internal/labeling"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/tree"
@@ -127,8 +128,8 @@ func TestRoutingSurvivesLeafDeletions(t *testing.T) {
 
 func TestRoutingDynamicWrapper(t *testing.T) {
 	tr := randomTree(t, 256, 5)
-	rt := sim.NewDeterministic(5)
-	dyn, err := labeling.NewDynamic(tr, rt,
+	tp := dist.Over(sim.NewDeterministic(5))
+	dyn, err := labeling.NewDynamic(tr, tp,
 		func(tr *tree.Tree) (labeling.Scheme, int64) {
 			r, err := labeling.BuildRouting(tr)
 			if err != nil {

@@ -25,8 +25,6 @@ import (
 	"fmt"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -43,35 +41,39 @@ var (
 // Protocol is one majority-commitment instance.
 type Protocol struct {
 	tr         *tree.Tree
-	rt         sim.Runtime
+	tp         controller.Transport
 	population int
 	counters   *stats.Counters
 
-	joinCtl   *dist.Iterated
-	leaveCtl  *dist.Iterated
+	joinCtl   *controller.Iterated
+	leaveCtl  *controller.Iterated
 	joins     int
 	threshold int
 	committed bool
 }
 
 // New starts a majority-commitment protocol over a population of the given
-// size. The returned tree contains only the (awake) root.
-func New(population int, seed int64) (*Protocol, *tree.Tree, error) {
+// size, its two controllers moving packages tp's way. The returned tree
+// contains only the (awake) root.
+func New(population int, tp controller.Transport) (*Protocol, *tree.Tree, error) {
 	if population < 2 {
 		return nil, nil, fmt.Errorf("majority: population %d < 2", population)
 	}
 	tr, _ := tree.New()
-	rt := sim.NewDeterministic(seed)
 	counters := stats.NewCounters()
 	threshold := population / 2
 	u := int64(2*population) + 8
+	terminating := func(m int) *controller.Iterated {
+		return tp.NewIterated(tr, u, int64(m), 0,
+			controller.WithIteratedCounters(counters), controller.AsTerminating())
+	}
 	return &Protocol{
 		tr:         tr,
-		rt:         rt,
+		tp:         tp,
 		population: population,
 		counters:   counters,
-		joinCtl:    dist.NewIterated(tr, rt, u, int64(threshold), 0, true, counters),
-		leaveCtl:   dist.NewIterated(tr, rt, u, int64(population), 0, true, counters),
+		joinCtl:    terminating(threshold),
+		leaveCtl:   terminating(population),
 		threshold:  threshold,
 	}, tr, nil
 }
@@ -129,10 +131,9 @@ func (p *Protocol) Joins() int { return p.joins }
 // Awake returns the current number of tree members.
 func (p *Protocol) Awake() int { return p.tr.Size() }
 
-// Messages returns the total messages spent so far.
-func (p *Protocol) Messages() int64 {
-	return dist.TotalMessages(p.rt, p.counters)
-}
+// Messages returns the total cost so far in the transport's measure:
+// messages over a message-passing transport.
+func (p *Protocol) Messages() int64 { return p.tp.Cost(p.counters) }
 
 // Counters returns the shared counters.
 func (p *Protocol) Counters() *stats.Counters { return p.counters }

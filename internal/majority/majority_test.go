@@ -5,13 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"dynctrl/internal/dist"
 	"dynctrl/internal/majority"
+	"dynctrl/internal/sim"
 	"dynctrl/internal/tree"
 )
 
 func TestMajorityCommitsAtThreshold(t *testing.T) {
 	const population = 100
-	p, tr, err := majority.New(population, 1)
+	p, tr, err := majority.New(population, dist.Over(sim.NewDeterministic(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestMajorityCommitsAtThreshold(t *testing.T) {
 
 func TestMajorityWithDepartures(t *testing.T) {
 	const population = 60
-	p, tr, err := majority.New(population, 2)
+	p, tr, err := majority.New(population, dist.Over(sim.NewDeterministic(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestMajorityWithDepartures(t *testing.T) {
 
 func TestMajorityMinorityNeverCommits(t *testing.T) {
 	const population = 40
-	p, tr, err := majority.New(population, 3)
+	p, tr, err := majority.New(population, dist.Over(sim.NewDeterministic(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +105,10 @@ func TestMajorityMinorityNeverCommits(t *testing.T) {
 }
 
 func TestMajorityValidation(t *testing.T) {
-	if _, _, err := majority.New(1, 4); err == nil {
+	if _, _, err := majority.New(1, dist.Over(sim.NewDeterministic(4))); err == nil {
 		t.Fatal("population 1 should be rejected")
 	}
-	p, tr, err := majority.New(10, 5)
+	p, tr, err := majority.New(10, dist.Over(sim.NewDeterministic(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,10 @@
 package naming
 
 import (
-	"errors"
 	"fmt"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/dist"
 	"dynctrl/internal/pkgstore"
-	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -27,41 +24,36 @@ import (
 // topological changes.
 type Naming struct {
 	tr       *tree.Tree
-	rt       sim.Runtime
+	tp       controller.Transport
 	counters *stats.Counters
 
-	term      *dist.Terminating
-	ni        int64
-	iteration int
-	ids       map[tree.NodeID]int64
+	epochs *controller.Epochs
+	ids    map[tree.NodeID]int64
 }
 
-// New builds the name-assignment protocol over tr. Initial identities are
-// assigned by a DFS traversal (the paper assumes initial identities in
-// [1, n₀]; the traversal realizes that).
-func New(tr *tree.Tree, rt sim.Runtime, counters *stats.Counters) *Naming {
+// New builds the name-assignment protocol over tr, its controllers moving
+// packages tp's way. Initial identities are assigned by a DFS traversal (the
+// paper assumes initial identities in [1, n₀]; the traversal realizes that).
+func New(tr *tree.Tree, tp controller.Transport, counters *stats.Counters) *Naming {
 	if counters == nil {
 		counters = stats.NewCounters()
 	}
-	nm := &Naming{tr: tr, rt: rt, counters: counters, ids: make(map[tree.NodeID]int64)}
+	nm := &Naming{tr: tr, tp: tp, counters: counters, ids: make(map[tree.NodeID]int64)}
 	for id, num := range tr.DFSNumbers() {
 		nm.ids[id] = int64(num)
 	}
-	nm.startIteration()
+	nm.epochs = tp.NewEpochs(tr, counters, nm.plan)
 	return nm
 }
 
-func (nm *Naming) startIteration() {
-	nm.iteration++
-	nm.counters.Inc(stats.CounterIterations)
-	nm.ni = int64(nm.tr.Size())
-
-	// Two DFS relabeling traversals (2·2(n−1) messages) plus the
-	// broadcast/upcast that counts N_i.
-	if n := nm.ni; n > 1 {
-		nm.counters.Add(dist.CounterControl, 6*(n-1))
-	}
-	if nm.iteration > 1 {
+// plan is the protocol's controller.Plan: relabel, then admit the
+// iteration's changes with a terminating (N_i/2, N_i/4)-controller whose
+// permits carry the serials [N_i+1, 3N_i/2].
+func (nm *Naming) plan(epoch int, ni int64) (m, w int64, opts []controller.CoreOption) {
+	// Two DFS relabeling traversals (2·2(n−1) messages) on top of the
+	// broadcast/upcast that counted N_i.
+	nm.tp.Sweep(nm.counters, nm.tr, 4)
+	if epoch > 1 {
 		// First traversal: id(v) = 3N_i + DFS(v); second: id(v) = DFS(v).
 		// Identities remain unique throughout because old identities lie
 		// in [1, 3N_i] (proved by induction in Section 5.2); the final
@@ -70,20 +62,13 @@ func (nm *Naming) startIteration() {
 			nm.ids[id] = int64(num)
 		}
 	}
-
-	m := nm.ni / 2
-	if m < 1 {
-		m = 1
-	}
-	w := nm.ni / 4
-	serialLo := nm.ni + 1
-	serials := pkgstore.Interval{Lo: serialLo, Hi: serialLo + m - 1}
-	nm.term = dist.NewTerminating(nm.tr, nm.rt, 2*nm.ni+4, m, w, nm.counters,
-		dist.WithSerials(serials))
+	m = max(ni/2, 1)
+	serials := pkgstore.Interval{Lo: ni + 1, Hi: ni + m}
+	return m, ni / 4, []controller.CoreOption{controller.WithSerials(serials)}
 }
 
 // Iteration returns the 1-based iteration number.
-func (nm *Naming) Iteration() int { return nm.iteration }
+func (nm *Naming) Iteration() int { return nm.epochs.Epoch() }
 
 // Tree returns the tree the protocol maintains names for.
 func (nm *Naming) Tree() *tree.Tree { return nm.tr }
@@ -103,26 +88,16 @@ func (nm *Naming) ID(v tree.NodeID) (int64, error) {
 // RequestChange submits a topological change; added nodes receive their
 // permit serial as identity.
 func (nm *Naming) RequestChange(req controller.Request) (controller.Grant, error) {
-	for attempt := 0; attempt < 64; attempt++ {
-		g, err := nm.term.Submit(req)
-		if errors.Is(err, controller.ErrTerminated) {
-			nm.startIteration()
-			continue
+	g, err := nm.epochs.Submit(req)
+	if err == nil && g.Outcome == controller.Granted {
+		switch req.Kind {
+		case tree.AddLeaf, tree.AddInternal:
+			nm.ids[g.NewNode] = g.Serial
+		case tree.RemoveLeaf, tree.RemoveInternal:
+			delete(nm.ids, req.Node)
 		}
-		if err != nil {
-			return controller.Grant{}, err
-		}
-		if g.Outcome == controller.Granted {
-			switch req.Kind {
-			case tree.AddLeaf, tree.AddInternal:
-				nm.ids[g.NewNode] = g.Serial
-			case tree.RemoveLeaf, tree.RemoveInternal:
-				delete(nm.ids, req.Node)
-			}
-		}
-		return g, nil
 	}
-	return controller.Grant{}, errors.New("naming: iteration churn without progress")
+	return g, err
 }
 
 // Submit implements workload.Submitter.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	ctl "dynctrl/internal/controller"
+	"dynctrl/internal/dist"
 	"dynctrl/internal/naming"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/tree"
@@ -15,8 +16,8 @@ func TestNamingInitialIdentities(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 20, 1); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(1)
-	nm := naming.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(1))
+	nm := naming.New(tr, tp, nil)
 	if err := nm.CheckInvariants(); err != nil {
 		t.Fatalf("fresh naming: %v", err)
 	}
@@ -42,8 +43,8 @@ func TestNamingUnderChurn(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 32, 2); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(2)
-	nm := naming.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(2))
+	nm := naming.New(tr, tp, nil)
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 29)
 	gen.SetMinSize(6)
 	for i := 0; i < 1500; i++ {
@@ -71,8 +72,8 @@ func TestNamingGrowthKeepsIDsShort(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(3)
-	nm := naming.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(3))
+	nm := naming.New(tr, tp, nil)
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 5)
 	for i := 0; i < 500; i++ {
 		req, _ := gen.Next()
@@ -99,8 +100,8 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 	if err := workload.BuildBalanced(tr, 256, 4); err != nil {
 		t.Fatal(err)
 	}
-	rt := sim.NewDeterministic(4)
-	nm := naming.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(4))
+	nm := naming.New(tr, tp, nil)
 	gen := workload.NewChurn(tr, workload.ShrinkHeavyMix(), 7)
 	gen.SetMinSize(10)
 	for i := 0; i < 2000 && tr.Size() > 16; i++ {
@@ -122,8 +123,8 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 
 func TestNamingIDMissingNode(t *testing.T) {
 	tr, _ := tree.New()
-	rt := sim.NewDeterministic(5)
-	nm := naming.New(tr, rt, nil)
+	tp := dist.Over(sim.NewDeterministic(5))
+	nm := naming.New(tr, tp, nil)
 	if _, err := nm.ID(424242); err == nil {
 		t.Fatal("ID of missing node should fail")
 	}

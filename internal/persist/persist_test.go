@@ -25,37 +25,29 @@ const (
 	testW = 800
 )
 
-// engine is one execution model a stack runs over: build returns a fresh
-// (testM, testW) controller over tr, or, given captured state, the one that
-// continues it.
+// engine is one execution model a stack runs over.
 type engine struct {
-	name  string
-	build func(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error)
+	name string
+	over func(seed int64) controller.Transport
+}
+
+// build returns a fresh (testM, testW) controller over tr, or, given
+// captured state, the one that continues it.
+func (e engine) build(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
+	tp := e.over(seed)
+	if st != nil {
+		return tp.RestoreDynamic(tr, st, ctrs)
+	}
+	return tp.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(ctrs)), nil
 }
 
 // The daemon's engine (centralized) and the scenario suite's
 // (message-passing): every stack test runs over both, and the crash-restart
 // test also recovers each one's directory under the other.
 var (
-	centralized = engine{"centralized", func(tr *tree.Tree, _ int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
-		if st != nil {
-			return controller.RestoreDynamic(tr, st, ctrs)
-		}
-		return controller.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(ctrs)), nil
-	}}
-	distributed = engine{"distributed", func(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
-		rt, err := sim.NewRuntime("random", seed)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			d, err := dist.RestoreDynamic(tr, rt, st, ctrs)
-			if err != nil {
-				return nil, err
-			}
-			return d.Dynamic, nil
-		}
-		return dist.NewDynamic(tr, rt, testM, testW, false, ctrs).Dynamic, nil
+	centralized = engine{"centralized", func(int64) controller.Transport { return controller.Centralized }}
+	distributed = engine{"distributed", func(seed int64) controller.Transport {
+		return dist.Over(sim.NewDeterministic(seed))
 	}}
 	engines = []engine{centralized, distributed}
 )

@@ -14,9 +14,9 @@ import (
 // restored in place (so generators, servers and oracles holding the *Tree
 // observe the recovered topology) and validated, and the shared counters
 // are re-seeded. The caller then rebuilds the controller from st.Ctl over
-// the engine it serves with (controller.RestoreDynamic, or
-// dist.RestoreDynamic over a runtime whose schedule seed need not match
-// the crashed process's): the two produce identical verdicts and states
+// the transport it serves with (controller.Centralized.RestoreDynamic, or
+// dist.Over(rt).RestoreDynamic over a runtime whose schedule seed need not
+// match the crashed process's): the two produce identical verdicts and states
 // and the distributed one is delivery-schedule invariant (the
 // engine-equivalence table and the scenario suite pin both), which is what
 // makes replay deterministic without persisting transport state.

@@ -91,7 +91,7 @@ func TestBatchSerialEquivalenceCentralized(t *testing.T) {
 	countersSerial := stats.NewCounters()
 	countersBatch := stats.NewCounters()
 	serial := controller.NewCore(trSerial, u, m, m/2, controller.WithCounters(countersSerial))
-	batch := controller.NewCore(trBatch, u, m, m/2, controller.WithCounters(countersBatch))
+	batch := controller.Centralized.NewCore(trBatch, u, m, m/2, controller.WithCounters(countersBatch))
 
 	// The generator runs against the serial tree; both trees evolve
 	// identically while outcomes agree, so the recorded requests stay valid

@@ -5,8 +5,9 @@
 // with the fault schedule reproducible from (scenario, seed) alone. The
 // e2e harness that runs these against a live server lives with
 // internal/server's tests (it needs the server's crash hook); the specs
-// live here with the rest of the scenario vocabulary.
-package workload
+// live here, outside package workload, because they name faultnet rules and
+// the daemon that imports workload must not link the fault proxy.
+package scenario
 
 import (
 	"fmt"
@@ -15,9 +16,10 @@ import (
 	"dynctrl/internal/controller"
 	"dynctrl/internal/faultnet"
 	"dynctrl/internal/tree"
+	"dynctrl/internal/workload"
 )
 
-// HostileScenario describes one hostile-network run: Conns connections
+// Hostile describes one hostile-network run: Conns connections
 // are dialed sequentially through a faultnet proxy (so connection
 // ordinals equal dial order and the fault schedule is deterministic),
 // each drives its slice of a NewConcurrentTrace in Chunk-sized
@@ -25,15 +27,15 @@ import (
 // every scenario: at-most-once grant semantics (client-observed grants
 // never exceed server-executed grants, which never exceed M) and exact
 // server-side accounting that reconciles with /metricsz and the WAL.
-type HostileScenario struct {
+type Hostile struct {
 	Name  string
 	Notes string
 
 	// Topology, M, W and Mix pin the tenant contract and the trace, as in
 	// the main scenario catalog.
-	Topology TopologySpec
+	Topology workload.TopologySpec
 	M, W     int64
-	Mix      ConcurrentMix
+	Mix      workload.ConcurrentMix
 
 	// Conns connections each submit PerConn requests in Chunk-sized runs.
 	Conns   int
@@ -69,15 +71,15 @@ type HostileScenario struct {
 }
 
 // HostileCatalog returns the hostile-network scenario family.
-func HostileCatalog() []HostileScenario {
-	return []HostileScenario{
+func HostileCatalog() []Hostile {
+	return []Hostile{
 		{
 			Name: "partition-during-reject-wave",
 			Notes: "tight permit budget; every connection is partitioned mid-run while the reject wave floods," +
 				" then the clients reconnect and must see a coherent, final wave",
-			Topology: TopologySpec{Kind: "balanced", Nodes: 48},
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 48},
 			M:        120, W: 60,
-			Mix:   EventOnlyConcurrentMix(),
+			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 200, Chunk: 16,
 			Seed: 7,
 			Faults: []faultnet.Rule{
@@ -92,9 +94,9 @@ func HostileCatalog() []HostileScenario {
 			Name: "kill-mid-batch",
 			Notes: "one connection loses its socket between Submit frames, another mid-frame; the server is then" +
 				" crashed and recovered from WAL, and the on-disk history must account every grant exactly once",
-			Topology: TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
-			Mix:   EventHeavyConcurrentMix(),
+			Mix:   workload.EventHeavyConcurrentMix(),
 			Conns: 4, PerConn: 256, Chunk: 32,
 			Seed: 11,
 			Faults: []faultnet.Rule{
@@ -108,9 +110,9 @@ func HostileCatalog() []HostileScenario {
 			Name: "slow-loris-handshake",
 			Notes: "one peer dribbles its Hello byte by byte and another dribbles a Submit frame; the server's" +
 				" handshake and idle deadlines must reap both instead of parking goroutines forever",
-			Topology: TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
-			Mix:   EventOnlyConcurrentMix(),
+			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 128, Chunk: 16,
 			Seed: 13,
 			Faults: []faultnet.Rule{
@@ -132,9 +134,9 @@ func HostileCatalog() []HostileScenario {
 			Name: "dup-results",
 			Notes: "the network replays whole Results frames; the client must refuse the duplicate (unknown id)" +
 				" rather than double-count grants, so client-observed grants still bound below server grants",
-			Topology: TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
-			Mix:   EventOnlyConcurrentMix(),
+			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 192, Chunk: 16,
 			Seed: 17,
 			Faults: []faultnet.Rule{
@@ -149,25 +151,25 @@ func HostileCatalog() []HostileScenario {
 	}
 }
 
-// HostileScenarioByName finds a hostile catalog scenario.
-func HostileScenarioByName(name string) (HostileScenario, error) {
+// HostileByName finds a hostile catalog scenario.
+func HostileByName(name string) (Hostile, error) {
 	for _, sc := range HostileCatalog() {
 		if sc.Name == name {
 			return sc, nil
 		}
 	}
-	return HostileScenario{}, fmt.Errorf("workload: unknown hostile scenario %q", name)
+	return Hostile{}, fmt.Errorf("scenario: unknown hostile scenario %q", name)
 }
 
 // Trace builds the scenario's topology and per-connection request
 // slices: the same (scenario, seed) always yields the same tree and the
 // same slice per connection ordinal.
-func (sc HostileScenario) Trace() (*tree.Tree, [][]controller.Request, error) {
+func (sc Hostile) Trace() (*tree.Tree, [][]controller.Request, error) {
 	tr, _ := tree.New()
-	if err := BuildTopology(tr, sc.Topology, sc.Seed); err != nil {
+	if err := workload.BuildTopology(tr, sc.Topology, sc.Seed); err != nil {
 		return nil, nil, err
 	}
-	ct, err := NewConcurrentTrace(tr, sc.Conns, sc.PerConn, sc.Mix, sc.Seed)
+	ct, err := workload.NewConcurrentTrace(tr, sc.Conns, sc.PerConn, sc.Mix, sc.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,6 @@
 package server_test
 
-// The hostile-network end-to-end harness: every workload.HostileCatalog
+// The hostile-network end-to-end harness: every scenario.HostileCatalog
 // scenario is driven against a live (paranoid) daemon through an
 // internal/faultnet proxy, and the run must prove at-most-once grant
 // semantics and exact accounting no matter what the fault schedule did —
@@ -27,9 +27,9 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/persist"
+	"dynctrl/internal/scenario"
 	"dynctrl/internal/server"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // tLogWriter adapts t.Log to the io.Writer a slog handler writes to.
@@ -51,7 +51,7 @@ func warnLogger(t *testing.T) *slog.Logger {
 	return logger
 }
 
-func hostileConfig(t *testing.T, sc workload.HostileScenario, walDir string) server.Config {
+func hostileConfig(t *testing.T, sc scenario.Hostile, walDir string) server.Config {
 	cfg := server.Config{
 		Addr:     "127.0.0.1:0",
 		Topology: sc.Topology,
@@ -68,7 +68,7 @@ func hostileConfig(t *testing.T, sc workload.HostileScenario, walDir string) ser
 	return cfg
 }
 
-func bootHostileServer(t *testing.T, sc workload.HostileScenario, walDir string) *server.Server {
+func bootHostileServer(t *testing.T, sc scenario.Hostile, walDir string) *server.Server {
 	t.Helper()
 	s, err := server.New(hostileConfig(t, sc, walDir))
 	if err != nil {
@@ -127,7 +127,7 @@ func driveChunked(cl *client.Client, reqs []controller.Request, chunk int,
 // through the proxy — sequentially, so connection ordinals equal dial
 // order and the fault schedule is reproducible — then drives every
 // connection's trace slice concurrently in chunk-sized runs.
-func driveFaulted(t *testing.T, sc workload.HostileScenario, p *faultnet.Proxy,
+func driveFaulted(t *testing.T, sc scenario.Hostile, p *faultnet.Proxy,
 	slices [][]controller.Request) hostileRun {
 	t.Helper()
 	run := hostileRun{unanswered: make([][]controller.Request, sc.Conns)}
@@ -191,7 +191,7 @@ func driveFaulted(t *testing.T, sc workload.HostileScenario, p *faultnet.Proxy,
 
 // runHostile executes one scenario end to end and fails the test on any
 // broken invariant.
-func runHostile(t *testing.T, sc workload.HostileScenario, walDir string) {
+func runHostile(t *testing.T, sc scenario.Hostile, walDir string) {
 	t.Helper()
 	_, slices, err := sc.Trace()
 	if err != nil {
@@ -347,7 +347,7 @@ func reconcileMetrics(t *testing.T, s *server.Server) {
 
 // TestHostileScenarioSweep runs the whole hostile-network catalog.
 func TestHostileScenarioSweep(t *testing.T) {
-	for _, sc := range workload.HostileCatalog() {
+	for _, sc := range scenario.HostileCatalog() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			runHostile(t, sc, t.TempDir())
@@ -369,7 +369,7 @@ func TestHostileScenarioSweep(t *testing.T) {
 // connection carries its whole trace in both runs, and the logs must agree
 // on every coordinate. The sweep above still runs the duplicates.
 func TestHostileFaultScheduleReproducible(t *testing.T) {
-	sc, err := workload.HostileScenarioByName("dup-results")
+	sc, err := scenario.HostileByName("dup-results")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,29 +3,47 @@ package server_test
 import (
 	"go/build"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestServingPathImportsNoSimulator: the daemon serves with the
-// centralized engine, so the packages on its serving path — the command,
-// this package and the durability engine — must not import the
-// message-passing engine or the simulator it runs over, outside tests. The
-// check is on direct imports (what `go list -f '{{.Imports}}'` prints): the
-// transitive closure cannot be the test while internal/workload, which the
-// daemon needs for BuildTopology, also holds the dist-driven scenario
-// engine.
+// centralized engine, so nothing it links — the non-test import closure of
+// cmd/dynctrld, what `go list -deps ./cmd/dynctrld` prints — may be the
+// message-passing engine, the simulator it runs over or the fault proxy.
 func TestServingPathImportsNoSimulator(t *testing.T) {
-	banned := map[string]bool{"dynctrl/internal/sim": true, "dynctrl/internal/dist": true}
-	for _, dir := range []string{"../../cmd/dynctrld", ".", "../persist"} {
-		pkg, err := build.ImportDir(dir, 0)
+	const module = "dynctrl/"
+	banned := map[string]bool{
+		module + "internal/sim":      true,
+		module + "internal/dist":     true,
+		module + "internal/faultnet": true,
+	}
+	// via[p] is the package that first pulled p in.
+	via := map[string]string{module + "cmd/dynctrld": ""}
+	queue := []string{module + "cmd/dynctrld"}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		pkg, err := build.ImportDir(filepath.Join("..", "..", strings.TrimPrefix(path, module)), 0)
 		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
+			t.Fatalf("%s: %v", path, err)
 		}
 		for _, imp := range pkg.Imports { // non-test files only
-			if banned[imp] {
-				abs, _ := filepath.Abs(dir)
-				t.Errorf("%s imports %s: the simulator is back on the serving path", abs, imp)
+			if _, seen := via[imp]; seen || !strings.HasPrefix(imp, module) {
+				continue
 			}
+			via[imp] = path
+			queue = append(queue, imp)
 		}
+	}
+	for imp := range banned {
+		if _, linked := via[imp]; !linked {
+			continue
+		}
+		chain := imp
+		for p := via[imp]; p != ""; p = via[p] {
+			chain = p + " → " + chain
+		}
+		t.Errorf("the daemon links %s: %s", imp, chain)
 	}
 }

@@ -7,9 +7,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dynctrl/internal/scenario"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/workload"
 )
+
+// These tests pin the catalog this package declares by running it through
+// the runner of package scenario. They are an external test package, so
+// only the test binary links the simulator: workload's own import closure,
+// and with it the daemon's, stays free of it.
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace corpus")
 
@@ -26,7 +32,7 @@ func TestScenarioCatalogAcrossSchedulers(t *testing.T) {
 			sc, sched := sc, sched
 			t.Run(sc.Name+"/"+sched, func(t *testing.T) {
 				t.Parallel()
-				res, err := workload.RunScenario(sc, sched, goldenSeed, false)
+				res, err := scenario.Run(sc, sched, goldenSeed, false)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -57,12 +63,12 @@ func TestScenarioScheduleInvariance(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			base, err := workload.RunScenario(sc, "fifo", goldenSeed, false)
+			base, err := scenario.Run(sc, "fifo", goldenSeed, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sched := range append(sim.SchedulerNames(), "concurrent") {
-				res, err := workload.RunScenario(sc, sched, goldenSeed, false)
+				res, err := scenario.Run(sc, sched, goldenSeed, false)
 				if err != nil {
 					t.Fatalf("%s: %v", sched, err)
 				}
@@ -90,18 +96,18 @@ func TestScenarioSeedReproducibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := workload.RunScenario(sc, "random", 42, false)
+	a, err := scenario.Run(sc, "random", 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := workload.RunScenario(sc, "random", 42, false)
+	b, err := scenario.Run(sc, "random", 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TraceHash != b.TraceHash || a.TransportMessages != b.TransportMessages {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	c, err := workload.RunScenario(sc, "random", 43, false)
+	c, err := scenario.Run(sc, "random", 43, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func TestCrashRestartMatchesUndisturbedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := workload.RunScenario(sc, "random", goldenSeed, false)
+	crashed, err := scenario.Run(sc, "random", goldenSeed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestCrashRestartMatchesUndisturbedRun(t *testing.T) {
 		t.Fatalf("violations across restarts: %v", crashed.Violations)
 	}
 	sc.Durability = workload.DurabilitySpec{}
-	smooth, err := workload.RunScenario(sc, "random", goldenSeed, false)
+	smooth, err := scenario.Run(sc, "random", goldenSeed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +177,7 @@ func runGolden(t *testing.T) []goldenEntry {
 	t.Helper()
 	var entries []goldenEntry
 	for _, sc := range workload.Catalog() {
-		res, err := workload.RunScenario(sc, "random", goldenSeed, false)
+		res, err := scenario.Run(sc, "random", goldenSeed, false)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -256,7 +262,7 @@ func TestScenarioSweepLong(t *testing.T) {
 	if os.Getenv("SCENARIO_LONG") == "" {
 		t.Skip("long sweep runs nightly; set SCENARIO_LONG=1 to run locally")
 	}
-	results, err := workload.Sweep(workload.Catalog(), sim.RuntimeNames(), goldenSeed, true)
+	results, err := scenario.Sweep(workload.Catalog(), sim.RuntimeNames(), goldenSeed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
