@@ -1,6 +1,8 @@
 // Command loadgen replays internal/workload scenarios against a running
-// dynctrld daemon over the wire protocol and prints a cmd/benchjson-
-// compatible JSON summary (internal/benchfmt, transport "tcp").
+// dynctrld daemon over the wire protocol and prints a JSON summary
+// (internal/benchfmt): the artifact CI's smoke jobs upload, and the client
+// side of the client-vs-server latency reconciliation. Performance numbers
+// come from bench/, not from here.
 //
 // Usage:
 //
@@ -70,7 +72,8 @@ func main() {
 	label := flag.String("label", "loadgen", "label naming this run")
 	out := flag.String("out", "", "also write the JSON summary to this path")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in requests/s (0 = closed-loop chunked replay)")
-	arrival := flag.String("arrival", "poisson", "open-loop arrival process: poisson or fixed")
+	arrival := flag.String("arrival", workload.ArrivalPoisson, "open-loop arrival process: "+
+		workload.ArrivalPoisson+" or "+workload.ArrivalFixed)
 	openWorkers := flag.Int("open-workers", 0, "open-loop in-flight submission bound (0 = default)")
 	flag.Parse()
 
@@ -210,10 +213,9 @@ func main() {
 		Results: map[string]benchfmt.Measurement{
 			"loadgen": {
 				Scenario:      sc.Name,
-				Scheduler:     "remote",
 				Transport:     benchfmt.TransportTCP,
 				Durability:    durability,
-				NsPerOp:       float64(elapsed.Nanoseconds()) / float64(max64(total.Submitted, 1)),
+				NsPerOp:       float64(elapsed.Nanoseconds()) / float64(max(total.Submitted, 1)),
 				OpsPerSec:     opsPerSec,
 				Latency:       latency,
 				ServerLatency: serverLatency,
@@ -437,13 +439,6 @@ func printReconciliation(lat *benchfmt.Latency, srv *benchfmt.ServerLatency) {
 		time.Duration(int64(stageSum)),
 		time.Duration(int64(srv.Stages["total"].P99)),
 		time.Duration(int64(gap)))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func logf(format string, args ...any) {

@@ -1,53 +1,39 @@
-// Package benchfmt is the shared schema of the repository's benchmark
-// artifacts: cmd/benchjson (the pinned in-process workload) and cmd/loadgen
-// (the wire-protocol load generator) both emit a Report, and CI's
-// perf-smoke job compares Reports against the committed BENCH_baseline.json
-// with CompareBaseline.
+// Package benchfmt is the format of cmd/loadgen's JSON summary: what one
+// wire-protocol load run observed (throughput, open-loop latency, the
+// daemon's per-stage quantiles), as CI's three loadgen smoke jobs upload
+// it. The repository's performance numbers are not in this format; they
+// are bench/'s (contract in BENCHMARK.json).
 package benchfmt
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
 // SchemaVersion identifies the Report layout. Bump it when changing the
-// pinned workloads or the measurement fields, and refresh
-// BENCH_baseline.json. Schema 2 added the scenario/scheduler labels;
-// schema 3 added the transport dimension (inproc vs tcp) when the service
-// boundary landed; schema 4 added the durability dimension (none | wal |
-// wal+snap) with the write-ahead-log engine; schema 5 added the open-loop
-// latency block (coordinated-omission-safe p50/p99/p999); schema 6 added
-// the server_latency block (server-side per-stage quantiles scraped from
-// /metricsz) and the tcp-fanin-noobs tracing-overhead companion.
-const SchemaVersion = 6
+// measurement fields. Schema 2 added the scenario/scheduler labels;
+// schema 3 added the transport dimension when the service boundary
+// landed; schema 4 added the durability dimension (none | wal+snap) with
+// the write-ahead-log engine; schema 5 added the open-loop latency block
+// (coordinated-omission-safe p50/p99/p999); schema 6 added the
+// server_latency block (server-side per-stage quantiles scraped from
+// /metricsz); schema 7 dropped the fields only the deleted in-process
+// harness filled (scheduler, allocs_per_op, bytes_per_op, messages_per_op,
+// pipeline_speedup, messages_per_change).
+const SchemaVersion = 7
 
-// Transports a measurement can run over.
-const (
-	// TransportInproc is a direct in-process submission path.
-	TransportInproc = "inproc"
-	// TransportTCP crosses the dynctrld wire protocol over loopback TCP.
-	TransportTCP = "tcp"
-)
+// TransportTCP is the transport of every measurement: the dynctrld wire
+// protocol over TCP.
+const TransportTCP = "tcp"
 
 // Durability modes a measurement can run under.
 const (
 	// DurabilityNone keeps all admission state in memory.
 	DurabilityNone = "none"
-	// DurabilityWAL logs every decided effect to the write-ahead log with
-	// group commit, without automatic checkpoints.
-	DurabilityWAL = "wal"
-	// DurabilityWALSnap is the full engine: WAL plus periodic snapshots.
+	// DurabilityWALSnap is the durability engine: WAL plus periodic
+	// snapshots.
 	DurabilityWALSnap = "wal+snap"
-)
-
-// Arrival processes an open-loop measurement can schedule requests with.
-const (
-	// ArrivalPoisson draws exponentially distributed inter-arrival gaps.
-	ArrivalPoisson = "poisson"
-	// ArrivalFixed spaces arrivals exactly 1/rate apart.
-	ArrivalFixed = "fixed"
 )
 
 // Latency is the schema-5 open-loop latency block: quantiles of the
@@ -72,7 +58,8 @@ type Latency struct {
 	// (requests/second); compare against the measurement's OpsPerSec to
 	// see whether the server kept up.
 	TargetRate float64 `json:"target_rate"`
-	// Arrival is the arrival process (ArrivalPoisson or ArrivalFixed).
+	// Arrival is the arrival process (workload.ArrivalPoisson or
+	// workload.ArrivalFixed).
 	Arrival string `json:"arrival"`
 }
 
@@ -98,27 +85,21 @@ type ServerLatency struct {
 	Stages map[string]StageLatency `json:"stages"`
 }
 
-// Measurement is one measured submission path. Scenario, Scheduler,
-// Transport and Durability pin what ran where, so a baseline comparison
-// can refuse to compare measurements of different runs. Latency is only
-// set by open-loop runs; ServerLatency only by runs that scraped the
-// daemon's stage histograms; closed-loop throughput measurements leave
-// both nil.
+// Measurement is one measured run. Scenario, Transport and Durability say
+// what ran where. Latency is only set by open-loop runs; ServerLatency
+// only by runs that scraped the daemon's stage histograms; a closed-loop
+// run without -metrics leaves both nil.
 type Measurement struct {
 	Scenario      string         `json:"scenario"`
-	Scheduler     string         `json:"scheduler"`
 	Transport     string         `json:"transport"`
 	Durability    string         `json:"durability"`
 	NsPerOp       float64        `json:"ns_per_op"`
 	OpsPerSec     float64        `json:"ops_per_sec"`
-	AllocsPerOp   float64        `json:"allocs_per_op"`
-	BytesPerOp    float64        `json:"bytes_per_op"`
-	MsgsPerOp     float64        `json:"messages_per_op"`
 	Latency       *Latency       `json:"latency,omitempty"`
 	ServerLatency *ServerLatency `json:"server_latency,omitempty"`
 }
 
-// Report is the BENCH_<label>.json document.
+// Report is the summary document.
 type Report struct {
 	Label     string                 `json:"label"`
 	Schema    int                    `json:"schema"`
@@ -127,13 +108,6 @@ type Report struct {
 	GOARCH    string                 `json:"goarch"`
 	Workload  map[string]any         `json:"workload"`
 	Results   map[string]Measurement `json:"results"`
-	// PipelineSpeedup is results["pipeline"] over results["serial"]
-	// throughput on the identical trace (0 when either is absent).
-	PipelineSpeedup float64 `json:"pipeline_speedup"`
-	// MessagesPerChange is the amortized message complexity per
-	// topological change on the pinned churn run (the paper's headline
-	// cost measure; 0 when not measured).
-	MessagesPerChange float64 `json:"messages_per_change"`
 }
 
 // Bytes marshals the report as indented JSON with a trailing newline.
@@ -168,70 +142,4 @@ func ReadFile(path string) (Report, error) {
 		return r, fmt.Errorf("parse %s: %w", path, err)
 	}
 	return r, nil
-}
-
-// CompareBaseline fails when any measured path's throughput fell by more
-// than maxRegress relative to the baseline report, or when the runs are not
-// comparable (schema, scenario, scheduler or transport mismatch). Progress
-// lines go to log (e.g. os.Stderr).
-func CompareBaseline(base, cur Report, maxRegress float64, log io.Writer) error {
-	if base.Schema != cur.Schema {
-		return fmt.Errorf("baseline schema %d, current %d: refresh the baseline", base.Schema, cur.Schema)
-	}
-	for name, b := range base.Results {
-		c, ok := cur.Results[name]
-		if !ok {
-			return fmt.Errorf("baseline result %q missing from current run", name)
-		}
-		if b.Scenario != c.Scenario || b.Scheduler != c.Scheduler ||
-			b.Transport != c.Transport || b.Durability != c.Durability {
-			return fmt.Errorf("%s: baseline measured %s under %s over %s/%s, current run %s under %s over %s/%s:"+
-				" not comparable (rerun with matching flags or refresh the baseline)",
-				name, b.Scenario, b.Scheduler, b.Transport, b.Durability,
-				c.Scenario, c.Scheduler, c.Transport, c.Durability)
-		}
-		if b.Latency != nil {
-			if c.Latency == nil {
-				return fmt.Errorf("%s: baseline carries an open-loop latency block, current run does not:"+
-					" not comparable (rerun with matching flags or refresh the baseline)", name)
-			}
-			if b.Latency.Arrival != c.Latency.Arrival || b.Latency.TargetRate != c.Latency.TargetRate {
-				return fmt.Errorf("%s: baseline open loop is %s@%.0f/s, current %s@%.0f/s:"+
-					" not comparable (rerun with matching flags or refresh the baseline)",
-					name, b.Latency.Arrival, b.Latency.TargetRate, c.Latency.Arrival, c.Latency.TargetRate)
-			}
-			// Latency is reported but not gated: tail quantiles on shared CI
-			// runners are too noisy for a hard regression bound, and the
-			// achieved-rate (OpsPerSec) gate below already catches a server
-			// that stops keeping up with the scheduled arrivals.
-			fmt.Fprintf(log, "benchfmt: %-8s baseline p50/p99/p999 %.0f/%.0f/%.0f ns, current %.0f/%.0f/%.0f ns\n",
-				name, b.Latency.P50, b.Latency.P99, b.Latency.P999,
-				c.Latency.P50, c.Latency.P99, c.Latency.P999)
-		}
-		if b.ServerLatency != nil {
-			if c.ServerLatency == nil {
-				return fmt.Errorf("%s: baseline carries a server_latency block, current run does not:"+
-					" not comparable (rerun with matching flags or refresh the baseline)", name)
-			}
-			// Like Latency: reported, not gated.
-			if bt, ok := b.ServerLatency.Stages["total"]; ok {
-				ct := c.ServerLatency.Stages["total"]
-				fmt.Fprintf(log, "benchfmt: %-8s baseline server total p99 %.0f ns, current %.0f ns\n",
-					name, bt.P99, ct.P99)
-			}
-		}
-		if b.OpsPerSec <= 0 {
-			continue
-		}
-		ratio := b.OpsPerSec / c.OpsPerSec
-		fmt.Fprintf(log, "benchfmt: %-8s baseline %.0f ops/s, current %.0f ops/s (%.2fx)\n",
-			name, b.OpsPerSec, c.OpsPerSec, ratio)
-		if ratio > maxRegress {
-			return fmt.Errorf("%s regressed %.2fx (> %.1fx allowed): %.0f -> %.0f ops/s"+
-				" (if this machine is legitimately slower than the baseline's,"+
-				" refresh BENCH_baseline.json; see README \"Benchmarking and CI gates\")",
-				name, ratio, maxRegress, b.OpsPerSec, c.OpsPerSec)
-		}
-	}
-	return nil
 }

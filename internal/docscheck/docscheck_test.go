@@ -1,13 +1,13 @@
 // Package docscheck is the documentation drift gate: a test-only package
 // asserting that the normative documents under docs/ keep up with the
 // code. It checks that every relative markdown link in docs/ and the
-// README resolves, that every /metricsz field the server emits and
-// every CLI flag dynctrld and loadgen declare is documented in
-// docs/OPERATIONS.md, that the live /metricsz exposition declares
-// # HELP and # TYPE for every family it renders, and that every wire
-// frame type and error code is documented in docs/PROTOCOL.md. CI runs
-// it as the docs job, so adding a metric or a wire code without
-// documenting it fails the build.
+// README resolves and every repository path they back-quote exists, that
+// every /metricsz field the server emits and every CLI flag dynctrld and
+// loadgen declare is documented in docs/OPERATIONS.md, that the live
+// /metricsz exposition declares # HELP and # TYPE for every family it
+// renders, and that every wire frame type and error code is documented in
+// docs/PROTOCOL.md. CI runs it as the docs job, so adding a metric or a
+// wire code without documenting it fails the build.
 package docscheck
 
 import (
@@ -62,10 +62,41 @@ func markdownFiles(t *testing.T) []string {
 // links are not used in this repo.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// A back-quoted span names a repository path when it leads with one of the
+// source directories (what follows the path, such as a flag, is ignored)
+// or is a capitalised root document such as `BENCHMARK.json`.
+var (
+	codeFence = regexp.MustCompile("(?s)```.*?```")
+	codeSpan  = regexp.MustCompile("`([^`]+)`")
+	repoPath  = regexp.MustCompile(`^(?:cmd|internal|bench|docs|examples)/[A-Za-z0-9_./-]*`)
+	rootFile  = regexp.MustCompile(`^[A-Z][A-Za-z_]*\.(?:json|md)$`)
+	// goSymbol is the `.Name` tail of a span like `internal/oracle.CheckX`.
+	goSymbol = regexp.MustCompile(`(?:\.[A-Z]\w*)+$`)
+)
+
+// leftBehind reports whether gitignore (the root .gitignore) declares the
+// root-level name as something building or running the repository leaves
+// behind, which the documents may name although no checkout holds it.
+func leftBehind(gitignore, name string) bool {
+	for _, line := range strings.Split(gitignore, "\n") {
+		pattern, ok := strings.CutPrefix(line, "/")
+		if !ok {
+			continue
+		}
+		if hit, err := filepath.Match(pattern, name); err == nil && hit {
+			return true
+		}
+	}
+	return false
+}
+
 // TestMarkdownLinksResolve verifies every relative link in the covered
 // documents points at a file that exists (anchors and external URLs are
-// skipped — there is no network in the test environment).
+// skipped — there is no network in the test environment), and that every
+// repository path they name in back quotes exists, so deleting a command
+// or a package without its prose fails here.
 func TestMarkdownLinksResolve(t *testing.T) {
+	gitignore := readFile(t, ".gitignore")
 	for _, file := range markdownFiles(t) {
 		body := readFile(t, file)
 		for _, m := range mdLink.FindAllStringSubmatch(body, -1) {
@@ -79,6 +110,27 @@ func TestMarkdownLinksResolve(t *testing.T) {
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken link %q (%v)", file, m[1], err)
 			}
+		}
+		paths := 0
+		for _, m := range codeSpan.FindAllStringSubmatch(codeFence.ReplaceAllString(body, ""), -1) {
+			span := m[1]
+			rel := repoPath.FindString(span)
+			switch {
+			case rel != "":
+				// `internal/...` and `internal/*` name the directory.
+				rel = goSymbol.ReplaceAllString(strings.TrimSuffix(rel, "..."), "")
+			case rootFile.MatchString(span) && !leftBehind(gitignore, span):
+				rel = span
+			default:
+				continue
+			}
+			paths++
+			if _, err := os.Stat(filepath.Join(repoRoot, rel)); err != nil {
+				t.Errorf("%s: `%s` names a path that does not exist (%v)", file, span, err)
+			}
+		}
+		if file == "README.md" && paths < 30 {
+			t.Fatalf("README.md: only %d back-quoted repository paths found, the span regexps are likely stale", paths)
 		}
 	}
 }

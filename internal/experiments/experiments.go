@@ -2,8 +2,8 @@
 // theory contribution whose "tables and figures" are complexity theorems;
 // each function here measures the corresponding quantity on synthetic
 // workloads and prints the series/rows whose *shape* the paper predicts.
-// cmd/benchtables prints all tables; bench_test.go exposes each as a
-// testing.B benchmark; testdata/tables.golden pins every number.
+// cmd/benchtables prints all tables; the root bench_test.go times each as
+// BenchmarkExperiments/E<n>; testdata/tables.golden pins every number.
 package experiments
 
 import (

@@ -18,8 +18,8 @@
 // point (cf. partially observable concurrent semantics): the record path
 // is one allocation, one atomic slot publish, an atomic threshold check
 // and a short histogram critical section per *batch* (not per request).
-// cmd/benchjson pins the measured overhead on the pinned tcp-fanin
-// workload at <= 3%.
+// CI's perf-smoke gates bench/'s obs.overhead_ratio (untraced / traced
+// throughput, -trace-ring -1 against defaults) on events-batch at <= 1.29.
 package obs
 
 import (

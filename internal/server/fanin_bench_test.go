@@ -11,10 +11,10 @@ import (
 	"dynctrl/internal/workload"
 )
 
-// benchFanin replays the benchjson fan-in workload shape (many
-// connections, chunked submits) against a loopback daemon with the given
+// benchFanin replays a fan-in workload (64 connections, 128 streams of
+// chunked event-only submits) against a loopback daemon with the given
 // trace-ring setting, so the observability tax can be measured and
-// profiled in isolation rather than through the full benchjson suite.
+// profiled at a fan-in bench/ does not drive yet (it uses 2 connections).
 func benchFanin(b *testing.B, traceRing int) {
 	const (
 		nodes   = 256

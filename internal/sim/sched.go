@@ -303,8 +303,8 @@ func SchedulerNames() []string {
 	return []string{"fifo", "lifo", "random", "delay", "window"}
 }
 
-// NewScheduler constructs a catalog scheduler by name.
-func NewScheduler(name string, seed int64) (Scheduler, error) {
+// newScheduler constructs a catalog scheduler by name.
+func newScheduler(name string, seed int64) (Scheduler, error) {
 	switch name {
 	case "fifo":
 		return FIFO(), nil
@@ -335,7 +335,7 @@ func NewRuntime(name string, seed int64) (Runtime, error) {
 	if name == "concurrent" {
 		return NewConcurrent(DefaultWorkers), nil
 	}
-	s, err := NewScheduler(name, seed)
+	s, err := newScheduler(name, seed)
 	if err != nil {
 		return nil, err
 	}

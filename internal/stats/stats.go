@@ -1,11 +1,11 @@
 // Package stats provides counters and table formatting shared by the
-// controller implementations, the benchmark harness and the CLIs.
+// controller implementations, the experiments and the CLIs.
 //
 // The paper's cost measures are move complexity (centralized setting) and
 // message complexity (distributed setting); both are pure event counts, so
 // a Counters value simply accumulates named tallies. Series and Table help
-// the benchmark harness print the parameter sweeps recorded in
-// EXPERIMENTS.md.
+// internal/experiments print the parameter sweeps of E1–E14, whose numbers
+// its testdata/tables.golden pins.
 package stats
 
 import (

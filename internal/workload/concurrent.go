@@ -27,7 +27,7 @@ type ConcurrentMix struct {
 }
 
 // EventHeavyConcurrentMix models metered traffic with light growth: mostly
-// events, some insertions. This is the pinned mix of cmd/benchjson.
+// events, some insertions.
 func EventHeavyConcurrentMix() ConcurrentMix { return ConcurrentMix{Event: 90, AddLeaf: 10} }
 
 // EventOnlyConcurrentMix issues only non-topological events.

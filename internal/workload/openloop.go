@@ -20,8 +20,8 @@ import (
 	"dynctrl/internal/hdr"
 )
 
-// Arrival processes for OpenLoopSpec (mirrors benchfmt's constants; kept
-// as strings so the spec serializes trivially).
+// Arrival processes for OpenLoopSpec (strings, so the spec serializes
+// trivially and a command-line flag can name one).
 const (
 	ArrivalPoisson = "poisson"
 	ArrivalFixed   = "fixed"
