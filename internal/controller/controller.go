@@ -89,7 +89,7 @@ type Core struct {
 // what Centralized attaches to whiteboards, returned as itself for the
 // callers that want the domain analysis of Section 3.2.
 func NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Core {
-	return &Core{Whiteboard: newWhiteboard(tr, u, m, w, opts...)}
+	return &Core{Whiteboard: newWhiteboard(tr, u, m, w, nil, opts...)}
 }
 
 // EnableDomainTracking switches on the analysis-only domain bookkeeping of
@@ -266,11 +266,8 @@ func (c *Core) broadcastRejectWave() {
 	if !c.StartRejectWave() {
 		return
 	}
-	nodes := c.tr.Nodes()
-	for _, id := range nodes {
+	for id := range c.tr.All() {
 		c.Store(id).SetReject()
 	}
-	if moves := int64(len(nodes) - 1); moves > 0 {
-		c.counters.Add(stats.CounterMoves, moves)
-	}
+	Centralized.Sweep(c.counters, c.tr, 1)
 }

@@ -2,7 +2,10 @@ package controller
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 
+	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -10,24 +13,86 @@ import (
 // whiteboards, the level mask from the store it summarises and compares it
 // with the one the whiteboards keep. It returns the union of the masks, so a
 // test can tell a run that exercised the mobile levels from a vacuous one.
+// Beside the masks it holds the store table to its meaning: an entry without
+// a store is the zero value, and outside the trivial tail, which changes the
+// tree beside whiteboards it no longer keeps up, the ids with a store are
+// exactly the live nodes.
 func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 	wb := d.inner.wb
-	if len(wb.masks) != len(wb.stores) {
-		return 0, fmt.Errorf("%d masks for %d stores", len(wb.masks), len(wb.stores))
+	if len(wb.masks) != wb.stores.Len() {
+		return 0, fmt.Errorf("%d masks for %d stores", len(wb.masks), wb.stores.Len())
 	}
-	for id, s := range wb.stores {
+	for id, s := range wb.stores.All() {
 		var want uint64
-		if s != nil {
+		if s.Present() {
 			for _, pk := range s.Mobiles() {
 				want |= 1 << min(uint(pk.Level), 63)
 			}
+		} else if !s.Empty() {
+			return 0, fmt.Errorf("node %d: no store, yet packages or a reject flag in its table entry", id)
 		}
 		if wb.masks[id] != want {
 			return 0, fmt.Errorf("node %d: mask %#b, the mobile levels of its store give %#b", id, wb.masks[id], want)
 		}
+		if !d.inner.trivialPhase && s.Present() != wb.tr.Contains(id) {
+			return 0, fmt.Errorf("node %d: store present %v, node live %v", id, s.Present(), wb.tr.Contains(id))
+		}
 		levels |= want
 	}
 	return levels, nil
+}
+
+// Board returns the whiteboards of the current iteration.
+func (d *Dynamic) Board() *Whiteboard { return d.inner.wb }
+
+// HoldsTables reports whether wb still owns per-node tables; whiteboards an
+// iteration restart has discarded must not.
+func (wb *Whiteboard) HoldsTables() bool { return wb.stores.Len() != 0 || wb.masks != nil }
+
+// InnerIterations returns how many waste-halving iterations the current
+// inner driver has started.
+func (d *Dynamic) InnerIterations() int { return d.inner.iterations }
+
+// CheckRecycled builds the whiteboards of a new iteration over the current
+// tree twice, once over the tables of a used whiteboard (a copy of the
+// current one with everything it holds) and once over none, and reports
+// whatever of the used one shows through: the recycled whiteboards must list
+// exactly the live nodes, every store empty, every mask clear, no store at an
+// id without a node, and be deeply equal to the fresh ones.
+func (d *Dynamic) CheckRecycled() error {
+	wb := d.inner.wb
+	used, err := restoreWhiteboard(wb.tr, wb.State(), stats.NewCounters())
+	if err != nil {
+		return fmt.Errorf("copying the current whiteboards: %w", err)
+	}
+	p := wb.params
+	fresh := newWhiteboard(wb.tr, p.U, p.M, p.W, nil)
+	recycled := newWhiteboard(wb.tr, p.U, p.M, p.W, used)
+	if used.HoldsTables() {
+		return fmt.Errorf("the discarded whiteboards keep their tables")
+	}
+	if recycled.stores.Len() != fresh.stores.Len() || len(recycled.masks) != len(fresh.masks) {
+		return fmt.Errorf("recycled tables hold %d stores and %d masks, fresh ones %d and %d",
+			recycled.stores.Len(), len(recycled.masks), fresh.stores.Len(), len(fresh.masks))
+	}
+	var listed []tree.NodeID
+	for id, s := range recycled.stores.All() {
+		switch {
+		case recycled.masks[id] != 0:
+			return fmt.Errorf("node %d: recycled mask %#b", id, recycled.masks[id])
+		case !s.Empty():
+			return fmt.Errorf("node %d: recycled store holds %+v", id, s.State())
+		case s.Present():
+			listed = append(listed, id)
+		}
+	}
+	if nodes := wb.tr.Nodes(); !slices.Equal(listed, nodes) {
+		return fmt.Errorf("recycled whiteboards hold stores for %v, the tree has nodes %v", listed, nodes)
+	}
+	if got, want := recycled.State(), fresh.State(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("recycled whiteboards capture as %+v, fresh ones as %+v", got, want)
+	}
+	return nil
 }
 
 // MaskAt returns the level mask the current whiteboards keep for id.

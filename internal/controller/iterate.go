@@ -30,11 +30,9 @@ type Iterated struct {
 	terminating bool
 
 	// wb is the current iteration's whiteboards and core their slow path
-	// over the transport; the batch fast path grants from wb directly. wb
-	// stays its own allocation: held by value in this struct it cost the
-	// daemon 15% of its throughput on an 8192-deep path (measured end to
-	// end in PR 13; the store lookups of a climb missed the cache twice as
-	// often).
+	// over the transport; the batch fast path grants from wb directly. A
+	// restart replaces both, and the new whiteboards take over the tables of
+	// the old (newWhiteboard).
 	wb         *Whiteboard
 	core       Submitter
 	curM       int64
@@ -96,7 +94,9 @@ func (it *Iterated) startIteration(m int64) {
 		it.finalPhase = true
 		w = it.w
 	}
-	it.wb = newWhiteboard(it.tr, it.u, m, w, WithCounters(it.counters), WithNoRejects())
+	// What it.wb was is the iteration that ended (or nothing): its tables
+	// carry over.
+	it.wb = newWhiteboard(it.tr, it.u, m, w, it.wb, WithCounters(it.counters), WithNoRejects())
 	it.core = it.tp.Attach(it.wb)
 }
 

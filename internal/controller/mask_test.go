@@ -23,6 +23,7 @@ type maskRun struct {
 	// handoffs counts graceful deletions of a node holding a mobile package
 	// its own request cannot consume (level 1 and up): it moves to the parent.
 	handoffs int
+	restarts int // requests that left other whiteboards than they found
 }
 
 // transport returns the run's execution model; the message-passing one
@@ -46,9 +47,18 @@ func (r *maskRun) submit(t testing.TB, req ctl.Request) ctl.Grant {
 	if req.Kind.IsRemoval() && r.d.MaskAt(req.Node)&^1 != 0 {
 		r.handoffs++
 	}
+	board := r.d.Board()
 	g, err := r.d.Submit(req)
 	if err != nil {
 		t.Fatalf("submit %+v: %v", req, err)
+	}
+	if r.d.Board() != board {
+		// The request restarted the iteration: the whiteboards it found
+		// handed their tables on.
+		r.restarts++
+		if board.HoldsTables() {
+			t.Fatalf("submit %+v: the whiteboards the restart discarded keep their tables", req)
+		}
 	}
 	r.check(t)
 	return g
@@ -62,6 +72,15 @@ func (r *maskRun) check(t testing.TB) {
 	}
 	r.levels |= levels
 	r.resting = levels != 0
+}
+
+// checkRecycled holds the whiteboards a restart at this point would build
+// over the current ones' tables to a fresh start.
+func (r *maskRun) checkRecycled(t testing.TB) {
+	t.Helper()
+	if err := r.d.CheckRecycled(); err != nil {
+		t.Fatalf("whiteboards built over recycled tables: %v", err)
+	}
 }
 
 // roundTrip continues on a controller rebuilt from the captured state over
@@ -90,7 +109,9 @@ func deepTree(t testing.TB, n int) *tree.Tree {
 // iteration restarts, graceful deletions of package-holding nodes, the
 // exhaustion of the permits and State → RestoreDynamic round trips, over
 // both transports, and holds mask[id] == OR(1 << level) over the mobile
-// packages of store id, for every id, after every request. The churn leans
+// packages of store id, for every id, after every request; a restart must
+// hand the tables on (submit), and whiteboards built over used tables must
+// equal ones built over none (checkRecycled). The churn leans
 // on internal additions and removals, which keep the tree a deep path and
 // delete the nodes packages rest at. The W = 0 case is the one in which
 // cleared whiteboards stay referenced (the trivial tail runs beside them), so
@@ -124,6 +145,7 @@ func TestPropertyLevelMasks(t *testing.T) {
 							t.Fatalf("seed %d: generator dried up at %d", seed, i)
 						}
 						resting, tail := r.resting, r.d.InTrivialTail()
+						restarts := r.restarts
 						rejected = r.submit(t, req).Outcome == ctl.Rejected
 						if !tail && r.d.InTrivialTail() {
 							collectedResting = resting
@@ -131,14 +153,21 @@ func TestPropertyLevelMasks(t *testing.T) {
 						if i%211 == 210 {
 							r.roundTrip(t)
 						}
+						// What a restart would recycle, sampled, and always
+						// where one has just happened: whiteboards that are
+						// themselves built over recycled tables.
+						if i%16 == 0 || r.restarts != restarts {
+							r.checkRecycled(t)
+						}
 					}
 					switch {
 					case !rejected:
 						t.Fatalf("seed %d: the permits never ran out", seed)
 					case r.levels&^1 == 0:
 						t.Fatalf("seed %d: vacuous run: no mobile package above level 0 ever rested in a store (levels %#b)", seed, r.levels)
-					case tc.w > 0 && (r.d.Iterations() < 3 || r.handoffs == 0):
-						t.Fatalf("seed %d: vacuous run: %d iterations, %d package-holding nodes deleted", seed, r.d.Iterations(), r.handoffs)
+					case tc.w > 0 && (r.d.Iterations() < 3 || r.restarts < 3 || r.handoffs == 0):
+						t.Fatalf("seed %d: vacuous run: %d iterations, %d restarts seen, %d package-holding nodes deleted",
+							seed, r.d.Iterations(), r.restarts, r.handoffs)
 					case tc.w == 0 && !collectedResting:
 						t.Fatalf("seed %d: vacuous run: no mobile package rested when the permits were collected", seed)
 					}
@@ -148,11 +177,44 @@ func TestPropertyLevelMasks(t *testing.T) {
 	}
 }
 
+// TestStoreTableGrowsWithinIteration grows the store table through two chunk
+// boundaries inside one iteration, with no restart in between to rebuild it:
+// leaves join a path of 2 100 (the table's fifth chunk ends at id 2 559, the
+// iteration at 1 050 changes) while events at its deep end keep mobile
+// packages resting along it, so stores that existed before a growth step are
+// read and written after it. The tree is validated and the masks, and with
+// them which ids hold a store, are checked after every request.
+func TestStoreTableGrowsWithinIteration(t *testing.T) {
+	const n0, chunk = 2100, 512
+	r := newMaskRun(deepTree(t, n0), false, 1<<20, 1<<19)
+	tip := tree.NodeID(n0)
+	for i := 0; r.tr.EverExisted() < 6*chunk+2; i++ {
+		req := ctl.Request{Node: tip - tree.NodeID(i*37%n0), Kind: tree.AddLeaf}
+		if i%3 == 2 {
+			req.Kind = tree.None
+		}
+		if g := r.submit(t, req); g.Outcome != ctl.Granted {
+			t.Fatalf("request %d: %+v answered %v", i, req, g.Outcome)
+		}
+		if err := r.tr.Validate(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if r.d.Iterations() != 1 || r.d.InnerIterations() != 1 {
+			t.Fatalf("request %d restarted the iteration (%d outer, %d inner) before the table had crossed two chunk boundaries at %d ids",
+				i, r.d.Iterations(), r.d.InnerIterations(), r.tr.EverExisted())
+		}
+	}
+	if r.levels&^1 == 0 {
+		t.Fatalf("vacuous run: no mobile package above level 0 ever rested in a store (levels %#b)", r.levels)
+	}
+}
+
 // FuzzWhiteboardMask lets the fuzzer write the trace: the first byte picks
 // the transport, then two bytes a request (a kind and a node selector) or a
 // State → RestoreDynamic round trip, over a path of 96 with few permits per
 // node so that packages split, rest and are collected within a short input.
-// The masks are checked after every step.
+// The masks, and what a restart would make of the tables, are checked after
+// every step.
 func FuzzWhiteboardMask(f *testing.F) {
 	f.Add([]byte("\x00" + "0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_"))
 	f.Add([]byte("\x01" + "0\xff0\xf03\xe00\xff5\x000\xfe3\xd00\xff1\x102\x204\x00"))
@@ -192,6 +254,7 @@ func FuzzWhiteboardMask(f *testing.F) {
 				continue
 			}
 			r.submit(t, req)
+			r.checkRecycled(t)
 		}
 	})
 }

@@ -83,7 +83,7 @@ type Fixed struct {
 // NewCore builds the fixed-U (m, w)-controller over tr assuming at most u
 // nodes ever exist, its packages moving this transport's way.
 func (tp Transport) NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Fixed {
-	wb := newWhiteboard(tr, u, m, w, opts...)
+	wb := newWhiteboard(tr, u, m, w, nil, opts...)
 	return &Fixed{Whiteboard: wb, core: tp.Attach(wb)}
 }
 

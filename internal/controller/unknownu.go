@@ -110,7 +110,13 @@ func (d *Dynamic) startIteration() {
 	d.adds = 0
 	// Counting N_i.
 	d.tp.restart(d.counters, d.tr)
-	d.inner = &Iterated{tp: d.tp, tr: d.tr, u: d.ui, w: d.w, counters: d.counters, terminating: true}
+	// The new inner driver starts from the whiteboards of the one it
+	// replaces, whose tables its first iteration takes over.
+	var prev *Whiteboard
+	if d.inner != nil {
+		prev = d.inner.wb
+	}
+	d.inner = &Iterated{tp: d.tp, tr: d.tr, u: d.ui, w: d.w, counters: d.counters, terminating: true, wb: prev}
 	d.inner.startIteration(d.mi)
 	d.grantedBase = d.Granted()
 }

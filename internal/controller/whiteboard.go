@@ -19,11 +19,17 @@ type Whiteboard struct {
 	tr     *tree.Tree
 	root   tree.NodeID // tr's root, which outlives every whiteboard
 	params pkgstore.Params
-	// stores is indexed by NodeID (ids are dense, see package tree); nil
-	// marks an id without a whiteboard: never seen, or deleted.
-	stores []*pkgstore.Store
+	// stores is indexed by NodeID (ids are dense, see package tree) and holds
+	// the stores themselves; an entry that is not Present marks an id
+	// without a whiteboard: never seen, or deleted. A joining node costs no
+	// allocation but a chunk of the table every 512 ids, and a
+	// *pkgstore.Store taken from the table (Store, lookup) stays good while
+	// these whiteboards are in use: growing moves no entry. The table is
+	// handed, cleared, from the whiteboards an iteration discards to the
+	// ones the next iteration builds (newWhiteboard).
+	stores tree.Table[pkgstore.Store]
 	// masks is indexed by NodeID like stores and as long: bit j of masks[id]
-	// is set iff stores[id] holds a mobile package of level j (levelBit).
+	// is set iff the store of id holds a mobile package of level j (levelBit).
 	// It is the one-bit-a-level projection of Claim 4.8's whiteboard
 	// encoding, derived from stores (State does not carry it, restoring
 	// rebuilds it), and what the filler search scans: a climb reads this
@@ -81,25 +87,47 @@ func WithDescentObserver(fn DescentObserver) CoreOption {
 
 // newWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
 // tr assuming at most u nodes ever exist; the root's storage holds the m
-// permits.
-func newWhiteboard(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Whiteboard {
+// permits. prev, when not nil, is the whiteboards of the iteration that just
+// ended: the caller is done with them, and their two tables are taken over,
+// cleared rather than copied, so an iteration restart allocates no table.
+// Nothing of prev shows through: what it held for an id is gone, whether the
+// node still lives or was deleted under it.
+func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreOption) *Whiteboard {
 	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m}
 	for _, opt := range opts {
 		opt(wb)
 	}
-	// Every live node starts with an empty store (State lists them all);
-	// they come out of one slab, in id order like the climbs that read them.
-	nodes := tr.Nodes()
-	slab := make([]pkgstore.Store, len(nodes))
-	wb.stores = make([]*pkgstore.Store, nodes[len(nodes)-1]+1)
-	wb.masks = make([]uint64, len(wb.stores))
-	for i, id := range nodes {
-		wb.stores[id] = &slab[i]
+	if prev != nil {
+		wb.stores, wb.masks = prev.stores, prev.masks
+		prev.stores, prev.masks = tree.Table[pkgstore.Store]{}, nil
+		wb.stores.Reset()
+		clear(wb.masks)
+	}
+	// Every live node starts with an empty store (State lists them all) and
+	// every other id below the tree's next one without.
+	wb.resize(tr.EverExisted() + 1)
+	for id := range tr.All() {
+		*wb.stores.At(id) = pkgstore.NewStore()
 	}
 	if wb.counters == nil {
 		wb.counters = stats.NewCounters()
 	}
 	return wb
+}
+
+// resize sets the length of the two tables to n; only newWhiteboard, on
+// tables it has just cleared, may shorten them. What lies between the mask
+// slice's length and its capacity is therefore zero, and growing within the
+// capacity uncovers clear masks; beyond it the slice doubles, like the
+// tree's parent links it is scanned beside.
+func (wb *Whiteboard) resize(n int) {
+	wb.stores.Grow(n)
+	if n > cap(wb.masks) {
+		grown := make([]uint64, n, max(n, 2*cap(wb.masks)))
+		copy(grown, wb.masks)
+		wb.masks = grown
+	}
+	wb.masks = wb.masks[:n]
 }
 
 // Tree returns the tree the whiteboards hang off.
@@ -154,10 +182,8 @@ func (wb *Whiteboard) MemoryBitsAt(id tree.NodeID) int {
 // permits sitting in packages. The iteration drivers use this as L.
 func (wb *Whiteboard) UnusedPermits() int64 {
 	n := wb.storage
-	for _, s := range wb.stores {
-		if s != nil {
-			n += s.PermitCount()
-		}
+	for _, s := range wb.stores.All() {
+		n += s.PermitCount()
 	}
 	return n
 }
@@ -167,11 +193,9 @@ func (wb *Whiteboard) UnusedPermits() int64 {
 // Core that tracks domains resets its tracker itself.
 func (wb *Whiteboard) ClearPackages() {
 	total := wb.storage
-	for _, s := range wb.stores {
-		if s != nil {
-			total += s.PermitCount()
-			s.Clear()
-		}
+	for _, s := range wb.stores.All() {
+		total += s.PermitCount()
+		s.Clear()
 	}
 	clear(wb.masks)
 	wb.storage = total
@@ -186,12 +210,12 @@ func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 	if s := wb.lookup(id); s != nil {
 		return s
 	}
-	if grow := int(id) + 1 - len(wb.stores); grow > 0 {
-		wb.stores = append(wb.stores, make([]*pkgstore.Store, grow)...)
-		wb.masks = append(wb.masks, make([]uint64, grow)...)
+	if int(id) >= wb.stores.Len() {
+		wb.resize(int(id) + 1)
 	}
-	wb.stores[id] = pkgstore.NewStore()
-	return wb.stores[id]
+	s := wb.stores.At(id)
+	*s = pkgstore.NewStore()
+	return s
 }
 
 // levelBit is the mask bit of a mobile package level. Levels lie in
@@ -246,13 +270,15 @@ func (wb *Whiteboard) Filler(id tree.NodeID, d int64) *pkgstore.Package {
 	if m := wb.masks[id]; m == 0 || m&levelBit(wb.params.RootLevel(d)) == 0 {
 		return nil
 	}
-	return wb.stores[id].MobileAtFillerDistance(wb.params, d)
+	return wb.stores.At(id).MobileAtFillerDistance(wb.params, d)
 }
 
 // lookup returns the store of id, or nil when id has none.
 func (wb *Whiteboard) lookup(id tree.NodeID) *pkgstore.Store {
-	if uint64(id) < uint64(len(wb.stores)) {
-		return wb.stores[id]
+	if uint64(id) < uint64(wb.stores.Len()) {
+		if s := wb.stores.At(id); s.Present() {
+			return s
+		}
 	}
 	return nil
 }
@@ -397,7 +423,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
 			handoff(req.Node, parent, pkgs, hadReject)
 		}
-		wb.stores[req.Node], wb.masks[req.Node] = nil, 0
+		*wb.stores.At(req.Node), wb.masks[req.Node] = pkgstore.Store{}, 0
 		if _, err := ApplyChange(wb.tr, req); err != nil {
 			return Grant{}, err
 		}
@@ -466,9 +492,9 @@ func (wb *Whiteboard) State() WhiteboardState {
 		NoRejects:  wb.noRejects,
 		RejectWave: wb.rejectWave,
 	}
-	for id, s := range wb.stores {
-		if s != nil {
-			st.Stores = append(st.Stores, NodeStoreState{Node: tree.NodeID(id), Store: s.State()})
+	for id, s := range wb.stores.All() {
+		if s.Present() {
+			st.Stores = append(st.Stores, NodeStoreState{Node: id, Store: s.State()})
 		}
 	}
 	return st
@@ -490,8 +516,6 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		tr:         tr,
 		root:       tr.Root(),
 		params:     pkgstore.NewParams(st.U, st.M, st.W),
-		stores:     make([]*pkgstore.Store, top+1),
-		masks:      make([]uint64, top+1),
 		storage:    st.Storage,
 		serials:    pkgstore.Interval{Lo: st.SerialLo, Hi: st.SerialHi},
 		counters:   counters,
@@ -500,15 +524,17 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		granted:    st.Granted,
 		rejected:   st.Rejected,
 	}
+	wb.resize(int(top) + 1)
 	for _, ns := range st.Stores {
-		s, err := pkgstore.RestoreStore(ns.Store)
+		restored, err := pkgstore.RestoreStore(ns.Store)
 		if err != nil {
 			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, err)
 		}
-		if wb.stores[ns.Node] != nil {
+		s := wb.stores.At(ns.Node)
+		if s.Present() {
 			return nil, fmt.Errorf("controller: restore store of node %d: %w", ns.Node, tree.ErrAlreadyExists)
 		}
-		wb.stores[ns.Node] = s
+		*s = restored
 		wb.remask(ns.Node, s)
 	}
 	return wb, nil

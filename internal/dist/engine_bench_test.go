@@ -1,67 +1,132 @@
 package dist_test
 
 import (
+	"runtime"
 	"testing"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/workload"
 )
 
+// growTrace is the gated benchmark's grow-mix at its own size and drawn its
+// way: 50 000 requests from two connections, every one at a node of the
+// initial balanced tree of 256 and half of them adding a leaf there, with
+// M = 200 000 and W = 100 000. The tree ends near 25 000 nodes and the
+// unknown-U driver restarts its iteration a dozen times on the way, so the
+// per-node tables are built, grown and rebuilt the way the daemon does it.
+var growTrace = engineTrace{name: "grow-50k", m: 200_000, w: 100_000, build: balanced(256, 1),
+	mix: workload.Mix{AddLeaf: 50, Event: 50}, steps: 50_000, fixedNodes: true}
+
+// recordTrace generates wl's requests. A fixedNodes trace is two
+// connections' streams over the initial tree, taken in turns of 128; any
+// other is generated against a centralized engine that answers the requests
+// as they come: the generator reads the tree the engine mutates, and both
+// engines mutate it identically.
+func recordTrace(tb testing.TB, wl engineTrace) []controller.Request {
+	tb.Helper()
+	if wl.fixedNodes {
+		mix := workload.ConcurrentMix{Event: wl.mix.Event, AddLeaf: wl.mix.AddLeaf}
+		ct, err := workload.NewConcurrentTrace(wl.build(tb), 2, wl.steps/2, mix, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		reqs := make([]controller.Request, 0, wl.steps)
+		for at := 0; len(reqs) < wl.steps; at += 128 {
+			for _, c := range ct.Clients {
+				reqs = append(reqs, c[at:min(at+128, len(c))]...)
+			}
+		}
+		return reqs
+	}
+	rec := newEngine(tb, false, wl)
+	gen := workload.NewChurn(rec.tr, wl.mix, 5)
+	reqs := make([]controller.Request, 0, wl.steps)
+	for len(reqs) < wl.steps {
+		req, ok := gen.Next()
+		if !ok {
+			tb.Fatal("generator dried up")
+		}
+		if _, err := rec.d.Submit(req); err != nil {
+			tb.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs
+}
+
+// replay answers reqs through e in chunks of 128, the daemon's batch size.
+func (e *engine) replay(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
+	for at := 0; at < len(reqs); at += 128 {
+		out = e.d.SubmitBatch(reqs[at:min(at+128, len(reqs))], out[:0])
+	}
+	return out
+}
+
 // BenchmarkEngineSubmitBatch is the apples-to-apples engine number: the one
 // unknown-U driver answering the same recorded trace through SubmitBatch in
 // chunks of 128, over the centralized core and over the message-passing
 // core. The workloads mirror the gated benchmark's regimes: static-package
 // grants, half the requests growing the tree, and scarce permits on a path
-// with the reject wave at half time. The deep row is deep-exhaust at the
-// benchmark's own size: a path of 8 192 with M = 32 a node, where a request
-// climbs some 58 hops and the containers under the protocol set the number.
-// One iteration is one fresh engine replaying the whole trace; ns/req is
-// the number to read.
+// with the reject wave at half time. The grow row is 8 192 steps and
+// restarts its iteration too rarely to show the per-iteration tables;
+// grow-50k is grow-mix at the benchmark's own size. The deep row is
+// deep-exhaust at the benchmark's own size: a path of 8 192 with M = 32 a
+// node, where a request climbs some 58 hops and the containers under the
+// protocol set the number. One iteration is one fresh engine replaying the
+// whole trace; ns/req is the number to read.
 func BenchmarkEngineSubmitBatch(b *testing.B) {
 	workloads := []engineTrace{
 		{name: "events", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.EventOnlyMix(), steps: 1 << 16},
 		{name: "grow", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.Mix{AddLeaf: 50, Event: 50}, steps: 1 << 13},
+		growTrace,
 		{name: "exhaust", m: 1 << 13, w: 1 << 10, build: path(128), mix: workload.EventOnlyMix(), steps: 1 << 14},
 		{name: "deep", m: 1 << 18, w: 1 << 12, build: path(8192), mix: workload.EventOnlyMix(), steps: 1 << 19},
 	}
 	for _, wl := range workloads {
 		// Record the trace once, when the first selected sub-benchmark asks
-		// for it: the generator reads the tree the engine mutates, and both
-		// engines mutate it identically.
+		// for it.
 		var reqs []controller.Request
-		trace := func(b *testing.B) []controller.Request {
-			if len(reqs) == wl.steps {
-				return reqs
-			}
-			rec := newEngine(b, false, wl)
-			gen := workload.NewChurn(rec.tr, wl.mix, 5)
-			for len(reqs) < wl.steps {
-				req, ok := gen.Next()
-				if !ok {
-					b.Fatal("generator dried up")
-				}
-				if _, err := rec.d.Submit(req); err != nil {
-					b.Fatal(err)
-				}
-				reqs = append(reqs, req)
-			}
-			return reqs
-		}
 		for _, engineName := range []string{"centralized", "distributed"} {
 			b.Run(engineName+"/"+wl.name, func(b *testing.B) {
-				reqs := trace(b)
+				if reqs == nil {
+					reqs = recordTrace(b, wl)
+				}
 				var out []controller.BatchResult
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					e := newEngine(b, engineName == "distributed", wl)
 					b.StartTimer()
-					for at := 0; at < len(reqs); at += 128 {
-						out = e.d.SubmitBatch(reqs[at:min(at+128, len(reqs))], out[:0])
-					}
+					out = e.replay(reqs, out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
 			})
 		}
+	}
+}
+
+// TestEngineGrowAllocs gates what a topological change costs the allocator
+// without reading a clock: the centralized engine answers growTrace with at
+// most 0.9 heap allocations a request. What is left under that bound is the
+// packages themselves, a node's child lists as they grow, and the tables'
+// own growth steps; a node or a store allocated per added leaf, or tables
+// rebuilt per iteration restart, put the count at 1.75.
+func TestEngineGrowAllocs(t *testing.T) {
+	reqs := recordTrace(t, growTrace)
+	e := newEngine(t, false, growTrace)
+	out := make([]controller.BatchResult, 0, 128)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.replay(reqs, out)
+	runtime.ReadMemStats(&after)
+	if it, n := e.d.Iterations(), e.tr.Size(); it < 10 || n < 20_000 {
+		t.Fatalf("trace ran %d iterations to %d nodes: not the grow-mix shape (12 iterations, about 25 000 nodes)", it, n)
+	}
+	perReq := float64(after.Mallocs-before.Mallocs) / float64(len(reqs))
+	t.Logf("%.3f allocations and %.0f B a request over %d iterations to %d nodes",
+		perReq, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(reqs)), e.d.Iterations(), e.tr.Size())
+	if perReq > 0.9 {
+		t.Errorf("%.3f allocations a request, want at most 0.9", perReq)
 	}
 }

@@ -38,6 +38,9 @@ type engineTrace struct {
 	steps int
 	// minSize keeps churn from shrinking the tree away.
 	minSize int
+	// fixedNodes draws every request's node from the initial tree, as the
+	// gated benchmark's generator does, instead of from the tree as it is.
+	fixedNodes bool
 }
 
 func balanced(n int, seed int64) func(testing.TB) *tree.Tree {

@@ -107,6 +107,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	stores := huge.Ctl.Inner.Board.Stores
 	stores[len(stores)-1].Node = 1 << 40
 	f.Add(persist.AppendState(nil, huge))
+	// A well-formed snapshot in which a node reaches its parent through a
+	// port the node table cannot hold: the tree refuses it, and nothing may
+	// restore a truncated port in its place.
+	wide := fuzzState()
+	wide.Tree.Nodes[1].ParentPort = tree.MaxPort + 1
+	f.Add(persist.AppendState(nil, wide))
 	// Flip a payload byte: the checksum must catch it.
 	corrupt := append([]byte(nil), canonical...)
 	corrupt[len(corrupt)-3] ^= 0x40
@@ -133,6 +139,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		ctrs := stats.NewCounters()
 		if err := persist.RestoreInto(st, tr, ctrs); err != nil {
 			return
+		}
+		back := *st
+		back.Tree = tr.Snapshot()
+		if !bytes.Equal(persist.AppendState(nil, &back), enc1) {
+			t.Fatal("the restored tree encodes differently from the snapshot it was restored from")
 		}
 		if _, err := controller.RestoreDynamic(tr, st.Ctl, ctrs); err != nil {
 			return

@@ -30,8 +30,9 @@ func FuzzPackageSplitMerge(f *testing.F) {
 		p := NewParams(u, m, w)
 
 		storage := m
-		unissued := Interval{Lo: 1, Hi: m} // serials still backing the storage
-		stores := []*Store{NewStore(), NewStore()}
+		unissued := Interval{Lo: 1, Hi: m}       // serials still backing the storage
+		table := []Store{NewStore(), NewStore()} // by value, as the whiteboards hold them
+		stores := []*Store{&table[0], &table[1]}
 		granted := int64(0)
 		seen := make(map[int64]struct{})
 

@@ -247,16 +247,24 @@ func (pk *Package) TakePermit() (serial int64, empty bool, err error) {
 }
 
 // Store is the per-node package storage (the distributed implementation
-// calls it the whiteboard's package section). The zero value is not usable;
-// use NewStore.
+// calls it the whiteboard's package section). It is made to sit by value in
+// a table indexed by node id, so the zero value means "no store at this id":
+// a node that was never seen, or one that was deleted. NewStore and
+// RestoreStore return a present store; assigning Store{} over an entry
+// removes it.
 type Store struct {
+	present bool
 	reject  bool
 	statics []*Package
 	mobiles []*Package
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+func NewStore() Store { return Store{present: true} }
+
+// Present reports whether s is a store at all, rather than the zero value
+// that marks a table entry without one.
+func (s *Store) Present() bool { return s.present }
 
 // HasReject reports whether a reject package resides here.
 func (s *Store) HasReject() bool { return s.reject }
@@ -405,7 +413,8 @@ func (s *Store) Empty() bool {
 	return !s.reject && len(s.statics) == 0 && len(s.mobiles) == 0
 }
 
-// Clear drops every package including the reject flag.
+// Clear drops every package including the reject flag; the store itself
+// stays.
 func (s *Store) Clear() {
 	s.reject = false
 	s.statics = nil

@@ -3,6 +3,7 @@ package pkgstore
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -280,6 +281,39 @@ func TestStoreRejectAndClear(t *testing.T) {
 	s.Clear()
 	if !s.Empty() {
 		t.Fatal("Clear should empty the store")
+	}
+}
+
+// TestStorePresence pins what the zero value means to a table of stores held
+// by value: no store at that id. NewStore and RestoreStore give a present
+// one, Clear empties a store without removing it, and assigning the zero
+// value over an entry removes it.
+func TestStorePresence(t *testing.T) {
+	table := make([]Store, 3)
+	if table[1].Present() || !table[1].Empty() {
+		t.Fatal("the zero Store is a store")
+	}
+	table[1] = NewStore()
+	if !table[1].Present() || !table[1].Empty() {
+		t.Fatal("NewStore: want a present, empty store")
+	}
+	table[1].AddMobile(NewMobile(NewParams(16, 100, 1), 1))
+	table[1].SetReject()
+	restored, err := RestoreStore(table[1].State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table[2] = restored; !table[2].Present() || !reflect.DeepEqual(table[2].State(), table[1].State()) {
+		t.Fatalf("RestoreStore: present %v, state %+v, want present and %+v", table[2].Present(), table[2].State(), table[1].State())
+	}
+	if empty, err := RestoreStore(StoreState{}); err != nil || !empty.Present() {
+		t.Fatalf("RestoreStore of an empty state: present %v, err %v", empty.Present(), err)
+	}
+	if table[1].Clear(); !table[1].Present() || !table[1].Empty() {
+		t.Fatal("Clear: want the store kept and emptied")
+	}
+	if table[2] = (Store{}); table[2].Present() || !table[2].Empty() {
+		t.Fatal("assigning the zero Store left a store behind")
 	}
 }
 

@@ -64,26 +64,26 @@ func (s *Store) State() StoreState {
 }
 
 // RestoreStore rebuilds a store from a captured state.
-func RestoreStore(st StoreState) (*Store, error) {
+func RestoreStore(st StoreState) (Store, error) {
 	s := NewStore()
 	s.reject = st.Reject
 	for _, ps := range st.Statics {
 		pk, err := ps.restore()
 		if err != nil {
-			return nil, err
+			return Store{}, err
 		}
 		if pk.Mobile {
-			return nil, fmt.Errorf("pkgstore: mobile package in static section")
+			return Store{}, fmt.Errorf("pkgstore: mobile package in static section")
 		}
 		s.statics = append(s.statics, pk)
 	}
 	for _, ps := range st.Mobiles {
 		pk, err := ps.restore()
 		if err != nil {
-			return nil, err
+			return Store{}, err
 		}
 		if !pk.Mobile {
-			return nil, fmt.Errorf("pkgstore: static package in mobile section")
+			return Store{}, fmt.Errorf("pkgstore: static package in mobile section")
 		}
 		s.mobiles = append(s.mobiles, pk)
 	}

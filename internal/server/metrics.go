@@ -124,8 +124,9 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, tn.ctrs.Get(stats.CounterGrants))
 	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, tn.ctrs.Get(stats.CounterRejects))
 	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, tn.ctrs.Get(stats.CounterTopoChanges))
-	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, tn.tr.Size())
-	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, tn.tr.Height())
+	nodes, height := tn.treeShape()
+	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, nodes)
+	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, height)
 	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(s.TenantViolations(tn.name)))
 
 	if tn.tracer != nil {

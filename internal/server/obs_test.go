@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -362,5 +363,84 @@ func TestScrapeUnderLoad(t *testing.T) {
 	// The scrape raced real traffic; the histograms must have kept count.
 	if got := s.TenantStageStats("default"); got == nil || got[len(got)-1].Count == 0 {
 		t.Errorf("no stage samples recorded under load: %v", got)
+	}
+}
+
+// TestScrapeReadsTreeUnderGuard is the ownership rule of package tree seen
+// from the daemon: the tree has no lock of its own, so the scrape's read of
+// its size and height must sit under the tenant's guard like every other
+// tree access. Two connections grow the tree (every request adds a leaf, so
+// the depth slice Height scans is reallocated many times over) while
+// /metricsz is rendered in a loop; under -race a bare read of tn.tr.Size()
+// or Height() is reported here. The gauges read must also be a state the
+// writer's order allows: the initial 16 nodes plus one per grant some prefix
+// of the runs decided.
+func TestScrapeReadsTreeUnderGuard(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "balanced", Nodes: 16}
+	s := startServer(t, Config{Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29})
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	nodes := tr.Nodes()
+
+	const perConn = 4096
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := client.Dial(s.Addr(), client.Options{})
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			defer cl.Close()
+			reqs := make([]controller.Request, 64)
+			var out []controller.BatchResult
+			for sent := 0; sent < perConn; sent += len(reqs) {
+				for i := range reqs {
+					reqs[i] = controller.Request{Node: nodes[(sent+i+g)%len(nodes)], Kind: tree.AddLeaf}
+				}
+				if out, err = cl.SubmitMany(reqs, out[:0]); err != nil {
+					t.Errorf("SubmitMany: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+
+	sizeOf := func() int {
+		var buf bytes.Buffer
+		s.WriteMetrics(&buf)
+		const key = `dynctrld_tenant_tree_nodes{tenant="default"} `
+		_, rest, ok := strings.Cut(buf.String(), key)
+		if !ok {
+			t.Fatalf("no %q sample", key)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		n, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatalf("tree_nodes sample %q: %v", line, err)
+		}
+		return n
+	}
+	last := len(nodes)
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		n := sizeOf()
+		if n < last {
+			t.Fatalf("tree_nodes went from %d to %d while only leaves were added", last, n)
+		}
+		last = n
+	}
+	if want := len(nodes) + 2*perConn; last != want {
+		t.Errorf("tree_nodes %d after every add-leaf was granted, want %d", last, want)
 	}
 }

@@ -117,7 +117,7 @@ type Config struct {
 	// runs in-memory only.
 	WALDir string
 	// SnapshotEvery checkpoints a tenant's full controller state every n
-	// logged effects (0 = DefaultSnapshotEvery; negative disables
+	// logged effects (0 = defaultSnapshotEvery; negative disables
 	// automatic checkpoints). A final checkpoint is always written on
 	// graceful shutdown.
 	SnapshotEvery int64
@@ -142,9 +142,9 @@ type Config struct {
 	Pprof bool
 }
 
-// DefaultSnapshotEvery is the automatic checkpoint cadence (in logged
+// defaultSnapshotEvery is the automatic checkpoint cadence (in logged
 // effects) when WALDir is set and SnapshotEvery is zero.
-const DefaultSnapshotEvery = 1 << 18
+const defaultSnapshotEvery = 1 << 18
 
 // DefaultCommitWindow is the group-commit coalescing window: batches
 // decided within one window of each other share one fsync.
@@ -190,7 +190,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.ReadBatch = DefaultReadBatch
 	}
 	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
+		cfg.SnapshotEvery = defaultSnapshotEvery
 	}
 	if cfg.CommitWindow == 0 {
 		cfg.CommitWindow = DefaultCommitWindow
@@ -450,8 +450,8 @@ func (s *Server) Violations() []oracle.Violation {
 
 // TenantViolations returns the named tenant's oracle violations (nil when
 // not paranoid or unknown). The guard's lock is taken only when there is an
-// oracle to read: a scrape of a daemon that is not paranoid never contends
-// with the pipeline leader.
+// oracle to read; a scrape of a daemon that is not paranoid takes it once a
+// tenant, for the tree's size and height (tenant.treeShape).
 func (s *Server) TenantViolations(name string) []oracle.Violation {
 	tn := s.tenants[name]
 	if tn == nil || tn.guard.orc == nil {

@@ -110,7 +110,9 @@ type tenant struct {
 // what mu orders is a run's execution with its WAL append (log order is
 // execution order), the checkpoint's capture of tree, controller and
 // counters (never mid-run), the reject wave's read of the final grant
-// total, and the scrape's read of the oracle's violations. With a
+// total, and the scrape's reads of the oracle's violations and of the
+// tree's size and height. The tree has no lock of its own: whoever holds mu
+// owns it, and nothing touches it without (package tree, Ownership). With a
 // durability engine attached the guard appends every decided batch and
 // triggers background checkpoints; it does NOT wait for the fsync
 // (connections do that before replying), so the pipeline keeps combining
@@ -334,6 +336,16 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	// bypass the guard with.
 	tn.pl = pipeline.New(nil, opts...)
 	return tn, nil
+}
+
+// treeShape reads the tree's size and height for the scrape. The tree has no
+// lock of its own and belongs to whoever holds guard.mu (package tree,
+// Ownership), so the scrape waits here for the run in flight, if there is
+// one, and reads a tree no run is changing. Height scans one int32 per id.
+func (t *tenant) treeShape() (nodes, height int) {
+	t.guard.mu.Lock()
+	defer t.guard.mu.Unlock()
+	return t.tr.Size(), t.tr.Height()
 }
 
 // captureState deep-copies a tenant's admission stack into a snapshot

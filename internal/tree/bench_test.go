@@ -9,8 +9,10 @@ import (
 // number of children (between degree and 2·degree: the parent is replaced,
 // off the clock, when it has doubled). Linking tests the new port against
 // the ports in use at the parent in place, so ns/op may grow with the degree
-// by that scan and nothing else, and a leaf costs its node plus the amortised
-// growth of three slices: at most 2 allocs/op.
+// by that scan and nothing else, and a leaf costs no allocation of its own:
+// its node is an entry of the node table, and what is left is the amortised
+// growth of the parent's two child lists, of the parent and depth slices and
+// of the table's chunks (0 allocs/op at every degree).
 func BenchmarkTreeAddLeaf(b *testing.B) {
 	for _, degree := range []int{16, 128, 2048} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
@@ -39,14 +41,41 @@ func BenchmarkTreeAddLeaf(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeSplitEdge splits the edge above a node that heads a subtree of
+// the named size and removes the new node again: the two changes that move a
+// subtree one level down or up and recompute its depths, over a stack the
+// tree keeps: what is left is the new node's two child lists (2 allocs/op at
+// every size, where a stack per call made it 4 and 64 KiB at 4 096).
+func BenchmarkTreeSplitEdge(b *testing.B) {
+	for _, size := range []int{1, 64, 4096} {
+		b.Run(fmt.Sprintf("subtree=%d", size), func(b *testing.B) {
+			tr, root := New()
+			head := mustAddLeaf(b, tr, root)
+			for i := 1; i < size; i++ {
+				mustAddLeaf(b, tr, head)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, err := tr.ApplyAddInternal(head)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tr.ApplyRemoveInternal(u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTreeClimb walks a path of 8 192 nodes from the tip to the root
 // the ways the engines' filler searches do: one Parent call a hop (the
-// message-passing core, whose hops are separate deliveries), hence one lock
-// acquisition and one slice index per hop; one Climb over the whole path
-// under a single acquisition, the visitor called at every node; and one
-// ClimbMarked (the centralized core) over a mark slice as sparse as the
-// level masks are, one node in 64 marked, so a hop is two loads and the
-// visitor runs 128 times.
+// message-passing core, whose hops are separate deliveries), hence one
+// liveness test and one slice index per hop; one Climb over the whole path,
+// the visitor called at every node; and one ClimbMarked (the centralized
+// core) over a mark slice as sparse as the level masks are, one node in 64
+// marked, so a hop is two loads and the visitor runs 128 times.
 func BenchmarkTreeClimb(b *testing.B) {
 	const n = 8192
 	tr, tip := New()

@@ -267,6 +267,46 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 	}
 }
 
+// TestSplitsAcrossTableChunks grows the node table through two chunk
+// boundaries inside one run of edge splits and internal removals, the changes
+// that allocate a node while the entries of its neighbours are in use: every
+// split relinks three nodes around the new one. The tree is compared with the
+// model, dense slices and all, and validated after every step.
+func TestSplitsAcrossTableChunks(t *testing.T) {
+	tr, root := New(WithPortAssigner(NewSequentialPorts()))
+	ref := newRefTree(NewSequentialPorts())
+	bottom := mustAddLeaf(t, tr, root)
+	ref.addLeaf(root)
+	for step := 0; tr.EverExisted() <= 2*chunkLen+3; step++ {
+		u, err := tr.ApplyAddInternal(bottom)
+		if err != nil {
+			t.Fatalf("step %d: split above %d: %v", step, bottom, err)
+		}
+		ref.addInternal(bottom)
+		if step%4 != 0 {
+			// Take the node just inserted out again: its one child moves
+			// back under its parent. Three splits in four go this way, so
+			// the ids run ahead of the depth the model check pays for.
+			if err := tr.ApplyRemoveInternal(u); err != nil {
+				t.Fatalf("step %d: remove %d: %v", step, u, err)
+			}
+			ref.removeInternal(u)
+		}
+		if got, want := tr.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: the tree and the model differ:\n tree  %+v\n model %+v", step, got, want)
+		}
+		if err := ref.checkDense(tr); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if chunks := len(tr.nodes.chunks); chunks < 3 {
+		t.Fatalf("the node table holds %d chunks: the run crossed no two boundaries", chunks)
+	}
+}
+
 // TestNodesAndLeavesAscending pins the order Nodes and Leaves promise: the
 // seeded generators of internal/workload index into it without sorting.
 func TestNodesAndLeavesAscending(t *testing.T) {
@@ -316,6 +356,10 @@ var corruptions = map[string]func(s *Snapshot){
 	"deleted id live":    func(s *Snapshot) { s.Deleted[0] = s.Root },
 	"deleted id twice":   func(s *Snapshot) { s.Deleted[1] = s.Deleted[0] },
 	"child out of range": func(s *Snapshot) { s.Nodes[0].Children[0] = 1 << 40 },
+	// The node table keeps the port toward the parent in 32 bits: a port it
+	// cannot hold is refused, not truncated.
+	"parent port above 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = MaxPort + 1 },
+	"parent port below 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = -MaxPort - 1 },
 }
 
 func TestRestoreRejectsCorruptIDs(t *testing.T) {

@@ -8,9 +8,16 @@ import "math/rand"
 // encodable in O(log N) bits.
 type PortAssigner interface {
 	// Assign returns a port number for a new edge at node id that does not
-	// collide with any port in used.
+	// collide with any port in used. At the child end of an edge it must lie
+	// within ±MaxPort; the tree panics on an assigner that breaks this.
 	Assign(id NodeID, used PortSet) int
 }
+
+// MaxPort bounds, in absolute value, the port a node uses toward its parent:
+// the node table keeps that port in 32 bits so that an entry stays one cache
+// line. Both assigners of this package draw far below it, and Restore
+// refuses a snapshot that exceeds it.
+const MaxPort = 1<<31 - 1
 
 // PortSet is the membership test over the ports in use at one node. The
 // tree answers it from the node in place, so assigning a port builds no set.

@@ -42,26 +42,26 @@ type Snapshot struct {
 // identical snapshots (the property the persist codecs and the snapshot
 // tests rely on).
 func (t *Tree) Snapshot() *Snapshot {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	s := &Snapshot{
 		Root:        t.root,
-		NextID:      NodeID(len(t.nodes)),
+		NextID:      NodeID(t.nodes.Len()),
 		ChangeSeq:   t.changeSeq,
-		EverExisted: len(t.nodes) - 1,
-		Deleted:     make([]NodeID, 0, len(t.nodes)-1-t.live),
+		EverExisted: t.nodes.Len() - 1,
+		Deleted:     make([]NodeID, 0, t.nodes.Len()-1-t.live),
 		Nodes:       make([]NodeSnapshot, 0, t.live),
 	}
-	for i, n := range t.nodes[1:] {
-		id := NodeID(i + 1)
-		if n == nil {
+	for id, n := range t.nodes.All() {
+		if id == InvalidNode {
+			continue
+		}
+		if !n.live {
 			s.Deleted = append(s.Deleted, id)
 			continue
 		}
 		s.Nodes = append(s.Nodes, NodeSnapshot{
 			ID:         id,
 			Parent:     t.parent[id],
-			ParentPort: n.parentPort,
+			ParentPort: int(n.parentPort),
 			// Built the same way whatever slices the node's history left
 			// it, so equal trees give deeply equal snapshots.
 			Children:   append([]NodeID(nil), n.children...),
@@ -90,10 +90,10 @@ func (t *Tree) Restore(s *Snapshot) error {
 	// Built as a tree of its own, so the live tree's bounds-checked lookup
 	// serves the checks below and nothing of t is touched before they pass.
 	r := &Tree{
-		nodes:  make([]*node, s.NextID),
 		parent: make([]NodeID, s.NextID),
 		depth:  make([]int32, s.NextID),
 	}
+	r.nodes.Grow(int(s.NextID))
 	for _, ns := range s.Nodes {
 		if !inRange(ns.ID) {
 			return fmt.Errorf("restore: node id %d outside 1..%d: %w", ns.ID, s.NextID-1, ErrNoSuchNode)
@@ -102,20 +102,24 @@ func (t *Tree) Restore(s *Snapshot) error {
 			return fmt.Errorf("restore: node %d has %d children but %d child ports",
 				ns.ID, len(ns.Children), len(ns.ChildPorts))
 		}
-		if r.nodes[ns.ID] != nil {
+		if r.nodes.At(ns.ID).live {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
-		r.nodes[ns.ID] = &node{
-			parentPort: ns.ParentPort,
+		if ns.ParentPort < -MaxPort || ns.ParentPort > MaxPort {
+			return fmt.Errorf("restore: node %d has parent port %d, outside ±%d", ns.ID, ns.ParentPort, MaxPort)
+		}
+		*r.nodes.At(ns.ID) = node{
+			parentPort: int32(ns.ParentPort),
+			live:       true,
 			children:   slices.Clone(ns.Children),
 			childPorts: slices.Clone(ns.ChildPorts),
 		}
 		r.parent[ns.ID] = ns.Parent
 	}
-	// The deleted ids are the nil entries; with the counts above, listing
-	// each of them once is the same as listing exactly them.
+	// The deleted ids are the entries not live; with the counts above,
+	// listing each of them once is the same as listing exactly them.
 	for i, id := range s.Deleted {
-		if !inRange(id) || r.nodes[id] != nil || (i > 0 && id <= s.Deleted[i-1]) {
+		if !inRange(id) || r.nodes.At(id).live || (i > 0 && id <= s.Deleted[i-1]) {
 			return fmt.Errorf("restore: deleted id %d is live, out of range or out of order", id)
 		}
 	}
@@ -135,7 +139,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 		if seen > len(s.Nodes) {
 			return fmt.Errorf("restore: node %d reachable twice", id)
 		}
-		for i, cid := range r.nodes[id].children {
+		for i, cid := range r.nodes.At(id).children {
 			c := r.get(cid)
 			if c == nil {
 				return fmt.Errorf("restore: child %d of %d: %w", cid, id, ErrNoSuchNode)
@@ -152,9 +156,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(s.Nodes))
 	}
 
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.nodes, t.parent, t.depth = r.nodes, r.parent, r.depth
+	t.view = portView{} // it points into the table just replaced
 	t.live = len(s.Nodes)
 	t.root = s.Root
 	t.changeSeq = s.ChangeSeq

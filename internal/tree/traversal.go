@@ -11,8 +11,6 @@ import (
 // deterministic for a given construction history. If fn returns false, the
 // walk stops early.
 func (t *Tree) WalkDFS(fn func(id NodeID, dfsNum int) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	num := 0
 	stack := []NodeID{t.root}
 	for len(stack) > 0 {
@@ -22,7 +20,7 @@ func (t *Tree) WalkDFS(fn func(id NodeID, dfsNum int) bool) {
 		if !fn(id, num) {
 			return
 		}
-		n := t.nodes[id]
+		n := t.nodes.At(id)
 		// Push children in reverse so they pop in insertion order.
 		for i := len(n.children) - 1; i >= 0; i-- {
 			stack = append(stack, n.children[i])
@@ -46,16 +44,13 @@ func (t *Tree) DFSNumbers() map[NodeID]int {
 // preorder number in v's subtree. This is the classic Kannan-Naor-Rudich
 // ancestry encoding used by the labeling application.
 func (t *Tree) Intervals() map[NodeID][2]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make(map[NodeID][2]int, t.live)
 	num := 0
 	var visit func(id NodeID)
 	visit = func(id NodeID) {
 		num++
 		pre := num
-		n := t.nodes[id]
-		for _, c := range n.children {
+		for _, c := range t.nodes.At(id).children {
 			visit(c)
 		}
 		out[id] = [2]int{pre, num}
@@ -66,8 +61,6 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 
 // SubtreeSize returns the number of live nodes in the subtree rooted at id.
 func (t *Tree) SubtreeSize(id NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(id) == nil {
 		return 0, fmt.Errorf("subtree size of %d: %w", id, ErrNoSuchNode)
 	}
@@ -77,15 +70,13 @@ func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		count++
-		stack = append(stack, t.nodes[cur].children...)
+		stack = append(stack, t.nodes.At(cur).children...)
 	}
 	return count, nil
 }
 
 // Height returns the number of edges on the longest root-to-leaf path.
 func (t *Tree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	// A deleted id keeps depth 0, so the scan needs no liveness test.
 	return int(slices.Max(t.depth))
 }
@@ -106,8 +97,6 @@ func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
 // nca returns the nearest common ancestor of u and v and the hop distance
 // between the two through it.
 func (t *Tree) nca(u, v NodeID) (NodeID, int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
 	}

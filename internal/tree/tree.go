@@ -15,12 +15,14 @@
 // adversarial port assumption, are produced by a pluggable PortAssigner.
 //
 // Storage. Node ids are dense by construction (they count up from 1 and are
-// never reused), so the tree keeps its nodes in a slice indexed by NodeID: a
-// nil entry below the next id is a deleted node, and no lookup hashes. A
-// node lists its children in a slice with the port to each child beside it,
-// and knows its own slot in its parent's list, so linking tests the ports at
-// the two endpoints in place and unlinking is a swap-remove. Nodes, Leaves
-// and Snapshot walk the slice and therefore answer in ascending id order.
+// never reused), so the tree keeps its nodes, by value, in a Table indexed by
+// NodeID: an entry below the next id whose live bit is clear is a deleted
+// node, no lookup hashes, and adding a node allocates nothing but a chunk of
+// the table every 512 ids. A node lists its children in a slice with the port
+// to each child beside it, and knows its own slot in its parent's list, so
+// linking tests the ports at the two endpoints in place and unlinking is a
+// swap-remove. Nodes, Leaves and Snapshot walk the table and therefore
+// answer in ascending id order.
 //
 // What an ancestor walk reads lives apart from the nodes: the parent link
 // and the cached depth of every id sit in two more slices indexed by NodeID,
@@ -28,18 +30,26 @@
 // load from the parent slice, the start node's depth one load from the other,
 // and no walk dereferences a node.
 //
-// Locking. A Tree is safe for concurrent use: one RWMutex guards the whole
-// structure, so a reader (the daemon's metrics page reads Size and Height)
-// may run beside the single mutator. The methods on the request path take
-// the lock exactly once, and the controller engines make one tree call,
-// hence one lock acquisition, per protocol hop.
+// Ownership. A Tree has no lock: it belongs to whoever drives the
+// controller over it, and every method, the readers included, is that
+// owner's to call. A second goroutine that wants to look (the daemon's
+// metrics page reads Size and Height) takes whatever lock orders the owner's
+// calls and reads under it; in the daemon that is the tenant's
+// guardedSubmitter.mu, and the message-passing engine's handlers are ordered
+// by the simulator, which runs one at a time. The callbacks of Observe,
+// Climb, ClimbMarked and WalkDFS therefore run on the owner's goroutine in
+// the middle of a tree call and must not call back into the tree, because a
+// mutation would change what the call is walking, not because a lock is
+// held. Restore swaps the three tables and the counters of the receiver in
+// place, as one more mutation of the owner's, so whoever holds the *Tree
+// sees the restored state at its next call.
 package tree
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
-	"sync"
 )
 
 // NodeID identifies a node of the dynamic tree. IDs are never reused, so a
@@ -108,10 +118,15 @@ type Change struct {
 }
 
 // node is what a vertex knows of its edges. Its parent and its depth are in
-// Tree.parent and Tree.depth, and its id is its index.
+// Tree.parent and Tree.depth, and its id is its index in Tree.nodes, where it
+// sits by value: the zero node is an id that is not in the tree, and the
+// struct stays at 64 bytes, one cache line an entry and 32 KiB a chunk of the
+// table, which is why the port toward the parent is kept in 32 bits (see
+// MaxPort).
 type node struct {
-	slot       int // position of this node in its parent's children
-	parentPort int
+	slot       int   // position of this node in its parent's children
+	parentPort int32 // within ±MaxPort
+	live       bool
 	children   []NodeID
 	childPorts []int // childPorts[i] is the port leading to children[i]
 }
@@ -127,17 +142,18 @@ type portView struct {
 
 // Has implements PortSet.
 func (v *portView) Has(port int) bool {
-	return v.hasParent && v.n.parentPort == port || slices.Contains(v.n.childPorts, port)
+	return v.hasParent && int(v.n.parentPort) == port || slices.Contains(v.n.childPorts, port)
 }
 
 // Tree is a dynamic rooted tree. The root is created by New and is never
 // deleted (the paper assumes the root survives the whole scenario).
 type Tree struct {
-	mu sync.RWMutex
 	// nodes is indexed by NodeID. Its length is the next id to hand out, so
-	// len(nodes)-1 nodes ever existed (the quantity the paper calls U, when
-	// bounded) and a nil entry from index 1 on is a deleted node.
-	nodes []*node
+	// nodes.Len()-1 nodes ever existed (the quantity the paper calls U, when
+	// bounded) and an entry from index 1 on that is not live is a deleted
+	// node. Growing the table moves no entry, so a *node (get) stays good
+	// across an allocNode; Restore installs another table.
+	nodes Table[node]
 	// parent and depth are indexed by NodeID like nodes and as long. They
 	// hold the only copy of each live node's parent link (InvalidNode for
 	// the root and for a node between unlink and link) and of its hop
@@ -145,10 +161,11 @@ type Tree struct {
 	// InvalidNode and 0.
 	parent    []NodeID
 	depth     []int32
-	live      int // non-nil entries of nodes
+	live      int // live entries of nodes
 	root      NodeID
 	ports     PortAssigner
 	view      portView // the port set of the node being linked
+	stack     []NodeID // recomputeDepths' scratch, empty between calls
 	changeSeq uint64
 	// generation counts the applied changes like changeSeq and the Restores
 	// as well; no snapshot carries it.
@@ -169,11 +186,11 @@ func WithPortAssigner(p PortAssigner) Option {
 // the root's id.
 func New(opts ...Option) (*Tree, NodeID) {
 	t := &Tree{
-		nodes:  make([]*node, 1), // index 0 is InvalidNode
 		parent: make([]NodeID, 1),
 		depth:  make([]int32, 1),
 		ports:  NewAdversarialPorts(1),
 	}
+	t.nodes.Grow(1) // index 0 is InvalidNode
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -181,29 +198,30 @@ func New(opts ...Option) (*Tree, NodeID) {
 	return t, t.root
 }
 
-// Observe registers fn to be called, with the tree lock held, after every
-// applied topological change. Observers must not call back into the tree.
+// Observe registers fn to be called after every applied topological change,
+// before the call that applied it returns. Observers must not call back into
+// the tree.
 func (t *Tree) Observe(fn func(Change)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.observers = append(t.observers, fn)
 }
 
 // allocNode creates the node of the next id, recorded as a child-to-be of
 // parent at the given depth but not yet linked.
 func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
-	id := NodeID(len(t.nodes))
-	if int(id) == cap(t.nodes) {
-		// The three slices only ever grow, and together. Doubling abandons,
+	id := NodeID(t.nodes.Len())
+	if int(id) == cap(t.parent) {
+		// The two slices only ever grow, and together. Doubling abandons,
 		// over a tree's life, as many bytes as the final slices hold; the
 		// 1.25× of append on a large slice abandons four times that, and a
 		// daemon whose tree grows between two GC cycles carries it in its
-		// RSS (grow-mix: 18.4 MiB against 17.1).
-		t.nodes = slices.Grow(t.nodes, int(id))
+		// RSS (grow-mix: 18.4 MiB against 17.1). They stay flat because the
+		// climbs scan them; the nodes, eight times the bytes and never
+		// scanned by a climb, sit in a table that abandons nothing.
 		t.parent = slices.Grow(t.parent, int(id))
 		t.depth = slices.Grow(t.depth, int(id))
 	}
-	t.nodes = append(t.nodes, &node{})
+	t.nodes.Grow(int(id) + 1)
+	t.nodes.At(id).live = true
 	t.parent = append(t.parent, parent)
 	t.depth = append(t.depth, depth)
 	t.live++
@@ -212,15 +230,17 @@ func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 
 // get returns the live node id, or nil.
 func (t *Tree) get(id NodeID) *node {
-	if uint64(id) < uint64(len(t.nodes)) {
-		return t.nodes[id]
+	if uint64(id) < uint64(t.nodes.Len()) {
+		if n := t.nodes.At(id); n.live {
+			return n
+		}
 	}
 	return nil
 }
 
 // remove drops the unlinked node id from the tree.
 func (t *Tree) remove(id NodeID) {
-	t.nodes[id] = nil
+	*t.nodes.At(id) = node{}
 	t.depth[id] = 0
 	t.live--
 }
@@ -237,30 +257,22 @@ func (t *Tree) notify(kind ChangeKind, id, parent NodeID) Change {
 
 // Root returns the root node id.
 func (t *Tree) Root() NodeID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.root
 }
 
 // Size returns the current number of nodes.
 func (t *Tree) Size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.live
 }
 
 // EverExisted returns the number of nodes ever created, including deleted
 // ones. This is the paper's quantity U for the scenario so far.
 func (t *Tree) EverExisted() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.nodes) - 1
+	return t.nodes.Len() - 1
 }
 
 // Changes returns the number of topological changes applied so far.
 func (t *Tree) Changes() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.changeSeq
 }
 
@@ -270,29 +282,21 @@ func (t *Tree) Changes() uint64 {
 // derived from the tree (a cached node list) compares two readings to learn
 // whether it still holds.
 func (t *Tree) Generation() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.generation
 }
 
 // Contains reports whether id names a live node.
 func (t *Tree) Contains(id NodeID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.get(id) != nil
 }
 
 // WasDeleted reports whether id names a node that existed and was deleted.
 func (t *Tree) WasDeleted(id NodeID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return id > InvalidNode && int(id) < len(t.nodes) && t.nodes[id] == nil
+	return id > InvalidNode && int(id) < t.nodes.Len() && !t.nodes.At(id).live
 }
 
 // Parent returns the parent of id. The root's parent is InvalidNode.
 func (t *Tree) Parent(id NodeID) (NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(id) == nil {
 		return InvalidNode, fmt.Errorf("parent of %d: %w", id, ErrNoSuchNode)
 	}
@@ -301,8 +305,6 @@ func (t *Tree) Parent(id NodeID) (NodeID, error) {
 
 // Children returns a copy of id's children, in insertion order.
 func (t *Tree) Children(id NodeID) ([]NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.get(id)
 	if n == nil {
 		return nil, fmt.Errorf("children of %d: %w", id, ErrNoSuchNode)
@@ -315,8 +317,6 @@ func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 // ChildCount returns the number of children of id (the child-degree deg(v)
 // used by the memory bound of Claim 4.8).
 func (t *Tree) ChildCount(id NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.get(id)
 	if n == nil {
 		return 0, fmt.Errorf("child count of %d: %w", id, ErrNoSuchNode)
@@ -326,8 +326,6 @@ func (t *Tree) ChildCount(id NodeID) (int, error) {
 
 // Depth returns the hop distance from id to the root.
 func (t *Tree) Depth(id NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(id) == nil {
 		return 0, fmt.Errorf("depth of %d: %w", id, ErrNoSuchNode)
 	}
@@ -336,16 +334,12 @@ func (t *Tree) Depth(id NodeID) (int, error) {
 
 // IsLeaf reports whether id is a live node with no children.
 func (t *Tree) IsLeaf(id NodeID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.get(id)
 	return n != nil && len(n.children) == 0
 }
 
 // ParentPort returns the port number at id leading to its parent.
 func (t *Tree) ParentPort(id NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	n := t.get(id)
 	if n == nil {
 		return 0, fmt.Errorf("parent port of %d: %w", id, ErrNoSuchNode)
@@ -353,13 +347,11 @@ func (t *Tree) ParentPort(id NodeID) (int, error) {
 	if t.parent[id] == InvalidNode {
 		return 0, fmt.Errorf("parent port of root %d: %w", id, ErrIsRoot)
 	}
-	return n.parentPort, nil
+	return int(n.parentPort), nil
 }
 
 // ChildPort returns the port number at parent leading to child.
 func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	p := t.get(parent)
 	if p == nil {
 		return 0, fmt.Errorf("child port at %d: %w", parent, ErrNoSuchNode)
@@ -373,8 +365,6 @@ func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
 func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.get(parent) == nil {
 		return InvalidNode, fmt.Errorf("add leaf under %d: %w", parent, ErrNoSuchNode)
 	}
@@ -386,8 +376,6 @@ func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
 
 // ApplyRemoveLeaf removes the non-root leaf id.
 func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.get(id)
 	if n == nil {
 		return fmt.Errorf("remove leaf %d: %w", id, ErrNoSuchNode)
@@ -409,8 +397,6 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 // inserting a new node u so that parent(child) = u and parent(u) is child's
 // former parent. It returns the new node's id.
 func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.get(child) == nil {
 		return InvalidNode, fmt.Errorf("add internal above %d: %w", child, ErrNoSuchNode)
 	}
@@ -431,8 +417,6 @@ func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
 // ApplyRemoveInternal removes the non-root internal node id; its children
 // become children of id's parent.
 func (t *Tree) ApplyRemoveInternal(id NodeID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := t.get(id)
 	if n == nil {
 		return fmt.Errorf("remove internal %d: %w", id, ErrNoSuchNode)
@@ -461,9 +445,13 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 // then at p. The depth of c is the caller's to set: a new node is allocated
 // with it, a moved one heads a subtree for recomputeDepths.
 func (t *Tree) link(p, c NodeID) {
-	pn, cn := t.nodes[p], t.nodes[c]
+	pn, cn := t.nodes.At(p), t.nodes.At(c)
 	t.parent[c] = p
-	cn.parentPort = t.assignPort(c, cn)
+	toParent := t.assignPort(c, cn)
+	if toParent < -MaxPort || toParent > MaxPort {
+		panic(fmt.Sprintf("tree: port assigner drew %d for node %d, outside ±%d", toParent, c, MaxPort))
+	}
+	cn.parentPort = int32(toParent)
 	cn.slot = len(pn.children)
 	port := t.assignPort(p, pn)
 	pn.children = append(pn.children, c)
@@ -478,11 +466,11 @@ func (t *Tree) assignPort(id NodeID, n *node) int {
 
 // unlink removes c from p's child list; p's last child takes c's slot.
 func (t *Tree) unlink(p, c NodeID) {
-	pn, cn := t.nodes[p], t.nodes[c]
+	pn, cn := t.nodes.At(p), t.nodes.At(c)
 	last := len(pn.children) - 1
 	if cn.slot != last {
 		moved := pn.children[last]
-		t.nodes[moved].slot = cn.slot
+		t.nodes.At(moved).slot = cn.slot
 		pn.children[cn.slot] = moved
 		pn.childPorts[cn.slot] = pn.childPorts[last]
 	}
@@ -491,22 +479,22 @@ func (t *Tree) unlink(p, c NodeID) {
 	t.parent[c] = InvalidNode
 }
 
-// recomputeDepths refreshes cached depths in the subtree rooted at c.
+// recomputeDepths refreshes cached depths in the subtree rooted at c, over a
+// stack the tree keeps from one call to the next.
 func (t *Tree) recomputeDepths(c NodeID) {
-	stack := []NodeID{c}
+	stack := append(t.stack[:0], c)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		t.depth[id] = t.depth[t.parent[id]] + 1
-		stack = append(stack, t.nodes[id].children...)
+		stack = append(stack, t.nodes.At(id).children...)
 	}
+	t.stack = stack
 }
 
 // Distance returns the hop distance between u and an ancestor w of u.
 // It returns an error if w is not an ancestor of u.
 func (t *Tree) Distance(u, w NodeID) (int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.distance(u, w)
 }
 
@@ -537,8 +525,6 @@ func (t *Tree) ancestor(u NodeID, dist int) NodeID {
 // IsAncestor reports whether a is an ancestor of d (every node is its own
 // ancestor, as in the paper).
 func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(a) == nil {
 		return false, fmt.Errorf("ancestor test %d: %w", a, ErrNoSuchNode)
 	}
@@ -552,8 +538,6 @@ func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
 // Ancestor returns the ancestor of u at hop distance dist (Ancestor(u, 0)
 // is u itself). It returns an error if dist exceeds u's depth.
 func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return InvalidNode, fmt.Errorf("ancestor of %d: %w", u, ErrNoSuchNode)
 	}
@@ -570,8 +554,6 @@ func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
 // for each would start from u again. It returns an error if a distance is
 // negative, smaller than the one before it, or exceeds u's depth.
 func (t *Tree) AppendAncestors(u NodeID, dists []int, buf []NodeID) ([]NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return nil, fmt.Errorf("ancestors of %d: %w", u, ErrNoSuchNode)
 	}
@@ -590,13 +572,10 @@ func (t *Tree) AppendAncestors(u NodeID, dists []int, buf []NodeID) ([]NodeID, e
 
 // Climb visits u and then its ancestors, nearest first, until visit
 // returns true or the root has been visited, and returns the node it
-// stopped at with its hop distance from u. The whole climb takes the read
-// lock once, where a loop over Parent takes it once a hop, and a hop is one
-// load from the parent slice. visit runs with that lock held: it may read
-// and write the caller's own state, and must not call back into the tree.
+// stopped at with its hop distance from u. A hop is one load from the parent
+// slice. visit runs inside the walk: it may read and write the caller's own
+// state, and must not call back into the tree.
 func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
 	}
@@ -618,13 +597,11 @@ func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, in
 // NodeID, is non-zero, and an id beyond the slice counts as unmarked. A hop
 // past an unmarked node is then two loads from two dense slices and no call.
 // The climb ends where visit returns true or else at the root, marked or
-// not, and returns that node with its hop distance from u. visit runs with
-// the read lock held: it may read and write the caller's own state,
-// including the entries of marks (a changed entry counts from the next hop
-// on), and must not call back into the tree.
+// not, and returns that node with its hop distance from u. visit runs inside
+// the walk: it may read and write the caller's own state, including the
+// entries of marks (a changed entry counts from the next hop on), and must
+// not call back into the tree.
 func (t *Tree) ClimbMarked(u NodeID, marks []uint64, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
 	}
@@ -652,8 +629,6 @@ func (t *Tree) PathToRoot(u NodeID) ([]NodeID, error) {
 // spare capacity lets hot paths (the controller's filler search) walk the
 // tree without allocating.
 func (t *Tree) AppendPathToRoot(u NodeID, buf []NodeID) ([]NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.get(u) == nil {
 		return nil, fmt.Errorf("path to root from %d: %w", u, ErrNoSuchNode)
 	}
@@ -681,8 +656,6 @@ func (t *Tree) PathBetween(u, w NodeID) ([]NodeID, error) {
 // ancestor w (inclusive) to buf and returns the extended slice, reusing
 // buf's capacity when it suffices.
 func (t *Tree) AppendPathBetween(u, w NodeID, buf []NodeID) ([]NodeID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	d, err := t.distance(u, w)
 	if err != nil {
 		return nil, err
@@ -693,25 +666,28 @@ func (t *Tree) AppendPathBetween(u, w NodeID, buf []NodeID) ([]NodeID, error) {
 // Nodes returns the ids of all live nodes in ascending order. The order is
 // part of the contract: seeded generators index into it.
 func (t *Tree) Nodes() []NodeID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]NodeID, 0, t.live)
-	for id, n := range t.nodes {
-		if n != nil {
-			out = append(out, NodeID(id))
+	return slices.AppendSeq(make([]NodeID, 0, t.live), t.All())
+}
+
+// All visits the ids of all live nodes in ascending order, the order of
+// Nodes, without building the list. The loop body may read the tree and must
+// not change it.
+func (t *Tree) All() iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		for id, n := range t.nodes.All() {
+			if n.live && !yield(id) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // Leaves returns the ids of all current leaves in ascending order.
 func (t *Tree) Leaves() []NodeID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var out []NodeID
-	for id, n := range t.nodes {
-		if n != nil && len(n.children) == 0 {
-			out = append(out, NodeID(id))
+	for id, n := range t.nodes.All() {
+		if n.live && len(n.children) == 0 {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -721,18 +697,22 @@ func (t *Tree) Leaves() []NodeID {
 // depth caching, port uniqueness, acyclicity and full reachability from the
 // root. It is intended for tests and returns the first inconsistency found.
 func (t *Tree) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.parent) != len(t.nodes) || len(t.depth) != len(t.nodes) {
+	if len(t.parent) != t.nodes.Len() || len(t.depth) != t.nodes.Len() {
 		return fmt.Errorf("validate: %d node slots but %d parent links and %d depths",
-			len(t.nodes), len(t.parent), len(t.depth))
+			t.nodes.Len(), len(t.parent), len(t.depth))
 	}
 	if p := t.parent[t.root]; p != InvalidNode {
 		return fmt.Errorf("validate: root %d has parent %d", t.root, p)
 	}
-	for id, n := range t.nodes {
-		if n == nil && (t.parent[id] != InvalidNode || t.depth[id] != 0) {
+	for id, n := range t.nodes.All() {
+		if n.live {
+			continue
+		}
+		if t.parent[id] != InvalidNode || t.depth[id] != 0 {
 			return fmt.Errorf("validate: dead id %d keeps parent %d and depth %d", id, t.parent[id], t.depth[id])
+		}
+		if n.children != nil || n.childPorts != nil || n.slot != 0 || n.parentPort != 0 {
+			return fmt.Errorf("validate: dead id %d keeps edges in its table entry", id)
 		}
 	}
 	seen := make(map[NodeID]struct{}, t.live)
@@ -761,7 +741,7 @@ func (t *Tree) Validate() error {
 		}
 		ports := make(map[int]struct{}, len(n.children)+1)
 		if t.parent[f.id] != InvalidNode {
-			ports[n.parentPort] = struct{}{}
+			ports[int(n.parentPort)] = struct{}{}
 		}
 		for i, cid := range n.children {
 			c := t.get(cid)
