@@ -88,7 +88,11 @@ var ErrTerminated = controller.ErrTerminated
 // Runtime moves messages for the distributed protocols.
 type Runtime = sim.Runtime
 
-// Counters accumulates cost metrics (messages, grants, ...).
+// Counters accumulates cost metrics (messages, grants, ...). It has no lock:
+// read it on the goroutine that drives the controller counting into it, or
+// under the lock that orders that controller's submissions. Behind a
+// Pipeline, whose submitters take turns driving, read it after Flush or
+// Close.
 type Counters = stats.Counters
 
 // NewCounters returns an empty counter set.

@@ -23,45 +23,12 @@ type BatchSubmitter interface {
 	SubmitBatch(reqs []Request, out []BatchResult) []BatchResult
 }
 
-// RunBatch is the shared batched-submission loop behind every
-// BatchSubmitter: each request first tries the local fast path and falls
-// back to the full slow path otherwise. Fast grants skip the shared
-// counters; flush is called with the accumulated fast-grant count before
-// every slow submission (which may observe the counters) and once at the
-// end, so counter values at every observation point match the serial run.
-func RunBatch(reqs []Request, out []BatchResult,
-	fast func(Request) (Grant, bool),
-	slow func(Request) (Grant, error),
-	flush func(grants int64)) []BatchResult {
-	var fastGrants int64
-	doFlush := func() {
-		if fastGrants > 0 {
-			flush(fastGrants)
-			fastGrants = 0
-		}
-	}
-	for _, req := range reqs {
-		if g, ok := fast(req); ok {
-			fastGrants++
-			out = append(out, BatchResult{Grant: g})
-			continue
-		}
-		doFlush()
-		g, err := slow(req)
-		out = append(out, BatchResult{Grant: g, Err: err})
-	}
-	doFlush()
-	return out
-}
-
 // FastGrant answers a request entirely from the whiteboard of its node when
 // the full protocol would move no package and send no message: the request
 // is a non-topological event, no reject package sits at the node, and a
 // static package with a permit is present (items 1–2 of Protocol
 // GrantOrReject). It reports false, leaving all state untouched, in every
-// other case; the caller then runs the core's Submit. The shared grant
-// counter is deliberately skipped so the batch loop can flush one Add per
-// run of fast grants.
+// other case; the caller then runs the core's Submit.
 func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 	if req.Kind != tree.None {
 		return Grant{}, false
@@ -78,6 +45,7 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 		return Grant{}, false
 	}
 	wb.granted++
+	wb.counters.Inc(stats.CounterGrants)
 	return Grant{Outcome: Granted, Serial: serial}, true
 }
 
@@ -85,82 +53,85 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 // answered in order with semantics identical to serial Submit calls. The
 // local fast path answers a request whose node already holds a static
 // package without starting the transport (items 1–2 of Protocol
-// GrantOrReject move nothing) and amortizes the per-request overhead,
-// including the shared counter updates, which are flushed once per run of
-// fast grants.
+// GrantOrReject move nothing).
 func (f *Fixed) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	return RunBatch(reqs, out, f.FastGrant, f.core.Submit,
-		func(grants int64) { f.counters.Add(stats.CounterGrants, grants) })
+	for _, req := range reqs {
+		g, ok := f.FastGrant(req)
+		var err error
+		if !ok {
+			g, err = f.core.Submit(req)
+		}
+		out = append(out, BatchResult{Grant: g, Err: err})
+	}
+	return out
 }
 
-// fastGrant forwards the local fast path through the waste-halving driver:
-// it applies only while the regular iterated machinery is live (not
-// terminated, not rejecting, not in the trivial W = 0 tail), so the answer
-// matches what Submit would have produced. Like FastGrant it leaves the
-// shared counters — and Iterated.granted — to the batch flush.
+// fastCapable reports whether the local fast path applies: only while the
+// regular iterated machinery is live (not terminated, not rejecting, not in
+// the trivial W = 0 tail) is a grant off it.wb the answer Submit would have
+// produced. The flags, and which whiteboards it.wb names, change only inside
+// Submit.
+func (it *Iterated) fastCapable() bool {
+	return !it.terminated && !it.rejectAll && !it.trivialPhase
+}
+
+// fastGrant is the local fast path through the waste-halving driver.
 func (it *Iterated) fastGrant(req Request) (Grant, bool) {
-	if wb := it.fastBoard(); wb != nil {
-		return wb.FastGrant(req)
+	g, ok := it.wb.FastGrant(req)
+	if ok {
+		it.granted++
 	}
-	return Grant{}, false
-}
-
-// fastBoard returns the current whiteboards while the driver is in its
-// fast-capable state, else nil.
-func (it *Iterated) fastBoard() *Whiteboard {
-	if it.terminated || it.rejectAll || it.trivialPhase {
-		return nil
-	}
-	return it.wb
-}
-
-// flushFastGrants brings the accounting a run of fast grants skipped up to
-// date: the shared grant counter (read by the unknown-U M_i bookkeeping)
-// and the driver's liveness tally.
-func (it *Iterated) flushFastGrants(grants int64) {
-	it.granted += grants
-	it.counters.Add(stats.CounterGrants, grants)
+	return g, ok
 }
 
 // SubmitBatch implements BatchSubmitter over the iterated driver.
 func (it *Iterated) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	return RunBatch(reqs, out, it.fastGrant, it.Submit, it.flushFastGrants)
+	fast := it.fastCapable()
+	for _, req := range reqs {
+		if fast {
+			if g, ok := it.fastGrant(req); ok {
+				out = append(out, BatchResult{Grant: g})
+				continue
+			}
+		}
+		g, err := it.Submit(req)
+		fast = it.fastCapable()
+		out = append(out, BatchResult{Grant: g, Err: err})
+	}
+	return out
+}
+
+// fastInner returns the inner driver while the whole driver stack is in its
+// live fast-capable state, else nil.
+func (d *Dynamic) fastInner() *Iterated {
+	if d.terminated || d.rejectAll || !d.inner.fastCapable() {
+		return nil
+	}
+	return d.inner
 }
 
 // SubmitBatch implements BatchSubmitter over the unknown-U controller — the
 // backend the public dynctrl.Pipeline drives.
 //
 // The driver-stack flags (termination, reject-all, trivial tail) and the
-// identity of the current whiteboards only change on slow-path submissions,
-// so the fast path hoists them: between slow calls it runs straight
-// against the whiteboards through their concrete type, one store lookup
-// and permit take per request.
+// identity of the inner driver and its whiteboards only change on slow-path
+// submissions, so the loop hoists them and reads them again after every slow
+// call: between two it runs straight against the whiteboards, one store
+// lookup and permit take per request.
 func (d *Dynamic) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	// wb is the current whiteboards when the whole driver stack is in its
-	// live fast-capable state, else nil.
-	var wb *Whiteboard
-	hoist := func() {
-		wb = nil
-		if !d.terminated && !d.rejectAll {
-			wb = d.inner.fastBoard()
-		}
-	}
-	hoist()
-	return RunBatch(reqs, out,
-		func(req Request) (Grant, bool) {
-			if wb == nil {
-				return Grant{}, false
+	fast := d.fastInner()
+	for _, req := range reqs {
+		if fast != nil {
+			if g, ok := fast.fastGrant(req); ok {
+				out = append(out, BatchResult{Grant: g})
+				continue
 			}
-			return wb.FastGrant(req)
-		},
-		func(req Request) (Grant, error) {
-			g, err := d.Submit(req)
-			hoist()
-			return g, err
-		},
-		// Resolve d.inner at flush time: a slow call can restart the
-		// iteration and replace the inner driver mid-batch.
-		func(grants int64) { d.inner.flushFastGrants(grants) })
+		}
+		g, err := d.Submit(req)
+		fast = d.fastInner()
+		out = append(out, BatchResult{Grant: g, Err: err})
+	}
+	return out
 }
 
 var (

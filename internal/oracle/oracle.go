@@ -82,13 +82,6 @@ func WithSerials() Option {
 	return func(o *Oracle) { o.checkSerials = true }
 }
 
-// WithValidateEvery runs the O(n) tree structure validation every k
-// submissions (default 16; 0 disables the periodic check — the end-of-run
-// validation in Finish always runs).
-func WithValidateEvery(k int) Option {
-	return func(o *Oracle) { o.validateEvery = k }
-}
-
 // WithBaseline seeds the oracle with the grant/reject totals and granted
 // serials of earlier incarnations, so an oracle wrapped around a recovered
 // controller keeps checking the (M,W) contract across the restart: the
@@ -102,14 +95,6 @@ func WithBaseline(granted, rejected int64, serials []int64) Option {
 			o.seenSerials[s] = struct{}{}
 		}
 	}
-}
-
-// WithBudgetAttempts scales the message budget for drivers that may run
-// several protocol attempts per submission (the iterated waste-halving
-// stack retries after an exhausted iteration). The default assumes up to
-// 2+log₂(M+1) attempts, which covers every driver in the repo.
-func WithBudgetAttempts(n int64) Option {
-	return func(o *Oracle) { o.budgetAttempts = n }
 }
 
 // Oracle wraps a Target and checks the controller invariants on every
@@ -131,28 +116,32 @@ type Oracle struct {
 	checkSerials bool
 	seenSerials  map[int64]struct{}
 
-	msgs           func() int64
-	lastMsgs       int64
+	msgs     func() int64
+	lastMsgs int64
+	// budgetAttempts scales the message budget: a driver may run several
+	// protocol attempts per submission (the iterated waste-halving stack
+	// retries after an exhausted iteration), up to 2+⌈log₂(M+1)⌉ of them,
+	// which covers every driver in the repo.
 	budgetAttempts int64
 
-	validateEvery int
-	violations    []Violation
+	violations []Violation
 }
+
+// validateEvery is how often Submit runs the O(n) tree structure
+// validation: every 16th submission. Finish always runs it.
+const validateEvery = 16
 
 // Wrap builds an oracle around target, checking against the (m, w) contract
 // over tr.
 func Wrap(target Target, tr *tree.Tree, m, w int64, opts ...Option) *Oracle {
 	o := &Oracle{
-		target:        target,
-		tr:            tr,
-		m:             m,
-		w:             w,
-		firstReject:   -1,
-		seenSerials:   make(map[int64]struct{}),
-		validateEvery: 16,
-	}
-	if o.budgetAttempts == 0 {
-		o.budgetAttempts = 2 + int64(log2Ceil(m+1))
+		target:         target,
+		tr:             tr,
+		m:              m,
+		w:              w,
+		firstReject:    -1,
+		seenSerials:    make(map[int64]struct{}),
+		budgetAttempts: 2 + int64(log2Ceil(m+1)),
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -259,7 +248,7 @@ func (o *Oracle) Submit(req controller.Request) (controller.Grant, error) {
 		}
 	}
 
-	if o.validateEvery > 0 && o.submitted%o.validateEvery == 0 {
+	if o.submitted%validateEvery == 0 {
 		if verr := o.tr.Validate(); verr != nil {
 			o.report("tree-structure", idx, "%v", verr)
 		}

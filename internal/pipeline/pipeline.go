@@ -15,9 +15,9 @@
 // BatchSubmitter interface by whichever submitter happens to be first (a
 // combining / leader–follower scheme, cf. flat combining). The batch path
 // answers static-package hits from node-local state without touching the
-// message transport and flushes shared-counter updates once per run, so
-// one climb/descent wave and one synchronization handoff are amortized
-// across many requests while the grant/reject semantics — and the paper's
+// message transport, so one climb/descent wave and one synchronization
+// handoff are amortized across many requests while the grant/reject
+// semantics — and the paper's
 // safety invariant (never exceed M permits) — stay exactly those of the
 // serial loop.
 package pipeline

@@ -18,19 +18,19 @@ import (
 )
 
 // connRun is the unit that flows through the serving stack: one read
-// batch's requests going in, its results and the guard's receipt coming
+// batch's requests going in, its results and the tenant's receipt coming
 // back. Each connection owns exactly one and reuses it for every batch; the
 // pipeline leader fills it (Run) and the completion handoff publishes it to
 // the connection's goroutine, so nothing about a run is ever looked up.
 type connRun struct {
-	guard   *guardedSubmitter
+	tn      *tenant
 	reqs    []controller.Request
 	results []controller.BatchResult
 	rcpt    receipt
 }
 
 // Run implements pipeline.Runner.
-func (r *connRun) Run() { r.results, r.rcpt = r.guard.submit(r.reqs, r.results[:0]) }
+func (r *connRun) Run() { r.results, r.rcpt = r.tn.submit(r.reqs, r.results[:0]) }
 
 // srvConn is one accepted wire-protocol connection, bound to a single
 // tenant namespace by the handshake.
@@ -173,7 +173,7 @@ func (c *srvConn) handshake() bool {
 		return false
 	}
 	c.tn = tn
-	c.run.guard = tn.guard
+	c.run.tn = tn
 	// Joining the tenant's set and writing Welcome are one step under the
 	// write lock: the reject wave writes to every connection in the set,
 	// and a wave frame that overtook the Welcome fails the peer's handshake.
@@ -257,9 +257,7 @@ func (c *srvConn) loop() {
 		n := int64(len(run.reqs))
 		tn.readBatches.Add(1)
 		tn.readReqs.Add(n)
-		if hi := tn.maxRead.Load(); n > hi {
-			tn.maxRead.CompareAndSwap(hi, n) // best-effort high-water mark
-		}
+		storeMax(&tn.maxRead, n)
 
 		// One clock read ends the decode span and starts the submit span;
 		// the counter updates above are charged to decode, which is noise.
@@ -328,6 +326,17 @@ func (c *srvConn) loop() {
 			bt.Wave = rejects > 0
 			tracer.Record(bt)
 			c.lastTrace = bt.ID
+		}
+	}
+}
+
+// storeMax raises the high-water mark hi to n. A CompareAndSwap that loses to
+// another connection is tried again against what that connection stored, so
+// the larger of two racing batches is never the one dropped.
+func storeMax(hi *atomic.Int64, n int64) {
+	for cur := hi.Load(); n > cur; cur = hi.Load() {
+		if hi.CompareAndSwap(cur, n) {
+			return
 		}
 	}
 }
@@ -430,7 +439,7 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 	// to every connection bound to it. The wave is the tenant's, so it runs
 	// even when this peer could not be told its own verdicts.
 	if rejects > 0 && tn.rejectWave.CompareAndSwap(false, true) {
-		tn.broadcastRejectWave(c.s.logger)
+		tn.broadcastRejectWave()
 	}
 	return grants, rejects, errs, err
 }

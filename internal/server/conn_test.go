@@ -130,7 +130,7 @@ func TestRejectWaveWaitsForWelcome(t *testing.T) {
 		once.Do(func() {
 			tn := s.defaultTenant()
 			tn.rejectWave.Store(true)
-			go tn.broadcastRejectWave(s.logger)
+			go tn.broadcastRejectWave()
 			time.Sleep(50 * time.Millisecond)
 		})
 	}})
@@ -309,4 +309,52 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	if delta := scrapeMoves(t, s) - before; moves != delta || delta == 0 {
 		t.Errorf("traces sum to %d moves, /metricsz counted %d", moves, delta)
 	}
+}
+
+// TestStoreMax: the read-batch high-water mark ends at the largest value
+// stored, whatever the order and however many connections store at once. One
+// CompareAndSwap with no retry, which is what the serve loop used to do, lets
+// the larger of two racing batches be the one that loses.
+func TestStoreMax(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stores []int64
+		want   int64
+	}{
+		{"ascending", []int64{1, 2, 3, 64}, 64},
+		{"descending", []int64{64, 3, 2, 1}, 64},
+		{"equal", []int64{7, 7, 7}, 7},
+		{"below the zero start", []int64{-1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hi atomic.Int64
+			for _, n := range tc.stores {
+				storeMax(&hi, n)
+			}
+			if got := hi.Load(); got != tc.want {
+				t.Fatalf("after %v: %d, want %d", tc.stores, got, tc.want)
+			}
+		})
+	}
+	t.Run("concurrent writers", func(t *testing.T) {
+		const writers, each = 8, 2000
+		var hi atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Writer w stores w+1, w+1+writers, ...: the values
+				// interleave, so every writer keeps finding a mark another
+				// one just moved.
+				for i := 0; i < each; i++ {
+					storeMax(&hi, int64(w+1+i*writers))
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := hi.Load(), int64(writers*each); got != want {
+			t.Fatalf("%d writers ended at %d, want %d", writers, got, want)
+		}
+	})
 }

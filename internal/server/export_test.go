@@ -48,8 +48,8 @@ func (s *Server) ControllerGranted() int64 {
 // total for tests.
 func (s *Server) TenantControllerGranted(name string) int64 {
 	tn := s.tenants[name]
-	tn.guard.mu.Lock()
-	defer tn.guard.mu.Unlock()
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
 	return tn.ctl.Granted()
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dynctrl/internal/obs"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/wire"
 )
 
@@ -15,18 +14,22 @@ import (
 // exposition format (version 0.0.4): every family carries HELP and TYPE
 // lines, label values are escaped, and samples of a family are grouped —
 // process-wide aggregates first, then the per-tenant families with
-// {tenant="name"} labels. Every field is documented in docs/OPERATIONS.md
+// {tenant="name"} labels. Each tenant's engine is read once, under its lock
+// (tenant.engineView), and that one reading feeds the aggregate and the
+// tenant's own lines. Every field is documented in docs/OPERATIONS.md
 // (enforced by internal/docscheck).
 func (s *Server) WriteMetrics(w io.Writer) {
 	var ops, grants, rejects, errs, violations, connsOpen, connsTotal int64
 	var wave, wal bool
-	for _, name := range s.order {
+	views := make([]engineView, len(s.order))
+	for i, name := range s.order {
 		tn := s.tenants[name]
+		views[i] = tn.engineView()
 		ops += tn.ops.Load()
 		grants += tn.grants.Load()
 		rejects += tn.rejects.Load()
 		errs += tn.errs.Load()
-		violations += int64(len(s.TenantViolations(name)))
+		violations += int64(views[i].violations)
 		connsOpen += tn.connsOpen.Load()
 		connsTotal += tn.connsTotal.Load()
 		wave = wave || tn.rejectWave.Load()
@@ -61,8 +64,8 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	d.Gauge("dynctrld_connections_open", "Currently bound wire connections, all tenants.", "", connsOpen)
 	d.Counter("dynctrld_connections_total", "Wire connections ever bound, all tenants.", "", connsTotal)
 
-	for _, name := range s.order {
-		s.collectTenantMetrics(d, s.tenants[name])
+	for i, name := range s.order {
+		collectTenantMetrics(d, s.tenants[name], views[i])
 	}
 	d.Write(w)
 }
@@ -76,8 +79,8 @@ func b2i(b bool) int {
 }
 
 // collectTenantMetrics appends one tenant's samples to the document's
-// per-tenant families.
-func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
+// per-tenant families; ev is the scrape's reading of the tenant's engine.
+func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	base := `{tenant="` + obs.EscapeLabel(tn.name) + `"`
 	l := base + "}"
 	ps := tn.pl.Stats()
@@ -120,14 +123,13 @@ func (s *Server) collectTenantMetrics(d *obs.PromDoc, tn *tenant) {
 	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests driven through the pipeline.", l, ps.Requests)
 	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest combining cycle observed (requests).", l, ps.MaxBatch)
 
-	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, tn.ctrs.Get(stats.CounterMoves))
-	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, tn.ctrs.Get(stats.CounterGrants))
-	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, tn.ctrs.Get(stats.CounterRejects))
-	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, tn.ctrs.Get(stats.CounterTopoChanges))
-	nodes, height := tn.treeShape()
-	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, nodes)
-	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, height)
-	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(s.TenantViolations(tn.name)))
+	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, ev.moves)
+	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, ev.grants)
+	d.Counter("dynctrld_tenant_ctl_rejects_total", "Rejects decided by the controller core.", l, ev.rejects)
+	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, ev.topoChanges)
+	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, ev.nodes)
+	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, ev.height)
+	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, ev.violations)
 
 	if tn.tracer != nil {
 		d.Counter("dynctrld_tenant_traces_total", "Batch traces recorded by the tenant's tracer.", l, tn.tracer.Recorded())

@@ -366,16 +366,21 @@ func TestScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestScrapeReadsTreeUnderGuard is the ownership rule of package tree seen
-// from the daemon: the tree has no lock of its own, so the scrape's read of
-// its size and height must sit under the tenant's guard like every other
-// tree access. Two connections grow the tree (every request adds a leaf, so
-// the depth slice Height scans is reallocated many times over) while
-// /metricsz is rendered in a loop; under -race a bare read of tn.tr.Size()
-// or Height() is reported here. The gauges read must also be a state the
-// writer's order allows: the initial 16 nodes plus one per grant some prefix
-// of the runs decided.
-func TestScrapeReadsTreeUnderGuard(t *testing.T) {
+// TestScrapeReadsEngineStateUnderLock is the ownership rule of packages
+// tree and stats seen from the daemon: the tree and the controller's counters
+// have no lock of their own, so the scrape's read of the engine state (size,
+// height, the four counters, the oracle's violations) must sit under
+// tenant.mu like every other access. Two connections grow the tree (every
+// request adds a leaf, so the depth slice Height scans is reallocated many
+// times over, and every grant is three counter adds) while /metricsz is
+// rendered in a loop; under -race a bare read of tn.tr.Size(), Height() or
+// tn.ctrs.Get() is reported here. What a scrape reads must also be a state
+// the writer's order allows: the initial 16 nodes plus one per grant some
+// prefix of the runs decided, and, the engine being read at one instant,
+// exactly as many nodes above the initial 16 as topological changes counted.
+// Reading the counter at one instant and the tree at a later one shows more
+// nodes than changes whenever a run lands between the two.
+func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "balanced", Nodes: 16}
 	s := startServer(t, Config{Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29})
 	tr, _ := tree.New()
@@ -412,18 +417,16 @@ func TestScrapeReadsTreeUnderGuard(t *testing.T) {
 	}
 	go func() { wg.Wait(); close(done) }()
 
-	sizeOf := func() int {
-		var buf bytes.Buffer
-		s.WriteMetrics(&buf)
-		const key = `dynctrld_tenant_tree_nodes{tenant="default"} `
-		_, rest, ok := strings.Cut(buf.String(), key)
+	sample := func(doc, family string) int {
+		key := family + `{tenant="default"} `
+		_, rest, ok := strings.Cut(doc, key)
 		if !ok {
 			t.Fatalf("no %q sample", key)
 		}
 		line, _, _ := strings.Cut(rest, "\n")
 		n, err := strconv.Atoi(line)
 		if err != nil {
-			t.Fatalf("tree_nodes sample %q: %v", line, err)
+			t.Fatalf("%s sample %q: %v", family, line, err)
 		}
 		return n
 	}
@@ -434,9 +437,15 @@ func TestScrapeReadsTreeUnderGuard(t *testing.T) {
 			scraping = false
 		default:
 		}
-		n := sizeOf()
+		var buf bytes.Buffer
+		s.WriteMetrics(&buf)
+		n := sample(buf.String(), "dynctrld_tenant_tree_nodes")
 		if n < last {
 			t.Fatalf("tree_nodes went from %d to %d while only leaves were added", last, n)
+		}
+		if changes := sample(buf.String(), "dynctrld_tenant_topo_changes_total"); n != len(nodes)+changes {
+			t.Fatalf("one scrape reads tree_nodes %d and topo_changes_total %d over %d initial nodes: not one instant",
+				n, changes, len(nodes))
 		}
 		last = n
 	}

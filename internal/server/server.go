@@ -413,9 +413,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, name := range s.order {
 		tn := s.tenants[name]
 		tn.pl.Close()
-		tn.guard.mu.Lock()
-		if tn.guard.orc != nil {
-			tn.guard.orc.Finish()
+		tn.mu.Lock()
+		if tn.orc != nil {
+			tn.orc.Finish()
 		}
 		if tn.eng != nil {
 			// Final checkpoint: a graceful restart replays nothing.
@@ -423,7 +423,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				s.logger.Warn("final checkpoint failed", "tenant", tn.name, "err", err)
 			}
 		}
-		tn.guard.mu.Unlock()
+		tn.mu.Unlock()
 		if tn.eng != nil {
 			if err := tn.eng.Close(); err != nil {
 				s.logger.Warn("wal close failed", "tenant", tn.name, "err", err)
@@ -449,17 +449,15 @@ func (s *Server) Violations() []oracle.Violation {
 }
 
 // TenantViolations returns the named tenant's oracle violations (nil when
-// not paranoid or unknown). The guard's lock is taken only when there is an
-// oracle to read; a scrape of a daemon that is not paranoid takes it once a
-// tenant, for the tree's size and height (tenant.treeShape).
+// not paranoid or unknown).
 func (s *Server) TenantViolations(name string) []oracle.Violation {
 	tn := s.tenants[name]
-	if tn == nil || tn.guard.orc == nil {
+	if tn == nil || tn.orc == nil {
 		return nil
 	}
-	tn.guard.mu.Lock()
-	defer tn.guard.mu.Unlock()
-	return append([]oracle.Violation(nil), tn.guard.orc.Violations()...)
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	return append([]oracle.Violation(nil), tn.orc.Violations()...)
 }
 
 // Accounting returns the wire-level tallies summed over all tenants:

@@ -297,9 +297,9 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 		t.Fatalf("honest engine flagged: %v", v)
 	}
 	tn := s.defaultTenant()
-	tn.guard.mu.Lock()
+	tn.mu.Lock()
 	tn.ctrs.Add(stats.CounterMoves, 100_000)
-	tn.guard.mu.Unlock()
+	tn.mu.Unlock()
 	submit()
 	v := s.Violations()
 	if len(v) != 1 || v[0].Invariant != "message-budget" {

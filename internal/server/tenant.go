@@ -61,18 +61,38 @@ func tenantConfigs(cfg Config) []TenantConfig {
 // are per-namespace, which is what the cross-tenant isolation oracle
 // (oracle.CheckTenantIsolation) relies on.
 type tenant struct {
-	name string
-	cfg  TenantConfig
-	tr   *tree.Tree
-	// ctl is the engine: the centralized unknown-U controller of Section 3,
-	// whose cost is the move counter in ctrs.
-	ctl     *controller.Dynamic
+	name    string
+	cfg     TenantConfig
 	pl      *pipeline.Pipeline
-	guard   *guardedSubmitter
-	ctrs    *stats.Counters
+	logger  *slog.Logger
 	topoSig uint64
 
-	// Durability engine state (nil/zero without a WAL).
+	// mu owns the engine: the tree, the controller, its counters, the
+	// oracle and the dead flag have no lock of their own (packages tree and
+	// stats, Ownership), so whoever holds mu owns them and nothing touches
+	// them without. The pipeline leader is the only submitter; what mu
+	// orders is a run's execution with its WAL append (log order is
+	// execution order), the checkpoint's capture of tree, controller and
+	// counters (never mid-run), the reject wave's read of the final grant
+	// total, and the scrape's one read of the engine (engineView).
+	mu sync.Mutex
+	tr *tree.Tree
+	// ctl is the engine: the centralized unknown-U controller of Section 3,
+	// whose cost is the move counter in ctrs.
+	ctl  *controller.Dynamic
+	ctrs *stats.Counters
+	orc  *oracle.Oracle // non-nil in paranoid mode; ctl goes through it
+	// dead is set when the WAL can no longer accept records: from then on
+	// batches are refused *before* touching the controller, because a
+	// grant that cannot be logged would burn the permit budget against a
+	// state no recovery can ever reconstruct.
+	dead bool
+
+	// Durability engine state (nil/zero without a WAL). submit appends
+	// every decided batch under mu and triggers background checkpoints; it
+	// does NOT wait for the fsync (connections do that before replying), so
+	// the pipeline keeps combining batches while earlier batches ride out
+	// their group commit.
 	eng              *persist.Engine
 	incarnation      uint64
 	recoveredEffects int
@@ -105,41 +125,12 @@ type tenant struct {
 	fsync   *obs.Recorder
 }
 
-// guardedSubmitter drives the controller and optionally routes every
-// request through the oracle. The pipeline leader is the only submitter;
-// what mu orders is a run's execution with its WAL append (log order is
-// execution order), the checkpoint's capture of tree, controller and
-// counters (never mid-run), the reject wave's read of the final grant
-// total, and the scrape's reads of the oracle's violations and of the
-// tree's size and height. The tree has no lock of its own: whoever holds mu
-// owns it, and nothing touches it without (package tree, Ownership). With a
-// durability engine attached the guard appends every decided batch and
-// triggers background checkpoints; it does NOT wait for the fsync
-// (connections do that before replying), so the pipeline keeps combining
-// batches while earlier batches ride out their group commit.
-type guardedSubmitter struct {
-	mu      sync.Mutex
-	sub     *controller.Dynamic
-	orc     *oracle.Oracle        // non-nil in paranoid mode
-	eng     *persist.Engine       // non-nil with a WAL
-	capture func() *persist.State // deep state copy for checkpoints
-	logger  *slog.Logger          // durability warnings
-	tenant  string                // log attribute
-	ctrs    *stats.Counters       // tenant counters (move sampling)
-	trace   bool                  // record per-run stage timings
-	// dead is set when the WAL can no longer accept records: from then on
-	// batches are refused *before* touching the controller, because a
-	// grant that cannot be logged would burn the permit budget against a
-	// state no recovery can ever reconstruct.
-	dead bool
-}
-
-// receipt is what the guard learned about one run, returned to the
+// receipt is what submit learned about one run, returned to the
 // connection that owns the run: the group-commit ticket covering exactly
 // its records (when a WAL is attached and the append succeeded), so each
 // connection waits for its own fsync window instead of the engine's append
 // high-water mark (which other connections keep advancing — a convoy); the
-// in-guard WAL append time; and, with tracing on, the run's controller
+// WAL append time under mu; and, with tracing on, the run's controller
 // execution time and move count. A ticketless receipt with
 // successful results is a broken durability invariant, never permission to
 // reply early — it is legitimate only for runs that decided nothing.
@@ -156,11 +147,11 @@ var errWALUnavailable = errors.New("server: wal unavailable")
 
 // submit drives one run through the controller (and the oracle and WAL,
 // when configured), appending one result per request to out.
-func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, receipt) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, receipt) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var rc receipt
-	if g.dead {
+	if t.dead {
 		for range reqs {
 			out = append(out, controller.BatchResult{Err: errWALUnavailable})
 		}
@@ -168,35 +159,36 @@ func (g *guardedSubmitter) submit(reqs []controller.Request, out []controller.Ba
 	}
 	var execStart time.Time
 	var movesBefore int64
-	if g.trace {
-		movesBefore = g.ctrs.Get(stats.CounterMoves)
+	traced := t.tracer != nil
+	if traced {
+		movesBefore = t.ctrs.Get(stats.CounterMoves)
 		execStart = time.Now()
 	}
 	base := len(out)
-	if g.orc == nil {
-		out = g.sub.SubmitBatch(reqs, out)
+	if t.orc == nil {
+		out = t.ctl.SubmitBatch(reqs, out)
 	} else {
 		for _, req := range reqs {
-			gr, err := g.orc.Submit(req)
+			gr, err := t.orc.Submit(req)
 			out = append(out, controller.BatchResult{Grant: gr, Err: err})
 		}
 	}
-	if g.trace {
+	if traced {
 		rc.exec = time.Since(execStart)
-		rc.moves = g.ctrs.Get(stats.CounterMoves) - movesBefore
+		rc.moves = t.ctrs.Get(stats.CounterMoves) - movesBefore
 	}
-	if g.eng != nil {
+	if t.eng != nil {
 		walStart := time.Now()
-		ticket, err := g.eng.AppendEffects(reqs, out[base:])
+		ticket, err := t.eng.AppendEffects(reqs, out[base:])
 		rc.walAppend = time.Since(walStart)
 		if err != nil {
-			g.dead = true
-			g.logger.Warn("wal append failed, refusing further admissions", "tenant", g.tenant, "err", err)
+			t.dead = true
+			t.logger.Warn("wal append failed, refusing further admissions", "tenant", t.name, "err", err)
 		} else {
 			rc.ticket, rc.hasTicket = ticket, true
 		}
-		if g.eng.ShouldCheckpoint() {
-			g.eng.CheckpointAsync(g.capture())
+		if t.eng.ShouldCheckpoint() {
+			t.eng.CheckpointAsync(t.captureState())
 		}
 	}
 	return out, rc
@@ -230,6 +222,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	tn := &tenant{
 		name:    tc.Name,
 		cfg:     tc,
+		logger:  cfg.Logger,
 		tr:      tr,
 		ctl:     controller.NewDynamic(tr, tc.M, tc.W, controller.WithDynamicCounters(ctrs)),
 		ctrs:    ctrs,
@@ -294,15 +287,6 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		}
 	}
 
-	guard := &guardedSubmitter{
-		sub:     tn.ctl,
-		eng:     tn.eng,
-		capture: tn.captureState,
-		logger:  cfg.Logger,
-		tenant:  tc.Name,
-		ctrs:    ctrs,
-		trace:   traced,
-	}
 	if cfg.Paranoid {
 		// Seed the oracle with the recovered totals — and every serial the
 		// retained history ever granted — so the safety counter and serial
@@ -317,7 +301,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 				priorSerials = append(priorSerials, sum.Serials...)
 			}
 		}
-		guard.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
+		tn.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
 			oracle.WithMessages(func() int64 { return ctrs.Get(stats.CounterMoves) }),
 			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
 	}
@@ -330,26 +314,44 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 			tn.combine.Record(d)
 		}))
 	}
-	tn.guard = guard
 	// Every run enters through Do carrying its connection's connRun, whose
-	// Run calls the guard: the pipeline has no submitter of its own to
-	// bypass the guard with.
+	// Run calls submit: the pipeline has no submitter of its own to go
+	// around mu with.
 	tn.pl = pipeline.New(nil, opts...)
 	return tn, nil
 }
 
-// treeShape reads the tree's size and height for the scrape. The tree has no
-// lock of its own and belongs to whoever holds guard.mu (package tree,
-// Ownership), so the scrape waits here for the run in flight, if there is
-// one, and reads a tree no run is changing. Height scans one int32 per id.
-func (t *tenant) treeShape() (nodes, height int) {
-	t.guard.mu.Lock()
-	defer t.guard.mu.Unlock()
-	return t.tr.Size(), t.tr.Height()
+// engineView is a tenant's engine at one instant: everything /metricsz
+// reports of what mu owns.
+type engineView struct {
+	nodes, height                       int
+	moves, grants, rejects, topoChanges int64 // the controller's own counters
+	violations                          int   // the oracle's; 0 when not paranoid
+}
+
+// engineView reads the engine for the scrape, which waits here for the run
+// in flight, if there is one, and reads a state no run is changing: the
+// fields are of one instant, so nodes is the initial tree plus or minus
+// exactly the topoChanges counted. Height scans one int32 per id.
+func (t *tenant) engineView() engineView {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := engineView{
+		nodes:       t.tr.Size(),
+		height:      t.tr.Height(),
+		moves:       t.ctrs.Get(stats.CounterMoves),
+		grants:      t.ctrs.Get(stats.CounterGrants),
+		rejects:     t.ctrs.Get(stats.CounterRejects),
+		topoChanges: t.ctrs.Get(stats.CounterTopoChanges),
+	}
+	if t.orc != nil {
+		v.violations = len(t.orc.Violations())
+	}
+	return v
 }
 
 // captureState deep-copies a tenant's admission stack into a snapshot
-// state. Called with guard.mu held (no submission in flight).
+// state. Called with mu held (no submission in flight).
 func (t *tenant) captureState() *persist.State {
 	return &persist.State{
 		Index:       t.eng.AppendedIndex(),
@@ -387,24 +389,24 @@ func (t *tenant) unbind(c *srvConn) {
 // the wire tally lags it by whatever other connections have decided but not
 // yet answered. A peer the wave cannot be written to can no longer be
 // answered at all, so its connection is cut and its serve loop drains out.
-func (t *tenant) broadcastRejectWave(logger *slog.Logger) {
-	t.guard.mu.Lock()
+func (t *tenant) broadcastRejectWave() {
+	t.mu.Lock()
 	granted := t.ctl.Granted()
-	t.guard.mu.Unlock()
+	t.mu.Unlock()
 	t.waveGranted.Store(granted)
 	if t.eng != nil {
 		if _, err := t.eng.AppendWave(granted); err != nil {
-			logger.Warn("wal wave append failed", "tenant", t.name, "err", err)
+			t.logger.Warn("wal wave append failed", "tenant", t.name, "err", err)
 		}
 	}
 	t.cmu.Lock()
 	conns := slices.Collect(maps.Keys(t.conns))
 	t.cmu.Unlock()
-	logger.Info("reject wave", "tenant", t.name, "granted", granted, "connections", len(conns))
+	t.logger.Info("reject wave", "tenant", t.name, "granted", granted, "connections", len(conns))
 	frame := wire.AppendRejectWave(nil, wire.RejectWave{Granted: granted})
 	for _, c := range conns {
 		if err := c.send(frame); err != nil {
-			logger.Debug("reject wave write failed", "remote", c.remote, "tenant", t.name, "err", err)
+			t.logger.Debug("reject wave write failed", "remote", c.remote, "tenant", t.name, "err", err)
 			c.nc.Close()
 		}
 	}

@@ -6,6 +6,15 @@
 // a Counters value simply accumulates named tallies. Series and Table help
 // internal/experiments print the parameter sweeps of E1–E14, whose numbers
 // its testdata/tables.golden pins.
+//
+// # Ownership
+//
+// A Counters value has no lock and no atomics. It belongs to whoever drives
+// the controller that counts into it, as the tree does (package tree,
+// Ownership): read it on that goroutine, or under the lock that orders the
+// controller's submissions. The daemon's is tenant.mu (internal/server), the
+// message-passing engine's handlers are ordered by their runtime, and a
+// pipeline's counters are read after Flush or Close.
 package stats
 
 import (
@@ -14,12 +23,11 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // Counter names one of the repository's canonical event counts. The set is
 // closed, so a Counters value is a fixed array indexed by Counter and an
-// update is one atomic add: no lock, no hashing of a name.
+// update is one add: no hashing of a name.
 type Counter uint8
 
 // The canonical counters. Their String names are what Snapshot, Restore and
@@ -60,14 +68,14 @@ func (c Counter) String() string {
 	return fmt.Sprintf("Counter(%d)", uint8(c))
 }
 
-// Counters accumulates the canonical event counts. It is safe for
-// concurrent use.
+// Counters accumulates the canonical event counts. It is not safe for
+// concurrent use: it has one owner (see Ownership in the package comment).
 type Counters struct {
-	counts [numCounters]atomic.Int64
+	counts [numCounters]int64
 	// touched has bit c set once counter c was added to or restored.
 	// Snapshot lists exactly those, zero or not, as the map this type used
 	// to be did, so the bytes of a persisted snapshot do not change.
-	touched atomic.Uint32
+	touched uint32
 }
 
 // NewCounters returns an empty counter set.
@@ -75,55 +83,43 @@ func NewCounters() *Counters { return new(Counters) }
 
 // Add adds delta to counter name.
 func (c *Counters) Add(name Counter, delta int64) {
-	c.counts[name].Add(delta)
-	if bit := uint32(1) << name; c.touched.Load()&bit == 0 {
-		c.touched.Or(bit)
-	}
+	c.counts[name] += delta
+	c.touched |= 1 << name
 }
 
 // Inc adds one to counter name.
 func (c *Counters) Inc(name Counter) { c.Add(name, 1) }
 
 // Get returns the value of counter name (zero if never touched).
-func (c *Counters) Get(name Counter) int64 { return c.counts[name].Load() }
+func (c *Counters) Get(name Counter) int64 { return c.counts[name] }
 
 // Reset zeroes every counter.
-func (c *Counters) Reset() {
-	c.touched.Store(0)
-	for i := range c.counts {
-		c.counts[i].Store(0)
-	}
-}
+func (c *Counters) Reset() { *c = Counters{} }
 
 // Restore replaces every counter with the given values, keyed by counter
 // name (the durability engine's recovery path re-seeds the shared counters
 // from a snapshot). A name outside the canonical set is an error and leaves
 // the counters as they were.
 func (c *Counters) Restore(values map[string]int64) error {
-	var counts [numCounters]int64
-	var touched uint32
+	var restored Counters
 	for name, v := range values {
 		i := slices.Index(counterNames[:], name)
 		if i < 0 {
 			return fmt.Errorf("stats: restore unknown counter %q", name)
 		}
-		counts[i] = v
-		touched |= 1 << i
+		restored.counts[i] = v
+		restored.touched |= 1 << i
 	}
-	for i, v := range counts {
-		c.counts[i].Store(v)
-	}
-	c.touched.Store(touched)
+	*c = restored
 	return nil
 }
 
 // Snapshot returns a copy of every touched counter, keyed by counter name.
 func (c *Counters) Snapshot() map[string]int64 {
-	touched := c.touched.Load()
 	out := make(map[string]int64, numCounters)
 	for i, name := range counterNames {
-		if touched&(1<<i) != 0 {
-			out[name] = c.counts[i].Load()
+		if c.touched&(1<<i) != 0 {
+			out[name] = c.counts[i]
 		}
 	}
 	return out

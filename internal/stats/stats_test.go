@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -66,24 +65,6 @@ func TestCountersRestore(t *testing.T) {
 		if name == "" || Counter(i).String() != name {
 			t.Fatalf("counter %d has name %q", i, name)
 		}
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc(CounterControl)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get(CounterControl); got != 8000 {
-		t.Fatalf("messages = %d, want 8000", got)
 	}
 }
 

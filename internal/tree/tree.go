@@ -34,9 +34,9 @@
 // controller over it, and every method, the readers included, is that
 // owner's to call. A second goroutine that wants to look (the daemon's
 // metrics page reads Size and Height) takes whatever lock orders the owner's
-// calls and reads under it; in the daemon that is the tenant's
-// guardedSubmitter.mu, and the message-passing engine's handlers are ordered
-// by the simulator, which runs one at a time. The callbacks of Observe,
+// calls and reads under it; in the daemon that is tenant.mu, and the
+// message-passing engine's handlers are ordered by the simulator, which runs
+// one at a time. The callbacks of Observe,
 // Climb, ClimbMarked and WalkDFS therefore run on the owner's goroutine in
 // the middle of a tree call and must not call back into the tree, because a
 // mutation would change what the call is walking, not because a lock is
