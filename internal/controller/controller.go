@@ -79,9 +79,11 @@ type Core struct {
 	domains *DomainTracker
 
 	// Scratch of distribute, reused across requests: the hop distances of
-	// the drop points u_0..u_{j-1} from the requesting node, and the nodes.
+	// the drop points u_0..u_{j-1} from the requesting node, and the nodes;
+	// and of moveDown, the path a package descends under a descent observer.
 	dropDists []int
 	drops     []tree.NodeID
+	path      []tree.NodeID
 }
 
 // NewCore creates a fixed-U (m, w)-Controller over tr assuming at most u
@@ -157,11 +159,14 @@ func (c *Core) Submit(req Request) (Grant, error) {
 // the first (closest) filler node: it returns that node, its distance from
 // u and its qualifying package. When no filler exists the climb ends at the
 // root, which it returns with a nil package. The climb scans the level masks
-// and runs the filler test only at nodes that hold a mobile package at all;
-// the visitor reads whiteboards only, as tree.ClimbMarked requires.
+// and runs the filler test only at nodes that hold a mobile package at all,
+// and where the block counts say a stretch holds none it takes the tree's
+// express link past it; the visitor reads whiteboards only, as
+// tree.ClimbMarked requires.
 func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
+	c.syncBlocks()
 	var pk *pkgstore.Package
-	host, d, err := c.tr.ClimbMarked(u, c.masks, func(w tree.NodeID, d int) bool {
+	host, d, err := c.tr.ClimbMarked(u, c.masks, c.blocks, func(w tree.NodeID, d int) bool {
 		pk = c.Filler(w, int64(d))
 		return pk != nil
 	})
@@ -228,13 +233,14 @@ func (c *Core) moveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int
 	}
 	c.counters.Add(stats.CounterMoves, dist)
 	if c.descent != nil && dist > 0 {
-		path, err := c.tr.PathBetween(target, host)
+		path, err := c.tr.AppendPathBetween(target, host, c.path[:0])
 		if err == nil {
 			// path is target..host bottom-up; the package enters every
 			// node strictly below host, top-down.
 			for i := len(path) - 2; i >= 0; i-- {
 				c.descent(pk.Size, path[i])
 			}
+			c.path = path
 		}
 	}
 }

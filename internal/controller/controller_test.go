@@ -479,6 +479,27 @@ func TestDescentObserver(t *testing.T) {
 	}
 }
 
+// TestDescentObservedMoveAllocatesNothing gates what the estimator's runs pay
+// on every package move: the path a package descends is written into the
+// core's scratch, so a move under a descent observer costs no allocation once
+// the scratch has seen a path as long.
+func TestDescentObservedMoveAllocatesNothing(t *testing.T) {
+	tr, ids := newPathTree(t, 300)
+	var entered int64
+	c := ctl.NewCore(tr, 1024, 1<<20, 1, ctl.WithDescentObserver(
+		func(int64, tree.NodeID) { entered++ }))
+	pk := pkgstore.NewMobile(c.Params(), 1)
+	host, target := ids[20], ids[280]
+	move := func() { c.MoveDown(pk, host, target, 260) }
+	move()
+	if allocs := testing.AllocsPerRun(100, move); allocs != 0 {
+		t.Errorf("a package move of 260 hops under a descent observer costs %v allocations, want 0", allocs)
+	}
+	if entered != 102*260 {
+		t.Fatalf("observer heard %d entries over 102 moves of 260 hops", entered)
+	}
+}
+
 func TestOutcomeString(t *testing.T) {
 	if ctl.Granted.String() != "granted" || ctl.Rejected.String() != "rejected" ||
 		ctl.WouldReject.String() != "would-reject" {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 
+	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -16,11 +17,20 @@ import (
 // Beside the masks it holds the store table to its meaning: an entry without
 // a store is the zero value, and outside the trivial tail, which changes the
 // tree beside whiteboards it no longer keeps up, the ids with a store are
-// exactly the live nodes.
+// exactly the live nodes. And it holds the block counts to a recount
+// (CheckBlocks) and, outside the trivial tail, to being known good at the
+// tree's current express epoch: every change went through Grant, and none
+// may have cost a count in full.
 func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 	wb := d.inner.wb
 	if len(wb.masks) != wb.stores.Len() {
 		return 0, fmt.Errorf("%d masks for %d stores", len(wb.masks), wb.stores.Len())
+	}
+	if err := d.CheckBlocks(); err != nil {
+		return 0, err
+	}
+	if !d.inner.trivialPhase && wb.linkEpoch != wb.tr.ExpressEpoch() {
+		return 0, fmt.Errorf("block counts known good at express epoch %d, the tree is at %d", wb.linkEpoch, wb.tr.ExpressEpoch())
 	}
 	for id, s := range wb.stores.All() {
 		var want uint64
@@ -42,12 +52,35 @@ func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 	return levels, nil
 }
 
+// CheckBlocks counts the blocks again, from the masks and the tree's express
+// links as they are, and compares with the counts the whiteboards keep: never
+// nil, and zero, or beyond the slice, at every stop that counts no mark.
+func (d *Dynamic) CheckBlocks() error {
+	wb := d.inner.wb
+	if wb.blocks == nil {
+		return fmt.Errorf("nil block counts, which a climb reads as none kept")
+	}
+	blocks := make([]int32, max(len(wb.blocks), wb.tr.EverExisted()+1))
+	for id, m := range wb.masks {
+		if m != 0 {
+			blocks[wb.tr.Express(tree.NodeID(id))]++
+		}
+	}
+	beyond := func(n int32) bool { return n != 0 }
+	if !slices.Equal(blocks[:len(wb.blocks)], wb.blocks) || slices.ContainsFunc(blocks[len(wb.blocks):], beyond) {
+		return fmt.Errorf("block counts %v, the masks and the express links give %v", wb.blocks, blocks)
+	}
+	return nil
+}
+
 // Board returns the whiteboards of the current iteration.
 func (d *Dynamic) Board() *Whiteboard { return d.inner.wb }
 
 // HoldsTables reports whether wb still owns per-node tables; whiteboards an
 // iteration restart has discarded must not.
-func (wb *Whiteboard) HoldsTables() bool { return wb.stores.Len() != 0 || wb.masks != nil }
+func (wb *Whiteboard) HoldsTables() bool {
+	return wb.stores.Len() != 0 || wb.masks != nil || wb.blocks != nil
+}
 
 // InnerIterations returns how many waste-halving iterations the current
 // inner driver has started.
@@ -75,6 +108,9 @@ func (d *Dynamic) CheckRecycled() error {
 		return fmt.Errorf("recycled tables hold %d stores and %d masks, fresh ones %d and %d",
 			recycled.stores.Len(), len(recycled.masks), fresh.stores.Len(), len(fresh.masks))
 	}
+	if slices.ContainsFunc(recycled.blocks, func(n int32) bool { return n != 0 }) || recycled.blocks == nil {
+		return fmt.Errorf("recycled block counts %v", recycled.blocks)
+	}
 	var listed []tree.NodeID
 	for id, s := range recycled.stores.All() {
 		switch {
@@ -96,11 +132,26 @@ func (d *Dynamic) CheckRecycled() error {
 }
 
 // MaskAt returns the level mask the current whiteboards keep for id.
-func (d *Dynamic) MaskAt(id tree.NodeID) uint64 {
-	if wb := d.inner.wb; uint64(id) < uint64(len(wb.masks)) {
-		return wb.masks[id]
+func (d *Dynamic) MaskAt(id tree.NodeID) uint64 { return d.inner.wb.maskAt(id) }
+
+// FindFiller runs the centralized core's filler search from u over the
+// current whiteboards, as a slow-path request at u would.
+func (d *Dynamic) FindFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
+	return d.inner.core.(*Core).findFiller(u)
+}
+
+// BlockAt returns the count the current whiteboards keep for the express
+// stop r, none for a stop beyond the slice.
+func (d *Dynamic) BlockAt(r tree.NodeID) int32 {
+	if wb := d.inner.wb; int(r) < len(wb.blocks) {
+		return wb.blocks[r]
 	}
 	return 0
+}
+
+// MoveDown is the core's accounting of one package move.
+func (c *Core) MoveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int64) {
+	c.moveDown(pk, host, target, dist)
 }
 
 // InTrivialTail reports whether the W = 0 tail runs: the whiteboards were

@@ -219,6 +219,8 @@ func FuzzWhiteboardMask(f *testing.F) {
 	f.Add([]byte("\x00" + "0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_0_"))
 	f.Add([]byte("\x01" + "0\xff0\xf03\xe00\xff5\x000\xfe3\xd00\xff1\x102\x204\x00"))
 	f.Add([]byte{0, 0, 255, 3, 250, 0, 255, 3, 240, 5, 0, 0, 255, 0, 200, 3, 230, 0, 255})
+	f.Add(deepMaskSeed(0))
+	f.Add(deepMaskSeed(1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -257,4 +259,29 @@ func FuzzWhiteboardMask(f *testing.F) {
 			r.checkRecycled(t)
 		}
 	})
+}
+
+// deepMaskSeed is a FuzzWhiteboardMask input over the given transport that
+// works where the tree's express links are: it grows the path by forty nodes
+// at its tip, more than two strides of the links, rests mobile packages along
+// it with events at the new tip, and then splits edges and deletes internal
+// nodes in the middle of the path, between events that climb past them and a
+// round trip, so that marked nodes change blocks under every kind of change.
+func deepMaskSeed(transport byte) []byte {
+	data := []byte{transport}
+	for i := 0; i < 40; i++ {
+		data = append(data, 1, 255) // a leaf under the tip
+	}
+	for round := byte(0); round < 6; round++ {
+		mid := 96 + 8*round // a selector: the node 3/8 down the path and on
+		data = append(data,
+			0, 255, 0, 255, 0, 250, // events at and near the tip
+			2, mid, 2, mid+1, 0, 255, // two edges split, a climb past them
+			3, mid, 0, 252, 3, mid-40, // internal nodes deleted, a climb
+			2, mid-30, 0, 255)
+		if round%2 == 1 {
+			data = append(data, 5, 0) // State → RestoreDynamic
+		}
+	}
+	return data
 }

@@ -37,7 +37,22 @@ type Whiteboard struct {
 	// keep the two in step, a mobile package enters or leaves a store
 	// through the Whiteboard methods below and never through the
 	// pkgstore.Store a caller got from Store.
-	masks    []uint64
+	masks []uint64
+	// blocks is indexed by NodeID like masks: blocks[r] counts the ids with a
+	// non-zero mask whose express link in tr is r, which is what lets the
+	// filler search jump to r past a stretch that holds no mobile package
+	// (tree.ClimbMarked). It is as long as the highest stop that ever counted
+	// a mark needs, never nil, and a stop beyond it counts none: a bushy tree
+	// has a handful of stops and pays for a handful of counts. The tree owns
+	// the links and the whiteboards the counts: setMask keeps them in step
+	// with the masks, Grant with the links an internal change moves, and
+	// linkEpoch is the tree's express epoch they were last known good at, for
+	// a tree changed by anyone else (syncBlocks). Derived like masks: State
+	// does not carry them.
+	blocks    []int32
+	linkEpoch uint64
+	lifted    []tree.NodeID // lift's scratch, empty between two Grants
+
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
@@ -88,20 +103,21 @@ func WithDescentObserver(fn DescentObserver) CoreOption {
 // newWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
 // tr assuming at most u nodes ever exist; the root's storage holds the m
 // permits. prev, when not nil, is the whiteboards of the iteration that just
-// ended: the caller is done with them, and their two tables are taken over,
+// ended: the caller is done with them, and their tables are taken over,
 // cleared rather than copied, so an iteration restart allocates no table.
 // Nothing of prev shows through: what it held for an id is gone, whether the
 // node still lives or was deleted under it.
 func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreOption) *Whiteboard {
-	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m}
+	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m,
+		linkEpoch: tr.ExpressEpoch()}
 	for _, opt := range opts {
 		opt(wb)
 	}
 	if prev != nil {
-		wb.stores, wb.masks = prev.stores, prev.masks
-		prev.stores, prev.masks = tree.Table[pkgstore.Store]{}, nil
+		wb.stores, wb.masks, wb.blocks = prev.stores, prev.masks, prev.blocks
+		prev.stores, prev.masks, prev.blocks = tree.Table[pkgstore.Store]{}, nil, nil
 		wb.stores.Reset()
-		clear(wb.masks)
+		wb.clearMasks()
 	}
 	// Every live node starts with an empty store (State lists them all) and
 	// every other id below the tree's next one without.
@@ -119,15 +135,26 @@ func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreO
 // tables it has just cleared, may shorten them. What lies between the mask
 // slice's length and its capacity is therefore zero, and growing within the
 // capacity uncovers clear masks; beyond it the slice doubles, like the
-// tree's parent links it is scanned beside.
+// tree's parent links it is scanned beside. The block counts grow where a
+// count is written (countBlock) and start out empty, not nil, which
+// tree.ClimbMarked would read as no counts kept at all.
 func (wb *Whiteboard) resize(n int) {
 	wb.stores.Grow(n)
-	if n > cap(wb.masks) {
-		grown := make([]uint64, n, max(n, 2*cap(wb.masks)))
-		copy(grown, wb.masks)
-		wb.masks = grown
+	wb.masks = regrow(wb.masks, n)
+	if wb.blocks == nil {
+		wb.blocks = []int32{}
 	}
-	wb.masks = wb.masks[:n]
+}
+
+// regrow returns s at length n, moved to twice the capacity where n exceeds
+// it.
+func regrow[E any](s []E, n int) []E {
+	if n > cap(s) {
+		grown := make([]E, n, max(n, 2*cap(s)))
+		copy(grown, s)
+		return grown
+	}
+	return s[:n]
 }
 
 // Tree returns the tree the whiteboards hang off.
@@ -197,7 +224,7 @@ func (wb *Whiteboard) ClearPackages() {
 		total += s.PermitCount()
 		s.Clear()
 	}
-	clear(wb.masks)
+	wb.clearMasks()
 	wb.storage = total
 	wb.rejectWave = false
 }
@@ -224,19 +251,94 @@ func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 // holds, a clear bit still proves the level absent.
 func levelBit(level int) uint64 { return 1 << min(uint(level), 63) }
 
+// setMask is the one place the mask of a single id changes: where it turns
+// non-zero or zero, the count of the block id hangs off follows.
+func (wb *Whiteboard) setMask(id tree.NodeID, m uint64) {
+	if old := wb.masks[id]; old == 0 && m != 0 {
+		wb.countBlock(id, 1)
+	} else if old != 0 && m == 0 {
+		wb.countBlock(id, -1)
+	}
+	wb.masks[id] = m
+}
+
+// countBlock adds delta to the count of the stop id's express link names,
+// growing the counts to hold it.
+func (wb *Whiteboard) countBlock(id tree.NodeID, delta int32) {
+	r := wb.tr.Express(id)
+	if int(r) >= len(wb.blocks) {
+		wb.blocks = regrow(wb.blocks, int(r)+1)
+	}
+	wb.blocks[r] += delta
+}
+
+// clearMasks zeroes every mask, and with them every count.
+func (wb *Whiteboard) clearMasks() {
+	clear(wb.masks)
+	clear(wb.blocks)
+}
+
+// syncBlocks holds the counts to the tree's express links: Grant moves them
+// along with the links it changes itself, and where the tree's epoch shows
+// that somebody else has moved a subtree (the trivial tail, a baseline, a
+// Restore under live whiteboards), they are counted again in full.
+func (wb *Whiteboard) syncBlocks() {
+	if wb.linkEpoch == wb.tr.ExpressEpoch() {
+		return
+	}
+	clear(wb.blocks)
+	for id, m := range wb.masks {
+		if m != 0 {
+			wb.countBlock(tree.NodeID(id), 1)
+		}
+	}
+	wb.linkEpoch = wb.tr.ExpressEpoch()
+}
+
+// lift takes the marked nodes below head, head included, out of the counts
+// ahead of a change that moves head's subtree one level and with it every
+// link in it; land puts them back. Both cost a walk of the subtree, as the
+// tree's own re-depthing does, and nothing per node outside it.
+func (wb *Whiteboard) lift(head tree.NodeID) {
+	wb.syncBlocks()
+	for id := range wb.tr.Subtree(head) {
+		if wb.maskAt(id) != 0 {
+			wb.countBlock(id, -1)
+			wb.lifted = append(wb.lifted, id)
+		}
+	}
+}
+
+// land counts the lifted nodes under the links the change left them with.
+func (wb *Whiteboard) land() {
+	for _, id := range wb.lifted {
+		wb.countBlock(id, 1)
+	}
+	wb.lifted = wb.lifted[:0]
+	wb.linkEpoch = wb.tr.ExpressEpoch()
+}
+
+// maskAt returns the mask of id, zero for an id beyond the table.
+func (wb *Whiteboard) maskAt(id tree.NodeID) uint64 {
+	if uint64(id) < uint64(len(wb.masks)) {
+		return wb.masks[id]
+	}
+	return 0
+}
+
 // remask recomputes the mask of id from its store.
 func (wb *Whiteboard) remask(id tree.NodeID, s *pkgstore.Store) {
 	var m uint64
 	for _, pk := range s.Mobiles() {
 		m |= levelBit(pk.Level)
 	}
-	wb.masks[id] = m
+	wb.setMask(id, m)
 }
 
 // AddMobile places the mobile package pk in the store of id.
 func (wb *Whiteboard) AddMobile(id tree.NodeID, pk *pkgstore.Package) {
 	wb.Store(id).AddMobile(pk)
-	wb.masks[id] |= levelBit(pk.Level)
+	wb.setMask(id, wb.masks[id]|levelBit(pk.Level))
 }
 
 // RemoveMobile takes the mobile package pk out of the store of id.
@@ -264,10 +366,7 @@ func (wb *Whiteboard) Absorb(id tree.NodeID, pkgs []*pkgstore.Package, hadReject
 // Params.RootLevel), so the mask answers almost every call without opening
 // the store, and a node without a store is not given one.
 func (wb *Whiteboard) Filler(id tree.NodeID, d int64) *pkgstore.Package {
-	if uint64(id) >= uint64(len(wb.masks)) {
-		return nil
-	}
-	if m := wb.masks[id]; m == 0 || m&levelBit(wb.params.RootLevel(d)) == 0 {
+	if m := wb.maskAt(id); m == 0 || m&levelBit(wb.params.RootLevel(d)) == 0 {
 		return nil
 	}
 	return wb.stores.At(id).MobileAtFillerDistance(wb.params, d)
@@ -410,7 +509,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 	case tree.None:
 		return g, nil
 	case tree.AddLeaf, tree.AddInternal:
-		g.NewNode, err = ApplyChange(wb.tr, req)
+		g.NewNode, err = wb.applyChange(req)
 		if err != nil {
 			return Grant{}, err
 		}
@@ -423,13 +522,36 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
 			handoff(req.Node, parent, pkgs, hadReject)
 		}
-		*wb.stores.At(req.Node), wb.masks[req.Node] = pkgstore.Store{}, 0
-		if _, err := ApplyChange(wb.tr, req); err != nil {
+		// The node's mask leaves its block's count while the tree still
+		// knows the node's link.
+		*wb.stores.At(req.Node) = pkgstore.Store{}
+		wb.setMask(req.Node, 0)
+		if _, err := wb.applyChange(req); err != nil {
 			return Grant{}, err
 		}
 	}
 	wb.counters.Inc(stats.CounterTopoChanges)
 	return g, nil
+}
+
+// applyChange is ApplyChange under whiteboards that hold packages: an edge
+// split or an internal removal moves a subtree one level, so the marked
+// nodes in it are lifted out of the block counts before and land under their
+// new links after, whether or not the tree took the change.
+func (wb *Whiteboard) applyChange(req Request) (tree.NodeID, error) {
+	var head tree.NodeID
+	switch req.Kind {
+	case tree.AddInternal:
+		head = req.Child
+	case tree.RemoveInternal:
+		head = req.Node
+	default:
+		return ApplyChange(wb.tr, req)
+	}
+	wb.lift(head)
+	id, err := ApplyChange(wb.tr, req)
+	wb.land()
+	return id, err
 }
 
 // ApplyChange applies a granted topological request to the tree and returns
@@ -523,6 +645,7 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		rejectWave: st.RejectWave,
 		granted:    st.Granted,
 		rejected:   st.Rejected,
+		linkEpoch:  tr.ExpressEpoch(),
 	}
 	wb.resize(int(top) + 1)
 	for _, ns := range st.Stores {

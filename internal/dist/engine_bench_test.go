@@ -69,16 +69,22 @@ func (e *engine) replay(reqs []controller.Request, out []controller.BatchResult)
 // grants, half the requests growing the tree, and scarce permits on a path
 // with the reject wave at half time. The grow row is 8 192 steps and
 // restarts its iteration too rarely to show the per-iteration tables;
-// grow-50k is grow-mix at the benchmark's own size. The deep row is
-// deep-exhaust at the benchmark's own size: a path of 8 192 with M = 32 a
-// node, where a request climbs some 58 hops and the containers under the
-// protocol set the number. One iteration is one fresh engine replaying the
-// whole trace; ns/req is the number to read.
+// grow-50k is grow-mix at the benchmark's own size. The churn row is all four
+// change kinds over a balanced tree of 4 096: two requests in five split an
+// edge or delete an internal node, which moves a subtree one level and every
+// express link in it, so the row shows whether keeping the whiteboards' block
+// counts costs that subtree or the tree. The deep row is deep-exhaust at the
+// benchmark's own size: a path of 8 192 with M = 32 a node, where a
+// slow-path request climbs 385 edges past some 4 marked nodes, in 21 express
+// links and 52 hops, and the containers under the protocol set the number.
+// One iteration is one fresh engine replaying the whole trace; ns/req is the
+// number to read.
 func BenchmarkEngineSubmitBatch(b *testing.B) {
 	workloads := []engineTrace{
 		{name: "events", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.EventOnlyMix(), steps: 1 << 16},
 		{name: "grow", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.Mix{AddLeaf: 50, Event: 50}, steps: 1 << 13},
 		growTrace,
+		{name: "churn", m: 1 << 20, w: 1 << 18, build: balanced(4096, 1), mix: workload.DefaultMix(), steps: 1 << 15, minSize: 1024},
 		{name: "exhaust", m: 1 << 13, w: 1 << 10, build: path(128), mix: workload.EventOnlyMix(), steps: 1 << 14},
 		{name: "deep", m: 1 << 18, w: 1 << 12, build: path(8192), mix: workload.EventOnlyMix(), steps: 1 << 19},
 	}

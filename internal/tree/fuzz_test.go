@@ -20,11 +20,15 @@ import (
 //     the pointer walk IsAncestor.
 //
 // Two bytes encode one operation: an opcode and a node selector.
+//
+// Random parents keep a tree of 128 nodes shallower than one express stride,
+// so one seed goes deep on purpose (deepSeed).
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte("0000000000000000"))         // grow-only burst
 	f.Add([]byte("0a1b2c3d4e5f6071"))         // mixed add/remove/split
 	f.Add([]byte("09192939495969798999a9b9")) // remove-heavy after growth
 	f.Add([]byte{0, 0, 0, 1, 2, 0, 1, 0, 3, 1, 2, 2, 0, 3, 1, 1, 2, 5, 3, 2})
+	f.Add(deepSeed())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, root := New()
@@ -152,4 +156,24 @@ func FuzzTreeOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// deepSeed is a FuzzTreeOps input that reaches depths where express links
+// exist and then moves them: a leaf under the newest node, two and a half
+// strides deep, then edges split and internal nodes deleted in the middle of
+// that chain, with leaves hung off it in between so that the subtrees that
+// change level branch.
+func deepSeed() []byte {
+	var data []byte
+	for i := 0; i < 5*expressStride/2; i++ {
+		data = append(data, 0, byte(i)) // the newest of i+1 nodes
+	}
+	mid := byte(expressStride + 3)
+	for _, op := range [][2]byte{
+		{2, mid}, {0, mid + 2}, {2, mid - 8}, {3, mid}, {0, mid - 1}, {3, mid - 9},
+		{2, 2*mid - 3}, {3, 3}, {1, 0}, {2, mid + 5}, {3, mid + 5}, {3, mid + 4},
+	} {
+		data = append(data, op[0], op[1])
+	}
+	return data
 }

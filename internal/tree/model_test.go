@@ -157,29 +157,47 @@ func (r *refTree) snapshot() *Snapshot {
 	return s
 }
 
-// checkDense compares the tree's dense parent and depth slices, entry by
-// entry over the whole id space, with the model: a live id carries the
-// model's parent and the depth the model's parent chain gives it, a deleted
-// one (and index 0) InvalidNode and 0.
+// checkDense compares the tree's dense parent, depth and express slices,
+// entry by entry over the whole id space, with the model: a live id carries
+// the model's parent, the depth the model's parent chain gives it and, as its
+// express link, the first node up that chain at a depth that is a multiple of
+// the stride; a deleted one (and index 0) InvalidNode, 0 and InvalidNode.
 func (r *refTree) checkDense(tr *Tree) error {
-	if len(tr.parent) != int(r.nextID) || len(tr.depth) != int(r.nextID) {
-		return fmt.Errorf("%d parent links and %d depths for ids below %d", len(tr.parent), len(tr.depth), r.nextID)
+	if len(tr.parent) != int(r.nextID) || len(tr.depth) != int(r.nextID) || tr.express.Len() != int(r.nextID) {
+		return fmt.Errorf("%d parent links, %d depths and %d express links for ids below %d",
+			len(tr.parent), len(tr.depth), tr.express.Len(), r.nextID)
 	}
 	for id := NodeID(0); id < r.nextID; id++ {
-		var parent NodeID
+		var parent, express NodeID
 		depth := 0
 		if n, live := r.nodes[id]; live {
 			parent = n.parent
 			for p := parent; p != InvalidNode; p = r.nodes[p].parent {
 				depth++
 			}
+			for p, d := parent, depth-1; p != InvalidNode && express == InvalidNode; p, d = r.nodes[p].parent, d-1 {
+				if d%expressStride == 0 {
+					express = p
+				}
+			}
 		}
-		if tr.parent[id] != parent || int(tr.depth[id]) != depth {
-			return fmt.Errorf("id %d: parent %d at depth %d, the model says parent %d at depth %d",
-				id, tr.parent[id], tr.depth[id], parent, depth)
+		if tr.parent[id] != parent || int(tr.depth[id]) != depth || *tr.express.At(id) != express || tr.Express(id) != express {
+			return fmt.Errorf("id %d: parent %d at depth %d with express link %d, the model says parent %d at depth %d with link %d",
+				id, tr.parent[id], tr.depth[id], *tr.express.At(id), parent, depth, express)
 		}
 	}
 	return nil
+}
+
+// linked reports whether some node's express link is a stop below the root:
+// a history under which none is has not tested the links.
+func linked(tr *Tree) bool {
+	for id := range tr.All() {
+		if r := tr.Express(id); r != InvalidNode && r != tr.Root() {
+			return true
+		}
+	}
+	return false
 }
 
 func TestTreeMatchesMapModel(t *testing.T) {
@@ -197,19 +215,25 @@ func TestTreeMatchesMapModel(t *testing.T) {
 }
 
 // replayAgainstModel applies one seeded history to a tree and to the model.
-// The mix leans toward growth early and toward removal late, so histories
-// visit both wide nodes and long runs of swap-removes.
+// It opens with a spine two and a half strides deep, so that what follows
+// splits, cuts and re-depths subtrees that hang off express stops below the
+// root; then the mix leans toward growth early and toward removal late, so
+// histories visit both wide nodes and long runs of swap-removes.
 func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssigner) {
-	const steps = 400
+	const steps, spine = 400, 5 * expressStride / 2
 	rng := rand.New(rand.NewSource(seed))
 	tr, root := New(WithPortAssigner(assigner(seed)))
 	ref := newRefTree(assigner(seed))
+	everLinked := false
 	for step := 0; step < steps; step++ {
 		nodes := tr.Nodes()
 		id := nodes[rng.Intn(len(nodes))]
 		op := rng.Intn(4)
 		if step > steps/2 && rng.Intn(3) == 0 {
 			op = 1 + 2*rng.Intn(2) // a removal
+		}
+		if step < spine {
+			id, op = NodeID(tr.EverExisted()), 0 // a leaf under the last one
 		}
 		var err error
 		switch {
@@ -238,6 +262,10 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 		if err := ref.checkDense(tr); err != nil {
 			t.Fatalf("seed %d step %d: after op %d at %d: %v", seed, step, op, id, err)
 		}
+		everLinked = everLinked || step > spine && op >= 2 && linked(tr)
+	}
+	if !everLinked {
+		t.Fatalf("seed %d: no subtree moved a level while a node hung off an express stop below the root", seed)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)

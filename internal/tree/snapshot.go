@@ -94,6 +94,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 		depth:  make([]int32, s.NextID),
 	}
 	r.nodes.Grow(int(s.NextID))
+	r.express.Grow(int(s.NextID))
 	for _, ns := range s.Nodes {
 		if !inRange(ns.ID) {
 			return fmt.Errorf("restore: node id %d outside 1..%d: %w", ns.ID, s.NextID-1, ErrNoSuchNode)
@@ -129,7 +130,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 	if p := r.parent[s.Root]; p != InvalidNode {
 		return fmt.Errorf("restore: root %d has parent %d", s.Root, p)
 	}
-	// Recompute depths and slots and check reachability before committing.
+	// Recompute depths, express links and slots and check reachability
+	// before committing.
 	seen := 0
 	stack := []NodeID{s.Root}
 	for len(stack) > 0 {
@@ -148,6 +150,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 				return fmt.Errorf("restore: child %d of %d has parent %d", cid, id, r.parent[cid])
 			}
 			r.depth[cid] = r.depth[id] + 1
+			*r.express.At(cid) = r.expressVia(id)
 			c.slot = i
 			stack = append(stack, cid)
 		}
@@ -156,7 +159,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(s.Nodes))
 	}
 
-	t.nodes, t.parent, t.depth = r.nodes, r.parent, r.depth
+	t.nodes, t.parent, t.depth, t.express = r.nodes, r.parent, r.depth, r.express
+	t.expressEpoch++
 	t.view = portView{} // it points into the table just replaced
 	t.live = len(s.Nodes)
 	t.root = s.Root

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 )
 
@@ -59,18 +60,35 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 	return out
 }
 
+// Subtree visits head and its descendants, every node before its children,
+// over the stack the tree keeps, so a walk allocates nothing; an id that is
+// not in the tree heads no subtree. The loop body may read the tree and must
+// neither change it nor start a second walk.
+func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		if t.get(head) == nil {
+			return
+		}
+		stack := append(t.stack[:0], head)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = append(stack[:len(stack)-1], t.nodes.At(id).children...)
+			if !yield(id) {
+				break
+			}
+		}
+		t.stack = stack[:0]
+	}
+}
+
 // SubtreeSize returns the number of live nodes in the subtree rooted at id.
 func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 	if t.get(id) == nil {
 		return 0, fmt.Errorf("subtree size of %d: %w", id, ErrNoSuchNode)
 	}
 	count := 0
-	stack := []NodeID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for range t.Subtree(id) {
 		count++
-		stack = append(stack, t.nodes.At(cur).children...)
 	}
 	return count, nil
 }

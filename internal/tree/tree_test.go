@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -268,10 +269,6 @@ func TestClimb(t *testing.T) {
 	}
 	sib := mustAddLeaf(t, tr, a)
 
-	type visit struct {
-		id   NodeID
-		dist int
-	}
 	climb := func(u, stopAt NodeID) (seen []visit, at NodeID, dist int) {
 		t.Helper()
 		at, dist, err := tr.Climb(u, func(id NodeID, d int) bool {
@@ -339,21 +336,118 @@ func TestClimb(t *testing.T) {
 		// it unmarked, and the climb passes it on the way to a.
 		{"marks shorter than the id space", marks(a, mid, b)[:mid], InvalidNode, []visit{{b, 0}, {a, 2}}, root, 3},
 	} {
-		var seen []visit
-		at, dist, err := tr.ClimbMarked(b, tc.marks, func(id NodeID, d int) bool {
-			seen = append(seen, visit{id, d})
-			return id == tc.stopAt
-		})
-		if err != nil || at != tc.at || dist != tc.dist || !reflect.DeepEqual(seen, tc.want) {
-			t.Fatalf("%s: ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), want %v ending at %d after %d",
-				tc.name, b, seen, at, dist, err, tc.want, tc.at, tc.dist)
+		// Hop by hop, then with the block counts: every node here hangs off
+		// the root, so a climb with no mark ahead is one jump.
+		for _, blocks := range [][]int32{nil, blockCounts(tr, tc.marks)} {
+			var seen []visit
+			at, dist, err := tr.ClimbMarked(b, tc.marks, blocks, func(id NodeID, d int) bool {
+				seen = append(seen, visit{id, d})
+				return id == tc.stopAt
+			})
+			if err != nil || at != tc.at || dist != tc.dist || !reflect.DeepEqual(seen, tc.want) {
+				t.Fatalf("%s (blocks %v): ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), want %v ending at %d after %d",
+					tc.name, blocks, b, seen, at, dist, err, tc.want, tc.at, tc.dist)
+			}
 		}
 	}
 	if mid <= b || mid <= a {
 		t.Fatalf("ids a=%d b=%d mid=%d: the short-marks case needs mid to be the largest", a, b, mid)
 	}
-	if _, _, err := tr.ClimbMarked(99, marks(), func(NodeID, int) bool { return true }); !errors.Is(err, ErrNoSuchNode) {
+	if _, _, err := tr.ClimbMarked(99, marks(), nil, func(NodeID, int) bool { return true }); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("ClimbMarked(unknown) err = %v, want ErrNoSuchNode", err)
+	}
+}
+
+// visit is one call of a climb's visitor.
+type visit struct {
+	id   NodeID
+	dist int
+}
+
+// blockCounts counts, for every express stop, the marked ids whose link it
+// is: what a caller of ClimbMarked keeps beside its marks.
+func blockCounts(tr *Tree, marks []uint64) []int32 {
+	blocks := make([]int32, tr.EverExisted()+1)
+	for id, m := range marks {
+		if m != 0 {
+			blocks[tr.Express(NodeID(id))]++
+		}
+	}
+	return blocks
+}
+
+// TestClimbMarkedJumpsWhereBlocksAreClean holds the climb over the express
+// links to the hop-by-hop one, from every node of a path of five strides with
+// a bushy random tree grown and churned on it, under marks of three
+// densities: same visits at the same distances, same end. Beside the exact
+// counts it runs counts that are too high, which may only cost hops, and the
+// exact ones cut off behind the last stop that counts a mark, which is as
+// much as a caller need keep.
+func TestClimbMarkedJumpsWhereBlocksAreClean(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		tr := randomScenario(seed, 300)
+		tip := tr.Root()
+		for i := 0; i < 5*expressStride+3; i++ {
+			tip = mustAddLeaf(t, tr, tip)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 200; i++ {
+			nodes := tr.Nodes()
+			mustAddLeaf(t, tr, nodes[rng.Intn(len(nodes))])
+			if id := nodes[rng.Intn(len(nodes))]; id != tr.Root() && i%3 == 0 {
+				if _, err := tr.ApplyAddInternal(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, oneIn := range []int{2, 24, 1 << 20} {
+			marks := make([]uint64, tr.EverExisted()+1)
+			for id := range marks {
+				if rng.Intn(oneIn) == 0 {
+					marks[id] = 1
+				}
+			}
+			exact := blockCounts(tr, marks)
+			loose := slices.Clone(exact)
+			for r := range loose {
+				loose[r] += int32(rng.Intn(2))
+			}
+			short := exact[:0]
+			for r, n := range exact {
+				if n != 0 {
+					short = exact[:r+1]
+				}
+			}
+			jumped := false
+			for u := range tr.All() {
+				stopAfter := rng.Intn(4)
+				climb := func(blocks []int32) (seen []visit, at NodeID, dist int) {
+					at, dist, err := tr.ClimbMarked(u, marks, blocks, func(id NodeID, d int) bool {
+						seen = append(seen, visit{id, d})
+						return len(seen) > stopAfter
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return seen, at, dist
+				}
+				want, wantAt, wantDist := climb(nil)
+				for name, blocks := range map[string][]int32{"exact": exact, "loose": loose, "short": short} {
+					got, at, dist := climb(blocks)
+					if at != wantAt || dist != wantDist || !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d, one mark in %d, %s counts: ClimbMarked(%d) visited %v and ended at %d after %d hops, hop by hop it visits %v and ends at %d after %d",
+							seed, oneIn, name, u, got, at, dist, want, wantAt, wantDist)
+					}
+				}
+				jumped = jumped || exact[tr.Express(u)] == 0 && tr.depth[u]-tr.depth[tr.Express(u)] > 1
+			}
+			if !jumped && oneIn > 2 {
+				t.Fatalf("seed %d, one mark in %d: no climb starts below a clean block of two hops or more", seed, oneIn)
+			}
+		}
 	}
 }
 
