@@ -1,8 +1,8 @@
 // Command dynctrld runs the network-facing admission-control daemon: a TCP
 // server exposing the (M,W)-Controller's Submit/grant/reject semantics over
-// the internal/wire protocol, backed by the batching pipeline, with an
-// optional paranoid mode that re-checks every served request against the
-// paper's invariants via internal/oracle.
+// the internal/wire protocol, one lock per tenant around its controller,
+// with an optional paranoid mode that re-checks every served request
+// against the paper's invariants via internal/oracle.
 //
 // Usage:
 //
@@ -38,7 +38,7 @@
 // summed across restarts) and exits nonzero on any violation.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully — in-flight batches are
-// answered before the pipelines shut down — then prints a final accounting
+// answered before the tenants close — then prints a final accounting
 // line. The exit status is nonzero if paranoid mode recorded any oracle
 // violation.
 package main
@@ -115,8 +115,6 @@ func main() {
 	m := flag.Int64("m", 1_000_000, "permit bound M of the admission contract")
 	w := flag.Int64("w", 500_000, "waste bound W of the admission contract")
 	paranoid := flag.Bool("paranoid", false, "re-check every served request with the internal/oracle invariant checkers")
-	maxBatch := flag.Int("max-batch", 0, "pipeline combining bound (0 = default)")
-	readBatch := flag.Int("read-batch", 0, "per-connection read-coalescing bound in requests (0 = default)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain bound")
 	idleTimeout := flag.Duration("idle-timeout", 0, "per-connection idle read deadline, re-armed before every frame (0 disables; dribbling peers are reaped after this long without a complete frame)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables durability and boot-time recovery")
@@ -147,8 +145,6 @@ func main() {
 		M:           *m,
 		W:           *w,
 		Paranoid:    *paranoid,
-		MaxBatch:    *maxBatch,
-		ReadBatch:   *readBatch,
 		IdleTimeout: *idleTimeout,
 	}
 	cfg.WALDir = *walDir

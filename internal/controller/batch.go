@@ -14,7 +14,8 @@ type BatchResult struct {
 
 // BatchSubmitter is implemented by every controller that can answer a whole
 // batch of requests in one call with serial-equivalent semantics. The
-// pipeline (package pipeline) drives its batches through this interface.
+// pipeline (package pipeline) and the daemon's tenants (internal/server)
+// drive their batches through this interface.
 type BatchSubmitter interface {
 	// SubmitBatch answers the requests in order, appending one BatchResult
 	// per request to out (allocating when out lacks capacity) and returning

@@ -5,7 +5,7 @@
 // The daemon serves batches, so the unit of observation is the read batch:
 // every coalesced run of Submit frames a connection takes off its socket
 // becomes one BatchTrace with a per-stage duration breakdown (frame
-// decode, pipeline queue wait, controller execute, WAL append→durable,
+// decode, wait for the tenant's lock, controller execute, WAL append→durable,
 // Results write) plus controller-work tags (batch size, controller moves,
 // reject-wave membership). Traces land in a fixed-size lock-free
 // ring (most-recent-N) and a small bounded top-K (slowest-N), and every
@@ -33,16 +33,16 @@ import (
 // Stage identifies one segment of a batch's server-side lifecycle.
 type Stage uint8
 
-// The stages of one read batch, in pipeline order. StageTotal is the
+// The stages of one read batch, in serving order. StageTotal is the
 // whole-batch wall time (first frame decoded to Results flushed) and is
 // tracked as its own histogram row, not stored in BatchTrace.Stages.
 const (
 	// StageDecode is frame decode and read-batch assembly: from the first
 	// frame of the batch arriving to the last buffered frame decoded.
 	StageDecode Stage = iota
-	// StageQueue is the pipeline wait: enqueue until the flat-combining
-	// leader starts executing this run (includes waiting behind other
-	// batches in the same combining cycle).
+	// StageQueue is the wait for the tenant's lock: from the run being
+	// ready until the controller starts on it (other connections' runs, a
+	// scrape or a checkpoint capture hold the lock meanwhile).
 	StageQueue
 	// StageExecute is the controller executing exactly this run's requests.
 	StageExecute
@@ -342,7 +342,8 @@ func digest(h *hdr.Histogram) LatencyStats {
 }
 
 // Recorder is a mutex-guarded duration histogram for single-distribution
-// observations off the batch path (pipeline combining cycles, WAL fsyncs).
+// observations off the batch path (a run's hold of its tenant's lock, WAL
+// fsyncs).
 // Nil receivers no-op.
 type Recorder struct {
 	mu sync.Mutex

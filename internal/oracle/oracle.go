@@ -256,6 +256,17 @@ func (o *Oracle) Submit(req controller.Request) (controller.Grant, error) {
 	return g, nil
 }
 
+// SubmitBatch implements controller.BatchSubmitter one request at a time:
+// every check needs the state its own request left, so the oracle never
+// hands the target a batch.
+func (o *Oracle) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
+	for _, req := range reqs {
+		g, err := o.Submit(req)
+		out = append(out, controller.BatchResult{Grant: g, Err: err})
+	}
+	return out
+}
+
 // Granted returns the number of grants the oracle observed.
 func (o *Oracle) Granted() int64 { return o.granted }
 

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +129,59 @@ func TestOracleCatchesIllegalRejects(t *testing.T) {
 	}
 	if !hasViolation(vs, "reject-finality") {
 		t.Fatalf("grant after reject not flagged: %v", vs)
+	}
+}
+
+// TestSubmitBatchIsTheSerialLoop: a batch through the oracle is its requests
+// through Submit one by one, on a healthy controller that runs into its
+// reject wave and on a stub that breaks two invariants mid-batch: the same
+// results, the same tallies, the same violations at the same request indices.
+func TestSubmitBatchIsTheSerialLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target func(*tree.Tree) oracle.Target
+	}{
+		{"centralized", func(tr *tree.Tree) oracle.Target { return controller.NewDynamic(tr, 20, 5) }},
+		{"early rejecter", func(*tree.Tree) oracle.Target { return &earlyRejecter{} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trSerial, trBatch := buildTree(t, 8, 3), buildTree(t, 8, 3)
+			serial := oracle.Wrap(tc.target(trSerial), trSerial, 20, 5)
+			batch := oracle.Wrap(tc.target(trBatch), trBatch, 20, 5)
+			reqs := make([]controller.Request, 40)
+			for i := range reqs {
+				reqs[i] = controller.Request{Node: trSerial.Root(), Kind: tree.None}
+			}
+			reqs[7].Node = 1 << 20 // no such node: an error result mid-batch
+
+			var want []controller.BatchResult
+			for _, req := range reqs {
+				g, err := serial.Submit(req)
+				want = append(want, controller.BatchResult{Grant: g, Err: err})
+			}
+			got := batch.SubmitBatch(reqs[:16], nil)
+			got = batch.SubmitBatch(reqs[16:], got)
+			if len(got) != len(want) {
+				t.Fatalf("%d results, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Grant != want[i].Grant || (got[i].Err == nil) != (want[i].Err == nil) {
+					t.Errorf("request %d: batch answered %+v, serial %+v", i, got[i], want[i])
+				}
+			}
+			if batch.Granted() != serial.Granted() || batch.Rejected() != serial.Rejected() ||
+				batch.Errors() != serial.Errors() || batch.Submitted() != serial.Submitted() {
+				t.Errorf("tallies differ: batch %d/%d/%d/%d, serial %d/%d/%d/%d",
+					batch.Granted(), batch.Rejected(), batch.Errors(), batch.Submitted(),
+					serial.Granted(), serial.Rejected(), serial.Errors(), serial.Submitted())
+			}
+			if g, w := batch.Finish(), serial.Finish(); !slices.Equal(g, w) {
+				t.Errorf("violations differ:\nbatch  %v\nserial %v", g, w)
+			}
+			if serial.Rejected() == 0 {
+				t.Fatal("the trace was meant to reach rejects")
+			}
+		})
 	}
 }
 

@@ -12,10 +12,10 @@
 // the buffer to the active segment and fsyncs once per wakeup, covering
 // every batch appended since the previous fsync. Callers that must not
 // release a result before it is durable block in WaitDurable(ticket) — the
-// dynctrld server does exactly that between running a SubmitMany batch
-// through the controller and writing its Results frame, so the pipeline
-// keeps combining batches while earlier batches ride out their fsync (at
-// most one fsync per SubmitMany run, usually far fewer).
+// dynctrld server does exactly that between running a read batch through
+// the controller and writing its Results frames, so other connections'
+// batches are decided while earlier ones ride out their fsync (at most one
+// fsync per run, usually far fewer).
 //
 // # Recovery
 //
@@ -469,7 +469,7 @@ func (e *Engine) syncLoop() {
 		// coalesce naturally, but a batch decided just *after* a sync wave
 		// started would otherwise get a whole fsync to itself. Yield the
 		// scheduler until appends go quiet (or the window expires) so the
-		// pipeline can finish deciding the batches already racing toward
+		// server can finish deciding the batches already racing toward
 		// the log and one fsync covers them all. Yielding instead of
 		// sleeping matters: timer wakeups have ~millisecond granularity
 		// under load, several times the fsync itself.

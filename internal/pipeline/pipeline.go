@@ -38,35 +38,18 @@ var ErrClosed = errors.New("pipeline: closed")
 // WithMaxBatch.
 const DefaultMaxBatch = 1024
 
-// Runner is one unit of work the batch leader executes on its caller's
-// behalf. Run is invoked exactly once, by whichever goroutine leads the
-// cycle, never concurrently with another Run of the same pipeline; whatever
-// it stores in its receiver is published to the goroutine blocked in Do by
-// the completion handoff. The pipeline carries the caller's run without
-// looking inside it, so anything the backend learns about the run (a
-// durability ticket, timings) travels back as the Runner's own fields.
-type Runner interface{ Run() }
-
-// call is one queued run and its completion signal. Do queues the caller's
-// Runner; Submit and SubmitMany queue the pooled call itself, whose Run
-// drives the pipeline's BatchSubmitter. Single-request submissions ride in
-// the call's inline buffers; SubmitMany attaches the caller's slices
-// directly (the leader writes results into them, the channel handoff
-// publishes the writes).
+// call is one queued run and its completion signal. Single-request
+// submissions ride in the call's inline buffers; SubmitMany attaches the
+// caller's slices directly (the leader writes results into them, the
+// channel handoff publishes the writes).
 type call struct {
-	run  Runner
-	n    int // requests the run carries (cycle sizing and stats)
 	done chan struct{}
 
-	sub     controller.BatchSubmitter
 	reqs    []controller.Request
 	results []controller.BatchResult
 	req1    [1]controller.Request
 	res1    [1]controller.BatchResult
 }
-
-// Run implements Runner for Submit and SubmitMany.
-func (c *call) Run() { c.results = c.sub.SubmitBatch(c.reqs, c.results) }
 
 var callPool = sync.Pool{
 	New: func() any { return &call{done: make(chan struct{}, 1)} },
@@ -134,8 +117,7 @@ func WithCycleHook(fn func(calls, requests int, dur time.Duration)) Option {
 	return func(p *Pipeline) { p.cycleHook = fn }
 }
 
-// New builds a pipeline over the given batch-capable controller. sub may be
-// nil for a pipeline whose every run enters through Do.
+// New builds a pipeline over the given batch-capable controller.
 func New(sub controller.BatchSubmitter, opts ...Option) *Pipeline {
 	p := &Pipeline{sub: sub, maxBatch: DefaultMaxBatch}
 	for _, opt := range opts {
@@ -149,9 +131,9 @@ func New(sub controller.BatchSubmitter, opts ...Option) *Pipeline {
 func (p *Pipeline) Submit(req controller.Request) (controller.Grant, error) {
 	c := callPool.Get().(*call)
 	c.req1[0] = req
-	c.sub, c.reqs, c.results = p.sub, c.req1[:], c.res1[:0]
+	c.reqs, c.results = c.req1[:], c.res1[:0]
 	defer c.release()
-	if err := p.enqueue(c, c, 1); err != nil {
+	if err := p.enqueue(c); err != nil {
 		return controller.Grant{}, err
 	}
 	return c.results[0].Grant, c.results[0].Err
@@ -168,43 +150,30 @@ func (p *Pipeline) SubmitMany(reqs []controller.Request, out []controller.BatchR
 		return out, nil
 	}
 	c := callPool.Get().(*call)
-	c.sub, c.reqs, c.results = p.sub, reqs, out
+	c.reqs, c.results = reqs, out
 	defer c.release()
-	if err := p.enqueue(c, c, len(reqs)); err != nil {
+	if err := p.enqueue(c); err != nil {
 		return out, err
 	}
 	return c.results, nil
 }
 
-// Do enqueues r as one run of n requests and blocks until the batch leader
-// has executed r.Run, or fails with ErrClosed without running it. Like a
-// SubmitMany run it is executed as a unit, in queue order, under the same
-// one-leader-at-a-time guarantee; n only sizes combining cycles and feeds
-// Stats. Do allocates nothing, so a connection can push one reusable run
-// value through it for its whole life.
-func (p *Pipeline) Do(n int, r Runner) error {
-	c := callPool.Get().(*call)
-	defer c.release()
-	return p.enqueue(c, r, n)
-}
-
 // release returns c to the pool without retaining caller-owned values.
 func (c *call) release() {
-	c.run, c.sub, c.reqs, c.results = nil, nil, nil, nil
+	c.reqs, c.results = nil, nil
 	callPool.Put(c)
 }
 
-// enqueue queues r on c, leads the queue if no leader is active, and waits
-// for the run to complete.
-func (p *Pipeline) enqueue(c *call, r Runner, n int) error {
-	c.run, c.n = r, n
+// enqueue queues c, leads the queue if no leader is active, and waits for
+// the run to complete.
+func (p *Pipeline) enqueue(c *call) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
 	p.stats.Calls++
-	p.stats.Requests += int64(n)
+	p.stats.Requests += int64(len(c.reqs))
 	p.queue = append(p.queue, c)
 	if p.leading {
 		// A leader is active and will pick this call up.
@@ -225,7 +194,7 @@ func (p *Pipeline) lead() {
 	for len(p.queue) > 0 {
 		taken, reqs := 0, 0
 		for taken < len(p.queue) && (taken == 0 || reqs < p.maxBatch) {
-			reqs += p.queue[taken].n
+			reqs += len(p.queue[taken].reqs)
 			taken++
 		}
 		p.batch = append(p.batch[:0], p.queue[:taken]...)
@@ -245,7 +214,7 @@ func (p *Pipeline) lead() {
 			cycleStart = time.Now()
 		}
 		for _, c := range p.batch {
-			c.run.Run()
+			c.results = p.sub.SubmitBatch(c.reqs, c.results)
 			c.done <- struct{}{}
 		}
 		if p.cycleHook != nil {

@@ -13,24 +13,12 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/obs"
-	"dynctrl/internal/pipeline"
 	"dynctrl/internal/wire"
 )
 
-// connRun is the unit that flows through the serving stack: one read
-// batch's requests going in, its results and the tenant's receipt coming
-// back. Each connection owns exactly one and reuses it for every batch; the
-// pipeline leader fills it (Run) and the completion handoff publishes it to
-// the connection's goroutine, so nothing about a run is ever looked up.
-type connRun struct {
-	tn      *tenant
-	reqs    []controller.Request
-	results []controller.BatchResult
-	rcpt    receipt
-}
-
-// Run implements pipeline.Runner.
-func (r *connRun) Run() { r.results, r.rcpt = r.tn.submit(r.reqs, r.results[:0]) }
+// readBatch bounds how many requests one connection coalesces from its
+// socket buffer into a single run.
+const readBatch = 4096
 
 // srvConn is one accepted wire-protocol connection, bound to a single
 // tenant namespace by the handshake.
@@ -52,9 +40,11 @@ type srvConn struct {
 	sub       wire.Submit
 	ids       []uint64 // one per Submit frame of the current read batch
 	counts    []int    // requests carried by each of those frames
-	run       connRun
-	wbuf      []byte
-	wres      []wire.Result
+	// reqs is the read batch, one run for tenant.submit; results its answers.
+	reqs    []controller.Request
+	results []controller.BatchResult
+	wbuf    []byte
+	wres    []wire.Result
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
@@ -173,7 +163,6 @@ func (c *srvConn) handshake() bool {
 		return false
 	}
 	c.tn = tn
-	c.run.tn = tn
 	// Joining the tenant's set and writing Welcome are one step under the
 	// write lock: the reject wave writes to every connection in the set,
 	// and a wave frame that overtook the Welcome fails the peer's handshake.
@@ -201,15 +190,15 @@ func (c *srvConn) handshake() bool {
 
 // loop is the request loop with read-batching: each wakeup takes the frame
 // that unblocked the read plus every complete Submit frame already sitting
-// in the socket buffer (up to ReadBatch requests), answers them all through
-// one pipeline run, then writes one Results frame per Submit. It returns
-// when the peer can no longer be read from or written to.
+// in the socket buffer (up to readBatch requests), answers them all through
+// one tenant.submit run, then writes one Results frame per Submit. It
+// returns when the peer can no longer be read from or written to.
 func (c *srvConn) loop() {
-	tn, run := c.tn, &c.run
+	tn := c.tn
 	idle := c.s.cfg.IdleTimeout
 	tracer := tn.tracer
 	for {
-		c.ids, c.counts, run.reqs = c.ids[:0], c.counts[:0], run.reqs[:0]
+		c.ids, c.counts, c.reqs, c.results = c.ids[:0], c.counts[:0], c.reqs[:0], c.results[:0]
 
 		// Rolling idle deadline, re-armed per frame: any complete frame
 		// resets the clock, but a peer that dribbles bytes (or nothing)
@@ -239,13 +228,13 @@ func (c *srvConn) loop() {
 		if !c.ingest(ft, p) {
 			return
 		}
-		for len(run.reqs) < c.s.cfg.ReadBatch && c.completeFrameBuffered() {
+		for len(c.reqs) < readBatch && c.completeFrameBuffered() {
 			ft, p, err := wire.ReadFrame(c.br, &c.rbuf)
 			if err != nil || !c.ingest(ft, p) {
 				return
 			}
 		}
-		if len(run.reqs) == 0 {
+		if len(c.reqs) == 0 {
 			// Empty Submit frames still get their (empty) Results reply:
 			// every submitted id is answered, always.
 			if _, _, _, err := c.accountAndReply(); err != nil {
@@ -254,7 +243,7 @@ func (c *srvConn) loop() {
 			continue
 		}
 
-		n := int64(len(run.reqs))
+		n := int64(len(c.reqs))
 		tn.readBatches.Add(1)
 		tn.readReqs.Add(n)
 		storeMax(&tn.maxRead, n)
@@ -266,30 +255,23 @@ func (c *srvConn) loop() {
 			submitStart = time.Now()
 			bt.Stages[obs.StageDecode] = submitStart.Sub(bt.Start)
 		}
-		if err := tn.pl.Do(len(run.reqs), run); err != nil {
-			// pipeline.ErrClosed — admitted after the drain began: answer
-			// everything with the shutdown code so the client can tell
-			// these were not served.
-			run.results, run.rcpt = run.results[:0], receipt{}
-			for range run.reqs {
-				run.results = append(run.results, controller.BatchResult{Err: err})
-			}
-		}
+		var rc receipt
+		c.results, rc = tn.submit(c.reqs, c.results)
 		submitWall := time.Duration(0)
 		if bt != nil {
 			submitWall = time.Since(submitStart)
 		}
 
 		// Group commit: results may not reach the wire before this batch's
-		// WAL records are fsynced. The pipeline keeps driving other batches
-		// while we ride out the fsync. A missing ticket is only legal when
+		// WAL records are fsynced. Other connections' runs execute while
+		// this one rides out the fsync. A missing ticket is only legal when
 		// the run decided nothing (shutdown/dead-WAL error results) — with
 		// any successful result it means the durability chain broke, and
 		// the connection dies rather than reply early.
 		var walWait time.Duration
 		if eng := tn.eng; eng != nil {
-			if !run.rcpt.hasTicket {
-				for _, br := range run.results {
+			if !rc.hasTicket {
+				for _, br := range c.results {
 					if br.Err == nil {
 						c.fail(wire.CodeProtocol, "wal: decided batch has no durability ticket")
 						return
@@ -297,7 +279,7 @@ func (c *srvConn) loop() {
 				}
 			} else {
 				waitStart := time.Now() // two clock reads are noise next to an fsync
-				if werr := eng.WaitDurable(run.rcpt.ticket); werr != nil {
+				if werr := eng.WaitDurable(rc.ticket); werr != nil {
 					c.fail(wire.CodeProtocol, fmt.Sprintf("wal: %v", werr))
 					return
 				}
@@ -306,21 +288,28 @@ func (c *srvConn) loop() {
 		}
 
 		grants, rejects, errCount, err := c.accountAndReply()
+		// The run that decided the tenant's first reject announces the wave
+		// to every connection bound to it, behind its own verdicts. The wave
+		// is the tenant's, so it runs even when this peer could not be told
+		// them.
+		if rc.wave {
+			tn.broadcastRejectWave(rc.granted)
+		}
 		if err != nil {
 			return
 		}
 
 		if bt != nil {
-			// The pipeline wait is what is left of the run's wall time
+			// The wait for tenant.mu is what is left of the run's wall time
 			// once its own execute and WAL-append work is taken out.
-			rc := run.rcpt
+			tn.combine.Record(rc.exec + rc.walAppend)
 			bt.Stages[obs.StageQueue] = max(submitWall-rc.exec-rc.walAppend, 0)
 			bt.Stages[obs.StageExecute] = rc.exec
 			bt.Stages[obs.StageWAL] = rc.walAppend + walWait
 			bt.Total = time.Since(bt.Start)
 			bt.Stages[obs.StageWrite] = max(bt.Total-bt.Stages[obs.StageDecode]-submitWall-walWait, 0)
 			bt.Frames = len(c.ids)
-			bt.Requests = len(run.reqs)
+			bt.Requests = len(c.reqs)
 			bt.Grants, bt.Rejects, bt.Errors = grants, rejects, errCount
 			bt.Moves = rc.moves
 			bt.Wave = rejects > 0
@@ -355,7 +344,7 @@ func (c *srvConn) ingest(ft wire.FrameType, p []byte) bool {
 	c.ids = append(c.ids, c.sub.ID)
 	c.counts = append(c.counts, len(c.sub.Reqs))
 	for _, r := range c.sub.Reqs {
-		c.run.reqs = append(c.run.reqs, controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child})
+		c.reqs = append(c.reqs, controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child})
 	}
 	return true
 }
@@ -375,6 +364,23 @@ func (c *srvConn) completeFrameBuffered() bool {
 	return c.br.Buffered() >= 4+n
 }
 
+// resultCode is the wire code a request's outcome is answered with (the
+// reply loop calls it for errors only: a verdict's code is CodeOK).
+func resultCode(err error) uint8 {
+	switch {
+	case err == nil:
+		return wire.CodeOK
+	case errors.Is(err, errShutdown):
+		return wire.CodeShutdown
+	case errors.Is(err, controller.ErrTerminated):
+		return wire.CodeTerminated
+	case errors.Is(err, errWALUnavailable):
+		return wire.CodeInternal
+	default:
+		return wire.CodeBadRequest
+	}
+}
+
 // accountAndReply updates the bound tenant's wire-level tallies, writes one
 // Results frame per submitted frame of the current read batch in order, and
 // returns the batch's verdict tallies. The tallies are published before the
@@ -382,7 +388,7 @@ func (c *srvConn) completeFrameBuffered() bool {
 // write error means the peer can no longer be answered and ends the serve
 // loop.
 func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
-	results := c.run.results
+	results := c.results
 	buf := c.wbuf[:0]
 	off := 0
 	for i, id := range c.ids {
@@ -390,8 +396,10 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 		res := c.wres[:0]
 		for _, br := range results[off : off+n] {
 			var r wire.Result
-			switch {
-			case br.Err == nil:
+			if br.Err != nil {
+				r.Code = resultCode(br.Err)
+				errs++
+			} else {
 				r = wire.Result{
 					Outcome: uint8(br.Grant.Outcome),
 					Code:    wire.CodeOK,
@@ -404,18 +412,6 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 				case controller.Rejected:
 					rejects++
 				}
-			case errors.Is(br.Err, pipeline.ErrClosed):
-				r = wire.Result{Code: wire.CodeShutdown}
-				errs++
-			case errors.Is(br.Err, controller.ErrTerminated):
-				r = wire.Result{Code: wire.CodeTerminated}
-				errs++
-			case errors.Is(br.Err, errWALUnavailable):
-				r = wire.Result{Code: wire.CodeInternal}
-				errs++
-			default:
-				r = wire.Result{Code: wire.CodeBadRequest}
-				errs++
 			}
 			res = append(res, r)
 		}
@@ -433,13 +429,6 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 
 	if err = c.send(buf); err != nil {
 		c.s.logger.Debug("results write failed", "remote", c.remote, "tenant", tn.name, "err", err)
-	}
-
-	// First reject observed on the wire for this tenant: announce the wave
-	// to every connection bound to it. The wave is the tenant's, so it runs
-	// even when this peer could not be told its own verdicts.
-	if rejects > 0 && tn.rejectWave.CompareAndSwap(false, true) {
-		tn.broadcastRejectWave()
 	}
 	return grants, rejects, errs, err
 }

@@ -94,7 +94,7 @@ func TestRejectWaveRacesHandshakes(t *testing.T) {
 	if !rejected {
 		t.Fatal("contract M=4 never rejected")
 	}
-	if !s.defaultTenant().rejectWave.Load() {
+	if !s.defaultTenant().engineView().waved {
 		t.Fatal("reject wave never fired")
 	}
 	if v := s.Violations(); len(v) != 0 {
@@ -128,9 +128,7 @@ func TestRejectWaveWaitsForWelcome(t *testing.T) {
 	var once sync.Once
 	logger := slog.New(waveOnBound{fire: func() {
 		once.Do(func() {
-			tn := s.defaultTenant()
-			tn.rejectWave.Store(true)
-			go tn.broadcastRejectWave()
+			go s.defaultTenant().broadcastRejectWave(0)
 			time.Sleep(50 * time.Millisecond)
 		})
 	}})
@@ -166,7 +164,7 @@ func (c *brokenWriteConn) Write(p []byte) (int, error) {
 // written the peer can no longer be answered, so the serve loop must end
 // there — not go on to read, execute and grant permits for it. Before the
 // single send helper the write error was discarded and the second batch
-// below reached the pipeline.
+// below reached the controller.
 func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
 	s := startServer(t, Config{Topology: spec, Seed: 1, M: 100, W: 10})
@@ -206,9 +204,9 @@ func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	peer.Write(wire.AppendSubmit(nil, 2, reqs))            //nolint:errcheck
 
 	waitLifecycle(t, s, "serve loop exit", func(open, _, _ int64) bool { return open == 0 })
-	if ps := s.PipelineStatsForTests(); ps.Calls != 1 || ps.Requests != 1 {
-		t.Fatalf("pipeline saw %d calls / %d requests, want exactly the one batch read before the write failed",
-			ps.Calls, ps.Requests)
+	if runs, reqs := s.RunStatsForTests(); runs != 1 || reqs != 1 {
+		t.Fatalf("the tenant executed %d runs / %d requests, want exactly the one batch read before the write failed",
+			runs, reqs)
 	}
 	// Accounting order is tallies-before-write: the executed batch is
 	// counted even though its answer was lost.

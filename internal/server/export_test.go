@@ -4,14 +4,13 @@ import (
 	"context"
 
 	"dynctrl/internal/persist"
-	"dynctrl/internal/pipeline"
 )
 
 // CrashForTests simulates a kill -9 for the recovery tests: listeners and
-// connections are cut, in-flight batches are drained out of the pipelines
-// (their clients may or may not have seen the replies — exactly the crash
-// ambiguity), and every tenant's WAL engine is abandoned without a final
-// checkpoint, dropping anything not yet fsynced.
+// connections are cut, the serve goroutines run out (their clients may or
+// may not have seen the replies — exactly the crash ambiguity), and every
+// tenant's WAL engine is abandoned without a final checkpoint, dropping
+// anything not yet fsynced.
 func (s *Server) CrashForTests() {
 	s.mu.Lock()
 	s.closed = true
@@ -28,9 +27,7 @@ func (s *Server) CrashForTests() {
 	}
 	s.wg.Wait()
 	for _, name := range s.order {
-		tn := s.tenants[name]
-		tn.pl.Close()
-		if tn.eng != nil {
+		if tn := s.tenants[name]; tn.eng != nil {
 			tn.eng.Abandon()
 		}
 	}
@@ -46,11 +43,18 @@ func (s *Server) ControllerGranted() int64 {
 
 // TenantControllerGranted exposes the named tenant's controller grant
 // total for tests.
-func (s *Server) TenantControllerGranted(name string) int64 {
+func (s *Server) TenantControllerGranted(name string) (granted int64) {
 	tn := s.tenants[name]
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
-	return tn.ctl.Granted()
+	tn.locked(func() { granted = tn.ctl.Granted() })
+	return granted
+}
+
+// locked runs fn holding the tenant's lock: the tests' one way to engine
+// state that engineView does not carry.
+func (t *tenant) locked(fn func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fn()
 }
 
 // ShutdownGraceful is a test convenience wrapper.
@@ -69,8 +73,12 @@ func (s *Server) EngineStatsForTests() (st persist.Stats) {
 // tenant's boot replayed (and verified) through its controller.
 func (s *Server) RecoveredEffectsForTests() int { return s.defaultTenant().recoveredEffects }
 
-// PipelineStatsForTests samples the first tenant's pipeline counters.
-func (s *Server) PipelineStatsForTests() pipeline.Stats { return s.defaultTenant().pl.Stats() }
+// RunStatsForTests samples the first tenant's (runs executed, requests they
+// carried).
+func (s *Server) RunStatsForTests() (runs, reqs int64) {
+	ev := s.defaultTenant().engineView()
+	return ev.runs, ev.runReqs
+}
 
 // ReadBatchStatsForTests returns the first tenant's (readBatches,
 // readReqs, maxRead).

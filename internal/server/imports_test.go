@@ -8,15 +8,18 @@ import (
 )
 
 // TestServingPathImportsNoSimulator: the daemon serves with the
-// centralized engine, so nothing it links — the non-test import closure of
-// cmd/dynctrld, what `go list -deps ./cmd/dynctrld` prints — may be the
-// message-passing engine, the simulator it runs over or the fault proxy.
+// centralized engine under one lock per tenant, so nothing it links — the
+// non-test import closure of cmd/dynctrld, what `go list -deps
+// ./cmd/dynctrld` prints — may be the message-passing engine, the simulator
+// it runs over, the fault proxy or the library's combining pipeline (a
+// second exclusion around the engine).
 func TestServingPathImportsNoSimulator(t *testing.T) {
 	const module = "dynctrl/"
 	banned := map[string]bool{
 		module + "internal/sim":      true,
 		module + "internal/dist":     true,
 		module + "internal/faultnet": true,
+		module + "internal/pipeline": true,
 	}
 	// via[p] is the package that first pulled p in.
 	via := map[string]string{module + "cmd/dynctrld": ""}

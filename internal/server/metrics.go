@@ -29,10 +29,10 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		grants += tn.grants.Load()
 		rejects += tn.rejects.Load()
 		errs += tn.errs.Load()
-		violations += int64(views[i].violations)
+		violations += int64(len(views[i].violations))
 		connsOpen += tn.connsOpen.Load()
 		connsTotal += tn.connsTotal.Load()
-		wave = wave || tn.rejectWave.Load()
+		wave = wave || views[i].waved
 		wal = wal || tn.eng != nil
 	}
 	uptime, startTime := 0.0, 0.0
@@ -83,7 +83,6 @@ func b2i(b bool) int {
 func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	base := `{tenant="` + obs.EscapeLabel(tn.name) + `"`
 	l := base + "}"
-	ps := tn.pl.Stats()
 
 	d.Gauge("dynctrld_tenant_m", "Tenant admission contract: maximum permits M.", l, tn.cfg.M)
 	d.Gauge("dynctrld_tenant_w", "Tenant admission contract: guaranteed grants W.", l, tn.cfg.W)
@@ -109,8 +108,8 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	d.Counter("dynctrld_tenant_grants_total", "Grant verdicts written to the wire for this tenant.", l, tn.grants.Load())
 	d.Counter("dynctrld_tenant_rejects_total", "Reject verdicts written to the wire for this tenant.", l, tn.rejects.Load())
 	d.Counter("dynctrld_tenant_errors_total", "Per-request errors written to the wire for this tenant.", l, tn.errs.Load())
-	d.Gauge("dynctrld_tenant_reject_wave", "1 once this tenant's reject wave has fired.", l, b2i(tn.rejectWave.Load()))
-	d.Gauge("dynctrld_tenant_reject_wave_granted", "Grant count announced by this tenant's reject wave.", l, tn.waveGranted.Load())
+	d.Gauge("dynctrld_tenant_reject_wave", "1 once this tenant's reject wave has fired.", l, b2i(ev.waved))
+	d.Gauge("dynctrld_tenant_reject_wave_granted", "Grant count announced by this tenant's reject wave.", l, ev.waveGranted)
 
 	d.Gauge("dynctrld_tenant_connections_open", "Currently bound wire connections.", l, tn.connsOpen.Load())
 	d.Counter("dynctrld_tenant_connections_total", "Wire connections ever bound to this tenant.", l, tn.connsTotal.Load())
@@ -119,9 +118,9 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	d.Counter("dynctrld_tenant_read_batches_total", "Read batches coalesced from connection sockets.", l, tn.readBatches.Load())
 	d.Counter("dynctrld_tenant_read_batch_requests_total", "Requests carried by those read batches.", l, tn.readReqs.Load())
 	d.Gauge("dynctrld_tenant_read_batch_max", "Largest read batch observed.", l, tn.maxRead.Load())
-	d.Counter("dynctrld_tenant_pipeline_batches_total", "Flat-combining leadership cycles driven.", l, ps.Batches)
-	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests driven through the pipeline.", l, ps.Requests)
-	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest combining cycle observed (requests).", l, ps.MaxBatch)
+	d.Counter("dynctrld_tenant_pipeline_batches_total", "Runs executed under the tenant's lock, one per read batch.", l, ev.runs)
+	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests those runs carried, as of the same instant as the ctl_ counters.", l, ev.runReqs)
+	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest run executed (requests).", l, ev.maxRun)
 
 	d.Counter("dynctrld_tenant_moves_total", "Controller moves: edges crossed by packages, graceful deletions and wave sweeps (Section 3's move complexity).", l, ev.moves)
 	d.Counter("dynctrld_tenant_ctl_grants_total", "Grants decided by the controller core.", l, ev.grants)
@@ -129,7 +128,7 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	d.Counter("dynctrld_tenant_topo_changes_total", "Topology changes applied to the tenant's tree.", l, ev.topoChanges)
 	d.Gauge("dynctrld_tenant_tree_nodes", "Current tree size (nodes).", l, ev.nodes)
 	d.Gauge("dynctrld_tenant_tree_height", "Current tree height.", l, ev.height)
-	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, ev.violations)
+	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(ev.violations))
 
 	if tn.tracer != nil {
 		d.Counter("dynctrld_tenant_traces_total", "Batch traces recorded by the tenant's tracer.", l, tn.tracer.Recorded())
@@ -139,7 +138,7 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 			stageFam.AddSummary(base+`,stage="`+st.Stage+`"`, st.LatencyStats)
 		}
 		d.Family("dynctrld_tenant_combine_seconds", "summary",
-			"Flat-combining leadership cycle duration, seconds.").AddSummary(base, tn.combine.Stats())
+			"Time a run holds the tenant's lock: execute plus WAL append, seconds.").AddSummary(base, tn.combine.Stats())
 		if tn.fsync != nil {
 			d.Family("dynctrld_tenant_fsync_seconds", "summary",
 				"WAL group-commit fsync wave duration, seconds.").AddSummary(base, tn.fsync.Stats())

@@ -137,7 +137,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 		Name:     "default",
 		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
 		Seed:     1, M: 10, W: 1,
-	}, Config{ReadBatch: 1})
+	}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 // tree and stats seen from the daemon: the tree and the controller's counters
 // have no lock of their own, so the scrape's read of the engine state (size,
 // height, the four counters, the oracle's violations) must sit under
-// tenant.mu like every other access. Two connections grow the tree (every
+// tenant.mu like every other access. Eight connections grow the tree (every
 // request adds a leaf, so the depth slice Height scans is reallocated many
 // times over, and every grant is three counter adds) while /metricsz is
 // rendered in a loop; under -race a bare read of tn.tr.Size(), Height() or
@@ -379,7 +379,10 @@ func TestScrapeUnderLoad(t *testing.T) {
 // prefix of the runs decided, and, the engine being read at one instant,
 // exactly as many nodes above the initial 16 as topological changes counted.
 // Reading the counter at one instant and the tree at a later one shows more
-// nodes than changes whenever a run lands between the two.
+// nodes than changes whenever a run lands between the two. The run tallies
+// are of that instant too: the load has no errors, so the requests the runs
+// carried are the controller's grants plus its rejects on every scrape (a
+// tally kept outside tenant.mu is ahead by the runs waiting for the lock).
 func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "balanced", Nodes: 16}
 	s := startServer(t, Config{Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29})
@@ -389,10 +392,10 @@ func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 	}
 	nodes := tr.Nodes()
 
-	const perConn = 4096
+	const conns, perConn = 8, 1024
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g := 0; g < conns; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -447,9 +450,16 @@ func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 			t.Fatalf("one scrape reads tree_nodes %d and topo_changes_total %d over %d initial nodes: not one instant",
 				n, changes, len(nodes))
 		}
+		reqs := sample(buf.String(), "dynctrld_tenant_pipeline_requests_total")
+		grants := sample(buf.String(), "dynctrld_tenant_ctl_grants_total")
+		rejects := sample(buf.String(), "dynctrld_tenant_ctl_rejects_total")
+		if reqs != grants+rejects {
+			t.Fatalf("one scrape reads pipeline_requests_total %d and ctl grants %d + rejects %d: not one instant",
+				reqs, grants, rejects)
+		}
 		last = n
 	}
-	if want := len(nodes) + 2*perConn; last != want {
+	if want := len(nodes) + conns*perConn; last != want {
 		t.Errorf("tree_nodes %d after every add-leaf was granted, want %d", last, want)
 	}
 }

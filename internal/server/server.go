@@ -5,8 +5,8 @@
 //
 // Every tenant namespace owns a complete, private admission stack — tree,
 // centralized unknown-U controller (Section 3 of the paper; one process
-// holds the whole tree, so no move needs a message), batching pipeline, and
-// (with durability enabled) its own WAL+snapshot directory — so the
+// holds the whole tree, so no move needs a message), and (with durability
+// enabled) its own WAL+snapshot directory — so the
 // paper's safety invariant (at most M permits granted, ever) is enforced
 // per tenant across all of that tenant's connections, and no tenant's
 // traffic can move another tenant's verdicts, counters, or recovery
@@ -17,18 +17,20 @@
 // daemon configured without explicit tenants serves the single
 // wire.DefaultTenant namespace, which is the pre-tenancy behavior.
 //
-// Two layers of batching amortize the protocol overhead under load: each
+// The controller serves one request at a time (Section 3: one agent per
+// request), and a tenant says so with one mutex, tenant.mu: each
 // connection coalesces the frames already buffered on its socket into one
-// pipeline run (read-batching), and each tenant's pipeline combines
-// runs from all of that tenant's connections into controller batches
-// (flat combining).
+// run (read-batching, which amortizes the protocol overhead under load) and
+// executes it on its own goroutine under that lock (tenant.submit). Nothing
+// else queues, combines or hands a run over; a scrape, a checkpoint and the
+// drain take the same lock.
 //
 // With a WAL root configured (Config.WALDir) the daemon is durable: each
 // tenant logs to its own subdirectory (WALDir/<tenant>), every decided
 // batch is appended to that tenant's internal/persist write-ahead log,
 // and a connection's Results frame is not written until the batch's
-// records are fsynced — group commit, at most one fsync per pipeline
-// run, usually amortized over many concurrent runs. On boot each tenant
+// records are fsynced — group commit, at most one fsync per run, usually
+// amortized over many concurrent runs. On boot each tenant
 // recovers independently: the latest snapshot is restored, the WAL tail
 // is replayed (and verified) through a rebuilt controller, and the
 // incarnation counter is bumped and surfaced in the Welcome frame and on
@@ -45,7 +47,8 @@
 // per tenant ({tenant="name"} suffixes). The field-by-field reference
 // lives in docs/OPERATIONS.md. Shutdown is graceful: the listener closes,
 // connection read sides close, in-flight batches are drained and
-// answered, and only then do the tenants' pipelines shut down.
+// answered, and only then do the tenants refuse (wire.CodeShutdown),
+// checkpoint and close.
 package server
 
 import (
@@ -65,10 +68,6 @@ import (
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/workload"
 )
-
-// DefaultReadBatch bounds how many requests one connection coalesces from
-// its socket buffer into a single pipeline run.
-const DefaultReadBatch = 4096
 
 // Config describes one daemon instance.
 type Config struct {
@@ -94,12 +93,6 @@ type Config struct {
 	// invariant checkers: every request served over the wire is re-checked
 	// against that tenant's (M,W) contract.
 	Paranoid bool
-
-	// MaxBatch bounds the pipelines' combining cycles (0 = pipeline
-	// default); ReadBatch bounds per-connection read coalescing (0 =
-	// DefaultReadBatch).
-	MaxBatch  int
-	ReadBatch int
 
 	// IdleTimeout, when positive, arms a rolling read deadline on every
 	// bound connection: each frame must complete within IdleTimeout of
@@ -186,9 +179,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	if cfg.ReadBatch < 1 {
-		cfg.ReadBatch = DefaultReadBatch
-	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
 	}
@@ -221,9 +211,7 @@ func New(cfg Config) (*Server, error) {
 // closeTenants tears down the stacks built so far (boot-failure path).
 func (s *Server) closeTenants() {
 	for _, name := range s.order {
-		tn := s.tenants[name]
-		tn.pl.Close()
-		if tn.eng != nil {
+		if tn := s.tenants[name]; tn.eng != nil {
 			tn.eng.Close()
 		}
 	}
@@ -373,9 +361,10 @@ func (s *Server) removeConn(c *srvConn) {
 
 // Shutdown drains the server gracefully: stop accepting, close connection
 // read sides (in-flight batches still get their responses), wait for the
-// handlers, then close every tenant's pipeline and run its oracle's
-// end-of-run checks. The context bounds the drain; on expiry remaining
-// connections are cut.
+// handlers, then have every tenant refuse what might still come
+// (errShutdown), run its oracle's end-of-run checks and write its final
+// checkpoint, all in one hold of its lock. The context bounds the drain; on
+// expiry remaining connections are cut.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -412,8 +401,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	for _, name := range s.order {
 		tn := s.tenants[name]
-		tn.pl.Close()
 		tn.mu.Lock()
+		tn.refuse = errShutdown
 		if tn.orc != nil {
 			tn.orc.Finish()
 		}
@@ -452,12 +441,10 @@ func (s *Server) Violations() []oracle.Violation {
 // not paranoid or unknown).
 func (s *Server) TenantViolations(name string) []oracle.Violation {
 	tn := s.tenants[name]
-	if tn == nil || tn.orc == nil {
+	if tn == nil {
 		return nil
 	}
-	tn.mu.Lock()
-	defer tn.mu.Unlock()
-	return append([]oracle.Violation(nil), tn.orc.Violations()...)
+	return tn.engineView().violations
 }
 
 // Accounting returns the wire-level tallies summed over all tenants:

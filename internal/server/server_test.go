@@ -8,12 +8,14 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
+	"dynctrl/internal/persist"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
@@ -297,9 +299,7 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 		t.Fatalf("honest engine flagged: %v", v)
 	}
 	tn := s.defaultTenant()
-	tn.mu.Lock()
-	tn.ctrs.Add(stats.CounterMoves, 100_000)
-	tn.mu.Unlock()
+	tn.locked(func() { tn.ctrs.Add(stats.CounterMoves, 100_000) })
 	submit()
 	v := s.Violations()
 	if len(v) != 1 || v[0].Invariant != "message-budget" {
@@ -385,5 +385,76 @@ func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("client goroutine hung after shutdown")
 		}
+	}
+}
+
+// TestRefusingTenantDecidesNothing: once a tenant refuses, because the drain
+// is over or because its WAL broke, every request of a run is answered with
+// the refusal's wire code and the run touches nothing: not the controller,
+// not its counters, not the run tallies, not the WAL, and its receipt holds
+// no ticket to wait on. A served run before the refusal shows the same
+// comparison does see a run that decides.
+func TestRefusingTenantDecidesNothing(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "balanced", Nodes: 8}
+	for _, tc := range []struct {
+		name   string
+		refuse func(*Server, *tenant)
+		want   error
+		code   uint8
+	}{
+		{"drained", func(s *Server, _ *tenant) {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+		}, errShutdown, wire.CodeShutdown},
+		{"wal unavailable", func(_ *Server, tn *tenant) {
+			tn.locked(func() { tn.refuse = errWALUnavailable })
+		}, errWALUnavailable, wire.CodeInternal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true, WALDir: t.TempDir(), CommitWindow: -1})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer s.closeTenants()
+			tn := s.defaultTenant()
+			type state struct {
+				view    engineView
+				granted int64
+				wal     persist.Stats
+			}
+			read := func() state {
+				return state{tn.engineView(), s.ControllerGranted(), tn.eng.StatsSnapshot()}
+			}
+			reqs := []controller.Request{
+				{Node: tn.tr.Root(), Kind: tree.None},
+				{Node: tn.tr.Root(), Kind: tree.AddLeaf},
+				{Node: tn.tr.Root(), Kind: tree.None},
+			}
+
+			fresh := read()
+			out, rc := tn.submit(reqs, nil)
+			if served := read(); len(out) != len(reqs) || !rc.hasTicket || reflect.DeepEqual(fresh, served) {
+				t.Fatalf("a served run: %d results, receipt %+v, state %+v", len(out), rc, served)
+			}
+
+			tc.refuse(s, tn)
+			before := read()
+			out, rc = tn.submit(reqs, out[:0])
+			if len(out) != len(reqs) {
+				t.Fatalf("%d results for %d requests", len(out), len(reqs))
+			}
+			for i, br := range out {
+				if !errors.Is(br.Err, tc.want) || resultCode(br.Err) != tc.code {
+					t.Errorf("request %d: err %v (wire code %d), want %v (wire code %d)", i, br.Err, resultCode(br.Err), tc.want, tc.code)
+				}
+			}
+			if rc != (receipt{}) {
+				t.Errorf("a run that decided nothing has receipt %+v", rc)
+			}
+			if after := read(); !reflect.DeepEqual(before, after) {
+				t.Errorf("a refused run moved the tenant:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
 	}
 }

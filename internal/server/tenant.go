@@ -15,7 +15,6 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/persist"
-	"dynctrl/internal/pipeline"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
@@ -57,42 +56,57 @@ func tenantConfigs(cfg Config) []TenantConfig {
 
 // tenant is one namespace's private admission stack plus its wire-level
 // accounting. Nothing in here is shared between tenants: the tree, the
-// controller, the pipeline, the WAL engine, the oracle and every counter
-// are per-namespace, which is what the cross-tenant isolation oracle
+// controller, the WAL engine, the oracle and every counter are
+// per-namespace, which is what the cross-tenant isolation oracle
 // (oracle.CheckTenantIsolation) relies on.
 type tenant struct {
 	name    string
 	cfg     TenantConfig
-	pl      *pipeline.Pipeline
 	logger  *slog.Logger
 	topoSig uint64
 
-	// mu owns the engine: the tree, the controller, its counters, the
-	// oracle and the dead flag have no lock of their own (packages tree and
-	// stats, Ownership), so whoever holds mu owns them and nothing touches
-	// them without. The pipeline leader is the only submitter; what mu
-	// orders is a run's execution with its WAL append (log order is
-	// execution order), the checkpoint's capture of tree, controller and
-	// counters (never mid-run), the reject wave's read of the final grant
-	// total, and the scrape's one read of the engine (engineView).
+	// mu is the tenant's one exclusion, and it owns the engine: the tree,
+	// the controller, its counters, the oracle, the refusal and the run
+	// tallies have no lock of their own (packages tree and stats,
+	// Ownership), so whoever holds mu owns them and nothing touches them
+	// without. The paper's controller serves one request at a time (Section
+	// 3); mu is where the daemon says so. Every connection's serve loop
+	// calls submit, which holds mu for the run's execution with its WAL
+	// append (log order is execution order) and, on the first reject, the
+	// read of the final grant total; the checkpoint captures tree,
+	// controller and counters under it (never mid-run); the scrape reads
+	// the engine once under it (engineView); the drain sets the refusal
+	// under it.
 	mu sync.Mutex
 	tr *tree.Tree
 	// ctl is the engine: the centralized unknown-U controller of Section 3,
 	// whose cost is the move counter in ctrs.
 	ctl  *controller.Dynamic
 	ctrs *stats.Counters
-	orc  *oracle.Oracle // non-nil in paranoid mode; ctl goes through it
-	// dead is set when the WAL can no longer accept records: from then on
-	// batches are refused *before* touching the controller, because a
-	// grant that cannot be logged would burn the permit budget against a
-	// state no recovery can ever reconstruct.
-	dead bool
+	orc  *oracle.Oracle // non-nil in paranoid mode
+	// sub is what submit drives: ctl, or in paranoid mode orc around it.
+	sub controller.BatchSubmitter
+	// refuse, once set, answers every request of every run *before* it
+	// touches the controller: errWALUnavailable when the WAL can no longer
+	// accept records (a grant that cannot be logged would burn the permit
+	// budget against a state no recovery can ever reconstruct), errShutdown
+	// from the end of the drain on (Shutdown sets it in the hold of mu that
+	// writes the final checkpoint, so that checkpoint is the last word).
+	refuse error
+	// waved is set, with the controller's then final grant total, by the run
+	// that decides this incarnation's first reject.
+	waved       bool
+	waveGranted int64
+	// runs, runReqs and maxRun count what submit executed: runs, the
+	// requests they carried and the largest one.
+	runs, runReqs int64
+	maxRun        int
 
 	// Durability engine state (nil/zero without a WAL). submit appends
 	// every decided batch under mu and triggers background checkpoints; it
 	// does NOT wait for the fsync (connections do that before replying), so
-	// the pipeline keeps combining batches while earlier batches ride out
-	// their group commit.
+	// other connections' runs execute while earlier ones ride out their
+	// group commit.
 	eng              *persist.Engine
 	incarnation      uint64
 	recoveredEffects int
@@ -114,12 +128,10 @@ type tenant struct {
 	maxRead                    atomic.Int64
 	connsOpen, connsTotal      atomic.Int64
 	idleTimeouts               atomic.Int64
-	rejectWave                 atomic.Bool
-	waveGranted                atomic.Int64
 
 	// Observability (all nil when Config.TraceRing < 0): the batch-trace
-	// ring + per-stage histograms, the pipeline combining-cycle recorder
-	// and the WAL fsync-wave recorder.
+	// ring + per-stage histograms, the recorder of a run's time under mu
+	// (execute plus WAL append) and the WAL fsync-wave recorder.
 	tracer  *obs.Tracer
 	combine *obs.Recorder
 	fsync   *obs.Recorder
@@ -133,30 +145,44 @@ type tenant struct {
 // WAL append time under mu; and, with tracing on, the run's controller
 // execution time and move count. A ticketless receipt with
 // successful results is a broken durability invariant, never permission to
-// reply early — it is legitimate only for runs that decided nothing.
+// reply early — it is legitimate only for runs that decided nothing. The
+// one run that decides the tenant's first reject also carries the reject
+// wave: wave is set and granted is the controller's grant total, final from
+// that reject on.
 type receipt struct {
 	ticket    uint64
 	hasTicket bool
 	exec      time.Duration
 	walAppend time.Duration
 	moves     int64
+	wave      bool
+	granted   int64
 }
 
-// errWALUnavailable answers requests once the WAL has permanently failed.
-var errWALUnavailable = errors.New("server: wal unavailable")
+// What a refusing tenant answers with: errWALUnavailable once the WAL has
+// permanently failed (wire.CodeInternal), errShutdown once the drain is
+// over (wire.CodeShutdown).
+var (
+	errWALUnavailable = errors.New("server: wal unavailable")
+	errShutdown       = errors.New("server: shut down")
+)
 
 // submit drives one run through the controller (and the oracle and WAL,
-// when configured), appending one result per request to out.
+// when configured), appending one result per request to out. It is the
+// serving path's only way to the engine, from any connection's goroutine.
 func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, receipt) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var rc receipt
-	if t.dead {
+	if t.refuse != nil {
 		for range reqs {
-			out = append(out, controller.BatchResult{Err: errWALUnavailable})
+			out = append(out, controller.BatchResult{Err: t.refuse})
 		}
 		return out, rc
 	}
+	t.runs++
+	t.runReqs += int64(len(reqs))
+	t.maxRun = max(t.maxRun, len(reqs))
 	var execStart time.Time
 	var movesBefore int64
 	traced := t.tracer != nil
@@ -165,24 +191,22 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 		execStart = time.Now()
 	}
 	base := len(out)
-	if t.orc == nil {
-		out = t.ctl.SubmitBatch(reqs, out)
-	} else {
-		for _, req := range reqs {
-			gr, err := t.orc.Submit(req)
-			out = append(out, controller.BatchResult{Grant: gr, Err: err})
-		}
-	}
+	rejectsBefore := t.ctrs.Get(stats.CounterRejects)
+	out = t.sub.SubmitBatch(reqs, out)
 	if traced {
 		rc.exec = time.Since(execStart)
 		rc.moves = t.ctrs.Get(stats.CounterMoves) - movesBefore
+	}
+	if !t.waved && t.ctrs.Get(stats.CounterRejects) > rejectsBefore {
+		t.waved, t.waveGranted = true, t.ctl.Granted()
+		rc.wave, rc.granted = true, t.waveGranted
 	}
 	if t.eng != nil {
 		walStart := time.Now()
 		ticket, err := t.eng.AppendEffects(reqs, out[base:])
 		rc.walAppend = time.Since(walStart)
 		if err != nil {
-			t.dead = true
+			t.refuse = errWALUnavailable
 			t.logger.Warn("wal append failed, refusing further admissions", "tenant", t.name, "err", err)
 		} else {
 			rc.ticket, rc.hasTicket = ticket, true
@@ -287,6 +311,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		}
 	}
 
+	tn.sub = tn.ctl // the recovered controller, when there was history
 	if cfg.Paranoid {
 		// Seed the oracle with the recovered totals — and every serial the
 		// retained history ever granted — so the safety counter and serial
@@ -304,20 +329,8 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		tn.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
 			oracle.WithMessages(func() int64 { return ctrs.Get(stats.CounterMoves) }),
 			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
+		tn.sub = tn.orc
 	}
-	var opts []pipeline.Option
-	if cfg.MaxBatch > 0 {
-		opts = append(opts, pipeline.WithMaxBatch(cfg.MaxBatch))
-	}
-	if traced {
-		opts = append(opts, pipeline.WithCycleHook(func(_, _ int, d time.Duration) {
-			tn.combine.Record(d)
-		}))
-	}
-	// Every run enters through Do carrying its connection's connRun, whose
-	// Run calls submit: the pipeline has no submitter of its own to go
-	// around mu with.
-	tn.pl = pipeline.New(nil, opts...)
 	return tn, nil
 }
 
@@ -326,7 +339,11 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 type engineView struct {
 	nodes, height                       int
 	moves, grants, rejects, topoChanges int64 // the controller's own counters
-	violations                          int   // the oracle's; 0 when not paranoid
+	runs, runReqs                       int64 // what submit executed
+	maxRun                              int
+	waved                               bool // the first reject is decided
+	waveGranted                         int64
+	violations                          []oracle.Violation // a copy; nil when not paranoid
 }
 
 // engineView reads the engine for the scrape, which waits here for the run
@@ -343,9 +360,14 @@ func (t *tenant) engineView() engineView {
 		grants:      t.ctrs.Get(stats.CounterGrants),
 		rejects:     t.ctrs.Get(stats.CounterRejects),
 		topoChanges: t.ctrs.Get(stats.CounterTopoChanges),
+		runs:        t.runs,
+		runReqs:     t.runReqs,
+		maxRun:      t.maxRun,
+		waved:       t.waved,
+		waveGranted: t.waveGranted,
 	}
 	if t.orc != nil {
-		v.violations = len(t.orc.Violations())
+		v.violations = slices.Clone(t.orc.Violations())
 	}
 	return v
 }
@@ -384,16 +406,13 @@ func (t *tenant) unbind(c *srvConn) {
 
 // broadcastRejectWave pushes a RejectWave frame to every connection bound
 // to t and logs the wave completion to t's WAL. Called at most once per
-// tenant, by whichever connection observed the first reject. The grant
-// total it announces is the controller's, which is final once it rejects —
-// the wire tally lags it by whatever other connections have decided but not
-// yet answered. A peer the wave cannot be written to can no longer be
-// answered at all, so its connection is cut and its serve loop drains out.
-func (t *tenant) broadcastRejectWave() {
-	t.mu.Lock()
-	granted := t.ctl.Granted()
-	t.mu.Unlock()
-	t.waveGranted.Store(granted)
+// tenant, by the connection whose run decided the first reject. The grant
+// total it announces is the controller's as that run read it (its
+// receipt), which is final once it rejects — the wire tally lags it by
+// whatever other connections have decided but not yet answered. A peer the
+// wave cannot be written to can no longer be answered at all, so its
+// connection is cut and its serve loop drains out.
+func (t *tenant) broadcastRejectWave(granted int64) {
 	if t.eng != nil {
 		if _, err := t.eng.AppendWave(granted); err != nil {
 			t.logger.Warn("wal wave append failed", "tenant", t.name, "err", err)

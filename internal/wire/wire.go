@@ -139,7 +139,7 @@ func (t FrameType) String() string {
 const (
 	// CodeOK: the request was answered; Outcome/Serial/NewNode are valid.
 	CodeOK uint8 = 0
-	// CodeShutdown: the server is draining; the request was not admitted.
+	// CodeShutdown: the tenant has drained; the request was not decided.
 	CodeShutdown uint8 = 1
 	// CodeTerminated: a terminating controller has terminated.
 	CodeTerminated uint8 = 2
