@@ -125,12 +125,15 @@ func NewControllerWithCounters(tr *Tree, rt Runtime, m, w int64, c *Counters) *C
 	return dist.NewDynamic(tr, rt, m, w, false, c)
 }
 
-// Pipeline is the concurrent batched submission front-end: requests
-// arriving from many goroutines are coalesced into batches and driven
-// through the controller so that one filler-search climb/descent wave is
-// amortized across a whole batch instead of per request. Grant/reject
-// semantics — and the safety invariant that at most M permits are ever
-// granted — are exactly those of the serial Submit loop on the same trace.
+// Pipeline lets many goroutines share one controller. The controller
+// serves one request at a time and has no lock of its own; Pipeline is that
+// lock. Submit and SubmitMany run one after the other, each run answered in
+// order, so grant/reject semantics, and the safety invariant that at most M
+// permits are ever granted, are exactly those of a serial Submit loop over
+// the order in which the callers got the lock. A SubmitMany run costs less
+// per request than a loop of Submits: the controller answers it on its
+// batch path, where a request whose node holds a static package moves no
+// message, and the lock is taken once for the run.
 //
 //	ctl := dynctrl.NewController(tr, rt, 1_000_000, 50_000)
 //	pl := dynctrl.NewPipeline(ctl)
@@ -139,26 +142,20 @@ func NewControllerWithCounters(tr *Tree, rt Runtime, m, w int64, c *Counters) *C
 //	// barrier: wait until everything submitted so far has been answered
 //	pl.Flush()
 //
-// See Pipeline.Submit, Pipeline.Flush, Pipeline.Close and Pipeline.Stats.
+// See Pipeline.Submit, Pipeline.SubmitMany, Pipeline.Flush, Pipeline.Close
+// and Pipeline.Stats.
 type Pipeline = pipeline.Pipeline
-
-// PipelineOption configures a Pipeline (see WithMaxBatch).
-type PipelineOption = pipeline.Option
-
-// WithMaxBatch bounds the number of requests one pipeline batch may carry
-// (default pipeline.DefaultMaxBatch).
-func WithMaxBatch(n int) PipelineOption { return pipeline.WithMaxBatch(n) }
 
 // BatchSubmitter is a controller that can answer a whole batch of requests
 // with serial-equivalent semantics. The distributed Controller and the
 // centralized cores implement it.
 type BatchSubmitter = controller.BatchSubmitter
 
-// NewPipeline builds a concurrent batched submission pipeline over the
-// given controller. The controller must no longer be driven directly while
-// the pipeline is in use (the pipeline serializes all access to it).
-func NewPipeline(ctl BatchSubmitter, opts ...PipelineOption) *Pipeline {
-	return pipeline.New(ctl, opts...)
+// NewPipeline builds a pipeline over the given controller. The controller
+// must no longer be driven directly while the pipeline is in use (the
+// pipeline serializes all access to it).
+func NewPipeline(ctl BatchSubmitter) *Pipeline {
+	return pipeline.New(ctl)
 }
 
 // ErrPipelineClosed is the sentinel returned by Pipeline.Submit and

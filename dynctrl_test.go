@@ -213,7 +213,7 @@ func TestPublicPipeline(t *testing.T) {
 	tr, root := dynctrl.NewTree()
 	rt := dynctrl.NewRuntime(7)
 	ctl := dynctrl.NewController(tr, rt, 500, 100)
-	pl := dynctrl.NewPipeline(ctl, dynctrl.WithMaxBatch(32))
+	pl := dynctrl.NewPipeline(ctl)
 
 	done := make(chan error, 4)
 	for i := 0; i < 4; i++ {

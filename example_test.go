@@ -12,7 +12,7 @@ import (
 
 // ExampleNewPipeline builds the in-process admission stack — tree,
 // deterministic runtime, distributed (M,W)-Controller — and drives it
-// through the concurrent batched pipeline.
+// through the pipeline, the lock concurrent callers share it under.
 func ExampleNewPipeline() {
 	tr, root := dynctrl.NewTree()
 	rt := dynctrl.NewRuntime(42)

@@ -49,7 +49,7 @@ func (t *Trivial) Counters() *stats.Counters { return t.counters }
 // Granted returns the number of permits granted.
 func (t *Trivial) Granted() int64 { return t.granted }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	if t.rejected || t.granted >= t.m {
 		if !t.rejected {
@@ -169,7 +169,7 @@ func (g *GrowOnly) ruler(d int) int {
 // capacity returns the permit capacity of a level-i bin.
 func (g *GrowOnly) capacity(level int) int64 { return g.phi << uint(level) }
 
-// Submit implements workload.Submitter for grow-only traces.
+// Submit implements controller.Submitter for grow-only traces.
 func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
 	if req.Kind != tree.None && req.Kind != tree.AddLeaf {
 		return controller.Grant{}, ErrUnsupportedChange
@@ -323,7 +323,7 @@ func (it *GrowOnlyIterated) Counters() *stats.Counters { return it.counters }
 // Granted returns the total permits granted.
 func (it *GrowOnlyIterated) Granted() int64 { return it.granted }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (it *GrowOnlyIterated) Submit(req controller.Request) (controller.Grant, error) {
 	if it.rejected {
 		it.counters.Inc(stats.CounterRejects)

@@ -212,7 +212,7 @@ func (c *Client) RejectWaveSeen() bool { return c.waveSeen.Load() }
 func (c *Client) RejectWaveGranted() int64 { return c.waveGranted.Load() }
 
 // Submit sends one request and blocks until its verdict is in. It
-// implements workload.Submitter and oracle.Target.
+// implements controller.Submitter.
 func (c *Client) Submit(req controller.Request) (controller.Grant, error) {
 	var one [1]controller.Request
 	var res [1]controller.BatchResult

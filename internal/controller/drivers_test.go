@@ -11,7 +11,7 @@ import (
 	"dynctrl/internal/workload"
 )
 
-func drainUntilReject(t *testing.T, sub workload.Submitter, gen workload.Generator, cap int) (granted, rejected int) {
+func drainUntilReject(t *testing.T, sub ctl.Submitter, gen workload.Generator, cap int) (granted, rejected int) {
 	t.Helper()
 	for i := 0; i < cap; i++ {
 		req, ok := gen.Next()

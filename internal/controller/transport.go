@@ -9,7 +9,9 @@ import (
 
 // Submitter answers one request at a time. A fixed-U core is one (its
 // Submit is the full Protocol GrantOrReject, the slow path of a batch), and
-// so is every driver stacked on it.
+// so is every driver stacked on it; above the drivers it is what the
+// workload runners, the oracle, WAL replay, the wire client, the baselines
+// and the Section 5 applications drive or are.
 type Submitter interface {
 	Submit(req Request) (Grant, error)
 }

@@ -157,7 +157,7 @@ func (e *Estimator) RequestChange(req controller.Request) (controller.Grant, err
 	return e.epochs.Submit(req)
 }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (e *Estimator) Submit(req controller.Request) (controller.Grant, error) {
 	return e.RequestChange(req)
 }

@@ -31,7 +31,7 @@ func buildTree(n int, seed int64) *tree.Tree {
 	return tr
 }
 
-func drain(sub workload.Submitter, gen workload.Generator, maxReq int) (granted, rejected int) {
+func drain(sub controller.Submitter, gen workload.Generator, maxReq int) (granted, rejected int) {
 	for i := 0; i < maxReq; i++ {
 		req, ok := gen.Next()
 		if !ok {

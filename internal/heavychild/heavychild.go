@@ -142,7 +142,7 @@ func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant,
 	return g, nil
 }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (d *Decomposition) Submit(req controller.Request) (controller.Grant, error) {
 	return d.RequestChange(req)
 }

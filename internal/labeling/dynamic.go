@@ -90,7 +90,7 @@ func (d *Dynamic) RequestChange(req controller.Request) (controller.Grant, error
 	return g, nil
 }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (d *Dynamic) Submit(req controller.Request) (controller.Grant, error) {
 	return d.RequestChange(req)
 }

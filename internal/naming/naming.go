@@ -100,7 +100,7 @@ func (nm *Naming) RequestChange(req controller.Request) (controller.Grant, error
 	return g, err
 }
 
-// Submit implements workload.Submitter.
+// Submit implements controller.Submitter.
 func (nm *Naming) Submit(req controller.Request) (controller.Grant, error) {
 	return nm.RequestChange(req)
 }

@@ -70,22 +70,18 @@ func TestCheckCrossIncarnationsForkedHistory(t *testing.T) {
 	}
 }
 
-// alwaysGrant grants every request (with a serial when Serial is set).
-type alwaysGrant struct{ serial int64 }
+// alwaysGrant grants every request.
+type alwaysGrant struct{}
 
-func (s *alwaysGrant) Submit(controller.Request) (controller.Grant, error) {
-	g := controller.Grant{Outcome: controller.Granted, Serial: s.serial}
-	if s.serial != 0 {
-		s.serial++
-	}
-	return g, nil
+func (alwaysGrant) Submit(controller.Request) (controller.Grant, error) {
+	return controller.Grant{Outcome: controller.Granted}, nil
 }
 
 func TestWithBaselineResumesSafetyCounter(t *testing.T) {
 	// A recovered oracle seeded with 95 prior grants must flag the 6th new
 	// grant against M=100.
 	tr, root := tree.New()
-	o := oracle.Wrap(&alwaysGrant{}, tr, 100, 10, oracle.WithBaseline(95, 0, nil))
+	o := oracle.Wrap(alwaysGrant{}, tr, 100, 10, oracle.WithBaseline(95, 0))
 	for i := 0; i < 6; i++ {
 		if _, err := o.Submit(controller.Request{Node: root, Kind: tree.None}); err != nil {
 			t.Fatal(err)
@@ -93,19 +89,5 @@ func TestWithBaselineResumesSafetyCounter(t *testing.T) {
 	}
 	if !strings.Contains(invariants(o.Violations()), "safety-counter") {
 		t.Fatalf("cross-restart safety overflow not flagged: %v", o.Violations())
-	}
-}
-
-func TestWithBaselineResumesSerialUniqueness(t *testing.T) {
-	// Serial 3 was granted before the restart; the recovered oracle must
-	// flag its reappearance.
-	tr, root := tree.New()
-	o := oracle.Wrap(&alwaysGrant{serial: 3}, tr, 100, 10,
-		oracle.WithSerials(), oracle.WithBaseline(5, 0, []int64{1, 2, 3}))
-	if _, err := o.Submit(controller.Request{Node: root, Kind: tree.None}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(invariants(o.Violations()), "serial-unique") {
-		t.Fatalf("cross-restart serial reuse not flagged: %v", o.Violations())
 	}
 }

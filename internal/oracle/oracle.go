@@ -44,12 +44,6 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// Target is anything the oracle can drive: the centralized core, the
-// distributed submitters and drivers, and the pipeline all implement it.
-type Target interface {
-	Submit(controller.Request) (controller.Grant, error)
-}
-
 // Violation records one observed invariant breach.
 type Violation struct {
 	// Invariant is the short check name (e.g. "safety-counter").
@@ -82,28 +76,26 @@ func WithSerials() Option {
 	return func(o *Oracle) { o.checkSerials = true }
 }
 
-// WithBaseline seeds the oracle with the grant/reject totals and granted
-// serials of earlier incarnations, so an oracle wrapped around a recovered
-// controller keeps checking the (M,W) contract across the restart: the
-// safety counter continues from the recovered grant count instead of
-// resetting, and serial uniqueness spans incarnations.
-func WithBaseline(granted, rejected int64, serials []int64) Option {
+// WithBaseline seeds the oracle with the grant/reject totals of earlier
+// incarnations, so an oracle wrapped around a recovered controller keeps
+// checking the (M,W) contract across the restart: the safety counter
+// continues from the recovered grant count instead of resetting. Serial
+// uniqueness across incarnations is CheckCrossIncarnations' check, over the
+// logged history.
+func WithBaseline(granted, rejected int64) Option {
 	return func(o *Oracle) {
 		o.granted += granted
 		o.rejected += rejected
-		for _, s := range serials {
-			o.seenSerials[s] = struct{}{}
-		}
 	}
 }
 
-// Oracle wraps a Target and checks the controller invariants on every
-// submission. It implements workload.Submitter, so it can be dropped in
-// front of any driver loop. Not safe for concurrent use: like the
-// controllers themselves, the oracle assumes one request at a time (put it
-// behind a pipeline, not in front of one, for concurrent traffic).
+// Oracle wraps a controller.Submitter and checks the controller invariants
+// on every submission. It is one itself, so it can be dropped in front of
+// any driver loop. Not safe for concurrent use: like the controllers
+// themselves, the oracle assumes one request at a time (put it behind a
+// pipeline, not in front of one, for concurrent traffic).
 type Oracle struct {
-	target Target
+	target controller.Submitter
 	tr     *tree.Tree
 	m, w   int64
 
@@ -133,7 +125,7 @@ const validateEvery = 16
 
 // Wrap builds an oracle around target, checking against the (m, w) contract
 // over tr.
-func Wrap(target Target, tr *tree.Tree, m, w int64, opts ...Option) *Oracle {
+func Wrap(target controller.Submitter, tr *tree.Tree, m, w int64, opts ...Option) *Oracle {
 	o := &Oracle{
 		target:         target,
 		tr:             tr,

@@ -70,7 +70,7 @@ func TestOracleCleanOnHealthyController(t *testing.T) {
 // overgranter injects the paper's cardinal safety bug: it converts every
 // reject of the wrapped controller into a fake grant, so the observable
 // grant count exceeds M.
-type overgranter struct{ inner oracle.Target }
+type overgranter struct{ inner controller.Submitter }
 
 func (s overgranter) Submit(req controller.Request) (controller.Grant, error) {
 	g, err := s.inner.Submit(req)
@@ -139,10 +139,10 @@ func TestOracleCatchesIllegalRejects(t *testing.T) {
 func TestSubmitBatchIsTheSerialLoop(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		target func(*tree.Tree) oracle.Target
+		target func(*tree.Tree) controller.Submitter
 	}{
-		{"centralized", func(tr *tree.Tree) oracle.Target { return controller.NewDynamic(tr, 20, 5) }},
-		{"early rejecter", func(*tree.Tree) oracle.Target { return &earlyRejecter{} }},
+		{"centralized", func(tr *tree.Tree) controller.Submitter { return controller.NewDynamic(tr, 20, 5) }},
+		{"early rejecter", func(*tree.Tree) controller.Submitter { return &earlyRejecter{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trSerial, trBatch := buildTree(t, 8, 3), buildTree(t, 8, 3)

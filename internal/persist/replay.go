@@ -45,7 +45,7 @@ func RestoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
 // and the code disagree, and recovery must fail rather than continue from
 // a state that has silently diverged. It returns the number of effects
 // applied.
-func Replay(tail []Record, sub oracle.Target) (int, error) {
+func Replay(tail []Record, sub controller.Submitter) (int, error) {
 	applied := 0
 	for _, r := range tail {
 		if r.Type != RecEffect {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,9 +14,12 @@ import (
 
 // countingSubmitter is a trivial BatchSubmitter that grants everything and
 // tallies the requests it has driven. The occasional Gosched widens the
-// window in which Close can race a leader mid-batch.
+// window in which Close can race a run in flight. A run still executing
+// once the test has set closeReturned sets late.
 type countingSubmitter struct {
-	driven atomic.Int64
+	driven        atomic.Int64
+	closeReturned atomic.Bool
+	late          atomic.Bool
 }
 
 func (c *countingSubmitter) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
@@ -26,27 +30,24 @@ func (c *countingSubmitter) SubmitBatch(reqs []controller.Request, out []control
 		out = append(out, controller.BatchResult{Grant: controller.Grant{Outcome: controller.Granted}})
 	}
 	c.driven.Add(int64(len(reqs)))
+	if c.closeReturned.Load() {
+		c.late.Store(true)
+	}
 	return out
 }
 
-// TestCloseRace is the graceful-drain regression test the server depends
-// on: many goroutines hammer Submit and SubmitMany while Close fires in the
-// middle. Every call must either complete with valid results or return
-// ErrClosed (never panic, never hang), every admitted request must have
-// been driven through the core by the time Close returns, and no batch may
-// execute after Close has returned.
+// TestCloseRace is the close-under-load regression test: many goroutines
+// hammer Submit and SubmitMany while Close fires in the middle. Every call
+// must either complete with valid results or return ErrClosed (never panic,
+// never hang), every admitted request must have been driven through the
+// core by the time Close returns, and no run may execute after Close has
+// returned.
 func TestCloseRace(t *testing.T) {
 	const submitters = 8
 	const perG = 400
 
 	sub := &countingSubmitter{}
-	var closeReturned atomic.Bool
-	var lateBatch atomic.Bool
-	pl := New(sub, WithMaxBatch(32), WithCycleHook(func(_, _ int, _ time.Duration) {
-		if closeReturned.Load() {
-			lateBatch.Store(true)
-		}
-	}))
+	pl := New(sub)
 
 	var admitted atomic.Int64 // requests that were accepted (no ErrClosed)
 	var rejectedByClose atomic.Int64
@@ -98,11 +99,11 @@ func TestCloseRace(t *testing.T) {
 		runtime.Gosched()
 	}
 	pl.Close()
-	closeReturned.Store(true)
+	sub.closeReturned.Store(true)
 
-	// Close must have drained every admitted request: nothing may still be
-	// queued or executing. (Submitters can still be admitted *after* this
-	// point only if they raced the close and lost — they get ErrClosed.)
+	// Close must have waited for every admitted request: nothing may still
+	// be executing. (A submitter that gets the lock after this point raced
+	// the close and lost: it gets ErrClosed.)
 	if got, want := sub.driven.Load(), pl.Stats().Requests; got != want {
 		t.Errorf("Close returned with %d driven of %d admitted requests", got, want)
 	}
@@ -110,17 +111,14 @@ func TestCloseRace(t *testing.T) {
 	wg.Wait()
 	pl.Close() // idempotent
 
-	if lateBatch.Load() {
-		t.Error("a batch executed after Close returned")
+	if sub.late.Load() {
+		t.Error("a run executed after Close returned")
 	}
 	if got := sub.driven.Load(); got != admitted.Load() {
 		t.Errorf("driven %d requests, callers saw %d admitted", got, admitted.Load())
 	}
 	if got, want := pl.Stats().Requests, admitted.Load(); got != want {
 		t.Errorf("stats count %d admitted requests, callers saw %d", got, want)
-	}
-	if !pl.Closed() {
-		t.Error("Closed() = false after Close")
 	}
 	if rejectedByClose.Load() == 0 {
 		t.Log("close won no races; drain still verified (timing-dependent)")
@@ -140,7 +138,7 @@ func TestCloseRace(t *testing.T) {
 // drained.
 func TestCloseConcurrentWithClose(t *testing.T) {
 	sub := &countingSubmitter{}
-	pl := New(sub, WithMaxBatch(8))
+	pl := New(sub)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -164,5 +162,51 @@ func TestCloseConcurrentWithClose(t *testing.T) {
 	wg.Wait()
 	if got, want := sub.driven.Load(), pl.Stats().Requests; got != want {
 		t.Errorf("driven %d of %d admitted requests after concurrent closes", got, want)
+	}
+}
+
+// panicOnce panics inside its first SubmitBatch and grants from then on.
+type panicOnce struct {
+	countingSubmitter
+	panicked bool
+}
+
+func (p *panicOnce) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
+	if !p.panicked {
+		p.panicked = true
+		panic("submitter failed")
+	}
+	return p.countingSubmitter.SubmitBatch(reqs, out)
+}
+
+// TestPanickingSubmitterDoesNotWedgeThePipeline: a submitter that panics
+// unwinds through its caller's Submit, and the pipeline must come out of it
+// unlocked, so that the next caller, on another goroutine, is answered.
+func TestPanickingSubmitterDoesNotWedgeThePipeline(t *testing.T) {
+	pl := New(&panicOnce{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("first Submit: the submitter's panic did not reach the caller")
+			}
+		}()
+		pl.Submit(controller.Request{})
+	}()
+
+	answered := make(chan error, 1)
+	go func() {
+		g, err := pl.Submit(controller.Request{})
+		if err == nil && g.Outcome != controller.Granted {
+			err = fmt.Errorf("outcome %v, want granted", g.Outcome)
+		}
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Errorf("Submit after a panicked one: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit after a panicked one did not return: the pipeline is wedged")
 	}
 }

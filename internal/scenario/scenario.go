@@ -192,7 +192,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 	// U must bound the nodes ever to exist: the initial topology plus at
 	// most one insertion per request.
 	u := int64(sc.Topology.Nodes + requests + 4)
-	var target oracle.Target
+	var target controller.Submitter
 	var dyn *controller.Dynamic // set for "dynamic": the durability axis snapshots it
 	opts := []oracle.Option{oracle.WithMessages(rt.Messages)}
 	switch sc.Controller {
@@ -357,7 +357,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			res.Violations = append(res.Violations, orc.Violations()...)
 			orc = oracle.Wrap(dyn, tr, sc.M, sc.W,
 				oracle.WithMessages(rt.Messages),
-				oracle.WithBaseline(orc.Granted(), orc.Rejected(), nil))
+				oracle.WithBaseline(orc.Granted(), orc.Rejected()))
 		}
 	}
 

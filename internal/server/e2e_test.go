@@ -17,8 +17,8 @@ import (
 // trace, total granted within the contract's M, and exact agreement between
 // the client-observed and server-accounted outcome totals. Run with -race
 // in CI, this is the test that exercises reader goroutines, pipelined
-// correlation, read-batching, the combining pipeline and the controller
-// under real concurrency at once.
+// correlation, read-batching, the tenant's lock and the controller under
+// real concurrency at once.
 func TestEndToEndScenariosOverLoopback(t *testing.T) {
 	const conns = 8
 	const seed = 1

@@ -11,8 +11,8 @@ import (
 // centralized engine under one lock per tenant, so nothing it links — the
 // non-test import closure of cmd/dynctrld, what `go list -deps
 // ./cmd/dynctrld` prints — may be the message-passing engine, the simulator
-// it runs over, the fault proxy or the library's combining pipeline (a
-// second exclusion around the engine).
+// it runs over, the fault proxy or the library's pipeline (a second lock
+// around the engine).
 func TestServingPathImportsNoSimulator(t *testing.T) {
 	const module = "dynctrl/"
 	banned := map[string]bool{

@@ -313,22 +313,11 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 
 	tn.sub = tn.ctl // the recovered controller, when there was history
 	if cfg.Paranoid {
-		// Seed the oracle with the recovered totals — and every serial the
-		// retained history ever granted — so the safety counter and serial
-		// uniqueness span incarnations.
-		var priorSerials []int64
-		if tn.eng != nil {
-			history, err := persist.ReadHistory(walDir)
-			if err != nil {
-				cfg.Logger.Warn("reading wal history for the oracle baseline failed", "tenant", tc.Name, "err", err)
-			}
-			for _, sum := range persist.Summaries(history) {
-				priorSerials = append(priorSerials, sum.Serials...)
-			}
-		}
+		// Seed the oracle with the recovered totals, so the safety counter
+		// spans incarnations.
 		tn.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
 			oracle.WithMessages(func() int64 { return ctrs.Get(stats.CounterMoves) }),
-			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects), priorSerials))
+			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects)))
 		tn.sub = tn.orc
 	}
 	return tn, nil

@@ -269,7 +269,7 @@ func TestNoisyNeighborOverLoopback(t *testing.T) {
 
 	var disturbedSrv *server.Server
 	res, err := workload.RunNoisyNeighbor("team-b", cfg.Tenants[1].M, probe,
-		func(disturbed bool) (workload.Submitter, func() workload.ConcurrentResult, error) {
+		func(disturbed bool) (controller.Submitter, func() workload.ConcurrentResult, error) {
 			s := startTenantServer(t, cfg)
 			victim, err := client.Dial(s.Addr(), client.Options{Tenant: "team-b"})
 			if err != nil {

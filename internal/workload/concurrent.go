@@ -117,7 +117,7 @@ type ConcurrentResult struct {
 // RunConcurrent plays the trace against sub, one goroutine per client, and
 // aggregates the outcomes. sub must be safe for concurrent use (e.g. a
 // pipeline.Pipeline); errors do not stop the other clients.
-func RunConcurrent(sub Submitter, ct *ConcurrentTrace) ConcurrentResult {
+func RunConcurrent(sub controller.Submitter, ct *ConcurrentTrace) ConcurrentResult {
 	var (
 		mu  sync.Mutex
 		res ConcurrentResult
@@ -159,9 +159,9 @@ type ManySubmitter interface {
 }
 
 // RunConcurrentChunked plays the trace against sub, one goroutine per
-// client, submitting runs of chunk requests per call — the streaming-client
-// pattern the pipeline is built for: one synchronization handoff covers a
-// whole chunk. chunk < 1 means each client submits its whole trace at once.
+// client, submitting runs of chunk requests per call, the streaming-client
+// pattern: the pipeline takes its lock once for a whole chunk. chunk < 1
+// means each client submits its whole trace at once.
 func RunConcurrentChunked(sub ManySubmitter, ct *ConcurrentTrace, chunk int) ConcurrentResult {
 	var (
 		mu  sync.Mutex

@@ -41,7 +41,7 @@ func VictimProbe(tr *tree.Tree, n int, seed int64) ([]controller.Request, error)
 // RunProbe drives reqs serially — one at a time, in order — through sub,
 // folding every verdict into a fresh oracle.TenantTrace for tenant under
 // permit bound m.
-func RunProbe(sub Submitter, tenant string, m int64, reqs []controller.Request) *oracle.TenantTrace {
+func RunProbe(sub controller.Submitter, tenant string, m int64, reqs []controller.Request) *oracle.TenantTrace {
 	trace := oracle.NewTenantTrace(tenant, m)
 	for _, req := range reqs {
 		g, err := sub.Submit(req)
@@ -72,7 +72,7 @@ type NoisyNeighborResult struct {
 // concurrently with the victim probe; the baseline phase ignores flood.
 // The returned result carries both traces and the oracle's verdict.
 func RunNoisyNeighbor(tenant string, m int64, probe []controller.Request,
-	setup func(disturbed bool) (victim Submitter, flood func() ConcurrentResult, err error),
+	setup func(disturbed bool) (victim controller.Submitter, flood func() ConcurrentResult, err error),
 ) (*NoisyNeighborResult, error) {
 	victim, _, err := setup(false)
 	if err != nil {

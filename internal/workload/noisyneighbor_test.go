@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/oracle"
 	"dynctrl/internal/pipeline"
@@ -38,7 +39,7 @@ func TestNoisyNeighborIsolatedStacks(t *testing.T) {
 	}
 
 	res, err := RunNoisyNeighbor("b-team", 10_000, probe,
-		func(disturbed bool) (Submitter, func() ConcurrentResult, error) {
+		func(disturbed bool) (controller.Submitter, func() ConcurrentResult, error) {
 			_, victim := nnStack(t, 10_000, 5_000)
 			if !disturbed {
 				return victim, nil, nil

@@ -92,7 +92,7 @@ func ArrivalSchedule(spec OpenLoopSpec) ([]time.Duration, error) {
 // RunOpenLoop drives reqs against sub on spec's schedule; arrival i
 // submits reqs[i%len(reqs)]. sub must be safe for concurrent use. Errors
 // are tallied and do not stop the run.
-func RunOpenLoop(sub Submitter, reqs []controller.Request, spec OpenLoopSpec) (*OpenLoopResult, error) {
+func RunOpenLoop(sub controller.Submitter, reqs []controller.Request, spec OpenLoopSpec) (*OpenLoopResult, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("workload: open-loop run needs at least one request")
 	}

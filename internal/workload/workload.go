@@ -12,13 +12,6 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// Submitter is anything that can answer controller requests: the
-// centralized cores and drivers, the distributed controller adapter, and
-// the baselines all implement it.
-type Submitter interface {
-	Submit(controller.Request) (controller.Grant, error)
-}
-
 // Generator produces the next request for the current tree state. ok is
 // false when the generator cannot produce a valid request (e.g. a
 // shrink-only generator on a bare root).
@@ -274,7 +267,7 @@ type Result struct {
 // Run drives n requests from gen into sub, observing grants back into
 // generators that need them (DeepPath). It stops early when the submitter
 // terminates (terminating controllers) or the generator runs dry.
-func Run(sub Submitter, gen Generator, n int) (Result, error) {
+func Run(sub controller.Submitter, gen Generator, n int) (Result, error) {
 	var res Result
 	for i := 0; i < n; i++ {
 		req, ok := gen.Next()
