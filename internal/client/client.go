@@ -13,7 +13,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -162,7 +161,6 @@ func (c *Client) dialOne(addr string) (*cliConn, error) {
 	cc := &cliConn{
 		cl:      c,
 		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
 		pending: map[uint64]*pendingCall{},
 	}
 	// A deadline that cannot be armed or cleared is connection-fatal: an
@@ -303,11 +301,9 @@ type cliConn struct {
 	nc      net.Conn
 	welcome wire.Welcome
 
-	wmu    sync.Mutex // guards bw and id/pending registration order
-	bw     *bufio.Writer
-	wbuf   []byte
-	reqbuf []wire.Req
-	id     uint64
+	wmu  sync.Mutex // guards nc's write side and id/pending registration order
+	wbuf []byte
+	id   uint64
 
 	pmu     sync.Mutex
 	pending map[uint64]*pendingCall
@@ -370,19 +366,12 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 	cc.pending[id] = pc
 	cc.pmu.Unlock()
 
-	if cap(cc.reqbuf) < len(reqs) {
-		cc.reqbuf = make([]wire.Req, len(reqs))
-	}
-	wr := cc.reqbuf[:len(reqs)]
-	for i, r := range reqs {
-		wr[i] = wire.Req{Node: r.Node, Kind: r.Kind, Child: r.Child}
-	}
-	cc.wbuf = wire.AppendSubmit(cc.wbuf[:0], id, wr)
+	cc.wbuf = wire.AppendSubmit(cc.wbuf[:0], id, reqs)
 	// Write deadline: a server (or network) that stopped reading backs TCP
 	// flow control up into this write, which would otherwise block forever
 	// while holding wmu — wedging every subsequent Submit routed to this
 	// pooled connection. The deadline is armed per frame and cleared after
-	// a successful flush; failures to arm or clear are connection-fatal
+	// a successful write; failures to arm or clear are connection-fatal
 	// (the conn would be undeadlined or permanently deadlined).
 	wt := cc.cl.opts.WriteTimeout
 	var werr error
@@ -390,10 +379,7 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 		werr = cc.nc.SetWriteDeadline(time.Now().Add(wt))
 	}
 	if werr == nil {
-		_, werr = cc.bw.Write(cc.wbuf)
-		if werr == nil {
-			werr = cc.bw.Flush()
-		}
+		_, werr = cc.nc.Write(cc.wbuf)
 		if werr == nil && wt > 0 {
 			werr = cc.nc.SetWriteDeadline(time.Time{})
 		}

@@ -46,19 +46,9 @@ func (o Outcome) String() string {
 	}
 }
 
-// Request is one event submitted to the controller. Per Section 2.1, a
-// request to delete a node arrives at that node, and a request to add a
-// node arrives at the node's parent-to-be.
-type Request struct {
-	// Node is the node at which the request arrives.
-	Node tree.NodeID
-	// Kind is the topological change requested; None counts a
-	// non-topological event (ticket sale, etc.).
-	Kind tree.ChangeKind
-	// Child names, for AddInternal, the child whose parent edge is split
-	// (the new node is inserted between Node and Child).
-	Child tree.NodeID
-}
+// Request is one event submitted to the controller, declared once in
+// package tree so the wire can carry it without importing this package.
+type Request = tree.Request
 
 // Grant is the controller's response to a request.
 type Grant struct {

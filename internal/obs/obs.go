@@ -7,24 +7,23 @@
 // becomes one BatchTrace with a per-stage duration breakdown (frame
 // decode, wait for the tenant's lock, controller execute, WAL append→durable,
 // Results write) plus controller-work tags (batch size, controller moves,
-// reject-wave membership). Traces land in a fixed-size lock-free
-// ring (most-recent-N) and a small bounded top-K (slowest-N), and every
-// stage duration is folded into an internal/hdr log-linear histogram, so
-// /tracez can show individual slow batches while /metricsz reports
-// per-stage quantiles — without unbounded memory and without a lock on
-// the ring hot path.
+// reject-wave membership). A Tracer is everything one tenant observes, as
+// plain values behind one mutex: a fixed-size ring of the most recent
+// traces, the slowest few kept in order, and one internal/hdr log-linear
+// histogram a row (the stages, the whole batch, the hold of the tenant's
+// lock, the WAL fsync wave). /tracez shows individual slow batches and
+// /metricsz per-row quantiles out of bounded memory, and what a scrape can
+// see is what that one lock ordered.
 //
-// Observing concurrent executions without perturbing them is the whole
-// point (cf. partially observable concurrent semantics): the record path
-// is one allocation, one atomic slot publish, an atomic threshold check
-// and a short histogram critical section per *batch* (not per request).
-// CI's perf-smoke gates bench/'s obs.overhead_ratio (untraced / traced
-// throughput, -trace-ring -1 against defaults) on events-batch at <= 1.29.
+// The record path is one critical section a *batch* (not a request): the
+// connection builds the trace on its stack, Record copies it in and
+// allocates nothing (TestRecordAllocatesNothing). CI's perf-smoke gates
+// bench/'s obs.overhead_ratio (untraced / traced throughput, -trace-ring -1
+// against defaults) on events-batch at <= 1.29.
 package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dynctrl/internal/hdr"
@@ -68,20 +67,10 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageName reports whether name names a stage (including "total").
-func StageName(name string) bool {
-	for _, n := range stageNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // BatchTrace is one recorded read batch: identity, per-stage durations and
 // the controller-work tags that explain where the time went.
 type BatchTrace struct {
-	// ID is the tenant-scoped trace ID (monotonic, allocated by NextID).
+	// ID is the tenant-scoped trace ID: Record numbers the traces from 1.
 	ID uint64
 	// Start is the wall-clock instant the batch's first frame arrived.
 	Start time.Time
@@ -89,6 +78,9 @@ type BatchTrace struct {
 	Total time.Duration
 	// Stages holds the per-stage durations (StageTotal lives in Total).
 	Stages [StageTotal]time.Duration
+	// Hold is how long the batch's run held the tenant's lock: execute plus
+	// WAL append. It feeds its own histogram row, not the trace tables.
+	Hold time.Duration
 
 	// Frames and Requests size the batch: wire frames coalesced and
 	// requests decoded out of them.
@@ -122,24 +114,32 @@ type StageStats struct {
 	LatencyStats
 }
 
-// Tracer records BatchTraces for one tenant. All methods are safe for
-// concurrent use and are no-ops on a nil receiver, so a disabled tracer
-// is simply nil.
+// Digest is everything a Tracer has counted, read in one critical section.
+type Digest struct {
+	// Recorded is the number of traces recorded, which is the last trace ID.
+	Recorded uint64
+	// Stages is the per-stage digest in stage order (decode..write, total).
+	Stages []StageStats
+	// Hold digests BatchTrace.Hold, Fsync what RecordFsync was given.
+	Hold, Fsync LatencyStats
+}
+
+// The histogram rows: one a stage, then the lock hold and the fsync wave.
+const (
+	rowHold = NumStages + iota
+	rowFsync
+	numRows
+)
+
+// Tracer is one tenant's observations: traces and duration histograms as
+// plain values under mu. All methods are safe for concurrent use and are
+// no-ops on a nil receiver, so a disabled tracer is simply nil.
 type Tracer struct {
-	seq  atomic.Uint64 // trace-ID allocator
-	head atomic.Uint64 // ring publish cursor (== traces recorded)
-	ring []atomic.Pointer[BatchTrace]
-
-	// slow is a bounded min-heap (by Total) of the slowest traces;
-	// slowMin caches the heap's admission threshold so the record path
-	// usually pays one atomic load, not the mutex.
-	slowMin atomic.Int64
-	slowMu  sync.Mutex
-	slow    []*BatchTrace
-	slowCap int
-
-	histMu sync.Mutex
-	hists  [NumStages]*hdr.Histogram
+	mu   sync.Mutex
+	n    uint64       // traces recorded; the last trace's ID
+	ring []BatchTrace // trace k sits at (k-1) mod len, a power of two
+	slow []BatchTrace // the slowest cap(slow) traces, slowest first
+	rows [numRows]*hdr.Histogram
 }
 
 // DefaultRing is the ring size when NewTracer is given ring <= 0.
@@ -161,30 +161,22 @@ func NewTracer(ring, slow int) *Tracer {
 	if slow <= 0 {
 		slow = DefaultSlow
 	}
-	t := &Tracer{
-		ring:    make([]atomic.Pointer[BatchTrace], size),
-		slowCap: slow,
-	}
-	for i := range t.hists {
-		t.hists[i] = hdr.New()
+	t := &Tracer{ring: make([]BatchTrace, size), slow: make([]BatchTrace, 0, slow)}
+	for i := range t.rows {
+		t.rows[i] = hdr.New()
 	}
 	return t
 }
 
-// NextID allocates the next trace ID (0 on a nil tracer).
-func (t *Tracer) NextID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.seq.Add(1)
-}
-
-// Recorded returns how many traces have been recorded (0 on nil).
+// Recorded returns how many traces have been recorded, which is the ID of
+// the last one (0 on nil).
 func (t *Tracer) Recorded() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.head.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
 }
 
 // RingSize returns the ring capacity (0 on nil).
@@ -195,140 +187,106 @@ func (t *Tracer) RingSize() int {
 	return len(t.ring)
 }
 
-// Record publishes one finished trace: into the ring (lock-free), into the
-// slowest-N heap when it beats the admission threshold, and into the
-// per-stage histograms. The caller must not mutate bt afterwards.
-func (t *Tracer) Record(bt *BatchTrace) {
-	if t == nil || bt == nil {
+// Record copies one finished trace in and returns the ID it was given (0 on
+// nil): into the ring, into the slowest-N when it beats the fastest trace
+// kept there, and into the stage, total and hold histograms. bt.ID is not
+// read and bt is not kept.
+func (t *Tracer) Record(bt *BatchTrace) uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slot := &t.ring[t.n&uint64(len(t.ring)-1)]
+	t.n++
+	*slot = *bt
+	slot.ID = t.n
+
+	t.admit(slot)
+	for s := StageDecode; s < StageTotal; s++ {
+		t.rows[s].Record(int64(bt.Stages[s]))
+	}
+	t.rows[StageTotal].Record(int64(bt.Total))
+	t.rows[rowHold].Record(int64(bt.Hold))
+	return t.n
+}
+
+// admit keeps the slowest-N sorted, slowest first: a trace that beats the
+// last one kept (the minimum) replaces it, or takes a free slot, and moves up
+// past every faster trace. Callers hold the tracer's lock.
+func (t *Tracer) admit(bt *BatchTrace) {
+	i := len(t.slow)
+	switch {
+	case i < cap(t.slow):
+		t.slow = append(t.slow, *bt)
+	case bt.Total > t.slow[i-1].Total:
+		i--
+		t.slow[i] = *bt
+	default:
 		return
 	}
-	i := t.head.Add(1) - 1
-	t.ring[i&uint64(len(t.ring)-1)].Store(bt)
-
-	if int64(bt.Total) > t.slowMin.Load() {
-		t.offerSlow(bt)
-	}
-
-	t.histMu.Lock()
-	for s := StageDecode; s < StageTotal; s++ {
-		t.hists[s].Record(int64(bt.Stages[s]))
-	}
-	t.hists[StageTotal].Record(int64(bt.Total))
-	t.histMu.Unlock()
-}
-
-// offerSlow inserts bt into the bounded min-heap and refreshes the cached
-// admission threshold.
-func (t *Tracer) offerSlow(bt *BatchTrace) {
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	if len(t.slow) < t.slowCap {
-		t.slow = append(t.slow, bt)
-		t.siftUp(len(t.slow) - 1)
-	} else if bt.Total > t.slow[0].Total {
-		t.slow[0] = bt
-		t.siftDown(0)
-	}
-	if len(t.slow) == t.slowCap {
-		t.slowMin.Store(int64(t.slow[0].Total))
+	for ; i > 0 && t.slow[i].Total > t.slow[i-1].Total; i-- {
+		t.slow[i], t.slow[i-1] = t.slow[i-1], t.slow[i]
 	}
 }
 
-func (t *Tracer) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if t.slow[p].Total <= t.slow[i].Total {
-			return
-		}
-		t.slow[p], t.slow[i] = t.slow[i], t.slow[p]
-		i = p
-	}
-}
-
-func (t *Tracer) siftDown(i int) {
-	n := len(t.slow)
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && t.slow[l].Total < t.slow[m].Total {
-			m = l
-		}
-		if r < n && t.slow[r].Total < t.slow[m].Total {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		t.slow[i], t.slow[m] = t.slow[m], t.slow[i]
-		i = m
-	}
-}
-
-// Recent returns up to n most-recent traces, newest first. Concurrent
-// writers may be overwriting slots while this reads; the result is a
-// best-effort snapshot (each returned trace is individually consistent —
-// traces are immutable once recorded).
-func (t *Tracer) Recent(n int) []*BatchTrace {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	head := t.head.Load()
-	span := uint64(len(t.ring))
-	if head < span {
-		span = head
-	}
-	if uint64(n) < span {
-		span = uint64(n)
-	}
-	out := make([]*BatchTrace, 0, span)
-	for i := uint64(0); i < span; i++ {
-		bt := t.ring[(head-1-i)&uint64(len(t.ring)-1)].Load()
-		if bt != nil {
-			out = append(out, bt)
-		}
-	}
-	return out
-}
-
-// Slowest returns up to n slowest traces recorded so far, slowest first.
-func (t *Tracer) Slowest(n int) []*BatchTrace {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	t.slowMu.Lock()
-	out := make([]*BatchTrace, len(t.slow))
-	copy(out, t.slow)
-	t.slowMu.Unlock()
-	// Small K: a simple insertion sort (descending by Total) is plenty.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Total > out[j-1].Total; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// Snapshot digests every stage histogram (decode..write then total), in
-// stage order. Nil tracers return nil.
-func (t *Tracer) Snapshot() []StageStats {
+// RecordFsync adds one WAL group-commit fsync wave's duration.
+func (t *Tracer) RecordFsync(d time.Duration) {
 	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.rows[rowFsync].Record(int64(d))
+	t.mu.Unlock()
+}
+
+// Recent returns copies of up to n most-recent traces, newest first.
+func (t *Tracer) Recent(n int) []BatchTrace {
+	if t == nil || n <= 0 {
 		return nil
 	}
-	out := make([]StageStats, 0, NumStages)
-	t.histMu.Lock()
-	for s := 0; s < NumStages; s++ {
-		out = append(out, StageStats{
-			Stage:        Stage(s).String(),
-			LatencyStats: digest(t.hists[s]),
-		})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	span := min(uint64(n), t.n, uint64(len(t.ring)))
+	out := make([]BatchTrace, span)
+	for i := range out {
+		out[i] = t.ring[(t.n-1-uint64(i))&uint64(len(t.ring)-1)]
 	}
-	t.histMu.Unlock()
 	return out
 }
 
-// digest summarizes one histogram. Callers hold the histogram's lock.
+// Slowest returns copies of up to n slowest traces recorded so far, slowest
+// first.
+func (t *Tracer) Slowest(n int) []BatchTrace {
+	if t == nil || n <= 0 {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]BatchTrace(nil), t.slow[:min(n, len(t.slow))]...)
+}
+
+// Snapshot digests the trace count and every histogram row as of one
+// instant. A nil tracer returns the zero Digest (nil Stages).
+func (t *Tracer) Snapshot() Digest {
+	if t == nil {
+		return Digest{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	d := Digest{
+		Recorded: t.n,
+		Stages:   make([]StageStats, NumStages),
+		Hold:     digest(t.rows[rowHold]),
+		Fsync:    digest(t.rows[rowFsync]),
+	}
+	for s := range d.Stages {
+		d.Stages[s] = StageStats{Stage: Stage(s).String(), LatencyStats: digest(t.rows[s])}
+	}
+	return d
+}
+
+// digest summarizes one histogram. Callers hold the tracer's lock.
 func digest(h *hdr.Histogram) LatencyStats {
 	return LatencyStats{
 		Count: h.Count(),
@@ -339,36 +297,4 @@ func digest(h *hdr.Histogram) LatencyStats {
 		P99:   time.Duration(h.Quantile(0.99)),
 		P999:  time.Duration(h.Quantile(0.999)),
 	}
-}
-
-// Recorder is a mutex-guarded duration histogram for single-distribution
-// observations off the batch path (a run's hold of its tenant's lock, WAL
-// fsyncs).
-// Nil receivers no-op.
-type Recorder struct {
-	mu sync.Mutex
-	h  *hdr.Histogram
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{h: hdr.New()} }
-
-// Record adds one duration sample.
-func (r *Recorder) Record(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.h.Record(int64(d))
-	r.mu.Unlock()
-}
-
-// Stats digests the distribution recorded so far.
-func (r *Recorder) Stats() LatencyStats {
-	if r == nil {
-		return LatencyStats{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return digest(r.h)
 }

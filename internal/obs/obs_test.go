@@ -19,24 +19,18 @@ func TestStageNames(t *testing.T) {
 		if got := Stage(i).String(); got != name {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, got, name)
 		}
-		if !StageName(name) {
-			t.Errorf("StageName(%q) = false", name)
-		}
 	}
 	if got := Stage(99).String(); got != "unknown" {
 		t.Errorf("Stage(99).String() = %q, want unknown", got)
-	}
-	if StageName("bogus") {
-		t.Error("StageName(bogus) = true")
 	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if id := tr.NextID(); id != 0 {
-		t.Errorf("nil NextID = %d", id)
+	if id := tr.Record(&BatchTrace{Total: time.Second}); id != 0 {
+		t.Errorf("nil Record = %d", id)
 	}
-	tr.Record(&BatchTrace{Total: time.Second})
+	tr.RecordFsync(time.Second)
 	if n := tr.Recorded(); n != 0 {
 		t.Errorf("nil Recorded = %d", n)
 	}
@@ -49,13 +43,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if got := tr.Slowest(4); got != nil {
 		t.Errorf("nil Slowest = %v", got)
 	}
-	if got := tr.Snapshot(); got != nil {
-		t.Errorf("nil Snapshot = %v", got)
-	}
-	var r *Recorder
-	r.Record(time.Second)
-	if st := r.Stats(); st.Count != 0 {
-		t.Errorf("nil Recorder Stats = %+v", st)
+	if got := tr.Snapshot(); got.Stages != nil || got.Recorded != 0 || got.Fsync.Count != 0 {
+		t.Errorf("nil Snapshot = %+v", got)
 	}
 }
 
@@ -72,7 +61,7 @@ func TestNewTracerRoundsRingToPowerOfTwo(t *testing.T) {
 func TestRecentNewestFirstAndWrap(t *testing.T) {
 	tr := NewTracer(4, 4)
 	for i := 1; i <= 10; i++ {
-		tr.Record(&BatchTrace{ID: uint64(i), Total: time.Duration(i)})
+		tr.Record(&BatchTrace{Total: time.Duration(i)})
 	}
 	if got := tr.Recorded(); got != 10 {
 		t.Fatalf("Recorded = %d, want 10", got)
@@ -93,25 +82,26 @@ func TestRecentNewestFirstAndWrap(t *testing.T) {
 
 func TestSlowestKeepsTopK(t *testing.T) {
 	tr := NewTracer(8, 3)
-	// Interleave so the heap sees admissions and evictions in mixed order.
+	// Interleave so the slice sees admissions and evictions in mixed order;
+	// trace k of the run is ID k.
 	for _, ms := range []int{5, 1, 9, 2, 8, 3, 7, 4, 6} {
-		tr.Record(&BatchTrace{ID: uint64(ms), Total: time.Duration(ms) * time.Millisecond})
+		tr.Record(&BatchTrace{Total: time.Duration(ms) * time.Millisecond})
 	}
 	slow := tr.Slowest(10)
 	if len(slow) != 3 {
 		t.Fatalf("Slowest returned %d traces, cap is 3", len(slow))
 	}
-	for i, want := range []uint64{9, 8, 7} {
+	for i, want := range []uint64{3, 5, 7} { // the 9, 8 and 7 ms traces
 		if slow[i].ID != want {
 			t.Errorf("slowest[%d].ID = %d, want %d (got %v)", i, slow[i].ID, want, ids(slow))
 		}
 	}
-	if got := tr.Slowest(1); len(got) != 1 || got[0].ID != 9 {
+	if got := tr.Slowest(1); len(got) != 1 || got[0].ID != 3 {
 		t.Errorf("Slowest(1) = %v", ids(got))
 	}
 }
 
-func ids(traces []*BatchTrace) []uint64 {
+func ids(traces []BatchTrace) []uint64 {
 	out := make([]uint64, len(traces))
 	for i, bt := range traces {
 		out[i] = bt.ID
@@ -126,7 +116,7 @@ func TestSnapshotQuantiles(t *testing.T) {
 		bt.Stages[StageExecute] = time.Duration(i) * time.Microsecond
 		tr.Record(bt)
 	}
-	snap := tr.Snapshot()
+	snap := tr.Snapshot().Stages
 	if len(snap) != NumStages {
 		t.Fatalf("Snapshot returned %d stages, want %d", len(snap), NumStages)
 	}
@@ -168,6 +158,9 @@ func within(got, want time.Duration, frac float64) bool {
 	return d <= frac*float64(want)
 }
 
+// TestTracerConcurrent is the one-mutex claim under the race detector:
+// traces, fsync waves and every reader at once, and nothing is lost or
+// numbered twice.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(32, 8)
 	const writers, perWriter = 8, 500
@@ -182,20 +175,30 @@ func TestTracerConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			tr.Recent(16)
+			recent := tr.Recent(16)
+			for i := 1; i < len(recent); i++ {
+				if recent[i].ID != recent[i-1].ID-1 {
+					t.Errorf("Recent under load: IDs %v, want consecutive", ids(recent))
+					return
+				}
+			}
 			tr.Slowest(8)
-			tr.Snapshot()
+			if d := tr.Snapshot(); d.Stages[StageTotal].Count != int64(d.Recorded) || d.Hold.Count != int64(d.Recorded) {
+				t.Errorf("one Snapshot: %d traces, total count %d, hold count %d",
+					d.Recorded, d.Stages[StageTotal].Count, d.Hold.Count)
+				return
+			}
 		}
 	}()
+	seen := make([][]uint64, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				tr.Record(&BatchTrace{
-					ID:    tr.NextID(),
-					Total: time.Duration(i+1) * time.Microsecond,
-				})
+				bt := BatchTrace{Total: time.Duration(i+1) * time.Microsecond}
+				seen[w] = append(seen[w], tr.Record(&bt))
+				tr.RecordFsync(time.Microsecond)
 			}
 		}()
 	}
@@ -207,28 +210,91 @@ func TestTracerConcurrent(t *testing.T) {
 	if got := tr.Recorded(); got != writers*perWriter {
 		t.Fatalf("Recorded = %d, want %d", got, writers*perWriter)
 	}
-	if got := tr.Snapshot()[StageTotal].Count; got != writers*perWriter {
+	d := tr.Snapshot()
+	if got := d.Stages[StageTotal].Count; got != writers*perWriter {
 		t.Fatalf("total histogram count = %d, want %d", got, writers*perWriter)
+	}
+	if got := d.Fsync.Count; got != writers*perWriter {
+		t.Fatalf("fsync count = %d, want %d", got, writers*perWriter)
 	}
 	if got := len(tr.Recent(64)); got != 32 {
 		t.Fatalf("Recent(64) = %d traces, want a full 32-slot ring", got)
 	}
+	given := map[uint64]bool{}
+	for _, w := range seen {
+		for i, id := range w {
+			if given[id] || id == 0 || (i > 0 && id <= w[i-1]) {
+				t.Fatalf("Record returned ID %d twice, as zero or out of order", id)
+			}
+			given[id] = true
+		}
+	}
 }
 
-func TestRecorder(t *testing.T) {
-	r := NewRecorder()
+// TestHoldAndFsyncRows: the lock-hold and fsync-wave rows keep count, sum
+// and extremes like the recorders they replaced, apart from each other and
+// from the stages, and Recorded is the last ID Record gave out.
+func TestHoldAndFsyncRows(t *testing.T) {
+	tr := NewTracer(4, 4)
+	var last uint64
 	for i := 1; i <= 10; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
+		last = tr.Record(&BatchTrace{Hold: time.Duration(i) * time.Millisecond})
+		if i%2 == 0 {
+			tr.RecordFsync(time.Duration(i) * time.Second)
+		}
 	}
-	st := r.Stats()
-	if st.Count != 10 {
-		t.Errorf("count = %d, want 10", st.Count)
+	if got := tr.Recorded(); got != last || last != 10 {
+		t.Errorf("Recorded = %d, last Record returned %d, want both 10", got, last)
 	}
-	if st.Min != time.Millisecond || st.Max != 10*time.Millisecond {
-		t.Errorf("min/max = %v/%v, want 1ms/10ms", st.Min, st.Max)
+	d := tr.Snapshot()
+	if d.Recorded != 10 {
+		t.Errorf("Digest.Recorded = %d, want 10", d.Recorded)
 	}
-	if st.Sum != 55*time.Millisecond {
-		t.Errorf("sum = %v, want 55ms", st.Sum)
+	for _, tc := range []struct {
+		row           string
+		st            LatencyStats
+		count         int64
+		min, max, sum time.Duration
+	}{
+		{"hold", d.Hold, 10, time.Millisecond, 10 * time.Millisecond, 55 * time.Millisecond},
+		{"fsync", d.Fsync, 5, 2 * time.Second, 10 * time.Second, 30 * time.Second},
+		{"total", d.Stages[StageTotal].LatencyStats, 10, 0, 0, 0},
+	} {
+		if tc.st.Count != tc.count {
+			t.Errorf("%s count = %d, want %d", tc.row, tc.st.Count, tc.count)
+		}
+		if tc.st.Min != tc.min || tc.st.Max != tc.max {
+			t.Errorf("%s min/max = %v/%v, want %v/%v", tc.row, tc.st.Min, tc.st.Max, tc.min, tc.max)
+		}
+		if tc.st.Sum != tc.sum {
+			t.Errorf("%s sum = %v, want %v", tc.row, tc.st.Sum, tc.sum)
+		}
+	}
+}
+
+// TestRecordAllocatesNothing: a trace is copied in, whichever way it goes:
+// admitted into the slowest-N (every trace slower than the last), refused
+// there (every trace faster), around the ring many times over either way.
+func TestRecordAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step time.Duration
+	}{
+		{"admitting into slowest-N", time.Microsecond},
+		{"wrapping the ring", -time.Microsecond},
+	} {
+		tr := NewTracer(8, 4)
+		bt := BatchTrace{Total: time.Hour, Conn: "127.0.0.1:9", Start: time.Now()}
+		if got := testing.AllocsPerRun(100, func() {
+			bt.Total += tc.step
+			tr.Record(&bt)
+			tr.RecordFsync(bt.Total)
+		}); got != 0 {
+			t.Errorf("%s: %v allocations a Record, want 0", tc.name, got)
+		}
+		if tr.Recorded() <= uint64(tr.RingSize()) {
+			t.Errorf("%s: %d traces never wrapped a %d-slot ring", tc.name, tr.Recorded(), tr.RingSize())
+		}
 	}
 }
 
@@ -372,9 +438,9 @@ func BenchmarkRecord(b *testing.B) {
 	tr := NewTracer(256, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bt := &BatchTrace{ID: uint64(i), Total: time.Duration(i%1000) * time.Microsecond}
+		bt := BatchTrace{Total: time.Duration(i%1000) * time.Microsecond, Conn: "127.0.0.1:9"}
 		bt.Stages[StageExecute] = time.Microsecond
-		tr.Record(bt)
+		tr.Record(&bt)
 	}
 }
 

@@ -15,11 +15,12 @@ func WriteTracez(w io.Writer, tenant string, t *Tracer, slowN, recentN int) {
 		return
 	}
 	fmt.Fprintf(w, "== tenant %q ==\n", tenant)
-	fmt.Fprintf(w, "traces recorded: %d (ring %d)\n\n", t.Recorded(), t.RingSize())
+	d := t.Snapshot()
+	fmt.Fprintf(w, "traces recorded: %d (ring %d)\n\n", d.Recorded, t.RingSize())
 
 	fmt.Fprintf(w, "stage latency (server-side):\n")
 	fmt.Fprintf(w, "  %-8s %10s %12s %12s %12s %12s\n", "stage", "count", "p50", "p99", "p99.9", "max")
-	for _, st := range t.Snapshot() {
+	for _, st := range d.Stages {
 		fmt.Fprintf(w, "  %-8s %10d %12s %12s %12s %12s\n",
 			st.Stage, st.Count, fdur(st.P50), fdur(st.P99), fdur(st.P999), fdur(st.Max))
 	}
@@ -31,7 +32,7 @@ func WriteTracez(w io.Writer, tenant string, t *Tracer, slowN, recentN int) {
 	fmt.Fprintln(w)
 }
 
-func writeTraces(w io.Writer, traces []*BatchTrace) {
+func writeTraces(w io.Writer, traces []BatchTrace) {
 	if len(traces) == 0 {
 		fmt.Fprintf(w, "  (none)\n")
 		return

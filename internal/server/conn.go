@@ -29,13 +29,12 @@ type srvConn struct {
 	br     *bufio.Reader
 	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
 
-	wmu sync.Mutex // guards bw and the underlying write side
-	bw  *bufio.Writer
+	wmu sync.Mutex // guards the write side of nc
 
 	readClosed atomic.Bool
 
 	// Serve-goroutine state, reused across read batches.
-	lastTrace uint64 // most recent batch-trace ID
+	lastTrace uint64 // ID of the last batch trace this connection recorded
 	rbuf      []byte
 	sub       wire.Submit
 	ids       []uint64 // one per Submit frame of the current read batch
@@ -48,10 +47,7 @@ type srvConn struct {
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
-	return &srvConn{
-		s: s, nc: nc, remote: nc.RemoteAddr().String(),
-		br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
-	}
+	return &srvConn{s: s, nc: nc, remote: nc.RemoteAddr().String(), br: bufio.NewReaderSize(nc, 64<<10)}
 }
 
 // closeRead shuts the read side so the serve loop drains out; responses for
@@ -66,9 +62,10 @@ func (c *srvConn) closeRead() {
 	c.nc.Close()
 }
 
-// send writes buf (one or more encoded frames) to the peer and flushes it.
-// It is the only place the write side is touched: the serve goroutine's
-// replies and another connection's reject-wave push serialize on wmu.
+// send writes buf (one or more complete encoded frames) to the peer, straight
+// from the caller's buffer. It is the only place the write side is touched:
+// the serve goroutine's replies and another connection's reject-wave push
+// serialize on wmu.
 func (c *srvConn) send(buf []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -77,10 +74,8 @@ func (c *srvConn) send(buf []byte) error {
 
 // sendLocked is send for a caller that already holds wmu.
 func (c *srvConn) sendLocked(buf []byte) error {
-	if _, err := c.bw.Write(buf); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err := c.nc.Write(buf)
+	return err
 }
 
 // fail writes a connection-fatal error frame and gives up on the peer.
@@ -221,9 +216,9 @@ func (c *srvConn) loop() {
 		}
 		// The trace clock starts once the first frame has arrived: time a
 		// connection spends idle waiting for traffic is not server latency.
-		var bt *obs.BatchTrace
+		var start time.Time
 		if tracer != nil {
-			bt = &obs.BatchTrace{ID: tracer.NextID(), Start: time.Now(), Conn: c.remote}
+			start = time.Now()
 		}
 		if !c.ingest(ft, p) {
 			return
@@ -243,22 +238,15 @@ func (c *srvConn) loop() {
 			continue
 		}
 
-		n := int64(len(c.reqs))
-		tn.readBatches.Add(1)
-		tn.readReqs.Add(n)
-		storeMax(&tn.maxRead, n)
-
-		// One clock read ends the decode span and starts the submit span;
-		// the counter updates above are charged to decode, which is noise.
+		// One clock read ends the decode span and starts the submit span.
 		var submitStart time.Time
-		if bt != nil {
+		if tracer != nil {
 			submitStart = time.Now()
-			bt.Stages[obs.StageDecode] = submitStart.Sub(bt.Start)
 		}
 		var rc receipt
 		c.results, rc = tn.submit(c.reqs, c.results)
-		submitWall := time.Duration(0)
-		if bt != nil {
+		var submitWall time.Duration
+		if tracer != nil {
 			submitWall = time.Since(submitStart)
 		}
 
@@ -299,33 +287,26 @@ func (c *srvConn) loop() {
 			return
 		}
 
-		if bt != nil {
-			// The wait for tenant.mu is what is left of the run's wall time
-			// once its own execute and WAL-append work is taken out.
-			tn.combine.Record(rc.exec + rc.walAppend)
-			bt.Stages[obs.StageQueue] = max(submitWall-rc.exec-rc.walAppend, 0)
-			bt.Stages[obs.StageExecute] = rc.exec
-			bt.Stages[obs.StageWAL] = rc.walAppend + walWait
-			bt.Total = time.Since(bt.Start)
-			bt.Stages[obs.StageWrite] = max(bt.Total-bt.Stages[obs.StageDecode]-submitWall-walWait, 0)
-			bt.Frames = len(c.ids)
-			bt.Requests = len(c.reqs)
-			bt.Grants, bt.Rejects, bt.Errors = grants, rejects, errCount
-			bt.Moves = rc.moves
-			bt.Wave = rejects > 0
-			tracer.Record(bt)
-			c.lastTrace = bt.ID
-		}
-	}
-}
-
-// storeMax raises the high-water mark hi to n. A CompareAndSwap that loses to
-// another connection is tried again against what that connection stored, so
-// the larger of two racing batches is never the one dropped.
-func storeMax(hi *atomic.Int64, n int64) {
-	for cur := hi.Load(); n > cur; cur = hi.Load() {
-		if hi.CompareAndSwap(cur, n) {
-			return
+		if tracer != nil {
+			// The trace is built here, on the stack, from what the batch
+			// already brought back, and copied in by one Record. The wait
+			// for tenant.mu is what is left of the run's wall time once its
+			// own execute and WAL-append work (its hold of mu) is taken out.
+			total, decode, hold := time.Since(start), submitStart.Sub(start), rc.exec+rc.walAppend
+			bt := obs.BatchTrace{
+				Start: start, Total: total, Hold: hold,
+				Frames: len(c.ids), Requests: len(c.reqs),
+				Grants: grants, Rejects: rejects, Errors: errCount,
+				Moves: rc.moves, Wave: rejects > 0, Conn: c.remote,
+				Stages: [obs.StageTotal]time.Duration{
+					obs.StageDecode:  decode,
+					obs.StageQueue:   max(submitWall-hold, 0),
+					obs.StageExecute: rc.exec,
+					obs.StageWAL:     rc.walAppend + walWait,
+					obs.StageWrite:   max(total-decode-submitWall-walWait, 0),
+				},
+			}
+			c.lastTrace = tracer.Record(&bt)
 		}
 	}
 }
@@ -343,9 +324,7 @@ func (c *srvConn) ingest(ft wire.FrameType, p []byte) bool {
 	}
 	c.ids = append(c.ids, c.sub.ID)
 	c.counts = append(c.counts, len(c.sub.Reqs))
-	for _, r := range c.sub.Reqs {
-		c.reqs = append(c.reqs, controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child})
-	}
+	c.reqs = append(c.reqs, c.sub.Reqs...)
 	return true
 }
 

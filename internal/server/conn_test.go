@@ -7,8 +7,6 @@ import (
 	"errors"
 	"log/slog"
 	"net"
-	"regexp"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,21 +213,11 @@ func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	}
 }
 
-var movesRe = regexp.MustCompile(`(?m)^dynctrld_tenant_moves_total\{tenant="default"\} (\d+)$`)
-
 func scrapeMoves(t *testing.T, s *Server) int64 {
 	t.Helper()
 	var buf bytes.Buffer
 	s.WriteMetrics(&buf)
-	m := movesRe.FindSubmatch(buf.Bytes())
-	if m == nil {
-		t.Fatalf("no moves_total sample in:\n%s", buf.String())
-	}
-	n, err := strconv.ParseInt(string(m[1]), 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return int64(metricSample(t, buf.String(), `dynctrld_tenant_moves_total{tenant="default"}`))
 }
 
 // TestReceiptFeedsTraces: with a WAL and tracing on, every batch trace is
@@ -309,50 +297,73 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	}
 }
 
-// TestStoreMax: the read-batch high-water mark ends at the largest value
-// stored, whatever the order and however many connections store at once. One
-// CompareAndSwap with no retry, which is what the serve loop used to do, lets
-// the larger of two racing batches be the one that loses.
+// TestStoreMax: the read-batch high-water mark ends at the largest run,
+// whatever the order and however many connections run at once, and the two
+// read-batch counters beside it at every run and every request. A read batch
+// is one run, so /metricsz renders the read_batch families from the run
+// tallies, plain integers that submit raises under tenant.mu.
 func TestStoreMax(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		stores []int64
-		want   int64
-	}{
-		{"ascending", []int64{1, 2, 3, 64}, 64},
-		{"descending", []int64{64, 3, 2, 1}, 64},
-		{"equal", []int64{7, 7, 7}, 7},
-		{"below the zero start", []int64{-1}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var hi atomic.Int64
-			for _, n := range tc.stores {
-				storeMax(&hi, n)
-			}
-			if got := hi.Load(); got != tc.want {
-				t.Fatalf("after %v: %d, want %d", tc.stores, got, tc.want)
-			}
-		})
-	}
-	t.Run("concurrent writers", func(t *testing.T) {
-		const writers, each = 8, 2000
-		var hi atomic.Int64
+	check := func(t *testing.T, runs [][]int, wantMax int) {
+		t.Helper()
+		s, err := New(Config{Topology: workload.TopologySpec{Kind: "star", Nodes: 4}, Seed: 1, M: 1 << 30, W: 1 << 29})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		tn := s.defaultTenant()
+		batches, total := 0, 0
 		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
+		for _, sizes := range runs { // one goroutine a connection
+			for _, n := range sizes {
+				batches, total = batches+1, total+n
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Writer w stores w+1, w+1+writers, ...: the values
-				// interleave, so every writer keeps finding a mark another
-				// one just moved.
-				for i := 0; i < each; i++ {
-					storeMax(&hi, int64(w+1+i*writers))
+				var out []controller.BatchResult
+				for _, n := range sizes {
+					reqs := make([]controller.Request, n)
+					for i := range reqs {
+						reqs[i] = controller.Request{Node: tn.tr.Root(), Kind: tree.None}
+					}
+					out, _ = tn.submit(reqs, out[:0])
 				}
 			}()
 		}
 		wg.Wait()
-		if got, want := hi.Load(), int64(writers*each); got != want {
-			t.Fatalf("%d writers ended at %d, want %d", writers, got, want)
+		var buf bytes.Buffer
+		s.WriteMetrics(&buf)
+		for family, want := range map[string]int{
+			"dynctrld_tenant_read_batch_max":            wantMax,
+			"dynctrld_tenant_read_batches_total":        batches,
+			"dynctrld_tenant_read_batch_requests_total": total,
+		} {
+			if got := metricSample(t, buf.String(), family+`{tenant="default"}`); got != want {
+				t.Errorf("%s = %d after runs of %v, want %d", family, got, runs, want)
+			}
 		}
+	}
+	for _, tc := range []struct {
+		name string
+		runs []int
+		want int
+	}{
+		{"ascending", []int{1, 2, 3, 64}, 64},
+		{"descending", []int{64, 3, 2, 1}, 64},
+		{"equal", []int{7, 7, 7}, 7},
+		{"below the zero start", []int{0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(t, [][]int{tc.runs}, tc.want) })
+	}
+	t.Run("concurrent writers", func(t *testing.T) {
+		// Writer w runs w+1, w+1+writers, ... requests: the sizes interleave,
+		// so every writer keeps finding a mark another one just moved.
+		const writers, each = 8, 40
+		runs := make([][]int, writers)
+		for w := range runs {
+			for i := 0; i < each; i++ {
+				runs[w] = append(runs[w], w+1+i*writers)
+			}
+		}
+		check(t, runs, writers*each)
 	})
 }

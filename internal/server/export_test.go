@@ -80,13 +80,6 @@ func (s *Server) RunStatsForTests() (runs, reqs int64) {
 	return ev.runs, ev.runReqs
 }
 
-// ReadBatchStatsForTests returns the first tenant's (readBatches,
-// readReqs, maxRead).
-func (s *Server) ReadBatchStatsForTests() (int64, int64, int64) {
-	tn := s.defaultTenant()
-	return tn.readBatches.Load(), tn.readReqs.Load(), tn.maxRead.Load()
-}
-
 // ConnLifecycleForTests samples the first tenant's (connsOpen,
 // connsTotal, idleTimeouts) for the lifecycle tests.
 func (s *Server) ConnLifecycleForTests() (open, total, idle int64) {

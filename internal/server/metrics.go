@@ -14,25 +14,27 @@ import (
 // exposition format (version 0.0.4): every family carries HELP and TYPE
 // lines, label values are escaped, and samples of a family are grouped —
 // process-wide aggregates first, then the per-tenant families with
-// {tenant="name"} labels. Each tenant's engine is read once, under its lock
-// (tenant.engineView), and that one reading feeds the aggregate and the
-// tenant's own lines. Every field is documented in docs/OPERATIONS.md
-// (enforced by internal/docscheck).
+// {tenant="name"} labels. Each tenant is read once (tenant.scrapeView: the
+// engine under its lock, then the wire tallies), and that one reading feeds
+// the aggregate and the tenant's own lines, so within one document an
+// aggregate is the sum of its tenants. Every field is documented in
+// docs/OPERATIONS.md (enforced by internal/docscheck).
 func (s *Server) WriteMetrics(w io.Writer) {
 	var ops, grants, rejects, errs, violations, connsOpen, connsTotal int64
 	var wave, wal bool
-	views := make([]engineView, len(s.order))
+	views := make([]scrapeView, len(s.order))
 	for i, name := range s.order {
 		tn := s.tenants[name]
-		views[i] = tn.engineView()
-		ops += tn.ops.Load()
-		grants += tn.grants.Load()
-		rejects += tn.rejects.Load()
-		errs += tn.errs.Load()
-		violations += int64(len(views[i].violations))
-		connsOpen += tn.connsOpen.Load()
-		connsTotal += tn.connsTotal.Load()
-		wave = wave || views[i].waved
+		v := tn.scrapeView()
+		views[i] = v
+		ops += v.wireOps
+		grants += v.wireGrants
+		rejects += v.wireRejects
+		errs += v.wireErrs
+		violations += int64(len(v.violations))
+		connsOpen += v.connsOpen
+		connsTotal += v.connsTotal
+		wave = wave || v.waved
 		wal = wal || tn.eng != nil
 	}
 	uptime, startTime := 0.0, 0.0
@@ -79,8 +81,8 @@ func b2i(b bool) int {
 }
 
 // collectTenantMetrics appends one tenant's samples to the document's
-// per-tenant families; ev is the scrape's reading of the tenant's engine.
-func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
+// per-tenant families; ev is the scrape's one reading of the tenant.
+func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev scrapeView) {
 	base := `{tenant="` + obs.EscapeLabel(tn.name) + `"`
 	l := base + "}"
 
@@ -104,20 +106,20 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 		d.Gauge("dynctrld_tenant_wal_recovered_truncated_bytes", "Torn-tail bytes truncated during boot recovery.", l, tn.recoveredTrunc)
 	}
 
-	d.Counter("dynctrld_tenant_ops_total", "Requests answered over the wire for this tenant.", l, tn.ops.Load())
-	d.Counter("dynctrld_tenant_grants_total", "Grant verdicts written to the wire for this tenant.", l, tn.grants.Load())
-	d.Counter("dynctrld_tenant_rejects_total", "Reject verdicts written to the wire for this tenant.", l, tn.rejects.Load())
-	d.Counter("dynctrld_tenant_errors_total", "Per-request errors written to the wire for this tenant.", l, tn.errs.Load())
+	d.Counter("dynctrld_tenant_ops_total", "Requests answered over the wire for this tenant.", l, ev.wireOps)
+	d.Counter("dynctrld_tenant_grants_total", "Grant verdicts written to the wire for this tenant.", l, ev.wireGrants)
+	d.Counter("dynctrld_tenant_rejects_total", "Reject verdicts written to the wire for this tenant.", l, ev.wireRejects)
+	d.Counter("dynctrld_tenant_errors_total", "Per-request errors written to the wire for this tenant.", l, ev.wireErrs)
 	d.Gauge("dynctrld_tenant_reject_wave", "1 once this tenant's reject wave has fired.", l, b2i(ev.waved))
 	d.Gauge("dynctrld_tenant_reject_wave_granted", "Grant count announced by this tenant's reject wave.", l, ev.waveGranted)
 
-	d.Gauge("dynctrld_tenant_connections_open", "Currently bound wire connections.", l, tn.connsOpen.Load())
-	d.Counter("dynctrld_tenant_connections_total", "Wire connections ever bound to this tenant.", l, tn.connsTotal.Load())
+	d.Gauge("dynctrld_tenant_connections_open", "Currently bound wire connections.", l, ev.connsOpen)
+	d.Counter("dynctrld_tenant_connections_total", "Wire connections ever bound to this tenant.", l, ev.connsTotal)
 	d.Counter("dynctrld_tenant_idle_timeouts_total", "Connections reaped by the rolling idle deadline.", l, tn.idleTimeouts.Load())
 
-	d.Counter("dynctrld_tenant_read_batches_total", "Read batches coalesced from connection sockets.", l, tn.readBatches.Load())
-	d.Counter("dynctrld_tenant_read_batch_requests_total", "Requests carried by those read batches.", l, tn.readReqs.Load())
-	d.Gauge("dynctrld_tenant_read_batch_max", "Largest read batch observed.", l, tn.maxRead.Load())
+	d.Counter("dynctrld_tenant_read_batches_total", "Read batches coalesced from connection sockets and run (a batch refused by a drained tenant or a dead WAL is not counted).", l, ev.runs)
+	d.Counter("dynctrld_tenant_read_batch_requests_total", "Requests carried by those read batches (refused batches not counted).", l, ev.runReqs)
+	d.Gauge("dynctrld_tenant_read_batch_max", "Largest read batch run (refused batches not counted).", l, ev.maxRun)
 	d.Counter("dynctrld_tenant_pipeline_batches_total", "Runs executed under the tenant's lock, one per read batch.", l, ev.runs)
 	d.Counter("dynctrld_tenant_pipeline_requests_total", "Requests those runs carried, as of the same instant as the ctl_ counters.", l, ev.runReqs)
 	d.Gauge("dynctrld_tenant_pipeline_batch_max", "Largest run executed (requests).", l, ev.maxRun)
@@ -131,17 +133,18 @@ func collectTenantMetrics(d *obs.PromDoc, tn *tenant, ev engineView) {
 	d.Gauge("dynctrld_tenant_oracle_violations", "Oracle violations observed for this tenant (paranoid mode).", l, len(ev.violations))
 
 	if tn.tracer != nil {
-		d.Counter("dynctrld_tenant_traces_total", "Batch traces recorded by the tenant's tracer.", l, tn.tracer.Recorded())
+		td := tn.tracer.Snapshot()
+		d.Counter("dynctrld_tenant_traces_total", "Batch traces recorded by the tenant's tracer.", l, td.Recorded)
 		stageFam := d.Family("dynctrld_tenant_stage_seconds", "summary",
 			"Server-side batch latency by stage (decode, queue, execute, wal, write, total), seconds.")
-		for _, st := range tn.tracer.Snapshot() {
+		for _, st := range td.Stages {
 			stageFam.AddSummary(base+`,stage="`+st.Stage+`"`, st.LatencyStats)
 		}
 		d.Family("dynctrld_tenant_combine_seconds", "summary",
-			"Time a run holds the tenant's lock: execute plus WAL append, seconds.").AddSummary(base, tn.combine.Stats())
-		if tn.fsync != nil {
+			"Time a run holds the tenant's lock: execute plus WAL append, seconds.").AddSummary(base, td.Hold)
+		if tn.eng != nil {
 			d.Family("dynctrld_tenant_fsync_seconds", "summary",
-				"WAL group-commit fsync wave duration, seconds.").AddSummary(base, tn.fsync.Stats())
+				"WAL group-commit fsync wave duration, seconds.").AddSummary(base, td.Fsync)
 		}
 	}
 }
@@ -163,7 +166,7 @@ func (s *Server) WriteTraces(w io.Writer, tenant string, n int) {
 // tenant is unknown or tracing is disabled.
 func (s *Server) TenantStageStats(name string) []obs.StageStats {
 	if tn := s.tenants[name]; tn != nil {
-		return tn.tracer.Snapshot()
+		return tn.tracer.Snapshot().Stages
 	}
 	return nil
 }

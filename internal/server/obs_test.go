@@ -42,6 +42,37 @@ func renderMetrics(t *testing.T, cfg Config) string {
 	return goVersionRe.ReplaceAllString(buf.String(), `go_version="GOVERSION"`)
 }
 
+// metricSample returns the integer sample of one series (family and label
+// set as rendered) of a /metricsz document.
+func metricSample(t *testing.T, doc, series string) int {
+	t.Helper()
+	_, rest, ok := strings.Cut("\n"+doc, "\n"+series+" ")
+	if !ok {
+		t.Fatalf("no %q sample in:\n%s", series, doc)
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.Atoi(line)
+	if err != nil {
+		t.Fatalf("%s sample %q: %v", series, line, err)
+	}
+	return n
+}
+
+// checkOneTraceCount holds a /metricsz document to the tracer's one critical
+// section: a batch is one trace, one sample of every stage and one lock hold,
+// all counted under the same mutex and all read by one Snapshot.
+func checkOneTraceCount(t *testing.T, doc string) int {
+	t.Helper()
+	traces := metricSample(t, doc, `dynctrld_tenant_traces_total{tenant="default"}`)
+	total := metricSample(t, doc, `dynctrld_tenant_stage_seconds_count{tenant="default",stage="total"}`)
+	hold := metricSample(t, doc, `dynctrld_tenant_combine_seconds_count{tenant="default"}`)
+	if traces != total || traces != hold {
+		t.Fatalf("one scrape reads traces_total %d, stage total count %d, combine count %d: want one count",
+			traces, total, hold)
+	}
+	return traces
+}
+
 // TestWriteMetricsGolden pins the full Prometheus exposition byte for
 // byte: family grouping, HELP/TYPE lines, label escaping and the
 // per-tenant sample set, for a two-tenant daemon with and without the
@@ -213,6 +244,10 @@ func TestTracezEndpoint(t *testing.T) {
 		t.Errorf("/tracez?n=2 ignored the cap:\n%s", got)
 	}
 
+	if got := checkOneTraceCount(t, get("/metricsz")); got != 10 {
+		t.Errorf("/metricsz counts %d traces, want 10", got)
+	}
+
 	// The stage histograms behind /metricsz saw the same batches.
 	stats := s.TenantStageStats("default")
 	if stats == nil {
@@ -296,9 +331,10 @@ func TestPprofGate(t *testing.T) {
 }
 
 // TestScrapeUnderLoad races the observability read paths (/metricsz,
-// /tracez) against a live submit storm — the lock-free ring publish, the
-// slowest-N heap and the histogram folds must hold up under the race
-// detector while being scraped.
+// /tracez) against a live submit storm: the ring, the slowest-N and the
+// histogram rows are plain values under the tracer's one mutex, which must
+// hold up under the race detector while being scraped, and every /metricsz
+// document, mid-storm or after it, reads one count of batches.
 func TestScrapeUnderLoad(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
@@ -355,14 +391,97 @@ func TestScrapeUnderLoad(t *testing.T) {
 			if len(body) == 0 {
 				t.Fatalf("GET %s: empty body", path)
 			}
+			if path == "/metricsz" {
+				checkOneTraceCount(t, string(body))
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
+	// The scrape raced real traffic and the tracer kept count: a batch's
+	// trace goes in after its reply, so quiesce before the last reading.
+	cl.Close()
+	waitLifecycle(t, s, "connections drained", func(open, _, _ int64) bool { return open == 0 })
+	var buf bytes.Buffer
+	s.WriteMetrics(&buf)
+	if checkOneTraceCount(t, buf.String()) == 0 {
+		t.Error("no batch traced under load")
+	}
+}
 
-	// The scrape raced real traffic; the histograms must have kept count.
-	if got := s.TenantStageStats("default"); got == nil || got[len(got)-1].Count == 0 {
-		t.Errorf("no stage samples recorded under load: %v", got)
+// TestScrapeAggregateIsSumOfTenants: the process-wide families and the
+// per-tenant ones are fed by one reading of each tenant, so in every
+// document, however much traffic lands while it is rendered, an aggregate is
+// exactly the sum of its tenants' lines. Loading each tally once for the sums
+// and again for the tenant's lines shows ops_total ahead of or behind its
+// parts. Two tenants, four connections each that redial as they go (so the
+// connection counts move too); the small contract runs into rejects and a
+// request for a node that does not exist is an error.
+func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
+	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	s := startServer(t, Config{Tenants: []TenantConfig{
+		{Name: "big", Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29},
+		{Name: "small", Topology: spec, Seed: 1, M: 2000, W: 1000},
+	}})
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]controller.Request, 32)
+	for i := range reqs {
+		reqs[i] = controller.Request{Node: tr.Root(), Kind: tree.None}
+	}
+	reqs[len(reqs)-1].Node = 1 << 20 // no such node: one error a batch
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, name := range s.Tenants() {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for dial := 0; dial < 8; dial++ {
+					cl, err := client.Dial(s.Addr(), client.Options{Tenant: name})
+					if err != nil {
+						t.Errorf("Dial: %v", err)
+						return
+					}
+					var out []controller.BatchResult
+					for i := 0; i < 16; i++ {
+						if out, err = cl.SubmitMany(reqs, out[:0]); err != nil {
+							t.Errorf("SubmitMany: %v", err)
+							break
+						}
+					}
+					cl.Close()
+				}
+			}()
+		}
+	}
+	go func() { wg.Wait(); close(done) }()
+	defer func() { <-done }() // a failed document must not outrun the load
+
+	for scraping, docs := true, 0; scraping; docs++ {
+		select {
+		case <-done:
+			scraping = false // and one last document, at rest
+		default:
+		}
+		var buf bytes.Buffer
+		s.WriteMetrics(&buf)
+		doc := buf.String()
+		for _, f := range []string{"ops_total", "grants_total", "rejects_total", "errors_total", "connections_open", "connections_total"} {
+			sum := 0
+			for _, name := range s.Tenants() {
+				sum += metricSample(t, doc, "dynctrld_tenant_"+f+`{tenant="`+name+`"}`)
+			}
+			if agg := metricSample(t, doc, "dynctrld_"+f); agg != sum {
+				t.Fatalf("document %d: dynctrld_%s = %d, its tenants sum to %d", docs, f, agg, sum)
+			}
+			if !scraping && sum == 0 && f != "connections_open" {
+				t.Errorf("dynctrld_%s is 0 after the load: the test drove nothing into it", f)
+			}
+		}
 	}
 }
 
@@ -421,17 +540,8 @@ func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 
 	sample := func(doc, family string) int {
-		key := family + `{tenant="default"} `
-		_, rest, ok := strings.Cut(doc, key)
-		if !ok {
-			t.Fatalf("no %q sample", key)
-		}
-		line, _, _ := strings.Cut(rest, "\n")
-		n, err := strconv.Atoi(line)
-		if err != nil {
-			t.Fatalf("%s sample %q: %v", family, line, err)
-		}
-		return n
+		t.Helper()
+		return metricSample(t, doc, family+`{tenant="default"}`)
 	}
 	last := len(nodes)
 	for scraping := true; scraping; {

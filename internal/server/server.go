@@ -126,8 +126,8 @@ type Config struct {
 	Logger *slog.Logger
 
 	// TraceRing sizes each tenant's batch-trace ring (0 = obs.DefaultRing;
-	// negative disables tracing, stage histograms and the combine/fsync
-	// recorders entirely).
+	// negative leaves the tenant with no tracer: no traces and no stage,
+	// lock-hold or fsync histograms).
 	TraceRing int
 
 	// Pprof mounts net/http/pprof's handlers under /debug/pprof/ on the

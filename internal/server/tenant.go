@@ -98,7 +98,8 @@ type tenant struct {
 	waved       bool
 	waveGranted int64
 	// runs, runReqs and maxRun count what submit executed: runs, the
-	// requests they carried and the largest one.
+	// requests they carried and the largest one. A connection's read batch is
+	// one run, so these are the read-batch tallies as well.
 	runs, runReqs int64
 	maxRun        int
 
@@ -124,17 +125,13 @@ type tenant struct {
 	// moves, ...) are reported separately on /metricsz; these are the
 	// numbers a load generator must reconcile against.
 	ops, grants, rejects, errs atomic.Int64
-	readBatches, readReqs      atomic.Int64
-	maxRead                    atomic.Int64
 	connsOpen, connsTotal      atomic.Int64
 	idleTimeouts               atomic.Int64
 
-	// Observability (all nil when Config.TraceRing < 0): the batch-trace
-	// ring + per-stage histograms, the recorder of a run's time under mu
-	// (execute plus WAL append) and the WAL fsync-wave recorder.
-	tracer  *obs.Tracer
-	combine *obs.Recorder
-	fsync   *obs.Recorder
+	// tracer is everything the tenant observes (nil when Config.TraceRing <
+	// 0): the batch traces, the per-stage histograms, a run's time under mu
+	// (execute plus WAL append) and the WAL's fsync waves.
+	tracer *obs.Tracer
 }
 
 // receipt is what submit learned about one run, returned to the
@@ -253,10 +250,8 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		topoSig: topoSig,
 		conns:   map[*srvConn]struct{}{},
 	}
-	traced := cfg.TraceRing >= 0
-	if traced {
+	if cfg.TraceRing >= 0 {
 		tn.tracer = obs.NewTracer(cfg.TraceRing, obs.DefaultSlow)
-		tn.combine = obs.NewRecorder()
 	}
 
 	var walDir string
@@ -267,9 +262,8 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 			CommitWindow:  max(cfg.CommitWindow, 0),
 			Logger:        cfg.Logger.With("tenant", tc.Name),
 		}
-		if traced {
-			tn.fsync = obs.NewRecorder()
-			popts.SyncObserver = func(_ int, d time.Duration) { tn.fsync.Record(d) }
+		if tn.tracer != nil {
+			popts.SyncObserver = func(_ int, d time.Duration) { tn.tracer.RecordFsync(d) }
 		}
 		eng, rec, err := persist.Open(walDir, popts)
 		if err != nil {
@@ -359,6 +353,27 @@ func (t *tenant) engineView() engineView {
 		v.violations = slices.Clone(t.orc.Violations())
 	}
 	return v
+}
+
+// scrapeView is one tenant as one scrape sees it: the engine under mu, then
+// the wire tallies and connection counts, each loaded once, so the
+// process-wide sums and the tenant's own lines are the same numbers.
+type scrapeView struct {
+	engineView
+	wireOps, wireGrants, wireRejects, wireErrs int64 // answered over the wire
+	connsOpen, connsTotal                      int64
+}
+
+func (t *tenant) scrapeView() scrapeView {
+	return scrapeView{
+		engineView:  t.engineView(),
+		wireOps:     t.ops.Load(),
+		wireGrants:  t.grants.Load(),
+		wireRejects: t.rejects.Load(),
+		wireErrs:    t.errs.Load(),
+		connsOpen:   t.connsOpen.Load(),
+		connsTotal:  t.connsTotal.Load(),
+	}
 }
 
 // captureState deep-copies a tenant's admission stack into a snapshot

@@ -124,6 +124,21 @@ func (k ChangeKind) IsRemoval() bool { return k == RemoveLeaf || k == RemoveInte
 // IsAddition reports whether the change inserts a node.
 func (k ChangeKind) IsAddition() bool { return k == AddLeaf || k == AddInternal }
 
+// Request is one event asking for a permit, as the controller takes it and
+// as the wire carries it (controller.Request and wire.Req are this type).
+// Per Section 2.1, a request to delete a node arrives at that node, and a
+// request to add a node arrives at the node's parent-to-be.
+type Request struct {
+	// Node is the node at which the request arrives.
+	Node NodeID
+	// Kind is the topological change requested; None counts a
+	// non-topological event (ticket sale, etc.).
+	Kind ChangeKind
+	// Child names, for AddInternal, the child whose parent edge is split
+	// (the new node is inserted between Node and Child).
+	Child NodeID
+}
+
 // Change records one applied topological change.
 type Change struct {
 	Kind ChangeKind

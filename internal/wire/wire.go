@@ -176,14 +176,10 @@ var (
 )
 
 // Req is one request on the wire: the node the request arrives at, the
-// change kind, and (for AddInternal) the child whose parent edge splits.
-// It mirrors controller.Request without importing it — the wire format is
-// the boundary, so it depends only on the tree vocabulary.
-type Req struct {
-	Node  tree.NodeID
-	Kind  tree.ChangeKind
-	Child tree.NodeID
-}
+// change kind, and (for AddInternal) the child whose parent edge splits. It
+// is the controller's request type, so neither side copies a batch to encode
+// or to run it — the wire still depends only on the tree vocabulary.
+type Req = tree.Request
 
 // Result is one per-request answer. When Code is not CodeOK the outcome
 // fields are meaningless and the request failed with the coded error.
