@@ -1,22 +1,16 @@
 // Command loadgen replays internal/workload scenarios against a running
-// dynctrld daemon over the wire protocol and prints a JSON summary
-// (internal/benchfmt): the artifact CI's smoke jobs upload, and the client
-// side of the client-vs-server latency reconciliation. Performance numbers
-// come from bench/, not from here.
+// dynctrld daemon over the wire protocol in closed loop and checks the
+// paper's contract there: never more than M grants, and, with -metrics,
+// the daemon's per-tenant /metricsz accounting reconciled exactly with
+// what this client observed. It prints one JSON line summarising the run,
+// the artifact CI's smoke jobs upload. Performance numbers, open-loop
+// latency included, come from bench/, not from here.
 //
 // Usage:
 //
 //	loadgen -addr 127.0.0.1:7700 -scenario churn-storm -conns 8
 //	loadgen -addr 127.0.0.1:7700 -duration 5s -min-requests 100000 \
 //	        -metrics 127.0.0.1:7701
-//	loadgen -addr 127.0.0.1:7700 -rate 20000 -arrival poisson -requests 100000
-//
-// With -rate the generator switches from the closed-loop chunked replay
-// to an open loop: arrivals follow a precomputed Poisson or
-// fixed-interval schedule regardless of how fast the daemon answers, and
-// each request's latency is measured from its *scheduled* arrival — the
-// coordinated-omission-safe convention — with p50/p99/p999 reported in
-// the summary's latency block.
 //
 // The generator reconstructs the daemon's initial topology from the same
 // (scenario | -topology/-nodes, -seed) parameters — the handshake's
@@ -39,20 +33,36 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"dynctrl/internal/benchfmt"
 	"dynctrl/internal/client"
 	"dynctrl/internal/workload"
 )
+
+// summary is the JSON line loadgen prints; throughput carries the name
+// BENCHMARK.json gives it.
+type summary struct {
+	Scenario    string  `json:"scenario"`
+	Tenant      string  `json:"tenant"`
+	Conns       int     `json:"conns"`
+	Chunk       int     `json:"chunk"`
+	Seed        int64   `json:"seed"`
+	Incarnation uint64  `json:"incarnation"`
+	Requests    int64   `json:"requests"`
+	Granted     int64   `json:"granted"`
+	Rejected    int64   `json:"rejected"`
+	Errors      int64   `json:"errors"`
+	ElapsedS    float64 `json:"elapsed_s"`
+	Throughput  float64 `json:"throughput_ops_s"`
+}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "daemon wire-protocol address")
@@ -69,12 +79,7 @@ func main() {
 	requests := flag.Int("requests", 0, "total requests to send (0 = scenario default; ignored with -duration)")
 	duration := flag.Duration("duration", 0, "replay the trace in rounds until this wall-clock budget is spent")
 	minRequests := flag.Int64("min-requests", 0, "fail unless at least this many requests completed")
-	label := flag.String("label", "loadgen", "label naming this run")
 	out := flag.String("out", "", "also write the JSON summary to this path")
-	rate := flag.Float64("rate", 0, "open-loop arrival rate in requests/s (0 = closed-loop chunked replay)")
-	arrival := flag.String("arrival", workload.ArrivalPoisson, "open-loop arrival process: "+
-		workload.ArrivalPoisson+" or "+workload.ArrivalFixed)
-	openWorkers := flag.Int("open-workers", 0, "open-loop in-flight submission bound (0 = default)")
 	flag.Parse()
 
 	sc := workload.Scenario{
@@ -108,132 +113,47 @@ func main() {
 	logf("connected to %s tenant %q: M=%d W=%d incarnation=%d, %d conns, trace %d requests (%s)",
 		*addr, cl.Tenant(), cl.M(), cl.W(), cl.Incarnation(), *conns, ct.Len(), sc.Name)
 
-	var (
-		total   workload.ConcurrentResult
-		elapsed time.Duration
-		rounds  int
-		latency *benchfmt.Latency
-	)
-	if *rate > 0 {
-		// Open loop: arrivals follow the schedule no matter how fast the
-		// daemon answers, and latency is charged from the scheduled arrival
-		// (coordinated-omission safe).
-		n := *requests
-		if n <= 0 && *duration > 0 {
-			n = int(*rate * duration.Seconds())
+	var total workload.ConcurrentResult
+	t0 := time.Now()
+	for {
+		res := workload.RunConcurrentChunked(cl, ct, *chunk)
+		total.Granted += res.Granted
+		total.Rejected += res.Rejected
+		total.Errors += res.Errors
+		total.Submitted += res.Submitted
+		if *duration <= 0 || time.Since(t0) >= *duration {
+			break
 		}
-		if n <= 0 {
-			n = ct.Len()
-		}
-		res, err := workload.RunOpenLoop(cl, ct.Serial(), workload.OpenLoopSpec{
-			Rate:    *rate,
-			Arrival: *arrival,
-			Total:   n,
-			Workers: *openWorkers,
-			Seed:    *seed,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		total, elapsed, rounds = res.ConcurrentResult, res.Elapsed, 1
-		latency = &benchfmt.Latency{
-			Unit:       "ns",
-			P50:        float64(res.Hist.Quantile(0.50)),
-			P99:        float64(res.Hist.Quantile(0.99)),
-			P999:       float64(res.Hist.Quantile(0.999)),
-			Max:        float64(res.Hist.Max()),
-			Mean:       res.Hist.Mean(),
-			Count:      res.Hist.Count(),
-			TargetRate: *rate,
-			Arrival:    *arrival,
-		}
-		logf("open loop: %s arrivals at %.0f req/s target, p50=%s p99=%s p999=%s",
-			*arrival, *rate,
-			time.Duration(res.Hist.Quantile(0.50)),
-			time.Duration(res.Hist.Quantile(0.99)),
-			time.Duration(res.Hist.Quantile(0.999)))
-	} else {
-		t0 := time.Now()
-		for {
-			res := workload.RunConcurrentChunked(cl, ct, *chunk)
-			total.Granted += res.Granted
-			total.Rejected += res.Rejected
-			total.Errors += res.Errors
-			total.Submitted += res.Submitted
-			rounds++
-			if *duration <= 0 || time.Since(t0) >= *duration {
-				break
-			}
-		}
-		elapsed = time.Since(t0)
 	}
+	elapsed := time.Since(t0)
 
-	opsPerSec := float64(total.Submitted) / elapsed.Seconds()
-	// A daemon running without a WAL reports incarnation 0 in the
-	// handshake; anything else is the durability engine.
-	durability := benchfmt.DurabilityNone
-	if cl.Incarnation() > 0 {
-		durability = benchfmt.DurabilityWALSnap
+	sum := summary{
+		Scenario:    sc.Name,
+		Tenant:      cl.Tenant(),
+		Conns:       *conns,
+		Chunk:       *chunk,
+		Seed:        *seed,
+		Incarnation: cl.Incarnation(),
+		Requests:    total.Submitted,
+		Granted:     total.Granted,
+		Rejected:    total.Rejected,
+		Errors:      total.Errors,
+		ElapsedS:    elapsed.Seconds(),
+		Throughput:  float64(total.Submitted) / elapsed.Seconds(),
 	}
-
-	// Scrape the daemon's own stage histograms so the summary carries both
-	// sides of the latency story, and reconcile them against the
-	// client-observed quantiles when an open-loop run measured any.
-	var serverLatency *benchfmt.ServerLatency
-	if *metrics != "" {
-		if sl, err := scrapeServerLatency(*metrics, cl.Tenant()); err != nil {
-			logf("server latency scrape skipped: %v", err)
-		} else {
-			serverLatency = sl
-			if latency != nil {
-				printReconciliation(latency, sl)
-			}
-		}
-	}
-	rep := benchfmt.Report{
-		Label:     *label,
-		Schema:    benchfmt.SchemaVersion,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Workload: map[string]any{
-			"scenario": sc.Name,
-			"tenant":   cl.Tenant(),
-			"conns":    *conns,
-			"chunk":    *chunk,
-			"seed":     *seed,
-			"rounds":   rounds,
-			"m":        cl.M(),
-			"w":        cl.W(),
-			"granted":  total.Granted,
-			"rejected": total.Rejected,
-			"errors":   total.Errors,
-			"elapsed":  elapsed.Seconds(),
-		},
-		Results: map[string]benchfmt.Measurement{
-			"loadgen": {
-				Scenario:      sc.Name,
-				Transport:     benchfmt.TransportTCP,
-				Durability:    durability,
-				NsPerOp:       float64(elapsed.Nanoseconds()) / float64(max(total.Submitted, 1)),
-				OpsPerSec:     opsPerSec,
-				Latency:       latency,
-				ServerLatency: serverLatency,
-			},
-		},
-	}
-	buf, err := rep.Bytes()
+	buf, err := json.Marshal(sum)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	buf = append(buf, '\n')
 	os.Stdout.Write(buf)
 	if *out != "" {
-		if _, err := rep.WriteFile(*out); err != nil {
+		if err := os.WriteFile(*out, buf, 0o644); err != nil {
 			fatalf("%v", err)
 		}
 	}
 	logf("%d requests in %.2fs (%.0f req/s): granted=%d rejected=%d errors=%d rejectWave=%v",
-		total.Submitted, elapsed.Seconds(), opsPerSec, total.Granted, total.Rejected, total.Errors, cl.RejectWaveSeen())
+		total.Submitted, sum.ElapsedS, sum.Throughput, total.Granted, total.Rejected, total.Errors, cl.RejectWaveSeen())
 
 	failed := false
 	if total.Errors > 0 {
@@ -306,7 +226,8 @@ func reconcile(addr, tenant string, total workload.ConcurrentResult) error {
 }
 
 // parseMetrics reads the plain-text "name value" lines of /metricsz,
-// keeping the integer-valued fields.
+// keeping the integer-valued fields (a "# HELP"/"# TYPE" line never has
+// an integer after its first space).
 func parseMetrics(text string) (map[string]int64, error) {
 	fields := map[string]int64{}
 	for _, line := range strings.Split(text, "\n") {
@@ -322,123 +243,6 @@ func parseMetrics(text string) (map[string]int64, error) {
 		return nil, fmt.Errorf("no parsable metrics lines")
 	}
 	return fields, nil
-}
-
-// scrapeServerLatency fetches /metricsz and collects the daemon's
-// per-stage latency summary (dynctrld_tenant_stage_seconds) for this
-// client's tenant, converting seconds to the nanosecond unit the rest of
-// the report uses. A daemon running with tracing disabled (-trace-ring
-// -1) exports no stage samples; that is reported as an error so the
-// caller can skip the block rather than emit an empty one.
-func scrapeServerLatency(addr, tenant string) (*benchfmt.ServerLatency, error) {
-	resp, err := http.Get(fmt.Sprintf("http://%s/metricsz", addr))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	stages := map[string]benchfmt.StageLatency{}
-	for _, line := range strings.Split(string(body), "\n") {
-		line = strings.TrimSpace(line)
-		rest, ok := strings.CutPrefix(line, "dynctrld_tenant_stage_seconds")
-		if !ok {
-			continue
-		}
-		suffix := ""
-		if r, ok := strings.CutPrefix(rest, "_sum"); ok {
-			suffix, rest = "sum", r
-		} else if r, ok := strings.CutPrefix(rest, "_count"); ok {
-			suffix, rest = "count", r
-		}
-		if !strings.HasPrefix(rest, "{") {
-			continue
-		}
-		end := strings.Index(rest, "} ")
-		if end < 0 {
-			continue
-		}
-		labels := parseLabels(rest[1:end])
-		if labels["tenant"] != tenant || labels["stage"] == "" {
-			continue
-		}
-		val, err := strconv.ParseFloat(strings.TrimSpace(rest[end+2:]), 64)
-		if err != nil {
-			continue
-		}
-		sl := stages[labels["stage"]]
-		switch suffix {
-		case "count":
-			sl.Count = int64(val)
-		case "sum":
-			// The summary's _sum is not part of the report schema.
-		default:
-			ns := val * 1e9
-			switch labels["quantile"] {
-			case "p50":
-				sl.P50 = ns
-			case "p99":
-				sl.P99 = ns
-			case "p999":
-				sl.P999 = ns
-			}
-		}
-		stages[labels["stage"]] = sl
-	}
-	if len(stages) == 0 {
-		return nil, fmt.Errorf("no dynctrld_tenant_stage_seconds samples for tenant %q"+
-			" (daemon running with -trace-ring -1?)", tenant)
-	}
-	return &benchfmt.ServerLatency{Unit: "ns", Stages: stages}, nil
-}
-
-// parseLabels splits a Prometheus label body (`k1="v1",k2="v2"`) into a
-// map. Values containing escaped quotes or commas are beyond what tenant
-// and stage names can contain, so a plain split suffices.
-func parseLabels(s string) map[string]string {
-	out := map[string]string{}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		out[k] = strings.Trim(v, `"`)
-	}
-	return out
-}
-
-// printReconciliation prints the client-vs-server latency table for an
-// open-loop run: the daemon's per-stage quantiles next to the
-// client-observed ones. The difference between the client p99 and the
-// server total p99 is time the server never saw — network transit plus
-// client-side queueing behind the in-flight bound.
-func printReconciliation(lat *benchfmt.Latency, srv *benchfmt.ServerLatency) {
-	logf("client-vs-server latency reconciliation:")
-	logf("  %-8s %12s %12s %10s", "stage", "p50", "p99", "count")
-	var stageSum float64
-	for _, st := range []string{"decode", "queue", "execute", "wal", "write", "total"} {
-		sl, ok := srv.Stages[st]
-		if !ok {
-			continue
-		}
-		if st != "total" {
-			stageSum += sl.P99
-		}
-		logf("  %-8s %12s %12s %10d",
-			st, time.Duration(int64(sl.P50)), time.Duration(int64(sl.P99)), sl.Count)
-	}
-	logf("  %-8s %12s %12s %10d", "client",
-		time.Duration(int64(lat.P50)), time.Duration(int64(lat.P99)), lat.Count)
-	gap := lat.P99 - srv.Stages["total"].P99
-	if gap < 0 {
-		gap = 0
-	}
-	logf("  stage p99 sum %s, server total p99 %s, network/client gap %s",
-		time.Duration(int64(stageSum)),
-		time.Duration(int64(srv.Stages["total"].P99)),
-		time.Duration(int64(gap)))
 }
 
 func logf(format string, args ...any) {

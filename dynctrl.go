@@ -168,7 +168,7 @@ var ErrPipelineClosed = pipeline.ErrClosed
 // unchanged over TCP.
 type RemoteClient = client.Client
 
-// RemoteOptions configures Dial (pool size, timeouts, reject-wave hook).
+// RemoteOptions configures Dial (pool size, tenant, timeouts).
 type RemoteOptions = client.Options
 
 // Dial connects to a dynctrld daemon with a pool of conns connections and
@@ -192,7 +192,7 @@ func DialTenant(addr, tenant string, conns int) (*RemoteClient, error) {
 }
 
 // DialOptions is Dial with full client options (pool size, tenant,
-// timeouts, reject-wave hook).
+// timeouts).
 func DialOptions(addr string, opts RemoteOptions) (*RemoteClient, error) {
 	return client.Dial(addr, opts)
 }

@@ -95,9 +95,6 @@ type Options struct {
 	// fails its pending calls with an error wrapping ErrWriteTimeout.
 	// Negative disables the deadline entirely.
 	WriteTimeout time.Duration
-	// OnRejectWave, when set, is invoked once when the server announces the
-	// reject wave, with the server's grant count at that point.
-	OnRejectWave func(granted int64)
 }
 
 // Client is a pooled connection to one daemon. It is safe for concurrent
@@ -461,9 +458,7 @@ func (cc *cliConn) handleFrame(ft wire.FrameType, p []byte, rs *wire.Results) er
 			return err
 		}
 		cc.cl.waveGranted.Store(rw.Granted)
-		if cc.cl.waveSeen.CompareAndSwap(false, true) && cc.cl.opts.OnRejectWave != nil {
-			cc.cl.opts.OnRejectWave(rw.Granted)
-		}
+		cc.cl.waveSeen.Store(true)
 		return nil
 	case wire.FrameError:
 		e, err := wire.DecodeError(p)

@@ -1,9 +1,8 @@
 // Package hdr is a minimal HDR-style latency histogram: fixed log-linear
 // buckets (64 linear sub-buckets per power of two, <=1.6% relative error)
 // over the full int64 nanosecond range, constant memory, no allocation on
-// the record path. It exists so open-loop load generation can report
-// coordinated-omission-safe quantiles (p50/p99/p999) without pulling in an
-// external histogram dependency.
+// the record path. It gives the tracer's stage rows their quantiles
+// (p50/p99/p999) without pulling in an external histogram dependency.
 //
 // A Histogram is not safe for concurrent use; concurrent recorders keep
 // one each and Merge them.

@@ -88,7 +88,7 @@ func TestWriteMetricsGolden(t *testing.T) {
 		cfg  Config
 	}{
 		{"nowal", Config{Tenants: tenants}},
-		{"wal", Config{Tenants: tenants, WALDir: t.TempDir(), CommitWindow: -1}},
+		{"wal", Config{Tenants: tenants, WALDir: t.TempDir()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := renderMetrics(t, tc.cfg)

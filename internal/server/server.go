@@ -114,9 +114,6 @@ type Config struct {
 	// automatic checkpoints). A final checkpoint is always written on
 	// graceful shutdown.
 	SnapshotEvery int64
-	// CommitWindow is the group-commit coalescing window (0 =
-	// DefaultCommitWindow; negative fsyncs immediately).
-	CommitWindow time.Duration
 
 	// Logger receives the daemon's structured log events (accepts,
 	// handshakes, binds, reject waves, recovery and durability warnings,
@@ -181,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = defaultSnapshotEvery
-	}
-	if cfg.CommitWindow == 0 {
-		cfg.CommitWindow = DefaultCommitWindow
 	}
 
 	s := &Server{

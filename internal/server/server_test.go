@@ -412,7 +412,7 @@ func TestRefusingTenantDecidesNothing(t *testing.T) {
 		}, errWALUnavailable, wire.CodeInternal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true, WALDir: t.TempDir(), CommitWindow: -1})
+			s, err := New(Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true, WALDir: t.TempDir()})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

@@ -259,7 +259,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		walDir = filepath.Join(cfg.WALDir, tc.Name)
 		popts := persist.Options{
 			SnapshotEvery: max(cfg.SnapshotEvery, 0),
-			CommitWindow:  max(cfg.CommitWindow, 0),
+			CommitWindow:  DefaultCommitWindow,
 			Logger:        cfg.Logger.With("tenant", tc.Name),
 		}
 		if tn.tracer != nil {
