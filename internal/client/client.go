@@ -13,15 +13,16 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dynctrl/internal/controller"
-	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 )
 
@@ -158,6 +159,7 @@ func (c *Client) dialOne(addr string) (*cliConn, error) {
 	cc := &cliConn{
 		cl:      c,
 		nc:      nc,
+		br:      bufio.NewReaderSize(nc, 64<<10),
 		pending: map[uint64]*pendingCall{},
 	}
 	// A deadline that cannot be armed or cleared is connection-fatal: an
@@ -289,13 +291,23 @@ func (c *Client) Close() error {
 type pendingCall struct {
 	n    int // request count, must match the results count
 	out  []controller.BatchResult
-	done chan error
+	err  error
+	done chan struct{} // signalled once, after out and err are final
+}
+
+// finish completes the call with err. A channel of struct{} is one
+// allocation where a channel of error would be two (its buffer holds a
+// pointer, so it is allocated apart from the channel).
+func (pc *pendingCall) finish(err error) {
+	pc.err = err
+	pc.done <- struct{}{}
 }
 
 // cliConn is one pooled connection with a reader goroutine.
 type cliConn struct {
 	cl      *Client
 	nc      net.Conn
+	br      *bufio.Reader // nc's read side: the handshake, then readLoop
 	welcome wire.Welcome
 
 	wmu  sync.Mutex // guards nc's write side and id/pending registration order
@@ -314,7 +326,7 @@ func (cc *cliConn) handshake() error {
 		return fmt.Errorf("%w: write hello: %v", ErrHandshake, err)
 	}
 	var rbuf []byte
-	ft, p, err := wire.ReadFrame(cc.nc, &rbuf)
+	ft, p, err := wire.ReadFrame(cc.br, &rbuf)
 	if err != nil {
 		// The connection died between Hello and Welcome (or dribbled past
 		// the deadline): a typed, prompt error, never a hang.
@@ -350,7 +362,7 @@ func (cc *cliConn) handshake() error {
 // false the server cannot have seen the requests and the caller may safely
 // route them elsewhere.
 func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchResult) (_ []controller.BatchResult, err error, attempted bool) {
-	pc := &pendingCall{n: len(reqs), out: out, done: make(chan error, 1)}
+	pc := &pendingCall{n: len(reqs), out: out, done: make(chan struct{}, 1)}
 
 	cc.wmu.Lock()
 	if cc.dead.Load() {
@@ -367,9 +379,10 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 	// Write deadline: a server (or network) that stopped reading backs TCP
 	// flow control up into this write, which would otherwise block forever
 	// while holding wmu — wedging every subsequent Submit routed to this
-	// pooled connection. The deadline is armed per frame and cleared after
-	// a successful write; failures to arm or clear are connection-fatal
-	// (the conn would be undeadlined or permanently deadlined).
+	// pooled connection. The deadline is armed before every frame and left
+	// armed after it: only writes see a write deadline, and each re-arms it
+	// first. A failure to arm it is connection-fatal (the write would be
+	// undeadlined).
 	wt := cc.cl.opts.WriteTimeout
 	var werr error
 	if wt > 0 {
@@ -377,9 +390,6 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 	}
 	if werr == nil {
 		_, werr = cc.nc.Write(cc.wbuf)
-		if werr == nil && wt > 0 {
-			werr = cc.nc.SetWriteDeadline(time.Time{})
-		}
 	}
 	cc.wmu.Unlock()
 	if werr != nil {
@@ -391,8 +401,9 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 		return out, werr, true
 	}
 
-	if err := <-pc.done; err != nil {
-		return out, err, true
+	<-pc.done
+	if pc.err != nil {
+		return out, pc.err, true
 	}
 	return pc.out, nil, true
 }
@@ -401,16 +412,15 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 // server pushes until the connection dies.
 func (cc *cliConn) readLoop() {
 	var rbuf []byte
-	var rs wire.Results
 	var err error
 	for {
 		var ft wire.FrameType
 		var p []byte
-		ft, p, err = wire.ReadFrame(cc.nc, &rbuf)
+		ft, p, err = wire.ReadFrame(cc.br, &rbuf)
 		if err != nil {
 			break
 		}
-		if err = cc.handleFrame(ft, p, &rs); err != nil {
+		if err = cc.handleFrame(ft, p); err != nil {
 			break
 		}
 	}
@@ -419,38 +429,40 @@ func (cc *cliConn) readLoop() {
 
 // handleFrame processes one incoming frame; a non-nil return is
 // connection-fatal.
-func (cc *cliConn) handleFrame(ft wire.FrameType, p []byte, rs *wire.Results) error {
+func (cc *cliConn) handleFrame(ft wire.FrameType, p []byte) error {
 	switch ft {
 	case wire.FrameResults:
-		if err := wire.DecodeResults(p, rs); err != nil {
+		id, e, err := wire.ViewResults(p)
+		if err != nil {
 			return err
 		}
 		cc.pmu.Lock()
-		pc := cc.pending[rs.ID]
-		delete(cc.pending, rs.ID)
+		pc := cc.pending[id]
+		delete(cc.pending, id)
 		cc.pmu.Unlock()
 		if pc == nil {
-			return fmt.Errorf("client: results for unknown id %d", rs.ID)
+			return fmt.Errorf("client: results for unknown id %d", id)
 		}
-		if len(rs.Results) != pc.n {
-			err := fmt.Errorf("client: %d results for %d requests (id %d)", len(rs.Results), pc.n, rs.ID)
-			pc.done <- err
+		if e.Len() != pc.n {
+			err := fmt.Errorf("client: %d results for %d requests (id %d)", e.Len(), pc.n, id)
+			pc.finish(err)
 			return err
 		}
-		for _, r := range rs.Results {
-			br := controller.BatchResult{}
-			if r.Code == wire.CodeOK {
-				br.Grant = controller.Grant{
-					Outcome: controller.Outcome(r.Outcome),
-					Serial:  r.Serial,
-					NewNode: tree.NodeID(r.NewNode),
-				}
-			} else {
-				br.Err = &ResultError{Code: r.Code}
+		base := len(pc.out)
+		pc.out = slices.Grow(pc.out, pc.n)[:base+pc.n]
+		for i := range pc.out[base:] {
+			r := e.At(i)
+			if r.Code != wire.CodeOK {
+				pc.out[base+i] = controller.BatchResult{Err: &ResultError{Code: r.Code}}
+				continue
 			}
-			pc.out = append(pc.out, br)
+			pc.out[base+i] = controller.BatchResult{Grant: controller.Grant{
+				Outcome: controller.Outcome(r.Outcome),
+				Serial:  r.Serial,
+				NewNode: r.NewNode,
+			}}
 		}
-		pc.done <- nil
+		pc.finish(nil)
 		return nil
 	case wire.FrameRejectWave:
 		rw, err := wire.DecodeRejectWave(p)
@@ -480,6 +492,6 @@ func (cc *cliConn) failAll(err error) {
 	cc.pending = map[uint64]*pendingCall{}
 	cc.pmu.Unlock()
 	for _, pc := range pending {
-		pc.done <- err
+		pc.finish(err)
 	}
 }

@@ -36,14 +36,14 @@ type srvConn struct {
 	// Serve-goroutine state, reused across read batches.
 	lastTrace uint64 // ID of the last batch trace this connection recorded
 	rbuf      []byte
-	sub       wire.Submit
 	ids       []uint64 // one per Submit frame of the current read batch
 	counts    []int    // requests carried by each of those frames
-	// reqs is the read batch, one run for tenant.submit; results its answers.
+	// reqs is the read batch, one run for tenant.submit, which the frames
+	// decode straight onto; results its answers, which the Results frames
+	// encode straight from.
 	reqs    []controller.Request
 	results []controller.BatchResult
 	wbuf    []byte
-	wres    []wire.Result
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
@@ -318,13 +318,15 @@ func (c *srvConn) ingest(ft wire.FrameType, p []byte) bool {
 		c.fail(wire.CodeProtocol, fmt.Sprintf("unexpected %v frame", ft))
 		return false
 	}
-	if err := wire.DecodeSubmit(p, &c.sub); err != nil {
+	n := len(c.reqs)
+	reqs, id, err := wire.AppendDecodeSubmit(c.reqs, p)
+	if err != nil {
 		c.fail(wire.CodeProtocol, err.Error())
 		return false
 	}
-	c.ids = append(c.ids, c.sub.ID)
-	c.counts = append(c.counts, len(c.sub.Reqs))
-	c.reqs = append(c.reqs, c.sub.Reqs...)
+	c.reqs = reqs
+	c.ids = append(c.ids, id)
+	c.counts = append(c.counts, len(reqs)-n)
 	return true
 }
 
@@ -367,13 +369,13 @@ func resultCode(err error) uint8 {
 // write error means the peer can no longer be answered and ends the serve
 // loop.
 func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
-	results := c.results
 	buf := c.wbuf[:0]
 	off := 0
 	for i, id := range c.ids {
 		n := c.counts[i]
-		res := c.wres[:0]
-		for _, br := range results[off : off+n] {
+		var e wire.ResultEntries
+		buf, e = wire.GrowResults(buf, id, n)
+		for j, br := range c.results[off : off+n] {
 			var r wire.Result
 			if br.Err != nil {
 				r.Code = resultCode(br.Err)
@@ -392,11 +394,9 @@ func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
 					rejects++
 				}
 			}
-			res = append(res, r)
+			e.Set(j, r)
 		}
 		off += n
-		buf = wire.AppendResults(buf, id, res)
-		c.wres = res
 	}
 	c.wbuf = buf
 

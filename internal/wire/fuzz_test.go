@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dynctrl/internal/tree"
@@ -28,6 +29,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendError(nil, ErrorFrame{Code: CodeProtocol, Detail: "bad frame"}))
 	// A stream of two frames plus trailing garbage.
 	f.Add(append(AppendHello(AppendRejectWave(nil, RejectWave{Granted: 1}), Hello{Version: 2}), 0xff, 0x00, 0x13))
+	// A bad kind in the last entry, after entries that decode.
+	f.Add(AppendSubmit(nil, 4, []Req{{Node: 1}, {Node: 2, Kind: tree.AddLeaf}, {Node: 3, Kind: tree.ChangeKind(9)}}))
+	// Counts that disagree with the payload length: one entry declared two.
+	for _, enc := range [][]byte{
+		AppendSubmit(nil, 5, []Req{{Node: 1}}),
+		AppendResults(nil, 5, []Result{{Outcome: 1}}),
+	} {
+		enc[5+8] = 2
+		f.Add(enc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -52,6 +63,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 				reenc = AppendWelcome(nil, w)
 			case FrameSubmit:
+				checkAppendDecodeKeepsPrefix(t, p)
 				var s Submit
 				if err := DecodeSubmit(p, &s); err != nil {
 					continue
@@ -94,4 +106,32 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkAppendDecodeKeepsPrefix decodes a Submit payload onto a destination
+// that already holds requests, once with room to spare and once without:
+// the existing requests must come back untouched, followed by exactly what
+// DecodeSubmit yields, or alone when the payload is refused.
+func checkAppendDecodeKeepsPrefix(t *testing.T, p []byte) {
+	t.Helper()
+	prefix := []Req{{Node: 11, Kind: tree.AddLeaf}, {Node: 12, Kind: tree.AddInternal, Child: 13}}
+	var s Submit
+	serr := DecodeSubmit(p, &s)
+	for _, spare := range []int{0, 64} {
+		dst := append(make([]Req, 0, len(prefix)+spare), prefix...)
+		out, id, err := AppendDecodeSubmit(dst, p)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("AppendDecodeSubmit err %v, DecodeSubmit err %v", err, serr)
+		}
+		want := prefix
+		if err == nil {
+			want = append(append([]Req{}, prefix...), s.Reqs...)
+			if id != s.ID {
+				t.Fatalf("AppendDecodeSubmit id %d, DecodeSubmit id %d", id, s.ID)
+			}
+		}
+		if !slices.Equal(out, want) {
+			t.Fatalf("AppendDecodeSubmit onto %d requests (spare %d): got %+v, want %+v", len(prefix), spare, out, want)
+		}
+	}
 }

@@ -26,12 +26,17 @@
 // bound tenant's reject wave has run and every later request will be
 // rejected. An Error frame is connection-fatal.
 //
-// The payload encodings are fixed-width little-endian (no varints): the
-// hot-path frames are Submit and Results, and fixed widths keep encode and
-// decode branch-free per entry. The tenant name in the handshake frames is
-// the one variable-width field (u16 length + bytes), paid once per
-// connection. Frames are bounded by MaxFrame; a decoder must reject
-// anything larger before allocating.
+// The payload encodings are fixed-width little-endian (no varints). The
+// hot-path frames are Submit and Results: an id and a count, then that many
+// fixed-size entries. An encoder grows its buffer once per frame and a
+// decoder checks the count against the payload length once; each then
+// stores or loads every entry at fixed offsets, with no length check or
+// error return per field (the Submit decoder's one per-entry branch is the
+// kind check). Each entry's layout is written once: putReq/getReq for a
+// Submit entry, ResultEntries.Set/At for a Results entry. The tenant name
+// in the handshake frames is the one variable-width field (u16 length +
+// bytes), paid once per connection. Frames are bounded by MaxFrame; a
+// decoder must reject anything larger before allocating.
 //
 // The normative protocol document — framing, version negotiation, every
 // frame's field table, error codes, and the tenant-scoping rules — is
@@ -43,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dynctrl/internal/tree"
 )
@@ -250,11 +256,15 @@ const reqSize = 8 + 1 + 8
 // resSize is the encoded size of one Result.
 const resSize = 1 + 1 + 8 + 8
 
+// batchHeader is the size of the id and count that open a Submit or Results
+// payload.
+const batchHeader = 8 + 4
+
 // MaxBatchLen is the largest request count one Submit frame may carry such
 // that both the Submit frame and its Results reply (whose entries are the
 // wider of the two encodings) fit MaxFrame. Clients must split longer runs
 // across several frames.
-const MaxBatchLen = (MaxFrame - 1 - 8 - 4) / resSize
+const MaxBatchLen = (MaxFrame - 1 - batchHeader) / resSize
 
 // appendHeader appends the length prefix and type byte for a payload of n
 // bytes.
@@ -310,28 +320,105 @@ func AppendWelcome(buf []byte, w Welcome) []byte {
 	return binary.LittleEndian.AppendUint64(buf, w.Incarnation)
 }
 
+// growBatch extends buf, in one growth, by a Submit or Results frame of n
+// entries of size bytes each: it writes the length prefix, type, id and
+// count and returns the extended buffer and the entry region, which the
+// caller must fill completely.
+func growBatch(buf []byte, t FrameType, id uint64, n, size int) ([]byte, []byte) {
+	plen := batchHeader + n*size
+	buf = appendHeader(slices.Grow(buf, 5+plen), t, plen)
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	l := len(buf)
+	buf = buf[:l+n*size]
+	return buf, buf[l:]
+}
+
+// viewBatch checks a Submit or Results payload once: the declared count
+// must equal the number of whole entries the payload holds. The count is
+// compared with a quotient, never multiplied, so no count can wrap into a
+// match where int is 32 bits. It returns the id and the entry region.
+func viewBatch(p []byte, t FrameType, size int) (uint64, []byte, error) {
+	if len(p) < batchHeader {
+		return 0, nil, ErrShortPayload
+	}
+	id := binary.LittleEndian.Uint64(p)
+	count := binary.LittleEndian.Uint32(p[8:])
+	e := p[batchHeader:]
+	if len(e)%size != 0 || uint64(count) != uint64(len(e)/size) {
+		return 0, nil, fmt.Errorf("wire: %v frame declares %d entries, payload holds %d bytes: %w",
+			t, count, len(e), ErrShortPayload)
+	}
+	return id, e, nil
+}
+
+// putReq stores r as the Submit entry at the start of e: node u64, kind u8,
+// child u64.
+func putReq(e []byte, r Req) {
+	x := (*[reqSize]byte)(e)
+	binary.LittleEndian.PutUint64(x[0:], uint64(r.Node))
+	x[8] = byte(r.Kind)
+	binary.LittleEndian.PutUint64(x[9:], uint64(r.Child))
+}
+
+// getReq loads the Submit entry at the start of e.
+func getReq(e []byte) Req {
+	x := (*[reqSize]byte)(e)
+	return Req{
+		Node:  tree.NodeID(binary.LittleEndian.Uint64(x[0:])),
+		Kind:  tree.ChangeKind(x[8]),
+		Child: tree.NodeID(binary.LittleEndian.Uint64(x[9:])),
+	}
+}
+
 // AppendSubmit appends an encoded Submit frame to buf.
 func AppendSubmit(buf []byte, id uint64, reqs []Req) []byte {
-	buf = appendHeader(buf, FrameSubmit, 8+4+len(reqs)*reqSize)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(reqs)))
-	for _, r := range reqs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Node))
-		buf = append(buf, byte(r.Kind))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Child))
+	buf, e := growBatch(buf, FrameSubmit, id, len(reqs), reqSize)
+	for i, r := range reqs {
+		putReq(e[i*reqSize:], r)
 	}
 	return buf
 }
 
+// ResultEntries is the entry region of an encoded Results frame: fixed-width
+// entries (outcome u8, code u8, serial u64, new node u64) stored and loaded
+// in place by Set and At.
+type ResultEntries []byte
+
+// Len returns the number of entries.
+func (e ResultEntries) Len() int { return len(e) / resSize }
+
+// Set stores r as entry i.
+func (e ResultEntries) Set(i int, r Result) {
+	x := (*[resSize]byte)(e[i*resSize:])
+	x[0], x[1] = r.Outcome, r.Code
+	binary.LittleEndian.PutUint64(x[2:], uint64(r.Serial))
+	binary.LittleEndian.PutUint64(x[10:], uint64(r.NewNode))
+}
+
+// At loads entry i.
+func (e ResultEntries) At(i int) Result {
+	x := (*[resSize]byte)(e[i*resSize:])
+	return Result{
+		Outcome: x[0],
+		Code:    x[1],
+		Serial:  int64(binary.LittleEndian.Uint64(x[2:])),
+		NewNode: tree.NodeID(binary.LittleEndian.Uint64(x[10:])),
+	}
+}
+
+// GrowResults appends a Results frame for id with n entries to buf, growing
+// it once, and returns the extended buffer and the frame's entries. The
+// caller must Set every entry before the frame is sent.
+func GrowResults(buf []byte, id uint64, n int) ([]byte, ResultEntries) {
+	return growBatch(buf, FrameResults, id, n, resSize)
+}
+
 // AppendResults appends an encoded Results frame to buf.
 func AppendResults(buf []byte, id uint64, results []Result) []byte {
-	buf = appendHeader(buf, FrameResults, 8+4+len(results)*resSize)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(results)))
-	for _, r := range results {
-		buf = append(buf, r.Outcome, r.Code)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Serial))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.NewNode))
+	buf, e := GrowResults(buf, id, len(results))
+	for i, r := range results {
+		e.Set(i, r)
 	}
 	return buf
 }
@@ -361,30 +448,31 @@ func AppendError(buf []byte, e ErrorFrame) []byte {
 // same buffer. io.EOF is returned untouched on a clean EOF at a frame
 // boundary; a mid-frame EOF surfaces as io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	// The length prefix is read into *buf too: a local array handed to
+	// r.Read escapes, an allocation per frame. The type byte and the
+	// payload then arrive in one read.
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 1 {
 		return 0, nil, fmt.Errorf("wire: zero-length frame")
 	}
 	if n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
+	}
+	f := (*buf)[:n]
+	if _, err := io.ReadFull(r, f); err != nil {
 		return 0, nil, unexpected(err)
 	}
-	t := FrameType(hdr[4])
-	plen := int(n) - 1
-	if cap(*buf) < plen {
-		*buf = make([]byte, plen)
-	}
-	p := (*buf)[:plen]
-	if _, err := io.ReadFull(r, p); err != nil {
-		return 0, nil, unexpected(err)
-	}
-	return t, p, nil
+	return FrameType(f[0]), f[1:], nil
 }
 
 func unexpected(err error) error {
@@ -519,74 +607,58 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	return w, b.trailing()
 }
 
-// DecodeSubmit decodes a Submit payload into s, reusing s.Reqs when it has
-// capacity. The declared count is validated against the payload length
-// before any allocation, so a hostile count cannot drive a large make.
-func DecodeSubmit(p []byte, s *Submit) error {
-	b := byteReader{p: p}
-	id, err := b.u64()
+// AppendDecodeSubmit decodes a Submit payload, appending its requests to dst
+// and returning the extended slice and the frame's id. The declared count
+// is validated against the payload length before dst grows, so a hostile
+// count cannot drive a large allocation. On error it returns dst as given;
+// either way dst's existing elements are left untouched.
+func AppendDecodeSubmit(dst []Req, p []byte) ([]Req, uint64, error) {
+	id, e, err := viewBatch(p, FrameSubmit, reqSize)
 	if err != nil {
-		return err
+		return dst, 0, err
 	}
-	count, err := b.u32()
-	if err != nil {
-		return err
-	}
-	if int(count)*reqSize != len(p)-b.off {
-		return fmt.Errorf("wire: submit declares %d requests, payload holds %d bytes: %w",
-			count, len(p)-b.off, ErrShortPayload)
-	}
-	s.ID = id
-	if cap(s.Reqs) < int(count) {
-		s.Reqs = make([]Req, count)
-	}
-	s.Reqs = s.Reqs[:count]
-	for i := range s.Reqs {
-		node, _ := b.u64()
-		kind, _ := b.u8()
-		child, _ := b.u64()
-		if tree.ChangeKind(kind) < tree.None || tree.ChangeKind(kind) > tree.RemoveInternal {
-			return fmt.Errorf("%w: %d", ErrBadKind, kind)
+	n := len(dst)
+	out := slices.Grow(dst, len(e)/reqSize)[:n+len(e)/reqSize]
+	for i := range out[n:] {
+		r := getReq(e[i*reqSize:])
+		if r.Kind > tree.RemoveInternal {
+			return dst, 0, fmt.Errorf("%w: %d", ErrBadKind, r.Kind)
 		}
-		s.Reqs[i] = Req{Node: tree.NodeID(node), Kind: tree.ChangeKind(kind), Child: tree.NodeID(child)}
+		out[n+i] = r
 	}
-	return b.trailing()
+	return out, id, nil
+}
+
+// DecodeSubmit decodes a Submit payload into s, reusing s.Reqs when it has
+// capacity.
+func DecodeSubmit(p []byte, s *Submit) error {
+	reqs, id, err := AppendDecodeSubmit(s.Reqs[:0], p)
+	if err != nil {
+		return err
+	}
+	s.ID, s.Reqs = id, reqs
+	return nil
+}
+
+// ViewResults checks a Results payload and returns its id and its entries,
+// which alias p.
+func ViewResults(p []byte) (uint64, ResultEntries, error) {
+	return viewBatch(p, FrameResults, resSize)
 }
 
 // DecodeResults decodes a Results payload into rs, reusing rs.Results when
 // it has capacity.
 func DecodeResults(p []byte, rs *Results) error {
-	b := byteReader{p: p}
-	id, err := b.u64()
+	id, e, err := ViewResults(p)
 	if err != nil {
 		return err
-	}
-	count, err := b.u32()
-	if err != nil {
-		return err
-	}
-	if int(count)*resSize != len(p)-b.off {
-		return fmt.Errorf("wire: results declare %d entries, payload holds %d bytes: %w",
-			count, len(p)-b.off, ErrShortPayload)
 	}
 	rs.ID = id
-	if cap(rs.Results) < int(count) {
-		rs.Results = make([]Result, count)
-	}
-	rs.Results = rs.Results[:count]
+	rs.Results = slices.Grow(rs.Results[:0], e.Len())[:e.Len()]
 	for i := range rs.Results {
-		outcome, _ := b.u8()
-		code, _ := b.u8()
-		serial, _ := b.u64()
-		newNode, _ := b.u64()
-		rs.Results[i] = Result{
-			Outcome: outcome,
-			Code:    code,
-			Serial:  int64(serial),
-			NewNode: tree.NodeID(newNode),
-		}
+		rs.Results[i] = e.At(i)
 	}
-	return b.trailing()
+	return nil
 }
 
 // DecodeRejectWave decodes a RejectWave payload.
