@@ -141,8 +141,7 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	if err != nil {
 		return Grant{}, err
 	}
-	c.Store(u).AddStatic(static)
-	return c.grantFromStatic(req, static)
+	return c.grantFromStatic(req, c.Store(u).AddStatic(static))
 }
 
 // findFiller climbs from u toward the root in one tree call and stops at
@@ -164,14 +163,15 @@ func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package,
 }
 
 // distribute implements procedure Proc (Section 3.1, item 4): the level-j
-// package pkg found (or created) at host is moved down toward u, splitting
-// at each drop point u_k so that for every k ∈ {0..j-1} one level-k mobile
-// package remains at the ancestor u_k of u at distance 3·2^{k-1}ψ, and a
-// final static package reaches u, curDist hops below host. It returns that
+// package found (or created) in host's store is moved down toward u,
+// splitting at each drop point u_k so that for every k ∈ {0..j-1} one level-k
+// mobile package remains at the ancestor u_k of u at distance 3·2^{k-1}ψ, and
+// a final static package reaches u, curDist hops below host. It returns that
 // static package (not yet added to u's store).
-func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID, curDist int64) (*pkgstore.Package, error) {
-	if err := c.RemoveMobile(host, pkg); err != nil {
-		return nil, fmt.Errorf("distribute: %w", err)
+func (c *Core) distribute(found *pkgstore.Package, host, u tree.NodeID, curDist int64) (pkgstore.Package, error) {
+	pkg := *found
+	if err := c.RemoveMobile(host, found); err != nil {
+		return pkgstore.Package{}, fmt.Errorf("distribute: %w", err)
 	}
 	if c.domains != nil {
 		c.domains.OnConsumed(pkg)
@@ -185,39 +185,39 @@ func (c *Core) distribute(pkg *pkgstore.Package, host, u tree.NodeID, curDist in
 	var err error
 	c.drops, err = c.tr.AppendAncestors(u, c.dropDists, c.drops[:0])
 	if err != nil {
-		return nil, fmt.Errorf("distribute: drop points u_0..u_%d up to distance %d: %w",
+		return pkgstore.Package{}, fmt.Errorf("distribute: drop points u_0..u_%d up to distance %d: %w",
 			pkg.Level-1, c.params.UKDistance(pkg.Level-1), err)
 	}
 	cur := pkg
 	curHost := host
 	for k := cur.Level; k > 0; k-- {
 		targetDist, target := int64(c.dropDists[k-1]), c.drops[k-1]
-		c.moveDown(cur, curHost, target, curDist-targetDist)
+		c.moveDown(cur.Size, curHost, target, curDist-targetDist)
 		p1, p2, err := cur.Split()
 		if err != nil {
-			return nil, err
+			return pkgstore.Package{}, err
 		}
-		c.AddMobile(target, p1)
 		if c.domains != nil {
-			if err := c.domains.OnFormed(p1, u, target); err != nil {
-				return nil, err
+			if err := c.domains.OnFormed(&p1, u, target); err != nil {
+				return pkgstore.Package{}, err
 			}
 		}
+		c.AddMobile(target, p1)
 		cur = p2
 		curHost = target
 		curDist = targetDist
 	}
 	// cur has level 0: move it to u and convert to static.
-	c.moveDown(cur, curHost, u, curDist)
+	c.moveDown(cur.Size, curHost, u, curDist)
 	if err := cur.BecomeStatic(); err != nil {
-		return nil, err
+		return pkgstore.Package{}, err
 	}
 	return cur, nil
 }
 
-// moveDown accounts for a package move of the given hop distance from host
-// down to target and notifies the descent observer.
-func (c *Core) moveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int64) {
+// moveDown accounts for a move of a package of the given size over the given
+// hop distance from host down to target and notifies the descent observer.
+func (c *Core) moveDown(size int64, host, target tree.NodeID, dist int64) {
 	if dist < 0 {
 		dist = 0
 	}
@@ -228,15 +228,16 @@ func (c *Core) moveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int
 			// path is target..host bottom-up; the package enters every
 			// node strictly below host, top-down.
 			for i := len(path) - 2; i >= 0; i-- {
-				c.descent(pk.Size, path[i])
+				c.descent(size, path[i])
 			}
 			c.path = path
 		}
 	}
 }
 
-// grantFromStatic grants one permit of the static package at the request's
-// node (item 2) and keeps the domain bookkeeping in step with the change.
+// grantFromStatic grants one permit of the static package in the store of
+// the request's node (item 2) and keeps the domain bookkeeping in step with
+// the change.
 func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, error) {
 	g, err := c.Grant(req, static, c.handoff)
 	if err == nil && req.Kind == tree.AddInternal && c.domains != nil {
@@ -246,13 +247,16 @@ func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, er
 }
 
 // handoff is the graceful deletion of item 2: one move carries the whole
-// set of objects across the edge to the parent.
-func (c *Core) handoff(_, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+// set of objects across the edge to the parent. The packages go straight
+// from the child's store into the parent's, statics first, as Absorb orders
+// them.
+func (c *Core) handoff(_, parent tree.NodeID, child *pkgstore.Store) {
 	c.counters.Add(stats.CounterMoves, 1)
-	c.Absorb(parent, pkgs, hadReject)
 	if c.domains != nil {
-		c.domains.OnHostMoved(pkgs, parent)
+		c.domains.OnHostMoved(child.Mobiles(), parent)
 	}
+	c.Absorb(parent, child.Statics(), child.HasReject())
+	c.Absorb(parent, child.Mobiles(), false)
 }
 
 // broadcastRejectWave places a reject package in every node (item 3b). The

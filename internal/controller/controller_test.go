@@ -299,17 +299,45 @@ func TestSerialsUniqueAndInRange(t *testing.T) {
 	}
 }
 
-func TestDomainInvariantsUnderChurn(t *testing.T) {
+// domainRun is a churn of the given requests over the tree build makes, on a
+// fixed-U (U, 2^30, w)-controller that tracks domains, with check run after
+// every request.
+type domainRun struct {
+	build    func(*tree.Tree) error
+	requests int
+	seed     int64
+	w        int64
+}
+
+// The churn and the deep path: deep paths trigger multi-level descents,
+// exercising many domains. At W = 1 the distance scale ψ is 4⌈log₂U+2⌉·U,
+// deeper than either tree, so every package is created at level 0 and no
+// domain forms; at W ≥ U it is 48 and a request 97 hops below the root
+// already takes a level-1 package. The wide churn grows its bushy tree on a
+// spine of 300 to be that deep.
+var (
+	churnDomains = domainRun{func(tr *tree.Tree) error { return workload.BuildBalanced(tr, 80, 5) }, 400, 99, 1}
+	deepDomains  = domainRun{func(tr *tree.Tree) error { return workload.BuildPath(tr, 600) }, 200, 17, 1}
+	wideChurn    = domainRun{func(tr *tree.Tree) error {
+		if err := workload.BuildPath(tr, 300); err != nil {
+			return err
+		}
+		return workload.BuildBalanced(tr, 600, 5)
+	}, 400, 99, 1 << 12}
+	wideDeep = domainRun{deepDomains.build, 200, 17, 1 << 12}
+)
+
+func (r domainRun) replay(t *testing.T, check func(*ctl.Core) error) *ctl.Core {
+	t.Helper()
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 80, 5); err != nil {
+	if err := r.build(tr); err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	const requests = 400
-	u := int64(tr.Size() + requests + 8)
-	c := ctl.NewCore(tr, u, 1<<30, 1)
+	u := int64(tr.Size() + r.requests + 8)
+	c := ctl.NewCore(tr, u, 1<<30, r.w)
 	c.EnableDomainTracking()
-	gen := workload.NewChurn(tr, workload.DefaultMix(), 99)
-	for i := 0; i < requests; i++ {
+	gen := workload.NewChurn(tr, workload.DefaultMix(), r.seed)
+	for i := 0; i < r.requests; i++ {
 		req, ok := gen.Next()
 		if !ok {
 			break
@@ -317,37 +345,48 @@ func TestDomainInvariantsUnderChurn(t *testing.T) {
 		if _, err := c.Submit(req); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
-		if err := c.Domains().CheckInvariants(); err != nil {
+		if err := check(c); err != nil {
 			t.Fatalf("after request %d (%v at %d): %v", i, req.Kind, req.Node, err)
 		}
 	}
-	if err := tr.Validate(); err != nil {
+	return c
+}
+
+func checkDomainInvariants(c *ctl.Core) error { return c.Domains().CheckInvariants() }
+
+func TestDomainInvariantsUnderChurn(t *testing.T) {
+	c := churnDomains.replay(t, checkDomainInvariants)
+	if err := c.Tree().Validate(); err != nil {
 		t.Fatalf("tree validate: %v", err)
 	}
 }
 
 func TestDomainInvariantsDeepPath(t *testing.T) {
-	// Deep paths trigger multi-level descents, exercising many domains.
-	tr, _ := tree.New()
-	if err := workload.BuildPath(tr, 600); err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	const requests = 200
-	u := int64(tr.Size() + requests + 8)
-	c := ctl.NewCore(tr, u, 1<<30, 1)
-	c.EnableDomainTracking()
-	gen := workload.NewChurn(tr, workload.DefaultMix(), 17)
-	for i := 0; i < requests; i++ {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		if _, err := c.Submit(req); err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-		if err := c.Domains().CheckInvariants(); err != nil {
-			t.Fatalf("after request %d: %v", i, err)
-		}
+	deepDomains.replay(t, checkDomainInvariants)
+}
+
+// TestDomainTrackerFollowsPackages holds the tracker to the packages it
+// follows while their addresses move: a store's slice grows, a removal swaps
+// its last package into the freed slot, and a graceful deletion copies a
+// node's packages into its parent's store. After every request, every domain
+// must still name a mobile package of its level in its host's store, and no
+// two domains the same one.
+func TestDomainTrackerFollowsPackages(t *testing.T) {
+	for name, r := range map[string]domainRun{"churn": wideChurn, "deep": wideDeep} {
+		t.Run(name, func(t *testing.T) {
+			formed := 0
+			r.replay(t, func(c *ctl.Core) error {
+				formed = max(formed, c.Domains().Count())
+				if err := c.CheckDomainPackages(); err != nil {
+					return err
+				}
+				return c.Domains().CheckInvariants()
+			})
+			if formed < 4 {
+				t.Fatalf("at most %d domains at a time: too few to move", formed)
+			}
+			t.Logf("up to %d domains at a time", formed)
+		})
 	}
 }
 

@@ -20,8 +20,12 @@ import (
 type DomainTracker struct {
 	tr     *tree.Tree
 	params pkgstore.Params
-	// domains maps each tracked mobile package to its domain.
-	domains map[*pkgstore.Package]*domain
+	// domains maps the Tag of each tracked mobile package to its domain. A
+	// package's address moves whenever its store's slice grows or gives up a
+	// slot, so the tracker names it by the tag it stamps in OnFormed, which
+	// travels with the package's value; next is the tag it stamps next.
+	domains map[uint32]*domain
+	next    uint32
 }
 
 type domain struct {
@@ -38,13 +42,13 @@ func NewDomainTracker(tr *tree.Tree, params pkgstore.Params) *DomainTracker {
 	return &DomainTracker{
 		tr:      tr,
 		params:  params,
-		domains: make(map[*pkgstore.Package]*domain),
+		domains: make(map[uint32]*domain),
 	}
 }
 
 // Reset forgets all domains (iteration resets clear all packages).
 func (d *DomainTracker) Reset() {
-	d.domains = make(map[*pkgstore.Package]*domain)
+	d.domains = make(map[uint32]*domain)
 }
 
 // Count returns the number of tracked domains.
@@ -62,7 +66,8 @@ func (d *DomainTracker) LevelCounts() map[int]int {
 // OnFormed records the domain of a freshly dropped level-k package pk left
 // at its drop point target = u_k during procedure Proc serving a request at
 // u (Case 2 of the domain definitions): the members are the nodes x on the
-// path between u and target with 1 ≤ d(x, target) ≤ 2^{k-1}ψ.
+// path between u and target with 1 ≤ d(x, target) ≤ 2^{k-1}ψ. It stamps pk
+// with a fresh tag, so it must see the package before it enters the store.
 func (d *DomainTracker) OnFormed(pk *pkgstore.Package, u, target tree.NodeID) error {
 	size := int(d.params.DomainSize(pk.Level))
 	path, err := d.tr.PathBetween(u, target) // bottom-up: path[0]=u ... path[last]=target
@@ -78,14 +83,16 @@ func (d *DomainTracker) OnFormed(pk *pkgstore.Package, u, target tree.NodeID) er
 		// Top-down: distance j+1 below target.
 		members[j] = path[len(path)-2-j]
 	}
-	d.domains[pk] = &domain{level: pk.Level, host: target, members: members}
+	d.next++
+	pk.Tag = d.next
+	d.domains[pk.Tag] = &domain{level: pk.Level, host: target, members: members}
 	return nil
 }
 
 // OnConsumed drops the domain of a package that split, became static or was
 // canceled.
-func (d *DomainTracker) OnConsumed(pk *pkgstore.Package) {
-	delete(d.domains, pk)
+func (d *DomainTracker) OnConsumed(pk pkgstore.Package) {
+	delete(d.domains, pk.Tag)
 }
 
 // OnAddInternal applies Case 4 of the domain update rules: the new node,
@@ -118,9 +125,9 @@ func (d *DomainTracker) OnAddInternal(newID, childID tree.NodeID) {
 
 // OnHostMoved re-homes the domains of packages that migrated to a deleted
 // host's parent (graceful deletion).
-func (d *DomainTracker) OnHostMoved(pkgs []*pkgstore.Package, newHost tree.NodeID) {
+func (d *DomainTracker) OnHostMoved(pkgs []pkgstore.Package, newHost tree.NodeID) {
 	for _, pk := range pkgs {
-		if dom, ok := d.domains[pk]; ok {
+		if dom, ok := d.domains[pk.Tag]; ok {
 			dom.host = newHost
 		}
 	}
@@ -130,14 +137,11 @@ func (d *DomainTracker) OnHostMoved(pkgs []*pkgstore.Package, newHost tree.NodeI
 // first violation found, or nil.
 func (d *DomainTracker) CheckInvariants() error {
 	// Invariant 1: exact domain sizes.
-	for pk, dom := range d.domains {
+	for _, dom := range d.domains {
 		want := int(d.params.DomainSize(dom.level))
 		if len(dom.members) != want {
 			return fmt.Errorf("invariant 1: level-%d package domain has %d members, want %d",
 				dom.level, len(dom.members), want)
-		}
-		if pk.Level != dom.level {
-			return fmt.Errorf("invariant 1: package level %d, domain level %d", pk.Level, dom.level)
 		}
 	}
 	// Invariant 2: per-level disjointness.

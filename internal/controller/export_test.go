@@ -149,9 +149,39 @@ func (d *Dynamic) BlockAt(r tree.NodeID) int32 {
 	return 0
 }
 
-// MoveDown is the core's accounting of one package move.
-func (c *Core) MoveDown(pk *pkgstore.Package, host, target tree.NodeID, dist int64) {
-	c.moveDown(pk, host, target, dist)
+// MoveDown is the core's accounting of one move of pk.
+func (c *Core) MoveDown(pk pkgstore.Package, host, target tree.NodeID, dist int64) {
+	c.moveDown(pk.Size, host, target, dist)
+}
+
+// CheckDomainPackages holds every domain the tracker keeps to the package it
+// names: exactly one mobile package of the domain's level, in the store of
+// the domain's host, carries the domain's tag, and no package anywhere
+// carries a tag twice over.
+func (c *Core) CheckDomainPackages() error {
+	type place struct {
+		id    tree.NodeID
+		level int
+	}
+	where := make(map[uint32]place)
+	for id, s := range c.stores.All() {
+		for _, pk := range s.Mobiles() {
+			if pk.Tag == 0 {
+				continue
+			}
+			if at, dup := where[pk.Tag]; dup {
+				return fmt.Errorf("tag %d on a package at %d and at %d", pk.Tag, at.id, id)
+			}
+			where[pk.Tag] = place{id, pk.Level}
+		}
+	}
+	for tag, dom := range c.domains.domains {
+		if at, ok := where[tag]; !ok || at != (place{dom.host, dom.level}) {
+			return fmt.Errorf("level-%d domain hosted at %d: no level-%d package with its tag %d there",
+				dom.level, dom.host, dom.level, tag)
+		}
+	}
+	return nil
 }
 
 // InTrivialTail reports whether the W = 0 tail runs: the whiteboards were

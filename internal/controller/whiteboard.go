@@ -232,7 +232,8 @@ func (wb *Whiteboard) ClearPackages() {
 // Store returns the package store of a live node, creating it lazily (new
 // nodes join with empty stores). Callers read it, and add or take static
 // packages and the reject flag through it; its mobile packages change only
-// through AddMobile, RemoveMobile and Absorb.
+// through AddMobile, RemoveMobile and Absorb. A *pkgstore.Package taken from
+// it, or from Filler or CreateAtRoot, is good until that store next changes.
 func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 	if s := wb.lookup(id); s != nil {
 		return s
@@ -335,13 +336,15 @@ func (wb *Whiteboard) remask(id tree.NodeID, s *pkgstore.Store) {
 	wb.setMask(id, m)
 }
 
-// AddMobile places the mobile package pk in the store of id.
-func (wb *Whiteboard) AddMobile(id tree.NodeID, pk *pkgstore.Package) {
-	wb.Store(id).AddMobile(pk)
+// AddMobile places the mobile package pk in the store of id and returns it
+// there.
+func (wb *Whiteboard) AddMobile(id tree.NodeID, pk pkgstore.Package) *pkgstore.Package {
+	in := wb.Store(id).AddMobile(pk)
 	wb.setMask(id, wb.masks[id]|levelBit(pk.Level))
+	return in
 }
 
-// RemoveMobile takes the mobile package pk out of the store of id.
+// RemoveMobile takes the mobile package pk points at out of the store of id.
 func (wb *Whiteboard) RemoveMobile(id tree.NodeID, pk *pkgstore.Package) error {
 	s := wb.Store(id)
 	if err := s.RemoveMobile(pk); err != nil {
@@ -353,15 +356,15 @@ func (wb *Whiteboard) RemoveMobile(id tree.NodeID, pk *pkgstore.Package) error {
 
 // Absorb merges the packages of a gracefully deleted child, and its reject
 // package if it had one, into the store of id.
-func (wb *Whiteboard) Absorb(id tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+func (wb *Whiteboard) Absorb(id tree.NodeID, pkgs []pkgstore.Package, hadReject bool) {
 	s := wb.Store(id)
 	s.Absorb(pkgs, hadReject)
 	wb.remask(id, s)
 }
 
 // Filler is the filler-node test of Section 3.1, item 3, at the node id, d
-// hops above the requesting node: it returns the mobile package there that
-// qualifies for distance d, or nil. Exactly one level qualifies for a given
+// hops above the requesting node: it returns the mobile package in its store
+// that qualifies for distance d, or nil. Exactly one level qualifies for a given
 // distance (level 0 up to 2ψ, then level j on (2^jψ, 2^{j+1}ψ], which is
 // Params.RootLevel), so the mask answers almost every call without opening
 // the store, and a node without a store is not given one.
@@ -443,16 +446,16 @@ func (wb *Whiteboard) StartRejectWave() bool {
 // CreateAtRoot handles a filler search that reached the root from dRoot
 // hops below without finding a filler (item 3b): it funds a mobile package
 // of level j(u) from the root storage and places it in the root's store.
-// It returns nil when the storage cannot fund the package; the caller then
-// rejects. The funded package enters the root: the descent observer hears
-// of it here, once for both transports.
+// It returns the package in the root's store, or nil when the storage cannot
+// fund it; the caller then rejects. The funded package enters the root: the
+// descent observer hears of it here, once for both transports.
 func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 	level := wb.params.RootLevel(dRoot)
 	size := wb.params.MobileSize(level)
 	if wb.storage < size {
 		return nil, nil
 	}
-	var pk *pkgstore.Package
+	var pk pkgstore.Package
 	if wb.serials.Valid() {
 		iv := pkgstore.Interval{Lo: wb.serials.Lo, Hi: wb.serials.Lo + size - 1}
 		if iv.Hi > wb.serials.Hi {
@@ -468,9 +471,9 @@ func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
 		pk = pkgstore.NewMobile(wb.params, level)
 	}
 	wb.storage -= size
-	wb.AddMobile(wb.root, pk)
+	in := wb.AddMobile(wb.root, pk)
 	wb.Entered(size, wb.root)
-	return pk, nil
+	return in, nil
 }
 
 // Entered tells the descent observer, if there is one, that a package of
@@ -481,16 +484,17 @@ func (wb *Whiteboard) Entered(size int64, id tree.NodeID) {
 	}
 }
 
-// Handoff carries the packages (and the reject package, if any) of a node
-// that is being gracefully deleted across the edge to its parent: one move
-// centrally, one message distributed.
-type Handoff func(from, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool)
+// Handoff carries the packages (and the reject package, if any) in the
+// store of a node that is being gracefully deleted across the edge to its
+// parent: one move centrally, one message distributed. The store is
+// discarded once handoff returns.
+type Handoff func(from, parent tree.NodeID, child *pkgstore.Store)
 
 // Grant implements item 2 of Protocol GrantOrReject: one permit of the
-// static package at the request's node is granted, the package shrinks (and
-// is canceled when empty), and a granted topological request is applied to
-// the tree. A deleted node's objects leave through handoff before the node
-// does.
+// static package in the store of the request's node is granted, the package
+// shrinks (and is canceled when empty), and a granted topological request is
+// applied to the tree. A deleted node's objects leave through handoff before
+// the node does.
 func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Handoff) (Grant, error) {
 	serial, empty, err := static.TakePermit()
 	if err != nil {
@@ -519,8 +523,8 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if err != nil {
 			return Grant{}, err
 		}
-		if pkgs, hadReject := wb.Store(req.Node).TakeAll(); len(pkgs) > 0 || hadReject {
-			handoff(req.Node, parent, pkgs, hadReject)
+		if child := wb.Store(req.Node); !child.Empty() {
+			handoff(req.Node, parent, child)
 		}
 		// The node's mask leaves its block's count while the tree still
 		// knows the node's link.

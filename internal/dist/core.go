@@ -154,12 +154,14 @@ func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 	c.startDescent(root, pk, origin)
 }
 
-// startDescent removes pkg from host's store and sends it down the tree
-// toward origin, one message per edge (procedure Proc, item 4). The path is
-// the breadcrumb trail the upward search established; it lives in a pooled
-// descend envelope whose buffer is reused across requests.
-func (c *Core) startDescent(host tree.NodeID, pkg *pkgstore.Package, origin tree.NodeID) {
-	if err := c.RemoveMobile(host, pkg); err != nil {
+// startDescent takes the package found points at out of host's store and
+// sends it down the tree toward origin, one message per edge (procedure
+// Proc, item 4). The path is the breadcrumb trail the upward search
+// established; it lives in a pooled descend envelope whose buffer is reused
+// across requests.
+func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tree.NodeID) {
+	pkg := *found
+	if err := c.RemoveMobile(host, found); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
 		return
 	}
@@ -221,17 +223,17 @@ func (c *Core) handleDescend(pl *descend) {
 
 // arrive converts the level-0 package to static at the requesting node and
 // grants the pending request from it.
-func (c *Core) arrive(pkg *pkgstore.Package, u tree.NodeID) {
+func (c *Core) arrive(pkg pkgstore.Package, u tree.NodeID) {
 	if err := pkg.BecomeStatic(); err != nil {
 		c.fail(err)
 		return
 	}
-	c.Store(u).AddStatic(pkg)
-	c.finishGrant(pkg)
+	c.finishGrant(c.Store(u).AddStatic(pkg))
 }
 
 // finishGrant grants the pending request one permit of the static package
-// at its node (item 2 of Protocol GrantOrReject) and completes it.
+// in the store of its node (item 2 of Protocol GrantOrReject) and completes
+// it.
 func (c *Core) finishGrant(static *pkgstore.Package) {
 	g, err := c.Grant(c.cur.req, static, c.handoff)
 	if err != nil {
@@ -244,8 +246,10 @@ func (c *Core) finishGrant(static *pkgstore.Package) {
 // handoff is the graceful deletion: the node's packages travel to its
 // parent in one message before the node leaves the tree. The runtime is
 // quiet toward the node at this point (the protocol is sequential), which
-// is the handshake the paper requires for graceful deletions.
-func (c *Core) handoff(from, parent tree.NodeID, pkgs []*pkgstore.Package, hadReject bool) {
+// is the handshake the paper requires for graceful deletions. The message
+// carries a copy of the packages, since the child's store goes with it.
+func (c *Core) handoff(from, parent tree.NodeID, child *pkgstore.Store) {
+	pkgs, hadReject := child.TakeAll()
 	c.rt.Send(from, parent, transfer{packages: pkgs, hadReject: hadReject})
 }
 

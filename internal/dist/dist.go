@@ -108,7 +108,7 @@ type searchUp struct {
 // receiving node. Like searchUp, descend envelopes (and their path buffers)
 // are pooled and reused across hops and requests.
 type descend struct {
-	pkg  *pkgstore.Package
+	pkg  pkgstore.Package
 	path []tree.NodeID
 	idx  int
 }
@@ -120,7 +120,7 @@ var descendPool = sync.Pool{New: func() any { return new(descend) }}
 func putSearchUp(pl *searchUp) { searchUpPool.Put(pl) }
 
 func putDescend(pl *descend) {
-	pl.pkg = nil
+	pl.pkg = pkgstore.Package{}
 	pl.path = pl.path[:0]
 	descendPool.Put(pl)
 }
@@ -132,6 +132,6 @@ type rejectFlood struct{}
 // transfer moves a gracefully deleted node's packages to its parent in one
 // message (item 2 of Protocol GrantOrReject).
 type transfer struct {
-	packages  []*pkgstore.Package
+	packages  []pkgstore.Package
 	hadReject bool
 }

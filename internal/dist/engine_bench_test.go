@@ -17,6 +17,16 @@ import (
 var growTrace = engineTrace{name: "grow-50k", m: 200_000, w: 100_000, build: balanced(256, 1),
 	mix: workload.Mix{AddLeaf: 50, Event: 50}, steps: 50_000, fixedNodes: true}
 
+// churnTrace is all four change kinds over a balanced tree of 4 096, and
+// deepTrace is deep-exhaust at the benchmark's own size: a path of 8 192 with
+// M = 32 a node.
+var (
+	churnTrace = engineTrace{name: "churn", m: 1 << 20, w: 1 << 18, build: balanced(4096, 1),
+		mix: workload.DefaultMix(), steps: 1 << 15, minSize: 1024}
+	deepTrace = engineTrace{name: "deep", m: 1 << 18, w: 1 << 12, build: path(8192),
+		mix: workload.EventOnlyMix(), steps: 1 << 19}
+)
+
 // recordTrace generates wl's requests. A fixedNodes trace is two
 // connections' streams over the initial tree, taken in turns of 128; any
 // other is generated against a centralized engine that answers the requests
@@ -84,9 +94,9 @@ func BenchmarkEngineSubmitBatch(b *testing.B) {
 		{name: "events", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.EventOnlyMix(), steps: 1 << 16},
 		{name: "grow", m: 1 << 20, w: 1 << 18, build: balanced(256, 1), mix: workload.Mix{AddLeaf: 50, Event: 50}, steps: 1 << 13},
 		growTrace,
-		{name: "churn", m: 1 << 20, w: 1 << 18, build: balanced(4096, 1), mix: workload.DefaultMix(), steps: 1 << 15, minSize: 1024},
+		churnTrace,
 		{name: "exhaust", m: 1 << 13, w: 1 << 10, build: path(128), mix: workload.EventOnlyMix(), steps: 1 << 14},
-		{name: "deep", m: 1 << 18, w: 1 << 12, build: path(8192), mix: workload.EventOnlyMix(), steps: 1 << 19},
+		deepTrace,
 	}
 	for _, wl := range workloads {
 		// Record the trace once, when the first selected sub-benchmark asks
@@ -112,27 +122,60 @@ func BenchmarkEngineSubmitBatch(b *testing.B) {
 	}
 }
 
-// TestEngineGrowAllocs gates what a topological change costs the allocator
-// without reading a clock: the centralized engine answers growTrace with at
-// most 0.9 heap allocations a request. What is left under that bound is the
-// packages themselves, a node's child lists as they grow, and the tables'
-// own growth steps; a node or a store allocated per added leaf, or tables
-// rebuilt per iteration restart, put the count at 1.75.
-func TestEngineGrowAllocs(t *testing.T) {
-	reqs := recordTrace(t, growTrace)
-	e := newEngine(t, false, growTrace)
+// replayAllocs answers wl's trace through a fresh centralized engine and
+// returns the heap allocations a request, counted without reading a clock
+// (the count is the same under -race), and the engine.
+func replayAllocs(t *testing.T, wl engineTrace) (float64, *engine) {
+	reqs := recordTrace(t, wl)
+	e := newEngine(t, false, wl)
 	out := make([]controller.BatchResult, 0, 128)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	e.replay(reqs, out)
 	runtime.ReadMemStats(&after)
+	perReq := float64(after.Mallocs-before.Mallocs) / float64(len(reqs))
+	t.Logf("%s: %.3f allocations and %.0f B a request over %d iterations to %d nodes", wl.name,
+		perReq, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(reqs)), e.d.Iterations(), e.tr.Size())
+	return perReq, e
+}
+
+// TestEngineGrowAllocs gates what a topological change costs the allocator:
+// the centralized engine answers growTrace with at most 0.2 heap allocations
+// a request. Packages are values in their stores and cost none; what is left
+// is a node's child list as it grows, the tables' own growth steps, and each
+// store's first static package after an iteration restart. A package
+// allocated per move puts the count at 0.76, a node or a store allocated per
+// added leaf, or tables rebuilt per restart, at 1.75.
+func TestEngineGrowAllocs(t *testing.T) {
+	perReq, e := replayAllocs(t, growTrace)
 	if it, n := e.d.Iterations(), e.tr.Size(); it < 10 || n < 20_000 {
 		t.Fatalf("trace ran %d iterations to %d nodes: not the grow-mix shape (12 iterations, about 25 000 nodes)", it, n)
 	}
-	perReq := float64(after.Mallocs-before.Mallocs) / float64(len(reqs))
-	t.Logf("%.3f allocations and %.0f B a request over %d iterations to %d nodes",
-		perReq, float64(after.TotalAlloc-before.TotalAlloc)/float64(len(reqs)), e.d.Iterations(), e.tr.Size())
-	if perReq > 0.9 {
-		t.Errorf("%.3f allocations a request, want at most 0.9", perReq)
+	if perReq > 0.2 {
+		t.Errorf("%.3f allocations a request, want at most 0.2", perReq)
+	}
+}
+
+// TestEngineDeepAllocs gates the slow path: on deepTrace nearly every
+// request below the top of the path climbs to a filler, splits it at the
+// drop points and lands a static package, and the centralized engine does it
+// with at most 0.1 allocations a request (0.057; 0.35 with a package
+// allocated per split).
+func TestEngineDeepAllocs(t *testing.T) {
+	if perReq, _ := replayAllocs(t, deepTrace); perReq > 0.1 {
+		t.Errorf("%.3f allocations a request, want at most 0.1", perReq)
+	}
+}
+
+// TestEngineChurnAllocs gates graceful deletions: on churnTrace the
+// centralized handoff appends a deleted node's packages straight into its
+// parent's store, without copying them into a slice of their own first, and
+// the engine answers with at most 1.95 allocations a request (1.936; 2.23
+// with the packages copied out first, 3.0 with every package allocated too).
+// What is left is tree child lists, each new node's first static package and
+// the parents' stores growing as they absorb.
+func TestEngineChurnAllocs(t *testing.T) {
+	if perReq, _ := replayAllocs(t, churnTrace); perReq > 1.95 {
+		t.Errorf("%.3f allocations a request, want at most 1.95", perReq)
 	}
 }

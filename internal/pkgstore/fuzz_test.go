@@ -65,8 +65,8 @@ func FuzzPackageSplitMerge(f *testing.F) {
 		}
 
 		firstMobile := func(s *Store, minLevel int) *Package {
-			for _, pk := range s.Mobiles() {
-				if pk.Level >= minLevel {
+			for i := range s.Mobiles() {
+				if pk := &s.Mobiles()[i]; pk.Level >= minLevel {
 					return pk
 				}
 			}
@@ -93,11 +93,12 @@ func FuzzPackageSplitMerge(f *testing.F) {
 				s.AddMobile(pk)
 				check("create")
 			case 1: // drop-point split
-				pk := firstMobile(s, 1)
-				if pk == nil {
+				found := firstMobile(s, 1)
+				if found == nil {
 					continue
 				}
-				if err := s.RemoveMobile(pk); err != nil {
+				pk := *found
+				if err := s.RemoveMobile(found); err != nil {
 					t.Fatalf("remove for split: %v", err)
 				}
 				p1, p2, err := pk.Split()
@@ -113,11 +114,12 @@ func FuzzPackageSplitMerge(f *testing.F) {
 				to.Absorb(pkgs, rej)
 				check("transfer")
 			case 3: // arrival: a level-0 mobile converts to static
-				pk := firstMobile(s, 0)
-				if pk == nil || pk.Level != 0 {
+				found := firstMobile(s, 0)
+				if found == nil || found.Level != 0 {
 					continue
 				}
-				if err := s.RemoveMobile(pk); err != nil {
+				pk := *found
+				if err := s.RemoveMobile(found); err != nil {
 					t.Fatalf("remove for conversion: %v", err)
 				}
 				if err := pk.BecomeStatic(); err != nil {

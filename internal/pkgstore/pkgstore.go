@@ -15,11 +15,20 @@
 // parameter. Packages optionally carry an explicit serial-number interval;
 // the name-assignment application (Section 5.2) uses the serials as node
 // identities, while the plain controller leaves intervals unset.
+//
+// A Package is plain data and a Store keeps its packages by value, so a
+// package costs no allocation and a store's backing arrays hold no pointer
+// for the collector to scan. A *Package that Static, MobileAtFillerDistance,
+// AddMobile or AddStatic hands out points into the store: it is good until
+// that store next changes (an add may move the backing array, a removal
+// moves the last package into the freed slot), and RemoveMobile and
+// RemoveStatic take exactly such a pointer.
 package pkgstore
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors reported by package operations.
@@ -169,6 +178,12 @@ type Package struct {
 	Size int64
 	// Mobile distinguishes mobile from static permit packages.
 	Mobile bool
+	// Tag names the package to an analysis that follows it from store to
+	// store (the controller's domain tracker), whose address moves with the
+	// store's slice. Zero unless such an analysis stamped it; copying,
+	// Absorb and TakeAll keep it, Split and State drop it. It fills the
+	// padding after Mobile, so it costs the struct no size.
+	Tag uint32
 	// Serials optionally carries the explicit permit serial numbers
 	// (used by the name-assignment application). Invariant when set:
 	// Serials.Len() == Size.
@@ -176,37 +191,37 @@ type Package struct {
 }
 
 // NewMobile creates a mobile package of the given level with size 2^level·φ.
-func NewMobile(p Params, level int) *Package {
-	return &Package{Level: level, Size: p.MobileSize(level), Mobile: true}
+func NewMobile(p Params, level int) Package {
+	return Package{Level: level, Size: p.MobileSize(level), Mobile: true}
 }
 
 // NewMobileWithSerials creates a mobile package carrying explicit serials;
 // the interval length must equal the level's size.
-func NewMobileWithSerials(p Params, level int, iv Interval) (*Package, error) {
+func NewMobileWithSerials(p Params, level int, iv Interval) (Package, error) {
 	want := p.MobileSize(level)
 	if iv.Len() != want {
-		return nil, fmt.Errorf("serial interval length %d, level %d needs %d", iv.Len(), level, want)
+		return Package{}, fmt.Errorf("serial interval length %d, level %d needs %d", iv.Len(), level, want)
 	}
-	return &Package{Level: level, Size: want, Mobile: true, Serials: iv}, nil
+	return Package{Level: level, Size: want, Mobile: true, Serials: iv}, nil
 }
 
 // Split splits a mobile package of level k ≥ 1 into two mobile packages of
 // level k−1 (Section 3.1, action 2). The receiver is consumed and must not
 // be used afterwards. Serial intervals, when present, are halved.
-func (pk *Package) Split() (p1, p2 *Package, err error) {
+func (pk *Package) Split() (p1, p2 Package, err error) {
 	if !pk.Mobile {
-		return nil, nil, ErrNotMobile
+		return Package{}, Package{}, ErrNotMobile
 	}
 	if pk.Level < 1 {
-		return nil, nil, ErrLevelZero
+		return Package{}, Package{}, ErrLevelZero
 	}
 	half := pk.Size / 2
-	p1 = &Package{Level: pk.Level - 1, Size: half, Mobile: true}
-	p2 = &Package{Level: pk.Level - 1, Size: half, Mobile: true}
+	p1 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
+	p2 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
 	if pk.Serials.Valid() {
 		lo, hi, err := pk.Serials.Split()
 		if err != nil {
-			return nil, nil, err
+			return Package{}, Package{}, err
 		}
 		p1.Serials = lo
 		p2.Serials = hi
@@ -255,8 +270,8 @@ func (pk *Package) TakePermit() (serial int64, empty bool, err error) {
 type Store struct {
 	present bool
 	reject  bool
-	statics []*Package
-	mobiles []*Package
+	statics []Package
+	mobiles []Package
 }
 
 // NewStore returns an empty store.
@@ -276,31 +291,34 @@ func (s *Store) SetReject() { s.reject = true }
 // between iterations).
 func (s *Store) ClearReject() { s.reject = false }
 
-// AddMobile stores a mobile package.
-func (s *Store) AddMobile(pk *Package) {
+// AddMobile stores a mobile package and returns it in the store.
+func (s *Store) AddMobile(pk Package) *Package {
 	s.mobiles = append(s.mobiles, pk)
+	return &s.mobiles[len(s.mobiles)-1]
 }
 
-// AddStatic stores a static package.
-func (s *Store) AddStatic(pk *Package) {
+// AddStatic stores a static package and returns it in the store.
+func (s *Store) AddStatic(pk Package) *Package {
 	s.statics = append(s.statics, pk)
+	return &s.statics[len(s.statics)-1]
 }
 
-// Static returns a non-empty static package, or nil.
+// Static returns a non-empty static package in the store, or nil.
 func (s *Store) Static() *Package {
-	for _, pk := range s.statics {
-		if pk.Size > 0 {
-			return pk
+	for i := range s.statics {
+		if s.statics[i].Size > 0 {
+			return &s.statics[i]
 		}
 	}
 	return nil
 }
 
-// MobileAtFillerDistance returns the mobile package of the smallest level
-// satisfying the filler condition for hop distance d, or nil.
+// MobileAtFillerDistance returns the mobile package in the store of the
+// smallest level satisfying the filler condition for hop distance d, or nil.
 func (s *Store) MobileAtFillerDistance(p Params, d int64) *Package {
 	var best *Package
-	for _, pk := range s.mobiles {
+	for i := range s.mobiles {
+		pk := &s.mobiles[i]
 		if p.IsFillerDistance(pk.Level, d) && (best == nil || pk.Level < best.Level) {
 			best = pk
 		}
@@ -333,35 +351,37 @@ func (s *Store) TakeStaticPermit() (serial int64, ok bool) {
 	return serial, true
 }
 
-// RemoveMobile removes pk from the store.
+// RemoveMobile removes the mobile package pk points at from the store; the
+// last one takes its slot.
 func (s *Store) RemoveMobile(pk *Package) error {
-	for i, cur := range s.mobiles {
-		if cur == pk {
-			s.mobiles[i] = s.mobiles[len(s.mobiles)-1]
-			s.mobiles = s.mobiles[:len(s.mobiles)-1]
-			return nil
-		}
-	}
-	return ErrNotInStore
+	return swapRemove(&s.mobiles, pk)
 }
 
-// RemoveStatic removes pk from the store.
+// RemoveStatic removes the static package pk points at from the store; the
+// last one takes its slot.
 func (s *Store) RemoveStatic(pk *Package) error {
-	for i, cur := range s.statics {
-		if cur == pk {
-			s.statics[i] = s.statics[len(s.statics)-1]
-			s.statics = s.statics[:len(s.statics)-1]
+	return swapRemove(&s.statics, pk)
+}
+
+// swapRemove removes the element of *pkgs that pk points at, moving the last
+// one into its slot.
+func swapRemove(pkgs *[]Package, pk *Package) error {
+	ps := *pkgs
+	for i := range ps {
+		if &ps[i] == pk {
+			ps[i] = ps[len(ps)-1]
+			*pkgs = ps[:len(ps)-1]
 			return nil
 		}
 	}
 	return ErrNotInStore
 }
 
-// TakeAll removes and returns every permit package (used when a node is
-// deleted gracefully and its data moves to its parent). The reject flag is
-// returned as well.
-func (s *Store) TakeAll() (packages []*Package, hadReject bool) {
-	out := make([]*Package, 0, len(s.statics)+len(s.mobiles))
+// TakeAll removes and returns a copy of every permit package, statics first
+// (used when a node is deleted gracefully and its data moves to its parent
+// in a message). The reject flag is returned as well.
+func (s *Store) TakeAll() (packages []Package, hadReject bool) {
+	out := make([]Package, 0, len(s.statics)+len(s.mobiles))
 	out = append(out, s.statics...)
 	out = append(out, s.mobiles...)
 	s.statics = nil
@@ -370,8 +390,8 @@ func (s *Store) TakeAll() (packages []*Package, hadReject bool) {
 }
 
 // Absorb merges the given packages into the store (parent side of a
-// graceful deletion).
-func (s *Store) Absorb(packages []*Package, reject bool) {
+// graceful deletion), skipping empty ones.
+func (s *Store) Absorb(packages []Package, reject bool) {
 	for _, pk := range packages {
 		if pk.Size <= 0 {
 			continue
@@ -387,13 +407,13 @@ func (s *Store) Absorb(packages []*Package, reject bool) {
 	}
 }
 
-// Mobiles returns the stored mobile packages (shared slice; callers must
-// not mutate).
-func (s *Store) Mobiles() []*Package { return s.mobiles }
+// Mobiles returns the stored mobile packages (shared slice, good until the
+// store next changes; callers must not mutate).
+func (s *Store) Mobiles() []Package { return s.mobiles }
 
-// Statics returns the stored static packages (shared slice; callers must
-// not mutate).
-func (s *Store) Statics() []*Package { return s.statics }
+// Statics returns the stored static packages (shared slice, good until the
+// store next changes; callers must not mutate).
+func (s *Store) Statics() []Package { return s.statics }
 
 // PermitCount returns the total permits stored here (static + mobile).
 func (s *Store) PermitCount() int64 {
@@ -428,14 +448,15 @@ func (s *Store) Clear() {
 func (s *Store) MemoryBits(p Params) int {
 	bitsLogU := ceilLog2(p.U) + 1
 	bitsLogM := ceilLog2(p.M) + 1
-	levels := make(map[int]struct{}, len(s.mobiles))
+	// One bit a level present: the whiteboards' level mask.
+	var levels uint64
 	for _, pk := range s.mobiles {
-		levels[pk.Level] = struct{}{}
+		levels |= 1 << min(uint(pk.Level), 63)
 	}
-	bits := 1 // reject flag
-	bits += len(levels) * bitsLogU
+	n := 1 // reject flag
+	n += bits.OnesCount64(levels) * bitsLogU
 	if len(s.statics) > 0 {
-		bits += bitsLogM
+		n += bitsLogM
 	}
-	return bits
+	return n
 }

@@ -6,7 +6,33 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPackageHoldsNoPointers guards what a store's backing arrays cost the
+// collector: a Package is plain data, so a []Package is allocated no-scan,
+// and it stays at 40 bytes, the tag sitting in the padding after Mobile.
+func TestPackageHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v: the collector would scan every store's packages", path, ty.Kind())
+		}
+	}
+	walk("Package", reflect.TypeOf(Package{}))
+	if size := unsafe.Sizeof(Package{}); size > 40 {
+		t.Errorf("Package is %d bytes, want at most 40", size)
+	}
+}
 
 func TestNewParamsSmallW(t *testing.T) {
 	p := NewParams(16, 100, 1)
@@ -181,7 +207,7 @@ func TestSplitLevelZeroFails(t *testing.T) {
 	if _, _, err := pk.Split(); !errors.Is(err, ErrLevelZero) {
 		t.Fatalf("err = %v, want ErrLevelZero", err)
 	}
-	if err := NewMobile(p, 1).BecomeStatic(); err == nil {
+	if l1 := NewMobile(p, 1); l1.BecomeStatic() == nil {
 		t.Fatal("BecomeStatic at level 1 should fail")
 	}
 }
@@ -235,31 +261,39 @@ func TestStoreBasics(t *testing.T) {
 	if err := st.BecomeStatic(); err != nil {
 		t.Fatalf("BecomeStatic: %v", err)
 	}
-	s.AddStatic(st)
+	if in := s.AddStatic(st); *in != st {
+		t.Fatalf("AddStatic returned %+v, want %+v", *in, st)
+	}
 
 	if got := s.PermitCount(); got != m0.Size+m2.Size+st.Size {
 		t.Fatalf("PermitCount = %d", got)
 	}
-	if s.Static() != st {
+	static := s.Static()
+	if static != &s.Statics()[0] || *static != st {
 		t.Fatal("Static() should return the stored static package")
 	}
 	// Filler lookup prefers the smallest qualifying level.
-	if got := s.MobileAtFillerDistance(p, p.Psi); got != m0 {
+	if got := s.MobileAtFillerDistance(p, p.Psi); got != &s.Mobiles()[0] {
 		t.Fatalf("filler at d=ψ = %+v, want level-0 package", got)
 	}
-	if got := s.MobileAtFillerDistance(p, 5*p.Psi); got != m2 {
-		t.Fatalf("filler at d=5ψ = %+v, want level-2 package", got)
+	inM2 := s.MobileAtFillerDistance(p, 5*p.Psi)
+	if inM2 != &s.Mobiles()[1] {
+		t.Fatalf("filler at d=5ψ = %+v, want level-2 package", inM2)
 	}
 	if got := s.MobileAtFillerDistance(p, 3*p.Psi); got != nil {
 		t.Fatalf("filler at d=3ψ = %+v, want nil", got)
 	}
-	if err := s.RemoveMobile(m2); err != nil {
+	// A package is removed by its address in the store, not by its value.
+	if err := s.RemoveMobile(&m2); !errors.Is(err, ErrNotInStore) {
+		t.Fatalf("remove by a copy: %v", err)
+	}
+	if err := s.RemoveMobile(inM2); err != nil {
 		t.Fatalf("RemoveMobile: %v", err)
 	}
-	if err := s.RemoveMobile(m2); !errors.Is(err, ErrNotInStore) {
-		t.Fatalf("double remove: %v", err)
+	if len(s.Mobiles()) != 1 || s.Mobiles()[0] != m0 {
+		t.Fatalf("after RemoveMobile: %+v, want only the level-0 package", s.Mobiles())
 	}
-	if err := s.RemoveStatic(st); err != nil {
+	if err := s.RemoveStatic(static); err != nil {
 		t.Fatalf("RemoveStatic: %v", err)
 	}
 }
@@ -345,12 +379,10 @@ func TestStoreTakeAllAbsorb(t *testing.T) {
 		t.Fatalf("parent PermitCount = %d", got)
 	}
 	// Absorb drops empty packages.
-	empty := &Package{Mobile: true, Level: 0, Size: 0}
-	parent.Absorb([]*Package{empty}, false)
-	for _, m := range parent.Mobiles() {
-		if m == empty {
-			t.Fatal("empty package absorbed")
-		}
+	mobiles := len(parent.Mobiles())
+	parent.Absorb([]Package{{Mobile: true, Level: 0, Size: 0}}, false)
+	if len(parent.Mobiles()) != mobiles {
+		t.Fatal("empty package absorbed")
 	}
 }
 
@@ -388,7 +420,7 @@ func TestSplitPreservesPermitsProperty(t *testing.T) {
 		level := 1 + rng.Intn(6)
 		root := NewMobile(p, level)
 		total := root.Size
-		queue := []*Package{root}
+		queue := []Package{root}
 		var sum int64
 		for len(queue) > 0 {
 			pk := queue[0]

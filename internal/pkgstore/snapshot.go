@@ -24,7 +24,7 @@ type StoreState struct {
 	Mobiles []PackageState
 }
 
-func packageState(pk *Package) PackageState {
+func packageState(pk Package) PackageState {
 	return PackageState{
 		Level:    pk.Level,
 		Size:     pk.Size,
@@ -34,18 +34,18 @@ func packageState(pk *Package) PackageState {
 	}
 }
 
-func (ps PackageState) restore() (*Package, error) {
+func (ps PackageState) restore() (Package, error) {
 	if ps.Size < 0 {
-		return nil, fmt.Errorf("pkgstore: restore package with size %d", ps.Size)
+		return Package{}, fmt.Errorf("pkgstore: restore package with size %d", ps.Size)
 	}
-	pk := &Package{
+	pk := Package{
 		Level:   ps.Level,
 		Size:    ps.Size,
 		Mobile:  ps.Mobile,
 		Serials: Interval{Lo: ps.SerialLo, Hi: ps.SerialHi},
 	}
 	if pk.Serials.Valid() && pk.Serials.Len() != pk.Size {
-		return nil, fmt.Errorf("pkgstore: restore package carrying %d serials for %d permits",
+		return Package{}, fmt.Errorf("pkgstore: restore package carrying %d serials for %d permits",
 			pk.Serials.Len(), pk.Size)
 	}
 	return pk, nil
