@@ -93,6 +93,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	st := fuzzState()
 	canonical := persist.AppendState(nil, st)
 	f.Add(canonical)
+	// The out-of-range values below are variables, not constants, so the
+	// seeds build where int is 32 bits; there the int fields wrap, and the
+	// seed is refused for that instead.
+	hugeID, widePort := int64(1)<<40, int64(tree.MaxPort)+1
 	// A well-formed snapshot (checksum and all) whose tree agrees with
 	// itself that its newest node has id 2^40, and one whose whiteboards
 	// hold a store for that id.
@@ -101,7 +105,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	newest := &nodes[len(nodes)-1]
 	kids := nodes[0].Children
 	kids[len(kids)-1], newest.ID = 1<<40, 1<<40
-	huge.Tree.NextID, huge.Tree.EverExisted = 1<<40+1, 1<<40
+	huge.Tree.NextID, huge.Tree.EverExisted = 1<<40+1, int(hugeID)
 	f.Add(persist.AppendState(nil, huge))
 	huge = fuzzState()
 	stores := huge.Ctl.Inner.Board.Stores
@@ -111,7 +115,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// port the node table cannot hold: the tree refuses it, and nothing may
 	// restore a truncated port in its place.
 	wide := fuzzState()
-	wide.Tree.Nodes[1].ParentPort = tree.MaxPort + 1
+	wide.Tree.Nodes[1].ParentPort = int(widePort)
 	f.Add(persist.AppendState(nil, wide))
 	// Flip a payload byte: the checksum must catch it.
 	corrupt := append([]byte(nil), canonical...)

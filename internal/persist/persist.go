@@ -7,15 +7,17 @@
 // # Write path
 //
 // Effects are appended in controller execution order and become durable via
-// group commit: appends only encode into an in-memory buffer and return a
-// ticket (the last appended WAL index); a single background syncer flushes
-// the buffer to the active segment and fsyncs once per wakeup, covering
-// every batch appended since the previous fsync. Callers that must not
-// release a result before it is durable block in WaitDurable(ticket) — the
-// dynctrld server does exactly that between running a read batch through
-// the controller and writing its Results frames, so other connections'
-// batches are decided while earlier ones ride out their fsync (at most one
-// fsync per run, usually far fewer).
+// group commit. An append only frames its records into blocks as it packs
+// them, in an in-memory buffer that holds exactly the bytes the next write
+// will carry, and returns a ticket (the last appended WAL index). A single
+// background syncer takes the buffer once per wakeup, checksums its
+// blocks, writes it to the active segment as it is and fsyncs once,
+// covering every batch appended since the previous fsync. Callers that
+// must not release a result before it is durable block in
+// WaitDurable(ticket) — the dynctrld server does exactly that between
+// running a read batch through the controller and writing its Results
+// frames, so other connections' batches are decided while earlier ones
+// ride out their fsync (at most one fsync per run, usually far fewer).
 //
 // # Recovery
 //
@@ -119,24 +121,22 @@ type Engine struct {
 	mu          sync.Mutex
 	appendCond  *sync.Cond // wakes the syncer
 	durableCond *sync.Cond // wakes WaitDurable callers
-	buf         []byte     // packed records not yet handed to the syncer
-	bufFirst    uint64     // WAL index of the first record in buf
-	bufCount    int        // records in buf
-	// sealOffs/sealCounts mark byte offsets (and cumulative record counts)
-	// where buf must split into separate blocks, so an fsync-stall backlog
-	// never produces a block the reader would reject as oversized.
-	sealOffs   []int
-	sealCounts []int
-	free       []byte // recycled append buffer
-	nextIndex  uint64
-	appended   uint64 // last index encoded into buf or flushed
-	durable    uint64 // last index fsynced
-	syncErr    error  // sticky write/fsync failure
-	closed     bool
-	abandoned  bool
-	snapBusy   bool
-	sinceSnap  int64
-	stats      Stats
+	// buf holds the blocks not yet handed to the syncer, framed as they
+	// will be written: closed blocks, then the open one at buf[open:]
+	// (open is -1 when there is none), whose length and count are filled
+	// in when it closes. No block's crc is filled in until the syncer
+	// takes buf.
+	buf       []byte
+	open      int
+	free      []byte // recycled append buffer
+	nextIndex uint64
+	durable   uint64 // last index fsynced
+	syncErr   error  // sticky write/fsync failure
+	closed    bool
+	abandoned bool
+	snapBusy  bool
+	sinceSnap int64
+	stats     Stats
 
 	// The active segment file is owned by the syncer goroutine after Open
 	// (the checkpoint path never touches it).
@@ -178,8 +178,8 @@ func Open(dir string, opts Options) (*Engine, *Recovery, error) {
 	e := &Engine{
 		dir:       dir,
 		opts:      opts,
+		open:      -1,
 		nextIndex: lastIndex + 1,
-		appended:  lastIndex,
 		durable:   lastIndex,
 	}
 	e.appendCond = sync.NewCond(&e.mu)
@@ -192,26 +192,9 @@ func Open(dir string, opts Options) (*Engine, *Recovery, error) {
 	// A fresh segment per incarnation: old segments are never appended to,
 	// so their contents stay attributable to the incarnation that wrote
 	// them.
-	hdr := appendSegmentHeader(nil, inc, e.nextIndex)
-	f, err := os.OpenFile(segmentPath(dir, maxSeq+1), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := e.createSegment(maxSeq+1, e.nextIndex); err != nil {
 		return nil, nil, err
 	}
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	e.f = f
-	e.fileSize = int64(len(hdr))
-	e.stats.Segments = int64(maxSeq + 1)
 
 	e.wg.Add(1)
 	go e.syncLoop()
@@ -259,7 +242,7 @@ func recoverDir(dir string, logger *slog.Logger) (*Recovery, uint64, uint64, err
 // crash mid-checkpoint (or bit rot) degrades to the previous snapshot
 // plus a longer replay, never to a failed boot.
 func loadLatestSnapshot(dir string, rec *Recovery, logger *slog.Logger) error {
-	snaps, err := listSnapshots(dir)
+	snaps, err := listNumbered(dir, snapshotPrefix, snapshotSuffix, 16)
 	if err != nil {
 		return err
 	}
@@ -309,7 +292,7 @@ func (e *Engine) Incarnation() uint64 { return e.stats.Incarnation }
 func (e *Engine) AppendedIndex() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.appended
+	return e.nextIndex - 1
 }
 
 // StatsSnapshot samples the engine's activity counters.
@@ -317,7 +300,7 @@ func (e *Engine) StatsSnapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats
-	st.AppendedIndex = e.appended
+	st.AppendedIndex = e.nextIndex - 1
 	st.DurableIndex = e.durable
 	return st
 }
@@ -329,21 +312,15 @@ func (e *Engine) StatsSnapshot() Stats {
 func (e *Engine) AppendEffects(reqs []controller.Request, results []controller.BatchResult) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return 0, ErrClosed
+	if err := e.refusal(); err != nil {
+		return 0, err
 	}
-	if e.syncErr != nil {
-		return 0, e.syncErr
-	}
-	appended := false
+	before := e.nextIndex
 	for i, br := range results {
 		if br.Err != nil {
 			continue
 		}
-		if e.bufCount == 0 {
-			e.bufFirst = e.nextIndex
-		}
-		e.buf = AppendPackedRecord(e.buf, Record{
+		e.appendRecord(Record{
 			Type:    RecEffect,
 			Node:    reqs[i].Node,
 			Kind:    reqs[i].Kind,
@@ -352,53 +329,57 @@ func (e *Engine) AppendEffects(reqs []controller.Request, results []controller.B
 			Serial:  br.Grant.Serial,
 			NewNode: br.Grant.NewNode,
 		})
-		e.bufCount++
-		e.nextIndex++
-		e.stats.AppendedRecords++
-		e.sinceSnap++
-		e.maybeSeal()
-		appended = true
 	}
-	if appended {
-		e.appended = e.nextIndex - 1
+	e.sinceSnap += int64(e.nextIndex - before)
+	if e.nextIndex != before {
 		e.appendCond.Signal()
 	}
-	return e.appended, nil
+	return e.nextIndex - 1, nil
 }
 
 // AppendWave logs a reject-wave completion marker.
 func (e *Engine) AppendWave(granted int64) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return 0, ErrClosed
+	if err := e.refusal(); err != nil {
+		return 0, err
 	}
-	if e.syncErr != nil {
-		return 0, e.syncErr
-	}
-	if e.bufCount == 0 {
-		e.bufFirst = e.nextIndex
-	}
-	e.buf = AppendPackedRecord(e.buf, Record{Type: RecWave, Granted: granted})
-	e.bufCount++
-	e.appended = e.nextIndex
-	e.nextIndex++
-	e.stats.AppendedRecords++
-	e.maybeSeal()
+	e.appendRecord(Record{Type: RecWave, Granted: granted})
 	e.appendCond.Signal()
-	return e.appended, nil
+	return e.nextIndex - 1, nil
 }
 
-// maybeSeal marks a block boundary when the unsealed tail of buf reaches
-// sealBytes. Called with mu held after every append.
-func (e *Engine) maybeSeal() {
-	lastOff := 0
-	if n := len(e.sealOffs); n > 0 {
-		lastOff = e.sealOffs[n-1]
+// refusal is why the engine takes no more appends: closed, or a write or
+// fsync failed. Called with mu held.
+func (e *Engine) refusal() error {
+	if e.closed {
+		return ErrClosed
 	}
-	if len(e.buf)-lastOff >= sealBytes {
-		e.sealOffs = append(e.sealOffs, len(e.buf))
-		e.sealCounts = append(e.sealCounts, e.bufCount)
+	return e.syncErr
+}
+
+// appendRecord packs r into the open block, opening one first if there is
+// none, and closes the block once its packed bytes reach sealBytes, so an
+// fsync-stall backlog never frames a block the reader would reject as
+// oversized. Called with mu held.
+func (e *Engine) appendRecord(r Record) {
+	if e.open < 0 {
+		e.open = len(e.buf)
+		e.buf = openBlock(e.buf, e.nextIndex)
+	}
+	e.buf = AppendPackedRecord(e.buf, r)
+	e.nextIndex++
+	e.stats.AppendedRecords++
+	if len(e.buf)-e.open-blockPrefixLen >= sealBytes {
+		e.closeOpen()
+	}
+}
+
+// closeOpen closes the open block, if any. Called with mu held.
+func (e *Engine) closeOpen() {
+	if e.open >= 0 {
+		closeBlock(e.buf, e.open, e.nextIndex)
+		e.open = -1
 	}
 }
 
@@ -430,95 +411,38 @@ func (e *Engine) CommitEffects(reqs []controller.Request, results []controller.B
 }
 
 // syncLoop is the group-commit syncer: it owns the active segment file.
-// Each wakeup steals every packed record appended since the last fsync,
-// frames them as one block (one length + one CRC per wave), writes it and
-// fsyncs once — the fsync, the framing overhead and the checksum are all
-// amortized over the wave.
+// Each wakeup waits out the commit window, closes the open block and takes
+// every block appended since the last fsync, fills in their checksums,
+// writes them as they are and fsyncs once — the fsync, the framing
+// overhead and the checksum are all amortized over the wave.
 func (e *Engine) syncLoop() {
 	defer e.wg.Done()
-	var block []byte // syncer-owned frame scratch
 	for {
 		e.mu.Lock()
 		for len(e.buf) == 0 && !e.closed {
 			e.appendCond.Wait()
 		}
-		if len(e.buf) == 0 || e.abandoned {
-			// Closed with nothing (allowed to be) flushed: Abandon drops
-			// buffered records deliberately — that is the kill -9 model.
-			closed := e.closed
-			e.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
+		pending := len(e.buf) > 0
+		e.mu.Unlock()
+		if pending {
+			e.settle()
 		}
-		packed := e.buf
-		first := e.bufFirst
-		count := e.bufCount
-		target := e.appended
-		sealOffs := e.sealOffs
-		sealCounts := e.sealCounts
-		e.buf = e.free[:0]
-		e.free = nil
-		e.bufCount = 0
-		e.sealOffs = nil
-		e.sealCounts = nil
+
+		e.mu.Lock()
+		if len(e.buf) == 0 || e.abandoned {
+			// Closed with nothing left to flush, or abandoned: Abandon drops
+			// buffered records deliberately — that is the kill -9 model.
+			e.mu.Unlock()
+			return
+		}
+		e.closeOpen()
+		wave, target, count := e.buf, e.nextIndex-1, int(e.nextIndex-1-e.durable)
+		e.buf, e.free = e.free[:0], nil
 		e.mu.Unlock()
 
-		// Group-commit window: batches decided while an fsync is in flight
-		// coalesce naturally, but a batch decided just *after* a sync wave
-		// started would otherwise get a whole fsync to itself. Yield the
-		// scheduler until appends go quiet (or the window expires) so the
-		// server can finish deciding the batches already racing toward
-		// the log and one fsync covers them all. Yielding instead of
-		// sleeping matters: timer wakeups have ~millisecond granularity
-		// under load, several times the fsync itself.
-		if e.opts.CommitWindow > 0 {
-			deadline := time.Now().Add(e.opts.CommitWindow)
-			last, idle := count, 0
-			for idle < 4 && time.Now().Before(deadline) {
-				runtime.Gosched()
-				e.mu.Lock()
-				cur := count + e.bufCount
-				e.mu.Unlock()
-				if cur == last {
-					idle++
-				} else {
-					last, idle = cur, 0
-				}
-			}
-			e.mu.Lock()
-			if len(e.buf) > 0 {
-				base, baseCount := len(packed), count
-				for i, off := range e.sealOffs {
-					sealOffs = append(sealOffs, off+base)
-					sealCounts = append(sealCounts, e.sealCounts[i]+baseCount)
-				}
-				packed = append(packed, e.buf...)
-				count += e.bufCount
-				target = e.appended
-				e.buf = e.buf[:0]
-				e.bufCount = 0
-				e.sealOffs = e.sealOffs[:0]
-				e.sealCounts = e.sealCounts[:0]
-			}
-			e.mu.Unlock()
-		}
-
-		// Frame the wave: one block per sealed span (so no block ever
-		// exceeds the reader's size bound) plus the unsealed remainder,
-		// all covered by the single fsync below.
-		block = block[:0]
-		prevOff, prevCount := 0, 0
-		for i, off := range sealOffs {
-			block = AppendBlock(block, first+uint64(prevCount), sealCounts[i]-prevCount, packed[prevOff:off])
-			prevOff, prevCount = off, sealCounts[i]
-		}
-		if prevOff < len(packed) {
-			block = AppendBlock(block, first+uint64(prevCount), count-prevCount, packed[prevOff:])
-		}
+		checksumBlocks(wave)
 		syncStart := time.Now()
-		err := e.writeBatch(block, target)
+		err := e.writeBatch(wave, target)
 		if e.opts.SyncObserver != nil {
 			e.opts.SyncObserver(count, time.Since(syncStart))
 		}
@@ -529,23 +453,46 @@ func (e *Engine) syncLoop() {
 		} else {
 			e.durable = target
 			e.stats.Fsyncs++
-			e.stats.BytesWritten += int64(len(block))
+			e.stats.BytesWritten += int64(len(wave))
 		}
-		e.free = packed[:0]
+		e.free = wave[:0]
 		e.durableCond.Broadcast()
-		closed := e.closed
-		empty := len(e.buf) == 0
 		e.mu.Unlock()
-		if closed && (empty || err != nil) {
+		if err != nil {
+			// Appends are refused from here on and Close reports err.
 			return
 		}
 	}
 }
 
-// writeBatch appends the encoded records to the active segment, fsyncs,
-// and rotates to a fresh segment when the size threshold is crossed;
-// flushed names the last index in batch, so the new segment's header can
-// name the index it starts at. Runs on the syncer goroutine only.
+// settle is the group-commit window: batches decided while an fsync is in
+// flight coalesce naturally, but a batch decided just *after* a sync wave
+// started would otherwise get a whole fsync to itself. It yields the
+// scheduler until appends go quiet (or CommitWindow expires) so the server
+// can finish deciding the batches already racing toward the log and one
+// fsync covers them all. Yielding instead of sleeping matters: timer
+// wakeups have ~millisecond granularity under load, several times the
+// fsync itself.
+func (e *Engine) settle() {
+	if e.opts.CommitWindow <= 0 {
+		return
+	}
+	deadline := time.Now().Add(e.opts.CommitWindow)
+	last, idle := e.AppendedIndex(), 0
+	for idle < 4 && time.Now().Before(deadline) {
+		runtime.Gosched()
+		if cur := e.AppendedIndex(); cur == last {
+			idle++
+		} else {
+			last, idle = cur, 0
+		}
+	}
+}
+
+// writeBatch appends the framed blocks to the active segment, fsyncs, and
+// rotates to a fresh segment when the size threshold is crossed; flushed
+// names the last index in batch, so the new segment's header can name the
+// index it starts at. Runs on the syncer goroutine only.
 func (e *Engine) writeBatch(batch []byte, flushed uint64) error {
 	if _, err := e.f.Write(batch); err != nil {
 		return err
@@ -557,34 +504,39 @@ func (e *Engine) writeBatch(batch []byte, flushed uint64) error {
 	if e.fileSize < e.opts.SegmentBytes {
 		return nil
 	}
-	first := flushed + 1
-	e.mu.Lock()
-	inc := e.stats.Incarnation
-	seq := uint64(e.stats.Segments) + 1
-	e.stats.Segments = int64(seq)
-	e.mu.Unlock()
-	if err := e.f.Close(); err != nil {
+	err := e.f.Close()
+	e.f = nil
+	if err != nil {
 		return err
 	}
-	hdr := appendSegmentHeader(nil, inc, first)
+	// Only createSegment writes stats.Segments, and after Open only the
+	// syncer calls it.
+	return e.createSegment(uint64(e.stats.Segments)+1, flushed+1)
+}
+
+// createSegment makes segment seq, whose first record is WAL index first,
+// the active segment: it writes the header and fsyncs the file and the
+// directory, outside mu, so a crash leaves the segment whole or
+// headerless.
+func (e *Engine) createSegment(seq, first uint64) error {
 	f, err := os.OpenFile(segmentPath(e.dir, seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(hdr); err != nil {
+	hdr := appendSegmentHeader(nil, e.stats.Incarnation, first)
+	if _, err = f.Write(hdr); err == nil {
+		if err = f.Sync(); err == nil {
+			err = syncDir(e.dir)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(e.dir); err != nil {
-		f.Close()
-		return err
-	}
-	e.f = f
-	e.fileSize = int64(len(hdr))
+	e.f, e.fileSize = f, int64(len(hdr))
+	e.mu.Lock()
+	e.stats.Segments = int64(seq)
+	e.mu.Unlock()
 	return nil
 }
 
@@ -655,7 +607,7 @@ func (e *Engine) writeSnapshot(st *State) error {
 	// recovery, the runner-up survives a corrupt newest. Segments are
 	// retained in full — the cross-incarnation verifier reads the whole
 	// effect history.
-	snaps, err := listSnapshots(e.dir)
+	snaps, err := listNumbered(e.dir, snapshotPrefix, snapshotSuffix, 16)
 	if err != nil {
 		return nil //nolint:nilerr // GC failure is not a checkpoint failure
 	}
@@ -666,8 +618,19 @@ func (e *Engine) writeSnapshot(st *State) error {
 }
 
 // Close flushes buffered records, waits for the syncer and any in-flight
-// checkpoint, and closes the active segment. Idempotent.
-func (e *Engine) Close() error {
+// checkpoint, and closes the active segment. It returns the write or fsync
+// error that stopped the syncer, if any, joined with the segment's close
+// error. Idempotent: later calls return nil.
+func (e *Engine) Close() error { return e.shutdown(false) }
+
+// Abandon simulates a crash: buffered, un-fsynced records are dropped and
+// the files are closed as-is — exactly the state a kill -9 leaves behind
+// (modulo the kernel page cache). The scenario engine's crash-restart
+// faults use it; production code calls Close.
+func (e *Engine) Abandon() { e.shutdown(true) }
+
+// shutdown is Close, or Abandon when abandon is set.
+func (e *Engine) shutdown(abandon bool) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -675,40 +638,18 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
+	if abandon {
+		e.abandoned = true
+		e.buf, e.open = nil, -1
+	}
 	e.appendCond.Signal()
 	e.durableCond.Broadcast()
 	e.mu.Unlock()
 	e.wg.Wait()
-	var err error
+	err := e.syncErr
 	if e.f != nil {
-		err = e.f.Close()
+		err = errors.Join(err, e.f.Close())
 		e.f = nil
 	}
 	return err
-}
-
-// Abandon simulates a crash: buffered, un-fsynced records are dropped and
-// the files are closed as-is — exactly the state a kill -9 leaves behind
-// (modulo the kernel page cache). The scenario engine's crash-restart
-// faults use it; production code calls Close.
-func (e *Engine) Abandon() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		e.wg.Wait()
-		return
-	}
-	e.abandoned = true
-	e.closed = true
-	e.buf = nil
-	e.bufCount = 0
-	e.sealOffs, e.sealCounts = nil, nil
-	e.appendCond.Signal()
-	e.durableCond.Broadcast()
-	e.mu.Unlock()
-	e.wg.Wait()
-	if e.f != nil {
-		e.f.Close()
-		e.f = nil
-	}
 }

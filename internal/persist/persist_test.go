@@ -2,7 +2,9 @@ package persist_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -572,6 +574,67 @@ func TestCloseDuringCheckpointRace(t *testing.T) {
 	}
 }
 
+// TestCloseReportsLostFlush: when the write or fsync of the records Close
+// flushes fails, Close says so; a nil return would tell the caller that
+// records which never reached the disk are durable.
+func TestCloseReportsLostFlush(t *testing.T) {
+	dir := t.TempDir()
+	eng, _, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	readOnly, err := os.Open(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SwapSegmentForTests(readOnly).Close()
+	reqs := []controller.Request{{Node: 1, Kind: tree.None}}
+	results := []controller.BatchResult{{Grant: controller.Grant{Outcome: controller.Granted}}}
+	if _, err := eng.AppendEffects(reqs, results); err != nil {
+		t.Fatal(err)
+	}
+	err = eng.Close()
+	if st := eng.StatsSnapshot(); st.AppendedIndex != 1 || st.DurableIndex != 0 {
+		t.Fatalf("appended %d, durable %d; want 1 and 0", st.AppendedIndex, st.DurableIndex)
+	}
+	if err == nil {
+		t.Fatal("Close returned nil although the record it flushed never reached the disk")
+	}
+}
+
+// TestSnapshotLengthCannotWrap: a checksum-valid snapshot that declares a
+// string length or a collection count of 2^31 is refused as corrupt. Where
+// int is 32 bits (GOARCH=386) a signed comparison lets both past the bounds
+// check as negative numbers: the string length makes DecodeSnapshot slice
+// out of range and panic where boot recovery must skip the snapshot, and
+// the count reads as no elements, which only the trailing-bytes check
+// catches.
+func TestSnapshotLengthCannotWrap(t *testing.T) {
+	st := fuzzState()
+	st.Counters = map[string]int64{"x": 1}
+	enc := persist.AppendState(nil, st)
+	// The payload ends with the counters: their count, then the one
+	// counter's name length, its name "x" and its value.
+	for _, tc := range []struct {
+		field string
+		back  int
+	}{
+		{"counter name length", 4 + 1 + 8},
+		{"counter count", 4 + 4 + 1 + 8},
+	} {
+		p := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint32(p[len(p)-tc.back:], 0x80000000)
+		binary.LittleEndian.PutUint32(p[14:], crc32.Checksum(p[18:], crc32.MakeTable(crc32.Castagnoli)))
+		if _, err := persist.DecodeSnapshot(p); err == nil {
+			t.Errorf("snapshot with %s 0x80000000 accepted", tc.field)
+		}
+	}
+}
+
 // TestGroupCommitConcurrentAppends: many goroutines appending and waiting
 // on their tickets all become durable, with far fewer fsyncs than records.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
@@ -653,6 +716,34 @@ func TestWaveSplitsIntoBoundedBlocks(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Walk the blocks: each holds under 64 packed bytes plus the record
+	// that reached the bound (at most 3 bytes here: a tag and a node id
+	// below 2^14), so the wave spans many.
+	const blockPrefix, maxRecord = 8 + 8 + 4, 3
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v: %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := 0
+	for off := persist.SegmentHeaderLen; off < len(seg); blocks++ {
+		_, size, err := persist.DecodeWALRecords(seg[off:], nil)
+		if err != nil {
+			t.Fatalf("block %d at offset %d: %v", blocks, off, err)
+		}
+		if packed := size - blockPrefix; packed >= 64+maxRecord {
+			t.Fatalf("block %d holds %d packed bytes, bound 64 plus one record", blocks, packed)
+		}
+		off += size
+	}
+	if blocks < 2 {
+		t.Fatalf("the %d-record wave went into %d block", n, blocks)
+	}
+
 	eng2, rec, err := persist.Open(dir, persist.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// WAL framing. Records are packed into *blocks*, one block per group
-// commit wave:
+// WAL framing. Records are packed into *blocks*; a group-commit wave is
+// one block, or several when its packed bytes pass the seal bound:
 //
 //	uint32  payloadLen   (little-endian)
 //	uint32  crc32c(payload)
@@ -207,18 +207,36 @@ func decodePacked(p []byte, index uint64) (Record, int, error) {
 	return r, off, nil
 }
 
-// AppendBlock frames count packed records (the bytes in packed) as one
-// block starting at firstIndex and appends it to buf.
-func AppendBlock(buf []byte, firstIndex uint64, count int, packed []byte) []byte {
-	start := len(buf)
+// blockPrefixLen is the bytes of a block before its first packed record:
+// length, crc, first index and count.
+const blockPrefixLen = blockHeaderLen + 8 + 4
+
+// openBlock appends the prefix of a block whose first record is WAL index
+// firstIndex. Packed records follow it; closeBlock fills in the length and
+// count, and checksumBlocks the crc.
+func openBlock(buf []byte, firstIndex uint64) []byte {
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc placeholder
 	buf = binary.LittleEndian.AppendUint64(buf, firstIndex)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	buf = append(buf, packed...)
-	payload := buf[start+blockHeaderLen:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-	return buf
+	return append(buf, 0, 0, 0, 0) // count placeholder
+}
+
+// closeBlock fills in the length and count of the block opened at
+// buf[start:], which runs to the end of buf and whose last record is WAL
+// index next-1.
+func closeBlock(buf []byte, start int, next uint64) {
+	first := binary.LittleEndian.Uint64(buf[start+blockHeaderLen:])
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-blockHeaderLen))
+	binary.LittleEndian.PutUint32(buf[start+blockHeaderLen+8:], uint32(next-first))
+}
+
+// checksumBlocks fills in the crc of every block in buf, a run of closed
+// blocks, walking their lengths.
+func checksumBlocks(buf []byte) {
+	for off := 0; off < len(buf); {
+		end := off + blockHeaderLen + int(binary.LittleEndian.Uint32(buf[off:]))
+		binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(buf[off+blockHeaderLen:end], castagnoli))
+		off = end
+	}
 }
 
 // AppendRecords packs and frames a run of records as one block. The
@@ -228,11 +246,14 @@ func AppendRecords(buf []byte, records []Record) []byte {
 	if len(records) == 0 {
 		return buf
 	}
-	var packed []byte
+	start := len(buf)
+	buf = openBlock(buf, records[0].Index)
 	for _, r := range records {
-		packed = AppendPackedRecord(packed, r)
+		buf = AppendPackedRecord(buf, r)
 	}
-	return AppendBlock(buf, records[0].Index, len(records), packed)
+	closeBlock(buf, start, records[0].Index+uint64(len(records)))
+	checksumBlocks(buf[start:])
+	return buf
 }
 
 // DecodeWALRecords decodes one block from the front of p, appending its

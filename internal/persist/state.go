@@ -120,7 +120,8 @@ func (d *dec) i64() int64 { return int64(d.u64()) }
 func (d *dec) bool() bool { return d.u8() != 0 }
 func (d *dec) str() string {
 	n := d.u32()
-	if d.err != nil || d.off+int(n) > len(d.p) {
+	// Unsigned: where int is 32 bits, int(n) can be negative.
+	if d.err != nil || uint64(n) > uint64(len(d.p)-d.off) {
 		d.fail("truncated string")
 		return ""
 	}
@@ -137,7 +138,7 @@ func (d *dec) count(minBytes int) int {
 	if d.err != nil {
 		return 0
 	}
-	if int(n) > (len(d.p)-d.off)/minBytes {
+	if uint64(n) > uint64((len(d.p)-d.off)/minBytes) {
 		d.fail("collection of %d elements exceeds remaining payload", n)
 		return 0
 	}

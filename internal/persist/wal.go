@@ -7,7 +7,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -80,50 +80,28 @@ func decodeSegmentHeader(p []byte) (incarnation, firstIndex uint64, err error) {
 	return incarnation, firstIndex, nil
 }
 
-// listSegments returns the segment sequence numbers present in dir, sorted.
-func listSegments(dir string) ([]uint64, error) {
+// listNumbered returns, sorted, the numbers n of the files in dir named
+// prefix+n+suffix with n written in base: the segment sequence numbers
+// (decimal) or the snapshot indices (hex). Foreign files are ignored.
+func listNumbered(dir, prefix, suffix string, base int) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var seqs []uint64
+	var nums []uint64
 	for _, ent := range entries {
 		name := ent.Name()
-		if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		num := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-		seq, err := strconv.ParseUint(num, 10, 64)
-		if err != nil {
-			continue // foreign file; ignore
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// listSnapshots returns the snapshot indices present in dir, sorted.
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []uint64
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasPrefix(name, snapshotPrefix) || !strings.HasSuffix(name, snapshotSuffix) {
-			continue
-		}
-		num := strings.TrimSuffix(strings.TrimPrefix(name, snapshotPrefix), snapshotSuffix)
-		idx, err := strconv.ParseUint(num, 16, 64)
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), base, 64)
 		if err != nil {
 			continue
 		}
-		idxs = append(idxs, idx)
+		nums = append(nums, n)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, nil
+	slices.Sort(nums)
+	return nums, nil
 }
 
 // segmentRecords is one scanned segment: its header fields, decoded
@@ -180,7 +158,7 @@ func scanSegment(dir string, seq uint64) (*segmentRecords, error) {
 // returns the surviving scans, the torn bytes found in the final segment,
 // and the highest sequence number present.
 func scanSegments(dir string, truncate bool, logger *slog.Logger) ([]*segmentRecords, int64, uint64, error) {
-	seqs, err := listSegments(dir)
+	seqs, err := listNumbered(dir, segmentPrefix, segmentSuffix, 10)
 	if err != nil {
 		return nil, 0, 0, err
 	}

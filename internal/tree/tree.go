@@ -368,7 +368,7 @@ func (t *Tree) Contains(id NodeID) bool {
 
 // WasDeleted reports whether id names a node that existed and was deleted.
 func (t *Tree) WasDeleted(id NodeID) bool {
-	return id > InvalidNode && int(id) < t.nodes.Len() && !t.nodes.At(id).live
+	return id > InvalidNode && uint64(id) < uint64(t.nodes.Len()) && !t.nodes.At(id).live
 }
 
 // Parent returns the parent of id. The root's parent is InvalidNode.
