@@ -148,14 +148,15 @@ func (c *Core) Submit(req Request) (Grant, error) {
 // the first (closest) filler node: it returns that node, its distance from
 // u and its qualifying package. When no filler exists the climb ends at the
 // root, which it returns with a nil package. The climb scans the level masks
-// and runs the filler test only at nodes that hold a mobile package at all,
-// and where the block counts say a stretch holds none it takes the tree's
-// express link past it; the visitor reads whiteboards only, as
+// and runs the filler test only at nodes that hold a mobile package of the
+// one level that qualifies at their distance, and where the block rows say a
+// stretch holds none of the levels its distances call for it takes the
+// tree's express link past it; the visitor reads whiteboards only, as
 // tree.ClimbMarked requires.
 func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package, error) {
 	c.syncBlocks()
 	var pk *pkgstore.Package
-	host, d, err := c.tr.ClimbMarked(u, c.masks, c.blocks, func(w tree.NodeID, d int) bool {
+	host, d, err := c.tr.ClimbMarked(u, c.bands, c.masks, c.blocks, func(w tree.NodeID, d int) bool {
 		pk = c.Filler(w, int64(d))
 		return pk != nil
 	})

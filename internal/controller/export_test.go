@@ -52,23 +52,36 @@ func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 	return levels, nil
 }
 
-// CheckBlocks counts the blocks again, from the masks and the tree's express
-// links as they are, and compares with the counts the whiteboards keep: never
-// nil, and zero, or beyond the slice, at every stop that counts no mark.
+// CheckBlocks counts the block rows again, from the masks and the tree's
+// express links as they are, and compares with the rows the whiteboards keep:
+// never nil, zero, or beyond the slice, at every stop that counts no mark,
+// and every counter exact or stuck at 255, so that a zero proves its levels
+// absent from the block.
 func (d *Dynamic) CheckBlocks() error {
 	wb := d.inner.wb
 	if wb.blocks == nil {
-		return fmt.Errorf("nil block counts, which a climb reads as none kept")
+		return fmt.Errorf("nil block rows, which a climb reads as none kept")
 	}
-	blocks := make([]int32, max(len(wb.blocks), wb.tr.EverExisted()+1))
+	counts := make([][8]int, max(len(wb.blocks), wb.tr.EverExisted()+1))
 	for id, m := range wb.masks {
-		if m != 0 {
-			blocks[wb.tr.Express(tree.NodeID(id))]++
+		r := wb.tr.Express(tree.NodeID(id))
+		for k := range 8 {
+			if k < 7 && m>>k&1 != 0 || k == 7 && m>>7 != 0 {
+				counts[r][k]++
+			}
 		}
 	}
-	beyond := func(n int32) bool { return n != 0 }
-	if !slices.Equal(blocks[:len(wb.blocks)], wb.blocks) || slices.ContainsFunc(blocks[len(wb.blocks):], beyond) {
-		return fmt.Errorf("block counts %v, the masks and the express links give %v", wb.blocks, blocks)
+	for r, want := range counts {
+		var row uint64
+		if r < len(wb.blocks) {
+			row = wb.blocks[r]
+		}
+		for k, n := range want {
+			if got := int(uint8(row >> (8 * k))); got != n && got != 0xff {
+				return fmt.Errorf("stop %d: row %#016x counts %d in byte %d, the masks and the express links give %d",
+					r, row, got, k, n)
+			}
+		}
 	}
 	return nil
 }
@@ -108,7 +121,7 @@ func (d *Dynamic) CheckRecycled() error {
 		return fmt.Errorf("recycled tables hold %d stores and %d masks, fresh ones %d and %d",
 			recycled.stores.Len(), len(recycled.masks), fresh.stores.Len(), len(fresh.masks))
 	}
-	if slices.ContainsFunc(recycled.blocks, func(n int32) bool { return n != 0 }) || recycled.blocks == nil {
+	if slices.ContainsFunc(recycled.blocks, func(row uint64) bool { return row != 0 }) || recycled.blocks == nil {
 		return fmt.Errorf("recycled block counts %v", recycled.blocks)
 	}
 	var listed []tree.NodeID
@@ -140,13 +153,43 @@ func (d *Dynamic) FindFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Packa
 	return d.inner.core.(*Core).findFiller(u)
 }
 
-// BlockAt returns the count the current whiteboards keep for the express
-// stop r, none for a stop beyond the slice.
-func (d *Dynamic) BlockAt(r tree.NodeID) int32 {
+// BlockAt returns the row the current whiteboards keep for the express stop
+// r, none for a stop beyond the slice.
+func (d *Dynamic) BlockAt(r tree.NodeID) uint64 {
 	if wb := d.inner.wb; int(r) < len(wb.blocks) {
 		return wb.blocks[r]
 	}
 	return 0
+}
+
+// FillerTests reports whether a request at u would search for a filler now,
+// the core running, u live and holding neither a reject nor a static
+// package, and if so runs that search as findFiller does and returns how
+// many filler tests it made.
+func (d *Dynamic) FillerTests(u tree.NodeID) (tests int, searched bool) {
+	in := d.inner
+	c, ok := in.core.(*Core)
+	if !ok || d.terminated || d.rejectAll || in.terminated || in.rejectAll || in.trivialPhase {
+		return 0, false
+	}
+	if s := c.lookup(u); s == nil || !c.tr.Contains(u) || s.HasReject() || s.Static() != nil {
+		return 0, false
+	}
+	c.syncBlocks()
+	if _, _, err := c.tr.ClimbMarked(u, c.bands, c.masks, c.blocks, func(w tree.NodeID, d int) bool {
+		tests++
+		return c.Filler(w, int64(d)) != nil
+	}); err != nil {
+		return 0, false
+	}
+	return tests, true
+}
+
+// DerivedBytes returns the bytes the current whiteboards hold in level masks
+// and in block rows, and the number of masks.
+func (d *Dynamic) DerivedBytes() (masks, rows, ids int) {
+	wb := d.inner.wb
+	return 8 * len(wb.masks), 8 * len(wb.blocks), len(wb.masks)
 }
 
 // MoveDown is the core's accounting of one move of pk.

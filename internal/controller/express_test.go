@@ -249,3 +249,103 @@ func (r *expressRun) depthOf(t *testing.T, id tree.NodeID) int {
 	}
 	return d
 }
+
+// deepTrace is internal/dist's deep engine row, deep-exhaust at the
+// benchmark's own size: a path of 8 192 with M = 2^18 and W = 2^12, events
+// only, 2^19 requests drawn by a churn generator of seed 5 over the tree the
+// engine answers them on. Scarce permits put mobile packages of several
+// levels on the path, and nearly every request below its top climbs to a
+// filler. The reject wave comes at half time.
+func deepTrace(t *testing.T) (*tree.Tree, *ctl.Dynamic, *workload.Churn) {
+	tr := deepTree(t, 8192)
+	d := ctl.NewDynamic(tr, 1<<18, 1<<12, ctl.WithDynamicCounters(stats.NewCounters()))
+	return tr, d, workload.NewChurn(tr, workload.EventOnlyMix(), 5)
+}
+
+// TestEngineDeepFillerTests gates the filler search of the deep row by what
+// it does, not by a clock: over deepTrace, the centralized engine's climbs
+// make at most 1.0 filler tests each. Exactly one level qualifies at a
+// distance, and the climb stops only at nodes holding that level and skips
+// every block whose row shows none of it, so every test it makes finds a
+// filler and a climb that finds none makes none (0.93 a climb). A climb that
+// stops at every node holding any mobile package makes 3.91.
+func TestEngineDeepFillerTests(t *testing.T) {
+	_, d, gen := deepTrace(t)
+	climbs, tests := 0, 0
+	for i := 0; i < 1<<19; i++ {
+		req, ok := gen.Next()
+		if !ok {
+			t.Fatalf("generator dried up at %d", i)
+		}
+		if n, searched := d.FillerTests(req.Node); searched {
+			climbs++
+			tests += n
+		}
+		if _, err := d.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perClimb := float64(tests) / float64(climbs)
+	t.Logf("%d filler searches, %.3f filler tests each", climbs, perClimb)
+	if climbs < 50_000 {
+		t.Fatalf("%d filler searches: not the deep row's shape (some 79 000)", climbs)
+	}
+	if perClimb > 1.0 {
+		t.Errorf("%.3f filler tests a search, want at most 1.0", perClimb)
+	}
+}
+
+// TestWhiteboardDerivedBytes bounds what the whiteboards derive from their
+// stores: the level masks, 8 B an id, and the block rows, 8 B a stop up to
+// the highest that counted a mark. On deepTrace, a path, every 16th id is a
+// stop and the rows may take as much as the masks, 16 B an id in all. On
+// grow-mix at its own size (50 000 requests over a balanced tree of 256, half
+// of them adding a leaf there, in two streams taken in turns of 128) the tree
+// stays shallower than a stride, so the root is the only stop and the rows
+// are its one: the masks are all there is.
+func TestWhiteboardDerivedBytes(t *testing.T) {
+	check := func(name string, d *ctl.Dynamic, perID float64, rowsUpTo tree.NodeID) {
+		t.Helper()
+		masks, rows, ids := d.DerivedBytes()
+		t.Logf("%s: %d masks and %d rows, %d B, %.2f B an id", name, ids, rows/8, masks+rows, float64(masks+rows)/float64(ids))
+		if float64(masks+rows) > perID*float64(ids) || rows > 8*int(rowsUpTo+1) {
+			t.Errorf("%s: %d B of masks and %d B of rows for %d ids, want at most %.0f B an id and rows up to stop %d",
+				name, masks, rows, ids, perID, rowsUpTo)
+		}
+	}
+
+	tr, d, gen := deepTrace(t)
+	for i := 0; i < 1<<19; i++ {
+		req, ok := gen.Next()
+		if !ok {
+			t.Fatalf("generator dried up at %d", i)
+		}
+		if _, err := d.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("deep", d, 16, tree.NodeID(tr.EverExisted()))
+
+	tr, _ = tree.New()
+	if err := workload.BuildBalanced(tr, 256, 1); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := workload.NewConcurrentTrace(tr, 2, 25_000, workload.ConcurrentMix{Event: 50, AddLeaf: 50}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = ctl.NewDynamic(tr, 200_000, 100_000, ctl.WithDynamicCounters(stats.NewCounters()))
+	for at := 0; at < 25_000; at += 128 {
+		for _, c := range ct.Clients {
+			for _, req := range c[at:min(at+128, len(c))] {
+				if _, err := d.Submit(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if h := tr.Height(); h >= 16 {
+		t.Fatalf("grow-mix tree of height %d: the root is not the only stop", h)
+	}
+	check("grow-50k", d, 8+0.01, tr.Root())
+}

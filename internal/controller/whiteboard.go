@@ -2,6 +2,8 @@ package controller
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
@@ -38,18 +40,23 @@ type Whiteboard struct {
 	// through the Whiteboard methods below and never through the
 	// pkgstore.Store a caller got from Store.
 	masks []uint64
-	// blocks is indexed by NodeID like masks: blocks[r] counts the ids with a
-	// non-zero mask whose express link in tr is r, which is what lets the
-	// filler search jump to r past a stretch that holds no mobile package
-	// (tree.ClimbMarked). It is as long as the highest stop that ever counted
-	// a mark needs, never nil, and a stop beyond it counts none: a bushy tree
-	// has a handful of stops and pays for a handful of counts. The tree owns
-	// the links and the whiteboards the counts: setMask keeps them in step
-	// with the masks, Grant with the links an internal change moves, and
+	// blocks is indexed by NodeID like masks: blocks[r] is the row of the
+	// express stop r, eight byte counters, and byte j counts the ids whose
+	// express link in tr is r and whose mask has bit j, byte 7 those with any
+	// bit from 7 on (lanesOf). Exactly one level qualifies at a distance, so
+	// the filler search jumps to r past a stretch whose row is zero for the
+	// one or two levels the stretch's distances call for, whatever other
+	// levels rest there (tree.ClimbMarked, bands). A counter that reaches 255
+	// stays there until the next full count (syncBlocks), so a zero still
+	// proves the level absent. The slice is as long as the highest stop that
+	// ever counted a mark needs, never nil, and a stop beyond it counts none:
+	// a bushy tree has a handful of stops and pays for a handful of rows. The
+	// tree owns the links and the whiteboards the rows: setMask keeps them in
+	// step with the masks, Grant with the links an internal change moves, and
 	// linkEpoch is the tree's express epoch they were last known good at, for
 	// a tree changed by anyone else (syncBlocks). Derived like masks: State
 	// does not carry them.
-	blocks    []int32
+	blocks    []uint64
 	linkEpoch uint64
 	lifted    []tree.NodeID // lift's scratch, empty between two Grants
 
@@ -62,6 +69,11 @@ type Whiteboard struct {
 	rejectWave bool
 	granted    int64
 	rejected   int64
+
+	// bands are the distance bands of the filler test, the band of level j
+	// ending at 2^{j+1}ψ (fillerBands): what tells the climb which mask bit
+	// counts at a distance.
+	bands []int
 }
 
 // CoreOption configures the whiteboards of a fixed-U core; the options are
@@ -110,6 +122,7 @@ func WithDescentObserver(fn DescentObserver) CoreOption {
 func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreOption) *Whiteboard {
 	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m,
 		linkEpoch: tr.ExpressEpoch()}
+	wb.bands = fillerBands(wb.params.Psi)
 	for _, opt := range opts {
 		opt(wb)
 	}
@@ -135,15 +148,29 @@ func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreO
 // tables it has just cleared, may shorten them. What lies between the mask
 // slice's length and its capacity is therefore zero, and growing within the
 // capacity uncovers clear masks; beyond it the slice doubles, like the
-// tree's parent links it is scanned beside. The block counts grow where a
+// tree's parent links it is scanned beside. The block rows grow where a
 // count is written (countBlock) and start out empty, not nil, which
-// tree.ClimbMarked would read as no counts kept at all.
+// tree.ClimbMarked would read as no rows kept at all.
 func (wb *Whiteboard) resize(n int) {
 	wb.stores.Grow(n)
 	wb.masks = regrow(wb.masks, n)
 	if wb.blocks == nil {
-		wb.blocks = []int32{}
+		wb.blocks = []uint64{}
 	}
+}
+
+// fillerBands returns the upper ends of the filler test's distance bands for
+// ψ: level 0 qualifies up to 2ψ and level j on (2^jψ, 2^{j+1}ψ], so band j
+// ends at 2^{j+1}ψ. The list stops where the next end would pass the largest
+// int, and every distance beyond its last entry is in the band after it,
+// which is Params.RootLevel of that distance: the band of every distance is
+// the level that qualifies there.
+func fillerBands(psi int64) []int {
+	var bands []int
+	for j := 1; j < 64 && psi <= math.MaxInt>>j; j++ {
+		bands = append(bands, int(psi<<j))
+	}
+	return bands
 }
 
 // regrow returns s at length n, moved to twice the capacity where n exceeds
@@ -252,37 +279,60 @@ func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 // holds, a clear bit still proves the level absent.
 func levelBit(level int) uint64 { return 1 << min(uint(level), 63) }
 
-// setMask is the one place the mask of a single id changes: where it turns
-// non-zero or zero, the count of the block id hangs off follows.
+// lanesOf returns the counters of a block row a mask counts in, one bit a
+// byte of the row: bit j for a mask bit j below 7, bit 7 for any mask bit
+// from 7 on.
+func lanesOf(m uint64) uint8 {
+	lanes := uint8(m & 0x7f)
+	if m>>7 != 0 {
+		lanes |= 0x80
+	}
+	return lanes
+}
+
+// setMask is the one place the mask of a single id changes: each counter of
+// the row of the block id hangs off follows the bit it counts.
 func (wb *Whiteboard) setMask(id tree.NodeID, m uint64) {
-	if old := wb.masks[id]; old == 0 && m != 0 {
-		wb.countBlock(id, 1)
-	} else if old != 0 && m == 0 {
-		wb.countBlock(id, -1)
+	if old, lanes := lanesOf(wb.masks[id]), lanesOf(m); old != lanes {
+		wb.countBlock(id, lanes&^old, old&^lanes)
 	}
 	wb.masks[id] = m
 }
 
-// countBlock adds delta to the count of the stop id's express link names,
-// growing the counts to hold it.
-func (wb *Whiteboard) countBlock(id tree.NodeID, delta int32) {
+// countBlock adds one to the counters add names, and takes one from those
+// sub names, in the row of the stop id's express link names, growing the
+// rows to hold it. A counter at 255 is left there: it may count more than it
+// says, or fewer, never none.
+func (wb *Whiteboard) countBlock(id tree.NodeID, add, sub uint8) {
 	r := wb.tr.Express(id)
 	if int(r) >= len(wb.blocks) {
 		wb.blocks = regrow(wb.blocks, int(r)+1)
 	}
-	wb.blocks[r] += delta
+	row := wb.blocks[r]
+	for lanes := add | sub; lanes != 0; lanes &= lanes - 1 {
+		k := bits.TrailingZeros8(lanes)
+		switch {
+		case uint8(row>>(8*k)) == 0xff: // stuck until the next full count
+		case add>>k&1 != 0:
+			row += 1 << (8 * k)
+		default:
+			row -= 1 << (8 * k)
+		}
+	}
+	wb.blocks[r] = row
 }
 
-// clearMasks zeroes every mask, and with them every count.
+// clearMasks zeroes every mask, and with them every row.
 func (wb *Whiteboard) clearMasks() {
 	clear(wb.masks)
 	clear(wb.blocks)
 }
 
-// syncBlocks holds the counts to the tree's express links: Grant moves them
+// syncBlocks holds the rows to the tree's express links: Grant moves them
 // along with the links it changes itself, and where the tree's epoch shows
 // that somebody else has moved a subtree (the trivial tail, a baseline, a
-// Restore under live whiteboards), they are counted again in full.
+// Restore under live whiteboards), they are counted again in full, which is
+// also what brings a counter stuck at 255 back to an exact count.
 func (wb *Whiteboard) syncBlocks() {
 	if wb.linkEpoch == wb.tr.ExpressEpoch() {
 		return
@@ -290,21 +340,21 @@ func (wb *Whiteboard) syncBlocks() {
 	clear(wb.blocks)
 	for id, m := range wb.masks {
 		if m != 0 {
-			wb.countBlock(tree.NodeID(id), 1)
+			wb.countBlock(tree.NodeID(id), lanesOf(m), 0)
 		}
 	}
 	wb.linkEpoch = wb.tr.ExpressEpoch()
 }
 
-// lift takes the marked nodes below head, head included, out of the counts
+// lift takes the marked nodes below head, head included, out of the rows
 // ahead of a change that moves head's subtree one level and with it every
 // link in it; land puts them back. Both cost a walk of the subtree, as the
 // tree's own re-depthing does, and nothing per node outside it.
 func (wb *Whiteboard) lift(head tree.NodeID) {
 	wb.syncBlocks()
 	for id := range wb.tr.Subtree(head) {
-		if wb.maskAt(id) != 0 {
-			wb.countBlock(id, -1)
+		if m := wb.maskAt(id); m != 0 {
+			wb.countBlock(id, 0, lanesOf(m))
 			wb.lifted = append(wb.lifted, id)
 		}
 	}
@@ -313,7 +363,7 @@ func (wb *Whiteboard) lift(head tree.NodeID) {
 // land counts the lifted nodes under the links the change left them with.
 func (wb *Whiteboard) land() {
 	for _, id := range wb.lifted {
-		wb.countBlock(id, 1)
+		wb.countBlock(id, lanesOf(wb.masks[id]), 0)
 	}
 	wb.lifted = wb.lifted[:0]
 	wb.linkEpoch = wb.tr.ExpressEpoch()
@@ -526,7 +576,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 		if child := wb.Store(req.Node); !child.Empty() {
 			handoff(req.Node, parent, child)
 		}
-		// The node's mask leaves its block's count while the tree still
+		// The node's mask leaves its block's row while the tree still
 		// knows the node's link.
 		*wb.stores.At(req.Node) = pkgstore.Store{}
 		wb.setMask(req.Node, 0)
@@ -540,7 +590,7 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Hando
 
 // applyChange is ApplyChange under whiteboards that hold packages: an edge
 // split or an internal removal moves a subtree one level, so the marked
-// nodes in it are lifted out of the block counts before and land under their
+// nodes in it are lifted out of the block rows before and land under their
 // new links after, whether or not the tree took the change.
 func (wb *Whiteboard) applyChange(req Request) (tree.NodeID, error) {
 	var head tree.NodeID
@@ -651,6 +701,7 @@ func restoreWhiteboard(tr *tree.Tree, st WhiteboardState, counters *stats.Counte
 		rejected:   st.Rejected,
 		linkEpoch:  tr.ExpressEpoch(),
 	}
+	wb.bands = fillerBands(wb.params.Psi)
 	wb.resize(int(top) + 1)
 	for _, ns := range st.Stores {
 		restored, err := pkgstore.RestoreStore(ns.Store)

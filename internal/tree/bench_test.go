@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -75,10 +76,13 @@ func BenchmarkTreeSplitEdge(b *testing.B) {
 // liveness test and one slice index per hop; one Climb over the whole path,
 // the visitor called at every node; one ClimbMarked hop by hop over a mark
 // slice as sparse as the level masks are, one node in 64 marked, so a hop is
-// two loads and the visitor runs 128 times; and the same climb with the block
-// counts passed (the centralized core), which walks the block of every fourth
-// stop, where the mark is, and takes the express link past the other three.
-// ns/hop is per edge of the path in every row, climbed or jumped.
+// two loads and the visitor runs 128 times; the same climb with the block
+// rows passed (the centralized core), which walks the block of every fourth
+// stop, where the mark is, and takes the express link past the other three;
+// and the same marks banded as the filler test bands them, each for a band
+// the climb does not pass its node in, so the rows let it take every link
+// and it visits nothing. ns/hop is per edge of the path in every row, climbed
+// or jumped.
 func BenchmarkTreeClimb(b *testing.B) {
 	const n = 8192
 	tr, tip := New()
@@ -112,19 +116,37 @@ func BenchmarkTreeClimb(b *testing.B) {
 		}
 		return hops
 	})
-	marks := make([]uint64, n+1)
+	// The bands of the filler test at ψ = 32: 64, 128, ..., 4 096 and beyond.
+	var bands []int
+	for end := 64; end <= n/2; end *= 2 {
+		bands = append(bands, end)
+	}
+	marks, banded := make([]uint64, n+1), make([]uint64, n+1)
 	for id := 64; id <= n; id += 64 {
 		marks[id] = 1
 	}
+	// Id k is at depth k-1 and n-k hops from the tip, so these marks are 56
+	// hops past a multiple of 64, in a block that lies in one band, and each
+	// is for the band next to its own.
+	for id := 72; id <= n; id += 64 {
+		banded[id] = 1 << (sort.SearchInts(bands, n-id) ^ 1)
+	}
 	for _, row := range []struct {
 		name   string
-		blocks []int32
-	}{{"marked", nil}, {"express", blockCounts(tr, marks)}} {
+		bands  []int
+		marks  []uint64
+		blocks []uint64
+		visits int
+	}{
+		{"marked", nil, marks, nil, n / 64},
+		{"express", nil, marks, blockRows(tr, marks), n / 64},
+		{"banded", bands, banded, blockRows(tr, banded), 0},
+	} {
 		run(row.name, func() int {
 			visits := 0
-			_, d, err := tr.ClimbMarked(tip, marks, row.blocks, func(NodeID, int) bool { visits++; return false })
-			if err != nil || visits != n/64 {
-				b.Fatalf("visited %d marked nodes (%v), want %d", visits, err, n/64)
+			_, d, err := tr.ClimbMarked(tip, row.bands, row.marks, row.blocks, func(NodeID, int) bool { visits++; return false })
+			if err != nil || visits != row.visits {
+				b.Fatalf("visited %d marked nodes (%v), want %d", visits, err, row.visits)
 			}
 			return d + 1
 		})

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -161,7 +162,7 @@ func (r *refTree) snapshot() *Snapshot {
 // entry by entry over the whole id space, with the model: a live id carries
 // the model's parent, the depth the model's parent chain gives it and, as its
 // express link, the first node up that chain at a depth that is a multiple of
-// the stride; a deleted one (and index 0) InvalidNode, 0 and InvalidNode.
+// the stride; a deleted one (and index 0) InvalidNode, -1 and InvalidNode.
 func (r *refTree) checkDense(tr *Tree) error {
 	if len(tr.parent) != int(r.nextID) || len(tr.depth) != int(r.nextID) || tr.express.Len() != int(r.nextID) {
 		return fmt.Errorf("%d parent links, %d depths and %d express links for ids below %d",
@@ -169,9 +170,9 @@ func (r *refTree) checkDense(tr *Tree) error {
 	}
 	for id := NodeID(0); id < r.nextID; id++ {
 		var parent, express NodeID
-		depth := 0
+		depth := -1
 		if n, live := r.nodes[id]; live {
-			parent = n.parent
+			parent, depth = n.parent, 0
 			for p := parent; p != InvalidNode; p = r.nodes[p].parent {
 				depth++
 			}
@@ -351,33 +352,39 @@ func TestNodesAndLeavesAscending(t *testing.T) {
 	}
 }
 
+// hugeID is an id no snapshot of these tests comes near, and its count fits
+// the int of Snapshot.EverExisted on every word size.
+const hugeID = math.MaxInt32
+
+var onePastMaxPort int64 = MaxPort + 1
+
 // corruptions are snapshot edits Restore must refuse before it sizes
 // anything from them. The first is the one that matters with dense storage:
-// every field agrees that ids run up to 2^40.
+// every field agrees that ids run up to hugeID.
 var corruptions = map[string]func(s *Snapshot){
 	"consistent huge id": func(s *Snapshot) {
 		last := &s.Nodes[len(s.Nodes)-1]
 		for _, n := range s.Nodes {
 			for i, c := range n.Children {
 				if c == last.ID {
-					n.Children[i] = 1 << 40
+					n.Children[i] = hugeID
 				}
 			}
 		}
 		for _, c := range last.Children {
 			for i := range s.Nodes {
 				if s.Nodes[i].ID == c {
-					s.Nodes[i].Parent = 1 << 40
+					s.Nodes[i].Parent = hugeID
 				}
 			}
 		}
-		last.ID, s.NextID, s.EverExisted = 1<<40, 1<<40+1, 1<<40
+		last.ID, s.NextID, s.EverExisted = hugeID, hugeID+1, hugeID
 	},
 	"node id beyond next id": func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = s.NextID },
 	"node id zero":           func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = 0 },
 	"node id negative":       func(s *Snapshot) { s.Nodes[len(s.Nodes)-1].ID = -7 },
 	"next id beyond count":   func(s *Snapshot) { s.NextID += 3 },
-	"ever existed inflated":  func(s *Snapshot) { s.EverExisted, s.NextID = 1<<40, 1<<40+1 },
+	"ever existed inflated":  func(s *Snapshot) { s.EverExisted, s.NextID = hugeID, hugeID+1 },
 	"deleted id out of range": func(s *Snapshot) {
 		s.Deleted[len(s.Deleted)-1] = 1 << 40
 	},
@@ -385,8 +392,9 @@ var corruptions = map[string]func(s *Snapshot){
 	"deleted id twice":   func(s *Snapshot) { s.Deleted[1] = s.Deleted[0] },
 	"child out of range": func(s *Snapshot) { s.Nodes[0].Children[0] = 1 << 40 },
 	// The node table keeps the port toward the parent in 32 bits: a port it
-	// cannot hold is refused, not truncated.
-	"parent port above 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = MaxPort + 1 },
+	// cannot hold is refused, not truncated. Where int is 32 bits, one past
+	// MaxPort wraps to one below -MaxPort, which is refused as well.
+	"parent port above 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = int(onePastMaxPort) },
 	"parent port below 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = -MaxPort - 1 },
 }
 

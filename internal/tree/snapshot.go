@@ -54,7 +54,7 @@ func (t *Tree) Snapshot() *Snapshot {
 		if id == InvalidNode {
 			continue
 		}
-		if !n.live {
+		if t.depth[id] < 0 {
 			s.Deleted = append(s.Deleted, id)
 			continue
 		}
@@ -89,9 +89,14 @@ func (t *Tree) Restore(s *Snapshot) error {
 	inRange := func(id NodeID) bool { return id > InvalidNode && id < s.NextID }
 	// Built as a tree of its own, so the live tree's bounds-checked lookup
 	// serves the checks below and nothing of t is touched before they pass.
+	// Every id starts out not live, at depth -1; a listed node is live at
+	// depth 0 until the walk from the root below gives it its depth.
 	r := &Tree{
 		parent: make([]NodeID, s.NextID),
 		depth:  make([]int32, s.NextID),
+	}
+	for id := range r.depth {
+		r.depth[id] = -1
 	}
 	r.nodes.Grow(int(s.NextID))
 	r.express.Grow(int(s.NextID))
@@ -103,7 +108,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 			return fmt.Errorf("restore: node %d has %d children but %d child ports",
 				ns.ID, len(ns.Children), len(ns.ChildPorts))
 		}
-		if r.nodes.At(ns.ID).live {
+		if r.Contains(ns.ID) {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
 		if ns.ParentPort < -MaxPort || ns.ParentPort > MaxPort {
@@ -111,20 +116,20 @@ func (t *Tree) Restore(s *Snapshot) error {
 		}
 		*r.nodes.At(ns.ID) = node{
 			parentPort: int32(ns.ParentPort),
-			live:       true,
 			children:   slices.Clone(ns.Children),
 			childPorts: slices.Clone(ns.ChildPorts),
 		}
 		r.parent[ns.ID] = ns.Parent
+		r.depth[ns.ID] = 0
 	}
 	// The deleted ids are the entries not live; with the counts above,
 	// listing each of them once is the same as listing exactly them.
 	for i, id := range s.Deleted {
-		if !inRange(id) || r.nodes.At(id).live || (i > 0 && id <= s.Deleted[i-1]) {
+		if !inRange(id) || r.Contains(id) || (i > 0 && id <= s.Deleted[i-1]) {
 			return fmt.Errorf("restore: deleted id %d is live, out of range or out of order", id)
 		}
 	}
-	if r.get(s.Root) == nil {
+	if !r.Contains(s.Root) {
 		return fmt.Errorf("restore: root %d: %w", s.Root, ErrNoSuchNode)
 	}
 	if p := r.parent[s.Root]; p != InvalidNode {

@@ -5,11 +5,12 @@ import (
 	"unsafe"
 )
 
-// TestNodeIsOneCacheLine pins the size the node table's layout rests on: 64
-// bytes an entry, 32 KiB a chunk.
+// TestNodeIsOneCacheLine pins the size the node table's layout rests on:
+// eight words an entry, which is 64 bytes and 32 KiB a chunk where a word is
+// 8 bytes (half that where it is 4).
 func TestNodeIsOneCacheLine(t *testing.T) {
-	if size := unsafe.Sizeof(node{}); size != 64 {
-		t.Fatalf("a node takes %d bytes, want 64", size)
+	if size, want := unsafe.Sizeof(node{}), 8*unsafe.Sizeof(uintptr(0)); size != want {
+		t.Fatalf("a node takes %d bytes, want %d", size, want)
 	}
 }
 

@@ -66,7 +66,7 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 // neither change it nor start a second walk.
 func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 	return func(yield func(NodeID) bool) {
-		if t.get(head) == nil {
+		if !t.Contains(head) {
 			return
 		}
 		stack := append(t.stack[:0], head)
@@ -83,7 +83,7 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 
 // SubtreeSize returns the number of live nodes in the subtree rooted at id.
 func (t *Tree) SubtreeSize(id NodeID) (int, error) {
-	if t.get(id) == nil {
+	if !t.Contains(id) {
 		return 0, fmt.Errorf("subtree size of %d: %w", id, ErrNoSuchNode)
 	}
 	count := 0
@@ -95,7 +95,8 @@ func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 
 // Height returns the number of edges on the longest root-to-leaf path.
 func (t *Tree) Height() int {
-	// A deleted id keeps depth 0, so the scan needs no liveness test.
+	// A deleted id, and id 0, has depth -1 and the root 0, so the scan needs
+	// no liveness test.
 	return int(slices.Max(t.depth))
 }
 
@@ -115,10 +116,10 @@ func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
 // nca returns the nearest common ancestor of u and v and the hop distance
 // between the two through it.
 func (t *Tree) nca(u, v NodeID) (NodeID, int, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
 	}
-	if t.get(v) == nil {
+	if !t.Contains(v) {
 		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", v, ErrNoSuchNode)
 	}
 	du, dv := int(t.depth[u]), int(t.depth[v])

@@ -16,8 +16,7 @@
 //
 // Storage. Node ids are dense by construction (they count up from 1 and are
 // never reused), so the tree keeps its nodes, by value, in a Table indexed by
-// NodeID: an entry below the next id whose live bit is clear is a deleted
-// node, no lookup hashes, and adding a node allocates nothing but a chunk of
+// NodeID: no lookup hashes, and adding a node allocates nothing but a chunk of
 // the table every 512 ids. A node lists its children in a slice with the port
 // to each child beside it, and knows its own slot in its parent's list, so
 // linking tests the ports at the two endpoints in place and unlinking is a
@@ -26,21 +25,29 @@
 //
 // What an ancestor walk reads lives apart from the nodes: the parent link
 // and the cached depth of every id sit in two more slices indexed by NodeID,
-// and nowhere else. A hop of Climb, Ancestor, Distance or a path is then one
-// load from the parent slice, the start node's depth one load from the other,
-// and no walk dereferences a node.
+// and nowhere else. Liveness lives in depth too: a deleted id, and id 0, has
+// depth -1, and there is no other copy of it. A hop of Climb, Ancestor,
+// Distance or a path is then one load from the parent slice, the start node's
+// depth and liveness one load from the other, and no walk dereferences a
+// node.
 //
 // Express links let a walk skip hops. The link of an id names its nearest
 // proper ancestor at a depth that is a multiple of expressStride, a stop: a
 // walk that knows how far it is going (ancestor) or that nothing of interest
 // lies before the next stop (ClimbMarked) takes the link and saves up to
-// expressStride hops. The links follow from the depths and are written
-// wherever a depth is. They sit in a Table of their own, not in a third flat
-// slice: a walk reads a link once a block, not once a hop, so the second
-// index costs it a tenth of what the links save, and a slice doubled beside
-// parent and depth abandons its copies to the collector, which on a tree
-// growing to 25 000 nodes in a daemon's first 50 000 requests was a fourth
-// collection where there had been three.
+// expressStride hops. What is of interest to ClimbMarked depends on the
+// distance: its marks carry one bit a band of distances, and the caller's
+// count of a stop's block is a row with one counter a band, so a block whose
+// marks are all for bands other than the one or two the climb passes it in is
+// skipped like one that holds none. The links follow from the depths and are
+// written wherever a depth is, and the hops up to a link follow from the
+// depth alone, so a walk that knows where it starts loads no stop's depth.
+// They sit in a Table of their own, not in a third flat slice: a walk reads
+// a link once a block, not once a hop, so the second index costs it a tenth
+// of what the links save, and a slice doubled beside parent and depth
+// abandons its copies to the collector, which on a tree growing to 25 000
+// nodes in a daemon's first 50 000 requests was a fourth collection where
+// there had been three.
 //
 // Ownership. A Tree has no lock: it belongs to whoever drives the
 // controller over it, and every method, the readers included, is that
@@ -61,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 )
 
@@ -150,16 +158,15 @@ type Change struct {
 	Seq uint64
 }
 
-// node is what a vertex knows of its edges. Its parent and its depth are in
-// Tree.parent and Tree.depth, and its id is its index in Tree.nodes, where it
-// sits by value: the zero node is an id that is not in the tree, and the
-// struct stays at 64 bytes, one cache line an entry and 32 KiB a chunk of the
-// table, which is why the port toward the parent is kept in 32 bits (see
-// MaxPort).
+// node is what a vertex knows of its edges. Its parent, its depth and
+// whether it lives are in Tree.parent and Tree.depth, and its id is its index
+// in Tree.nodes, where it sits by value: the zero node is an id that is not in
+// the tree, and the struct stays at 64 bytes, one cache line an entry and
+// 32 KiB a chunk of the table, which is why the port toward the parent is
+// kept in 32 bits (see MaxPort).
 type node struct {
 	slot       int   // position of this node in its parent's children
 	parentPort int32 // within ±MaxPort
-	live       bool
 	children   []NodeID
 	childPorts []int // childPorts[i] is the port leading to children[i]
 }
@@ -191,7 +198,8 @@ type Tree struct {
 	// hold the only copy of each live node's parent link (InvalidNode for
 	// the root and for a node between unlink and link) and of its hop
 	// distance from the root, maintained incrementally; a deleted id keeps
-	// InvalidNode and 0.
+	// InvalidNode and depth -1, as index 0 does. A depth of -1 is what makes
+	// an id not live: Contains reads it and nothing else.
 	parent    []NodeID
 	depth     []int32
 	live      int // live entries of nodes
@@ -229,7 +237,7 @@ func WithPortAssigner(p PortAssigner) Option {
 func New(opts ...Option) (*Tree, NodeID) {
 	t := &Tree{
 		parent: make([]NodeID, 1),
-		depth:  make([]int32, 1),
+		depth:  []int32{-1},
 		ports:  NewAdversarialPorts(1),
 	}
 	t.nodes.Grow(1) // index 0 is InvalidNode
@@ -264,13 +272,19 @@ func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 		t.depth = slices.Grow(t.depth, int(id))
 	}
 	t.nodes.Grow(int(id) + 1)
-	t.nodes.At(id).live = true
 	t.parent = append(t.parent, parent)
 	t.depth = append(t.depth, depth)
 	t.express.Grow(int(id) + 1)
 	*t.express.At(id) = t.expressVia(parent)
 	t.live++
 	return id
+}
+
+// linkSpan returns the hops from a node at the given depth, which is not the
+// root's, up to its express link: the link is at the nearest smaller depth
+// that is a multiple of expressStride, so no walk loads its depth.
+func linkSpan(depth int) int {
+	return (depth-1)%expressStride + 1
 }
 
 // expressVia returns the express link of a child of p: p itself when p is a
@@ -284,10 +298,8 @@ func (t *Tree) expressVia(p NodeID) NodeID {
 
 // get returns the live node id, or nil.
 func (t *Tree) get(id NodeID) *node {
-	if uint64(id) < uint64(t.nodes.Len()) {
-		if n := t.nodes.At(id); n.live {
-			return n
-		}
+	if t.Contains(id) {
+		return t.nodes.At(id)
 	}
 	return nil
 }
@@ -295,7 +307,7 @@ func (t *Tree) get(id NodeID) *node {
 // remove drops the unlinked node id from the tree.
 func (t *Tree) remove(id NodeID) {
 	*t.nodes.At(id) = node{}
-	t.depth[id] = 0
+	t.depth[id] = -1
 	*t.express.At(id) = InvalidNode
 	t.live--
 }
@@ -361,19 +373,20 @@ func (t *Tree) ExpressEpoch() uint64 {
 	return t.expressEpoch
 }
 
-// Contains reports whether id names a live node.
+// Contains reports whether id names a live node: one load from the depth
+// slice.
 func (t *Tree) Contains(id NodeID) bool {
-	return t.get(id) != nil
+	return uint64(id) < uint64(len(t.depth)) && t.depth[id] >= 0
 }
 
 // WasDeleted reports whether id names a node that existed and was deleted.
 func (t *Tree) WasDeleted(id NodeID) bool {
-	return id > InvalidNode && uint64(id) < uint64(t.nodes.Len()) && !t.nodes.At(id).live
+	return id > InvalidNode && uint64(id) < uint64(len(t.depth)) && t.depth[id] < 0
 }
 
 // Parent returns the parent of id. The root's parent is InvalidNode.
 func (t *Tree) Parent(id NodeID) (NodeID, error) {
-	if t.get(id) == nil {
+	if !t.Contains(id) {
 		return InvalidNode, fmt.Errorf("parent of %d: %w", id, ErrNoSuchNode)
 	}
 	return t.parent[id], nil
@@ -402,7 +415,7 @@ func (t *Tree) ChildCount(id NodeID) (int, error) {
 
 // Depth returns the hop distance from id to the root.
 func (t *Tree) Depth(id NodeID) (int, error) {
-	if t.get(id) == nil {
+	if !t.Contains(id) {
 		return 0, fmt.Errorf("depth of %d: %w", id, ErrNoSuchNode)
 	}
 	return int(t.depth[id]), nil
@@ -441,7 +454,7 @@ func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
 func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
-	if t.get(parent) == nil {
+	if !t.Contains(parent) {
 		return InvalidNode, fmt.Errorf("add leaf under %d: %w", parent, ErrNoSuchNode)
 	}
 	id := t.allocNode(parent, t.depth[parent]+1)
@@ -473,7 +486,7 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 // inserting a new node u so that parent(child) = u and parent(u) is child's
 // former parent. It returns the new node's id.
 func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
-	if t.get(child) == nil {
+	if !t.Contains(child) {
 		return InvalidNode, fmt.Errorf("add internal above %d: %w", child, ErrNoSuchNode)
 	}
 	if child == t.root {
@@ -579,10 +592,10 @@ func (t *Tree) Distance(u, w NodeID) (int, error) {
 }
 
 func (t *Tree) distance(u, w NodeID) (int, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return 0, fmt.Errorf("distance from %d: %w", u, ErrNoSuchNode)
 	}
-	if t.get(w) == nil {
+	if !t.Contains(w) {
 		return 0, fmt.Errorf("distance to %d: %w", w, ErrNoSuchNode)
 	}
 	d := int(t.depth[u] - t.depth[w])
@@ -597,14 +610,13 @@ func (t *Tree) distance(u, w NodeID) (int, error) {
 // the next stop is no farther than that, then hop by hop, which is
 // O(dist/expressStride + expressStride) loads.
 func (t *Tree) ancestor(u NodeID, dist int) NodeID {
-	express, depth := t.express, t.depth
-	for dist > 0 {
-		r := *express.At(u)
-		step := int(depth[u] - depth[r])
+	express := t.express
+	for at := int(t.depth[u]); dist > 0; {
+		step := linkSpan(at)
 		if step > dist {
 			break
 		}
-		u, dist = r, dist-step
+		u, at, dist = *express.At(u), at-step, dist-step
 	}
 	parent := t.parent
 	for ; dist > 0; dist-- {
@@ -616,10 +628,10 @@ func (t *Tree) ancestor(u NodeID, dist int) NodeID {
 // IsAncestor reports whether a is an ancestor of d (every node is its own
 // ancestor, as in the paper).
 func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
-	if t.get(a) == nil {
+	if !t.Contains(a) {
 		return false, fmt.Errorf("ancestor test %d: %w", a, ErrNoSuchNode)
 	}
-	if t.get(d) == nil {
+	if !t.Contains(d) {
 		return false, fmt.Errorf("ancestor test %d: %w", d, ErrNoSuchNode)
 	}
 	up := int(t.depth[d] - t.depth[a])
@@ -629,7 +641,7 @@ func (t *Tree) IsAncestor(a, d NodeID) (bool, error) {
 // Ancestor returns the ancestor of u at hop distance dist (Ancestor(u, 0)
 // is u itself). It returns an error if dist exceeds u's depth.
 func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return InvalidNode, fmt.Errorf("ancestor of %d: %w", u, ErrNoSuchNode)
 	}
 	if dist < 0 || dist > int(t.depth[u]) {
@@ -645,7 +657,7 @@ func (t *Tree) Ancestor(u NodeID, dist int) (NodeID, error) {
 // for each would start from u again. It returns an error if a distance is
 // negative, smaller than the one before it, or exceeds u's depth.
 func (t *Tree) AppendAncestors(u NodeID, dists []int, buf []NodeID) ([]NodeID, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return nil, fmt.Errorf("ancestors of %d: %w", u, ErrNoSuchNode)
 	}
 	at, w := 0, u
@@ -667,7 +679,7 @@ func (t *Tree) AppendAncestors(u NodeID, dists []int, buf []NodeID) ([]NodeID, e
 // slice. visit runs inside the walk: it may read and write the caller's own
 // state, and must not call back into the tree.
 func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
 	}
 	parent := t.parent
@@ -683,36 +695,54 @@ func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, in
 	}
 }
 
-// ClimbMarked is Climb with the uninteresting nodes skipped inside the walk:
-// visit is called only at nodes whose entry in marks, a slice indexed by
-// NodeID, is non-zero, and an id beyond the slice counts as unmarked. A hop
-// past an unmarked node is then two loads from two dense slices and no call.
+// ClimbMarked is Climb with the uninteresting nodes skipped inside the walk.
+// A mark counts at some distances only. The distances from u fall into
+// bands, which ascend: band 0 up to bands[0], band b on (bands[b-1],
+// bands[b]], and band len(bands) beyond the last bound, so nil bands make one
+// band of every distance. Bit b of a mark, bit 63 for every band from 63 on,
+// marks a node only where its distance lies in band b: visit is called only
+// at nodes whose entry in marks, a slice indexed by NodeID, has the bit of the
+// node's band, and an id beyond the slice counts as unmarked. A hop past an
+// unmarked node is then two loads from two dense slices and no call.
 //
 // blocks, when not nil, lets the climb skip whole stretches of unmarked
-// nodes. It is indexed by NodeID like marks, and the caller keeps blocks[r]
-// at no less than the number of ids whose Express link is r and whose mark
-// is non-zero; a stop beyond the slice counts none. Where the stop above
-// counts none, nothing between here and there is marked and the climb takes
-// the link; where it counts some, the climb walks to it hop by hop. Either
-// way the same nodes are visited at the same distances as with nil blocks,
-// in one step per clean block and one block of hops per marked node. A count
-// is per stop, not per path, so a mark on a sibling branch costs a walk and
-// never a missed visit.
+// nodes. It is indexed by NodeID like marks, and blocks[r] is a row of eight
+// byte counters, one a band and the top one for every band from 7 on: the
+// caller keeps counter b of the row at no less than the number of ids whose
+// Express link is r and whose mark has bit b (the top one: any bit from 7
+// on), and a stop beyond the slice counts none. Where the counters of the
+// bands the stretch up to the stop above lies in (one or two, for bands at
+// least a block wide) are zero, nothing there is marked for its distance and
+// the climb takes the link; where one is not, the climb walks to the stop hop
+// by hop. Either way the same nodes are visited at the same distances as with
+// nil blocks, in one step per clean block and one block of hops per marked
+// one. A count is per stop, not per path, so a mark on a sibling branch costs
+// a walk and never a missed visit, and a counter that stays at 255 once it
+// gets there is as good as an exact one: only a zero skips.
 //
 // The climb ends where visit returns true or else at the root, marked or
 // not, and returns that node with its hop distance from u. visit runs inside
 // the walk: it reads the caller's own state, writes neither marks nor
 // blocks, and must not call back into the tree.
-func (t *Tree) ClimbMarked(u NodeID, marks []uint64, blocks []int32, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
-	if t.get(u) == nil {
+func (t *Tree) ClimbMarked(u NodeID, bands []int, marks, blocks []uint64, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
+	if !t.Contains(u) {
 		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
 	}
-	parent, depth, express := t.parent, t.depth, t.express
-	// walk counts the hops left to the stop of the block being walked; at
-	// zero the climb stands where it started or on a stop, and reads the
-	// link of that node.
+	parent, express, top := t.parent, t.express, int(t.depth[u])
+	// band is the band of d, end the last distance in it, and bit and lane
+	// its mark bit and its counter in a row. walk counts the hops left to the
+	// stop of the block being walked; at zero the climb stands where it
+	// started or on a stop, top-d hops below the root, and reads the link of
+	// that node.
+	band, end := 0, bandEnd(bands, 0)
+	bit, lane := uint64(1), uint64(0xff)
 	for d, walk := 0, 0; ; {
-		if uint64(u) < uint64(len(marks)) && marks[u] != 0 && visit(u, d) {
+		for d > end {
+			band++
+			end = bandEnd(bands, band)
+			bit, lane = 1<<min(band, 63), 0xff<<(8*min(band, 7))
+		}
+		if uint64(u) < uint64(len(marks)) && marks[u]&bit != 0 && visit(u, d) {
 			return u, d, nil
 		}
 		p := parent[u]
@@ -721,14 +751,50 @@ func (t *Tree) ClimbMarked(u NodeID, marks []uint64, blocks []int32, visit func(
 		}
 		if walk == 0 {
 			r := *express.At(u)
-			walk = int(depth[u] - depth[r])
-			if blocks != nil && (uint64(r) >= uint64(len(blocks)) || blocks[r] == 0) {
-				u, d, walk = r, d+walk, 0
-				continue
+			walk = linkSpan(top - d)
+			// The link passes the distances d+1 to d+walk-1, which mostly lie
+			// in band; with one of them the stop is the parent, and the link
+			// is the hop.
+			if blocks != nil && walk > 1 {
+				lanes := lane
+				if d+walk-1 > end {
+					lanes = bandLanes(bands, band, end, d+1, d+walk-1)
+				}
+				if uint64(r) >= uint64(len(blocks)) || blocks[r]&lanes == 0 {
+					u, d, walk = r, d+walk, 0
+					continue
+				}
 			}
 		}
 		u, d, walk = p, d+1, walk-1
 	}
+}
+
+// bandEnd returns the last distance in band b.
+func bandEnd(bands []int, b int) int {
+	if b < len(bands) {
+		return bands[b]
+	}
+	return math.MaxInt
+}
+
+// bandLanes returns the counters of a block row that count for the distances
+// first to last: the bytes of the bands they lie in, every band from 7 on in
+// the top byte. The search for those bands starts at band b, which ends at
+// end and holds first or lies below it.
+func bandLanes(bands []int, b, end, first, last int) uint64 {
+	for first > end {
+		b++
+		end = bandEnd(bands, b)
+	}
+	lo := b
+	for last > end {
+		b++
+		end = bandEnd(bands, b)
+	}
+	from := ^uint64(0) << (8 * min(lo, 7)) // byte lo and up
+	past := ^uint64(0) << (8 * min(b, 7)) << 8
+	return from &^ past
 }
 
 // PathToRoot returns the node ids from u (inclusive) up to the root
@@ -742,7 +808,7 @@ func (t *Tree) PathToRoot(u NodeID) ([]NodeID, error) {
 // spare capacity lets hot paths (the controller's filler search) walk the
 // tree without allocating.
 func (t *Tree) AppendPathToRoot(u NodeID, buf []NodeID) ([]NodeID, error) {
-	if t.get(u) == nil {
+	if !t.Contains(u) {
 		return nil, fmt.Errorf("path to root from %d: %w", u, ErrNoSuchNode)
 	}
 	return t.appendPath(u, int(t.depth[u]), buf), nil
@@ -787,8 +853,8 @@ func (t *Tree) Nodes() []NodeID {
 // not change it.
 func (t *Tree) All() iter.Seq[NodeID] {
 	return func(yield func(NodeID) bool) {
-		for id, n := range t.nodes.All() {
-			if n.live && !yield(id) {
+		for id, d := range t.depth {
+			if d >= 0 && !yield(NodeID(id)) {
 				return
 			}
 		}
@@ -799,7 +865,7 @@ func (t *Tree) All() iter.Seq[NodeID] {
 func (t *Tree) Leaves() []NodeID {
 	var out []NodeID
 	for id, n := range t.nodes.All() {
-		if n.live && len(n.children) == 0 {
+		if t.depth[id] >= 0 && len(n.children) == 0 {
 			out = append(out, id)
 		}
 	}
@@ -817,11 +883,14 @@ func (t *Tree) Validate() error {
 	if p := t.parent[t.root]; p != InvalidNode {
 		return fmt.Errorf("validate: root %d has parent %d", t.root, p)
 	}
+	if t.depth[InvalidNode] != -1 {
+		return fmt.Errorf("validate: id 0 has depth %d, not -1", t.depth[InvalidNode])
+	}
 	for id, n := range t.nodes.All() {
-		if n.live {
+		if t.depth[id] >= 0 {
 			continue
 		}
-		if t.parent[id] != InvalidNode || t.depth[id] != 0 || *t.express.At(id) != InvalidNode {
+		if t.parent[id] != InvalidNode || t.depth[id] != -1 || *t.express.At(id) != InvalidNode {
 			return fmt.Errorf("validate: dead id %d keeps parent %d, depth %d and express link %d",
 				id, t.parent[id], t.depth[id], *t.express.At(id))
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -309,43 +310,50 @@ func TestClimb(t *testing.T) {
 
 	// The marked climb from b (root - a - mid - b): the visitor sees the
 	// marked nodes only, with their true distances, and the climb ends where
-	// it says so or at the root.
-	marks := func(ids ...NodeID) []uint64 {
+	// it says so or at the root. Under nil bands every distance is in band 0,
+	// so bit 0 marks a node; under the bands {1} the distances 0 and 1 are
+	// band 0 and the farther ones band 1.
+	marks := func(bits uint64, ids ...NodeID) []uint64 {
 		m := make([]uint64, tr.EverExisted()+1)
 		for _, id := range ids {
-			m[id] = 1 << 5
+			m[id] = bits
 		}
 		return m
 	}
 	for _, tc := range []struct {
 		name   string
+		bands  []int
 		marks  []uint64
 		stopAt NodeID
 		want   []visit
 		at     NodeID
 		dist   int
 	}{
-		{"no mark set", marks(), InvalidNode, nil, root, 3},
-		{"nil marks", nil, InvalidNode, nil, root, 3},
-		{"mark on u itself", marks(b), b, []visit{{b, 0}}, b, 0},
-		{"mark on u, not taken", marks(b), InvalidNode, []visit{{b, 0}}, root, 3},
-		{"unmarked skipped", marks(a, sib), a, []visit{{a, 2}}, a, 2},
-		{"first taken wins", marks(mid, a, root), a, []visit{{mid, 1}, {a, 2}}, a, 2},
-		{"marked root", marks(root), root, []visit{{root, 3}}, root, 3},
+		{"no mark set", nil, marks(1), InvalidNode, nil, root, 3},
+		{"nil marks", nil, nil, InvalidNode, nil, root, 3},
+		{"mark on u itself", nil, marks(1, b), b, []visit{{b, 0}}, b, 0},
+		{"mark on u, not taken", nil, marks(1, b), InvalidNode, []visit{{b, 0}}, root, 3},
+		{"unmarked skipped", nil, marks(1, a, sib), a, []visit{{a, 2}}, a, 2},
+		{"first taken wins", nil, marks(1, mid, a, root), a, []visit{{mid, 1}, {a, 2}}, a, 2},
+		{"marked root", nil, marks(1, root), root, []visit{{root, 3}}, root, 3},
 		// mid was created after b: a slice that stops short of its id leaves
 		// it unmarked, and the climb passes it on the way to a.
-		{"marks shorter than the id space", marks(a, mid, b)[:mid], InvalidNode, []visit{{b, 0}, {a, 2}}, root, 3},
+		{"marks shorter than the id space", nil, marks(1, a, mid, b)[:mid], InvalidNode, []visit{{b, 0}, {a, 2}}, root, 3},
+		{"bits of other bands", nil, marks(1<<1|1<<63, a, mid, b, root), InvalidNode, nil, root, 3},
+		{"band 0 then band 1", []int{1}, marks(1, a, mid, b, root), InvalidNode, []visit{{b, 0}, {mid, 1}}, root, 3},
+		{"band 1 only", []int{1}, marks(1<<1, a, mid, b, root), root, []visit{{a, 2}, {root, 3}}, root, 3},
+		{"beyond the last bound", []int{0, 1}, marks(1<<2, a, mid, b, root), InvalidNode, []visit{{a, 2}, {root, 3}}, root, 3},
 	} {
-		// Hop by hop, then with the block counts: every node here hangs off
+		// Hop by hop, then with the block rows: every node here hangs off
 		// the root, so a climb with no mark ahead is one jump.
-		for _, blocks := range [][]int32{nil, blockCounts(tr, tc.marks)} {
+		for _, blocks := range [][]uint64{nil, blockRows(tr, tc.marks)} {
 			var seen []visit
-			at, dist, err := tr.ClimbMarked(b, tc.marks, blocks, func(id NodeID, d int) bool {
+			at, dist, err := tr.ClimbMarked(b, tc.bands, tc.marks, blocks, func(id NodeID, d int) bool {
 				seen = append(seen, visit{id, d})
 				return id == tc.stopAt
 			})
 			if err != nil || at != tc.at || dist != tc.dist || !reflect.DeepEqual(seen, tc.want) {
-				t.Fatalf("%s (blocks %v): ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), want %v ending at %d after %d",
+				t.Fatalf("%s (blocks %x): ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), want %v ending at %d after %d",
 					tc.name, blocks, b, seen, at, dist, err, tc.want, tc.at, tc.dist)
 			}
 		}
@@ -353,7 +361,7 @@ func TestClimb(t *testing.T) {
 	if mid <= b || mid <= a {
 		t.Fatalf("ids a=%d b=%d mid=%d: the short-marks case needs mid to be the largest", a, b, mid)
 	}
-	if _, _, err := tr.ClimbMarked(99, marks(), nil, func(NodeID, int) bool { return true }); !errors.Is(err, ErrNoSuchNode) {
+	if _, _, err := tr.ClimbMarked(99, nil, marks(1), nil, func(NodeID, int) bool { return true }); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("ClimbMarked(unknown) err = %v, want ErrNoSuchNode", err)
 	}
 }
@@ -364,31 +372,106 @@ type visit struct {
 	dist int
 }
 
-// blockCounts counts, for every express stop, the marked ids whose link it
-// is: what a caller of ClimbMarked keeps beside its marks.
-func blockCounts(tr *Tree, marks []uint64) []int32 {
-	blocks := make([]int32, tr.EverExisted()+1)
+// blockRows counts, for every express stop, the ids whose link it is in the
+// row ClimbMarked reads: byte b counts the marks with bit b, the top byte
+// those with any bit from 7 on, and a byte that reaches 255 stays there. It
+// is what a caller of ClimbMarked keeps beside its marks.
+func blockRows(tr *Tree, marks []uint64) []uint64 {
+	rows := make([]uint64, tr.EverExisted()+1)
 	for id, m := range marks {
-		if m != 0 {
-			blocks[tr.Express(NodeID(id))]++
+		r := tr.Express(NodeID(id))
+		for lane := 0; lane < 8; lane++ {
+			in := m>>lane&1 != 0
+			if lane == 7 {
+				in = m>>7 != 0
+			}
+			if in && uint8(rows[r]>>(8*lane)) != 0xff {
+				rows[r] += 1 << (8 * lane)
+			}
 		}
 	}
-	return blocks
+	return rows
+}
+
+// bandBit is the mark bit of the band distance d lies in, found by a search
+// of its own: the first bound at or above d.
+func bandBit(bands []int, d int) uint64 {
+	return 1 << min(sort.SearchInts(bands, d), 63)
+}
+
+// TestClimbMarkedSkipsMarksOfOtherBands is a path of eight strides whose
+// every block holds one mark, of a band the climb from the tip does not pass
+// that block in. The rows count those marks, so a climb that reads a row as
+// one number, some mark below this stop, walks every block; the banded climb
+// must take every express link and visit nothing. Every node between two
+// stops carries a second mark, in the band it does lie in, that the rows do
+// not count: a tripwire that only a climb standing on the node can see, so a
+// visit shows a hop where there should have been a link.
+func TestClimbMarkedSkipsMarksOfOtherBands(t *testing.T) {
+	const n = 8 * expressStride
+	tr, tip := New()
+	for i := 0; i < n; i++ {
+		tip = mustAddLeaf(t, tr, tip)
+	}
+	// Bounds on stops, so that every block lies in one band: 0..48, 49..96
+	// and beyond.
+	bands := []int{3 * expressStride, 6 * expressStride}
+	marks := make([]uint64, tr.EverExisted()+1)
+	counted := make([]uint64, len(marks))
+	for u, d := tip, 0; u != tr.Root(); u, d = tr.parent[u], d+1 {
+		if d%expressStride == 0 {
+			continue // a stop, or the tip: the climb stands there anyway
+		}
+		band := sort.SearchInts(bands, d)
+		marks[u] = 1 << band // the tripwire
+		if d%expressStride == expressStride/2 {
+			other := uint64(1) << ((band + 1) % 3)
+			marks[u] |= other
+			counted[u] = other
+		}
+	}
+	rows := blockRows(tr, counted)
+	for r := range tr.All() {
+		if r != tip && tr.depth[r]%expressStride == 0 && rows[r] == 0 {
+			t.Fatalf("the block of stop %d counts no mark", r)
+		}
+	}
+	visits := 0
+	at, dist, err := tr.ClimbMarked(tip, bands, marks, rows, func(NodeID, int) bool { visits++; return false })
+	if err != nil || at != tr.Root() || dist != n || visits != 0 {
+		t.Fatalf("ClimbMarked from the tip visited %d nodes and ended at %d after %d hops (%v), want no visit, the root and %d hops",
+			visits, at, dist, err, n)
+	}
+	// Hop by hop, every tripwire is a visit, and none of the counted marks
+	// is: they are for other bands.
+	if _, _, err := tr.ClimbMarked(tip, bands, marks, nil, func(NodeID, int) bool { visits++; return false }); err != nil || visits != n-n/expressStride {
+		t.Fatalf("hop by hop the climb visited %d nodes (%v), want the %d tripwires", visits, err, n-n/expressStride)
+	}
 }
 
 // TestClimbMarkedJumpsWhereBlocksAreClean holds the climb over the express
-// links to the hop-by-hop one, from every node of a path of five strides with
-// a bushy random tree grown and churned on it, under marks of three
-// densities: same visits at the same distances, same end. Beside the exact
-// counts it runs counts that are too high, which may only cost hops, and the
-// exact ones cut off behind the last stop that counts a mark, which is as
-// much as a caller need keep.
+// links to a hop-by-hop Climb that visits the nodes whose mark has the bit of
+// their distance's band, from every node of a path of five strides with a
+// bushy random tree grown and churned on it, under marks of four densities
+// and two sets of bands: same visits at the same distances, same end. The
+// bands are one band of every distance, or ten bands, some narrower than a
+// block, with marks on bits 0 to 9, so a stretch spans up to three bands and
+// the top counter of a row counts three. Beside the exact rows it runs rows
+// that count too high, which may only cost hops, rows with counters stuck at
+// 255 whatever they count, and the exact ones cut off behind the last stop
+// that counts a mark, which is as much as a caller need keep; the densest
+// marks saturate a counter of the exact rows as well.
 func TestClimbMarkedJumpsWhereBlocksAreClean(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		tr := randomScenario(seed, 300)
 		tip := tr.Root()
 		for i := 0; i < 5*expressStride+3; i++ {
 			tip = mustAddLeaf(t, tr, tip)
+		}
+		// A fan of 255 leaves in the block of the root, which the densest
+		// marks saturate.
+		for i := 0; i < 255; i++ {
+			mustAddLeaf(t, tr, tr.Root())
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 200; i++ {
@@ -403,49 +486,71 @@ func TestClimbMarkedJumpsWhereBlocksAreClean(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		for _, oneIn := range []int{2, 24, 1 << 20} {
-			marks := make([]uint64, tr.EverExisted()+1)
-			for id := range marks {
-				if rng.Intn(oneIn) == 0 {
-					marks[id] = 1
+		for _, bands := range [][]int{nil, {2, 5, 6, 20, 30, 31, 45, 60, 75}} {
+			saturated := false
+			for _, oneIn := range []int{1, 2, 24, 1 << 20} {
+				marks := make([]uint64, tr.EverExisted()+1)
+				for id := range marks {
+					switch {
+					case oneIn == 1:
+						marks[id] = 1 | 1<<rng.Intn(10)
+					case rng.Intn(oneIn) == 0:
+						marks[id] = 1 << rng.Intn(10)
+					}
 				}
-			}
-			exact := blockCounts(tr, marks)
-			loose := slices.Clone(exact)
-			for r := range loose {
-				loose[r] += int32(rng.Intn(2))
-			}
-			short := exact[:0]
-			for r, n := range exact {
-				if n != 0 {
-					short = exact[:r+1]
+				exact := blockRows(tr, marks)
+				loose, stuck := slices.Clone(exact), slices.Clone(exact)
+				for r := range loose {
+					lane := 8 * rng.Intn(8)
+					if uint8(loose[r]>>lane) < 0xff {
+						loose[r] += uint64(rng.Intn(2)) << lane
+					}
+					if rng.Intn(3) == 0 {
+						stuck[r] |= 0xff << lane
+					}
 				}
-			}
-			jumped := false
-			for u := range tr.All() {
-				stopAfter := rng.Intn(4)
-				climb := func(blocks []int32) (seen []visit, at NodeID, dist int) {
-					at, dist, err := tr.ClimbMarked(u, marks, blocks, func(id NodeID, d int) bool {
-						seen = append(seen, visit{id, d})
-						return len(seen) > stopAfter
+				short := exact[:0]
+				for r, row := range exact {
+					if row != 0 {
+						short = exact[:r+1]
+					}
+					for lane := 0; lane < 64; lane += 8 {
+						saturated = saturated || uint8(row>>lane) == 0xff
+					}
+				}
+				jumped := false
+				for u := range tr.All() {
+					stopAfter := rng.Intn(4)
+					visitor := func(seen *[]visit) func(NodeID, int) bool {
+						return func(id NodeID, d int) bool {
+							*seen = append(*seen, visit{id, d})
+							return len(*seen) > stopAfter
+						}
+					}
+					var want []visit
+					wantVisit := visitor(&want)
+					wantAt, wantDist, err := tr.Climb(u, func(id NodeID, d int) bool {
+						return marks[id]&bandBit(bands, d) != 0 && wantVisit(id, d)
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return seen, at, dist
-				}
-				want, wantAt, wantDist := climb(nil)
-				for name, blocks := range map[string][]int32{"exact": exact, "loose": loose, "short": short} {
-					got, at, dist := climb(blocks)
-					if at != wantAt || dist != wantDist || !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d, one mark in %d, %s counts: ClimbMarked(%d) visited %v and ended at %d after %d hops, hop by hop it visits %v and ends at %d after %d",
-							seed, oneIn, name, u, got, at, dist, want, wantAt, wantDist)
+					for name, blocks := range map[string][]uint64{"no": nil, "exact": exact, "loose": loose, "stuck": stuck, "short": short} {
+						var got []visit
+						at, dist, err := tr.ClimbMarked(u, bands, marks, blocks, visitor(&got))
+						if err != nil || at != wantAt || dist != wantDist || !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d, bands %v, one mark in %d, %s rows: ClimbMarked(%d) visited %v and ended at %d after %d hops (%v), the banded Climb visits %v and ends at %d after %d",
+								seed, bands, oneIn, name, u, got, at, dist, err, want, wantAt, wantDist)
+						}
 					}
+					jumped = jumped || exact[tr.Express(u)] == 0 && tr.depth[u]-tr.depth[tr.Express(u)] > 1
 				}
-				jumped = jumped || exact[tr.Express(u)] == 0 && tr.depth[u]-tr.depth[tr.Express(u)] > 1
+				if !jumped && oneIn > 2 {
+					t.Fatalf("seed %d, bands %v, one mark in %d: no climb starts below a clean block of two hops or more", seed, bands, oneIn)
+				}
 			}
-			if !jumped && oneIn > 2 {
-				t.Fatalf("seed %d, one mark in %d: no climb starts below a clean block of two hops or more", seed, oneIn)
+			if !saturated {
+				t.Fatalf("seed %d, bands %v: no counter of the exact rows reached 255", seed, bands)
 			}
 		}
 	}
