@@ -73,14 +73,14 @@ func (f *Fixed) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
 // produced. The flags, and which whiteboards it.wb names, change only inside
 // Submit.
 func (it *Iterated) fastCapable() bool {
-	return !it.terminated && !it.rejectAll && !it.trivialPhase
+	return !it.st.Terminated && !it.st.RejectAll && !it.st.TrivialPhase
 }
 
 // fastGrant is the local fast path through the waste-halving driver.
 func (it *Iterated) fastGrant(req Request) (Grant, bool) {
 	g, ok := it.wb.FastGrant(req)
 	if ok {
-		it.granted++
+		it.st.Granted++
 	}
 	return g, ok
 }
@@ -105,7 +105,7 @@ func (it *Iterated) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult
 // fastInner returns the inner driver while the whole driver stack is in its
 // live fast-capable state, else nil.
 func (d *Dynamic) fastInner() *Iterated {
-	if d.terminated || d.rejectAll || !d.inner.fastCapable() {
+	if d.st.Terminated || d.st.RejectAll || !d.inner.fastCapable() {
 		return nil
 	}
 	return d.inner

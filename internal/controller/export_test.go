@@ -29,7 +29,7 @@ func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 	if err := d.CheckBlocks(); err != nil {
 		return 0, err
 	}
-	if !d.inner.trivialPhase && wb.linkEpoch != wb.tr.ExpressEpoch() {
+	if !d.inner.st.TrivialPhase && wb.linkEpoch != wb.tr.ExpressEpoch() {
 		return 0, fmt.Errorf("block counts known good at express epoch %d, the tree is at %d", wb.linkEpoch, wb.tr.ExpressEpoch())
 	}
 	for id, s := range wb.stores.All() {
@@ -44,7 +44,7 @@ func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 		if wb.masks[id] != want {
 			return 0, fmt.Errorf("node %d: mask %#b, the mobile levels of its store give %#b", id, wb.masks[id], want)
 		}
-		if !d.inner.trivialPhase && s.Present() != wb.tr.Contains(id) {
+		if !d.inner.st.TrivialPhase && s.Present() != wb.tr.Contains(id) {
 			return 0, fmt.Errorf("node %d: store present %v, node live %v", id, s.Present(), wb.tr.Contains(id))
 		}
 		levels |= want
@@ -97,7 +97,7 @@ func (wb *Whiteboard) HoldsTables() bool {
 
 // InnerIterations returns how many waste-halving iterations the current
 // inner driver has started.
-func (d *Dynamic) InnerIterations() int { return d.inner.iterations }
+func (d *Dynamic) InnerIterations() int { return d.inner.st.Iterations }
 
 // CheckRecycled builds the whiteboards of a new iteration over the current
 // tree twice, once over the tables of a used whiteboard (a copy of the
@@ -169,7 +169,7 @@ func (d *Dynamic) BlockAt(r tree.NodeID) uint64 {
 func (d *Dynamic) FillerTests(u tree.NodeID) (tests int, searched bool) {
 	in := d.inner
 	c, ok := in.core.(*Core)
-	if !ok || d.terminated || d.rejectAll || in.terminated || in.rejectAll || in.trivialPhase {
+	if !ok || d.st.Terminated || d.st.RejectAll || in.st.Terminated || in.st.RejectAll || in.st.TrivialPhase {
 		return 0, false
 	}
 	if s := c.lookup(u); s == nil || !c.tr.Contains(u) || s.HasReject() || s.Static() != nil {
@@ -229,4 +229,4 @@ func (c *Core) CheckDomainPackages() error {
 
 // InTrivialTail reports whether the W = 0 tail runs: the whiteboards were
 // collected and cleared, and stay referenced beside it.
-func (d *Dynamic) InTrivialTail() bool { return d.inner.trivialPhase }
+func (d *Dynamic) InTrivialTail() bool { return d.inner.st.TrivialPhase }

@@ -22,30 +22,18 @@ var ErrIterationCap = errors.New("controller: iteration cap exceeded (U bound vi
 // Complexity: O(U·log²U·log(M/(W+1))) moves (Observation 3.4), and as many
 // messages over a message-passing transport (Theorem 4.7).
 type Iterated struct {
-	tp          Transport
-	tr          *tree.Tree
-	u           int64
-	w           int64
-	counters    *stats.Counters
-	terminating bool
+	tp       Transport
+	tr       *tree.Tree
+	counters *stats.Counters
 
 	// wb is the current iteration's whiteboards and core their slow path
 	// over the transport; the batch fast path grants from wb directly. A
 	// restart replaces both, and the new whiteboards take over the tables of
 	// the old (newWhiteboard).
-	wb         *Whiteboard
-	core       Submitter
-	curM       int64
-	iterations int
-	finalPhase bool
+	wb   *Whiteboard
+	core Submitter
 
-	// Trivial phase state (W = 0 tail).
-	trivialPhase bool
-	trivialLeft  int64
-
-	terminated bool
-	rejectAll  bool
-	granted    int64
+	st IteratedState
 }
 
 // IteratedOption configures an Iterated controller.
@@ -60,7 +48,7 @@ func WithIteratedCounters(c *stats.Counters) IteratedOption {
 // ever rejecting it returns ErrTerminated (Observation 2.1 applied to the
 // whole stack).
 func AsTerminating() IteratedOption {
-	return func(it *Iterated) { it.terminating = true }
+	return func(it *Iterated) { it.st.Terminating = true }
 }
 
 // NewIterated builds the centralized waste-halving (m, w)-Controller over
@@ -72,7 +60,7 @@ func NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated
 // NewIterated builds the waste-halving (m, w)-Controller over tr with the
 // fixed node bound u, its cores moving packages this transport's way.
 func (tp Transport) NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
-	it := &Iterated{tp: tp, tr: tr, u: u, w: w}
+	it := &Iterated{tp: tp, tr: tr, st: IteratedState{U: u, W: w}}
 	for _, opt := range opts {
 		opt(it)
 	}
@@ -84,30 +72,30 @@ func (tp Transport) NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOp
 }
 
 func (it *Iterated) startIteration(m int64) {
-	it.iterations++
+	it.st.Iterations++
 	it.counters.Inc(stats.CounterIterations)
-	it.curM = m
+	it.st.CurM = m
 	w := max(m/2, 1)
-	if it.w > 0 && m <= 2*it.w {
+	if it.st.W > 0 && m <= 2*it.st.W {
 		// Final iteration: an (m, W)-controller. Rejects are issued by the
 		// driver, so no core ever floods the wave itself.
-		it.finalPhase = true
-		w = it.w
+		it.st.FinalPhase = true
+		w = it.st.W
 	}
 	// What it.wb was is the iteration that ended (or nothing): its tables
 	// carry over.
-	it.wb = newWhiteboard(it.tr, it.u, m, w, it.wb, WithCounters(it.counters), WithNoRejects())
+	it.wb = newWhiteboard(it.tr, it.st.U, m, w, it.wb, WithCounters(it.counters), WithNoRejects())
 	it.core = it.tp.Attach(it.wb)
 }
 
 // Granted returns the total permits granted across all iterations.
-func (it *Iterated) Granted() int64 { return it.granted }
+func (it *Iterated) Granted() int64 { return it.st.Granted }
 
 // Iterations returns the number of iterations started so far.
-func (it *Iterated) Iterations() int { return it.iterations }
+func (it *Iterated) Iterations() int { return it.st.Iterations }
 
 // Terminated reports whether a terminating driver has terminated.
-func (it *Iterated) Terminated() bool { return it.terminated }
+func (it *Iterated) Terminated() bool { return it.st.Terminated }
 
 // Counters returns the shared cost counters.
 func (it *Iterated) Counters() *stats.Counters { return it.counters }
@@ -116,15 +104,15 @@ func (it *Iterated) Counters() *stats.Counters { return it.counters }
 // once the permit budget is exhausted; otherwise exhaustion triggers a
 // reject wave and rejects.
 func (it *Iterated) Submit(req Request) (Grant, error) {
-	if it.terminated {
+	if it.st.Terminated {
 		return Grant{}, ErrTerminated
 	}
-	if it.rejectAll {
+	if it.st.RejectAll {
 		it.counters.Inc(stats.CounterRejects)
 		return Grant{Outcome: Rejected}, nil
 	}
 	for attempt := 0; attempt < 128; attempt++ {
-		if it.trivialPhase {
+		if it.st.TrivialPhase {
 			return it.submitTrivial(req)
 		}
 		g, err := it.core.Submit(req)
@@ -132,7 +120,7 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 			return Grant{}, err
 		}
 		if g.Outcome == Granted {
-			it.granted++
+			it.st.Granted++
 			return g, nil
 		}
 		if g.Outcome == Rejected {
@@ -140,19 +128,19 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 			return g, nil
 		}
 		// WouldReject: the current iteration is exhausted.
-		if it.finalPhase {
+		if it.st.FinalPhase {
 			return it.exhausted()
 		}
 		// Collect the unused permits back to the root.
 		l := it.wb.UnusedPermits()
 		it.wb.ClearPackages()
 		it.tp.restart(it.counters, it.tr)
-		if it.w == 0 {
+		if it.st.W == 0 {
 			if l == 0 {
 				return it.exhausted()
 			}
-			it.trivialPhase = true
-			it.trivialLeft = l
+			it.st.TrivialPhase = true
+			it.st.TrivialLeft = l
 			continue
 		}
 		it.startIteration(l)
@@ -169,7 +157,7 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 // grants and the durability engine — which logs only decided requests —
 // could never reconstruct the state.
 func (it *Iterated) submitTrivial(req Request) (Grant, error) {
-	if it.trivialLeft <= 0 {
+	if it.st.TrivialLeft <= 0 {
 		return it.exhausted()
 	}
 	d, err := it.tr.Distance(req.Node, it.tr.Root())
@@ -181,8 +169,8 @@ func (it *Iterated) submitTrivial(req Request) (Grant, error) {
 		return Grant{}, err
 	}
 	it.counters.Add(it.tp.Counter, int64(d))
-	it.trivialLeft--
-	it.granted++
+	it.st.TrivialLeft--
+	it.st.Granted++
 	it.counters.Inc(stats.CounterGrants)
 	if req.Kind != tree.None {
 		it.counters.Inc(stats.CounterTopoChanges)
@@ -194,12 +182,12 @@ func (it *Iterated) submitTrivial(req Request) (Grant, error) {
 // (paying the broadcast/upcast of Observation 2.1); otherwise a reject wave
 // floods the tree and the request is rejected.
 func (it *Iterated) exhausted() (Grant, error) {
-	if it.terminating {
-		it.terminated = true
+	if it.st.Terminating {
+		it.st.Terminated = true
 		it.tp.Sweep(it.counters, it.tr, 2)
 		return Grant{}, ErrTerminated
 	}
-	it.rejectAll = true
+	it.st.RejectAll = true
 	it.tp.Sweep(it.counters, it.tr, 1)
 	it.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil

@@ -26,13 +26,13 @@ func TestRestoreRejectsStoreOfUnknownNode(t *testing.T) {
 	for _, id := range []tree.NodeID{1 << 40, tree.NodeID(tr.EverExisted()) + 1, 0, -3} {
 		st := d.State()
 		st.Inner.Board.Stores[len(st.Inner.Board.Stores)-1].Node = id
-		if _, err := ctl.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrNoSuchNode) {
+		if _, err := ctl.Centralized.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrNoSuchNode) {
 			t.Fatalf("store of node %d: RestoreDynamic = %v, want %v", id, err, tree.ErrNoSuchNode)
 		}
 	}
 	st := d.State()
 	st.Inner.Board.Stores[1].Node = st.Inner.Board.Stores[0].Node
-	if _, err := ctl.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrAlreadyExists) {
+	if _, err := ctl.Centralized.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrAlreadyExists) {
 		t.Fatalf("store listed twice: RestoreDynamic = %v, want %v", err, tree.ErrAlreadyExists)
 	}
 }
@@ -81,7 +81,7 @@ func TestRestoreKeepsTrivialTailStores(t *testing.T) {
 	// the durability engine sees it.
 	d := ctl.NewDynamic(tr, 4096, 0, ctl.WithDynamicCounters(counters)).State()
 	d.Inner = st
-	back, err := ctl.RestoreDynamic(tr, d, counters)
+	back, err := ctl.Centralized.RestoreDynamic(tr, d, counters)
 	if err != nil {
 		t.Fatalf("restore of a trivial-tail state: %v", err)
 	}

@@ -11,9 +11,12 @@ import (
 // between submissions whatever the transport (a runtime is drained after
 // every request), so a deep copy of the exported *State values plus the
 // tree and the shared counters reconstructs an equivalent controller
-// exactly, over the same transport or another.
+// exactly, over the same transport or another. The drivers keep their
+// variables in these values (it.st, d.st), so a capture is one copy; while
+// a driver is live the nested part, Board or Inner, stays zero, since the
+// whiteboards and the inner driver are objects of their own.
 
-// IteratedState is the captured state of the waste-halving driver.
+// IteratedState is the waste-halving driver's state.
 type IteratedState struct {
 	U, W        int64
 	CurM        int64
@@ -21,6 +24,7 @@ type IteratedState struct {
 	FinalPhase  bool
 	Terminating bool
 
+	// The trivial tail's state (W = 0).
 	TrivialPhase bool
 	TrivialLeft  int64
 
@@ -31,20 +35,21 @@ type IteratedState struct {
 	Board WhiteboardState
 }
 
-// DynamicState is the captured state of the unknown-U driver — the root of
-// the controller snapshot the durability engine persists.
+// DynamicState is the unknown-U driver's state — the root of the controller
+// snapshot the durability engine persists.
 type DynamicState struct {
 	W           int64
 	Mi          int64
 	Ui          int64
-	Zi          int64
-	GrantedBase int64
+	Zi          int64 // topological changes in the current iteration
+	GrantedBase int64 // permits granted before this iteration
 	Iterations  int
 	Terminating bool
 	Terminated  bool
 	RejectAll   bool
 
-	// Policy and the two tallies only PolicyDoubleMaxN reads.
+	// Policy and the two tallies only PolicyDoubleMaxN reads: additions in
+	// the current iteration and the maximum simultaneous node count.
 	Policy Policy
 	Adds   int64
 	MaxSim int64
@@ -55,20 +60,9 @@ type DynamicState struct {
 // State captures the waste-halving driver's complete state. Must not be
 // called while a submission is in flight.
 func (it *Iterated) State() IteratedState {
-	return IteratedState{
-		U:            it.u,
-		W:            it.w,
-		CurM:         it.curM,
-		Iterations:   it.iterations,
-		FinalPhase:   it.finalPhase,
-		Terminating:  it.terminating,
-		TrivialPhase: it.trivialPhase,
-		TrivialLeft:  it.trivialLeft,
-		Terminated:   it.terminated,
-		RejectAll:    it.rejectAll,
-		Granted:      it.granted,
-		Board:        it.wb.State(),
-	}
+	st := it.st
+	st.Board = it.wb.State()
+	return st
 }
 
 func (tp Transport) restoreIterated(tr *tree.Tree, st IteratedState, counters *stats.Counters) (*Iterated, error) {
@@ -76,44 +70,16 @@ func (tp Transport) restoreIterated(tr *tree.Tree, st IteratedState, counters *s
 	if err != nil {
 		return nil, err
 	}
-	return &Iterated{
-		tp:           tp,
-		tr:           tr,
-		u:            st.U,
-		w:            st.W,
-		counters:     counters,
-		terminating:  st.Terminating,
-		curM:         st.CurM,
-		iterations:   st.Iterations,
-		finalPhase:   st.FinalPhase,
-		trivialPhase: st.TrivialPhase,
-		trivialLeft:  st.TrivialLeft,
-		terminated:   st.Terminated,
-		rejectAll:    st.RejectAll,
-		granted:      st.Granted,
-		wb:           wb,
-		core:         tp.Attach(wb),
-	}, nil
+	st.Board = WhiteboardState{}
+	return &Iterated{tp: tp, tr: tr, counters: counters, st: st, wb: wb, core: tp.Attach(wb)}, nil
 }
 
 // State captures the unknown-U driver's complete state. Must not be called
 // while a submission is in flight.
 func (d *Dynamic) State() *DynamicState {
-	return &DynamicState{
-		W:           d.w,
-		Mi:          d.mi,
-		Ui:          d.ui,
-		Zi:          d.zi,
-		GrantedBase: d.grantedBase,
-		Iterations:  d.iterations,
-		Terminating: d.terminating,
-		Terminated:  d.terminated,
-		RejectAll:   d.rejectAll,
-		Policy:      d.policy,
-		Adds:        d.adds,
-		MaxSim:      d.maxSim,
-		Inner:       d.inner.State(),
-	}
+	st := d.st
+	st.Inner = d.inner.State()
+	return &st
 }
 
 // RestoreDynamic rebuilds an unknown-U controller from captured state over
@@ -129,28 +95,7 @@ func (tp Transport) RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *st
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{
-		tp:          tp,
-		tr:          tr,
-		w:           st.W,
-		policy:      st.Policy,
-		counters:    counters,
-		terminating: st.Terminating,
-		terminated:  st.Terminated,
-		rejectAll:   st.RejectAll,
-		inner:       inner,
-		mi:          st.Mi,
-		ui:          st.Ui,
-		zi:          st.Zi,
-		adds:        st.Adds,
-		grantedBase: st.GrantedBase,
-		maxSim:      st.MaxSim,
-		iterations:  st.Iterations,
-	}, nil
-}
-
-// RestoreDynamic rebuilds a centralized unknown-U controller from captured
-// state.
-func RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *stats.Counters) (*Dynamic, error) {
-	return Centralized.RestoreDynamic(tr, st, counters)
+	d := &Dynamic{tp: tp, tr: tr, counters: counters, st: *st, inner: inner}
+	d.st.Inner = IteratedState{}
+	return d, nil
 }

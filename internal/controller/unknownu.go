@@ -34,22 +34,9 @@ const (
 type Dynamic struct {
 	tp       Transport
 	tr       *tree.Tree
-	w        int64
-	policy   Policy
 	counters *stats.Counters
-
-	terminating bool
-	terminated  bool
-	rejectAll   bool
-
-	inner       *Iterated
-	mi          int64
-	ui          int64
-	zi          int64 // topological changes in the current iteration
-	adds        int64 // additions in the current iteration
-	grantedBase int64 // permits granted before this iteration
-	maxSim      int64 // maximum simultaneous node count observed
-	iterations  int
+	inner    *Iterated
+	st       DynamicState
 }
 
 // DynamicOption configures a Dynamic controller.
@@ -62,13 +49,13 @@ func WithDynamicCounters(c *stats.Counters) DynamicOption {
 
 // WithPolicy selects the iteration rule (default PolicyChangesQuarter).
 func WithPolicy(p Policy) DynamicOption {
-	return func(d *Dynamic) { d.policy = p }
+	return func(d *Dynamic) { d.st.Policy = p }
 }
 
 // DynamicTerminating makes the controller terminating (ErrTerminated on
 // exhaustion instead of rejects).
 func DynamicTerminating() DynamicOption {
-	return func(d *Dynamic) { d.terminating = true }
+	return func(d *Dynamic) { d.st.Terminating = true }
 }
 
 // NewDynamic builds the centralized unknown-U (m, w)-Controller over tr.
@@ -79,35 +66,35 @@ func NewDynamic(tr *tree.Tree, m, w int64, opts ...DynamicOption) *Dynamic {
 // NewDynamic builds an unknown-U (m, w)-Controller over tr, its cores
 // moving packages this transport's way.
 func (tp Transport) NewDynamic(tr *tree.Tree, m, w int64, opts ...DynamicOption) *Dynamic {
-	d := &Dynamic{tp: tp, tr: tr, w: w, policy: PolicyChangesQuarter, mi: m}
+	d := &Dynamic{tp: tp, tr: tr, st: DynamicState{W: w, Mi: m, Policy: PolicyChangesQuarter}}
 	for _, opt := range opts {
 		opt(d)
 	}
 	if d.counters == nil {
 		d.counters = stats.NewCounters()
 	}
-	d.maxSim = int64(tr.Size())
+	d.st.MaxSim = int64(tr.Size())
 	d.startIteration()
 	return d
 }
 
 func (d *Dynamic) startIteration() {
-	d.iterations++
+	d.st.Iterations++
 	n := int64(d.tr.Size())
-	if n > d.maxSim {
-		d.maxSim = n
+	if n > d.st.MaxSim {
+		d.st.MaxSim = n
 	}
-	switch d.policy {
+	switch d.st.Policy {
 	case PolicyDoubleMaxN:
-		d.ui = 2 * d.maxSim
+		d.st.Ui = 2 * d.st.MaxSim
 	default:
-		d.ui = 2 * n
+		d.st.Ui = 2 * n
 	}
-	if d.ui < 4 {
-		d.ui = 4
+	if d.st.Ui < 4 {
+		d.st.Ui = 4
 	}
-	d.zi = 0
-	d.adds = 0
+	d.st.Zi = 0
+	d.st.Adds = 0
 	// Counting N_i.
 	d.tp.restart(d.counters, d.tr)
 	// The new inner driver starts from the whiteboards of the one it
@@ -116,30 +103,31 @@ func (d *Dynamic) startIteration() {
 	if d.inner != nil {
 		prev = d.inner.wb
 	}
-	d.inner = &Iterated{tp: d.tp, tr: d.tr, u: d.ui, w: d.w, counters: d.counters, terminating: true, wb: prev}
-	d.inner.startIteration(d.mi)
-	d.grantedBase = d.Granted()
+	d.inner = &Iterated{tp: d.tp, tr: d.tr, counters: d.counters, wb: prev,
+		st: IteratedState{U: d.st.Ui, W: d.st.W, Terminating: true}}
+	d.inner.startIteration(d.st.Mi)
+	d.st.GrantedBase = d.Granted()
 }
 
 // Granted returns the total permits granted across all iterations.
 func (d *Dynamic) Granted() int64 { return d.counters.Get(stats.CounterGrants) }
 
 // Iterations returns the number of outer iterations started.
-func (d *Dynamic) Iterations() int { return d.iterations }
+func (d *Dynamic) Iterations() int { return d.st.Iterations }
 
 // Counters returns the shared cost counters.
 func (d *Dynamic) Counters() *stats.Counters { return d.counters }
 
 // Terminated reports whether a terminating controller has terminated.
-func (d *Dynamic) Terminated() bool { return d.terminated }
+func (d *Dynamic) Terminated() bool { return d.st.Terminated }
 
 // Submit answers one request, restarting the inner controller with fresh
 // U_i and M_i estimates whenever the iteration policy fires.
 func (d *Dynamic) Submit(req Request) (Grant, error) {
-	if d.terminated {
+	if d.st.Terminated {
 		return Grant{}, ErrTerminated
 	}
-	if d.rejectAll {
+	if d.st.RejectAll {
 		d.counters.Inc(stats.CounterRejects)
 		return Grant{Outcome: Rejected}, nil
 	}
@@ -154,12 +142,12 @@ func (d *Dynamic) Submit(req Request) (Grant, error) {
 		return Grant{}, err
 	}
 	if g.Outcome == Granted && req.Kind != tree.None {
-		d.zi++
+		d.st.Zi++
 		if req.Kind.IsAddition() {
-			d.adds++
+			d.st.Adds++
 		}
-		if n := int64(d.tr.Size()); n > d.maxSim {
-			d.maxSim = n
+		if n := int64(d.tr.Size()); n > d.st.MaxSim {
+			d.st.MaxSim = n
 		}
 		if d.iterationDone() {
 			d.endIteration()
@@ -169,12 +157,12 @@ func (d *Dynamic) Submit(req Request) (Grant, error) {
 }
 
 func (d *Dynamic) iterationDone() bool {
-	switch d.policy {
+	switch d.st.Policy {
 	case PolicyDoubleMaxN:
-		startMax := d.ui / 2
-		return int64(d.tr.Size()) >= 2*startMax || d.adds >= max(startMax/2, 1)
+		startMax := d.st.Ui / 2
+		return int64(d.tr.Size()) >= 2*startMax || d.st.Adds >= max(startMax/2, 1)
 	default:
-		return d.zi >= max(d.ui/4, 1)
+		return d.st.Zi >= max(d.st.Ui/4, 1)
 	}
 }
 
@@ -182,20 +170,20 @@ func (d *Dynamic) iterationDone() bool {
 // consumed, so M_{i+1} = M_i − Y_i, and the next iteration restarts the
 // inner stack with a fresh U estimate.
 func (d *Dynamic) endIteration() {
-	yi := d.Granted() - d.grantedBase
-	d.mi -= yi
-	if d.mi < 0 {
-		d.mi = 0
+	yi := d.Granted() - d.st.GrantedBase
+	d.st.Mi -= yi
+	if d.st.Mi < 0 {
+		d.st.Mi = 0
 	}
 	d.startIteration()
 }
 
 func (d *Dynamic) exhausted() (Grant, error) {
-	if d.terminating {
-		d.terminated = true
+	if d.st.Terminating {
+		d.st.Terminated = true
 		return Grant{}, ErrTerminated
 	}
-	d.rejectAll = true
+	d.st.RejectAll = true
 	d.tp.Sweep(d.counters, d.tr, 1)
 	d.counters.Inc(stats.CounterRejects)
 	return Grant{Outcome: Rejected}, nil

@@ -101,7 +101,7 @@ func (e *engine) restart(t *testing.T) {
 		e.runtimes = append(e.runtimes, rt)
 		e.d, err = dist.Over(rt).RestoreDynamic(e.tr, st, e.counters)
 	} else {
-		e.d, err = controller.RestoreDynamic(e.tr, st, e.counters)
+		e.d, err = controller.Centralized.RestoreDynamic(e.tr, st, e.counters)
 	}
 	if err != nil {
 		t.Fatal(err)

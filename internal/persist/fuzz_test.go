@@ -149,7 +149,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !bytes.Equal(persist.AppendState(nil, &back), enc1) {
 			t.Fatal("the restored tree encodes differently from the snapshot it was restored from")
 		}
-		if _, err := controller.RestoreDynamic(tr, st.Ctl, ctrs); err != nil {
+		if _, err := controller.Centralized.RestoreDynamic(tr, st.Ctl, ctrs); err != nil {
 			return
 		}
 		if tr.Size() > len(data) {

@@ -24,13 +24,14 @@
 // Open scans the directory: the latest structurally valid snapshot is
 // decoded, segments are scanned in order, a torn final record (a crash mid
 // write) is truncated, and every effect after the snapshot's index is
-// returned for replay. Replay re-submits the logged requests through a
-// freshly restored controller and verifies each verdict matches the log —
-// the controller stack is deterministic given its state and the request
-// sequence, so recovery either reproduces the pre-crash state exactly or
-// fails loudly. Each Open bumps the incarnation counter in MANIFEST; the
-// cross-incarnation oracle checks (no serial reused, granted ≤ M summed
-// across restarts) run over the whole retained record history.
+// returned for replay. Recover restores the snapshot and re-submits the
+// logged requests through the restored controller, verifying that each
+// verdict matches the log — the controller stack is deterministic given its
+// state and the request sequence, so recovery either reproduces the
+// pre-crash state exactly or fails loudly. Capture is the one way to take
+// the state a snapshot holds. Each Open bumps the incarnation counter in
+// MANIFEST; the cross-incarnation oracle checks (no serial reused, granted
+// ≤ M summed across restarts) run over the whole retained record history.
 package persist
 
 import (
@@ -44,6 +45,8 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/obs"
+	"dynctrl/internal/stats"
+	"dynctrl/internal/tree"
 )
 
 // ErrClosed is returned by operations on a closed engine.
@@ -555,10 +558,25 @@ func (e *Engine) ShouldCheckpoint() bool {
 	return true
 }
 
-// CheckpointAsync encodes and writes the captured state in the background.
-// The capture itself must already be a deep copy (tree.Snapshot and
-// Dynamic.State copy); the engine only serializes it. Close waits for
-// in-flight checkpoints.
+// Capture deep-copies the admission stack — the tree, the controller ctl
+// over it and their counters, run under the (m, w) contract — into the
+// state a checkpoint writes, as of the last record appended. Must not be
+// called while a submission is in flight.
+func (e *Engine) Capture(m, w int64, tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters) *State {
+	return &State{
+		Index:       e.AppendedIndex(),
+		Incarnation: e.Incarnation(),
+		M:           m,
+		W:           w,
+		Tree:        tr.Snapshot(),
+		Ctl:         ctl.State(),
+		Counters:    counters.Snapshot(),
+	}
+}
+
+// CheckpointAsync encodes and writes the captured state in the background:
+// Capture took the deep copy, so the engine only serializes it. Close waits
+// for in-flight checkpoints.
 func (e *Engine) CheckpointAsync(st *State) {
 	e.wg.Add(1)
 	go func() {

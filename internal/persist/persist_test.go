@@ -33,16 +33,6 @@ type engine struct {
 	over func(seed int64) controller.Transport
 }
 
-// build returns a fresh (testM, testW) controller over tr, or, given
-// captured state, the one that continues it.
-func (e engine) build(tr *tree.Tree, seed int64, st *controller.DynamicState, ctrs *stats.Counters) (*controller.Dynamic, error) {
-	tp := e.over(seed)
-	if st != nil {
-		return tp.RestoreDynamic(tr, st, ctrs)
-	}
-	return tp.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(ctrs)), nil
-}
-
 // The daemon's engine (centralized) and the scenario suite's
 // (message-passing): every stack test runs over both, and the crash-restart
 // test also recovers each one's directory under the other.
@@ -63,6 +53,7 @@ func forEngines(t *testing.T, fn func(t *testing.T, e engine)) {
 
 // stack is one live admission stack a test drives traffic through.
 type stack struct {
+	tp       controller.Transport
 	tr       *tree.Tree
 	ctl      *controller.Dynamic
 	counters *stats.Counters
@@ -72,11 +63,9 @@ func newStack(t *testing.T, e engine, seed int64) *stack {
 	t.Helper()
 	tr, _ := tree.New()
 	counters := stats.NewCounters()
-	ctl, err := e.build(tr, seed, nil, counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &stack{tr: tr, ctl: ctl, counters: counters}
+	tp := e.over(seed)
+	ctl := tp.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(counters))
+	return &stack{tp: tp, tr: tr, ctl: ctl, counters: counters}
 }
 
 // trafficGen deterministically produces the identical request sequence on
@@ -164,7 +153,7 @@ func runLogged(t *testing.T, s *stack, g *trafficGen, eng *persist.Engine, n int
 			t.Fatalf("commit effect %d: %v", i, err)
 		}
 		if eng.ShouldCheckpoint() {
-			st := captureState(s, eng)
+			st := eng.Capture(testM, testW, s.tr, s.ctl, s.counters)
 			if err := eng.Checkpoint(st); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
@@ -173,37 +162,20 @@ func runLogged(t *testing.T, s *stack, g *trafficGen, eng *persist.Engine, n int
 	return trace
 }
 
-func captureState(s *stack, eng *persist.Engine) *persist.State {
-	return &persist.State{
-		Index:       eng.AppendedIndex(),
-		Incarnation: eng.Incarnation(),
-		M:           testM,
-		W:           testW,
-		Tree:        s.tr.Snapshot(),
-		Ctl:         s.ctl.State(),
-		Counters:    s.counters.Snapshot(),
-	}
-}
-
-// recoverStack boots a stack from dir: restore the snapshot when present,
-// replay the tail, and return the engine plus the live stack.
+// recoverStack boots a stack from dir the way the daemon and the scenario
+// runner do: a fresh controller over e, handed to persist.Recover with the
+// snapshot and tail Open found.
 func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.Options) (*persist.Engine, *stack, *persist.Recovery) {
 	t.Helper()
 	eng, rec, err := persist.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
-	s := newStack(t, e, seed)
-	if rec.Snapshot != nil {
-		if err := persist.RestoreInto(rec.Snapshot, s.tr, s.counters); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		if s.ctl, err = e.build(s.tr, seed+100, rec.Snapshot.Ctl, s.counters); err != nil {
-			t.Fatalf("restore controller: %v", err)
-		}
-	}
-	if _, err := persist.Replay(rec.Tail, s.ctl); err != nil {
-		t.Fatalf("replay: %v", err)
+	// A schedule of its own: a recovered controller need not run over the
+	// crashed one's.
+	s := newStack(t, e, seed+100)
+	if s.ctl, _, err = persist.Recover(rec, s.tp, testM, testW, s.tr, s.ctl, s.counters); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	return eng, s, rec
 }
@@ -389,7 +361,7 @@ func TestRecoveryTruncatedSnapshot(t *testing.T) {
 		s := newStack(t, e, 3)
 		gen := newTrafficGen(s.tr.Root(), 5)
 		runLogged(t, s, gen, eng, 60)
-		if err := eng.Checkpoint(captureState(s, eng)); err != nil {
+		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl, s.counters)); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {
@@ -465,7 +437,7 @@ func TestRecoverySnapshotNewerThanWAL(t *testing.T) {
 		s := newStack(t, e, 3)
 		gen := newTrafficGen(s.tr.Root(), 5)
 		runLogged(t, s, gen, eng, 40)
-		if err := eng.Checkpoint(captureState(s, eng)); err != nil {
+		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl, s.counters)); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {
@@ -535,7 +507,7 @@ func TestCloseDuringCheckpointRace(t *testing.T) {
 				ticket, aerr := eng.AppendEffects(reqs, results)
 				var snap *persist.State
 				if aerr == nil && eng.ShouldCheckpoint() {
-					snap = captureState(s, eng)
+					snap = eng.Capture(testM, testW, s.tr, s.ctl, s.counters)
 				}
 				mu.Unlock()
 				if aerr != nil {
@@ -631,6 +603,52 @@ func TestSnapshotLengthCannotWrap(t *testing.T) {
 		binary.LittleEndian.PutUint32(p[14:], crc32.Checksum(p[18:], crc32.MakeTable(crc32.Castagnoli)))
 		if _, err := persist.DecodeSnapshot(p); err == nil {
 			t.Errorf("snapshot with %s 0x80000000 accepted", tc.field)
+		}
+	}
+}
+
+// TestSnapshotIntFieldsCannotWrap: a checksum-valid snapshot whose parent
+// port or child port reads 2^32+1 is refused as corrupt or decodes to
+// exactly that value. Where int is 32 bits (GOARCH=386) a bare conversion
+// of the 64-bit field wraps it to port 1, which the tree then accepts; the
+// 64-bit build decodes the value, and the tree refuses the parent port.
+func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
+	const wide = 1<<32 + 1
+	// Markers in place of the two ports locate their fields in the payload.
+	const parentMark, childMark = 0x5a5a5a01, 0x5a5a5a02
+	st := fuzzState()
+	st.Tree.Nodes[1].ParentPort = parentMark
+	st.Tree.Nodes[0].ChildPorts[0] = childMark
+	enc := persist.AppendState(nil, st)
+	if _, err := persist.DecodeSnapshot(enc); err != nil {
+		t.Fatalf("the marked snapshot does not decode: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		mark  uint64
+		read  func(*persist.State) int64
+	}{
+		{"parent port", parentMark, func(st *persist.State) int64 { return int64(st.Tree.Nodes[1].ParentPort) }},
+		{"child port", childMark, func(st *persist.State) int64 { return int64(st.Tree.Nodes[0].ChildPorts[0]) }},
+	} {
+		mark := binary.LittleEndian.AppendUint64(nil, tc.mark)
+		if n := bytes.Count(enc[18:], mark); n != 1 {
+			t.Fatalf("%s marker found %d times in the payload", tc.field, n)
+		}
+		p := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(p[18+bytes.Index(enc[18:], mark):], wide)
+		binary.LittleEndian.PutUint32(p[14:], crc32.Checksum(p[18:], crc32.MakeTable(crc32.Castagnoli)))
+		dec, err := persist.DecodeSnapshot(p)
+		if err != nil {
+			continue
+		}
+		if got := tc.read(dec); got != wide {
+			t.Errorf("%s 2^32+1 decoded as %d", tc.field, got)
+		}
+		tr, _ := tree.New()
+		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr, nil, nil)
+		if tc.field == "parent port" && err == nil {
+			t.Errorf("snapshot with %s 2^32+1 recovered", tc.field)
 		}
 	}
 }
@@ -820,10 +838,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		// The decoded state restores into an equivalent stack.
 		tr, _ := tree.New()
 		counters := stats.NewCounters()
-		if err := persist.RestoreInto(dec, tr, counters); err != nil {
-			t.Fatal(err)
-		}
-		ctl, err := e.build(tr, 99, dec.Ctl, counters)
+		ctl, _, err := persist.Recover(&persist.Recovery{Snapshot: dec}, e.over(99), testM, testW, tr, nil, counters)
 		if err != nil {
 			t.Fatal(err)
 		}

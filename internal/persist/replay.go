@@ -10,17 +10,43 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// RestoreInto applies a recovered snapshot to a live stack: the tree is
-// restored in place (so generators, servers and oracles holding the *Tree
-// observe the recovered topology) and validated, and the shared counters
-// are re-seeded. The caller then rebuilds the controller from st.Ctl over
-// the transport it serves with (controller.Centralized.RestoreDynamic, or
-// dist.Over(rt).RestoreDynamic over a runtime whose schedule seed need not
-// match the crashed process's): the two produce identical verdicts and states
-// and the distributed one is delivery-schedule invariant (the
-// engine-equivalence table and the scenario suite pin both), which is what
-// makes replay deterministic without persisting transport state.
-func RestoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
+// Recover continues the admission stack Open found in rec, under the
+// (m, w) contract: ctl is a fresh controller over tr and counters. With a
+// snapshot, it refuses one taken under another contract, restores tr in
+// place (so whatever holds the *Tree sees the recovered topology) and
+// validates it, re-seeds counters and rebuilds the controller from the
+// snapshot over tp. Then it replays the tail through the controller, and
+// returns that controller and the number of effects replayed.
+//
+// The daemon recovers over controller.Centralized and the scenario runner
+// over dist.Over(rt), a runtime whose schedule seed need not match the
+// crashed process's: the two produce identical verdicts and states and the
+// distributed one is delivery-schedule invariant (the engine-equivalence
+// table and the scenario suite pin both), so replay is deterministic
+// without persisting transport state.
+func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters) (*controller.Dynamic, int, error) {
+	if st := rec.Snapshot; st != nil {
+		if st.M != m || st.W != w {
+			return nil, 0, fmt.Errorf("persist: snapshot was taken under (M=%d, W=%d), recovering under (M=%d, W=%d)",
+				st.M, st.W, m, w)
+		}
+		if err := restoreInto(st, tr, counters); err != nil {
+			return nil, 0, err
+		}
+		var err error
+		if ctl, err = tp.RestoreDynamic(tr, st.Ctl, counters); err != nil {
+			return nil, 0, err
+		}
+	}
+	applied, err := Replay(rec.Tail, ctl)
+	if err != nil {
+		return nil, applied, err
+	}
+	return ctl, applied, nil
+}
+
+// restoreInto restores tr and counters in place to the snapshot's.
+func restoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
 	if st.Tree == nil || st.Ctl == nil {
 		return fmt.Errorf("persist: snapshot missing tree or controller state")
 	}

@@ -118,6 +118,19 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) i64() int64 { return int64(d.u64()) }
 func (d *dec) bool() bool { return d.u8() != 0 }
+
+// int reads a 64-bit field into an int, refusing a value the platform's int
+// cannot hold: where int is 32 bits, a bare conversion would wrap a corrupt
+// value into range.
+func (d *dec) int() int {
+	v := d.i64()
+	if int64(int(v)) != v {
+		d.fail("value %d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
+
 func (d *dec) str() string {
 	n := d.u32()
 	// Unsigned: where int is 32 bits, int(n) can be negative.
@@ -190,7 +203,7 @@ func decodeTree(d *dec) *tree.Snapshot {
 		Root:        tree.NodeID(d.u64()),
 		NextID:      tree.NodeID(d.u64()),
 		ChangeSeq:   d.u64(),
-		EverExisted: int(d.u64()),
+		EverExisted: d.int(),
 	}
 	nDel := d.count(8)
 	for i := 0; i < nDel && d.err == nil; i++ {
@@ -201,12 +214,12 @@ func decodeTree(d *dec) *tree.Snapshot {
 		n := tree.NodeSnapshot{
 			ID:         tree.NodeID(d.u64()),
 			Parent:     tree.NodeID(d.u64()),
-			ParentPort: int(d.i64()),
+			ParentPort: d.int(),
 		}
 		nKids := d.count(16)
 		for j := 0; j < nKids && d.err == nil; j++ {
 			n.Children = append(n.Children, tree.NodeID(d.u64()))
-			n.ChildPorts = append(n.ChildPorts, int(d.i64()))
+			n.ChildPorts = append(n.ChildPorts, d.int())
 		}
 		ts.Nodes = append(ts.Nodes, n)
 	}
@@ -215,14 +228,14 @@ func decodeTree(d *dec) *tree.Snapshot {
 
 func appendStore(e *enc, st pkgstore.StoreState) {
 	e.bool(st.Reject)
-	appendPackages := func(pkgs []pkgstore.PackageState) {
+	appendPackages := func(pkgs []pkgstore.Package) {
 		e.u32(uint32(len(pkgs)))
 		for _, pk := range pkgs {
 			e.i64(int64(pk.Level))
 			e.i64(pk.Size)
 			e.bool(pk.Mobile)
-			e.i64(pk.SerialLo)
-			e.i64(pk.SerialHi)
+			e.i64(pk.Serials.Lo)
+			e.i64(pk.Serials.Hi)
 		}
 	}
 	appendPackages(st.Statics)
@@ -231,16 +244,15 @@ func appendStore(e *enc, st pkgstore.StoreState) {
 
 func decodeStore(d *dec) pkgstore.StoreState {
 	st := pkgstore.StoreState{Reject: d.bool()}
-	decodePackages := func() []pkgstore.PackageState {
+	decodePackages := func() []pkgstore.Package {
 		n := d.count(8 + 8 + 1 + 8 + 8)
-		var out []pkgstore.PackageState
+		var out []pkgstore.Package
 		for i := 0; i < n && d.err == nil; i++ {
-			out = append(out, pkgstore.PackageState{
-				Level:    int(d.i64()),
-				Size:     d.i64(),
-				Mobile:   d.bool(),
-				SerialLo: d.i64(),
-				SerialHi: d.i64(),
+			out = append(out, pkgstore.Package{
+				Level:   d.int(),
+				Size:    d.i64(),
+				Mobile:  d.bool(),
+				Serials: pkgstore.Interval{Lo: d.i64(), Hi: d.i64()},
 			})
 		}
 		return out
@@ -322,7 +334,7 @@ func decodeDynamic(d *dec) *controller.DynamicState {
 		Ui:          d.i64(),
 		Zi:          d.i64(),
 		GrantedBase: d.i64(),
-		Iterations:  int(d.i64()),
+		Iterations:  d.int(),
 		Terminating: d.bool(),
 		Terminated:  d.bool(),
 		RejectAll:   d.bool(),
@@ -332,7 +344,7 @@ func decodeDynamic(d *dec) *controller.DynamicState {
 		U:            d.i64(),
 		W:            d.i64(),
 		CurM:         d.i64(),
-		Iterations:   int(d.i64()),
+		Iterations:   d.int(),
 		FinalPhase:   d.bool(),
 		Terminating:  d.bool(),
 		TrivialPhase: d.bool(),

@@ -351,6 +351,48 @@ func TestStorePresence(t *testing.T) {
 	}
 }
 
+// TestRestoreStoreRefuses: a captured store state may come off disk, so
+// RestoreStore refuses a package no store could hold. A package's Tag is no
+// part of the state: a store of tagged packages captures to the state of the
+// same store untagged.
+func TestRestoreStoreRefuses(t *testing.T) {
+	static := Package{Size: 3, Serials: Interval{Lo: 10, Hi: 12}}
+	mobile := Package{Level: 1, Size: 2, Mobile: true}
+	for _, tc := range []struct {
+		name string
+		st   StoreState
+	}{
+		{"negative size", StoreState{Statics: []Package{{Size: -1}}}},
+		{"serials not matching size", StoreState{Statics: []Package{{Size: 2, Serials: Interval{Lo: 10, Hi: 12}}}}},
+		{"mobile package in the static section", StoreState{Statics: []Package{static, mobile}}},
+		{"static package in the mobile section", StoreState{Mobiles: []Package{mobile, static}}},
+	} {
+		if _, err := RestoreStore(tc.st); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
+	}
+
+	plain, tagged := NewStore(), NewStore()
+	for i, s := range []*Store{&plain, &tagged} {
+		for _, pk := range []Package{static, {Size: 1}} {
+			pk.Tag = uint32(7 * i)
+			s.AddStatic(pk)
+		}
+		pk := mobile
+		pk.Tag = uint32(9 * i)
+		s.AddMobile(pk)
+	}
+	if got, want := tagged.State(), plain.State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tagged store captures to %+v, untagged to %+v", got, want)
+	}
+	if tagged.Statics()[0].Tag != 7 {
+		t.Fatal("capturing a store cleared the tags of its live packages")
+	}
+	if _, err := RestoreStore(plain.State()); err != nil {
+		t.Fatalf("a captured store does not restore: %v", err)
+	}
+}
+
 func TestStoreTakeAllAbsorb(t *testing.T) {
 	p := NewParams(16, 100, 1)
 	donor := NewStore()

@@ -259,17 +259,6 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 		}
 		defer func() { eng.Close() }() //nolint:errcheck // idempotent safety net
 	}
-	captureState := func() *persist.State {
-		return &persist.State{
-			Index:       eng.AppendedIndex(),
-			Incarnation: eng.Incarnation(),
-			M:           sc.M,
-			W:           sc.W,
-			Tree:        tr.Snapshot(),
-			Ctl:         dyn.State(),
-			Counters:    counters.Snapshot(),
-		}
-	}
 	oneReq := make([]controller.Request, 1)
 	oneRes := make([]controller.BatchResult, 1)
 
@@ -312,7 +301,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			return res, err
 		}
 		if eng.ShouldCheckpoint() {
-			if err := eng.Checkpoint(captureState()); err != nil {
+			if err := eng.Checkpoint(eng.Capture(sc.M, sc.W, tr, dyn, counters)); err != nil {
 				return res, err
 			}
 		}
@@ -333,22 +322,14 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			if err != nil {
 				return res, err
 			}
-			if rec.Snapshot != nil {
-				if err := persist.RestoreInto(rec.Snapshot, tr, counters); err != nil {
-					return res, err
-				}
-				dyn, err = tp.RestoreDynamic(tr, rec.Snapshot.Ctl, counters)
-				if err != nil {
-					return res, err
-				}
-			} else {
-				counters.Reset()
-				if err := tr.Restore(bootSnap); err != nil {
-					return res, err
-				}
-				dyn = tp.NewDynamic(tr, sc.M, sc.W, controller.WithDynamicCounters(counters))
+			// Recover as the daemon does: a fresh controller over the initial
+			// topology, which recovery replaces with the snapshot's, if any.
+			counters.Reset()
+			if err := tr.Restore(bootSnap); err != nil {
+				return res, err
 			}
-			if _, err = persist.Replay(rec.Tail, dyn); err != nil {
+			dyn = tp.NewDynamic(tr, sc.M, sc.W, controller.WithDynamicCounters(counters))
+			if dyn, _, err = persist.Recover(rec, tp, sc.M, sc.W, tr, dyn, counters); err != nil {
 				return res, err
 			}
 			// The recovered incarnation gets a fresh oracle seeded with the

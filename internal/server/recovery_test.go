@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +157,45 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestRestartUnderAnotherContractRefused: a tenant whose WAL directory was
+// written under one (M, W) refuses to boot under another, naming both
+// contracts, and still boots under its own.
+func TestRestartUnderAnotherContractRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig(t, dir)
+	shutdown := func(s *server.Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.ShutdownGraceful(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown(s) // the final checkpoint records the contract
+	for _, other := range [][2]int64{{cfg.M + 1, cfg.W}, {cfg.M, cfg.W - 1}} {
+		moved := cfg
+		moved.M, moved.W = other[0], other[1]
+		s, err := server.New(moved)
+		if err == nil {
+			shutdown(s)
+			t.Fatalf("booted under (M=%d, W=%d) over a directory written under (M=%d, W=%d)", moved.M, moved.W, cfg.M, cfg.W)
+		}
+		for _, m := range []server.Config{cfg, moved} {
+			if want := fmt.Sprintf("(M=%d, W=%d)", m.M, m.W); !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not name the contract %s", err, want)
+			}
+		}
+	}
+	s, err = server.New(cfg)
+	if err != nil {
+		t.Fatalf("boot under the directory's own contract: %v", err)
+	}
+	shutdown(s)
+}
+
 // TestRecoveryAcrossEngineSwap: a WAL directory written by the
 // message-passing engine the daemon used to serve with — a snapshot plus a
 // tail, then a kill -9 — boots under today's daemon. The boot replays the
@@ -226,11 +267,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eng.ShouldCheckpoint() {
-			err := eng.Checkpoint(&persist.State{
-				Index: eng.AppendedIndex(), Incarnation: eng.Incarnation(), M: m, W: w,
-				Tree: old.Snapshot(), Ctl: oldCtl.State(), Counters: ctrs.Snapshot(),
-			})
-			if err != nil {
+			if err := eng.Checkpoint(eng.Capture(m, w, old, oldCtl.Dynamic, ctrs)); err != nil {
 				t.Fatal(err)
 			}
 		}

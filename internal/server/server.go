@@ -402,7 +402,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		if tn.eng != nil {
 			// Final checkpoint: a graceful restart replays nothing.
-			if err := tn.eng.Checkpoint(tn.captureState()); err != nil {
+			if err := tn.eng.Checkpoint(tn.eng.Capture(tn.cfg.M, tn.cfg.W, tn.tr, tn.ctl, tn.ctrs)); err != nil {
 				s.logger.Warn("final checkpoint failed", "tenant", tn.name, "err", err)
 			}
 		}

@@ -209,7 +209,7 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 			rc.ticket, rc.hasTicket = ticket, true
 		}
 		if t.eng.ShouldCheckpoint() {
-			t.eng.CheckpointAsync(t.captureState())
+			t.eng.CheckpointAsync(t.eng.Capture(t.cfg.M, t.cfg.W, t.tr, t.ctl, t.ctrs))
 		}
 	}
 	return out, rc
@@ -269,38 +269,22 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q: open wal: %w", tc.Name, err)
 		}
-		if rec.Snapshot != nil {
-			if rec.Snapshot.M != tc.M || rec.Snapshot.W != tc.W {
-				eng.Close()
-				return nil, fmt.Errorf("server: tenant %q: wal snapshot was taken under (M=%d, W=%d), daemon started with (M=%d, W=%d)",
-					tc.Name, rec.Snapshot.M, rec.Snapshot.W, tc.M, tc.W)
-			}
-			err := persist.RestoreInto(rec.Snapshot, tr, ctrs)
-			if err == nil {
-				tn.ctl, err = controller.RestoreDynamic(tr, rec.Snapshot.Ctl, ctrs)
-			}
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
-			}
-		}
-		applied, err := persist.Replay(rec.Tail, tn.ctl)
+		tn.ctl, tn.recoveredEffects, err = persist.Recover(rec, controller.Centralized, tc.M, tc.W, tr, tn.ctl, ctrs)
 		if err != nil {
 			eng.Close()
 			return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 		}
 		tn.eng = eng
 		tn.incarnation = eng.Incarnation()
-		tn.recoveredEffects = applied
 		tn.recoveredTrunc = rec.TruncatedBytes
-		if rec.Snapshot != nil || applied > 0 {
+		if rec.Snapshot != nil || tn.recoveredEffects > 0 {
 			var snapIndex uint64
 			if rec.Snapshot != nil {
 				snapIndex = rec.Snapshot.Index
 			}
 			cfg.Logger.Info("tenant recovered",
 				"tenant", tc.Name, "incarnation", tn.incarnation,
-				"snapshot_index", snapIndex, "effects_replayed", applied,
+				"snapshot_index", snapIndex, "effects_replayed", tn.recoveredEffects,
 				"truncated_bytes", rec.TruncatedBytes)
 		}
 	}
@@ -373,20 +357,6 @@ func (t *tenant) scrapeView() scrapeView {
 		wireErrs:    t.errs.Load(),
 		connsOpen:   t.connsOpen.Load(),
 		connsTotal:  t.connsTotal.Load(),
-	}
-}
-
-// captureState deep-copies a tenant's admission stack into a snapshot
-// state. Called with mu held (no submission in flight).
-func (t *tenant) captureState() *persist.State {
-	return &persist.State{
-		Index:       t.eng.AppendedIndex(),
-		Incarnation: t.incarnation,
-		M:           t.cfg.M,
-		W:           t.cfg.W,
-		Tree:        t.tr.Snapshot(),
-		Ctl:         t.ctl.State(),
-		Counters:    t.ctrs.Snapshot(),
 	}
 }
 
