@@ -14,10 +14,10 @@
 // the same -scenario and -seed reconstructs the identical tree (the wire
 // handshake verifies this via the topology signature).
 //
-// The daemon serves one or more isolated tenant namespaces. Without
-// -tenant flags it serves the single default namespace configured by the
-// top-level -topology/-nodes/-seed/-m/-w flags. Each repeatable
-// -tenant flag declares one namespace with its own contract and topology:
+// The daemon serves one or more isolated tenant namespaces. The top-level
+// -topology/-nodes/-seed/-m/-w flags declare the default namespace, which
+// is served when no -tenant flag is given. Each repeatable -tenant flag
+// declares one namespace with its own contract and topology:
 //
 //	dynctrld -tenant team-a,m=500000,w=250000,nodes=128 \
 //	         -tenant team-b,m=1000,w=100,topology=star,nodes=16
@@ -140,10 +140,6 @@ func main() {
 	cfg := server.Config{
 		Addr:        *addr,
 		MetricsAddr: *metrics,
-		Topology:    workload.TopologySpec{Kind: *topology, Nodes: *nodes},
-		Seed:        *seed,
-		M:           *m,
-		W:           *w,
 		Paranoid:    *paranoid,
 		IdleTimeout: *idleTimeout,
 	}
@@ -152,25 +148,32 @@ func main() {
 	cfg.Logger = logger
 	cfg.TraceRing = *traceRing
 	cfg.Pprof = *pprofOn
+	// The top-level flags declare the default namespace, and what every
+	// -tenant spec leaves unset.
+	def := server.TenantConfig{
+		Name:     wire.DefaultTenant,
+		Topology: workload.TopologySpec{Kind: *topology, Nodes: *nodes},
+		Seed:     *seed,
+		M:        *m,
+		W:        *w,
+	}
 	if *scenario != "" {
 		sc, err := workload.ScenarioByName(*scenario)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		cfg.Topology = sc.Topology
-		cfg.M, cfg.W = sc.M, sc.W
+		def.Topology = sc.Topology
+		def.M, def.W = sc.M, sc.W
 	}
 	for _, spec := range tenants {
-		tc, err := parseTenantSpec(spec, server.TenantConfig{
-			Topology: cfg.Topology,
-			Seed:     cfg.Seed,
-			M:        cfg.M,
-			W:        cfg.W,
-		})
+		tc, err := parseTenantSpec(spec, def)
 		if err != nil {
 			fatalf("-tenant: %v", err)
 		}
 		cfg.Tenants = append(cfg.Tenants, tc)
+	}
+	if len(cfg.Tenants) == 0 {
+		cfg.Tenants = []server.TenantConfig{def}
 	}
 
 	if *verifyWAL {
@@ -196,18 +199,18 @@ func main() {
 			// under: the latest snapshot records it. An explicit -m
 			// overrides (for directories that never checkpointed), but a
 			// mismatch is called out rather than silently trusted.
-			verifyM := cfg.M
+			verifyM := def.M
 			if st, err := persist.ReadLatestSnapshot(dir); err != nil {
 				fatalf("tenant %q: read snapshot contract: %v", name, err)
 			} else if st != nil {
-				if mExplicit && st.M != cfg.M {
-					logf("tenant %q: warning: -m %d differs from the snapshot contract M=%d; auditing against -m", name, cfg.M, st.M)
+				if mExplicit && st.M != def.M {
+					logf("tenant %q: warning: -m %d differs from the snapshot contract M=%d; auditing against -m", name, def.M, st.M)
 				} else {
 					verifyM = st.M
 					logf("tenant %q: auditing against the snapshot contract (M=%d, W=%d)", name, st.M, st.W)
 				}
 			} else if !mExplicit {
-				logf("tenant %q: warning: no snapshot records the contract; auditing against the default -m %d", name, cfg.M)
+				logf("tenant %q: warning: no snapshot records the contract; auditing against the default -m %d", name, def.M)
 			}
 			if !verifyWALDir(name, dir, verifyM) {
 				failed = true
@@ -227,10 +230,9 @@ func main() {
 		fatalf("%v", err)
 	}
 	logger.Info("wire protocol", "version", wire.Version, "addr", s.Addr())
-	for _, name := range s.Tenants() {
-		logger.Info("tenant up", "tenant", name,
-			"topology_signature", s.TenantTopologySignature(name),
-			"incarnation", s.TenantIncarnation(name))
+	for _, v := range s.Tenants() {
+		logger.Info("tenant up", "tenant", v.Name,
+			"topology_signature", v.TopologySignature, "incarnation", v.Incarnation)
 	}
 	if s.MetricsAddr() != "" {
 		logger.Info("metrics endpoint", "url", "http://"+s.MetricsAddr()+"/metricsz", "pprof", *pprofOn)
@@ -246,18 +248,22 @@ func main() {
 	if err := s.Shutdown(ctx); err != nil {
 		logger.Warn("drain incomplete", "err", err)
 	}
-	for _, name := range s.Tenants() {
-		ops, grants, rejects, errs := s.TenantAccounting(name)
-		logger.Info("tenant accounting", "tenant", name,
-			"ops", ops, "grants", grants, "rejects", rejects, "errors", errs)
-	}
-	ops, grants, rejects, errs := s.Accounting()
-	logger.Info("final accounting",
-		"ops", ops, "grants", grants, "rejects", rejects, "errors", errs)
-	if v := s.Violations(); len(v) != 0 {
-		for _, viol := range v {
-			logger.Error("oracle violation", "violation", viol.String())
+	var total server.TenantView
+	for _, v := range s.Tenants() {
+		logger.Info("tenant accounting", "tenant", v.Name,
+			"ops", v.Ops, "grants", v.Grants, "rejects", v.Rejects, "errors", v.Errors)
+		for _, viol := range v.Violations {
+			logger.Error("oracle violation", "tenant", v.Name, "violation", viol.String())
 		}
+		total.Ops += v.Ops
+		total.Grants += v.Grants
+		total.Rejects += v.Rejects
+		total.Errors += v.Errors
+		total.Violations = append(total.Violations, v.Violations...)
+	}
+	logger.Info("final accounting",
+		"ops", total.Ops, "grants", total.Grants, "rejects", total.Rejects, "errors", total.Errors)
+	if len(total.Violations) != 0 {
 		os.Exit(1)
 	}
 }

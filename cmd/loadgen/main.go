@@ -27,9 +27,11 @@
 // exceeds the server's M; fewer than -min-requests completed; or, when
 // -metrics is given, the daemon's per-tenant /metricsz accounting (ops,
 // grants, rejects, oracle violations) does not reconcile exactly with
-// what this client observed. The accounting check assumes loadgen is the
-// only traffic source for its tenant; other tenants' traffic must not
-// move these numbers.
+// what this client observed, or this client saw a reject and the tenant's
+// controller had decided fewer than M−W grants or its reject wave
+// announced a total outside [M−W, M]. The accounting check assumes loadgen
+// is the only traffic source for its tenant; other tenants' traffic must
+// not move these numbers.
 package main
 
 import (
@@ -187,7 +189,10 @@ func main() {
 
 // reconcile fetches /metricsz and requires the daemon's wire-level
 // accounting for this client's tenant to match the client's observations
-// exactly.
+// exactly. When the client saw a reject it also holds the tenant to the
+// contract's lower half, against the (M, W) the same document reports: the
+// controller rejects only after M−W grants, and the reject wave announces
+// a final total in [M−W, M].
 func reconcile(addr, tenant string, total workload.ConcurrentResult) error {
 	resp, err := http.Get(fmt.Sprintf("http://%s/metricsz", addr))
 	if err != nil {
@@ -221,6 +226,24 @@ func reconcile(addr, tenant string, total workload.ConcurrentResult) error {
 		if got != c.want {
 			return fmt.Errorf("%s = %d, client observed %d", c.name, got, c.want)
 		}
+	}
+	if total.Rejected == 0 {
+		return nil
+	}
+	var v [4]int64
+	for i, family := range []string{"dynctrld_tenant_m", "dynctrld_tenant_w",
+		"dynctrld_tenant_ctl_grants_total", "dynctrld_tenant_reject_wave_granted"} {
+		var ok bool
+		if v[i], ok = fields[family+l]; !ok {
+			return fmt.Errorf("metricsz lacks %s", family+l)
+		}
+	}
+	m, w, ctlGrants, waveGranted := v[0], v[1], v[2], v[3]
+	if ctlGrants < m-w {
+		return fmt.Errorf("client saw a reject, but dynctrld_tenant_ctl_grants_total%s = %d < M-W = %d", l, ctlGrants, m-w)
+	}
+	if waveGranted < m-w || waveGranted > m {
+		return fmt.Errorf("dynctrld_tenant_reject_wave_granted%s = %d, want within [M-W=%d, M=%d]", l, waveGranted, m-w, m)
 	}
 	return nil
 }

@@ -2,11 +2,17 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dynctrl/internal/client"
 	"dynctrl/internal/server"
+	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
 
@@ -18,8 +24,8 @@ func TestReconcile(t *testing.T) {
 	s, err := server.New(server.Config{
 		Addr:        "127.0.0.1:0",
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    spec,
-		Seed:        1, M: 3000, W: 300, Paranoid: true,
+		Tenants:     []server.TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: 1, M: 3000, W: 300}},
+		Paranoid:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +65,50 @@ func TestReconcile(t *testing.T) {
 	err = reconcile(s.MetricsAddr(), "nobody", total)
 	if err == nil || !strings.Contains(err.Error(), "metricsz lacks") {
 		t.Fatalf("unknown tenant: err %v, want \"metricsz lacks\"", err)
+	}
+}
+
+// TestReconcileSeesEarlyReject holds the reject-side check to stub /metricsz
+// documents whose wire tallies match the client's: with a reject observed,
+// the controller's grants must reach M−W and the wave's total must lie in
+// [M−W, M]; without one, neither is asked.
+func TestReconcileSeesEarlyReject(t *testing.T) {
+	var doc atomic.Value
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, doc.Load().(string)) //nolint:errcheck
+	}))
+	defer stub.Close()
+	addr := strings.TrimPrefix(stub.URL, "http://")
+
+	for _, tc := range []struct {
+		name                            string
+		rejects, ctlGrants, waveGranted int64
+		wantErr                         string
+	}{
+		{"inside the contract", 30, 95, 95, ""},
+		{"rejected before M-W grants", 30, 50, 95, "dynctrld_tenant_ctl_grants_total"},
+		{"wave below M-W", 30, 95, 80, "dynctrld_tenant_reject_wave_granted"},
+		{"wave above M", 30, 95, 101, "dynctrld_tenant_reject_wave_granted"},
+		{"no reject seen", 0, 50, 0, ""},
+	} {
+		total := workload.ConcurrentResult{Submitted: 90 + tc.rejects, Granted: 90, Rejected: tc.rejects}
+		var lines []string
+		for _, f := range []struct {
+			family string
+			v      int64
+		}{
+			{"m", 100}, {"w", 10},
+			{"ops_total", total.Submitted}, {"grants_total", total.Granted}, {"rejects_total", total.Rejected},
+			{"errors_total", 0}, {"oracle_violations", 0},
+			{"ctl_grants_total", tc.ctlGrants}, {"reject_wave_granted", tc.waveGranted},
+		} {
+			lines = append(lines, fmt.Sprintf(`dynctrld_tenant_%s{tenant="default"} %d`, f.family, f.v))
+		}
+		doc.Store(strings.Join(lines, "\n") + "\n")
+		err := reconcile(addr, "default", total)
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

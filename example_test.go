@@ -43,11 +43,12 @@ func ExampleNewPipeline() {
 // would be a separately running dynctrld process.
 func ExampleDial() {
 	srv, err := server.New(server.Config{
-		Addr:     "127.0.0.1:0",
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8},
-		Seed:     1,
-		M:        1000,
-		W:        50,
+		Addr: "127.0.0.1:0",
+		Tenants: []server.TenantConfig{{
+			Name:     "default",
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8},
+			Seed:     1, M: 1000, W: 50,
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,6 +17,11 @@ import (
 	"dynctrl/internal/workload"
 )
 
+// oneTenant declares the daemon's default namespace alone.
+func oneTenant(spec workload.TopologySpec, seed, m, w int64) []server.TenantConfig {
+	return []server.TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: seed, M: m, W: w}}
+}
+
 // startServer runs a loopback daemon for the client under test.
 func startServer(t *testing.T, cfg server.Config) *server.Server {
 	t.Helper()
@@ -83,8 +88,7 @@ func TestDialVersionMismatch(t *testing.T) {
 
 func TestPooledFailover(t *testing.T) {
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 10000, W: 1000,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 10000, 1000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 3})
 	if err != nil {
@@ -115,8 +119,7 @@ func TestPooledFailover(t *testing.T) {
 
 func TestConcurrentPipelining(t *testing.T) {
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
-		Seed:     1, M: 1 << 20, W: 1 << 19,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 32}, 1, 1<<20, 1<<19),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -164,12 +167,12 @@ func TestConcurrentPipelining(t *testing.T) {
 	}
 	wg.Wait()
 
-	ops, grants, _, errs := s.Accounting()
-	if errs != 0 {
-		t.Errorf("server accounted %d errors", errs)
+	v := s.Tenants()[0]
+	if v.Errors != 0 {
+		t.Errorf("server accounted %d errors", v.Errors)
 	}
-	if ops != grants {
-		t.Errorf("server accounted ops=%d grants=%d on an all-grant workload", ops, grants)
+	if v.Ops != v.Grants {
+		t.Errorf("server accounted ops=%d grants=%d on an all-grant workload", v.Ops, v.Grants)
 	}
 }
 
@@ -178,8 +181,7 @@ func TestSubmitManyChunksOversizedRuns(t *testing.T) {
 		t.Skip("drives >wire.MaxBatchLen requests")
 	}
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 8},
-		Seed:     1, M: int64(wire.MaxBatchLen) * 2, W: int64(wire.MaxBatchLen),
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 8}, 1, int64(wire.MaxBatchLen)*2, int64(wire.MaxBatchLen)),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -218,8 +220,7 @@ func TestSubmitManyChunksOversizedRuns(t *testing.T) {
 
 func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 8},
-		Seed:     1, M: 10000, W: 1000,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 8}, 1, 10000, 1000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -254,7 +255,7 @@ func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	s.Shutdown(ctx) //nolint:errcheck
-	ops, _, _, _ := s.Accounting()
+	ops := s.Tenants()[0].Ops
 	if err == nil {
 		// The reply won the race: the batch executed exactly once.
 		if ops != 64 {
@@ -269,8 +270,7 @@ func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 
 func TestSubmitAfterClose(t *testing.T) {
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
-		M:        100, W: 10,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 100, 10),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {

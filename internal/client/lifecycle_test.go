@@ -39,8 +39,7 @@ func startFaultProxy(t *testing.T, upstream string, rules []faultnet.Rule) *faul
 // trips, the call fails with ErrWriteTimeout, and the pool moves on.
 func TestWriteTimeoutOnStalledNetwork(t *testing.T) {
 	s := startServer(t, server.Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 1 << 30, W: 1 << 29,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
 	})
 	// The stall fires on c2s frame 1 (the first Submit): the proxy sleeps
 	// holding that frame and stops reading the connection, so the
@@ -120,8 +119,7 @@ func TestDialKilledMidHandshake(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startServer(t, server.Config{
-				Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-				Seed:     1, M: 1000, W: 100,
+				Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 			})
 			p := startFaultProxy(t, s.Addr(), []faultnet.Rule{
 				{Kind: tc.kind, Dir: faultnet.ServerToClient, Conn: 0, Frame: 0},

@@ -5,8 +5,8 @@
 // every /metricsz field the server emits and every CLI flag dynctrld and
 // loadgen declare is documented in docs/OPERATIONS.md, that the live
 // /metricsz exposition declares # HELP and # TYPE for every family it
-// renders, and that every wire frame type and error code is documented in
-// docs/PROTOCOL.md. CI runs it as the docs job, so adding a metric or a
+// renders and renders every family OPERATIONS.md names, and that every
+// wire frame type and error code is documented in docs/PROTOCOL.md. CI runs it as the docs job, so adding a metric or a
 // wire code without documenting it fails the build.
 package docscheck
 
@@ -162,9 +162,9 @@ func TestMetricsFieldsDocumented(t *testing.T) {
 // durable two-tenant server — the configuration that emits every metric
 // family — and fails if any rendered sample lacks a preceding # HELP or
 // # TYPE declaration, if a family's samples are not contiguous, or if a
-// rendered family is missing from docs/OPERATIONS.md. Unlike the
-// source-regex check above, this catches exposition-format drift, not
-// just missing names.
+// rendered family is missing from docs/OPERATIONS.md, or if a family
+// that document back-quotes is not rendered. Unlike the source-regex check
+// above, this catches exposition-format drift, not just missing names.
 func TestMetricsExposition(t *testing.T) {
 	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
 	srv, err := server.New(server.Config{
@@ -226,6 +226,13 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if len(seen) < 30 {
 		t.Fatalf("rendered only %d metric families — the durable two-tenant config should emit every family", len(seen))
+	}
+	// And the other way round: a family the document names must still be
+	// rendered, so deleting one without its prose fails here.
+	for _, m := range regexp.MustCompile("`(dynctrld_[a-z_]+)`").FindAllStringSubmatch(doc, -1) {
+		if !seen[m[1]] {
+			t.Errorf("docs/OPERATIONS.md documents family %q, which the durable two-tenant server does not render", m[1])
+		}
 	}
 }
 

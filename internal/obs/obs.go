@@ -145,15 +145,22 @@ type Tracer struct {
 // DefaultRing is the ring size when NewTracer is given ring <= 0.
 const DefaultRing = 256
 
+// MaxRing is the largest ring a tracer keeps: 65 536 traces, about 10 MiB
+// at 160 B a trace. NewTracer clamps a larger request to it, and the daemon
+// refuses one at boot.
+const MaxRing = 1 << 16
+
 // DefaultSlow is the slowest-N capacity when NewTracer is given slow <= 0.
 const DefaultSlow = 32
 
 // NewTracer builds a tracer with a most-recent ring of (at least) ring
-// traces — rounded up to a power of two — and a slowest-N capacity of slow.
+// traces — rounded up to a power of two, at most MaxRing — and a slowest-N
+// capacity of slow.
 func NewTracer(ring, slow int) *Tracer {
 	if ring <= 0 {
 		ring = DefaultRing
 	}
+	ring = min(ring, MaxRing)
 	size := 1
 	for size < ring {
 		size <<= 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +55,26 @@ func TestNewTracerRoundsRingToPowerOfTwo(t *testing.T) {
 	} {
 		if got := NewTracer(tc.in, 4).RingSize(); got != tc.want {
 			t.Errorf("NewTracer(%d).RingSize() = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestNewTracerRingIsCapped: a ring request above the 65 536-trace maximum
+// gets the maximum. Rounding math.MaxInt up by doubling an int wraps to
+// zero and never ends, so the constructor runs under a deadline and the
+// test fails instead of hanging.
+func TestNewTracerRingIsCapped(t *testing.T) {
+	const maxRing = 1 << 16
+	for _, in := range []int{maxRing, maxRing + 1, math.MaxInt} {
+		got := make(chan int, 1)
+		go func() { got <- NewTracer(in, 4).RingSize() }()
+		select {
+		case size := <-got:
+			if size != maxRing {
+				t.Errorf("NewTracer(%d).RingSize() = %d, want %d", in, size, maxRing)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("NewTracer(%d) had not returned after 2s", in)
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 // with no lock, which this test fails on under -race.
 func TestRejectWaveRacesHandshakes(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
-	s := startServer(t, Config{Topology: spec, Seed: 1, M: 4, W: 1})
+	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 4, 1)})
 	tr, _ := tree.New()
 	if err := workload.BuildTopology(tr, spec, 1); err != nil {
 		t.Fatal(err)
@@ -92,11 +92,12 @@ func TestRejectWaveRacesHandshakes(t *testing.T) {
 	if !rejected {
 		t.Fatal("contract M=4 never rejected")
 	}
-	if !s.defaultTenant().engineView().waved {
+	v := s.Tenants()[0]
+	if !v.Waved {
 		t.Fatal("reject wave never fired")
 	}
-	if v := s.Violations(); len(v) != 0 {
-		t.Fatalf("violations: %v", v)
+	if len(v.Violations) != 0 {
+		t.Fatalf("violations: %v", v.Violations)
 	}
 }
 
@@ -126,13 +127,12 @@ func TestRejectWaveWaitsForWelcome(t *testing.T) {
 	var once sync.Once
 	logger := slog.New(waveOnBound{fire: func() {
 		once.Do(func() {
-			go s.defaultTenant().broadcastRejectWave(0)
+			go s.tenants[wire.DefaultTenant].broadcastRejectWave(0)
 			time.Sleep(50 * time.Millisecond)
 		})
 	}})
 	s = startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
-		Seed:     1, M: 4, W: 1, Logger: logger,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 4, 1), Logger: logger,
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -165,7 +165,7 @@ func (c *brokenWriteConn) Write(p []byte) (int, error) {
 // below reached the controller.
 func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
-	s := startServer(t, Config{Topology: spec, Seed: 1, M: 100, W: 10})
+	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 100, 10)})
 	tr, _ := tree.New()
 	if err := workload.BuildTopology(tr, spec, 1); err != nil {
 		t.Fatal(err)
@@ -202,14 +202,15 @@ func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 	peer.Write(wire.AppendSubmit(nil, 2, reqs))            //nolint:errcheck
 
 	waitLifecycle(t, s, "serve loop exit", func(open, _, _ int64) bool { return open == 0 })
-	if runs, reqs := s.RunStatsForTests(); runs != 1 || reqs != 1 {
+	v := s.Tenants()[0]
+	if v.Runs != 1 || v.RunRequests != 1 {
 		t.Fatalf("the tenant executed %d runs / %d requests, want exactly the one batch read before the write failed",
-			runs, reqs)
+			v.Runs, v.RunRequests)
 	}
 	// Accounting order is tallies-before-write: the executed batch is
 	// counted even though its answer was lost.
-	if ops, grants, _, _ := s.Accounting(); ops != 1 || grants != 1 {
-		t.Fatalf("accounting ops=%d grants=%d, want 1/1", ops, grants)
+	if v.Ops != 1 || v.Grants != 1 {
+		t.Fatalf("accounting ops=%d grants=%d, want 1/1", v.Ops, v.Grants)
 	}
 }
 
@@ -230,8 +231,8 @@ func TestReceiptFeedsTraces(t *testing.T) {
 		// The contract is smaller than the load, so the run crosses
 		// waste-halving iterations and the exhaustion wave on top of the
 		// package descents every slow-path grant costs.
-		Topology: spec, Seed: 5, M: 300, W: 30,
-		WALDir: t.TempDir(), TraceRing: 4096,
+		Tenants: oneTenant(spec, 5, 300, 30),
+		WALDir:  t.TempDir(), TraceRing: 4096,
 	})
 	tr, _ := tree.New()
 	if err := workload.BuildTopology(tr, spec, 5); err != nil {
@@ -269,7 +270,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	// serve loop has exited they are all in.
 	waitLifecycle(t, s, "connections drained", func(open, _, _ int64) bool { return open == 0 })
 
-	tn := s.defaultTenant()
+	tn := s.tenants[wire.DefaultTenant]
 	traces := tn.tracer.Recent(4096)
 	if got, want := uint64(len(traces)), tn.tracer.Recorded(); got != want || got == 0 {
 		t.Fatalf("ring holds %d traces of %d recorded", got, want)
@@ -305,11 +306,11 @@ func TestReceiptFeedsTraces(t *testing.T) {
 func TestStoreMax(t *testing.T) {
 	check := func(t *testing.T, runs [][]int, wantMax int) {
 		t.Helper()
-		s, err := New(Config{Topology: workload.TopologySpec{Kind: "star", Nodes: 4}, Seed: 1, M: 1 << 30, W: 1 << 29})
+		s, err := New(Config{Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 1<<30, 1<<29)})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		tn := s.defaultTenant()
+		tn := s.tenants[wire.DefaultTenant]
 		batches, total := 0, 0
 		var wg sync.WaitGroup
 		for _, sizes := range runs { // one goroutine a connection

@@ -35,9 +35,7 @@ func TestEndToEndScenariosOverLoopback(t *testing.T) {
 			}
 
 			s := startServer(t, Config{
-				Topology: sc.Topology,
-				Seed:     seed,
-				M:        sc.M, W: sc.W,
+				Tenants:  oneTenant(sc.Topology, seed, sc.M, sc.W),
 				Paranoid: true,
 			})
 
@@ -74,10 +72,10 @@ func TestEndToEndScenariosOverLoopback(t *testing.T) {
 
 			// Client-observed outcomes must agree exactly with the server's
 			// wire-level accounting (this client is the sole traffic source).
-			ops, grants, rejects, errs := s.Accounting()
-			if ops != res.Submitted || grants != res.Granted || rejects != res.Rejected || errs != res.Errors {
+			v := s.Tenants()[0]
+			if v.Ops != res.Submitted || v.Grants != res.Granted || v.Rejects != res.Rejected || v.Errors != res.Errors {
 				t.Errorf("server accounted ops=%d grants=%d rejects=%d errs=%d; client saw %d/%d/%d/%d",
-					ops, grants, rejects, errs, res.Submitted, res.Granted, res.Rejected, res.Errors)
+					v.Ops, v.Grants, v.Rejects, v.Errors, res.Submitted, res.Granted, res.Rejected, res.Errors)
 			}
 
 			if name == "exhaustion-reject-wave" {
@@ -101,7 +99,7 @@ func TestEndToEndScenariosOverLoopback(t *testing.T) {
 			if err := s.Shutdown(ctx); err != nil {
 				t.Fatalf("Shutdown: %v", err)
 			}
-			if v := s.Violations(); len(v) != 0 {
+			if v := s.Tenants()[0].Violations; len(v) != 0 {
 				t.Errorf("oracle violations: %v", v)
 			}
 		})

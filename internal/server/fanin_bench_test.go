@@ -8,6 +8,7 @@ import (
 	"dynctrl/internal/client"
 	"dynctrl/internal/server"
 	"dynctrl/internal/tree"
+	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
 
@@ -23,12 +24,14 @@ func benchFanin(b *testing.B, traceRing int) {
 		perStr  = 2048
 		chunk   = 128
 	)
+	w := int64(streams*perStr) * int64(b.N+1)
 	srv, err := server.New(server.Config{
-		Addr:      "127.0.0.1:0",
-		Topology:  workload.TopologySpec{Kind: "balanced", Nodes: nodes},
-		Seed:      1,
-		M:         int64(streams*perStr) * int64(b.N+1) * 2,
-		W:         int64(streams*perStr) * int64(b.N+1),
+		Addr: "127.0.0.1:0",
+		Tenants: []server.TenantConfig{{
+			Name:     wire.DefaultTenant,
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: nodes},
+			Seed:     1, M: 2 * w, W: w,
+		}},
 		TraceRing: traceRing,
 	})
 	if err != nil {

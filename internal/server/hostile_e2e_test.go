@@ -53,10 +53,8 @@ func warnLogger(t *testing.T) *slog.Logger {
 
 func hostileConfig(t *testing.T, sc scenario.Hostile, walDir string) server.Config {
 	cfg := server.Config{
-		Addr:     "127.0.0.1:0",
-		Topology: sc.Topology,
-		Seed:     sc.Seed,
-		M:        sc.M, W: sc.W,
+		Addr:             "127.0.0.1:0",
+		Tenants:          []server.TenantConfig{{Name: wire.DefaultTenant, Topology: sc.Topology, Seed: sc.Seed, M: sc.M, W: sc.W}},
 		Paranoid:         true,
 		IdleTimeout:      sc.IdleTimeout,
 		HandshakeTimeout: sc.HandshakeTimeout,
@@ -220,23 +218,22 @@ func runHostile(t *testing.T, sc scenario.Hostile, walDir string) {
 	final := s
 	if sc.WAL {
 		s.CrashForTests()
-		ops, grants, rejects, errs := s.Accounting()
-		serverTally = oracle.WireTally{Ops: ops, Granted: grants, Rejected: rejects, Errors: errs}
-		executed = s.ControllerGranted()
+		v := s.Tenants()[0]
+		serverTally = oracle.WireTally{Ops: v.Ops, Granted: v.Grants, Rejected: v.Rejects, Errors: v.Errors}
+		executed = v.CtlGrants
 
 		final = bootHostileServer(t, sc, walDir)
-		if got := final.Incarnation(); got != 2 {
-			t.Fatalf("recovery boot incarnation %d, want 2", got)
+		boot := final.Tenants()[0]
+		if boot.Incarnation != 2 {
+			t.Fatalf("recovery boot incarnation %d, want 2", boot.Incarnation)
 		}
 		// The recovered incarnation starts with replayed controller state
 		// but fresh wire tallies; only its deltas are added below.
-		bootOps, bootGrants, bootRejects, bootErrs := final.Accounting()
-		bootExec := final.ControllerGranted()
-		serverTally.Ops -= bootOps // normally zero; stay exact regardless
-		serverTally.Granted -= bootGrants
-		serverTally.Rejected -= bootRejects
-		serverTally.Errors -= bootErrs
-		executed -= bootExec
+		serverTally.Ops -= boot.Ops // normally zero; stay exact regardless
+		serverTally.Granted -= boot.Grants
+		serverTally.Rejected -= boot.Rejects
+		serverTally.Errors -= boot.Errors
+		executed -= boot.CtlGrants
 	}
 
 	if sc.Recover {
@@ -260,12 +257,12 @@ func runHostile(t *testing.T, sc scenario.Hostile, walDir string) {
 		}
 	}
 
-	ops, grants, rejects, errs := final.Accounting()
-	serverTally.Ops += ops
-	serverTally.Granted += grants
-	serverTally.Rejected += rejects
-	serverTally.Errors += errs
-	executed += final.ControllerGranted()
+	end := final.Tenants()[0]
+	serverTally.Ops += end.Ops
+	serverTally.Granted += end.Grants
+	serverTally.Rejected += end.Rejects
+	serverTally.Errors += end.Errors
+	executed += end.CtlGrants
 
 	report := oracle.AtMostOnceReport{
 		Tenant:   wire.DefaultTenant,
@@ -279,7 +276,7 @@ func runHostile(t *testing.T, sc scenario.Hostile, walDir string) {
 	if len(violations) != 0 {
 		t.Fatalf("at-most-once violations: %v (report %+v)", violations, report)
 	}
-	if pv := final.Violations(); len(pv) != 0 {
+	if pv := end.Violations; len(pv) != 0 {
 		t.Fatalf("paranoid oracle violations: %v", pv)
 	}
 
@@ -323,16 +320,16 @@ func reconcileMetrics(t *testing.T, s *server.Server) {
 			fields[name] = v
 		}
 	}
-	ops, grants, rejects, errs := s.Accounting()
+	v := s.Tenants()[0]
 	l := `{tenant="` + wire.DefaultTenant + `"}`
 	for _, c := range []struct {
 		name string
 		want int64
 	}{
-		{"dynctrld_tenant_ops_total" + l, ops},
-		{"dynctrld_tenant_grants_total" + l, grants},
-		{"dynctrld_tenant_rejects_total" + l, rejects},
-		{"dynctrld_tenant_errors_total" + l, errs},
+		{"dynctrld_tenant_ops_total" + l, v.Ops},
+		{"dynctrld_tenant_grants_total" + l, v.Grants},
+		{"dynctrld_tenant_rejects_total" + l, v.Rejects},
+		{"dynctrld_tenant_errors_total" + l, v.Errors},
 		{"dynctrld_tenant_oracle_violations" + l, 0},
 	} {
 		got, ok := fields[c.name]

@@ -35,12 +35,12 @@ func waitLifecycle(t *testing.T, s *Server, what string, cond func(open, total, 
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		open, total, idle := s.ConnLifecycleForTests()
-		if cond(open, total, idle) {
+		v := s.Tenants()[0]
+		if cond(v.ConnsOpen, v.ConnsTotal, v.IdleTimeouts) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: still open=%d total=%d idleTimeouts=%d", what, open, total, idle)
+			t.Fatalf("%s: still open=%d total=%d idleTimeouts=%d", what, v.ConnsOpen, v.ConnsTotal, v.IdleTimeouts)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -53,8 +53,7 @@ func waitLifecycle(t *testing.T, s *Server, what string, cond func(open, total, 
 // dribbled frame was eventually served as if the network were healthy.
 func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 1000, W: 100,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 		IdleTimeout: 250 * time.Millisecond,
 	})
 	// c2s frame 0 is the Hello; frame 1, the first Submit, dribbles one
@@ -78,8 +77,8 @@ func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 
 	waitLifecycle(t, s, "slow-loris conn not reaped",
 		func(open, total, idle int64) bool { return open == 0 && total == 1 && idle >= 1 })
-	if ops, grants, _, _ := s.Accounting(); ops != 0 || grants != 0 {
-		t.Fatalf("partial slow-loris frame was accounted: ops=%d grants=%d", ops, grants)
+	if v := s.Tenants()[0]; v.Ops != 0 || v.Grants != 0 {
+		t.Fatalf("partial slow-loris frame was accounted: ops=%d grants=%d", v.Ops, v.Grants)
 	}
 }
 
@@ -87,8 +86,7 @@ func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 // deadline, and the aborted handshake must never bind a tenant.
 func TestHandshakeDeadlineReapsSlowHello(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 1000, W: 100,
+		Tenants:          oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 		HandshakeTimeout: 300 * time.Millisecond,
 	})
 	p := startProxy(t, s.Addr(), []faultnet.Rule{
@@ -117,8 +115,7 @@ func TestHandshakeDeadlineReapsSlowHello(t *testing.T) {
 // truncated Submit batch must not move the accounting.
 func TestTruncatedFrameReleasesBinding(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 1000, W: 100,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 	})
 	p := startProxy(t, s.Addr(), []faultnet.Rule{
 		{Kind: faultnet.KillMidFrame, Dir: faultnet.ClientToServer, Conn: 0, Frame: 1},
@@ -142,7 +139,7 @@ func TestTruncatedFrameReleasesBinding(t *testing.T) {
 
 	waitLifecycle(t, s, "mid-frame-killed conn left bound",
 		func(open, total, idle int64) bool { return open == 0 && total == 1 })
-	if ops, grants, _, _ := s.Accounting(); ops != 0 || grants != 0 {
-		t.Fatalf("truncated batch was accounted: ops=%d grants=%d", ops, grants)
+	if v := s.Tenants()[0]; v.Ops != 0 || v.Grants != 0 {
+		t.Fatalf("truncated batch was accounted: ops=%d grants=%d", v.Ops, v.Grants)
 	}
 }

@@ -190,8 +190,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 func TestTracezEndpoint(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "balanced", Nodes: 8},
-		Seed:        3, M: 500, W: 50,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -207,8 +206,7 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 	// A batch's trace is recorded after its reply is written, so the tenth
 	// reply can reach this goroutine before the tenth trace is in.
-	tracer := s.defaultTenant().tracer
-	waitUntil(t, "the tenth trace", func() bool { return tracer.Recorded() >= 10 })
+	waitUntil(t, "the tenth trace", func() bool { return s.Tenants()[0].Trace.Recorded >= 10 })
 
 	get := func(path string) string {
 		t.Helper()
@@ -249,12 +247,12 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 
 	// The stage histograms behind /metricsz saw the same batches.
-	stats := s.TenantStageStats("default")
-	if stats == nil {
-		t.Fatal("TenantStageStats returned nil for a traced tenant")
+	v := s.Tenants()[0]
+	if !v.Traced || v.Trace.Stages == nil {
+		t.Fatal("no stage digest in the view of a traced tenant")
 	}
 	var total int64
-	for _, st := range stats {
+	for _, st := range v.Trace.Stages {
 		if st.Stage == "total" {
 			total = st.Count
 		}
@@ -269,8 +267,7 @@ func TestTracezEndpoint(t *testing.T) {
 func TestTraceRingDisabled(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "balanced", Nodes: 8},
-		Seed:        3, M: 500, W: 50, TraceRing: -1,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50), TraceRing: -1,
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -283,8 +280,8 @@ func TestTraceRingDisabled(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	if got := s.TenantStageStats("default"); got != nil {
-		t.Errorf("TenantStageStats = %v with tracing disabled", got)
+	if v := s.Tenants()[0]; v.Traced || v.Trace.Stages != nil {
+		t.Errorf("tenant view with tracing disabled: traced %v, stages %v", v.Traced, v.Trace.Stages)
 	}
 	var buf bytes.Buffer
 	s.WriteTraces(&buf, "", 4)
@@ -316,14 +313,14 @@ func TestPprofGate(t *testing.T) {
 	}
 	off := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "star", Nodes: 4}, M: 10, W: 1,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	if got := status(off); got != http.StatusNotFound {
 		t.Errorf("pprof without -pprof: status %d, want 404", got)
 	}
 	on := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "star", Nodes: 4}, M: 10, W: 1, Pprof: true,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1), Pprof: true,
 	})
 	if got := status(on); got != http.StatusOK {
 		t.Errorf("pprof with -pprof: status %d, want 200", got)
@@ -338,8 +335,7 @@ func TestPprofGate(t *testing.T) {
 func TestScrapeUnderLoad(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:        1, M: 1 << 30, W: 1 << 29,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 4})
 	if err != nil {
@@ -435,7 +431,8 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, name := range s.Tenants() {
+	tenants := []string{"big", "small"}
+	for _, name := range tenants {
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
@@ -472,7 +469,7 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 		doc := buf.String()
 		for _, f := range []string{"ops_total", "grants_total", "rejects_total", "errors_total", "connections_open", "connections_total"} {
 			sum := 0
-			for _, name := range s.Tenants() {
+			for _, name := range tenants {
 				sum += metricSample(t, doc, "dynctrld_tenant_"+f+`{tenant="`+name+`"}`)
 			}
 			if agg := metricSample(t, doc, "dynctrld_"+f); agg != sum {
@@ -504,7 +501,7 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 // tally kept outside tenant.mu is ahead by the runs waiting for the lock).
 func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "balanced", Nodes: 16}
-	s := startServer(t, Config{Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29})
+	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 1<<30, 1<<29)})
 	tr, _ := tree.New()
 	if err := workload.BuildTopology(tr, spec, 1); err != nil {
 		t.Fatal(err)

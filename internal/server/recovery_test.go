@@ -24,11 +24,12 @@ import (
 func walConfig(t *testing.T, dir string) server.Config {
 	t.Helper()
 	return server.Config{
-		Addr:          "127.0.0.1:0",
-		Topology:      workload.TopologySpec{Kind: "balanced", Nodes: 64},
-		Seed:          1,
-		M:             50_000,
-		W:             25_000,
+		Addr: "127.0.0.1:0",
+		Tenants: []server.TenantConfig{{
+			Name:     wire.DefaultTenant,
+			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 64},
+			Seed:     1, M: 50_000, W: 25_000,
+		}},
 		Paranoid:      true,
 		WALDir:        dir,
 		SnapshotEvery: 500,
@@ -76,7 +77,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	if err := s1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s1.Incarnation(); got != 1 {
+	if got := s1.Tenants()[0].Incarnation; got != 1 {
 		t.Fatalf("first boot incarnation %d, want 1", got)
 	}
 	confirmed := driveTraffic(t, s1.Addr(), 4, 400)
@@ -92,10 +93,11 @@ func TestServerCrashRecovery(t *testing.T) {
 	if err := s2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Incarnation(); got != 2 {
-		t.Fatalf("second boot incarnation %d, want 2", got)
+	boot := s2.Tenants()[0]
+	if boot.Incarnation != 2 {
+		t.Fatalf("second boot incarnation %d, want 2", boot.Incarnation)
 	}
-	recovered := s2.ControllerGranted()
+	recovered := boot.CtlGrants
 	if recovered < confirmed {
 		t.Fatalf("recovered %d grants, but %d were confirmed to clients before the crash",
 			recovered, confirmed)
@@ -118,16 +120,16 @@ func TestServerCrashRecovery(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := s2.ShutdownGraceful(ctx); err != nil {
+	if err := s2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if v := s2.Violations(); len(v) != 0 {
+	if v := s2.Tenants()[0].Violations; len(v) != 0 {
 		t.Fatalf("oracle violations across the restart: %v", v)
 	}
 
 	// Each tenant logs under its own subdirectory of the WAL root; a
 	// single-tenant daemon uses the default namespace.
-	sums, violations, err := persist.VerifyDir(filepath.Join(dir, wire.DefaultTenant), walConfig(t, dir).M)
+	sums, violations, err := persist.VerifyDir(filepath.Join(dir, wire.DefaultTenant), walConfig(t, dir).Tenants[0].M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +146,16 @@ func TestServerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s3.Incarnation(); got != 3 {
-		t.Fatalf("third boot incarnation %d, want 3", got)
+	third := s3.Tenants()[0]
+	if third.Incarnation != 3 {
+		t.Fatalf("third boot incarnation %d, want 3", third.Incarnation)
 	}
-	if got := s3.ControllerGranted(); got < recovered+confirmed2 {
-		t.Fatalf("graceful restart lost grants: %d < %d", got, recovered+confirmed2)
+	if third.CtlGrants < recovered+confirmed2 {
+		t.Fatalf("graceful restart lost grants: %d < %d", third.CtlGrants, recovered+confirmed2)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
-	if err := s3.ShutdownGraceful(ctx2); err != nil {
+	if err := s3.Shutdown(ctx2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +169,7 @@ func TestRestartUnderAnotherContractRefused(t *testing.T) {
 	shutdown := func(s *server.Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := s.ShutdownGraceful(ctx); err != nil {
+		if err := s.Shutdown(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,15 +178,18 @@ func TestRestartUnderAnotherContractRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	shutdown(s) // the final checkpoint records the contract
-	for _, other := range [][2]int64{{cfg.M + 1, cfg.W}, {cfg.M, cfg.W - 1}} {
+	own := cfg.Tenants[0]
+	for _, other := range [][2]int64{{own.M + 1, own.W}, {own.M, own.W - 1}} {
+		tc := own
+		tc.M, tc.W = other[0], other[1]
 		moved := cfg
-		moved.M, moved.W = other[0], other[1]
+		moved.Tenants = []server.TenantConfig{tc}
 		s, err := server.New(moved)
 		if err == nil {
 			shutdown(s)
-			t.Fatalf("booted under (M=%d, W=%d) over a directory written under (M=%d, W=%d)", moved.M, moved.W, cfg.M, cfg.W)
+			t.Fatalf("booted under (M=%d, W=%d) over a directory written under (M=%d, W=%d)", tc.M, tc.W, own.M, own.W)
 		}
-		for _, m := range []server.Config{cfg, moved} {
+		for _, m := range []server.TenantConfig{own, tc} {
 			if want := fmt.Sprintf("(M=%d, W=%d)", m.M, m.W); !strings.Contains(err.Error(), want) {
 				t.Errorf("refusal %q does not name the contract %s", err, want)
 			}
@@ -275,7 +281,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 	eng.Abandon()
 
 	s, err := server.New(server.Config{
-		Addr: "127.0.0.1:0", Topology: spec, Seed: seed, M: m, W: w,
+		Addr: "127.0.0.1:0", Tenants: []server.TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: seed, M: m, W: w}},
 		Paranoid: true, WALDir: root, SnapshotEvery: snapshot, Logger: warnLogger(t),
 	})
 	if err != nil {
@@ -285,14 +291,15 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.CrashForTests()
-	if got := s.Incarnation(); got != 2 {
-		t.Fatalf("incarnation %d, want 2", got)
+	v := s.Tenants()[0]
+	if v.Incarnation != 2 {
+		t.Fatalf("incarnation %d, want 2", v.Incarnation)
 	}
-	st := s.EngineStatsForTests()
+	st := v.WAL
 	if st.LastSnapshotIndex == 0 || st.LastSnapshotIndex >= cut {
 		t.Fatalf("recovered from snapshot index %d, want one strictly inside the first %d effects", st.LastSnapshotIndex, cut)
 	}
-	if got, wantTail := s.RecoveredEffectsForTests(), cut-int(st.LastSnapshotIndex); got != wantTail {
+	if got, wantTail := v.RecoveredEffects, cut-int(st.LastSnapshotIndex); got != wantTail {
 		t.Fatalf("replayed %d effects, want the %d after the snapshot", got, wantTail)
 	}
 	var granted int64
@@ -301,7 +308,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 			granted++
 		}
 	}
-	if got := s.ControllerGranted(); got != granted {
+	if got := v.CtlGrants; got != granted {
 		t.Fatalf("recovered %d grants, the log holds %d", got, granted)
 	}
 
@@ -317,7 +324,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 				i, reqs[i], g, err, want[i])
 		}
 	}
-	if v := s.Violations(); len(v) != 0 {
+	if v := s.Tenants()[0].Violations; len(v) != 0 {
 		t.Fatalf("oracle violations across the swap: %v", v)
 	}
 }

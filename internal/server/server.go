@@ -13,9 +13,9 @@
 // history. A connection binds to exactly one namespace in the Hello/
 // Welcome handshake and can never address any other: there is no
 // per-request tenant field to forge, and a Hello naming an unknown
-// namespace is refused with a typed wire error (wire.CodeTenant). A
-// daemon configured without explicit tenants serves the single
-// wire.DefaultTenant namespace, which is the pre-tenancy behavior.
+// namespace is refused with a typed wire error (wire.CodeTenant). The
+// namespaces are declared in one place, Config.Tenants, and read in one:
+// Tenants returns a TenantView of each, which /metricsz renders.
 //
 // The controller serves one request at a time (Section 3: one agent per
 // request), and a tenant says so with one mutex, tenant.mu: each
@@ -40,7 +40,7 @@
 // In paranoid mode every tenant's submitter is additionally wrapped in
 // the internal/oracle invariant checkers, so every request served over
 // the network is re-checked against the paper's guarantees; violations
-// are reported on /metricsz and by Violations().
+// are reported on /metricsz and in each TenantView.
 //
 // A plain-text /metricsz endpoint is served over HTTP on a second
 // listener: process-wide aggregates first, then one fully labeled section
@@ -53,7 +53,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"maps"
 	"net"
@@ -65,8 +67,6 @@ import (
 	"time"
 
 	"dynctrl/internal/obs"
-	"dynctrl/internal/oracle"
-	"dynctrl/internal/workload"
 )
 
 // Config describes one daemon instance.
@@ -78,15 +78,9 @@ type Config struct {
 	// empty disables it.
 	MetricsAddr string
 
-	// Topology, Seed, M and W describe the single wire.DefaultTenant
-	// namespace served when Tenants is empty. They are ignored when
-	// Tenants is set.
-	Topology workload.TopologySpec
-	Seed     int64
-	M, W     int64
-
-	// Tenants, when non-empty, declares the namespaces this daemon serves.
-	// Names must be unique and satisfy wire.ValidTenant.
+	// Tenants declares the namespaces this daemon serves, at least one.
+	// Names must be unique and satisfy wire.ValidTenant; a client that
+	// names none in its Hello binds to wire.DefaultTenant.
 	Tenants []TenantConfig
 
 	// Paranoid wraps every tenant's submitter in the internal/oracle
@@ -122,9 +116,9 @@ type Config struct {
 	// default).
 	Logger *slog.Logger
 
-	// TraceRing sizes each tenant's batch-trace ring (0 = obs.DefaultRing;
-	// negative leaves the tenant with no tracer: no traces and no stage,
-	// lock-hold or fsync histograms).
+	// TraceRing sizes each tenant's batch-trace ring (0 = obs.DefaultRing,
+	// at most obs.MaxRing; negative leaves the tenant with no tracer: no
+	// traces and no stage, lock-hold or fsync histograms).
 	TraceRing int
 
 	// Pprof mounts net/http/pprof's handlers under /debug/pprof/ on the
@@ -145,7 +139,8 @@ const DefaultCommitWindow = 200 * time.Microsecond
 // its Hello within this window is dropped.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// Server is a running daemon instance.
+// Server is a running daemon instance. Tenants is its one reader of
+// tenant state.
 type Server struct {
 	cfg     Config
 	tenants map[string]*tenant
@@ -171,8 +166,15 @@ type Server struct {
 // each tenant's latest snapshot is restored in place, its WAL tail is
 // replayed through the rebuilt controller (verifying every logged
 // verdict), and its incarnation counter is bumped. Call Start to begin
-// serving.
+// serving. It refuses a Config that declares no tenant or a TraceRing
+// above obs.MaxRing.
 func New(cfg Config) (*Server, error) {
+	if len(cfg.Tenants) == 0 {
+		return nil, errors.New("server: no tenant declared")
+	}
+	if cfg.TraceRing > obs.MaxRing {
+		return nil, fmt.Errorf("server: trace ring %d exceeds the maximum %d", cfg.TraceRing, obs.MaxRing)
+	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -186,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 		conns:   map[*srvConn]struct{}{},
 		logger:  cfg.Logger,
 	}
-	for _, tc := range tenantConfigs(cfg) {
+	for _, tc := range cfg.Tenants {
 		if _, dup := s.tenants[tc.Name]; dup {
 			s.closeTenants()
 			return nil, fmt.Errorf("server: duplicate tenant name %q", tc.Name)
@@ -211,24 +213,25 @@ func (s *Server) closeTenants() {
 	}
 }
 
-// defaultTenant returns the first configured tenant — the wire.DefaultTenant
-// namespace of a single-tenant daemon — for the single-tenant convenience
-// accessors.
-func (s *Server) defaultTenant() *tenant { return s.tenants[s.order[0]] }
-
-// Tenants returns the served namespace names in configuration order.
-func (s *Server) Tenants() []string { return append([]string(nil), s.order...) }
-
-// Incarnation returns the first tenant's durability incarnation (0 without
-// a WAL). Multi-tenant callers should use TenantIncarnation.
-func (s *Server) Incarnation() uint64 { return s.defaultTenant().incarnation }
-
-// TenantIncarnation returns the named tenant's durability incarnation.
-func (s *Server) TenantIncarnation(name string) uint64 {
-	if tn := s.tenants[name]; tn != nil {
-		return tn.incarnation
+// Tenants reads every served namespace once, in configuration order.
+func (s *Server) Tenants() []TenantView {
+	views := make([]TenantView, len(s.order))
+	for i, name := range s.order {
+		views[i] = s.tenants[name].view()
 	}
-	return 0
+	return views
+}
+
+// WriteTraces renders the plain-text /tracez document: per tenant, the
+// stage-latency digest plus the slowest-n and most-recent-n batch traces.
+// A non-empty tenant filter restricts the report to that namespace.
+func (s *Server) WriteTraces(w io.Writer, tenant string, n int) {
+	for _, name := range s.order {
+		if tenant != "" && name != tenant {
+			continue
+		}
+		obs.WriteTracez(w, name, s.tenants[name].tracer, n, n)
+	}
 }
 
 // Start opens the listeners and begins serving. It returns once the
@@ -296,20 +299,6 @@ func (s *Server) MetricsAddr() string {
 		return ""
 	}
 	return s.httpLn.Addr().String()
-}
-
-// TopologySignature returns the first tenant's initial-tree signature, as
-// sent in its Welcome frame. Multi-tenant callers should use
-// TenantTopologySignature.
-func (s *Server) TopologySignature() uint64 { return s.defaultTenant().topoSig }
-
-// TenantTopologySignature returns the named tenant's initial-tree
-// signature (0 for an unknown tenant).
-func (s *Server) TenantTopologySignature(name string) uint64 {
-	if tn := s.tenants[name]; tn != nil {
-		return tn.topoSig
-	}
-	return 0
 }
 
 func (s *Server) acceptLoop() {
@@ -419,45 +408,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.logger.Info("shutdown complete", "drain_err", drainErr != nil)
 	return drainErr
-}
-
-// Violations returns the oracle violations observed so far across all
-// tenants (nil when not paranoid).
-func (s *Server) Violations() []oracle.Violation {
-	var out []oracle.Violation
-	for _, name := range s.order {
-		out = append(out, s.TenantViolations(name)...)
-	}
-	return out
-}
-
-// TenantViolations returns the named tenant's oracle violations (nil when
-// not paranoid or unknown).
-func (s *Server) TenantViolations(name string) []oracle.Violation {
-	tn := s.tenants[name]
-	if tn == nil {
-		return nil
-	}
-	return tn.engineView().violations
-}
-
-// Accounting returns the wire-level tallies summed over all tenants:
-// requests answered, grants, rejects and per-request errors as written to
-// the network.
-func (s *Server) Accounting() (ops, grants, rejects, errs int64) {
-	for _, name := range s.order {
-		o, g, r, e := s.TenantAccounting(name)
-		ops, grants, rejects, errs = ops+o, grants+g, rejects+r, errs+e
-	}
-	return ops, grants, rejects, errs
-}
-
-// TenantAccounting returns the named tenant's wire-level tallies (zeros
-// for an unknown tenant).
-func (s *Server) TenantAccounting(name string) (ops, grants, rejects, errs int64) {
-	tn := s.tenants[name]
-	if tn == nil {
-		return 0, 0, 0, 0
-	}
-	return tn.ops.Load(), tn.grants.Load(), tn.rejects.Load(), tn.errs.Load()
 }

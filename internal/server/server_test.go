@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"reflect"
@@ -15,7 +16,7 @@ import (
 
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
-	"dynctrl/internal/persist"
+	"dynctrl/internal/obs"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
@@ -44,6 +45,11 @@ func startServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// oneTenant declares the default namespace alone.
+func oneTenant(spec workload.TopologySpec, seed, m, w int64) []TenantConfig {
+	return []TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: seed, M: m, W: w}}
+}
+
 // waitUntil polls cond until it holds, failing the test after ten seconds.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -54,10 +60,39 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestNewRefusesConfigWithoutTenant: Config.Tenants is the only way to
+// declare a namespace, so a Config that declares none serves nothing and is
+// refused.
+func TestNewRefusesConfigWithoutTenant(t *testing.T) {
+	if s, err := New(Config{}); err == nil {
+		s.closeTenants()
+		t.Fatal("New(Config{}) built a server with no tenant")
+	}
+}
+
+// TestNewRefusesTraceRingAboveMax: a trace ring above obs.MaxRing is refused
+// at boot rather than allocated, and the maximum itself is accepted.
+func TestNewRefusesTraceRingAboveMax(t *testing.T) {
+	tenants := oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 10, 1)
+	for _, ring := range []int{obs.MaxRing + 1, math.MaxInt} {
+		if s, err := New(Config{Tenants: tenants, TraceRing: ring}); err == nil {
+			s.closeTenants()
+			t.Errorf("New accepted TraceRing %d above the maximum %d", ring, obs.MaxRing)
+		}
+	}
+	s, err := New(Config{Tenants: tenants, TraceRing: obs.MaxRing})
+	if err != nil {
+		t.Fatalf("New with TraceRing = obs.MaxRing: %v", err)
+	}
+	defer s.closeTenants()
+	if got := s.tenants[wire.DefaultTenant].tracer.RingSize(); got != obs.MaxRing {
+		t.Errorf("ring of %d traces, want %d", got, obs.MaxRing)
+	}
+}
+
 func TestSubmitOverWire(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 16},
-		Seed:     1, M: 1000, W: 100,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -68,7 +103,7 @@ func TestSubmitOverWire(t *testing.T) {
 	if cl.M() != 1000 || cl.W() != 100 {
 		t.Fatalf("handshake contract (%d, %d), want (1000, 100)", cl.M(), cl.W())
 	}
-	if cl.TopologySignature() != s.TopologySignature() {
+	if cl.TopologySignature() != s.Tenants()[0].TopologySignature {
 		t.Fatal("handshake topology signature mismatch")
 	}
 
@@ -110,16 +145,15 @@ func TestSubmitOverWire(t *testing.T) {
 		t.Fatalf("Submit after bad request: %v", err)
 	}
 
-	ops, grants, rejects, errs := s.Accounting()
-	if ops != 4 || grants != 3 || rejects != 0 || errs != 1 {
-		t.Fatalf("accounting ops=%d grants=%d rejects=%d errs=%d, want 4/3/0/1", ops, grants, rejects, errs)
+	v := s.Tenants()[0]
+	if v.Ops != 4 || v.Grants != 3 || v.Rejects != 0 || v.Errors != 1 {
+		t.Fatalf("accounting ops=%d grants=%d rejects=%d errs=%d, want 4/3/0/1", v.Ops, v.Grants, v.Rejects, v.Errors)
 	}
 }
 
 func TestHandshakeVersionReject(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
-		M:        10, W: 1,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -148,8 +182,7 @@ func TestHandshakeVersionReject(t *testing.T) {
 
 func TestMalformedFrameGetsProtocolError(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
-		M:        10, W: 1,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -184,8 +217,7 @@ func TestMalformedFrameGetsProtocolError(t *testing.T) {
 
 func TestEmptySubmitFrameIsAnswered(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
-		M:        10, W: 1,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -221,8 +253,7 @@ func TestEmptySubmitFrameIsAnswered(t *testing.T) {
 func TestMetricsz(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Topology:    workload.TopologySpec{Kind: "balanced", Nodes: 8},
-		Seed:        3, M: 500, W: 50, Paranoid: true,
+		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50), Paranoid: true,
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -278,7 +309,7 @@ func TestMetricsz(t *testing.T) {
 // between two requests; the oracle charges it to the next one.
 func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "balanced", Nodes: 8}
-	s := startServer(t, Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true})
+	s := startServer(t, Config{Tenants: oneTenant(spec, 3, 500, 50), Paranoid: true})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -295,13 +326,15 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 		}
 	}
 	submit()
-	if v := s.Violations(); len(v) != 0 {
+	if v := s.Tenants()[0].Violations; len(v) != 0 {
 		t.Fatalf("honest engine flagged: %v", v)
 	}
-	tn := s.defaultTenant()
-	tn.locked(func() { tn.ctrs.Add(stats.CounterMoves, 100_000) })
+	tn := s.tenants[wire.DefaultTenant]
+	tn.mu.Lock()
+	tn.ctrs.Add(stats.CounterMoves, 100_000)
+	tn.mu.Unlock()
 	submit()
-	v := s.Violations()
+	v := s.Tenants()[0].Violations
 	if len(v) != 1 || v[0].Invariant != "message-budget" {
 		t.Fatalf("100k moves on one request: violations %v, want one message-budget", v)
 	}
@@ -309,8 +342,7 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 
 func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 	s := startServer(t, Config{
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8},
-		Seed:     1, M: 100000, W: 50000,
+		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 1, 100000, 50000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 4})
 	if err != nil {
@@ -363,8 +395,7 @@ func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		clientGrants += <-done
 	}
-	_, grants, _, _ := s.Accounting()
-	if clientGrants != grants {
+	if grants := s.Tenants()[0].Grants; clientGrants != grants {
 		t.Fatalf("clients saw %d grants, server accounted %d", clientGrants, grants)
 	}
 
@@ -408,24 +439,19 @@ func TestRefusingTenantDecidesNothing(t *testing.T) {
 			}
 		}, errShutdown, wire.CodeShutdown},
 		{"wal unavailable", func(_ *Server, tn *tenant) {
-			tn.locked(func() { tn.refuse = errWALUnavailable })
+			tn.mu.Lock()
+			tn.refuse = errWALUnavailable
+			tn.mu.Unlock()
 		}, errWALUnavailable, wire.CodeInternal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Topology: spec, Seed: 3, M: 500, W: 50, Paranoid: true, WALDir: t.TempDir()})
+			s, err := New(Config{Tenants: oneTenant(spec, 3, 500, 50), Paranoid: true, WALDir: t.TempDir()})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
 			defer s.closeTenants()
-			tn := s.defaultTenant()
-			type state struct {
-				view    engineView
-				granted int64
-				wal     persist.Stats
-			}
-			read := func() state {
-				return state{tn.engineView(), s.ControllerGranted(), tn.eng.StatsSnapshot()}
-			}
+			tn := s.tenants[wire.DefaultTenant]
+			read := func() TenantView { return s.Tenants()[0] }
 			reqs := []controller.Request{
 				{Node: tn.tr.Root(), Kind: tree.None},
 				{Node: tn.tr.Root(), Kind: tree.AddLeaf},
@@ -436,6 +462,11 @@ func TestRefusingTenantDecidesNothing(t *testing.T) {
 			out, rc := tn.submit(reqs, nil)
 			if served := read(); len(out) != len(reqs) || !rc.hasTicket || reflect.DeepEqual(fresh, served) {
 				t.Fatalf("a served run: %d results, receipt %+v, state %+v", len(out), rc, served)
+			}
+			// The served run's group commit lands in the WAL stats and the
+			// fsync row; let it, so only the refused run is compared.
+			if err := tn.eng.WaitDurable(rc.ticket); err != nil {
+				t.Fatalf("WaitDurable: %v", err)
 			}
 
 			tc.refuse(s, tn)

@@ -38,22 +38,6 @@ type TenantConfig struct {
 	M, W int64
 }
 
-// tenantConfigs normalizes cfg into the tenant list: the explicit Tenants
-// slice, or a single wire.DefaultTenant namespace built from the
-// single-tenant fields.
-func tenantConfigs(cfg Config) []TenantConfig {
-	if len(cfg.Tenants) > 0 {
-		return cfg.Tenants
-	}
-	return []TenantConfig{{
-		Name:     wire.DefaultTenant,
-		Topology: cfg.Topology,
-		Seed:     cfg.Seed,
-		M:        cfg.M,
-		W:        cfg.W,
-	}}
-}
-
 // tenant is one namespace's private admission stack plus its wire-level
 // accounting. Nothing in here is shared between tenants: the tree, the
 // controller, the WAL engine, the oracle and every counter are
@@ -74,9 +58,8 @@ type tenant struct {
 	// calls submit, which holds mu for the run's execution with its WAL
 	// append (log order is execution order) and, on the first reject, the
 	// read of the final grant total; the checkpoint captures tree,
-	// controller and counters under it (never mid-run); the scrape reads
-	// the engine once under it (engineView); the drain sets the refusal
-	// under it.
+	// controller and counters under it (never mid-run); a reader takes the
+	// engine once under it (view); the drain sets the refusal under it.
 	mu sync.Mutex
 	tr *tree.Tree
 	// ctl is the engine: the centralized unknown-U controller of Section 3,
@@ -301,63 +284,88 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	return tn, nil
 }
 
-// engineView is a tenant's engine at one instant: everything /metricsz
-// reports of what mu owns.
-type engineView struct {
-	nodes, height                       int
-	moves, grants, rejects, topoChanges int64 // the controller's own counters
-	runs, runReqs                       int64 // what submit executed
-	maxRun                              int
-	waved                               bool // the first reject is decided
-	waveGranted                         int64
-	violations                          []oracle.Violation // a copy; nil when not paranoid
+// TenantView is one tenant namespace as one reading sees it, and the only
+// way anything outside the serving path reads a tenant: /metricsz renders
+// a slice of them, cmd/dynctrld logs them and the tests compare them.
+type TenantView struct {
+	// Name, the contract, the signature of the initial tree as sent in
+	// Welcome, and the durability incarnation recovered at boot (0 without
+	// a WAL) are fixed at boot.
+	Name              string
+	M, W              int64
+	TopologySignature uint64
+	Incarnation       uint64
+
+	// The engine, read in one hold of the tenant's lock and so of one
+	// instant: the tree's size and height, the controller's own counters
+	// (CtlGrants is the controller's Granted()), the runs submit executed
+	// with the requests they carried and the largest one, the reject wave
+	// (Waved once the first reject is decided, WaveGranted the grant total
+	// it announced), the oracle's violations (a copy; nil when not
+	// paranoid) and the WAL engine's counters (zero without a WAL).
+	Nodes, Height                             int
+	Moves, CtlGrants, CtlRejects, TopoChanges int64
+	Runs, RunRequests                         int64
+	MaxRun                                    int
+	Waved                                     bool
+	WaveGranted                               int64
+	Violations                                []oracle.Violation
+	WAL                                       persist.Stats
+
+	// What the server answered over the network for this tenant, and its
+	// connections: bound now, ever bound, and reaped by the idle deadline.
+	// Each is loaded once, after the engine.
+	Ops, Grants, Rejects, Errors        int64
+	ConnsOpen, ConnsTotal, IdleTimeouts int64
+
+	// Durable is set when the tenant logs to a WAL; the recovery numbers,
+	// effects replayed and torn-tail bytes truncated at boot, are zero
+	// without one.
+	Durable                 bool
+	RecoveredEffects        int
+	RecoveredTruncatedBytes int64
+
+	// Traced is set when the tenant has a tracer; Trace is its digest, read
+	// in the tracer's own critical section, and zero without one.
+	Traced bool
+	Trace  obs.Digest
 }
 
-// engineView reads the engine for the scrape, which waits here for the run
-// in flight, if there is one, and reads a state no run is changing: the
-// fields are of one instant, so nodes is the initial tree plus or minus
-// exactly the topoChanges counted. Height scans one int32 per id.
-func (t *tenant) engineView() engineView {
+// view reads the tenant once. The engine part waits for the run in flight,
+// if there is one, and reads a state no run is changing, so Nodes is the
+// initial tree plus or minus exactly the TopoChanges counted. Height scans
+// one int32 per id.
+func (t *tenant) view() TenantView {
+	v := TenantView{
+		Name:                    t.name,
+		M:                       t.cfg.M,
+		W:                       t.cfg.W,
+		TopologySignature:       t.topoSig,
+		Incarnation:             t.incarnation,
+		Durable:                 t.eng != nil,
+		RecoveredEffects:        t.recoveredEffects,
+		RecoveredTruncatedBytes: t.recoveredTrunc,
+		Traced:                  t.tracer != nil,
+	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := engineView{
-		nodes:       t.tr.Size(),
-		height:      t.tr.Height(),
-		moves:       t.ctrs.Get(stats.CounterMoves),
-		grants:      t.ctrs.Get(stats.CounterGrants),
-		rejects:     t.ctrs.Get(stats.CounterRejects),
-		topoChanges: t.ctrs.Get(stats.CounterTopoChanges),
-		runs:        t.runs,
-		runReqs:     t.runReqs,
-		maxRun:      t.maxRun,
-		waved:       t.waved,
-		waveGranted: t.waveGranted,
-	}
+	v.Nodes, v.Height = t.tr.Size(), t.tr.Height()
+	v.Moves = t.ctrs.Get(stats.CounterMoves)
+	v.CtlGrants = t.ctrs.Get(stats.CounterGrants)
+	v.CtlRejects = t.ctrs.Get(stats.CounterRejects)
+	v.TopoChanges = t.ctrs.Get(stats.CounterTopoChanges)
+	v.Runs, v.RunRequests, v.MaxRun = t.runs, t.runReqs, t.maxRun
+	v.Waved, v.WaveGranted = t.waved, t.waveGranted
 	if t.orc != nil {
-		v.violations = slices.Clone(t.orc.Violations())
+		v.Violations = slices.Clone(t.orc.Violations())
 	}
+	if t.eng != nil {
+		v.WAL = t.eng.StatsSnapshot()
+	}
+	t.mu.Unlock()
+	v.Ops, v.Grants, v.Rejects, v.Errors = t.ops.Load(), t.grants.Load(), t.rejects.Load(), t.errs.Load()
+	v.ConnsOpen, v.ConnsTotal, v.IdleTimeouts = t.connsOpen.Load(), t.connsTotal.Load(), t.idleTimeouts.Load()
+	v.Trace = t.tracer.Snapshot()
 	return v
-}
-
-// scrapeView is one tenant as one scrape sees it: the engine under mu, then
-// the wire tallies and connection counts, each loaded once, so the
-// process-wide sums and the tenant's own lines are the same numbers.
-type scrapeView struct {
-	engineView
-	wireOps, wireGrants, wireRejects, wireErrs int64 // answered over the wire
-	connsOpen, connsTotal                      int64
-}
-
-func (t *tenant) scrapeView() scrapeView {
-	return scrapeView{
-		engineView:  t.engineView(),
-		wireOps:     t.ops.Load(),
-		wireGrants:  t.grants.Load(),
-		wireRejects: t.rejects.Load(),
-		wireErrs:    t.errs.Load(),
-		connsOpen:   t.connsOpen.Load(),
-		connsTotal:  t.connsTotal.Load(),
-	}
 }
 
 // bind adds c to the tenant's connection set (the handshake's last step

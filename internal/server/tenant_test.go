@@ -50,6 +50,18 @@ func startTenantServer(t *testing.T, cfg server.Config) *server.Server {
 	return s
 }
 
+// tenantView returns the named tenant's view.
+func tenantView(t *testing.T, s *server.Server, name string) server.TenantView {
+	t.Helper()
+	for _, v := range s.Tenants() {
+		if v.Name == name {
+			return v
+		}
+	}
+	t.Fatalf("no tenant %q", name)
+	return server.TenantView{}
+}
+
 func TestMultiTenantHandshake(t *testing.T) {
 	s := startTenantServer(t, twoTenantConfig())
 
@@ -72,12 +84,11 @@ func TestMultiTenantHandshake(t *testing.T) {
 	}
 	// The Welcome carries the tenant's own topology signature, not some
 	// global one.
-	if ca.TopologySignature() != s.TenantTopologySignature("team-a") ||
-		cb.TopologySignature() != s.TenantTopologySignature("team-b") ||
+	sigA, sigB := tenantView(t, s, "team-a").TopologySignature, tenantView(t, s, "team-b").TopologySignature
+	if ca.TopologySignature() != sigA || cb.TopologySignature() != sigB ||
 		ca.TopologySignature() == cb.TopologySignature() {
 		t.Fatalf("topology signatures: a=%d b=%d (server: a=%d b=%d)",
-			ca.TopologySignature(), cb.TopologySignature(),
-			s.TenantTopologySignature("team-a"), s.TenantTopologySignature("team-b"))
+			ca.TopologySignature(), cb.TopologySignature(), sigA, sigB)
 	}
 }
 
@@ -165,13 +176,13 @@ func TestTenantScopeEnforcedBothDirections(t *testing.T) {
 	// request is answered inside team-b's namespace (where the id is
 	// unknown) with a typed per-request error, and team-a's controller
 	// never sees it.
-	grantedABefore := s.TenantControllerGranted("team-a")
+	grantedABefore := tenantView(t, s, "team-a").CtlGrants
 	_, err = cb.Submit(controller.Request{Node: aOnly, Kind: tree.None})
 	var re *client.ResultError
 	if !errors.As(err, &re) || re.Code != wire.CodeBadRequest {
 		t.Fatalf("team-b touching team-a's node: err %v, want ResultError(CodeBadRequest)", err)
 	}
-	if got := s.TenantControllerGranted("team-a"); got != grantedABefore {
+	if got := tenantView(t, s, "team-a").CtlGrants; got != grantedABefore {
 		t.Fatalf("team-b's request moved team-a's controller: %d -> %d", grantedABefore, got)
 	}
 
@@ -185,13 +196,12 @@ func TestTenantScopeEnforcedBothDirections(t *testing.T) {
 	if _, err := cb.Submit(controller.Request{Node: tb.Root(), Kind: tree.None}); err != nil {
 		t.Fatalf("team-b submit: %v", err)
 	}
-	opsA, grantsA, _, errsA := s.TenantAccounting("team-a")
-	opsB, grantsB, _, errsB := s.TenantAccounting("team-b")
-	if opsA != 5 || grantsA != 5 || errsA != 0 {
-		t.Fatalf("team-a accounting ops=%d grants=%d errs=%d, want 5/5/0", opsA, grantsA, errsA)
+	a, b := tenantView(t, s, "team-a"), tenantView(t, s, "team-b")
+	if a.Ops != 5 || a.Grants != 5 || a.Errors != 0 {
+		t.Fatalf("team-a accounting ops=%d grants=%d errs=%d, want 5/5/0", a.Ops, a.Grants, a.Errors)
 	}
-	if opsB != 2 || grantsB != 1 || errsB != 1 {
-		t.Fatalf("team-b accounting ops=%d grants=%d errs=%d, want 2/1/1", opsB, grantsB, errsB)
+	if b.Ops != 2 || b.Grants != 1 || b.Errors != 1 {
+		t.Fatalf("team-b accounting ops=%d grants=%d errs=%d, want 2/1/1", b.Ops, b.Grants, b.Errors)
 	}
 }
 
@@ -301,8 +311,10 @@ func TestNoisyNeighborOverLoopback(t *testing.T) {
 	if res.Baseline.Granted == 0 {
 		t.Fatal("victim probe granted nothing — the check is vacuous")
 	}
-	if v := disturbedSrv.Violations(); len(v) != 0 {
-		t.Fatalf("paranoid oracles flagged the disturbed run: %v", v)
+	for _, v := range disturbedSrv.Tenants() {
+		if len(v.Violations) != 0 {
+			t.Fatalf("paranoid oracles flagged the disturbed run on tenant %q: %v", v.Name, v.Violations)
+		}
 	}
 
 	// Per-tenant /metricsz reconciles exactly against the client tallies
