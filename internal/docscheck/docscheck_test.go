@@ -6,14 +6,17 @@
 // loadgen declare is documented in docs/OPERATIONS.md, that the live
 // /metricsz exposition declares # HELP and # TYPE for every family it
 // renders and renders every family OPERATIONS.md names, and that every
-// wire frame type and error code is documented in docs/PROTOCOL.md. CI runs it as the docs job, so adding a metric or a
-// wire code without documenting it fails the build.
+// wire frame type and error code is documented in docs/PROTOCOL.md, and
+// that every log event OPERATIONS.md §8.1 names is still logged. CI runs it
+// as the docs job, so adding a metric or a wire code without documenting it
+// fails the build.
 package docscheck
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -323,5 +326,65 @@ func TestWireConstantsDocumented(t *testing.T) {
 	}
 	if want := fmt.Sprintf("protocol version is **%s**", version[1]); !strings.Contains(doc, want) {
 		t.Errorf("docs/PROTOCOL.md does not state %q (wire.Version = %s)", want, version[1])
+	}
+}
+
+// TestLogEventsExist requires every event docs/OPERATIONS.md §8.1 names to
+// be logged: each back-quoted phrase of that section that holds a space
+// (whitespace normalised, flags such as `-log-format json` skipped) must be
+// a message some non-test Go file passes to .Debug, .Info, .Warn or .Error,
+// so deleting a log call without its prose fails here.
+func TestLogEventsExist(t *testing.T) {
+	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
+	start := strings.Index(doc, "### 8.1 ")
+	if start < 0 {
+		t.Fatal("docs/OPERATIONS.md has no §8.1 heading")
+	}
+	section := doc[start+len("### 8.1 "):]
+	if end := regexp.MustCompile(`(?m)^#{1,3} `).FindStringIndex(section); end != nil {
+		section = section[:end[0]]
+	}
+
+	logCall := regexp.MustCompile(`\.(?:Debug|Info|Warn|Error)\(\s*"([^"]+)"`)
+	logged := map[string]bool{}
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != repoRoot && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range logCall.FindAllSubmatch(src, -1) {
+			logged[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	events := 0
+	for _, m := range codeSpan.FindAllStringSubmatch(section, -1) {
+		event := strings.Join(strings.Fields(m[1]), " ")
+		if !strings.Contains(event, " ") || strings.HasPrefix(event, "-") {
+			continue
+		}
+		events++
+		if !logged[event] {
+			t.Errorf("docs/OPERATIONS.md §8.1 documents log event %q, which no Go file logs", event)
+		}
+	}
+	if events < 10 {
+		t.Fatalf("found only %d documented log events in docs/OPERATIONS.md §8.1 — the section or span regexps are likely stale", events)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,12 +28,11 @@ type srvConn struct {
 	br     *bufio.Reader
 	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
 
-	wmu sync.Mutex // guards the write side of nc
-
 	readClosed atomic.Bool
 
 	// Serve-goroutine state, reused across read batches.
 	lastTrace uint64 // ID of the last batch trace this connection recorded
+	waveSent  bool   // the RejectWave frame has gone out ahead of some Results
 	rbuf      []byte
 	ids       []uint64 // one per Submit frame of the current read batch
 	counts    []int    // requests carried by each of those frames
@@ -63,17 +61,9 @@ func (c *srvConn) closeRead() {
 }
 
 // send writes buf (one or more complete encoded frames) to the peer, straight
-// from the caller's buffer. It is the only place the write side is touched:
-// the serve goroutine's replies and another connection's reject-wave push
-// serialize on wmu.
+// from the caller's buffer. It is the only place the write side is touched,
+// and only the connection's own serve goroutine calls it.
 func (c *srvConn) send(buf []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.sendLocked(buf)
-}
-
-// sendLocked is send for a caller that already holds wmu.
-func (c *srvConn) sendLocked(buf []byte) error {
 	_, err := c.nc.Write(buf)
 	return err
 }
@@ -158,12 +148,8 @@ func (c *srvConn) handshake() bool {
 		return false
 	}
 	c.tn = tn
-	// Joining the tenant's set and writing Welcome are one step under the
-	// write lock: the reject wave writes to every connection in the set,
-	// and a wave frame that overtook the Welcome fails the peer's handshake.
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	tn.bind(c)
+	tn.connsOpen.Add(1)
+	tn.connsTotal.Add(1)
 	c.s.logger.Debug("connection bound", "remote", c.remote, "tenant", tn.name, "incarnation", tn.incarnation)
 	if c.s.cfg.IdleTimeout <= 0 {
 		// No idle policy: clear the handshake deadline. Failing to clear
@@ -173,7 +159,7 @@ func (c *srvConn) handshake() bool {
 			return false
 		}
 	}
-	return c.sendLocked(wire.AppendWelcome(nil, wire.Welcome{
+	return c.send(wire.AppendWelcome(nil, wire.Welcome{
 		Version:     wire.Version,
 		Tenant:      tn.name,
 		M:           tn.cfg.M,
@@ -232,7 +218,7 @@ func (c *srvConn) loop() {
 		if len(c.reqs) == 0 {
 			// Empty Submit frames still get their (empty) Results reply:
 			// every submitted id is answered, always.
-			if _, _, _, err := c.accountAndReply(); err != nil {
+			if _, _, _, err := c.accountAndReply(receipt{}); err != nil {
 				return
 			}
 			continue
@@ -275,14 +261,7 @@ func (c *srvConn) loop() {
 			}
 		}
 
-		grants, rejects, errCount, err := c.accountAndReply()
-		// The run that decided the tenant's first reject announces the wave
-		// to every connection bound to it, behind its own verdicts. The wave
-		// is the tenant's, so it runs even when this peer could not be told
-		// them.
-		if rc.wave {
-			tn.broadcastRejectWave(rc.granted)
-		}
+		grants, rejects, errCount, err := c.accountAndReply(rc)
 		if err != nil {
 			return
 		}
@@ -364,12 +343,18 @@ func resultCode(err error) uint8 {
 
 // accountAndReply updates the bound tenant's wire-level tallies, writes one
 // Results frame per submitted frame of the current read batch in order, and
-// returns the batch's verdict tallies. The tallies are published before the
-// write, so /metricsz never reports fewer answers than a client has seen; a
-// write error means the peer can no longer be answered and ends the serve
-// loop.
-func (c *srvConn) accountAndReply() (grants, rejects, errs int64, err error) {
+// returns the batch's verdict tallies. The first run whose receipt shows the
+// reject wave puts the RejectWave frame ahead of its Results in the same
+// write, so every verdict decided after the wave reaches this connection
+// behind it. The tallies are published before the write, so /metricsz never
+// reports fewer answers than a client has seen; a write error means the
+// peer can no longer be answered and ends the serve loop.
+func (c *srvConn) accountAndReply(rc receipt) (grants, rejects, errs int64, err error) {
 	buf := c.wbuf[:0]
+	if rc.wave && !c.waveSent {
+		buf = wire.AppendRejectWave(buf, wire.RejectWave{Granted: rc.granted})
+		c.waveSent = true
+	}
 	off := 0
 	for i, id := range c.ids {
 		n := c.counts[i]

@@ -20,13 +20,15 @@ import (
 	"dynctrl/internal/workload"
 )
 
-// TestRejectWaveRacesHandshakes pins the reject wave's view of the
-// connection table: one connection drives a tiny contract into its reject
-// wave while a crowd of others are completing handshakes against the same
-// tenant. The wave must only ever look at connections the tenant's own set
-// holds — before the per-tenant set it scanned every live connection's
-// tenant binding under the server lock while handshakes wrote that field
-// with no lock, which this test fails on under -race.
+// TestRejectWaveRacesHandshakes: one connection drives a tiny contract into
+// its reject wave while a crowd of others complete handshakes against the
+// same tenant and sit bound and idle. The wave is the deciding connection's
+// news only; the crowd learns of it from its own replies, if it sends
+// anything. Two earlier designs failed here: one pushed the wave by scanning
+// every live connection's tenant binding under the server lock while
+// handshakes wrote that field with no lock (-race), and the per-tenant
+// connection set that replaced it once pushed a wave frame ahead of a
+// Welcome.
 func TestRejectWaveRacesHandshakes(t *testing.T) {
 	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
 	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 4, 1)})
@@ -102,8 +104,8 @@ func TestRejectWaveRacesHandshakes(t *testing.T) {
 }
 
 // waveOnBound is a slog handler that runs fire on the handshake's
-// "connection bound" event, i.e. between the connection joining its tenant's
-// set and its Welcome.
+// "connection bound" event, i.e. between the connection's binding and its
+// Welcome.
 type waveOnBound struct{ fire func() }
 
 func (waveOnBound) Enabled(context.Context, slog.Level) bool { return true }
@@ -116,31 +118,234 @@ func (h waveOnBound) Handle(_ context.Context, r slog.Record) error {
 func (h waveOnBound) WithAttrs([]slog.Attr) slog.Handler { return h }
 func (h waveOnBound) WithGroup(string) slog.Handler      { return h }
 
-// TestRejectWaveWaitsForWelcome: a reject wave that fires after a
-// connection joined its tenant's set and before it was welcomed reaches the
-// peer behind the Welcome. The wave is started from the handshake's own log
-// event and given time to get to its write; it used to go out first, and
-// the client failed its handshake on "unexpected reject-wave frame"
-// (TestRejectWaveRacesHandshakes met that interleaving once in 40 runs).
+// star4 is the tenant the reject-wave tests drive: a star of four nodes
+// whose root every request is made at.
+var star4 = workload.TopologySpec{Kind: "star", Nodes: 4}
+
+func star4Root(t *testing.T) tree.NodeID {
+	t.Helper()
+	tr, _ := tree.New()
+	if err := workload.BuildTopology(tr, star4, 1); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Root()
+}
+
+// submitUntilRejected submits events at root until one is rejected.
+func submitUntilRejected(t *testing.T, cl *client.Client, root tree.NodeID) {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		g, err := cl.Submit(controller.Request{Node: root, Kind: tree.None})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if g.Outcome == controller.Rejected {
+			return
+		}
+	}
+	t.Fatal("the contract never rejected")
+}
+
+// TestRejectWaveWaitsForWelcome: a client whose handshake the reject wave is
+// decided in the middle of (between its binding and its Welcome) handshakes
+// cleanly and hears the wave ahead of the answer to its first Submit. The
+// wave is decided from the handshake's own log event and given time to
+// finish. When the deciding connection pushed the wave to the others, a wave
+// frame once overtook a Welcome and the client failed its handshake on
+// "unexpected reject-wave frame" (TestRejectWaveRacesHandshakes met that
+// interleaving once in 40 runs).
 func TestRejectWaveWaitsForWelcome(t *testing.T) {
+	root := star4Root(t)
 	var s *Server
 	var once sync.Once
+	decided := make(chan struct{})
 	logger := slog.New(waveOnBound{fire: func() {
 		once.Do(func() {
-			go s.tenants[wire.DefaultTenant].broadcastRejectWave(0)
+			go func() {
+				defer close(decided)
+				reqs := make([]controller.Request, 8)
+				for i := range reqs {
+					reqs[i] = controller.Request{Node: root, Kind: tree.None}
+				}
+				s.tenants[wire.DefaultTenant].submit(reqs, nil)
+			}()
 			time.Sleep(50 * time.Millisecond)
 		})
 	}})
-	s = startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 4, 1), Logger: logger,
-	})
+	s = startServer(t, Config{Tenants: oneTenant(star4, 1, 4, 1), Logger: logger})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
-		t.Fatalf("dial while the wave fires: %v", err)
+		t.Fatalf("dial while the wave is decided: %v", err)
 	}
 	defer cl.Close()
-	// The connection was in the tenant's set when the wave fired.
-	waitUntil(t, "the wave to reach the new connection", cl.RejectWaveSeen)
+	<-decided
+	if !s.Tenants()[0].Waved {
+		t.Fatal("eight requests against M=4 decided no reject wave")
+	}
+	g, err := cl.Submit(controller.Request{Node: root, Kind: tree.None})
+	if err != nil {
+		t.Fatalf("submit after the wave: %v", err)
+	}
+	if g.Outcome != controller.Rejected {
+		t.Fatalf("outcome %v after the wave, want rejected", g.Outcome)
+	}
+	if !cl.RejectWaveSeen() {
+		t.Fatal("the first Results after the wave came without the wave ahead of it")
+	}
+}
+
+// TestRejectWaveDoesNotWaitForStalledReader: a peer that completes its
+// handshake and then stops reading holds up no other connection. When the
+// deciding connection pushed the wave to every bound peer, it blocked in
+// the write to this one and its own next Submit went unanswered.
+func TestRejectWaveDoesNotWaitForStalledReader(t *testing.T) {
+	root := star4Root(t)
+	s := startServer(t, Config{Tenants: oneTenant(star4, 1, 4, 1)})
+
+	peer, srvSide := net.Pipe()
+	defer peer.Close()
+	if !s.adopt(srvSide) {
+		t.Fatal("adopt refused on a live server")
+	}
+	if _, err := peer.Write(wire.AppendHello(nil, wire.Hello{Version: wire.Version})); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	var rbuf []byte
+	if ft, _, err := wire.ReadFrame(bufio.NewReader(peer), &rbuf); err != nil || ft != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %v err %v, want welcome", ft, err)
+	}
+	// peer reads nothing from here on; net.Pipe has no buffer, so any write
+	// to it blocks.
+
+	driver, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer driver.Close()
+	submitUntilRejected(t, driver, root)
+	done := make(chan error, 1)
+	go func() {
+		_, err := driver.Submit(controller.Request{Node: root, Kind: tree.None})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("submit after the wave: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a stalled reader held the deciding connection's next Submit for 2 s")
+	}
+}
+
+// TestRejectWaveReachesLateClient: a client dialed after the wave hears it,
+// with the right grant total, as soon as its first Submit returns. When the
+// wave was pushed once to the connections bound at the time, a later one
+// never heard it.
+func TestRejectWaveReachesLateClient(t *testing.T) {
+	root := star4Root(t)
+	s := startServer(t, Config{Tenants: oneTenant(star4, 1, 4, 1)})
+	driver, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer driver.Close()
+	submitUntilRejected(t, driver, root)
+
+	late, err := client.Dial(s.Addr(), client.Options{})
+	if err != nil {
+		t.Fatalf("late dial: %v", err)
+	}
+	defer late.Close()
+	if _, err := late.Submit(controller.Request{Node: root, Kind: tree.None}); err != nil {
+		t.Fatalf("late submit: %v", err)
+	}
+	if !late.RejectWaveSeen() {
+		t.Fatal("a client dialed after the wave never heard it")
+	}
+	v := s.Tenants()[0]
+	if got := late.RejectWaveGranted(); got != v.WaveGranted || got < v.M-v.W || got > v.M {
+		t.Fatalf("late client heard %d grants, want the tenant's %d within [M-W=%d, M=%d]",
+			got, v.WaveGranted, v.M-v.W, v.M)
+	}
+}
+
+// TestRejectWavePrecedesFirstReject: on a raw connection the first Results
+// frame that carries a reject comes behind exactly one RejectWave frame, on
+// the connection whose run decided the wave and on one bound before it that
+// asks afterwards. The deciding connection used to be told its verdicts
+// first and the wave after them.
+func TestRejectWavePrecedesFirstReject(t *testing.T) {
+	root := star4Root(t)
+	s := startServer(t, Config{Tenants: oneTenant(star4, 1, 4, 1)})
+	deciding, bystander := rawBind(t, s.Addr()), rawBind(t, s.Addr())
+	for _, c := range []*rawConn{deciding, bystander} {
+		c.firstRejectBehindWave(t, root)
+	}
+}
+
+// rawConn is a handshaken wire connection read frame by frame.
+type rawConn struct {
+	nc   net.Conn
+	br   *bufio.Reader
+	rbuf []byte
+}
+
+func rawBind(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if err := nc.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rc := &rawConn{nc: nc, br: bufio.NewReader(nc)}
+	if _, err := nc.Write(wire.AppendHello(nil, wire.Hello{Version: wire.Version})); err != nil {
+		t.Fatalf("write hello: %v", err)
+	}
+	if ft, _, err := wire.ReadFrame(rc.br, &rc.rbuf); err != nil || ft != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %v err %v, want welcome", ft, err)
+	}
+	return rc
+}
+
+// firstRejectBehindWave submits one event at root a frame until the answer
+// is a reject, and fails unless exactly one RejectWave frame came before it.
+func (rc *rawConn) firstRejectBehindWave(t *testing.T, root tree.NodeID) {
+	t.Helper()
+	waves := 0
+	for id := uint64(1); id <= 64; id++ {
+		if _, err := rc.nc.Write(wire.AppendSubmit(nil, id, []wire.Req{{Node: root, Kind: tree.None}})); err != nil {
+			t.Fatalf("write submit %d: %v", id, err)
+		}
+		for {
+			ft, p, err := wire.ReadFrame(rc.br, &rc.rbuf)
+			if err != nil {
+				t.Fatalf("read answer to %d: %v", id, err)
+			}
+			if ft == wire.FrameRejectWave {
+				waves++
+				continue
+			}
+			if ft != wire.FrameResults {
+				t.Fatalf("answer to %d: %v frame", id, ft)
+			}
+			_, e, err := wire.ViewResults(p)
+			if err != nil || e.Len() != 1 {
+				t.Fatalf("results for %d: %d entries, err %v", id, e.Len(), err)
+			}
+			if e.At(0).Outcome == uint8(controller.Rejected) {
+				if waves != 1 {
+					t.Fatalf("first reject (id %d) came behind %d RejectWave frames, want 1", id, waves)
+				}
+				return
+			}
+			break
+		}
+	}
+	t.Fatal("the contract never rejected")
 }
 
 // brokenWriteConn is a net.Conn whose Write starts failing once armed.

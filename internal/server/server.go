@@ -332,13 +332,13 @@ func (s *Server) adopt(nc net.Conn) bool {
 	return true
 }
 
-// removeConn drops c from the live set and from its tenant's.
+// removeConn drops c from the live set and from its tenant's open count.
 func (s *Server) removeConn(c *srvConn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
 	if c.tn != nil {
-		c.tn.unbind(c)
+		c.tn.connsOpen.Add(-1)
 	}
 }
 

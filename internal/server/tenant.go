@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -56,8 +55,8 @@ type tenant struct {
 	// without. The paper's controller serves one request at a time (Section
 	// 3); mu is where the daemon says so. Every connection's serve loop
 	// calls submit, which holds mu for the run's execution with its WAL
-	// append (log order is execution order) and, on the first reject, the
-	// read of the final grant total; the checkpoint captures tree,
+	// append (log order is execution order) and the read of the reject wave
+	// into the run's receipt; the checkpoint captures tree,
 	// controller and counters under it (never mid-run); a reader takes the
 	// engine once under it (view); the drain sets the refusal under it.
 	mu sync.Mutex
@@ -77,7 +76,8 @@ type tenant struct {
 	// writes the final checkpoint, so that checkpoint is the last word).
 	refuse error
 	// waved is set, with the controller's then final grant total, by the run
-	// that decides this incarnation's first reject.
+	// that decides this incarnation's first reject; every later run's
+	// receipt carries both.
 	waved       bool
 	waveGranted int64
 	// runs, runReqs and maxRun count what submit executed: runs, the
@@ -95,13 +95,6 @@ type tenant struct {
 	incarnation      uint64
 	recoveredEffects int
 	recoveredTrunc   int64
-
-	// conns is the set of connections bound to this namespace. The
-	// handshake inserts, the serve loop's exit removes and the reject wave
-	// iterates, all under cmu: the wave never reads a connection that is
-	// mid-handshake or bound elsewhere.
-	cmu   sync.Mutex
-	conns map[*srvConn]struct{}
 
 	// Wire-level accounting: what the server actually answered over the
 	// network for this tenant. The controller's own counters (grants,
@@ -126,9 +119,10 @@ type tenant struct {
 // execution time and move count. A ticketless receipt with
 // successful results is a broken durability invariant, never permission to
 // reply early — it is legitimate only for runs that decided nothing. The
-// one run that decides the tenant's first reject also carries the reject
-// wave: wave is set and granted is the controller's grant total, final from
-// that reject on.
+// receipt also carries the reject wave as the run found it: wave is set
+// once a run (this one or an earlier) decided the tenant's first reject,
+// and granted is the controller's grant total at that reject, final from
+// there on.
 type receipt struct {
 	ticket    uint64
 	hasTicket bool
@@ -153,7 +147,7 @@ var (
 func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, receipt) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var rc receipt
+	rc := receipt{wave: t.waved, granted: t.waveGranted}
 	if t.refuse != nil {
 		for range reqs {
 			out = append(out, controller.BatchResult{Err: t.refuse})
@@ -177,13 +171,26 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 		rc.exec = time.Since(execStart)
 		rc.moves = t.ctrs.Get(stats.CounterMoves) - movesBefore
 	}
-	if !t.waved && t.ctrs.Get(stats.CounterRejects) > rejectsBefore {
+	// The run that decides the first reject decides the wave, whose grant
+	// total is final from that reject on. The wave's WAL marker goes right
+	// behind the run's effects (log order is execution order), and the run's
+	// ticket covers it.
+	decided := !t.waved && t.ctrs.Get(stats.CounterRejects) > rejectsBefore
+	if decided {
 		t.waved, t.waveGranted = true, t.ctl.Granted()
 		rc.wave, rc.granted = true, t.waveGranted
+		t.logger.Info("reject wave", "tenant", t.name, "granted", t.waveGranted)
 	}
 	if t.eng != nil {
 		walStart := time.Now()
 		ticket, err := t.eng.AppendEffects(reqs, out[base:])
+		if err == nil && decided {
+			if wt, werr := t.eng.AppendWave(t.waveGranted); werr != nil {
+				t.logger.Warn("wal wave append failed", "tenant", t.name, "err", werr)
+			} else {
+				ticket = wt
+			}
+		}
 		rc.walAppend = time.Since(walStart)
 		if err != nil {
 			t.refuse = errWALUnavailable
@@ -231,7 +238,6 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		ctl:     controller.NewDynamic(tr, tc.M, tc.W, controller.WithDynamicCounters(ctrs)),
 		ctrs:    ctrs,
 		topoSig: topoSig,
-		conns:   map[*srvConn]struct{}{},
 	}
 	if cfg.TraceRing >= 0 {
 		tn.tracer = obs.NewTracer(cfg.TraceRing, obs.DefaultSlow)
@@ -366,49 +372,4 @@ func (t *tenant) view() TenantView {
 	v.ConnsOpen, v.ConnsTotal, v.IdleTimeouts = t.connsOpen.Load(), t.connsTotal.Load(), t.idleTimeouts.Load()
 	v.Trace = t.tracer.Snapshot()
 	return v
-}
-
-// bind adds c to the tenant's connection set (the handshake's last step
-// before Welcome, under c's write lock so no wave frame gets between the
-// two); unbind removes it when c's serve loop exits.
-func (t *tenant) bind(c *srvConn) {
-	t.cmu.Lock()
-	t.conns[c] = struct{}{}
-	t.cmu.Unlock()
-	t.connsOpen.Add(1)
-	t.connsTotal.Add(1)
-}
-
-func (t *tenant) unbind(c *srvConn) {
-	t.cmu.Lock()
-	delete(t.conns, c)
-	t.cmu.Unlock()
-	t.connsOpen.Add(-1)
-}
-
-// broadcastRejectWave pushes a RejectWave frame to every connection bound
-// to t and logs the wave completion to t's WAL. Called at most once per
-// tenant, by the connection whose run decided the first reject. The grant
-// total it announces is the controller's as that run read it (its
-// receipt), which is final once it rejects — the wire tally lags it by
-// whatever other connections have decided but not yet answered. A peer the
-// wave cannot be written to can no longer be answered at all, so its
-// connection is cut and its serve loop drains out.
-func (t *tenant) broadcastRejectWave(granted int64) {
-	if t.eng != nil {
-		if _, err := t.eng.AppendWave(granted); err != nil {
-			t.logger.Warn("wal wave append failed", "tenant", t.name, "err", err)
-		}
-	}
-	t.cmu.Lock()
-	conns := slices.Collect(maps.Keys(t.conns))
-	t.cmu.Unlock()
-	t.logger.Info("reject wave", "tenant", t.name, "granted", granted, "connections", len(conns))
-	frame := wire.AppendRejectWave(nil, wire.RejectWave{Granted: granted})
-	for _, c := range conns {
-		if err := c.send(frame); err != nil {
-			t.logger.Debug("reject wave write failed", "remote", c.remote, "tenant", t.name, "err", err)
-			c.nc.Close()
-		}
-	}
 }

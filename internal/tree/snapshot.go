@@ -72,10 +72,10 @@ func (t *Tree) Snapshot() *Snapshot {
 }
 
 // Restore replaces the tree's contents with the captured snapshot, keeping
-// the tree value (and thus every reference to it), its port assigner and
-// its observers. Observers are not notified — a restore is state recovery,
-// not a topological change. The restored tree is validated before the
-// receiver is touched; on error the tree is left unchanged.
+// the tree value (and thus every reference to it) and its port assigner. A
+// restore is state recovery, not a topological change: Changes becomes the
+// snapshot's count and Generation moves on. The restored tree is validated
+// before the receiver is touched; on error the tree is left unchanged.
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before

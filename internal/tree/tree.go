@@ -55,11 +55,10 @@
 // metrics page reads Size and Height) takes whatever lock orders the owner's
 // calls and reads under it; in the daemon that is tenant.mu, and the
 // message-passing engine's handlers are ordered by the simulator, which runs
-// one at a time. The callbacks of Observe,
-// Climb, ClimbMarked and WalkDFS therefore run on the owner's goroutine in
-// the middle of a tree call and must not call back into the tree, because a
-// mutation would change what the call is walking, not because a lock is
-// held. Restore swaps the three tables and the counters of the receiver in
+// one at a time. The callbacks of Climb, ClimbMarked and WalkDFS therefore
+// run on the owner's goroutine in the middle of a tree call and must not
+// call back into the tree, because a mutation would change what the call is
+// walking, not because a lock is held. Restore swaps the three tables and the counters of the receiver in
 // place, as one more mutation of the owner's, so whoever holds the *Tree
 // sees the restored state at its next call.
 package tree
@@ -147,17 +146,6 @@ type Request struct {
 	Child NodeID
 }
 
-// Change records one applied topological change.
-type Change struct {
-	Kind ChangeKind
-	// Node is the node added or removed.
-	Node NodeID
-	// Parent is the parent of Node at the time of the change.
-	Parent NodeID
-	// Seq is the 1-based sequence number of the change within its tree.
-	Seq uint64
-}
-
 // node is what a vertex knows of its edges. Its parent, its depth and
 // whether it lives are in Tree.parent and Tree.depth, and its id is its index
 // in Tree.nodes, where it sits by value: the zero node is an id that is not in
@@ -211,7 +199,6 @@ type Tree struct {
 	// generation counts the applied changes like changeSeq and the Restores
 	// as well; no snapshot carries it.
 	generation uint64
-	observers  []func(Change)
 
 	// express is indexed by NodeID like depth, follows from it and is written
 	// wherever it is: the entry of id is its nearest proper ancestor at a
@@ -247,13 +234,6 @@ func New(opts ...Option) (*Tree, NodeID) {
 	}
 	t.root = t.allocNode(InvalidNode, 0)
 	return t, t.root
-}
-
-// Observe registers fn to be called after every applied topological change,
-// before the call that applied it returns. Observers must not call back into
-// the tree.
-func (t *Tree) Observe(fn func(Change)) {
-	t.observers = append(t.observers, fn)
 }
 
 // allocNode creates the node of the next id, recorded as a child-to-be of
@@ -312,14 +292,10 @@ func (t *Tree) remove(id NodeID) {
 	t.live--
 }
 
-func (t *Tree) notify(kind ChangeKind, id, parent NodeID) Change {
+// notify counts one applied topological change.
+func (t *Tree) notify() {
 	t.changeSeq++
 	t.generation++
-	ch := Change{Kind: kind, Node: id, Parent: parent, Seq: t.changeSeq}
-	for _, fn := range t.observers {
-		fn(ch)
-	}
-	return ch
 }
 
 // Root returns the root node id.
@@ -459,7 +435,7 @@ func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
 	}
 	id := t.allocNode(parent, t.depth[parent]+1)
 	t.link(parent, id)
-	t.notify(AddLeaf, id, parent)
+	t.notify()
 	return id, nil
 }
 
@@ -478,7 +454,7 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 	parent := t.parent[id]
 	t.unlink(parent, id)
 	t.remove(id)
-	t.notify(RemoveLeaf, id, parent)
+	t.notify()
 	return nil
 }
 
@@ -499,7 +475,7 @@ func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
 	t.link(p, u)
 	t.link(u, child)
 	t.recomputeDepths(child)
-	t.notify(AddInternal, u, p)
+	t.notify()
 	return u, nil
 }
 
@@ -525,7 +501,7 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	}
 	t.unlink(p, id)
 	t.remove(id)
-	t.notify(RemoveInternal, id, p)
+	t.notify()
 	return nil
 }
 

@@ -692,37 +692,43 @@ func TestSubtreeSizeAndHeight(t *testing.T) {
 	}
 }
 
+// TestObservers pins the two counts a watcher of the tree reads: Changes
+// and Generation each advance by one per applied change, in order, and a
+// Restore sets Changes to the snapshot's count while Generation still moves
+// on.
 func TestObservers(t *testing.T) {
 	tr, root := New()
-	var events []Change
-	tr.Observe(func(ch Change) { events = append(events, ch) })
+	step := uint64(0)
+	counted := func(what string) {
+		t.Helper()
+		step++
+		if c, g := tr.Changes(), tr.Generation(); c != step || g != step {
+			t.Fatalf("after %s: Changes() = %d, Generation() = %d, want %d each", what, c, g, step)
+		}
+	}
 
 	a := mustAddLeaf(t, tr, root)
+	counted("add leaf")
+	snap := tr.Snapshot()
 	u, err := tr.ApplyAddInternal(a)
 	if err != nil {
 		t.Fatalf("ApplyAddInternal: %v", err)
 	}
+	counted("add internal")
 	if err := tr.ApplyRemoveInternal(u); err != nil {
 		t.Fatalf("ApplyRemoveInternal: %v", err)
 	}
+	counted("remove internal")
 	if err := tr.ApplyRemoveLeaf(a); err != nil {
 		t.Fatalf("ApplyRemoveLeaf: %v", err)
 	}
+	counted("remove leaf")
 
-	wantKinds := []ChangeKind{AddLeaf, AddInternal, RemoveInternal, RemoveLeaf}
-	if len(events) != len(wantKinds) {
-		t.Fatalf("observed %d events, want %d", len(events), len(wantKinds))
+	if err := tr.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
-	for i, k := range wantKinds {
-		if events[i].Kind != k {
-			t.Fatalf("event %d kind = %v, want %v", i, events[i].Kind, k)
-		}
-		if events[i].Seq != uint64(i+1) {
-			t.Fatalf("event %d seq = %d, want %d", i, events[i].Seq, i+1)
-		}
-	}
-	if got := tr.Changes(); got != 4 {
-		t.Fatalf("Changes() = %d, want 4", got)
+	if c, g := tr.Changes(), tr.Generation(); c != 1 || g != step+1 {
+		t.Fatalf("after Restore: Changes() = %d, Generation() = %d, want 1 and %d", c, g, step+1)
 	}
 }
 
