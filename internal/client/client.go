@@ -451,16 +451,15 @@ func (cc *cliConn) handleFrame(ft wire.FrameType, p []byte) error {
 		base := len(pc.out)
 		pc.out = slices.Grow(pc.out, pc.n)[:base+pc.n]
 		for i := range pc.out[base:] {
-			r := e.At(i)
+			r, br := e.At(i), &pc.out[base+i]
 			if r.Code != wire.CodeOK {
-				pc.out[base+i] = controller.BatchResult{Err: &ResultError{Code: r.Code}}
+				br.Grant, br.Err = controller.Grant{}, &ResultError{Code: r.Code}
 				continue
 			}
-			pc.out[base+i] = controller.BatchResult{Grant: controller.Grant{
-				Outcome: controller.Outcome(r.Outcome),
-				Serial:  r.Serial,
-				NewNode: r.NewNode,
-			}}
+			br.Grant.Outcome = controller.Outcome(r.Outcome)
+			br.Grant.Serial = r.Serial
+			br.Grant.NewNode = r.NewNode
+			br.Err = nil
 		}
 		pc.finish(nil)
 		return nil

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"slices"
+
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
@@ -56,15 +58,26 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 // package without starting the transport (items 1–2 of Protocol
 // GrantOrReject move nothing).
 func (f *Fixed) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	for _, req := range reqs {
-		g, ok := f.FastGrant(req)
-		var err error
-		if !ok {
-			g, err = f.core.Submit(req)
+	out, at := grow(out, len(reqs))
+	for i, req := range reqs {
+		r := &out[at+i]
+		if g, ok := f.FastGrant(req); ok {
+			r.Grant, r.Err = g, nil
+		} else {
+			r.Grant, r.Err = f.core.Submit(req)
 		}
-		out = append(out, BatchResult{Grant: g, Err: err})
 	}
 	return out
+}
+
+// grow extends out by n results for the caller to write in place and
+// returns it with the index of the first new one. Writing the fields of
+// out[i] costs a store each; appending a BatchResult literal builds it on
+// the stack and copies it over with wide loads that straddle the narrow
+// stores that built it, a store-forwarding stall an answer.
+func grow(out []BatchResult, n int) ([]BatchResult, int) {
+	at := len(out)
+	return slices.Grow(out, n)[:at+n], at
 }
 
 // fastCapable reports whether the local fast path applies: only while the
@@ -87,17 +100,18 @@ func (it *Iterated) fastGrant(req Request) (Grant, bool) {
 
 // SubmitBatch implements BatchSubmitter over the iterated driver.
 func (it *Iterated) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
+	out, at := grow(out, len(reqs))
 	fast := it.fastCapable()
-	for _, req := range reqs {
+	for i, req := range reqs {
+		r := &out[at+i]
 		if fast {
 			if g, ok := it.fastGrant(req); ok {
-				out = append(out, BatchResult{Grant: g})
+				r.Grant, r.Err = g, nil
 				continue
 			}
 		}
-		g, err := it.Submit(req)
+		r.Grant, r.Err = it.Submit(req)
 		fast = it.fastCapable()
-		out = append(out, BatchResult{Grant: g, Err: err})
 	}
 	return out
 }
@@ -120,17 +134,18 @@ func (d *Dynamic) fastInner() *Iterated {
 // call: between two it runs straight against the whiteboards, one store
 // lookup and permit take per request.
 func (d *Dynamic) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
+	out, at := grow(out, len(reqs))
 	fast := d.fastInner()
-	for _, req := range reqs {
+	for i, req := range reqs {
+		r := &out[at+i]
 		if fast != nil {
 			if g, ok := fast.fastGrant(req); ok {
-				out = append(out, BatchResult{Grant: g})
+				r.Grant, r.Err = g, nil
 				continue
 			}
 		}
-		g, err := d.Submit(req)
+		r.Grant, r.Err = d.Submit(req)
 		fast = d.fastInner()
-		out = append(out, BatchResult{Grant: g, Err: err})
 	}
 	return out
 }

@@ -118,6 +118,11 @@ func (d *Dynamic) Iterations() int { return d.st.Iterations }
 // Counters returns the shared cost counters.
 func (d *Dynamic) Counters() *stats.Counters { return d.counters }
 
+// StoreTableBytes returns the bytes of the current whiteboards' store table,
+// which holds one pkgstore.Store for every id, the packages' backing arrays
+// not counted.
+func (d *Dynamic) StoreTableBytes() int { return d.inner.wb.stores.Bytes() }
+
 // Terminated reports whether a terminating controller has terminated.
 func (d *Dynamic) Terminated() bool { return d.st.Terminated }
 

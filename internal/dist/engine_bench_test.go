@@ -179,3 +179,21 @@ func TestEngineChurnAllocs(t *testing.T) {
 		t.Errorf("%.3f allocations a request, want at most 1.95", perReq)
 	}
 }
+
+// TestTableBytesPerID bounds what the centralized engine keeps in its per-id
+// tables on growTrace: the tree's node entries and child-list slots and the
+// whiteboards' stores, at most 48 B for every id ever handed out, where
+// almost all of the 25 000 leaves the trace adds hold neither a child nor a
+// package. A node entry that carries two slice headers for its children and
+// a store that carries one for each of its two sections put it at 120.
+func TestTableBytesPerID(t *testing.T) {
+	reqs := recordTrace(t, growTrace)
+	e := newEngine(t, false, growTrace)
+	e.replay(reqs, make([]controller.BatchResult, 0, 128))
+	nodes, stores, ids := e.tr.TableBytes(), e.d.StoreTableBytes(), e.tr.EverExisted()+1
+	perID := float64(nodes+stores) / float64(ids)
+	t.Logf("%d ids: %d B of node and list tables, %d B of stores, %.1f B an id", ids, nodes, stores, perID)
+	if perID > 48 {
+		t.Errorf("%.1f B an id in the node, list and store tables, want at most 48", perID)
+	}
+}

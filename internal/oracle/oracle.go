@@ -38,6 +38,7 @@ package oracle
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dynctrl/internal/controller"
@@ -252,9 +253,11 @@ func (o *Oracle) Submit(req controller.Request) (controller.Grant, error) {
 // every check needs the state its own request left, so the oracle never
 // hands the target a batch.
 func (o *Oracle) SubmitBatch(reqs []controller.Request, out []controller.BatchResult) []controller.BatchResult {
-	for _, req := range reqs {
-		g, err := o.Submit(req)
-		out = append(out, controller.BatchResult{Grant: g, Err: err})
+	at := len(out)
+	out = slices.Grow(out, len(reqs))[:at+len(reqs)]
+	for i, req := range reqs {
+		r := &out[at+i]
+		r.Grant, r.Err = o.Submit(req)
 	}
 	return out
 }

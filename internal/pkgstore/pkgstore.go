@@ -20,9 +20,9 @@
 // package costs no allocation and a store's backing arrays hold no pointer
 // for the collector to scan. A *Package that Static, MobileAtFillerDistance,
 // AddMobile or AddStatic hands out points into the store: it is good until
-// that store next changes (an add may move the backing array, a removal
-// moves the last package into the freed slot), and RemoveMobile and
-// RemoveStatic take exactly such a pointer.
+// that store next changes (an add may move the backing array or the mobile
+// packages, a removal moves packages into the freed slot), and RemoveMobile
+// and RemoveStatic take exactly such a pointer.
 package pkgstore
 
 import (
@@ -267,11 +267,18 @@ func (pk *Package) TakePermit() (serial int64, empty bool, err error) {
 // a node that was never seen, or one that was deleted. NewStore and
 // RestoreStore return a present store; assigning Store{} over an entry
 // removes it.
+//
+// The packages sit in one slice, the statics first and the mobiles after
+// them, so a store is one slice header and 8 bytes more: 32 bytes where a
+// word is 8. Each section keeps the order of its own adds and swap-removes, which is
+// the order Statics, Mobiles and State give: an added static goes in at the
+// boundary and moves the mobiles up one, and a removed static's slot takes
+// the last static and the gap at the boundary closes.
 type Store struct {
+	pkgs    []Package
+	statics int32 // pkgs[:statics] are the static packages
 	present bool
 	reject  bool
-	statics []Package
-	mobiles []Package
 }
 
 // NewStore returns an empty store.
@@ -293,21 +300,25 @@ func (s *Store) ClearReject() { s.reject = false }
 
 // AddMobile stores a mobile package and returns it in the store.
 func (s *Store) AddMobile(pk Package) *Package {
-	s.mobiles = append(s.mobiles, pk)
-	return &s.mobiles[len(s.mobiles)-1]
+	s.pkgs = append(s.pkgs, pk)
+	return &s.pkgs[len(s.pkgs)-1]
 }
 
 // AddStatic stores a static package and returns it in the store.
 func (s *Store) AddStatic(pk Package) *Package {
-	s.statics = append(s.statics, pk)
-	return &s.statics[len(s.statics)-1]
+	n := s.statics
+	s.pkgs = append(s.pkgs, Package{})
+	copy(s.pkgs[n+1:], s.pkgs[n:])
+	s.pkgs[n] = pk
+	s.statics++
+	return &s.pkgs[n]
 }
 
 // Static returns a non-empty static package in the store, or nil.
 func (s *Store) Static() *Package {
 	for i := range s.statics {
-		if s.statics[i].Size > 0 {
-			return &s.statics[i]
+		if s.pkgs[i].Size > 0 {
+			return &s.pkgs[i]
 		}
 	}
 	return nil
@@ -317,8 +328,8 @@ func (s *Store) Static() *Package {
 // smallest level satisfying the filler condition for hop distance d, or nil.
 func (s *Store) MobileAtFillerDistance(p Params, d int64) *Package {
 	var best *Package
-	for i := range s.mobiles {
-		pk := &s.mobiles[i]
+	for i := int(s.statics); i < len(s.pkgs); i++ {
+		pk := &s.pkgs[i]
 		if p.IsFillerDistance(pk.Level, d) && (best == nil || pk.Level < best.Level) {
 			best = pk
 		}
@@ -354,52 +365,61 @@ func (s *Store) TakeStaticPermit() (serial int64, ok bool) {
 // RemoveMobile removes the mobile package pk points at from the store; the
 // last one takes its slot.
 func (s *Store) RemoveMobile(pk *Package) error {
-	return swapRemove(&s.mobiles, pk)
+	i := s.index(pk, int(s.statics), len(s.pkgs))
+	if i < 0 {
+		return ErrNotInStore
+	}
+	last := len(s.pkgs) - 1
+	s.pkgs[i] = s.pkgs[last]
+	s.pkgs = s.pkgs[:last]
+	return nil
 }
 
 // RemoveStatic removes the static package pk points at from the store; the
-// last one takes its slot.
+// last static takes its slot, and the mobiles move down one into the gap.
 func (s *Store) RemoveStatic(pk *Package) error {
-	return swapRemove(&s.statics, pk)
+	i := s.index(pk, 0, int(s.statics))
+	if i < 0 {
+		return ErrNotInStore
+	}
+	s.statics--
+	s.pkgs[i] = s.pkgs[s.statics]
+	s.pkgs = append(s.pkgs[:s.statics], s.pkgs[s.statics+1:]...)
+	return nil
 }
 
-// swapRemove removes the element of *pkgs that pk points at, moving the last
-// one into its slot.
-func swapRemove(pkgs *[]Package, pk *Package) error {
-	ps := *pkgs
-	for i := range ps {
-		if &ps[i] == pk {
-			ps[i] = ps[len(ps)-1]
-			*pkgs = ps[:len(ps)-1]
-			return nil
+// index returns the position in pkgs[from:to] that pk points at, or -1.
+func (s *Store) index(pk *Package, from, to int) int {
+	for i := from; i < to; i++ {
+		if &s.pkgs[i] == pk {
+			return i
 		}
 	}
-	return ErrNotInStore
+	return -1
 }
 
 // TakeAll removes and returns a copy of every permit package, statics first
 // (used when a node is deleted gracefully and its data moves to its parent
 // in a message). The reject flag is returned as well.
 func (s *Store) TakeAll() (packages []Package, hadReject bool) {
-	out := make([]Package, 0, len(s.statics)+len(s.mobiles))
-	out = append(out, s.statics...)
-	out = append(out, s.mobiles...)
-	s.statics = nil
-	s.mobiles = nil
+	out := append(make([]Package, 0, len(s.pkgs)), s.pkgs...)
+	s.pkgs, s.statics = nil, 0
 	return out, s.reject
 }
 
 // Absorb merges the given packages into the store (parent side of a
-// graceful deletion), skipping empty ones.
+// graceful deletion), skipping empty ones: the statics at the end of the
+// static section and the mobiles at the end of the store, each in the order
+// given.
 func (s *Store) Absorb(packages []Package, reject bool) {
 	for _, pk := range packages {
 		if pk.Size <= 0 {
 			continue
 		}
 		if pk.Mobile {
-			s.mobiles = append(s.mobiles, pk)
+			s.AddMobile(pk)
 		} else {
-			s.statics = append(s.statics, pk)
+			s.AddStatic(pk)
 		}
 	}
 	if reject {
@@ -409,19 +429,16 @@ func (s *Store) Absorb(packages []Package, reject bool) {
 
 // Mobiles returns the stored mobile packages (shared slice, good until the
 // store next changes; callers must not mutate).
-func (s *Store) Mobiles() []Package { return s.mobiles }
+func (s *Store) Mobiles() []Package { return s.pkgs[s.statics:] }
 
 // Statics returns the stored static packages (shared slice, good until the
-// store next changes; callers must not mutate).
-func (s *Store) Statics() []Package { return s.statics }
+// store next changes; callers must neither mutate nor append to it).
+func (s *Store) Statics() []Package { return s.pkgs[:s.statics:s.statics] }
 
 // PermitCount returns the total permits stored here (static + mobile).
 func (s *Store) PermitCount() int64 {
 	var n int64
-	for _, pk := range s.statics {
-		n += pk.Size
-	}
-	for _, pk := range s.mobiles {
+	for _, pk := range s.pkgs {
 		n += pk.Size
 	}
 	return n
@@ -430,15 +447,14 @@ func (s *Store) PermitCount() int64 {
 // Empty reports whether the store holds neither permits nor a reject
 // package.
 func (s *Store) Empty() bool {
-	return !s.reject && len(s.statics) == 0 && len(s.mobiles) == 0
+	return !s.reject && len(s.pkgs) == 0
 }
 
 // Clear drops every package including the reject flag; the store itself
 // stays.
 func (s *Store) Clear() {
 	s.reject = false
-	s.statics = nil
-	s.mobiles = nil
+	s.pkgs, s.statics = nil, 0
 }
 
 // MemoryBits estimates the whiteboard memory of this store in bits using
@@ -450,12 +466,12 @@ func (s *Store) MemoryBits(p Params) int {
 	bitsLogM := ceilLog2(p.M) + 1
 	// One bit a level present: the whiteboards' level mask.
 	var levels uint64
-	for _, pk := range s.mobiles {
+	for _, pk := range s.Mobiles() {
 		levels |= 1 << min(uint(pk.Level), 63)
 	}
 	n := 1 // reject flag
 	n += bits.OnesCount64(levels) * bitsLogU
-	if len(s.statics) > 0 {
+	if s.statics > 0 {
 		n += bitsLogM
 	}
 	return n

@@ -2,6 +2,7 @@ package pkgstore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -484,5 +485,186 @@ func TestSplitPreservesPermitsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreSize pins what a store costs the table that holds one for every
+// node id: one slice header for all its packages and 8 bytes for the count of
+// statics and the two flags, 32 bytes where a word is 8.
+func TestStoreSize(t *testing.T) {
+	if size, want := unsafe.Sizeof(Store{}), unsafe.Sizeof([]Package(nil))+8; size != want {
+		t.Fatalf("a store takes %d bytes, want %d", size, want)
+	}
+}
+
+// twoSlices is the store as two slices, one a section, which is what the
+// one-slice Store must answer like: each section in the order of its own
+// appends and swap-removes.
+type twoSlices struct {
+	statics, mobiles []Package
+	reject           bool
+}
+
+func (m *twoSlices) swapRemove(pkgs *[]Package, i int) {
+	ps := *pkgs
+	ps[i] = ps[len(ps)-1]
+	*pkgs = ps[:len(ps)-1]
+}
+
+// firstStatic returns the index of the first non-empty static, or -1.
+func (m *twoSlices) firstStatic() int {
+	for i, pk := range m.statics {
+		if pk.Size > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *twoSlices) permits() int64 {
+	var n int64
+	for _, pk := range append(append([]Package(nil), m.statics...), m.mobiles...) {
+		n += pk.Size
+	}
+	return n
+}
+
+// TestStoreMatchesTwoSliceModel replays random sequences of every store
+// operation against the two-slice model and compares, after every step, the
+// sections, the captured state, the permit count and the package each call
+// handed out: AddStatic and AddMobile return the package they stored, Static
+// and MobileAtFillerDistance point at the slot the model names, and
+// TakeStaticPermit and TakeAll give what the model gives.
+func TestStoreMatchesTwoSliceModel(t *testing.T) {
+	p := NewParams(64, 1<<20, 1<<10)
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, m := NewStore(), &twoSlices{}
+		serial := int64(1)
+		newPackage := func(mobile bool) Package {
+			pk := Package{Size: 1 + rng.Int63n(4), Tag: uint32(rng.Intn(100))}
+			if mobile {
+				pk = NewMobile(p, rng.Intn(4))
+				pk.Tag = uint32(rng.Intn(100))
+			}
+			if rng.Intn(2) == 0 {
+				pk.Serials = Interval{Lo: serial, Hi: serial + pk.Size - 1}
+				serial += pk.Size
+			}
+			return pk
+		}
+		for step := 0; step < 400; step++ {
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
+			}
+			switch op := rng.Intn(14); {
+			case op < 3:
+				pk := newPackage(false)
+				if got := s.AddStatic(pk); *got != pk {
+					fail("AddStatic returned %+v, stored %+v", *got, pk)
+				}
+				m.statics = append(m.statics, pk)
+			case op < 6:
+				pk := newPackage(true)
+				if got := s.AddMobile(pk); *got != pk {
+					fail("AddMobile returned %+v, stored %+v", *got, pk)
+				}
+				m.mobiles = append(m.mobiles, pk)
+			case op == 6 && len(m.statics) > 0:
+				i := rng.Intn(len(m.statics))
+				if err := s.RemoveStatic(&s.Statics()[i]); err != nil {
+					fail("RemoveStatic: %v", err)
+				}
+				m.swapRemove(&m.statics, i)
+			case op == 7 && len(m.mobiles) > 0:
+				i := rng.Intn(len(m.mobiles))
+				if err := s.RemoveStatic(&s.Mobiles()[i]); !errors.Is(err, ErrNotInStore) {
+					fail("RemoveStatic of a mobile package: %v", err)
+				}
+				if err := s.RemoveMobile(&s.Mobiles()[i]); err != nil {
+					fail("RemoveMobile: %v", err)
+				}
+				m.swapRemove(&m.mobiles, i)
+			case op == 8:
+				got, ok := s.TakeStaticPermit()
+				i := m.firstStatic()
+				if ok != (i >= 0) {
+					fail("TakeStaticPermit ok = %v, the model has static %d", ok, i)
+				}
+				if i >= 0 {
+					want, empty, _ := m.statics[i].TakePermit()
+					if got != want {
+						fail("TakeStaticPermit gave serial %d, want %d", got, want)
+					}
+					if empty {
+						m.swapRemove(&m.statics, i)
+					}
+				}
+			case op == 9:
+				pkgs := make([]Package, rng.Intn(5))
+				for i := range pkgs {
+					pkgs[i] = newPackage(rng.Intn(2) == 0)
+					if rng.Intn(4) == 0 {
+						pkgs[i].Size, pkgs[i].Serials = 0, Interval{}
+					}
+				}
+				reject := rng.Intn(8) == 0
+				s.Absorb(pkgs, reject)
+				for _, pk := range pkgs {
+					switch {
+					case pk.Size <= 0:
+					case pk.Mobile:
+						m.mobiles = append(m.mobiles, pk)
+					default:
+						m.statics = append(m.statics, pk)
+					}
+				}
+				m.reject = m.reject || reject
+			case op == 10 && rng.Intn(4) == 0:
+				got, hadReject := s.TakeAll()
+				want := append(append([]Package{}, m.statics...), m.mobiles...)
+				if !reflect.DeepEqual(got, want) || hadReject != m.reject {
+					fail("TakeAll = %+v, %v; want %+v, %v", got, hadReject, want, m.reject)
+				}
+				m.statics, m.mobiles = nil, nil
+			case op == 11 && rng.Intn(8) == 0:
+				s.Clear()
+				*m = twoSlices{}
+			case op == 12:
+				s.SetReject()
+				m.reject = true
+			case op == 13:
+				d := rng.Int63n(20 * p.Psi)
+				got, want := s.MobileAtFillerDistance(p, d), -1
+				for i, pk := range m.mobiles {
+					if p.IsFillerDistance(pk.Level, d) && (want < 0 || pk.Level < m.mobiles[want].Level) {
+						want = i
+					}
+				}
+				if want < 0 && got != nil || want >= 0 && got != &s.Mobiles()[want] {
+					fail("MobileAtFillerDistance(%d) = %p, the model names mobile %d", d, got, want)
+				}
+			}
+			if !reflect.DeepEqual(s.Statics(), m.statics) && len(s.Statics())+len(m.statics) > 0 {
+				fail("statics %+v, the model has %+v", s.Statics(), m.statics)
+			}
+			if !reflect.DeepEqual(s.Mobiles(), m.mobiles) && len(s.Mobiles())+len(m.mobiles) > 0 {
+				fail("mobiles %+v, the model has %+v", s.Mobiles(), m.mobiles)
+			}
+			want := StoreState{Reject: m.reject, Statics: untagged(m.statics), Mobiles: untagged(m.mobiles)}
+			if got := s.State(); !reflect.DeepEqual(got, want) {
+				fail("State %+v, the model's %+v", got, want)
+			}
+			if got, want := s.PermitCount(), m.permits(); got != want {
+				fail("PermitCount %d, the model holds %d", got, want)
+			}
+			if i := m.firstStatic(); i < 0 && s.Static() != nil || i >= 0 && s.Static() != &s.Statics()[i] {
+				fail("Static() = %p, the model names static %d", s.Static(), i)
+			}
+			if s.Empty() != (!m.reject && len(m.statics)+len(m.mobiles) == 0) {
+				fail("Empty() = %v", s.Empty())
+			}
+		}
 	}
 }

@@ -22,7 +22,7 @@ type StoreState struct {
 
 // State captures the store's complete contents.
 func (s *Store) State() StoreState {
-	return StoreState{Reject: s.reject, Statics: untagged(s.statics), Mobiles: untagged(s.mobiles)}
+	return StoreState{Reject: s.reject, Statics: untagged(s.Statics()), Mobiles: untagged(s.Mobiles())}
 }
 
 // untagged copies pkgs with every Tag zeroed (nil when there are none).
@@ -50,8 +50,10 @@ func RestoreStore(st StoreState) (Store, error) {
 	}
 	s := NewStore()
 	s.reject = st.Reject
-	s.statics = slices.Clone(st.Statics)
-	s.mobiles = slices.Clone(st.Mobiles)
+	if n := len(st.Statics) + len(st.Mobiles); n > 0 {
+		s.pkgs = append(append(make([]Package, 0, n), st.Statics...), st.Mobiles...)
+		s.statics = int32(len(st.Statics))
+	}
 	return s, nil
 }
 

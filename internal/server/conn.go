@@ -360,7 +360,8 @@ func (c *srvConn) accountAndReply(rc receipt) (grants, rejects, errs int64, err 
 		n := c.counts[i]
 		var e wire.ResultEntries
 		buf, e = wire.GrowResults(buf, id, n)
-		for j, br := range c.results[off : off+n] {
+		for j := range n {
+			br := &c.results[off+j]
 			var r wire.Result
 			if br.Err != nil {
 				r.Code = resultCode(br.Err)

@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -61,11 +62,36 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	d.Gauge("dynctrld_oracle_violations", "Oracle violations observed so far, all tenants (paranoid mode).", "", violations)
 	d.Gauge("dynctrld_connections_open", "Currently bound wire connections, all tenants.", "", connsOpen)
 	d.Counter("dynctrld_connections_total", "Wire connections ever bound, all tenants.", "", connsTotal)
+	heap := readHeap()
+	d.Gauge("dynctrld_heap_live_bytes", "Heap bytes the last garbage collection marked live (runtime/metrics /gc/heap/live:bytes).", "", heap[0])
+	d.Counter("dynctrld_gc_cycles_total", "Garbage collection cycles completed since process start (/gc/cycles/total:gc-cycles).", "", heap[1])
+	d.Counter("dynctrld_heap_allocs_objects_total", "Heap objects allocated since process start (/gc/heap/allocs:objects).", "", heap[2])
 
 	for _, v := range views {
 		tenantMetrics(d, v)
 	}
 	d.Write(w)
+}
+
+// heapMetrics are the runtime/metrics names behind the process heap
+// families, in the order readHeap returns them.
+var heapMetrics = [...]string{"/gc/heap/live:bytes", "/gc/cycles/total:gc-cycles", "/gc/heap/allocs:objects"}
+
+// readHeap reads the process heap's live bytes, completed GC cycles and
+// allocated objects in one metrics.Read; a name the runtime does not know
+// reads 0.
+func readHeap() (v [len(heapMetrics)]uint64) {
+	var samples [len(heapMetrics)]metrics.Sample
+	for i, name := range heapMetrics {
+		samples[i].Name = name
+	}
+	metrics.Read(samples[:])
+	for i, s := range samples {
+		if s.Value.Kind() == metrics.KindUint64 {
+			v[i] = s.Value.Uint64()
+		}
+	}
+	return v
 }
 
 // b2i renders a flag as the 0/1 gauge value.

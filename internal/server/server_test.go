@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -269,6 +270,8 @@ func TestMetricsz(t *testing.T) {
 		}
 	}
 
+	// The live heap is what the last collection marked: complete one first.
+	runtime.GC()
 	resp, err := http.Get(fmt.Sprintf("http://%s/metricsz", s.MetricsAddr()))
 	if err != nil {
 		t.Fatalf("GET /metricsz: %v", err)
@@ -296,10 +299,18 @@ func TestMetricsz(t *testing.T) {
 		`dynctrld_tenant_read_batches_total{tenant="default"}`,
 		`dynctrld_tenant_pipeline_requests_total{tenant="default"} 10`,
 		`dynctrld_tenant_moves_total{tenant="default"}`,
+		"dynctrld_gc_cycles_total ",
+		"dynctrld_heap_allocs_objects_total ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metricsz missing %q:\n%s", want, text)
 		}
+	}
+	// The process heap is read from runtime/metrics: after a collection, a
+	// live heap of 0 bytes would mean the name went unread.
+	var live int64
+	if _, err := fmt.Sscanf(text[strings.Index(text, "\ndynctrld_heap_live_bytes ")+1:], "dynctrld_heap_live_bytes %d", &live); err != nil || live <= 0 {
+		t.Errorf("dynctrld_heap_live_bytes = %d (%v), want a positive count of bytes:\n%s", live, err, text)
 	}
 }
 

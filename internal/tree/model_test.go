@@ -215,6 +215,18 @@ func TestTreeMatchesMapModel(t *testing.T) {
 	}
 }
 
+// listHolders counts the model's nodes with children: the nodes that hold a
+// slot of the tree's child-list table.
+func (r *refTree) listHolders() int {
+	holders := 0
+	for _, n := range r.nodes {
+		if len(n.children) > 0 {
+			holders++
+		}
+	}
+	return holders
+}
+
 // replayAgainstModel applies one seeded history to a tree and to the model.
 // It opens with a spine two and a half strides deep, so that what follows
 // splits, cuts and re-depths subtrees that hang off express stops below the
@@ -226,7 +238,9 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 	tr, root := New(WithPortAssigner(assigner(seed)))
 	ref := newRefTree(assigner(seed))
 	everLinked := false
+	peak, reused := 0, false // the most nodes with children at once; whether a freed list was taken
 	for step := 0; step < steps; step++ {
+		freed := len(tr.free)
 		nodes := tr.Nodes()
 		id := nodes[rng.Intn(len(nodes))]
 		op := rng.Intn(4)
@@ -256,6 +270,16 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 		if err != nil {
 			t.Fatalf("seed %d step %d: op %d at %d: %v", seed, step, op, id, err)
 		}
+		// The list table is as long as the most nodes that held children at
+		// once: a slot a deleted or emptied node gave up is taken before the
+		// table grows, so churn does not grow it.
+		holders := ref.listHolders()
+		peak = max(peak, holders)
+		if slots := tr.lists.Len() - 1; slots != peak || len(tr.free) != peak-holders {
+			t.Fatalf("seed %d step %d: after op %d at %d: %d list slots and %d free for %d nodes with children, at most %d at once",
+				seed, step, op, id, slots, len(tr.free), holders, peak)
+		}
+		reused = reused || len(tr.free) < freed
 		if got, want := tr.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d step %d: after op %d at %d the tree and the model differ:\n tree  %+v\n model %+v",
 				seed, step, op, id, got, want)
@@ -267,6 +291,9 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 	}
 	if !everLinked {
 		t.Fatalf("seed %d: no subtree moved a level while a node hung off an express stop below the root", seed)
+	}
+	if !reused {
+		t.Fatalf("seed %d: no change took a child list another node gave up", seed)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file is the tree's state-capture boundary for the durability engine
 // (internal/persist): Snapshot copies the complete structural state of a
@@ -58,15 +55,23 @@ func (t *Tree) Snapshot() *Snapshot {
 			s.Deleted = append(s.Deleted, id)
 			continue
 		}
-		s.Nodes = append(s.Nodes, NodeSnapshot{
+		// Built the same way whatever list the node's history left it, so
+		// equal trees give deeply equal snapshots: a leaf lists nil children
+		// and an empty slice of ports.
+		edges := t.edges(n)
+		ns := NodeSnapshot{
 			ID:         id,
 			Parent:     t.parent[id],
 			ParentPort: int(n.parentPort),
-			// Built the same way whatever slices the node's history left
-			// it, so equal trees give deeply equal snapshots.
-			Children:   append([]NodeID(nil), n.children...),
-			ChildPorts: append(make([]int, 0, len(n.childPorts)), n.childPorts...),
-		})
+			ChildPorts: make([]int, len(edges)),
+		}
+		if len(edges) > 0 {
+			ns.Children = make([]NodeID, len(edges))
+		}
+		for i, e := range edges {
+			ns.Children[i], ns.ChildPorts[i] = e.child, e.port
+		}
+		s.Nodes = append(s.Nodes, ns)
 	}
 	return s
 }
@@ -99,6 +104,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 		r.depth[id] = -1
 	}
 	r.nodes.Grow(int(s.NextID))
+	r.lists.Grow(1)
 	r.express.Grow(int(s.NextID))
 	for _, ns := range s.Nodes {
 		if !inRange(ns.ID) {
@@ -114,10 +120,14 @@ func (t *Tree) Restore(s *Snapshot) error {
 		if ns.ParentPort < -MaxPort || ns.ParentPort > MaxPort {
 			return fmt.Errorf("restore: node %d has parent port %d, outside ±%d", ns.ID, ns.ParentPort, MaxPort)
 		}
-		*r.nodes.At(ns.ID) = node{
-			parentPort: int32(ns.ParentPort),
-			children:   slices.Clone(ns.Children),
-			childPorts: slices.Clone(ns.ChildPorts),
+		n := r.nodes.At(ns.ID)
+		n.parentPort = int32(ns.ParentPort)
+		if len(ns.Children) > 0 {
+			list := r.takeList(n)
+			*list = make([]edge, len(ns.Children))
+			for i, c := range ns.Children {
+				(*list)[i] = edge{c, ns.ChildPorts[i]}
+			}
 		}
 		r.parent[ns.ID] = ns.Parent
 		r.depth[ns.ID] = 0
@@ -146,7 +156,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 		if seen > len(s.Nodes) {
 			return fmt.Errorf("restore: node %d reachable twice", id)
 		}
-		for i, cid := range r.nodes.At(id).children {
+		for i, e := range r.edges(r.nodes.At(id)) {
+			cid := e.child
 			c := r.get(cid)
 			if c == nil {
 				return fmt.Errorf("restore: child %d of %d: %w", cid, id, ErrNoSuchNode)
@@ -156,7 +167,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 			}
 			r.depth[cid] = r.depth[id] + 1
 			*r.express.At(cid) = r.expressVia(id)
-			c.slot = i
+			c.slot = int32(i)
 			stack = append(stack, cid)
 		}
 	}
@@ -164,7 +175,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(s.Nodes))
 	}
 
-	t.nodes, t.parent, t.depth, t.express = r.nodes, r.parent, r.depth, r.express
+	t.nodes, t.lists, t.free = r.nodes, r.lists, nil
+	t.parent, t.depth, t.express = r.parent, r.depth, r.express
 	t.expressEpoch++
 	t.view = portView{} // it points into the table just replaced
 	t.live = len(s.Nodes)

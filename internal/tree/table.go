@@ -1,13 +1,17 @@
 package tree
 
-import "iter"
+import (
+	"iter"
+	"unsafe"
+)
 
 const (
 	chunkBits = 9
 	chunkLen  = 1 << chunkBits
 )
 
-// Table holds one value per node id, by value. Ids count up and are never
+// Table holds one value per node id, by value (or per any other dense
+// index: the tree keeps its child lists in one). Ids count up and are never
 // reused, so a table only ever grows at its end, and it grows in chunks of
 // 512 entries that never move: growing copies nothing and abandons nothing,
 // a table holds at most one chunk more than it needs whatever it has grown
@@ -46,6 +50,13 @@ func (t *Table[T]) All() iter.Seq2[NodeID, *T] {
 			}
 		}
 	}
+}
+
+// Bytes returns the bytes the table's chunks take, the entries not yet in
+// use included.
+func (t *Table[T]) Bytes() int {
+	var zero T
+	return len(t.chunks) * chunkLen * int(unsafe.Sizeof(zero))
 }
 
 // Grow extends the table to n entries, the new ones zero. A table that has

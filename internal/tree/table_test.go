@@ -5,12 +5,13 @@ import (
 	"unsafe"
 )
 
-// TestNodeIsOneCacheLine pins the size the node table's layout rests on:
-// eight words an entry, which is 64 bytes and 32 KiB a chunk where a word is
-// 8 bytes (half that where it is 4).
+// TestNodeIsOneCacheLine pins the size the node table's layout rests on: an
+// entry holds no slice header and no pointer, and takes at most two 64-bit
+// words (three 32-bit fields, 12 bytes on every word size), so a cache line
+// holds five entries and a chunk of the table 6 KiB.
 func TestNodeIsOneCacheLine(t *testing.T) {
-	if size, want := unsafe.Sizeof(node{}), 8*unsafe.Sizeof(uintptr(0)); size != want {
-		t.Fatalf("a node takes %d bytes, want %d", size, want)
+	if size := unsafe.Sizeof(node{}); size > 2*8 {
+		t.Fatalf("a node takes %d bytes, want at most 16", size)
 	}
 }
 

@@ -21,10 +21,10 @@ func (t *Tree) WalkDFS(fn func(id NodeID, dfsNum int) bool) {
 		if !fn(id, num) {
 			return
 		}
-		n := t.nodes.At(id)
 		// Push children in reverse so they pop in insertion order.
-		for i := len(n.children) - 1; i >= 0; i-- {
-			stack = append(stack, n.children[i])
+		edges := t.edges(t.nodes.At(id))
+		for i := len(edges) - 1; i >= 0; i-- {
+			stack = append(stack, edges[i].child)
 		}
 	}
 }
@@ -51,8 +51,8 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 	visit = func(id NodeID) {
 		num++
 		pre := num
-		for _, c := range t.nodes.At(id).children {
-			visit(c)
+		for _, e := range t.edges(t.nodes.At(id)) {
+			visit(e.child)
 		}
 		out[id] = [2]int{pre, num}
 	}
@@ -72,7 +72,10 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 		stack := append(t.stack[:0], head)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
-			stack = append(stack[:len(stack)-1], t.nodes.At(id).children...)
+			stack = stack[:len(stack)-1]
+			for _, e := range t.edges(t.nodes.At(id)) {
+				stack = append(stack, e.child)
+			}
 			if !yield(id) {
 				break
 			}

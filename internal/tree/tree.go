@@ -17,11 +17,15 @@
 // Storage. Node ids are dense by construction (they count up from 1 and are
 // never reused), so the tree keeps its nodes, by value, in a Table indexed by
 // NodeID: no lookup hashes, and adding a node allocates nothing but a chunk of
-// the table every 512 ids. A node lists its children in a slice with the port
-// to each child beside it, and knows its own slot in its parent's list, so
-// linking tests the ports at the two endpoints in place and unlinking is a
-// swap-remove. Nodes, Leaves and Snapshot walk the table and therefore
-// answer in ascending id order.
+// the table every 512 ids. An entry holds no pointer and no slice header:
+// a node's children, each with the port toward it, are a list in a second
+// Table, which only a node with children holds a slot of, and a node knows
+// its own slot in its parent's list, so linking tests the ports at the two
+// endpoints in place and unlinking is a swap-remove. A list slot a node gives
+// up, because its last child left or it was deleted, keeps its backing array
+// and is the next one handed out, so the list table grows only to the most
+// nodes that have had children at once. Nodes, Leaves and Snapshot walk the
+// node table and therefore answer in ascending id order.
 //
 // What an ancestor walk reads lives apart from the nodes: the parent link
 // and the cached depth of every id sit in two more slices indexed by NodeID,
@@ -58,9 +62,9 @@
 // one at a time. The callbacks of Climb, ClimbMarked and WalkDFS therefore
 // run on the owner's goroutine in the middle of a tree call and must not
 // call back into the tree, because a mutation would change what the call is
-// walking, not because a lock is held. Restore swaps the three tables and the counters of the receiver in
-// place, as one more mutation of the owner's, so whoever holds the *Tree
-// sees the restored state at its next call.
+// walking, not because a lock is held. Restore swaps the tables and the
+// counters of the receiver in place, as one more mutation of the owner's, so
+// whoever holds the *Tree sees the restored state at its next call.
 package tree
 
 import (
@@ -147,16 +151,23 @@ type Request struct {
 }
 
 // node is what a vertex knows of its edges. Its parent, its depth and
-// whether it lives are in Tree.parent and Tree.depth, and its id is its index
-// in Tree.nodes, where it sits by value: the zero node is an id that is not in
-// the tree, and the struct stays at 64 bytes, one cache line an entry and
-// 32 KiB a chunk of the table, which is why the port toward the parent is
-// kept in 32 bits (see MaxPort).
+// whether it lives are in Tree.parent and Tree.depth, its children in
+// Tree.lists, and its id is its index in Tree.nodes, where it sits by value:
+// the zero node is an id that is not in the tree. The struct holds three
+// 32-bit fields, 12 bytes an entry and 6 KiB a chunk of the table, which is
+// why the port toward the parent is kept in 32 bits (see MaxPort); a slot or
+// a list index counts nodes alive at once, which no memory holds 2^31 of.
 type node struct {
-	slot       int   // position of this node in its parent's children
+	slot       int32 // position of this node in its parent's children
 	parentPort int32 // within ±MaxPort
-	children   []NodeID
-	childPorts []int // childPorts[i] is the port leading to children[i]
+	list       int32 // index of the node's children in Tree.lists; 0 for none
+}
+
+// edge is one entry of a child list: a child and the port at the parent
+// leading to it.
+type edge struct {
+	child NodeID
+	port  int
 }
 
 // portView is the PortSet an assigner is handed: the ports in use at one
@@ -164,13 +175,22 @@ type node struct {
 // to every child. The tree keeps one and points it at the node in question,
 // so assigning a port allocates nothing.
 type portView struct {
-	n         *node
-	hasParent bool
+	edges      []edge
+	parentPort int32
+	hasParent  bool
 }
 
 // Has implements PortSet.
 func (v *portView) Has(port int) bool {
-	return v.hasParent && int(v.n.parentPort) == port || slices.Contains(v.n.childPorts, port)
+	if v.hasParent && int(v.parentPort) == port {
+		return true
+	}
+	for _, e := range v.edges {
+		if e.port == port {
+			return true
+		}
+	}
+	return false
 }
 
 // Tree is a dynamic rooted tree. The root is created by New and is never
@@ -182,6 +202,13 @@ type Tree struct {
 	// node. Growing the table moves no entry, so a *node (get) stays good
 	// across an allocNode; Restore installs another table.
 	nodes Table[node]
+	// lists holds the child lists, in insertion order as swap-removes leave
+	// it: the live node n with children owns lists[n.list] and no other node
+	// does. Index 0 is no list, and free holds the indices no node owns,
+	// each an empty list keeping its backing array; a list is taken from
+	// free before the table grows.
+	lists Table[[]edge]
+	free  []int32
 	// parent and depth are indexed by NodeID like nodes and as long. They
 	// hold the only copy of each live node's parent link (InvalidNode for
 	// the root and for a node between unlink and link) and of its hop
@@ -228,6 +255,7 @@ func New(opts ...Option) (*Tree, NodeID) {
 		ports:  NewAdversarialPorts(1),
 	}
 	t.nodes.Grow(1) // index 0 is InvalidNode
+	t.lists.Grow(1) // and no list
 	t.express.Grow(1)
 	for _, opt := range opts {
 		opt(t)
@@ -246,8 +274,8 @@ func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 		// 1.25× of append on a large slice abandons four times that, and a
 		// daemon whose tree grows between two GC cycles carries it in its
 		// RSS (grow-mix: 18.4 MiB against 17.1). They stay flat because the
-		// climbs scan them; the nodes, eight times the bytes and never
-		// scanned by a climb, sit in a table that abandons nothing.
+		// climbs scan them; the nodes, never scanned by a climb, sit in a
+		// table that abandons nothing.
 		t.parent = slices.Grow(t.parent, int(id))
 		t.depth = slices.Grow(t.depth, int(id))
 	}
@@ -284,9 +312,44 @@ func (t *Tree) get(id NodeID) *node {
 	return nil
 }
 
+// edges returns n's child list, nil for a leaf. It is good until the list
+// next changes.
+func (t *Tree) edges(n *node) []edge {
+	if n.list == 0 {
+		return nil
+	}
+	return *t.lists.At(NodeID(n.list))
+}
+
+// takeList gives n an empty child list: a freed one if there is one, else a
+// new slot at the end of the table.
+func (t *Tree) takeList(n *node) *[]edge {
+	if last := len(t.free) - 1; last >= 0 {
+		n.list, t.free = t.free[last], t.free[:last]
+	} else {
+		n.list = int32(t.lists.Len())
+		t.lists.Grow(int(n.list) + 1)
+	}
+	return t.lists.At(NodeID(n.list))
+}
+
+// dropList frees n's child list, emptied and with its backing array kept
+// for the next node that takes one.
+func (t *Tree) dropList(n *node) {
+	if n.list == 0 {
+		return
+	}
+	l := t.lists.At(NodeID(n.list))
+	*l = (*l)[:0]
+	t.free = append(t.free, n.list)
+	n.list = 0
+}
+
 // remove drops the unlinked node id from the tree.
 func (t *Tree) remove(id NodeID) {
-	*t.nodes.At(id) = node{}
+	n := t.nodes.At(id)
+	t.dropList(n)
+	*n = node{}
 	t.depth[id] = -1
 	*t.express.At(id) = InvalidNode
 	t.live--
@@ -312,6 +375,13 @@ func (t *Tree) Size() int {
 // ones. This is the paper's quantity U for the scenario so far.
 func (t *Tree) EverExisted() int {
 	return t.nodes.Len() - 1
+}
+
+// TableBytes returns the bytes of the node table and the child-list table:
+// what the tree keeps for every id beside its parent, depth and express
+// links, not counting the lists' backing arrays.
+func (t *Tree) TableBytes() int {
+	return t.nodes.Bytes() + t.lists.Bytes()
 }
 
 // Changes returns the number of topological changes applied so far.
@@ -374,8 +444,11 @@ func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 	if n == nil {
 		return nil, fmt.Errorf("children of %d: %w", id, ErrNoSuchNode)
 	}
-	out := make([]NodeID, len(n.children))
-	copy(out, n.children)
+	edges := t.edges(n)
+	out := make([]NodeID, len(edges))
+	for i, e := range edges {
+		out[i] = e.child
+	}
 	return out, nil
 }
 
@@ -386,7 +459,7 @@ func (t *Tree) ChildCount(id NodeID) (int, error) {
 	if n == nil {
 		return 0, fmt.Errorf("child count of %d: %w", id, ErrNoSuchNode)
 	}
-	return len(n.children), nil
+	return len(t.edges(n)), nil
 }
 
 // Depth returns the hop distance from id to the root.
@@ -400,7 +473,7 @@ func (t *Tree) Depth(id NodeID) (int, error) {
 // IsLeaf reports whether id is a live node with no children.
 func (t *Tree) IsLeaf(id NodeID) bool {
 	n := t.get(id)
-	return n != nil && len(n.children) == 0
+	return n != nil && n.list == 0
 }
 
 // ParentPort returns the port number at id leading to its parent.
@@ -425,7 +498,7 @@ func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
 	if c == nil || t.parent[child] != parent {
 		return 0, fmt.Errorf("child port %d->%d: %w", parent, child, ErrNotRelated)
 	}
-	return p.childPorts[c.slot], nil
+	return t.edges(p)[c.slot].port, nil
 }
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
@@ -448,7 +521,7 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 	if id == t.root {
 		return fmt.Errorf("remove leaf %d: %w", id, ErrIsRoot)
 	}
-	if len(n.children) != 0 {
+	if n.list != 0 {
 		return fmt.Errorf("remove leaf %d: %w", id, ErrNotLeaf)
 	}
 	parent := t.parent[id]
@@ -489,15 +562,16 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	if id == t.root {
 		return fmt.Errorf("remove internal %d: %w", id, ErrIsRoot)
 	}
-	if len(n.children) == 0 {
+	if n.list == 0 {
 		return fmt.Errorf("remove internal %d: %w", id, ErrNotInternal)
 	}
 	p := t.parent[id]
 	// The children move over in order; n leaves whole, so they need no
-	// unlinking from it one by one.
-	for _, c := range n.children {
-		t.link(p, c)
-		t.recomputeDepths(c)
+	// unlinking from it one by one. They join p's list, which holds id and
+	// so is not the one being walked.
+	for _, e := range t.edges(n) {
+		t.link(p, e.child)
+		t.recomputeDepths(e.child)
 	}
 	t.unlink(p, id)
 	t.remove(id)
@@ -517,30 +591,37 @@ func (t *Tree) link(p, c NodeID) {
 		panic(fmt.Sprintf("tree: port assigner drew %d for node %d, outside ±%d", toParent, c, MaxPort))
 	}
 	cn.parentPort = int32(toParent)
-	cn.slot = len(pn.children)
 	port := t.assignPort(p, pn)
-	pn.children = append(pn.children, c)
-	pn.childPorts = append(pn.childPorts, port)
+	list := t.lists.At(NodeID(pn.list))
+	if pn.list == 0 {
+		list = t.takeList(pn)
+	}
+	cn.slot = int32(len(*list))
+	*list = append(*list, edge{c, port})
 }
 
 // assignPort draws a port for a new edge at node id that is not in use there.
 func (t *Tree) assignPort(id NodeID, n *node) int {
-	t.view = portView{n: n, hasParent: t.parent[id] != InvalidNode}
+	t.view = portView{edges: t.edges(n), parentPort: n.parentPort, hasParent: t.parent[id] != InvalidNode}
 	return t.ports.Assign(id, &t.view)
 }
 
-// unlink removes c from p's child list; p's last child takes c's slot.
+// unlink removes c from p's child list; p's last child takes c's slot, and
+// a list left empty is freed.
 func (t *Tree) unlink(p, c NodeID) {
 	pn, cn := t.nodes.At(p), t.nodes.At(c)
-	last := len(pn.children) - 1
+	list := t.lists.At(NodeID(pn.list))
+	edges := *list
+	last := int32(len(edges) - 1)
 	if cn.slot != last {
-		moved := pn.children[last]
-		t.nodes.At(moved).slot = cn.slot
-		pn.children[cn.slot] = moved
-		pn.childPorts[cn.slot] = pn.childPorts[last]
+		moved := edges[last]
+		t.nodes.At(moved.child).slot = cn.slot
+		edges[cn.slot] = moved
 	}
-	pn.children = pn.children[:last]
-	pn.childPorts = pn.childPorts[:last]
+	*list = edges[:last]
+	if last == 0 {
+		t.dropList(pn)
+	}
 	t.parent[c] = InvalidNode
 }
 
@@ -556,7 +637,9 @@ func (t *Tree) recomputeDepths(c NodeID) {
 		p := t.parent[id]
 		t.depth[id] = t.depth[p] + 1
 		*t.express.At(id) = t.expressVia(p)
-		stack = append(stack, t.nodes.At(id).children...)
+		for _, e := range t.edges(t.nodes.At(id)) {
+			stack = append(stack, e.child)
+		}
 	}
 	t.stack = stack
 }
@@ -841,7 +924,7 @@ func (t *Tree) All() iter.Seq[NodeID] {
 func (t *Tree) Leaves() []NodeID {
 	var out []NodeID
 	for id, n := range t.nodes.All() {
-		if t.depth[id] >= 0 && len(n.children) == 0 {
+		if t.depth[id] >= 0 && n.list == 0 {
 			out = append(out, id)
 		}
 	}
@@ -870,9 +953,17 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("validate: dead id %d keeps parent %d, depth %d and express link %d",
 				id, t.parent[id], t.depth[id], *t.express.At(id))
 		}
-		if n.children != nil || n.childPorts != nil || n.slot != 0 || n.parentPort != 0 {
+		if *n != (node{}) {
 			return fmt.Errorf("validate: dead id %d keeps edges in its table entry", id)
 		}
+	}
+	// Every list slot is owned by one live node, or free and empty.
+	owner := make(map[int32]NodeID, t.lists.Len())
+	for _, l := range t.free {
+		if _, dup := owner[l]; dup || l <= 0 || int(l) >= t.lists.Len() || len(*t.lists.At(NodeID(l))) != 0 {
+			return fmt.Errorf("validate: free list slot %d is out of range, listed twice or not empty", l)
+		}
+		owner[l] = InvalidNode
 	}
 	seen := make(map[NodeID]struct{}, t.live)
 	type frame struct {
@@ -891,9 +982,15 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return fmt.Errorf("validate: reachable node %d missing: %w", f.id, ErrNoSuchNode)
 		}
-		if len(n.childPorts) != len(n.children) {
-			return fmt.Errorf("validate: node %d has %d children but %d child ports",
-				f.id, len(n.children), len(n.childPorts))
+		var edges []edge
+		if n.list != 0 {
+			if _, taken := owner[n.list]; taken || n.list < 0 || int(n.list) >= t.lists.Len() {
+				return fmt.Errorf("validate: node %d holds list slot %d, out of range or not its own", f.id, n.list)
+			}
+			if edges = t.edges(n); len(edges) == 0 {
+				return fmt.Errorf("validate: node %d holds an empty list", f.id)
+			}
+			owner[n.list] = f.id
 		}
 		if int(t.depth[f.id]) != f.depth {
 			return fmt.Errorf("validate: node %d cached depth %d, actual %d", f.id, t.depth[f.id], f.depth)
@@ -902,11 +999,12 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("validate: node %d at depth %d has express link %d, its parent gives %d",
 				f.id, f.depth, *t.express.At(f.id), want)
 		}
-		ports := make(map[int]struct{}, len(n.children)+1)
+		ports := make(map[int]struct{}, len(edges)+1)
 		if t.parent[f.id] != InvalidNode {
 			ports[int(n.parentPort)] = struct{}{}
 		}
-		for i, cid := range n.children {
+		for i, e := range edges {
+			cid := e.child
 			c := t.get(cid)
 			if c == nil {
 				return fmt.Errorf("validate: child %d of %d missing: %w", cid, f.id, ErrNoSuchNode)
@@ -914,10 +1012,10 @@ func (t *Tree) Validate() error {
 			if t.parent[cid] != f.id {
 				return fmt.Errorf("validate: child %d of %d has parent %d", cid, f.id, t.parent[cid])
 			}
-			if c.slot != i {
+			if int(c.slot) != i {
 				return fmt.Errorf("validate: slot of %d under %d is stale", cid, f.id)
 			}
-			port := n.childPorts[i]
+			port := e.port
 			if _, dup := ports[port]; dup {
 				return fmt.Errorf("validate: duplicate port %d at node %d", port, f.id)
 			}
@@ -927,6 +1025,9 @@ func (t *Tree) Validate() error {
 	}
 	if len(seen) != t.live {
 		return fmt.Errorf("validate: %d nodes reachable, %d stored", len(seen), t.live)
+	}
+	if len(owner) != t.lists.Len()-1 {
+		return fmt.Errorf("validate: %d list slots, %d owned or free", t.lists.Len()-1, len(owner))
 	}
 	return nil
 }
