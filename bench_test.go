@@ -14,7 +14,6 @@ import (
 	"dynctrl/internal/labeling"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
-	"dynctrl/internal/workload"
 )
 
 // BenchmarkExperiments runs each experiment table once per iteration.
@@ -54,7 +53,7 @@ func BenchmarkExperiments(b *testing.B) {
 // public controller on a warm 256-node tree.
 func BenchmarkSubmitEvent(b *testing.B) {
 	tr, _ := NewTree()
-	if err := workload.BuildBalanced(tr, 256, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 256}, 1); err != nil {
 		b.Fatal(err)
 	}
 	rt := NewRuntime(1)
@@ -89,7 +88,7 @@ func BenchmarkSubmitAddRemoveLeaf(b *testing.B) {
 // size-estimation protocol.
 func BenchmarkEstimatorChange(b *testing.B) {
 	tr, root := NewTree()
-	if err := workload.BuildBalanced(tr, 128, 3); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 128}, 3); err != nil {
 		b.Fatal(err)
 	}
 	est, err := NewEstimator(tr, NewRuntime(3), 2)
@@ -127,7 +126,7 @@ func BenchmarkTreeOps(b *testing.B) {
 // BenchmarkAncestryQuery measures a label-based ancestry query.
 func BenchmarkAncestryQuery(b *testing.B) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 1024, 4); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 1024}, 4); err != nil {
 		b.Fatal(err)
 	}
 	scheme := labeling.BuildAncestry(tr)

@@ -53,7 +53,7 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 	}
 
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, n0, seed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n0}, seed); err != nil {
 		return err
 	}
 	rt := sim.NewDeterministic(seed)

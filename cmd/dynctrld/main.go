@@ -7,12 +7,12 @@
 // Usage:
 //
 //	dynctrld -addr :7700 -metrics :7701 -nodes 256 -m 1000000 -w 500000
-//	dynctrld -scenario exhaustion-reject-wave -paranoid
+//	dynctrld -topology balanced -nodes 48 -m 120 -w 60 -paranoid
 //
-// With -scenario, the initial topology and the (M, W) contract are taken
-// from the internal/workload catalog entry, so a cmd/loadgen started with
-// the same -scenario and -seed reconstructs the identical tree (the wire
-// handshake verifies this via the topology signature).
+// A tenant's initial tree is tree.Build of its -topology/-nodes shape and
+// -seed, so a cmd/loadgen given the same shape and seed reconstructs the
+// identical tree (the wire handshake verifies this via the tree's
+// signature).
 //
 // The daemon serves one or more isolated tenant namespaces. The top-level
 // -topology/-nodes/-seed/-m/-w flags declare the default namespace, which
@@ -59,8 +59,8 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/server"
+	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // tenantFlags collects the repeatable -tenant specs.
@@ -108,7 +108,6 @@ func parseTenantSpec(spec string, def server.TenantConfig) (server.TenantConfig,
 func main() {
 	addr := flag.String("addr", ":7700", "wire-protocol listen address")
 	metrics := flag.String("metrics", ":7701", "plain-text /metricsz listen address (empty disables)")
-	scenario := flag.String("scenario", "", "take topology and (M, W) from this workload catalog scenario")
 	topology := flag.String("topology", "balanced", "initial tree shape: balanced, path, or star")
 	nodes := flag.Int("nodes", 256, "initial tree size")
 	seed := flag.Int64("seed", 1, "topology seed")
@@ -152,18 +151,10 @@ func main() {
 	// -tenant spec leaves unset.
 	def := server.TenantConfig{
 		Name:     wire.DefaultTenant,
-		Topology: workload.TopologySpec{Kind: *topology, Nodes: *nodes},
+		Topology: tree.Shape{Kind: *topology, Nodes: *nodes},
 		Seed:     *seed,
 		M:        *m,
 		W:        *w,
-	}
-	if *scenario != "" {
-		sc, err := workload.ScenarioByName(*scenario)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		def.Topology = sc.Topology
-		def.M, def.W = sc.M, sc.W
 	}
 	for _, spec := range tenants {
 		tc, err := parseTenantSpec(spec, def)

@@ -12,9 +12,10 @@
 //	loadgen -addr 127.0.0.1:7700 -duration 5s -min-requests 100000 \
 //	        -metrics 127.0.0.1:7701
 //
-// The generator reconstructs the daemon's initial topology from the same
-// (scenario | -topology/-nodes, -seed) parameters — the handshake's
-// topology signature verifies both sides built the identical tree — and
+// The generator builds the tenant's initial tree with tree.Build from the
+// same shape (the scenario's, or -topology/-nodes) and -seed the tenant was
+// declared with — the handshake's topology signature verifies both sides
+// built the identical tree — and
 // pre-generates an interleaving-safe concurrent trace that it drives
 // through a pooled, pipelined client in chunked SubmitMany runs.
 //
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	"dynctrl/internal/client"
+	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
 )
 
@@ -86,7 +88,7 @@ func main() {
 
 	sc := workload.Scenario{
 		Name:     "wire-churn",
-		Topology: workload.TopologySpec{Kind: *topology, Nodes: *nodes},
+		Topology: tree.Shape{Kind: *topology, Nodes: *nodes},
 		Workload: workload.WorkloadSpec{Kind: "churn", Mix: *mix},
 		Requests: 1 << 14,
 	}
@@ -108,9 +110,9 @@ func main() {
 		fatalf("dial %s: %v", *addr, err)
 	}
 	defer cl.Close()
-	if got, want := cl.TopologySignature(), workload.TopologySignature(tr); got != want {
+	if got, want := cl.TopologySignature(), tr.Signature(); got != want {
 		fatalf("topology signature mismatch: daemon %d, local %d"+
-			" (start loadgen with tenant %q's -scenario/-topology/-nodes/-seed)", got, want, cl.Tenant())
+			" (pass tenant %q's -topology/-nodes/-seed, or a -scenario with its topology)", got, want, cl.Tenant())
 	}
 	logf("connected to %s tenant %q: M=%d W=%d incarnation=%d, %d conns, trace %d requests (%s)",
 		*addr, cl.Tenant(), cl.M(), cl.W(), cl.Incarnation(), *conns, ct.Len(), sc.Name)

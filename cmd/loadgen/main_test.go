@@ -12,6 +12,7 @@ import (
 
 	"dynctrl/internal/client"
 	"dynctrl/internal/server"
+	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
 )
@@ -20,7 +21,7 @@ import (
 // the accounting check to the true tallies, to a one-off grant count and
 // to a tenant the daemon does not serve.
 func TestReconcile(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 32}
+	spec := tree.Shape{Kind: "balanced", Nodes: 32}
 	s, err := server.New(server.Config{
 		Addr:        "127.0.0.1:0",
 		MetricsAddr: "127.0.0.1:0",

@@ -38,7 +38,7 @@ func main() {
 
 func run(n0 int, beta float64, changes int, seed int64) error {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, n0, seed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n0}, seed); err != nil {
 		return err
 	}
 	tp := dist.Over(sim.NewDeterministic(seed))

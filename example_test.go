@@ -7,7 +7,7 @@ import (
 
 	"dynctrl"
 	"dynctrl/internal/server"
-	"dynctrl/internal/workload"
+	"dynctrl/internal/tree"
 )
 
 // ExampleNewPipeline builds the in-process admission stack — tree,
@@ -46,7 +46,7 @@ func ExampleDial() {
 		Addr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{{
 			Name:     "default",
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 8},
 			Seed:     1, M: 1000, W: 50,
 		}},
 	})

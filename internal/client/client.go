@@ -192,8 +192,8 @@ func (c *Client) M() int64 { return c.m }
 func (c *Client) W() int64 { return c.w }
 
 // TopologySignature returns the server's initial-topology signature from
-// the handshake (compare against workload.TopologySignature of a locally
-// reconstructed tree).
+// the handshake (compare against the Signature of a tree built locally by
+// tree.Build from the tenant's shape and seed).
 func (c *Client) TopologySignature() uint64 { return c.topoSig }
 
 // Incarnation returns the server's durability incarnation from the

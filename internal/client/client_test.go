@@ -14,11 +14,10 @@ import (
 	"dynctrl/internal/server"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // oneTenant declares the daemon's default namespace alone.
-func oneTenant(spec workload.TopologySpec, seed, m, w int64) []server.TenantConfig {
+func oneTenant(spec tree.Shape, seed, m, w int64) []server.TenantConfig {
 	return []server.TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: seed, M: m, W: w}}
 }
 
@@ -88,7 +87,7 @@ func TestDialVersionMismatch(t *testing.T) {
 
 func TestPooledFailover(t *testing.T) {
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 10000, 1000),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 10000, 1000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 3})
 	if err != nil {
@@ -97,7 +96,7 @@ func TestPooledFailover(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	// Poison one pooled connection at the protocol level: the server drops
@@ -119,7 +118,7 @@ func TestPooledFailover(t *testing.T) {
 
 func TestConcurrentPipelining(t *testing.T) {
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 32}, 1, 1<<20, 1<<19),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 32}, 1, 1<<20, 1<<19),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -128,7 +127,7 @@ func TestConcurrentPipelining(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 32}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	// Many goroutines share two connections: responses must route back to
@@ -181,7 +180,7 @@ func TestSubmitManyChunksOversizedRuns(t *testing.T) {
 		t.Skip("drives >wire.MaxBatchLen requests")
 	}
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 8}, 1, int64(wire.MaxBatchLen)*2, int64(wire.MaxBatchLen)),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 8}, 1, int64(wire.MaxBatchLen)*2, int64(wire.MaxBatchLen)),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -190,7 +189,7 @@ func TestSubmitManyChunksOversizedRuns(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "star", Nodes: 8}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "star", Nodes: 8}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	// A run longer than one frame may carry must be split transparently,
@@ -220,7 +219,7 @@ func TestSubmitManyChunksOversizedRuns(t *testing.T) {
 
 func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 8}, 1, 10000, 1000),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 8}, 1, 10000, 1000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -229,7 +228,7 @@ func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "star", Nodes: 8}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "star", Nodes: 8}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	// Freeze the daemon's reply by breaking the connection after the write:
@@ -270,7 +269,7 @@ func TestNoRetryAfterAttemptedRoundTrip(t *testing.T) {
 
 func TestSubmitAfterClose(t *testing.T) {
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 100, 10),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 100, 10),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {

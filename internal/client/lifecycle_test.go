@@ -18,7 +18,6 @@ import (
 	"dynctrl/internal/server"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 func startFaultProxy(t *testing.T, upstream string, rules []faultnet.Rule) *faultnet.Proxy {
@@ -39,7 +38,7 @@ func startFaultProxy(t *testing.T, upstream string, rules []faultnet.Rule) *faul
 // trips, the call fails with ErrWriteTimeout, and the pool moves on.
 func TestWriteTimeoutOnStalledNetwork(t *testing.T) {
 	s := startServer(t, server.Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
 	})
 	// The stall fires on c2s frame 1 (the first Submit): the proxy sleeps
 	// holding that frame and stops reading the connection, so the
@@ -57,7 +56,7 @@ func TestWriteTimeoutOnStalledNetwork(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	// One shared max-frame-sized run; every goroutine submits it twice
 	// (SubmitMany splits at MaxBatchLen) and parks on its first frame's
 	// reply, so the writers together push one ~0.94 MiB frame each. There
@@ -119,7 +118,7 @@ func TestDialKilledMidHandshake(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startServer(t, server.Config{
-				Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+				Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 			})
 			p := startFaultProxy(t, s.Addr(), []faultnet.Rule{
 				{Kind: tc.kind, Dir: faultnet.ServerToClient, Conn: 0, Frame: 0},

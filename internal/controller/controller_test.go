@@ -316,13 +316,13 @@ type domainRun struct {
 // already takes a level-1 package. The wide churn grows its bushy tree on a
 // spine of 300 to be that deep.
 var (
-	churnDomains = domainRun{func(tr *tree.Tree) error { return workload.BuildBalanced(tr, 80, 5) }, 400, 99, 1}
-	deepDomains  = domainRun{func(tr *tree.Tree) error { return workload.BuildPath(tr, 600) }, 200, 17, 1}
+	churnDomains = domainRun{func(tr *tree.Tree) error { return tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 80}, 5) }, 400, 99, 1}
+	deepDomains  = domainRun{func(tr *tree.Tree) error { return tree.Build(tr, tree.Shape{Kind: "path", Nodes: 600}, 0) }, 200, 17, 1}
 	wideChurn    = domainRun{func(tr *tree.Tree) error {
-		if err := workload.BuildPath(tr, 300); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: 300}, 0); err != nil {
 			return err
 		}
-		return workload.BuildBalanced(tr, 600, 5)
+		return tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 600}, 5)
 	}, 400, 99, 1 << 12}
 	wideDeep = domainRun{deepDomains.build, 200, 17, 1 << 12}
 )
@@ -394,7 +394,7 @@ func TestLevelPackageCountBound(t *testing.T) {
 	// Ablation check (E14): the number of level-k packages never exceeds
 	// U/(2^{k-1}ψ), the bound implied by domain invariants 1+2.
 	tr, _ := tree.New()
-	if err := workload.BuildPath(tr, 500); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: 500}, 0); err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	u := int64(tr.Size() + 300)
@@ -420,7 +420,7 @@ func TestLevelPackageCountBound(t *testing.T) {
 
 func TestUnusedPermitsConservation(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 40, 2); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 40}, 2); err != nil {
 		t.Fatal(err)
 	}
 	const m = 500
@@ -460,7 +460,7 @@ func TestMoveComplexityWithinTheoreticalBound(t *testing.T) {
 	// generous constant and check the measured moves stay below it.
 	for _, n := range []int{64, 256} {
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, n, 1); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n}, 1); err != nil {
 			t.Fatal(err)
 		}
 		requests := 4 * n

@@ -45,7 +45,7 @@ func TestIteratedSafetyAndLiveness(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, _ := tree.New()
-			if err := workload.BuildBalanced(tr, 30, 4); err != nil {
+			if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 30}, 4); err != nil {
 				t.Fatal(err)
 			}
 			u := int64(tr.Size()) + tc.m + 16
@@ -67,7 +67,7 @@ func TestIteratedSafetyAndLiveness(t *testing.T) {
 
 func TestIteratedIterationsBounded(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 20, 9); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 20}, 9); err != nil {
 		t.Fatal(err)
 	}
 	const m = 1 << 12
@@ -114,7 +114,7 @@ func TestIteratedTerminating(t *testing.T) {
 
 func TestIteratedTopologicalChurn(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 40, 7); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 40}, 7); err != nil {
 		t.Fatal(err)
 	}
 	const m = 300
@@ -140,7 +140,7 @@ func TestIteratedMoveComplexityShape(t *testing.T) {
 	var series stats.Series
 	for _, n := range []int{64, 128, 256, 512, 1024} {
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, n, 3); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n}, 3); err != nil {
 			t.Fatal(err)
 		}
 		m := int64(2 * n)
@@ -159,7 +159,7 @@ func TestIteratedMoveComplexityShape(t *testing.T) {
 
 func TestDynamicGrowAndShrink(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 16, 2); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 2); err != nil {
 		t.Fatal(err)
 	}
 	const m = 2000
@@ -182,7 +182,7 @@ func TestDynamicGrowAndShrink(t *testing.T) {
 
 func TestDynamicPolicyDoubleMaxN(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 8, 6); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 6); err != nil {
 		t.Fatal(err)
 	}
 	const m = 1500
@@ -231,7 +231,7 @@ func TestDynamicAmortizedCostPerChange(t *testing.T) {
 	// O(log²nMax); assert with a generous constant.
 	tr, _ := tree.New()
 	const n0 = 64
-	if err := workload.BuildBalanced(tr, n0, 5); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n0}, 5); err != nil {
 		t.Fatal(err)
 	}
 	const m = 6000

@@ -327,7 +327,7 @@ func TestWhiteboardDerivedBytes(t *testing.T) {
 	check("deep", d, 16, tree.NodeID(tr.EverExisted()))
 
 	tr, _ = tree.New()
-	if err := workload.BuildBalanced(tr, 256, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 256}, 1); err != nil {
 		t.Fatal(err)
 	}
 	ct, err := workload.NewConcurrentTrace(tr, 2, 25_000, workload.ConcurrentMix{Event: 50, AddLeaf: 50}, 1)

@@ -98,7 +98,7 @@ func (r *maskRun) roundTrip(t testing.TB) {
 func deepTree(t testing.TB, n int) *tree.Tree {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := workload.BuildPath(tr, n); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return tr

@@ -30,7 +30,7 @@ func TestPropertySafetyLiveness(t *testing.T) {
 		m := int64(mRaw%2000) + 1
 		w := int64(wRaw) % m
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, 24, seed); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 24}, seed); err != nil {
 			return false
 		}
 		u := int64(24) + m + 8
@@ -76,7 +76,7 @@ func TestPropertyDomainInvariants(t *testing.T) {
 	prop := func(seed int64, wRaw uint16) bool {
 		tr, _ := tree.New()
 		size := 40 + int(seed%5)*40
-		if err := workload.BuildBalanced(tr, size, seed); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: size}, seed); err != nil {
 			return false
 		}
 		const requests = 150
@@ -113,7 +113,7 @@ func TestPropertyDomainInvariants(t *testing.T) {
 func TestPropertyDynamicConservation(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, 12, seed); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 12}, seed); err != nil {
 			return false
 		}
 		const m = 600

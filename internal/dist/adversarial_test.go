@@ -95,7 +95,7 @@ func TestGracefulDeletionOfDropPointNode(t *testing.T) {
 		t.Run(sched, func(t *testing.T) {
 			const n = 96
 			tr, _ := tree.New()
-			if err := workload.BuildPath(tr, n); err != nil {
+			if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 				t.Fatal(err)
 			}
 			rt, err := sim.NewRuntime(sched, 7)
@@ -213,7 +213,7 @@ func TestRejectWaveFromDeepSearchUnderSchedulers(t *testing.T) {
 		t.Run(sched, func(t *testing.T) {
 			const n = 64
 			tr, _ := tree.New()
-			if err := workload.BuildPath(tr, n); err != nil {
+			if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 				t.Fatal(err)
 			}
 			rt, err := sim.NewRuntime(sched, 13)

@@ -17,7 +17,7 @@ import (
 func buildTree(t testing.TB, n int, seed int64) *tree.Tree {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, n, seed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n}, seed); err != nil {
 		t.Fatal(err)
 	}
 	return tr

@@ -50,7 +50,7 @@ func balanced(n int, seed int64) func(testing.TB) *tree.Tree {
 func path(n int) func(testing.TB) *tree.Tree {
 	return func(t testing.TB) *tree.Tree {
 		tr, _ := tree.New()
-		if err := workload.BuildPath(tr, n); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 			t.Fatal(err)
 		}
 		return tr

@@ -31,7 +31,7 @@ func TestDeterministicVsConcurrentRuntime(t *testing.T) {
 	run := func(t *testing.T, rt sim.Runtime, seed int64) outcome {
 		t.Helper()
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, n0, seed); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n0}, seed); err != nil {
 			t.Fatal(err)
 		}
 		ctl := dist.NewDynamic(tr, rt, m, w, false, stats.NewCounters())

@@ -2,8 +2,9 @@
 // asserting that the normative documents under docs/ keep up with the
 // code. It checks that every relative markdown link in docs/ and the
 // README resolves and every repository path they back-quote exists, that
-// every /metricsz field the server emits and every CLI flag dynctrld and
-// loadgen declare is documented in docs/OPERATIONS.md, that the live
+// every /metricsz field the server emits is documented in
+// docs/OPERATIONS.md and every CLI flag dynctrld and loadgen declare in
+// that command's own flag table there, that the live
 // /metricsz exposition declares # HELP and # TYPE for every family it
 // renders and renders every family OPERATIONS.md names, and that every
 // wire frame type and error code is documented in docs/PROTOCOL.md, and
@@ -25,7 +26,7 @@ import (
 	"time"
 
 	"dynctrl/internal/server"
-	"dynctrl/internal/workload"
+	"dynctrl/internal/tree"
 )
 
 // repoRoot is the module root relative to this package directory.
@@ -173,8 +174,8 @@ func TestMetricsExposition(t *testing.T) {
 	srv, err := server.New(server.Config{
 		Addr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{
-			{Name: "default", Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8}, Seed: 1, M: 100, W: 10},
-			{Name: "blue", Topology: workload.TopologySpec{Kind: "star", Nodes: 4}, Seed: 2, M: 50, W: 5},
+			{Name: "default", Topology: tree.Shape{Kind: "balanced", Nodes: 8}, Seed: 1, M: 100, W: 10},
+			{Name: "blue", Topology: tree.Shape{Kind: "star", Nodes: 4}, Seed: 2, M: 50, W: 5},
 		},
 		WALDir: t.TempDir(),
 	})
@@ -239,43 +240,52 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestCommandFlagsDocumented extracts every CLI flag declared by
-// cmd/dynctrld and cmd/loadgen and requires docs/OPERATIONS.md to
-// document each one as `-name` — and, the other way round, requires
-// every flag a reference-table row of OPERATIONS.md leads with to still
-// be declared by one of the two commands, so removing a flag without
-// removing its row fails just like adding one without a row.
+// TestCommandFlagsDocumented holds each command's flag table in
+// docs/OPERATIONS.md to the flags that command declares: every flag of
+// cmd/dynctrld leads a row of §2 and every flag of cmd/loadgen a row of the
+// loadgen reference, and every row of each table names a flag of its own
+// command. Removing a flag without removing its row fails just like adding
+// one without a row, and so does a row left in the other command's table.
 func TestCommandFlagsDocumented(t *testing.T) {
 	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
 	flagDecl := regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Float64|Duration)\("([a-z-]+)"`)
 	flagVar := regexp.MustCompile(`flag\.Var\([^,]+, "([a-z-]+)"`)
-	declared := map[string]bool{}
-	for _, cmd := range []string{"dynctrld", "loadgen"} {
-		src := readFile(t, filepath.Join("cmd", cmd, "main.go"))
-		names := flagDecl.FindAllStringSubmatch(src, -1)
-		names = append(names, flagVar.FindAllStringSubmatch(src, -1)...)
-		if len(names) < 10 {
-			t.Fatalf("extracted only %d flags from cmd/%s/main.go — the extractor regex is likely stale", len(names), cmd)
-		}
-		for _, m := range names {
-			declared[m[1]] = true
-			if !strings.Contains(doc, "`-"+m[1]+"`") {
-				t.Errorf("cmd/%s flag -%s is not documented in docs/OPERATIONS.md", cmd, m[1])
-			}
-		}
-	}
-
 	// Flag-table rows lead with the flag (or a comma-separated group).
 	flagRow := regexp.MustCompile("(?m)^\\| ((?:`-[a-z-]+`(?:, )?)+) \\|")
 	flagName := regexp.MustCompile("`-([a-z-]+)`")
-	rows := flagRow.FindAllStringSubmatch(doc, -1)
-	if len(rows) < 20 {
-		t.Fatalf("extracted only %d flag-table rows from docs/OPERATIONS.md — the row regex is likely stale", len(rows))
-	}
-	for _, row := range rows {
-		for _, m := range flagName.FindAllStringSubmatch(row[1], -1) {
-			if !declared[m[1]] {
-				t.Errorf("docs/OPERATIONS.md documents flag -%s, which neither cmd/dynctrld nor cmd/loadgen declares", m[1])
+	for _, c := range []struct{ cmd, heading string }{
+		{"dynctrld", "## 2. Flag reference"},
+		{"loadgen", "### cmd/loadgen flag reference"},
+	} {
+		// The table is what lies between its heading and the next one.
+		_, table, ok := strings.Cut(doc, "\n"+c.heading+"\n")
+		if !ok {
+			t.Fatalf("docs/OPERATIONS.md has no heading %q", c.heading)
+		}
+		table, _, _ = strings.Cut(table, "\n#")
+		rows := map[string]bool{}
+		for _, row := range flagRow.FindAllStringSubmatch(table, -1) {
+			for _, m := range flagName.FindAllStringSubmatch(row[1], -1) {
+				rows[m[1]] = true
+			}
+		}
+		src := readFile(t, filepath.Join("cmd", c.cmd, "main.go"))
+		names := flagDecl.FindAllStringSubmatch(src, -1)
+		names = append(names, flagVar.FindAllStringSubmatch(src, -1)...)
+		if len(names) < 10 || len(rows) < 10 {
+			t.Fatalf("extracted %d flags from cmd/%s/main.go and %d from the rows under %q — a regex is likely stale",
+				len(names), c.cmd, len(rows), c.heading)
+		}
+		declared := map[string]bool{}
+		for _, m := range names {
+			declared[m[1]] = true
+			if !rows[m[1]] {
+				t.Errorf("cmd/%s flag -%s has no row under %q in docs/OPERATIONS.md", c.cmd, m[1], c.heading)
+			}
+		}
+		for name := range rows {
+			if !declared[name] {
+				t.Errorf("docs/OPERATIONS.md documents flag -%s under %q, which cmd/%s does not declare", name, c.heading, c.cmd)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func TestEstimatorRejectsBadBeta(t *testing.T) {
 func TestEstimatorApproximationUnderChurn(t *testing.T) {
 	for _, beta := range []float64{2, 4} {
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, 32, 3); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, 3); err != nil {
 			t.Fatal(err)
 		}
 		tp := dist.Over(sim.NewDeterministic(3))
@@ -59,7 +59,7 @@ func TestEstimatorApproximationUnderChurn(t *testing.T) {
 
 func TestEstimatorShrinkingTree(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 200, 5); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 200}, 5); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(5))
@@ -90,7 +90,7 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 	// Theorem 5.1: O(n₀log²n₀ + Σ log²n_j) messages. With n ≤ nMax the
 	// amortized cost per change is O(log²nMax).
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 64, 7); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 64}, 7); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(7))
@@ -153,7 +153,7 @@ func TestSubtreeEstimatorSandwich(t *testing.T) {
 	//	ω̃(v) ≤ ω₀(v) + grantsBelow(v) + m (extra permits are stuck in
 	//	                                   packages, at most the budget m)
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 48, 11); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 48}, 11); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(11))

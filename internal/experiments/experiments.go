@@ -25,7 +25,7 @@ import (
 
 func buildTree(n int, seed int64) *tree.Tree {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, n, seed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n}, seed); err != nil {
 		panic(err) // deterministic construction cannot fail
 	}
 	return tr
@@ -90,7 +90,7 @@ func E2WasteSweep() *stats.Table {
 		// iteration count) matter; balanced trees are too shallow to
 		// separate the W regimes.
 		tr, _ := tree.New()
-		if err := workload.BuildPath(tr, n); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 			panic(err)
 		}
 		u := int64(n + 64)
@@ -248,10 +248,10 @@ func E8VsTrivial() *stats.Table {
 		m := int64(4 * depth)
 		trA, _ := tree.New()
 		trB, _ := tree.New()
-		if err := workload.BuildPath(trA, depth); err != nil {
+		if err := tree.Build(trA, tree.Shape{Kind: "path", Nodes: depth}, 0); err != nil {
 			panic(err)
 		}
-		if err := workload.BuildPath(trB, depth); err != nil {
+		if err := tree.Build(trB, tree.Shape{Kind: "path", Nodes: depth}, 0); err != nil {
 			panic(err)
 		}
 		trivial := baseline.NewTrivial(trA, m, nil)
@@ -439,13 +439,7 @@ func E13Memory() *stats.Table {
 	for _, shape := range []string{"star", "path"} {
 		const n = 512
 		tr, _ := tree.New()
-		var err error
-		if shape == "star" {
-			err = workload.BuildStar(tr, n)
-		} else {
-			err = workload.BuildPath(tr, n)
-		}
-		if err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: shape, Nodes: n}, 0); err != nil {
 			panic(err)
 		}
 		m := int64(8 * n)
@@ -484,7 +478,7 @@ func E14Ablation() *stats.Table {
 		"level", "max packages seen", "bound U/(2^{k-1}ψ)", "occupancy")
 	const n = 800
 	tr, _ := tree.New()
-	if err := workload.BuildPath(tr, n); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 		panic(err)
 	}
 	u := int64(n + 400)

@@ -12,7 +12,7 @@ import (
 
 func TestHeavyChildOnStaticTree(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 64, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 64}, 1); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(1))
@@ -53,7 +53,7 @@ func TestHeavyChildLightAncestorsOnPath(t *testing.T) {
 	// A pure path has no light edges at all (every internal node has one
 	// child, which must be heavy).
 	tr, _ := tree.New()
-	if err := workload.BuildPath(tr, 100); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: 100}, 0); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(2))
@@ -74,7 +74,7 @@ func TestHeavyChildLightAncestorsOnPath(t *testing.T) {
 
 func TestHeavyChildUnderChurn(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 48, 3); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 48}, 3); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(3))

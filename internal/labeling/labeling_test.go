@@ -18,7 +18,7 @@ import (
 func randomTree(t *testing.T, n int, seed int64) *tree.Tree {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, n, seed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n}, seed); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -188,7 +188,7 @@ func TestDistanceDecompositionDepth(t *testing.T) {
 	for _, n := range []int{128, 512} {
 		// Worst case for naive decompositions: a path.
 		tr, _ := tree.New()
-		if err := workload.BuildPath(tr, n); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: n}, 0); err != nil {
 			t.Fatal(err)
 		}
 		scheme := labeling.BuildDistance(tr)

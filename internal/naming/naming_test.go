@@ -13,7 +13,7 @@ import (
 
 func TestNamingInitialIdentities(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 20, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 20}, 1); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(1))
@@ -40,7 +40,7 @@ func TestNamingInitialIdentities(t *testing.T) {
 
 func TestNamingUnderChurn(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 32, 2); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, 2); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(2))
@@ -69,7 +69,7 @@ func TestNamingUnderChurn(t *testing.T) {
 
 func TestNamingGrowthKeepsIDsShort(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 8, 3); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 3); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(3))
@@ -97,7 +97,7 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 	// The motivation of Section 5.4: after heavy deletions the ids must
 	// track the *current* n, not the historical maximum.
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 256, 4); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 256}, 4); err != nil {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(4))

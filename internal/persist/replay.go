@@ -53,9 +53,6 @@ func restoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
 	if err := tr.Restore(st.Tree); err != nil {
 		return fmt.Errorf("persist: restore tree: %w", err)
 	}
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("persist: restored tree invalid: %w", err)
-	}
 	if counters != nil {
 		if err := counters.Restore(st.Counters); err != nil {
 			return fmt.Errorf("persist: restore counters: %w", err)

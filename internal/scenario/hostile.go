@@ -33,7 +33,7 @@ type Hostile struct {
 
 	// Topology, M, W and Mix pin the tenant contract and the trace, as in
 	// the main scenario catalog.
-	Topology workload.TopologySpec
+	Topology tree.Shape
 	M, W     int64
 	Mix      workload.ConcurrentMix
 
@@ -77,7 +77,7 @@ func HostileCatalog() []Hostile {
 			Name: "partition-during-reject-wave",
 			Notes: "tight permit budget; every connection is partitioned mid-run while the reject wave floods," +
 				" then the clients reconnect and must see a coherent, final wave",
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 48},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 48},
 			M:        120, W: 60,
 			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 200, Chunk: 16,
@@ -94,7 +94,7 @@ func HostileCatalog() []Hostile {
 			Name: "kill-mid-batch",
 			Notes: "one connection loses its socket between Submit frames, another mid-frame; the server is then" +
 				" crashed and recovered from WAL, and the on-disk history must account every grant exactly once",
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
 			Mix:   workload.EventHeavyConcurrentMix(),
 			Conns: 4, PerConn: 256, Chunk: 32,
@@ -110,7 +110,7 @@ func HostileCatalog() []Hostile {
 			Name: "slow-loris-handshake",
 			Notes: "one peer dribbles its Hello byte by byte and another dribbles a Submit frame; the server's" +
 				" handshake and idle deadlines must reap both instead of parking goroutines forever",
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
 			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 128, Chunk: 16,
@@ -134,7 +134,7 @@ func HostileCatalog() []Hostile {
 			Name: "dup-results",
 			Notes: "the network replays whole Results frames; the client must refuse the duplicate (unknown id)" +
 				" rather than double-count grants, so client-observed grants still bound below server grants",
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 32},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 32},
 			M:        1 << 20, W: 1 << 19,
 			Mix:   workload.EventOnlyConcurrentMix(),
 			Conns: 4, PerConn: 192, Chunk: 16,
@@ -166,7 +166,7 @@ func HostileByName(name string) (Hostile, error) {
 // same slice per connection ordinal.
 func (sc Hostile) Trace() (*tree.Tree, [][]controller.Request, error) {
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, sc.Topology, sc.Seed); err != nil {
+	if err := tree.Build(tr, sc.Topology, sc.Seed); err != nil {
 		return nil, nil, err
 	}
 	ct, err := workload.NewConcurrentTrace(tr, sc.Conns, sc.PerConn, sc.Mix, sc.Seed)

@@ -179,7 +179,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 	}
 
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, sc.Topology, seed); err != nil {
+	if err := tree.Build(tr, sc.Topology, seed); err != nil {
 		return res, err
 	}
 	rt, err := sim.NewRuntime(scheduler, seed)

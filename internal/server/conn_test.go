@@ -17,7 +17,6 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // TestRejectWaveRacesHandshakes: one connection drives a tiny contract into
@@ -30,10 +29,10 @@ import (
 // connection set that replaced it once pushed a wave frame ahead of a
 // Welcome.
 func TestRejectWaveRacesHandshakes(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	spec := tree.Shape{Kind: "star", Nodes: 4}
 	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 4, 1)})
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+	if err := tree.Build(tr, spec, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,12 +119,12 @@ func (h waveOnBound) WithGroup(string) slog.Handler      { return h }
 
 // star4 is the tenant the reject-wave tests drive: a star of four nodes
 // whose root every request is made at.
-var star4 = workload.TopologySpec{Kind: "star", Nodes: 4}
+var star4 = tree.Shape{Kind: "star", Nodes: 4}
 
 func star4Root(t *testing.T) tree.NodeID {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, star4, 1); err != nil {
+	if err := tree.Build(tr, star4, 1); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Root()
@@ -369,10 +368,10 @@ func (c *brokenWriteConn) Write(p []byte) (int, error) {
 // single send helper the write error was discarded and the second batch
 // below reached the controller.
 func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	spec := tree.Shape{Kind: "star", Nodes: 4}
 	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 100, 10)})
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+	if err := tree.Build(tr, spec, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -431,7 +430,7 @@ func scrapeMoves(t *testing.T, s *Server) int64 {
 // its own, its stages fit inside its total, and the move deltas of all
 // traces partition exactly what /metricsz counted.
 func TestReceiptFeedsTraces(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 32}
+	spec := tree.Shape{Kind: "balanced", Nodes: 32}
 	s := startServer(t, Config{
 		// The contract is smaller than the load, so the run crosses
 		// waste-halving iterations and the exhaustion wave on top of the
@@ -440,7 +439,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 		WALDir:  t.TempDir(), TraceRing: 4096,
 	})
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 5); err != nil {
+	if err := tree.Build(tr, spec, 5); err != nil {
 		t.Fatal(err)
 	}
 	var nodes []tree.NodeID
@@ -511,7 +510,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 func TestStoreMax(t *testing.T) {
 	check := func(t *testing.T, runs [][]int, wantMax int) {
 		t.Helper()
-		s, err := New(Config{Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 1<<30, 1<<29)})
+		s, err := New(Config{Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 1, 1<<30, 1<<29)})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -51,7 +51,7 @@ func TestEndToEndScenariosOverLoopback(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer cl.Close()
-			if got, want := cl.TopologySignature(), workload.TopologySignature(tr); got != want {
+			if got, want := cl.TopologySignature(), tr.Signature(); got != want {
 				t.Fatalf("topology signature mismatch: server %d, local %d", got, want)
 			}
 			if cl.M() != sc.M || cl.W() != sc.W {

@@ -29,7 +29,7 @@ func benchFanin(b *testing.B, traceRing int) {
 		Addr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{{
 			Name:     wire.DefaultTenant,
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: nodes},
+			Topology: tree.Shape{Kind: "balanced", Nodes: nodes},
 			Seed:     1, M: 2 * w, W: w,
 		}},
 		TraceRing: traceRing,
@@ -51,7 +51,7 @@ func benchFanin(b *testing.B, traceRing int) {
 	}
 	defer cl.Close()
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: nodes}, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: nodes}, 1); err != nil {
 		b.Fatalf("topology: %v", err)
 	}
 	ct, err := workload.NewConcurrentTrace(tr, streams, perStr, workload.EventOnlyConcurrentMix(), 42)

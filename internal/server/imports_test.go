@@ -11,8 +11,9 @@ import (
 // centralized engine under one lock per tenant, so nothing it links — the
 // non-test import closure of cmd/dynctrld, what `go list -deps
 // ./cmd/dynctrld` prints — may be the message-passing engine, the simulator
-// it runs over, the fault proxy or the library's pipeline (a second lock
-// around the engine).
+// it runs over, the fault proxy, the library's pipeline (a second lock
+// around the engine) or the workload generators (a tenant's initial tree is
+// tree.Build's).
 func TestServingPathImportsNoSimulator(t *testing.T) {
 	const module = "dynctrl/"
 	banned := map[string]bool{
@@ -20,6 +21,7 @@ func TestServingPathImportsNoSimulator(t *testing.T) {
 		module + "internal/dist":     true,
 		module + "internal/faultnet": true,
 		module + "internal/pipeline": true,
+		module + "internal/workload": true,
 	}
 	// via[p] is the package that first pulled p in.
 	via := map[string]string{module + "cmd/dynctrld": ""}

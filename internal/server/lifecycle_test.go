@@ -15,7 +15,6 @@ import (
 	"dynctrl/internal/controller"
 	"dynctrl/internal/faultnet"
 	"dynctrl/internal/tree"
-	"dynctrl/internal/workload"
 )
 
 // startProxy fronts the server with a faultnet proxy for one test.
@@ -53,7 +52,7 @@ func waitLifecycle(t *testing.T, s *Server, what string, cond func(open, total, 
 // dribbled frame was eventually served as if the network were healthy.
 func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 		IdleTimeout: 250 * time.Millisecond,
 	})
 	// c2s frame 0 is the Hello; frame 1, the first Submit, dribbles one
@@ -70,7 +69,7 @@ func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	if _, err := cl.Submit(controller.Request{Node: tr.Root(), Kind: tree.None}); err == nil {
 		t.Fatal("Submit through a dribbling connection succeeded; the server served a slow-loris frame")
 	}
@@ -86,7 +85,7 @@ func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 // deadline, and the aborted handshake must never bind a tenant.
 func TestHandshakeDeadlineReapsSlowHello(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants:          oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+		Tenants:          oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 		HandshakeTimeout: 300 * time.Millisecond,
 	})
 	p := startProxy(t, s.Addr(), []faultnet.Rule{
@@ -115,7 +114,7 @@ func TestHandshakeDeadlineReapsSlowHello(t *testing.T) {
 // truncated Submit batch must not move the accounting.
 func TestTruncatedFrameReleasesBinding(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 	})
 	p := startProxy(t, s.Addr(), []faultnet.Rule{
 		{Kind: faultnet.KillMidFrame, Dir: faultnet.ClientToServer, Conn: 0, Frame: 1},
@@ -128,7 +127,7 @@ func TestTruncatedFrameReleasesBinding(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	reqs := make([]controller.Request, 32)
 	for i := range reqs {
 		reqs[i] = controller.Request{Node: tr.Root(), Kind: tree.None}

@@ -18,7 +18,6 @@ import (
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
 	"dynctrl/internal/tree"
-	"dynctrl/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -85,8 +84,8 @@ func checkOneTraceCount(t *testing.T, doc string) int {
 // Golden -update` after intentionally changing the exposition.
 func TestWriteMetricsGolden(t *testing.T) {
 	tenants := []TenantConfig{
-		{Name: "default", Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8}, Seed: 3, M: 500, W: 50},
-		{Name: "blue", Topology: workload.TopologySpec{Kind: "star", Nodes: 4}, Seed: 7, M: 100, W: 10},
+		{Name: "default", Topology: tree.Shape{Kind: "balanced", Nodes: 8}, Seed: 3, M: 500, W: 50},
+		{Name: "blue", Topology: tree.Shape{Kind: "star", Nodes: 4}, Seed: 7, M: 100, W: 10},
 	}
 	for _, tc := range []struct {
 		name string
@@ -121,7 +120,7 @@ func TestWriteMetricsGolden(t *testing.T) {
 // with exposition metacharacters are escaped.
 func TestMetricsExpositionShape(t *testing.T) {
 	text := renderMetrics(t, Config{Tenants: []TenantConfig{
-		{Name: "default", Topology: workload.TopologySpec{Kind: "balanced", Nodes: 8}, Seed: 1, M: 100, W: 10},
+		{Name: "default", Topology: tree.Shape{Kind: "balanced", Nodes: 8}, Seed: 1, M: 100, W: 10},
 	}})
 	helped := map[string]bool{}
 	typed := map[string]bool{}
@@ -171,7 +170,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	name := `qu"ote\back`
 	tn, err := newTenant(TenantConfig{
 		Name:     "default",
-		Topology: workload.TopologySpec{Kind: "star", Nodes: 4},
+		Topology: tree.Shape{Kind: "star", Nodes: 4},
 		Seed:     1, M: 10, W: 1,
 	}, Config{})
 	if err != nil {
@@ -195,7 +194,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 func TestTracezEndpoint(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50),
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 8}, 3, 500, 50),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -203,7 +202,7 @@ func TestTracezEndpoint(t *testing.T) {
 	}
 	defer cl.Close()
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
 	for i := 0; i < 10; i++ {
 		if _, err := cl.Submit(controller.Request{Node: tr.Root(), Kind: tree.None}); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -272,7 +271,7 @@ func TestTracezEndpoint(t *testing.T) {
 func TestTraceRingDisabled(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50), TraceRing: -1,
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 8}, 3, 500, 50), TraceRing: -1,
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -280,7 +279,7 @@ func TestTraceRingDisabled(t *testing.T) {
 	}
 	defer cl.Close()
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
 	if _, err := cl.Submit(controller.Request{Node: tr.Root(), Kind: tree.None}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -318,14 +317,14 @@ func TestPprofGate(t *testing.T) {
 	}
 	off := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
+		Tenants:     oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	if got := status(off); got != http.StatusNotFound {
 		t.Errorf("pprof without -pprof: status %d, want 404", got)
 	}
 	on := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1), Pprof: true,
+		Tenants:     oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1), Pprof: true,
 	})
 	if got := status(on); got != http.StatusOK {
 		t.Errorf("pprof with -pprof: status %d, want 200", got)
@@ -340,7 +339,7 @@ func TestPprofGate(t *testing.T) {
 func TestScrapeUnderLoad(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1<<30, 1<<29),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 4})
 	if err != nil {
@@ -348,7 +347,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	}
 	defer cl.Close()
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	stop := make(chan struct{})
@@ -419,13 +418,13 @@ func TestScrapeUnderLoad(t *testing.T) {
 // connection counts move too); the small contract runs into rejects and a
 // request for a node that does not exist is an error.
 func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "star", Nodes: 4}
+	spec := tree.Shape{Kind: "star", Nodes: 4}
 	s := startServer(t, Config{Tenants: []TenantConfig{
 		{Name: "big", Topology: spec, Seed: 1, M: 1 << 30, W: 1 << 29},
 		{Name: "small", Topology: spec, Seed: 1, M: 2000, W: 1000},
 	}})
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+	if err := tree.Build(tr, spec, 1); err != nil {
 		t.Fatal(err)
 	}
 	reqs := make([]controller.Request, 32)
@@ -505,10 +504,10 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 // carried are the controller's grants plus its rejects on every scrape (a
 // tally kept outside tenant.mu is ahead by the runs waiting for the lock).
 func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 16}
+	spec := tree.Shape{Kind: "balanced", Nodes: 16}
 	s := startServer(t, Config{Tenants: oneTenant(spec, 1, 1<<30, 1<<29)})
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 1); err != nil {
+	if err := tree.Build(tr, spec, 1); err != nil {
 		t.Fatal(err)
 	}
 	nodes := tr.Nodes()

@@ -27,7 +27,7 @@ func walConfig(t *testing.T, dir string) server.Config {
 		Addr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{{
 			Name:     wire.DefaultTenant,
-			Topology: workload.TopologySpec{Kind: "balanced", Nodes: 64},
+			Topology: tree.Shape{Kind: "balanced", Nodes: 64},
 			Seed:     1, M: 50_000, W: 25_000,
 		}},
 		Paranoid:      true,
@@ -43,7 +43,7 @@ func driveTraffic(t *testing.T, addr string, conns, perClient int) int64 {
 	t.Helper()
 	_, ct, err := workload.WireTrace(workload.Scenario{
 		Name:     "recovery-test",
-		Topology: workload.TopologySpec{Kind: "balanced", Nodes: 64},
+		Topology: tree.Shape{Kind: "balanced", Nodes: 64},
 		Workload: workload.WorkloadSpec{Kind: "churn", Mix: "default"},
 		Requests: conns * perClient,
 	}, conns, 0, 1)
@@ -214,10 +214,10 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 		m, w, seed           = 450, 50, 4
 		total, cut, snapshot = 600, 337, 100
 	)
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 24}
+	spec := tree.Shape{Kind: "balanced", Nodes: 24}
 	build := func() *tree.Tree {
 		tr, _ := tree.New()
-		if err := workload.BuildTopology(tr, spec, seed); err != nil {
+		if err := tree.Build(tr, spec, seed); err != nil {
 			t.Fatal(err)
 		}
 		return tr

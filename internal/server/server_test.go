@@ -21,7 +21,6 @@ import (
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // startServer builds and starts a loopback server, tearing it down with the
@@ -47,7 +46,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // oneTenant declares the default namespace alone.
-func oneTenant(spec workload.TopologySpec, seed, m, w int64) []TenantConfig {
+func oneTenant(spec tree.Shape, seed, m, w int64) []TenantConfig {
 	return []TenantConfig{{Name: wire.DefaultTenant, Topology: spec, Seed: seed, M: m, W: w}}
 }
 
@@ -74,7 +73,7 @@ func TestNewRefusesConfigWithoutTenant(t *testing.T) {
 // TestNewRefusesTraceRingAboveMax: a trace ring above obs.MaxRing is refused
 // at boot rather than allocated, and the maximum itself is accepted.
 func TestNewRefusesTraceRingAboveMax(t *testing.T) {
-	tenants := oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 1, 10, 1)
+	tenants := oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 1, 10, 1)
 	for _, ring := range []int{obs.MaxRing + 1, math.MaxInt} {
 		if s, err := New(Config{Tenants: tenants, TraceRing: ring}); err == nil {
 			s.closeTenants()
@@ -93,7 +92,7 @@ func TestNewRefusesTraceRingAboveMax(t *testing.T) {
 
 func TestSubmitOverWire(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 2})
 	if err != nil {
@@ -110,10 +109,10 @@ func TestSubmitOverWire(t *testing.T) {
 
 	// An event at the root must be granted.
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 16}, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 1); err != nil {
 		t.Fatalf("rebuild topology: %v", err)
 	}
-	if sig := workload.TopologySignature(tr); sig != cl.TopologySignature() {
+	if sig := tr.Signature(); sig != cl.TopologySignature() {
 		t.Fatalf("local topology signature %d, server %d", sig, cl.TopologySignature())
 	}
 	g, err := cl.Submit(controller.Request{Node: tr.Root(), Kind: tree.None})
@@ -154,7 +153,7 @@ func TestSubmitOverWire(t *testing.T) {
 
 func TestHandshakeVersionReject(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -183,7 +182,7 @@ func TestHandshakeVersionReject(t *testing.T) {
 
 func TestMalformedFrameGetsProtocolError(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -218,7 +217,7 @@ func TestMalformedFrameGetsProtocolError(t *testing.T) {
 
 func TestEmptySubmitFrameIsAnswered(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "star", Nodes: 4}, 0, 10, 1),
+		Tenants: oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1),
 	})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -254,7 +253,7 @@ func TestEmptySubmitFrameIsAnswered(t *testing.T) {
 func TestMetricsz(t *testing.T) {
 	s := startServer(t, Config{
 		MetricsAddr: "127.0.0.1:0",
-		Tenants:     oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3, 500, 50), Paranoid: true,
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 8}, 3, 500, 50), Paranoid: true,
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -263,7 +262,7 @@ func TestMetricsz(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 3) //nolint:errcheck
 	for i := 0; i < 10; i++ {
 		if _, err := cl.Submit(controller.Request{Node: tr.Root(), Kind: tree.None}); err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -319,7 +318,7 @@ func TestMetricsz(t *testing.T) {
 // request is reported. The overspend is injected into the tenant's counters
 // between two requests; the oracle charges it to the next one.
 func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 8}
+	spec := tree.Shape{Kind: "balanced", Nodes: 8}
 	s := startServer(t, Config{Tenants: oneTenant(spec, 3, 500, 50), Paranoid: true})
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
@@ -327,7 +326,7 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 	}
 	defer cl.Close()
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, spec, 3); err != nil {
+	if err := tree.Build(tr, spec, 3); err != nil {
 		t.Fatal(err)
 	}
 	submit := func() {
@@ -353,7 +352,7 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 
 func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants: oneTenant(workload.TopologySpec{Kind: "balanced", Nodes: 8}, 1, 100000, 50000),
+		Tenants: oneTenant(tree.Shape{Kind: "balanced", Nodes: 8}, 1, 100000, 50000),
 	})
 	cl, err := client.Dial(s.Addr(), client.Options{Conns: 4})
 	if err != nil {
@@ -362,7 +361,7 @@ func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 	defer cl.Close()
 
 	tr, _ := tree.New()
-	workload.BuildTopology(tr, workload.TopologySpec{Kind: "balanced", Nodes: 8}, 1) //nolint:errcheck
+	tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 8}, 1) //nolint:errcheck
 	root := tr.Root()
 
 	// Phase 1: concurrent load that completes before the shutdown. Every
@@ -437,7 +436,7 @@ func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 // no ticket to wait on. A served run before the refusal shows the same
 // comparison does see a run that decides.
 func TestRefusingTenantDecidesNothing(t *testing.T) {
-	spec := workload.TopologySpec{Kind: "balanced", Nodes: 8}
+	spec := tree.Shape{Kind: "balanced", Nodes: 8}
 	for _, tc := range []struct {
 		name   string
 		refuse func(*Server, *tenant)

@@ -17,7 +17,6 @@ import (
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
-	"dynctrl/internal/workload"
 )
 
 // TenantConfig describes one tenant namespace: its name (the Hello
@@ -27,10 +26,11 @@ type TenantConfig struct {
 	// Name is the namespace name; it must satisfy wire.ValidTenant.
 	Name string
 
-	// Topology and Seed determine the tenant's initial tree, exactly as in
-	// the scenario engine: the same (spec, seed) pair always builds the
-	// same tree, which is how a remote load generator reconstructs it.
-	Topology workload.TopologySpec
+	// Topology and Seed determine the tenant's initial tree (tree.Build):
+	// the same (shape, seed) pair always builds the same tree, which is how
+	// a remote load generator reconstructs it. The zero Shape is the bare
+	// root.
+	Topology tree.Shape
 	Seed     int64
 
 	// M and W are the tenant's admission contract.
@@ -214,20 +214,14 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	if tc.M < 0 || tc.W < 0 || tc.W > tc.M {
 		return nil, fmt.Errorf("server: tenant %q: invalid contract (M=%d, W=%d)", tc.Name, tc.M, tc.W)
 	}
-	if tc.Topology.Kind == "" {
-		tc.Topology.Kind = "balanced"
-	}
-	if tc.Topology.Nodes < 1 {
-		tc.Topology.Nodes = 1
-	}
 	tr, _ := tree.New()
-	if err := workload.BuildTopology(tr, tc.Topology, tc.Seed); err != nil {
+	if err := tree.Build(tr, tc.Topology, tc.Seed); err != nil {
 		return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
 	}
 	// The handshake's topology signature always names the *initial* tree
-	// (the one a remote load generator can reconstruct from the spec and
+	// (the one a remote load generator can reconstruct from the shape and
 	// seed); recovery below may evolve the live tree past it.
-	topoSig := workload.TopologySignature(tr)
+	topoSig := tr.Signature()
 	ctrs := stats.NewCounters()
 
 	tn := &tenant{

@@ -27,8 +27,8 @@ func twoTenantConfig() server.Config {
 	return server.Config{
 		Addr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{
-			{Name: "team-a", Topology: workload.TopologySpec{Kind: "balanced", Nodes: 64}, Seed: 11, M: 50_000, W: 25_000},
-			{Name: "team-b", Topology: workload.TopologySpec{Kind: "star", Nodes: 4}, Seed: 22, M: 100, W: 10},
+			{Name: "team-a", Topology: tree.Shape{Kind: "balanced", Nodes: 64}, Seed: 11, M: 50_000, W: 25_000},
+			{Name: "team-b", Topology: tree.Shape{Kind: "star", Nodes: 4}, Seed: 22, M: 100, W: 10},
 		},
 	}
 }
@@ -152,11 +152,11 @@ func TestTenantScopeEnforcedBothDirections(t *testing.T) {
 
 	// Rebuild each tenant's tree locally to learn its node ids.
 	ta, _ := tree.New()
-	if err := workload.BuildTopology(ta, workload.TopologySpec{Kind: "balanced", Nodes: 64}, 11); err != nil {
+	if err := tree.Build(ta, tree.Shape{Kind: "balanced", Nodes: 64}, 11); err != nil {
 		t.Fatal(err)
 	}
 	tb, _ := tree.New()
-	if err := workload.BuildTopology(tb, workload.TopologySpec{Kind: "star", Nodes: 4}, 22); err != nil {
+	if err := tree.Build(tb, tree.Shape{Kind: "star", Nodes: 4}, 22); err != nil {
 		t.Fatal(err)
 	}
 	// A node id that exists in team-a's 64-node tree but not in team-b's
@@ -259,7 +259,7 @@ func TestNoisyNeighborOverLoopback(t *testing.T) {
 
 	// The victim's pinned probe over team-b's (reconstructible) tree.
 	tb, _ := tree.New()
-	if err := workload.BuildTopology(tb, cfg.Tenants[1].Topology, cfg.Tenants[1].Seed); err != nil {
+	if err := tree.Build(tb, cfg.Tenants[1].Topology, cfg.Tenants[1].Seed); err != nil {
 		t.Fatal(err)
 	}
 	probe, err := workload.VictimProbe(tb, 400, 5)
@@ -269,7 +269,7 @@ func TestNoisyNeighborOverLoopback(t *testing.T) {
 
 	// The flooder's grow-only trace over team-a's tree.
 	ta, _ := tree.New()
-	if err := workload.BuildTopology(ta, cfg.Tenants[0].Topology, cfg.Tenants[0].Seed); err != nil {
+	if err := tree.Build(ta, cfg.Tenants[0].Topology, cfg.Tenants[0].Seed); err != nil {
 		t.Fatal(err)
 	}
 	floodTrace, err := workload.NewConcurrentTrace(ta, 4, 800, workload.GrowOnlyConcurrentMix(), 6)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -423,6 +424,60 @@ var corruptions = map[string]func(s *Snapshot){
 	// MaxPort wraps to one below -MaxPort, which is refused as well.
 	"parent port above 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = int(onePastMaxPort) },
 	"parent port below 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = -MaxPort - 1 },
+	// Not an id, but a snapshot no live tree can be in, which Restore must
+	// refuse on its own and not leave to a caller's Validate.
+	"duplicate child port": func(s *Snapshot) {
+		for _, n := range s.Nodes {
+			if len(n.ChildPorts) > 1 {
+				n.ChildPorts[1] = n.ChildPorts[0]
+				return
+			}
+		}
+		panic("no node with two children")
+	},
+	"node lists itself as a child": func(s *Snapshot) { listItself(s, 1) },
+}
+
+// listItself makes the first non-root node with children list itself k more
+// times, each on a port of its own.
+func listItself(s *Snapshot, k int) {
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		if n.ID == s.Root || len(n.Children) == 0 {
+			continue
+		}
+		for j := 0; j < k; j++ {
+			n.Children = append(n.Children, n.ID)
+			n.ChildPorts = append(n.ChildPorts, MaxPort-j)
+		}
+		return
+	}
+	panic("no non-root node with children")
+}
+
+// A node that lists itself k times would, were each pop to push its list
+// again, grow the walk's stack to about k entries per listed node before any
+// check saw the cycle. Restore must refuse it having allocated in proportion
+// to the snapshot, not to that product.
+func TestRestoreSelfListingIsRefusedInLinearSpace(t *testing.T) {
+	const k = 1 << 12
+	snap := randomScenario(3, 2000).Snapshot()
+	listItself(snap, k)
+	tr, _ := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := tr.Restore(snap)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Restore accepted a node that lists itself")
+	}
+	// The self-list alone is k edges of 16 B; the stack may hold each listed
+	// node once. Everything else Restore sizes is per id.
+	limit := uint64(64*k + 64*int(snap.NextID))
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("refusing %d listed nodes with a %d-fold self-list allocated %d B, want at most %d",
+			len(snap.Nodes), k, got, limit)
+	}
 }
 
 func TestRestoreRejectsCorruptIDs(t *testing.T) {

@@ -142,28 +142,26 @@ func (t *Tree) Restore(s *Snapshot) error {
 	if !r.Contains(s.Root) {
 		return fmt.Errorf("restore: root %d: %w", s.Root, ErrNoSuchNode)
 	}
-	if p := r.parent[s.Root]; p != InvalidNode {
-		return fmt.Errorf("restore: root %d has parent %d", s.Root, p)
-	}
-	// Recompute depths, express links and slots and check reachability
-	// before committing.
-	seen := 0
+	r.root, r.live = s.Root, len(s.Nodes)
+	// Derive depths, express links and slots from the root, then hold the
+	// staged tree to everything Validate checks of a live one (parent links,
+	// ports, reachability) before committing. In a tree each listed node is
+	// pushed once, so a walk about to push more nodes than are listed has met
+	// a cycle or a node listed twice and stops there: the stack, and the work,
+	// never outgrow what the snapshot lists.
+	pushed := 1
 	stack := []NodeID{s.Root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		seen++
-		if seen > len(s.Nodes) {
-			return fmt.Errorf("restore: node %d reachable twice", id)
-		}
 		for i, e := range r.edges(r.nodes.At(id)) {
 			cid := e.child
+			if pushed++; pushed > len(s.Nodes) {
+				return fmt.Errorf("restore: node %d reachable twice", cid)
+			}
 			c := r.get(cid)
 			if c == nil {
 				return fmt.Errorf("restore: child %d of %d: %w", cid, id, ErrNoSuchNode)
-			}
-			if r.parent[cid] != id {
-				return fmt.Errorf("restore: child %d of %d has parent %d", cid, id, r.parent[cid])
 			}
 			r.depth[cid] = r.depth[id] + 1
 			*r.express.At(cid) = r.expressVia(id)
@@ -171,8 +169,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 			stack = append(stack, cid)
 		}
 	}
-	if seen != len(s.Nodes) {
-		return fmt.Errorf("restore: %d nodes reachable from root, %d listed", seen, len(s.Nodes))
+	if err := r.Validate(); err != nil {
+		return fmt.Errorf("restore: %w", err)
 	}
 
 	t.nodes, t.lists, t.free = r.nodes, r.lists, nil

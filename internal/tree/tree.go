@@ -933,7 +933,9 @@ func (t *Tree) Leaves() []NodeID {
 
 // Validate checks structural consistency of the tree: parent/child symmetry,
 // depth caching, port uniqueness, acyclicity and full reachability from the
-// root. It is intended for tests and returns the first inconsistency found.
+// root, and returns the first inconsistency found. Restore holds every staged
+// tree to it before committing, so it must keep checking everything a
+// snapshot can get wrong.
 func (t *Tree) Validate() error {
 	if len(t.parent) != t.nodes.Len() || len(t.depth) != t.nodes.Len() || t.express.Len() != t.nodes.Len() {
 		return fmt.Errorf("validate: %d node slots but %d parent links, %d depths and %d express links",

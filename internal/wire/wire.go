@@ -207,7 +207,7 @@ type Hello struct {
 // Welcome is the server's handshake answer: the protocol version it will
 // speak, the tenant namespace the connection is now bound to (echoing the
 // Hello), and that tenant's admission contract. TopoSig is a signature of
-// the tenant's initial topology (workload.TopologySignature) so a load
+// the tenant's initial tree ((*tree.Tree).Signature) so a load
 // generator replaying a scenario can verify it reconstructed the same
 // tree. Incarnation is the tenant's durability incarnation — how many
 // times its WAL directory has been opened — so a client can tell it

@@ -10,7 +10,7 @@ import (
 func concurrentTestTree(t *testing.T) *tree.Tree {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := BuildBalanced(tr, 32, 7); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, 7); err != nil {
 		t.Fatal(err)
 	}
 	return tr

@@ -17,7 +17,7 @@ const nnSeed = 7
 func nnStack(t *testing.T, m, w int64) (*tree.Tree, *dist.Dynamic) {
 	t.Helper()
 	tr, _ := tree.New()
-	if err := BuildTopology(tr, TopologySpec{Kind: "balanced", Nodes: 32}, nnSeed); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, nnSeed); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := sim.NewRuntime("random", nnSeed)

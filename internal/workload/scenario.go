@@ -1,21 +1,17 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"dynctrl/internal/tree"
+)
 
 // This file is the vocabulary of the adversarial scenario engine: a small
 // declarative Scenario (topology × controller × workload × faults) and a
 // catalog of named scenarios covering the stress axes of the paper. The
 // runner that executes one over a simulated transport with the oracle on is
-// package scenario; nothing here knows an engine, so the daemon, which
-// imports this package for its topologies, links no simulator.
-
-// TopologySpec names an initial tree shape.
-type TopologySpec struct {
-	// Kind is "balanced" (uniformly random attachment), "path", or "star".
-	Kind string `json:"kind"`
-	// Nodes is the initial tree size.
-	Nodes int `json:"nodes"`
-}
+// package scenario; nothing here knows an engine, so loadgen, which replays
+// the catalog over the wire, links no simulator.
 
 // WorkloadSpec names the request generator driving a scenario.
 type WorkloadSpec struct {
@@ -66,7 +62,7 @@ type Scenario struct {
 	Name  string `json:"name"`
 	Notes string `json:"notes,omitempty"`
 
-	Topology   TopologySpec   `json:"topology"`
+	Topology   tree.Shape     `json:"topology"`
 	Controller string         `json:"controller"` // "dynamic", "core", "core-serials"
 	Workload   WorkloadSpec   `json:"workload"`
 	Faults     FaultSpec      `json:"faults,omitempty"`
@@ -110,7 +106,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "hotspot-skew",
 			Notes:      "80% of requests hammer one deep pivot's subtree; static packages must keep absorbing the hot node",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 96},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 96},
 			Controller: "dynamic",
 			Workload:   WorkloadSpec{Kind: "hotspot", HotPct: 80},
 			Requests:   1000, LongRequests: 8000,
@@ -119,7 +115,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "churn-storm",
 			Notes:      "95% topological churn at the size floor; stores are created, handed off and deleted constantly",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 64},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 64},
 			Controller: "dynamic",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "storm", MinSize: 16},
 			Requests:   900, LongRequests: 6000,
@@ -128,7 +124,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "deep-path-adversary",
 			Notes:      "requests ride the tip of an ever-deepening path; filler search and drop-point splitting at maximal distance",
-			Topology:   TopologySpec{Kind: "path", Nodes: 64},
+			Topology:   tree.Shape{Kind: "path", Nodes: 64},
 			Controller: "core",
 			Workload:   WorkloadSpec{Kind: "deeppath"},
 			Requests:   600, LongRequests: 2400,
@@ -137,7 +133,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "join-leave-crashes",
 			Notes:      "churn plus periodic crash/recovery of random non-root nodes via the graceful-deletion handoff",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 64},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 64},
 			Controller: "dynamic",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "default", MinSize: 24},
 			Faults:     FaultSpec{CrashEvery: 20, RecoverAfter: 7},
@@ -147,7 +143,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "exhaustion-reject-wave",
 			Notes:      "tight permit budget; the reject wave must flood legally (>= M-W granted) and finally",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 48},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 48},
 			Controller: "core",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "event"},
 			Requests:   400, LongRequests: 1200,
@@ -156,7 +152,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "serial-names",
 			Notes:      "fixed-U core carrying explicit serial intervals; every grant's serial must be fresh and in range",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 56},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 56},
 			Controller: "core-serials",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "event"},
 			Requests:   500, LongRequests: 2000,
@@ -165,7 +161,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "crash-restart",
 			Notes:      "kill -9 the whole controller stack mid-run and recover it from WAL + snapshot; the trace must continue exactly as if the crash never happened",
-			Topology:   TopologySpec{Kind: "balanced", Nodes: 64},
+			Topology:   tree.Shape{Kind: "balanced", Nodes: 64},
 			Controller: "dynamic",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "default", MinSize: 24},
 			Durability: DurabilitySpec{CrashEvery: 150, SnapshotEvery: 100, MaxCrashes: 3},
@@ -175,7 +171,7 @@ func Catalog() []Scenario {
 		{
 			Name:       "grow-only-flood",
 			Notes:      "grow-only joins from a star; the unknown-U driver must keep re-estimating U as the tree explodes",
-			Topology:   TopologySpec{Kind: "star", Nodes: 32},
+			Topology:   tree.Shape{Kind: "star", Nodes: 32},
 			Controller: "dynamic",
 			Workload:   WorkloadSpec{Kind: "churn", Mix: "grow"},
 			Requests:   700, LongRequests: 4000,

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"dynctrl/internal/tree"
 )
@@ -12,51 +10,28 @@ import (
 // load generator on the far side of a socket cannot consult the server's
 // live tree, so a wire run is built from the deterministic half of a
 // scenario: both sides construct the identical initial topology from
-// (TopologySpec, seed) — node ids are allocation-order deterministic — and
+// (tree.Shape, seed) — node ids are allocation-order deterministic — and
 // the client pre-generates an interleaving-safe concurrent trace over that
 // snapshot (events and leaf additions under snapshot nodes, the vocabulary
 // of concurrent.go, which stays valid under every delivery order). The
-// TopologySignature exchanged in the wire handshake catches the one way
+// tree signature exchanged in the wire handshake catches the one way
 // this can silently go wrong: the two sides building different trees.
 
-// TopologySignature hashes the live node set of a tree (sorted ids plus
-// each node's parent) into a signature both ends of a connection can
-// compare during the handshake. Two trees built by the same deterministic
-// constructor agree; a mismatched (spec, seed) pair does not.
-func TopologySignature(tr *tree.Tree) uint64 {
-	h := fnv.New64a()
-	var word [8]byte
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(word[:], uint64(v))
-		h.Write(word[:])
-	}
-	for _, id := range tr.Nodes() {
-		put(int64(id))
-		parent, err := tr.Parent(id)
-		if err != nil {
-			parent = tree.InvalidNode
-		}
-		put(int64(parent))
-	}
-	return h.Sum64()
+// The three names below are what bench/ compiles against; nothing under
+// bench/ may change with this package, so they keep their signatures.
+// Everyone else names a tree.Shape, builds it with tree.Build and reads
+// (*tree.Tree).Signature.
+
+// TopologySpec is tree.Shape.
+type TopologySpec = tree.Shape
+
+// BuildTopology builds spec in tr; see tree.Build.
+func BuildTopology(tr *tree.Tree, spec TopologySpec, seed int64) error {
+	return tree.Build(tr, spec, seed)
 }
 
-// BuildTopology constructs a scenario's initial tree shape in tr. It is the
-// exported form of the scenario engine's topology step, so a server and a
-// remote load generator can build the identical tree from the same spec and
-// seed.
-func BuildTopology(tr *tree.Tree, spec TopologySpec, seed int64) error {
-	switch spec.Kind {
-	case "balanced":
-		return BuildBalanced(tr, spec.Nodes, seed)
-	case "path":
-		return BuildPath(tr, spec.Nodes)
-	case "star":
-		return BuildStar(tr, spec.Nodes)
-	default:
-		return fmt.Errorf("workload: unknown topology %q", spec.Kind)
-	}
-}
+// TopologySignature returns tr.Signature().
+func TopologySignature(tr *tree.Tree) uint64 { return tr.Signature() }
 
 // WireMix projects a scenario's workload onto the interleaving-safe
 // concurrent vocabulary: additions (leaf or internal) become snapshot leaf
@@ -96,7 +71,7 @@ func WireTrace(sc Scenario, conns, total int, seed int64) (*tree.Tree, *Concurre
 		total = sc.Requests
 	}
 	tr, _ := tree.New()
-	if err := BuildTopology(tr, sc.Topology, seed); err != nil {
+	if err := tree.Build(tr, sc.Topology, seed); err != nil {
 		return nil, nil, err
 	}
 	mix, err := WireMix(sc.Workload)

@@ -295,45 +295,3 @@ func Run(sub controller.Submitter, gen Generator, n int) (Result, error) {
 	}
 	return res, nil
 }
-
-// BuildBalanced grows tr (assumed bare) into a roughly balanced tree with n
-// nodes by attaching each new leaf under a uniformly random existing node.
-// It applies changes directly (no controller involved) and is used to set
-// up initial topologies for experiments.
-func BuildBalanced(tr *tree.Tree, n int, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	nodes := tr.Nodes()
-	for tr.Size() < n {
-		parent := nodes[rng.Intn(len(nodes))]
-		id, err := tr.ApplyAddLeaf(parent)
-		if err != nil {
-			return err
-		}
-		nodes = append(nodes, id)
-	}
-	return nil
-}
-
-// BuildPath grows tr (assumed bare) into a path of n nodes.
-func BuildPath(tr *tree.Tree, n int) error {
-	cur := tr.Root()
-	for tr.Size() < n {
-		id, err := tr.ApplyAddLeaf(cur)
-		if err != nil {
-			return err
-		}
-		cur = id
-	}
-	return nil
-}
-
-// BuildStar grows tr (assumed bare) into a star: n-1 leaves under the root.
-func BuildStar(tr *tree.Tree, n int) error {
-	root := tr.Root()
-	for tr.Size() < n {
-		if _, err := tr.ApplyAddLeaf(root); err != nil {
-			return err
-		}
-	}
-	return nil
-}

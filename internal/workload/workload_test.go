@@ -13,7 +13,7 @@ import (
 
 func TestBuilders(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 64, 1); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 64}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != 64 {
@@ -24,7 +24,7 @@ func TestBuilders(t *testing.T) {
 	}
 
 	trP, _ := tree.New()
-	if err := workload.BuildPath(trP, 40); err != nil {
+	if err := tree.Build(trP, tree.Shape{Kind: "path", Nodes: 40}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if trP.Height() != 39 {
@@ -32,7 +32,7 @@ func TestBuilders(t *testing.T) {
 	}
 
 	trS, _ := tree.New()
-	if err := workload.BuildStar(trS, 40); err != nil {
+	if err := tree.Build(trS, tree.Shape{Kind: "star", Nodes: 40}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if trS.Height() != 1 {
@@ -45,7 +45,7 @@ func TestBuilders(t *testing.T) {
 
 func TestChurnProducesValidRequests(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 30, 2); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 30}, 2); err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 3)
@@ -100,7 +100,7 @@ func TestChurnProducesValidRequests(t *testing.T) {
 func TestChurnDeterministicForSeed(t *testing.T) {
 	run := func() []ctl.Request {
 		tr, _ := tree.New()
-		if err := workload.BuildBalanced(tr, 20, 5); err != nil {
+		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 20}, 5); err != nil {
 			t.Fatal(err)
 		}
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 9)
@@ -136,7 +136,7 @@ func TestChurnTracePinned(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, _ := tree.New()
-			if err := workload.BuildBalanced(tr, 48, 7); err != nil {
+			if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 48}, 7); err != nil {
 				t.Fatal(err)
 			}
 			gen := workload.NewChurn(tr, tc.mix, 11)
@@ -167,7 +167,7 @@ func TestChurnTracePinned(t *testing.T) {
 // keeps naming nodes the restored tree never had.
 func TestChurnFollowsRestore(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildStar(tr, 40); err != nil { // ids 1..40 in 39 changes
+	if err := tree.Build(tr, tree.Shape{Kind: "star", Nodes: 40}, 0); err != nil { // ids 1..40 in 39 changes
 		t.Fatal(err)
 	}
 	other, root := tree.New()
@@ -203,7 +203,7 @@ func TestChurnFollowsRestore(t *testing.T) {
 
 func TestMinSizeFloor(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 10, 6); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 10}, 6); err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewChurn(tr, workload.ShrinkHeavyMix(), 7)
@@ -222,7 +222,7 @@ func TestMinSizeFloor(t *testing.T) {
 
 func TestRunDrivesSubmitter(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 16, 8); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 16}, 8); err != nil {
 		t.Fatal(err)
 	}
 	c := ctl.NewCore(tr, 64, 10, 2)
@@ -257,7 +257,7 @@ func TestDeepPathGenerator(t *testing.T) {
 
 func TestHotspotGenerator(t *testing.T) {
 	tr, _ := tree.New()
-	if err := workload.BuildBalanced(tr, 20, 9); err != nil {
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 20}, 9); err != nil {
 		t.Fatal(err)
 	}
 	pivot := tr.Root()
