@@ -26,16 +26,9 @@
 // unspecified keys inherit the top-level flags. Clients name their
 // namespace in the wire handshake and can never touch any other.
 //
-// With -wal-dir the daemon is durable: every tenant logs decided batches
-// to its own subdirectory (<wal-dir>/<tenant>) of the internal/persist
-// write-ahead log (group commit: results are not released until their
-// records are fsynced), the full state is checkpointed every
-// -snapshot-every effects and on graceful shutdown, and a restart
-// recovers every tenant's admission state — the (M, W) contracts span
-// incarnations. `dynctrld -wal-dir DIR -verify-wal` audits an existing
-// directory offline, tenant by tenant: it replays each retained history
-// through the cross-incarnation oracle (no serial reused, granted ≤ M
-// summed across restarts) and exits nonzero on any violation.
+// With -wal-dir every tenant is durable and recovers at boot, and
+// `dynctrld -wal-dir DIR -verify-wal` audits DIR offline and exits
+// (docs/OPERATIONS.md §4–§6).
 //
 // On SIGINT/SIGTERM the daemon drains gracefully — in-flight batches are
 // answered before the tenants close — then prints a final accounting
@@ -45,11 +38,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,6 +131,10 @@ func main() {
 	if err != nil {
 		fatalf("-log-format: %v", err)
 	}
+	fatal := func(err error) {
+		logger.Error("startup failed", "err", err)
+		os.Exit(1)
+	}
 
 	cfg := server.Config{
 		Addr:        *addr,
@@ -159,66 +159,38 @@ func main() {
 	for _, spec := range tenants {
 		tc, err := parseTenantSpec(spec, def)
 		if err != nil {
-			fatalf("-tenant: %v", err)
+			fatal(fmt.Errorf("-tenant: %w", err))
 		}
 		cfg.Tenants = append(cfg.Tenants, tc)
+	}
+
+	if *verifyWAL {
+		if cfg.WALDir == "" {
+			fatal(errors.New("-verify-wal requires -wal-dir"))
+		}
+		mExplicit := false
+		flag.Visit(func(f *flag.Flag) { mExplicit = mExplicit || f.Name == "m" })
+		// Only the -tenant flags declare here: the default namespace is
+		// not appended yet.
+		held, err := auditWAL(logger, cfg.WALDir, cfg.Tenants, def.M, mExplicit)
+		if err != nil {
+			logger.Error("wal audit failed", "err", err)
+		}
+		if err != nil || !held {
+			os.Exit(1)
+		}
+		return
 	}
 	if len(cfg.Tenants) == 0 {
 		cfg.Tenants = []server.TenantConfig{def}
 	}
 
-	if *verifyWAL {
-		if cfg.WALDir == "" {
-			fatalf("-verify-wal requires -wal-dir")
-		}
-		mExplicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "m" {
-				mExplicit = true
-			}
-		})
-		// Every tenant logs under its own subdirectory of the WAL root;
-		// audit each namespace independently.
-		dirs, err := tenantWALDirs(cfg.WALDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		failed := false
-		for _, name := range dirs {
-			dir := filepath.Join(cfg.WALDir, name)
-			// Audit against the contract the history was actually written
-			// under: the latest snapshot records it. An explicit -m
-			// overrides (for directories that never checkpointed), but a
-			// mismatch is called out rather than silently trusted.
-			verifyM := def.M
-			if st, err := persist.ReadLatestSnapshot(dir); err != nil {
-				fatalf("tenant %q: read snapshot contract: %v", name, err)
-			} else if st != nil {
-				if mExplicit && st.M != def.M {
-					logf("tenant %q: warning: -m %d differs from the snapshot contract M=%d; auditing against -m", name, def.M, st.M)
-				} else {
-					verifyM = st.M
-					logf("tenant %q: auditing against the snapshot contract (M=%d, W=%d)", name, st.M, st.W)
-				}
-			} else if !mExplicit {
-				logf("tenant %q: warning: no snapshot records the contract; auditing against the default -m %d", name, def.M)
-			}
-			if !verifyWALDir(name, dir, verifyM) {
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-
 	s, err := server.New(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		fatal(err)
 	}
 	if err := s.Start(); err != nil {
-		fatalf("%v", err)
+		fatal(err)
 	}
 	logger.Info("wire protocol", "version", wire.Version, "addr", s.Addr())
 	for _, v := range s.Tenants() {
@@ -287,36 +259,65 @@ func tenantWALDirs(root string) ([]string, error) {
 	return names, nil
 }
 
-// verifyWALDir audits one tenant's retained WAL history against the
-// contract and reports whether every cross-incarnation invariant holds.
-func verifyWALDir(tenant, dir string, m int64) bool {
-	sums, violations, err := persist.VerifyDir(dir, m)
+// auditWAL is -verify-wal: it replays every tenant directory under root
+// through the cross-incarnation oracle and reports whether all of them hold.
+// A tenant that a -tenant flag declares is held to the M its spec resolves
+// to, the contract the daemon would serve it under. Any other directory is
+// held to its latest snapshot's M, or to the top-level -m (flagM) when that
+// was given explicitly or no snapshot records a contract. A snapshot that
+// records another M than the one audited against is warned about.
+func auditWAL(logger *slog.Logger, root string, declared []server.TenantConfig, flagM int64, mExplicit bool) (bool, error) {
+	dirs, err := tenantWALDirs(root)
 	if err != nil {
-		fatalf("verify %s: %v", dir, err)
+		return false, err
 	}
-	var granted, rejected int64
-	for _, s := range sums {
-		logf("tenant %q: incarnation %d: granted=%d rejected=%d wal=[%d, %d]",
-			tenant, s.Incarnation, s.Granted, s.Rejected, s.FirstIndex, s.LastIndex)
-		granted += s.Granted
-		rejected += s.Rejected
-	}
-	logf("tenant %q: history: %d incarnations, granted=%d (M=%d), rejected=%d", tenant, len(sums), granted, m, rejected)
-	if len(violations) != 0 {
-		for _, v := range violations {
-			logf("tenant %q: CROSS-INCARNATION VIOLATION: %v", tenant, v)
+	held := true
+	for _, name := range dirs {
+		dir := filepath.Join(root, name)
+		snap, err := persist.ReadLatestSnapshot(dir)
+		if err != nil {
+			return false, fmt.Errorf("tenant %q: read snapshot contract: %w", name, err)
 		}
-		return false
+		m, from := flagM, "-m"
+		if i := slices.IndexFunc(declared, func(tc server.TenantConfig) bool { return tc.Name == name }); i >= 0 {
+			m, from = declared[i].M, "tenant spec"
+		} else if snap != nil && !mExplicit {
+			m, from = snap.M, "snapshot"
+		} else if snap == nil {
+			logger.Warn("no snapshot records the contract", "tenant", name, "m", m)
+		}
+		if snap != nil && snap.M != m {
+			logger.Warn("audit contract differs from the snapshot", "tenant", name, "m", m, "snapshot_m", snap.M)
+		}
+		logger.Info("auditing tenant", "tenant", name, "m", m, "from", from)
+		sums, violations, err := persist.VerifyDir(dir, m)
+		if err != nil {
+			return false, fmt.Errorf("verify %s: %w", dir, err)
+		}
+		var granted, rejected int64
+		for _, s := range sums {
+			logger.Info("incarnation audited", "tenant", name, "incarnation", s.Incarnation,
+				"granted", s.Granted, "rejected", s.Rejected, "first_index", s.FirstIndex, "last_index", s.LastIndex)
+			granted += s.Granted
+			rejected += s.Rejected
+		}
+		logger.Info("history audited", "tenant", name, "incarnations", len(sums),
+			"granted", granted, "m", m, "rejected", rejected)
+		for _, v := range violations {
+			logger.Error("cross-incarnation violation", "tenant", name, "violation", v.String())
+		}
+		if len(violations) != 0 {
+			held = false
+			continue
+		}
+		logger.Info("cross-incarnation invariants hold", "tenant", name)
 	}
-	logf("tenant %q: cross-incarnation invariants hold", tenant)
-	return true
+	return held, nil
 }
 
-func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dynctrld: "+format+"\n", args...)
-}
-
+// fatalf reports an error found before the structured logger exists and
+// exits.
 func fatalf(format string, args ...any) {
-	logf(format, args...)
+	fmt.Fprintf(os.Stderr, "dynctrld: "+format+"\n", args...)
 	os.Exit(1)
 }

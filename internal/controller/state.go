@@ -86,7 +86,8 @@ func (d *Dynamic) State() *DynamicState {
 // tr, its cores moving packages this transport's way and accounting into
 // counters (which may be nil). The caller restores tr and counters to their
 // captured states first; the returned controller then continues exactly
-// where the captured one stopped.
+// where the captured one stopped. Outside this package persist.Recover is
+// its one caller.
 func (tp Transport) RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *stats.Counters) (*Dynamic, error) {
 	if counters == nil {
 		counters = stats.NewCounters()

@@ -21,6 +21,8 @@ type Submitter interface {
 // grant from them on the batch fast path) and know the model only through
 // this value: who moves packages between whiteboards, and what the
 // broadcast/upcast phases cost that the drivers account themselves.
+// Above the drivers an engine is only a Transport, Centralized or
+// dist.Over(rt): the Section 5 applications take one and import neither.
 type Transport struct {
 	// Attach returns the fixed-U core that runs Protocol GrantOrReject over
 	// wb, moving packages the transport's way.

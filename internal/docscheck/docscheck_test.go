@@ -8,9 +8,11 @@
 // /metricsz exposition declares # HELP and # TYPE for every family it
 // renders and renders every family OPERATIONS.md names, and that every
 // wire frame type and error code is documented in docs/PROTOCOL.md, and
-// that every log event OPERATIONS.md §8.1 names is still logged. CI runs it
-// as the docs job, so adding a metric or a wire code without documenting it
-// fails the build.
+// that every log event OPERATIONS.md §8.1 names is still logged. It also
+// holds the documents to byte budgets and README's package map to the
+// module's packages, so a second copy of what a package's doc comment
+// already says cannot grow back. CI runs it as the docs job, so adding a
+// metric or a wire code without documenting it fails the build.
 package docscheck
 
 import (
@@ -21,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -396,5 +399,109 @@ func TestLogEventsExist(t *testing.T) {
 	}
 	if events < 10 {
 		t.Fatalf("found only %d documented log events in docs/OPERATIONS.md §8.1 — the section or span regexps are likely stale", events)
+	}
+}
+
+// TestDocBudgets holds each document to its byte budget: README.md is a map
+// and points elsewhere for the rest, and docs/OPERATIONS.md and
+// docs/PROTOCOL.md pay for what they take on by removing what they say
+// twice. Every CHANGES.md entry from PR 37 on is at most 15 lines and
+// 4 KiB; older entries are history and are not held to it.
+func TestDocBudgets(t *testing.T) {
+	for _, d := range []struct {
+		file   string
+		budget int
+	}{
+		{"README.md", 12 << 10},
+		{filepath.Join("docs", "OPERATIONS.md"), 33 << 10},
+		{filepath.Join("docs", "PROTOCOL.md"), 17 << 10},
+	} {
+		if n := len(readFile(t, d.file)); n > d.budget {
+			t.Errorf("%s is %d B, over its budget of %d B", d.file, n, d.budget)
+		}
+	}
+
+	// An entry is a line that opens "- PR <n>:" (or "- PR <n> ·") and the
+	// lines up to the next such line.
+	entryStart := regexp.MustCompile(`^- PR (\d+)[:\s]`)
+	var entries []string
+	for _, line := range strings.SplitAfter(readFile(t, "CHANGES.md"), "\n") {
+		if entryStart.MatchString(line) || len(entries) == 0 {
+			entries = append(entries, "")
+		}
+		entries[len(entries)-1] += line
+	}
+	if len(entries) < 30 {
+		t.Fatalf("found only %d CHANGES.md entries — the entry regexp is likely stale", len(entries))
+	}
+	for _, e := range entries {
+		m := entryStart.FindStringSubmatch(e)
+		if m == nil {
+			continue
+		}
+		if n, _ := strconv.Atoi(m[1]); n < 37 {
+			continue
+		}
+		if lines := strings.Count(strings.TrimRight(e, "\n"), "\n") + 1; lines > 15 || len(e) > 4<<10 {
+			t.Errorf("CHANGES.md entry for PR %s is %d lines and %d B, over the budget of 15 lines and 4096 B", m[1], lines, len(e))
+		}
+	}
+}
+
+// TestPackageMapMatchesModule holds README's package map to the module: one
+// row for the root package and one for every directory under internal/ that
+// holds Go (docscheck's own is test-only), each with a one-sentence
+// description of at most 200 B, and no row for anything else. A package
+// added or deleted without its row fails here, and so does a row that grows
+// back into a second copy of the package's doc comment.
+func TestPackageMapMatchesModule(t *testing.T) {
+	_, table, ok := strings.Cut(readFile(t, "README.md"), "\n## Package map\n")
+	if !ok {
+		t.Fatal("README.md has no \"## Package map\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+
+	want := map[string]bool{"dynctrl": true}
+	internal := filepath.Join(repoRoot, "internal")
+	err := filepath.WalkDir(internal, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			rel, err := filepath.Rel(repoRoot, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			want[filepath.ToSlash(rel)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows := map[string]int{}
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)`[^|]*\\|[^|]*\\| (.*) \\|$")
+	for _, m := range row.FindAllStringSubmatch(table, -1) {
+		rows[m[1]]++
+		if len(m[2]) > 200 {
+			t.Errorf("README.md package map: the row for %s is %d B, over 200 B; the package's doc comment is the full description", m[1], len(m[2]))
+		}
+	}
+	if len(want) < 20 || len(rows) < 20 {
+		t.Fatalf("found %d packages and %d package-map rows — a regexp or the walk is likely stale", len(want), len(rows))
+	}
+	for pkg := range want {
+		if rows[pkg] != 1 {
+			t.Errorf("README.md package map has %d rows for %s, want exactly one", rows[pkg], pkg)
+		}
+	}
+	for pkg := range rows {
+		if !want[pkg] {
+			t.Errorf("README.md package map has a row for %s, which is not a package of the module", pkg)
+		}
 	}
 }

@@ -14,6 +14,8 @@
 // the controller's batch fast path (Whiteboard.FastGrant answers a request
 // whose node holds a static package from node-local state, without
 // starting the transport) and taking the lock once for the run.
+// BenchmarkSubmitSerial and BenchmarkSubmitPipeline time the two on the
+// same event trace.
 package pipeline
 
 import (

@@ -170,7 +170,8 @@ func (iv Interval) Split() (lower, upper Interval, err error) {
 
 // Package is one permit package. Reject packages are not represented by
 // this type; they are a per-store flag (they carry no state beyond their
-// presence).
+// presence). It is plain data, 40 bytes and no pointer
+// (TestPackageHoldsNoPointers).
 type Package struct {
 	// Level is the package level; meaningful only while Mobile.
 	Level int

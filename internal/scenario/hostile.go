@@ -1,12 +1,3 @@
-// The hostile-network scenario family: declarative specs pairing a
-// concurrent wire workload with a deterministic faultnet schedule, so the
-// connection lifecycle of the daemon and its client is exercised under
-// partitions, mid-batch kills, slow-loris peers and duplicated replies —
-// with the fault schedule reproducible from (scenario, seed) alone. The
-// e2e harness that runs these against a live server lives with
-// internal/server's tests (it needs the server's crash hook); the specs
-// live here, outside package workload, because they name faultnet rules and
-// the daemon that imports workload must not link the fault proxy.
 package scenario
 
 import (
@@ -48,12 +39,11 @@ type Hostile struct {
 	// Faults is the faultnet schedule applied between client and server.
 	Faults []faultnet.Rule
 
-	// IdleTimeout and HandshakeTimeout configure the server's read
-	// deadlines (zero keeps the server defaults); WriteTimeout configures
+	// IdleTimeout configures the server's read deadline, which also holds
+	// the Hello (zero keeps the server defaults); WriteTimeout configures
 	// the client's write deadline (zero keeps the client default).
-	IdleTimeout      time.Duration
-	HandshakeTimeout time.Duration
-	WriteTimeout     time.Duration
+	IdleTimeout  time.Duration
+	WriteTimeout time.Duration
 
 	// WAL runs the server durable, and the harness crashes + recovers it
 	// from disk after the faulted phase before reconciling.
@@ -125,8 +115,7 @@ func HostileCatalog() []Hostile {
 				{Kind: faultnet.SlowLoris, Dir: faultnet.ClientToServer, Conn: 1, Frame: 2,
 					Delay: 150 * time.Millisecond, Chunk: 1},
 			},
-			IdleTimeout:      250 * time.Millisecond,
-			HandshakeTimeout: 500 * time.Millisecond,
+			IdleTimeout:      500 * time.Millisecond,
 			Recover:          true,
 			ExpectDialFaults: 1,
 		},

@@ -2,8 +2,10 @@
 // workload: one scenario over one named transport schedule, the engine built
 // over dist.Over(rt) like every other user of the message-passing model,
 // with the oracle invariant checkers always on. It also holds the
-// hostile-network scenario family (hostile.go), whose harness lives with
-// internal/server's tests.
+// hostile-network family (hostile.go): specs pairing a concurrent wire
+// workload with a faultnet schedule reproducible from (scenario, seed),
+// kept out of package workload because they name faultnet rules. Their
+// harness lives with internal/server's tests, which need its crash hook.
 //
 // Every run is reproducible from (scenario name, scheduler name, seed):
 // topology construction, request generation, and fault injection all draw

@@ -103,12 +103,13 @@ func (c *srvConn) serve() {
 // handshake is implicitly scoped to it. It reports false when the
 // connection is finished (refused, aborted or unwritable).
 func (c *srvConn) handshake() bool {
-	// A deadline that cannot be armed is connection-fatal: serving an
-	// undeadlined handshake would hand a slow-loris peer a goroutine
-	// forever.
-	hsTimeout := c.s.cfg.HandshakeTimeout
-	if hsTimeout <= 0 {
-		hsTimeout = DefaultHandshakeTimeout
+	// The Hello is the first frame, so the idle deadline holds it too,
+	// capped at DefaultHandshakeTimeout. A deadline that cannot be armed is
+	// connection-fatal: serving an undeadlined handshake would hand a
+	// slow-loris peer a goroutine forever.
+	hsTimeout := DefaultHandshakeTimeout
+	if idle := c.s.cfg.IdleTimeout; idle > 0 && idle < hsTimeout {
+		hsTimeout = idle
 	}
 	if err := c.nc.SetReadDeadline(time.Now().Add(hsTimeout)); err != nil {
 		return false
@@ -144,7 +145,7 @@ func (c *srvConn) handshake() bool {
 	}
 	tn := c.s.tenants[hello.Tenant]
 	if tn == nil {
-		c.refuse(wire.CodeTenant, fmt.Sprintf("unknown tenant %q (served: %v)", hello.Tenant, c.s.order))
+		c.refuse(wire.CodeTenant, c.s.unknownTenant(hello.Tenant))
 		return false
 	}
 	c.tn = tn

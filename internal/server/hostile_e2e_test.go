@@ -53,12 +53,11 @@ func warnLogger(t *testing.T) *slog.Logger {
 
 func hostileConfig(t *testing.T, sc scenario.Hostile, walDir string) server.Config {
 	cfg := server.Config{
-		Addr:             "127.0.0.1:0",
-		Tenants:          []server.TenantConfig{{Name: wire.DefaultTenant, Topology: sc.Topology, Seed: sc.Seed, M: sc.M, W: sc.W}},
-		Paranoid:         true,
-		IdleTimeout:      sc.IdleTimeout,
-		HandshakeTimeout: sc.HandshakeTimeout,
-		Logger:           warnLogger(t),
+		Addr:        "127.0.0.1:0",
+		Tenants:     []server.TenantConfig{{Name: wire.DefaultTenant, Topology: sc.Topology, Seed: sc.Seed, M: sc.M, W: sc.W}},
+		Paranoid:    true,
+		IdleTimeout: sc.IdleTimeout,
+		Logger:      warnLogger(t),
 	}
 	if sc.WAL {
 		cfg.WALDir = walDir

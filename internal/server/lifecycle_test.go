@@ -85,8 +85,8 @@ func TestIdleTimeoutReapsSlowLoris(t *testing.T) {
 // deadline, and the aborted handshake must never bind a tenant.
 func TestHandshakeDeadlineReapsSlowHello(t *testing.T) {
 	s := startServer(t, Config{
-		Tenants:          oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
-		HandshakeTimeout: 300 * time.Millisecond,
+		Tenants:     oneTenant(tree.Shape{Kind: "balanced", Nodes: 16}, 1, 1000, 100),
+		IdleTimeout: 300 * time.Millisecond,
 	})
 	p := startProxy(t, s.Addr(), []faultnet.Rule{
 		{Kind: faultnet.SlowLoris, Dir: faultnet.ClientToServer, Conn: 0, Frame: 0,

@@ -212,7 +212,7 @@ func TestTracezEndpoint(t *testing.T) {
 	// reply can reach this goroutine before the tenth trace is in.
 	waitUntil(t, "the tenth trace", func() bool { return s.Tenants()[0].Trace.Recorded >= 10 })
 
-	get := func(path string) string {
+	getStatus := func(path string, status int) string {
 		t.Helper()
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", s.MetricsAddr(), path))
 		if err != nil {
@@ -220,11 +220,12 @@ func TestTracezEndpoint(t *testing.T) {
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d err %v", path, resp.StatusCode, err)
+		if err != nil || resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d (want %d) err %v", path, resp.StatusCode, status, err)
 		}
 		return string(body)
 	}
+	get := func(path string) string { t.Helper(); return getStatus(path, http.StatusOK) }
 
 	text := get("/tracez")
 	for _, want := range []string{
@@ -239,8 +240,11 @@ func TestTracezEndpoint(t *testing.T) {
 			t.Errorf("/tracez missing %q:\n%s", want, text)
 		}
 	}
-	if got := get("/tracez?tenant=absent"); strings.Contains(got, "== tenant") {
-		t.Errorf("/tracez?tenant=absent rendered a tenant:\n%s", got)
+	// An unknown tenant is a 404 whose body is the handshake's CodeTenant
+	// refusal, naming the served tenants.
+	if got, want := getStatus("/tracez?tenant=absent", http.StatusNotFound),
+		`unknown tenant "absent" (served: [default])`; strings.TrimSpace(got) != want {
+		t.Errorf("/tracez?tenant=absent body %q, want %q", got, want)
 	}
 	if got := get("/tracez?n=2"); !strings.Contains(got, "slowest 2 batches:") {
 		t.Errorf("/tracez?n=2 ignored the cap:\n%s", got)

@@ -49,6 +49,10 @@
 // connection read sides close, in-flight batches are drained and
 // answered, and only then do the tenants refuse (wire.CodeShutdown),
 // checkpoint and close.
+//
+// One file a responsibility: server.go (Config, Server, listeners, /tracez),
+// tenant.go (a tenant's stack, submit, TenantView, boot recovery), conn.go
+// (handshake, serve loop, replies and the reject-wave frame), metrics.go.
 package server
 
 import (
@@ -89,15 +93,13 @@ type Config struct {
 	Paranoid bool
 
 	// IdleTimeout, when positive, arms a rolling read deadline on every
-	// bound connection: each frame must complete within IdleTimeout of
-	// the previous one, so an idle or byte-dribbling (slow-loris) peer is
-	// disconnected instead of holding its goroutine, read buffer and
-	// tenant-stack reference forever. Zero (the default) keeps
-	// connections undeadlined after the handshake.
+	// connection: each frame, the Hello first, must complete within
+	// IdleTimeout of the previous one (of the accept, for the Hello), so an
+	// idle or byte-dribbling (slow-loris) peer is disconnected instead of
+	// holding its goroutine, read buffer and tenant-stack reference
+	// forever. Zero (the default) keeps connections undeadlined after the
+	// handshake. The Hello never waits longer than DefaultHandshakeTimeout.
 	IdleTimeout time.Duration
-	// HandshakeTimeout bounds the wait for the Hello frame (0 =
-	// DefaultHandshakeTimeout).
-	HandshakeTimeout time.Duration
 
 	// WALDir enables the durability engine: each tenant logs decided
 	// batches to WALDir/<tenant-name> and recovers from it on boot. Empty
@@ -134,9 +136,9 @@ const defaultSnapshotEvery = 1 << 18
 // decided within one window of each other share one fsync.
 const DefaultCommitWindow = 200 * time.Microsecond
 
-// DefaultHandshakeTimeout bounds the handshake when
-// Config.HandshakeTimeout is zero: a connection that has not completed
-// its Hello within this window is dropped.
+// DefaultHandshakeTimeout bounds the handshake: a connection that has not
+// completed its Hello within this window, or within Config.IdleTimeout when
+// that is positive and shorter, is dropped.
 const DefaultHandshakeTimeout = 10 * time.Second
 
 // Server is a running daemon instance. Tenants is its one reader of
@@ -222,6 +224,12 @@ func (s *Server) Tenants() []TenantView {
 	return views
 }
 
+// unknownTenant is the refusal of a tenant name this daemon does not
+// serve, on the wire (CodeTenant) and on /tracez alike.
+func (s *Server) unknownTenant(name string) string {
+	return fmt.Sprintf("unknown tenant %q (served: %v)", name, s.order)
+}
+
 // WriteTraces renders the plain-text /tracez document: per tenant, the
 // stage-latency digest plus the slowest-n and most-recent-n batch traces.
 // A non-empty tenant filter restricts the report to that namespace.
@@ -261,7 +269,12 @@ func (s *Server) Start() error {
 			if err != nil || n < 1 {
 				n = 16
 			}
-			s.WriteTraces(w, r.URL.Query().Get("tenant"), n)
+			tenant := r.URL.Query().Get("tenant")
+			if tenant != "" && s.tenants[tenant] == nil {
+				http.Error(w, s.unknownTenant(tenant), http.StatusNotFound)
+				return
+			}
+			s.WriteTraces(w, tenant, n)
 		})
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintln(w, "ok")

@@ -80,7 +80,10 @@ func (t *Tree) Snapshot() *Snapshot {
 // the tree value (and thus every reference to it) and its port assigner. A
 // restore is state recovery, not a topological change: Changes becomes the
 // snapshot's count and Generation moves on. The restored tree is validated
-// before the receiver is touched; on error the tree is left unchanged.
+// before the receiver is touched; on error the tree is left unchanged. It
+// refuses ids that disagree with the snapshot's own counts (before sizing
+// anything), a parent port beyond ±MaxPort, a walk that would push more
+// nodes than are listed (cycles cost no more than the list), and Validate.
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before

@@ -44,8 +44,9 @@
 // count of a stop's block is a row with one counter a band, so a block whose
 // marks are all for bands other than the one or two the climb passes it in is
 // skipped like one that holds none. The links follow from the depths and are
-// written wherever a depth is, and the hops up to a link follow from the
-// depth alone, so a walk that knows where it starts loads no stop's depth.
+// written wherever a depth is (no snapshot holds them), and the hops up to a
+// link follow from the depth alone, so a walk that knows where it starts
+// loads no stop's depth.
 // They sit in a Table of their own, not in a third flat slice: a walk reads
 // a link once a block, not once a hop, so the second index costs it a tenth
 // of what the links save, and a slice doubled beside parent and depth

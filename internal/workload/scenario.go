@@ -100,7 +100,10 @@ func MixByName(name string) (Mix, error) {
 
 // Catalog returns the named scenario catalog. Each entry stresses one axis
 // of the controller: request skew, topology churn, path depth, crash
-// faults, permit exhaustion, and serial carrying.
+// faults, permit exhaustion, and serial carrying. To add one, append it,
+// pin its trace with go test ./internal/workload -run TestGoldenTraces
+// -update and commit both: cmd/scenario, the schedule-invariance test and
+// the nightly sweep take it from here.
 func Catalog() []Scenario {
 	return []Scenario{
 		{
