@@ -118,7 +118,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	traceRing := flag.Int("trace-ring", 0, "per-tenant batch-trace ring size for /tracez (0 = default, <0 disables tracing and stage histograms)")
-	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the metrics listener")
+	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the metrics listener: index, cmdline, CPU profile, execution trace and the runtime/pprof profiles")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant", "serve this tenant namespace: name[,key=value,...] with keys topology, nodes, seed, m, w (repeatable; unset keys inherit the top-level flags)")
 	flag.Parse()

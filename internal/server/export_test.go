@@ -25,7 +25,7 @@ func (s *Server) CrashForTests() {
 			tn.eng.Abandon()
 		}
 	}
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
+	if s.httpd != nil {
+		s.httpd.close()
 	}
 }

@@ -50,9 +50,10 @@
 // answered, and only then do the tenants refuse (wire.CodeShutdown),
 // checkpoint and close.
 //
-// One file a responsibility: server.go (Config, Server, listeners, /tracez),
-// tenant.go (a tenant's stack, submit, TenantView, boot recovery), conn.go
-// (handshake, serve loop, replies and the reject-wave frame), metrics.go.
+// One file a responsibility: server.go (Config, Server, listeners), tenant.go
+// (a tenant's stack, submit, TenantView, boot recovery), conn.go (handshake,
+// serve loop, replies and the reject-wave frame), metrics.go, http.go (the
+// metrics listener's HTTP/1.x responder and its routes).
 package server
 
 import (
@@ -63,10 +64,7 @@ import (
 	"log/slog"
 	"maps"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -123,8 +121,9 @@ type Config struct {
 	// traces and no stage, lock-hold or fsync histograms).
 	TraceRing int
 
-	// Pprof mounts net/http/pprof's handlers under /debug/pprof/ on the
-	// metrics listener. Off by default: profiling endpoints are opt-in.
+	// Pprof serves runtime/pprof's profiles and a runtime/trace capture
+	// under /debug/pprof/ on the metrics listener. Off by default:
+	// profiling endpoints are opt-in.
 	Pprof bool
 }
 
@@ -153,9 +152,8 @@ type Server struct {
 	// Start, and uptime is reported as 0 until then.
 	started time.Time
 
-	ln      net.Listener
-	httpLn  net.Listener
-	httpSrv *http.Server
+	ln    net.Listener
+	httpd *httpResponder // the metrics listener, nil without MetricsAddr
 
 	mu     sync.Mutex
 	conns  map[*srvConn]struct{}
@@ -257,37 +255,7 @@ func (s *Server) Start() error {
 			ln.Close()
 			return err
 		}
-		s.httpLn = hln
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metricsz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			s.WriteMetrics(w)
-		})
-		mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			n, err := strconv.Atoi(r.URL.Query().Get("n"))
-			if err != nil || n < 1 {
-				n = 16
-			}
-			tenant := r.URL.Query().Get("tenant")
-			if tenant != "" && s.tenants[tenant] == nil {
-				http.Error(w, s.unknownTenant(tenant), http.StatusNotFound)
-				return
-			}
-			s.WriteTraces(w, tenant, n)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		if s.cfg.Pprof {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		s.httpSrv = &http.Server{Handler: mux}
-		go s.httpSrv.Serve(hln) //nolint:errcheck // closed on shutdown
+		s.httpd = newHTTPResponder(hln, s.route)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -308,10 +276,10 @@ func (s *Server) Addr() string {
 
 // MetricsAddr returns the bound metrics address ("" when disabled).
 func (s *Server) MetricsAddr() string {
-	if s.httpLn == nil {
+	if s.httpd == nil {
 		return ""
 	}
-	return s.httpLn.Addr().String()
+	return s.httpd.ln.Addr().String()
 }
 
 func (s *Server) acceptLoop() {
@@ -416,8 +384,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 
-	if s.httpSrv != nil {
-		s.httpSrv.Close()
+	if s.httpd != nil {
+		s.httpd.close()
 	}
 	s.logger.Info("shutdown complete", "drain_err", drainErr != nil)
 	return drainErr

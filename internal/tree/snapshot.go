@@ -172,12 +172,13 @@ func (t *Tree) Restore(s *Snapshot) error {
 			stack = append(stack, cid)
 		}
 	}
+	r.atDepth = countDepths(r.depth)
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("restore: %w", err)
 	}
 
 	t.nodes, t.lists, t.free = r.nodes, r.lists, nil
-	t.parent, t.depth, t.express = r.parent, r.depth, r.express
+	t.parent, t.depth, t.express, t.atDepth = r.parent, r.depth, r.express, r.atDepth
 	t.expressEpoch++
 	t.view = portView{} // it points into the table just replaced
 	t.live = len(s.Nodes)

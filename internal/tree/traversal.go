@@ -3,7 +3,6 @@ package tree
 import (
 	"fmt"
 	"iter"
-	"slices"
 )
 
 // WalkDFS visits every live node in depth-first preorder starting at the
@@ -96,11 +95,11 @@ func (t *Tree) SubtreeSize(id NodeID) (int, error) {
 	return count, nil
 }
 
-// Height returns the number of edges on the longest root-to-leaf path.
+// Height returns the number of edges on the longest root-to-leaf path: the
+// deepest depth that holds a live node. It reads the per-depth counts, not
+// the ids, so it costs the same at any size.
 func (t *Tree) Height() int {
-	// A deleted id, and id 0, has depth -1 and the root 0, so the scan needs
-	// no liveness test.
-	return int(slices.Max(t.depth))
+	return len(t.atDepth) - 1
 }
 
 // NCA returns the nearest common ancestor of u and v.

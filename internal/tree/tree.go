@@ -228,6 +228,11 @@ type Tree struct {
 	// as well; no snapshot carries it.
 	generation uint64
 
+	// atDepth counts the live nodes at each depth and ends at the deepest
+	// depth that holds any, so Height reads its length. It moves wherever a
+	// depth is written; no snapshot carries it.
+	atDepth []int32
+
 	// express is indexed by NodeID like depth, follows from it and is written
 	// wherever it is: the entry of id is its nearest proper ancestor at a
 	// depth that is a multiple of expressStride, InvalidNode for the root
@@ -283,10 +288,36 @@ func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 	t.nodes.Grow(int(id) + 1)
 	t.parent = append(t.parent, parent)
 	t.depth = append(t.depth, depth)
+	if int(depth) == len(t.atDepth) {
+		t.atDepth = append(t.atDepth, 0) // its parent is the deepest node
+	}
+	t.atDepth[depth]++
 	t.express.Grow(int(id) + 1)
 	*t.express.At(id) = t.expressVia(parent)
 	t.live++
 	return id
+}
+
+// trimDepths drops the empty depths at the bottom of atDepth.
+func (t *Tree) trimDepths() {
+	n := len(t.atDepth)
+	for n > 0 && t.atDepth[n-1] == 0 {
+		n--
+	}
+	t.atDepth = t.atDepth[:n]
+}
+
+// countDepths counts the live entries of depth at each depth, through the
+// deepest.
+func countDepths(depth []int32) []int32 {
+	var at []int32
+	for _, d := range depth {
+		if d >= 0 {
+			at = append(at, make([]int32, max(int(d)+1-len(at), 0))...)
+			at[d]++
+		}
+	}
+	return at
 }
 
 // linkSpan returns the hops from a node at the given depth, which is not the
@@ -351,6 +382,8 @@ func (t *Tree) remove(id NodeID) {
 	n := t.nodes.At(id)
 	t.dropList(n)
 	*n = node{}
+	t.atDepth[t.depth[id]]--
+	t.trimDepths()
 	t.depth[id] = -1
 	*t.express.At(id) = InvalidNode
 	t.live--
@@ -631,18 +664,26 @@ func (t *Tree) unlink(p, c NodeID) {
 // stack the tree keeps from one call to the next.
 func (t *Tree) recomputeDepths(c NodeID) {
 	t.expressEpoch++
+	// The subtree moves one level down or up, so one more depth at the
+	// bottom holds every new depth; trimDepths drops it if it stays empty.
+	t.atDepth = append(t.atDepth, 0)
+	atDepth := t.atDepth
 	stack := append(t.stack[:0], c)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		p := t.parent[id]
-		t.depth[id] = t.depth[p] + 1
+		old, d := t.depth[id], t.depth[p]+1
+		t.depth[id] = d
+		atDepth[old]--
+		atDepth[d]++
 		*t.express.At(id) = t.expressVia(p)
 		for _, e := range t.edges(t.nodes.At(id)) {
 			stack = append(stack, e.child)
 		}
 	}
 	t.stack = stack
+	t.trimDepths()
 }
 
 // Distance returns the hop distance between u and an ancestor w of u.
@@ -1031,6 +1072,10 @@ func (t *Tree) Validate() error {
 	}
 	if len(owner) != t.lists.Len()-1 {
 		return fmt.Errorf("validate: %d list slots, %d owned or free", t.lists.Len()-1, len(owner))
+	}
+	if atDepth := countDepths(t.depth); !slices.Equal(atDepth, t.atDepth) {
+		return fmt.Errorf("validate: live nodes at depths 0..%d, but counted at 0..%d or counted otherwise",
+			len(atDepth)-1, len(t.atDepth)-1)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -689,6 +690,68 @@ func TestSubtreeSizeAndHeight(t *testing.T) {
 	}
 	if h := tr.Height(); h != 2 {
 		t.Fatalf("Height() = %d, want 2", h)
+	}
+}
+
+// TestHeightFollowsDepths: Height reads per-depth counts the tree keeps
+// beside depth, so after every change of a random trace of all four kinds,
+// and after a Restore, it must equal the deepest cached depth. The traces
+// open with a spine so that edge splits and internal removals move deep
+// subtrees both ways, and removals take over late so the height also falls.
+func TestHeightFollowsDepths(t *testing.T) {
+	check := func(tr *Tree, seed int64, step int, what string) {
+		t.Helper()
+		if got, want := tr.Height(), int(slices.Max(tr.depth)); got != want {
+			t.Fatalf("seed %d step %d (%s): Height %d, deepest depth %d", seed, step, what, got, want)
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr, root := New()
+		check(tr, seed, 0, "new")
+		for step := 1; step <= 600; step++ {
+			nodes := tr.Nodes()
+			id := nodes[rng.Intn(len(nodes))]
+			op := rng.Intn(4)
+			switch {
+			case step <= 20:
+				id, op = NodeID(tr.EverExisted()), 0
+			case step > 300 && rng.Intn(2) == 0:
+				op = 1 + 2*rng.Intn(2)
+			}
+			var err error
+			switch {
+			case op == 0:
+				_, err = tr.ApplyAddLeaf(id)
+			case op == 1 && id != root && tr.IsLeaf(id):
+				err = tr.ApplyRemoveLeaf(id)
+			case op == 2 && id != root:
+				_, err = tr.ApplyAddInternal(id)
+			case op == 3 && id != root && !tr.IsLeaf(id):
+				err = tr.ApplyRemoveInternal(id)
+			default:
+				continue
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: op %d at %d: %v", seed, step, op, id, err)
+			}
+			check(tr, seed, step, fmt.Sprintf("op %d at %d", op, id))
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// Restored over a tree of another height, and then changed again.
+		other, leaf := New()
+		for range 40 {
+			leaf = mustAddLeaf(t, other, leaf)
+		}
+		if err := other.Restore(tr.Snapshot()); err != nil {
+			t.Fatalf("seed %d: restore: %v", seed, err)
+		}
+		check(other, seed, 600, "restore")
+		deepest := slices.Index(other.depth, int32(other.Height()))
+		mustAddLeaf(t, other, NodeID(deepest))
+		check(other, seed, 601, "a leaf under the deepest node after restore")
 	}
 }
 
