@@ -9,7 +9,7 @@ var RestoreInto = restoreInto
 
 // SegmentHeaderLen is the byte length of a segment header, so tests can
 // walk a segment's blocks.
-const SegmentHeaderLen = segmentHeaderLen
+var SegmentHeaderLen = segmentStamp(nil, nil).len()
 
 // SetSealBytesForTests shrinks the block seal threshold so tests can force
 // multi-block waves without gigabyte buffers. It returns a restore func.

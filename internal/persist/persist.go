@@ -526,7 +526,8 @@ func (e *Engine) createSegment(seq, first uint64) error {
 	if err != nil {
 		return err
 	}
-	hdr := appendSegmentHeader(nil, e.stats.Incarnation, first)
+	inc := e.stats.Incarnation
+	hdr := segmentStamp(&inc, &first).bytes()
 	if _, err = f.Write(hdr); err == nil {
 		if err = f.Sync(); err == nil {
 			err = syncDir(e.dir)

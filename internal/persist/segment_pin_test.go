@@ -100,3 +100,28 @@ func TestSegmentBytesPinned(t *testing.T) {
 		t.Fatalf("segment bytes changed: sha256 %s over %d segments, pinned %s", got, len(segs), want)
 	}
 }
+
+// TestManifestBytesPinned holds the MANIFEST that the third Open of a
+// directory leaves: magic "DMAN", segmentFormat, incarnation 3 and the
+// CRC-32C of those 14 bytes, all little-endian. A deliberate format change
+// bumps segmentFormat and replaces the constant.
+func TestManifestBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	for range 3 {
+		eng, _, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "444d414e01000300000000000000259b2af5"
+	if got := hex.EncodeToString(buf); got != want {
+		t.Fatalf("MANIFEST bytes changed: %s, pinned %s", got, want)
+	}
+}

@@ -2,9 +2,11 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/pkgstore"
@@ -18,20 +20,14 @@ import (
 //	uint64   payloadLen
 //	uint32   crc32c(payload)
 //	[]byte   payload (versioned binary State encoding)
-//
-// The payload is the fixed-width little-endian encoding of a State: the
-// applied-index watermark, the admission contract, the complete tree
-// snapshot, the controller.Dynamic driver stack including every node's
-// package store, and the shared counters. Format 1 carries the
-// PolicyChangesQuarter driver, the only one the daemon builds: the policy
-// and the two tallies only PolicyDoubleMaxN reads are not on disk.
-// Everything is emitted in sorted order, so identical states encode to
-// identical bytes.
 
 var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}
 
 // snapshotFormat versions the State payload encoding.
 const snapshotFormat = 1
+
+// snapshotHeaderLen is the byte length of the frame before the payload.
+const snapshotHeaderLen = 4 + 2 + 8 + 4
 
 // MaxSnapshotLen bounds a snapshot payload (1 GiB); a corrupt length field
 // can never drive an absurd allocation.
@@ -54,373 +50,279 @@ type State struct {
 	Counters map[string]int64
 }
 
-// enc is the append-only encoder shared by the snapshot codec.
-type enc struct{ b []byte }
+// codec carries a State payload one way: encoding, it appends each field
+// to b; reading, it reads each from b at off into the field it is handed.
+// Every read is bounds-checked and the first error sticks, after which
+// reads leave their fields zero.
+type codec struct {
+	b       []byte
+	off     int
+	reading bool
+	err     error
+}
 
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// errTruncated is the error of a payload that ends before its fields do.
+var errTruncated = errors.New("persist: snapshot: truncated payload")
+
+// take returns the next n payload bytes, or nil once they run out.
+func (c *codec) take(n int) []byte {
+	if c.err != nil || len(c.b)-c.off < n {
+		if c.err == nil {
+			c.err = errTruncated
+		}
+		return nil
+	}
+	c.off += n
+	return c.b[c.off-n : c.off]
+}
+
+// word carries a 64-bit field.
+func word[T ~int64 | ~uint64](c *codec, v *T) {
+	if !c.reading {
+		c.b = binary.LittleEndian.AppendUint64(c.b, uint64(*v))
+	} else if p := c.take(8); p != nil {
+		*v = T(binary.LittleEndian.Uint64(p))
 	}
 }
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
 
-// dec is the bounds-checked cursor shared by the snapshot decoders.
-type dec struct {
-	p   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("persist: snapshot: "+format, args...)
+// int carries an int as an int64 word. Reading refuses a value the
+// platform's int cannot hold: where int is 32 bits, a bare conversion would
+// wrap a corrupt value into range. It is the codec's one conversion of a
+// 64-bit field to int; TestCodecNarrowsOnlyInInt refuses any other.
+func (c *codec) int(v *int) {
+	w := int64(*v)
+	word(c, &w)
+	if c.reading {
+		if int64(int(w)) != w { // only a value just read can overflow: c.err is nil
+			c.err = fmt.Errorf("persist: snapshot: value %d overflows int", w)
+		}
+		*v = int(w)
 	}
 }
 
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.p) {
-		d.fail("truncated payload")
+func (c *codec) bool(v *bool) {
+	if !c.reading {
+		b := byte(0)
+		if *v {
+			b = 1
+		}
+		c.b = append(c.b, b)
+	} else if p := c.take(1); p != nil {
+		*v = p[0] != 0
+	}
+}
+
+// count carries a length n as a uint32; reading returns the length read.
+// A read length is checked against the bytes that remain, assuming each
+// element occupies at least minBytes, and compared unsigned (where int is
+// 32 bits, int of a uint32 can be negative), so a hostile length can
+// neither drive a large allocation nor slice out of range.
+func (c *codec) count(n, minBytes int) int {
+	if !c.reading {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(n))
+		return n
+	}
+	p := c.take(4)
+	if p == nil {
 		return 0
 	}
-	v := d.p[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.p) {
-		d.fail("truncated payload")
+	m := binary.LittleEndian.Uint32(p)
+	if uint64(m) > uint64((len(c.b)-c.off)/minBytes) {
+		c.err = fmt.Errorf("persist: snapshot: %d elements of %d bytes exceed the remaining payload", m, minBytes)
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(d.p[d.off:])
-	d.off += 4
-	return v
+	return int(m)
 }
 
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.p) {
-		d.fail("truncated payload")
-		return 0
+func (c *codec) str(v *string) {
+	n := c.count(len(*v), 1)
+	if !c.reading {
+		c.b = append(c.b, *v...)
+	} else if p := c.take(n); p != nil {
+		*v = string(p)
 	}
-	v := binary.LittleEndian.Uint64(d.p[d.off:])
-	d.off += 8
-	return v
 }
 
-func (d *dec) i64() int64 { return int64(d.u64()) }
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-// int reads a 64-bit field into an int, refusing a value the platform's int
-// cannot hold: where int is 32 bits, a bare conversion would wrap a corrupt
-// value into range.
-func (d *dec) int() int {
-	v := d.i64()
-	if int64(int(v)) != v {
-		d.fail("value %d overflows int", v)
-		return 0
+// list carries *s: its count, then each element through elem, each
+// element occupying at least minBytes. Reading makes *s once, as long as
+// its checked count (nil when that is 0).
+func list[T any](c *codec, s *[]T, minBytes int, elem func(*T)) {
+	n := c.count(len(*s), minBytes)
+	if c.reading && n > 0 {
+		*s = make([]T, n)
 	}
-	return int(v)
+	for i := 0; i < n && c.err == nil; i++ {
+		elem(&(*s)[i])
+	}
 }
 
-func (d *dec) str() string {
-	n := d.u32()
-	// Unsigned: where int is 32 bits, int(n) can be negative.
-	if d.err != nil || uint64(n) > uint64(len(d.p)-d.off) {
-		d.fail("truncated string")
-		return ""
+// The layouts below are the payload format. Each lists its type's fields
+// once, in payload order, and AppendState and DecodeSnapshot both run them.
+// Fields are fixed-width little-endian: a uint64, int64, int or node id is
+// 8 bytes, a bool 1, a count 4 (a uint32 before its elements), and a string
+// its count and bytes. The payload is the State header, then the tree,
+// then the controller.Dynamic driver stack down to every node's package
+// store, then the counters. Format 1 carries the PolicyChangesQuarter
+// driver, the only one the daemon builds: the policy and the two tallies
+// only PolicyDoubleMaxN reads are not on disk. Lists keep their sorted
+// order and counters are sorted by name, so identical states encode to
+// identical bytes.
+
+func (c *codec) state(st *State) {
+	word(c, &st.Index)
+	word(c, &st.Incarnation)
+	word(c, &st.M)
+	word(c, &st.W)
+	if c.reading {
+		st.Tree, st.Ctl = new(tree.Snapshot), new(controller.DynamicState)
 	}
-	s := string(d.p[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
+	c.tree(st.Tree)
+	c.dynamic(st.Ctl)
+	c.counters(&st.Counters)
 }
 
-// count reads a collection length and validates it against the bytes that
-// remain, assuming each element occupies at least minBytes, so a hostile
-// count cannot drive a large allocation.
-func (d *dec) count(minBytes int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
+func (c *codec) tree(ts *tree.Snapshot) {
+	word(c, &ts.Root)
+	word(c, &ts.NextID)
+	word(c, &ts.ChangeSeq)
+	c.int(&ts.EverExisted)
+	list(c, &ts.Deleted, 8, func(id *tree.NodeID) { word(c, id) })
+	list(c, &ts.Nodes, 8+8+8+4, func(n *tree.NodeSnapshot) {
+		word(c, &n.ID)
+		word(c, &n.Parent)
+		c.int(&n.ParentPort)
+		kids := c.count(len(n.Children), 8+8)
+		if c.reading && kids > 0 {
+			n.Children, n.ChildPorts = make([]tree.NodeID, kids), make([]int, kids)
+		}
+		for i := 0; i < kids && c.err == nil; i++ {
+			word(c, &n.Children[i])
+			c.int(&n.ChildPorts[i])
+		}
+	})
+}
+
+func (c *codec) dynamic(st *controller.DynamicState) {
+	word(c, &st.W)
+	word(c, &st.Mi)
+	word(c, &st.Ui)
+	word(c, &st.Zi)
+	word(c, &st.GrantedBase)
+	c.int(&st.Iterations)
+	c.bool(&st.Terminating)
+	c.bool(&st.Terminated)
+	c.bool(&st.RejectAll)
+	if c.reading {
+		st.Policy = controller.PolicyChangesQuarter
 	}
-	if uint64(n) > uint64((len(d.p)-d.off)/minBytes) {
-		d.fail("collection of %d elements exceeds remaining payload", n)
-		return 0
+
+	it := &st.Inner
+	word(c, &it.U)
+	word(c, &it.W)
+	word(c, &it.CurM)
+	c.int(&it.Iterations)
+	c.bool(&it.FinalPhase)
+	c.bool(&it.Terminating)
+	c.bool(&it.TrivialPhase)
+	word(c, &it.TrivialLeft)
+	c.bool(&it.Terminated)
+	c.bool(&it.RejectAll)
+	word(c, &it.Granted)
+	c.whiteboard(&it.Board)
+}
+
+func (c *codec) whiteboard(wb *controller.WhiteboardState) {
+	word(c, &wb.U)
+	word(c, &wb.M)
+	word(c, &wb.W)
+	word(c, &wb.Storage)
+	word(c, &wb.SerialLo)
+	word(c, &wb.SerialHi)
+	word(c, &wb.Granted)
+	word(c, &wb.Rejected)
+	c.bool(&wb.NoRejects)
+	c.bool(&wb.RejectWave)
+	list(c, &wb.Stores, 8+1+4+4, func(ns *controller.NodeStoreState) {
+		word(c, &ns.Node)
+		c.store(&ns.Store)
+	})
+}
+
+func (c *codec) store(st *pkgstore.StoreState) {
+	c.bool(&st.Reject)
+	list(c, &st.Statics, 8+8+1+8+8, c.pkg)
+	list(c, &st.Mobiles, 8+8+1+8+8, c.pkg)
+}
+
+func (c *codec) pkg(pk *pkgstore.Package) {
+	c.int(&pk.Level)
+	word(c, &pk.Size)
+	c.bool(&pk.Mobile)
+	word(c, &pk.Serials.Lo)
+	word(c, &pk.Serials.Hi)
+}
+
+func (c *codec) counters(m *map[string]int64) {
+	names := slices.Sorted(maps.Keys(*m))
+	if c.reading {
+		*m = make(map[string]int64)
 	}
-	return int(n)
+	list(c, &names, 4+8, func(name *string) {
+		c.str(name)
+		v := (*m)[*name]
+		word(c, &v)
+		if c.reading {
+			(*m)[*name] = v
+		}
+	})
 }
 
 // AppendState appends the framed snapshot encoding of st to buf.
 func AppendState(buf []byte, st *State) []byte {
-	var e enc
-	e.u64(st.Index)
-	e.u64(st.Incarnation)
-	e.i64(st.M)
-	e.i64(st.W)
-	appendTree(&e, st.Tree)
-	appendDynamic(&e, st.Ctl)
-	appendCounters(&e, st.Counters)
-
+	start := len(buf)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, snapshotFormat)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.b)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(e.b, castagnoli))
-	return append(buf, e.b...)
-}
-
-func appendTree(e *enc, ts *tree.Snapshot) {
-	e.u64(uint64(ts.Root))
-	e.u64(uint64(ts.NextID))
-	e.u64(ts.ChangeSeq)
-	e.u64(uint64(ts.EverExisted))
-	e.u32(uint32(len(ts.Deleted)))
-	for _, id := range ts.Deleted {
-		e.u64(uint64(id))
-	}
-	e.u32(uint32(len(ts.Nodes)))
-	for _, n := range ts.Nodes {
-		e.u64(uint64(n.ID))
-		e.u64(uint64(n.Parent))
-		e.i64(int64(n.ParentPort))
-		e.u32(uint32(len(n.Children)))
-		for i, c := range n.Children {
-			e.u64(uint64(c))
-			e.i64(int64(n.ChildPorts[i]))
-		}
-	}
-}
-
-func decodeTree(d *dec) *tree.Snapshot {
-	ts := &tree.Snapshot{
-		Root:        tree.NodeID(d.u64()),
-		NextID:      tree.NodeID(d.u64()),
-		ChangeSeq:   d.u64(),
-		EverExisted: d.int(),
-	}
-	nDel := d.count(8)
-	for i := 0; i < nDel && d.err == nil; i++ {
-		ts.Deleted = append(ts.Deleted, tree.NodeID(d.u64()))
-	}
-	nNodes := d.count(8 + 8 + 8 + 4)
-	for i := 0; i < nNodes && d.err == nil; i++ {
-		n := tree.NodeSnapshot{
-			ID:         tree.NodeID(d.u64()),
-			Parent:     tree.NodeID(d.u64()),
-			ParentPort: d.int(),
-		}
-		nKids := d.count(16)
-		for j := 0; j < nKids && d.err == nil; j++ {
-			n.Children = append(n.Children, tree.NodeID(d.u64()))
-			n.ChildPorts = append(n.ChildPorts, d.int())
-		}
-		ts.Nodes = append(ts.Nodes, n)
-	}
-	return ts
-}
-
-func appendStore(e *enc, st pkgstore.StoreState) {
-	e.bool(st.Reject)
-	appendPackages := func(pkgs []pkgstore.Package) {
-		e.u32(uint32(len(pkgs)))
-		for _, pk := range pkgs {
-			e.i64(int64(pk.Level))
-			e.i64(pk.Size)
-			e.bool(pk.Mobile)
-			e.i64(pk.Serials.Lo)
-			e.i64(pk.Serials.Hi)
-		}
-	}
-	appendPackages(st.Statics)
-	appendPackages(st.Mobiles)
-}
-
-func decodeStore(d *dec) pkgstore.StoreState {
-	st := pkgstore.StoreState{Reject: d.bool()}
-	decodePackages := func() []pkgstore.Package {
-		n := d.count(8 + 8 + 1 + 8 + 8)
-		var out []pkgstore.Package
-		for i := 0; i < n && d.err == nil; i++ {
-			out = append(out, pkgstore.Package{
-				Level:   d.int(),
-				Size:    d.i64(),
-				Mobile:  d.bool(),
-				Serials: pkgstore.Interval{Lo: d.i64(), Hi: d.i64()},
-			})
-		}
-		return out
-	}
-	st.Statics = decodePackages()
-	st.Mobiles = decodePackages()
-	return st
-}
-
-func appendCore(e *enc, c controller.WhiteboardState) {
-	e.i64(c.U)
-	e.i64(c.M)
-	e.i64(c.W)
-	e.i64(c.Storage)
-	e.i64(c.SerialLo)
-	e.i64(c.SerialHi)
-	e.i64(c.Granted)
-	e.i64(c.Rejected)
-	e.bool(c.NoRejects)
-	e.bool(c.RejectWave)
-	e.u32(uint32(len(c.Stores)))
-	for _, ns := range c.Stores {
-		e.u64(uint64(ns.Node))
-		appendStore(e, ns.Store)
-	}
-}
-
-func decodeCore(d *dec) controller.WhiteboardState {
-	c := controller.WhiteboardState{
-		U:          d.i64(),
-		M:          d.i64(),
-		W:          d.i64(),
-		Storage:    d.i64(),
-		SerialLo:   d.i64(),
-		SerialHi:   d.i64(),
-		Granted:    d.i64(),
-		Rejected:   d.i64(),
-		NoRejects:  d.bool(),
-		RejectWave: d.bool(),
-	}
-	n := d.count(8 + 1 + 4 + 4)
-	for i := 0; i < n && d.err == nil; i++ {
-		node := tree.NodeID(d.u64())
-		c.Stores = append(c.Stores, controller.NodeStoreState{Node: node, Store: decodeStore(d)})
-	}
-	return c
-}
-
-func appendDynamic(e *enc, st *controller.DynamicState) {
-	e.i64(st.W)
-	e.i64(st.Mi)
-	e.i64(st.Ui)
-	e.i64(st.Zi)
-	e.i64(st.GrantedBase)
-	e.i64(int64(st.Iterations))
-	e.bool(st.Terminating)
-	e.bool(st.Terminated)
-	e.bool(st.RejectAll)
-
-	it := st.Inner
-	e.i64(it.U)
-	e.i64(it.W)
-	e.i64(it.CurM)
-	e.i64(int64(it.Iterations))
-	e.bool(it.FinalPhase)
-	e.bool(it.Terminating)
-	e.bool(it.TrivialPhase)
-	e.i64(it.TrivialLeft)
-	e.bool(it.Terminated)
-	e.bool(it.RejectAll)
-	e.i64(it.Granted)
-	appendCore(e, it.Board)
-}
-
-func decodeDynamic(d *dec) *controller.DynamicState {
-	st := &controller.DynamicState{
-		W:           d.i64(),
-		Mi:          d.i64(),
-		Ui:          d.i64(),
-		Zi:          d.i64(),
-		GrantedBase: d.i64(),
-		Iterations:  d.int(),
-		Terminating: d.bool(),
-		Terminated:  d.bool(),
-		RejectAll:   d.bool(),
-		Policy:      controller.PolicyChangesQuarter,
-	}
-	st.Inner = controller.IteratedState{
-		U:            d.i64(),
-		W:            d.i64(),
-		CurM:         d.i64(),
-		Iterations:   d.int(),
-		FinalPhase:   d.bool(),
-		Terminating:  d.bool(),
-		TrivialPhase: d.bool(),
-		TrivialLeft:  d.i64(),
-		Terminated:   d.bool(),
-		RejectAll:    d.bool(),
-		Granted:      d.i64(),
-	}
-	st.Inner.Board = decodeCore(d)
-	return st
-}
-
-func appendCounters(e *enc, counters map[string]int64) {
-	names := make([]string, 0, len(counters))
-	for k := range counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	e.u32(uint32(len(names)))
-	for _, k := range names {
-		e.str(k)
-		e.i64(counters[k])
-	}
-}
-
-func decodeCounters(d *dec) map[string]int64 {
-	n := d.count(4 + 8)
-	out := make(map[string]int64, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str()
-		out[k] = d.i64()
-	}
-	return out
+	buf = append(buf, make([]byte, 8+4)...) // the length and checksum, set below
+	c := codec{b: buf}
+	c.state(st)
+	payload := c.b[start+snapshotHeaderLen:]
+	binary.LittleEndian.PutUint64(c.b[start+6:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(c.b[start+14:], crc32.Checksum(payload, castagnoli))
+	return c.b
 }
 
 // DecodeSnapshot decodes a framed snapshot. Any framing, checksum or field
 // error is returned; a valid frame always yields a structurally complete
 // State (tree validity is established later, by Restore).
 func DecodeSnapshot(p []byte) (*State, error) {
-	if len(p) < 4+2+8+4 {
+	if len(p) < snapshotHeaderLen {
 		return nil, fmt.Errorf("persist: snapshot header truncated")
 	}
 	if [4]byte(p[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("persist: bad snapshot magic %q", p[:4])
 	}
-	format := binary.LittleEndian.Uint16(p[4:])
-	if format != snapshotFormat {
-		return nil, fmt.Errorf("persist: snapshot format %d, this build reads %d", format, snapshotFormat)
+	if f := binary.LittleEndian.Uint16(p[4:]); f != snapshotFormat {
+		return nil, fmt.Errorf("persist: snapshot format %d, this build reads %d", f, snapshotFormat)
 	}
 	n := binary.LittleEndian.Uint64(p[6:])
-	crc := binary.LittleEndian.Uint32(p[14:])
 	if n > MaxSnapshotLen {
 		return nil, fmt.Errorf("persist: snapshot payload %d exceeds limit", n)
 	}
-	payload := p[18:]
+	payload := p[snapshotHeaderLen:]
 	if uint64(len(payload)) != n {
 		return nil, fmt.Errorf("persist: snapshot payload %d bytes, header declares %d", len(payload), n)
 	}
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(p[14:]) {
 		return nil, fmt.Errorf("persist: snapshot checksum mismatch")
 	}
-	d := &dec{p: payload}
-	st := &State{
-		Index:       d.u64(),
-		Incarnation: d.u64(),
-		M:           d.i64(),
-		W:           d.i64(),
+	c := codec{b: payload, reading: true}
+	st := new(State)
+	c.state(st)
+	if c.err != nil {
+		return nil, c.err
 	}
-	st.Tree = decodeTree(d)
-	st.Ctl = decodeDynamic(d)
-	st.Counters = decodeCounters(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("persist: snapshot has %d trailing payload bytes", len(payload)-d.off)
+	if c.off != len(payload) {
+		return nil, fmt.Errorf("persist: snapshot has %d trailing payload bytes", len(payload)-c.off)
 	}
 	return st, nil
 }

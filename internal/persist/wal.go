@@ -24,16 +24,8 @@ import (
 // back. Snapshots are written to a temp file, fsynced and renamed, so a
 // crash mid-checkpoint leaves the previous snapshot intact.
 
-var (
-	segmentMagic  = [4]byte{'D', 'W', 'A', 'L'}
-	manifestMagic = [4]byte{'D', 'M', 'A', 'N'}
-)
-
-// segmentFormat versions the segment header + record framing.
+// segmentFormat versions the stamps below and the record framing.
 const segmentFormat = 1
-
-// segmentHeaderLen is the fixed byte length of a segment header.
-const segmentHeaderLen = 4 + 2 + 8 + 8 + 4
 
 const (
 	segmentPrefix  = "wal-"
@@ -51,33 +43,55 @@ func snapshotPath(dir string, index uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", snapshotPrefix, index, snapshotSuffix))
 }
 
-// appendSegmentHeader appends an encoded segment header.
-func appendSegmentHeader(buf []byte, incarnation, firstIndex uint64) []byte {
-	start := len(buf)
-	buf = append(buf, segmentMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, segmentFormat)
-	buf = binary.LittleEndian.AppendUint64(buf, incarnation)
-	buf = binary.LittleEndian.AppendUint64(buf, firstIndex)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:start+4+2+8+8], castagnoli))
+// A stamp is the fixed record that opens a segment and makes up the
+// MANIFEST: a magic, segmentFormat as a uint16, the file's uint64 fields
+// and the CRC-32C of the bytes before it, all little-endian.
+type stamp struct {
+	what   string // names the file in errors
+	magic  [4]byte
+	fields []*uint64
 }
 
-// decodeSegmentHeader decodes a segment header from the front of p.
-func decodeSegmentHeader(p []byte) (incarnation, firstIndex uint64, err error) {
-	if len(p) < segmentHeaderLen {
-		return 0, 0, fmt.Errorf("persist: segment header truncated (%d bytes)", len(p))
+// segmentStamp opens a segment: the incarnation that wrote it and the WAL
+// index of its first record.
+func segmentStamp(incarnation, firstIndex *uint64) stamp {
+	return stamp{"segment header", [4]byte{'D', 'W', 'A', 'L'}, []*uint64{incarnation, firstIndex}}
+}
+
+// manifestStamp is the whole MANIFEST: the incarnation counter.
+func manifestStamp(incarnation *uint64) stamp {
+	return stamp{"manifest", [4]byte{'D', 'M', 'A', 'N'}, []*uint64{incarnation}}
+}
+
+func (s stamp) len() int { return 4 + 2 + 8*len(s.fields) + 4 }
+
+func (s stamp) bytes() []byte {
+	b := binary.LittleEndian.AppendUint16(s.magic[:], segmentFormat)
+	for _, f := range s.fields {
+		b = binary.LittleEndian.AppendUint64(b, *f)
 	}
-	if [4]byte(p[:4]) != segmentMagic {
-		return 0, 0, fmt.Errorf("persist: bad segment magic %q", p[:4])
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// read checks the stamp at the front of p and reads its fields.
+func (s stamp) read(p []byte) error {
+	n := s.len()
+	if len(p) < n {
+		return fmt.Errorf("persist: %s truncated (%d bytes)", s.what, len(p))
+	}
+	if [4]byte(p[:4]) != s.magic {
+		return fmt.Errorf("persist: bad %s magic %q", s.what, p[:4])
 	}
 	if f := binary.LittleEndian.Uint16(p[4:]); f != segmentFormat {
-		return 0, 0, fmt.Errorf("persist: segment format %d, this build reads %d", f, segmentFormat)
+		return fmt.Errorf("persist: %s format %d, this build reads %d", s.what, f, segmentFormat)
 	}
-	incarnation = binary.LittleEndian.Uint64(p[6:])
-	firstIndex = binary.LittleEndian.Uint64(p[14:])
-	if crc32.Checksum(p[:4+2+8+8], castagnoli) != binary.LittleEndian.Uint32(p[22:]) {
-		return 0, 0, fmt.Errorf("persist: segment header checksum mismatch")
+	if crc32.Checksum(p[:n-4], castagnoli) != binary.LittleEndian.Uint32(p[n-4:]) {
+		return fmt.Errorf("persist: %s checksum mismatch", s.what)
 	}
-	return incarnation, firstIndex, nil
+	for i, f := range s.fields {
+		*f = binary.LittleEndian.Uint64(p[6+8*i:])
+	}
+	return nil
 }
 
 // listNumbered returns, sorted, the numbers n of the files in dir named
@@ -124,17 +138,15 @@ func scanSegment(dir string, seq uint64) (*segmentRecords, error) {
 		return nil, err
 	}
 	sr := &segmentRecords{seq: seq, tornAt: -1}
-	inc, first, err := decodeSegmentHeader(buf)
-	if err != nil {
+	hdr := segmentStamp(&sr.incarnation, &sr.firstIndex)
+	if err := hdr.read(buf); err != nil {
 		// A header that never made it to disk intact: the whole file is a
 		// torn tail.
 		sr.tornAt = 0
 		sr.err = err
 		return sr, nil
 	}
-	sr.incarnation = inc
-	sr.firstIndex = first
-	off := int64(segmentHeaderLen)
+	off := int64(hdr.len())
 	for off < int64(len(buf)) {
 		recs, n, err := DecodeWALRecords(buf[off:], sr.records)
 		if err != nil {
@@ -254,27 +266,18 @@ func readManifest(dir string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) != 4+2+8+4 {
+	var inc uint64
+	s := manifestStamp(&inc)
+	if len(buf) != s.len() {
 		return 0, fmt.Errorf("persist: manifest is %d bytes", len(buf))
 	}
-	if [4]byte(buf[:4]) != manifestMagic {
-		return 0, fmt.Errorf("persist: bad manifest magic %q", buf[:4])
-	}
-	if f := binary.LittleEndian.Uint16(buf[4:]); f != segmentFormat {
-		return 0, fmt.Errorf("persist: manifest format %d", f)
-	}
-	inc := binary.LittleEndian.Uint64(buf[6:])
-	if crc32.Checksum(buf[:14], castagnoli) != binary.LittleEndian.Uint32(buf[14:]) {
-		return 0, fmt.Errorf("persist: manifest checksum mismatch")
+	if err := s.read(buf); err != nil {
+		return 0, err
 	}
 	return inc, nil
 }
 
 // writeManifest atomically records the incarnation in dir's MANIFEST.
 func writeManifest(dir string, incarnation uint64) error {
-	buf := append([]byte(nil), manifestMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, segmentFormat)
-	buf = binary.LittleEndian.AppendUint64(buf, incarnation)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[:14], castagnoli))
-	return writeFileAtomic(filepath.Join(dir, manifestName), buf)
+	return writeFileAtomic(filepath.Join(dir, manifestName), manifestStamp(&incarnation).bytes())
 }

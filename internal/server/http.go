@@ -32,6 +32,10 @@ const (
 	// httpMaxConns caps the metrics connections open at once; one more is
 	// closed as it is accepted.
 	httpMaxConns = 16
+	// httpMaxProfile caps a CPU profile's or a trace's seconds: a longer
+	// one is answered 400, so no request holds the process-wide profiler,
+	// or one of the connections above, longer than this.
+	httpMaxProfile = 60 * time.Second
 )
 
 const (
@@ -266,8 +270,9 @@ func (s *Server) route(path string, q url.Values, done <-chan struct{}) reply {
 
 // profile answers /debug/pprof/<name> from runtime/pprof and runtime/trace:
 // the index (name ""), cmdline, profile?seconds= (CPU, 30 s by default),
-// trace?seconds= (1 s) and every pprof.Lookup profile with ?debug=. A CPU
-// profile or trace in progress ends early when done closes.
+// trace?seconds= (1 s), both at most httpMaxProfile, and every pprof.Lookup
+// profile with ?debug=. A CPU profile or trace in progress ends early when
+// done closes.
 func profile(name string, q url.Values, done <-chan struct{}) reply {
 	var b bytes.Buffer
 	switch name {
@@ -281,17 +286,25 @@ func profile(name string, q url.Values, done <-chan struct{}) reply {
 	case "cmdline":
 		return textReply(200, strings.Join(os.Args, "\x00"))
 	case "profile":
+		d, ok := seconds(q, 30)
+		if !ok {
+			return textReply(400, fmt.Sprintf("seconds exceeds %g\n", httpMaxProfile.Seconds()))
+		}
 		if err := pprof.StartCPUProfile(&b); err != nil {
 			return textReply(500, "could not enable CPU profiling: "+err.Error()+"\n")
 		}
-		sleep(seconds(q, 30), done)
+		sleep(d, done)
 		pprof.StopCPUProfile()
 		return reply{200, octetStream, b.Bytes()}
 	case "trace":
+		d, ok := seconds(q, 1)
+		if !ok {
+			return textReply(400, fmt.Sprintf("seconds exceeds %g\n", httpMaxProfile.Seconds()))
+		}
 		if err := trace.Start(&b); err != nil {
 			return textReply(500, "could not enable tracing: "+err.Error()+"\n")
 		}
-		sleep(seconds(q, 1), done)
+		sleep(d, done)
 		trace.Stop()
 		return reply{200, octetStream, b.Bytes()}
 	}
@@ -310,13 +323,16 @@ func profile(name string, q url.Values, done <-chan struct{}) reply {
 }
 
 // seconds reads the seconds parameter, def when it is absent or not
-// positive.
-func seconds(q url.Values, def float64) time.Duration {
+// positive. It reports false when the value exceeds httpMaxProfile.
+func seconds(q url.Values, def float64) (time.Duration, bool) {
 	sec, err := strconv.ParseFloat(q.Get("seconds"), 64)
 	if err != nil || !(sec > 0) {
 		sec = def
 	}
-	return time.Duration(sec * float64(time.Second))
+	if sec > httpMaxProfile.Seconds() {
+		return 0, false
+	}
+	return time.Duration(sec * float64(time.Second)), true
 }
 
 // sleep waits d or until done closes.

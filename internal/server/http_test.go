@@ -243,6 +243,33 @@ func TestMetricsHTTPCompat(t *testing.T) {
 	}
 }
 
+// TestProfileSecondsAreCapped: a CPU profile or trace asked for longer than
+// httpMaxProfile is refused at once with 400, so it never holds the
+// process-wide profiler or a connection slot for the time it named.
+func TestProfileSecondsAreCapped(t *testing.T) {
+	s := startServer(t, Config{
+		MetricsAddr: "127.0.0.1:0",
+		Tenants:     oneTenant(tree.Shape{Kind: "star", Nodes: 4}, 0, 10, 1),
+		Pprof:       true,
+	})
+	cl := &http.Client{Timeout: 2 * time.Second}
+	for _, path := range []string{
+		"/debug/pprof/profile?seconds=3600",
+		"/debug/pprof/trace?seconds=3600",
+		"/debug/pprof/profile?seconds=60.5",
+		"/debug/pprof/profile?seconds=Inf",
+	} {
+		resp, err := cl.Get("http://" + s.MetricsAddr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestShutdownEndsMetricsConnections: like http.Server.Close, Shutdown
 // closes every metrics connection and ends a CPU profile in progress rather
 // than waiting out its seconds.
