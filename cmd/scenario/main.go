@@ -10,7 +10,8 @@
 //	scenario -long -out SCENARIOS.json        # nightly-sized sweep
 //
 // Every run is reproducible from the printed (scenario, scheduler, seed)
-// triple. The process exits 1 if any run reports an oracle violation or a
+// triple, and two sweeps at one seed print byte-identical reports. The
+// process exits 1 if any run reports an oracle violation or a
 // request error, so the command doubles as a CI gate.
 package main
 
@@ -31,7 +32,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list catalog scenarios and schedulers, then exit")
 	run := flag.String("run", "", "regexp selecting scenarios by name (default: all)")
-	sched := flag.String("sched", "all", "comma-separated scheduler names, or \"all\" (includes the concurrent runtime)")
+	sched := flag.String("sched", "all", "comma-separated scheduler names, or \"all\"")
 	seed := flag.Int64("seed", 1, "seed; every run is reproducible from (scenario, scheduler, seed)")
 	long := flag.Bool("long", false, "use each scenario's long request count (nightly sweep size)")
 	out := flag.String("out", "", "also write the JSON report to this path")
@@ -42,7 +43,7 @@ func main() {
 		for _, sc := range workload.Catalog() {
 			fmt.Printf("  %-24s %s\n", sc.Name, sc.Notes)
 		}
-		fmt.Printf("schedulers: %s\n", strings.Join(sim.RuntimeNames(), ", "))
+		fmt.Printf("schedulers: %s\n", strings.Join(sim.SchedulerNames(), ", "))
 		return
 	}
 
@@ -64,7 +65,7 @@ func main() {
 		fatalf("no scenarios match -run %q", *run)
 	}
 
-	schedulers := sim.RuntimeNames()
+	schedulers := sim.SchedulerNames()
 	if *sched != "all" {
 		schedulers = strings.Split(*sched, ",")
 	}

@@ -103,11 +103,7 @@ func NewTree() (*Tree, NodeID) { return tree.New() }
 
 // NewRuntime returns the deterministic message runtime seeded with seed:
 // reproducible, adversarially shuffled asynchronous delivery.
-func NewRuntime(seed int64) Runtime { return sim.NewDeterministic(seed) }
-
-// NewConcurrentRuntime returns the goroutine-based runtime: delivery order
-// is decided by the Go scheduler.
-func NewConcurrentRuntime(workers int) Runtime { return sim.NewConcurrent(workers) }
+func NewRuntime(seed int64) *Runtime { return sim.NewDeterministic(seed) }
 
 // Controller is the distributed unknown-U (M,W)-Controller — the paper's
 // headline construction (Theorem 4.9). No bound on the number of nodes is
@@ -116,12 +112,12 @@ func NewConcurrentRuntime(workers int) Runtime { return sim.NewConcurrent(worker
 type Controller = dist.Dynamic
 
 // NewController builds a distributed (m,w)-Controller over tr.
-func NewController(tr *Tree, rt Runtime, m, w int64) *Controller {
+func NewController(tr *Tree, rt *Runtime, m, w int64) *Controller {
 	return dist.NewDynamic(tr, rt, m, w, false, nil)
 }
 
 // NewControllerWithCounters is NewController with shared counters.
-func NewControllerWithCounters(tr *Tree, rt Runtime, m, w int64, c *Counters) *Controller {
+func NewControllerWithCounters(tr *Tree, rt *Runtime, m, w int64, c *Counters) *Controller {
 	return dist.NewDynamic(tr, rt, m, w, false, c)
 }
 
@@ -147,8 +143,8 @@ func NewControllerWithCounters(tr *Tree, rt Runtime, m, w int64, c *Counters) *C
 type Pipeline = pipeline.Pipeline
 
 // BatchSubmitter is a controller that can answer a whole batch of requests
-// with serial-equivalent semantics. The distributed Controller and the
-// centralized cores implement it.
+// with serial-equivalent semantics. The distributed Controller implements
+// it.
 type BatchSubmitter = controller.BatchSubmitter
 
 // NewPipeline builds a pipeline over the given controller. The controller
@@ -201,7 +197,7 @@ func DialOptions(addr string, opts RemoteOptions) (*RemoteClient, error) {
 type Estimator = estimator.Estimator
 
 // NewEstimator builds the size-estimation protocol (Theorem 5.1).
-func NewEstimator(tr *Tree, rt Runtime, beta float64) (*Estimator, error) {
+func NewEstimator(tr *Tree, rt *Runtime, beta float64) (*Estimator, error) {
 	return estimator.New(tr, dist.Over(rt), beta)
 }
 
@@ -209,7 +205,7 @@ func NewEstimator(tr *Tree, rt Runtime, beta float64) (*Estimator, error) {
 type Naming = naming.Naming
 
 // NewNaming builds the name-assignment protocol (Theorem 5.2).
-func NewNaming(tr *Tree, rt Runtime) *Naming {
+func NewNaming(tr *Tree, rt *Runtime) *Naming {
 	return naming.New(tr, dist.Over(rt), nil)
 }
 
@@ -217,7 +213,7 @@ func NewNaming(tr *Tree, rt Runtime) *Naming {
 type HeavyChild = heavychild.Decomposition
 
 // NewHeavyChild builds the heavy-child decomposition protocol.
-func NewHeavyChild(tr *Tree, rt Runtime) (*HeavyChild, error) {
+func NewHeavyChild(tr *Tree, rt *Runtime) (*HeavyChild, error) {
 	return heavychild.New(tr, dist.Over(rt), nil)
 }
 
@@ -258,7 +254,7 @@ func QueryDistance(a, b labeling.DistanceLabel) (int, error) { return labeling.Q
 
 // NewDynamicAncestryLabeling wraps the ancestry scheme with size-driven
 // rebuilds so label sizes track the current n (Corollary 5.7).
-func NewDynamicAncestryLabeling(tr *Tree, rt Runtime) (*DynamicLabeling, error) {
+func NewDynamicAncestryLabeling(tr *Tree, rt *Runtime) (*DynamicLabeling, error) {
 	return labeling.NewDynamic(tr, dist.Over(rt), func(tr *tree.Tree) (labeling.Scheme, int64) {
 		return labeling.BuildAncestry(tr), int64(tr.Size())
 	}, nil)

@@ -138,21 +138,6 @@ func TestPublicMajority(t *testing.T) {
 	}
 }
 
-func TestPublicConcurrentRuntime(t *testing.T) {
-	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewConcurrentRuntime(4)
-	ctl := dynctrl.NewController(tr, rt, 50, 10)
-	for i := 0; i < 10; i++ {
-		g, err := ctl.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
-		if err != nil || g.Outcome != dynctrl.Granted {
-			t.Fatalf("add leaf %d: %v %v", i, g.Outcome, err)
-		}
-	}
-	if tr.Size() != 11 {
-		t.Fatalf("size = %d, want 11", tr.Size())
-	}
-}
-
 func TestPublicNCAAndDistanceLabels(t *testing.T) {
 	tr, root := dynctrl.NewTree()
 	ctl := dynctrl.NewController(tr, dynctrl.NewRuntime(6), 200, 20)

@@ -14,8 +14,9 @@ type BatchResult struct {
 	Err   error
 }
 
-// BatchSubmitter is implemented by every controller that can answer a whole
-// batch of requests in one call with serial-equivalent semantics. The
+// BatchSubmitter is a controller that can answer a whole batch of requests
+// in one call with serial-equivalent semantics. The unknown-U Dynamic, the
+// one driver the daemon serves with, implements it on either transport. The
 // pipeline (package pipeline) and the daemon's tenants (internal/server)
 // drive their batches through this interface.
 type BatchSubmitter interface {
@@ -52,24 +53,6 @@ func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
 	return Grant{Outcome: Granted, Serial: serial}, true
 }
 
-// SubmitBatch implements BatchSubmitter over a fixed-U core: requests are
-// answered in order with semantics identical to serial Submit calls. The
-// local fast path answers a request whose node already holds a static
-// package without starting the transport (items 1–2 of Protocol
-// GrantOrReject move nothing).
-func (f *Fixed) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	out, at := grow(out, len(reqs))
-	for i, req := range reqs {
-		r := &out[at+i]
-		if g, ok := f.FastGrant(req); ok {
-			r.Grant, r.Err = g, nil
-		} else {
-			r.Grant, r.Err = f.core.Submit(req)
-		}
-	}
-	return out
-}
-
 // grow extends out by n results for the caller to write in place and
 // returns it with the index of the first new one. Writing the fields of
 // out[i] costs a store each; appending a BatchResult literal builds it on
@@ -96,24 +79,6 @@ func (it *Iterated) fastGrant(req Request) (Grant, bool) {
 		it.st.Granted++
 	}
 	return g, ok
-}
-
-// SubmitBatch implements BatchSubmitter over the iterated driver.
-func (it *Iterated) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
-	out, at := grow(out, len(reqs))
-	fast := it.fastCapable()
-	for i, req := range reqs {
-		r := &out[at+i]
-		if fast {
-			if g, ok := it.fastGrant(req); ok {
-				r.Grant, r.Err = g, nil
-				continue
-			}
-		}
-		r.Grant, r.Err = it.Submit(req)
-		fast = it.fastCapable()
-	}
-	return out
 }
 
 // fastInner returns the inner driver while the whole driver stack is in its
@@ -150,8 +115,4 @@ func (d *Dynamic) SubmitBatch(reqs []Request, out []BatchResult) []BatchResult {
 	return out
 }
 
-var (
-	_ BatchSubmitter = (*Fixed)(nil)
-	_ BatchSubmitter = (*Iterated)(nil)
-	_ BatchSubmitter = (*Dynamic)(nil)
-)
+var _ BatchSubmitter = (*Dynamic)(nil)

@@ -46,11 +46,6 @@ func NewDomainTracker(tr *tree.Tree, params pkgstore.Params) *DomainTracker {
 	}
 }
 
-// Reset forgets all domains (iteration resets clear all packages).
-func (d *DomainTracker) Reset() {
-	d.domains = make(map[uint32]*domain)
-}
-
 // Count returns the number of tracked domains.
 func (d *DomainTracker) Count() int { return len(d.domains) }
 

@@ -107,12 +107,6 @@ type Terminating struct {
 	terminated bool
 }
 
-// NewTerminating builds a centralized terminating (m,w)-Controller over tr
-// with the fixed bound u.
-func NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {
-	return Centralized.NewTerminating(tr, u, m, w, opts...)
-}
-
 // NewTerminating builds a terminating (m,w)-Controller over tr with the
 // fixed bound u, its core moving packages this transport's way.
 func (tp Transport) NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {

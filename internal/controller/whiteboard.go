@@ -243,8 +243,7 @@ func (wb *Whiteboard) UnusedPermits() int64 {
 }
 
 // ClearPackages removes every package from the graph and returns all
-// unused permits to the root storage (iteration resets, Section 3.3). A
-// Core that tracks domains resets its tracker itself.
+// unused permits to the root storage (iteration resets, Section 3.3).
 func (wb *Whiteboard) ClearPackages() {
 	total := wb.storage
 	for _, s := range wb.stores.All() {

@@ -39,7 +39,7 @@ func recordChurnTrace(t *testing.T, n, steps int, mix workload.Mix, seed int64) 
 }
 
 // TestCrossSchedulerTraceEquivalence replays one churn trace through fresh
-// controllers under every runtime in the catalog: the grant/reject/serial
+// controllers under every scheduler in the catalog: the grant/reject/serial
 // sequence and the delivered message count must be identical, because the
 // protocol's per-request drains commute.
 func TestCrossSchedulerTraceEquivalence(t *testing.T) {
@@ -70,7 +70,7 @@ func TestCrossSchedulerTraceEquivalence(t *testing.T) {
 	}
 
 	base := run("fifo")
-	for _, sched := range append(sim.SchedulerNames(), "concurrent") {
+	for _, sched := range sim.SchedulerNames() {
 		got := run(sched)
 		if got.messages != base.messages {
 			t.Fatalf("%s delivered %d messages, fifo %d", sched, got.messages, base.messages)

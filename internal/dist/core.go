@@ -16,7 +16,8 @@ import (
 // is active per request.
 type Core struct {
 	*controller.Whiteboard
-	rt sim.Runtime
+	rt  *sim.Runtime
+	env *envelopes // shared with every core on rt's transport
 
 	// cur holds the in-flight request; it is only non-nil between the
 	// start of Submit and the completion of the matching Drain. It points
@@ -81,7 +82,7 @@ func (c *Core) localStep(u tree.NodeID) {
 		c.rootStep(u, u, 0)
 		return
 	}
-	pl := searchUpPool.Get().(*searchUp)
+	pl := &c.env.up
 	pl.origin, pl.dist = u, 1
 	c.rt.Send(u, parent, pl)
 }
@@ -109,25 +110,19 @@ func (c *Core) handle(m sim.Message) {
 
 // handleSearch continues the filler search at node w, which is pl.dist hops
 // above the requesting node (item 3 of Protocol GrantOrReject). The climb
-// re-sends the same pooled envelope hop after hop and releases it when the
-// search ends.
+// re-sends the same envelope hop after hop.
 func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
 	if pk := c.Filler(w, pl.dist); pk != nil {
-		origin := pl.origin
-		putSearchUp(pl)
-		c.startDescent(w, pk, origin)
+		c.startDescent(w, pk, pl.origin)
 		return
 	}
 	parent, err := c.Tree().Parent(w)
 	if err != nil {
-		putSearchUp(pl)
 		c.fail(err)
 		return
 	}
 	if parent == tree.InvalidNode {
-		origin, dist := pl.origin, pl.dist
-		putSearchUp(pl)
-		c.rootStep(w, origin, dist)
+		c.rootStep(w, pl.origin, pl.dist)
 		return
 	}
 	pl.dist++
@@ -157,18 +152,17 @@ func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 // startDescent takes the package found points at out of host's store and
 // sends it down the tree toward origin, one message per edge (procedure
 // Proc, item 4). The path is the breadcrumb trail the upward search
-// established; it lives in a pooled descend envelope whose buffer is reused
-// across requests.
+// established; it lives in the transport's descend envelope, whose buffer is
+// reused across requests.
 func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tree.NodeID) {
 	pkg := *found
 	if err := c.RemoveMobile(host, found); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
 		return
 	}
-	pl := descendPool.Get().(*descend)
+	pl := &c.env.down
 	path, err := c.Tree().AppendPathBetween(origin, host, pl.path[:0])
 	if err != nil {
-		putDescend(pl)
 		c.fail(err)
 		return
 	}
@@ -181,7 +175,6 @@ func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tr
 		// The package was found at origin itself (a level-0 filler at
 		// d = 0): no transport needed.
 		pl.path = path
-		putDescend(pl)
 		c.arrive(pkg, origin)
 		return
 	}
@@ -191,8 +184,8 @@ func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tr
 
 // handleDescend advances the package one hop: the receiving node path[idx]
 // is dist hops above origin; packages split when they enter a drop point
-// u_{k-1} and convert to static on arrival. The same pooled envelope is
-// re-sent hop after hop and released on arrival.
+// u_{k-1} and convert to static on arrival. The same envelope is re-sent
+// hop after hop.
 func (c *Core) handleDescend(pl *descend) {
 	node := pl.path[pl.idx]
 	dist := int64(len(pl.path) - 1 - pl.idx)
@@ -204,7 +197,6 @@ func (c *Core) handleDescend(pl *descend) {
 	for pkg.Level > 0 && dist == c.Params().UKDistance(pkg.Level-1) {
 		p1, p2, err := pkg.Split()
 		if err != nil {
-			putDescend(pl)
 			c.fail(err)
 			return
 		}
@@ -212,7 +204,6 @@ func (c *Core) handleDescend(pl *descend) {
 		pkg = p2
 	}
 	if dist == 0 {
-		putDescend(pl)
 		c.arrive(pkg, node)
 		return
 	}

@@ -36,8 +36,6 @@
 package dist
 
 import (
-	"sync"
-
 	"dynctrl/internal/controller"
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/sim"
@@ -48,10 +46,12 @@ import (
 // Over returns the message-passing execution model over rt: fixed-U cores
 // that move packages as messages, driver-level broadcasts charged as
 // control messages, and iteration restarts that cost a broadcast/upcast.
-func Over(rt sim.Runtime) controller.Transport {
+// Every core it attaches shares one set of envelopes.
+func Over(rt *sim.Runtime) controller.Transport {
+	env := new(envelopes)
 	return controller.Transport{
 		Attach: func(wb *controller.Whiteboard) controller.Submitter {
-			return &Core{Whiteboard: wb, rt: rt}
+			return &Core{Whiteboard: wb, rt: rt, env: env}
 		},
 		Counter:      stats.CounterControl,
 		RestartCosts: true,
@@ -65,7 +65,7 @@ func Over(rt sim.Runtime) controller.Transport {
 
 // TotalMessages returns the total message complexity spent so far: messages
 // delivered by the transport plus accounted control messages.
-func TotalMessages(rt sim.Runtime, counters *stats.Counters) int64 {
+func TotalMessages(rt *sim.Runtime, counters *stats.Counters) int64 {
 	return Over(rt).Cost(counters)
 }
 
@@ -73,13 +73,13 @@ func TotalMessages(rt sim.Runtime, counters *stats.Counters) int64 {
 // headline Theorem 4.9) together with the runtime it runs over.
 type Dynamic struct {
 	*controller.Dynamic
-	rt sim.Runtime
+	rt *sim.Runtime
 }
 
 // NewDynamic builds a distributed unknown-U (m, w)-Controller over tr. When
 // terminating is true the controller returns controller.ErrTerminated on
 // exhaustion instead of rejecting. counters may be nil.
-func NewDynamic(tr *tree.Tree, rt sim.Runtime, m, w int64, terminating bool, counters *stats.Counters) *Dynamic {
+func NewDynamic(tr *tree.Tree, rt *sim.Runtime, m, w int64, terminating bool, counters *stats.Counters) *Dynamic {
 	opts := []controller.DynamicOption{controller.WithDynamicCounters(counters)}
 	if terminating {
 		opts = append(opts, controller.DynamicTerminating())
@@ -88,15 +88,23 @@ func NewDynamic(tr *tree.Tree, rt sim.Runtime, m, w int64, terminating bool, cou
 }
 
 // Runtime returns the message transport the controller runs over.
-func (d *Dynamic) Runtime() sim.Runtime { return d.rt }
+func (d *Dynamic) Runtime() *sim.Runtime { return d.rt }
 
 // Message payloads of the distributed controller. All protocol state beyond
 // the per-node whiteboards (package stores) travels inside these envelopes.
 
+// envelopes holds the climb and descent payloads of one transport. A core
+// drains the runtime before Submit returns, so at most one request is in
+// flight on a transport and one envelope of each kind serves every core
+// attached to it: the climb re-sends up hop after hop, the descent down, and
+// an iteration restart reuses the descent's path buffer.
+type envelopes struct {
+	up   searchUp
+	down descend
+}
+
 // searchUp climbs from the requesting node toward the root looking for the
-// closest filler node. Envelopes are pooled: the protocol re-sends the same
-// object hop after hop (exactly one copy is ever in flight per request) and
-// releases it when the climb ends.
+// closest filler node.
 type searchUp struct {
 	origin tree.NodeID // requesting node u
 	dist   int64       // hops traveled so far (distance of the receiver from u)
@@ -105,24 +113,11 @@ type searchUp struct {
 // descend carries a mobile package downward along the recorded search path,
 // one hop per message. path[0] is the node the package was found at (or the
 // root), path[len(path)-1] is the requesting node; idx is the index of the
-// receiving node. Like searchUp, descend envelopes (and their path buffers)
-// are pooled and reused across hops and requests.
+// receiving node.
 type descend struct {
 	pkg  pkgstore.Package
 	path []tree.NodeID
 	idx  int
-}
-
-var searchUpPool = sync.Pool{New: func() any { return new(searchUp) }}
-
-var descendPool = sync.Pool{New: func() any { return new(descend) }}
-
-func putSearchUp(pl *searchUp) { searchUpPool.Put(pl) }
-
-func putDescend(pl *descend) {
-	pl.pkg = pkgstore.Package{}
-	pl.path = pl.path[:0]
-	descendPool.Put(pl)
 }
 
 // rejectFlood broadcasts the reject wave: every receiving node stores a

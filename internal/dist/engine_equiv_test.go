@@ -27,7 +27,7 @@ type engine struct {
 	counters *stats.Counters
 	// runtimes lists every runtime the engine has used (a restored engine
 	// starts a new one); empty for the centralized model.
-	runtimes []sim.Runtime
+	runtimes []*sim.Runtime
 }
 
 type engineTrace struct {
@@ -73,7 +73,7 @@ func newEngine(t testing.TB, distributed bool, tc engineTrace) *engine {
 	e := &engine{tr: tc.build(t), counters: stats.NewCounters()}
 	if distributed {
 		rt := sim.NewDeterministic(7)
-		e.runtimes = []sim.Runtime{rt}
+		e.runtimes = []*sim.Runtime{rt}
 		e.d = dist.Over(rt).NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))
 	} else {
 		e.d = controller.NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))

@@ -284,9 +284,6 @@ func ReadLatestSnapshot(dir string) (*State, error) {
 	return rec.Snapshot, nil
 }
 
-// Dir returns the engine's directory.
-func (e *Engine) Dir() string { return e.dir }
-
 // Incarnation returns this boot's incarnation number (1 on first boot).
 func (e *Engine) Incarnation() uint64 { return e.stats.Incarnation }
 

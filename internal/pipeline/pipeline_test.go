@@ -78,72 +78,9 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestBatchSerialEquivalenceCentralized replays identical churn traces
-// through a serially driven core and a batch-driven core: the grant/reject
-// sequence, serial numbers and cost counters must match exactly.
-func TestBatchSerialEquivalenceCentralized(t *testing.T) {
-	const n, steps, batchSize = 64, 600, 7
-	trSerial := buildTree(t, n, 3)
-	trBatch := buildTree(t, n, 3)
-	u := int64(4 * n)
-	m := int64(300)
-	countersSerial := stats.NewCounters()
-	countersBatch := stats.NewCounters()
-	serial := controller.NewCore(trSerial, u, m, m/2, controller.WithCounters(countersSerial))
-	batch := controller.Centralized.NewCore(trBatch, u, m, m/2, controller.WithCounters(countersBatch))
-
-	// The generator runs against the serial tree; both trees evolve
-	// identically while outcomes agree, so the recorded requests stay valid
-	// on the batch side.
-	gen := workload.NewChurn(trSerial, workload.DefaultMix(), 17)
-	gen.SetMinSize(n / 2)
-
-	var reqs []controller.Request
-	var want []controller.Grant
-	for i := 0; i < steps; i++ {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		g, err := serial.Submit(req)
-		if err != nil {
-			t.Fatalf("serial submit %d: %v", i, err)
-		}
-		reqs = append(reqs, req)
-		want = append(want, g)
-	}
-
-	var got []controller.BatchResult
-	for lo := 0; lo < len(reqs); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		got = batch.SubmitBatch(reqs[lo:hi], got)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("batch answered %d of %d requests", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Err != nil {
-			t.Fatalf("batch request %d failed: %v", i, got[i].Err)
-		}
-		if got[i].Grant.Outcome != want[i].Outcome || got[i].Grant.Serial != want[i].Serial {
-			t.Fatalf("request %d: batch %+v, serial %+v", i, got[i].Grant, want[i])
-		}
-	}
-	if s, b := serial.Granted(), batch.Granted(); s != b {
-		t.Fatalf("granted: serial %d, batch %d", s, b)
-	}
-	for _, key := range []stats.Counter{stats.CounterGrants, stats.CounterRejects, stats.CounterMoves} {
-		if s, b := countersSerial.Get(key), countersBatch.Get(key); s != b {
-			t.Fatalf("counter %s: serial %d, batch %d", key, s, b)
-		}
-	}
-}
-
-// TestBatchSerialEquivalenceDistributed is the same equivalence over the
-// public distributed unknown-U controller, including message accounting.
+// TestBatchSerialEquivalenceDistributed replays identical traces through a
+// serially driven and a batch-driven distributed unknown-U controller: the
+// grant/reject sequence and the message accounting must match exactly.
 func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	const n, batchSize = 48, 13
 	trSerial := buildTree(t, n, 5)

@@ -166,8 +166,7 @@ func (f *faultInjector) confirm(kind faultKind, i int, granted bool) {
 // Run executes one scenario over the named transport schedule with
 // the oracle always on. Everything is derived from seed; two calls with
 // identical arguments produce identical results (including TraceHash), and
-// for the single-threaded schedulers the trace is also identical across
-// scheduler names.
+// the trace is also identical across scheduler names.
 func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result, error) {
 	res := Result{
 		Scenario:  sc.Name,

@@ -263,7 +263,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 	}
 	old := build()
 	ctrs := stats.NewCounters()
-	oldCtl := dist.NewDynamic(old, sim.NewScheduled(sim.Random(seed)), m, w, false, ctrs)
+	oldCtl := dist.NewDynamic(old, sim.NewDeterministic(seed), m, w, false, ctrs)
 	for i, req := range reqs[:cut] {
 		g, err := oldCtl.Submit(req)
 		if err != nil || g != want[i] {

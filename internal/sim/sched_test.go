@@ -9,7 +9,7 @@ import (
 
 // collectOrder sends n payloads 0..n-1 in one burst and returns the order
 // the runtime delivered them in.
-func collectOrder(rt sim.Runtime, n int) []int {
+func collectOrder(rt *sim.Runtime, n int) []int {
 	var got []int
 	rt.SetHandler(func(m sim.Message) { got = append(got, m.Payload.(int)) })
 	for i := 0; i < n; i++ {
@@ -20,7 +20,7 @@ func collectOrder(rt sim.Runtime, n int) []int {
 }
 
 func TestFIFOSchedulerDeliversInSendOrder(t *testing.T) {
-	got := collectOrder(sim.NewScheduled(sim.FIFO()), 64)
+	got := collectOrder(sim.New(sim.FIFO()), 64)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("fifo delivered %d at position %d", v, i)
@@ -29,7 +29,7 @@ func TestFIFOSchedulerDeliversInSendOrder(t *testing.T) {
 }
 
 func TestLIFOSchedulerDeliversNewestFirst(t *testing.T) {
-	got := collectOrder(sim.NewScheduled(sim.LIFO()), 64)
+	got := collectOrder(sim.New(sim.LIFO()), 64)
 	for i, v := range got {
 		if v != 63-i {
 			t.Fatalf("lifo delivered %d at position %d", v, i)
@@ -39,7 +39,7 @@ func TestLIFOSchedulerDeliversNewestFirst(t *testing.T) {
 
 func TestWindowSchedulerBoundsReordering(t *testing.T) {
 	const n, w = 96, 8
-	got := collectOrder(sim.NewScheduled(sim.Window(5, w)), n)
+	got := collectOrder(sim.New(sim.Window(5, w)), n)
 	if len(got) != n {
 		t.Fatalf("delivered %d of %d", len(got), n)
 	}
@@ -113,34 +113,18 @@ func TestSchedulersDeliverChainedSends(t *testing.T) {
 	}
 }
 
-func TestScheduledInFlightTo(t *testing.T) {
-	rt := sim.NewScheduled(sim.LIFO())
-	rt.SetHandler(func(m sim.Message) {})
-	rt.Send(1, 5, "x")
-	rt.Send(2, 5, "y")
-	rt.Send(3, 6, "z")
-	if got := rt.InFlightTo(5); got != 2 {
-		t.Fatalf("InFlightTo(5) = %d, want 2", got)
-	}
-	if got := rt.InFlightTo(6); got != 1 {
-		t.Fatalf("InFlightTo(6) = %d, want 1", got)
-	}
-	rt.Drain()
-	if got := rt.InFlightTo(5); got != 0 {
-		t.Fatalf("after drain InFlightTo(5) = %d, want 0", got)
-	}
-}
-
 func TestNewRuntimeRejectsUnknownName(t *testing.T) {
-	if _, err := sim.NewRuntime("carrier-pigeon", 1); err == nil {
-		t.Fatal("unknown runtime name must error")
+	for _, name := range []string{"carrier-pigeon", "concurrent"} {
+		if _, err := sim.NewRuntime(name, 1); err == nil {
+			t.Fatalf("unknown runtime name %q must error", name)
+		}
 	}
-	if len(sim.RuntimeNames()) < 5 {
-		t.Fatalf("runtime catalog too small: %v", sim.RuntimeNames())
+	if len(sim.SchedulerNames()) < 5 {
+		t.Fatalf("scheduler catalog too small: %v", sim.SchedulerNames())
 	}
-	for _, name := range sim.RuntimeNames() {
+	for _, name := range sim.SchedulerNames() {
 		if _, err := sim.NewRuntime(name, 1); err != nil {
-			t.Fatalf("catalog runtime %q: %v", name, err)
+			t.Fatalf("catalog scheduler %q: %v", name, err)
 		}
 	}
 }

@@ -2,30 +2,20 @@
 // distributed controller (Section 4 of the paper).
 //
 // The paper assumes a standard point-to-point asynchronous network: every
-// message incurs an arbitrary but finite delay. Two runtime families
-// realize this:
-//
-//   - Scheduled: a single-threaded runtime whose delivery order is decided
-//     by a pluggable, seeded Scheduler (see sched.go for the catalog:
-//     FIFO, LIFO, random interleaving, per-link delay, bounded bursts).
-//     Runs are reproducible from the (scheduler, seed) pair while still
-//     exploring adversarial interleavings. Deterministic is the Scheduled
-//     runtime with the Random scheduler, the repo-wide default.
-//   - Concurrent: worker goroutines deliver messages in parallel; the
-//     Go scheduler provides the nondeterminism. Used to validate that the
-//     algorithm's correctness does not depend on the delivery schedule.
+// message incurs an arbitrary but finite delay, so all a simulator has to
+// choose is a delivery order. Runtime is a single-threaded runtime whose
+// delivery order is decided by a pluggable, seeded Scheduler (see sched.go
+// for the catalog: FIFO, LIFO, random interleaving, per-link delay, bounded
+// bursts). Every run is reproducible from the (scheduler, seed) pair while
+// still exploring adversarial interleavings; NewDeterministic, the Random
+// scheduler, is the repo-wide default.
 //
 // The runtime does not know about nodes or topology: it moves opaque
 // envelopes and counts them (message complexity), delegating all semantics
 // to a single handler installed by the distributed controller.
 package sim
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"dynctrl/internal/tree"
-)
+import "dynctrl/internal/tree"
 
 // Message is one in-flight envelope.
 type Message struct {
@@ -35,135 +25,138 @@ type Message struct {
 }
 
 // Handler processes one delivered message. Handlers may call Runtime.Send
-// to emit further messages. The runtime guarantees handlers never run
-// concurrently with each other (delivery is serialized), which models the
-// paper's "only one agent is active at a node at one time" and keeps the
-// controller state free of data races; the Concurrent runtime still
-// delivers in scheduler-dependent order.
+// to emit further messages. Handlers run one at a time inside Drain, which
+// models the paper's "only one agent is active at a node at one time".
 type Handler func(m Message)
 
-// Runtime is the message transport shared by both schedulers.
-type Runtime interface {
-	// SetHandler installs the delivery handler. Must be called before
-	// any Send.
-	SetHandler(h Handler)
-	// Send enqueues a message. Safe to call from within handlers.
-	Send(from, to tree.NodeID, payload any)
-	// Drain delivers messages until none remain in flight.
-	Drain()
-	// Messages returns the number of messages delivered so far.
-	Messages() int64
-	// InFlightTo reports how many undelivered messages target id (the
-	// graceful-deletion handshake uses this to know an edge is quiet).
-	InFlightTo(id tree.NodeID) int
+// Runtime is the message transport: Send asks the Scheduler for the
+// message's priority and Drain repeatedly delivers the lowest-priority
+// message until none remain. It must be driven from one goroutine (handlers
+// run inside Drain), and its heap reuses its backing array across drains so
+// the hot path stays allocation-free.
+//
+// A single message in flight — the protocol's common case, since one agent
+// runs at a time — bypasses the scheduler entirely: the message waits in a
+// one-slot buffer with no priority assigned, and only when a second message
+// joins it do both enter the heap (their Priority calls still happen in
+// send order). Scheduling is order-free with one candidate, so this changes
+// no observable schedule while keeping the hot path RNG- and sift-free.
+type Runtime struct {
+	sched     Scheduler
+	handler   Handler
+	pending   Message // the buffered singleton, valid when havePend
+	pendingAt int64   // its send sequence number
+	havePend  bool
+	heap      []schedEntry // min-heap on (prio, seq)
+	seq       int64
+	delivered int64
 }
 
-// Concurrent delivers messages from a pool of worker goroutines. Handler
-// executions are serialized by a dedicated mutex (the semantics require
-// atomicity at nodes), but the *order* of deliveries is decided by the Go
-// scheduler, so repeated runs explore different asynchronous interleavings.
-type Concurrent struct {
-	qmu     sync.Mutex
-	cond    *sync.Cond
-	queue   []Message
-	pending int // queued + currently-being-handled messages
-
-	hmu     sync.Mutex // serializes handler executions
-	handler Handler
-
-	delivered atomic.Int64
-	workers   int
+type schedEntry struct {
+	m    Message
+	prio int64
+	seq  int64
 }
 
-// NewConcurrent returns a concurrent runtime with the given worker count
-// (minimum 1).
-func NewConcurrent(workers int) *Concurrent {
-	if workers < 1 {
-		workers = 1
+// New returns a runtime delivering in the order chosen by sched.
+func New(sched Scheduler) *Runtime {
+	return &Runtime{sched: sched}
+}
+
+// NewDeterministic returns the seeded random-interleaving runtime.
+func NewDeterministic(seed int64) *Runtime {
+	return New(Random(seed))
+}
+
+// SetHandler installs the delivery handler. It must be called before any
+// Drain.
+func (s *Runtime) SetHandler(h Handler) { s.handler = h }
+
+// Send enqueues a message. Handlers may call it.
+func (s *Runtime) Send(from, to tree.NodeID, payload any) {
+	m := Message{From: from, To: to, Payload: payload}
+	seq := s.seq
+	s.seq++
+	if !s.havePend && len(s.heap) == 0 {
+		s.pending, s.pendingAt, s.havePend = m, seq, true
+		return
 	}
-	c := &Concurrent{workers: workers}
-	c.cond = sync.NewCond(&c.qmu)
-	return c
+	if s.havePend {
+		// A second candidate exists: the buffered singleton enters the
+		// heap first, keeping the scheduler's Priority calls in send order.
+		s.havePend = false
+		s.push(s.pending, s.pendingAt)
+		s.pending = Message{}
+	}
+	s.push(m, seq)
 }
 
-var _ Runtime = (*Concurrent)(nil)
-
-// SetHandler implements Runtime.
-func (c *Concurrent) SetHandler(h Handler) { c.handler = h }
-
-// Send implements Runtime. Safe for concurrent use, including from within
-// handlers.
-func (c *Concurrent) Send(from, to tree.NodeID, payload any) {
-	c.qmu.Lock()
-	c.queue = append(c.queue, Message{From: from, To: to, Payload: payload})
-	c.pending++
-	c.qmu.Unlock()
-	c.cond.Broadcast()
+func (s *Runtime) push(m Message, seq int64) {
+	s.heap = append(s.heap, schedEntry{m: m, prio: s.sched.Priority(m, seq), seq: seq})
+	s.siftUp(len(s.heap) - 1)
 }
 
-// Drain implements Runtime: workers deliver until no messages remain in
-// flight or in execution.
-func (c *Concurrent) Drain() {
-	var wg sync.WaitGroup
-	for i := 0; i < c.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c.step() {
+// Drain delivers queued messages in priority order until none remain.
+func (s *Runtime) Drain() {
+	for {
+		var m Message
+		switch {
+		case s.havePend:
+			m = s.pending
+			s.pending = Message{} // drop payload reference for the GC
+			s.havePend = false
+		case len(s.heap) > 0:
+			m = s.heap[0].m
+			last := len(s.heap) - 1
+			s.heap[0] = s.heap[last]
+			s.heap[last] = schedEntry{} // drop payload reference for the GC
+			s.heap = s.heap[:last]
+			if last > 0 {
+				s.siftDown(0)
 			}
-		}()
-	}
-	wg.Wait()
-}
-
-// step delivers one message; it returns false when the runtime is
-// quiescent (nothing queued, nothing executing).
-func (c *Concurrent) step() bool {
-	c.qmu.Lock()
-	for len(c.queue) == 0 && c.pending > 0 {
-		c.cond.Wait()
-	}
-	if len(c.queue) == 0 {
-		// pending == 0: quiescent; release any other waiting workers.
-		c.qmu.Unlock()
-		c.cond.Broadcast()
-		return false
-	}
-	last := len(c.queue) - 1
-	m := c.queue[last]
-	c.queue[last] = Message{} // drop payload reference for the GC
-	c.queue = c.queue[:last]
-	c.qmu.Unlock()
-
-	c.hmu.Lock()
-	c.handler(m)
-	c.hmu.Unlock()
-	c.delivered.Add(1)
-
-	c.qmu.Lock()
-	c.pending--
-	quiescent := c.pending == 0 && len(c.queue) == 0
-	c.qmu.Unlock()
-	if quiescent {
-		c.cond.Broadcast()
-	}
-	return true
-}
-
-// Messages implements Runtime.
-func (c *Concurrent) Messages() int64 { return c.delivered.Load() }
-
-// InFlightTo implements Runtime. Like the deterministic runtime it scans
-// the queue on demand: the query is rare (the graceful-deletion handshake)
-// while Send/deliver are the hot path.
-func (c *Concurrent) InFlightTo(id tree.NodeID) int {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	n := 0
-	for i := range c.queue {
-		if c.queue[i].To == id {
-			n++
+		default:
+			return
 		}
+		s.delivered++
+		s.handler(m)
 	}
-	return n
+}
+
+// Messages returns the number of messages delivered so far.
+func (s *Runtime) Messages() int64 { return s.delivered }
+
+func (s *Runtime) less(i, j int) bool {
+	if s.heap[i].prio != s.heap[j].prio {
+		return s.heap[i].prio < s.heap[j].prio
+	}
+	return s.heap[i].seq < s.heap[j].seq
+}
+
+func (s *Runtime) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			return
+		}
+		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
+		i = parent
+	}
+}
+
+func (s *Runtime) siftDown(i int) {
+	n := len(s.heap)
+	for {
+		min, l, r := i, 2*i+1, 2*i+2
+		if l < n && s.less(l, min) {
+			min = l
+		}
+		if r < n && s.less(r, min) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		s.heap[i], s.heap[min] = s.heap[min], s.heap[i]
+		i = min
+	}
 }

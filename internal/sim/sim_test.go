@@ -1,12 +1,9 @@
 package sim_test
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"dynctrl/internal/sim"
-	"dynctrl/internal/tree"
 )
 
 func TestDeterministicDeliversAll(t *testing.T) {
@@ -70,91 +67,5 @@ func TestDeterministicHandlerMaySend(t *testing.T) {
 	rt.Drain()
 	if count != 11 {
 		t.Fatalf("delivered %d, want 11 (chain of sends)", count)
-	}
-}
-
-func TestDeterministicInFlightTo(t *testing.T) {
-	rt := sim.NewDeterministic(3)
-	rt.SetHandler(func(m sim.Message) {})
-	rt.Send(1, 5, "x")
-	rt.Send(2, 5, "y")
-	rt.Send(1, 6, "z")
-	if got := rt.InFlightTo(tree.NodeID(5)); got != 2 {
-		t.Fatalf("InFlightTo(5) = %d, want 2", got)
-	}
-	rt.Drain()
-	if got := rt.InFlightTo(tree.NodeID(5)); got != 0 {
-		t.Fatalf("after drain InFlightTo(5) = %d, want 0", got)
-	}
-}
-
-func TestConcurrentDeliversAll(t *testing.T) {
-	rt := sim.NewConcurrent(8)
-	var count atomic.Int64
-	rt.SetHandler(func(m sim.Message) { count.Add(1) })
-	for i := 0; i < 500; i++ {
-		rt.Send(1, 2, i)
-	}
-	rt.Drain()
-	if got := count.Load(); got != 500 {
-		t.Fatalf("delivered %d of 500", got)
-	}
-	if rt.Messages() != 500 {
-		t.Fatalf("Messages() = %d, want 500", rt.Messages())
-	}
-}
-
-func TestConcurrentHandlerChains(t *testing.T) {
-	rt := sim.NewConcurrent(4)
-	var count atomic.Int64
-	rt.SetHandler(func(m sim.Message) {
-		count.Add(1)
-		if v := m.Payload.(int); v > 0 {
-			rt.Send(m.To, m.From, v-1)
-		}
-	})
-	for i := 0; i < 20; i++ {
-		rt.Send(1, 2, 25)
-	}
-	rt.Drain()
-	if got := count.Load(); got != 20*26 {
-		t.Fatalf("delivered %d, want %d", got, 20*26)
-	}
-}
-
-func TestConcurrentHandlersSerialized(t *testing.T) {
-	// The runtime promises handlers never run concurrently.
-	rt := sim.NewConcurrent(8)
-	var inside atomic.Int64
-	violated := atomic.Bool{}
-	rt.SetHandler(func(m sim.Message) {
-		if inside.Add(1) != 1 {
-			violated.Store(true)
-		}
-		inside.Add(-1)
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				rt.Send(tree.NodeID(base), 2, j)
-			}
-		}(i + 1)
-	}
-	wg.Wait()
-	rt.Drain()
-	if violated.Load() {
-		t.Fatal("handlers ran concurrently")
-	}
-}
-
-func TestConcurrentDrainQuiescesEmpty(t *testing.T) {
-	rt := sim.NewConcurrent(4)
-	rt.SetHandler(func(m sim.Message) {})
-	rt.Drain() // no messages: must return promptly
-	if rt.Messages() != 0 {
-		t.Fatal("no messages should have been delivered")
 	}
 }

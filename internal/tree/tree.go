@@ -96,7 +96,6 @@ var (
 	ErrNotInternal   = errors.New("tree: node is not internal")
 	ErrIsRoot        = errors.New("tree: operation not allowed on the root")
 	ErrNotRelated    = errors.New("tree: nodes are not in a parent-child relation")
-	ErrDeleted       = errors.New("tree: node was deleted")
 	ErrAlreadyExists = errors.New("tree: node already exists")
 )
 

@@ -56,8 +56,7 @@ func TestScenarioCatalogAcrossSchedulers(t *testing.T) {
 
 // TestScenarioScheduleInvariance checks the engine's central property: the
 // protocol's per-request drains commute, so the outcome trace and even the
-// transport message count must be identical under every delivery schedule,
-// including the worker-pool concurrent runtime.
+// transport message count must be identical under every delivery schedule.
 func TestScenarioScheduleInvariance(t *testing.T) {
 	for _, sc := range workload.Catalog() {
 		sc := sc
@@ -67,7 +66,7 @@ func TestScenarioScheduleInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sched := range append(sim.SchedulerNames(), "concurrent") {
+			for _, sched := range sim.SchedulerNames() {
 				res, err := scenario.Run(sc, sched, goldenSeed, false)
 				if err != nil {
 					t.Fatalf("%s: %v", sched, err)
@@ -253,7 +252,7 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestScenarioSweepLong is the nightly long-run sweep: the full catalog at
-// long request counts across every runtime. Gated so regular and -short
+// long request counts across every scheduler. Gated so regular and -short
 // runs skip it; CI's scheduled job sets SCENARIO_LONG=1.
 func TestScenarioSweepLong(t *testing.T) {
 	if testing.Short() {
@@ -262,7 +261,7 @@ func TestScenarioSweepLong(t *testing.T) {
 	if os.Getenv("SCENARIO_LONG") == "" {
 		t.Skip("long sweep runs nightly; set SCENARIO_LONG=1 to run locally")
 	}
-	results, err := scenario.Sweep(workload.Catalog(), sim.RuntimeNames(), goldenSeed, true)
+	results, err := scenario.Sweep(workload.Catalog(), sim.SchedulerNames(), goldenSeed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
