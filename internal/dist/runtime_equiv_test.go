@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"sync"
 	"testing"
 
 	"dynctrl/internal/dist"
@@ -10,55 +11,79 @@ import (
 	"dynctrl/internal/workload"
 )
 
-// TestDeterministicVsConcurrentRuntime runs the same workload through the
-// seeded deterministic scheduler and the goroutine-based concurrent
-// scheduler. The protocol keeps only commutative message sets in flight, so
-// the outcome must not depend on delivery order: both runs grant the same
-// requests, build the same tree, and never exceed the permit budget. Run
-// under -race this also exercises the concurrent runtime's synchronization.
+// TestDeterministicVsConcurrentRuntime runs each seeded workload once on its
+// own and then several times at once, every copy on its own tree, runtime
+// and transport in its own goroutine. A runtime and the envelopes of the
+// transport over it belong to one controller, so the concurrent copies must
+// match the lone run exactly: same grants, same tree, same message count,
+// and never more than the permit budget. Run under -race this also checks
+// that sim and dist keep no state shared between transports.
 func TestDeterministicVsConcurrentRuntime(t *testing.T) {
 	const (
 		n0       = 32
 		m        = 300
 		w        = 30
 		requests = 1200
+		copies   = 4
 	)
 	type outcome struct {
-		res  workload.Result
-		size int
-		ever int
+		res      workload.Result
+		size     int
+		ever     int
+		messages int64
+		err      error
 	}
-	run := func(t *testing.T, rt sim.Runtime, seed int64) outcome {
-		t.Helper()
+	run := func(seed int64) outcome {
 		tr, _ := tree.New()
 		if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: n0}, seed); err != nil {
-			t.Fatal(err)
+			return outcome{err: err}
 		}
-		ctl := dist.NewDynamic(tr, rt, m, w, false, stats.NewCounters())
+		rt := sim.NewDeterministic(seed)
+		counters := stats.NewCounters()
+		ctl := dist.NewDynamic(tr, rt, m, w, false, counters)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+1)
 		gen.SetMinSize(8)
 		res, err := workload.Run(ctl, gen, requests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{res: res, size: tr.Size(), ever: tr.EverExisted()}
+		return outcome{res: res, size: tr.Size(), ever: tr.EverExisted(),
+			messages: dist.TotalMessages(rt, counters), err: err}
 	}
 
-	for _, seed := range []int64{1, 2, 5} {
-		det := run(t, sim.NewDeterministic(seed), seed)
-		conc := run(t, sim.NewConcurrent(4), seed)
-		if det.res != conc.res {
-			t.Fatalf("seed %d: results diverged: deterministic %+v, concurrent %+v", seed, det.res, conc.res)
+	seeds := []int64{1, 2, 5}
+	alone := make([]outcome, len(seeds))
+	for i, seed := range seeds {
+		alone[i] = run(seed)
+		if err := alone[i].err; err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if det.size != conc.size || det.ever != conc.ever {
-			t.Fatalf("seed %d: trees diverged: %d/%d vs %d/%d nodes",
-				seed, det.size, det.ever, conc.size, conc.ever)
+		if alone[i].res.Granted > m {
+			t.Fatalf("seed %d: SAFETY: granted %d > M=%d", seed, alone[i].res.Granted, m)
 		}
-		if det.res.Granted > m {
-			t.Fatalf("seed %d: SAFETY: granted %d > M=%d", seed, det.res.Granted, m)
-		}
-		if det.res.Granted == 0 {
+		if alone[i].res.Granted == 0 {
 			t.Fatalf("seed %d: nothing granted", seed)
+		}
+	}
+
+	together := make([][copies]outcome, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		for c := 0; c < copies; c++ {
+			wg.Add(1)
+			go func(i, c int, seed int64) {
+				defer wg.Done()
+				together[i][c] = run(seed)
+			}(i, c, seed)
+		}
+	}
+	wg.Wait()
+
+	for i, seed := range seeds {
+		for c, got := range together[i] {
+			if got.err != nil {
+				t.Fatalf("seed %d copy %d: %v", seed, c, got.err)
+			}
+			if got != alone[i] {
+				t.Fatalf("seed %d copy %d diverged: alone %+v, concurrent %+v", seed, c, alone[i], got)
+			}
 		}
 	}
 }

@@ -78,9 +78,90 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestBatchSerialEquivalenceDistributed replays identical traces through a
-// serially driven and a batch-driven distributed unknown-U controller: the
-// grant/reject sequence and the message accounting must match exactly.
+// TestBatchSerialEquivalenceCentralized replays identical churn traces
+// through a serially driven and a batch-driven centralized unknown-U
+// controller, the driver the daemon serves with: the grant/reject sequence,
+// serial numbers and cost counters must match exactly. The cases cover a
+// budget that runs out, one roomy enough that batches take the whiteboard
+// fast path, and a long trace that does both.
+func TestBatchSerialEquivalenceCentralized(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     int64
+		steps int
+	}{
+		{"exhausting", 300, 600},
+		{"fast-path", 3000, 600},
+		{"fast-path-then-exhausting", 1500, 3000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			batchSerialCentralized(t, tc.m, tc.steps)
+		})
+	}
+}
+
+func batchSerialCentralized(t *testing.T, m int64, steps int) {
+	const n, batchSize = 64, 7
+	trSerial := buildTree(t, n, 3)
+	trBatch := buildTree(t, n, 3)
+	countersSerial := stats.NewCounters()
+	countersBatch := stats.NewCounters()
+	serial := controller.NewDynamic(trSerial, m, m/2, controller.WithDynamicCounters(countersSerial))
+	batch := controller.Centralized.NewDynamic(trBatch, m, m/2, controller.WithDynamicCounters(countersBatch))
+
+	// The generator runs against the serial tree; both trees evolve
+	// identically while outcomes agree, so the recorded requests stay valid
+	// on the batch side.
+	gen := workload.NewChurn(trSerial, workload.DefaultMix(), 17)
+	gen.SetMinSize(n / 2)
+
+	var reqs []controller.Request
+	var want []controller.Grant
+	for i := 0; i < steps; i++ {
+		req, ok := gen.Next()
+		if !ok {
+			break
+		}
+		g, err := serial.Submit(req)
+		if err != nil {
+			t.Fatalf("serial submit %d: %v", i, err)
+		}
+		reqs = append(reqs, req)
+		want = append(want, g)
+	}
+
+	var got []controller.BatchResult
+	for lo := 0; lo < len(reqs); lo += batchSize {
+		hi := lo + batchSize
+		if hi > len(reqs) {
+			hi = len(reqs)
+		}
+		got = batch.SubmitBatch(reqs[lo:hi], got)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch answered %d of %d requests", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Err != nil {
+			t.Fatalf("batch request %d failed: %v", i, got[i].Err)
+		}
+		if got[i].Grant.Outcome != want[i].Outcome || got[i].Grant.Serial != want[i].Serial {
+			t.Fatalf("request %d: batch %+v, serial %+v", i, got[i].Grant, want[i])
+		}
+	}
+	if s, b := serial.Granted(), batch.Granted(); s != b {
+		t.Fatalf("granted: serial %d, batch %d", s, b)
+	}
+	for _, key := range []stats.Counter{stats.CounterGrants, stats.CounterRejects, stats.CounterMoves} {
+		if s, b := countersSerial.Get(key), countersBatch.Get(key); s != b {
+			t.Fatalf("counter %s: serial %d, batch %d", key, s, b)
+		}
+	}
+}
+
+// TestBatchSerialEquivalenceDistributed is the same equivalence over the
+// distributed unknown-U controller, including message accounting.
 func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	const n, batchSize = 48, 13
 	trSerial := buildTree(t, n, 5)
