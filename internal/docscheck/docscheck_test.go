@@ -11,8 +11,10 @@
 // that every log event OPERATIONS.md §8.1 names is still logged. It also
 // holds the documents to byte budgets and README's package map to the
 // module's packages, so a second copy of what a package's doc comment
-// already says cannot grow back. CI runs it as the docs job, so adding a
-// metric or a wire code without documenting it fails the build.
+// already says cannot grow back. Its surface ledger pins every package's
+// exported names and the daemon's imports in testdata/surface.golden. CI
+// runs it as the docs job, so adding a metric or a wire code without
+// documenting it fails the build.
 package docscheck
 
 import (
