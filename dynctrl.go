@@ -22,13 +22,18 @@
 // # Quick start
 //
 //	tr, root := dynctrl.NewTree()
-//	rt := dynctrl.NewRuntime(42)
-//	ctl := dynctrl.NewController(tr, rt, 1000, 50) // (M,W) = (1000, 50)
+//	ctl := dynctrl.NewController(tr, dynctrl.Centralized, 1000, 50) // (M,W) = (1000, 50)
 //	grant, err := ctl.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
 //
 // Every topological change must be requested through a controller (the
 // controlled dynamic model of the paper): the change is applied gracefully
 // once the request is granted.
+//
+// Every protocol runs over a Transport. Centralized moves permit packages
+// directly and counts moves (Section 3); dynctrld serves with it.
+// Simulated(seed) sends them as messages through a seeded asynchronous
+// scheduler and reproduces the paper's message counts (Section 4). Both take
+// the same decisions on the same trace; tp.Cost(ctl.Counters()) is the cost.
 package dynctrl
 
 import (
@@ -85,40 +90,38 @@ const (
 // ErrTerminated is returned by terminating controllers after termination.
 var ErrTerminated = controller.ErrTerminated
 
-// Runtime moves messages for the distributed protocols.
-type Runtime = sim.Runtime
-
-// Counters accumulates cost metrics (messages, grants, ...). It has no lock:
-// read it on the goroutine that drives the controller counting into it, or
-// under the lock that orders that controller's submissions. Behind a
-// Pipeline, whose submitters take turns driving, read it after Flush or
-// Close.
+// Counters accumulates cost metrics (moves or messages, grants, ...).
+// Controller.Counters returns the set a controller counts into. It has no
+// lock: read it on the goroutine that drives the controller, or under the
+// lock that orders its submissions. Behind a Pipeline, whose submitters
+// take turns driving, read it after Flush or Close.
 type Counters = stats.Counters
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters { return stats.NewCounters() }
 
 // NewTree creates a dynamic tree holding only a root and returns both.
 func NewTree() (*Tree, NodeID) { return tree.New() }
 
-// NewRuntime returns the deterministic message runtime seeded with seed:
-// reproducible, adversarially shuffled asynchronous delivery.
-func NewRuntime(seed int64) *Runtime { return sim.NewDeterministic(seed) }
+// Transport is the execution model a protocol's packages move under.
+type Transport = controller.Transport
 
-// Controller is the distributed unknown-U (M,W)-Controller — the paper's
-// headline construction (Theorem 4.9). No bound on the number of nodes is
-// needed in advance; message complexity is
+// Centralized moves packages directly, one move each (Section 3). Its
+// Counter is "moves".
+var Centralized = controller.Centralized
+
+// Simulated returns the message-passing transport of Section 4 over a
+// deterministic runtime seeded with seed: reproducible, adversarially
+// shuffled asynchronous delivery. Its Counter is "control-messages", and its
+// Cost adds the messages the runtime delivered.
+func Simulated(seed int64) Transport { return dist.Over(sim.NewDeterministic(seed)) }
+
+// Controller is the unknown-U (M,W)-Controller — the paper's headline
+// construction (Theorem 4.9). No bound on the number of nodes is needed in
+// advance; over Simulated its message complexity is
 // O(n₀log²n₀·log(M/(W+1)) + Σ_j log²n_j·log(M/(W+1))).
-type Controller = dist.Dynamic
+type Controller = controller.Dynamic
 
-// NewController builds a distributed (m,w)-Controller over tr.
-func NewController(tr *Tree, rt *Runtime, m, w int64) *Controller {
-	return dist.NewDynamic(tr, rt, m, w, false, nil)
-}
-
-// NewControllerWithCounters is NewController with shared counters.
-func NewControllerWithCounters(tr *Tree, rt *Runtime, m, w int64, c *Counters) *Controller {
-	return dist.NewDynamic(tr, rt, m, w, false, c)
+// NewController builds an (m,w)-Controller over tr, moving packages under tp.
+func NewController(tr *Tree, tp Transport, m, w int64) *Controller {
+	return tp.NewDynamic(tr, m, w)
 }
 
 // Pipeline lets many goroutines share one controller. The controller
@@ -131,7 +134,7 @@ func NewControllerWithCounters(tr *Tree, rt *Runtime, m, w int64, c *Counters) *
 // batch path, where a request whose node holds a static package moves no
 // message, and the lock is taken once for the run.
 //
-//	ctl := dynctrl.NewController(tr, rt, 1_000_000, 50_000)
+//	ctl := dynctrl.NewController(tr, dynctrl.Centralized, 1_000_000, 50_000)
 //	pl := dynctrl.NewPipeline(ctl)
 //	// from any number of goroutines:
 //	grant, err := pl.Submit(dynctrl.Request{Node: id, Kind: dynctrl.None})
@@ -143,8 +146,7 @@ func NewControllerWithCounters(tr *Tree, rt *Runtime, m, w int64, c *Counters) *
 type Pipeline = pipeline.Pipeline
 
 // BatchSubmitter is a controller that can answer a whole batch of requests
-// with serial-equivalent semantics. The distributed Controller implements
-// it.
+// with serial-equivalent semantics. Controller implements it.
 type BatchSubmitter = controller.BatchSubmitter
 
 // NewPipeline builds a pipeline over the given controller. The controller
@@ -167,29 +169,15 @@ type RemoteClient = client.Client
 // RemoteOptions configures Dial (pool size, tenant, timeouts).
 type RemoteOptions = client.Options
 
-// Dial connects to a dynctrld daemon with a pool of conns connections and
-// performs the protocol handshake against the default tenant namespace.
-// The returned client reports the server's (M, W) contract and is safe
-// for concurrent use:
+// Dial connects to a dynctrld daemon with a pool of opts.Conns connections
+// and performs the protocol handshake against the tenant namespace
+// opts.Tenant (the default one when empty). The returned client reports
+// that tenant's (M, W) contract and is safe for concurrent use. Dialing a
+// namespace the daemon does not serve fails with a typed handshake error:
 //
-//	cl, err := dynctrl.Dial("127.0.0.1:7700", 8)
+//	cl, err := dynctrl.Dial("127.0.0.1:7700", dynctrl.RemoteOptions{Conns: 8})
 //	grant, err := cl.Submit(dynctrl.Request{Node: id, Kind: dynctrl.None})
-func Dial(addr string, conns int) (*RemoteClient, error) {
-	return client.Dial(addr, client.Options{Conns: conns})
-}
-
-// DialTenant is Dial bound to a named tenant namespace: every pooled
-// connection handshakes into that namespace, and the returned client
-// reports that tenant's (M, W) contract, topology signature and
-// incarnation. Dialing a namespace the daemon does not serve fails with
-// a typed handshake error.
-func DialTenant(addr, tenant string, conns int) (*RemoteClient, error) {
-	return client.Dial(addr, client.Options{Conns: conns, Tenant: tenant})
-}
-
-// DialOptions is Dial with full client options (pool size, tenant,
-// timeouts).
-func DialOptions(addr string, opts RemoteOptions) (*RemoteClient, error) {
+func Dial(addr string, opts RemoteOptions) (*RemoteClient, error) {
 	return client.Dial(addr, opts)
 }
 
@@ -197,24 +185,24 @@ func DialOptions(addr string, opts RemoteOptions) (*RemoteClient, error) {
 type Estimator = estimator.Estimator
 
 // NewEstimator builds the size-estimation protocol (Theorem 5.1).
-func NewEstimator(tr *Tree, rt *Runtime, beta float64) (*Estimator, error) {
-	return estimator.New(tr, dist.Over(rt), beta)
+func NewEstimator(tr *Tree, tp Transport, beta float64) (*Estimator, error) {
+	return estimator.New(tr, tp, beta)
 }
 
 // Naming maintains unique node identities in [1, 4n].
 type Naming = naming.Naming
 
 // NewNaming builds the name-assignment protocol (Theorem 5.2).
-func NewNaming(tr *Tree, rt *Runtime) *Naming {
-	return naming.New(tr, dist.Over(rt), nil)
+func NewNaming(tr *Tree, tp Transport) *Naming {
+	return naming.New(tr, tp, nil)
 }
 
 // HeavyChild maintains a heavy-child decomposition (Theorem 5.4).
 type HeavyChild = heavychild.Decomposition
 
 // NewHeavyChild builds the heavy-child decomposition protocol.
-func NewHeavyChild(tr *Tree, rt *Runtime) (*HeavyChild, error) {
-	return heavychild.New(tr, dist.Over(rt), nil)
+func NewHeavyChild(tr *Tree, tp Transport) (*HeavyChild, error) {
+	return heavychild.New(tr, tp, nil)
 }
 
 // Labeling types (Section 5.4).
@@ -254,8 +242,8 @@ func QueryDistance(a, b labeling.DistanceLabel) (int, error) { return labeling.Q
 
 // NewDynamicAncestryLabeling wraps the ancestry scheme with size-driven
 // rebuilds so label sizes track the current n (Corollary 5.7).
-func NewDynamicAncestryLabeling(tr *Tree, rt *Runtime) (*DynamicLabeling, error) {
-	return labeling.NewDynamic(tr, dist.Over(rt), func(tr *tree.Tree) (labeling.Scheme, int64) {
+func NewDynamicAncestryLabeling(tr *Tree, tp Transport) (*DynamicLabeling, error) {
+	return labeling.NewDynamic(tr, tp, func(tr *tree.Tree) (labeling.Scheme, int64) {
 		return labeling.BuildAncestry(tr), int64(tr.Size())
 	}, nil)
 }
@@ -265,6 +253,6 @@ type Majority = majority.Protocol
 
 // NewMajority starts majority commitment over the given population,
 // returning the protocol and its (single-root) tree.
-func NewMajority(population int, seed int64) (*Majority, *Tree, error) {
-	return majority.New(population, dist.Over(sim.NewDeterministic(seed)))
+func NewMajority(population int, tp Transport) (*Majority, *Tree, error) {
+	return majority.New(population, tp)
 }

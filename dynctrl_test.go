@@ -7,11 +7,24 @@ import (
 	"dynctrl"
 )
 
+// overTransports runs test once over each execution model. newTP returns a
+// fresh transport for each protocol the test builds; a simulated one runs
+// over a runtime seeded with seed.
+func overTransports(t *testing.T, test func(t *testing.T, newTP func(seed int64) dynctrl.Transport)) {
+	t.Run("centralized", func(t *testing.T) {
+		test(t, func(int64) dynctrl.Transport { return dynctrl.Centralized })
+	})
+	t.Run("simulated", func(t *testing.T) { test(t, dynctrl.Simulated) })
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
+	overTransports(t, testQuickstartFlow)
+}
+
+func testQuickstartFlow(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewRuntime(1)
-	counters := dynctrl.NewCounters()
-	ctl := dynctrl.NewControllerWithCounters(tr, rt, 20, 4, counters)
+	tp := newTP(1)
+	ctl := dynctrl.NewController(tr, tp, 20, 4)
 
 	g, err := ctl.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
 	if err != nil || g.Outcome != dynctrl.Granted {
@@ -54,11 +67,21 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("expected rejects after exhaustion")
 	}
+	if got := ctl.Granted(); got != int64(granted) {
+		t.Fatalf("counters hold %d grants, the controller granted %d", got, granted)
+	}
+	if tp.Cost(ctl.Counters()) == 0 {
+		t.Fatal("a run that moved packages reports no cost")
+	}
 }
 
 func TestPublicEstimatorAndLabels(t *testing.T) {
+	overTransports(t, testEstimatorAndLabels)
+}
+
+func testEstimatorAndLabels(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	tr, root := dynctrl.NewTree()
-	est, err := dynctrl.NewEstimator(tr, dynctrl.NewRuntime(2), 2)
+	est, err := dynctrl.NewEstimator(tr, newTP(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +117,12 @@ func TestPublicEstimatorAndLabels(t *testing.T) {
 }
 
 func TestPublicNamingAndHeavyChild(t *testing.T) {
+	overTransports(t, testNamingAndHeavyChild)
+}
+
+func testNamingAndHeavyChild(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	tr, root := dynctrl.NewTree()
-	nm := dynctrl.NewNaming(tr, dynctrl.NewRuntime(3))
+	nm := dynctrl.NewNaming(tr, newTP(3))
 	for i := 0; i < 20; i++ {
 		if _, err := nm.RequestChange(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf}); err != nil {
 			t.Fatalf("naming grow: %v", err)
@@ -106,7 +133,7 @@ func TestPublicNamingAndHeavyChild(t *testing.T) {
 	}
 
 	tr2, root2 := dynctrl.NewTree()
-	hc, err := dynctrl.NewHeavyChild(tr2, dynctrl.NewRuntime(4))
+	hc, err := dynctrl.NewHeavyChild(tr2, newTP(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +148,11 @@ func TestPublicNamingAndHeavyChild(t *testing.T) {
 }
 
 func TestPublicMajority(t *testing.T) {
-	p, tr, err := dynctrl.NewMajority(20, 5)
+	overTransports(t, testMajority)
+}
+
+func testMajority(t *testing.T, newTP func(int64) dynctrl.Transport) {
+	p, tr, err := dynctrl.NewMajority(20, newTP(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +170,12 @@ func TestPublicMajority(t *testing.T) {
 }
 
 func TestPublicNCAAndDistanceLabels(t *testing.T) {
+	overTransports(t, testNCAAndDistanceLabels)
+}
+
+func testNCAAndDistanceLabels(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	tr, root := dynctrl.NewTree()
-	ctl := dynctrl.NewController(tr, dynctrl.NewRuntime(6), 200, 20)
+	ctl := dynctrl.NewController(tr, newTP(6), 200, 20)
 	// Build a small two-branch tree through the controller.
 	var left, right dynctrl.NodeID
 	g, err := ctl.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
@@ -195,9 +230,12 @@ func TestPublicNCAAndDistanceLabels(t *testing.T) {
 }
 
 func TestPublicPipeline(t *testing.T) {
+	overTransports(t, testPipeline)
+}
+
+func testPipeline(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewRuntime(7)
-	ctl := dynctrl.NewController(tr, rt, 500, 100)
+	ctl := dynctrl.NewController(tr, newTP(7), 500, 100)
 	pl := dynctrl.NewPipeline(ctl)
 
 	done := make(chan error, 4)
@@ -224,5 +262,60 @@ func TestPublicPipeline(t *testing.T) {
 	pl.Close()
 	if _, err := pl.Submit(dynctrl.Request{Node: root, Kind: dynctrl.None}); err == nil {
 		t.Fatal("submit after Close: want error")
+	}
+}
+
+func TestPublicDynamicLabelingAndRouting(t *testing.T) {
+	overTransports(t, testDynamicLabelingAndRouting)
+}
+
+func testDynamicLabelingAndRouting(t *testing.T, newTP func(int64) dynctrl.Transport) {
+	tr, root := dynctrl.NewTree()
+	dl, err := dynctrl.NewDynamicAncestryLabeling(tr, newTP(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two branches of depth two: root → a → a2 and root → b → b2.
+	grow := func(parent dynctrl.NodeID) dynctrl.NodeID {
+		t.Helper()
+		g, err := dl.RequestChange(dynctrl.Request{Node: parent, Kind: dynctrl.AddLeaf})
+		if err != nil || g.Outcome != dynctrl.Granted {
+			t.Fatalf("add leaf under %d: %v %v", parent, g.Outcome, err)
+		}
+		return g.NewNode
+	}
+	a, b := grow(root), grow(root)
+	a2, b2 := grow(a), grow(b)
+	for i := 0; i < 30; i++ {
+		grow(root)
+	}
+	if dl.Rebuilds() < 3 {
+		t.Fatalf("rebuilds = %d; growing from 1 to %d nodes should trigger several", dl.Rebuilds(), tr.Size())
+	}
+	scheme, ok := dl.Scheme().(*dynctrl.AncestryLabeling)
+	if !ok {
+		t.Fatalf("scheme is %T, want the ancestry labeling", dl.Scheme())
+	}
+	la, err := scheme.Label(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	la2, err := scheme.Label(a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.Pre > la2.Pre || la2.Post > la.Post {
+		t.Fatal("a's label must contain the label of its child a2")
+	}
+
+	rs, err := dynctrl.BuildRoutingTables(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hops, err := rs.Route(tr, a2, b2); err != nil || hops != 4 {
+		t.Fatalf("route a2 → b2 = %d hops (%v), want 4", hops, err)
+	}
+	if hops, err := rs.Route(tr, b2, b2); err != nil || hops != 0 {
+		t.Fatalf("route b2 → b2 = %d hops (%v), want 0", hops, err)
 	}
 }

@@ -10,13 +10,46 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// ExampleNewPipeline builds the in-process admission stack — tree,
-// deterministic runtime, distributed (M,W)-Controller — and drives it
+// ExampleNewController drives the same requests through a controller over
+// each transport: a path of three nodes grows under the root, then the
+// deepest node asks for permits until M = 8 runs out. Both transports grant
+// and reject the same requests; they differ in what they count, moves
+// centrally and messages in the simulation.
+func ExampleNewController() {
+	for _, tp := range []dynctrl.Transport{dynctrl.Centralized, dynctrl.Simulated(42)} {
+		tr, node := dynctrl.NewTree()
+		ctl := dynctrl.NewController(tr, tp, 8, 2) // (M, W) = (8, 2)
+		var verdicts []dynctrl.Outcome
+		for i := 0; i < 10; i++ {
+			kind := dynctrl.None
+			if i < 3 {
+				kind = dynctrl.AddLeaf
+			}
+			grant, err := ctl.Submit(dynctrl.Request{Node: node, Kind: kind})
+			if err != nil {
+				log.Fatal(err)
+			}
+			if grant.NewNode != 0 {
+				node = grant.NewNode
+			}
+			verdicts = append(verdicts, grant.Outcome)
+		}
+		fmt.Println(verdicts)
+		fmt.Printf("%s: %d, cost %d\n", tp.Counter, ctl.Counters().Get(tp.Counter), tp.Cost(ctl.Counters()))
+	}
+	// Output:
+	// [granted granted granted granted granted granted granted granted rejected rejected]
+	// moves: 27, cost 27
+	// [granted granted granted granted granted granted granted granted rejected rejected]
+	// control-messages: 27, cost 69
+}
+
+// ExampleNewPipeline builds the in-process admission stack — tree and
+// (M,W)-Controller over the engine dynctrld serves with — and drives it
 // through the pipeline, the lock concurrent callers share it under.
 func ExampleNewPipeline() {
 	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewRuntime(42)
-	ctl := dynctrl.NewController(tr, rt, 1000, 50) // (M, W) = (1000, 50)
+	ctl := dynctrl.NewController(tr, dynctrl.Centralized, 1000, 50) // (M, W) = (1000, 50)
 
 	pl := dynctrl.NewPipeline(ctl)
 	defer pl.Close()
@@ -58,7 +91,7 @@ func ExampleDial() {
 	}
 	defer srv.Shutdown(context.Background())
 
-	cl, err := dynctrl.Dial(srv.Addr(), 2)
+	cl, err := dynctrl.Dial(srv.Addr(), dynctrl.RemoteOptions{Conns: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

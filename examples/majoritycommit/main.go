@@ -22,7 +22,7 @@ func main() {
 
 func run() error {
 	const population = 64
-	p, tr, err := dynctrl.NewMajority(population, 11)
+	p, tr, err := dynctrl.NewMajority(population, dynctrl.Simulated(11))
 	if err != nil {
 		return err
 	}

@@ -37,20 +37,20 @@ func main() {
 
 func run() error {
 	tr, _ := dynctrl.NewTree()
-	est, err := dynctrl.NewEstimator(tr, dynctrl.NewRuntime(7), 2)
+	est, err := dynctrl.NewEstimator(tr, dynctrl.Simulated(7), 2)
 	if err != nil {
 		return err
 	}
 	trNames, _ := dynctrl.NewTree()
 	trHC, _ := dynctrl.NewTree()
-	hc, err := dynctrl.NewHeavyChild(trHC, dynctrl.NewRuntime(9))
+	hc, err := dynctrl.NewHeavyChild(trHC, dynctrl.Simulated(9))
 	if err != nil {
 		return err
 	}
 	ov := &overlay{
 		tr:    tr,
 		est:   est,
-		names: dynctrl.NewNaming(trNames, dynctrl.NewRuntime(8)),
+		names: dynctrl.NewNaming(trNames, dynctrl.Simulated(8)),
 		hc:    hc,
 		rng:   rand.New(rand.NewSource(7)),
 	}

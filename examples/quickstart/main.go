@@ -19,13 +19,12 @@ func main() {
 
 func run() error {
 	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewRuntime(42)
-	counters := dynctrl.NewCounters()
 
 	// An (M,W) = (12, 2) controller: at most 12 events will ever be
 	// permitted, and if anything is rejected, at least 10 events were
-	// permitted.
-	ctl := dynctrl.NewControllerWithCounters(tr, rt, 12, 2, counters)
+	// permitted. Its packages move as messages through a scheduler seeded
+	// with 42.
+	ctl := dynctrl.NewController(tr, dynctrl.Simulated(42), 12, 2)
 
 	// Grow a small tree: every change asks for a permit first.
 	var nodes []dynctrl.NodeID
@@ -68,6 +67,6 @@ func run() error {
 	}
 
 	fmt.Printf("\ntree size: %d\n", tr.Size())
-	fmt.Printf("counters:  %s\n", counters)
+	fmt.Printf("counters:  %s\n", ctl.Counters())
 	return nil
 }

@@ -31,9 +31,7 @@ func run() error {
 		waste   = 25
 	)
 	tr, root := dynctrl.NewTree()
-	rt := dynctrl.NewRuntime(2026)
-	counters := dynctrl.NewCounters()
-	ctl := dynctrl.NewControllerWithCounters(tr, rt, stock+vendors, waste, counters)
+	ctl := dynctrl.NewController(tr, dynctrl.Simulated(2026), stock+vendors, waste)
 
 	// Open the vendor branches (each opening is itself a controlled
 	// topological change and consumes a permit).
@@ -74,6 +72,6 @@ func run() error {
 		sold, stock, vendors)
 	fmt.Printf("first refusal  : after all but ≤%d permits were used (W=%d)\n", waste, waste)
 	fmt.Printf("oversell check : sold+opened = %d ≤ M = %d\n", sold+vendors, stock+vendors)
-	fmt.Printf("cost           : %s\n", counters)
+	fmt.Printf("cost           : %s\n", ctl.Counters())
 	return nil
 }

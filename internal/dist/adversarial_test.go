@@ -21,7 +21,7 @@ import (
 func recordChurnTrace(t *testing.T, n, steps int, mix workload.Mix, seed int64) []controller.Request {
 	t.Helper()
 	tr := buildTree(t, n, seed)
-	ctl := dist.NewDynamic(tr, sim.NewDeterministic(seed), int64(steps)*4, int64(steps), false, nil)
+	ctl := dist.Over(sim.NewDeterministic(seed)).NewDynamic(tr, int64(steps)*4, int64(steps))
 	gen := workload.NewChurn(tr, mix, seed+1)
 	gen.SetMinSize(n / 2)
 	var reqs []controller.Request
@@ -57,7 +57,7 @@ func TestCrossSchedulerTraceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl := dist.NewDynamic(tr, rt, m, w, false, nil)
+		ctl := dist.Over(rt).NewDynamic(tr, m, w)
 		var out []controller.Grant
 		for i, req := range reqs {
 			g, err := ctl.Submit(req)

@@ -309,7 +309,7 @@ func TestDynamicUnknownU(t *testing.T) {
 		tr := buildTree(t, 48, seed)
 		rt := sim.NewDeterministic(seed)
 		counters := stats.NewCounters()
-		d := dist.NewDynamic(tr, rt, 600, 60, false, counters)
+		d := dist.Over(rt).NewDynamic(tr, 600, 60, controller.WithDynamicCounters(counters))
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+7)
 		gen.SetMinSize(12)
 		res, err := workload.Run(d, gen, 3000)
@@ -325,7 +325,7 @@ func TestDynamicUnknownU(t *testing.T) {
 		if d.Iterations() < 2 {
 			t.Fatalf("seed %d: only %d iterations; churn should restart the inner controller", seed, d.Iterations())
 		}
-		if msgs := dist.TotalMessages(rt, counters); msgs == 0 {
+		if msgs := dist.Over(rt).Cost(counters); msgs == 0 {
 			t.Fatalf("seed %d: no messages accounted", seed)
 		}
 	}

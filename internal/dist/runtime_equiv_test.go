@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -40,12 +41,12 @@ func TestDeterministicVsConcurrentRuntime(t *testing.T) {
 		}
 		rt := sim.NewDeterministic(seed)
 		counters := stats.NewCounters()
-		ctl := dist.NewDynamic(tr, rt, m, w, false, counters)
+		ctl := dist.Over(rt).NewDynamic(tr, m, w, controller.WithDynamicCounters(counters))
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+1)
 		gen.SetMinSize(8)
 		res, err := workload.Run(ctl, gen, requests)
 		return outcome{res: res, size: tr.Size(), ever: tr.EverExisted(),
-			messages: dist.TotalMessages(rt, counters), err: err}
+			messages: dist.Over(rt).Cost(counters), err: err}
 	}
 
 	seeds := []int64{1, 2, 5}

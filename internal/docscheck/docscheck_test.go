@@ -81,6 +81,8 @@ var (
 	rootFile  = regexp.MustCompile(`^[A-Z][A-Za-z_]*\.(?:json|md)$`)
 	// goSymbol is the `.Name` tail of a span like `internal/oracle.CheckX`.
 	goSymbol = regexp.MustCompile(`(?:\.[A-Z]\w*)+$`)
+	// rootSymbol is a name of the root package, as in `dynctrl.Dial`.
+	rootSymbol = regexp.MustCompile(`(?:^|[^\w/.-])dynctrl\.([A-Z]\w*)`)
 )
 
 // leftBehind reports whether gitignore (the root .gitignore) declares the
@@ -101,13 +103,27 @@ func leftBehind(gitignore, name string) bool {
 
 // TestMarkdownLinksResolve verifies every relative link in the covered
 // documents points at a file that exists (anchors and external URLs are
-// skipped — there is no network in the test environment), and that every
-// repository path they name in back quotes exists, so deleting a command
-// or a package without its prose fails here.
+// skipped — there is no network in the test environment), that every
+// repository path they name in back quotes exists, and that every
+// `dynctrl.Name` they write, in a span or a code block, is an exported name
+// of the root package, so deleting a command, a package or a public name
+// without its prose fails here.
 func TestMarkdownLinksResolve(t *testing.T) {
 	gitignore := readFile(t, ".gitignore")
+	root := modulePackages(t, linuxAMD64())[module]
+	public := map[string]bool{}
+	for _, name := range exportedNames(t, root) {
+		_, name, _ := strings.Cut(name, " ") // a method, T.M, never matches
+		public[name] = true
+	}
 	for _, file := range markdownFiles(t) {
 		body := readFile(t, file)
+		for _, m := range rootSymbol.FindAllStringSubmatchIndex(body, -1) {
+			if name := body[m[2]:m[3]]; !public[name] {
+				line := strings.Count(body[:m[2]], "\n") + 1
+				t.Errorf("%s:%d: dynctrl.%s is not an exported name of the root package", file, line, name)
+			}
+		}
 		for _, m := range mdLink.FindAllStringSubmatch(body, -1) {
 			target := m[1]
 			if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") ||

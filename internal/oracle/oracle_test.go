@@ -44,7 +44,7 @@ func TestOracleCleanOnHealthyController(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, w := int64(300), int64(60)
-			ctl := dist.NewDynamic(tr, rt, m, w, false, nil)
+			ctl := dist.Over(rt).NewDynamic(tr, m, w)
 			orc := oracle.Wrap(ctl, tr, m, w, oracle.WithMessages(rt.Messages))
 			gen := workload.NewChurn(tr, workload.EventOnlyMix(), 5)
 			for i := 0; i < 500; i++ {
@@ -87,7 +87,7 @@ func TestOracleCatchesInjectedOvergrant(t *testing.T) {
 	tr := buildTree(t, 32, 2)
 	rt := sim.NewDeterministic(3)
 	m, w := int64(120), int64(24)
-	ctl := dist.NewDynamic(tr, rt, m, w, false, nil)
+	ctl := dist.Over(rt).NewDynamic(tr, m, w)
 	orc := oracle.Wrap(overgranter{ctl}, tr, m, w, oracle.WithMessages(rt.Messages))
 	for i := 0; i < 300; i++ {
 		if _, err := orc.Submit(controller.Request{Node: tr.Root(), Kind: tree.None}); err != nil {

@@ -21,7 +21,7 @@ func fuzzState() *persist.State {
 		panic(err)
 	}
 	counters := stats.NewCounters()
-	ctl := dist.NewDynamic(tr, rt, 64, 16, false, counters)
+	ctl := dist.Over(rt).NewDynamic(tr, 64, 16, controller.WithDynamicCounters(counters))
 	for i := 0; i < 6; i++ {
 		if _, err := ctl.Submit(controller.Request{Node: root, Kind: tree.AddLeaf}); err != nil {
 			panic(err)

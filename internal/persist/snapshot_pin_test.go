@@ -60,7 +60,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		counters := stats.NewCounters()
-		ctl := dist.NewDynamic(tr, rt, m, 0, false, counters)
+		ctl := dist.Over(rt).NewDynamic(tr, m, 0, controller.WithDynamicCounters(counters))
 		n := 0
 		submit := func(at tree.NodeID) {
 			t.Helper()
@@ -84,7 +84,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 			submit(path[depth-1])
 		}
 		const want = "384cb97620b14d4245a12d346d9b3497801a153df8d3e40f02f66c873d931143"
-		if got := capture(tr, ctl.Dynamic, counters, uint64(n), m, 0); got != want {
+		if got := capture(tr, ctl, counters, uint64(n), m, 0); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}
 	})

@@ -46,7 +46,7 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := buildTree(t, tc.n, 1)
 			counters := stats.NewCounters()
-			ctl := dist.NewDynamic(tr, sim.NewDeterministic(7), tc.m, tc.w, false, counters)
+			ctl := dist.Over(sim.NewDeterministic(7)).NewDynamic(tr, tc.m, tc.w, controller.WithDynamicCounters(counters))
 			pl := pipeline.New(ctl)
 			ct, err := workload.NewConcurrentTrace(tr, tc.clients, tc.perCl, tc.mix, 11)
 			if err != nil {
@@ -171,8 +171,8 @@ func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	rtBatch := sim.NewDeterministic(23)
 	countersSerial := stats.NewCounters()
 	countersBatch := stats.NewCounters()
-	serial := dist.NewDynamic(trSerial, rtSerial, m, w, false, countersSerial)
-	batch := dist.NewDynamic(trBatch, rtBatch, m, w, false, countersBatch)
+	serial := dist.Over(rtSerial).NewDynamic(trSerial, m, w, controller.WithDynamicCounters(countersSerial))
+	batch := dist.Over(rtBatch).NewDynamic(trBatch, m, w, controller.WithDynamicCounters(countersBatch))
 
 	ct, err := workload.NewConcurrentTrace(trSerial, 4, 200, workload.EventHeavyConcurrentMix(), 29)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	if s, b := rtSerial.Messages(), rtBatch.Messages(); s != b {
 		t.Fatalf("transport messages: serial %d, batch %d", s, b)
 	}
-	if s, b := dist.TotalMessages(rtSerial, countersSerial), dist.TotalMessages(rtBatch, countersBatch); s != b {
+	if s, b := dist.Over(rtSerial).Cost(countersSerial), dist.Over(rtBatch).Cost(countersBatch); s != b {
 		t.Fatalf("total messages: serial %d, batch %d", s, b)
 	}
 }
@@ -224,8 +224,8 @@ func TestPipelineMatchesSerialOutcomeTotals(t *testing.T) {
 	m, w := int64(350), int64(70)
 	trSerial := buildTree(t, n, 9)
 	trPipe := buildTree(t, n, 9)
-	serial := dist.NewDynamic(trSerial, sim.NewDeterministic(31), m, w, false, nil)
-	pipeCtl := dist.NewDynamic(trPipe, sim.NewDeterministic(31), m, w, false, nil)
+	serial := dist.Over(sim.NewDeterministic(31)).NewDynamic(trSerial, m, w)
+	pipeCtl := dist.Over(sim.NewDeterministic(31)).NewDynamic(trPipe, m, w)
 	pl := pipeline.New(pipeCtl)
 
 	ct, err := workload.NewConcurrentTrace(trSerial, 6, 150, workload.EventOnlyConcurrentMix(), 37)
@@ -261,7 +261,7 @@ func TestPipelineMatchesSerialOutcomeTotals(t *testing.T) {
 // node) reaches exactly the submitter that caused it.
 func TestPipelineErrorPropagation(t *testing.T) {
 	tr := buildTree(t, 16, 13)
-	ctl := dist.NewDynamic(tr, sim.NewDeterministic(41), 100, 20, false, nil)
+	ctl := dist.Over(sim.NewDeterministic(41)).NewDynamic(tr, 100, 20)
 	pl := pipeline.New(ctl)
 	if _, err := pl.Submit(controller.Request{Node: tree.NodeID(999), Kind: tree.None}); err == nil {
 		t.Fatal("submit at unknown node: want error, got nil")
@@ -275,7 +275,7 @@ func TestPipelineErrorPropagation(t *testing.T) {
 // Close rejects later submissions.
 func TestPipelineFlushAndClose(t *testing.T) {
 	tr := buildTree(t, 16, 15)
-	ctl := dist.NewDynamic(tr, sim.NewDeterministic(43), 1000, 200, false, nil)
+	ctl := dist.Over(sim.NewDeterministic(43)).NewDynamic(tr, 1000, 200)
 	pl := pipeline.New(ctl)
 
 	var wg sync.WaitGroup
@@ -328,7 +328,7 @@ func BenchmarkSubmitSerial(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tr, ct, m, w := benchWorkload(b, clients, 2048)
-				ctl := dist.NewDynamic(tr, sim.NewDeterministic(3), m, w, false, nil)
+				ctl := dist.Over(sim.NewDeterministic(3)).NewDynamic(tr, m, w)
 				reqs := ct.Serial()
 				b.StartTimer()
 				for _, req := range reqs {
@@ -352,7 +352,7 @@ func BenchmarkSubmitPipeline(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tr, ct, m, w := benchWorkload(b, clients, 2048)
-				ctl := dist.NewDynamic(tr, sim.NewDeterministic(3), m, w, false, nil)
+				ctl := dist.Over(sim.NewDeterministic(3)).NewDynamic(tr, m, w)
 				pl := pipeline.New(ctl)
 				b.StartTimer()
 				res := workload.RunConcurrentChunked(pl, ct, 64)
@@ -374,7 +374,7 @@ func BenchmarkSubmitPipelinePerRequest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tr, ct, m, w := benchWorkload(b, clients, 2048)
-				ctl := dist.NewDynamic(tr, sim.NewDeterministic(3), m, w, false, nil)
+				ctl := dist.Over(sim.NewDeterministic(3)).NewDynamic(tr, m, w)
 				pl := pipeline.New(ctl)
 				b.StartTimer()
 				res := workload.RunConcurrent(pl, ct)

@@ -254,7 +254,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 			cut, want[cut].Outcome, want[total-1].Outcome)
 	}
 
-	// The old daemon: dist.Dynamic over a seeded runtime, logging as the
+	// The old daemon: the message-passing engine over a seeded runtime, logging as the
 	// guard does, checkpointing every `snapshot` effects, killed at `cut`.
 	root := t.TempDir()
 	eng, _, err := persist.Open(filepath.Join(root, wire.DefaultTenant), persist.Options{SnapshotEvery: snapshot})
@@ -263,7 +263,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 	}
 	old := build()
 	ctrs := stats.NewCounters()
-	oldCtl := dist.NewDynamic(old, sim.NewDeterministic(seed), m, w, false, ctrs)
+	oldCtl := dist.Over(sim.NewDeterministic(seed)).NewDynamic(old, m, w, controller.WithDynamicCounters(ctrs))
 	for i, req := range reqs[:cut] {
 		g, err := oldCtl.Submit(req)
 		if err != nil || g != want[i] {
@@ -273,7 +273,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eng.ShouldCheckpoint() {
-			if err := eng.Checkpoint(eng.Capture(m, w, old, oldCtl.Dynamic, ctrs)); err != nil {
+			if err := eng.Checkpoint(eng.Capture(m, w, old, oldCtl, ctrs)); err != nil {
 				t.Fatal(err)
 			}
 		}

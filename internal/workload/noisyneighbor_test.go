@@ -14,7 +14,7 @@ import (
 const nnSeed = 7
 
 // nnStack builds one deterministic admission stack: same seed, same stack.
-func nnStack(t *testing.T, m, w int64) (*tree.Tree, *dist.Dynamic) {
+func nnStack(t *testing.T, m, w int64) (*tree.Tree, *controller.Dynamic) {
 	t.Helper()
 	tr, _ := tree.New()
 	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 32}, nnSeed); err != nil {
@@ -24,7 +24,7 @@ func nnStack(t *testing.T, m, w int64) (*tree.Tree, *dist.Dynamic) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, dist.NewDynamic(tr, rt, m, w, false, nil)
+	return tr, dist.Over(rt).NewDynamic(tr, m, w)
 }
 
 // TestNoisyNeighborIsolatedStacks is the in-process noisy-neighbor
