@@ -113,11 +113,11 @@ func BenchmarkEstimatorChange(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g, err := est.RequestChange(Request{Node: tr.Root(), Kind: AddLeaf})
+			g, err := est.Submit(Request{Node: tr.Root(), Kind: AddLeaf})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := est.RequestChange(Request{Node: g.NewNode, Kind: RemoveLeaf}); err != nil {
+			if _, err := est.Submit(Request{Node: g.NewNode, Kind: RemoveLeaf}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
@@ -58,10 +57,9 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 	}
 	rt := sim.NewDeterministic(seed)
 	tp := dist.Over(rt)
-	counters := stats.NewCounters()
-	ctl := tp.NewDynamic(tr, m, w, controller.WithDynamicCounters(counters))
+	ctl := tp.NewDynamic(tr, m, w)
 	gen := workload.NewChurn(tr, mix, seed+1)
-	gen.SetMinSize(maxInt(2, n0/8))
+	gen.SetMinSize(max(2, n0/8))
 
 	res, err := workload.Run(ctl, gen, requests)
 	if err != nil {
@@ -74,6 +72,7 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 	fmt.Printf("final tree   : %d nodes (ever existed %d, height %d)\n",
 		tr.Size(), tr.EverExisted(), tr.Height())
 	fmt.Printf("iterations   : %d (unknown-U restarts)\n", ctl.Iterations())
+	counters := ctl.Counters()
 	fmt.Printf("messages     : %d transport + %d control = %d total\n",
 		rt.Messages(), counters.Get(tp.Counter), tp.Cost(counters))
 	if ch := counters.Get(stats.CounterTopoChanges); ch > 0 {
@@ -84,11 +83,4 @@ func run(n0 int, m, w int64, requests int, mixName string, seed int64) error {
 		return fmt.Errorf("SAFETY VIOLATION: granted %d > M=%d", res.Granted, m)
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

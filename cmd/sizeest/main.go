@@ -42,13 +42,12 @@ func run(n0 int, beta float64, changes int, seed int64) error {
 		return err
 	}
 	tp := dist.Over(sim.NewDeterministic(seed))
-	counters := stats.NewCounters()
-	est, err := estimator.New(tr, tp, beta, estimator.WithCounters(counters))
+	est, err := estimator.New(tr, tp, beta)
 	if err != nil {
 		return err
 	}
 	gen := workload.NewChurn(tr, workload.DefaultMix(), seed+1)
-	gen.SetMinSize(maxInt(2, n0/8))
+	gen.SetMinSize(max(2, n0/8))
 
 	applied := 0
 	report := changes / 10
@@ -61,7 +60,7 @@ func run(n0 int, beta float64, changes int, seed int64) error {
 		if !ok {
 			break
 		}
-		g, err := est.RequestChange(req)
+		g, err := est.Submit(req)
 		if err != nil {
 			return err
 		}
@@ -85,16 +84,9 @@ func run(n0 int, beta float64, changes int, seed int64) error {
 				applied, n, e, lo, hi, mark, est.Iteration())
 		}
 	}
-	total := tp.Cost(counters)
+	total := tp.Cost(est.Counters())
 	fmt.Printf("\nmessages: %d total, %.1f per change (log²n = %.0f at n=%d)\n",
 		total, float64(total)/float64(applied),
 		stats.Log2(float64(tr.Size()))*stats.Log2(float64(tr.Size())), tr.Size())
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

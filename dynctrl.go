@@ -182,6 +182,7 @@ func Dial(addr string, opts RemoteOptions) (*RemoteClient, error) {
 }
 
 // Estimator maintains a β-approximation of the network size at every node.
+// Like a Controller it has no lock: drive it from one goroutine.
 type Estimator = estimator.Estimator
 
 // NewEstimator builds the size-estimation protocol (Theorem 5.1).
@@ -194,7 +195,7 @@ type Naming = naming.Naming
 
 // NewNaming builds the name-assignment protocol (Theorem 5.2).
 func NewNaming(tr *Tree, tp Transport) *Naming {
-	return naming.New(tr, tp, nil)
+	return naming.New(tr, tp)
 }
 
 // HeavyChild maintains a heavy-child decomposition (Theorem 5.4).
@@ -202,7 +203,7 @@ type HeavyChild = heavychild.Decomposition
 
 // NewHeavyChild builds the heavy-child decomposition protocol.
 func NewHeavyChild(tr *Tree, tp Transport) (*HeavyChild, error) {
-	return heavychild.New(tr, tp, nil)
+	return heavychild.New(tr, tp)
 }
 
 // Labeling types (Section 5.4).
@@ -245,7 +246,7 @@ func QueryDistance(a, b labeling.DistanceLabel) (int, error) { return labeling.Q
 func NewDynamicAncestryLabeling(tr *Tree, tp Transport) (*DynamicLabeling, error) {
 	return labeling.NewDynamic(tr, tp, func(tr *tree.Tree) (labeling.Scheme, int64) {
 		return labeling.BuildAncestry(tr), int64(tr.Size())
-	}, nil)
+	})
 }
 
 // Majority is the majority-commitment protocol.

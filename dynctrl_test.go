@@ -87,7 +87,7 @@ func testEstimatorAndLabels(t *testing.T, newTP func(int64) dynctrl.Transport) {
 	}
 	var leaves []dynctrl.NodeID
 	for i := 0; i < 30; i++ {
-		g, err := est.RequestChange(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
+		g, err := est.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf})
 		if err != nil {
 			t.Fatalf("grow: %v", err)
 		}
@@ -124,7 +124,7 @@ func testNamingAndHeavyChild(t *testing.T, newTP func(int64) dynctrl.Transport) 
 	tr, root := dynctrl.NewTree()
 	nm := dynctrl.NewNaming(tr, newTP(3))
 	for i := 0; i < 20; i++ {
-		if _, err := nm.RequestChange(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf}); err != nil {
+		if _, err := nm.Submit(dynctrl.Request{Node: root, Kind: dynctrl.AddLeaf}); err != nil {
 			t.Fatalf("naming grow: %v", err)
 		}
 	}
@@ -138,7 +138,7 @@ func testNamingAndHeavyChild(t *testing.T, newTP func(int64) dynctrl.Transport) 
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := hc.RequestChange(dynctrl.Request{Node: root2, Kind: dynctrl.AddLeaf}); err != nil {
+		if _, err := hc.Submit(dynctrl.Request{Node: root2, Kind: dynctrl.AddLeaf}); err != nil {
 			t.Fatalf("hc grow: %v", err)
 		}
 	}
@@ -278,7 +278,7 @@ func testDynamicLabelingAndRouting(t *testing.T, newTP func(int64) dynctrl.Trans
 	// Two branches of depth two: root → a → a2 and root → b → b2.
 	grow := func(parent dynctrl.NodeID) dynctrl.NodeID {
 		t.Helper()
-		g, err := dl.RequestChange(dynctrl.Request{Node: parent, Kind: dynctrl.AddLeaf})
+		g, err := dl.Submit(dynctrl.Request{Node: parent, Kind: dynctrl.AddLeaf})
 		if err != nil || g.Outcome != dynctrl.Granted {
 			t.Fatalf("add leaf under %d: %v %v", parent, g.Outcome, err)
 		}

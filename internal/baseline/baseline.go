@@ -36,11 +36,8 @@ type Trivial struct {
 }
 
 // NewTrivial builds a trivial controller with m permits at the root.
-func NewTrivial(tr *tree.Tree, m int64, counters *stats.Counters) *Trivial {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	return &Trivial{tr: tr, m: m, counters: counters}
+func NewTrivial(tr *tree.Tree, m int64) *Trivial {
+	return &Trivial{tr: tr, m: m, counters: stats.NewCounters()}
 }
 
 // Counters returns the cost counters.
@@ -110,10 +107,7 @@ type GrowOnly struct {
 }
 
 // NewGrowOnly builds a fixed-U grow-only (m, w)-controller.
-func NewGrowOnly(tr *tree.Tree, u, m, w int64, counters *stats.Counters) *GrowOnly {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
+func NewGrowOnly(tr *tree.Tree, u, m, w int64) *GrowOnly {
 	if w < 1 {
 		w = 1
 	}
@@ -130,7 +124,7 @@ func NewGrowOnly(tr *tree.Tree, u, m, w int64, counters *stats.Counters) *GrowOn
 		maxLevel: stats.CeilLog2(int(u)) + 1,
 		storage:  m,
 		bins:     make(map[tree.NodeID]int64),
-		counters: counters,
+		counters: stats.NewCounters(),
 	}
 }
 
@@ -293,11 +287,8 @@ type GrowOnlyIterated struct {
 }
 
 // NewGrowOnlyIterated builds the iterated grow-only controller.
-func NewGrowOnlyIterated(tr *tree.Tree, u, m, w int64, counters *stats.Counters) *GrowOnlyIterated {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	it := &GrowOnlyIterated{tr: tr, u: u, w: w, counters: counters}
+func NewGrowOnlyIterated(tr *tree.Tree, u, m, w int64) *GrowOnlyIterated {
+	it := &GrowOnlyIterated{tr: tr, u: u, w: w, counters: stats.NewCounters()}
 	it.start(m)
 	return it
 }
@@ -313,7 +304,8 @@ func (it *GrowOnlyIterated) start(m int64) {
 	if w < 1 {
 		w = 1
 	}
-	it.cur = NewGrowOnly(it.tr, it.u, m, w, it.counters)
+	it.cur = NewGrowOnly(it.tr, it.u, m, w)
+	it.cur.counters = it.counters
 	it.cur.noReject = true
 }
 

@@ -14,7 +14,7 @@ import (
 func TestTrivialGrantsAndRejects(t *testing.T) {
 	tr, root := tree.New()
 	const m = 5
-	tv := baseline.NewTrivial(tr, m, nil)
+	tv := baseline.NewTrivial(tr, m)
 	for i := 0; i < m; i++ {
 		g, err := tv.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf})
 		if err != nil || g.Outcome != ctl.Granted {
@@ -36,7 +36,7 @@ func TestTrivialGrantsAndRejects(t *testing.T) {
 func TestTrivialCostIsDepthPerRequest(t *testing.T) {
 	tr, root := tree.New()
 	// Build a path of depth 50 via the controller itself.
-	tv := baseline.NewTrivial(tr, 1000, nil)
+	tv := baseline.NewTrivial(tr, 1000)
 	cur := root
 	for i := 0; i < 50; i++ {
 		g, err := tv.Submit(ctl.Request{Node: cur, Kind: tree.AddLeaf})
@@ -57,7 +57,7 @@ func TestTrivialCostIsDepthPerRequest(t *testing.T) {
 
 func TestGrowOnlyRejectsUnsupportedChanges(t *testing.T) {
 	tr, root := tree.New()
-	g := baseline.NewGrowOnly(tr, 64, 32, 8, nil)
+	g := baseline.NewGrowOnly(tr, 64, 32, 8)
 	res, err := g.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf})
 	if err != nil || res.Outcome != ctl.Granted {
 		t.Fatalf("add leaf: %v %v", res.Outcome, err)
@@ -72,7 +72,7 @@ func TestGrowOnlySafetyLiveness(t *testing.T) {
 		tr, _ := tree.New()
 		const requests = 400
 		u := tc.m + 8
-		g := baseline.NewGrowOnly(tr, u, tc.m, tc.w, nil)
+		g := baseline.NewGrowOnly(tr, u, tc.m, tc.w)
 		gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 9)
 		granted := int64(0)
 		for i := 0; i < requests; i++ {
@@ -103,7 +103,7 @@ func TestGrowOnlySafetyLiveness(t *testing.T) {
 func TestGrowOnlyIterated(t *testing.T) {
 	tr, _ := tree.New()
 	const m = 512
-	it := baseline.NewGrowOnlyIterated(tr, m+8, m, 1, nil)
+	it := baseline.NewGrowOnlyIterated(tr, m+8, m, 1)
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 3)
 	granted := 0
 	for i := 0; i < 4*m; i++ {
@@ -134,8 +134,8 @@ func TestGrowOnlyBinLocality(t *testing.T) {
 	// After the hierarchy warms up, repeated requests at the same node
 	// must be cheaper than the first one (bin reuse).
 	tr, root := tree.New()
-	counters := stats.NewCounters()
-	g := baseline.NewGrowOnly(tr, 4096, 1<<20, 1<<19, counters)
+	g := baseline.NewGrowOnly(tr, 4096, 1<<20, 1<<19)
+	counters := g.Counters()
 	cur := root
 	for i := 0; i < 64; i++ {
 		res, err := g.Submit(ctl.Request{Node: cur, Kind: tree.AddLeaf})

@@ -145,11 +145,10 @@ func TestIteratedMoveComplexityShape(t *testing.T) {
 		}
 		m := int64(2 * n)
 		u := int64(n) + m + 16
-		counters := stats.NewCounters()
-		it := ctl.NewIterated(tr, u, m, 0, ctl.WithIteratedCounters(counters))
+		it := ctl.NewIterated(tr, u, m, 0)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 123)
 		drainUntilReject(t, it, gen, int(m)*4)
-		series.Append(float64(u), float64(counters.Get(stats.CounterMoves)))
+		series.Append(float64(u), float64(it.Counters().Get(stats.CounterMoves)))
 	}
 	exp := series.GrowthExponent()
 	if math.IsNaN(exp) || exp > 1.8 {
@@ -235,8 +234,8 @@ func TestDynamicAmortizedCostPerChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 6000
-	counters := stats.NewCounters()
-	d := ctl.NewDynamic(tr, m, 0, ctl.WithDynamicCounters(counters))
+	d := ctl.NewDynamic(tr, m, 0)
+	counters := d.Counters()
 	gen := workload.NewChurn(tr, workload.Mix{AddLeaf: 35, RemoveLeaf: 25, AddInternal: 20, RemoveInternal: 20}, 44)
 	gen.SetMinSize(8)
 	drainUntilReject(t, d, gen, m*4)

@@ -226,11 +226,11 @@ func TestBlockCountsFollowATreeChangedElsewhere(t *testing.T) {
 	if _, err := r.tr.ApplyAddInternal(depth / 2); err != nil {
 		t.Fatal(err)
 	}
-	moves := r.counters.Get(stats.CounterMoves)
+	moves := r.d.Counters().Get(stats.CounterMoves)
 	g, err := r.d.Submit(ctl.Request{Node: top, Kind: tree.AddInternal, Child: top + 1})
-	if err != nil || g.Outcome != ctl.Granted || r.counters.Get(stats.CounterMoves) != moves {
+	if err != nil || g.Outcome != ctl.Granted || r.d.Counters().Get(stats.CounterMoves) != moves {
 		t.Fatalf("edge split below %d: %+v, %v, %d moves: want a grant off the static package there",
-			top, g, err, r.counters.Get(stats.CounterMoves)-moves)
+			top, g, err, r.d.Counters().Get(stats.CounterMoves)-moves)
 	}
 	if err := r.d.CheckBlocks(); err != nil {
 		t.Fatalf("after a granted edge split over a tree changed elsewhere: %v", err)
@@ -258,7 +258,7 @@ func (r *expressRun) depthOf(t *testing.T, id tree.NodeID) int {
 // filler. The reject wave comes at half time.
 func deepTrace(t *testing.T) (*tree.Tree, *ctl.Dynamic, *workload.Churn) {
 	tr := deepTree(t, 8192)
-	d := ctl.NewDynamic(tr, 1<<18, 1<<12, ctl.WithDynamicCounters(stats.NewCounters()))
+	d := ctl.NewDynamic(tr, 1<<18, 1<<12)
 	return tr, d, workload.NewChurn(tr, workload.EventOnlyMix(), 5)
 }
 
@@ -334,7 +334,7 @@ func TestWhiteboardDerivedBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = ctl.NewDynamic(tr, 200_000, 100_000, ctl.WithDynamicCounters(stats.NewCounters()))
+	d = ctl.NewDynamic(tr, 200_000, 100_000)
 	for at := 0; at < 25_000; at += 128 {
 		for _, c := range ct.Clients {
 			for _, req := range c[at:min(at+128, len(c))] {

@@ -39,7 +39,10 @@ type Iterated struct {
 // IteratedOption configures an Iterated controller.
 type IteratedOption func(*Iterated)
 
-// WithIteratedCounters shares the cost counters.
+// WithIteratedCounters makes the controller count into c instead of a set
+// of its own. It is for two controllers that are one protocol's cost, as
+// majority's join and leave controllers are: summing their two Costs would
+// count the messages of the runtime they share twice.
 func WithIteratedCounters(c *stats.Counters) IteratedOption {
 	return func(it *Iterated) { it.counters = c }
 }
@@ -60,12 +63,9 @@ func NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated
 // NewIterated builds the waste-halving (m, w)-Controller over tr with the
 // fixed node bound u, its cores moving packages this transport's way.
 func (tp Transport) NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
-	it := &Iterated{tp: tp, tr: tr, st: IteratedState{U: u, W: w}}
+	it := &Iterated{tp: tp, tr: tr, counters: stats.NewCounters(), st: IteratedState{U: u, W: w}}
 	for _, opt := range opts {
 		opt(it)
-	}
-	if it.counters == nil {
-		it.counters = stats.NewCounters()
 	}
 	it.startIteration(m)
 	return it
@@ -84,7 +84,7 @@ func (it *Iterated) startIteration(m int64) {
 	}
 	// What it.wb was is the iteration that ended (or nothing): its tables
 	// carry over.
-	it.wb = newWhiteboard(it.tr, it.st.U, m, w, it.wb, WithCounters(it.counters), WithNoRejects())
+	it.wb = newWhiteboard(it.tr, it.st.U, m, w, it.wb, withCounters(it.counters), WithNoRejects())
 	it.core = it.tp.Attach(it.wb)
 }
 
@@ -97,7 +97,7 @@ func (it *Iterated) Iterations() int { return it.st.Iterations }
 // Terminated reports whether a terminating driver has terminated.
 func (it *Iterated) Terminated() bool { return it.st.Terminated }
 
-// Counters returns the shared cost counters.
+// Counters returns the cost counters the controller counts into.
 func (it *Iterated) Counters() *stats.Counters { return it.counters }
 
 // Submit answers one request. A terminating driver returns ErrTerminated

@@ -6,7 +6,6 @@ import (
 	ctl "dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
 )
@@ -16,7 +15,6 @@ import (
 type maskRun struct {
 	distributed bool
 	tr          *tree.Tree
-	counters    *stats.Counters
 	d           *ctl.Dynamic
 	levels      uint64 // union of every mask seen
 	resting     bool   // some mobile package rested in a store after the last request
@@ -36,8 +34,8 @@ func (r *maskRun) transport(seed int64) ctl.Transport {
 }
 
 func newMaskRun(tr *tree.Tree, distributed bool, m, w int64) *maskRun {
-	r := &maskRun{distributed: distributed, tr: tr, counters: stats.NewCounters()}
-	r.d = r.transport(7).NewDynamic(tr, m, w, ctl.WithDynamicCounters(r.counters))
+	r := &maskRun{distributed: distributed, tr: tr}
+	r.d = r.transport(7).NewDynamic(tr, m, w)
 	return r
 }
 
@@ -87,7 +85,7 @@ func (r *maskRun) checkRecycled(t testing.TB) {
 // the same tree: the masks are derived state, so the rebuild must derive them.
 func (r *maskRun) roundTrip(t testing.TB) {
 	t.Helper()
-	d, err := r.transport(11).RestoreDynamic(r.tr, r.d.State(), r.counters)
+	d, err := r.transport(11).RestoreDynamic(r.tr, r.d.State(), r.d.Counters())
 	if err != nil {
 		t.Fatalf("State → RestoreDynamic: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	ctl "dynctrl/internal/controller"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -16,8 +15,7 @@ import (
 // terabyte of index) is refused before anything is sized from it.
 func TestRestoreRejectsStoreOfUnknownNode(t *testing.T) {
 	tr, root := tree.New()
-	counters := stats.NewCounters()
-	d := ctl.NewDynamic(tr, 64, 16, ctl.WithDynamicCounters(counters))
+	d := ctl.NewDynamic(tr, 64, 16)
 	for i := 0; i < 6; i++ {
 		if _, err := d.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf}); err != nil {
 			t.Fatal(err)
@@ -26,13 +24,13 @@ func TestRestoreRejectsStoreOfUnknownNode(t *testing.T) {
 	for _, id := range []tree.NodeID{1 << 40, tree.NodeID(tr.EverExisted()) + 1, 0, -3} {
 		st := d.State()
 		st.Inner.Board.Stores[len(st.Inner.Board.Stores)-1].Node = id
-		if _, err := ctl.Centralized.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrNoSuchNode) {
+		if _, err := ctl.Centralized.RestoreDynamic(tr, st, d.Counters()); !errors.Is(err, tree.ErrNoSuchNode) {
 			t.Fatalf("store of node %d: RestoreDynamic = %v, want %v", id, err, tree.ErrNoSuchNode)
 		}
 	}
 	st := d.State()
 	st.Inner.Board.Stores[1].Node = st.Inner.Board.Stores[0].Node
-	if _, err := ctl.Centralized.RestoreDynamic(tr, st, counters); !errors.Is(err, tree.ErrAlreadyExists) {
+	if _, err := ctl.Centralized.RestoreDynamic(tr, st, d.Counters()); !errors.Is(err, tree.ErrAlreadyExists) {
 		t.Fatalf("store listed twice: RestoreDynamic = %v, want %v", err, tree.ErrAlreadyExists)
 	}
 }
@@ -52,8 +50,7 @@ func TestRestoreKeepsTrivialTailStores(t *testing.T) {
 		}
 		leaves = append(leaves, id)
 	}
-	counters := stats.NewCounters()
-	it := ctl.NewIterated(tr, 64, 4096, 0, ctl.WithIteratedCounters(counters))
+	it := ctl.NewIterated(tr, 64, 4096, 0)
 	// One event at each of three leaves strands a static package there, so
 	// the leaf hammered next exhausts its iteration with L > 0 and the tail
 	// has permits to walk.
@@ -79,9 +76,9 @@ func TestRestoreKeepsTrivialTailStores(t *testing.T) {
 	}
 	// Iterated has no exported restore of its own; wrap the state the way
 	// the durability engine sees it.
-	d := ctl.NewDynamic(tr, 4096, 0, ctl.WithDynamicCounters(counters)).State()
+	d := ctl.NewDynamic(tr, 4096, 0).State()
 	d.Inner = st
-	back, err := ctl.Centralized.RestoreDynamic(tr, d, counters)
+	back, err := ctl.Centralized.RestoreDynamic(tr, d, it.Counters())
 	if err != nil {
 		t.Fatalf("restore of a trivial-tail state: %v", err)
 	}

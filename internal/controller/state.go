@@ -84,14 +84,11 @@ func (d *Dynamic) State() *DynamicState {
 
 // RestoreDynamic rebuilds an unknown-U controller from captured state over
 // tr, its cores moving packages this transport's way and accounting into
-// counters (which may be nil). The caller restores tr and counters to their
-// captured states first; the returned controller then continues exactly
-// where the captured one stopped. Outside this package persist.Recover is
-// its one caller.
+// counters, which the returned controller owns (its Counters). The caller
+// restores tr and counters to their captured states first; the returned
+// controller then continues exactly where the captured one stopped.
+// Outside this package persist.Recover is its one caller.
 func (tp Transport) RestoreDynamic(tr *tree.Tree, st *DynamicState, counters *stats.Counters) (*Dynamic, error) {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
 	inner, err := tp.restoreIterated(tr, st.Inner, counters)
 	if err != nil {
 		return nil, err

@@ -25,8 +25,8 @@ func TestTrivialTailInvalidRequestBurnsNoPermit(t *testing.T) {
 		at = id
 	}
 	internal, tip := path[n-2], path[n-1]
-	counters := stats.NewCounters()
-	it := ctl.NewIterated(tr, u, m, 0, ctl.WithIteratedCounters(counters))
+	it := ctl.NewIterated(tr, u, m, 0)
+	counters := it.Counters()
 	event := func(at tree.NodeID) ctl.Grant {
 		t.Helper()
 		g, err := it.Submit(ctl.Request{Node: at, Kind: tree.None})

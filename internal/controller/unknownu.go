@@ -42,7 +42,12 @@ type Dynamic struct {
 // DynamicOption configures a Dynamic controller.
 type DynamicOption func(*Dynamic)
 
-// WithDynamicCounters shares the cost counters.
+// WithDynamicCounters makes the controller count into c instead of a set
+// of its own; Counters is the way to read what a controller costs. It stays
+// only because bench/rungs.go and dist.NewDynamic compile against it, and
+// goes with them when the benchmark's ladder is rebuilt over
+// Over(rt).NewDynamic (ROADMAP: "the ladder measures the engine that
+// serves").
 func WithDynamicCounters(c *stats.Counters) DynamicOption {
 	return func(d *Dynamic) { d.counters = c }
 }
@@ -115,7 +120,7 @@ func (d *Dynamic) Granted() int64 { return d.counters.Get(stats.CounterGrants) }
 // Iterations returns the number of outer iterations started.
 func (d *Dynamic) Iterations() int { return d.st.Iterations }
 
-// Counters returns the shared cost counters.
+// Counters returns the cost counters the controller counts into.
 func (d *Dynamic) Counters() *stats.Counters { return d.counters }
 
 // StoreTableBytes returns the bytes of the current whiteboards' store table,

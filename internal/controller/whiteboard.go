@@ -80,9 +80,9 @@ type Whiteboard struct {
 // the same whichever transport moves the packages.
 type CoreOption func(*Whiteboard)
 
-// WithCounters directs cost accounting into c (shared counters let drivers
-// aggregate across iterations).
-func WithCounters(c *stats.Counters) CoreOption {
+// withCounters directs cost accounting into c: a driver hands its own set
+// to every iteration's whiteboards, so one set totals the run.
+func withCounters(c *stats.Counters) CoreOption {
 	return func(wb *Whiteboard) { wb.counters = c }
 }
 

@@ -32,13 +32,14 @@ type appRun struct {
 	submit func(controller.Request) (controller.Grant, error)
 	// observe renders the application's observable state.
 	observe func() string
+	// counters is what the application counts its cost into.
+	counters *stats.Counters
 }
 
-// appRow is one application of the table: start builds it over tr and tp,
-// accounting into counters.
+// appRow is one application of the table: start builds it over tr and tp.
 type appRow struct {
 	name  string
-	start func(t *testing.T, tr *tree.Tree, tp controller.Transport, counters *stats.Counters) appRun
+	start func(t *testing.T, tr *tree.Tree, tp controller.Transport) appRun
 }
 
 // perNode renders f at every live node, ascending.
@@ -52,55 +53,55 @@ func perNode(tr *tree.Tree, f func(tree.NodeID) string) string {
 
 func appRows() []appRow {
 	return []appRow{
-		{"estimator", func(t *testing.T, tr *tree.Tree, tp controller.Transport, counters *stats.Counters) appRun {
-			est, err := estimator.New(tr, tp, 2, estimator.WithCounters(counters), estimator.WithSubtreeEstimates())
+		{"estimator", func(t *testing.T, tr *tree.Tree, tp controller.Transport) appRun {
+			est, err := estimator.New(tr, tp, 2, estimator.WithSubtreeEstimates())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return appRun{est.RequestChange, func() string {
+			return appRun{est.Submit, func() string {
 				return fmt.Sprintf("iteration %d: ", est.Iteration()) + perNode(tr, func(v tree.NodeID) string {
 					n, err1 := est.Estimate(v)
 					sw, err2 := est.SubtreeEstimate(v)
 					return fmt.Sprint(n, err1, sw, err2)
 				})
-			}}
+			}, est.Counters()}
 		}},
-		{"naming", func(t *testing.T, tr *tree.Tree, tp controller.Transport, counters *stats.Counters) appRun {
-			nm := naming.New(tr, tp, counters)
-			return appRun{nm.RequestChange, func() string {
+		{"naming", func(t *testing.T, tr *tree.Tree, tp controller.Transport) appRun {
+			nm := naming.New(tr, tp)
+			return appRun{nm.Submit, func() string {
 				if err := nm.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
 				return fmt.Sprintf("iteration %d: ", nm.Iteration()) + perNode(tr, func(v tree.NodeID) string {
 					return fmt.Sprint(nm.ID(v))
 				})
-			}}
+			}, nm.Counters()}
 		}},
-		{"heavychild", func(t *testing.T, tr *tree.Tree, tp controller.Transport, counters *stats.Counters) appRun {
-			hc, err := heavychild.New(tr, tp, counters)
+		{"heavychild", func(t *testing.T, tr *tree.Tree, tp controller.Transport) appRun {
+			hc, err := heavychild.New(tr, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return appRun{hc.RequestChange, func() string {
+			return appRun{hc.Submit, func() string {
 				return fmt.Sprintf("iteration %d: ", hc.Estimator().Iteration()) + perNode(tr, func(v tree.NodeID) string {
 					h, err1 := hc.Heavy(v)
 					sw, err2 := hc.Estimator().SubtreeEstimate(v)
 					return fmt.Sprint(h, err1 != nil, sw, err2)
 				})
-			}}
+			}, hc.Counters()}
 		}},
-		{"labeling", func(t *testing.T, tr *tree.Tree, tp controller.Transport, counters *stats.Counters) appRun {
+		{"labeling", func(t *testing.T, tr *tree.Tree, tp controller.Transport) appRun {
 			dyn, err := labeling.NewDynamic(tr, tp, func(tr *tree.Tree) (labeling.Scheme, int64) {
 				return labeling.BuildAncestry(tr), int64(tr.Size())
-			}, counters)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return appRun{dyn.RequestChange, func() string {
+			return appRun{dyn.Submit, func() string {
 				n, err := dyn.Estimator().Estimate(tr.Root())
 				return fmt.Sprintf("iteration %d, %d rebuilds, %d-bit labels, estimate %d %v",
 					dyn.Estimator().Iteration(), dyn.Rebuilds(), dyn.Scheme().MaxBits(), n, err)
-			}}
+			}, dyn.Counters()}
 		}},
 	}
 }
@@ -125,10 +126,10 @@ func testApplicationsMatchAcrossEngines(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", row.name, seed), func(t *testing.T) {
 				trC, trD := buildTree(t, 40, seed), buildTree(t, 40, seed)
-				ctrC, ctrD := stats.NewCounters(), stats.NewCounters()
 				tpD := dist.Over(sim.NewDeterministic(seed))
-				cen := row.start(t, trC, controller.Centralized, ctrC)
-				dst := row.start(t, trD, tpD, ctrD)
+				cen := row.start(t, trC, controller.Centralized)
+				dst := row.start(t, trD, tpD)
+				ctrC, ctrD := cen.counters, dst.counters
 				if c, d := cen.observe(), dst.observe(); c != d {
 					t.Fatalf("initial state diverged:\ncentralized %s\ndistributed %s", c, d)
 				}

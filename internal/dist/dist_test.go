@@ -99,8 +99,7 @@ func TestSafetyAndLivenessUnderChurn(t *testing.T) {
 func TestTerminatingRejectsAfterTermination(t *testing.T) {
 	tr := buildTree(t, 12, 7)
 	rt := sim.NewDeterministic(7)
-	counters := stats.NewCounters()
-	term := dist.Over(rt).NewTerminating(tr, 64, 20, 5, controller.WithCounters(counters))
+	term := dist.Over(rt).NewTerminating(tr, 64, 20, 5)
 
 	root := tr.Root()
 	var granted int64
@@ -164,8 +163,7 @@ func TestCoreMatchesCentralized(t *testing.T) {
 			u := int64(tc.n) + 2*tc.m
 			trC := buildTree(t, tc.n, tc.seed)
 			trD := buildTree(t, tc.n, tc.seed)
-			cenCounters := stats.NewCounters()
-			cen := controller.NewCore(trC, u, tc.m, tc.w, controller.WithCounters(cenCounters))
+			cen := controller.NewCore(trC, u, tc.m, tc.w)
 			tp := dist.Over(sim.NewDeterministic(tc.seed))
 			core := tp.NewCore(trD, u, tc.m, tc.w)
 			genC := workload.NewChurn(trC, tc.mix, tc.seed+50)
@@ -216,7 +214,7 @@ func TestCoreMatchesCentralized(t *testing.T) {
 					trC.Size(), trC.EverExisted(), trD.Size(), trD.EverExisted())
 			}
 
-			moves := cenCounters.Get(stats.CounterMoves)
+			moves := cen.Counters().Get(stats.CounterMoves)
 			msgs := tp.Cost(core.Counters())
 			if msgs < moves {
 				t.Fatalf("messages %d below centralized moves %d: descent accounting broken", msgs, moves)
@@ -308,8 +306,7 @@ func TestDynamicUnknownU(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		tr := buildTree(t, 48, seed)
 		rt := sim.NewDeterministic(seed)
-		counters := stats.NewCounters()
-		d := dist.Over(rt).NewDynamic(tr, 600, 60, controller.WithDynamicCounters(counters))
+		d := dist.Over(rt).NewDynamic(tr, 600, 60)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+7)
 		gen.SetMinSize(12)
 		res, err := workload.Run(d, gen, 3000)
@@ -325,7 +322,7 @@ func TestDynamicUnknownU(t *testing.T) {
 		if d.Iterations() < 2 {
 			t.Fatalf("seed %d: only %d iterations; churn should restart the inner controller", seed, d.Iterations())
 		}
-		if msgs := dist.Over(rt).Cost(counters); msgs == 0 {
+		if msgs := dist.Over(rt).Cost(d.Counters()); msgs == 0 {
 			t.Fatalf("seed %d: no messages accounted", seed)
 		}
 	}

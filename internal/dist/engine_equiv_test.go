@@ -22,9 +22,8 @@ import (
 
 // engine is one unknown-U controller under test with everything it runs on.
 type engine struct {
-	d        *controller.Dynamic
-	tr       *tree.Tree
-	counters *stats.Counters
+	d  *controller.Dynamic
+	tr *tree.Tree
 	// runtimes lists every runtime the engine has used (a restored engine
 	// starts a new one); empty for the centralized model.
 	runtimes []*sim.Runtime
@@ -70,13 +69,13 @@ func engineTraces() []engineTrace {
 
 func newEngine(t testing.TB, distributed bool, tc engineTrace) *engine {
 	t.Helper()
-	e := &engine{tr: tc.build(t), counters: stats.NewCounters()}
+	e := &engine{tr: tc.build(t)}
 	if distributed {
 		rt := sim.NewDeterministic(7)
 		e.runtimes = []*sim.Runtime{rt}
-		e.d = dist.Over(rt).NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))
+		e.d = dist.Over(rt).NewDynamic(e.tr, tc.m, tc.w)
 	} else {
-		e.d = controller.NewDynamic(e.tr, tc.m, tc.w, controller.WithDynamicCounters(e.counters))
+		e.d = controller.NewDynamic(e.tr, tc.m, tc.w)
 	}
 	return e
 }
@@ -86,22 +85,22 @@ func newEngine(t testing.TB, distributed bool, tc engineTrace) *engine {
 // and, distributed, a fresh runtime under another seed.
 func (e *engine) restart(t *testing.T) {
 	t.Helper()
-	st, snap, counts := e.d.State(), e.tr.Snapshot(), e.counters.Snapshot()
+	st, snap, counts := e.d.State(), e.tr.Snapshot(), e.d.Counters().Snapshot()
 	e.tr, _ = tree.New()
 	if err := e.tr.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	e.counters = stats.NewCounters()
-	err := e.counters.Restore(counts)
+	counters := stats.NewCounters()
+	err := counters.Restore(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.runtimes) > 0 {
 		rt := sim.NewDeterministic(int64(len(e.runtimes)) + 40)
 		e.runtimes = append(e.runtimes, rt)
-		e.d, err = dist.Over(rt).RestoreDynamic(e.tr, st, e.counters)
+		e.d, err = dist.Over(rt).RestoreDynamic(e.tr, st, counters)
 	} else {
-		e.d, err = controller.Centralized.RestoreDynamic(e.tr, st, e.counters)
+		e.d, err = controller.Centralized.RestoreDynamic(e.tr, st, counters)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func (e *engine) restart(t *testing.T) {
 // messages is the distributed cost: control messages plus what every
 // runtime delivered.
 func (e *engine) messages() int64 {
-	n := e.counters.Get(stats.CounterControl)
+	n := e.d.Counters().Get(stats.CounterControl)
 	for _, rt := range e.runtimes {
 		n += rt.Messages()
 	}
@@ -203,7 +202,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 				cut = tailAt + 3
 			}
 			wantState, wantTree := ref.d.State(), shape(ref.tr)
-			moves := ref.counters.Get(stats.CounterMoves)
+			moves := ref.d.Counters().Get(stats.CounterMoves)
 			distMessages := int64(-1)
 
 			for _, distributed := range []bool{false, true} {
@@ -241,19 +240,19 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 							}
 							for _, name := range []stats.Counter{stats.CounterGrants, stats.CounterRejects,
 								stats.CounterTopoChanges, stats.CounterIterations} {
-								if got, want := e.counters.Get(name), ref.counters.Get(name); got != want {
+								if got, want := e.d.Counters().Get(name), ref.d.Counters().Get(name); got != want {
 									t.Fatalf("counter %s = %d, reference %d", name, got, want)
 								}
 							}
 							if !distributed {
-								if got := e.counters.Get(stats.CounterMoves); got != moves || e.messages() != 0 {
+								if got := e.d.Counters().Get(stats.CounterMoves); got != moves || e.messages() != 0 {
 									t.Fatalf("centralized cost: %d moves and %d messages, reference %d moves", got, e.messages(), moves)
 								}
 								return
 							}
 							msgs := e.messages()
-							if e.counters.Get(stats.CounterMoves) != 0 {
-								t.Fatalf("distributed engine charged %d moves", e.counters.Get(stats.CounterMoves))
+							if e.d.Counters().Get(stats.CounterMoves) != 0 {
+								t.Fatalf("distributed engine charged %d moves", e.d.Counters().Get(stats.CounterMoves))
 							}
 							if distMessages < 0 {
 								distMessages = msgs
@@ -269,7 +268,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 							// inner and per outer iteration, each over at most
 							// every node that ever existed.
 							ever := int64(e.tr.EverExisted())
-							restarts := e.counters.Get(stats.CounterIterations) + int64(e.d.Iterations())
+							restarts := e.d.Counters().Get(stats.CounterIterations) + int64(e.d.Iterations())
 							if bound := 3*moves + 4*ever + 64 + 2*ever*restarts; msgs > bound {
 								t.Fatalf("messages %d exceed constant-factor bound %d (moves %d, %d restarts)",
 									msgs, bound, moves, restarts)

@@ -4,10 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"dynctrl/internal/controller"
 	"dynctrl/internal/dist"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
 )
@@ -40,13 +38,12 @@ func TestDeterministicVsConcurrentRuntime(t *testing.T) {
 			return outcome{err: err}
 		}
 		rt := sim.NewDeterministic(seed)
-		counters := stats.NewCounters()
-		ctl := dist.Over(rt).NewDynamic(tr, m, w, controller.WithDynamicCounters(counters))
+		ctl := dist.Over(rt).NewDynamic(tr, m, w)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+1)
 		gen.SetMinSize(8)
 		res, err := workload.Run(ctl, gen, requests)
 		return outcome{res: res, size: tr.Size(), ever: tr.EverExisted(),
-			messages: dist.Over(rt).Cost(counters), err: err}
+			messages: dist.Over(rt).Cost(ctl.Counters()), err: err}
 	}
 
 	seeds := []int64{1, 2, 5}

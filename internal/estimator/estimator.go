@@ -15,7 +15,6 @@ package estimator
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/stats"
@@ -27,9 +26,9 @@ var ErrBadBeta = errors.New("estimator: beta must be greater than 1")
 
 // Estimator maintains, at every node, a β-approximation of the number of
 // nodes in the dynamically changing tree. All topological changes must be
-// requested through RequestChange.
+// requested through Submit. It has no lock: like the tree it reads, it
+// belongs to whoever drives it (package tree, Ownership).
 type Estimator struct {
-	mu       sync.Mutex
 	tr       *tree.Tree
 	beta     float64
 	counters *stats.Counters
@@ -47,11 +46,6 @@ type Estimator struct {
 // Option configures an Estimator.
 type Option func(*Estimator)
 
-// WithCounters shares the stats counters.
-func WithCounters(c *stats.Counters) Option {
-	return func(e *Estimator) { e.counters = c }
-}
-
 // WithSubtreeEstimates enables the subtree estimator: every node v also
 // maintains ω̃(v), a β-approximation of its super-weight (the number of
 // descendants that existed at any point since the iteration started).
@@ -65,12 +59,9 @@ func New(tr *tree.Tree, tp controller.Transport, beta float64, opts ...Option) (
 	if beta <= 1 {
 		return nil, ErrBadBeta
 	}
-	e := &Estimator{tr: tr, beta: beta}
+	e := &Estimator{tr: tr, beta: beta, counters: stats.NewCounters()}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.counters == nil {
-		e.counters = stats.NewCounters()
 	}
 	e.epochs = tp.NewEpochs(tr, e.counters, e.plan)
 	return e, nil
@@ -104,12 +95,10 @@ func (e *Estimator) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOpt
 
 // Iteration returns the current iteration number (1-based).
 func (e *Estimator) Iteration() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.epochs.Epoch()
 }
 
-// Counters returns the shared counters.
+// Counters returns the estimator's cost counters.
 func (e *Estimator) Counters() *stats.Counters { return e.counters }
 
 // Tree returns the tree the estimator runs over.
@@ -117,8 +106,6 @@ func (e *Estimator) Tree() *tree.Tree { return e.tr }
 
 // Estimate returns the node's current estimate ñ(v) of the network size.
 func (e *Estimator) Estimate(v tree.NodeID) (int64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.tr.Contains(v) {
 		return 0, fmt.Errorf("estimate at %d: %w", v, tree.ErrNoSuchNode)
 	}
@@ -131,8 +118,6 @@ func (e *Estimator) Beta() float64 { return e.beta }
 // SubtreeEstimate returns ω̃(v), the node's estimate of its super-weight.
 // WithSubtreeEstimates must have been enabled.
 func (e *Estimator) SubtreeEstimate(v tree.NodeID) (int64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.subtree {
 		return 0, errors.New("estimator: subtree estimates not enabled")
 	}
@@ -148,25 +133,16 @@ func (e *Estimator) SubtreeEstimate(v tree.NodeID) (int64, error) {
 	return base + e.passed[v], nil
 }
 
-// RequestChange submits a topological change (or a non-topological event)
+// Submit requests a topological change (or a non-topological event)
 // through the current iteration's controller, rolling over to the next
 // iteration when the controller terminates.
-func (e *Estimator) RequestChange(req controller.Request) (controller.Grant, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epochs.Submit(req)
-}
-
-// Submit implements controller.Submitter.
 func (e *Estimator) Submit(req controller.Request) (controller.Grant, error) {
-	return e.RequestChange(req)
+	return e.epochs.Submit(req)
 }
 
 // CheckApproximation verifies the β-approximation invariant at every node
 // and returns the first violation.
 func (e *Estimator) CheckApproximation() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := float64(e.tr.Size())
 	est := float64(e.epochs.N())
 	if est < n/e.beta-1e-9 || est > e.beta*n+1e-9 {

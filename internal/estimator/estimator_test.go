@@ -41,7 +41,7 @@ func TestEstimatorApproximationUnderChurn(t *testing.T) {
 			if !ok {
 				break
 			}
-			if _, err := est.RequestChange(req); err != nil {
+			if _, err := est.Submit(req); err != nil {
 				t.Fatalf("beta=%v step %d: %v", beta, i, err)
 			}
 			if err := est.CheckApproximation(); err != nil {
@@ -74,7 +74,7 @@ func TestEstimatorShrinkingTree(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := est.RequestChange(req); err != nil {
+		if _, err := est.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if err := est.CheckApproximation(); err != nil {
@@ -94,8 +94,7 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(7))
-	counters := stats.NewCounters()
-	est, err := estimator.New(tr, tp, 2, estimator.WithCounters(counters))
+	est, err := estimator.New(tr, tp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +107,15 @@ func TestEstimatorAmortizedMessageCost(t *testing.T) {
 		if !ok {
 			break
 		}
-		g, err := est.RequestChange(req)
+		g, err := est.Submit(req)
 		if err != nil {
-			t.Fatalf("RequestChange: %v", err)
+			t.Fatalf("Submit: %v", err)
 		}
 		if g.Outcome == ctl.Granted {
 			applied++
 		}
 	}
-	total := float64(tp.Cost(counters))
+	total := float64(tp.Cost(est.Counters()))
 	logN := stats.Log2(float64(tr.EverExisted()))
 	perChange := total / float64(applied)
 	if bound := 160 * logN * logN; perChange > bound {
@@ -174,7 +173,7 @@ func TestSubtreeEstimatorSandwich(t *testing.T) {
 		if !ok {
 			break
 		}
-		g, err := est.RequestChange(req)
+		g, err := est.Submit(req)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}

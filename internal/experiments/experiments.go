@@ -64,12 +64,11 @@ func E1CentralizedMoves() *stats.Table {
 		tr := buildTree(n, 1)
 		m := int64(n)
 		u := int64(2*n + 16)
-		counters := stats.NewCounters()
-		it := controller.NewIterated(tr, u, m, 1, controller.WithIteratedCounters(counters))
+		it := controller.NewIterated(tr, u, m, 1)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 5)
 		gen.SetMinSize(n / 2)
 		drain(it, gen, 8*n)
-		moves := counters.Get(stats.CounterMoves)
+		moves := it.Counters().Get(stats.CounterMoves)
 		logU := stats.Log2(float64(u))
 		tb.AddRow(n, u, moves, float64(moves)/(float64(u)*logU*logU))
 		series.Append(float64(u), float64(moves))
@@ -94,11 +93,10 @@ func E2WasteSweep() *stats.Table {
 			panic(err)
 		}
 		u := int64(n + 64)
-		counters := stats.NewCounters()
-		it := controller.NewIterated(tr, u, m, w, controller.WithIteratedCounters(counters))
+		it := controller.NewIterated(tr, u, m, w)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 7)
 		drain(it, gen, int(m)*4)
-		moves := counters.Get(stats.CounterMoves)
+		moves := it.Counters().Get(stats.CounterMoves)
 		ratio := stats.Log2(float64(m)/float64(w+1)) + 1
 		tb.AddRow(w, ratio-1, moves, float64(moves)/ratio)
 	}
@@ -113,13 +111,12 @@ func E3UnknownU() *stats.Table {
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 3)
 		m := int64(16 * n)
-		counters := stats.NewCounters()
-		d := controller.NewDynamic(tr, m, 0, controller.WithDynamicCounters(counters))
+		d := controller.NewDynamic(tr, m, 0)
 		gen := workload.NewChurn(tr, workload.Mix{AddLeaf: 30, RemoveLeaf: 25, AddInternal: 20, RemoveInternal: 25}, 9)
 		gen.SetMinSize(n / 4)
 		drain(d, gen, int(m)*4)
-		changes := counters.Get(stats.CounterTopoChanges)
-		moves := counters.Get(stats.CounterMoves)
+		changes := d.Counters().Get(stats.CounterTopoChanges)
+		moves := d.Counters().Get(stats.CounterMoves)
 		logN := stats.Log2(float64(2 * m))
 		perChange := 0.0
 		if changes > 0 {
@@ -138,14 +135,12 @@ func E4MaxN() *stats.Table {
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 4)
 		m := int64(8 * n)
-		counters := stats.NewCounters()
-		d := controller.NewDynamic(tr, m, 0,
-			controller.WithDynamicCounters(counters), controller.WithPolicy(controller.PolicyDoubleMaxN))
+		d := controller.NewDynamic(tr, m, 0, controller.WithPolicy(controller.PolicyDoubleMaxN))
 		gen := workload.NewChurn(tr, workload.Mix{AddLeaf: 70, RemoveLeaf: 10, AddInternal: 10, Event: 10}, 11)
 		gen.SetMinSize(n / 4)
 		drain(d, gen, int(m)*4)
 		maxN := tr.Size() // grow-heavy: final ≈ max
-		moves := counters.Get(stats.CounterMoves)
+		moves := d.Counters().Get(stats.CounterMoves)
 		logN := stats.Log2(float64(maxN))
 		tb.AddRow(n, maxN, moves, float64(moves)/(float64(maxN)*logN*logN))
 	}
@@ -164,8 +159,7 @@ func E5DistVsCentral() *stats.Table {
 		w := m / 2
 		trC := buildTree(n, 5)
 		trD := buildTree(n, 5)
-		cenCounters := stats.NewCounters()
-		cen := controller.NewCore(trC, u, m, w, controller.WithCounters(cenCounters))
+		cen := controller.NewCore(trC, u, m, w)
 		rt := sim.NewDeterministic(5)
 		sub := dist.Over(rt).NewCore(trD, u, m, w)
 		genC := workload.NewChurn(trC, workload.DefaultMix(), 13)
@@ -183,7 +177,7 @@ func E5DistVsCentral() *stats.Table {
 				break
 			}
 		}
-		moves := cenCounters.Get(stats.CounterMoves)
+		moves := cen.Counters().Get(stats.CounterMoves)
 		msgs := rt.Messages()
 		ratio := math.Inf(1)
 		if moves > 0 {
@@ -225,14 +219,13 @@ func E7VsGrowOnly() *stats.Table {
 		trB := buildTree(1, 7)
 		tp := dist.Over(sim.NewDeterministic(7))
 		ours := tp.NewIterated(trA, u, m, 1)
-		countersB := stats.NewCounters()
-		aaps := baseline.NewGrowOnlyIterated(trB, u, m, 1, countersB)
+		aaps := baseline.NewGrowOnlyIterated(trB, u, m, 1)
 		genA := workload.NewChurn(trA, workload.GrowOnlyMix(), 17)
 		genB := workload.NewChurn(trB, workload.GrowOnlyMix(), 17)
 		drain(ours, genA, int(m)*2)
 		drain(aaps, genB, int(m)*2)
 		oursTotal := tp.Cost(ours.Counters())
-		aapsTotal := countersB.Get(stats.CounterMoves)
+		aapsTotal := aaps.Counters().Get(stats.CounterMoves)
 		tb.AddRow(m, oursTotal, aapsTotal, float64(oursTotal)/float64(aapsTotal+1))
 	}
 	return tb
@@ -254,7 +247,7 @@ func E8VsTrivial() *stats.Table {
 		if err := tree.Build(trB, tree.Shape{Kind: "path", Nodes: depth}, 0); err != nil {
 			panic(err)
 		}
-		trivial := baseline.NewTrivial(trA, m, nil)
+		trivial := baseline.NewTrivial(trA, m)
 		tp := dist.Over(sim.NewDeterministic(8))
 		// U bounds nodes ever to exist: the workload is purely
 		// non-topological, so U is just the path length (inflating U
@@ -306,7 +299,7 @@ func E9SizeEstimation() *stats.Table {
 			if !ok {
 				break
 			}
-			g, err := est.RequestChange(req)
+			g, err := est.Submit(req)
 			if err != nil {
 				break
 			}
@@ -332,7 +325,7 @@ func E10Naming() *stats.Table {
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 10)
 		tp := dist.Over(sim.NewDeterministic(10))
-		nm := naming.New(tr, tp, nil)
+		nm := naming.New(tr, tp)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 23)
 		gen.SetMinSize(n / 4)
 		invariantOK := true
@@ -342,7 +335,7 @@ func E10Naming() *stats.Table {
 			if !ok {
 				break
 			}
-			g, err := nm.RequestChange(req)
+			g, err := nm.Submit(req)
 			if err != nil {
 				break
 			}
@@ -373,7 +366,7 @@ func E11HeavyChild() *stats.Table {
 		"n0", "final n", "max light ancestors", "log4/3(n)", "ratio")
 	for _, n := range []int{64, 256, 1024} {
 		tr := buildTree(n, 11)
-		hc, err := heavychild.New(tr, dist.Over(sim.NewDeterministic(11)), nil)
+		hc, err := heavychild.New(tr, dist.Over(sim.NewDeterministic(11)))
 		if err != nil {
 			panic(err)
 		}
@@ -384,7 +377,7 @@ func E11HeavyChild() *stats.Table {
 			if !ok {
 				break
 			}
-			if _, err := hc.RequestChange(req); err != nil {
+			if _, err := hc.Submit(req); err != nil {
 				break
 			}
 		}
@@ -410,7 +403,7 @@ func E12Labeling() *stats.Table {
 		dyn, err := labeling.NewDynamic(tr, dist.Over(sim.NewDeterministic(12)),
 			func(tr *tree.Tree) (labeling.Scheme, int64) {
 				return labeling.BuildAncestry(tr), int64(tr.Size())
-			}, nil)
+			})
 		if err != nil {
 			panic(err)
 		}
@@ -422,7 +415,7 @@ func E12Labeling() *stats.Table {
 			if !ok {
 				break
 			}
-			if _, err := dyn.RequestChange(req); err != nil {
+			if _, err := dyn.Submit(req); err != nil {
 				break
 			}
 		}

@@ -23,37 +23,32 @@ import (
 
 // Decomposition maintains the heavy-child pointers.
 type Decomposition struct {
-	tr       *tree.Tree
-	tp       controller.Transport
-	est      *estimator.Estimator
-	counters *stats.Counters
-	heavy    map[tree.NodeID]tree.NodeID
+	tr    *tree.Tree
+	tp    controller.Transport
+	est   *estimator.Estimator
+	heavy map[tree.NodeID]tree.NodeID
 }
 
 // New builds a heavy-child decomposition over tr, its estimator running
-// over tp. All topological changes must flow through RequestChange.
-func New(tr *tree.Tree, tp controller.Transport, counters *stats.Counters) (*Decomposition, error) {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	est, err := estimator.New(tr, tp, math.Sqrt(3),
-		estimator.WithCounters(counters), estimator.WithSubtreeEstimates())
+// over tp. All topological changes must flow through Submit.
+func New(tr *tree.Tree, tp controller.Transport) (*Decomposition, error) {
+	est, err := estimator.New(tr, tp, math.Sqrt(3), estimator.WithSubtreeEstimates())
 	if err != nil {
 		return nil, err
 	}
 	d := &Decomposition{
-		tr:       tr,
-		tp:       tp,
-		est:      est,
-		counters: counters,
-		heavy:    make(map[tree.NodeID]tree.NodeID),
+		tr:    tr,
+		tp:    tp,
+		est:   est,
+		heavy: make(map[tree.NodeID]tree.NodeID),
 	}
 	d.refreshAll()
 	return d, nil
 }
 
-// Counters returns the shared counters.
-func (d *Decomposition) Counters() *stats.Counters { return d.counters }
+// Counters returns the protocol's cost counters, the estimator's: the
+// pointer refreshes are charged there too.
+func (d *Decomposition) Counters() *stats.Counters { return d.est.Counters() }
 
 // Tree returns the tree the decomposition is maintained over.
 func (d *Decomposition) Tree() *tree.Tree { return d.tr }
@@ -102,13 +97,12 @@ func (d *Decomposition) LightAncestors(v tree.NodeID) (int, error) {
 	return count, nil
 }
 
-// RequestChange submits a topological change, then refreshes the pointers
-// along the affected path (each estimate update costs one message to the
-// parent, which at most doubles the protocol's message count, as the paper
-// notes).
-func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant, error) {
+// Submit requests a topological change, then refreshes the pointers along
+// the affected path (each estimate update costs one message to the parent,
+// which at most doubles the protocol's message count, as the paper notes).
+func (d *Decomposition) Submit(req controller.Request) (controller.Grant, error) {
 	iterBefore := d.est.Iteration()
-	g, err := d.est.RequestChange(req)
+	g, err := d.est.Submit(req)
 	if err != nil {
 		return g, err
 	}
@@ -137,14 +131,9 @@ func (d *Decomposition) RequestChange(req controller.Request) (controller.Grant,
 		for _, id := range path {
 			d.refresh(id)
 		}
-		d.counters.Add(d.tp.Counter, int64(len(path)))
+		d.est.Counters().Add(d.tp.Counter, int64(len(path)))
 	}
 	return g, nil
-}
-
-// Submit implements controller.Submitter.
-func (d *Decomposition) Submit(req controller.Request) (controller.Grant, error) {
-	return d.RequestChange(req)
 }
 
 // refreshAll recomputes every pointer from current subtree estimates.

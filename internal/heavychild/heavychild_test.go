@@ -16,7 +16,7 @@ func TestHeavyChildOnStaticTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(1))
-	d, err := heavychild.New(tr, tp, nil)
+	d, err := heavychild.New(tr, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestHeavyChildLightAncestorsOnPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(2))
-	d, err := heavychild.New(tr, tp, nil)
+	d, err := heavychild.New(tr, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(3))
-	d, err := heavychild.New(tr, tp, nil)
+	d, err := heavychild.New(tr, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := d.RequestChange(req); err != nil {
+		if _, err := d.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if i%50 == 0 {
@@ -109,14 +109,14 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 func TestHeavyChildGrowth(t *testing.T) {
 	tr, _ := tree.New()
 	tp := dist.Over(sim.NewDeterministic(4))
-	d, err := heavychild.New(tr, tp, nil)
+	d, err := heavychild.New(tr, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 9)
 	for i := 0; i < 600; i++ {
 		req, _ := gen.Next()
-		if _, err := d.RequestChange(req); err != nil {
+		if _, err := d.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}

@@ -27,11 +27,10 @@ type Builder func(tr *tree.Tree) (Scheme, int64)
 // at amortized message cost O(M(π,n)/n) per change on top of the
 // estimator's O(log²n).
 type Dynamic struct {
-	tr       *tree.Tree
-	tp       controller.Transport
-	est      *estimator.Estimator
-	build    Builder
-	counters *stats.Counters
+	tr    *tree.Tree
+	tp    controller.Transport
+	est   *estimator.Estimator
+	build Builder
 
 	scheme   Scheme
 	rebuilds int
@@ -40,15 +39,12 @@ type Dynamic struct {
 
 // NewDynamic wraps a static scheme builder; its size estimator (β = 2, the
 // natural choice for a doubling rule) runs over tp.
-func NewDynamic(tr *tree.Tree, tp controller.Transport, build Builder, counters *stats.Counters) (*Dynamic, error) {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	est, err := estimator.New(tr, tp, 2, estimator.WithCounters(counters))
+func NewDynamic(tr *tree.Tree, tp controller.Transport, build Builder) (*Dynamic, error) {
+	est, err := estimator.New(tr, tp, 2)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dynamic{tr: tr, tp: tp, est: est, build: build, counters: counters}
+	d := &Dynamic{tr: tr, tp: tp, est: est, build: build}
 	d.rebuild()
 	return d, nil
 }
@@ -58,7 +54,7 @@ func (d *Dynamic) rebuild() {
 	d.scheme = scheme
 	d.rebuilds++
 	d.lastN = int64(d.tr.Size())
-	d.counters.Add(d.tp.Counter, msgs)
+	d.est.Counters().Add(d.tp.Counter, msgs)
 }
 
 // Scheme returns the current static scheme (replaced on rebuilds).
@@ -67,16 +63,17 @@ func (d *Dynamic) Scheme() Scheme { return d.scheme }
 // Rebuilds returns how many times the scheme was recomputed.
 func (d *Dynamic) Rebuilds() int { return d.rebuilds }
 
-// Counters returns the shared counters.
-func (d *Dynamic) Counters() *stats.Counters { return d.counters }
+// Counters returns the scheme's cost counters, the estimator's: the
+// rebuilds are charged there too.
+func (d *Dynamic) Counters() *stats.Counters { return d.est.Counters() }
 
 // Estimator exposes the underlying size estimator.
 func (d *Dynamic) Estimator() *estimator.Estimator { return d.est }
 
-// RequestChange routes a change through the estimator and rebuilds the
-// static scheme when the size has doubled or halved since the last rebuild.
-func (d *Dynamic) RequestChange(req controller.Request) (controller.Grant, error) {
-	g, err := d.est.RequestChange(req)
+// Submit routes a change through the estimator and rebuilds the static
+// scheme when the size has doubled or halved since the last rebuild.
+func (d *Dynamic) Submit(req controller.Request) (controller.Grant, error) {
+	g, err := d.est.Submit(req)
 	if err != nil {
 		return g, err
 	}
@@ -88,11 +85,6 @@ func (d *Dynamic) RequestChange(req controller.Request) (controller.Grant, error
 		d.rebuild()
 	}
 	return g, nil
-}
-
-// Submit implements controller.Submitter.
-func (d *Dynamic) Submit(req controller.Request) (controller.Grant, error) {
-	return d.RequestChange(req)
 }
 
 // CheckLabelSize verifies the scheme's label size is at most

@@ -10,7 +10,6 @@ import (
 	"dynctrl/internal/dist"
 	"dynctrl/internal/labeling"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
 )
@@ -204,11 +203,10 @@ func TestDynamicLabelingShrinks(t *testing.T) {
 	// historical maximum; the dynamic wrapper must shrink them.
 	tr := randomTree(t, 512, 9)
 	tp := dist.Over(sim.NewDeterministic(9))
-	counters := stats.NewCounters()
 	dyn, err := labeling.NewDynamic(tr, tp,
 		func(tr *tree.Tree) (labeling.Scheme, int64) {
 			return labeling.BuildAncestry(tr), int64(tr.Size())
-		}, counters)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +219,7 @@ func TestDynamicLabelingShrinks(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := dyn.RequestChange(req); err != nil {
+		if _, err := dyn.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -249,14 +247,14 @@ func TestDynamicLabelingGrowth(t *testing.T) {
 	dyn, err := labeling.NewDynamic(tr, tp,
 		func(tr *tree.Tree) (labeling.Scheme, int64) {
 			return labeling.BuildAncestry(tr), int64(tr.Size())
-		}, nil)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 11)
 	for i := 0; i < 600; i++ {
 		req, _ := gen.Next()
-		g, err := dyn.RequestChange(req)
+		g, err := dyn.Submit(req)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}

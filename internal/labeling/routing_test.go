@@ -136,7 +136,7 @@ func TestRoutingDynamicWrapper(t *testing.T) {
 				t.Fatalf("rebuild: %v", err)
 			}
 			return r, int64(tr.Size())
-		}, nil)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRoutingDynamicWrapper(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := dyn.RequestChange(req); err != nil {
+		if _, err := dyn.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}

@@ -135,5 +135,5 @@ func (p *Protocol) Awake() int { return p.tr.Size() }
 // messages over a message-passing transport.
 func (p *Protocol) Messages() int64 { return p.tp.Cost(p.counters) }
 
-// Counters returns the shared counters.
+// Counters returns the counters both controllers count into.
 func (p *Protocol) Counters() *stats.Counters { return p.counters }

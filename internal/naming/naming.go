@@ -34,15 +34,12 @@ type Naming struct {
 // New builds the name-assignment protocol over tr, its controllers moving
 // packages tp's way. Initial identities are assigned by a DFS traversal (the
 // paper assumes initial identities in [1, n₀]; the traversal realizes that).
-func New(tr *tree.Tree, tp controller.Transport, counters *stats.Counters) *Naming {
-	if counters == nil {
-		counters = stats.NewCounters()
-	}
-	nm := &Naming{tr: tr, tp: tp, counters: counters, ids: make(map[tree.NodeID]int64)}
+func New(tr *tree.Tree, tp controller.Transport) *Naming {
+	nm := &Naming{tr: tr, tp: tp, counters: stats.NewCounters(), ids: make(map[tree.NodeID]int64)}
 	for id, num := range tr.DFSNumbers() {
 		nm.ids[id] = int64(num)
 	}
-	nm.epochs = tp.NewEpochs(tr, counters, nm.plan)
+	nm.epochs = tp.NewEpochs(tr, nm.counters, nm.plan)
 	return nm
 }
 
@@ -73,7 +70,7 @@ func (nm *Naming) Iteration() int { return nm.epochs.Epoch() }
 // Tree returns the tree the protocol maintains names for.
 func (nm *Naming) Tree() *tree.Tree { return nm.tr }
 
-// Counters returns the shared counters.
+// Counters returns the protocol's cost counters.
 func (nm *Naming) Counters() *stats.Counters { return nm.counters }
 
 // ID returns the current identity of a node.
@@ -85,9 +82,9 @@ func (nm *Naming) ID(v tree.NodeID) (int64, error) {
 	return id, nil
 }
 
-// RequestChange submits a topological change; added nodes receive their
-// permit serial as identity.
-func (nm *Naming) RequestChange(req controller.Request) (controller.Grant, error) {
+// Submit requests a topological change; added nodes receive their permit
+// serial as identity.
+func (nm *Naming) Submit(req controller.Request) (controller.Grant, error) {
 	g, err := nm.epochs.Submit(req)
 	if err == nil && g.Outcome == controller.Granted {
 		switch req.Kind {
@@ -98,11 +95,6 @@ func (nm *Naming) RequestChange(req controller.Request) (controller.Grant, error
 		}
 	}
 	return g, err
-}
-
-// Submit implements controller.Submitter.
-func (nm *Naming) Submit(req controller.Request) (controller.Grant, error) {
-	return nm.RequestChange(req)
 }
 
 // CheckInvariants verifies that every live node has an identity, the

@@ -17,7 +17,7 @@ func TestNamingInitialIdentities(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(1))
-	nm := naming.New(tr, tp, nil)
+	nm := naming.New(tr, tp)
 	if err := nm.CheckInvariants(); err != nil {
 		t.Fatalf("fresh naming: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestNamingUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(2))
-	nm := naming.New(tr, tp, nil)
+	nm := naming.New(tr, tp)
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 29)
 	gen.SetMinSize(6)
 	for i := 0; i < 1500; i++ {
@@ -52,7 +52,7 @@ func TestNamingUnderChurn(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := nm.RequestChange(req); err != nil {
+		if _, err := nm.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if err := nm.CheckInvariants(); err != nil {
@@ -73,11 +73,11 @@ func TestNamingGrowthKeepsIDsShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(3))
-	nm := naming.New(tr, tp, nil)
+	nm := naming.New(tr, tp)
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 5)
 	for i := 0; i < 500; i++ {
 		req, _ := gen.Next()
-		g, err := nm.RequestChange(req)
+		g, err := nm.Submit(req)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -101,7 +101,7 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	tp := dist.Over(sim.NewDeterministic(4))
-	nm := naming.New(tr, tp, nil)
+	nm := naming.New(tr, tp)
 	gen := workload.NewChurn(tr, workload.ShrinkHeavyMix(), 7)
 	gen.SetMinSize(10)
 	for i := 0; i < 2000 && tr.Size() > 16; i++ {
@@ -109,7 +109,7 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 		if !ok {
 			break
 		}
-		if _, err := nm.RequestChange(req); err != nil {
+		if _, err := nm.Submit(req); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if err := nm.CheckInvariants(); err != nil {
@@ -124,7 +124,7 @@ func TestNamingShrinkKeepsIDsShort(t *testing.T) {
 func TestNamingIDMissingNode(t *testing.T) {
 	tr, _ := tree.New()
 	tp := dist.Over(sim.NewDeterministic(5))
-	nm := naming.New(tr, tp, nil)
+	nm := naming.New(tr, tp)
 	if _, err := nm.ID(424242); err == nil {
 		t.Fatal("ID of missing node should fail")
 	}

@@ -30,7 +30,7 @@
 //
 // Violations are collected, not panicked, so a scenario run can report
 // every broken invariant at once; Err() turns them into a single error for
-// test assertions. The scenario engine (internal/workload) wraps every run
+// test assertions. The scenario runner (internal/scenario) wraps every run
 // in an Oracle unconditionally — the checks are the always-on safety net
 // every adversarial schedule runs against.
 package oracle

@@ -18,7 +18,6 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/persist"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -34,8 +33,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: nodes}, 1); err != nil {
 		b.Fatal(err)
 	}
-	counters := stats.NewCounters()
-	ctl := controller.NewDynamic(tr, 4*nodes, nodes/4, controller.WithDynamicCounters(counters))
+	ctl := controller.NewDynamic(tr, 4*nodes, nodes/4)
 	for i, id := range tr.Nodes() {
 		if i%4 != 0 {
 			continue
@@ -46,7 +44,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	}
 	st := &persist.State{
 		Index: nodes / 4, Incarnation: 1, M: 4 * nodes, W: nodes / 4,
-		Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: counters.Snapshot(),
+		Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: ctl.Counters().Snapshot(),
 	}
 	enc := persist.AppendState(nil, st)
 	b.Run("encode", func(b *testing.B) {

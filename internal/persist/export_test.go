@@ -2,9 +2,9 @@ package persist
 
 import "os"
 
-// RestoreInto is the first half of Recover: the tree and counters restored
-// in place to a snapshot's, so a test can look at them before the
-// controller is rebuilt.
+// RestoreInto is the first half of Recover: the tree restored in place to
+// a snapshot's and the snapshot's counters, so a test can look at them
+// before the controller is rebuilt.
 var RestoreInto = restoreInto
 
 // SegmentHeaderLen is the byte length of a segment header, so tests can

@@ -8,7 +8,6 @@ import (
 	"dynctrl/internal/dist"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -20,8 +19,7 @@ func fuzzState() *persist.State {
 	if err != nil {
 		panic(err)
 	}
-	counters := stats.NewCounters()
-	ctl := dist.Over(rt).NewDynamic(tr, 64, 16, controller.WithDynamicCounters(counters))
+	ctl := dist.Over(rt).NewDynamic(tr, 64, 16)
 	for i := 0; i < 6; i++ {
 		if _, err := ctl.Submit(controller.Request{Node: root, Kind: tree.AddLeaf}); err != nil {
 			panic(err)
@@ -34,7 +32,7 @@ func fuzzState() *persist.State {
 		W:           16,
 		Tree:        tr.Snapshot(),
 		Ctl:         ctl.State(),
-		Counters:    counters.Snapshot(),
+		Counters:    ctl.Counters().Snapshot(),
 	}
 }
 
@@ -140,8 +138,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatal("snapshot codec is not idempotent on an accepted input")
 		}
 		tr, _ := tree.New()
-		ctrs := stats.NewCounters()
-		if err := persist.RestoreInto(st, tr, ctrs); err != nil {
+		ctrs, err := persist.RestoreInto(st, tr)
+		if err != nil {
 			return
 		}
 		back := *st

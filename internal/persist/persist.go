@@ -45,7 +45,6 @@ import (
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/obs"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -557,10 +556,10 @@ func (e *Engine) ShouldCheckpoint() bool {
 }
 
 // Capture deep-copies the admission stack — the tree, the controller ctl
-// over it and their counters, run under the (m, w) contract — into the
+// over it and ctl's counters, run under the (m, w) contract — into the
 // state a checkpoint writes, as of the last record appended. Must not be
 // called while a submission is in flight.
-func (e *Engine) Capture(m, w int64, tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters) *State {
+func (e *Engine) Capture(m, w int64, tr *tree.Tree, ctl *controller.Dynamic) *State {
 	return &State{
 		Index:       e.AppendedIndex(),
 		Incarnation: e.Incarnation(),
@@ -568,7 +567,7 @@ func (e *Engine) Capture(m, w int64, tr *tree.Tree, ctl *controller.Dynamic, cou
 		W:           w,
 		Tree:        tr.Snapshot(),
 		Ctl:         ctl.State(),
-		Counters:    counters.Snapshot(),
+		Counters:    ctl.Counters().Snapshot(),
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"dynctrl/internal/obs"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -53,19 +53,16 @@ func forEngines(t *testing.T, fn func(t *testing.T, e engine)) {
 
 // stack is one live admission stack a test drives traffic through.
 type stack struct {
-	tp       controller.Transport
-	tr       *tree.Tree
-	ctl      *controller.Dynamic
-	counters *stats.Counters
+	tp  controller.Transport
+	tr  *tree.Tree
+	ctl *controller.Dynamic
 }
 
 func newStack(t *testing.T, e engine, seed int64) *stack {
 	t.Helper()
 	tr, _ := tree.New()
-	counters := stats.NewCounters()
 	tp := e.over(seed)
-	ctl := tp.NewDynamic(tr, testM, testW, controller.WithDynamicCounters(counters))
-	return &stack{tp: tp, tr: tr, ctl: ctl, counters: counters}
+	return &stack{tp: tp, tr: tr, ctl: tp.NewDynamic(tr, testM, testW)}
 }
 
 // trafficGen deterministically produces the identical request sequence on
@@ -153,7 +150,7 @@ func runLogged(t *testing.T, s *stack, g *trafficGen, eng *persist.Engine, n int
 			t.Fatalf("commit effect %d: %v", i, err)
 		}
 		if eng.ShouldCheckpoint() {
-			st := eng.Capture(testM, testW, s.tr, s.ctl, s.counters)
+			st := eng.Capture(testM, testW, s.tr, s.ctl)
 			if err := eng.Checkpoint(st); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
@@ -174,7 +171,7 @@ func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.O
 	// A schedule of its own: a recovered controller need not run over the
 	// crashed one's.
 	s := newStack(t, e, seed+100)
-	if s.ctl, _, err = persist.Recover(rec, s.tp, testM, testW, s.tr, s.ctl, s.counters); err != nil {
+	if s.ctl, _, err = persist.Recover(rec, s.tp, testM, testW, s.tr, s.ctl); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	return eng, s, rec
@@ -185,7 +182,9 @@ func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.O
 // produces the identical grant/reject/serial/new-node trace as the same
 // request sequence against a never-crashed stack — whichever engine wrote
 // the directory and whichever recovers it, so a WAL survives the daemon
-// changing engines.
+// changing engines. Over one engine the recovered controller also counts
+// what the crashed one counted, exactly, whether the counts come from a
+// snapshot or from replaying the whole log, and counts on into that set.
 func TestRecoveryMatchesUninterruptedRun(t *testing.T) {
 	const total, crashAt = 600, 337
 	for _, writer := range engines {
@@ -194,7 +193,9 @@ func TestRecoveryMatchesUninterruptedRun(t *testing.T) {
 				t.Run(fmt.Sprintf("%s-to-%s/snap%d", writer.name, recoverer.name, snapEvery), func(t *testing.T) {
 					ref := newStack(t, recoverer, 7)
 					refGen := newTrafficGen(ref.tr.Root(), 11)
-					want := runLogged(t, ref, refGen, nil, total)
+					want := runLogged(t, ref, refGen, nil, crashAt)
+					atCrash := ref.ctl.Counters().Snapshot()
+					want = append(want, runLogged(t, ref, refGen, nil, total-crashAt)...)
 
 					dir := t.TempDir()
 					eng, rec, err := persist.Open(dir, persist.Options{SnapshotEvery: snapEvery})
@@ -219,9 +220,22 @@ func TestRecoveryMatchesUninterruptedRun(t *testing.T) {
 					if snapEvery > 0 && rec2.Snapshot == nil {
 						t.Fatalf("no snapshot recovered despite SnapshotEvery=%d over %d effects", snapEvery, crashAt)
 					}
+					// The two engines count different things (moves, control
+					// messages), so counts compare only over one.
+					sameEngine := writer.name == recoverer.name
+					counters := s2.ctl.Counters()
+					if got := counters.Snapshot(); sameEngine && !reflect.DeepEqual(got, atCrash) {
+						t.Fatalf("recovered counters %v, the uninterrupted run's at index %d %v", got, crashAt, atCrash)
+					}
 					got = append(got, runLogged(t, s2, gen, eng2, total-crashAt)...)
 					if err := eng2.Close(); err != nil {
 						t.Fatal(err)
+					}
+					if s2.ctl.Counters() != counters {
+						t.Fatal("the recovered controller replaced its counters after recovery")
+					}
+					if got, want := counters.Snapshot(), ref.ctl.Counters().Snapshot(); sameEngine && !reflect.DeepEqual(got, want) {
+						t.Fatalf("counters after the restart %v, the uninterrupted run's %v", got, want)
 					}
 
 					if len(got) != len(want) {
@@ -361,7 +375,7 @@ func TestRecoveryTruncatedSnapshot(t *testing.T) {
 		s := newStack(t, e, 3)
 		gen := newTrafficGen(s.tr.Root(), 5)
 		runLogged(t, s, gen, eng, 60)
-		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl, s.counters)); err != nil {
+		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl)); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {
@@ -437,7 +451,7 @@ func TestRecoverySnapshotNewerThanWAL(t *testing.T) {
 		s := newStack(t, e, 3)
 		gen := newTrafficGen(s.tr.Root(), 5)
 		runLogged(t, s, gen, eng, 40)
-		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl, s.counters)); err != nil {
+		if err := eng.Checkpoint(eng.Capture(testM, testW, s.tr, s.ctl)); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Close(); err != nil {
@@ -507,7 +521,7 @@ func TestCloseDuringCheckpointRace(t *testing.T) {
 				ticket, aerr := eng.AppendEffects(reqs, results)
 				var snap *persist.State
 				if aerr == nil && eng.ShouldCheckpoint() {
-					snap = eng.Capture(testM, testW, s.tr, s.ctl, s.counters)
+					snap = eng.Capture(testM, testW, s.tr, s.ctl)
 				}
 				mu.Unlock()
 				if aerr != nil {
@@ -646,7 +660,7 @@ func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
 			t.Errorf("%s 2^32+1 decoded as %d", tc.field, got)
 		}
 		tr, _ := tree.New()
-		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr, nil, nil)
+		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr, nil)
 		if tc.field == "parent port" && err == nil {
 			t.Errorf("snapshot with %s 2^32+1 recovered", tc.field)
 		}
@@ -823,7 +837,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 			W:           testW,
 			Tree:        s.tr.Snapshot(),
 			Ctl:         s.ctl.State(),
-			Counters:    s.counters.Snapshot(),
+			Counters:    s.ctl.Counters().Snapshot(),
 		}
 		enc1 := persist.AppendState(nil, st)
 		dec, err := persist.DecodeSnapshot(enc1)
@@ -837,8 +851,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 
 		// The decoded state restores into an equivalent stack.
 		tr, _ := tree.New()
-		counters := stats.NewCounters()
-		ctl, _, err := persist.Recover(&persist.Recovery{Snapshot: dec}, e.over(99), testM, testW, tr, nil, counters)
+		ctl, _, err := persist.Recover(&persist.Recovery{Snapshot: dec}, e.over(99), testM, testW, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

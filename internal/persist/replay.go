@@ -11,12 +11,15 @@ import (
 )
 
 // Recover continues the admission stack Open found in rec, under the
-// (m, w) contract: ctl is a fresh controller over tr and counters. With a
-// snapshot, it refuses one taken under another contract, restores tr in
-// place (so whatever holds the *Tree sees the recovered topology) and
-// validates it, re-seeds counters and rebuilds the controller from the
-// snapshot over tp. Then it replays the tail through the controller, and
-// returns that controller and the number of effects replayed.
+// (m, w) contract: ctl is a fresh controller over tr. With a snapshot, it
+// refuses one taken under another contract, restores tr in place (so
+// whatever holds the *Tree sees the recovered topology) and validates it,
+// and rebuilds the controller from the snapshot over tp, counting into a
+// new set that holds the snapshot's counts. Then it replays the tail
+// through the controller, and returns that controller and the number of
+// effects replayed. The returned controller's Counters is ctl's only when
+// there was no snapshot: read the counts from it after Recover, never from
+// a set taken before.
 //
 // The daemon recovers over controller.Centralized and the scenario runner
 // over dist.Over(rt), a runtime whose schedule seed need not match the
@@ -24,16 +27,16 @@ import (
 // distributed one is delivery-schedule invariant (the engine-equivalence
 // table and the scenario suite pin both), so replay is deterministic
 // without persisting transport state.
-func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters) (*controller.Dynamic, int, error) {
+func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree, ctl *controller.Dynamic) (*controller.Dynamic, int, error) {
 	if st := rec.Snapshot; st != nil {
 		if st.M != m || st.W != w {
 			return nil, 0, fmt.Errorf("persist: snapshot was taken under (M=%d, W=%d), recovering under (M=%d, W=%d)",
 				st.M, st.W, m, w)
 		}
-		if err := restoreInto(st, tr, counters); err != nil {
+		counters, err := restoreInto(st, tr)
+		if err != nil {
 			return nil, 0, err
 		}
-		var err error
 		if ctl, err = tp.RestoreDynamic(tr, st.Ctl, counters); err != nil {
 			return nil, 0, err
 		}
@@ -45,20 +48,20 @@ func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree, 
 	return ctl, applied, nil
 }
 
-// restoreInto restores tr and counters in place to the snapshot's.
-func restoreInto(st *State, tr *tree.Tree, counters *stats.Counters) error {
+// restoreInto restores tr in place to the snapshot's, and returns a new
+// counter set holding the snapshot's counts.
+func restoreInto(st *State, tr *tree.Tree) (*stats.Counters, error) {
 	if st.Tree == nil || st.Ctl == nil {
-		return fmt.Errorf("persist: snapshot missing tree or controller state")
+		return nil, fmt.Errorf("persist: snapshot missing tree or controller state")
 	}
 	if err := tr.Restore(st.Tree); err != nil {
-		return fmt.Errorf("persist: restore tree: %w", err)
+		return nil, fmt.Errorf("persist: restore tree: %w", err)
 	}
-	if counters != nil {
-		if err := counters.Restore(st.Counters); err != nil {
-			return fmt.Errorf("persist: restore counters: %w", err)
-		}
+	counters := stats.NewCounters()
+	if err := counters.Restore(st.Counters); err != nil {
+		return nil, fmt.Errorf("persist: restore counters: %w", err)
 	}
-	return nil
+	return counters, nil
 }
 
 // Replay re-submits the tail's effect records through sub in log order and

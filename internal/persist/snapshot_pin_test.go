@@ -9,7 +9,6 @@ import (
 	"dynctrl/internal/dist"
 	"dynctrl/internal/persist"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
 
@@ -19,10 +18,10 @@ import (
 // notice which package declares the state types. A deliberate format change
 // bumps snapshotFormat and replaces the constants.
 func TestSnapshotEncodingPinned(t *testing.T) {
-	capture := func(tr *tree.Tree, ctl *controller.Dynamic, counters *stats.Counters, index uint64, m, w int64) string {
+	capture := func(tr *tree.Tree, ctl *controller.Dynamic, index uint64, m, w int64) string {
 		sum := sha256.Sum256(persist.AppendState(nil, &persist.State{
 			Index: index, Incarnation: 3, M: m, W: w,
-			Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: counters.Snapshot(),
+			Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: ctl.Counters().Snapshot(),
 		}))
 		return hex.EncodeToString(sum[:])
 	}
@@ -38,7 +37,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 			t.Fatalf("state too plain to pin: %d iterations, %d stores", st.Iterations, len(st.Inner.Board.Stores))
 		}
 		const want = "0e7f099302a34d63c6053c5107bdfd42a96cec94258cce021ae2fbee23b41ff5"
-		if got := capture(s.tr, s.ctl, s.counters, 1500, testM, testW); got != want {
+		if got := capture(s.tr, s.ctl, 1500, testM, testW); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}
 	})
@@ -59,8 +58,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counters := stats.NewCounters()
-		ctl := dist.Over(rt).NewDynamic(tr, m, 0, controller.WithDynamicCounters(counters))
+		ctl := dist.Over(rt).NewDynamic(tr, m, 0)
 		n := 0
 		submit := func(at tree.NodeID) {
 			t.Helper()
@@ -84,7 +82,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 			submit(path[depth-1])
 		}
 		const want = "384cb97620b14d4245a12d346d9b3497801a153df8d3e40f02f66c873d931143"
-		if got := capture(tr, ctl, counters, uint64(n), m, 0); got != want {
+		if got := capture(tr, ctl, uint64(n), m, 0); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}
 	})

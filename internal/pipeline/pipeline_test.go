@@ -45,8 +45,7 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := buildTree(t, tc.n, 1)
-			counters := stats.NewCounters()
-			ctl := dist.Over(sim.NewDeterministic(7)).NewDynamic(tr, tc.m, tc.w, controller.WithDynamicCounters(counters))
+			ctl := dist.Over(sim.NewDeterministic(7)).NewDynamic(tr, tc.m, tc.w)
 			pl := pipeline.New(ctl)
 			ct, err := workload.NewConcurrentTrace(tr, tc.clients, tc.perCl, tc.mix, 11)
 			if err != nil {
@@ -60,7 +59,7 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 			if res.Granted > tc.m {
 				t.Fatalf("safety violated: %d permits granted, M = %d", res.Granted, tc.m)
 			}
-			if got := counters.Get(stats.CounterGrants); got != res.Granted {
+			if got := ctl.Counters().Get(stats.CounterGrants); got != res.Granted {
 				t.Fatalf("grant accounting: clients saw %d grants, counters say %d", res.Granted, got)
 			}
 			if res.Granted+res.Rejected != res.Submitted {
@@ -105,10 +104,8 @@ func batchSerialCentralized(t *testing.T, m int64, steps int) {
 	const n, batchSize = 64, 7
 	trSerial := buildTree(t, n, 3)
 	trBatch := buildTree(t, n, 3)
-	countersSerial := stats.NewCounters()
-	countersBatch := stats.NewCounters()
-	serial := controller.NewDynamic(trSerial, m, m/2, controller.WithDynamicCounters(countersSerial))
-	batch := controller.Centralized.NewDynamic(trBatch, m, m/2, controller.WithDynamicCounters(countersBatch))
+	serial := controller.NewDynamic(trSerial, m, m/2)
+	batch := controller.Centralized.NewDynamic(trBatch, m, m/2)
 
 	// The generator runs against the serial tree; both trees evolve
 	// identically while outcomes agree, so the recorded requests stay valid
@@ -154,7 +151,7 @@ func batchSerialCentralized(t *testing.T, m int64, steps int) {
 		t.Fatalf("granted: serial %d, batch %d", s, b)
 	}
 	for _, key := range []stats.Counter{stats.CounterGrants, stats.CounterRejects, stats.CounterMoves} {
-		if s, b := countersSerial.Get(key), countersBatch.Get(key); s != b {
+		if s, b := serial.Counters().Get(key), batch.Counters().Get(key); s != b {
 			t.Fatalf("counter %s: serial %d, batch %d", key, s, b)
 		}
 	}
@@ -169,10 +166,8 @@ func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	m, w := int64(400), int64(80)
 	rtSerial := sim.NewDeterministic(23)
 	rtBatch := sim.NewDeterministic(23)
-	countersSerial := stats.NewCounters()
-	countersBatch := stats.NewCounters()
-	serial := dist.Over(rtSerial).NewDynamic(trSerial, m, w, controller.WithDynamicCounters(countersSerial))
-	batch := dist.Over(rtBatch).NewDynamic(trBatch, m, w, controller.WithDynamicCounters(countersBatch))
+	serial := dist.Over(rtSerial).NewDynamic(trSerial, m, w)
+	batch := dist.Over(rtBatch).NewDynamic(trBatch, m, w)
 
 	ct, err := workload.NewConcurrentTrace(trSerial, 4, 200, workload.EventHeavyConcurrentMix(), 29)
 	if err != nil {
@@ -210,7 +205,7 @@ func TestBatchSerialEquivalenceDistributed(t *testing.T) {
 	if s, b := rtSerial.Messages(), rtBatch.Messages(); s != b {
 		t.Fatalf("transport messages: serial %d, batch %d", s, b)
 	}
-	if s, b := dist.Over(rtSerial).Cost(countersSerial), dist.Over(rtBatch).Cost(countersBatch); s != b {
+	if s, b := dist.Over(rtSerial).Cost(serial.Counters()), dist.Over(rtBatch).Cost(batch.Counters()); s != b {
 		t.Fatalf("total messages: serial %d, batch %d", s, b)
 	}
 }

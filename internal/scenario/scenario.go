@@ -188,23 +188,26 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 		return res, err
 	}
 	tp := dist.Over(rt)
-	counters := stats.NewCounters()
 
 	// U must bound the nodes ever to exist: the initial topology plus at
 	// most one insertion per request.
 	u := int64(sc.Topology.Nodes + requests + 4)
-	var target controller.Submitter
+	// target is what the run drives and reads the costs of; recovery
+	// replaces it.
+	var target interface {
+		controller.Submitter
+		Counters() *stats.Counters
+	}
 	var dyn *controller.Dynamic // set for "dynamic": the durability axis snapshots it
 	opts := []oracle.Option{oracle.WithMessages(rt.Messages)}
 	switch sc.Controller {
 	case "dynamic":
-		dyn = tp.NewDynamic(tr, sc.M, sc.W, controller.WithDynamicCounters(counters))
+		dyn = tp.NewDynamic(tr, sc.M, sc.W)
 		target = dyn
 	case "core":
-		target = tp.NewCore(tr, u, sc.M, sc.W, controller.WithCounters(counters))
+		target = tp.NewCore(tr, u, sc.M, sc.W)
 	case "core-serials":
 		target = tp.NewCore(tr, u, sc.M, sc.W,
-			controller.WithCounters(counters),
 			controller.WithSerials(pkgstore.Interval{Lo: 1, Hi: sc.M}))
 		opts = append(opts, oracle.WithSerials())
 	default:
@@ -302,7 +305,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			return res, err
 		}
 		if eng.ShouldCheckpoint() {
-			if err := eng.Checkpoint(eng.Capture(sc.M, sc.W, tr, dyn, counters)); err != nil {
+			if err := eng.Checkpoint(eng.Capture(sc.M, sc.W, tr, dyn)); err != nil {
 				return res, err
 			}
 		}
@@ -325,14 +328,14 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			}
 			// Recover as the daemon does: a fresh controller over the initial
 			// topology, which recovery replaces with the snapshot's, if any.
-			counters.Reset()
 			if err := tr.Restore(bootSnap); err != nil {
 				return res, err
 			}
-			dyn = tp.NewDynamic(tr, sc.M, sc.W, controller.WithDynamicCounters(counters))
-			if dyn, _, err = persist.Recover(rec, tp, sc.M, sc.W, tr, dyn, counters); err != nil {
+			dyn = tp.NewDynamic(tr, sc.M, sc.W)
+			if dyn, _, err = persist.Recover(rec, tp, sc.M, sc.W, tr, dyn); err != nil {
 				return res, err
 			}
+			target = dyn
 			// The recovered incarnation gets a fresh oracle seeded with the
 			// totals the previous one confirmed, so safety keeps counting
 			// across the restart; violations accumulate across incarnations.
@@ -347,9 +350,9 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 	res.Rejected = orc.Rejected()
 	res.Crashes = faults.crashes
 	res.Recoveries = faults.recoveries
-	res.TopoChanges = counters.Get(stats.CounterTopoChanges)
+	res.TopoChanges = target.Counters().Get(stats.CounterTopoChanges)
 	res.TransportMessages = msgBase + rt.Messages()
-	res.ControlMessages = counters.Get(stats.CounterControl)
+	res.ControlMessages = target.Counters().Get(stats.CounterControl)
 	res.FinalNodes = tr.Size()
 	res.FinalHeight = tr.Height()
 	res.Violations = append(res.Violations, orc.Finish()...)

@@ -498,7 +498,7 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 // request adds a leaf, so the depth slice Height scans is reallocated many
 // times over, and every grant is three counter adds) while /metricsz is
 // rendered in a loop; under -race a bare read of tn.tr.Size(), Height() or
-// tn.ctrs.Get() is reported here. What a scrape reads must also be a state
+// tn.ctl.Counters().Get() is reported here. What a scrape reads must also be a state
 // the writer's order allows: the initial 16 nodes plus one per grant some
 // prefix of the runs decided, and, the engine being read at one instant,
 // exactly as many nodes above the initial 16 as topological changes counted.

@@ -15,7 +15,6 @@ import (
 	"dynctrl/internal/persist"
 	"dynctrl/internal/server"
 	"dynctrl/internal/sim"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 	"dynctrl/internal/workload"
@@ -65,8 +64,9 @@ func driveTraffic(t *testing.T, addr string, conns, perClient int) int64 {
 // TestServerCrashRecovery: hard-kill a WAL-enabled daemon under confirmed
 // traffic, restart it over the same directory, and require: the
 // incarnation bumps, every confirmed grant survived, the recovered daemon
-// serves new traffic, granted never exceeds M across incarnations, and
-// the cross-incarnation oracle is clean.
+// serves new traffic, granted never exceeds M across incarnations, the
+// cross-incarnation oracle is clean, and a graceful restart brings back
+// the engine's counters exactly.
 func TestServerCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 
@@ -123,7 +123,8 @@ func TestServerCrashRecovery(t *testing.T) {
 	if err := s2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if v := s2.Tenants()[0].Violations; len(v) != 0 {
+	drained := s2.Tenants()[0]
+	if v := drained.Violations; len(v) != 0 {
 		t.Fatalf("oracle violations across the restart: %v", v)
 	}
 
@@ -152,6 +153,13 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 	if third.CtlGrants < recovered+confirmed2 {
 		t.Fatalf("graceful restart lost grants: %d < %d", third.CtlGrants, recovered+confirmed2)
+	}
+	// The engine's counters come back exactly as the drain left them.
+	counts := func(v server.TenantView) [4]int64 {
+		return [4]int64{v.Moves, v.CtlGrants, v.CtlRejects, v.TopoChanges}
+	}
+	if got, want := counts(third), counts(drained); got != want {
+		t.Fatalf("graceful restart: moves, grants, rejects, topological changes %v, before the restart %v", got, want)
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
@@ -262,8 +270,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := build()
-	ctrs := stats.NewCounters()
-	oldCtl := dist.Over(sim.NewDeterministic(seed)).NewDynamic(old, m, w, controller.WithDynamicCounters(ctrs))
+	oldCtl := dist.Over(sim.NewDeterministic(seed)).NewDynamic(old, m, w)
 	for i, req := range reqs[:cut] {
 		g, err := oldCtl.Submit(req)
 		if err != nil || g != want[i] {
@@ -273,7 +280,7 @@ func TestRecoveryAcrossEngineSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eng.ShouldCheckpoint() {
-			if err := eng.Checkpoint(eng.Capture(m, w, old, oldCtl, ctrs)); err != nil {
+			if err := eng.Checkpoint(eng.Capture(m, w, old, oldCtl)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -341,7 +341,7 @@ func TestParanoidBudgetFollowsMoveCounter(t *testing.T) {
 	}
 	tn := s.tenants[wire.DefaultTenant]
 	tn.mu.Lock()
-	tn.ctrs.Add(stats.CounterMoves, 100_000)
+	tn.ctl.Counters().Add(stats.CounterMoves, 100_000)
 	tn.mu.Unlock()
 	submit()
 	v := s.Tenants()[0].Violations

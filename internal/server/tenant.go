@@ -62,10 +62,10 @@ type tenant struct {
 	mu sync.Mutex
 	tr *tree.Tree
 	// ctl is the engine: the centralized unknown-U controller of Section 3,
-	// whose cost is the move counter in ctrs.
-	ctl  *controller.Dynamic
-	ctrs *stats.Counters
-	orc  *oracle.Oracle // non-nil in paranoid mode
+	// whose cost is the move counter in ctl.Counters(). Recovery replaces
+	// ctl, counters and all, so the counters are read through it each time.
+	ctl *controller.Dynamic
+	orc *oracle.Oracle // non-nil in paranoid mode
 	// sub is what submit drives: ctl, or in paranoid mode orc around it.
 	sub controller.BatchSubmitter
 	// refuse, once set, answers every request of every run *before* it
@@ -159,23 +159,24 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 	t.maxRun = max(t.maxRun, len(reqs))
 	var execStart time.Time
 	var movesBefore int64
+	ctrs := t.ctl.Counters()
 	traced := t.tracer != nil
 	if traced {
-		movesBefore = t.ctrs.Get(stats.CounterMoves)
+		movesBefore = ctrs.Get(stats.CounterMoves)
 		execStart = time.Now()
 	}
 	base := len(out)
-	rejectsBefore := t.ctrs.Get(stats.CounterRejects)
+	rejectsBefore := ctrs.Get(stats.CounterRejects)
 	out = t.sub.SubmitBatch(reqs, out)
 	if traced {
 		rc.exec = time.Since(execStart)
-		rc.moves = t.ctrs.Get(stats.CounterMoves) - movesBefore
+		rc.moves = ctrs.Get(stats.CounterMoves) - movesBefore
 	}
 	// The run that decides the first reject decides the wave, whose grant
 	// total is final from that reject on. The wave's WAL marker goes right
 	// behind the run's effects (log order is execution order), and the run's
 	// ticket covers it.
-	decided := !t.waved && t.ctrs.Get(stats.CounterRejects) > rejectsBefore
+	decided := !t.waved && ctrs.Get(stats.CounterRejects) > rejectsBefore
 	if decided {
 		t.waved, t.waveGranted = true, t.ctl.Granted()
 		rc.wave, rc.granted = true, t.waveGranted
@@ -199,7 +200,7 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 			rc.ticket, rc.hasTicket = ticket, true
 		}
 		if t.eng.ShouldCheckpoint() {
-			t.eng.CheckpointAsync(t.eng.Capture(t.cfg.M, t.cfg.W, t.tr, t.ctl, t.ctrs))
+			t.eng.CheckpointAsync(t.eng.Capture(t.cfg.M, t.cfg.W, t.tr, t.ctl))
 		}
 	}
 	return out, rc
@@ -222,15 +223,13 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 	// (the one a remote load generator can reconstruct from the shape and
 	// seed); recovery below may evolve the live tree past it.
 	topoSig := tr.Signature()
-	ctrs := stats.NewCounters()
 
 	tn := &tenant{
 		name:    tc.Name,
 		cfg:     tc,
 		logger:  cfg.Logger,
 		tr:      tr,
-		ctl:     controller.NewDynamic(tr, tc.M, tc.W, controller.WithDynamicCounters(ctrs)),
-		ctrs:    ctrs,
+		ctl:     controller.NewDynamic(tr, tc.M, tc.W),
 		topoSig: topoSig,
 	}
 	if cfg.TraceRing >= 0 {
@@ -252,7 +251,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q: open wal: %w", tc.Name, err)
 		}
-		tn.ctl, tn.recoveredEffects, err = persist.Recover(rec, controller.Centralized, tc.M, tc.W, tr, tn.ctl, ctrs)
+		tn.ctl, tn.recoveredEffects, err = persist.Recover(rec, controller.Centralized, tc.M, tc.W, tr, tn.ctl)
 		if err != nil {
 			eng.Close()
 			return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)
@@ -277,8 +276,8 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		// Seed the oracle with the recovered totals, so the safety counter
 		// spans incarnations.
 		tn.orc = oracle.Wrap(tn.ctl, tr, tc.M, tc.W,
-			oracle.WithMessages(func() int64 { return ctrs.Get(stats.CounterMoves) }),
-			oracle.WithBaseline(tn.ctl.Granted(), ctrs.Get(stats.CounterRejects)))
+			oracle.WithMessages(func() int64 { return tn.ctl.Counters().Get(stats.CounterMoves) }),
+			oracle.WithBaseline(tn.ctl.Granted(), tn.ctl.Counters().Get(stats.CounterRejects)))
 		tn.sub = tn.orc
 	}
 	return tn, nil
@@ -349,10 +348,11 @@ func (t *tenant) view() TenantView {
 	}
 	t.mu.Lock()
 	v.Nodes, v.Height = t.tr.Size(), t.tr.Height()
-	v.Moves = t.ctrs.Get(stats.CounterMoves)
-	v.CtlGrants = t.ctrs.Get(stats.CounterGrants)
-	v.CtlRejects = t.ctrs.Get(stats.CounterRejects)
-	v.TopoChanges = t.ctrs.Get(stats.CounterTopoChanges)
+	ctrs := t.ctl.Counters()
+	v.Moves = ctrs.Get(stats.CounterMoves)
+	v.CtlGrants = ctrs.Get(stats.CounterGrants)
+	v.CtlRejects = ctrs.Get(stats.CounterRejects)
+	v.TopoChanges = ctrs.Get(stats.CounterTopoChanges)
 	v.Runs, v.RunRequests, v.MaxRun = t.runs, t.runReqs, t.maxRun
 	v.Waved, v.WaveGranted = t.waved, t.waveGranted
 	if t.orc != nil {

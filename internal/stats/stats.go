@@ -93,12 +93,9 @@ func (c *Counters) Inc(name Counter) { c.Add(name, 1) }
 // Get returns the value of counter name (zero if never touched).
 func (c *Counters) Get(name Counter) int64 { return c.counts[name] }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() { *c = Counters{} }
-
 // Restore replaces every counter with the given values, keyed by counter
-// name (the durability engine's recovery path re-seeds the shared counters
-// from a snapshot). A name outside the canonical set is an error and leaves
+// name (the durability engine's recovery path fills a new set from a
+// snapshot). A name outside the canonical set is an error and leaves
 // the counters as they were.
 func (c *Counters) Restore(values map[string]int64) error {
 	var restored Counters

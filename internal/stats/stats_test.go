@@ -29,10 +29,6 @@ func TestCountersBasic(t *testing.T) {
 	if got := c.Get(CounterGrants); got != 2 {
 		t.Fatal("snapshot must be a copy")
 	}
-	c.Reset()
-	if got := c.Get(CounterMoves); got != 0 || len(c.Snapshot()) != 0 {
-		t.Fatalf("after reset moves = %d and snapshot %v, want 0 and empty", got, c.Snapshot())
-	}
 }
 
 // TestCountersRestore pins what a persisted snapshot relies on: Restore and
