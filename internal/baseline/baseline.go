@@ -62,18 +62,19 @@ func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	if err != nil {
 		return controller.Grant{}, err
 	}
-	t.counters.Add(stats.CounterMoves, int64(d))
-	t.granted++
-	t.counters.Inc(stats.CounterGrants)
-	g := controller.Grant{Outcome: controller.Granted}
-	g.NewNode, err = controller.ApplyChange(t.tr, req)
+	// Apply the change before charging it, as the trivial tail of
+	// controller.Iterated does: a change the tree refuses costs no permit.
+	newNode, err := controller.ApplyChange(t.tr, req)
 	if err != nil {
 		return controller.Grant{}, err
 	}
+	t.counters.Add(stats.CounterMoves, int64(d))
+	t.granted++
+	t.counters.Inc(stats.CounterGrants)
 	if req.Kind != tree.None {
 		t.counters.Inc(stats.CounterTopoChanges)
 	}
-	return g, nil
+	return controller.Grant{Outcome: controller.Granted, NewNode: newNode}, nil
 }
 
 // ErrUnsupportedChange is returned by GrowOnly for any topological change

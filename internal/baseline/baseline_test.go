@@ -33,6 +33,37 @@ func TestTrivialGrantsAndRejects(t *testing.T) {
 	}
 }
 
+// TestTrivialInvalidChangeKeepsPermit: a request whose change the tree
+// refuses (remove-leaf at an internal node) is an error, not a grant, so it
+// must leave the permit budget and every counter as they were; with M = 1
+// the next valid request still gets the one permit.
+func TestTrivialInvalidChangeKeepsPermit(t *testing.T) {
+	tr, root := tree.New()
+	a, err := tr.ApplyAddLeaf(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.ApplyAddLeaf(a); err != nil {
+		t.Fatal(err)
+	}
+	tv := baseline.NewTrivial(tr, 1)
+	if _, err := tv.Submit(ctl.Request{Node: a, Kind: tree.RemoveLeaf}); err == nil {
+		t.Fatal("remove-leaf at an internal node was accepted")
+	}
+	if tv.Granted() != 0 {
+		t.Fatalf("granted = %d after a refused change, want 0", tv.Granted())
+	}
+	for name, v := range tv.Counters().Snapshot() {
+		if v != 0 {
+			t.Fatalf("counter %s = %d after a refused change, want 0", name, v)
+		}
+	}
+	g, err := tv.Submit(ctl.Request{Node: a, Kind: tree.None})
+	if err != nil || g.Outcome != ctl.Granted {
+		t.Fatalf("valid request after a refused change: %v %v, want Granted", g.Outcome, err)
+	}
+}
+
 func TestTrivialCostIsDepthPerRequest(t *testing.T) {
 	tr, root := tree.New()
 	// Build a path of depth 50 via the controller itself.

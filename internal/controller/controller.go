@@ -89,7 +89,7 @@ func NewCore(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Core {
 // before the first request is submitted.
 func (c *Core) EnableDomainTracking() {
 	if c.domains == nil {
-		c.domains = NewDomainTracker(c.tr, c.params)
+		c.domains = newDomainTracker(c.tr, c.params)
 	}
 }
 
@@ -175,7 +175,7 @@ func (c *Core) distribute(found *pkgstore.Package, host, u tree.NodeID, curDist 
 		return pkgstore.Package{}, fmt.Errorf("distribute: %w", err)
 	}
 	if c.domains != nil {
-		c.domains.OnConsumed(pkg)
+		c.domains.onConsumed(pkg)
 	}
 	// The drop points lie on one path, u_0 nearest u: one ascending walk
 	// finds them all before the package starts down past them.
@@ -199,7 +199,7 @@ func (c *Core) distribute(found *pkgstore.Package, host, u tree.NodeID, curDist 
 			return pkgstore.Package{}, err
 		}
 		if c.domains != nil {
-			if err := c.domains.OnFormed(&p1, u, target); err != nil {
+			if err := c.domains.onFormed(&p1, u, target); err != nil {
 				return pkgstore.Package{}, err
 			}
 		}
@@ -242,7 +242,7 @@ func (c *Core) moveDown(size int64, host, target tree.NodeID, dist int64) {
 func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, error) {
 	g, err := c.Grant(req, static, c.handoff)
 	if err == nil && req.Kind == tree.AddInternal && c.domains != nil {
-		c.domains.OnAddInternal(g.NewNode, req.Child)
+		c.domains.onAddInternal(g.NewNode, req.Child)
 	}
 	return g, err
 }
@@ -254,7 +254,7 @@ func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, er
 func (c *Core) handoff(_, parent tree.NodeID, child *pkgstore.Store) {
 	c.counters.Add(stats.CounterMoves, 1)
 	if c.domains != nil {
-		c.domains.OnHostMoved(child.Mobiles(), parent)
+		c.domains.onHostMoved(child.Mobiles(), parent)
 	}
 	c.Absorb(parent, child.Statics(), child.HasReject())
 	c.Absorb(parent, child.Mobiles(), false)

@@ -22,7 +22,7 @@ type DomainTracker struct {
 	params pkgstore.Params
 	// domains maps the Tag of each tracked mobile package to its domain. A
 	// package's address moves whenever its store's slice grows or gives up a
-	// slot, so the tracker names it by the tag it stamps in OnFormed, which
+	// slot, so the tracker names it by the tag it stamps in onFormed, which
 	// travels with the package's value; next is the tag it stamps next.
 	domains map[uint32]*domain
 	next    uint32
@@ -37,8 +37,8 @@ type domain struct {
 	members []tree.NodeID
 }
 
-// NewDomainTracker returns an empty tracker.
-func NewDomainTracker(tr *tree.Tree, params pkgstore.Params) *DomainTracker {
+// newDomainTracker returns an empty tracker.
+func newDomainTracker(tr *tree.Tree, params pkgstore.Params) *DomainTracker {
 	return &DomainTracker{
 		tr:      tr,
 		params:  params,
@@ -58,12 +58,12 @@ func (d *DomainTracker) LevelCounts() map[int]int {
 	return out
 }
 
-// OnFormed records the domain of a freshly dropped level-k package pk left
+// onFormed records the domain of a freshly dropped level-k package pk left
 // at its drop point target = u_k during procedure Proc serving a request at
 // u (Case 2 of the domain definitions): the members are the nodes x on the
 // path between u and target with 1 ≤ d(x, target) ≤ 2^{k-1}ψ. It stamps pk
 // with a fresh tag, so it must see the package before it enters the store.
-func (d *DomainTracker) OnFormed(pk *pkgstore.Package, u, target tree.NodeID) error {
+func (d *DomainTracker) onFormed(pk *pkgstore.Package, u, target tree.NodeID) error {
 	size := int(d.params.DomainSize(pk.Level))
 	path, err := d.tr.PathBetween(u, target) // bottom-up: path[0]=u ... path[last]=target
 	if err != nil {
@@ -84,16 +84,16 @@ func (d *DomainTracker) OnFormed(pk *pkgstore.Package, u, target tree.NodeID) er
 	return nil
 }
 
-// OnConsumed drops the domain of a package that split, became static or was
+// onConsumed drops the domain of a package that split, became static or was
 // canceled.
-func (d *DomainTracker) OnConsumed(pk pkgstore.Package) {
+func (d *DomainTracker) onConsumed(pk pkgstore.Package) {
 	delete(d.domains, pk.Tag)
 }
 
-// OnAddInternal applies Case 4 of the domain update rules: the new node,
+// onAddInternal applies Case 4 of the domain update rules: the new node,
 // inserted as the parent of childID, joins every domain containing childID,
 // and each such domain sheds its bottom-most existing member.
-func (d *DomainTracker) OnAddInternal(newID, childID tree.NodeID) {
+func (d *DomainTracker) onAddInternal(newID, childID tree.NodeID) {
 	for _, dom := range d.domains {
 		idx := -1
 		for i, m := range dom.members {
@@ -118,9 +118,9 @@ func (d *DomainTracker) OnAddInternal(newID, childID tree.NodeID) {
 	}
 }
 
-// OnHostMoved re-homes the domains of packages that migrated to a deleted
+// onHostMoved re-homes the domains of packages that migrated to a deleted
 // host's parent (graceful deletion).
-func (d *DomainTracker) OnHostMoved(pkgs []pkgstore.Package, newHost tree.NodeID) {
+func (d *DomainTracker) onHostMoved(pkgs []pkgstore.Package, newHost tree.NodeID) {
 	for _, pk := range pkgs {
 		if dom, ok := d.domains[pk.Tag]; ok {
 			dom.host = newHost

@@ -80,11 +80,8 @@ func (e *Estimator) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOpt
 	if e.subtree {
 		e.omega0 = make(map[tree.NodeID]int64, ni)
 		e.passed = make(map[tree.NodeID]int64, ni)
-		for _, id := range e.tr.Nodes() {
-			sz, err := e.tr.SubtreeSize(id)
-			if err == nil {
-				e.omega0[id] = int64(sz)
-			}
+		for id, iv := range e.tr.Intervals() {
+			e.omega0[id] = int64(iv[1] - iv[0] + 1)
 		}
 		opts = append(opts, controller.WithDescentObserver(func(size int64, enters tree.NodeID) {
 			e.passed[enters] += size

@@ -225,13 +225,66 @@ func TestSubtreeEstimatorSandwich(t *testing.T) {
 	}
 }
 
+// TestOmega0IsSubtreeSize: the subtree estimator's ω₀(v) is the live
+// subtree size of v at the start of the iteration, right after New and right
+// after the rollover that a run of leaf insertions forces. The iteration
+// starts before the request that triggered it is applied, so the node that
+// request added is left out of the count.
+func TestOmega0IsSubtreeSize(t *testing.T) {
+	for _, kind := range []string{"path", "balanced"} {
+		t.Run(kind, func(t *testing.T) {
+			tr, _ := tree.New()
+			if err := tree.Build(tr, tree.Shape{Kind: kind, Nodes: 256}, 5); err != nil {
+				t.Fatal(err)
+			}
+			est, err := estimator.New(tr, ctl.Centralized, 2, estimator.WithSubtreeEstimates())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string, added tree.NodeID) {
+				t.Helper()
+				for _, v := range tr.Nodes() {
+					var want int64
+					for u := range tr.Subtree(v) {
+						if u != added {
+							want++
+						}
+					}
+					got, ok := est.Omega0(v)
+					if v == added {
+						if ok {
+							t.Fatalf("%s: node %d joined mid-iteration but has ω₀ = %d", when, v, got)
+						}
+						continue
+					}
+					if !ok || got != want {
+						t.Fatalf("%s: ω₀(%d) = %d (%v), want subtree size %d", when, v, got, ok, want)
+					}
+				}
+			}
+			check("after New", tree.InvalidNode)
+			nodes := tr.Nodes()
+			for i := 0; est.Iteration() == 1; i++ {
+				g, err := est.Submit(ctl.Request{Node: nodes[i*37%len(nodes)], Kind: tree.AddLeaf})
+				if err != nil || g.Outcome != ctl.Granted {
+					t.Fatalf("request %d: %v %v", i, g.Outcome, err)
+				}
+				if est.Iteration() != 1 {
+					check("after rollover", g.NewNode)
+				}
+			}
+		})
+	}
+}
+
 // currentSubtreeSizes computes the subtree size of every live node (the
-// super-weight at an iteration boundary).
+// super-weight at an iteration boundary) by counting Subtree(v), not from
+// the preorder intervals the estimator reads.
 func currentSubtreeSizes(tr *tree.Tree) map[tree.NodeID]int64 {
 	out := make(map[tree.NodeID]int64, tr.Size())
 	for _, v := range tr.Nodes() {
-		if sz, err := tr.SubtreeSize(v); err == nil {
-			out[v] = int64(sz)
+		for range tr.Subtree(v) {
+			out[v]++
 		}
 	}
 	return out

@@ -98,7 +98,10 @@ func TestNCALabelsExact(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr := randomTree(t, 50, seed)
 		scheme := labeling.BuildNCA(tr)
-		pre := tr.DFSNumbers()
+		pre := make(map[tree.NodeID]int)
+		for id, p := range tr.Intervals() {
+			pre[id] = p[0]
+		}
 		nodes := tr.Nodes()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 60; i++ {

@@ -113,66 +113,42 @@ func (l NCALabel) Bits() int {
 // heavy-path decomposition; labels have O(log n) entries of O(log n) bits.
 type NCA struct {
 	labels map[tree.NodeID]NCALabel
-	byPre  map[int]tree.NodeID
+	byPre  []tree.NodeID // byPre[p] is the node with preorder p; byPre[0] is unused
 }
 
 // BuildNCA labels the current tree.
 func BuildNCA(tr *tree.Tree) *NCA {
-	pre := tr.DFSNumbers()
-	byPre := make(map[int]tree.NodeID, len(pre))
-	for id, p := range pre {
-		byPre[p] = id
+	iv := tr.Intervals()
+	byPre := make([]tree.NodeID, len(iv)+1)
+	for id, p := range iv {
+		byPre[p[0]] = id
 	}
-	// Heavy child by subtree size.
-	size := make(map[tree.NodeID]int, len(pre))
-	var fill func(v tree.NodeID) int
-	fill = func(v tree.NodeID) int {
-		s := 1
-		kids, _ := tr.Children(v)
-		for _, k := range kids {
-			s += fill(k)
+	// Path heads in preorder, a parent before its children: each node's
+	// heavy child, the first child with the largest subtree, continues the
+	// node's heavy path, and every other node heads a path of its own.
+	head := make(map[tree.NodeID]tree.NodeID, len(iv))
+	for _, v := range byPre[1:] {
+		if _, ok := head[v]; !ok {
+			head[v] = v
 		}
-		size[v] = s
-		return s
-	}
-	fill(tr.Root())
-	heavy := make(map[tree.NodeID]tree.NodeID, len(pre))
-	for id := range pre {
-		kids, _ := tr.Children(id)
-		best, bestS := tree.InvalidNode, -1
+		kids, _ := tr.Children(v)
+		heavy, most := tree.InvalidNode, -1
 		for _, k := range kids {
-			if size[k] > bestS {
-				best, bestS = k, size[k]
+			if s := iv[k][1] - iv[k][0]; s > most {
+				heavy, most = k, s
 			}
 		}
-		if best != tree.InvalidNode {
-			heavy[id] = best
+		if heavy != tree.InvalidNode {
+			head[heavy] = head[v]
 		}
 	}
-	// Path head of v: climb while v is its parent's heavy child.
-	head := make(map[tree.NodeID]tree.NodeID, len(pre))
-	var findHead func(v tree.NodeID) tree.NodeID
-	findHead = func(v tree.NodeID) tree.NodeID {
-		if h, ok := head[v]; ok {
-			return h
-		}
-		p, err := tr.Parent(v)
-		var h tree.NodeID
-		if err != nil || p == tree.InvalidNode || heavy[p] != v {
-			h = v
-		} else {
-			h = findHead(p)
-		}
-		head[v] = h
-		return h
-	}
-	labels := make(map[tree.NodeID]NCALabel, len(pre))
-	for id := range pre {
+	labels := make(map[tree.NodeID]NCALabel, len(iv))
+	for id := range iv {
 		var entries []NCAEntry
 		cur := id
 		for {
-			h := findHead(cur)
-			entries = append(entries, NCAEntry{Head: pre[h], Exit: pre[cur]})
+			h := head[cur]
+			entries = append(entries, NCAEntry{Head: iv[h][0], Exit: iv[cur][0]})
 			p, err := tr.Parent(h)
 			if err != nil || p == tree.InvalidNode {
 				break
@@ -230,8 +206,10 @@ func QueryNCA(a, b NCALabel) (int, error) {
 // NodeAt maps a preorder number back to a node id (test/verification aid;
 // real deployments answer queries in preorder space).
 func (n *NCA) NodeAt(pre int) (tree.NodeID, bool) {
-	id, ok := n.byPre[pre]
-	return id, ok
+	if pre < 1 || pre >= len(n.byPre) {
+		return tree.InvalidNode, false
+	}
+	return n.byPre[pre], true
 }
 
 // MaxBits returns the largest NCA label size in bits.

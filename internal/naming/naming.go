@@ -32,13 +32,11 @@ type Naming struct {
 }
 
 // New builds the name-assignment protocol over tr, its controllers moving
-// packages tp's way. Initial identities are assigned by a DFS traversal (the
-// paper assumes initial identities in [1, n₀]; the traversal realizes that).
+// packages tp's way. Initial identities are assigned by the first
+// iteration's DFS traversal (the paper assumes initial identities in
+// [1, n₀]; the traversal realizes that).
 func New(tr *tree.Tree, tp controller.Transport) *Naming {
 	nm := &Naming{tr: tr, tp: tp, counters: stats.NewCounters(), ids: make(map[tree.NodeID]int64)}
-	for id, num := range tr.DFSNumbers() {
-		nm.ids[id] = int64(num)
-	}
 	nm.epochs = tp.NewEpochs(tr, nm.counters, nm.plan)
 	return nm
 }
@@ -46,18 +44,16 @@ func New(tr *tree.Tree, tp controller.Transport) *Naming {
 // plan is the protocol's controller.Plan: relabel, then admit the
 // iteration's changes with a terminating (N_i/2, N_i/4)-controller whose
 // permits carry the serials [N_i+1, 3N_i/2].
-func (nm *Naming) plan(epoch int, ni int64) (m, w int64, opts []controller.CoreOption) {
+func (nm *Naming) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOption) {
 	// Two DFS relabeling traversals (2·2(n−1) messages) on top of the
-	// broadcast/upcast that counted N_i.
+	// broadcast/upcast that counted N_i. First traversal: id(v) = 3N_i +
+	// DFS(v); second: id(v) = DFS(v). Identities remain unique throughout
+	// because old identities lie in [1, 3N_i] (proved by induction in
+	// Section 5.2); the final state is all that is observable between
+	// requests.
 	nm.tp.Sweep(nm.counters, nm.tr, 4)
-	if epoch > 1 {
-		// First traversal: id(v) = 3N_i + DFS(v); second: id(v) = DFS(v).
-		// Identities remain unique throughout because old identities lie
-		// in [1, 3N_i] (proved by induction in Section 5.2); the final
-		// state is all that is observable between requests.
-		for id, num := range nm.tr.DFSNumbers() {
-			nm.ids[id] = int64(num)
-		}
+	for id, iv := range nm.tr.Intervals() {
+		nm.ids[id] = int64(iv[0])
 	}
 	m = max(ni/2, 1)
 	serials := pkgstore.Interval{Lo: ni + 1, Hi: ni + m}

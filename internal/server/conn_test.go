@@ -442,8 +442,11 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	if err := tree.Build(tr, spec, 5); err != nil {
 		t.Fatal(err)
 	}
-	var nodes []tree.NodeID
-	tr.WalkDFS(func(id tree.NodeID, _ int) bool { nodes = append(nodes, id); return true })
+	iv := tr.Intervals()
+	nodes := make([]tree.NodeID, len(iv))
+	for id, p := range iv {
+		nodes[p[0]-1] = id
+	}
 	before := scrapeMoves(t, s)
 
 	const conns, perConn, chunk = 4, 40, 8

@@ -140,6 +140,30 @@ func FuzzTreeOps(f *testing.F) {
 			}
 		}
 
+		// Each interval is one preorder walk's: the node's own number
+		// opens it, its children's intervals tile the rest in insertion
+		// order, and its length is the count over Subtree.
+		for _, u := range nodes {
+			size := 0
+			for range tr.Subtree(u) {
+				size++
+			}
+			if got := iv[u][1] - iv[u][0] + 1; got != size {
+				t.Fatalf("interval(%d)=%v spans %d nodes, Subtree counts %d", u, iv[u], got, size)
+			}
+			kids, _ := tr.Children(u)
+			next := iv[u][0] + 1
+			for _, k := range kids {
+				if iv[k][0] != next {
+					t.Fatalf("child %d of %d opens at %d, want %d", k, u, iv[k][0], next)
+				}
+				next = iv[k][1] + 1
+			}
+		}
+		if iv[root] != [2]int{1, len(nodes)} {
+			t.Fatalf("interval(root) = %v, want [1 %d]", iv[root], len(nodes))
+		}
+
 		// The interval labels must answer ancestry exactly like the
 		// pointer walk, for every ordered pair.
 		for _, u := range nodes {

@@ -5,57 +5,38 @@ import (
 	"iter"
 )
 
-// WalkDFS visits every live node in depth-first preorder starting at the
-// root, calling fn with the node id and its DFS number (1-based, in visit
-// order). Children are visited in insertion order, so the numbering is
-// deterministic for a given construction history. If fn returns false, the
-// walk stops early.
-func (t *Tree) WalkDFS(fn func(id NodeID, dfsNum int) bool) {
-	num := 0
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		num++
-		if !fn(id, num) {
-			return
-		}
-		// Push children in reverse so they pop in insertion order.
-		edges := t.edges(t.nodes.At(id))
-		for i := len(edges) - 1; i >= 0; i-- {
-			stack = append(stack, edges[i].child)
-		}
-	}
-}
-
-// DFSNumbers returns a map from live node id to 1-based DFS preorder number.
-func (t *Tree) DFSNumbers() map[NodeID]int {
-	out := make(map[NodeID]int, t.Size())
-	t.WalkDFS(func(id NodeID, num int) bool {
-		out[id] = num
-		return true
-	})
-	return out
-}
-
-// Intervals returns, for every live node, the half-open DFS interval
-// [pre, post] such that v is an ancestor of u iff interval(v) contains
-// interval(u). pre is the 1-based preorder number; post is the largest
-// preorder number in v's subtree. This is the classic Kannan-Naor-Rudich
-// ancestry encoding used by the labeling application.
+// Intervals is the tree's one preorder walk. It returns, for every live
+// node v, the closed interval [pre, last] of the preorder numbers v's
+// subtree takes: pre is v's 1-based DFS number, last the largest number in
+// v's subtree, so the subtree holds last-pre+1 nodes and v is an ancestor
+// of u iff v's interval contains u's (the Kannan-Naor-Rudich ancestry
+// encoding). Children are numbered in insertion order, so the numbers are
+// deterministic for a given construction history. The walk keeps an
+// explicit stack rather than recursing, so a path of any depth is one O(n)
+// pass.
 func (t *Tree) Intervals() map[NodeID][2]int {
 	out := make(map[NodeID][2]int, t.live)
-	num := 0
-	var visit func(id NodeID)
-	visit = func(id NodeID) {
-		num++
-		pre := num
-		for _, e := range t.edges(t.nodes.At(id)) {
-			visit(e.child)
-		}
-		out[id] = [2]int{pre, num}
+	type frame struct {
+		id  NodeID
+		pre int // 0 until the walk enters id
 	}
-	visit(t.root)
+	num := 0
+	stack := []frame{{id: t.root}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.pre > 0 {
+			out[f.id] = [2]int{f.pre, num}
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		num++
+		f.pre = num
+		// Push children in reverse so they pop in insertion order.
+		edges := t.edges(t.nodes.At(f.id))
+		for i := len(edges) - 1; i >= 0; i-- {
+			stack = append(stack, frame{id: edges[i].child})
+		}
+	}
 	return out
 }
 
@@ -81,18 +62,6 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 		}
 		t.stack = stack[:0]
 	}
-}
-
-// SubtreeSize returns the number of live nodes in the subtree rooted at id.
-func (t *Tree) SubtreeSize(id NodeID) (int, error) {
-	if !t.Contains(id) {
-		return 0, fmt.Errorf("subtree size of %d: %w", id, ErrNoSuchNode)
-	}
-	count := 0
-	for range t.Subtree(id) {
-		count++
-	}
-	return count, nil
 }
 
 // Height returns the number of edges on the longest root-to-leaf path: the

@@ -60,12 +60,12 @@
 // metrics page reads Size and Height) takes whatever lock orders the owner's
 // calls and reads under it; in the daemon that is tenant.mu, and the
 // message-passing engine's handlers are ordered by the simulator, which runs
-// one at a time. The callbacks of Climb, ClimbMarked and WalkDFS therefore
-// run on the owner's goroutine in the middle of a tree call and must not
-// call back into the tree, because a mutation would change what the call is
-// walking, not because a lock is held. Restore swaps the tables and the
-// counters of the receiver in place, as one more mutation of the owner's, so
-// whoever holds the *Tree sees the restored state at its next call.
+// one at a time. The callbacks of Climb and ClimbMarked therefore run on the
+// owner's goroutine in the middle of a tree call and must not call back into
+// the tree, because a mutation would change what the call is walking, not
+// because a lock is held. Restore swaps the tables and the counters of the
+// receiver in place, as one more mutation of the owner's, so whoever holds
+// the *Tree sees the restored state at its next call.
 package tree
 
 import (

@@ -650,7 +650,11 @@ func TestDFSNumbersAndIntervals(t *testing.T) {
 	b := mustAddLeaf(t, tr, root)
 	c := mustAddLeaf(t, tr, a)
 
-	nums := tr.DFSNumbers()
+	iv := tr.Intervals()
+	nums := make(map[NodeID]int, len(iv))
+	for id, p := range iv {
+		nums[id] = p[0]
+	}
 	if len(nums) != 4 {
 		t.Fatalf("DFSNumbers has %d entries, want 4", len(nums))
 	}
@@ -662,7 +666,6 @@ func TestDFSNumbersAndIntervals(t *testing.T) {
 		t.Fatalf("DFS numbers = a:%d c:%d b:%d, want 2,3,4", nums[a], nums[c], nums[b])
 	}
 
-	iv := tr.Intervals()
 	contains := func(outer, inner [2]int) bool {
 		return outer[0] <= inner[0] && inner[1] <= outer[1]
 	}
@@ -680,12 +683,17 @@ func TestSubtreeSizeAndHeight(t *testing.T) {
 	mustAddLeaf(t, tr, a)
 	mustAddLeaf(t, tr, a)
 
-	n, err := tr.SubtreeSize(a)
-	if err != nil || n != 3 {
-		t.Fatalf("SubtreeSize(a) = %d, %v; want 3", n, err)
+	size := func(id NodeID) int {
+		n := 0
+		for range tr.Subtree(id) {
+			n++
+		}
+		return n
 	}
-	n, _ = tr.SubtreeSize(root)
-	if n != 4 {
+	if n := size(a); n != 3 {
+		t.Fatalf("SubtreeSize(a) = %d; want 3", n)
+	}
+	if n := size(root); n != 4 {
 		t.Fatalf("SubtreeSize(root) = %d, want 4", n)
 	}
 	if h := tr.Height(); h != 2 {

@@ -38,10 +38,10 @@ func VictimProbe(tr *tree.Tree, n int, seed int64) ([]controller.Request, error)
 	return ct.Serial(), nil
 }
 
-// RunProbe drives reqs serially — one at a time, in order — through sub,
+// runProbe drives reqs serially — one at a time, in order — through sub,
 // folding every verdict into a fresh oracle.TenantTrace for tenant under
 // permit bound m.
-func RunProbe(sub controller.Submitter, tenant string, m int64, reqs []controller.Request) *oracle.TenantTrace {
+func runProbe(sub controller.Submitter, tenant string, m int64, reqs []controller.Request) *oracle.TenantTrace {
 	trace := oracle.NewTenantTrace(tenant, m)
 	for _, req := range reqs {
 		g, err := sub.Submit(req)
@@ -78,7 +78,7 @@ func RunNoisyNeighbor(tenant string, m int64, probe []controller.Request,
 	if err != nil {
 		return nil, fmt.Errorf("noisy-neighbor baseline setup: %w", err)
 	}
-	baseline := RunProbe(victim, tenant, m, probe)
+	baseline := runProbe(victim, tenant, m, probe)
 
 	victim, flood, err := setup(true)
 	if err != nil {
@@ -94,7 +94,7 @@ func RunNoisyNeighbor(tenant string, m int64, probe []controller.Request,
 	} else {
 		close(floodDone)
 	}
-	res.Disturbed = RunProbe(victim, tenant, m, probe)
+	res.Disturbed = runProbe(victim, tenant, m, probe)
 	<-floodDone
 
 	res.Violations = oracle.CheckTenantIsolation(res.Baseline, res.Disturbed)

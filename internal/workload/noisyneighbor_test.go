@@ -80,7 +80,7 @@ func TestNoisyNeighborSharedStackIsCaught(t *testing.T) {
 
 	// Baseline: a fresh shared stack, victim traffic only.
 	_, ctl := nnStack(t, 100_000, 50_000)
-	baseline := RunProbe(ctl, "b-team", 100_000, probe)
+	baseline := runProbe(ctl, "b-team", 100_000, probe)
 
 	// Disturbed: a fresh identical stack, but the neighbor's grow-only
 	// flood lands on the SAME stack before the victim's probe replays.
@@ -97,7 +97,7 @@ func TestNoisyNeighborSharedStackIsCaught(t *testing.T) {
 	if flood := RunConcurrentChunked(pl, ct, 64); flood.Errors != 0 {
 		t.Fatalf("flood errors: %+v", flood)
 	}
-	disturbed := RunProbe(pl, "b-team", 100_000, probe)
+	disturbed := runProbe(pl, "b-team", 100_000, probe)
 
 	violations := oracle.CheckTenantIsolation(baseline, disturbed)
 	if len(violations) == 0 {

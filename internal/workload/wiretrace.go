@@ -33,12 +33,12 @@ func BuildTopology(tr *tree.Tree, spec TopologySpec, seed int64) error {
 // TopologySignature returns tr.Signature().
 func TopologySignature(tr *tree.Tree) uint64 { return tr.Signature() }
 
-// WireMix projects a scenario's workload onto the interleaving-safe
+// wireMix projects a scenario's workload onto the interleaving-safe
 // concurrent vocabulary: additions (leaf or internal) become snapshot leaf
 // additions, everything else — events and the removals that cannot be
 // replayed safely from a remote snapshot — becomes a non-topological event.
 // The event/growth ratio of the original mix is preserved.
-func WireMix(spec WorkloadSpec) (ConcurrentMix, error) {
+func wireMix(spec WorkloadSpec) (ConcurrentMix, error) {
 	switch spec.Kind {
 	case "churn":
 		mix, err := MixByName(spec.Mix)
@@ -74,7 +74,7 @@ func WireTrace(sc Scenario, conns, total int, seed int64) (*tree.Tree, *Concurre
 	if err := tree.Build(tr, sc.Topology, seed); err != nil {
 		return nil, nil, err
 	}
-	mix, err := WireMix(sc.Workload)
+	mix, err := wireMix(sc.Workload)
 	if err != nil {
 		return nil, nil, err
 	}
