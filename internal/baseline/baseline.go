@@ -51,9 +51,7 @@ func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	if t.rejected || t.granted >= t.m {
 		if !t.rejected {
 			t.rejected = true
-			if n := int64(t.tr.Size()); n > 1 {
-				t.counters.Add(stats.CounterMoves, n-1)
-			}
+			controller.Centralized.Sweep(t.counters, t.tr, 1)
 		}
 		t.counters.Inc(stats.CounterRejects)
 		return controller.Grant{Outcome: controller.Rejected}, nil
@@ -181,9 +179,7 @@ func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
 			return controller.Grant{Outcome: controller.WouldReject}, nil
 		}
 		g.rejected = true
-		if n := int64(g.tr.Size()); n > 1 {
-			g.counters.Add(stats.CounterMoves, n-1)
-		}
+		controller.Centralized.Sweep(g.counters, g.tr, 1)
 		g.counters.Inc(stats.CounterRejects)
 		return controller.Grant{Outcome: controller.Rejected}, nil
 	}
@@ -334,9 +330,7 @@ func (it *GrowOnlyIterated) Submit(req controller.Request) (controller.Grant, er
 		l := it.cur.UnusedPermits()
 		if it.finalRun || l == 0 {
 			it.rejected = true
-			if n := int64(it.tr.Size()); n > 1 {
-				it.counters.Add(stats.CounterMoves, n-1)
-			}
+			controller.Centralized.Sweep(it.counters, it.tr, 1)
 			it.counters.Inc(stats.CounterRejects)
 			return controller.Grant{Outcome: controller.Rejected}, nil
 		}

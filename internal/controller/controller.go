@@ -9,7 +9,10 @@
 // move complexity into message complexity (Section 4) by swapping the
 // transport under the same whiteboards and the same drivers: Whiteboard is
 // the state both execution models share, Transport the seam between them,
-// and Terminating, Iterated and Dynamic are written once against it.
+// and the drivers, Iterated, Dynamic and Epochs, are written once against
+// it. The terminating transformation (Observation 2.1) is a no-reject core
+// whose WouldReject ends the run: Epochs and the AsTerminating and
+// DynamicTerminating drivers pay its broadcast/upcast themselves.
 package controller
 
 import (

@@ -49,7 +49,7 @@ func TestIteratedSafetyAndLiveness(t *testing.T) {
 				t.Fatal(err)
 			}
 			u := int64(tr.Size()) + tc.m + 16
-			it := ctl.NewIterated(tr, u, tc.m, tc.w)
+			it := ctl.Centralized.NewIterated(tr, u, tc.m, tc.w)
 			gen := workload.NewChurn(tr, workload.EventOnlyMix(), 21)
 			granted, _ := drainUntilReject(t, it, gen, int(tc.m)*4+100)
 			if int64(granted) > tc.m {
@@ -71,7 +71,7 @@ func TestIteratedIterationsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	const m = 1 << 12
-	it := ctl.NewIterated(tr, int64(tr.Size())+m+16, m, 1)
+	it := ctl.Centralized.NewIterated(tr, int64(tr.Size())+m+16, m, 1)
 	gen := workload.NewChurn(tr, workload.EventOnlyMix(), 5)
 	drainUntilReject(t, it, gen, m*2+100)
 	// O(log M/(W+1)) iterations: log2(4096/2) = 11, allow slack.
@@ -86,7 +86,7 @@ func TestIteratedIterationsBounded(t *testing.T) {
 func TestIteratedTerminating(t *testing.T) {
 	tr, root := tree.New()
 	const m = 12
-	it := ctl.NewIterated(tr, 64, m, 4, ctl.AsTerminating())
+	it := ctl.Centralized.NewIterated(tr, 64, m, 4, ctl.AsTerminating())
 	granted := 0
 	for i := 0; i < 100; i++ {
 		g, err := it.Submit(ctl.Request{Node: root, Kind: tree.None})
@@ -119,7 +119,7 @@ func TestIteratedTopologicalChurn(t *testing.T) {
 	}
 	const m = 300
 	u := int64(tr.Size()) + m + 16
-	it := ctl.NewIterated(tr, u, m, 10)
+	it := ctl.Centralized.NewIterated(tr, u, m, 10)
 	gen := workload.NewChurn(tr, workload.DefaultMix(), 77)
 	granted, _ := drainUntilReject(t, it, gen, m*4)
 	if granted < m-10 || granted > m {
@@ -145,7 +145,7 @@ func TestIteratedMoveComplexityShape(t *testing.T) {
 		}
 		m := int64(2 * n)
 		u := int64(n) + m + 16
-		it := ctl.NewIterated(tr, u, m, 0)
+		it := ctl.Centralized.NewIterated(tr, u, m, 0)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 123)
 		drainUntilReject(t, it, gen, int(m)*4)
 		series.Append(float64(u), float64(it.Counters().Get(stats.CounterMoves)))

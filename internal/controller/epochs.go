@@ -14,13 +14,19 @@ import (
 // iteration's requests, and the request on which that controller terminates
 // starts iteration i+1 and is answered by it. (The paper says iterations;
 // the name keeps them apart from the waste-halving ones of Iterated.)
+//
+// An iteration's terminating controller is Observation 2.1 over one
+// fixed-U core that answers WouldReject instead of rejecting. The first
+// request it cannot fund terminates it, at the cost of the broadcast/upcast
+// that verifies the granted events; at that point it has granted m permits
+// with M−W ≤ m ≤ M.
 type Epochs struct {
 	tp       Transport
 	tr       *tree.Tree
 	counters *stats.Counters
 	plan     Plan
 
-	term  *Terminating
+	core  *Fixed
 	ni    int64
 	epoch int
 }
@@ -48,7 +54,7 @@ func (e *Epochs) start() {
 	m, w, opts := e.plan(e.epoch, e.ni)
 	// 2N_i + 4 bounds the nodes ever to exist in an iteration that admits
 	// at most m ≤ N_i changes.
-	e.term = e.tp.NewTerminating(e.tr, 2*e.ni+4, m, w, append(opts, withCounters(e.counters))...)
+	e.core = e.tp.NewCore(e.tr, 2*e.ni+4, m, w, append(opts, withCounters(e.counters), WithNoRejects())...)
 }
 
 // Epoch returns the current iteration number (1-based).
@@ -61,10 +67,11 @@ func (e *Epochs) N() int64 { return e.ni }
 // rolling over to the next iteration when that controller terminates.
 func (e *Epochs) Submit(req Request) (Grant, error) {
 	for attempt := 0; attempt < 64; attempt++ {
-		g, err := e.term.Submit(req)
-		if !errors.Is(err, ErrTerminated) {
+		g, err := e.core.Submit(req)
+		if err != nil || g.Outcome != WouldReject {
 			return g, err
 		}
+		e.tp.Sweep(e.counters, e.tr, 2)
 		e.start()
 	}
 	return Grant{}, errors.New("controller: iteration churn without progress")

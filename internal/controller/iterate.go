@@ -54,12 +54,6 @@ func AsTerminating() IteratedOption {
 	return func(it *Iterated) { it.st.Terminating = true }
 }
 
-// NewIterated builds the centralized waste-halving (m, w)-Controller over
-// tr with the fixed node bound u.
-func NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {
-	return Centralized.NewIterated(tr, u, m, w, opts...)
-}
-
 // NewIterated builds the waste-halving (m, w)-Controller over tr with the
 // fixed node bound u, its cores moving packages this transport's way.
 func (tp Transport) NewIterated(tr *tree.Tree, u, m, w int64, opts ...IteratedOption) *Iterated {

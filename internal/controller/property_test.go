@@ -34,7 +34,7 @@ func TestPropertySafetyLiveness(t *testing.T) {
 			return false
 		}
 		u := int64(24) + m + 8
-		it := ctl.NewIterated(tr, u, m, w)
+		it := ctl.Centralized.NewIterated(tr, u, m, w)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), seed+1)
 		gen.SetMinSize(4)
 		granted := int64(0)

@@ -50,7 +50,7 @@ func TestRestoreKeepsTrivialTailStores(t *testing.T) {
 		}
 		leaves = append(leaves, id)
 	}
-	it := ctl.NewIterated(tr, 64, 4096, 0)
+	it := ctl.Centralized.NewIterated(tr, 64, 4096, 0)
 	// One event at each of three leaves strands a static package there, so
 	// the leaf hammered next exhausts its iteration with L > 0 and the tail
 	// has permits to walk.

@@ -96,55 +96,3 @@ func (f *Fixed) Submit(req Request) (Grant, error) { return f.core.Submit(req) }
 
 // ErrTerminated is returned by terminating controllers after termination.
 var ErrTerminated = errors.New("controller: terminated")
-
-// Terminating wraps a no-reject fixed-U core as a terminating
-// (M,W)-Controller (Observation 2.1): instead of ever rejecting, it
-// terminates. At termination the number of granted permits m satisfies
-// M−W ≤ m ≤ M.
-type Terminating struct {
-	tp         Transport
-	core       *Fixed
-	terminated bool
-}
-
-// NewTerminating builds a terminating (m,w)-Controller over tr with the
-// fixed bound u, its core moving packages this transport's way.
-func (tp Transport) NewTerminating(tr *tree.Tree, u, m, w int64, opts ...CoreOption) *Terminating {
-	return &Terminating{tp: tp, core: tp.NewCore(tr, u, m, w, append(opts, WithNoRejects())...)}
-}
-
-// Terminated reports whether the controller has terminated.
-func (t *Terminating) Terminated() bool { return t.terminated }
-
-// Granted returns the permits granted before termination.
-func (t *Terminating) Granted() int64 { return t.core.Granted() }
-
-// Submit forwards the request unless terminated. The first request the core
-// cannot fund flips the controller into the terminated state; that request
-// (and all later ones) receive ErrTerminated.
-func (t *Terminating) Submit(req Request) (Grant, error) {
-	if t.terminated {
-		return Grant{}, ErrTerminated
-	}
-	g, err := t.core.Submit(req)
-	if err != nil {
-		return Grant{}, err
-	}
-	if g.Outcome == WouldReject {
-		t.Terminate()
-		return Grant{}, ErrTerminated
-	}
-	return g, nil
-}
-
-// Terminate forces termination (drivers use this when an iteration ends
-// for an external reason, e.g. the topological-change budget is spent). Per
-// Observation 2.1 the broadcast/upcast that verifies granted events costs
-// O(n), accounted at termination time.
-func (t *Terminating) Terminate() {
-	if t.terminated {
-		return
-	}
-	t.terminated = true
-	t.tp.Sweep(t.core.counters, t.core.tr, 2)
-}

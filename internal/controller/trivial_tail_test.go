@@ -25,7 +25,7 @@ func TestTrivialTailInvalidRequestBurnsNoPermit(t *testing.T) {
 		at = id
 	}
 	internal, tip := path[n-2], path[n-1]
-	it := ctl.NewIterated(tr, u, m, 0)
+	it := ctl.Centralized.NewIterated(tr, u, m, 0)
 	counters := it.Counters()
 	event := func(at tree.NodeID) ctl.Grant {
 		t.Helper()

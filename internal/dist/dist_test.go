@@ -1,8 +1,8 @@
 package dist_test
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"dynctrl/internal/controller"
@@ -93,42 +93,91 @@ func TestSafetyAndLivenessUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTerminatingRejectsAfterTermination checks the terminating variant:
-// the first unfundable request returns ErrTerminated, and so does every
-// later one, without granting further permits.
+// TestTerminatingRejectsAfterTermination checks the terminating core of
+// Observation 2.1, a no-reject core: it grants between M−W and M permits,
+// then answers WouldReject, and every later request leaves Granted where it
+// was.
 func TestTerminatingRejectsAfterTermination(t *testing.T) {
 	tr := buildTree(t, 12, 7)
 	rt := sim.NewDeterministic(7)
-	term := dist.Over(rt).NewTerminating(tr, 64, 20, 5)
+	core := dist.Over(rt).NewCore(tr, 64, 20, 5, controller.WithNoRejects())
 
 	root := tr.Root()
 	var granted int64
-	for i := 0; i < 64; i++ {
-		_, err := term.Submit(controller.Request{Node: root, Kind: tree.None})
-		if errors.Is(err, controller.ErrTerminated) {
-			break
-		}
+	terminated := false
+	for i := 0; i < 64 && !terminated; i++ {
+		g, err := core.Submit(controller.Request{Node: root, Kind: tree.None})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		granted++
+		switch g.Outcome {
+		case controller.Granted:
+			granted++
+		case controller.WouldReject:
+			terminated = true
+		default:
+			t.Fatalf("submit %d: outcome %v from a no-reject core", i, g.Outcome)
+		}
 	}
-	if !term.Terminated() {
-		t.Fatal("controller never terminated")
+	if !terminated {
+		t.Fatal("core never answered WouldReject")
 	}
-	if granted != term.Granted() {
-		t.Fatalf("driver granted %d, core granted %d", granted, term.Granted())
+	if granted != core.Granted() {
+		t.Fatalf("counted %d grants, core granted %d", granted, core.Granted())
 	}
 	if granted > 20 || granted < 15 {
 		t.Fatalf("granted %d outside [M−W, M] = [15, 20]", granted)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := term.Submit(controller.Request{Node: root, Kind: tree.None}); !errors.Is(err, controller.ErrTerminated) {
-			t.Fatalf("post-termination submit %d: err = %v, want ErrTerminated", i, err)
+		if g, err := core.Submit(controller.Request{Node: root, Kind: tree.None}); err != nil || g.Outcome == controller.Granted {
+			t.Fatalf("post-termination submit %d: %v, %v", i, g.Outcome, err)
 		}
 	}
-	if term.Granted() != granted {
-		t.Fatalf("granted moved after termination: %d -> %d", granted, term.Granted())
+	if core.Granted() != granted {
+		t.Fatalf("granted moved after termination: %d -> %d", granted, core.Granted())
+	}
+}
+
+// TestEpochsCosts pins what Epochs charges over both transports: each
+// rollover pays the 2(n−1) termination sweep of the controller that ended
+// and, distributed, the 2(n−1) broadcast/upcast that counts N_i. The
+// constants pin those charges on one churn trace of 17 rollovers, so a
+// rollover that charges more or less than that fails here.
+func TestEpochsCosts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tp   controller.Transport
+		want map[string]int64
+		cost int64
+	}{
+		{"centralized", controller.Centralized,
+			map[string]int64{"grants": 400, "iterations": 18, "moves": 3820, "topo-changes": 303}, 3820},
+		{"distributed", dist.Over(sim.NewDeterministic(3)),
+			map[string]int64{"control-messages": 3458, "grants": 400, "iterations": 18, "topo-changes": 303}, 7758},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := buildTree(t, 24, 5)
+			counters := stats.NewCounters()
+			e := tc.tp.NewEpochs(tr, counters, func(_ int, ni int64) (int64, int64, []controller.CoreOption) {
+				return max(ni/2, 1), ni / 4, nil
+			})
+			gen := workload.NewChurn(tr, workload.DefaultMix(), 9)
+			for i := 0; i < 400; i++ {
+				req, _ := gen.Next()
+				if _, err := e.Submit(req); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+			if e.Epoch() != 18 || tr.Size() != 97 {
+				t.Fatalf("epoch %d over %d nodes, want 18 over 97", e.Epoch(), tr.Size())
+			}
+			if got := counters.Snapshot(); !maps.Equal(got, tc.want) {
+				t.Fatalf("counters %v, want %v", got, tc.want)
+			}
+			if got := tc.tp.Cost(counters); got != tc.cost {
+				t.Fatalf("cost %d, want %d", got, tc.cost)
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ func E1CentralizedMoves() *stats.Table {
 		tr := buildTree(n, 1)
 		m := int64(n)
 		u := int64(2*n + 16)
-		it := controller.NewIterated(tr, u, m, 1)
+		it := controller.Centralized.NewIterated(tr, u, m, 1)
 		gen := workload.NewChurn(tr, workload.DefaultMix(), 5)
 		gen.SetMinSize(n / 2)
 		drain(it, gen, 8*n)
@@ -93,7 +93,7 @@ func E2WasteSweep() *stats.Table {
 			panic(err)
 		}
 		u := int64(n + 64)
-		it := controller.NewIterated(tr, u, m, w)
+		it := controller.Centralized.NewIterated(tr, u, m, w)
 		gen := workload.NewChurn(tr, workload.EventOnlyMix(), 7)
 		drain(it, gen, int(m)*4)
 		moves := it.Counters().Get(stats.CounterMoves)
@@ -256,8 +256,8 @@ func E8VsTrivial() *stats.Table {
 		// All requests arrive at the deepest node: the trivial controller
 		// pays the full depth per request; ours seeds the path once and
 		// then serves from nearby fillers.
-		deepA := deepest(trA)
-		deepB := deepest(trB)
+		deepA := trA.Deepest()
+		deepB := trB.Deepest()
 		reqs := int(m) - 1
 		for i := 0; i < reqs; i++ {
 			if _, err := trivial.Submit(controller.Request{Node: deepA, Kind: tree.None}); err != nil {
@@ -506,17 +506,6 @@ func E14Ablation() *stats.Table {
 		tb.AddRow(level, seen, fmt.Sprintf("%.1f", bound), float64(seen)/bound)
 	}
 	return tb
-}
-
-// deepest returns the deepest node of tr.
-func deepest(tr *tree.Tree) tree.NodeID {
-	best, bestD := tr.Root(), 0
-	for _, id := range tr.Nodes() {
-		if d, err := tr.Depth(id); err == nil && d > bestD {
-			best, bestD = id, d
-		}
-	}
-	return best
 }
 
 // All returns every experiment table in order.

@@ -160,8 +160,8 @@ func runLogged(t *testing.T, s *stack, g *trafficGen, eng *persist.Engine, n int
 }
 
 // recoverStack boots a stack from dir the way the daemon and the scenario
-// runner do: a fresh controller over e, handed to persist.Recover with the
-// snapshot and tail Open found.
+// runner do: a bare tree and e's transport, handed to persist.Recover with
+// the snapshot and tail Open found.
 func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.Options) (*persist.Engine, *stack, *persist.Recovery) {
 	t.Helper()
 	eng, rec, err := persist.Open(dir, opts)
@@ -170,8 +170,9 @@ func recoverStack(t *testing.T, e engine, dir string, seed int64, opts persist.O
 	}
 	// A schedule of its own: a recovered controller need not run over the
 	// crashed one's.
-	s := newStack(t, e, seed+100)
-	if s.ctl, _, err = persist.Recover(rec, s.tp, testM, testW, s.tr, s.ctl); err != nil {
+	tr, _ := tree.New()
+	s := &stack{tp: e.over(seed + 100), tr: tr}
+	if s.ctl, _, err = persist.Recover(rec, s.tp, testM, testW, s.tr); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	return eng, s, rec
@@ -660,7 +661,7 @@ func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
 			t.Errorf("%s 2^32+1 decoded as %d", tc.field, got)
 		}
 		tr, _ := tree.New()
-		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr, nil)
+		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr)
 		if tc.field == "parent port" && err == nil {
 			t.Errorf("snapshot with %s 2^32+1 recovered", tc.field)
 		}
@@ -851,7 +852,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 
 		// The decoded state restores into an equivalent stack.
 		tr, _ := tree.New()
-		ctl, _, err := persist.Recover(&persist.Recovery{Snapshot: dec}, e.over(99), testM, testW, tr, nil)
+		ctl, _, err := persist.Recover(&persist.Recovery{Snapshot: dec}, e.over(99), testM, testW, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

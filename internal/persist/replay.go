@@ -11,15 +11,15 @@ import (
 )
 
 // Recover continues the admission stack Open found in rec, under the
-// (m, w) contract: ctl is a fresh controller over tr. With a snapshot, it
-// refuses one taken under another contract, restores tr in place (so
-// whatever holds the *Tree sees the recovered topology) and validates it,
-// and rebuilds the controller from the snapshot over tp, counting into a
-// new set that holds the snapshot's counts. Then it replays the tail
-// through the controller, and returns that controller and the number of
-// effects replayed. The returned controller's Counters is ctl's only when
-// there was no snapshot: read the counts from it after Recover, never from
-// a set taken before.
+// (m, w) contract, and builds the controller it returns. Without a
+// snapshot that is tp.NewDynamic over tr, which must hold the initial
+// topology the log starts from. With one, it refuses a snapshot taken under
+// another contract, restores tr in place (so whatever holds the *Tree sees
+// the recovered topology) and validates it, and rebuilds the controller
+// from the snapshot over tp, counting into a new set that holds the
+// snapshot's counts. Then it replays the tail through the controller, and
+// returns that controller and the number of effects replayed. Read the
+// counts from the returned controller's Counters.
 //
 // The daemon recovers over controller.Centralized and the scenario runner
 // over dist.Over(rt), a runtime whose schedule seed need not match the
@@ -27,8 +27,11 @@ import (
 // distributed one is delivery-schedule invariant (the engine-equivalence
 // table and the scenario suite pin both), so replay is deterministic
 // without persisting transport state.
-func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree, ctl *controller.Dynamic) (*controller.Dynamic, int, error) {
-	if st := rec.Snapshot; st != nil {
+func Recover(rec *Recovery, tp controller.Transport, m, w int64, tr *tree.Tree) (*controller.Dynamic, int, error) {
+	var ctl *controller.Dynamic
+	if st := rec.Snapshot; st == nil {
+		ctl = tp.NewDynamic(tr, m, w)
+	} else {
 		if st.M != m || st.W != w {
 			return nil, 0, fmt.Errorf("persist: snapshot was taken under (M=%d, W=%d), recovering under (M=%d, W=%d)",
 				st.M, st.W, m, w)

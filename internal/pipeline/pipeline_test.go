@@ -51,7 +51,7 @@ func TestPipelineSafetyUnderConcurrentChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := workload.RunConcurrent(pl, ct)
+			res := workload.RunConcurrentChunked(pl, ct, 1)
 			pl.Flush()
 			if res.Errors > 0 {
 				t.Fatalf("unexpected submit errors: %d", res.Errors)
@@ -240,7 +240,7 @@ func TestPipelineMatchesSerialOutcomeTotals(t *testing.T) {
 			serRejected++
 		}
 	}
-	res := workload.RunConcurrent(pl, ct)
+	res := workload.RunConcurrentChunked(pl, ct, 1)
 	if res.Errors > 0 {
 		t.Fatalf("pipeline errors: %d", res.Errors)
 	}
@@ -372,7 +372,7 @@ func BenchmarkSubmitPipelinePerRequest(b *testing.B) {
 				ctl := dist.Over(sim.NewDeterministic(3)).NewDynamic(tr, m, w)
 				pl := pipeline.New(ctl)
 				b.StartTimer()
-				res := workload.RunConcurrent(pl, ct)
+				res := workload.RunConcurrentChunked(pl, ct, 1)
 				if res.Errors > 0 {
 					b.Fatalf("errors: %d", res.Errors)
 				}

@@ -20,9 +20,7 @@
 package scenario
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 
@@ -64,20 +62,9 @@ type Result struct {
 	FinalNodes        int   `json:"final_nodes"`
 	FinalHeight       int   `json:"final_height"`
 
+	// TraceHash is the oracle.TenantTrace hash of the verdict stream.
 	TraceHash  string             `json:"trace_hash"`
 	Violations []oracle.Violation `json:"violations,omitempty"`
-}
-
-// deepestNode returns the deepest live node, breaking depth ties by the
-// smallest id so the choice is deterministic.
-func deepestNode(tr *tree.Tree) tree.NodeID {
-	best, bestD := tr.Root(), -1
-	for _, id := range tr.Nodes() {
-		if d, err := tr.Depth(id); err == nil && d > bestD {
-			best, bestD = id, d
-		}
-	}
-	return best
 }
 
 // faultInjector replaces scheduled requests with crash (graceful deletion)
@@ -228,7 +215,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 		}
 		gen = churn
 	case "hotspot":
-		gen = workload.NewHotspot(tr, deepestNode(tr), sc.Workload.HotPct, seed+1)
+		gen = workload.NewHotspot(tr, tr.Deepest(), sc.Workload.HotPct, seed+1)
 	case "deeppath":
 		gen = workload.NewDeepPath(tr)
 	default:
@@ -266,12 +253,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 	oneReq := make([]controller.Request, 1)
 	oneRes := make([]controller.BatchResult, 1)
 
-	hash := fnv.New64a()
-	var word [8]byte
-	hashInt := func(v int64) {
-		binary.LittleEndian.PutUint64(word[:], uint64(v))
-		hash.Write(word[:])
-	}
+	trace := oracle.NewTenantTrace(sc.Name, sc.M)
 
 	for i := 0; i < requests; i++ {
 		req, injected := faults.next(i)
@@ -282,20 +264,12 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 				break
 			}
 		}
-		res.Requests++
 		g, err := orc.Submit(req)
+		trace.Record(g, err)
 		if err != nil {
-			res.Errors++
-			hashInt(-1)
 			continue
 		}
 		faults.confirm(injected, i, g.Outcome == controller.Granted)
-		hashInt(int64(g.Outcome))
-		hashInt(g.Serial)
-		hashInt(int64(g.NewNode))
-		if dp, ok := gen.(*workload.DeepPath); ok {
-			dp.Observe(g)
-		}
 
 		if eng == nil {
 			continue
@@ -326,13 +300,12 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 			if err != nil {
 				return res, err
 			}
-			// Recover as the daemon does: a fresh controller over the initial
-			// topology, which recovery replaces with the snapshot's, if any.
+			// Recover as the daemon does, from the initial topology, which
+			// recovery replaces with the snapshot's, if any.
 			if err := tr.Restore(bootSnap); err != nil {
 				return res, err
 			}
-			dyn = tp.NewDynamic(tr, sc.M, sc.W)
-			if dyn, _, err = persist.Recover(rec, tp, sc.M, sc.W, tr, dyn); err != nil {
+			if dyn, _, err = persist.Recover(rec, tp, sc.M, sc.W, tr); err != nil {
 				return res, err
 			}
 			target = dyn
@@ -346,6 +319,8 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 		}
 	}
 
+	res.Requests = int(trace.Submitted)
+	res.Errors = int(trace.Errors)
 	res.Granted = orc.Granted()
 	res.Rejected = orc.Rejected()
 	res.Crashes = faults.crashes
@@ -368,7 +343,7 @@ func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result,
 		}
 		res.Violations = append(res.Violations, xviol...)
 	}
-	res.TraceHash = fmt.Sprintf("%016x", hash.Sum64())
+	res.TraceHash = fmt.Sprintf("%016x", trace.Hash())
 	return res, nil
 }
 

@@ -229,16 +229,16 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		cfg:     tc,
 		logger:  cfg.Logger,
 		tr:      tr,
-		ctl:     controller.NewDynamic(tr, tc.M, tc.W),
 		topoSig: topoSig,
 	}
 	if cfg.TraceRing >= 0 {
 		tn.tracer = obs.NewTracer(cfg.TraceRing, obs.DefaultSlow)
 	}
 
-	var walDir string
-	if cfg.WALDir != "" {
-		walDir = filepath.Join(cfg.WALDir, tc.Name)
+	if cfg.WALDir == "" {
+		tn.ctl = controller.NewDynamic(tr, tc.M, tc.W)
+	} else {
+		walDir := filepath.Join(cfg.WALDir, tc.Name)
 		popts := persist.Options{
 			SnapshotEvery: max(cfg.SnapshotEvery, 0),
 			CommitWindow:  DefaultCommitWindow,
@@ -251,7 +251,7 @@ func newTenant(tc TenantConfig, cfg Config) (*tenant, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: tenant %q: open wal: %w", tc.Name, err)
 		}
-		tn.ctl, tn.recoveredEffects, err = persist.Recover(rec, controller.Centralized, tc.M, tc.W, tr, tn.ctl)
+		tn.ctl, tn.recoveredEffects, err = persist.Recover(rec, controller.Centralized, tc.M, tc.W, tr)
 		if err != nil {
 			eng.Close()
 			return nil, fmt.Errorf("server: tenant %q: %w", tc.Name, err)

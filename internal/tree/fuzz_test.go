@@ -115,11 +115,17 @@ func FuzzTreeOps(f *testing.F) {
 			t.Fatalf("labeling covers %d nodes, tree has %d", len(iv), len(nodes))
 		}
 
-		// Path round-trips along every root path.
+		// Path round-trips along every root path, and Deepest against a
+		// scan over Depth that keeps the first (smallest) id of the
+		// deepest depth.
+		deepest, deepestD := root, 0
 		for _, u := range nodes {
 			d, err := tr.Depth(u)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if d > deepestD {
+				deepest, deepestD = u, d
 			}
 			path, err := tr.PathToRoot(u)
 			if err != nil {
@@ -138,6 +144,13 @@ func FuzzTreeOps(f *testing.F) {
 					t.Fatalf("Distance(%d, %d) = %d, %v; path says %d", u, w, dd, err, dist)
 				}
 			}
+		}
+
+		if got := tr.Deepest(); got != deepest {
+			t.Fatalf("Deepest() = %d, the scan over Depth finds %d at depth %d", got, deepest, deepestD)
+		}
+		if got := back.Deepest(); got != deepest {
+			t.Fatalf("restored tree: Deepest() = %d, want %d", got, deepest)
 		}
 
 		// Each interval is one preorder walk's: the node's own number

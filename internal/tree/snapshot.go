@@ -84,6 +84,11 @@ func (t *Tree) Snapshot() *Snapshot {
 // refuses ids that disagree with the snapshot's own counts (before sizing
 // anything), a parent port beyond ±MaxPort, a walk that would push more
 // nodes than are listed (cycles cost no more than the list), and Validate.
+//
+// No snapshot carries the port assigner's position, so the ports drawn after
+// a Restore differ from those the uninterrupted tree would have drawn: a
+// recovered daemon's later snapshots hold other port bytes than an uncrashed
+// one's. Ids, parents and depths, and so every verdict, are the same.
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Intervals is the tree's one preorder walk. It returns, for every live
@@ -69,6 +70,12 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 // the ids, so it costs the same at any size.
 func (t *Tree) Height() int {
 	return len(t.atDepth) - 1
+}
+
+// Deepest returns the smallest id among the live nodes at depth Height():
+// the root on a bare tree.
+func (t *Tree) Deepest() NodeID {
+	return NodeID(slices.Index(t.depth, int32(t.Height())))
 }
 
 // NCA returns the nearest common ancestor of u and v.

@@ -701,6 +701,39 @@ func TestSubtreeSizeAndHeight(t *testing.T) {
 	}
 }
 
+// TestDeepest: a bare tree's deepest node is its root, and among the nodes
+// at the deepest depth the smallest id wins, whichever joined the depth first
+// or outlived the others.
+func TestDeepest(t *testing.T) {
+	tr, root := New()
+	if got := tr.Deepest(); got != root {
+		t.Fatalf("bare tree: Deepest() = %d, want the root %d", got, root)
+	}
+	a := mustAddLeaf(t, tr, root)
+	b := mustAddLeaf(t, tr, root)
+	if got := tr.Deepest(); got != a {
+		t.Fatalf("two leaves %d and %d at depth 1: Deepest() = %d, want %d", a, b, got, a)
+	}
+	bb := mustAddLeaf(t, tr, b)
+	if got := tr.Deepest(); got != bb {
+		t.Fatalf("Deepest() = %d, want the only depth-2 node %d", got, bb)
+	}
+	// Splitting the edge above a pushes a to depth 2, where bb already is;
+	// a is the smaller id.
+	if _, err := tr.ApplyAddInternal(a); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Deepest(); got != a {
+		t.Fatalf("a=%d and bb=%d at depth 2: Deepest() = %d, want %d", a, bb, got, a)
+	}
+	if err := tr.ApplyRemoveLeaf(a); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Deepest(); got != bb {
+		t.Fatalf("after removing %d: Deepest() = %d, want %d", a, got, bb)
+	}
+}
+
 // TestHeightFollowsDepths: Height reads per-depth counts the tree keeps
 // beside depth, so after every change of a random trace of all four kinds,
 // and after a Restore, it must equal the deepest cached depth. The traces
@@ -757,8 +790,7 @@ func TestHeightFollowsDepths(t *testing.T) {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
 		check(other, seed, 600, "restore")
-		deepest := slices.Index(other.depth, int32(other.Height()))
-		mustAddLeaf(t, other, NodeID(deepest))
+		mustAddLeaf(t, other, other.Deepest())
 		check(other, seed, 601, "a leaf under the deepest node after restore")
 	}
 }

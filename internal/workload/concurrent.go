@@ -114,44 +114,6 @@ type ConcurrentResult struct {
 	Submitted int64
 }
 
-// RunConcurrent plays the trace against sub, one goroutine per client, and
-// aggregates the outcomes. sub must be safe for concurrent use (e.g. a
-// pipeline.Pipeline); errors do not stop the other clients.
-func RunConcurrent(sub controller.Submitter, ct *ConcurrentTrace) ConcurrentResult {
-	var (
-		mu  sync.Mutex
-		res ConcurrentResult
-		wg  sync.WaitGroup
-	)
-	for _, reqs := range ct.Clients {
-		wg.Add(1)
-		go func(reqs []controller.Request) {
-			defer wg.Done()
-			var local ConcurrentResult
-			for _, req := range reqs {
-				local.Submitted++
-				g, err := sub.Submit(req)
-				switch {
-				case err != nil:
-					local.Errors++
-				case g.Outcome == controller.Granted:
-					local.Granted++
-				case g.Outcome == controller.Rejected:
-					local.Rejected++
-				}
-			}
-			mu.Lock()
-			res.Granted += local.Granted
-			res.Rejected += local.Rejected
-			res.Errors += local.Errors
-			res.Submitted += local.Submitted
-			mu.Unlock()
-		}(reqs)
-	}
-	wg.Wait()
-	return res
-}
-
 // ManySubmitter is a submitter accepting runs of requests in one call with
 // per-request results (pipeline.Pipeline implements it).
 type ManySubmitter interface {

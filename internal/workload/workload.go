@@ -188,41 +188,33 @@ func (c *Churn) event() (controller.Request, bool) {
 }
 
 // DeepPath grows the tree as a single path: every request adds a leaf under
-// the current deepest node. It stresses the distance-dependent parts of the
-// controller (filler search, package drop points).
+// the path's tip, which starts at the deepest node. It stresses the
+// distance-dependent parts of the controller (filler search, package drop
+// points). It reads its tip off the tree, as every other generator does: its
+// add was granted iff the id that add would take is now a child of the tip.
 type DeepPath struct {
-	tr      *tree.Tree
-	deepest tree.NodeID
+	tr  *tree.Tree
+	tip tree.NodeID
+	// next is the id the last emitted add would take if granted.
+	next tree.NodeID
 }
 
-// NewDeepPath builds a deep-path generator rooted at tr's root.
+// NewDeepPath builds a deep-path generator that resumes from tr's deepest
+// node.
 func NewDeepPath(tr *tree.Tree) *DeepPath {
-	dp := &DeepPath{tr: tr, deepest: tr.Root()}
-	// Resume from the current deepest node if the tree is not bare.
-	best, bestD := tr.Root(), 0
-	for _, id := range tr.Nodes() {
-		if d, err := tr.Depth(id); err == nil && d > bestD {
-			best, bestD = id, d
-		}
-	}
-	dp.deepest = best
-	return dp
+	return &DeepPath{tr: tr, tip: tr.Deepest()}
 }
 
 // Next implements Generator.
 func (d *DeepPath) Next() (controller.Request, bool) {
-	if !d.tr.Contains(d.deepest) {
-		d.deepest = d.tr.Root()
+	if p, err := d.tr.Parent(d.next); err == nil && p == d.tip {
+		d.tip = d.next
 	}
-	return controller.Request{Node: d.deepest, Kind: tree.AddLeaf}, true
-}
-
-// Observe must be called with each grant so the generator tracks the path
-// tip.
-func (d *DeepPath) Observe(g controller.Grant) {
-	if g.Outcome == controller.Granted && g.NewNode != tree.InvalidNode {
-		d.deepest = g.NewNode
+	if !d.tr.Contains(d.tip) {
+		d.tip = d.tr.Root()
 	}
+	d.next = tree.NodeID(d.tr.EverExisted() + 1)
+	return controller.Request{Node: d.tip, Kind: tree.AddLeaf}, true
 }
 
 // Hotspot concentrates requests in the subtree of a pivot node: a fraction
@@ -264,9 +256,8 @@ type Result struct {
 	Submitted  int
 }
 
-// Run drives n requests from gen into sub, observing grants back into
-// generators that need them (DeepPath). It stops early when the submitter
-// terminates (terminating controllers) or the generator runs dry.
+// Run drives n requests from gen into sub. It stops early when the
+// submitter terminates (terminating controllers) or the generator runs dry.
 func Run(sub controller.Submitter, gen Generator, n int) (Result, error) {
 	var res Result
 	for i := 0; i < n; i++ {
@@ -288,9 +279,6 @@ func Run(sub controller.Submitter, gen Generator, n int) (Result, error) {
 			res.Granted++
 		case controller.Rejected:
 			res.Rejected++
-		}
-		if dp, ok := gen.(*DeepPath); ok {
-			dp.Observe(g)
 		}
 	}
 	return res, nil

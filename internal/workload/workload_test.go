@@ -255,6 +255,33 @@ func TestDeepPathGenerator(t *testing.T) {
 	}
 }
 
+// TestDeepPathKeepsItsOwnTip: a grant the generator did not ask for does
+// not move its tip. Its add at the tip is granted, then an unrelated
+// add-leaf elsewhere; the next request names the child of the old tip.
+func TestDeepPathKeepsItsOwnTip(t *testing.T) {
+	tr, root := tree.New()
+	if err := tree.Build(tr, tree.Shape{Kind: "path", Nodes: 3}, 0); err != nil {
+		t.Fatal(err)
+	}
+	c := ctl.NewCore(tr, 16, 8, 0)
+	dp := workload.NewDeepPath(tr)
+	req, _ := dp.Next()
+	tip := req.Node
+	g, err := c.Submit(req)
+	if err != nil || g.Outcome != ctl.Granted {
+		t.Fatalf("add at the tip %d: %v, %v", tip, g.Outcome, err)
+	}
+	other, err := c.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf})
+	if err != nil || other.Outcome != ctl.Granted {
+		t.Fatalf("unrelated add at the root: %v, %v", other.Outcome, err)
+	}
+	next, _ := dp.Next()
+	if next.Node != g.NewNode {
+		t.Fatalf("next request at %d, want %d, the child of the old tip %d (not the unrelated leaf %d)",
+			next.Node, g.NewNode, tip, other.NewNode)
+	}
+}
+
 func TestHotspotGenerator(t *testing.T) {
 	tr, _ := tree.New()
 	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 20}, 9); err != nil {
