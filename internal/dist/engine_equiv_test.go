@@ -117,16 +117,6 @@ func (e *engine) messages() int64 {
 	return n
 }
 
-// shape is the tree's structure without its port numbers: a restored tree
-// numbers new ports from a fresh assigner, and no controller reads them.
-func shape(tr *tree.Tree) *tree.Snapshot {
-	s := tr.Snapshot()
-	for i := range s.Nodes {
-		s.Nodes[i].ParentPort, s.Nodes[i].ChildPorts = 0, nil
-	}
-	return s
-}
-
 // answer is one request's observable verdict.
 type answer struct {
 	grant  controller.Grant
@@ -201,7 +191,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 				}
 				cut = tailAt + 3
 			}
-			wantState, wantTree := ref.d.State(), shape(ref.tr)
+			wantState, wantTree := ref.d.State(), ref.tr.Snapshot()
 			moves := ref.d.Counters().Get(stats.CounterMoves)
 			distMessages := int64(-1)
 
@@ -235,7 +225,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 							if st := e.d.State(); !reflect.DeepEqual(st, wantState) {
 								t.Fatalf("driver state diverged:\n got %+v\nwant %+v", st, wantState)
 							}
-							if !reflect.DeepEqual(shape(e.tr), wantTree) {
+							if !reflect.DeepEqual(e.tr.Snapshot(), wantTree) {
 								t.Fatal("trees diverged")
 							}
 							for _, name := range []stats.Counter{stats.CounterGrants, stats.CounterRejects,

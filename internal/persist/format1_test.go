@@ -1,7 +1,8 @@
 package persist_test
 
 import (
-	"flag"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,7 +24,10 @@ import (
 // marker and rejects from then on; fixtureRequests requests in all, in one
 // incarnation. The constants of TestFormat1FixtureRecovers were read off
 // the code that wrote it, so a later build must recover it to the same
-// verdicts, counts and serials whatever format it writes today.
+// verdicts, counts and serials whatever format it writes today. It cannot
+// be written again: writeFixtureRun now checkpoints at format 2, and
+// TestFormat1FixtureLogIsReproduced holds its log, not its snapshot, to a
+// fresh run's.
 const (
 	fixtureM, fixtureW                 = 600, 150
 	fixtureRequests, fixtureCheckpoint = 800, 250
@@ -31,8 +35,6 @@ const (
 	fixtureContinue                    = 40
 	fixtureDir                         = "testdata/format1"
 )
-
-var writeFormat1 = flag.Bool("write-format1", false, "rewrite testdata/format1 from a fresh run")
 
 // fixtureTree is the run's initial tree.
 func fixtureTree(t *testing.T) *tree.Tree {
@@ -116,12 +118,6 @@ func copyDir(t *testing.T, src string) string {
 // the logged history and of fixtureContinue more requests, the counters,
 // the serial interval left and the tree's signature.
 func TestFormat1FixtureRecovers(t *testing.T) {
-	if *writeFormat1 {
-		if err := os.RemoveAll(fixtureDir); err != nil {
-			t.Fatal(err)
-		}
-		writeFixtureRun(t, fixtureDir)
-	}
 	dir := copyDir(t, fixtureDir)
 
 	// What -verify-wal reports, one line an incarnation.
@@ -200,5 +196,70 @@ func TestFormat1FixtureRecovers(t *testing.T) {
 	wantCounters := map[string]int64{"grants": 600, "iterations": 9, "moves": 2971, "rejects": 240, "topo-changes": 451}
 	if !reflect.DeepEqual(counters, wantCounters) {
 		t.Errorf("counters %#v, want %#v", counters, wantCounters)
+	}
+}
+
+// A fresh run of the fixture's requests writes the fixture's log and
+// manifest byte for byte: the segment format did not move with the snapshot
+// format, and the fixture is the run its constants describe.
+func TestFormat1FixtureLogIsReproduced(t *testing.T) {
+	dir := t.TempDir()
+	writeFixtureRun(t, dir)
+	for _, name := range []string{"MANIFEST", "wal-00000001.log"} {
+		want, err := os.ReadFile(filepath.Join(fixtureDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: a fresh run wrote %d bytes that differ from the fixture's %d", name, len(got), len(want))
+		}
+	}
+}
+
+// A format-1 directory is upgraded by its next checkpoint: the snapshot
+// written after recovering the fixture is format 2, and recovering from it
+// rebuilds the state the first recovery reached, to the byte.
+func TestFormat1UpgradesAtNextCheckpoint(t *testing.T) {
+	dir := copyDir(t, fixtureDir)
+	recoverAt := func() (*persist.Engine, *tree.Tree, *controller.Dynamic) {
+		t.Helper()
+		eng, rec, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := fixtureTree(t)
+		ctl, _, err := persist.Recover(rec, controller.Centralized, fixtureM, fixtureW, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, tr, ctl
+	}
+	eng, tr, ctl := recoverAt()
+	st := eng.Capture(fixtureM, fixtureW, tr, ctl)
+	if err := eng.Checkpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", st.Index)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if format := binary.LittleEndian.Uint16(snap[4:]); format != 2 {
+		t.Fatalf("the checkpoint after recovery wrote format %d, want 2", format)
+	}
+	eng2, tr2, ctl2 := recoverAt()
+	defer eng2.Close()
+	encode := func(tr *tree.Tree, ctl *controller.Dynamic) []byte {
+		return persist.AppendState(nil, &persist.State{M: fixtureM, W: fixtureW,
+			Tree: tr.Snapshot(), Ctl: ctl.State(), Counters: ctl.Counters().Snapshot()})
+	}
+	if !bytes.Equal(encode(tr2, ctl2), encode(tr, ctl)) {
+		t.Fatal("recovering from the format-2 checkpoint rebuilt another state than the format-1 recovery")
 	}
 }

@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dynctrl/internal/controller"
@@ -94,7 +95,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// The out-of-range values below are variables, not constants, so the
 	// seeds build where int is 32 bits; there the int fields wrap, and the
 	// seed is refused for that instead.
-	hugeID, widePort := int64(1)<<40, int64(tree.MaxPort)+1
+	hugeID := int64(1) << 40
 	// A well-formed snapshot (checksum and all) whose tree agrees with
 	// itself that its newest node has id 2^40, and one whose whiteboards
 	// hold a store for that id.
@@ -109,12 +110,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	stores := huge.Ctl.Inner.Board.Stores
 	stores[len(stores)-1].Node = 1 << 40
 	f.Add(persist.AppendState(nil, huge))
-	// A well-formed snapshot in which a node reaches its parent through a
-	// port the node table cannot hold: the tree refuses it, and nothing may
-	// restore a truncated port in its place.
-	wide := fuzzState()
-	wide.Tree.Nodes[1].ParentPort = int(widePort)
-	f.Add(persist.AppendState(nil, wide))
+	// A format-2 payload framed as format 1, checksum and all: the decoder
+	// looks for port words that are not there. (The format-1 snapshots of
+	// testdata/fuzz, one with a parent port wider than 32 bits, are the
+	// other way round: their port words are there and skipped.)
+	asFormat1 := append([]byte(nil), canonical...)
+	binary.LittleEndian.PutUint16(asFormat1[4:], 1)
+	f.Add(asFormat1)
 	// Flip a payload byte: the checksum must catch it.
 	corrupt := append([]byte(nil), canonical...)
 	corrupt[len(corrupt)-3] ^= 0x40

@@ -622,18 +622,18 @@ func TestSnapshotLengthCannotWrap(t *testing.T) {
 	}
 }
 
-// TestSnapshotIntFieldsCannotWrap: a checksum-valid snapshot whose parent
-// port or child port reads 2^32+1 is refused as corrupt or decodes to
-// exactly that value. Where int is 32 bits (GOARCH=386) a bare conversion
-// of the 64-bit field wraps it to port 1, which the tree then accepts; the
-// 64-bit build decodes the value, and the tree refuses the parent port.
+// TestSnapshotIntFieldsCannotWrap: a checksum-valid snapshot whose count of
+// ids ever or count of iterations reads 2^32+1 is refused as corrupt or
+// decodes to exactly that value. Where int is 32 bits (GOARCH=386) a bare
+// conversion of the 64-bit field wraps it to 1; the 64-bit build decodes
+// the value, and the tree refuses the count of ids.
 func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
 	const wide = 1<<32 + 1
-	// Markers in place of the two ports locate their fields in the payload.
-	const parentMark, childMark = 0x5a5a5a01, 0x5a5a5a02
+	// Markers in place of the two counts locate their fields in the payload.
+	const everMark, iterationsMark = 0x5a5a5a01, 0x5a5a5a02
 	st := fuzzState()
-	st.Tree.Nodes[1].ParentPort = parentMark
-	st.Tree.Nodes[0].ChildPorts[0] = childMark
+	st.Tree.EverExisted = everMark
+	st.Ctl.Iterations = iterationsMark
 	enc := persist.AppendState(nil, st)
 	if _, err := persist.DecodeSnapshot(enc); err != nil {
 		t.Fatalf("the marked snapshot does not decode: %v", err)
@@ -643,8 +643,8 @@ func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
 		mark  uint64
 		read  func(*persist.State) int64
 	}{
-		{"parent port", parentMark, func(st *persist.State) int64 { return int64(st.Tree.Nodes[1].ParentPort) }},
-		{"child port", childMark, func(st *persist.State) int64 { return int64(st.Tree.Nodes[0].ChildPorts[0]) }},
+		{"ids ever", everMark, func(st *persist.State) int64 { return int64(st.Tree.EverExisted) }},
+		{"iterations", iterationsMark, func(st *persist.State) int64 { return int64(st.Ctl.Iterations) }},
 	} {
 		mark := binary.LittleEndian.AppendUint64(nil, tc.mark)
 		if n := bytes.Count(enc[18:], mark); n != 1 {
@@ -662,7 +662,7 @@ func TestSnapshotIntFieldsCannotWrap(t *testing.T) {
 		}
 		tr, _ := tree.New()
 		_, _, err = persist.Recover(&persist.Recovery{Snapshot: dec}, controller.Centralized, dec.M, dec.W, tr)
-		if tc.field == "parent port" && err == nil {
+		if tc.field == "ids ever" && err == nil {
 			t.Errorf("snapshot with %s 2^32+1 recovered", tc.field)
 		}
 	}

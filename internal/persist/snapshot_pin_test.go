@@ -13,10 +13,11 @@ import (
 )
 
 // TestSnapshotEncodingPinned holds the snapshot bytes of two deterministic
-// mid-run states against checksums computed before the driver stack moved
-// from internal/dist to internal/controller: format 1 on disk must not
-// notice which package declares the state types. A deliberate format change
-// bumps snapshotFormat and replaces the constants.
+// mid-run states against checksums: a refactor must not move the bytes on
+// disk. A deliberate format change bumps snapshotFormat and replaces the
+// constants. The current ones are format 2's, which dropped the port words
+// of format 1; the format-1 bytes of the churn state, decoded and encoded
+// again, give the format-2 constant.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	capture := func(tr *tree.Tree, ctl *controller.Dynamic, index uint64, m, w int64) string {
 		sum := sha256.Sum256(persist.AppendState(nil, &persist.State{
@@ -36,7 +37,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 		if st.Iterations < 2 || len(st.Inner.Board.Stores) < 8 {
 			t.Fatalf("state too plain to pin: %d iterations, %d stores", st.Iterations, len(st.Inner.Board.Stores))
 		}
-		const want = "0e7f099302a34d63c6053c5107bdfd42a96cec94258cce021ae2fbee23b41ff5"
+		const want = "2a6914acd56c92329e95c04a5b34826656760f95f5d45a5fabf49a781dd52d4c"
 		if got := capture(s.tr, s.ctl, 1500, testM, testW); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}
@@ -81,7 +82,7 @@ func TestSnapshotEncodingPinned(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			submit(path[depth-1])
 		}
-		const want = "384cb97620b14d4245a12d346d9b3497801a153df8d3e40f02f66c873d931143"
+		const want = "4e5ffe4dc7da53ed0d7987938d0ddc046bf2b4bacc05e63824204aa17f7fd330"
 		if got := capture(tr, ctl, uint64(n), m, 0); got != want {
 			t.Fatalf("snapshot bytes changed: sha256 %s, pinned %s", got, want)
 		}

@@ -23,8 +23,11 @@ import (
 
 var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}
 
-// snapshotFormat versions the State payload encoding.
-const snapshotFormat = 1
+// snapshotFormat versions the State payload encoding. Format 2 dropped the
+// tree's port numbers, which the tree computes from each edge; the decoder
+// still reads format 1, skipping its port words, so a directory written at
+// format 1 recovers and its next checkpoint is written at format 2.
+const snapshotFormat = 2
 
 // snapshotHeaderLen is the byte length of the frame before the payload.
 const snapshotHeaderLen = 4 + 2 + 8 + 4
@@ -58,6 +61,7 @@ type codec struct {
 	b       []byte
 	off     int
 	reading bool
+	format  uint16 // the payload's format; written payloads are snapshotFormat
 	err     error
 }
 
@@ -162,7 +166,7 @@ func list[T any](c *codec, s *[]T, minBytes int, elem func(*T)) {
 // 8 bytes, a bool 1, a count 4 (a uint32 before its elements), and a string
 // its count and bytes. The payload is the State header, then the tree,
 // then the controller.Dynamic driver stack down to every node's package
-// store, then the counters. Format 1 carries the PolicyChangesQuarter
+// store, then the counters. The payload carries the PolicyChangesQuarter
 // driver, the only one the daemon builds: the policy and the two tallies
 // only PolicyDoubleMaxN reads are not on disk. Lists keep their sorted
 // order and counters are sorted by name, so identical states encode to
@@ -181,24 +185,28 @@ func (c *codec) state(st *State) {
 	c.counters(&st.Counters)
 }
 
+// tree carries a node as its id, its parent and its children's ids. Format 1
+// followed the parent with the port toward it and each child with the port
+// toward that child, one word each, which a read skips: the tree computes
+// its ports.
 func (c *codec) tree(ts *tree.Snapshot) {
+	port := 0 // the bytes of a port word: 8 in format 1, none since
+	if c.format == 1 {
+		port = 8
+	}
 	word(c, &ts.Root)
 	word(c, &ts.NextID)
 	word(c, &ts.ChangeSeq)
 	c.int(&ts.EverExisted)
 	list(c, &ts.Deleted, 8, func(id *tree.NodeID) { word(c, id) })
-	list(c, &ts.Nodes, 8+8+8+4, func(n *tree.NodeSnapshot) {
+	list(c, &ts.Nodes, 8+8+port+4, func(n *tree.NodeSnapshot) {
 		word(c, &n.ID)
 		word(c, &n.Parent)
-		c.int(&n.ParentPort)
-		kids := c.count(len(n.Children), 8+8)
-		if c.reading && kids > 0 {
-			n.Children, n.ChildPorts = make([]tree.NodeID, kids), make([]int, kids)
-		}
-		for i := 0; i < kids && c.err == nil; i++ {
-			word(c, &n.Children[i])
-			c.int(&n.ChildPorts[i])
-		}
+		c.take(port)
+		list(c, &n.Children, 8+port, func(id *tree.NodeID) {
+			word(c, id)
+			c.take(port)
+		})
 	})
 }
 
@@ -283,7 +291,7 @@ func AppendState(buf []byte, st *State) []byte {
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, snapshotFormat)
 	buf = append(buf, make([]byte, 8+4)...) // the length and checksum, set below
-	c := codec{b: buf}
+	c := codec{b: buf, format: snapshotFormat}
 	c.state(st)
 	payload := c.b[start+snapshotHeaderLen:]
 	binary.LittleEndian.PutUint64(c.b[start+6:], uint64(len(payload)))
@@ -291,9 +299,10 @@ func AppendState(buf []byte, st *State) []byte {
 	return c.b
 }
 
-// DecodeSnapshot decodes a framed snapshot. Any framing, checksum or field
-// error is returned; a valid frame always yields a structurally complete
-// State (tree validity is established later, by Restore).
+// DecodeSnapshot decodes a framed snapshot of format 1 or 2. Any framing,
+// checksum or field error is returned; a valid frame always yields a
+// structurally complete State (tree validity is established later, by
+// Restore).
 func DecodeSnapshot(p []byte) (*State, error) {
 	if len(p) < snapshotHeaderLen {
 		return nil, fmt.Errorf("persist: snapshot header truncated")
@@ -301,8 +310,9 @@ func DecodeSnapshot(p []byte) (*State, error) {
 	if [4]byte(p[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("persist: bad snapshot magic %q", p[:4])
 	}
-	if f := binary.LittleEndian.Uint16(p[4:]); f != snapshotFormat {
-		return nil, fmt.Errorf("persist: snapshot format %d, this build reads %d", f, snapshotFormat)
+	format := binary.LittleEndian.Uint16(p[4:])
+	if format != 1 && format != snapshotFormat {
+		return nil, fmt.Errorf("persist: snapshot format %d, this build reads 1 and %d", format, snapshotFormat)
 	}
 	n := binary.LittleEndian.Uint64(p[6:])
 	if n > MaxSnapshotLen {
@@ -315,7 +325,7 @@ func DecodeSnapshot(p []byte) (*State, error) {
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(p[14:]) {
 		return nil, fmt.Errorf("persist: snapshot checksum mismatch")
 	}
-	c := codec{b: payload, reading: true}
+	c := codec{b: payload, reading: true, format: format}
 	st := new(State)
 	c.state(st)
 	if c.err != nil {

@@ -8,12 +8,11 @@ import (
 
 // BenchmarkTreeAddLeaf adds leaves under a parent that already has the named
 // number of children (between degree and 2·degree: the parent is replaced,
-// off the clock, when it has doubled). Linking tests the new port against
-// the ports in use at the parent in place, so ns/op may grow with the degree
-// by that scan and nothing else, and a leaf costs no allocation of its own:
-// its node is an entry of the node table, and what is left is the amortised
-// growth of the parent's two child lists, of the parent and depth slices and
-// of the table's chunks (0 allocs/op at every degree).
+// off the clock, when it has doubled). Linking draws no port and reads none
+// of the parent's, so ns/op does not grow with the degree, and a leaf costs
+// no allocation of its own: its node is an entry of the node table, and what
+// is left is the amortised growth of the parent's child list, of the parent
+// and depth slices and of the table's chunks (0 allocs/op at every degree).
 func BenchmarkTreeAddLeaf(b *testing.B) {
 	for _, degree := range []int{16, 128, 2048} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {

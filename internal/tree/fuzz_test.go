@@ -9,8 +9,9 @@ import (
 // kinds of Section 2.1) from the fuzzer's byte stream and then checks the
 // structural invariants and the path/labeling round-trips:
 //
-//   - Validate: parent/child symmetry, depth cache, port uniqueness,
-//     reachability.
+//   - Validate: parent/child symmetry, depth cache, reachability.
+//   - The ports at every vertex are distinct, and a Snapshot → Restore round
+//     trip keeps every one.
 //   - The dense parent and depth slices agree with the map model of
 //     model_test.go, which replays the same history, after every operation
 //     and after a Snapshot → Restore round trip.
@@ -32,7 +33,7 @@ func FuzzTreeOps(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, root := New()
-		ref := newRefTree(NewAdversarialPorts(1)) // New's default assigner
+		ref := newRefTree()
 		sorted := func(ids []NodeID) []NodeID {
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			return ids
@@ -103,6 +104,23 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		if err := ref.checkDense(back); err != nil {
 			t.Fatalf("restored tree: %v", err)
+		}
+		if err := portsDistinct(tr); err != nil {
+			t.Fatal(err)
+		}
+		for id := range tr.All() {
+			up, errUp := tr.ParentPort(id)
+			backUp, errBackUp := back.ParentPort(id)
+			if up != backUp || (errUp == nil) != (errBackUp == nil) {
+				t.Fatalf("node %d: parent port %d (%v), restored %d (%v)", id, up, errUp, backUp, errBackUp)
+			}
+			kids, _ := tr.Children(id)
+			for _, k := range kids {
+				down, _ := tr.ChildPort(id, k)
+				if backDown, err := back.ChildPort(id, k); err != nil || backDown != down {
+					t.Fatalf("edge %d->%d: port %d, restored %d (%v)", id, k, down, backDown, err)
+				}
+			}
 		}
 
 		if err := tr.Validate(); err != nil {

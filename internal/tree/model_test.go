@@ -15,65 +15,43 @@ import (
 // test that replays seeded random histories of all four change kinds through
 // both and compares full snapshots after every step. What the model pins is
 // everything the snapshot bytes depend on: ids, the order swap-removes leave
-// children in, which ports count as taken when an assigner draws (including
-// the port a re-linked node last used toward a parent), the deleted set and
-// the change sequence.
+// children in, the deleted set and the change sequence. Ports are π of the
+// edge's child, so the model checks them against its own parent links.
 
 type refNode struct {
 	id         NodeID
 	parent     NodeID
 	children   []NodeID
 	childIndex map[NodeID]int
-	parentPort int
-	childPorts map[NodeID]int
 }
 
 type refTree struct {
 	nodes       map[NodeID]*refNode
 	root        NodeID
 	nextID      NodeID
-	ports       PortAssigner
 	changeSeq   uint64
 	everExisted int
 	deleted     map[NodeID]struct{}
 }
 
-// refPorts is the materialised port set the model hands its assigner.
-type refPorts map[int]struct{}
-
-func (s refPorts) Has(port int) bool { _, ok := s[port]; return ok }
-
-func newRefTree(ports PortAssigner) *refTree {
-	r := &refTree{nodes: map[NodeID]*refNode{}, nextID: 1, ports: ports, deleted: map[NodeID]struct{}{}}
+func newRefTree() *refTree {
+	r := &refTree{nodes: map[NodeID]*refNode{}, nextID: 1, deleted: map[NodeID]struct{}{}}
 	r.root = r.alloc(InvalidNode).id
 	return r
 }
 
 func (r *refTree) alloc(parent NodeID) *refNode {
-	n := &refNode{id: r.nextID, parent: parent, childIndex: map[NodeID]int{}, childPorts: map[NodeID]int{}}
+	n := &refNode{id: r.nextID, parent: parent, childIndex: map[NodeID]int{}}
 	r.nextID++
 	r.everExisted++
 	r.nodes[n.id] = n
 	return n
 }
 
-func (r *refTree) used(n *refNode) refPorts {
-	used := refPorts{}
-	if n.parent != InvalidNode {
-		used[n.parentPort] = struct{}{}
-	}
-	for _, p := range n.childPorts {
-		used[p] = struct{}{}
-	}
-	return used
-}
-
 func (r *refTree) link(p, c *refNode) {
 	c.parent = p.id
-	c.parentPort = r.ports.Assign(c.id, r.used(c))
 	p.childIndex[c.id] = len(p.children)
 	p.children = append(p.children, c.id)
-	p.childPorts[c.id] = r.ports.Assign(p.id, r.used(p))
 }
 
 func (r *refTree) unlink(p, c *refNode) {
@@ -85,7 +63,6 @@ func (r *refTree) unlink(p, c *refNode) {
 	}
 	p.children = p.children[:last]
 	delete(p.childIndex, c.id)
-	delete(p.childPorts, c.id)
 	c.parent = InvalidNode
 }
 
@@ -143,17 +120,11 @@ func (r *refTree) snapshot() *Snapshot {
 	}
 	sort.Slice(s.Deleted, func(i, j int) bool { return s.Deleted[i] < s.Deleted[j] })
 	for _, n := range r.nodes {
-		ns := NodeSnapshot{
-			ID:         n.id,
-			Parent:     n.parent,
-			ParentPort: n.parentPort,
-			Children:   append([]NodeID(nil), n.children...),
-			ChildPorts: make([]int, len(n.children)),
-		}
-		for i, cid := range n.children {
-			ns.ChildPorts[i] = n.childPorts[cid]
-		}
-		s.Nodes = append(s.Nodes, ns)
+		s.Nodes = append(s.Nodes, NodeSnapshot{
+			ID:       n.id,
+			Parent:   n.parent,
+			Children: append([]NodeID(nil), n.children...),
+		})
 	}
 	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
 	return s
@@ -164,6 +135,8 @@ func (r *refTree) snapshot() *Snapshot {
 // the model's parent, the depth the model's parent chain gives it and, as its
 // express link, the first node up that chain at a depth that is a multiple of
 // the stride; a deleted one (and index 0) InvalidNode, -1 and InvalidNode.
+// The ports of a live non-root id's edge are 2π(id) at the model's parent
+// and 2π(id)+1 at the id.
 func (r *refTree) checkDense(tr *Tree) error {
 	if len(tr.parent) != int(r.nextID) || len(tr.depth) != int(r.nextID) || tr.express.Len() != int(r.nextID) {
 		return fmt.Errorf("%d parent links, %d depths and %d express links for ids below %d",
@@ -187,6 +160,15 @@ func (r *refTree) checkDense(tr *Tree) error {
 			return fmt.Errorf("id %d: parent %d at depth %d with express link %d, the model says parent %d at depth %d with link %d",
 				id, tr.parent[id], tr.depth[id], *tr.express.At(id), parent, depth, express)
 		}
+		if parent == InvalidNode {
+			continue
+		}
+		down, errDown := tr.ChildPort(parent, id)
+		up, errUp := tr.ParentPort(id)
+		if errDown != nil || errUp != nil || down != 2*int(permute(id)) || up != down+1 {
+			return fmt.Errorf("id %d under %d: ports %d (%v) down and %d (%v) up, want 2π(%d) = %d and one more",
+				id, parent, down, errDown, up, errUp, id, 2*permute(id))
+		}
 	}
 	return nil
 }
@@ -203,16 +185,8 @@ func linked(tr *Tree) bool {
 }
 
 func TestTreeMatchesMapModel(t *testing.T) {
-	assigners := map[string]func(seed int64) PortAssigner{
-		"sequential":  func(int64) PortAssigner { return NewSequentialPorts() },
-		"adversarial": func(seed int64) PortAssigner { return NewAdversarialPorts(seed) },
-	}
-	for name, assigner := range assigners {
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 12; seed++ {
-				replayAgainstModel(t, seed, assigner)
-			}
-		})
+	for seed := int64(1); seed <= 12; seed++ {
+		replayAgainstModel(t, seed)
 	}
 }
 
@@ -233,11 +207,11 @@ func (r *refTree) listHolders() int {
 // splits, cuts and re-depths subtrees that hang off express stops below the
 // root; then the mix leans toward growth early and toward removal late, so
 // histories visit both wide nodes and long runs of swap-removes.
-func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssigner) {
+func replayAgainstModel(t *testing.T, seed int64) {
 	const steps, spine = 400, 5 * expressStride / 2
 	rng := rand.New(rand.NewSource(seed))
-	tr, root := New(WithPortAssigner(assigner(seed)))
-	ref := newRefTree(assigner(seed))
+	tr, root := New()
+	ref := newRefTree()
 	everLinked := false
 	peak, reused := 0, false // the most nodes with children at once; whether a freed list was taken
 	for step := 0; step < steps; step++ {
@@ -330,8 +304,8 @@ func replayAgainstModel(t *testing.T, seed int64, assigner func(int64) PortAssig
 // split relinks three nodes around the new one. The tree is compared with the
 // model, dense slices and all, and validated after every step.
 func TestSplitsAcrossTableChunks(t *testing.T) {
-	tr, root := New(WithPortAssigner(NewSequentialPorts()))
-	ref := newRefTree(NewSequentialPorts())
+	tr, root := New()
+	ref := newRefTree()
 	bottom := mustAddLeaf(t, tr, root)
 	ref.addLeaf(root)
 	for step := 0; tr.EverExisted() <= 2*chunkLen+3; step++ {
@@ -384,8 +358,6 @@ func TestNodesAndLeavesAscending(t *testing.T) {
 // the int of Snapshot.EverExisted on every word size.
 const hugeID = math.MaxInt32
 
-var onePastMaxPort int64 = MaxPort + 1
-
 // corruptions are snapshot edits Restore must refuse before it sizes
 // anything from them. The first is the one that matters with dense storage:
 // every field agrees that ids run up to hugeID.
@@ -419,17 +391,13 @@ var corruptions = map[string]func(s *Snapshot){
 	"deleted id live":    func(s *Snapshot) { s.Deleted[0] = s.Root },
 	"deleted id twice":   func(s *Snapshot) { s.Deleted[1] = s.Deleted[0] },
 	"child out of range": func(s *Snapshot) { s.Nodes[0].Children[0] = 1 << 40 },
-	// The node table keeps the port toward the parent in 32 bits: a port it
-	// cannot hold is refused, not truncated. Where int is 32 bits, one past
-	// MaxPort wraps to one below -MaxPort, which is refused as well.
-	"parent port above 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = int(onePastMaxPort) },
-	"parent port below 32 bits": func(s *Snapshot) { s.Nodes[1].ParentPort = -MaxPort - 1 },
 	// Not an id, but a snapshot no live tree can be in, which Restore must
-	// refuse on its own and not leave to a caller's Validate.
-	"duplicate child port": func(s *Snapshot) {
+	// refuse on its own and not leave to a caller's Validate: the one child
+	// would reach its parent twice, on one port.
+	"child listed twice": func(s *Snapshot) {
 		for _, n := range s.Nodes {
-			if len(n.ChildPorts) > 1 {
-				n.ChildPorts[1] = n.ChildPorts[0]
+			if len(n.Children) > 1 {
+				n.Children[1] = n.Children[0]
 				return
 			}
 		}
@@ -439,7 +407,7 @@ var corruptions = map[string]func(s *Snapshot){
 }
 
 // listItself makes the first non-root node with children list itself k more
-// times, each on a port of its own.
+// times.
 func listItself(s *Snapshot, k int) {
 	for i := range s.Nodes {
 		n := &s.Nodes[i]
@@ -448,7 +416,6 @@ func listItself(s *Snapshot, k int) {
 		}
 		for j := 0; j < k; j++ {
 			n.Children = append(n.Children, n.ID)
-			n.ChildPorts = append(n.ChildPorts, MaxPort-j)
 		}
 		return
 	}
@@ -471,7 +438,7 @@ func TestRestoreSelfListingIsRefusedInLinearSpace(t *testing.T) {
 	if err == nil {
 		t.Fatal("Restore accepted a node that lists itself")
 	}
-	// The self-list alone is k edges of 16 B; the stack may hold each listed
+	// The self-list alone is k ids of 8 B; the stack may hold each listed
 	// node once. Everything else Restore sizes is per id.
 	limit := uint64(64*k + 64*int(snap.NextID))
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {

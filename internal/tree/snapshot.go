@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the tree's state-capture boundary for the durability engine
 // (internal/persist): Snapshot copies the complete structural state of a
@@ -10,21 +13,18 @@ import "fmt"
 // state through its existing reference.
 
 // NodeSnapshot is the captured state of one live node. Children are listed
-// in insertion order together with the port number the parent uses to reach
-// each child; ParentPort is the port at the node leading to its parent
-// (meaningless for the root). Depth is derivable and therefore not stored.
+// in insertion order. Depth and the ports follow from the ids and the
+// parent links and are therefore not stored.
 type NodeSnapshot struct {
-	ID         NodeID
-	Parent     NodeID
-	ParentPort int
-	Children   []NodeID
-	ChildPorts []int
+	ID       NodeID
+	Parent   NodeID
+	Children []NodeID
 }
 
 // Snapshot is the complete captured state of a tree. It is plain data: the
 // binary codec in internal/persist serializes it, and Restore rebuilds the
-// identical tree from it (node ids, child order, ports, change sequence and
-// the deleted-id set all survive the round trip).
+// identical tree from it (node ids, child order, change sequence and the
+// deleted-id set all survive the round trip, and the ports with the ids).
 type Snapshot struct {
 	Root        NodeID
 	NextID      NodeID
@@ -56,39 +56,25 @@ func (t *Tree) Snapshot() *Snapshot {
 			continue
 		}
 		// Built the same way whatever list the node's history left it, so
-		// equal trees give deeply equal snapshots: a leaf lists nil children
-		// and an empty slice of ports.
-		edges := t.edges(n)
-		ns := NodeSnapshot{
-			ID:         id,
-			Parent:     t.parent[id],
-			ParentPort: int(n.parentPort),
-			ChildPorts: make([]int, len(edges)),
+		// equal trees give deeply equal snapshots: a leaf lists nil children.
+		var kids []NodeID
+		if k := t.kids(n); len(k) > 0 {
+			kids = slices.Clone(k)
 		}
-		if len(edges) > 0 {
-			ns.Children = make([]NodeID, len(edges))
-		}
-		for i, e := range edges {
-			ns.Children[i], ns.ChildPorts[i] = e.child, e.port
-		}
-		s.Nodes = append(s.Nodes, ns)
+		s.Nodes = append(s.Nodes, NodeSnapshot{ID: id, Parent: t.parent[id], Children: kids})
 	}
 	return s
 }
 
 // Restore replaces the tree's contents with the captured snapshot, keeping
-// the tree value (and thus every reference to it) and its port assigner. A
-// restore is state recovery, not a topological change: Changes becomes the
-// snapshot's count and Generation moves on. The restored tree is validated
-// before the receiver is touched; on error the tree is left unchanged. It
-// refuses ids that disagree with the snapshot's own counts (before sizing
-// anything), a parent port beyond ±MaxPort, a walk that would push more
-// nodes than are listed (cycles cost no more than the list), and Validate.
-//
-// No snapshot carries the port assigner's position, so the ports drawn after
-// a Restore differ from those the uninterrupted tree would have drawn: a
-// recovered daemon's later snapshots hold other port bytes than an uncrashed
-// one's. Ids, parents and depths, and so every verdict, are the same.
+// the tree value (and thus every reference to it). A restore is state
+// recovery, not a topological change: Changes becomes the snapshot's count
+// and Generation moves on. The restored tree is validated before the
+// receiver is touched; on error the tree is left unchanged. It refuses ids
+// that disagree with the snapshot's own counts (before sizing anything), a
+// walk that would push more nodes than are listed (cycles cost no more than
+// the list), and Validate. Ports follow from the ids, so the restored tree,
+// and every edge it links later, has the ports the uninterrupted one has.
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before
@@ -118,24 +104,11 @@ func (t *Tree) Restore(s *Snapshot) error {
 		if !inRange(ns.ID) {
 			return fmt.Errorf("restore: node id %d outside 1..%d: %w", ns.ID, s.NextID-1, ErrNoSuchNode)
 		}
-		if len(ns.ChildPorts) != len(ns.Children) {
-			return fmt.Errorf("restore: node %d has %d children but %d child ports",
-				ns.ID, len(ns.Children), len(ns.ChildPorts))
-		}
 		if r.Contains(ns.ID) {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
-		if ns.ParentPort < -MaxPort || ns.ParentPort > MaxPort {
-			return fmt.Errorf("restore: node %d has parent port %d, outside ±%d", ns.ID, ns.ParentPort, MaxPort)
-		}
-		n := r.nodes.At(ns.ID)
-		n.parentPort = int32(ns.ParentPort)
 		if len(ns.Children) > 0 {
-			list := r.takeList(n)
-			*list = make([]edge, len(ns.Children))
-			for i, c := range ns.Children {
-				(*list)[i] = edge{c, ns.ChildPorts[i]}
-			}
+			*r.takeList(r.nodes.At(ns.ID)) = slices.Clone(ns.Children)
 		}
 		r.parent[ns.ID] = ns.Parent
 		r.depth[ns.ID] = 0
@@ -153,7 +126,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 	r.root, r.live = s.Root, len(s.Nodes)
 	// Derive depths, express links and slots from the root, then hold the
 	// staged tree to everything Validate checks of a live one (parent links,
-	// ports, reachability) before committing. In a tree each listed node is
+	// child lists, reachability) before committing. In a tree each listed node is
 	// pushed once, so a walk about to push more nodes than are listed has met
 	// a cycle or a node listed twice and stops there: the stack, and the work,
 	// never outgrow what the snapshot lists.
@@ -162,8 +135,7 @@ func (t *Tree) Restore(s *Snapshot) error {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for i, e := range r.edges(r.nodes.At(id)) {
-			cid := e.child
+		for i, cid := range r.kids(r.nodes.At(id)) {
 			if pushed++; pushed > len(s.Nodes) {
 				return fmt.Errorf("restore: node %d reachable twice", cid)
 			}
@@ -185,7 +157,6 @@ func (t *Tree) Restore(s *Snapshot) error {
 	t.nodes, t.lists, t.free = r.nodes, r.lists, nil
 	t.parent, t.depth, t.express, t.atDepth = r.parent, r.depth, r.express, r.atDepth
 	t.expressEpoch++
-	t.view = portView{} // it points into the table just replaced
 	t.live = len(s.Nodes)
 	t.root = s.Root
 	t.changeSeq = s.ChangeSeq

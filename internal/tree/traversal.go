@@ -33,9 +33,9 @@ func (t *Tree) Intervals() map[NodeID][2]int {
 		num++
 		f.pre = num
 		// Push children in reverse so they pop in insertion order.
-		edges := t.edges(t.nodes.At(f.id))
-		for i := len(edges) - 1; i >= 0; i-- {
-			stack = append(stack, frame{id: edges[i].child})
+		kids := t.kids(t.nodes.At(f.id))
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, frame{id: kids[i]})
 		}
 	}
 	return out
@@ -54,9 +54,7 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, e := range t.edges(t.nodes.At(id)) {
-				stack = append(stack, e.child)
-			}
+			stack = append(stack, t.kids(t.nodes.At(id))...)
 			if !yield(id) {
 				break
 			}

@@ -11,21 +11,28 @@
 //   - RemoveInternal: a non-root node u is deleted; u's children become
 //     children of u's parent.
 //
-// Port numbers at every vertex are distinct and, to model the paper's
-// adversarial port assumption, are produced by a pluggable PortAssigner.
+// Ports. The paper lets an adversary choose the port numbers, subject only
+// to their being distinct at each vertex and O(log N) bits long. Here a port
+// is a function of the edge and is never stored: the port at a parent toward
+// its child c is 2·π(c), and the port at c toward its parent is 2·π(c)+1,
+// where π is one fixed, keyed permutation of the ids that keeps every id's
+// bit length. Ids are distinct, so the child ports at a vertex are, and they
+// are even where the parent port is odd; a port has one bit more than the
+// id, with no cap. Linking a node draws nothing and tests nothing, and a
+// restored tree numbers every edge as the uninterrupted one does.
 //
 // Storage. Node ids are dense by construction (they count up from 1 and are
 // never reused), so the tree keeps its nodes, by value, in a Table indexed by
 // NodeID: no lookup hashes, and adding a node allocates nothing but a chunk of
-// the table every 512 ids. An entry holds no pointer and no slice header:
-// a node's children, each with the port toward it, are a list in a second
-// Table, which only a node with children holds a slot of, and a node knows
-// its own slot in its parent's list, so linking tests the ports at the two
-// endpoints in place and unlinking is a swap-remove. A list slot a node gives
-// up, because its last child left or it was deleted, keeps its backing array
-// and is the next one handed out, so the list table grows only to the most
-// nodes that have had children at once. Nodes, Leaves and Snapshot walk the
-// node table and therefore answer in ascending id order.
+// the table every 512 ids. An entry holds no pointer and no slice header: a
+// node's children are a list of ids in a second Table, which only a node
+// with children holds a slot of, and a node knows its own slot in its
+// parent's list, so linking is an append and unlinking is a swap-remove. A
+// list slot a node gives up, because its last child left or it was deleted,
+// keeps its backing array and is the next one handed out, so the list table
+// grows only to the most nodes that have had children at once. Nodes, Leaves
+// and Snapshot walk the node table and therefore answer in ascending id
+// order.
 //
 // What an ancestor walk reads lives apart from the nodes: the parent link
 // and the cached depth of every id sit in two more slices indexed by NodeID,
@@ -73,6 +80,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -152,45 +160,39 @@ type Request struct {
 
 // node is what a vertex knows of its edges. Its parent, its depth and
 // whether it lives are in Tree.parent and Tree.depth, its children in
-// Tree.lists, and its id is its index in Tree.nodes, where it sits by value:
-// the zero node is an id that is not in the tree. The struct holds three
-// 32-bit fields, 12 bytes an entry and 6 KiB a chunk of the table, which is
-// why the port toward the parent is kept in 32 bits (see MaxPort); a slot or
-// a list index counts nodes alive at once, which no memory holds 2^31 of.
+// Tree.lists, its ports follow from its id, and its id is its index in
+// Tree.nodes, where it sits by value: the zero node is an id that is not in
+// the tree. The struct holds two 32-bit fields, 8 bytes an entry and 4 KiB a
+// chunk of the table; a slot or a list index counts nodes alive at once,
+// which no memory holds 2^31 of.
 type node struct {
-	slot       int32 // position of this node in its parent's children
-	parentPort int32 // within ±MaxPort
-	list       int32 // index of the node's children in Tree.lists; 0 for none
+	slot int32 // position of this node in its parent's children
+	list int32 // index of the node's children in Tree.lists; 0 for none
 }
 
-// edge is one entry of a child list: a child and the port at the parent
-// leading to it.
-type edge struct {
-	child NodeID
-	port  int
-}
+// The two rounds of permute, each a multiplication by an odd constant and a
+// xorshift; the constants are the permutation's key.
+const (
+	portKey1 = 0x9e3779b97f4a7c15
+	portKey2 = 0xbf58476d1ce4e5b9
+)
 
-// portView is the PortSet an assigner is handed: the ports in use at one
-// node, which are the port to the parent, if the node has one, and the port
-// to every child. The tree keeps one and points it at the node in question,
-// so assigning a port allocates nothing.
-type portView struct {
-	edges      []edge
-	parentPort int32
-	hasParent  bool
-}
-
-// Has implements PortSet.
-func (v *portView) Has(port int) bool {
-	if v.hasParent && int(v.parentPort) == port {
-		return true
-	}
-	for _, e := range v.edges {
-		if e.port == port {
-			return true
-		}
-	}
-	return false
+// permute is π: for an id c in [2^j, 2^(j+1)) it keeps the top bit and maps
+// the j bits below it through a bijection on j bits, two rounds of multiply
+// by an odd constant and xorshift, each invertible modulo 2^j. So π is a
+// bijection on every such block, distinct ids have distinct images, and an
+// image has the bit length of its id.
+func permute(c NodeID) uint64 {
+	x := uint64(c)
+	j := bits.Len64(x) - 1
+	mask := uint64(1)<<j - 1
+	shift := (j + 1) / 2 // at least 1 where there are bits to mix
+	y := x & mask
+	y = (y * portKey1) & mask
+	y ^= y >> shift
+	y = (y * portKey2) & mask
+	y ^= y >> shift
+	return x&^mask | y
 }
 
 // Tree is a dynamic rooted tree. The root is created by New and is never
@@ -207,7 +209,7 @@ type Tree struct {
 	// does. Index 0 is no list, and free holds the indices no node owns,
 	// each an empty list keeping its backing array; a list is taken from
 	// free before the table grows.
-	lists Table[[]edge]
+	lists Table[[]NodeID]
 	free  []int32
 	// parent and depth are indexed by NodeID like nodes and as long. They
 	// hold the only copy of each live node's parent link (InvalidNode for
@@ -219,8 +221,6 @@ type Tree struct {
 	depth     []int32
 	live      int // live entries of nodes
 	root      NodeID
-	ports     PortAssigner
-	view      portView // the port set of the node being linked
 	stack     []NodeID // recomputeDepths' and Subtree's scratch, empty between calls
 	changeSeq uint64
 	// generation counts the applied changes like changeSeq and the Restores
@@ -242,29 +242,16 @@ type Tree struct {
 	expressEpoch uint64
 }
 
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithPortAssigner installs a custom port assigner. The default is an
-// AdversarialPorts assigner seeded with 1.
-func WithPortAssigner(p PortAssigner) Option {
-	return func(t *Tree) { t.ports = p }
-}
-
 // New creates a tree containing only a root node and returns the tree and
 // the root's id.
-func New(opts ...Option) (*Tree, NodeID) {
+func New() (*Tree, NodeID) {
 	t := &Tree{
 		parent: make([]NodeID, 1),
 		depth:  []int32{-1},
-		ports:  NewAdversarialPorts(1),
 	}
 	t.nodes.Grow(1) // index 0 is InvalidNode
 	t.lists.Grow(1) // and no list
 	t.express.Grow(1)
-	for _, opt := range opts {
-		opt(t)
-	}
 	t.root = t.allocNode(InvalidNode, 0)
 	return t, t.root
 }
@@ -343,9 +330,9 @@ func (t *Tree) get(id NodeID) *node {
 	return nil
 }
 
-// edges returns n's child list, nil for a leaf. It is good until the list
+// kids returns n's child list, nil for a leaf. It is good until the list
 // next changes.
-func (t *Tree) edges(n *node) []edge {
+func (t *Tree) kids(n *node) []NodeID {
 	if n.list == 0 {
 		return nil
 	}
@@ -354,7 +341,7 @@ func (t *Tree) edges(n *node) []edge {
 
 // takeList gives n an empty child list: a freed one if there is one, else a
 // new slot at the end of the table.
-func (t *Tree) takeList(n *node) *[]edge {
+func (t *Tree) takeList(n *node) *[]NodeID {
 	if last := len(t.free) - 1; last >= 0 {
 		n.list, t.free = t.free[last], t.free[:last]
 	} else {
@@ -477,12 +464,7 @@ func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 	if n == nil {
 		return nil, fmt.Errorf("children of %d: %w", id, ErrNoSuchNode)
 	}
-	edges := t.edges(n)
-	out := make([]NodeID, len(edges))
-	for i, e := range edges {
-		out[i] = e.child
-	}
-	return out, nil
+	return slices.Clone(t.kids(n)), nil
 }
 
 // ChildCount returns the number of children of id (the child-degree deg(v)
@@ -492,7 +474,7 @@ func (t *Tree) ChildCount(id NodeID) (int, error) {
 	if n == nil {
 		return 0, fmt.Errorf("child count of %d: %w", id, ErrNoSuchNode)
 	}
-	return len(t.edges(n)), nil
+	return len(t.kids(n)), nil
 }
 
 // Depth returns the hop distance from id to the root.
@@ -509,29 +491,28 @@ func (t *Tree) IsLeaf(id NodeID) bool {
 	return n != nil && n.list == 0
 }
 
-// ParentPort returns the port number at id leading to its parent.
+// ParentPort returns the port number at id leading to its parent,
+// 2·π(id)+1: odd, so distinct from every child port at id.
 func (t *Tree) ParentPort(id NodeID) (int, error) {
-	n := t.get(id)
-	if n == nil {
+	if !t.Contains(id) {
 		return 0, fmt.Errorf("parent port of %d: %w", id, ErrNoSuchNode)
 	}
 	if t.parent[id] == InvalidNode {
 		return 0, fmt.Errorf("parent port of root %d: %w", id, ErrIsRoot)
 	}
-	return int(n.parentPort), nil
+	return int(2*permute(id) + 1), nil
 }
 
-// ChildPort returns the port number at parent leading to child.
+// ChildPort returns the port number at parent leading to child, 2·π(child):
+// even, and distinct from every other child's because π is injective.
 func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
-	p := t.get(parent)
-	if p == nil {
+	if !t.Contains(parent) {
 		return 0, fmt.Errorf("child port at %d: %w", parent, ErrNoSuchNode)
 	}
-	c := t.get(child)
-	if c == nil || t.parent[child] != parent {
+	if !t.Contains(child) || t.parent[child] != parent {
 		return 0, fmt.Errorf("child port %d->%d: %w", parent, child, ErrNotRelated)
 	}
-	return t.edges(p)[c.slot].port, nil
+	return int(2 * permute(child)), nil
 }
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
@@ -602,9 +583,9 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	// The children move over in order; n leaves whole, so they need no
 	// unlinking from it one by one. They join p's list, which holds id and
 	// so is not the one being walked.
-	for _, e := range t.edges(n) {
-		t.link(p, e.child)
-		t.recomputeDepths(e.child)
+	for _, c := range t.kids(n) {
+		t.link(p, c)
+		t.recomputeDepths(c)
 	}
 	t.unlink(p, id)
 	t.remove(id)
@@ -612,31 +593,18 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	return nil
 }
 
-// link makes c a child of p and assigns fresh ports on both endpoints: at c
-// first, where the port c last used toward a parent still counts as taken,
-// then at p. The depth of c is the caller's to set: a new node is allocated
-// with it, a moved one heads a subtree for recomputeDepths.
+// link makes c the last child of p; the ports of the edge follow from c. The
+// depth of c is the caller's to set: a new node is allocated with it, a
+// moved one heads a subtree for recomputeDepths.
 func (t *Tree) link(p, c NodeID) {
 	pn, cn := t.nodes.At(p), t.nodes.At(c)
 	t.parent[c] = p
-	toParent := t.assignPort(c, cn)
-	if toParent < -MaxPort || toParent > MaxPort {
-		panic(fmt.Sprintf("tree: port assigner drew %d for node %d, outside ±%d", toParent, c, MaxPort))
-	}
-	cn.parentPort = int32(toParent)
-	port := t.assignPort(p, pn)
 	list := t.lists.At(NodeID(pn.list))
 	if pn.list == 0 {
 		list = t.takeList(pn)
 	}
 	cn.slot = int32(len(*list))
-	*list = append(*list, edge{c, port})
-}
-
-// assignPort draws a port for a new edge at node id that is not in use there.
-func (t *Tree) assignPort(id NodeID, n *node) int {
-	t.view = portView{edges: t.edges(n), parentPort: n.parentPort, hasParent: t.parent[id] != InvalidNode}
-	return t.ports.Assign(id, &t.view)
+	*list = append(*list, c)
 }
 
 // unlink removes c from p's child list; p's last child takes c's slot, and
@@ -644,14 +612,14 @@ func (t *Tree) assignPort(id NodeID, n *node) int {
 func (t *Tree) unlink(p, c NodeID) {
 	pn, cn := t.nodes.At(p), t.nodes.At(c)
 	list := t.lists.At(NodeID(pn.list))
-	edges := *list
-	last := int32(len(edges) - 1)
+	kids := *list
+	last := int32(len(kids) - 1)
 	if cn.slot != last {
-		moved := edges[last]
-		t.nodes.At(moved.child).slot = cn.slot
-		edges[cn.slot] = moved
+		moved := kids[last]
+		t.nodes.At(moved).slot = cn.slot
+		kids[cn.slot] = moved
 	}
-	*list = edges[:last]
+	*list = kids[:last]
 	if last == 0 {
 		t.dropList(pn)
 	}
@@ -677,9 +645,7 @@ func (t *Tree) recomputeDepths(c NodeID) {
 		atDepth[old]--
 		atDepth[d]++
 		*t.express.At(id) = t.expressVia(p)
-		for _, e := range t.edges(t.nodes.At(id)) {
-			stack = append(stack, e.child)
-		}
+		stack = append(stack, t.kids(t.nodes.At(id))...)
 	}
 	t.stack = stack
 	t.trimDepths()
@@ -973,7 +939,7 @@ func (t *Tree) Leaves() []NodeID {
 }
 
 // Validate checks structural consistency of the tree: parent/child symmetry,
-// depth caching, port uniqueness, acyclicity and full reachability from the
+// depth caching, acyclicity and full reachability from the
 // root, and returns the first inconsistency found. Restore holds every staged
 // tree to it before committing, so it must keep checking everything a
 // snapshot can get wrong.
@@ -1025,12 +991,12 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return fmt.Errorf("validate: reachable node %d missing: %w", f.id, ErrNoSuchNode)
 		}
-		var edges []edge
+		var kids []NodeID
 		if n.list != 0 {
 			if _, taken := owner[n.list]; taken || n.list < 0 || int(n.list) >= t.lists.Len() {
 				return fmt.Errorf("validate: node %d holds list slot %d, out of range or not its own", f.id, n.list)
 			}
-			if edges = t.edges(n); len(edges) == 0 {
+			if kids = t.kids(n); len(kids) == 0 {
 				return fmt.Errorf("validate: node %d holds an empty list", f.id)
 			}
 			owner[n.list] = f.id
@@ -1042,12 +1008,7 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("validate: node %d at depth %d has express link %d, its parent gives %d",
 				f.id, f.depth, *t.express.At(f.id), want)
 		}
-		ports := make(map[int]struct{}, len(edges)+1)
-		if t.parent[f.id] != InvalidNode {
-			ports[int(n.parentPort)] = struct{}{}
-		}
-		for i, e := range edges {
-			cid := e.child
+		for i, cid := range kids {
 			c := t.get(cid)
 			if c == nil {
 				return fmt.Errorf("validate: child %d of %d missing: %w", cid, f.id, ErrNoSuchNode)
@@ -1058,11 +1019,6 @@ func (t *Tree) Validate() error {
 			if int(c.slot) != i {
 				return fmt.Errorf("validate: slot of %d under %d is stale", cid, f.id)
 			}
-			port := e.port
-			if _, dup := ports[port]; dup {
-				return fmt.Errorf("validate: duplicate port %d at node %d", port, f.id)
-			}
-			ports[port] = struct{}{}
 			stack = append(stack, frame{cid, f.depth + 1})
 		}
 	}

@@ -836,32 +836,19 @@ func TestObservers(t *testing.T) {
 }
 
 func TestPortsDistinct(t *testing.T) {
-	for _, assigner := range []PortAssigner{NewSequentialPorts(), NewAdversarialPorts(7)} {
-		tr, root := New(WithPortAssigner(assigner))
-		for i := 0; i < 50; i++ {
-			mustAddLeaf(t, tr, root)
-		}
-		kids, err := tr.Children(root)
-		if err != nil {
-			t.Fatalf("Children: %v", err)
-		}
-		seen := make(map[int]struct{})
-		for _, c := range kids {
-			p, err := tr.ChildPort(root, c)
-			if err != nil {
-				t.Fatalf("ChildPort: %v", err)
-			}
-			if _, dup := seen[p]; dup {
-				t.Fatalf("duplicate port %d at root", p)
-			}
-			seen[p] = struct{}{}
-			if _, err := tr.ParentPort(c); err != nil {
-				t.Fatalf("ParentPort(%d): %v", c, err)
-			}
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("Validate: %v", err)
-		}
+	tr, root := New()
+	hub := mustAddLeaf(t, tr, root)
+	for i := 0; i < 50; i++ {
+		mustAddLeaf(t, tr, hub)
+	}
+	if err := portsDistinct(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.ParentPort(root); !errors.Is(err, ErrIsRoot) {
+		t.Fatalf("ParentPort(root) = %v, want ErrIsRoot", err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 }
 
@@ -903,7 +890,7 @@ func TestChangeKindString(t *testing.T) {
 // returns the tree.
 func randomScenario(seed int64, n int) *Tree {
 	rng := rand.New(rand.NewSource(seed))
-	tr, root := New(WithPortAssigner(NewAdversarialPorts(seed)))
+	tr, root := New()
 	live := []NodeID{root}
 	for i := 0; i < n; i++ {
 		switch op := rng.Intn(4); op {
