@@ -184,9 +184,22 @@ func linked(tr *Tree) bool {
 	return false
 }
 
+// TestTreeMatchesMapModel replays twelve seeded histories against the model
+// in two regimes. Under sequential one tree lives through the whole history;
+// under adversarial a seeded adversary interrupts it at steps of its own
+// choosing, and the history goes on in a tree restored from the snapshot
+// taken there. Ports are a function of the edge, so the restored tree must
+// go on matching the model, ports included.
 func TestTreeMatchesMapModel(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		replayAgainstModel(t, seed)
+	for _, regime := range []struct {
+		name     string
+		restores bool
+	}{{"sequential", false}, {"adversarial", true}} {
+		t.Run(regime.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 12; seed++ {
+				replayAgainstModel(t, seed, regime.restores)
+			}
+		})
 	}
 }
 
@@ -206,10 +219,15 @@ func (r *refTree) listHolders() int {
 // It opens with a spine two and a half strides deep, so that what follows
 // splits, cuts and re-depths subtrees that hang off express stops below the
 // root; then the mix leans toward growth early and toward removal late, so
-// histories visit both wide nodes and long runs of swap-removes.
-func replayAgainstModel(t *testing.T, seed int64) {
+// histories visit both wide nodes and long runs of swap-removes. With
+// restores, about one step in 32 ends by replacing the tree with a restore of
+// its snapshot; the interruptions draw from a source of their own, so both
+// regimes replay the same history.
+func replayAgainstModel(t *testing.T, seed int64, restores bool) {
 	const steps, spine = 400, 5 * expressStride / 2
 	rng := rand.New(rand.NewSource(seed))
+	interrupt := rand.New(rand.NewSource(^seed))
+	interrupted := 0
 	tr, root := New()
 	ref := newRefTree()
 	everLinked := false
@@ -263,6 +281,19 @@ func replayAgainstModel(t *testing.T, seed int64) {
 			t.Fatalf("seed %d step %d: after op %d at %d: %v", seed, step, op, id, err)
 		}
 		everLinked = everLinked || step > spine && op >= 2 && linked(tr)
+		if restores && interrupt.Intn(32) == 0 {
+			back, _ := New()
+			if err := back.Restore(tr.Snapshot()); err != nil {
+				t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+			}
+			// A restored tree holds a list slot per node with children
+			// and none free: the table's peak starts over there.
+			tr, peak = back, holders
+			interrupted++
+		}
+	}
+	if restores && interrupted == 0 {
+		t.Fatalf("seed %d: the history was never interrupted", seed)
 	}
 	if !everLinked {
 		t.Fatalf("seed %d: no subtree moved a level while a node hung off an express stop below the root", seed)
