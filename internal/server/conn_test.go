@@ -155,13 +155,18 @@ func submitUntilRejected(t *testing.T, cl *client.Client, root tree.NodeID) {
 // interleaving once in 40 runs).
 func TestRejectWaveWaitsForWelcome(t *testing.T) {
 	root := star4Root(t)
+	// s is published to the deciding goroutine through started, closed once
+	// startServer has returned: the handshake's bytes on the socket are no
+	// ordering the race detector can see.
 	var s *Server
+	started := make(chan struct{})
 	var once sync.Once
 	decided := make(chan struct{})
 	logger := slog.New(waveOnBound{fire: func() {
 		once.Do(func() {
 			go func() {
 				defer close(decided)
+				<-started
 				reqs := make([]controller.Request, 8)
 				for i := range reqs {
 					reqs[i] = controller.Request{Node: root, Kind: tree.None}
@@ -172,6 +177,7 @@ func TestRejectWaveWaitsForWelcome(t *testing.T) {
 		})
 	}})
 	s = startServer(t, Config{Tenants: oneTenant(star4, 1, 4, 1), Logger: logger})
+	close(started)
 	cl, err := client.Dial(s.Addr(), client.Options{})
 	if err != nil {
 		t.Fatalf("dial while the wave is decided: %v", err)
