@@ -24,6 +24,7 @@ const readBatch = 4096
 type srvConn struct {
 	s      *Server
 	nc     net.Conn
+	sock   io.ReadWriter // nc's bytes: rawSocket(nc), read through br
 	remote string
 	br     *bufio.Reader
 	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
@@ -45,7 +46,8 @@ type srvConn struct {
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
-	return &srvConn{s: s, nc: nc, remote: nc.RemoteAddr().String(), br: bufio.NewReaderSize(nc, 64<<10)}
+	sock := rawSocket(nc)
+	return &srvConn{s: s, nc: nc, sock: sock, remote: nc.RemoteAddr().String(), br: bufio.NewReaderSize(sock, 64<<10)}
 }
 
 // closeRead shuts the read side so the serve loop drains out; responses for
@@ -64,7 +66,7 @@ func (c *srvConn) closeRead() {
 // from the caller's buffer. It is the only place the write side is touched,
 // and only the connection's own serve goroutine calls it.
 func (c *srvConn) send(buf []byte) error {
-	_, err := c.nc.Write(buf)
+	_, err := c.sock.Write(buf)
 	return err
 }
 
