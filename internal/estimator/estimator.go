@@ -81,7 +81,9 @@ func (e *Estimator) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOpt
 		e.omega0 = make(map[tree.NodeID]int64, ni)
 		e.passed = make(map[tree.NodeID]int64, ni)
 		for id, iv := range e.tr.Intervals() {
-			e.omega0[id] = int64(iv[1] - iv[0] + 1)
+			if iv[0] > 0 {
+				e.omega0[tree.NodeID(id)] = int64(iv[1] - iv[0] + 1)
+			}
 		}
 		opts = append(opts, controller.WithDescentObserver(func(size int64, enters tree.NodeID) {
 			e.passed[enters] += size

@@ -99,8 +99,9 @@ func TestNCALabelsExact(t *testing.T) {
 		tr := randomTree(t, 50, seed)
 		scheme := labeling.BuildNCA(tr)
 		pre := make(map[tree.NodeID]int)
-		for id, p := range tr.Intervals() {
-			pre[id] = p[0]
+		iv := tr.Intervals()
+		for _, id := range tr.Nodes() {
+			pre[id] = int(iv[id][0])
 		}
 		nodes := tr.Nodes()
 		rng := rand.New(rand.NewSource(seed))

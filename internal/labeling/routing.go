@@ -37,15 +37,16 @@ type routingEntry struct {
 // BuildRouting labels the current tree and snapshots every node's routing
 // table. The distributed construction costs O(n) messages (one DFS).
 func BuildRouting(tr *tree.Tree) (*Routing, error) {
-	iv := tr.Intervals()
 	r := &Routing{
-		tables: make(map[tree.NodeID]routingTable, len(iv)),
-		labels: make(map[tree.NodeID]AncestryLabel, len(iv)),
+		tables: make(map[tree.NodeID]routingTable, tr.Size()),
+		labels: make(map[tree.NodeID]AncestryLabel, tr.Size()),
 	}
-	for id, p := range iv {
-		r.labels[id] = AncestryLabel{Pre: p[0], Post: p[1]}
+	for id, p := range tr.Intervals() {
+		if p[0] > 0 {
+			r.labels[tree.NodeID(id)] = AncestryLabel{Pre: int(p[0]), Post: int(p[1])}
+		}
 	}
-	for id := range iv {
+	for id := range tr.All() {
 		tbl := routingTable{self: r.labels[id]}
 		if parent, err := tr.Parent(id); err == nil && parent != tree.InvalidNode {
 			port, err := tr.ParentPort(id)

@@ -50,10 +50,11 @@ type Ancestry struct {
 // BuildAncestry labels the current tree; the construction costs O(n)
 // messages distributively (a DFS traversal).
 func BuildAncestry(tr *tree.Tree) *Ancestry {
-	iv := tr.Intervals()
-	labels := make(map[tree.NodeID]AncestryLabel, len(iv))
-	for id, p := range iv {
-		labels[id] = AncestryLabel{Pre: p[0], Post: p[1]}
+	labels := make(map[tree.NodeID]AncestryLabel, tr.Size())
+	for id, p := range tr.Intervals() {
+		if p[0] > 0 {
+			labels[tree.NodeID(id)] = AncestryLabel{Pre: int(p[0]), Post: int(p[1])}
+		}
 	}
 	return &Ancestry{labels: labels}
 }
@@ -119,20 +120,22 @@ type NCA struct {
 // BuildNCA labels the current tree.
 func BuildNCA(tr *tree.Tree) *NCA {
 	iv := tr.Intervals()
-	byPre := make([]tree.NodeID, len(iv)+1)
+	byPre := make([]tree.NodeID, tr.Size()+1)
 	for id, p := range iv {
-		byPre[p[0]] = id
+		if p[0] > 0 {
+			byPre[p[0]] = tree.NodeID(id)
+		}
 	}
 	// Path heads in preorder, a parent before its children: each node's
 	// heavy child, the first child with the largest subtree, continues the
 	// node's heavy path, and every other node heads a path of its own.
-	head := make(map[tree.NodeID]tree.NodeID, len(iv))
+	head := make(map[tree.NodeID]tree.NodeID, tr.Size())
 	for _, v := range byPre[1:] {
 		if _, ok := head[v]; !ok {
 			head[v] = v
 		}
 		kids, _ := tr.Children(v)
-		heavy, most := tree.InvalidNode, -1
+		heavy, most := tree.InvalidNode, int32(-1)
 		for _, k := range kids {
 			if s := iv[k][1] - iv[k][0]; s > most {
 				heavy, most = k, s
@@ -142,13 +145,13 @@ func BuildNCA(tr *tree.Tree) *NCA {
 			head[heavy] = head[v]
 		}
 	}
-	labels := make(map[tree.NodeID]NCALabel, len(iv))
-	for id := range iv {
+	labels := make(map[tree.NodeID]NCALabel, tr.Size())
+	for id := range tr.All() {
 		var entries []NCAEntry
 		cur := id
 		for {
 			h := head[cur]
-			entries = append(entries, NCAEntry{Head: iv[h][0], Exit: iv[cur][0]})
+			entries = append(entries, NCAEntry{Head: int(iv[h][0]), Exit: int(iv[cur][0])})
 			p, err := tr.Parent(h)
 			if err != nil || p == tree.InvalidNode {
 				break

@@ -53,7 +53,9 @@ func (nm *Naming) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOptio
 	// requests.
 	nm.tp.Sweep(nm.counters, nm.tr, 4)
 	for id, iv := range nm.tr.Intervals() {
-		nm.ids[id] = int64(iv[0])
+		if iv[0] > 0 {
+			nm.ids[tree.NodeID(id)] = int64(iv[0])
+		}
 	}
 	m = max(ni/2, 1)
 	serials := pkgstore.Interval{Lo: ni + 1, Hi: ni + m}

@@ -448,10 +448,11 @@ func TestReceiptFeedsTraces(t *testing.T) {
 	if err := tree.Build(tr, spec, 5); err != nil {
 		t.Fatal(err)
 	}
-	iv := tr.Intervals()
-	nodes := make([]tree.NodeID, len(iv))
-	for id, p := range iv {
-		nodes[p[0]-1] = id
+	nodes := make([]tree.NodeID, tr.Size())
+	for id, p := range tr.Intervals() {
+		if p[0] > 0 {
+			nodes[p[0]-1] = tree.NodeID(id)
+		}
 	}
 	before := scrapeMoves(t, s)
 

@@ -128,9 +128,23 @@ func FuzzTreeOps(f *testing.F) {
 		}
 
 		nodes := sorted(tr.Nodes())
+		// One entry per id ever issued, and pre is 0 exactly at the ids
+		// that are not in the tree.
 		iv := tr.Intervals()
-		if len(iv) != len(nodes) {
-			t.Fatalf("labeling covers %d nodes, tree has %d", len(iv), len(nodes))
+		if len(iv) != tr.EverExisted()+1 {
+			t.Fatalf("labeling has %d entries, %d ids were issued", len(iv), tr.EverExisted()+1)
+		}
+		labeled := 0
+		for id, p := range iv {
+			if (p[0] > 0) != tr.Contains(NodeID(id)) {
+				t.Fatalf("interval(%d) = %v, live %v", id, p, tr.Contains(NodeID(id)))
+			}
+			if p[0] > 0 {
+				labeled++
+			}
+		}
+		if labeled != len(nodes) {
+			t.Fatalf("labeling covers %d nodes, tree has %d", labeled, len(nodes))
 		}
 
 		// Path round-trips along every root path, and Deepest against a
@@ -179,7 +193,7 @@ func FuzzTreeOps(f *testing.F) {
 			for range tr.Subtree(u) {
 				size++
 			}
-			if got := iv[u][1] - iv[u][0] + 1; got != size {
+			if got := int(iv[u][1] - iv[u][0] + 1); got != size {
 				t.Fatalf("interval(%d)=%v spans %d nodes, Subtree counts %d", u, iv[u], got, size)
 			}
 			kids, _ := tr.Children(u)
@@ -191,7 +205,7 @@ func FuzzTreeOps(f *testing.F) {
 				next = iv[k][1] + 1
 			}
 		}
-		if iv[root] != [2]int{1, len(nodes)} {
+		if iv[root] != [2]int32{1, int32(len(nodes))} {
 			t.Fatalf("interval(root) = %v, want [1 %d]", iv[root], len(nodes))
 		}
 

@@ -6,36 +6,37 @@ import (
 	"slices"
 )
 
-// Intervals is the tree's one preorder walk. It returns, for every live
-// node v, the closed interval [pre, last] of the preorder numbers v's
-// subtree takes: pre is v's 1-based DFS number, last the largest number in
-// v's subtree, so the subtree holds last-pre+1 nodes and v is an ancestor
-// of u iff v's interval contains u's (the Kannan-Naor-Rudich ancestry
-// encoding). Children are numbered in insertion order, so the numbers are
-// deterministic for a given construction history. The walk keeps an
-// explicit stack rather than recursing, so a path of any depth is one O(n)
-// pass.
-func (t *Tree) Intervals() map[NodeID][2]int {
-	out := make(map[NodeID][2]int, t.live)
-	type frame struct {
-		id  NodeID
-		pre int // 0 until the walk enters id
-	}
-	num := 0
-	stack := []frame{{id: t.root}}
+// Intervals is the tree's one preorder walk. It returns a slice indexed by
+// id, one entry for every id the tree has handed out (EverExisted()+1 of
+// them). The entry of a live node v is the closed interval [pre, last] of
+// the preorder numbers v's subtree takes: pre is v's 1-based DFS number,
+// last the largest number in v's subtree, so the subtree holds last-pre+1
+// nodes and v is an ancestor of u iff v's interval contains u's (the
+// Kannan-Naor-Rudich ancestry encoding). A dead id, and id 0, read [0, 0]:
+// pre is 0 exactly where the id is not in the tree. The numbers are int32,
+// as the per-depth counts are. Children are numbered in insertion order, so
+// the numbers are deterministic for a given construction history. The walk
+// keeps an explicit stack of ids rather than recursing, so a path of any
+// depth is one O(n) pass; an id stays on the stack under its subtree, and
+// its pre, already written, tells the walk it is leaving it.
+func (t *Tree) Intervals() [][2]int32 {
+	out := make([][2]int32, len(t.depth))
+	var num int32
+	stack := []NodeID{t.root}
 	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.pre > 0 {
-			out[f.id] = [2]int{f.pre, num}
+		id := stack[len(stack)-1]
+		iv := &out[id]
+		if iv[0] > 0 {
+			iv[1] = num
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		num++
-		f.pre = num
+		iv[0] = num
 		// Push children in reverse so they pop in insertion order.
-		kids := t.kids(t.nodes.At(f.id))
+		kids := t.kids(t.nodes.At(id))
 		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, frame{id: kids[i]})
+			stack = append(stack, kids[i])
 		}
 	}
 	return out
