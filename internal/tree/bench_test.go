@@ -155,16 +155,28 @@ func BenchmarkTreeClimb(b *testing.B) {
 // intervalsSink keeps BenchmarkIntervals' result alive.
 var intervalsSink [][2]int32
 
-// BenchmarkIntervals numbers a balanced tree of the named size by one
-// preorder walk. What it allocates is the slice indexed by id that it
-// returns, 8 B an id, and the walk's stack of ids; as a map of [2]int it
-// was 6.5 times the bytes and about 4 times the time at 2^16.
+// BenchmarkIntervals numbers a balanced tree by one preorder walk. What it
+// allocates is the slice indexed by id that it returns, 8 B for every id
+// ever issued, live or not, and the walk's stack of ids. The shrunk case
+// is the slice's worst: a balanced tree of 2^16 nodes cut back, leaves
+// first, to 2^12, so fifteen entries in sixteen are dead ids.
 func BenchmarkIntervals(b *testing.B) {
-	for _, n := range []int{1 << 12, 1 << 16} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+	for _, c := range []struct{ ids, live int }{{1 << 12, 1 << 12}, {1 << 16, 1 << 16}, {1 << 16, 1 << 12}} {
+		name := fmt.Sprintf("nodes=%d", c.live)
+		if c.ids != c.live {
+			name = fmt.Sprintf("ids=%d/live=%d", c.ids, c.live)
+		}
+		b.Run(name, func(b *testing.B) {
 			tr, _ := New()
-			if err := Build(tr, Shape{Kind: "balanced", Nodes: n}, 1); err != nil {
+			if err := Build(tr, Shape{Kind: "balanced", Nodes: c.ids}, 1); err != nil {
 				b.Fatal(err)
+			}
+			for id := NodeID(tr.EverExisted()); tr.Size() > c.live; id-- {
+				if tr.IsLeaf(id) {
+					if err := tr.ApplyRemoveLeaf(id); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
