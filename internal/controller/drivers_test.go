@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -218,6 +219,82 @@ func TestDynamicTerminating(t *testing.T) {
 	}
 	if granted < m-5 || granted > m {
 		t.Fatalf("granted %d outside [%d, %d]", granted, m-5, m)
+	}
+}
+
+// TestDynamicRejectsOnlyInsideItsWave pins what dynctrld reads the reject
+// wave off: a Dynamic under churn answers no reject before its first and
+// nothing but rejects after it, its Granted() equals the grants it answered
+// and so never moves once it has rejected, and its CounterRejects equals
+// the rejects it answered. A tenant takes CounterRejects > 0 as the wave
+// and Granted() as the wave's final grant total, across restarts too, so
+// the second run restores the controller from its State in the middle of
+// the wave, the way recovery does. Runs are batches of 1 to 7 requests,
+// the daemon's SubmitBatch.
+func TestDynamicRejectsOnlyInsideItsWave(t *testing.T) {
+	const m, w, requests = 120, 30, 600
+	for _, restoreAt := range []int64{0, 25} {
+		t.Run(fmt.Sprintf("restore-after-%d-rejects", restoreAt), func(t *testing.T) {
+			tr, _ := tree.New()
+			if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 48}, 5); err != nil {
+				t.Fatal(err)
+			}
+			d := ctl.Centralized.NewDynamic(tr, m, w)
+			gen := workload.NewChurn(tr, workload.DefaultMix(), 17)
+			var granted, rejected int64
+			restored := false
+			var reqs []ctl.Request
+			var out []ctl.BatchResult
+			for sent := 0; sent < requests; {
+				if restoreAt > 0 && !restored && rejected >= restoreAt {
+					counters := stats.NewCounters()
+					if err := counters.Restore(d.Counters().Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if d, err = ctl.Centralized.RestoreDynamic(tr, d.State(), counters); err != nil {
+						t.Fatal(err)
+					}
+					restored = true
+				}
+				reqs = reqs[:0]
+				for range 1 + sent%7 {
+					req, ok := gen.Next()
+					if !ok {
+						t.Fatal("generator dried up")
+					}
+					reqs = append(reqs, req)
+				}
+				out = d.SubmitBatch(reqs, out[:0])
+				for i, br := range out {
+					if br.Err != nil {
+						t.Fatalf("request %d: %v", sent+i, br.Err)
+					}
+					switch br.Grant.Outcome {
+					case ctl.Rejected:
+						rejected++
+					case ctl.Granted:
+						if rejected > 0 {
+							t.Fatalf("request %d granted after %d rejects", sent+i, rejected)
+						}
+						granted++
+					}
+				}
+				sent += len(reqs)
+				if got := d.Granted(); got != granted {
+					t.Fatalf("after %d requests Granted() = %d, %d grants answered", sent, got, granted)
+				}
+				if got := d.Counters().Get(stats.CounterRejects); got != rejected {
+					t.Fatalf("after %d requests CounterRejects = %d, %d rejects answered", sent, got, rejected)
+				}
+			}
+			if rejected <= restoreAt || (restoreAt > 0 && !restored) {
+				t.Fatalf("%d rejects in %d requests: the run never got past the round trip at %d", rejected, requests, restoreAt)
+			}
+			if granted < m-w || granted > m {
+				t.Fatalf("the wave's grant total %d is outside [M-W=%d, M=%d]", granted, m-w, m)
+			}
+		})
 	}
 }
 

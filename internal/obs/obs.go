@@ -6,8 +6,8 @@
 // every coalesced run of Submit frames a connection takes off its socket
 // becomes one BatchTrace with a per-stage duration breakdown (frame
 // decode, wait for the tenant's lock, controller execute, WAL append→durable,
-// Results write) plus controller-work tags (batch size, controller moves,
-// reject-wave membership). A Tracer is everything one tenant observes, as
+// Results write) plus controller-work tags (batch size, verdicts,
+// controller moves). A Tracer is everything one tenant observes, as
 // plain values behind one mutex: a fixed-size ring of the most recent
 // traces, the slowest few kept in order, and one internal/hdr log-linear
 // histogram a row (the stages, the whole batch, the hold of the tenant's
@@ -94,8 +94,6 @@ type BatchTrace struct {
 	// deletions, wave and termination sweeps: Section 3's cost measure)
 	// this run triggered.
 	Moves int64
-	// Wave marks reject-wave membership: the batch carried rejects.
-	Wave bool
 	// Conn is the remote address of the connection that read the batch.
 	Conn string
 }

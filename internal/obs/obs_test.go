@@ -402,7 +402,6 @@ func TestWriteTracez(t *testing.T) {
 		Requests: 5,
 		Grants:   4,
 		Rejects:  1,
-		Wave:     true,
 		Conn:     "127.0.0.1:9",
 	}
 	bt.Stages[StageExecute] = time.Millisecond
@@ -435,6 +434,33 @@ func TestWriteTracez(t *testing.T) {
 	WriteTracez(&buf, "empty", NewTracer(8, 4), 4, 4)
 	if out := buf.String(); !strings.Contains(out, "(none)") {
 		t.Errorf("empty-tracer output lacks (none): %q", out)
+	}
+}
+
+// TestTracezWaveColumnFollowsRejects: the wave column reads "yes" exactly
+// for a batch with rejects, since the controller rejects only inside its
+// reject wave, and "-" otherwise.
+func TestTracezWaveColumnFollowsRejects(t *testing.T) {
+	tr := NewTracer(8, 4)
+	for _, rejects := range []int64{1, 0, 3} {
+		tr.Record(&BatchTrace{Total: time.Millisecond, Requests: 3, Grants: 3 - rejects, Rejects: rejects})
+	}
+	var buf bytes.Buffer
+	WriteTracez(&buf, "blue", tr, 4, 4)
+	rows := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		// trace, start, total, frames, reqs, grants, rej, moves, wave, dec=…
+		f := strings.Fields(line)
+		if len(f) < 10 || !strings.HasPrefix(f[9], "dec=") {
+			continue
+		}
+		rows++
+		if want := map[bool]string{true: "yes", false: "-"}[f[6] != "0"]; f[8] != want {
+			t.Errorf("trace row with rej %s has wave %q, want %q: %s", f[6], f[8], want, line)
+		}
+	}
+	if rows != 6 {
+		t.Errorf("%d trace rows, want 6 (three traces in each table):\n%s", rows, buf.String())
 	}
 }
 

@@ -40,8 +40,10 @@ func writeTraces(w io.Writer, traces []BatchTrace) {
 	fmt.Fprintf(w, "  %-8s %-15s %10s %7s %7s %7s %7s %8s %5s  %s\n",
 		"trace", "start", "total", "frames", "reqs", "grants", "rej", "moves", "wave", "stages")
 	for _, bt := range traces {
+		// A batch that carried rejects ran inside the reject wave: the
+		// controller rejects nothing outside it.
 		wave := "-"
-		if bt.Wave {
+		if bt.Rejects > 0 {
 			wave = "yes"
 		}
 		fmt.Fprintf(w, "  %-8d %-15s %10s %7d %7d %7d %7d %8d %5s  dec=%s queue=%s exec=%s wal=%s write=%s conn=%s\n",

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,13 +22,13 @@ import (
 // engine, written while snapshots were format 1: churn of all four change
 // kinds, deletions among them, over a balanced tree of 64 nodes; a
 // checkpoint after request fixtureCheckpoint; the first reject, its wave
-// marker and rejects from then on; fixtureRequests requests in all, in one
-// incarnation. The constants of TestFormat1FixtureRecovers were read off
+// marker (a record format 1 wrote and today's engine does not) and rejects
+// from then on; fixtureRequests requests in all, in one incarnation. The constants of TestFormat1FixtureRecovers were read off
 // the code that wrote it, so a later build must recover it to the same
 // verdicts, counts and serials whatever format it writes today. It cannot
-// be written again: writeFixtureRun now checkpoints at format 2, and
-// TestFormat1FixtureLogIsReproduced holds its log, not its snapshot, to a
-// fresh run's.
+// be written again: writeFixtureRun now checkpoints at format 2 and writes
+// no wave marker, and TestFormat1FixtureLogIsReproduced holds its manifest
+// and effect records, not its snapshot, to a fresh run's.
 const (
 	fixtureM, fixtureW                 = 600, 150
 	fixtureRequests, fixtureCheckpoint = 800, 250
@@ -47,8 +48,7 @@ func fixtureTree(t *testing.T) *tree.Tree {
 }
 
 // writeFixtureRun writes the fixture's run into dir, the way a tenant does:
-// each request's effect committed behind its verdict, the wave marker
-// behind the run that decided the first reject.
+// each request's effect committed behind its verdict.
 func writeFixtureRun(t *testing.T, dir string) {
 	t.Helper()
 	eng, _, err := persist.Open(dir, persist.Options{})
@@ -60,7 +60,7 @@ func writeFixtureRun(t *testing.T, dir string) {
 	gen := workload.NewChurn(tr, workload.DefaultMix(), fixtureSeed)
 	reqs := make([]controller.Request, 1)
 	results := make([]controller.BatchResult, 1)
-	waved, waveAt := false, 0
+	waveAt := 0
 	for i := 1; i <= fixtureRequests; i++ {
 		req, ok := gen.Next()
 		if !ok {
@@ -71,11 +71,8 @@ func writeFixtureRun(t *testing.T, dir string) {
 		if err := eng.CommitEffects(reqs, results); err != nil {
 			t.Fatal(err)
 		}
-		if !waved && grant.Outcome == controller.Rejected && err == nil {
-			waved, waveAt = true, i
-			if _, err := eng.AppendWave(ctl.Granted()); err != nil {
-				t.Fatal(err)
-			}
+		if waveAt == 0 && grant.Outcome == controller.Rejected && err == nil {
+			waveAt = i
 		}
 		if i == fixtureCheckpoint {
 			if err := eng.Checkpoint(eng.Capture(fixtureM, fixtureW, tr, ctl)); err != nil {
@@ -86,8 +83,8 @@ func writeFixtureRun(t *testing.T, dir string) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !waved || waveAt <= fixtureCheckpoint {
-		t.Fatalf("the first reject came at request %d (waved %v), not after the checkpoint at %d", waveAt, waved, fixtureCheckpoint)
+	if waveAt <= fixtureCheckpoint {
+		t.Fatalf("the first reject came at request %d (0: never), not after the checkpoint at %d", waveAt, fixtureCheckpoint)
 	}
 }
 
@@ -199,23 +196,69 @@ func TestFormat1FixtureRecovers(t *testing.T) {
 	}
 }
 
-// A fresh run of the fixture's requests writes the fixture's log and
-// manifest byte for byte: the segment format did not move with the snapshot
-// format, and the fixture is the run its constants describe.
+// A fresh run of the fixture's requests writes the fixture's manifest byte
+// for byte and its effect records in order, the same kind, node, child,
+// outcome, serial and new node each: the segment format did not move with
+// the snapshot format, and the fixture is the run its constants describe.
+// The fixture holds one record more, its wave marker, right behind the run
+// that decided the first reject and carrying the grant total then; today's
+// engine writes none.
 func TestFormat1FixtureLogIsReproduced(t *testing.T) {
 	dir := t.TempDir()
 	writeFixtureRun(t, dir)
-	for _, name := range []string{"MANIFEST", "wal-00000001.log"} {
-		want, err := os.ReadFile(filepath.Join(fixtureDir, name))
+	want, err := os.ReadFile(filepath.Join(fixtureDir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("MANIFEST: a fresh run wrote %x, the fixture holds %x", got, want)
+	}
+
+	// The records of the one incarnation each directory holds, indices
+	// dropped: the marker shifts every fixture index behind it by one.
+	records := func(dir string) []persist.Record {
+		t.Helper()
+		history, err := persist.ReadHistory(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
+		if len(history) != 1 {
+			t.Fatalf("%s: %d incarnations, want 1", dir, len(history))
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: a fresh run wrote %d bytes that differ from the fixture's %d", name, len(got), len(want))
+		rs := history[0].Records
+		for i := range rs {
+			rs[i].Index = 0
+		}
+		return rs
+	}
+	fixture, fresh := records(fixtureDir), records(dir)
+
+	// Each request is its own run, so the run that decided the first reject
+	// ends with it, and the marker is the record right behind it.
+	first := slices.IndexFunc(fixture, func(r persist.Record) bool { return r.Outcome == controller.Rejected })
+	if first < 0 || first+1 == len(fixture) || fixture[first+1].Type != persist.RecWave {
+		t.Fatalf("the fixture's first reject (record %d of %d) has no wave marker right behind it", first, len(fixture))
+	}
+	var granted int64
+	for _, r := range fixture[:first] {
+		if r.Outcome == controller.Granted {
+			granted++
+		}
+	}
+	if got := fixture[first+1].Granted; got != granted {
+		t.Errorf("the fixture's wave marker carries %d grants, %d were logged before it", got, granted)
+	}
+	effects := slices.Delete(fixture, first+1, first+2)
+	if len(fresh) != len(effects) {
+		t.Fatalf("a fresh run wrote %d records, the fixture holds %d besides its marker", len(fresh), len(effects))
+	}
+	for i := range fresh {
+		if fresh[i] != effects[i] {
+			t.Fatalf("record %d: a fresh run wrote %+v, the fixture holds %+v", i, fresh[i], effects[i])
 		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package persist is the durability engine of the dynctrld admission
 // stack: a length-prefixed, checksummed write-ahead log of controller
-// effects (grants, rejects, topology changes, reject-wave completions)
-// plus periodic snapshots of the full tree + controller.Dynamic + serial
-// allocator state.
+// effects (grants, rejects, topology changes) plus periodic snapshots of
+// the full tree + controller.Dynamic + serial allocator state. The reject
+// wave is not logged on its own: it is the controller's state, rebuilt by
+// replay like the rest of it. Logs written before that carry a wave marker
+// (RecWave), which the reader still decodes and every consumer skips.
 //
 // # Write path
 //
@@ -91,7 +93,7 @@ type Recovery struct {
 	// Snapshot is the latest valid snapshot (nil when booting fresh).
 	Snapshot *State
 	// Tail holds the records to replay on top of the snapshot, in log
-	// order (effects and wave markers).
+	// order: effects, and in an older log the wave marker.
 	Tail []Record
 	// TruncatedBytes counts torn-tail bytes dropped from the final
 	// segment.
@@ -333,18 +335,6 @@ func (e *Engine) AppendEffects(reqs []controller.Request, results []controller.B
 	if e.nextIndex != before {
 		e.appendCond.Signal()
 	}
-	return e.nextIndex - 1, nil
-}
-
-// AppendWave logs a reject-wave completion marker.
-func (e *Engine) AppendWave(granted int64) (uint64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.refusal(); err != nil {
-		return 0, err
-	}
-	e.appendRecord(Record{Type: RecWave, Granted: granted})
-	e.appendCond.Signal()
 	return e.nextIndex - 1, nil
 }
 

@@ -31,7 +31,7 @@ import (
 //
 // The tag byte is
 //
-//	bits 0-2  tree.ChangeKind (0-4), or 7 for a reject-wave marker
+//	bits 0-2  tree.ChangeKind (0-4), or 7 for a format-1 wave marker
 //	bit  3    rejected (grant otherwise)
 //	bit  4    serial follows
 //	bit  5    new-node id follows
@@ -49,9 +49,10 @@ const (
 	// grant/reject verdict the controller answered (errored requests mutate
 	// no state and are not logged).
 	RecEffect RecordType = 1
-	// RecWave marks the reject-wave broadcast: every request decided after
-	// it is rejected. Informational for the cross-incarnation verifier;
-	// replay reconstructs the wave from the effect stream itself.
+	// RecWave is a format-1 record, no longer written: it marked the
+	// reject-wave broadcast behind the run that decided the first reject,
+	// with the grant total then. The reader still decodes it and every
+	// consumer skips it; replay rebuilds the wave from the effects.
 	RecWave RecordType = 2
 )
 
@@ -89,7 +90,7 @@ type Record struct {
 	Serial  int64
 	NewNode tree.NodeID
 
-	// Wave fields (RecWave).
+	// Wave fields (RecWave, format 1 only).
 	Granted int64
 }
 
@@ -110,6 +111,8 @@ const (
 
 // AppendPackedRecord appends the packed (block-interior) encoding of r.
 // The record's Index is not encoded — it is positional within the block.
+// The engine packs effects only; the RecWave branch is format 1's encoder,
+// kept so tests can build format-1 bytes.
 func AppendPackedRecord(buf []byte, r Record) []byte {
 	if r.Type == RecWave {
 		buf = append(buf, tagWaveKind)

@@ -279,7 +279,7 @@ func (c *srvConn) loop() {
 				Start: start, Total: total, Hold: hold,
 				Frames: len(c.ids), Requests: len(c.reqs),
 				Grants: grants, Rejects: rejects, Errors: errCount,
-				Moves: rc.moves, Wave: rejects > 0, Conn: c.remote,
+				Moves: rc.moves, Conn: c.remote,
 				Stages: [obs.StageTotal]time.Duration{
 					obs.StageDecode:  decode,
 					obs.StageQueue:   max(submitWall-hold, 0),

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"log/slog"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"dynctrl/internal/client"
 	"dynctrl/internal/controller"
 	"dynctrl/internal/obs"
+	"dynctrl/internal/persist"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/wire"
 )
@@ -94,7 +96,7 @@ func TestRejectWaveRacesHandshakes(t *testing.T) {
 		t.Fatal("contract M=4 never rejected")
 	}
 	v := s.Tenants()[0]
-	if !v.Waved {
+	if v.CtlRejects == 0 {
 		t.Fatal("reject wave never fired")
 	}
 	if len(v.Violations) != 0 {
@@ -184,7 +186,7 @@ func TestRejectWaveWaitsForWelcome(t *testing.T) {
 	}
 	defer cl.Close()
 	<-decided
-	if !s.Tenants()[0].Waved {
+	if s.Tenants()[0].CtlRejects == 0 {
 		t.Fatal("eight requests against M=4 decided no reject wave")
 	}
 	g, err := cl.Submit(controller.Request{Node: root, Kind: tree.None})
@@ -269,9 +271,9 @@ func TestRejectWaveReachesLateClient(t *testing.T) {
 		t.Fatal("a client dialed after the wave never heard it")
 	}
 	v := s.Tenants()[0]
-	if got := late.RejectWaveGranted(); got != v.WaveGranted || got < v.M-v.W || got > v.M {
+	if got := late.RejectWaveGranted(); got != v.CtlGrants || got < v.M-v.W || got > v.M {
 		t.Fatalf("late client heard %d grants, want the tenant's %d within [M-W=%d, M=%d]",
-			got, v.WaveGranted, v.M-v.W, v.M)
+			got, v.CtlGrants, v.M-v.W, v.M)
 	}
 }
 
@@ -317,10 +319,12 @@ func rawBind(t *testing.T, addr string) *rawConn {
 }
 
 // firstRejectBehindWave submits one event at root a frame until the answer
-// is a reject, and fails unless exactly one RejectWave frame came before it.
-func (rc *rawConn) firstRejectBehindWave(t *testing.T, root tree.NodeID) {
+// is a reject, fails unless exactly one RejectWave frame came before it, and
+// returns the grant total that frame announced.
+func (rc *rawConn) firstRejectBehindWave(t *testing.T, root tree.NodeID) int64 {
 	t.Helper()
 	waves := 0
+	var announced int64
 	for id := uint64(1); id <= 64; id++ {
 		if _, err := rc.nc.Write(wire.AppendSubmit(nil, id, []wire.Req{{Node: root, Kind: tree.None}})); err != nil {
 			t.Fatalf("write submit %d: %v", id, err)
@@ -331,7 +335,12 @@ func (rc *rawConn) firstRejectBehindWave(t *testing.T, root tree.NodeID) {
 				t.Fatalf("read answer to %d: %v", id, err)
 			}
 			if ft == wire.FrameRejectWave {
+				rw, err := wire.DecodeRejectWave(p)
+				if err != nil {
+					t.Fatalf("reject wave ahead of the answer to %d: %v", id, err)
+				}
 				waves++
+				announced = rw.Granted
 				continue
 			}
 			if ft != wire.FrameResults {
@@ -345,12 +354,110 @@ func (rc *rawConn) firstRejectBehindWave(t *testing.T, root tree.NodeID) {
 				if waves != 1 {
 					t.Fatalf("first reject (id %d) came behind %d RejectWave frames, want 1", id, waves)
 				}
-				return
+				return announced
 			}
 			break
 		}
 	}
 	t.Fatal("the contract never rejected")
+	return 0
+}
+
+// countEvent is a slog handler that counts the records logged with one
+// message.
+type countEvent struct {
+	msg string
+	n   *atomic.Int64
+}
+
+func (countEvent) Enabled(context.Context, slog.Level) bool { return true }
+func (h countEvent) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.n.Add(1)
+	}
+	return nil
+}
+func (h countEvent) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h countEvent) WithGroup(string) slog.Handler      { return h }
+
+// TestRejectWaveSurvivesRestart: a WAL tenant driven through its reject
+// wave and restarted gracefully over the same directory still shows the
+// wave before any request, because the wave is read off the recovered
+// controller: /metricsz reports it with the controller's grant total, and a
+// fresh connection's first reject comes behind a RejectWave frame that
+// carries that total. The wave is logged once for the tenant, not again by
+// the second incarnation, and neither incarnation's log holds a wave
+// marker. When the tenant kept the wave in a field of its own, the
+// restarted gauges read 0 beside a nonzero ctl_rejects_total.
+func TestRejectWaveSurvivesRestart(t *testing.T) {
+	root := star4Root(t)
+	var logged atomic.Int64
+	cfg := Config{
+		Tenants:  oneTenant(star4, 1, 20, 5),
+		WALDir:   t.TempDir(),
+		Paranoid: true,
+		Logger:   slog.New(countEvent{msg: "reject wave", n: &logged}),
+	}
+	shutdown := func(s *Server) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	}
+
+	s1 := startServer(t, cfg)
+	announced := rawBind(t, s1.Addr()).firstRejectBehindWave(t, root)
+	if v := s1.Tenants()[0]; announced != v.CtlGrants || announced < v.M-v.W || announced > v.M {
+		t.Fatalf("the wave announced %d grants, the controller holds %d, want it within [M-W=%d, M=%d]",
+			announced, v.CtlGrants, v.M-v.W, v.M)
+	}
+	shutdown(s1)
+
+	s2 := startServer(t, cfg)
+	var buf bytes.Buffer
+	s2.WriteMetrics(&buf)
+	doc := buf.String()
+	const l = `{tenant="default"}`
+	grants := metricSample(t, doc, "dynctrld_tenant_ctl_grants_total"+l)
+	if metricSample(t, doc, "dynctrld_tenant_ctl_rejects_total"+l) == 0 {
+		t.Fatal("the restarted controller has no rejects: the wave was not recovered")
+	}
+	for series, want := range map[string]int{
+		"dynctrld_reject_wave":                          1,
+		"dynctrld_tenant_reject_wave" + l:               1,
+		"dynctrld_tenant_reject_wave_granted" + l:       grants,
+		"dynctrld_tenant_wal_recovered_effects" + l:     0,
+		"dynctrld_tenant_ctl_grants_total" + l:          int(announced),
+		"dynctrld_tenant_read_batch_requests_total" + l: 0,
+	} {
+		if got := metricSample(t, doc, series); got != want {
+			t.Errorf("after a graceful restart, before any request: %s = %d, want %d", series, got, want)
+		}
+	}
+	if got := rawBind(t, s2.Addr()).firstRejectBehindWave(t, root); got != int64(grants) {
+		t.Errorf("the restarted tenant's wave announced %d grants, its controller holds %d", got, grants)
+	}
+	shutdown(s2)
+	if n := logged.Load(); n != 1 {
+		t.Errorf("%d reject wave events over two incarnations, want 1", n)
+	}
+
+	history, err := persist.ReadHistory(filepath.Join(cfg.WALDir, wire.DefaultTenant))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(history) != 2 {
+		t.Fatalf("%d incarnations in the log, want 2", len(history))
+	}
+	for _, inc := range history {
+		for _, r := range inc.Records {
+			if r.Type == persist.RecWave {
+				t.Fatalf("incarnation %d logged a wave marker at index %d", inc.Incarnation, r.Index)
+			}
+		}
+	}
 }
 
 // brokenWriteConn is a net.Conn whose Write starts failing once armed.

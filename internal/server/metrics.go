@@ -31,7 +31,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		violations += int64(len(v.Violations))
 		connsOpen += v.ConnsOpen
 		connsTotal += v.ConnsTotal
-		wave = wave || v.Waved
+		wave = wave || v.CtlRejects > 0
 		wal = wal || v.Durable
 	}
 	uptime, startTime := 0.0, 0.0
@@ -131,8 +131,11 @@ func tenantMetrics(d *obs.PromDoc, v TenantView) {
 	d.Counter("dynctrld_tenant_grants_total", "Grant verdicts written to the wire for this tenant.", l, v.Grants)
 	d.Counter("dynctrld_tenant_rejects_total", "Reject verdicts written to the wire for this tenant.", l, v.Rejects)
 	d.Counter("dynctrld_tenant_errors_total", "Per-request errors written to the wire for this tenant.", l, v.Errors)
-	d.Gauge("dynctrld_tenant_reject_wave", "1 once this tenant's reject wave has fired.", l, b2i(v.Waved))
-	d.Gauge("dynctrld_tenant_reject_wave_granted", "Grant count announced by this tenant's reject wave.", l, v.WaveGranted)
+	// The controller rejects only inside its wave, and its grant total is
+	// final from the first reject on.
+	waved := b2i(v.CtlRejects > 0)
+	d.Gauge("dynctrld_tenant_reject_wave", "1 once this tenant's reject wave has fired.", l, waved)
+	d.Gauge("dynctrld_tenant_reject_wave_granted", "Grant count announced by this tenant's reject wave.", l, v.CtlGrants*int64(waved))
 
 	d.Gauge("dynctrld_tenant_connections_open", "Currently bound wire connections.", l, v.ConnsOpen)
 	d.Counter("dynctrld_tenant_connections_total", "Wire connections ever bound to this tenant.", l, v.ConnsTotal)

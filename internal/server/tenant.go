@@ -56,7 +56,7 @@ type tenant struct {
 	// 3); mu is where the daemon says so. Every connection's serve loop
 	// calls submit, which holds mu for the run's execution with its WAL
 	// append (log order is execution order) and the read of the reject wave
-	// into the run's receipt; the checkpoint captures tree,
+	// off the controller into the run's receipt; the checkpoint captures tree,
 	// controller and counters under it (never mid-run); a reader takes the
 	// engine once under it (view); the drain sets the refusal under it.
 	mu sync.Mutex
@@ -75,11 +75,6 @@ type tenant struct {
 	// from the end of the drain on (Shutdown sets it in the hold of mu that
 	// writes the final checkpoint, so that checkpoint is the last word).
 	refuse error
-	// waved is set, with the controller's then final grant total, by the run
-	// that decides this incarnation's first reject; every later run's
-	// receipt carries both.
-	waved       bool
-	waveGranted int64
 	// runs, runReqs and maxRun count what submit executed: runs, the
 	// requests they carried and the largest one. A connection's read batch is
 	// one run, so these are the read-batch tallies as well.
@@ -119,10 +114,9 @@ type tenant struct {
 // execution time and move count. A ticketless receipt with
 // successful results is a broken durability invariant, never permission to
 // reply early — it is legitimate only for runs that decided nothing. The
-// receipt also carries the reject wave as the run found it: wave is set
-// once a run (this one or an earlier) decided the tenant's first reject,
-// and granted is the controller's grant total at that reject, final from
-// there on.
+// receipt also carries the reject wave as the run left the controller
+// (withWave): wave is set once the controller has rejected anything, which
+// a restart keeps, and granted is then its final grant total.
 type receipt struct {
 	ticket    uint64
 	hasTicket bool
@@ -147,51 +141,38 @@ var (
 func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, receipt) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rc := receipt{wave: t.waved, granted: t.waveGranted}
 	if t.refuse != nil {
 		for range reqs {
 			out = append(out, controller.BatchResult{Err: t.refuse})
 		}
-		return out, rc
+		return out, t.withWave(receipt{})
 	}
 	t.runs++
 	t.runReqs += int64(len(reqs))
 	t.maxRun = max(t.maxRun, len(reqs))
+	var rc receipt
 	var execStart time.Time
 	var movesBefore int64
 	ctrs := t.ctl.Counters()
+	rejectsBefore := ctrs.Get(stats.CounterRejects)
 	traced := t.tracer != nil
 	if traced {
 		movesBefore = ctrs.Get(stats.CounterMoves)
 		execStart = time.Now()
 	}
 	base := len(out)
-	rejectsBefore := ctrs.Get(stats.CounterRejects)
 	out = t.sub.SubmitBatch(reqs, out)
 	if traced {
 		rc.exec = time.Since(execStart)
 		rc.moves = ctrs.Get(stats.CounterMoves) - movesBefore
 	}
-	// The run that decides the first reject decides the wave, whose grant
-	// total is final from that reject on. The wave's WAL marker goes right
-	// behind the run's effects (log order is execution order), and the run's
-	// ticket covers it.
-	decided := !t.waved && ctrs.Get(stats.CounterRejects) > rejectsBefore
-	if decided {
-		t.waved, t.waveGranted = true, t.ctl.Granted()
-		rc.wave, rc.granted = true, t.waveGranted
-		t.logger.Info("reject wave", "tenant", t.name, "granted", t.waveGranted)
+	rc = t.withWave(rc)
+	if rc.wave && rejectsBefore == 0 {
+		t.logger.Info("reject wave", "tenant", t.name, "granted", rc.granted)
 	}
 	if t.eng != nil {
 		walStart := time.Now()
 		ticket, err := t.eng.AppendEffects(reqs, out[base:])
-		if err == nil && decided {
-			if wt, werr := t.eng.AppendWave(t.waveGranted); werr != nil {
-				t.logger.Warn("wal wave append failed", "tenant", t.name, "err", werr)
-			} else {
-				ticket = wt
-			}
-		}
 		rc.walAppend = time.Since(walStart)
 		if err != nil {
 			t.refuse = errWALUnavailable
@@ -204,6 +185,17 @@ func (t *tenant) submit(reqs []controller.Request, out []controller.BatchResult)
 		}
 	}
 	return out, rc
+}
+
+// withWave returns rc carrying the reject wave as the controller holds it:
+// the controller rejects only inside its wave, so the wave has run once it
+// has rejected anything, and its grant total is final from then on. Called
+// with mu held.
+func (t *tenant) withWave(rc receipt) receipt {
+	if t.ctl.Counters().Get(stats.CounterRejects) > 0 {
+		rc.wave, rc.granted = true, t.ctl.Granted()
+	}
+	return rc
 }
 
 // newTenant builds (or, when its WAL subdirectory has history, recovers)
@@ -297,17 +289,15 @@ type TenantView struct {
 
 	// The engine, read in one hold of the tenant's lock and so of one
 	// instant: the tree's size and height, the controller's own counters
-	// (CtlGrants is the controller's Granted()), the runs submit executed
-	// with the requests they carried and the largest one, the reject wave
-	// (Waved once the first reject is decided, WaveGranted the grant total
-	// it announced), the oracle's violations (a copy; nil when not
-	// paranoid) and the WAL engine's counters (zero without a WAL).
+	// (CtlGrants is the controller's Granted(); the reject wave has run
+	// once CtlRejects is above 0, and CtlGrants is final from then on), the
+	// runs submit executed with the requests they carried and the largest
+	// one, the oracle's violations (a copy; nil when not paranoid) and the
+	// WAL engine's counters (zero without a WAL).
 	Nodes, Height                             int
 	Moves, CtlGrants, CtlRejects, TopoChanges int64
 	Runs, RunRequests                         int64
 	MaxRun                                    int
-	Waved                                     bool
-	WaveGranted                               int64
 	Violations                                []oracle.Violation
 	WAL                                       persist.Stats
 
@@ -354,7 +344,6 @@ func (t *tenant) view() TenantView {
 	v.CtlRejects = ctrs.Get(stats.CounterRejects)
 	v.TopoChanges = ctrs.Get(stats.CounterTopoChanges)
 	v.Runs, v.RunRequests, v.MaxRun = t.runs, t.runReqs, t.maxRun
-	v.Waved, v.WaveGranted = t.waved, t.waveGranted
 	if t.orc != nil {
 		v.Violations = slices.Clone(t.orc.Violations())
 	}
