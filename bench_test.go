@@ -1,53 +1,14 @@
 package dynctrl
 
-// Benchmarks of the root package. BenchmarkExperiments times the
-// experiments E1–E14 as internal/experiments defines them (the numbers
-// they print are pinned by that package's testdata/tables.golden and
-// printed by cmd/benchtables); the rest are micro-benchmarks of the public
-// API hot paths. The daemon's performance is not measured here: that is
-// bench/ (contract in BENCHMARK.json).
+// Micro-benchmarks of the public API hot paths. The experiments E1–E14
+// are timed by internal/experiments' BenchmarkExperiments, and the
+// daemon's performance is measured by bench/ (contract in BENCHMARK.json).
 
 import (
 	"testing"
 
-	"dynctrl/internal/experiments"
-	"dynctrl/internal/labeling"
-	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 )
-
-// BenchmarkExperiments runs each experiment table once per iteration.
-func BenchmarkExperiments(b *testing.B) {
-	for _, e := range []struct {
-		name string
-		run  func() *stats.Table
-	}{
-		{"E1", experiments.E1CentralizedMoves},
-		{"E2", experiments.E2WasteSweep},
-		{"E3", experiments.E3UnknownU},
-		{"E4", experiments.E4MaxN},
-		{"E5", experiments.E5DistVsCentral},
-		{"E6", experiments.E6Liveness},
-		{"E7", experiments.E7VsGrowOnly},
-		{"E8", experiments.E8VsTrivial},
-		{"E9", experiments.E9SizeEstimation},
-		{"E10", experiments.E10Naming},
-		{"E11", experiments.E11HeavyChild},
-		{"E12", experiments.E12Labeling},
-		{"E13", experiments.E13Memory},
-		{"E14", experiments.E14Ablation},
-	} {
-		b.Run(e.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if tb := e.run(); len(tb.Rows) == 0 {
-					b.Fatalf("%s: empty table", tb.Title)
-				}
-			}
-		})
-	}
-}
-
-// --- Micro-benchmarks of the public API hot paths ---
 
 // overTransports runs bench as a /centralized sub-benchmark, over the
 // engine dynctrld serves with, and a /simulated one, over the paper's
@@ -136,27 +97,5 @@ func BenchmarkTreeOps(b *testing.B) {
 		if err := tr.ApplyRemoveLeaf(id); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAncestryQuery measures a label-based ancestry query.
-func BenchmarkAncestryQuery(b *testing.B) {
-	tr, _ := tree.New()
-	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 1024}, 4); err != nil {
-		b.Fatal(err)
-	}
-	scheme := labeling.BuildAncestry(tr)
-	nodes := tr.Nodes()
-	labels := make([]labeling.AncestryLabel, len(nodes))
-	for i, v := range nodes {
-		l, err := scheme.Label(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		labels[i] = l
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = labeling.IsAncestor(labels[i%len(labels)], labels[(i*7+3)%len(labels)])
 	}
 }

@@ -4,7 +4,7 @@
 //   - Trivial: every permit travels from the root to the requesting node,
 //     costing Θ(depth) per request — the Ω(nM) envelope the paper's
 //     introduction cites.
-//   - GrowOnly: a bin-hierarchy controller in the style of Afek, Awerbuch,
+//   - growOnly: a bin-hierarchy controller in the style of Afek, Awerbuch,
 //     Plotkin and Saks [4], which supports only leaf insertions. Bins live
 //     at fixed depths (the ruler function of the depth), each bin
 //     replenishes from a supervisor bin exactly 2^i hops above it, and the
@@ -43,9 +43,6 @@ func NewTrivial(tr *tree.Tree, m int64) *Trivial {
 // Counters returns the cost counters.
 func (t *Trivial) Counters() *stats.Counters { return t.counters }
 
-// Granted returns the number of permits granted.
-func (t *Trivial) Granted() int64 { return t.granted }
-
 // Submit implements controller.Submitter.
 func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	if t.rejected || t.granted >= t.m {
@@ -75,11 +72,11 @@ func (t *Trivial) Submit(req controller.Request) (controller.Grant, error) {
 	return controller.Grant{Outcome: controller.Granted, NewNode: newNode}, nil
 }
 
-// ErrUnsupportedChange is returned by GrowOnly for any topological change
+// errUnsupportedChange is returned by growOnly for any topological change
 // other than a leaf insertion — the restriction of the dynamic model of [4].
-var ErrUnsupportedChange = fmt.Errorf("baseline: grow-only controller supports only %v", tree.AddLeaf)
+var errUnsupportedChange = fmt.Errorf("baseline: grow-only controller supports only %v", tree.AddLeaf)
 
-// GrowOnly is the bin-hierarchy controller. Every node at depth d owns a
+// growOnly is the bin-hierarchy controller. Every node at depth d owns a
 // bin of level ruler(d) (the exponent of the largest power of two dividing
 // d; the root's bin is backed directly by the storage). A level-i bin holds
 // up to 2^i·φ' permits and replenishes from its supervisor — the ancestor
@@ -91,7 +88,7 @@ var ErrUnsupportedChange = fmt.Errorf("baseline: grow-only controller supports o
 // bins stay below W (there are ≈U/2^{i+1} bins of level i, each holding
 // ≤2^i·φ'). As in the paper, small W is handled by running the controller
 // in waste-halving iterations (NewGrowOnlyIterated).
-type GrowOnly struct {
+type growOnly struct {
 	tr       *tree.Tree
 	u        int64
 	m        int64
@@ -99,14 +96,13 @@ type GrowOnly struct {
 	maxLevel int
 	storage  int64
 	bins     map[tree.NodeID]int64
-	granted  int64
 	rejected bool
 	noReject bool
 	counters *stats.Counters
 }
 
-// NewGrowOnly builds a fixed-U grow-only (m, w)-controller.
-func NewGrowOnly(tr *tree.Tree, u, m, w int64) *GrowOnly {
+// newGrowOnly builds a fixed-U grow-only (m, w)-controller.
+func newGrowOnly(tr *tree.Tree, u, m, w int64) *growOnly {
 	if w < 1 {
 		w = 1
 	}
@@ -115,7 +111,7 @@ func NewGrowOnly(tr *tree.Tree, u, m, w int64) *GrowOnly {
 	if phi < 1 {
 		phi = 1
 	}
-	return &GrowOnly{
+	return &growOnly{
 		tr:       tr,
 		u:        u,
 		m:        m,
@@ -127,14 +123,8 @@ func NewGrowOnly(tr *tree.Tree, u, m, w int64) *GrowOnly {
 	}
 }
 
-// Counters returns the cost counters.
-func (g *GrowOnly) Counters() *stats.Counters { return g.counters }
-
-// Granted returns the number of permits granted.
-func (g *GrowOnly) Granted() int64 { return g.granted }
-
-// UnusedPermits returns the permits still in the storage or stuck in bins.
-func (g *GrowOnly) UnusedPermits() int64 {
+// unusedPermits returns the permits still in the storage or stuck in bins.
+func (g *growOnly) unusedPermits() int64 {
 	n := g.storage
 	for _, b := range g.bins {
 		n += b
@@ -144,7 +134,7 @@ func (g *GrowOnly) UnusedPermits() int64 {
 
 // ruler returns the exponent of the largest power of two dividing d (and
 // the maximum level for d = 0, i.e. the root).
-func (g *GrowOnly) ruler(d int) int {
+func (g *growOnly) ruler(d int) int {
 	if d == 0 {
 		return g.maxLevel
 	}
@@ -160,12 +150,12 @@ func (g *GrowOnly) ruler(d int) int {
 }
 
 // capacity returns the permit capacity of a level-i bin.
-func (g *GrowOnly) capacity(level int) int64 { return g.phi << uint(level) }
+func (g *growOnly) capacity(level int) int64 { return g.phi << uint(level) }
 
 // Submit implements controller.Submitter for grow-only traces.
-func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
+func (g *growOnly) Submit(req controller.Request) (controller.Grant, error) {
 	if req.Kind != tree.None && req.Kind != tree.AddLeaf {
-		return controller.Grant{}, ErrUnsupportedChange
+		return controller.Grant{}, errUnsupportedChange
 	}
 	if g.rejected {
 		g.counters.Inc(stats.CounterRejects)
@@ -183,7 +173,6 @@ func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
 		g.counters.Inc(stats.CounterRejects)
 		return controller.Grant{Outcome: controller.Rejected}, nil
 	}
-	g.granted++
 	g.counters.Inc(stats.CounterGrants)
 	out := controller.Grant{Outcome: controller.Granted}
 	var err error
@@ -202,7 +191,7 @@ func (g *GrowOnly) Submit(req controller.Request) (controller.Grant, error) {
 // A draw fails only when the storage and every bin on u's supervisor chain
 // are dry; permits may remain stuck in off-chain bins (that is the waste W
 // bounds).
-func (g *GrowOnly) drawPermit(u tree.NodeID) bool {
+func (g *growOnly) drawPermit(u tree.NodeID) bool {
 	d, err := g.tr.Depth(u)
 	if err != nil {
 		return false
@@ -229,7 +218,7 @@ func (g *GrowOnly) drawPermit(u tree.NodeID) bool {
 // level capacity, pulling from the supervisor bin 2^level hops above
 // (recursively refilling it first). Each non-empty pull moves a set of
 // permits across supDist edges, costing supDist moves.
-func (g *GrowOnly) replenish(u tree.NodeID, d int) {
+func (g *growOnly) replenish(u tree.NodeID, d int) {
 	level := g.ruler(d)
 	supDist := 1 << uint(level)
 	if supDist > d {
@@ -268,19 +257,18 @@ func (g *GrowOnly) replenish(u tree.NodeID, d int) {
 	}
 }
 
-// GrowOnlyIterated runs GrowOnly cores in waste-halving iterations, exactly
+// GrowOnlyIterated runs growOnly cores in waste-halving iterations, exactly
 // as [4] (and Observation 3.4) prescribe, so its total message complexity is
 // O(U·log²U·log(M/(W+1))) on grow-only traces.
 type GrowOnlyIterated struct {
 	tr       *tree.Tree
 	u        int64
 	w        int64
-	cur      *GrowOnly
+	cur      *growOnly
 	curM     int64
 	counters *stats.Counters
 	finalRun bool
 	rejected bool
-	granted  int64
 }
 
 // NewGrowOnlyIterated builds the iterated grow-only controller.
@@ -301,16 +289,13 @@ func (it *GrowOnlyIterated) start(m int64) {
 	if w < 1 {
 		w = 1
 	}
-	it.cur = NewGrowOnly(it.tr, it.u, m, w)
+	it.cur = newGrowOnly(it.tr, it.u, m, w)
 	it.cur.counters = it.counters
 	it.cur.noReject = true
 }
 
 // Counters returns the cost counters.
 func (it *GrowOnlyIterated) Counters() *stats.Counters { return it.counters }
-
-// Granted returns the total permits granted.
-func (it *GrowOnlyIterated) Granted() int64 { return it.granted }
 
 // Submit implements controller.Submitter.
 func (it *GrowOnlyIterated) Submit(req controller.Request) (controller.Grant, error) {
@@ -324,10 +309,9 @@ func (it *GrowOnlyIterated) Submit(req controller.Request) (controller.Grant, er
 			return controller.Grant{}, err
 		}
 		if g.Outcome == controller.Granted {
-			it.granted++
 			return g, nil
 		}
-		l := it.cur.UnusedPermits()
+		l := it.cur.unusedPermits()
 		if it.finalRun || l == 0 {
 			it.rejected = true
 			controller.Centralized.Sweep(it.counters, it.tr, 1)

@@ -1,10 +1,9 @@
-package baseline_test
+package baseline
 
 import (
 	"errors"
 	"testing"
 
-	"dynctrl/internal/baseline"
 	ctl "dynctrl/internal/controller"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
@@ -14,7 +13,7 @@ import (
 func TestTrivialGrantsAndRejects(t *testing.T) {
 	tr, root := tree.New()
 	const m = 5
-	tv := baseline.NewTrivial(tr, m)
+	tv := NewTrivial(tr, m)
 	for i := 0; i < m; i++ {
 		g, err := tv.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf})
 		if err != nil || g.Outcome != ctl.Granted {
@@ -25,8 +24,8 @@ func TestTrivialGrantsAndRejects(t *testing.T) {
 	if err != nil || g.Outcome != ctl.Rejected {
 		t.Fatalf("after M grants: %v %v, want Rejected", g.Outcome, err)
 	}
-	if tv.Granted() != m {
-		t.Fatalf("granted = %d, want %d", tv.Granted(), m)
+	if tv.granted != m {
+		t.Fatalf("granted = %d, want %d", tv.granted, m)
 	}
 	if tr.Size() != m+1 {
 		t.Fatalf("tree size = %d, want %d", tr.Size(), m+1)
@@ -46,12 +45,12 @@ func TestTrivialInvalidChangeKeepsPermit(t *testing.T) {
 	if _, err := tr.ApplyAddLeaf(a); err != nil {
 		t.Fatal(err)
 	}
-	tv := baseline.NewTrivial(tr, 1)
+	tv := NewTrivial(tr, 1)
 	if _, err := tv.Submit(ctl.Request{Node: a, Kind: tree.RemoveLeaf}); err == nil {
 		t.Fatal("remove-leaf at an internal node was accepted")
 	}
-	if tv.Granted() != 0 {
-		t.Fatalf("granted = %d after a refused change, want 0", tv.Granted())
+	if tv.granted != 0 {
+		t.Fatalf("granted = %d after a refused change, want 0", tv.granted)
 	}
 	for name, v := range tv.Counters().Snapshot() {
 		if v != 0 {
@@ -67,7 +66,7 @@ func TestTrivialInvalidChangeKeepsPermit(t *testing.T) {
 func TestTrivialCostIsDepthPerRequest(t *testing.T) {
 	tr, root := tree.New()
 	// Build a path of depth 50 via the controller itself.
-	tv := baseline.NewTrivial(tr, 1000)
+	tv := NewTrivial(tr, 1000)
 	cur := root
 	for i := 0; i < 50; i++ {
 		g, err := tv.Submit(ctl.Request{Node: cur, Kind: tree.AddLeaf})
@@ -88,13 +87,13 @@ func TestTrivialCostIsDepthPerRequest(t *testing.T) {
 
 func TestGrowOnlyRejectsUnsupportedChanges(t *testing.T) {
 	tr, root := tree.New()
-	g := baseline.NewGrowOnly(tr, 64, 32, 8)
+	g := newGrowOnly(tr, 64, 32, 8)
 	res, err := g.Submit(ctl.Request{Node: root, Kind: tree.AddLeaf})
 	if err != nil || res.Outcome != ctl.Granted {
 		t.Fatalf("add leaf: %v %v", res.Outcome, err)
 	}
-	if _, err := g.Submit(ctl.Request{Node: res.NewNode, Kind: tree.RemoveLeaf}); !errors.Is(err, baseline.ErrUnsupportedChange) {
-		t.Fatalf("remove leaf err = %v, want ErrUnsupportedChange", err)
+	if _, err := g.Submit(ctl.Request{Node: res.NewNode, Kind: tree.RemoveLeaf}); !errors.Is(err, errUnsupportedChange) {
+		t.Fatalf("remove leaf err = %v, want errUnsupportedChange", err)
 	}
 }
 
@@ -103,7 +102,7 @@ func TestGrowOnlySafetyLiveness(t *testing.T) {
 		tr, _ := tree.New()
 		const requests = 400
 		u := tc.m + 8
-		g := baseline.NewGrowOnly(tr, u, tc.m, tc.w)
+		g := newGrowOnly(tr, u, tc.m, tc.w)
 		gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 9)
 		granted := int64(0)
 		for i := 0; i < requests; i++ {
@@ -134,7 +133,7 @@ func TestGrowOnlySafetyLiveness(t *testing.T) {
 func TestGrowOnlyIterated(t *testing.T) {
 	tr, _ := tree.New()
 	const m = 512
-	it := baseline.NewGrowOnlyIterated(tr, m+8, m, 1)
+	it := NewGrowOnlyIterated(tr, m+8, m, 1)
 	gen := workload.NewChurn(tr, workload.GrowOnlyMix(), 3)
 	granted := 0
 	for i := 0; i < 4*m; i++ {
@@ -165,8 +164,8 @@ func TestGrowOnlyBinLocality(t *testing.T) {
 	// After the hierarchy warms up, repeated requests at the same node
 	// must be cheaper than the first one (bin reuse).
 	tr, root := tree.New()
-	g := baseline.NewGrowOnly(tr, 4096, 1<<20, 1<<19)
-	counters := g.Counters()
+	g := newGrowOnly(tr, 4096, 1<<20, 1<<19)
+	counters := g.counters
 	cur := root
 	for i := 0; i < 64; i++ {
 		res, err := g.Submit(ctl.Request{Node: cur, Kind: tree.AddLeaf})

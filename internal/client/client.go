@@ -1,7 +1,7 @@
 // Package client is the wire-protocol client of the dynctrld daemon: a
 // connection-pooled, pipelined front-end that exposes the same
 // Submit/SubmitMany surface as the in-process controllers, so drivers
-// written against workload.Submitter or workload.ManySubmitter run
+// written against workload.Submitter or workload.RunConcurrentChunked run
 // unchanged over TCP.
 //
 // Every SubmitMany run travels as one Submit frame tagged with a
@@ -224,7 +224,7 @@ func (c *Client) Submit(req controller.Request) (controller.Grant, error) {
 // SubmitMany sends a run of requests as one wire frame — transparently
 // split into several frames when the run exceeds wire.MaxBatchLen — and
 // blocks until the server has answered all of them, appending one
-// BatchResult per request to out. It implements workload.ManySubmitter.
+// BatchResult per request to out. It is what workload.RunConcurrentChunked drives.
 //
 // Delivery is at-most-once: a call is routed to a live pooled connection
 // (moving on from connections that are already dead), but once the frame

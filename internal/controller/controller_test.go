@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	ctl "dynctrl/internal/controller"
+	"dynctrl/internal/dist"
 	"dynctrl/internal/pkgstore"
+	"dynctrl/internal/sim"
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
@@ -245,6 +247,53 @@ func TestDeletionMovesPackagesToParent(t *testing.T) {
 	got := c.NodePermits(parent)
 	if got < want {
 		t.Fatalf("parent holds %d permits, want at least %d", got, want)
+	}
+}
+
+// TestTerminatingRejectsAfterTermination checks the terminating core of
+// Observation 2.1 on the message-passing engine, a no-reject core: it grants between M−W and M permits,
+// then answers WouldReject, and every later request leaves Granted where it
+// was.
+func TestTerminatingRejectsAfterTermination(t *testing.T) {
+	tr, _ := tree.New()
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 12}, 7); err != nil {
+		t.Fatal(err)
+	}
+	core := dist.Over(sim.NewDeterministic(7)).NewCore(tr, 64, 20, 5, ctl.WithNoRejects())
+
+	root := tr.Root()
+	var granted int64
+	terminated := false
+	for i := 0; i < 64 && !terminated; i++ {
+		g, err := core.Submit(ctl.Request{Node: root, Kind: tree.None})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		switch g.Outcome {
+		case ctl.Granted:
+			granted++
+		case ctl.WouldReject:
+			terminated = true
+		default:
+			t.Fatalf("submit %d: outcome %v from a no-reject core", i, g.Outcome)
+		}
+	}
+	if !terminated {
+		t.Fatal("core never answered WouldReject")
+	}
+	if granted != core.Granted() {
+		t.Fatalf("counted %d grants, core granted %d", granted, core.Granted())
+	}
+	if granted > 20 || granted < 15 {
+		t.Fatalf("granted %d outside [M−W, M] = [15, 20]", granted)
+	}
+	for i := 0; i < 8; i++ {
+		if g, err := core.Submit(ctl.Request{Node: root, Kind: tree.None}); err != nil || g.Outcome == ctl.Granted {
+			t.Fatalf("post-termination submit %d: %v, %v", i, g.Outcome, err)
+		}
+	}
+	if core.Granted() != granted {
+		t.Fatalf("granted moved after termination: %d -> %d", granted, core.Granted())
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // DomainTracker maintains the package domains of Section 3.2. The paper
 // uses domains purely for analysis — the algorithm itself neither stores
 // nor communicates them — so the tracker is optional and exists to let
-// tests assert the three Domain Invariants after every step:
+// tests assert the three Domain Invariants after every step
+// (CheckInvariants, in export_test.go):
 //
 //  1. the domain of each existing level-k mobile package contains
 //     2^{k-1}·ψ nodes (deleted nodes keep their membership);
@@ -45,9 +46,6 @@ func newDomainTracker(tr *tree.Tree, params pkgstore.Params) *DomainTracker {
 		domains: make(map[uint32]*domain),
 	}
 }
-
-// Count returns the number of tracked domains.
-func (d *DomainTracker) Count() int { return len(d.domains) }
 
 // LevelCounts returns the number of tracked packages per level.
 func (d *DomainTracker) LevelCounts() map[int]int {
@@ -126,64 +124,4 @@ func (d *DomainTracker) onHostMoved(pkgs []pkgstore.Package, newHost tree.NodeID
 			dom.host = newHost
 		}
 	}
-}
-
-// CheckInvariants verifies the three domain invariants and returns the
-// first violation found, or nil.
-func (d *DomainTracker) CheckInvariants() error {
-	// Invariant 1: exact domain sizes.
-	for _, dom := range d.domains {
-		want := int(d.params.DomainSize(dom.level))
-		if len(dom.members) != want {
-			return fmt.Errorf("invariant 1: level-%d package domain has %d members, want %d",
-				dom.level, len(dom.members), want)
-		}
-	}
-	// Invariant 2: per-level disjointness.
-	perLevel := make(map[int]map[tree.NodeID]struct{})
-	for _, dom := range d.domains {
-		seen, ok := perLevel[dom.level]
-		if !ok {
-			seen = make(map[tree.NodeID]struct{})
-			perLevel[dom.level] = seen
-		}
-		for _, m := range dom.members {
-			if _, dup := seen[m]; dup {
-				return fmt.Errorf("invariant 2: node %d in two level-%d domains", m, dom.level)
-			}
-			seen[m] = struct{}{}
-		}
-	}
-	// Invariant 3: existing members form a path hanging from a child of
-	// the host.
-	for _, dom := range d.domains {
-		var existing []tree.NodeID
-		for _, m := range dom.members {
-			if d.tr.Contains(m) {
-				existing = append(existing, m)
-			}
-		}
-		if len(existing) == 0 {
-			continue
-		}
-		p, err := d.tr.Parent(existing[0])
-		if err != nil {
-			return fmt.Errorf("invariant 3: %w", err)
-		}
-		if p != dom.host {
-			return fmt.Errorf("invariant 3: top member %d hangs from %d, host is %d",
-				existing[0], p, dom.host)
-		}
-		for i := 1; i < len(existing); i++ {
-			p, err := d.tr.Parent(existing[i])
-			if err != nil {
-				return fmt.Errorf("invariant 3: %w", err)
-			}
-			if p != existing[i-1] {
-				return fmt.Errorf("invariant 3: member %d not child of previous member %d",
-					existing[i], existing[i-1])
-			}
-		}
-	}
-	return nil
 }

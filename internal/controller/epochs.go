@@ -54,7 +54,7 @@ func (e *Epochs) start() {
 	m, w, opts := e.plan(e.epoch, e.ni)
 	// 2N_i + 4 bounds the nodes ever to exist in an iteration that admits
 	// at most m ≤ N_i changes.
-	e.core = e.tp.NewCore(e.tr, 2*e.ni+4, m, w, append(opts, withCounters(e.counters), WithNoRejects())...)
+	e.core = e.tp.NewCore(e.tr, 2*e.ni+4, m, w, append(opts, withCounters(e.counters), withNoRejects())...)
 }
 
 // Epoch returns the current iteration number (1-based).

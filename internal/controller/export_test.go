@@ -230,3 +230,69 @@ func (c *Core) CheckDomainPackages() error {
 // InTrivialTail reports whether the W = 0 tail runs: the whiteboards were
 // collected and cleared, and stay referenced beside it.
 func (d *Dynamic) InTrivialTail() bool { return d.inner.st.TrivialPhase }
+
+// Count returns the number of tracked domains.
+func (d *DomainTracker) Count() int { return len(d.domains) }
+
+// CheckInvariants verifies the three domain invariants and returns the
+// first violation found, or nil.
+func (d *DomainTracker) CheckInvariants() error {
+	// Invariant 1: exact domain sizes.
+	for _, dom := range d.domains {
+		want := int(d.params.DomainSize(dom.level))
+		if len(dom.members) != want {
+			return fmt.Errorf("invariant 1: level-%d package domain has %d members, want %d",
+				dom.level, len(dom.members), want)
+		}
+	}
+	// Invariant 2: per-level disjointness.
+	perLevel := make(map[int]map[tree.NodeID]struct{})
+	for _, dom := range d.domains {
+		seen, ok := perLevel[dom.level]
+		if !ok {
+			seen = make(map[tree.NodeID]struct{})
+			perLevel[dom.level] = seen
+		}
+		for _, m := range dom.members {
+			if _, dup := seen[m]; dup {
+				return fmt.Errorf("invariant 2: node %d in two level-%d domains", m, dom.level)
+			}
+			seen[m] = struct{}{}
+		}
+	}
+	// Invariant 3: existing members form a path hanging from a child of
+	// the host.
+	for _, dom := range d.domains {
+		var existing []tree.NodeID
+		for _, m := range dom.members {
+			if d.tr.Contains(m) {
+				existing = append(existing, m)
+			}
+		}
+		if len(existing) == 0 {
+			continue
+		}
+		p, err := d.tr.Parent(existing[0])
+		if err != nil {
+			return fmt.Errorf("invariant 3: %w", err)
+		}
+		if p != dom.host {
+			return fmt.Errorf("invariant 3: top member %d hangs from %d, host is %d",
+				existing[0], p, dom.host)
+		}
+		for i := 1; i < len(existing); i++ {
+			p, err := d.tr.Parent(existing[i])
+			if err != nil {
+				return fmt.Errorf("invariant 3: %w", err)
+			}
+			if p != existing[i-1] {
+				return fmt.Errorf("invariant 3: member %d not child of previous member %d",
+					existing[i], existing[i-1])
+			}
+		}
+	}
+	return nil
+}
+
+// WithNoRejects is withNoRejects, for the external tests.
+var WithNoRejects = withNoRejects

@@ -78,7 +78,7 @@ func (it *Iterated) startIteration(m int64) {
 	}
 	// What it.wb was is the iteration that ended (or nothing): its tables
 	// carry over.
-	it.wb = newWhiteboard(it.tr, it.st.U, m, w, it.wb, withCounters(it.counters), WithNoRejects())
+	it.wb = newWhiteboard(it.tr, it.st.U, m, w, it.wb, withCounters(it.counters), withNoRejects())
 	it.core = it.tp.Attach(it.wb)
 }
 

@@ -63,7 +63,7 @@ type Whiteboard struct {
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
-	descent  DescentObserver // nil unless an application listens
+	descent  func(size int64, enters tree.NodeID) // nil unless an application listens
 
 	noRejects  bool
 	rejectWave bool
@@ -92,23 +92,21 @@ func WithSerials(iv pkgstore.Interval) CoreOption {
 	return func(wb *Whiteboard) { wb.serials = iv }
 }
 
-// WithNoRejects makes the core return WouldReject instead of flooding the
+// withNoRejects makes the core return WouldReject instead of flooding the
 // reject wave (the terminating transformation of Observation 2.1).
-func WithNoRejects() CoreOption {
+func withNoRejects() CoreOption {
 	return func(wb *Whiteboard) { wb.noRejects = true }
 }
 
-// DescentObserver is called once for each node a permit package of the
-// given size enters on its way down the tree: the root when the storage
-// funds a package there (the permits leave the storage and enter the root's
-// whiteboard), then every node below the package's host down to its
-// destination, in the order the package reaches them. The subtree
-// estimator of Section 5.3 sums what passed through each node, and needs
-// the root counted for ω̃(root) to dominate the root's super-weight.
-type DescentObserver func(size int64, enters tree.NodeID)
-
-// WithDescentObserver registers fn to observe downward package moves.
-func WithDescentObserver(fn DescentObserver) CoreOption {
+// WithDescentObserver registers fn to observe downward package moves. fn
+// is called once for each node a permit package of the given size enters on
+// its way down the tree: the root when the storage funds a package there
+// (the permits leave the storage and enter the root's whiteboard), then
+// every node below the package's host down to its destination, in the order
+// the package reaches them. The subtree estimator of Section 5.3 sums what
+// passed through each node, and needs the root counted for ω̃(root) to
+// dominate the root's super-weight.
+func WithDescentObserver(fn func(size int64, enters tree.NodeID)) CoreOption {
 	return func(wb *Whiteboard) { wb.descent = fn }
 }
 

@@ -9,12 +9,12 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// Core is the fixed-U distributed (M,W)-Controller of Section 4: the shared
+// core is the fixed-U distributed (M,W)-Controller of Section 4: the shared
 // whiteboards of Section 3.1 plus a transport that moves packages by message
 // passing. One request is processed at a time (Submit drains the runtime
 // before returning), which models the paper's assumption that a single agent
 // is active per request.
-type Core struct {
+type core struct {
 	*controller.Whiteboard
 	rt  *sim.Runtime
 	env *envelopes // shared with every core on rt's transport
@@ -38,7 +38,7 @@ type pending struct {
 // Submit runs one request through the message-passing protocol and blocks
 // (draining the runtime) until the verdict is in. The decision sequence
 // matches the centralized Core.Submit on identical traces.
-func (c *Core) Submit(req controller.Request) (controller.Grant, error) {
+func (c *core) Submit(req controller.Request) (controller.Grant, error) {
 	if err := c.Validate(req); err != nil {
 		return controller.Grant{}, err
 	}
@@ -59,7 +59,7 @@ func (c *Core) Submit(req controller.Request) (controller.Grant, error) {
 // itself: items 1 and 2 of Protocol GrantOrReject, the d = 0 case of the
 // filler search, and the degenerate u = root case. No message is spent on
 // the request's arrival (requests originate at their node).
-func (c *Core) localStep(u tree.NodeID) {
+func (c *core) localStep(u tree.NodeID) {
 	if c.Store(u).HasReject() {
 		c.finish(c.Reject())
 		return
@@ -90,7 +90,7 @@ func (c *Core) localStep(u tree.NodeID) {
 // handle dispatches one delivered message. It is installed on the runtime
 // at the start of every submit, so several controllers can share one
 // transport (the majority protocol runs two drivers on one runtime).
-func (c *Core) handle(m sim.Message) {
+func (c *core) handle(m sim.Message) {
 	if c.cur == nil || c.cur.err != nil {
 		return // request already failed; drop the rest of the flight
 	}
@@ -111,7 +111,7 @@ func (c *Core) handle(m sim.Message) {
 // handleSearch continues the filler search at node w, which is pl.dist hops
 // above the requesting node (item 3 of Protocol GrantOrReject). The climb
 // re-sends the same envelope hop after hop.
-func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
+func (c *core) handleSearch(w tree.NodeID, pl *searchUp) {
 	if pk := c.Filler(w, pl.dist); pk != nil {
 		c.startDescent(w, pk, pl.origin)
 		return
@@ -131,7 +131,7 @@ func (c *Core) handleSearch(w tree.NodeID, pl *searchUp) {
 
 // rootStep handles a search that reached the root without finding a filler
 // (item 3b): fund a fresh package of level j(u) from the storage, or reject.
-func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
+func (c *core) rootStep(root, origin tree.NodeID, dRoot int64) {
 	pk, err := c.CreateAtRoot(dRoot)
 	if err != nil {
 		c.fail(err)
@@ -154,7 +154,7 @@ func (c *Core) rootStep(root, origin tree.NodeID, dRoot int64) {
 // Proc, item 4). The path is the breadcrumb trail the upward search
 // established; it lives in the transport's descend envelope, whose buffer is
 // reused across requests.
-func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tree.NodeID) {
+func (c *core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tree.NodeID) {
 	pkg := *found
 	if err := c.RemoveMobile(host, found); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
@@ -186,7 +186,7 @@ func (c *Core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tr
 // is dist hops above origin; packages split when they enter a drop point
 // u_{k-1} and convert to static on arrival. The same envelope is re-sent
 // hop after hop.
-func (c *Core) handleDescend(pl *descend) {
+func (c *core) handleDescend(pl *descend) {
 	node := pl.path[pl.idx]
 	dist := int64(len(pl.path) - 1 - pl.idx)
 	pkg := pl.pkg
@@ -214,7 +214,7 @@ func (c *Core) handleDescend(pl *descend) {
 
 // arrive converts the level-0 package to static at the requesting node and
 // grants the pending request from it.
-func (c *Core) arrive(pkg pkgstore.Package, u tree.NodeID) {
+func (c *core) arrive(pkg pkgstore.Package, u tree.NodeID) {
 	if err := pkg.BecomeStatic(); err != nil {
 		c.fail(err)
 		return
@@ -225,7 +225,7 @@ func (c *Core) arrive(pkg pkgstore.Package, u tree.NodeID) {
 // finishGrant grants the pending request one permit of the static package
 // in the store of its node (item 2 of Protocol GrantOrReject) and completes
 // it.
-func (c *Core) finishGrant(static *pkgstore.Package) {
+func (c *core) finishGrant(static *pkgstore.Package) {
 	g, err := c.Grant(c.cur.req, static, c.handoff)
 	if err != nil {
 		c.fail(err)
@@ -239,7 +239,7 @@ func (c *Core) finishGrant(static *pkgstore.Package) {
 // quiet toward the node at this point (the protocol is sequential), which
 // is the handshake the paper requires for graceful deletions. The message
 // carries a copy of the packages, since the child's store goes with it.
-func (c *Core) handoff(from, parent tree.NodeID, child *pkgstore.Store) {
+func (c *core) handoff(from, parent tree.NodeID, child *pkgstore.Store) {
 	pkgs, hadReject := child.TakeAll()
 	c.rt.Send(from, parent, transfer{packages: pkgs, hadReject: hadReject})
 }
@@ -247,7 +247,7 @@ func (c *Core) handoff(from, parent tree.NodeID, child *pkgstore.Store) {
 // broadcastRejectWave floods a reject package to every node, one message
 // per tree edge (item 3b). Idempotent: once the wave ran, later requests
 // find the reject package locally.
-func (c *Core) broadcastRejectWave() {
+func (c *core) broadcastRejectWave() {
 	if !c.StartRejectWave() {
 		return
 	}
@@ -258,12 +258,12 @@ func (c *Core) broadcastRejectWave() {
 
 // handleRejectFlood stores the reject package at the receiver and forwards
 // the wave to its children.
-func (c *Core) handleRejectFlood(id tree.NodeID) {
+func (c *core) handleRejectFlood(id tree.NodeID) {
 	c.Store(id).SetReject()
 	c.floodChildren(id)
 }
 
-func (c *Core) floodChildren(id tree.NodeID) {
+func (c *core) floodChildren(id tree.NodeID) {
 	kids, err := c.Tree().Children(id)
 	if err != nil {
 		return // the node left the tree while the wave was in flight
@@ -273,12 +273,12 @@ func (c *Core) floodChildren(id tree.NodeID) {
 	}
 }
 
-func (c *Core) finish(g controller.Grant) {
+func (c *core) finish(g controller.Grant) {
 	c.cur.grant = g
 	c.cur.done = true
 }
 
-func (c *Core) fail(err error) {
+func (c *core) fail(err error) {
 	c.cur.err = err
 	c.cur.done = true
 }

@@ -51,7 +51,7 @@ func Over(rt *sim.Runtime) controller.Transport {
 	env := new(envelopes)
 	return controller.Transport{
 		Attach: func(wb *controller.Whiteboard) controller.Submitter {
-			return &Core{Whiteboard: wb, rt: rt, env: env}
+			return &core{Whiteboard: wb, rt: rt, env: env}
 		},
 		Counter:      stats.CounterControl,
 		RestartCosts: true,

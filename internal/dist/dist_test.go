@@ -93,51 +93,6 @@ func TestSafetyAndLivenessUnderChurn(t *testing.T) {
 	}
 }
 
-// TestTerminatingRejectsAfterTermination checks the terminating core of
-// Observation 2.1, a no-reject core: it grants between M−W and M permits,
-// then answers WouldReject, and every later request leaves Granted where it
-// was.
-func TestTerminatingRejectsAfterTermination(t *testing.T) {
-	tr := buildTree(t, 12, 7)
-	rt := sim.NewDeterministic(7)
-	core := dist.Over(rt).NewCore(tr, 64, 20, 5, controller.WithNoRejects())
-
-	root := tr.Root()
-	var granted int64
-	terminated := false
-	for i := 0; i < 64 && !terminated; i++ {
-		g, err := core.Submit(controller.Request{Node: root, Kind: tree.None})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		switch g.Outcome {
-		case controller.Granted:
-			granted++
-		case controller.WouldReject:
-			terminated = true
-		default:
-			t.Fatalf("submit %d: outcome %v from a no-reject core", i, g.Outcome)
-		}
-	}
-	if !terminated {
-		t.Fatal("core never answered WouldReject")
-	}
-	if granted != core.Granted() {
-		t.Fatalf("counted %d grants, core granted %d", granted, core.Granted())
-	}
-	if granted > 20 || granted < 15 {
-		t.Fatalf("granted %d outside [M−W, M] = [15, 20]", granted)
-	}
-	for i := 0; i < 8; i++ {
-		if g, err := core.Submit(controller.Request{Node: root, Kind: tree.None}); err != nil || g.Outcome == controller.Granted {
-			t.Fatalf("post-termination submit %d: %v, %v", i, g.Outcome, err)
-		}
-	}
-	if core.Granted() != granted {
-		t.Fatalf("granted moved after termination: %d -> %d", granted, core.Granted())
-	}
-}
-
 // TestEpochsCosts pins what Epochs charges over both transports: each
 // rollover pays the 2(n−1) termination sweep of the controller that ended
 // and, distributed, the 2(n−1) broadcast/upcast that counts N_i. The
@@ -183,7 +138,7 @@ func TestEpochsCosts(t *testing.T) {
 
 // TestCoreMatchesCentralized is the engine-equivalence table. Its first
 // rows replay identical traces through the two fixed-U cores, the
-// centralized controller.Core and the distributed dist.Core: the grant and
+// centralized controller.Core and the distributed core: the grant and
 // reject sequences must be bitwise identical (same outcomes, serials and
 // created node ids), the permit accounting must agree, and the delivered
 // message count must stay within a constant factor of the centralized move

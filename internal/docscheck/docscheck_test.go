@@ -12,9 +12,11 @@
 // holds the documents to byte budgets and README's package map to the
 // module's packages, so a second copy of what a package's doc comment
 // already says cannot grow back. Its surface ledger pins every package's
-// exported names and the daemon's imports in testdata/surface.golden. CI
-// runs it as the docs job, so adding a metric or a wire code without
-// documenting it fails the build.
+// exported names and the daemon's imports in testdata/surface.golden, and
+// its caller ledger holds each exported name under internal/ to a non-test
+// caller outside its package, the root package's API, or a reason in
+// testdata/uncalled.txt. CI runs it as the docs job, so adding a metric or
+// a wire code without documenting it fails the build.
 package docscheck
 
 import (
@@ -22,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -193,7 +196,8 @@ func TestMetricsFieldsDocumented(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	doc := readFile(t, filepath.Join("docs", "OPERATIONS.md"))
 	srv, err := server.New(server.Config{
-		Addr: "127.0.0.1:0",
+		Addr:        "127.0.0.1:0",
+		MetricsAddr: "127.0.0.1:0",
 		Tenants: []server.TenantConfig{
 			{Name: "default", Topology: tree.Shape{Kind: "balanced", Nodes: 8}, Seed: 1, M: 100, W: 10},
 			{Name: "blue", Topology: tree.Shape{Kind: "star", Nodes: 4}, Seed: 2, M: 50, W: 5},
@@ -211,8 +215,16 @@ func TestMetricsExposition(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx) //nolint:errcheck
 	}()
+	resp, err := http.Get("http://" + srv.MetricsAddr() + "/metricsz")
+	if err != nil {
+		t.Fatalf("GET /metricsz: %v", err)
+	}
 	var buf bytes.Buffer
-	srv.WriteMetrics(&buf)
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metricsz: %s, %v", resp.Status, err)
+	}
 
 	helped := map[string]bool{}
 	typed := map[string]bool{}

@@ -163,6 +163,29 @@ func importClosure(pkgs map[string]*build.Package, root string) []string {
 	return closure
 }
 
+// nonTestLines counts the lines of every non-test .go file in dir, under
+// every build constraint, blank lines included.
+func nonTestLines(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines += bytes.Count(src, []byte("\n"))
+	}
+	return lines
+}
+
 // TestSurfaceLedger pins the module's surface in testdata/surface.golden:
 // each package's exported identifiers with their kinds, and the import
 // closure of cmd/dynctrld. A change that adds or deletes an exported name,
@@ -171,7 +194,10 @@ func importClosure(pkgs map[string]*build.Package, root string) []string {
 //
 //	go test ./internal/docscheck -run SurfaceLedger -update
 //
-// Non-test line counts are logged (go test -v), not pinned.
+// TestEveryExportedNameHasACaller counts, for each name in the golden, the
+// non-test packages outside its own that use it. Non-test line counts are
+// logged (go test -v), not pinned: every non-test .go file of each package,
+// under every build constraint, blank lines included.
 func TestSurfaceLedger(t *testing.T) {
 	pkgs := modulePackages(t, linuxAMD64())
 	paths := make([]string, 0, len(pkgs))
@@ -190,14 +216,7 @@ func TestSurfaceLedger(t *testing.T) {
 		for _, name := range exportedNames(t, pkgs[p]) {
 			b.WriteString(p + " " + name + "\n")
 		}
-		lines := 0
-		for _, name := range pkgs[p].GoFiles {
-			src, err := os.ReadFile(filepath.Join(pkgs[p].Dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines += bytes.Count(src, []byte("\n"))
-		}
+		lines := nonTestLines(t, pkgs[p].Dir)
 		total += lines
 		t.Logf("%6d non-test lines  %s", lines, p)
 	}

@@ -21,8 +21,8 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// ErrBadBeta is returned when the approximation parameter is not > 1.
-var ErrBadBeta = errors.New("estimator: beta must be greater than 1")
+// errBadBeta is returned when the approximation parameter is not > 1.
+var errBadBeta = errors.New("estimator: beta must be greater than 1")
 
 // Estimator maintains, at every node, a β-approximation of the number of
 // nodes in the dynamically changing tree. All topological changes must be
@@ -57,7 +57,7 @@ func WithSubtreeEstimates() Option {
 // its controllers moving packages tp's way.
 func New(tr *tree.Tree, tp controller.Transport, beta float64, opts ...Option) (*Estimator, error) {
 	if beta <= 1 {
-		return nil, ErrBadBeta
+		return nil, errBadBeta
 	}
 	e := &Estimator{tr: tr, beta: beta, counters: stats.NewCounters()}
 	for _, opt := range opts {

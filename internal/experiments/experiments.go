@@ -2,8 +2,8 @@
 // theory contribution whose "tables and figures" are complexity theorems;
 // each function here measures the corresponding quantity on synthetic
 // workloads and prints the series/rows whose *shape* the paper predicts.
-// cmd/benchtables prints all tables; the root bench_test.go times each as
-// BenchmarkExperiments/E<n>; testdata/tables.golden pins every number.
+// cmd/benchtables prints all tables; BenchmarkExperiments/E<n> times each;
+// testdata/tables.golden pins every number.
 package experiments
 
 import (
@@ -52,11 +52,11 @@ func drain(sub controller.Submitter, gen workload.Generator, maxReq int) (grante
 	return granted, rejected
 }
 
-// E1CentralizedMoves measures the centralized waste-halving controller's
+// e1CentralizedMoves measures the centralized waste-halving controller's
 // move complexity as U grows (Obs 3.4: O(U·log²U·log M/(W+1))). The last
 // column should flatten; the growth exponent of raw moves vs U should be
 // near 1 (up to log factors).
-func E1CentralizedMoves() *stats.Table {
+func e1CentralizedMoves() *stats.Table {
 	tb := stats.NewTable("E1: centralized move complexity vs U (M=U, W=1)",
 		"n0", "U", "moves", "moves/(U·log²U)")
 	var series stats.Series
@@ -77,9 +77,9 @@ func E1CentralizedMoves() *stats.Table {
 	return tb
 }
 
-// E2WasteSweep fixes U and sweeps W: moves should scale with log(M/(W+1))
+// e2WasteSweep fixes U and sweeps W: moves should scale with log(M/(W+1))
 // (Obs 3.4).
-func E2WasteSweep() *stats.Table {
+func e2WasteSweep() *stats.Table {
 	tb := stats.NewTable("E2: moves vs waste W (path n=512, M=4096)",
 		"W", "log2(M/(W+1))", "moves", "moves/log2(M/(W+1))")
 	const n = 512
@@ -103,9 +103,9 @@ func E2WasteSweep() *stats.Table {
 	return tb
 }
 
-// E3UnknownU measures the unknown-U controller (Thm 3.5(1)): amortized
+// e3UnknownU measures the unknown-U controller (Thm 3.5(1)): amortized
 // moves per topological change should stay O(log²n).
-func E3UnknownU() *stats.Table {
+func e3UnknownU() *stats.Table {
 	tb := stats.NewTable("E3: unknown-U amortized moves per change (policy: changes/4)",
 		"n0", "changes", "moves", "moves/change", "log²(nMax)")
 	for _, n := range []int{64, 256, 1024} {
@@ -127,9 +127,9 @@ func E3UnknownU() *stats.Table {
 	return tb
 }
 
-// E4MaxN runs the second unknown-U policy (Thm 3.5(2)): total moves
+// e4MaxN runs the second unknown-U policy (Thm 3.5(2)): total moves
 // normalized by N·log²N, N = max simultaneous nodes, on grow-heavy traces.
-func E4MaxN() *stats.Table {
+func e4MaxN() *stats.Table {
 	tb := stats.NewTable("E4: unknown-U (policy: double max-N) on grow-heavy traces",
 		"n0", "maxN", "moves", "moves/(N·log²N)")
 	for _, n := range []int{64, 256, 1024} {
@@ -147,10 +147,10 @@ func E4MaxN() *stats.Table {
 	return tb
 }
 
-// E5DistVsCentral replays identical traces on the centralized and
+// e5DistVsCentral replays identical traces on the centralized and
 // distributed controllers (Thm 4.7 / Lemma 4.5): the message count should
 // stay within a small constant of the move count.
-func E5DistVsCentral() *stats.Table {
+func e5DistVsCentral() *stats.Table {
 	tb := stats.NewTable("E5: distributed messages vs centralized moves (same trace)",
 		"n", "moves(central)", "messages(dist)", "ratio")
 	for _, n := range []int{64, 256, 1024} {
@@ -188,9 +188,9 @@ func E5DistVsCentral() *stats.Table {
 	return tb
 }
 
-// E6Liveness records, per (M,W), the permits granted at first reject:
+// e6Liveness records, per (M,W), the permits granted at first reject:
 // safety requires ≤ M, liveness requires ≥ M−W.
-func E6Liveness() *stats.Table {
+func e6Liveness() *stats.Table {
 	tb := stats.NewTable("E6: safety/liveness at first reject",
 		"M", "W", "granted", "M-W", "ok")
 	for _, tc := range []struct{ m, w int64 }{
@@ -207,10 +207,10 @@ func E6Liveness() *stats.Table {
 	return tb
 }
 
-// E7VsGrowOnly compares our controller with the bin-hierarchy controller of
+// e7VsGrowOnly compares our controller with the bin-hierarchy controller of
 // [4] on grow-only traces (the only regime [4] supports). The paper claims
 // our message complexity is never asymptotically worse.
-func E7VsGrowOnly() *stats.Table {
+func e7VsGrowOnly() *stats.Table {
 	tb := stats.NewTable("E7: ours vs grow-only bin hierarchy [4] (grow-only traces)",
 		"M", "ours(messages)", "AAPS(moves)", "ratio ours/AAPS")
 	for _, m := range []int64{256, 1024, 4096} {
@@ -231,10 +231,10 @@ func E7VsGrowOnly() *stats.Table {
 	return tb
 }
 
-// E8VsTrivial compares against the trivial controller: per-request cost of
+// e8VsTrivial compares against the trivial controller: per-request cost of
 // the trivial controller grows with depth (Ω(n) per request), ours
 // amortizes to polylog.
-func E8VsTrivial() *stats.Table {
+func e8VsTrivial() *stats.Table {
 	tb := stats.NewTable("E8: ours vs trivial controller (deep trees, repeated requests)",
 		"depth", "requests", "trivial(moves)", "ours(messages)", "trivial/ours")
 	for _, depth := range []int{128, 512, 2048} {
@@ -277,10 +277,10 @@ func E8VsTrivial() *stats.Table {
 	return tb
 }
 
-// E9SizeEstimation measures the estimator's amortized message cost per
+// e9SizeEstimation measures the estimator's amortized message cost per
 // topological change (Thm 5.1) and verifies the β-approximation held
 // throughout.
-func E9SizeEstimation() *stats.Table {
+func e9SizeEstimation() *stats.Table {
 	tb := stats.NewTable("E9: size estimation (β=2)",
 		"n0", "changes", "messages", "msgs/change", "log²(n)", "β-invariant")
 	for _, n := range []int{64, 256, 1024} {
@@ -317,9 +317,9 @@ func E9SizeEstimation() *stats.Table {
 	return tb
 }
 
-// E10Naming measures the name-assignment protocol: message cost per change
+// e10Naming measures the name-assignment protocol: message cost per change
 // plus the id-range invariant (ids ≤ 4n at all times).
-func E10Naming() *stats.Table {
+func e10Naming() *stats.Table {
 	tb := stats.NewTable("E10: name assignment",
 		"n0", "changes", "messages", "msgs/change", "maxID/n(final)", "invariant")
 	for _, n := range []int{64, 256, 1024} {
@@ -359,9 +359,9 @@ func E10Naming() *stats.Table {
 	return tb
 }
 
-// E11HeavyChild measures the heavy-child decomposition: maximum light
+// e11HeavyChild measures the heavy-child decomposition: maximum light
 // ancestors vs log₄⁄₃(n) (Thm 5.4).
-func E11HeavyChild() *stats.Table {
+func e11HeavyChild() *stats.Table {
 	tb := stats.NewTable("E11: heavy-child decomposition",
 		"n0", "final n", "max light ancestors", "log4/3(n)", "ratio")
 	for _, n := range []int{64, 256, 1024} {
@@ -393,9 +393,9 @@ func E11HeavyChild() *stats.Table {
 	return tb
 }
 
-// E12Labeling measures the dynamic ancestry labeling under shrink: label
+// e12Labeling measures the dynamic ancestry labeling under shrink: label
 // bits must track the current n, unlike a never-rebuilt static scheme.
-func E12Labeling() *stats.Table {
+func e12Labeling() *stats.Table {
 	tb := stats.NewTable("E12: dynamic ancestry labels under shrink",
 		"n(start)", "n(end)", "static bits (no rebuild)", "dynamic bits", "rebuilds")
 	for _, n := range []int{512, 2048} {
@@ -424,9 +424,9 @@ func E12Labeling() *stats.Table {
 	return tb
 }
 
-// E13Memory measures the maximum whiteboard size (Claim 4.8) on star and
+// e13Memory measures the maximum whiteboard size (Claim 4.8) on star and
 // path topologies.
-func E13Memory() *stats.Table {
+func e13Memory() *stats.Table {
 	tb := stats.NewTable("E13: per-node whiteboard memory (bits)",
 		"topology", "n", "max bits", "bound deg·logN+log³N+log²U")
 	for _, shape := range []string{"star", "path"} {
@@ -464,9 +464,9 @@ func E13Memory() *stats.Table {
 	return tb
 }
 
-// E14Ablation checks the domain-invariant consequence the design rests on:
+// e14Ablation checks the domain-invariant consequence the design rests on:
 // the number of live level-k packages never exceeds U/(2^{k-1}ψ).
-func E14Ablation() *stats.Table {
+func e14Ablation() *stats.Table {
 	tb := stats.NewTable("E14: level-package occupancy vs domain bound",
 		"level", "max packages seen", "bound U/(2^{k-1}ψ)", "occupancy")
 	const n = 800
@@ -511,9 +511,9 @@ func E14Ablation() *stats.Table {
 // All returns every experiment table in order.
 func All() []*stats.Table {
 	return []*stats.Table{
-		E1CentralizedMoves(), E2WasteSweep(), E3UnknownU(), E4MaxN(),
-		E5DistVsCentral(), E6Liveness(), E7VsGrowOnly(), E8VsTrivial(),
-		E9SizeEstimation(), E10Naming(), E11HeavyChild(), E12Labeling(),
-		E13Memory(), E14Ablation(),
+		e1CentralizedMoves(), e2WasteSweep(), e3UnknownU(), e4MaxN(),
+		e5DistVsCentral(), e6Liveness(), e7VsGrowOnly(), e8VsTrivial(),
+		e9SizeEstimation(), e10Naming(), e11HeavyChild(), e12Labeling(),
+		e13Memory(), e14Ablation(),
 	}
 }

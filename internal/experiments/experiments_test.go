@@ -1,4 +1,4 @@
-package experiments_test
+package experiments
 
 import (
 	"flag"
@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dynctrl/internal/experiments"
+	"dynctrl/internal/stats"
 )
 
 // TestExperimentsProduceTables smoke-tests the cheaper experiments: every
@@ -22,9 +22,9 @@ func TestExperimentsProduceTables(t *testing.T) {
 		name string
 		run  func() interface{ String() string }
 	}{
-		{"E6", func() interface{ String() string } { return experiments.E6Liveness() }},
-		{"E13", func() interface{ String() string } { return experiments.E13Memory() }},
-		{"E14", func() interface{ String() string } { return experiments.E14Ablation() }},
+		{"E6", func() interface{ String() string } { return e6Liveness() }},
+		{"E13", func() interface{ String() string } { return e13Memory() }},
+		{"E14", func() interface{ String() string } { return e14Ablation() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,7 +45,7 @@ func TestExperimentsProduceTables(t *testing.T) {
 
 // TestE6AllConfigurationsPass asserts the liveness table's ok column.
 func TestE6AllConfigurationsPass(t *testing.T) {
-	tb := experiments.E6Liveness()
+	tb := e6Liveness()
 	for _, row := range tb.Rows {
 		if row[len(row)-1] != "true" {
 			t.Fatalf("configuration failed: %v", row)
@@ -56,7 +56,7 @@ func TestE6AllConfigurationsPass(t *testing.T) {
 // TestE14OccupancyBelowBound asserts the ablation's occupancy column stays
 // below 1 (the domain-invariant bound).
 func TestE14OccupancyBelowBound(t *testing.T) {
-	tb := experiments.E14Ablation()
+	tb := e14Ablation()
 	if len(tb.Rows) == 0 {
 		t.Fatal("no occupancy rows; the workload should span several levels")
 	}
@@ -81,7 +81,7 @@ func TestGoldenTables(t *testing.T) {
 		t.Skip("full experiment tables; skipped in -short")
 	}
 	var b strings.Builder
-	for _, tb := range experiments.All() {
+	for _, tb := range All() {
 		b.WriteString(tb.String())
 		b.WriteByte('\n')
 	}
@@ -121,4 +121,35 @@ func lineDiff(want, got string) string {
 		}
 	}
 	return b.String()
+}
+
+// BenchmarkExperiments runs each experiment table once per iteration.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range []struct {
+		name string
+		run  func() *stats.Table
+	}{
+		{"E1", e1CentralizedMoves},
+		{"E2", e2WasteSweep},
+		{"E3", e3UnknownU},
+		{"E4", e4MaxN},
+		{"E5", e5DistVsCentral},
+		{"E6", e6Liveness},
+		{"E7", e7VsGrowOnly},
+		{"E8", e8VsTrivial},
+		{"E9", e9SizeEstimation},
+		{"E10", e10Naming},
+		{"E11", e11HeavyChild},
+		{"E12", e12Labeling},
+		{"E13", e13Memory},
+		{"E14", e14Ablation},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if tb := e.run(); len(tb.Rows) == 0 {
+					b.Fatalf("%s: empty table", tb.Title)
+				}
+			}
+		})
+	}
 }

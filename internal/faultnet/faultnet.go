@@ -57,10 +57,10 @@ func (d Direction) String() string {
 type Kind int
 
 const (
-	// KillPreHandshake closes the accepted connection before a single
+	// killPreHandshake closes the accepted connection before a single
 	// byte is proxied (the upstream is never dialed). Dir and Frame are
 	// ignored.
-	KillPreHandshake Kind = iota
+	killPreHandshake Kind = iota
 	// Kill closes both sides cleanly instead of forwarding the matched
 	// frame: the peer sees an abrupt EOF between frames (kill mid-batch
 	// when more Submit frames were coming).
@@ -78,15 +78,15 @@ const (
 	// Dup forwards the matched frame twice back to back (whole-frame
 	// duplication/replay).
 	Dup
-	// Reorder holds the matched frame back and forwards it immediately
+	// reorder holds the matched frame back and forwards it immediately
 	// after its successor (bounded delay: at most one frame of
 	// displacement). A held frame is flushed on stream end.
-	Reorder
+	reorder
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KillPreHandshake:
+	case killPreHandshake:
 		return "kill-pre-handshake"
 	case Kill:
 		return "kill"
@@ -98,7 +98,7 @@ func (k Kind) String() string {
 		return "stall"
 	case Dup:
 		return "dup"
-	case Reorder:
+	case reorder:
 		return "reorder"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
@@ -111,7 +111,7 @@ func (k Kind) String() string {
 type Rule struct {
 	// Kind is the fault to inject.
 	Kind Kind
-	// Dir is the direction the rule watches (ignored by KillPreHandshake).
+	// Dir is the direction the rule watches (ignored by killPreHandshake).
 	Dir Direction
 	// Conn is the accepted-connection ordinal (0-based, in accept order)
 	// the rule applies to; -1 applies to every connection.
@@ -124,7 +124,7 @@ type Rule struct {
 	// Prob is the per-frame firing probability when Frame == -1.
 	Prob float64
 	// Delay is the pacing for SlowLoris (pause between chunks, default
-	// 1ms), Stall (pause length) and Reorder (ignored).
+	// 1ms), Stall (pause length) and reorder (ignored).
 	Delay time.Duration
 	// Chunk is the SlowLoris write size in bytes (default 1).
 	Chunk int
@@ -295,8 +295,8 @@ func (p *Proxy) handle(cn net.Conn, ord int) {
 
 	for i := range p.cfg.Rules {
 		r := &p.cfg.Rules[i]
-		if r.Kind == KillPreHandshake && (r.Conn < 0 || r.Conn == ord) {
-			p.record(Event{Conn: ord, Dir: ClientToServer, Frame: -1, Kind: KillPreHandshake, Rule: i})
+		if r.Kind == killPreHandshake && (r.Conn < 0 || r.Conn == ord) {
+			p.record(Event{Conn: ord, Dir: ClientToServer, Frame: -1, Kind: killPreHandshake, Rule: i})
 			return
 		}
 	}
@@ -347,7 +347,7 @@ func dirSeed(seed int64, ord int, dir Direction) int64 {
 func (p *Proxy) pick(rng *rand.Rand, ord int, dir Direction, frame int) (int, *Rule) {
 	for i := range p.cfg.Rules {
 		r := &p.cfg.Rules[i]
-		if r.Kind == KillPreHandshake || r.Dir != dir {
+		if r.Kind == killPreHandshake || r.Dir != dir {
 			continue
 		}
 		if r.Conn >= 0 && r.Conn != ord {
@@ -521,7 +521,7 @@ func (p *Proxy) pump(wg *sync.WaitGroup, ord int, dir Direction, src, dst net.Co
 				hardKill(src, dst)
 				return
 			}
-		case rule.Kind == Reorder:
+		case rule.Kind == reorder:
 			if held != nil {
 				// Only one frame may be in flight held; forward the older
 				// one first to keep displacement bounded at one frame.

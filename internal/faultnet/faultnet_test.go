@@ -1,4 +1,4 @@
-package faultnet_test
+package faultnet
 
 import (
 	"bytes"
@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dynctrl/internal/faultnet"
 )
 
 // mkFrame builds one wire-framing-compatible frame: 4-byte big-endian
@@ -92,17 +90,17 @@ func (u *echoUpstream) received() [][]byte {
 	return append([][]byte(nil), u.frames...)
 }
 
-func startProxy(t *testing.T, upstream string, seed int64, rules []faultnet.Rule) *faultnet.Proxy {
+func startProxy(t *testing.T, upstream string, seed int64, rules []Rule) *Proxy {
 	t.Helper()
-	p, err := faultnet.Start(faultnet.Config{Upstream: upstream, Seed: seed, Rules: rules})
+	p, err := Start(Config{Upstream: upstream, Seed: seed, Rules: rules})
 	if err != nil {
-		t.Fatalf("faultnet.Start: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { p.Close() })
 	return p
 }
 
-func dialProxy(t *testing.T, p *faultnet.Proxy) net.Conn {
+func dialProxy(t *testing.T, p *Proxy) net.Conn {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", p.Addr(), 5*time.Second)
 	if err != nil {
@@ -138,8 +136,8 @@ func TestCleanProxyPassesFramesThrough(t *testing.T) {
 
 func TestKillPreHandshake(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.KillPreHandshake, Conn: 0},
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: killPreHandshake, Conn: 0},
 	})
 	nc := dialProxy(t, p)
 
@@ -149,7 +147,7 @@ func TestKillPreHandshake(t *testing.T) {
 		t.Fatal("read on a pre-handshake-killed connection succeeded")
 	}
 	want := "conn=0 dir=c2s frame=-1 fault=kill-pre-handshake rule=0\n"
-	if got := faultnet.FormatEvents(p.Events()); got != want {
+	if got := FormatEvents(p.Events()); got != want {
 		t.Fatalf("events:\n%swant:\n%s", got, want)
 	}
 	if n := len(u.received()); n != 0 {
@@ -169,8 +167,8 @@ func TestKillPreHandshake(t *testing.T) {
 
 func TestKillBetweenFrames(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.Kill, Dir: faultnet.ClientToServer, Conn: -1, Frame: 2},
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: Kill, Dir: ClientToServer, Conn: -1, Frame: 2},
 	})
 	nc := dialProxy(t, p)
 
@@ -198,8 +196,8 @@ func TestKillBetweenFrames(t *testing.T) {
 
 func TestKillMidFrameTruncates(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.KillMidFrame, Dir: faultnet.ClientToServer, Conn: 0, Frame: 1},
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: KillMidFrame, Dir: ClientToServer, Conn: 0, Frame: 1},
 	})
 	nc := dialProxy(t, p)
 
@@ -236,8 +234,8 @@ func TestKillMidFrameTruncates(t *testing.T) {
 
 func TestDupDeliversFrameTwice(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.Dup, Dir: faultnet.ClientToServer, Conn: 0, Frame: 0},
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: Dup, Dir: ClientToServer, Conn: 0, Frame: 0},
 	})
 	nc := dialProxy(t, p)
 
@@ -258,8 +256,8 @@ func TestDupDeliversFrameTwice(t *testing.T) {
 
 func TestReorderSwapsAdjacentFrames(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.Reorder, Dir: faultnet.ClientToServer, Conn: 0, Frame: 1},
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: reorder, Dir: ClientToServer, Conn: 0, Frame: 1},
 	})
 	nc := dialProxy(t, p)
 
@@ -284,10 +282,10 @@ func TestReorderSwapsAdjacentFrames(t *testing.T) {
 
 func TestSlowLorisAndStallPaceDelivery(t *testing.T) {
 	u := newEchoUpstream(t)
-	p := startProxy(t, u.ln.Addr().String(), 1, []faultnet.Rule{
-		{Kind: faultnet.SlowLoris, Dir: faultnet.ClientToServer, Conn: 0, Frame: 0,
+	p := startProxy(t, u.ln.Addr().String(), 1, []Rule{
+		{Kind: SlowLoris, Dir: ClientToServer, Conn: 0, Frame: 0,
 			Delay: 2 * time.Millisecond, Chunk: 1},
-		{Kind: faultnet.Stall, Dir: faultnet.ClientToServer, Conn: 0, Frame: 1,
+		{Kind: Stall, Dir: ClientToServer, Conn: 0, Frame: 1,
 			Delay: 100 * time.Millisecond},
 	})
 	nc := dialProxy(t, p)
@@ -315,7 +313,7 @@ func TestSlowLorisAndStallPaceDelivery(t *testing.T) {
 	if el := time.Since(start); el < 80*time.Millisecond {
 		t.Fatalf("stalled frame arrived in %v, want >=80ms", el)
 	}
-	got := faultnet.FormatEvents(p.Events())
+	got := FormatEvents(p.Events())
 	want := "conn=0 dir=c2s frame=0 fault=slow-loris rule=0\n" +
 		"conn=0 dir=c2s frame=1 fault=stall rule=1\n"
 	if got != want {
@@ -327,7 +325,7 @@ func TestSlowLorisAndStallPaceDelivery(t *testing.T) {
 // sequentially (so ordinals are deterministic), each sending a fixed
 // number of frames and reading echoes until the connection dies. It
 // returns the canonical event log.
-func driveScript(t *testing.T, seed int64, rules []faultnet.Rule) string {
+func driveScript(t *testing.T, seed int64, rules []Rule) string {
 	t.Helper()
 	u := newEchoUpstream(t)
 	p := startProxy(t, u.ln.Addr().String(), seed, rules)
@@ -350,7 +348,7 @@ func driveScript(t *testing.T, seed int64, rules []faultnet.Rule) string {
 			defer nc.Close()
 			// Pipelined: write everything, half-close, drain echoes until
 			// the EOF ripples back (a strict request-reply loop would
-			// deadlock against the Reorder fault, which holds an echo back
+			// deadlock against the reorder fault, which holds an echo back
 			// until its successor flows).
 			for i := 0; i < 8; i++ {
 				if _, err := nc.Write(mkFrame(3, []byte{byte(c), byte(i)})); err != nil {
@@ -370,18 +368,18 @@ func driveScript(t *testing.T, seed int64, rules []faultnet.Rule) string {
 	wg.Wait()
 	// Kills race the last echo read: give in-flight pumps a beat to log.
 	time.Sleep(50 * time.Millisecond)
-	return faultnet.FormatEvents(p.Events())
+	return FormatEvents(p.Events())
 }
 
 func TestEventLogReproducible(t *testing.T) {
-	rules := []faultnet.Rule{
-		{Kind: faultnet.Dup, Dir: faultnet.ClientToServer, Conn: 1, Frame: 3},
-		{Kind: faultnet.Reorder, Dir: faultnet.ServerToClient, Conn: 2, Frame: 2},
+	rules := []Rule{
+		{Kind: Dup, Dir: ClientToServer, Conn: 1, Frame: 3},
+		{Kind: reorder, Dir: ServerToClient, Conn: 2, Frame: 2},
 		// Probabilistic dribbling: must fire at identical coordinates for
 		// identical seeds.
-		{Kind: faultnet.SlowLoris, Dir: faultnet.ClientToServer, Conn: -1, Frame: -1,
+		{Kind: SlowLoris, Dir: ClientToServer, Conn: -1, Frame: -1,
 			Prob: 0.3, Delay: time.Microsecond, Chunk: 16},
-		{Kind: faultnet.Kill, Dir: faultnet.ClientToServer, Conn: 0, Frame: 6},
+		{Kind: Kill, Dir: ClientToServer, Conn: 0, Frame: 6},
 	}
 	a := driveScript(t, 42, rules)
 	b := driveScript(t, 42, rules)

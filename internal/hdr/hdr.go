@@ -4,8 +4,7 @@
 // the record path. It gives the tracer's stage rows their quantiles
 // (p50/p99/p999) without pulling in an external histogram dependency.
 //
-// A Histogram is not safe for concurrent use; concurrent recorders keep
-// one each and Merge them.
+// A Histogram is not safe for concurrent use.
 package hdr
 
 import "math/bits"
@@ -72,28 +71,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// Merge folds o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for e := range o.counts {
-		for s, n := range o.counts[e] {
-			h.counts[e][s] += n
-		}
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if h.min < 0 || (o.min >= 0 && o.min < h.min) {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.total }
 
@@ -110,14 +87,6 @@ func (h *Histogram) Max() int64 { return h.max }
 
 // Sum returns the exact sum of all recorded samples.
 func (h *Histogram) Sum() int64 { return h.sum }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
 
 // Quantile returns the q-quantile (q in [0,1]) as a representative bucket
 // value, clamped to the exact observed extremes so Quantile(0) == Min and

@@ -15,10 +15,6 @@ type Scheme interface {
 	MaxBits() int
 }
 
-// Builder constructs a static scheme over the current tree and reports the
-// message cost M(π, n) of the distributed construction.
-type Builder func(tr *tree.Tree) (Scheme, int64)
-
 // Dynamic extends a static labeling scheme to the controlled dynamic model
 // (Section 5.4): all topological changes pass through the size-estimation
 // protocol, and whenever the size estimate drifts by a factor of two from
@@ -30,16 +26,18 @@ type Dynamic struct {
 	tr    *tree.Tree
 	tp    controller.Transport
 	est   *estimator.Estimator
-	build Builder
+	build func(tr *tree.Tree) (Scheme, int64)
 
 	scheme   Scheme
 	rebuilds int
 	lastN    int64
 }
 
-// NewDynamic wraps a static scheme builder; its size estimator (β = 2, the
-// natural choice for a doubling rule) runs over tp.
-func NewDynamic(tr *tree.Tree, tp controller.Transport, build Builder) (*Dynamic, error) {
+// NewDynamic wraps a static scheme builder: build constructs the scheme
+// over the current tree and reports the message cost M(π, n) of the
+// distributed construction. Its size estimator (β = 2, the natural choice
+// for a doubling rule) runs over tp.
+func NewDynamic(tr *tree.Tree, tp controller.Transport, build func(tr *tree.Tree) (Scheme, int64)) (*Dynamic, error) {
 	est, err := estimator.New(tr, tp, 2)
 	if err != nil {
 		return nil, err

@@ -270,3 +270,25 @@ func TestDynamicLabelingGrowth(t *testing.T) {
 		t.Fatalf("rebuilds = %d; growth by 38x should trigger several", dyn.Rebuilds())
 	}
 }
+
+// BenchmarkAncestryQuery measures a label-based ancestry query.
+func BenchmarkAncestryQuery(b *testing.B) {
+	tr, _ := tree.New()
+	if err := tree.Build(tr, tree.Shape{Kind: "balanced", Nodes: 1024}, 4); err != nil {
+		b.Fatal(err)
+	}
+	scheme := labeling.BuildAncestry(tr)
+	nodes := tr.Nodes()
+	labels := make([]labeling.AncestryLabel, len(nodes))
+	for i, v := range nodes {
+		l, err := scheme.Label(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		labels[i] = l
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = labeling.IsAncestor(labels[i%len(labels)], labels[(i*7+3)%len(labels)])
+	}
+}

@@ -76,7 +76,7 @@ func BuildRouting(tr *tree.Tree) (*Routing, error) {
 func (r *Routing) Address(v tree.NodeID) (AncestryLabel, error) {
 	l, ok := r.labels[v]
 	if !ok {
-		return AncestryLabel{}, fmt.Errorf("routing address of %d: %w", v, ErrNoLabel)
+		return AncestryLabel{}, fmt.Errorf("routing address of %d: %w", v, errNoLabel)
 	}
 	return l, nil
 }
@@ -92,13 +92,13 @@ func (r *Routing) Delivered(at tree.NodeID, dest AncestryLabel) bool {
 func (r *Routing) NextHop(at tree.NodeID, dest AncestryLabel) (port int, err error) {
 	tbl, ok := r.tables[at]
 	if !ok {
-		return 0, fmt.Errorf("routing table of %d: %w", at, ErrNoLabel)
+		return 0, fmt.Errorf("routing table of %d: %w", at, errNoLabel)
 	}
 	if tbl.self == dest {
 		return 0, fmt.Errorf("routing: destination %v is local", dest)
 	}
 	for _, e := range tbl.entries {
-		if IsAncestor(e.iv, dest) {
+		if isAncestor(e.iv, dest) {
 			return e.port, nil
 		}
 	}
@@ -112,10 +112,10 @@ func (r *Routing) NextHop(at tree.NodeID, dest AncestryLabel) (port int, err err
 func (r *Routing) nextHopNode(at tree.NodeID, dest AncestryLabel, tr *tree.Tree) (tree.NodeID, error) {
 	tbl, ok := r.tables[at]
 	if !ok {
-		return tree.InvalidNode, fmt.Errorf("routing table of %d: %w", at, ErrNoLabel)
+		return tree.InvalidNode, fmt.Errorf("routing table of %d: %w", at, errNoLabel)
 	}
 	for _, e := range tbl.entries {
-		if IsAncestor(e.iv, dest) {
+		if isAncestor(e.iv, dest) {
 			return e.child, nil
 		}
 	}

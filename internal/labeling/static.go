@@ -16,9 +16,9 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// ErrNoLabel is returned when a queried node has no label (it joined after
+// errNoLabel is returned when a queried node has no label (it joined after
 // the last rebuild, or never existed).
-var ErrNoLabel = errors.New("labeling: node has no label")
+var errNoLabel = errors.New("labeling: node has no label")
 
 // AncestryLabel is the KNR interval label: v is an ancestor of u iff
 // v's interval contains u's.
@@ -63,13 +63,13 @@ func BuildAncestry(tr *tree.Tree) *Ancestry {
 func (a *Ancestry) Label(v tree.NodeID) (AncestryLabel, error) {
 	l, ok := a.labels[v]
 	if !ok {
-		return AncestryLabel{}, fmt.Errorf("ancestry label of %d: %w", v, ErrNoLabel)
+		return AncestryLabel{}, fmt.Errorf("ancestry label of %d: %w", v, errNoLabel)
 	}
 	return l, nil
 }
 
-// IsAncestor answers the ancestry query from labels alone.
-func IsAncestor(anc, desc AncestryLabel) bool {
+// isAncestor answers the ancestry query from labels alone.
+func isAncestor(anc, desc AncestryLabel) bool {
 	return anc.Pre <= desc.Pre && desc.Post <= anc.Post
 }
 
@@ -171,7 +171,7 @@ func BuildNCA(tr *tree.Tree) *NCA {
 func (n *NCA) Label(v tree.NodeID) (NCALabel, error) {
 	l, ok := n.labels[v]
 	if !ok {
-		return NCALabel{}, fmt.Errorf("nca label of %d: %w", v, ErrNoLabel)
+		return NCALabel{}, fmt.Errorf("nca label of %d: %w", v, errNoLabel)
 	}
 	return l, nil
 }
@@ -336,7 +336,7 @@ func BuildDistance(tr *tree.Tree) *Distance {
 func (d *Distance) Label(v tree.NodeID) (DistanceLabel, error) {
 	l, ok := d.labels[v]
 	if !ok {
-		return DistanceLabel{}, fmt.Errorf("distance label of %d: %w", v, ErrNoLabel)
+		return DistanceLabel{}, fmt.Errorf("distance label of %d: %w", v, errNoLabel)
 	}
 	return l, nil
 }

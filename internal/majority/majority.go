@@ -34,8 +34,8 @@ var (
 	// ErrCommitted is returned for membership changes attempted after
 	// the root committed (the decision is final).
 	ErrCommitted = errors.New("majority: already committed")
-	// ErrBudget is returned when the departure budget is exhausted.
-	ErrBudget = errors.New("majority: departure budget exhausted")
+	// errBudget is returned when the departure budget is exhausted.
+	errBudget = errors.New("majority: departure budget exhausted")
 )
 
 // Protocol is one majority-commitment instance.
@@ -111,7 +111,7 @@ func (p *Protocol) Leave(id tree.NodeID) error {
 	}
 	g, err := p.leaveCtl.Submit(controller.Request{Node: id, Kind: tree.RemoveLeaf})
 	if errors.Is(err, controller.ErrTerminated) {
-		return ErrBudget
+		return errBudget
 	}
 	if err != nil {
 		return err

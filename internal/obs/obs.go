@@ -54,10 +54,10 @@ const (
 	StageTotal
 )
 
-// NumStages counts the histogram rows (the five stages plus total).
-const NumStages = int(StageTotal) + 1
+// numStages counts the histogram rows (the five stages plus total).
+const numStages = int(StageTotal) + 1
 
-var stageNames = [NumStages]string{"decode", "queue", "execute", "wal", "write", "total"}
+var stageNames = [numStages]string{"decode", "queue", "execute", "wal", "write", "total"}
 
 // String returns the stage's metric label value.
 func (s Stage) String() string {
@@ -124,7 +124,7 @@ type Digest struct {
 
 // The histogram rows: one a stage, then the lock hold and the fsync wave.
 const (
-	rowHold = NumStages + iota
+	rowHold = numStages + iota
 	rowFsync
 	numRows
 )
@@ -140,8 +140,8 @@ type Tracer struct {
 	rows [numRows]*hdr.Histogram
 }
 
-// DefaultRing is the ring size when NewTracer is given ring <= 0.
-const DefaultRing = 256
+// defaultRing is the ring size when NewTracer is given ring <= 0.
+const defaultRing = 256
 
 // MaxRing is the largest ring a tracer keeps: 65 536 traces, about 10 MiB
 // at 160 B a trace. NewTracer clamps a larger request to it, and the daemon
@@ -156,7 +156,7 @@ const DefaultSlow = 32
 // capacity of slow.
 func NewTracer(ring, slow int) *Tracer {
 	if ring <= 0 {
-		ring = DefaultRing
+		ring = defaultRing
 	}
 	ring = min(ring, MaxRing)
 	size := 1
@@ -173,19 +173,8 @@ func NewTracer(ring, slow int) *Tracer {
 	return t
 }
 
-// Recorded returns how many traces have been recorded, which is the ID of
-// the last one (0 on nil).
-func (t *Tracer) Recorded() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// RingSize returns the ring capacity (0 on nil).
-func (t *Tracer) RingSize() int {
+// ringSize returns the ring capacity (0 on nil).
+func (t *Tracer) ringSize() int {
 	if t == nil {
 		return 0
 	}
@@ -260,9 +249,9 @@ func (t *Tracer) Recent(n int) []BatchTrace {
 	return out
 }
 
-// Slowest returns copies of up to n slowest traces recorded so far, slowest
+// slowest returns copies of up to n slowest traces recorded so far, slowest
 // first.
-func (t *Tracer) Slowest(n int) []BatchTrace {
+func (t *Tracer) slowest(n int) []BatchTrace {
 	if t == nil || n <= 0 {
 		return nil
 	}
@@ -281,7 +270,7 @@ func (t *Tracer) Snapshot() Digest {
 	defer t.mu.Unlock()
 	d := Digest{
 		Recorded: t.n,
-		Stages:   make([]StageStats, NumStages),
+		Stages:   make([]StageStats, numStages),
 		Hold:     digest(t.rows[rowHold]),
 		Fsync:    digest(t.rows[rowFsync]),
 	}

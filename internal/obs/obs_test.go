@@ -13,8 +13,8 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := []string{"decode", "queue", "execute", "wal", "write", "total"}
-	if NumStages != len(want) {
-		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
+	if numStages != len(want) {
+		t.Fatalf("numStages = %d, want %d", numStages, len(want))
 	}
 	for i, name := range want {
 		if got := Stage(i).String(); got != name {
@@ -32,17 +32,17 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Errorf("nil Record = %d", id)
 	}
 	tr.RecordFsync(time.Second)
-	if n := tr.Recorded(); n != 0 {
+	if n := tr.Snapshot().Recorded; n != 0 {
 		t.Errorf("nil Recorded = %d", n)
 	}
-	if s := tr.RingSize(); s != 0 {
-		t.Errorf("nil RingSize = %d", s)
+	if s := tr.ringSize(); s != 0 {
+		t.Errorf("nil ringSize = %d", s)
 	}
 	if got := tr.Recent(4); got != nil {
 		t.Errorf("nil Recent = %v", got)
 	}
-	if got := tr.Slowest(4); got != nil {
-		t.Errorf("nil Slowest = %v", got)
+	if got := tr.slowest(4); got != nil {
+		t.Errorf("nil slowest = %v", got)
 	}
 	if got := tr.Snapshot(); got.Stages != nil || got.Recorded != 0 || got.Fsync.Count != 0 {
 		t.Errorf("nil Snapshot = %+v", got)
@@ -51,9 +51,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestNewTracerRoundsRingToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, DefaultRing}, {-5, DefaultRing}, {1, 1}, {2, 2}, {3, 4}, {100, 128}, {256, 256},
+		{0, defaultRing}, {-5, defaultRing}, {1, 1}, {2, 2}, {3, 4}, {100, 128}, {256, 256},
 	} {
-		if got := NewTracer(tc.in, 4).RingSize(); got != tc.want {
+		if got := NewTracer(tc.in, 4).ringSize(); got != tc.want {
 			t.Errorf("NewTracer(%d).RingSize() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -67,7 +67,7 @@ func TestNewTracerRingIsCapped(t *testing.T) {
 	const maxRing = 1 << 16
 	for _, in := range []int{maxRing, maxRing + 1, math.MaxInt} {
 		got := make(chan int, 1)
-		go func() { got <- NewTracer(in, 4).RingSize() }()
+		go func() { got <- NewTracer(in, 4).ringSize() }()
 		select {
 		case size := <-got:
 			if size != maxRing {
@@ -84,7 +84,7 @@ func TestRecentNewestFirstAndWrap(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tr.Record(&BatchTrace{Total: time.Duration(i)})
 	}
-	if got := tr.Recorded(); got != 10 {
+	if got := tr.Snapshot().Recorded; got != 10 {
 		t.Fatalf("Recorded = %d, want 10", got)
 	}
 	recent := tr.Recent(8)
@@ -108,7 +108,7 @@ func TestSlowestKeepsTopK(t *testing.T) {
 	for _, ms := range []int{5, 1, 9, 2, 8, 3, 7, 4, 6} {
 		tr.Record(&BatchTrace{Total: time.Duration(ms) * time.Millisecond})
 	}
-	slow := tr.Slowest(10)
+	slow := tr.slowest(10)
 	if len(slow) != 3 {
 		t.Fatalf("Slowest returned %d traces, cap is 3", len(slow))
 	}
@@ -117,7 +117,7 @@ func TestSlowestKeepsTopK(t *testing.T) {
 			t.Errorf("slowest[%d].ID = %d, want %d (got %v)", i, slow[i].ID, want, ids(slow))
 		}
 	}
-	if got := tr.Slowest(1); len(got) != 1 || got[0].ID != 3 {
+	if got := tr.slowest(1); len(got) != 1 || got[0].ID != 3 {
 		t.Errorf("Slowest(1) = %v", ids(got))
 	}
 }
@@ -138,8 +138,8 @@ func TestSnapshotQuantiles(t *testing.T) {
 		tr.Record(bt)
 	}
 	snap := tr.Snapshot().Stages
-	if len(snap) != NumStages {
-		t.Fatalf("Snapshot returned %d stages, want %d", len(snap), NumStages)
+	if len(snap) != numStages {
+		t.Fatalf("Snapshot returned %d stages, want %d", len(snap), numStages)
 	}
 	if snap[len(snap)-1].Stage != "total" {
 		t.Fatalf("last snapshot row is %q, want total", snap[len(snap)-1].Stage)
@@ -203,7 +203,7 @@ func TestTracerConcurrent(t *testing.T) {
 					return
 				}
 			}
-			tr.Slowest(8)
+			tr.slowest(8)
 			if d := tr.Snapshot(); d.Stages[StageTotal].Count != int64(d.Recorded) || d.Hold.Count != int64(d.Recorded) {
 				t.Errorf("one Snapshot: %d traces, total count %d, hold count %d",
 					d.Recorded, d.Stages[StageTotal].Count, d.Hold.Count)
@@ -223,12 +223,12 @@ func TestTracerConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	for tr.Recorded() < writers*perWriter {
+	for tr.Snapshot().Recorded < writers*perWriter {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
-	if got := tr.Recorded(); got != writers*perWriter {
+	if got := tr.Snapshot().Recorded; got != writers*perWriter {
 		t.Fatalf("Recorded = %d, want %d", got, writers*perWriter)
 	}
 	d := tr.Snapshot()
@@ -264,7 +264,7 @@ func TestHoldAndFsyncRows(t *testing.T) {
 			tr.RecordFsync(time.Duration(i) * time.Second)
 		}
 	}
-	if got := tr.Recorded(); got != last || last != 10 {
+	if got := tr.Snapshot().Recorded; got != last || last != 10 {
 		t.Errorf("Recorded = %d, last Record returned %d, want both 10", got, last)
 	}
 	d := tr.Snapshot()
@@ -313,8 +313,8 @@ func TestRecordAllocatesNothing(t *testing.T) {
 		}); got != 0 {
 			t.Errorf("%s: %v allocations a Record, want 0", tc.name, got)
 		}
-		if tr.Recorded() <= uint64(tr.RingSize()) {
-			t.Errorf("%s: %d traces never wrapped a %d-slot ring", tc.name, tr.Recorded(), tr.RingSize())
+		if tr.Snapshot().Recorded <= uint64(tr.ringSize()) {
+			t.Errorf("%s: %d traces never wrapped a %d-slot ring", tc.name, tr.Snapshot().Recorded, tr.ringSize())
 		}
 	}
 }

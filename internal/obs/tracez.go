@@ -16,7 +16,7 @@ func WriteTracez(w io.Writer, tenant string, t *Tracer, slowN, recentN int) {
 	}
 	fmt.Fprintf(w, "== tenant %q ==\n", tenant)
 	d := t.Snapshot()
-	fmt.Fprintf(w, "traces recorded: %d (ring %d)\n\n", d.Recorded, t.RingSize())
+	fmt.Fprintf(w, "traces recorded: %d (ring %d)\n\n", d.Recorded, t.ringSize())
 
 	fmt.Fprintf(w, "stage latency (server-side):\n")
 	fmt.Fprintf(w, "  %-8s %10s %12s %12s %12s %12s\n", "stage", "count", "p50", "p99", "p99.9", "max")
@@ -26,7 +26,7 @@ func WriteTracez(w io.Writer, tenant string, t *Tracer, slowN, recentN int) {
 	}
 
 	fmt.Fprintf(w, "\nslowest %d batches:\n", slowN)
-	writeTraces(w, t.Slowest(slowN))
+	writeTraces(w, t.slowest(slowN))
 	fmt.Fprintf(w, "\nmost recent %d batches:\n", recentN)
 	writeTraces(w, t.Recent(recentN))
 	fmt.Fprintln(w)

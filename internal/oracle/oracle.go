@@ -29,17 +29,14 @@
 //     symmetry, depth cache, port uniqueness, reachability).
 //
 // Violations are collected, not panicked, so a scenario run can report
-// every broken invariant at once; Err() turns them into a single error for
-// test assertions. The scenario runner (internal/scenario) wraps every run
-// in an Oracle unconditionally — the checks are the always-on safety net
-// every adversarial schedule runs against.
+// every broken invariant at once. The scenario runner (internal/scenario)
+// wraps every run in an Oracle unconditionally — the checks are the
+// always-on safety net every adversarial schedule runs against.
 package oracle
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"strings"
 
 	"dynctrl/internal/controller"
 	"dynctrl/internal/tree"
@@ -103,7 +100,6 @@ type Oracle struct {
 	submitted   int
 	granted     int64
 	rejected    int64
-	errors      int
 	firstReject int
 
 	checkSerials bool
@@ -179,7 +175,6 @@ func (o *Oracle) Submit(req controller.Request) (controller.Grant, error) {
 
 	g, err := o.target.Submit(req)
 	if err != nil {
-		o.errors++
 		if o.msgs != nil {
 			// The failing request may still have spent transport messages
 			// (errors can surface after the drain); absorb them so they are
@@ -268,12 +263,6 @@ func (o *Oracle) Granted() int64 { return o.granted }
 // Rejected returns the number of rejects the oracle observed.
 func (o *Oracle) Rejected() int64 { return o.rejected }
 
-// Submitted returns the number of submissions driven through the oracle.
-func (o *Oracle) Submitted() int { return o.submitted }
-
-// Errors returns the number of submissions that returned an error.
-func (o *Oracle) Errors() int { return o.errors }
-
 // Violations returns the breaches observed so far.
 func (o *Oracle) Violations() []Violation { return o.violations }
 
@@ -286,17 +275,4 @@ func (o *Oracle) Finish() []Violation {
 		o.report("tree-structure", -1, "%v", err)
 	}
 	return o.violations
-}
-
-// Err returns nil when no invariant was breached, else one error listing
-// every violation. Call Finish first for the end-of-run checks.
-func (o *Oracle) Err() error {
-	if len(o.violations) == 0 {
-		return nil
-	}
-	lines := make([]string, len(o.violations))
-	for i, v := range o.violations {
-		lines[i] = v.String()
-	}
-	return errors.New("oracle: " + strings.Join(lines, "; "))
 }

@@ -50,16 +50,16 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// ErrClosed is returned by operations on a closed engine.
-var ErrClosed = errors.New("persist: engine closed")
+// errClosed is returned by operations on a closed engine.
+var errClosed = errors.New("persist: engine closed")
 
-// DefaultSegmentBytes is the segment rotation threshold.
-const DefaultSegmentBytes = 8 << 20
+// defaultSegmentBytes is the segment rotation threshold.
+const defaultSegmentBytes = 8 << 20
 
-// sealBytes bounds the packed payload of one block (half of MaxBlockLen,
+// sealBytes bounds the packed payload of one block (half of maxBlockLen,
 // so a sealed wave can never approach the reader's rejection threshold).
 // A variable only so the block-splitting test can shrink it.
-var sealBytes = MaxBlockLen / 2
+var sealBytes = maxBlockLen / 2
 
 // Options configures an Engine.
 type Options struct {
@@ -68,7 +68,7 @@ type Options struct {
 	// explicitly).
 	SnapshotEvery int64
 	// SegmentBytes is the rotation threshold of the active segment
-	// (default DefaultSegmentBytes).
+	// (default defaultSegmentBytes).
 	SegmentBytes int64
 	// CommitWindow is how long the group-commit syncer waits after picking
 	// up a batch for more batches to pile in before it fsyncs (0 = fsync
@@ -156,7 +156,7 @@ type Engine struct {
 // caller must replay before submitting new work.
 func Open(dir string, opts Options) (*Engine, *Recovery, error) {
 	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
@@ -288,9 +288,9 @@ func ReadLatestSnapshot(dir string) (*State, error) {
 // Incarnation returns this boot's incarnation number (1 on first boot).
 func (e *Engine) Incarnation() uint64 { return e.stats.Incarnation }
 
-// AppendedIndex returns the index of the last record appended (durable or
+// appendedIndex returns the index of the last record appended (durable or
 // not).
-func (e *Engine) AppendedIndex() uint64 {
+func (e *Engine) appendedIndex() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.nextIndex - 1
@@ -342,7 +342,7 @@ func (e *Engine) AppendEffects(reqs []controller.Request, results []controller.B
 // fsync failed. Called with mu held.
 func (e *Engine) refusal() error {
 	if e.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return e.syncErr
 }
@@ -356,7 +356,7 @@ func (e *Engine) appendRecord(r Record) {
 		e.open = len(e.buf)
 		e.buf = openBlock(e.buf, e.nextIndex)
 	}
-	e.buf = AppendPackedRecord(e.buf, r)
+	e.buf = appendPackedRecord(e.buf, r)
 	e.nextIndex++
 	e.stats.AppendedRecords++
 	if len(e.buf)-e.open-blockPrefixLen >= sealBytes {
@@ -382,7 +382,7 @@ func (e *Engine) WaitDurable(ticket uint64) error {
 			return e.syncErr
 		}
 		if e.closed {
-			return ErrClosed
+			return errClosed
 		}
 		e.durableCond.Wait()
 	}
@@ -467,10 +467,10 @@ func (e *Engine) settle() {
 		return
 	}
 	deadline := time.Now().Add(e.opts.CommitWindow)
-	last, idle := e.AppendedIndex(), 0
+	last, idle := e.appendedIndex(), 0
 	for idle < 4 && time.Now().Before(deadline) {
 		runtime.Gosched()
-		if cur := e.AppendedIndex(); cur == last {
+		if cur := e.appendedIndex(); cur == last {
 			idle++
 		} else {
 			last, idle = cur, 0
@@ -551,7 +551,7 @@ func (e *Engine) ShouldCheckpoint() bool {
 // called while a submission is in flight.
 func (e *Engine) Capture(m, w int64, tr *tree.Tree, ctl *controller.Dynamic) *State {
 	return &State{
-		Index:       e.AppendedIndex(),
+		Index:       e.appendedIndex(),
 		Incarnation: e.Incarnation(),
 		M:           m,
 		W:           w,
@@ -591,7 +591,7 @@ func (e *Engine) writeSnapshot(st *State) error {
 	e.mu.Lock()
 	if e.abandoned {
 		e.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	}
 	e.mu.Unlock()
 	if st.Ctl.Policy != controller.PolicyChangesQuarter {

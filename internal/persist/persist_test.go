@@ -541,7 +541,7 @@ func TestCloseDuringCheckpointRace(t *testing.T) {
 			// Let some traffic through, then slam the door.
 			for {
 				mu.Lock()
-				done := eng.AppendedIndex() > uint64(16+round*9)
+				done := eng.StatsSnapshot().AppendedIndex > uint64(16+round*9)
 				mu.Unlock()
 				if done {
 					break

@@ -56,21 +56,21 @@ const (
 	RecWave RecordType = 2
 )
 
-// MaxBlockLen bounds a block's payload; a corrupt length prefix can never
+// maxBlockLen bounds a block's payload; a corrupt length prefix can never
 // drive a huge allocation.
-const MaxBlockLen = 8 << 20
+const maxBlockLen = 8 << 20
 
 // blockHeaderLen is the fixed prefix of a block: length + crc.
 const blockHeaderLen = 8
 
 // Decode errors.
 var (
-	// ErrShortRecord is returned when the buffer ends mid-block. Recovery
+	// errShortRecord is returned when the buffer ends mid-block. Recovery
 	// treats it as a torn tail.
-	ErrShortRecord = errors.New("persist: truncated block")
-	// ErrCorruptRecord is returned when a block fails its checksum or
+	errShortRecord = errors.New("persist: truncated block")
+	// errCorruptRecord is returned when a block fails its checksum or
 	// carries invalid field values.
-	ErrCorruptRecord = errors.New("persist: corrupt block")
+	errCorruptRecord = errors.New("persist: corrupt block")
 )
 
 // castagnoli is the CRC-32C table shared by blocks, segment headers and
@@ -94,8 +94,8 @@ type Record struct {
 	Granted int64
 }
 
-// Request reconstructs the controller request of an effect record.
-func (r Record) Request() controller.Request {
+// request reconstructs the controller request of an effect record.
+func (r Record) request() controller.Request {
 	return controller.Request{Node: r.Node, Kind: r.Kind, Child: r.Child}
 }
 
@@ -109,11 +109,11 @@ const (
 	tagChild    = 0x40
 )
 
-// AppendPackedRecord appends the packed (block-interior) encoding of r.
+// appendPackedRecord appends the packed (block-interior) encoding of r.
 // The record's Index is not encoded — it is positional within the block.
 // The engine packs effects only; the RecWave branch is format 1's encoder,
 // kept so tests can build format-1 bytes.
-func AppendPackedRecord(buf []byte, r Record) []byte {
+func appendPackedRecord(buf []byte, r Record) []byte {
 	if r.Type == RecWave {
 		buf = append(buf, tagWaveKind)
 		return binary.AppendUvarint(buf, uint64(r.Granted))
@@ -148,11 +148,11 @@ func AppendPackedRecord(buf []byte, r Record) []byte {
 // decodePacked decodes one packed record from the front of p.
 func decodePacked(p []byte, index uint64) (Record, int, error) {
 	if len(p) < 1 {
-		return Record{}, 0, fmt.Errorf("%w: empty record", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: empty record", errCorruptRecord)
 	}
 	tag := p[0]
 	if tag&0x80 != 0 {
-		return Record{}, 0, fmt.Errorf("%w: reserved tag bit set", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: reserved tag bit set", errCorruptRecord)
 	}
 	off := 1
 	uv := func() uint64 {
@@ -172,14 +172,14 @@ func decodePacked(p []byte, index uint64) (Record, int, error) {
 		r.Type = RecWave
 		r.Granted = int64(uv())
 		if off < 0 {
-			return Record{}, 0, fmt.Errorf("%w: truncated wave record", ErrCorruptRecord)
+			return Record{}, 0, fmt.Errorf("%w: truncated wave record", errCorruptRecord)
 		}
 		return r, off, nil
 	}
 	r.Type = RecEffect
 	r.Kind = tree.ChangeKind(tag & tagKindMask)
 	if r.Kind > tree.RemoveInternal {
-		return Record{}, 0, fmt.Errorf("%w: request kind %d", ErrCorruptRecord, r.Kind)
+		return Record{}, 0, fmt.Errorf("%w: request kind %d", errCorruptRecord, r.Kind)
 	}
 	r.Outcome = controller.Granted
 	if tag&tagRejected != 0 {
@@ -196,16 +196,16 @@ func decodePacked(p []byte, index uint64) (Record, int, error) {
 		r.Child = tree.NodeID(uv())
 	}
 	if off < 0 {
-		return Record{}, 0, fmt.Errorf("%w: truncated effect record", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: truncated effect record", errCorruptRecord)
 	}
 	if tag&tagSerial != 0 && r.Serial == 0 {
-		return Record{}, 0, fmt.Errorf("%w: explicit zero serial", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: explicit zero serial", errCorruptRecord)
 	}
 	if tag&tagNewNode != 0 && r.NewNode == 0 {
-		return Record{}, 0, fmt.Errorf("%w: explicit zero new-node", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: explicit zero new-node", errCorruptRecord)
 	}
 	if tag&tagChild != 0 && r.Child == 0 {
-		return Record{}, 0, fmt.Errorf("%w: explicit zero child", ErrCorruptRecord)
+		return Record{}, 0, fmt.Errorf("%w: explicit zero child", errCorruptRecord)
 	}
 	return r, off, nil
 }
@@ -252,7 +252,7 @@ func AppendRecords(buf []byte, records []Record) []byte {
 	start := len(buf)
 	buf = openBlock(buf, records[0].Index)
 	for _, r := range records {
-		buf = AppendPackedRecord(buf, r)
+		buf = appendPackedRecord(buf, r)
 	}
 	closeBlock(buf, start, records[0].Index+uint64(len(records)))
 	checksumBlocks(buf[start:])
@@ -261,29 +261,29 @@ func AppendRecords(buf []byte, records []Record) []byte {
 
 // DecodeWALRecords decodes one block from the front of p, appending its
 // records to out and returning the extended slice plus the bytes
-// consumed. ErrShortRecord distinguishes a torn tail (truncate and
-// continue) from ErrCorruptRecord (checksum or field validation failure).
+// consumed. errShortRecord distinguishes a torn tail (truncate and
+// continue) from errCorruptRecord (checksum or field validation failure).
 func DecodeWALRecords(p []byte, out []Record) ([]Record, int, error) {
 	if len(p) < blockHeaderLen {
-		return out, 0, ErrShortRecord
+		return out, 0, errShortRecord
 	}
 	n := binary.LittleEndian.Uint32(p)
 	crc := binary.LittleEndian.Uint32(p[4:])
-	if n < 12 || n > MaxBlockLen {
-		return out, 0, fmt.Errorf("%w: block payload length %d", ErrCorruptRecord, n)
+	if n < 12 || n > maxBlockLen {
+		return out, 0, fmt.Errorf("%w: block payload length %d", errCorruptRecord, n)
 	}
 	if len(p) < blockHeaderLen+int(n) {
-		return out, 0, ErrShortRecord
+		return out, 0, errShortRecord
 	}
 	payload := p[blockHeaderLen : blockHeaderLen+n]
 	if crc32.Checksum(payload, castagnoli) != crc {
-		return out, 0, fmt.Errorf("%w: block checksum mismatch", ErrCorruptRecord)
+		return out, 0, fmt.Errorf("%w: block checksum mismatch", errCorruptRecord)
 	}
 	firstIndex := binary.LittleEndian.Uint64(payload)
 	count := binary.LittleEndian.Uint32(payload[8:])
 	body := payload[12:]
 	if int(count) > len(body) { // every packed record is at least 1 byte
-		return out, 0, fmt.Errorf("%w: %d records in %d payload bytes", ErrCorruptRecord, count, len(body))
+		return out, 0, fmt.Errorf("%w: %d records in %d payload bytes", errCorruptRecord, count, len(body))
 	}
 	off := 0
 	for i := uint32(0); i < count; i++ {
@@ -295,7 +295,7 @@ func DecodeWALRecords(p []byte, out []Record) ([]Record, int, error) {
 		off += n
 	}
 	if off != len(body) {
-		return out, 0, fmt.Errorf("%w: %d trailing bytes after %d records", ErrCorruptRecord, len(body)-off, count)
+		return out, 0, fmt.Errorf("%w: %d trailing bytes after %d records", errCorruptRecord, len(body)-off, count)
 	}
 	return out, blockHeaderLen + int(n), nil
 }

@@ -80,7 +80,7 @@ func Replay(tail []Record, sub controller.Submitter) (int, error) {
 		if r.Type != RecEffect {
 			continue
 		}
-		g, err := sub.Submit(r.Request())
+		g, err := sub.Submit(r.request())
 		if err != nil {
 			return applied, fmt.Errorf("persist: replay index %d (%v at node %d): %w",
 				r.Index, r.Kind, r.Node, err)
@@ -123,10 +123,10 @@ func ReadHistory(dir string) ([]IncarnationEffects, error) {
 	return out, nil
 }
 
-// Summaries projects a record history onto the oracle's cross-incarnation
+// summaries projects a record history onto the oracle's cross-incarnation
 // vocabulary: per incarnation, the grant/reject totals, every explicit
 // serial granted, and the covered WAL index range.
-func Summaries(history []IncarnationEffects) []oracle.IncarnationSummary {
+func summaries(history []IncarnationEffects) []oracle.IncarnationSummary {
 	out := make([]oracle.IncarnationSummary, 0, len(history))
 	for _, inc := range history {
 		s := oracle.IncarnationSummary{Incarnation: inc.Incarnation}
@@ -161,6 +161,6 @@ func VerifyDir(dir string, m int64) ([]oracle.IncarnationSummary, []oracle.Viola
 	if err != nil {
 		return nil, nil, err
 	}
-	sums := Summaries(history)
+	sums := summaries(history)
 	return sums, oracle.CheckCrossIncarnations(m, sums), nil
 }

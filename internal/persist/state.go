@@ -32,9 +32,9 @@ const snapshotFormat = 2
 // snapshotHeaderLen is the byte length of the frame before the payload.
 const snapshotHeaderLen = 4 + 2 + 8 + 4
 
-// MaxSnapshotLen bounds a snapshot payload (1 GiB); a corrupt length field
+// maxSnapshotLen bounds a snapshot payload (1 GiB); a corrupt length field
 // can never drive an absurd allocation.
-const MaxSnapshotLen = 1 << 30
+const maxSnapshotLen = 1 << 30
 
 // State is everything the durability engine persists in one snapshot: the
 // admission stack's complete state as of WAL index Index. Recovery loads
@@ -315,7 +315,7 @@ func DecodeSnapshot(p []byte) (*State, error) {
 		return nil, fmt.Errorf("persist: snapshot format %d, this build reads 1 and %d", format, snapshotFormat)
 	}
 	n := binary.LittleEndian.Uint64(p[6:])
-	if n > MaxSnapshotLen {
+	if n > maxSnapshotLen {
 		return nil, fmt.Errorf("persist: snapshot payload %d exceeds limit", n)
 	}
 	payload := p[snapshotHeaderLen:]

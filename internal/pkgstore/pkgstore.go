@@ -33,10 +33,10 @@ import (
 
 // Errors reported by package operations.
 var (
-	ErrNotMobile   = errors.New("pkgstore: package is not mobile")
-	ErrLevelZero   = errors.New("pkgstore: cannot split a level-zero package")
-	ErrEmptyStatic = errors.New("pkgstore: static package is empty")
-	ErrNotInStore  = errors.New("pkgstore: package not in store")
+	errNotMobile   = errors.New("pkgstore: package is not mobile")
+	errLevelZero   = errors.New("pkgstore: cannot split a level-zero package")
+	errEmptyStatic = errors.New("pkgstore: static package is empty")
+	errNotInStore  = errors.New("pkgstore: package not in store")
 )
 
 // Params holds the derived controller parameters for one fixed-U instance.
@@ -211,10 +211,10 @@ func NewMobileWithSerials(p Params, level int, iv Interval) (Package, error) {
 // be used afterwards. Serial intervals, when present, are halved.
 func (pk *Package) Split() (p1, p2 Package, err error) {
 	if !pk.Mobile {
-		return Package{}, Package{}, ErrNotMobile
+		return Package{}, Package{}, errNotMobile
 	}
 	if pk.Level < 1 {
-		return Package{}, Package{}, ErrLevelZero
+		return Package{}, Package{}, errLevelZero
 	}
 	half := pk.Size / 2
 	p1 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
@@ -235,10 +235,10 @@ func (pk *Package) Split() (p1, p2 Package, err error) {
 // (procedure Proc, k = 0 case).
 func (pk *Package) BecomeStatic() error {
 	if !pk.Mobile {
-		return ErrNotMobile
+		return errNotMobile
 	}
 	if pk.Level != 0 {
-		return fmt.Errorf("become static at level %d: %w", pk.Level, ErrNotMobile)
+		return fmt.Errorf("become static at level %d: %w", pk.Level, errNotMobile)
 	}
 	pk.Mobile = false
 	return nil
@@ -249,10 +249,10 @@ func (pk *Package) BecomeStatic() error {
 // is now empty and must be canceled by the caller.
 func (pk *Package) TakePermit() (serial int64, empty bool, err error) {
 	if pk.Mobile {
-		return 0, false, ErrNotMobile
+		return 0, false, errNotMobile
 	}
 	if pk.Size <= 0 {
-		return 0, false, ErrEmptyStatic
+		return 0, false, errEmptyStatic
 	}
 	if pk.Serials.Valid() {
 		serial = pk.Serials.Lo
@@ -368,7 +368,7 @@ func (s *Store) TakeStaticPermit() (serial int64, ok bool) {
 func (s *Store) RemoveMobile(pk *Package) error {
 	i := s.index(pk, int(s.statics), len(s.pkgs))
 	if i < 0 {
-		return ErrNotInStore
+		return errNotInStore
 	}
 	last := len(s.pkgs) - 1
 	s.pkgs[i] = s.pkgs[last]
@@ -381,7 +381,7 @@ func (s *Store) RemoveMobile(pk *Package) error {
 func (s *Store) RemoveStatic(pk *Package) error {
 	i := s.index(pk, 0, int(s.statics))
 	if i < 0 {
-		return ErrNotInStore
+		return errNotInStore
 	}
 	s.statics--
 	s.pkgs[i] = s.pkgs[s.statics]

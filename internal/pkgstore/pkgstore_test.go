@@ -197,16 +197,16 @@ func TestPackageSplitChain(t *testing.T) {
 	if cur.Mobile || cur.Size != p.Phi {
 		t.Fatalf("static conversion wrong: %+v", cur)
 	}
-	if _, _, err := cur.Split(); !errors.Is(err, ErrNotMobile) {
-		t.Fatalf("splitting static: err = %v, want ErrNotMobile", err)
+	if _, _, err := cur.Split(); !errors.Is(err, errNotMobile) {
+		t.Fatalf("splitting static: err = %v, want errNotMobile", err)
 	}
 }
 
 func TestSplitLevelZeroFails(t *testing.T) {
 	p := NewParams(16, 100, 1)
 	pk := NewMobile(p, 0)
-	if _, _, err := pk.Split(); !errors.Is(err, ErrLevelZero) {
-		t.Fatalf("err = %v, want ErrLevelZero", err)
+	if _, _, err := pk.Split(); !errors.Is(err, errLevelZero) {
+		t.Fatalf("err = %v, want errLevelZero", err)
 	}
 	if l1 := NewMobile(p, 1); l1.BecomeStatic() == nil {
 		t.Fatal("BecomeStatic at level 1 should fail")
@@ -240,8 +240,8 @@ func TestSerialsSplitAndGrant(t *testing.T) {
 	if serial != 103 || !empty {
 		t.Fatalf("TakePermit = %d, empty=%v; want 103, true", serial, empty)
 	}
-	if _, _, err := q2.TakePermit(); !errors.Is(err, ErrEmptyStatic) {
-		t.Fatalf("TakePermit on empty: %v, want ErrEmptyStatic", err)
+	if _, _, err := q2.TakePermit(); !errors.Is(err, errEmptyStatic) {
+		t.Fatalf("TakePermit on empty: %v, want errEmptyStatic", err)
 	}
 	if _, err := NewMobileWithSerials(p, 2, Interval{Lo: 1, Hi: 2}); err == nil {
 		t.Fatal("mismatched serial interval should fail")
@@ -285,7 +285,7 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("filler at d=3ψ = %+v, want nil", got)
 	}
 	// A package is removed by its address in the store, not by its value.
-	if err := s.RemoveMobile(&m2); !errors.Is(err, ErrNotInStore) {
+	if err := s.RemoveMobile(&m2); !errors.Is(err, errNotInStore) {
 		t.Fatalf("remove by a copy: %v", err)
 	}
 	if err := s.RemoveMobile(inM2); err != nil {
@@ -579,7 +579,7 @@ func TestStoreMatchesTwoSliceModel(t *testing.T) {
 				m.swapRemove(&m.statics, i)
 			case op == 7 && len(m.mobiles) > 0:
 				i := rng.Intn(len(m.mobiles))
-				if err := s.RemoveStatic(&s.Mobiles()[i]); !errors.Is(err, ErrNotInStore) {
+				if err := s.RemoveStatic(&s.Mobiles()[i]); !errors.Is(err, errNotInStore) {
 					fail("RemoveStatic of a mobile package: %v", err)
 				}
 				if err := s.RemoveMobile(&s.Mobiles()[i]); err != nil {

@@ -150,11 +150,11 @@ func (f *faultInjector) confirm(kind faultKind, i int, granted bool) {
 	}
 }
 
-// Run executes one scenario over the named transport schedule with
+// run executes one scenario over the named transport schedule with
 // the oracle always on. Everything is derived from seed; two calls with
 // identical arguments produce identical results (including TraceHash), and
 // the trace is also identical across scheduler names.
-func Run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result, error) {
+func run(sc workload.Scenario, scheduler string, seed int64, long bool) (Result, error) {
 	res := Result{
 		Scenario:  sc.Name,
 		Scheduler: scheduler,
@@ -354,7 +354,7 @@ func Sweep(scenarios []workload.Scenario, schedulers []string, seed int64, long 
 	out := make([]Result, 0, len(scenarios)*len(schedulers))
 	for _, sc := range scenarios {
 		for _, sched := range schedulers {
-			res, err := Run(sc, sched, seed, long)
+			res, err := run(sc, sched, seed, long)
 			if err != nil {
 				return out, fmt.Errorf("scenario %s × %s: %w", sc.Name, sched, err)
 			}

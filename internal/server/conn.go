@@ -106,10 +106,10 @@ func (c *srvConn) serve() {
 // connection is finished (refused, aborted or unwritable).
 func (c *srvConn) handshake() bool {
 	// The Hello is the first frame, so the idle deadline holds it too,
-	// capped at DefaultHandshakeTimeout. A deadline that cannot be armed is
+	// capped at defaultHandshakeTimeout. A deadline that cannot be armed is
 	// connection-fatal: serving an undeadlined handshake would hand a
 	// slow-loris peer a goroutine forever.
-	hsTimeout := DefaultHandshakeTimeout
+	hsTimeout := defaultHandshakeTimeout
 	if idle := c.s.cfg.IdleTimeout; idle > 0 && idle < hsTimeout {
 		hsTimeout = idle
 	}

@@ -417,7 +417,7 @@ func TestRejectWaveSurvivesRestart(t *testing.T) {
 
 	s2 := startServer(t, cfg)
 	var buf bytes.Buffer
-	s2.WriteMetrics(&buf)
+	s2.writeMetrics(&buf)
 	doc := buf.String()
 	const l = `{tenant="default"}`
 	grants := metricSample(t, doc, "dynctrld_tenant_ctl_grants_total"+l)
@@ -534,7 +534,7 @@ func TestResultsWriteFailureEndsServeLoop(t *testing.T) {
 func scrapeMoves(t *testing.T, s *Server) int64 {
 	t.Helper()
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	s.writeMetrics(&buf)
 	return int64(metricSample(t, buf.String(), `dynctrld_tenant_moves_total{tenant="default"}`))
 }
 
@@ -593,7 +593,7 @@ func TestReceiptFeedsTraces(t *testing.T) {
 
 	tn := s.tenants[wire.DefaultTenant]
 	traces := tn.tracer.Recent(4096)
-	if got, want := uint64(len(traces)), tn.tracer.Recorded(); got != want || got == 0 {
+	if got, want := uint64(len(traces)), tn.tracer.Snapshot().Recorded; got != want || got == 0 {
 		t.Fatalf("ring holds %d traces of %d recorded", got, want)
 	}
 	var moves, reqs int64
@@ -653,7 +653,7 @@ func TestStoreMax(t *testing.T) {
 		}
 		wg.Wait()
 		var buf bytes.Buffer
-		s.WriteMetrics(&buf)
+		s.writeMetrics(&buf)
 		for family, want := range map[string]int{
 			"dynctrld_tenant_read_batch_max":            wantMax,
 			"dynctrld_tenant_read_batches_total":        batches,

@@ -11,9 +11,10 @@ package server_test
 // passing the cross-incarnation audit after a mid-run crash + recovery.
 
 import (
-	"bytes"
 	"context"
+	"io"
 	"log/slog"
+	"net/http"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -54,6 +55,7 @@ func warnLogger(t *testing.T) *slog.Logger {
 func hostileConfig(t *testing.T, sc scenario.Hostile, walDir string) server.Config {
 	cfg := server.Config{
 		Addr:        "127.0.0.1:0",
+		MetricsAddr: "127.0.0.1:0",
 		Tenants:     []server.TenantConfig{{Name: wire.DefaultTenant, Topology: sc.Topology, Seed: sc.Seed, M: sc.M, W: sc.W}},
 		Paranoid:    true,
 		IdleTimeout: sc.IdleTimeout,
@@ -307,10 +309,17 @@ func runHostile(t *testing.T, sc scenario.Hostile, walDir string) {
 // the in-process view exactly.
 func reconcileMetrics(t *testing.T, s *server.Server) {
 	t.Helper()
-	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	resp, err := http.Get("http://" + s.MetricsAddr() + "/metricsz")
+	if err != nil {
+		t.Fatalf("GET /metricsz: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metricsz: %s, %v", resp.Status, err)
+	}
 	fields := map[string]int64{}
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(string(body), "\n") {
 		name, value, ok := strings.Cut(strings.TrimSpace(line), " ")
 		if !ok {
 			continue

@@ -246,7 +246,7 @@ func (s *Server) route(path string, q url.Values, done <-chan struct{}) reply {
 	var b bytes.Buffer
 	switch path {
 	case "/metricsz":
-		s.WriteMetrics(&b)
+		s.writeMetrics(&b)
 		return reply{200, "text/plain; version=0.0.4; charset=utf-8", b.Bytes()}
 	case "/tracez":
 		n, err := strconv.Atoi(q.Get("n"))
@@ -257,7 +257,7 @@ func (s *Server) route(path string, q url.Values, done <-chan struct{}) reply {
 		if tenant != "" && s.tenants[tenant] == nil {
 			return textReply(404, s.unknownTenant(tenant)+"\n")
 		}
-		s.WriteTraces(&b, tenant, n)
+		s.writeTraces(&b, tenant, n)
 		return reply{200, textPlain, b.Bytes()}
 	case "/healthz":
 		return textReply(200, "ok\n")

@@ -11,7 +11,7 @@ import (
 	"dynctrl/internal/wire"
 )
 
-// WriteMetrics renders the /metricsz document in the Prometheus text
+// writeMetrics renders the /metricsz document in the Prometheus text
 // exposition format (version 0.0.4): every family carries HELP and TYPE
 // lines, label values are escaped, and samples of a family are grouped —
 // process-wide aggregates first, then the per-tenant families with
@@ -19,7 +19,7 @@ import (
 // aggregates are sums over the same views the tenants' own lines render, so
 // within one document an aggregate is the sum of its tenants. Every field
 // is documented in docs/OPERATIONS.md (enforced by internal/docscheck).
-func (s *Server) WriteMetrics(w io.Writer) {
+func (s *Server) writeMetrics(w io.Writer) {
 	views := s.Tenants()
 	var ops, grants, rejects, errs, violations, connsOpen, connsTotal int64
 	var wave, wal bool

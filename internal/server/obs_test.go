@@ -41,7 +41,7 @@ func renderMetrics(t *testing.T, cfg Config) string {
 	}
 	defer s.closeTenants()
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	s.writeMetrics(&buf)
 	doc := goVersionRe.ReplaceAllString(buf.String(), `go_version="GOVERSION"`)
 	return heapRe.ReplaceAllString(doc, "$1 N")
 }
@@ -161,7 +161,7 @@ func TestMetricsExpositionShape(t *testing.T) {
 // metacharacters must come out escaped, not raw.
 func TestMetricsLabelEscaping(t *testing.T) {
 	// wire.ValidTenant refuses such names at the config boundary, so forge
-	// one after construction: WriteMetrics must never emit a malformed
+	// one after construction: writeMetrics must never emit a malformed
 	// exposition whatever the name is.
 	s := &Server{
 		cfg:     Config{},
@@ -182,7 +182,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	defer s.closeTenants()
 
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	s.writeMetrics(&buf)
 	if !strings.Contains(buf.String(), `tenant="qu\"ote\\back"`) {
 		t.Errorf("label not escaped:\n%s", buf.String())
 	}
@@ -292,12 +292,12 @@ func TestTraceRingDisabled(t *testing.T) {
 		t.Errorf("tenant view with tracing disabled: traced %v, stages %v", v.Traced, v.Trace.Stages)
 	}
 	var buf bytes.Buffer
-	s.WriteTraces(&buf, "", 4)
+	s.writeTraces(&buf, "", 4)
 	if !strings.Contains(buf.String(), "tracing disabled") {
 		t.Errorf("/tracez with tracing disabled:\n%s", buf.String())
 	}
 	buf.Reset()
-	s.WriteMetrics(&buf)
+	s.writeMetrics(&buf)
 	if strings.Contains(buf.String(), "dynctrld_tenant_stage_seconds") {
 		t.Error("stage histograms exported with tracing disabled")
 	}
@@ -407,7 +407,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	cl.Close()
 	waitLifecycle(t, s, "connections drained", func(open, _, _ int64) bool { return open == 0 })
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf)
+	s.writeMetrics(&buf)
 	if checkOneTraceCount(t, buf.String()) == 0 {
 		t.Error("no batch traced under load")
 	}
@@ -473,7 +473,7 @@ func TestScrapeAggregateIsSumOfTenants(t *testing.T) {
 		default:
 		}
 		var buf bytes.Buffer
-		s.WriteMetrics(&buf)
+		s.writeMetrics(&buf)
 		doc := buf.String()
 		for _, f := range []string{"ops_total", "grants_total", "rejects_total", "errors_total", "connections_open", "connections_total"} {
 			sum := 0
@@ -556,7 +556,7 @@ func TestScrapeReadsEngineStateUnderLock(t *testing.T) {
 		default:
 		}
 		var buf bytes.Buffer
-		s.WriteMetrics(&buf)
+		s.writeMetrics(&buf)
 		n := sample(buf.String(), "dynctrld_tenant_tree_nodes")
 		if n < last {
 			t.Fatalf("tree_nodes went from %d to %d while only leaves were added", last, n)

@@ -98,7 +98,7 @@ type Config struct {
 	// idle or byte-dribbling (slow-loris) peer is disconnected instead of
 	// holding its goroutine, read buffer and tenant-stack reference
 	// forever. Zero (the default) keeps connections undeadlined after the
-	// handshake. The Hello never waits longer than DefaultHandshakeTimeout.
+	// handshake. The Hello never waits longer than defaultHandshakeTimeout.
 	IdleTimeout time.Duration
 
 	// WALDir enables the durability engine: each tenant logs decided
@@ -118,7 +118,7 @@ type Config struct {
 	// default).
 	Logger *slog.Logger
 
-	// TraceRing sizes each tenant's batch-trace ring (0 = obs.DefaultRing,
+	// TraceRing sizes each tenant's batch-trace ring (0 = 256,
 	// at most obs.MaxRing; negative leaves the tenant with no tracer: no
 	// traces and no stage, lock-hold or fsync histograms).
 	TraceRing int
@@ -137,10 +137,10 @@ const defaultSnapshotEvery = 1 << 18
 // decided within one window of each other share one fsync.
 const DefaultCommitWindow = 200 * time.Microsecond
 
-// DefaultHandshakeTimeout bounds the handshake: a connection that has not
+// defaultHandshakeTimeout bounds the handshake: a connection that has not
 // completed its Hello within this window, or within Config.IdleTimeout when
 // that is positive and shorter, is dropped.
-const DefaultHandshakeTimeout = 10 * time.Second
+const defaultHandshakeTimeout = 10 * time.Second
 
 // Server is a running daemon instance. Tenants is its one reader of
 // tenant state.
@@ -230,10 +230,10 @@ func (s *Server) unknownTenant(name string) string {
 	return fmt.Sprintf("unknown tenant %q (served: %v)", name, s.order)
 }
 
-// WriteTraces renders the plain-text /tracez document: per tenant, the
+// writeTraces renders the plain-text /tracez document: per tenant, the
 // stage-latency digest plus the slowest-n and most-recent-n batch traces.
 // A non-empty tenant filter restricts the report to that namespace.
-func (s *Server) WriteTraces(w io.Writer, tenant string, n int) {
+func (s *Server) writeTraces(w io.Writer, tenant string, n int) {
 	for _, name := range s.order {
 		if tenant != "" && name != tenant {
 			continue

@@ -85,8 +85,10 @@ func TestNewRefusesTraceRingAboveMax(t *testing.T) {
 		t.Fatalf("New with TraceRing = obs.MaxRing: %v", err)
 	}
 	defer s.closeTenants()
-	if got := s.tenants[wire.DefaultTenant].tracer.RingSize(); got != obs.MaxRing {
-		t.Errorf("ring of %d traces, want %d", got, obs.MaxRing)
+	var tracez strings.Builder
+	s.writeTraces(&tracez, wire.DefaultTenant, 0)
+	if want := fmt.Sprintf("(ring %d)", obs.MaxRing); !strings.Contains(tracez.String(), want) {
+		t.Errorf("/tracez reads %q, want a ring of %d traces", strings.SplitN(tracez.String(), "\n", 3)[1], obs.MaxRing)
 	}
 }
 

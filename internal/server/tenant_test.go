@@ -267,12 +267,14 @@ func TestNoisyNeighborOverLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The flooder's grow-only trace over team-a's tree.
+	// The flooder's grow-only trace over team-a's tree: every request
+	// mutates that tree and burns a permit, so any state the tenants share
+	// moves the victim's verdicts at once.
 	ta, _ := tree.New()
 	if err := tree.Build(ta, cfg.Tenants[0].Topology, cfg.Tenants[0].Seed); err != nil {
 		t.Fatal(err)
 	}
-	floodTrace, err := workload.NewConcurrentTrace(ta, 4, 800, workload.GrowOnlyConcurrentMix(), 6)
+	floodTrace, err := workload.NewConcurrentTrace(ta, 4, 800, workload.ConcurrentMix{AddLeaf: 100}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

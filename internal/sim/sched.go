@@ -5,7 +5,7 @@ import (
 	"math/rand"
 )
 
-// Scheduler decides the delivery order of the runtime. It assigns every
+// scheduler decides the delivery order of the runtime. It assigns every
 // message a delivery priority at send time; the runtime always delivers the
 // queued message with the smallest priority, breaking ties in send order. Because a scheduler sees each
 // message exactly once and draws randomness only from its own seeded source,
@@ -30,29 +30,29 @@ import (
 // deletion), so crash/recovery faults are injected at the workload layer
 // (workload.FaultSpec) as adversarial deletion/re-insertion requests that
 // exercise precisely that handoff.
-type Scheduler interface {
+type scheduler interface {
 	// Priority returns the delivery priority of a message. It is called
 	// exactly once per Send, in send order; seq is the message's 0-based
 	// send sequence number. Lower priorities deliver first.
 	Priority(m Message, seq int64) int64
 }
 
-// FIFO returns the first-in-first-out scheduler.
-func FIFO() Scheduler { return fifoSched{} }
+// fifo returns the first-in-first-out scheduler.
+func fifo() scheduler { return fifoSched{} }
 
 type fifoSched struct{}
 
 func (fifoSched) Priority(_ Message, seq int64) int64 { return seq }
 
-// LIFO returns the last-in-first-out scheduler.
-func LIFO() Scheduler { return lifoSched{} }
+// lifo returns the last-in-first-out scheduler.
+func lifo() scheduler { return lifoSched{} }
 
 type lifoSched struct{}
 
 func (lifoSched) Priority(_ Message, seq int64) int64 { return -seq }
 
-// Random returns the seeded uniformly random interleaving scheduler.
-func Random(seed int64) Scheduler {
+// random returns the seeded uniformly random interleaving scheduler.
+func random(seed int64) scheduler {
 	return &randomSched{rng: rand.New(rand.NewSource(seed))}
 }
 
@@ -60,11 +60,11 @@ type randomSched struct{ rng *rand.Rand }
 
 func (s *randomSched) Priority(Message, int64) int64 { return s.rng.Int63() }
 
-// LinkDelay returns a scheduler that assigns every (from, to) link a fixed
+// linkDelay returns a scheduler that assigns every (from, to) link a fixed
 // pseudo-random base latency in [1, spread] virtual ticks plus per-message
 // jitter in [0, spread), against a virtual clock that advances one tick per
 // send. spread < 1 is clamped to 1.
-func LinkDelay(seed, spread int64) Scheduler {
+func linkDelay(seed, spread int64) scheduler {
 	if spread < 1 {
 		spread = 1
 	}
@@ -95,11 +95,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Window returns the bounded-burst scheduler: messages are grouped into
+// window returns the bounded-burst scheduler: messages are grouped into
 // bursts of window consecutive sends; bursts deliver in order, but the
 // messages within one burst are randomly permuted. window < 1 is clamped
 // to 1 (which degenerates to FIFO).
-func Window(seed, window int64) Scheduler {
+func window(seed, window int64) scheduler {
 	if window < 1 {
 		window = 1
 	}
@@ -133,15 +133,15 @@ const (
 func NewRuntime(name string, seed int64) (*Runtime, error) {
 	switch name {
 	case "fifo":
-		return New(FIFO()), nil
+		return over(fifo()), nil
 	case "lifo":
-		return New(LIFO()), nil
+		return over(lifo()), nil
 	case "random":
-		return New(Random(seed)), nil
+		return over(random(seed)), nil
 	case "delay":
-		return New(LinkDelay(seed, catalogDelaySpread)), nil
+		return over(linkDelay(seed, catalogDelaySpread)), nil
 	case "window":
-		return New(Window(seed, catalogWindow)), nil
+		return over(window(seed, catalogWindow)), nil
 	default:
 		return nil, fmt.Errorf("sim: unknown scheduler %q (have %v)", name, SchedulerNames())
 	}

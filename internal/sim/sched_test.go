@@ -1,17 +1,16 @@
-package sim_test
+package sim
 
 import (
 	"testing"
 
-	"dynctrl/internal/sim"
 	"dynctrl/internal/tree"
 )
 
 // collectOrder sends n payloads 0..n-1 in one burst and returns the order
 // the runtime delivered them in.
-func collectOrder(rt *sim.Runtime, n int) []int {
+func collectOrder(rt *Runtime, n int) []int {
 	var got []int
-	rt.SetHandler(func(m sim.Message) { got = append(got, m.Payload.(int)) })
+	rt.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
 	for i := 0; i < n; i++ {
 		rt.Send(tree.NodeID(1+i%4), tree.NodeID(5+i%3), i)
 	}
@@ -20,7 +19,7 @@ func collectOrder(rt *sim.Runtime, n int) []int {
 }
 
 func TestFIFOSchedulerDeliversInSendOrder(t *testing.T) {
-	got := collectOrder(sim.New(sim.FIFO()), 64)
+	got := collectOrder(over(fifo()), 64)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("fifo delivered %d at position %d", v, i)
@@ -29,7 +28,7 @@ func TestFIFOSchedulerDeliversInSendOrder(t *testing.T) {
 }
 
 func TestLIFOSchedulerDeliversNewestFirst(t *testing.T) {
-	got := collectOrder(sim.New(sim.LIFO()), 64)
+	got := collectOrder(over(lifo()), 64)
 	for i, v := range got {
 		if v != 63-i {
 			t.Fatalf("lifo delivered %d at position %d", v, i)
@@ -39,7 +38,7 @@ func TestLIFOSchedulerDeliversNewestFirst(t *testing.T) {
 
 func TestWindowSchedulerBoundsReordering(t *testing.T) {
 	const n, w = 96, 8
-	got := collectOrder(sim.New(sim.Window(5, w)), n)
+	got := collectOrder(over(window(5, w)), n)
 	if len(got) != n {
 		t.Fatalf("delivered %d of %d", len(got), n)
 	}
@@ -60,7 +59,7 @@ func TestWindowSchedulerBoundsReordering(t *testing.T) {
 
 func TestAdversarialSchedulersReproducibleAndDistinct(t *testing.T) {
 	mk := func(name string, seed int64) []int {
-		rt, err := sim.NewRuntime(name, seed)
+		rt, err := NewRuntime(name, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,13 +89,13 @@ func TestAdversarialSchedulersReproducibleAndDistinct(t *testing.T) {
 }
 
 func TestSchedulersDeliverChainedSends(t *testing.T) {
-	for _, name := range sim.SchedulerNames() {
-		rt, err := sim.NewRuntime(name, 3)
+	for _, name := range SchedulerNames() {
+		rt, err := NewRuntime(name, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		count := 0
-		rt.SetHandler(func(m sim.Message) {
+		rt.SetHandler(func(m Message) {
 			count++
 			if v := m.Payload.(int); v > 0 {
 				rt.Send(m.To, m.From, v-1)
@@ -115,15 +114,15 @@ func TestSchedulersDeliverChainedSends(t *testing.T) {
 
 func TestNewRuntimeRejectsUnknownName(t *testing.T) {
 	for _, name := range []string{"carrier-pigeon", "concurrent"} {
-		if _, err := sim.NewRuntime(name, 1); err == nil {
+		if _, err := NewRuntime(name, 1); err == nil {
 			t.Fatalf("unknown runtime name %q must error", name)
 		}
 	}
-	if len(sim.SchedulerNames()) < 5 {
-		t.Fatalf("scheduler catalog too small: %v", sim.SchedulerNames())
+	if len(SchedulerNames()) < 5 {
+		t.Fatalf("scheduler catalog too small: %v", SchedulerNames())
 	}
-	for _, name := range sim.SchedulerNames() {
-		if _, err := sim.NewRuntime(name, 1); err != nil {
+	for _, name := range SchedulerNames() {
+		if _, err := NewRuntime(name, 1); err != nil {
 			t.Fatalf("catalog scheduler %q: %v", name, err)
 		}
 	}

@@ -4,7 +4,7 @@
 // The paper assumes a standard point-to-point asynchronous network: every
 // message incurs an arbitrary but finite delay, so all a simulator has to
 // choose is a delivery order. Runtime is a single-threaded runtime whose
-// delivery order is decided by a pluggable, seeded Scheduler (see sched.go
+// delivery order is decided by a pluggable, seeded scheduler (see sched.go
 // for the catalog: FIFO, LIFO, random interleaving, per-link delay, bounded
 // bursts). Every run is reproducible from the (scheduler, seed) pair while
 // still exploring adversarial interleavings; NewDeterministic, the Random
@@ -24,12 +24,12 @@ type Message struct {
 	Payload any
 }
 
-// Handler processes one delivered message. Handlers may call Runtime.Send
+// handler processes one delivered message. Handlers may call Runtime.Send
 // to emit further messages. Handlers run one at a time inside Drain, which
 // models the paper's "only one agent is active at a node at one time".
-type Handler func(m Message)
+type handler func(m Message)
 
-// Runtime is the message transport: Send asks the Scheduler for the
+// Runtime is the message transport: Send asks the scheduler for the
 // message's priority and Drain repeatedly delivers the lowest-priority
 // message until none remain. It must be driven from one goroutine (handlers
 // run inside Drain), and its heap reuses its backing array across drains so
@@ -42,8 +42,8 @@ type Handler func(m Message)
 // send order). Scheduling is order-free with one candidate, so this changes
 // no observable schedule while keeping the hot path RNG- and sift-free.
 type Runtime struct {
-	sched     Scheduler
-	handler   Handler
+	sched     scheduler
+	handler   handler
 	pending   Message // the buffered singleton, valid when havePend
 	pendingAt int64   // its send sequence number
 	havePend  bool
@@ -58,19 +58,19 @@ type schedEntry struct {
 	seq  int64
 }
 
-// New returns a runtime delivering in the order chosen by sched.
-func New(sched Scheduler) *Runtime {
+// over returns a runtime delivering in the order chosen by sched.
+func over(sched scheduler) *Runtime {
 	return &Runtime{sched: sched}
 }
 
 // NewDeterministic returns the seeded random-interleaving runtime.
 func NewDeterministic(seed int64) *Runtime {
-	return New(Random(seed))
+	return over(random(seed))
 }
 
 // SetHandler installs the delivery handler. It must be called before any
 // Drain.
-func (s *Runtime) SetHandler(h Handler) { s.handler = h }
+func (s *Runtime) SetHandler(h handler) { s.handler = h }
 
 // Send enqueues a message. Handlers may call it.
 func (s *Runtime) Send(from, to tree.NodeID, payload any) {

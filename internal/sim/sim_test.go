@@ -1,16 +1,14 @@
-package sim_test
+package sim
 
 import (
 	"sync"
 	"testing"
-
-	"dynctrl/internal/sim"
 )
 
 func TestDeterministicDeliversAll(t *testing.T) {
-	rt := sim.NewDeterministic(1)
+	rt := NewDeterministic(1)
 	var got []int
-	rt.SetHandler(func(m sim.Message) {
+	rt.SetHandler(func(m Message) {
 		got = append(got, m.Payload.(int))
 	})
 	for i := 0; i < 50; i++ {
@@ -27,9 +25,9 @@ func TestDeterministicDeliversAll(t *testing.T) {
 
 func TestDeterministicReproducible(t *testing.T) {
 	order := func(seed int64) []int {
-		rt := sim.NewDeterministic(seed)
+		rt := NewDeterministic(seed)
 		var got []int
-		rt.SetHandler(func(m sim.Message) { got = append(got, m.Payload.(int)) })
+		rt.SetHandler(func(m Message) { got = append(got, m.Payload.(int)) })
 		for i := 0; i < 30; i++ {
 			rt.Send(1, 2, i)
 		}
@@ -56,9 +54,9 @@ func TestDeterministicReproducible(t *testing.T) {
 }
 
 func TestDeterministicHandlerMaySend(t *testing.T) {
-	rt := sim.NewDeterministic(2)
+	rt := NewDeterministic(2)
 	count := 0
-	rt.SetHandler(func(m sim.Message) {
+	rt.SetHandler(func(m Message) {
 		count++
 		if v := m.Payload.(int); v > 0 {
 			rt.Send(m.To, m.From, v-1)
@@ -72,9 +70,9 @@ func TestDeterministicHandlerMaySend(t *testing.T) {
 }
 
 // catalogRuntime builds the named catalog runtime or fails the test.
-func catalogRuntime(t *testing.T, name string, seed int64) *sim.Runtime {
+func catalogRuntime(t *testing.T, name string, seed int64) *Runtime {
 	t.Helper()
-	rt, err := sim.NewRuntime(name, seed)
+	rt, err := NewRuntime(name, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +86,20 @@ func catalogRuntime(t *testing.T, name string, seed int64) *sim.Runtime {
 // also checks that nothing in sim is shared between runtimes.
 func TestConcurrentDeliversAll(t *testing.T) {
 	const n, perName = 500, 2
-	names := sim.SchedulerNames()
+	names := SchedulerNames()
 	want := make([][]int, len(names))
 	for i, name := range names {
 		want[i] = collectOrder(catalogRuntime(t, name, 9), n)
 	}
 	got := make([][]int, len(names)*perName)
-	runtimes := make([]*sim.Runtime, len(got))
+	runtimes := make([]*Runtime, len(got))
 	for i := range got {
 		runtimes[i] = catalogRuntime(t, names[i%len(names)], 9)
 	}
 	var wg sync.WaitGroup
 	for i, rt := range runtimes {
 		wg.Add(1)
-		go func(i int, rt *sim.Runtime) {
+		go func(i int, rt *Runtime) {
 			defer wg.Done()
 			got[i] = collectOrder(rt, n)
 		}(i, rt)
@@ -130,10 +128,10 @@ func TestConcurrentDeliversAll(t *testing.T) {
 func TestConcurrentHandlerChains(t *testing.T) {
 	const chains, hops = 20, 25
 	type hop struct{ chain, left int }
-	for _, name := range sim.SchedulerNames() {
+	for _, name := range SchedulerNames() {
 		rt := catalogRuntime(t, name, 4)
 		delivered := make([]int, chains)
-		rt.SetHandler(func(m sim.Message) {
+		rt.SetHandler(func(m Message) {
 			h := m.Payload.(hop)
 			delivered[h.chain]++
 			if h.left > 0 {
@@ -155,15 +153,15 @@ func TestConcurrentHandlerChains(t *testing.T) {
 	}
 }
 
-// TestConcurrentHandlersSerialized checks the Handler promise that handlers
+// TestConcurrentHandlersSerialized checks the handler promise that handlers
 // run one at a time inside Drain: a send made outside Drain waits for it,
 // and a handler's own sends are queued, never delivered inside the handler,
 // however many messages are in flight at once.
 func TestConcurrentHandlersSerialized(t *testing.T) {
-	for _, name := range sim.SchedulerNames() {
+	for _, name := range SchedulerNames() {
 		rt := catalogRuntime(t, name, 5)
 		inside, count := 0, 0
-		rt.SetHandler(func(m sim.Message) {
+		rt.SetHandler(func(m Message) {
 			inside++
 			if inside != 1 {
 				t.Fatalf("%s: handler entered while %d already running", name, inside-1)
@@ -191,10 +189,10 @@ func TestConcurrentHandlersSerialized(t *testing.T) {
 // TestConcurrentDrainQuiescesEmpty checks that Drain returns at once when
 // nothing is in flight, both on a fresh runtime and after a drain.
 func TestConcurrentDrainQuiescesEmpty(t *testing.T) {
-	for _, name := range sim.SchedulerNames() {
+	for _, name := range SchedulerNames() {
 		rt := catalogRuntime(t, name, 6)
 		count := 0
-		rt.SetHandler(func(m sim.Message) { count++ })
+		rt.SetHandler(func(m Message) { count++ })
 		rt.Drain() // no messages: must return promptly
 		if count != 0 || rt.Messages() != 0 {
 			t.Fatalf("%s: empty drain delivered %d (Messages() = %d)", name, count, rt.Messages())

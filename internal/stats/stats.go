@@ -140,8 +140,8 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
-// Point is one (x, y) measurement in a parameter sweep.
-type Point struct {
+// point is one (x, y) measurement in a parameter sweep.
+type point struct {
 	X float64
 	Y float64
 }
@@ -149,12 +149,12 @@ type Point struct {
 // Series is a named sequence of measurements.
 type Series struct {
 	Name   string
-	Points []Point
+	Points []point
 }
 
 // Append adds a measurement.
 func (s *Series) Append(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
+	s.Points = append(s.Points, point{X: x, Y: y})
 }
 
 // GrowthExponent estimates b in y = a*x^b by least squares over log-log

@@ -107,8 +107,8 @@ func TestDecodeCountCannotWrap(t *testing.T) {
 		} else {
 			err = DecodeResults(p, &Results{})
 		}
-		if !errors.Is(err, ErrShortPayload) {
-			t.Errorf("%s declaring %#x entries in %d bytes: err %v, want ErrShortPayload", tc.name, tc.count, tc.body, err)
+		if !errors.Is(err, errShortPayload) {
+			t.Errorf("%s declaring %#x entries in %d bytes: err %v, want errShortPayload", tc.name, tc.count, tc.body, err)
 		}
 	}
 }

@@ -67,15 +67,15 @@ const Version = 3
 // does not name one, and the namespace a single-tenant daemon serves.
 const DefaultTenant = "default"
 
-// MaxTenantLen bounds the tenant namespace name in the handshake frames.
-const MaxTenantLen = 64
+// maxTenantLen bounds the tenant namespace name in the handshake frames.
+const maxTenantLen = 64
 
 // ValidTenant reports whether name is a legal tenant namespace: 1 to
-// MaxTenantLen bytes of lowercase letters, digits, '-' or '_', starting
+// maxTenantLen bytes of lowercase letters, digits, '-' or '_', starting
 // with a letter or digit. Names double as WAL subdirectory names and
 // /metricsz label values, so the alphabet is deliberately narrow.
 func ValidTenant(name string) bool {
-	if len(name) < 1 || len(name) > MaxTenantLen {
+	if len(name) < 1 || len(name) > maxTenantLen {
 		return false
 	}
 	for i := 0; i < len(name); i++ {
@@ -170,12 +170,12 @@ const (
 
 // Decode errors.
 var (
-	// ErrFrameTooLarge is returned for a length prefix above MaxFrame.
-	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
-	// ErrShortPayload is returned when a payload ends mid-field.
-	ErrShortPayload = errors.New("wire: truncated payload")
-	// ErrBadKind is returned for an out-of-range request kind.
-	ErrBadKind = errors.New("wire: invalid request kind")
+	// errFrameTooLarge is returned for a length prefix above MaxFrame.
+	errFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
+	// errShortPayload is returned when a payload ends mid-field.
+	errShortPayload = errors.New("wire: truncated payload")
+	// errBadKind is returned for an out-of-range request kind.
+	errBadKind = errors.New("wire: invalid request kind")
 	// ErrBadTenant is returned for a handshake tenant name that fails
 	// ValidTenant.
 	ErrBadTenant = errors.New("wire: invalid tenant name")
@@ -274,12 +274,12 @@ func appendHeader(buf []byte, t FrameType, n int) []byte {
 }
 
 // appendTenant appends the u16-length-prefixed tenant name. Names longer
-// than MaxTenantLen are truncated (encoders should have validated with
+// than maxTenantLen are truncated (encoders should have validated with
 // ValidTenant already; truncation only keeps a buggy caller within frame
 // bounds).
 func appendTenant(buf []byte, tenant string) []byte {
-	if len(tenant) > MaxTenantLen {
-		tenant = tenant[:MaxTenantLen]
+	if len(tenant) > maxTenantLen {
+		tenant = tenant[:maxTenantLen]
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tenant)))
 	return append(buf, tenant...)
@@ -297,8 +297,8 @@ func AppendHello(buf []byte, h Hello) []byte {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	if len(tenant) > MaxTenantLen {
-		tenant = tenant[:MaxTenantLen]
+	if len(tenant) > maxTenantLen {
+		tenant = tenant[:maxTenantLen]
 	}
 	buf = appendHeader(buf, FrameHello, 2+2+len(tenant))
 	buf = binary.LittleEndian.AppendUint16(buf, h.Version)
@@ -308,8 +308,8 @@ func AppendHello(buf []byte, h Hello) []byte {
 // AppendWelcome appends an encoded Welcome frame to buf.
 func AppendWelcome(buf []byte, w Welcome) []byte {
 	tenant := w.Tenant
-	if len(tenant) > MaxTenantLen {
-		tenant = tenant[:MaxTenantLen]
+	if len(tenant) > maxTenantLen {
+		tenant = tenant[:maxTenantLen]
 	}
 	buf = appendHeader(buf, FrameWelcome, 2+2+len(tenant)+8+8+8+8)
 	buf = binary.LittleEndian.AppendUint16(buf, w.Version)
@@ -340,14 +340,14 @@ func growBatch(buf []byte, t FrameType, id uint64, n, size int) ([]byte, []byte)
 // match where int is 32 bits. It returns the id and the entry region.
 func viewBatch(p []byte, t FrameType, size int) (uint64, []byte, error) {
 	if len(p) < batchHeader {
-		return 0, nil, ErrShortPayload
+		return 0, nil, errShortPayload
 	}
 	id := binary.LittleEndian.Uint64(p)
 	count := binary.LittleEndian.Uint32(p[8:])
 	e := p[batchHeader:]
 	if len(e)%size != 0 || uint64(count) != uint64(len(e)/size) {
 		return 0, nil, fmt.Errorf("wire: %v frame declares %d entries, payload holds %d bytes: %w",
-			t, count, len(e), ErrShortPayload)
+			t, count, len(e), errShortPayload)
 	}
 	return id, e, nil
 }
@@ -463,7 +463,7 @@ func ReadFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
 		return 0, nil, fmt.Errorf("wire: zero-length frame")
 	}
 	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
+		return 0, nil, errFrameTooLarge
 	}
 	if cap(*buf) < int(n) {
 		*buf = make([]byte, n)
@@ -490,7 +490,7 @@ type byteReader struct {
 
 func (b *byteReader) u8() (uint8, error) {
 	if b.off+1 > len(b.p) {
-		return 0, ErrShortPayload
+		return 0, errShortPayload
 	}
 	v := b.p[b.off]
 	b.off++
@@ -499,7 +499,7 @@ func (b *byteReader) u8() (uint8, error) {
 
 func (b *byteReader) u16() (uint16, error) {
 	if b.off+2 > len(b.p) {
-		return 0, ErrShortPayload
+		return 0, errShortPayload
 	}
 	v := binary.LittleEndian.Uint16(b.p[b.off:])
 	b.off += 2
@@ -508,7 +508,7 @@ func (b *byteReader) u16() (uint16, error) {
 
 func (b *byteReader) u32() (uint32, error) {
 	if b.off+4 > len(b.p) {
-		return 0, ErrShortPayload
+		return 0, errShortPayload
 	}
 	v := binary.LittleEndian.Uint32(b.p[b.off:])
 	b.off += 4
@@ -517,7 +517,7 @@ func (b *byteReader) u32() (uint32, error) {
 
 func (b *byteReader) u64() (uint64, error) {
 	if b.off+8 > len(b.p) {
-		return 0, ErrShortPayload
+		return 0, errShortPayload
 	}
 	v := binary.LittleEndian.Uint64(b.p[b.off:])
 	b.off += 8
@@ -531,7 +531,7 @@ func (b *byteReader) tenant() (string, error) {
 		return "", err
 	}
 	if b.off+int(n) > len(b.p) {
-		return "", ErrShortPayload
+		return "", errShortPayload
 	}
 	name := string(b.p[b.off : b.off+int(n)])
 	b.off += int(n)
@@ -622,7 +622,7 @@ func AppendDecodeSubmit(dst []Req, p []byte) ([]Req, uint64, error) {
 	for i := range out[n:] {
 		r := getReq(e[i*reqSize:])
 		if r.Kind > tree.RemoveInternal {
-			return dst, 0, fmt.Errorf("%w: %d", ErrBadKind, r.Kind)
+			return dst, 0, fmt.Errorf("%w: %d", errBadKind, r.Kind)
 		}
 		out[n+i] = r
 	}
@@ -684,7 +684,7 @@ func DecodeError(p []byte) (ErrorFrame, error) {
 	}
 	if int(n) != len(p)-b.off {
 		return ErrorFrame{}, fmt.Errorf("wire: error detail declares %d bytes, payload holds %d: %w",
-			n, len(p)-b.off, ErrShortPayload)
+			n, len(p)-b.off, errShortPayload)
 	}
 	detail := string(p[b.off:])
 	return ErrorFrame{Code: code, Detail: detail}, nil

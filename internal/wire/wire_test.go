@@ -76,7 +76,7 @@ func TestHelloLegacyShapeDecodes(t *testing.T) {
 }
 
 func TestHelloRejectsBadTenant(t *testing.T) {
-	for _, bad := range []string{"", "-leading", "Upper", "has space", strings.Repeat("x", MaxTenantLen+1)} {
+	for _, bad := range []string{"", "-leading", "Upper", "has space", strings.Repeat("x", maxTenantLen+1)} {
 		var enc []byte
 		enc = appendHeader(enc, FrameHello, 2+2+len(bad))
 		enc = append(enc, byte(Version), 0)
@@ -93,7 +93,7 @@ func TestValidTenant(t *testing.T) {
 	for name, want := range map[string]bool{
 		"default": true, "team-a": true, "a": true, "t_0": true,
 		"": false, "-x": false, "_x": false, "A": false, "a.b": false,
-		strings.Repeat("z", MaxTenantLen): true, strings.Repeat("z", MaxTenantLen+1): false,
+		strings.Repeat("z", maxTenantLen): true, strings.Repeat("z", maxTenantLen+1): false,
 	} {
 		if got := ValidTenant(name); got != want {
 			t.Errorf("ValidTenant(%q) = %v, want %v", name, got, want)
@@ -247,8 +247,8 @@ func TestStreamOfFrames(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	enc := []byte{0xff, 0xff, 0xff, 0xff, byte(FrameSubmit)}
 	var buf []byte
-	if _, _, err := ReadFrame(bytes.NewReader(enc), &buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err %v, want ErrFrameTooLarge", err)
+	if _, _, err := ReadFrame(bytes.NewReader(enc), &buf); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("err %v, want errFrameTooLarge", err)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestDecodeSubmitRejectsBadKind(t *testing.T) {
 	enc := AppendSubmit(nil, 1, []Req{{Node: 2, Kind: tree.ChangeKind(9)}})
 	_, p := readOne(t, enc)
 	var s Submit
-	if err := DecodeSubmit(p, &s); !errors.Is(err, ErrBadKind) {
-		t.Fatalf("err %v, want ErrBadKind", err)
+	if err := DecodeSubmit(p, &s); !errors.Is(err, errBadKind) {
+		t.Fatalf("err %v, want errBadKind", err)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestDecodeSubmitRejectsCountMismatch(t *testing.T) {
 	// Inflate the declared count without growing the payload.
 	p[8] = 200
 	var s Submit
-	if err := DecodeSubmit(p, &s); !errors.Is(err, ErrShortPayload) {
-		t.Fatalf("err %v, want ErrShortPayload", err)
+	if err := DecodeSubmit(p, &s); !errors.Is(err, errShortPayload) {
+		t.Fatalf("err %v, want errShortPayload", err)
 	}
 }
 

@@ -114,9 +114,9 @@ type ConcurrentResult struct {
 	Submitted int64
 }
 
-// ManySubmitter is a submitter accepting runs of requests in one call with
+// manySubmitter is a submitter accepting runs of requests in one call with
 // per-request results (pipeline.Pipeline implements it).
-type ManySubmitter interface {
+type manySubmitter interface {
 	SubmitMany(reqs []controller.Request, out []controller.BatchResult) ([]controller.BatchResult, error)
 }
 
@@ -124,7 +124,7 @@ type ManySubmitter interface {
 // client, submitting runs of chunk requests per call, the streaming-client
 // pattern: the pipeline takes its lock once for a whole chunk. chunk < 1
 // means each client submits its whole trace at once.
-func RunConcurrentChunked(sub ManySubmitter, ct *ConcurrentTrace, chunk int) ConcurrentResult {
+func RunConcurrentChunked(sub manySubmitter, ct *ConcurrentTrace, chunk int) ConcurrentResult {
 	var (
 		mu  sync.Mutex
 		res ConcurrentResult

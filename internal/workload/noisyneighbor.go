@@ -18,14 +18,6 @@ import (
 	"dynctrl/internal/tree"
 )
 
-// GrowOnlyConcurrentMix issues only leaf additions — the flooding
-// tenant's workload in the noisy-neighbor scenario. Grow-only traffic is
-// the most invasive interleaving-safe flood: every request mutates the
-// flooder's tree and burns a permit, so any state leaking across tenants
-// (shared serial counters, shared permit budget, shared tree) moves the
-// victim's verdicts immediately.
-func GrowOnlyConcurrentMix() ConcurrentMix { return ConcurrentMix{AddLeaf: 100} }
-
 // VictimProbe draws the victim's pinned serial request sequence: n
 // event-heavy requests over a snapshot of tr, deterministic in seed. The
 // same (tree, n, seed) always yields the identical sequence, which is

@@ -47,7 +47,7 @@ func TestNoisyNeighborIsolatedStacks(t *testing.T) {
 			floodTree, floodCtl := nnStack(t, 50_000, 25_000)
 			pl := pipeline.New(floodCtl)
 			t.Cleanup(pl.Close)
-			ct, err := NewConcurrentTrace(floodTree, 4, 500, GrowOnlyConcurrentMix(), nnSeed+1)
+			ct, err := NewConcurrentTrace(floodTree, 4, 500, ConcurrentMix{AddLeaf: 100}, nnSeed+1)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -90,7 +90,7 @@ func TestNoisyNeighborSharedStackIsCaught(t *testing.T) {
 	sharedTree, sharedCtl := nnStack(t, 100_000, 50_000)
 	pl := pipeline.New(sharedCtl)
 	t.Cleanup(pl.Close)
-	ct, err := NewConcurrentTrace(sharedTree, 4, 500, GrowOnlyConcurrentMix(), nnSeed+1)
+	ct, err := NewConcurrentTrace(sharedTree, 4, 500, ConcurrentMix{AddLeaf: 100}, nnSeed+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,15 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace corpus")
 // goldenSeed pins the seed of the committed golden-trace corpus.
 const goldenSeed = 1
 
+// runScenario runs sc under the named scheduler through scenario.Sweep.
+func runScenario(sc workload.Scenario, scheduler string, seed int64, long bool) (scenario.Result, error) {
+	res, err := scenario.Sweep([]workload.Scenario{sc}, []string{scheduler}, seed, long)
+	if err != nil {
+		return scenario.Result{}, err
+	}
+	return res[0], nil
+}
+
 // TestScenarioCatalogAcrossSchedulers is the CI scenario matrix: every
 // catalog scenario runs under every adversarial scheduler with the oracle
 // invariant suite always on. A violation anywhere fails with the full
@@ -32,7 +41,7 @@ func TestScenarioCatalogAcrossSchedulers(t *testing.T) {
 			sc, sched := sc, sched
 			t.Run(sc.Name+"/"+sched, func(t *testing.T) {
 				t.Parallel()
-				res, err := scenario.Run(sc, sched, goldenSeed, false)
+				res, err := runScenario(sc, sched, goldenSeed, false)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -62,12 +71,12 @@ func TestScenarioScheduleInvariance(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			base, err := scenario.Run(sc, "fifo", goldenSeed, false)
+			base, err := runScenario(sc, "fifo", goldenSeed, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, sched := range sim.SchedulerNames() {
-				res, err := scenario.Run(sc, sched, goldenSeed, false)
+				res, err := runScenario(sc, sched, goldenSeed, false)
 				if err != nil {
 					t.Fatalf("%s: %v", sched, err)
 				}
@@ -95,18 +104,18 @@ func TestScenarioSeedReproducibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := scenario.Run(sc, "random", 42, false)
+	a, err := runScenario(sc, "random", 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scenario.Run(sc, "random", 42, false)
+	b, err := runScenario(sc, "random", 42, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TraceHash != b.TraceHash || a.TransportMessages != b.TransportMessages {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	c, err := scenario.Run(sc, "random", 43, false)
+	c, err := runScenario(sc, "random", 43, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +134,7 @@ func TestCrashRestartMatchesUndisturbedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := scenario.Run(sc, "random", goldenSeed, false)
+	crashed, err := runScenario(sc, "random", goldenSeed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +145,7 @@ func TestCrashRestartMatchesUndisturbedRun(t *testing.T) {
 		t.Fatalf("violations across restarts: %v", crashed.Violations)
 	}
 	sc.Durability = workload.DurabilitySpec{}
-	smooth, err := scenario.Run(sc, "random", goldenSeed, false)
+	smooth, err := runScenario(sc, "random", goldenSeed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +185,7 @@ func runGolden(t *testing.T) []goldenEntry {
 	t.Helper()
 	var entries []goldenEntry
 	for _, sc := range workload.Catalog() {
-		res, err := scenario.Run(sc, "random", goldenSeed, false)
+		res, err := runScenario(sc, "random", goldenSeed, false)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
