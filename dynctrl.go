@@ -15,9 +15,10 @@
 //     times.
 //   - A heavy-child decomposition of the dynamic tree (O(log n) light
 //     ancestors).
-//   - Dynamic extensions of static labeling schemes (ancestry, NCA,
-//     distance), and a majority-commitment protocol built on the counting
-//     machinery.
+//   - The generic extension of a static labeling scheme over the size
+//     estimator, run with ancestry labels whose size tracks the current n
+//     (Corollary 5.7), and a majority-commitment protocol built on the
+//     counting machinery.
 //
 // # Quick start
 //
@@ -67,7 +68,7 @@ type (
 	Request = controller.Request
 	// Grant is a controller's answer.
 	Grant = controller.Grant
-	// Outcome is the answer kind (Granted / Rejected / WouldReject).
+	// Outcome is the answer kind (Granted / Rejected).
 	Outcome = controller.Outcome
 )
 
@@ -82,13 +83,9 @@ const (
 
 // Request outcomes.
 const (
-	Granted     = controller.Granted
-	Rejected    = controller.Rejected
-	WouldReject = controller.WouldReject
+	Granted  = controller.Granted
+	Rejected = controller.Rejected
 )
-
-// ErrTerminated is returned by terminating controllers after termination.
-var ErrTerminated = controller.ErrTerminated
 
 // Counters accumulates cost metrics (moves or messages, grants, ...).
 // Controller.Counters returns the set a controller counts into. It has no
@@ -145,14 +142,10 @@ func NewController(tr *Tree, tp Transport, m, w int64) *Controller {
 // and Pipeline.Stats.
 type Pipeline = pipeline.Pipeline
 
-// BatchSubmitter is a controller that can answer a whole batch of requests
-// with serial-equivalent semantics. Controller implements it.
-type BatchSubmitter = controller.BatchSubmitter
-
 // NewPipeline builds a pipeline over the given controller. The controller
 // must no longer be driven directly while the pipeline is in use (the
 // pipeline serializes all access to it).
-func NewPipeline(ctl BatchSubmitter) *Pipeline {
+func NewPipeline(ctl *Controller) *Pipeline {
 	return pipeline.New(ctl)
 }
 
@@ -173,13 +166,37 @@ type RemoteOptions = client.Options
 // and performs the protocol handshake against the tenant namespace
 // opts.Tenant (the default one when empty). The returned client reports
 // that tenant's (M, W) contract and is safe for concurrent use. Dialing a
-// namespace the daemon does not serve fails with a typed handshake error:
+// namespace the daemon does not serve fails with a *HandshakeError:
 //
 //	cl, err := dynctrl.Dial("127.0.0.1:7700", dynctrl.RemoteOptions{Conns: 8})
 //	grant, err := cl.Submit(dynctrl.Request{Node: id, Kind: dynctrl.None})
 func Dial(addr string, opts RemoteOptions) (*RemoteClient, error) {
 	return client.Dial(addr, opts)
 }
+
+// The errors of Dial and of a RemoteClient's calls, for errors.Is and
+// errors.As.
+var (
+	// ErrClosed is returned by submissions after Close.
+	ErrClosed = client.ErrClosed
+	// ErrWriteTimeout is wrapped into the error of every call pending on a
+	// connection whose Submit frame could not be written within
+	// RemoteOptions.WriteTimeout: the server stopped reading.
+	ErrWriteTimeout = client.ErrWriteTimeout
+	// ErrHandshake is wrapped into the error of a handshake that died on
+	// the wire.
+	ErrHandshake = client.ErrHandshake
+)
+
+type (
+	// ResultError is the error of one request the server answered with a
+	// non-OK code (draining, bad request, ...); the other requests of its
+	// batch are answered as usual.
+	ResultError = client.ResultError
+	// HandshakeError is returned by Dial when the server refuses the
+	// handshake, as it does for a tenant it does not serve.
+	HandshakeError = client.HandshakeError
+)
 
 // Estimator maintains a β-approximation of the network size at every node.
 // Like a Controller it has no lock: drive it from one goroutine.
@@ -206,40 +223,11 @@ func NewHeavyChild(tr *Tree, tp Transport) (*HeavyChild, error) {
 	return heavychild.New(tr, tp)
 }
 
-// Labeling types (Section 5.4).
-type (
-	// AncestryLabeling is the static KNR interval scheme.
-	AncestryLabeling = labeling.Ancestry
-	// NCALabeling answers nearest-common-ancestor queries from labels.
-	NCALabeling = labeling.NCA
-	// DistanceLabeling answers exact tree-distance queries from labels.
-	DistanceLabeling = labeling.Distance
-	// RoutingScheme is exact (stretch-1) interval routing on the tree.
-	RoutingScheme = labeling.Routing
-	// DynamicLabeling recomputes a static scheme as the size drifts.
-	DynamicLabeling = labeling.Dynamic
-)
-
-// BuildAncestryLabels labels the current tree with interval labels.
-func BuildAncestryLabels(tr *Tree) *AncestryLabeling { return labeling.BuildAncestry(tr) }
-
-// BuildNCALabels labels the current tree for NCA queries (O(log²n)-bit
-// labels via heavy-path decomposition).
-func BuildNCALabels(tr *Tree) *NCALabeling { return labeling.BuildNCA(tr) }
-
-// BuildDistanceLabels labels the current tree for exact distance queries
-// (O(log n) separator entries per label via centroid decomposition).
-func BuildDistanceLabels(tr *Tree) *DistanceLabeling { return labeling.BuildDistance(tr) }
-
-// BuildRoutingTables snapshots exact interval-routing tables for the
-// current tree (next hops computed from local tables + destination labels).
-func BuildRoutingTables(tr *Tree) (*RoutingScheme, error) { return labeling.BuildRouting(tr) }
-
-// QueryNCA answers an NCA query (as a preorder number) from two labels.
-func QueryNCA(a, b labeling.NCALabel) (int, error) { return labeling.QueryNCA(a, b) }
-
-// QueryDistance answers an exact tree-distance query from two labels.
-func QueryDistance(a, b labeling.DistanceLabel) (int, error) { return labeling.QueryDistance(a, b) }
+// DynamicLabeling keeps a static labeling scheme over the tree and
+// recomputes it whenever the size estimate has doubled or halved since the
+// last rebuild (Section 5.4). Scheme returns the current scheme, Rebuilds
+// how often it was recomputed.
+type DynamicLabeling = labeling.Dynamic
 
 // NewDynamicAncestryLabeling wraps the ancestry scheme with size-driven
 // rebuilds so label sizes track the current n (Corollary 5.7).

@@ -27,13 +27,13 @@ type BatchSubmitter interface {
 	SubmitBatch(reqs []Request, out []BatchResult) []BatchResult
 }
 
-// FastGrant answers a request entirely from the whiteboard of its node when
+// fastGrant answers a request entirely from the whiteboard of its node when
 // the full protocol would move no package and send no message: the request
 // is a non-topological event, no reject package sits at the node, and a
 // static package with a permit is present (items 1–2 of Protocol
 // GrantOrReject). It reports false, leaving all state untouched, in every
 // other case; the caller then runs the core's Submit.
-func (wb *Whiteboard) FastGrant(req Request) (Grant, bool) {
+func (wb *Whiteboard) fastGrant(req Request) (Grant, bool) {
 	if req.Kind != tree.None {
 		return Grant{}, false
 	}
@@ -74,7 +74,7 @@ func (it *Iterated) fastCapable() bool {
 
 // fastGrant is the local fast path through the waste-halving driver.
 func (it *Iterated) fastGrant(req Request) (Grant, bool) {
-	g, ok := it.wb.FastGrant(req)
+	g, ok := it.wb.fastGrant(req)
 	if ok {
 		it.st.Granted++
 	}

@@ -24,23 +24,23 @@ type Epochs struct {
 	tp       Transport
 	tr       *tree.Tree
 	counters *stats.Counters
-	plan     Plan
+	plan     epochPlan
 
 	core  *Fixed
 	ni    int64
 	epoch int
 }
 
-// Plan decides iteration epoch (1-based) once its N_i is counted: the
+// epochPlan decides iteration epoch (1-based) once its N_i is counted: the
 // application re-measures or re-labels the tree, charging what that costs,
 // and returns the (m, w) of the terminating controller that admits the
 // iteration's requests, with the serials or the descent observer it needs.
-type Plan func(epoch int, ni int64) (m, w int64, opts []CoreOption)
+type epochPlan func(epoch int, ni int64) (m, w int64, opts []CoreOption)
 
 // NewEpochs starts iteration 1 over tr, so plan runs once before NewEpochs
 // returns. Costs are accounted into counters, the ones the application
 // charges its own phases to.
-func (tp Transport) NewEpochs(tr *tree.Tree, counters *stats.Counters, plan Plan) *Epochs {
+func (tp Transport) NewEpochs(tr *tree.Tree, counters *stats.Counters, plan epochPlan) *Epochs {
 	e := &Epochs{tp: tp, tr: tr, counters: counters, plan: plan}
 	e.start()
 	return e

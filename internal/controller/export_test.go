@@ -107,7 +107,7 @@ func (d *Dynamic) InnerIterations() int { return d.inner.st.Iterations }
 // id without a node, and be deeply equal to the fresh ones.
 func (d *Dynamic) CheckRecycled() error {
 	wb := d.inner.wb
-	used, err := restoreWhiteboard(wb.tr, wb.State(), stats.NewCounters())
+	used, err := restoreWhiteboard(wb.tr, wb.state(), stats.NewCounters())
 	if err != nil {
 		return fmt.Errorf("copying the current whiteboards: %w", err)
 	}
@@ -138,7 +138,7 @@ func (d *Dynamic) CheckRecycled() error {
 	if nodes := wb.tr.Nodes(); !slices.Equal(listed, nodes) {
 		return fmt.Errorf("recycled whiteboards hold stores for %v, the tree has nodes %v", listed, nodes)
 	}
-	if got, want := recycled.State(), fresh.State(); !reflect.DeepEqual(got, want) {
+	if got, want := recycled.state(), fresh.state(); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("recycled whiteboards capture as %+v, fresh ones as %+v", got, want)
 	}
 	return nil
@@ -296,3 +296,19 @@ func (d *DomainTracker) CheckInvariants() error {
 
 // WithNoRejects is withNoRejects, for the external tests.
 var WithNoRejects = withNoRejects
+
+// Iterations, Terminated and State read the waste-halving driver's state.
+func (it *Iterated) Iterations() int      { return it.st.Iterations }
+func (it *Iterated) Terminated() bool     { return it.st.Terminated }
+func (it *Iterated) State() IteratedState { return it.state() }
+
+// Terminated reports whether a terminating controller has terminated.
+func (d *Dynamic) Terminated() bool { return d.st.Terminated }
+
+// HasRejectAt reports whether a reject package resides at the given node.
+func (wb *Whiteboard) HasRejectAt(id tree.NodeID) bool {
+	s := wb.lookup(id)
+	return s != nil && s.HasReject()
+}
+
+func (wb *Whiteboard) ClearPackages() { wb.clearPackages() }

@@ -85,12 +85,6 @@ func (it *Iterated) startIteration(m int64) {
 // Granted returns the total permits granted across all iterations.
 func (it *Iterated) Granted() int64 { return it.st.Granted }
 
-// Iterations returns the number of iterations started so far.
-func (it *Iterated) Iterations() int { return it.st.Iterations }
-
-// Terminated reports whether a terminating driver has terminated.
-func (it *Iterated) Terminated() bool { return it.st.Terminated }
-
 // Counters returns the cost counters the controller counts into.
 func (it *Iterated) Counters() *stats.Counters { return it.counters }
 
@@ -127,7 +121,7 @@ func (it *Iterated) Submit(req Request) (Grant, error) {
 		}
 		// Collect the unused permits back to the root.
 		l := it.wb.UnusedPermits()
-		it.wb.ClearPackages()
+		it.wb.clearPackages()
 		it.tp.restart(it.counters, it.tr)
 		if it.st.W == 0 {
 			if l == 0 {

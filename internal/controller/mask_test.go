@@ -42,7 +42,7 @@ func newMaskRun(tr *tree.Tree, distributed bool, m, w int64) *maskRun {
 // submit answers one request and checks the masks of the whiteboards it left.
 func (r *maskRun) submit(t testing.TB, req ctl.Request) ctl.Grant {
 	t.Helper()
-	if req.Kind.IsRemoval() && r.d.MaskAt(req.Node)&^1 != 0 {
+	if (req.Kind == tree.RemoveLeaf || req.Kind == tree.RemoveInternal) && r.d.MaskAt(req.Node)&^1 != 0 {
 		r.handoffs++
 	}
 	board := r.d.Board()

@@ -57,11 +57,11 @@ type DynamicState struct {
 	Inner IteratedState
 }
 
-// State captures the waste-halving driver's complete state. Must not be
+// state captures the waste-halving driver's complete state. Must not be
 // called while a submission is in flight.
-func (it *Iterated) State() IteratedState {
+func (it *Iterated) state() IteratedState {
 	st := it.st
-	st.Board = it.wb.State()
+	st.Board = it.wb.state()
 	return st
 }
 
@@ -78,7 +78,7 @@ func (tp Transport) restoreIterated(tr *tree.Tree, st IteratedState, counters *s
 // while a submission is in flight.
 func (d *Dynamic) State() *DynamicState {
 	st := d.st
-	st.Inner = d.inner.State()
+	st.Inner = d.inner.state()
 	return &st
 }
 

@@ -128,9 +128,6 @@ func (d *Dynamic) Counters() *stats.Counters { return d.counters }
 // not counted.
 func (d *Dynamic) StoreTableBytes() int { return d.inner.wb.stores.Bytes() }
 
-// Terminated reports whether a terminating controller has terminated.
-func (d *Dynamic) Terminated() bool { return d.st.Terminated }
-
 // Submit answers one request, restarting the inner controller with fresh
 // U_i and M_i estimates whenever the iteration policy fires.
 func (d *Dynamic) Submit(req Request) (Grant, error) {

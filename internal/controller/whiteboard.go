@@ -214,12 +214,6 @@ func (wb *Whiteboard) NodePermits(id tree.NodeID) int64 {
 	return s.PermitCount()
 }
 
-// HasRejectAt reports whether a reject package resides at the given node.
-func (wb *Whiteboard) HasRejectAt(id tree.NodeID) bool {
-	s := wb.lookup(id)
-	return s != nil && s.HasReject()
-}
-
 // MemoryBitsAt estimates the whiteboard size of the given node in bits
 // (Claim 4.8).
 func (wb *Whiteboard) MemoryBitsAt(id tree.NodeID) int {
@@ -240,9 +234,9 @@ func (wb *Whiteboard) UnusedPermits() int64 {
 	return n
 }
 
-// ClearPackages removes every package from the graph and returns all
+// clearPackages removes every package from the graph and returns all
 // unused permits to the root storage (iteration resets, Section 3.3).
-func (wb *Whiteboard) ClearPackages() {
+func (wb *Whiteboard) clearPackages() {
 	total := wb.storage
 	for _, s := range wb.stores.All() {
 		total += s.PermitCount()
@@ -481,7 +475,7 @@ func (wb *Whiteboard) Reject() Grant {
 
 // StartRejectWave marks the reject wave as flooded and reports whether the
 // caller is the one to flood it: the wave runs once per whiteboard life
-// (until ClearPackages), later requests find the reject package locally.
+// (until clearPackages), later requests find the reject package locally.
 func (wb *Whiteboard) StartRejectWave() bool {
 	if wb.rejectWave {
 		return false
@@ -531,18 +525,15 @@ func (wb *Whiteboard) Entered(size int64, id tree.NodeID) {
 	}
 }
 
-// Handoff carries the packages (and the reject package, if any) in the
-// store of a node that is being gracefully deleted across the edge to its
-// parent: one move centrally, one message distributed. The store is
-// discarded once handoff returns.
-type Handoff func(from, parent tree.NodeID, child *pkgstore.Store)
-
 // Grant implements item 2 of Protocol GrantOrReject: one permit of the
 // static package in the store of the request's node is granted, the package
 // shrinks (and is canceled when empty), and a granted topological request is
 // applied to the tree. A deleted node's objects leave through handoff before
-// the node does.
-func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff Handoff) (Grant, error) {
+// the node does: it carries the packages (and the reject package, if any)
+// in the store of the node being gracefully deleted across the edge to its
+// parent, one move centrally, one message distributed. The store is
+// discarded once handoff returns.
+func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff func(from, parent tree.NodeID, child *pkgstore.Store)) (Grant, error) {
 	serial, empty, err := static.TakePermit()
 	if err != nil {
 		return Grant{}, err
@@ -650,9 +641,9 @@ type WhiteboardState struct {
 	Stores []NodeStoreState
 }
 
-// State captures the whiteboards' complete state. Must not be called while
+// state captures the whiteboards' complete state. Must not be called while
 // a submission is in flight.
-func (wb *Whiteboard) State() WhiteboardState {
+func (wb *Whiteboard) state() WhiteboardState {
 	st := WhiteboardState{
 		U:          wb.params.U,
 		M:          wb.params.M,

@@ -72,7 +72,7 @@ func appRows() []appRow {
 				if err := nm.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				return fmt.Sprintf("iteration %d: ", nm.Iteration()) + perNode(tr, func(v tree.NodeID) string {
+				return fmt.Sprintf("iteration %d: ", nm.Counters().Get(stats.CounterIterations)) + perNode(tr, func(v tree.NodeID) string {
 					return fmt.Sprint(nm.ID(v))
 				})
 			}, nm.Counters()}

@@ -16,12 +16,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // uncalledReasons lists, by hand, each exported name under internal/ that no
-// non-test package outside its own calls, with the reason it stays exported.
+// caller outside its own package uses, with the reason it stays exported.
 // -update never writes it.
 const uncalledReasons = "testdata/uncalled.txt"
 
@@ -29,15 +30,18 @@ const uncalledReasons = "testdata/uncalled.txt"
 type verdict int
 
 const (
-	called   verdict = iota // a non-test package outside its own uses it
-	api                     // the root package's API reaches it
+	called   verdict = iota // a caller outside its own package uses it
 	local                   // only its own package uses it
 	uncalled                // no non-test package uses it
 )
 
 func (v verdict) String() string {
-	return [...]string{"called", "API", "local", "uncalled"}[v]
+	return [...]string{"called", "local", "uncalled"}[v]
 }
+
+// exampleCaller is the pseudo-package that stands for the bodies of the
+// Example functions in the root package's external test files.
+const exampleCaller = "(Example)"
 
 // callerLedger type-checks a module's non-test packages from source, each
 // exactly once so that a name is one object wherever it is used, and records
@@ -54,6 +58,9 @@ type callerLedger struct {
 	users map[string]map[string]bool
 	// dynamic holds the interface methods each package calls.
 	dynamic map[ifaceCall]bool
+	// aliased maps each type alias the root declares to the name of the
+	// type it stands for, so that holding a value of that type uses it.
+	aliased map[string]string
 }
 
 // An ifaceCall is package pkg calling method name through interface iface.
@@ -62,13 +69,15 @@ type ifaceCall struct {
 	iface     *types.Interface
 }
 
-// classify type-checks src, the module's packages by import path (files
-// named _test.go are dropped first), and returns the verdict for every
-// exported package-level name and method they declare, keyed as the surface
-// golden writes it: "path kind Name" or "path method Type.Name". The
-// package root is the library's API: its own names are API, and so is
-// every type its exported declarations name with its methods, followed
-// through those methods' signatures and the types' exported fields.
+// classify type-checks src, the module's packages by import path, and
+// returns the verdict for every exported package-level name and method
+// they declare, keyed as the surface golden writes it: "path kind Name" or
+// "path method Type.Name". Files named _test.go are dropped first, except
+// the root package's external test files that declare an Example function:
+// the bodies of those functions count as one more caller. A name under the
+// package root is called only when a package under root/examples/ or an
+// Example function uses it, and a type alias there is used wherever a value
+// of the type it stands for is held.
 func classify(fset *token.FileSet, root string, src map[string][]*ast.File, std types.Importer) (map[string]verdict, error) {
 	l := &callerLedger{
 		fset:    fset,
@@ -77,11 +86,16 @@ func classify(fset *token.FileSet, root string, src map[string][]*ast.File, std 
 		pkgs:    map[string]*types.Package{},
 		users:   map[string]map[string]bool{},
 		dynamic: map[ifaceCall]bool{},
+		aliased: map[string]string{},
 	}
+	var examples []*ast.File
 	for path, files := range src {
 		for _, f := range files {
-			if !strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go") {
+			switch {
+			case !strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go"):
 				l.src[path] = append(l.src[path], f)
+			case path == root && strings.HasSuffix(f.Name.Name, "_test") && len(exampleBodies(f)) > 0:
+				examples = append(examples, f)
 			}
 		}
 	}
@@ -95,7 +109,17 @@ func classify(fset *token.FileSet, root string, src map[string][]*ast.File, std 
 			return nil, err
 		}
 	}
-	apiNames := l.api(root)
+	if err := l.checkExamples(root, examples); err != nil {
+		return nil, err
+	}
+	scope := l.pkgs[root].Scope()
+	for _, n := range scope.Names() {
+		if tn, ok := scope.Lookup(n).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				l.aliased[nameOf(tn)] = nameOf(named.Origin().Obj())
+			}
+		}
+	}
 
 	// Every dynamic call is known once every package is checked: credit
 	// them, then judge each name.
@@ -118,18 +142,81 @@ func classify(fset *token.FileSet, root string, src map[string][]*ast.File, std 
 	verdicts := map[string]verdict{}
 	for _, name := range names {
 		if name != "" {
-			verdicts[name] = l.judge(name, apiNames)
+			verdicts[name] = l.judge(name, root)
 		}
 	}
 	return verdicts, nil
 }
 
-// judge gives the verdict for name from its users.
-func (l *callerLedger) judge(name string, apiNames map[string]bool) verdict {
-	if apiNames[name] {
-		return api
+// exampleBodies returns the bodies of the Example functions f declares.
+func exampleBodies(f *ast.File) []*ast.BlockStmt {
+	var bodies []*ast.BlockStmt
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Body != nil && strings.HasPrefix(fn.Name.Name, "Example") {
+			bodies = append(bodies, fn.Body)
+		}
 	}
+	return bodies
+}
+
+// checkExamples type-checks the root package's external test files that
+// declare Example functions and credits exampleCaller with what the bodies
+// of those functions use; the rest of the files uses nothing.
+func (l *callerLedger) checkExamples(root string, files []*ast.File) error {
+	if len(files) == 0 {
+		return nil
+	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", "amd64")}
+	if _, err := conf.Check(root+"_test", l.fset, files, info); err != nil {
+		return err
+	}
+	var bodies []*ast.BlockStmt
+	for _, f := range files {
+		bodies = append(bodies, exampleBodies(f)...)
+	}
+	inExample := func(n ast.Node) bool {
+		for _, b := range bodies {
+			if b.Pos() <= n.Pos() && n.End() <= b.End() {
+				return true
+			}
+		}
+		return false
+	}
+	for id, obj := range info.Uses {
+		if inExample(id) {
+			l.use(exampleCaller, obj)
+		}
+	}
+	for expr, tv := range info.Types {
+		if inExample(expr) {
+			l.reach(exampleCaller, tv.Type)
+		}
+	}
+	return nil
+}
+
+// judge gives the verdict for name from its users. A name of the package
+// root counts only the packages under root/examples/ and the Example
+// functions as callers, and an alias there also the users of its type; any
+// other user leaves it local.
+func (l *callerLedger) judge(name, root string) verdict {
 	own, _, _ := strings.Cut(name, " ")
+	if own == root {
+		v := uncalled
+		for _, n := range []string{name, l.aliased[name]} {
+			for u := range l.users[n] {
+				if u == exampleCaller || strings.HasPrefix(u, root+"/examples/") {
+					return called
+				}
+				v = local
+			}
+		}
+		return v
+	}
 	users := l.users[name]
 	for u := range users {
 		if u != own {
@@ -259,72 +346,6 @@ func (l *callerLedger) credit(name, pkg string) {
 	l.users[name][pkg] = true
 }
 
-// api returns the names the root package's exported declarations reach.
-func (l *callerLedger) api(root string) map[string]bool {
-	names := map[string]bool{}
-	seen := map[*types.Named]bool{}
-	var walk func(t types.Type)
-	walkTuple := func(t *types.Tuple) {
-		for i := 0; i < t.Len(); i++ {
-			walk(t.At(i).Type())
-		}
-	}
-	walk = func(t types.Type) {
-		switch t := types.Unalias(t).(type) {
-		case *types.Named:
-			t = t.Origin()
-			if seen[t] {
-				return
-			}
-			seen[t] = true
-			names[nameOf(t.Obj())] = true
-			mset := types.NewMethodSet(types.NewPointer(t))
-			if types.IsInterface(t) {
-				mset = types.NewMethodSet(t)
-			}
-			for i := 0; i < mset.Len(); i++ {
-				if m := mset.At(i).Obj(); m.Exported() {
-					names[nameOf(m)] = true
-					walk(m.Type())
-				}
-			}
-			walk(t.Underlying())
-		case *types.Pointer:
-			walk(t.Elem())
-		case *types.Slice:
-			walk(t.Elem())
-		case *types.Array:
-			walk(t.Elem())
-		case *types.Chan:
-			walk(t.Elem())
-		case *types.Map:
-			walk(t.Key())
-			walk(t.Elem())
-		case *types.Signature:
-			walkTuple(t.Params())
-			walkTuple(t.Results())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if t.Field(i).Exported() {
-					walk(t.Field(i).Type())
-				}
-			}
-		case *types.Interface:
-			for i := 0; i < t.NumMethods(); i++ {
-				walk(t.Method(i).Type())
-			}
-		}
-	}
-	scope := l.pkgs[root].Scope()
-	for _, n := range scope.Names() {
-		if obj := scope.Lookup(n); obj.Exported() {
-			names[nameOf(obj)] = true
-			walk(obj.Type())
-		}
-	}
-	return names
-}
-
 // interfaceOf returns the interface a method with receiver type t is
 // called through, or nil when t is not an interface or a type parameter.
 func interfaceOf(t types.Type) *types.Interface {
@@ -385,9 +406,10 @@ var (
 )
 
 // reconcile holds the reasons in uncalled.txt to the verdicts of the names
-// under internal/ of the module rooted at root: each local or uncalled
-// name needs exactly one line, each line a name that exists and has no
-// caller, and a reason of one of the four kinds whose test exists.
+// of the module rooted at root: each local or uncalled name under internal/
+// needs exactly one line, each line a name under internal/ that exists and
+// has no caller, and a reason of one of the four kinds whose test exists.
+// A name of the package root takes no line: it needs a caller.
 func reconcile(root string, verdicts map[string]verdict, reasons string, testExists func(string) bool) []string {
 	var problems []string
 	lined := map[string]bool{}
@@ -407,9 +429,11 @@ func reconcile(root string, verdicts map[string]verdict, reasons string, testExi
 		lined[name] = true
 		v, ok := verdicts[name]
 		switch {
+		case !strings.HasPrefix(name, root+"/internal/"):
+			problems = append(problems, fmt.Sprintf("%s: only a name under internal/ takes a line; drop it", name))
 		case !ok:
 			problems = append(problems, fmt.Sprintf("%s: no longer exists; drop its line", name))
-		case v == called || v == api:
+		case v == called:
 			problems = append(problems, fmt.Sprintf("%s: has a caller (%s); drop its line", name, v))
 		}
 		if k := reasonKind.FindStringSubmatch(reason); k == nil {
@@ -419,6 +443,9 @@ func reconcile(root string, verdicts map[string]verdict, reasons string, testExi
 		}
 	}
 	for name, v := range verdicts {
+		if own, _, _ := strings.Cut(name, " "); own == root && v != called {
+			problems = append(problems, fmt.Sprintf("%s: no use in examples/ or an Example function; use it in one, or delete it", name))
+		}
 		if lined[name] || !strings.HasPrefix(name, root+"/internal/") {
 			continue
 		}
@@ -443,12 +470,34 @@ type listedPackage struct {
 }
 
 // loadModule parses the non-test files of every package of the module and
-// of bench/, as GOOS=linux GOARCH=amd64 builds them, and returns them with
-// an importer over the export data of the standard packages they import.
+// of bench/, as GOOS=linux GOARCH=amd64 builds them, and the root package's
+// external test files that declare an Example function, and returns them
+// with an importer over the export data of the standard packages they
+// import.
 func loadModule(t *testing.T) (*token.FileSet, map[string][]*ast.File, types.Importer) {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard", "./...", module+"/...")
+	fset := token.NewFileSet()
+	src := map[string][]*ast.File{}
+	args := []string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard", "./...", module + "/..."}
+	tests, err := filepath.Glob(filepath.Join(repoRoot, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tests {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Name.Name == module+"_test" && len(exampleBodies(f)) > 0 {
+			src[module] = append(src[module], f)
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				args = append(args, path)
+			}
+		}
+	}
+	cmd := exec.Command("go", args...)
 	cmd.Dir = filepath.Join(repoRoot, "bench")
 	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64", "CGO_ENABLED=0")
 	var stderr bytes.Buffer
@@ -457,8 +506,6 @@ func loadModule(t *testing.T) (*token.FileSet, map[string][]*ast.File, types.Imp
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
 	}
-	fset := token.NewFileSet()
-	src := map[string][]*ast.File{}
 	exports := map[string]string{}
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listedPackage
@@ -510,14 +557,15 @@ func testNames(t *testing.T) map[string]bool {
 
 // TestEveryExportedNameHasACaller is the caller ledger. It type-checks
 // every non-test package of the module and of bench/ (GOOS=linux
-// GOARCH=amd64) and counts, for each exported package-level name and
-// method, the non-test packages outside its own that use it: an identifier
-// that resolves to it, a call through an interface its type implements, a
-// value of its type held without naming it, and, for a String or Error
-// method, fmt and error. The root package's names and the methods its
-// exported declarations reach are the library's API and need no caller.
-// Every other name under internal/ with no caller is deleted, unexported,
-// or listed in testdata/uncalled.txt with one reason:
+// GOARCH=amd64), and the Example functions of the root package's tests,
+// and counts, for each exported package-level name and method, the callers
+// outside its own package that use it: an identifier that resolves to it, a
+// call through an interface its type implements, a value of its type held
+// without naming it, and, for a String or Error method, fmt and error. A
+// caller is a non-test package or an Example function; a name of the root
+// package counts only examples/ and the Example functions. Every root name
+// has such a caller. Every name under internal/ with no caller is deleted,
+// unexported, or listed in testdata/uncalled.txt with one reason:
 //
 //	harness: <test>    non-test code another package's tests import
 //	reference: <test>  an implementation a test compares the code against
@@ -543,26 +591,33 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := map[verdict]int{}
+	count := map[string]map[verdict]int{"root": {}, "internal/": {}}
 	for _, line := range strings.Split(string(golden), "\n") {
-		if !strings.HasPrefix(line, module+"/internal/") {
-			continue
-		}
 		if strings.Count(line, " ") != 2 {
-			continue // the import closure
+			continue // a comment or the import closure
+		}
+		part := "root"
+		if strings.HasPrefix(line, module+"/internal/") {
+			part = "internal/"
+		} else if !strings.HasPrefix(line, module+" ") {
+			continue
 		}
 		v, ok := verdicts[line]
 		if !ok {
 			t.Errorf("%s is in %s but the caller ledger did not classify it", line, surfaceGolden)
 		}
-		count[v]++
+		count[part][v]++
 	}
-	t.Logf("exported names under internal/: %d called, %d API, %d local, %d uncalled", count[called], count[api], count[local], count[uncalled])
+	for _, part := range []string{"root", "internal/"} {
+		c := count[part]
+		t.Logf("exported names of %s: %d called, %d local, %d uncalled", part, c[called], c[local], c[uncalled])
+	}
 }
 
 // TestCallerLedgerRules holds the caller ledger to one verdict per rule, on
-// a module held in memory: a root package m that aliases a type of
-// m/internal/a, and m/internal/b, which uses a.
+// a module held in memory: a root package m that aliases types of
+// m/internal/a and has an Example, a program under m/examples/ and one under
+// m/cmd/ that use m, and m/internal/b, which uses a.
 func TestCallerLedgerRules(t *testing.T) {
 	mod := map[string]map[string]string{
 		"m": {"m.go": `package m
@@ -570,12 +625,45 @@ func TestCallerLedgerRules(t *testing.T) {
 import "m/internal/a"
 
 type Tree = a.Tree
+
+type Engine = a.Engine
+
+func Open() *a.Engine { return nil }
+
+func Start() {}
+
+func Tool() {}
+
+func Tested() {}
+
+func Unshown() {}
+`, "m_test.go": `package m_test
+
+import "m"
+
+func ExampleStart() { m.Start() }
+
+func TestTested() { m.Tested() }
+`},
+		"m/examples/demo": {"main.go": `package main
+
+import "m"
+
+func main() { _ = m.Open() }
+`},
+		"m/cmd/tool": {"main.go": `package main
+
+import "m"
+
+func main() { m.Tool() }
 `},
 		"m/internal/a": {"a.go": `package a
 
 type Tree struct{}
 
 func (*Tree) NCA() int { return 0 }
+
+type Engine struct{}
 
 type Submitter interface{ Submit() }
 
@@ -622,7 +710,7 @@ func Run() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := reconcile("m", verdicts, "m/internal/a func Stale  sentinel\n", func(string) bool { return true })
+	problems := reconcile("m", verdicts, "m/internal/a func Stale  sentinel\nm func Start  sentinel\n", func(string) bool { return true })
 
 	for _, c := range []struct {
 		rule, name string
@@ -632,7 +720,11 @@ func Run() {
 		{"a method used only through an interface is called", "m/internal/a method Core.Submit", called},
 		{"a type reached only by inference is called", "m/internal/a type Core", called},
 		{"a name used only in its own package is local", "m/internal/a func Local", local},
-		{"a method of a type the root package aliases is API", "m/internal/a method Tree.NCA", api},
+		{"a method of a type the root package aliases, with no caller outside its package, is uncalled", "m/internal/a method Tree.NCA", uncalled},
+		{"a root name used only in an Example function is called", "m func Start", called},
+		{"a use in a root test function not named Example does not count", "m func Tested", uncalled},
+		{"a root name used only outside the examples is not called", "m func Tool", local},
+		{"a root alias is called where an example holds a value of its type", "m type Engine", called},
 	} {
 		t.Run(c.rule, func(t *testing.T) {
 			if got, ok := verdicts[c.name]; !ok || got != c.want {
@@ -640,13 +732,18 @@ func Run() {
 			}
 		})
 	}
-	t.Run("a reason line for a name that has a caller is stale", func(t *testing.T) {
-		want := "m/internal/a func Stale: has a caller"
-		for _, p := range stale {
-			if strings.HasPrefix(p, want) {
-				return
+	for _, c := range []struct{ rule, want string }{
+		{"a reason line for a name that has a caller is stale", "m/internal/a func Stale: has a caller"},
+		{"a root name used by nothing fails", "m func Unshown: no use in examples/ or an Example function"},
+		{"a reason line for a root name is refused", "m func Start: only a name under internal/ takes a line"},
+	} {
+		t.Run(c.rule, func(t *testing.T) {
+			for _, p := range problems {
+				if strings.HasPrefix(p, c.want) {
+					return
+				}
 			}
-		}
-		t.Errorf("no problem reads %q: %q", want, stale)
-	})
+			t.Errorf("no problem reads %q: %q", c.want, problems)
+		})
+	}
 }

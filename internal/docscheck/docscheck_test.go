@@ -13,10 +13,11 @@
 // module's packages, so a second copy of what a package's doc comment
 // already says cannot grow back. Its surface ledger pins every package's
 // exported names and the daemon's imports in testdata/surface.golden, and
-// its caller ledger holds each exported name under internal/ to a non-test
-// caller outside its package, the root package's API, or a reason in
-// testdata/uncalled.txt. CI runs it as the docs job, so adding a metric or
-// a wire code without documenting it fails the build.
+// its caller ledger holds each root name to a use in examples/ or an
+// Example function, and each exported name under internal/ to a caller
+// outside its package or a reason in testdata/uncalled.txt. CI runs it as
+// the docs job, so adding a metric or a wire code without documenting it
+// fails the build.
 package docscheck
 
 import (

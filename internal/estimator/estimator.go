@@ -67,7 +67,7 @@ func New(tr *tree.Tree, tp controller.Transport, beta float64, opts ...Option) (
 	return e, nil
 }
 
-// plan is the estimator's controller.Plan: a terminating
+// plan is the estimator's epoch plan (Transport.NewEpochs): a terminating
 // (αN_i, αN_i/2)-controller, the budget ⌊αN_i⌋ clamped to ≥ 1 so tiny trees
 // still make progress (granting one change on n=1 keeps n ≤ 2 ≤ βN for
 // β ≥ 2; for 1 < β < 2 the clamp only triggers when αN < 1, i.e. N < 1/α,
@@ -100,9 +100,6 @@ func (e *Estimator) Iteration() int {
 // Counters returns the estimator's cost counters.
 func (e *Estimator) Counters() *stats.Counters { return e.counters }
 
-// Tree returns the tree the estimator runs over.
-func (e *Estimator) Tree() *tree.Tree { return e.tr }
-
 // Estimate returns the node's current estimate ñ(v) of the network size.
 func (e *Estimator) Estimate(v tree.NodeID) (int64, error) {
 	if !e.tr.Contains(v) {
@@ -110,9 +107,6 @@ func (e *Estimator) Estimate(v tree.NodeID) (int64, error) {
 	}
 	return e.epochs.N(), nil
 }
-
-// Beta returns the approximation parameter.
-func (e *Estimator) Beta() float64 { return e.beta }
 
 // SubtreeEstimate returns ω̃(v), the node's estimate of its super-weight.
 // WithSubtreeEstimates must have been enabled.

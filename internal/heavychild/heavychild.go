@@ -65,9 +65,9 @@ func (d *Decomposition) Heavy(v tree.NodeID) (tree.NodeID, error) {
 	return h, nil
 }
 
-// IsLight reports whether v is a light child of its parent (or the root,
+// isLight reports whether v is a light child of its parent (or the root,
 // which is neither).
-func (d *Decomposition) IsLight(v tree.NodeID) (bool, error) {
+func (d *Decomposition) isLight(v tree.NodeID) (bool, error) {
 	p, err := d.tr.Parent(v)
 	if err != nil {
 		return false, err
@@ -86,7 +86,7 @@ func (d *Decomposition) LightAncestors(v tree.NodeID) (int, error) {
 	}
 	count := 0
 	for _, id := range path {
-		light, err := d.IsLight(id)
+		light, err := d.isLight(id)
 		if err != nil {
 			return 0, err
 		}
@@ -165,22 +165,4 @@ func (d *Decomposition) refresh(v tree.NodeID) {
 	if best != tree.InvalidNode {
 		d.heavy[v] = best
 	}
-}
-
-// CheckInvariant verifies every node has at most maxFactor·log₄⁄₃(n)+slack
-// light ancestors.
-func (d *Decomposition) CheckInvariant(maxFactor float64, slack int) error {
-	n := float64(d.tr.Size())
-	bound := int(maxFactor*math.Log(n+1)/math.Log(4.0/3.0)) + slack
-	for _, id := range d.tr.Nodes() {
-		la, err := d.LightAncestors(id)
-		if err != nil {
-			return err
-		}
-		if la > bound {
-			return fmt.Errorf("heavychild: node %d has %d light ancestors, bound %d (n=%.0f)",
-				id, la, bound, n)
-		}
-	}
-	return nil
 }

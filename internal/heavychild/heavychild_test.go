@@ -1,6 +1,8 @@
 package heavychild_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func TestHeavyChildOnStaticTree(t *testing.T) {
 			t.Fatalf("heavy(%d) = %d is not a child", v, h)
 		}
 	}
-	if err := d.CheckInvariant(2, 4); err != nil {
+	if err := checkInvariant(d, 2, 4); err != nil {
 		t.Fatalf("invariant: %v", err)
 	}
 }
@@ -120,12 +122,12 @@ func TestHeavyChildUnderChurn(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		if i%50 == 0 {
-			if err := d.CheckInvariant(3, 6); err != nil {
+			if err := checkInvariant(d, 3, 6); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
 		}
 	}
-	if err := d.CheckInvariant(3, 6); err != nil {
+	if err := checkInvariant(d, 3, 6); err != nil {
 		t.Fatalf("final: %v", err)
 	}
 	if err := tr.Validate(); err != nil {
@@ -147,12 +149,30 @@ func TestHeavyChildGrowth(t *testing.T) {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
-	if err := d.CheckInvariant(3, 6); err != nil {
+	if err := checkInvariant(d, 3, 6); err != nil {
 		t.Fatalf("after growth: %v", err)
 	}
-	// IsLight sanity: the root is never light.
-	light, err := d.IsLight(tr.Root())
-	if err != nil || light {
-		t.Fatalf("IsLight(root) = %v, %v; want false", light, err)
+	// The root is never light, so it has no light ancestor.
+	if la, err := d.LightAncestors(tr.Root()); err != nil || la != 0 {
+		t.Fatalf("LightAncestors(root) = %v, %v; want 0", la, err)
 	}
+}
+
+// checkInvariant verifies every node has at most maxFactor·log₄⁄₃(n)+slack
+// light ancestors.
+func checkInvariant(d *heavychild.Decomposition, maxFactor float64, slack int) error {
+	tr := d.Tree()
+	n := float64(tr.Size())
+	bound := int(maxFactor*math.Log(n+1)/math.Log(4.0/3.0)) + slack
+	for _, id := range tr.Nodes() {
+		la, err := d.LightAncestors(id)
+		if err != nil {
+			return err
+		}
+		if la > bound {
+			return fmt.Errorf("heavychild: node %d has %d light ancestors, bound %d (n=%.0f)",
+				id, la, bound, n)
+		}
+	}
+	return nil
 }

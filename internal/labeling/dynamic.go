@@ -84,15 +84,3 @@ func (d *Dynamic) Submit(req controller.Request) (controller.Grant, error) {
 	}
 	return g, nil
 }
-
-// CheckLabelSize verifies the scheme's label size is at most
-// factor·f(current n) bits, where f is supplied by the caller (e.g.
-// 2·log₂n for ancestry labels).
-func (d *Dynamic) CheckLabelSize(f func(n int) int, factor float64) error {
-	n := d.tr.Size()
-	bound := int(factor * float64(f(n)))
-	if got := d.scheme.MaxBits(); got > bound {
-		return fmt.Errorf("labeling: max label %d bits exceeds %d (n=%d)", got, bound, n)
-	}
-	return nil
-}

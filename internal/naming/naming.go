@@ -41,9 +41,9 @@ func New(tr *tree.Tree, tp controller.Transport) *Naming {
 	return nm
 }
 
-// plan is the protocol's controller.Plan: relabel, then admit the
-// iteration's changes with a terminating (N_i/2, N_i/4)-controller whose
-// permits carry the serials [N_i+1, 3N_i/2].
+// plan is the protocol's epoch plan (Transport.NewEpochs): relabel, then
+// admit the iteration's changes with a terminating (N_i/2, N_i/4)-controller
+// whose permits carry the serials [N_i+1, 3N_i/2].
 func (nm *Naming) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOption) {
 	// Two DFS relabeling traversals (2·2(n−1) messages) on top of the
 	// broadcast/upcast that counted N_i. First traversal: id(v) = 3N_i +
@@ -61,9 +61,6 @@ func (nm *Naming) plan(_ int, ni int64) (m, w int64, opts []controller.CoreOptio
 	serials := pkgstore.Interval{Lo: ni + 1, Hi: ni + m}
 	return m, ni / 4, []controller.CoreOption{controller.WithSerials(serials)}
 }
-
-// Iteration returns the 1-based iteration number.
-func (nm *Naming) Iteration() int { return nm.epochs.Epoch() }
 
 // Tree returns the tree the protocol maintains names for.
 func (nm *Naming) Tree() *tree.Tree { return nm.tr }

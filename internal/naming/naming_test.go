@@ -7,6 +7,7 @@ import (
 	"dynctrl/internal/dist"
 	"dynctrl/internal/naming"
 	"dynctrl/internal/sim"
+	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
 	"dynctrl/internal/workload"
 )
@@ -59,8 +60,8 @@ func TestNamingUnderChurn(t *testing.T) {
 			t.Fatalf("step %d (%v at %d): %v", i, req.Kind, req.Node, err)
 		}
 	}
-	if nm.Iteration() < 3 {
-		t.Fatalf("iterations = %d; churn should roll the protocol over", nm.Iteration())
+	if it := nm.Counters().Get(stats.CounterIterations); it < 3 {
+		t.Fatalf("iterations = %d; churn should roll the protocol over", it)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)

@@ -859,9 +859,9 @@ func TestStateCodecRoundTrip(t *testing.T) {
 		if ctl.Granted() != s.ctl.Granted() {
 			t.Fatalf("restored %d grants, want %d", ctl.Granted(), s.ctl.Granted())
 		}
-		if tr.Size() != s.tr.Size() || tr.Changes() != s.tr.Changes() {
+		if got, want := tr.Snapshot(), s.tr.Snapshot(); tr.Size() != s.tr.Size() || got.ChangeSeq != want.ChangeSeq {
 			t.Fatalf("restored tree size/changes %d/%d, want %d/%d",
-				tr.Size(), tr.Changes(), s.tr.Size(), s.tr.Changes())
+				tr.Size(), got.ChangeSeq, s.tr.Size(), want.ChangeSeq)
 		}
 	})
 }

@@ -11,7 +11,7 @@
 // order in which the callers got the lock.
 //
 // What makes a SubmitMany run cheaper per request than a loop of Submits is
-// the controller's batch fast path (Whiteboard.FastGrant answers a request
+// the controller's batch fast path (the whiteboard answers a request
 // whose node holds a static package from node-local state, without
 // starting the transport) and taking the lock once for the run.
 // BenchmarkSubmitSerial and BenchmarkSubmitPipeline time the two on the

@@ -114,13 +114,13 @@ func (p Params) DomainSize(k int) int64 {
 	return p.Psi << uint(k) / 2
 }
 
-// IsFillerDistance reports whether a mobile package of the given level,
+// isFillerDistance reports whether a mobile package of the given level,
 // held by an ancestor at hop distance d from the requesting node, satisfies
 // the filler-node condition of Section 3.1:
 //
 //	level 0:  0 ≤ d ≤ 2ψ
 //	level j:  2^j·ψ < d ≤ 2^{j+1}·ψ
-func (p Params) IsFillerDistance(level int, d int64) bool {
+func (p Params) isFillerDistance(level int, d int64) bool {
 	if level == 0 {
 		return d >= 0 && d <= 2*p.Psi
 	}
@@ -157,9 +157,9 @@ func (iv Interval) Len() int64 {
 // Valid reports whether the interval carries serials.
 func (iv Interval) Valid() bool { return iv.Lo >= 1 && iv.Hi >= iv.Lo }
 
-// Split halves the interval into a lower and an upper part of equal length.
+// split halves the interval into a lower and an upper part of equal length.
 // The interval length must be even.
-func (iv Interval) Split() (lower, upper Interval, err error) {
+func (iv Interval) split() (lower, upper Interval, err error) {
 	n := iv.Len()
 	if n%2 != 0 {
 		return Interval{}, Interval{}, fmt.Errorf("split interval of odd length %d", n)
@@ -220,7 +220,7 @@ func (pk *Package) Split() (p1, p2 Package, err error) {
 	p1 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
 	p2 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
 	if pk.Serials.Valid() {
-		lo, hi, err := pk.Serials.Split()
+		lo, hi, err := pk.Serials.split()
 		if err != nil {
 			return Package{}, Package{}, err
 		}
@@ -295,10 +295,6 @@ func (s *Store) HasReject() bool { return s.reject }
 // SetReject places a reject package in the store (idempotent).
 func (s *Store) SetReject() { s.reject = true }
 
-// ClearReject removes the reject package (used when drivers reset state
-// between iterations).
-func (s *Store) ClearReject() { s.reject = false }
-
 // AddMobile stores a mobile package and returns it in the store.
 func (s *Store) AddMobile(pk Package) *Package {
 	s.pkgs = append(s.pkgs, pk)
@@ -331,7 +327,7 @@ func (s *Store) MobileAtFillerDistance(p Params, d int64) *Package {
 	var best *Package
 	for i := int(s.statics); i < len(s.pkgs); i++ {
 		pk := &s.pkgs[i]
-		if p.IsFillerDistance(pk.Level, d) && (best == nil || pk.Level < best.Level) {
+		if p.isFillerDistance(pk.Level, d) && (best == nil || pk.Level < best.Level) {
 			best = pk
 		}
 	}

@@ -113,8 +113,8 @@ func TestIsFillerDistance(t *testing.T) {
 		{2, 8*psi + 100, false}, //
 	}
 	for _, tc := range tests {
-		if got := p.IsFillerDistance(tc.level, tc.d); got != tc.want {
-			t.Fatalf("IsFillerDistance(%d, %d) = %v, want %v", tc.level, tc.d, got, tc.want)
+		if got := p.isFillerDistance(tc.level, tc.d); got != tc.want {
+			t.Fatalf("isFillerDistance(%d, %d) = %v, want %v", tc.level, tc.d, got, tc.want)
 		}
 	}
 }
@@ -140,8 +140,8 @@ func TestRootLevel(t *testing.T) {
 	for d := int64(0); d < 40*psi; d += 7 {
 		j := p.RootLevel(d)
 		for level := 0; level <= p.MaxLevel+2; level++ {
-			if got := p.IsFillerDistance(level, d); got != (level == j) {
-				t.Fatalf("IsFillerDistance(%d, %d) = %v with RootLevel(%d) = %d", level, d, got, d, j)
+			if got := p.isFillerDistance(level, d); got != (level == j) {
+				t.Fatalf("isFillerDistance(%d, %d) = %v with RootLevel(%d) = %d", level, d, got, d, j)
 			}
 		}
 	}
@@ -149,14 +149,14 @@ func TestRootLevel(t *testing.T) {
 
 func TestIntervalSplit(t *testing.T) {
 	iv := Interval{Lo: 10, Hi: 17}
-	lo, hi, err := iv.Split()
+	lo, hi, err := iv.split()
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
 	if lo != (Interval{10, 13}) || hi != (Interval{14, 17}) {
 		t.Fatalf("Split = %v, %v", lo, hi)
 	}
-	if _, _, err := (Interval{1, 3}).Split(); err == nil {
+	if _, _, err := (Interval{1, 3}).split(); err == nil {
 		t.Fatal("odd split should fail")
 	}
 	if (Interval{}).Valid() {
@@ -308,11 +308,6 @@ func TestStoreRejectAndClear(t *testing.T) {
 	if !s.HasReject() {
 		t.Fatal("reject flag lost")
 	}
-	s.ClearReject()
-	if s.HasReject() {
-		t.Fatal("ClearReject failed")
-	}
-	s.SetReject()
 	s.Clear()
 	if !s.Empty() {
 		t.Fatal("Clear should empty the store")
@@ -638,7 +633,7 @@ func TestStoreMatchesTwoSliceModel(t *testing.T) {
 				d := rng.Int63n(20 * p.Psi)
 				got, want := s.MobileAtFillerDistance(p, d), -1
 				for i, pk := range m.mobiles {
-					if p.IsFillerDistance(pk.Level, d) && (want < 0 || pk.Level < m.mobiles[want].Level) {
+					if p.isFillerDistance(pk.Level, d) && (want < 0 || pk.Level < m.mobiles[want].Level) {
 						want = i
 					}
 				}

@@ -15,8 +15,7 @@ import (
 // test that replays seeded random histories of all four change kinds through
 // both and compares full snapshots after every step. What the model pins is
 // everything the snapshot bytes depend on: ids, the order swap-removes leave
-// children in, the deleted set and the change sequence. Ports are π of the
-// edge's child, so the model checks them against its own parent links.
+// children in, the deleted set and the change sequence.
 
 type refNode struct {
 	id         NodeID
@@ -160,15 +159,6 @@ func (r *refTree) checkDense(tr *Tree) error {
 			return fmt.Errorf("id %d: parent %d at depth %d with express link %d, the model says parent %d at depth %d with link %d",
 				id, tr.parent[id], tr.depth[id], *tr.express.At(id), parent, depth, express)
 		}
-		if parent == InvalidNode {
-			continue
-		}
-		down, errDown := tr.ChildPort(parent, id)
-		up, errUp := tr.ParentPort(id)
-		if errDown != nil || errUp != nil || down != 2*int(permute(id)) || up != down+1 {
-			return fmt.Errorf("id %d under %d: ports %d (%v) down and %d (%v) up, want 2π(%d) = %d and one more",
-				id, parent, down, errDown, up, errUp, id, 2*permute(id))
-		}
 	}
 	return nil
 }
@@ -188,8 +178,7 @@ func linked(tr *Tree) bool {
 // in two regimes. Under sequential one tree lives through the whole history;
 // under adversarial a seeded adversary interrupts it at steps of its own
 // choosing, and the history goes on in a tree restored from the snapshot
-// taken there. Ports are a function of the edge, so the restored tree must
-// go on matching the model, ports included.
+// taken there, which must go on matching the model.
 func TestTreeMatchesMapModel(t *testing.T) {
 	for _, regime := range []struct {
 		name     string

@@ -22,8 +22,7 @@ type Shape struct {
 // Build grows tr, assumed bare, into sh by applying leaf additions directly,
 // with no controller involved. Ids are handed out in allocation order and a
 // balanced shape draws its parents from its own source seeded with seed, so
-// the same (Shape, seed) builds the same tree, ids and parents alike, and so
-// the same ports.
+// the same (Shape, seed) builds the same tree, ids and parents alike.
 func Build(tr *Tree, sh Shape, seed int64) error {
 	switch sh.Kind {
 	case "", "balanced": // each new leaf under a uniformly random node

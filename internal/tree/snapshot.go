@@ -13,8 +13,8 @@ import (
 // state through its existing reference.
 
 // NodeSnapshot is the captured state of one live node. Children are listed
-// in insertion order. Depth and the ports follow from the ids and the
-// parent links and are therefore not stored.
+// in insertion order. Depth follows from the parent links and is therefore
+// not stored.
 type NodeSnapshot struct {
 	ID       NodeID
 	Parent   NodeID
@@ -24,7 +24,7 @@ type NodeSnapshot struct {
 // Snapshot is the complete captured state of a tree. It is plain data: the
 // binary codec in internal/persist serializes it, and Restore rebuilds the
 // identical tree from it (node ids, child order, change sequence and the
-// deleted-id set all survive the round trip, and the ports with the ids).
+// deleted-id set all survive the round trip).
 type Snapshot struct {
 	Root        NodeID
 	NextID      NodeID
@@ -68,13 +68,11 @@ func (t *Tree) Snapshot() *Snapshot {
 
 // Restore replaces the tree's contents with the captured snapshot, keeping
 // the tree value (and thus every reference to it). A restore is state
-// recovery, not a topological change: Changes becomes the snapshot's count
+// recovery, not a topological change: the change count becomes the snapshot's
 // and Generation moves on. The restored tree is validated before the
 // receiver is touched; on error the tree is left unchanged. It refuses ids
 // that disagree with the snapshot's own counts (before sizing anything), a
 // walk that would push more nodes than are listed (cycles cost no more than
-// the list), and Validate. Ports follow from the ids, so the restored tree,
-// and every edge it links later, has the ports the uninterrupted one has.
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"fmt"
 	"iter"
 	"slices"
 )
@@ -75,34 +74,4 @@ func (t *Tree) Height() int {
 // the root on a bare tree.
 func (t *Tree) Deepest() NodeID {
 	return NodeID(slices.Index(t.depth, int32(t.Height())))
-}
-
-// NCA returns the nearest common ancestor of u and v.
-func (t *Tree) NCA(u, v NodeID) (NodeID, error) {
-	w, _, err := t.nca(u, v)
-	return w, err
-}
-
-// TreeDistance returns the hop distance between two arbitrary live nodes
-// (through their nearest common ancestor).
-func (t *Tree) TreeDistance(u, v NodeID) (int, error) {
-	_, d, err := t.nca(u, v)
-	return d, err
-}
-
-// nca returns the nearest common ancestor of u and v and the hop distance
-// between the two through it.
-func (t *Tree) nca(u, v NodeID) (NodeID, int, error) {
-	if !t.Contains(u) {
-		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", u, ErrNoSuchNode)
-	}
-	if !t.Contains(v) {
-		return InvalidNode, 0, fmt.Errorf("nca of %d: %w", v, ErrNoSuchNode)
-	}
-	du, dv := int(t.depth[u]), int(t.depth[v])
-	u, v = t.ancestor(u, max(du-dv, 0)), t.ancestor(v, max(dv-du, 0))
-	for u != v {
-		u, v = t.parent[u], t.parent[v]
-	}
-	return u, du + dv - 2*int(t.depth[u]), nil
 }

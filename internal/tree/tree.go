@@ -11,16 +11,6 @@
 //   - RemoveInternal: a non-root node u is deleted; u's children become
 //     children of u's parent.
 //
-// Ports. The paper lets an adversary choose the port numbers, subject only
-// to their being distinct at each vertex and O(log N) bits long. Here a port
-// is a function of the edge and is never stored: the port at a parent toward
-// its child c is 2·π(c), and the port at c toward its parent is 2·π(c)+1,
-// where π is one fixed, keyed permutation of the ids that keeps every id's
-// bit length. Ids are distinct, so the child ports at a vertex are, and they
-// are even where the parent port is odd; a port has one bit more than the
-// id, with no cap. Linking a node draws nothing and tests nothing, and a
-// restored tree numbers every edge as the uninterrupted one does.
-//
 // Storage. Node ids are dense by construction (they count up from 1 and are
 // never reused), so the tree keeps its nodes, by value, in a Table indexed by
 // NodeID: no lookup hashes, and adding a node allocates nothing but a chunk of
@@ -80,7 +70,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -137,9 +126,6 @@ func (k ChangeKind) String() string {
 	}
 }
 
-// IsRemoval reports whether the change deletes a node.
-func (k ChangeKind) IsRemoval() bool { return k == RemoveLeaf || k == RemoveInternal }
-
 // IsAddition reports whether the change inserts a node.
 func (k ChangeKind) IsAddition() bool { return k == AddLeaf || k == AddInternal }
 
@@ -160,7 +146,7 @@ type Request struct {
 
 // node is what a vertex knows of its edges. Its parent, its depth and
 // whether it lives are in Tree.parent and Tree.depth, its children in
-// Tree.lists, its ports follow from its id, and its id is its index in
+// Tree.lists, and its id is its index in
 // Tree.nodes, where it sits by value: the zero node is an id that is not in
 // the tree. The struct holds two 32-bit fields, 8 bytes an entry and 4 KiB a
 // chunk of the table; a slot or a list index counts nodes alive at once,
@@ -168,31 +154,6 @@ type Request struct {
 type node struct {
 	slot int32 // position of this node in its parent's children
 	list int32 // index of the node's children in Tree.lists; 0 for none
-}
-
-// The two rounds of permute, each a multiplication by an odd constant and a
-// xorshift; the constants are the permutation's key.
-const (
-	portKey1 = 0x9e3779b97f4a7c15
-	portKey2 = 0xbf58476d1ce4e5b9
-)
-
-// permute is π: for an id c in [2^j, 2^(j+1)) it keeps the top bit and maps
-// the j bits below it through a bijection on j bits, two rounds of multiply
-// by an odd constant and xorshift, each invertible modulo 2^j. So π is a
-// bijection on every such block, distinct ids have distinct images, and an
-// image has the bit length of its id.
-func permute(c NodeID) uint64 {
-	x := uint64(c)
-	j := bits.Len64(x) - 1
-	mask := uint64(1)<<j - 1
-	shift := (j + 1) / 2 // at least 1 where there are bits to mix
-	y := x & mask
-	y = (y * portKey1) & mask
-	y ^= y >> shift
-	y = (y * portKey2) & mask
-	y ^= y >> shift
-	return x&^mask | y
 }
 
 // Tree is a dynamic rooted tree. The root is created by New and is never
@@ -222,7 +183,7 @@ type Tree struct {
 	live      int // live entries of nodes
 	root      NodeID
 	stack     []NodeID // recomputeDepths' and Subtree's scratch, empty between calls
-	changeSeq uint64
+	changeSeq uint64   // applied topological changes; snapshots carry it
 	// generation counts the applied changes like changeSeq and the Restores
 	// as well; no snapshot carries it.
 	generation uint64
@@ -404,14 +365,9 @@ func (t *Tree) TableBytes() int {
 	return t.nodes.Bytes() + t.lists.Bytes()
 }
 
-// Changes returns the number of topological changes applied so far.
-func (t *Tree) Changes() uint64 {
-	return t.changeSeq
-}
-
 // Generation returns a count that moves whenever the node set may have: on
 // every applied topological change and on every Restore, which can bring
-// back an earlier Changes value over different nodes. Whoever keeps state
+// back an earlier change count over different nodes. Whoever keeps state
 // derived from the tree (a cached node list) compares two readings to learn
 // whether it still holds.
 func (t *Tree) Generation() uint64 {
@@ -489,30 +445,6 @@ func (t *Tree) Depth(id NodeID) (int, error) {
 func (t *Tree) IsLeaf(id NodeID) bool {
 	n := t.get(id)
 	return n != nil && n.list == 0
-}
-
-// ParentPort returns the port number at id leading to its parent,
-// 2·π(id)+1: odd, so distinct from every child port at id.
-func (t *Tree) ParentPort(id NodeID) (int, error) {
-	if !t.Contains(id) {
-		return 0, fmt.Errorf("parent port of %d: %w", id, ErrNoSuchNode)
-	}
-	if t.parent[id] == InvalidNode {
-		return 0, fmt.Errorf("parent port of root %d: %w", id, ErrIsRoot)
-	}
-	return int(2*permute(id) + 1), nil
-}
-
-// ChildPort returns the port number at parent leading to child, 2·π(child):
-// even, and distinct from every other child's because π is injective.
-func (t *Tree) ChildPort(parent, child NodeID) (int, error) {
-	if !t.Contains(parent) {
-		return 0, fmt.Errorf("child port at %d: %w", parent, ErrNoSuchNode)
-	}
-	if !t.Contains(child) || t.parent[child] != parent {
-		return 0, fmt.Errorf("child port %d->%d: %w", parent, child, ErrNotRelated)
-	}
-	return int(2 * permute(child)), nil
 }
 
 // ApplyAddLeaf adds a new leaf as a child of parent and returns its id.
@@ -593,9 +525,9 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	return nil
 }
 
-// link makes c the last child of p; the ports of the edge follow from c. The
-// depth of c is the caller's to set: a new node is allocated with it, a
-// moved one heads a subtree for recomputeDepths.
+// link makes c the last child of p. The depth of c is the caller's to set: a
+// new node is allocated with it, a moved one heads a subtree for
+// recomputeDepths.
 func (t *Tree) link(p, c NodeID) {
 	pn, cn := t.nodes.At(p), t.nodes.At(c)
 	t.parent[c] = p

@@ -623,27 +623,6 @@ func TestGeneration(t *testing.T) {
 	moved("refused restore", false)
 }
 
-func TestNCAAndTreeDistance(t *testing.T) {
-	tr, root := New()
-	a := mustAddLeaf(t, tr, root)
-	b := mustAddLeaf(t, tr, a)
-	c := mustAddLeaf(t, tr, a)
-	d := mustAddLeaf(t, tr, c)
-
-	nca, err := tr.NCA(b, d)
-	if err != nil || nca != a {
-		t.Fatalf("NCA(b,d) = %d, %v; want %d", nca, err, a)
-	}
-	dist, err := tr.TreeDistance(b, d)
-	if err != nil || dist != 3 {
-		t.Fatalf("TreeDistance(b,d) = %d, %v; want 3", dist, err)
-	}
-	nca, _ = tr.NCA(b, b)
-	if nca != b {
-		t.Fatalf("NCA(b,b) = %d, want %d", nca, b)
-	}
-}
-
 func TestDFSNumbersAndIntervals(t *testing.T) {
 	tr, root := New()
 	a := mustAddLeaf(t, tr, root)
@@ -797,18 +776,18 @@ func TestHeightFollowsDepths(t *testing.T) {
 	}
 }
 
-// TestObservers pins the two counts a watcher of the tree reads: Changes
-// and Generation each advance by one per applied change, in order, and a
-// Restore sets Changes to the snapshot's count while Generation still moves
-// on.
+// TestObservers pins the two counts of the tree: the change count a
+// snapshot carries and Generation each advance by one per applied change, in
+// order, and a Restore sets the change count to the snapshot's while
+// Generation still moves on.
 func TestObservers(t *testing.T) {
 	tr, root := New()
 	step := uint64(0)
 	counted := func(what string) {
 		t.Helper()
 		step++
-		if c, g := tr.Changes(), tr.Generation(); c != step || g != step {
-			t.Fatalf("after %s: Changes() = %d, Generation() = %d, want %d each", what, c, g, step)
+		if c, g := tr.Snapshot().ChangeSeq, tr.Generation(); c != step || g != step {
+			t.Fatalf("after %s: ChangeSeq = %d, Generation() = %d, want %d each", what, c, g, step)
 		}
 	}
 
@@ -832,25 +811,8 @@ func TestObservers(t *testing.T) {
 	if err := tr.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if c, g := tr.Changes(), tr.Generation(); c != 1 || g != step+1 {
-		t.Fatalf("after Restore: Changes() = %d, Generation() = %d, want 1 and %d", c, g, step+1)
-	}
-}
-
-func TestPortsDistinct(t *testing.T) {
-	tr, root := New()
-	hub := mustAddLeaf(t, tr, root)
-	for i := 0; i < 50; i++ {
-		mustAddLeaf(t, tr, hub)
-	}
-	if err := portsDistinct(tr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.ParentPort(root); !errors.Is(err, ErrIsRoot) {
-		t.Fatalf("ParentPort(root) = %v, want ErrIsRoot", err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if c, g := tr.Snapshot().ChangeSeq, tr.Generation(); c != 1 || g != step+1 {
+		t.Fatalf("after Restore: ChangeSeq = %d, Generation() = %d, want 1 and %d", c, g, step+1)
 	}
 }
 
@@ -883,7 +845,7 @@ func TestChangeKindString(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", int(k), got, want)
 		}
 	}
-	if !AddLeaf.IsAddition() || !RemoveInternal.IsRemoval() || None.IsAddition() || AddLeaf.IsRemoval() {
+	if !AddLeaf.IsAddition() || !AddInternal.IsAddition() || None.IsAddition() || RemoveInternal.IsAddition() {
 		t.Fatal("kind predicates inconsistent")
 	}
 }

@@ -184,8 +184,8 @@ func TestChurnFollowsRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Changes() != other.Changes() {
-		t.Fatalf("setup: %d changes against %d", tr.Changes(), other.Changes())
+	if c, o := tr.Snapshot().ChangeSeq, other.Snapshot().ChangeSeq; c != o {
+		t.Fatalf("setup: %d changes against %d", c, o)
 	}
 	gen := workload.NewChurn(tr, workload.EventOnlyMix(), 3)
 	if _, ok := gen.Next(); !ok {
@@ -214,7 +214,7 @@ func TestMinSizeFloor(t *testing.T) {
 		if !ok {
 			break
 		}
-		if req.Kind.IsRemoval() && tr.Size() <= 10 {
+		if (req.Kind == tree.RemoveLeaf || req.Kind == tree.RemoveInternal) && tr.Size() <= 10 {
 			t.Fatal("removal emitted at the size floor")
 		}
 	}
