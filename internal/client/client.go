@@ -10,12 +10,18 @@
 // frames back to their waiting callers by id. Calls are spread across the
 // pool round-robin, so concurrent callers get both connection-level and
 // in-connection parallelism without any coordination of their own.
+//
+// A connection's bytes go through wire.RawSocket, as the daemon's do: on
+// Linux a TCP conn is read and written by raw read(2)/write(2) calls, so a
+// Submit write that wakes a daemon on the same CPU does not hand this
+// process's processor to another thread.
 package client
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -156,12 +162,7 @@ func (c *Client) dialOne(addr string) (*cliConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := &cliConn{
-		cl:      c,
-		nc:      nc,
-		br:      bufio.NewReaderSize(nc, 64<<10),
-		pending: map[uint64]*pendingCall{},
-	}
+	cc := newCliConn(c, nc)
 	// A deadline that cannot be armed or cleared is connection-fatal: an
 	// undeadlined handshake could hang forever, and a conn stuck behind a
 	// stale deadline would poison every later call routed to it.
@@ -179,6 +180,11 @@ func (c *Client) dialOne(addr string) (*cliConn, error) {
 	}
 	go cc.readLoop()
 	return cc, nil
+}
+
+func newCliConn(c *Client, nc net.Conn) *cliConn {
+	sock := wire.RawSocket(nc)
+	return &cliConn{cl: c, nc: nc, sock: sock, br: bufio.NewReaderSize(sock, 64<<10), pending: map[uint64]*pendingCall{}}
 }
 
 // Tenant returns the namespace this pool is bound to, as echoed by the
@@ -306,11 +312,12 @@ func (pc *pendingCall) finish(err error) {
 // cliConn is one pooled connection with a reader goroutine.
 type cliConn struct {
 	cl      *Client
-	nc      net.Conn
-	br      *bufio.Reader // nc's read side: the handshake, then readLoop
+	nc      net.Conn      // deadlines and Close
+	sock    io.ReadWriter // nc's bytes: wire.RawSocket(nc)
+	br      *bufio.Reader // sock's read side: the handshake, then readLoop
 	welcome wire.Welcome
 
-	wmu  sync.Mutex // guards nc's write side and id/pending registration order
+	wmu  sync.Mutex // guards sock's write side and id/pending registration order
 	wbuf []byte
 	id   uint64
 
@@ -322,7 +329,7 @@ type cliConn struct {
 
 func (cc *cliConn) handshake() error {
 	cc.wbuf = wire.AppendHello(cc.wbuf[:0], wire.Hello{Version: wire.Version, Tenant: cc.cl.opts.Tenant})
-	if _, err := cc.nc.Write(cc.wbuf); err != nil {
+	if _, err := cc.sock.Write(cc.wbuf); err != nil {
 		return fmt.Errorf("%w: write hello: %v", ErrHandshake, err)
 	}
 	var rbuf []byte
@@ -389,7 +396,7 @@ func (cc *cliConn) roundTrip(reqs []controller.Request, out []controller.BatchRe
 		werr = cc.nc.SetWriteDeadline(time.Now().Add(wt))
 	}
 	if werr == nil {
-		_, werr = cc.nc.Write(cc.wbuf)
+		_, werr = cc.sock.Write(cc.wbuf)
 	}
 	cc.wmu.Unlock()
 	if werr != nil {

@@ -1,6 +1,10 @@
 package client
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+	"net"
+)
 
 // BreakConnForTest force-fails pooled connection i, as if its socket died:
 // the connection is marked dead and every pending call on it errors. Tests
@@ -9,3 +13,10 @@ func (c *Client) BreakConnForTest(i int) {
 	cc := c.conns[i%len(c.conns)]
 	cc.failAll(fmt.Errorf("client: connection broken by test"))
 }
+
+// SockForTest returns what pooled connection i reads and writes through.
+func (c *Client) SockForTest(i int) io.ReadWriter { return c.conns[i%len(c.conns)].sock }
+
+// SockOverForTest returns what a pooled connection over nc would read and
+// write through.
+func SockOverForTest(nc net.Conn) io.ReadWriter { return newCliConn(nil, nc).sock }

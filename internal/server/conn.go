@@ -24,7 +24,7 @@ const readBatch = 4096
 type srvConn struct {
 	s      *Server
 	nc     net.Conn
-	sock   io.ReadWriter // nc's bytes: rawSocket(nc), read through br
+	sock   io.ReadWriter // nc's bytes: wire.RawSocket(nc), read through br
 	remote string
 	br     *bufio.Reader
 	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
@@ -46,7 +46,7 @@ type srvConn struct {
 }
 
 func newSrvConn(s *Server, nc net.Conn) *srvConn {
-	sock := rawSocket(nc)
+	sock := wire.RawSocket(nc)
 	return &srvConn{s: s, nc: nc, sock: sock, remote: nc.RemoteAddr().String(), br: bufio.NewReaderSize(sock, 64<<10)}
 }
 

@@ -24,8 +24,8 @@
 // executes it on its own goroutine under that lock (tenant.submit). Nothing
 // else queues, combines or hands a run over; a scrape, a checkpoint and the
 // drain take the same lock. On Linux a TCP connection's bytes move by raw
-// read(2) and write(2) calls (rawSock), which the runtime hands no
-// processor off around.
+// read(2) and write(2) calls (wire.RawSocket, as in internal/client),
+// which the runtime hands no processor off around.
 //
 // With a WAL root configured (Config.WALDir) the daemon is durable: each
 // tenant logs to its own subdirectory (WALDir/<tenant>), every decided

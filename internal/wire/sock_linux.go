@@ -1,6 +1,6 @@
 //go:build linux
 
-package server
+package wire
 
 import (
 	"io"
@@ -19,12 +19,14 @@ import (
 // thread around it, as it does around net.Conn's Read and Write when the
 // peer is woken onto the same CPU before the call returns. The cost is
 // that a call the kernel preempts keeps its P until it returns; at fan-in
-// over two Ps (BenchmarkFanin*, -cpu 2) that showed no loss.
+// over two Ps (internal/server's BenchmarkFanin*, -cpu 2) that showed no
+// loss.
 //
 // The callbacks are bound once, as method values, and pass their buffer,
 // count and error through the struct: a closure per call would allocate
 // on every call. A read and a write may run at once; two reads or two
-// writes may not, which the serve loop never does.
+// writes may not, which neither end does: the daemon's serve loop is one
+// goroutine, the client's reader is one and its writes hold a mutex.
 type rawSock struct {
 	tc              *net.TCPConn
 	rc              syscall.RawConn
@@ -39,9 +41,10 @@ type rawSock struct {
 	werr error
 }
 
-// rawSocket returns the reader and writer the serve loop uses for nc: a
-// rawSock for a TCP conn, nc itself for any other.
-func rawSocket(nc net.Conn) io.ReadWriter {
+// RawSocket returns the reader and writer both ends of the protocol use
+// for nc: a rawSock for a TCP conn, nc itself for any other. Deadlines,
+// CloseRead and Close stay nc's.
+func RawSocket(nc net.Conn) io.ReadWriter {
 	tc, ok := nc.(*net.TCPConn)
 	if !ok {
 		return nc

@@ -41,6 +41,8 @@
 // The normative protocol document — framing, version negotiation, every
 // frame's field table, error codes, and the tenant-scoping rules — is
 // docs/PROTOCOL.md; this package is its reference implementation.
+//
+// Both ends move a connection's bytes through RawSocket (sock_linux.go).
 package wire
 
 import (
