@@ -183,8 +183,42 @@ func (c *Client) dialOne(addr string) (*cliConn, error) {
 }
 
 func newCliConn(c *Client, nc net.Conn) *cliConn {
-	sock := wire.RawSocket(nc)
+	var sock io.ReadWriter = nc
+	if tc, ok := nc.(*net.TCPConn); ok {
+		if raw, err := wire.RawSocket(tc); err == nil {
+			sock = &tcpSock{raw: raw, tc: tc}
+		}
+	}
 	return &cliConn{cl: c, nc: nc, sock: sock, br: bufio.NewReaderSize(sock, 64<<10), pending: map[uint64]*pendingCall{}}
+}
+
+// tcpSock is a TCP conn's raw socket, its errors (bare, or RawConn's
+// *net.OpError "raw-read"/"raw-write") shaped as net.Conn's: a *net.OpError
+// named "read" or "write". io.EOF stays bare.
+type tcpSock struct {
+	raw io.ReadWriter // wire.RawSocket(tc)
+	tc  *net.TCPConn
+}
+
+func (s *tcpSock) Read(b []byte) (int, error) {
+	n, err := s.raw.Read(b)
+	return n, s.opError("read", err)
+}
+
+func (s *tcpSock) Write(b []byte) (int, error) {
+	n, err := s.raw.Write(b)
+	return n, s.opError("write", err)
+}
+
+func (s *tcpSock) opError(op string, err error) error {
+	if oe, ok := err.(*net.OpError); ok {
+		oe.Op = op
+		return oe
+	}
+	if err == nil || err == io.EOF {
+		return err
+	}
+	return &net.OpError{Op: op, Net: "tcp", Source: s.tc.LocalAddr(), Addr: s.tc.RemoteAddr(), Err: err}
 }
 
 // Tenant returns the namespace this pool is bound to, as echoed by the
@@ -313,7 +347,7 @@ func (pc *pendingCall) finish(err error) {
 type cliConn struct {
 	cl      *Client
 	nc      net.Conn      // deadlines and Close
-	sock    io.ReadWriter // nc's bytes: wire.RawSocket(nc)
+	sock    io.ReadWriter // nc's bytes: raw for a TCP conn on Linux (tcpSock)
 	br      *bufio.Reader // sock's read side: the handshake, then readLoop
 	welcome wire.Welcome
 

@@ -14,8 +14,14 @@ func (c *Client) BreakConnForTest(i int) {
 	cc.failAll(fmt.Errorf("client: connection broken by test"))
 }
 
-// SockForTest returns what pooled connection i reads and writes through.
-func (c *Client) SockForTest(i int) io.ReadWriter { return c.conns[i%len(c.conns)].sock }
+// SockForTest returns what pooled connection i reads and writes through:
+// the raw socket under a TCP conn's error shaping, or the conn itself.
+func (c *Client) SockForTest(i int) io.ReadWriter {
+	if ts, ok := c.conns[i%len(c.conns)].sock.(*tcpSock); ok {
+		return ts.raw
+	}
+	return c.conns[i%len(c.conns)].sock
+}
 
 // SockOverForTest returns what a pooled connection over nc would read and
 // write through.

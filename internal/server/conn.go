@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"os"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dynctrl/internal/controller"
@@ -19,12 +20,20 @@ import (
 // socket buffer into a single run.
 const readBatch = 4096
 
+// conn is what a connection is served through: a *wire.Conn from the
+// listeners, and in tests a *net.TCPConn or a net.Pipe end.
+type conn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
+
 // srvConn is one accepted wire-protocol connection, bound to a single
 // tenant namespace by the handshake.
 type srvConn struct {
 	s      *Server
-	nc     net.Conn
-	sock   io.ReadWriter // nc's bytes: wire.RawSocket(nc), read through br
+	nc     conn
+	sock   io.ReadWriter // nc's bytes, raw on Linux, read through br
 	remote string
 	br     *bufio.Reader
 	tn     *tenant // nil until the handshake binds the namespace (serve goroutine only)
@@ -45,16 +54,27 @@ type srvConn struct {
 	wbuf    []byte
 }
 
-func newSrvConn(s *Server, nc net.Conn) *srvConn {
-	sock := wire.RawSocket(nc)
-	return &srvConn{s: s, nc: nc, sock: sock, remote: nc.RemoteAddr().String(), br: bufio.NewReaderSize(sock, 64<<10)}
+// newSrvConn reads and writes a *wire.Conn, the raw path already, through
+// itself, and any other syscall.Conn (a test's) through wire.RawSocket.
+func newSrvConn(s *Server, nc conn) *srvConn {
+	var sock io.ReadWriter = nc
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := wire.RawSocket(sc); err == nil {
+			sock = raw
+		}
+	}
+	remote := fmt.Sprintf("%T", nc) // a test's conn
+	if a, ok := nc.(interface{ RemoteAddr() string }); ok {
+		remote = a.RemoteAddr()
+	}
+	return &srvConn{s: s, nc: nc, sock: sock, remote: remote, br: bufio.NewReaderSize(sock, 64<<10)}
 }
 
 // closeRead shuts the read side so the serve loop drains out; responses for
 // in-flight batches still go to the client.
 func (c *srvConn) closeRead() {
 	c.readClosed.Store(true)
-	if tc, ok := c.nc.(*net.TCPConn); ok {
+	if tc, ok := c.nc.(interface{ CloseRead() error }); ok {
 		tc.CloseRead() //nolint:errcheck
 		return
 	}
@@ -195,8 +215,7 @@ func (c *srvConn) loop() {
 		ft, p, err := wire.ReadFrame(c.br, &c.rbuf)
 		if err != nil {
 			if idle > 0 && !c.readClosed.Load() {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
 					tn.idleTimeouts.Add(1)
 					c.s.logger.Info("idle timeout", "remote", c.remote, "tenant", tn.name)
 				}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
+	"log/slog"
 	"net/url"
 	"os"
 	"runtime/pprof"
@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dynctrl/internal/wire"
 )
 
 // The metrics listener's limits. They are constants, not options: the
@@ -59,55 +61,50 @@ func textReply(status int, body string) reply {
 // Content-Length and Connection: close, and holds every connection to the
 // limits above.
 type httpResponder struct {
-	ln    net.Listener
+	ln    *wire.Listener
 	route func(path string, q url.Values, done <-chan struct{}) reply
 	slots chan struct{} // a semaphore of httpMaxConns
 	done  chan struct{} // closed by close: ends a profile in progress
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
 
 // newHTTPResponder serves route on ln until close.
-func newHTTPResponder(ln net.Listener, route func(string, url.Values, <-chan struct{}) reply) *httpResponder {
+func newHTTPResponder(ln *wire.Listener, route func(string, url.Values, <-chan struct{}) reply, logger *slog.Logger) *httpResponder {
 	h := &httpResponder{
 		ln:    ln,
 		route: route,
 		slots: make(chan struct{}, httpMaxConns),
 		done:  make(chan struct{}),
-		conns: map[net.Conn]struct{}{},
+		conns: map[conn]struct{}{},
 	}
 	h.wg.Add(1)
-	go h.accept()
+	go h.accept(logger)
 	return h
 }
 
-func (h *httpResponder) accept() {
+func (h *httpResponder) accept(logger *slog.Logger) {
 	defer h.wg.Done()
-	for {
-		nc, err := h.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
+	acceptEach(h.ln, logger, "metrics", &h.mu, &h.closed, func(nc conn) bool {
 		select {
 		case h.slots <- struct{}{}:
 		default:
 			nc.Close() // at the cap
-			continue
+			return true
 		}
 		h.mu.Lock()
+		defer h.mu.Unlock()
 		if h.closed {
-			h.mu.Unlock()
-			nc.Close()
-			return
+			return false
 		}
 		h.conns[nc] = struct{}{}
 		h.wg.Add(1)
-		h.mu.Unlock()
 		go h.serve(nc)
-	}
+		return true
+	})
 }
 
 // close stops the listener as http.Server.Close did: the listener and every
@@ -130,7 +127,7 @@ func (h *httpResponder) close() {
 }
 
 // serve answers the one request of nc and closes it.
-func (h *httpResponder) serve(nc net.Conn) {
+func (h *httpResponder) serve(nc conn) {
 	defer func() {
 		h.mu.Lock()
 		delete(h.conns, nc)
@@ -174,21 +171,21 @@ func (h *httpResponder) serve(nc net.Conn) {
 // nc and reads what the peer still sends until it closes or httpLinger
 // passes: closing a socket with unread bytes resets it, and a reset can
 // discard the reply before the peer has read it.
-func writeReply(nc net.Conn, r reply, head bool) {
+func writeReply(nc conn, r reply, head bool) {
 	nc.SetWriteDeadline(time.Now().Add(httpWriteTimeout)) //nolint:errcheck // a failed set fails the write
-	hdr := fmt.Appendf(nil, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n",
+	msg := fmt.Appendf(nil, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n",
 		r.status, statusText(r.status), r.ctype, len(r.body))
 	if r.status == 405 {
-		hdr = append(hdr, "Allow: GET, HEAD\r\n"...)
+		msg = append(msg, "Allow: GET, HEAD\r\n"...)
 	}
-	bufs := net.Buffers{append(hdr, "\r\n"...)}
+	msg = append(msg, "\r\n"...)
 	if !head {
-		bufs = append(bufs, r.body)
+		msg = append(msg, r.body...)
 	}
-	if _, err := bufs.WriteTo(nc); err != nil {
+	if _, err := nc.Write(msg); err != nil {
 		return
 	}
-	if tc, ok := nc.(*net.TCPConn); ok {
+	if tc, ok := nc.(interface{ CloseWrite() error }); ok {
 		tc.CloseWrite() //nolint:errcheck // the drain below ends either way
 	}
 	nc.SetReadDeadline(time.Now().Add(httpLinger)) //nolint:errcheck

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"go/build"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,6 +18,11 @@ import (
 // tree.Build's). Nor may a package of the module in that closure import an
 // HTTP or TLS stack: the metrics listener is the responder in http.go, and
 // net/http would link half the binary again, crypto/tls and x509 with it.
+// Nor net or os/user: both carry a cgo half (the resolver, the user
+// lookup), so either one links runtime/cgo and, through it, libc and the
+// dynamic loader into the default CGO_ENABLED=1 build. The listeners are
+// internal/wire's syscall sockets; `go list -deps` with CGO_ENABLED=1 must
+// show no runtime/cgo.
 func TestServingPathImportsNoSimulator(t *testing.T) {
 	const module = "dynctrl/"
 	banned := map[string]bool{
@@ -27,6 +34,8 @@ func TestServingPathImportsNoSimulator(t *testing.T) {
 		"net/http":                   true,
 		"net/http/pprof":             true,
 		"crypto/tls":                 true,
+		"net":                        true,
+		"os/user":                    true,
 	}
 	// via[p] is the package that first pulled p in.
 	via := map[string]string{module + "cmd/dynctrld": ""}
@@ -59,5 +68,21 @@ func TestServingPathImportsNoSimulator(t *testing.T) {
 			chain = p + " → " + chain
 		}
 		t.Errorf("the daemon links %s: %s", imp, chain)
+	}
+
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command to list the daemon's dependencies: %v", err)
+	}
+	cmd := exec.Command(goTool, "list", "-deps", module+"cmd/dynctrld")
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, p := range strings.Fields(string(out)) {
+		if p == "runtime/cgo" {
+			t.Error("with CGO_ENABLED=1 the daemon links runtime/cgo, and with it libc")
+		}
 	}
 }

@@ -23,9 +23,10 @@
 // run (read-batching, which amortizes the protocol overhead under load) and
 // executes it on its own goroutine under that lock (tenant.submit). Nothing
 // else queues, combines or hands a run over; a scrape, a checkpoint and the
-// drain take the same lock. On Linux a TCP connection's bytes move by raw
-// read(2) and write(2) calls (wire.RawSocket, as in internal/client),
-// which the runtime hands no processor off around.
+// drain take the same lock. On Linux both listeners are wire.Listen's
+// syscall sockets, so the daemon links no package net and no libc, and a
+// connection's bytes move by raw read(2) and write(2) calls, which the
+// runtime hands no processor off around.
 //
 // With a WAL root configured (Config.WALDir) the daemon is durable: each
 // tenant logs to its own subdirectory (WALDir/<tenant>), every decided
@@ -65,21 +66,22 @@ import (
 	"io"
 	"log/slog"
 	"maps"
-	"net"
 	"slices"
 	"sync"
 	"time"
 
 	"dynctrl/internal/obs"
+	"dynctrl/internal/wire"
 )
 
 // Config describes one daemon instance.
 type Config struct {
-	// Addr is the TCP listen address (e.g. "127.0.0.1:7700"; ":0" picks a
-	// free port).
+	// Addr is the TCP listen address, "host:port" as wire.Listen takes it:
+	// the host an IP literal, localhost or empty (every address), never
+	// another name; port 0 picks a free one ("127.0.0.1:7700", ":0").
 	Addr string
-	// MetricsAddr is the HTTP listen address of the /metricsz endpoint;
-	// empty disables it.
+	// MetricsAddr is the HTTP listen address of the /metricsz endpoint, in
+	// Addr's forms; empty disables it.
 	MetricsAddr string
 
 	// Tenants declares the namespaces this daemon serves, at least one.
@@ -154,7 +156,7 @@ type Server struct {
 	// Start, and uptime is reported as 0 until then.
 	started time.Time
 
-	ln    net.Listener
+	ln    *wire.Listener
 	httpd *httpResponder // the metrics listener, nil without MetricsAddr
 
 	mu     sync.Mutex
@@ -245,19 +247,19 @@ func (s *Server) writeTraces(w io.Writer, tenant string, n int) {
 // Start opens the listeners and begins serving. It returns once the
 // listeners are bound (serving continues in background goroutines).
 func (s *Server) Start() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
+	ln, err := wire.Listen(s.cfg.Addr)
 	if err != nil {
-		return err
+		return fmt.Errorf("addr: %w", err)
 	}
 	s.ln = ln
 	s.started = time.Now()
 	if s.cfg.MetricsAddr != "" {
-		hln, err := net.Listen("tcp", s.cfg.MetricsAddr)
+		hln, err := wire.Listen(s.cfg.MetricsAddr)
 		if err != nil {
 			ln.Close()
-			return err
+			return fmt.Errorf("metrics: %w", err)
 		}
-		s.httpd = newHTTPResponder(hln, s.route)
+		s.httpd = newHTTPResponder(hln, s.route, s.logger)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -273,7 +275,7 @@ func (s *Server) Addr() string {
 	if s.ln == nil {
 		return ""
 	}
-	return s.ln.Addr().String()
+	return s.ln.Addr()
 }
 
 // MetricsAddr returns the bound metrics address ("" when disabled).
@@ -281,26 +283,46 @@ func (s *Server) MetricsAddr() string {
 	if s.httpd == nil {
 		return ""
 	}
-	return s.httpd.ln.Addr().String()
+	return s.httpd.ln.Addr()
 }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	acceptEach(s.ln, s.logger, "wire", &s.mu, &s.closed, s.adopt)
+}
+
+// acceptEach hands each connection ln accepts to take, until take reports
+// false (and the connection is closed) or an accept fails once *closed,
+// read under mu, is set. Any other failure (EMFILE, ENFILE, ENOBUFS, ENOMEM)
+// is logged and retried after a pause of 5 ms, doubling to 1 s until an
+// accept succeeds: a later accept may find the descriptor or memory.
+func acceptEach(ln *wire.Listener, logger *slog.Logger, name string, mu *sync.Mutex, closed *bool, take func(conn) bool) {
+	var pause time.Duration
 	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed (shutdown)
+		nc, err := ln.Accept()
+		if err == nil {
+			pause = 0
+			if !take(nc) {
+				nc.Close()
+				return
+			}
+			continue
 		}
-		if !s.adopt(nc) {
-			nc.Close()
+		mu.Lock()
+		done := *closed
+		mu.Unlock()
+		if done {
 			return
 		}
+		pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+		logger.Warn("accept failed", "listener", name, "err", err, "retry_in", pause)
+		time.Sleep(pause)
 	}
 }
 
 // adopt registers nc as a live connection and starts its serve goroutine.
 // It reports false once the drain has begun.
-func (s *Server) adopt(nc net.Conn) bool {
+func (s *Server) adopt(nc conn) bool {
 	c := newSrvConn(s, nc)
 	s.mu.Lock()
 	if s.closed {

@@ -42,7 +42,10 @@
 // frame's field table, error codes, and the tenant-scoping rules — is
 // docs/PROTOCOL.md; this package is its reference implementation.
 //
-// Both ends move a connection's bytes through RawSocket (sock_linux.go).
+// On Linux the daemon listens and accepts through Listen's syscall sockets,
+// so it links no package net, and both ends move a connection's bytes by
+// the raw path of sock_linux.go (Conn, and RawSocket for the client's
+// *net.TCPConn); sock_other.go falls back to package net elsewhere.
 package wire
 
 import (
