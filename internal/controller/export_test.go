@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"unsafe"
 
 	"dynctrl/internal/pkgstore"
 	"dynctrl/internal/stats"
@@ -21,7 +22,7 @@ import (
 // (CheckBlocks) and, outside the trivial tail, to being known good at the
 // tree's current express epoch: every change went through Grant, and none
 // may have cost a count in full.
-func (d *Dynamic) CheckMasks() (levels uint64, err error) {
+func (d *Dynamic) CheckMasks() (levels uint32, err error) {
 	wb := d.inner.wb
 	if len(wb.masks) != wb.stores.Len() {
 		return 0, fmt.Errorf("%d masks for %d stores", len(wb.masks), wb.stores.Len())
@@ -33,10 +34,10 @@ func (d *Dynamic) CheckMasks() (levels uint64, err error) {
 		return 0, fmt.Errorf("block counts known good at express epoch %d, the tree is at %d", wb.linkEpoch, wb.tr.ExpressEpoch())
 	}
 	for id, s := range wb.stores.All() {
-		var want uint64
+		var want uint32
 		if s.Present() {
 			for _, pk := range s.Mobiles() {
-				want |= 1 << min(uint(pk.Level), 63)
+				want |= 1 << min(uint(pk.Level), 31)
 			}
 		} else if !s.Empty() {
 			return 0, fmt.Errorf("node %d: no store, yet packages or a reject flag in its table entry", id)
@@ -145,7 +146,7 @@ func (d *Dynamic) CheckRecycled() error {
 }
 
 // MaskAt returns the level mask the current whiteboards keep for id.
-func (d *Dynamic) MaskAt(id tree.NodeID) uint64 { return d.inner.wb.maskAt(id) }
+func (d *Dynamic) MaskAt(id tree.NodeID) uint32 { return d.inner.wb.maskAt(id) }
 
 // FindFiller runs the centralized core's filler search from u over the
 // current whiteboards, as a slow-path request at u would.
@@ -189,7 +190,7 @@ func (d *Dynamic) FillerTests(u tree.NodeID) (tests int, searched bool) {
 // and in block rows, and the number of masks.
 func (d *Dynamic) DerivedBytes() (masks, rows, ids int) {
 	wb := d.inner.wb
-	return 8 * len(wb.masks), 8 * len(wb.blocks), len(wb.masks)
+	return int(unsafe.Sizeof(wb.masks[0])) * len(wb.masks), int(unsafe.Sizeof(wb.blocks[0])) * len(wb.blocks), len(wb.masks)
 }
 
 // MoveDown is the core's accounting of one move of pk.

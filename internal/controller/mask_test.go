@@ -16,7 +16,7 @@ type maskRun struct {
 	distributed bool
 	tr          *tree.Tree
 	d           *ctl.Dynamic
-	levels      uint64 // union of every mask seen
+	levels      uint32 // union of every mask seen
 	resting     bool   // some mobile package rested in a store after the last request
 	// handoffs counts graceful deletions of a node holding a mobile package
 	// its own request cannot consume (level 1 and up): it moves to the parent.

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"unsafe"
 
 	"dynctrl/internal/stats"
 	"dynctrl/internal/tree"
@@ -123,10 +124,13 @@ func (d *Dynamic) Iterations() int { return d.st.Iterations }
 // Counters returns the cost counters the controller counts into.
 func (d *Dynamic) Counters() *stats.Counters { return d.counters }
 
-// StoreTableBytes returns the bytes of the current whiteboards' store table,
-// which holds one pkgstore.Store for every id, the packages' backing arrays
-// not counted.
-func (d *Dynamic) StoreTableBytes() int { return d.inner.wb.stores.Bytes() }
+// TableBytes returns the bytes the current whiteboards keep for every id:
+// the store table, one pkgstore.Store an id, and the level masks and block
+// rows at their capacity, the packages' backing arrays not counted.
+func (d *Dynamic) TableBytes() int {
+	wb := d.inner.wb
+	return wb.stores.Bytes() + int(unsafe.Sizeof(wb.masks[0]))*cap(wb.masks) + int(unsafe.Sizeof(wb.blocks[0]))*cap(wb.blocks)
+}
 
 // Submit answers one request, restarting the inner controller with fresh
 // U_i and M_i estimates whenever the iteration policy fires.

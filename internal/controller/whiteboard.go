@@ -27,11 +27,13 @@ type Whiteboard struct {
 	// allocation but a chunk of the table every 512 ids, and a
 	// *pkgstore.Store taken from the table (Store, lookup) stays good while
 	// these whiteboards are in use: growing moves no entry. The table is
-	// handed, cleared, from the whiteboards an iteration discards to the
-	// ones the next iteration builds (newWhiteboard).
+	// handed, emptied, from the whiteboards an iteration discards to the
+	// ones the next iteration builds (newWhiteboard), each store keeping its
+	// backing array.
 	stores tree.Table[pkgstore.Store]
 	// masks is indexed by NodeID like stores and as long: bit j of masks[id]
-	// is set iff the store of id holds a mobile package of level j (levelBit).
+	// is set iff the store of id holds a mobile package of level j, bit 31
+	// iff it holds one of level 31 or above (levelBit).
 	// It is the one-bit-a-level projection of Claim 4.8's whiteboard
 	// encoding, derived from stores (State does not carry it, restoring
 	// rebuilds it), and what the filler search scans: a climb reads this
@@ -39,7 +41,7 @@ type Whiteboard struct {
 	// keep the two in step, a mobile package enters or leaves a store
 	// through the Whiteboard methods below and never through the
 	// pkgstore.Store a caller got from Store.
-	masks []uint64
+	masks []uint32
 	// blocks is indexed by NodeID like masks: blocks[r] is the row of the
 	// express stop r, eight byte counters, and byte j counts the ids whose
 	// express link in tr is r and whose mask has bit j, byte 7 those with any
@@ -114,9 +116,10 @@ func WithDescentObserver(fn func(size int64, enters tree.NodeID)) CoreOption {
 // tr assuming at most u nodes ever exist; the root's storage holds the m
 // permits. prev, when not nil, is the whiteboards of the iteration that just
 // ended: the caller is done with them, and their tables are taken over,
-// cleared rather than copied, so an iteration restart allocates no table.
-// Nothing of prev shows through: what it held for an id is gone, whether the
-// node still lives or was deleted under it.
+// emptied rather than copied, and each store of a live node keeps its backing
+// array at length 0, so an iteration restart allocates neither a table nor a
+// store's array. Nothing of prev shows through: what it held for an id is
+// gone, whether the node still lives or was deleted under it.
 func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreOption) *Whiteboard {
 	wb := &Whiteboard{tr: tr, root: tr.Root(), params: pkgstore.NewParams(u, m, w), storage: m,
 		linkEpoch: tr.ExpressEpoch()}
@@ -127,14 +130,22 @@ func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreO
 	if prev != nil {
 		wb.stores, wb.masks, wb.blocks = prev.stores, prev.masks, prev.blocks
 		prev.stores, prev.masks, prev.blocks = tree.Table[pkgstore.Store]{}, nil, nil
-		wb.stores.Reset()
 		wb.clearMasks()
 	}
 	// Every live node starts with an empty store (State lists them all) and
-	// every other id below the tree's next one without.
-	wb.resize(tr.EverExisted() + 1)
-	for id := range tr.All() {
-		*wb.stores.At(id) = pkgstore.NewStore()
+	// every other id without one. The tables only grow: an id past the
+	// tree's next one, which a Restore to an earlier tree can leave, has
+	// none either.
+	wb.resize(max(tr.EverExisted()+1, wb.stores.Len()))
+	for id, s := range wb.stores.All() {
+		switch {
+		case !tr.Contains(id):
+			*s = pkgstore.Store{}
+		case s.Present():
+			s.Clear()
+		default:
+			*s = pkgstore.NewStore()
+		}
 	}
 	if wb.counters == nil {
 		wb.counters = stats.NewCounters()
@@ -142,13 +153,12 @@ func newWhiteboard(tr *tree.Tree, u, m, w int64, prev *Whiteboard, opts ...CoreO
 	return wb
 }
 
-// resize sets the length of the two tables to n; only newWhiteboard, on
-// tables it has just cleared, may shorten them. What lies between the mask
-// slice's length and its capacity is therefore zero, and growing within the
-// capacity uncovers clear masks; beyond it the slice doubles, like the
-// tree's parent links it is scanned beside. The block rows grow where a
-// count is written (countBlock) and start out empty, not nil, which
-// tree.ClimbMarked would read as no rows kept at all.
+// resize grows the two tables to n entries; neither ever shrinks. What lies
+// between the mask slice's length and its capacity is therefore zero, and
+// growing within the capacity uncovers clear masks; beyond it the slice
+// doubles, like the tree's parent links it is scanned beside. The block rows
+// grow where a count is written (countBlock) and start out empty, not nil,
+// which tree.ClimbMarked would read as no rows kept at all.
 func (wb *Whiteboard) resize(n int) {
 	wb.stores.Grow(n)
 	wb.masks = regrow(wb.masks, n)
@@ -265,15 +275,15 @@ func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 }
 
 // levelBit is the mask bit of a mobile package level. Levels lie in
-// [0, Params.MaxLevel] and MaxLevel is below 64 for every U that fits an
-// int64; a level outside 0..62 shares the top bit, so whatever a store
-// holds, a clear bit still proves the level absent.
-func levelBit(level int) uint64 { return 1 << min(uint(level), 63) }
+// [0, Params.MaxLevel], which reaches 31 only for a U past 2^29; a level
+// from 31 on shares the top bit, so whatever a store holds, a clear bit still
+// proves the level absent.
+func levelBit(level int) uint32 { return 1 << min(uint(level), 31) }
 
 // lanesOf returns the counters of a block row a mask counts in, one bit a
 // byte of the row: bit j for a mask bit j below 7, bit 7 for any mask bit
 // from 7 on.
-func lanesOf(m uint64) uint8 {
+func lanesOf(m uint32) uint8 {
 	lanes := uint8(m & 0x7f)
 	if m>>7 != 0 {
 		lanes |= 0x80
@@ -283,7 +293,7 @@ func lanesOf(m uint64) uint8 {
 
 // setMask is the one place the mask of a single id changes: each counter of
 // the row of the block id hangs off follows the bit it counts.
-func (wb *Whiteboard) setMask(id tree.NodeID, m uint64) {
+func (wb *Whiteboard) setMask(id tree.NodeID, m uint32) {
 	if old, lanes := lanesOf(wb.masks[id]), lanesOf(m); old != lanes {
 		wb.countBlock(id, lanes&^old, old&^lanes)
 	}
@@ -361,7 +371,7 @@ func (wb *Whiteboard) land() {
 }
 
 // maskAt returns the mask of id, zero for an id beyond the table.
-func (wb *Whiteboard) maskAt(id tree.NodeID) uint64 {
+func (wb *Whiteboard) maskAt(id tree.NodeID) uint32 {
 	if uint64(id) < uint64(len(wb.masks)) {
 		return wb.masks[id]
 	}
@@ -370,7 +380,7 @@ func (wb *Whiteboard) maskAt(id tree.NodeID) uint64 {
 
 // remask recomputes the mask of id from its store.
 func (wb *Whiteboard) remask(id tree.NodeID, s *pkgstore.Store) {
-	var m uint64
+	var m uint32
 	for _, pk := range s.Mobiles() {
 		m |= levelBit(pk.Level)
 	}
@@ -428,7 +438,9 @@ func (wb *Whiteboard) lookup(id tree.NodeID) *pkgstore.Store {
 
 // Validate checks the request preconditions of Section 2.1: the node
 // exists, a deletion names a node of the right shape, and an internal
-// addition arrives at the parent-to-be.
+// addition arrives at the parent-to-be. An addition is also refused, with
+// tree.ErrNoIDLeft, once the tree has no id left to give the new node: the
+// cores validate before they move a package, so no permit is taken for it.
 func (wb *Whiteboard) Validate(req Request) error {
 	tr := wb.tr
 	if !tr.Contains(req.Node) {
@@ -458,7 +470,10 @@ func (wb *Whiteboard) Validate(req Request) error {
 			return fmt.Errorf("add-internal: request must arrive at the parent-to-be: %w",
 				tree.ErrNotRelated)
 		}
-	case tree.None, tree.AddLeaf:
+		return tr.CheckAdd()
+	case tree.AddLeaf:
+		return tr.CheckAdd()
+	case tree.None:
 		// No preconditions beyond the node existing.
 	default:
 		return fmt.Errorf("unknown request kind %v", req.Kind)

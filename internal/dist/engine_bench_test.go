@@ -140,60 +140,63 @@ func replayAllocs(t *testing.T, wl engineTrace) (float64, *engine) {
 }
 
 // TestEngineGrowAllocs gates what a topological change costs the allocator:
-// the centralized engine answers growTrace with at most 0.2 heap allocations
-// a request. Packages are values in their stores and cost none; what is left
-// is a node's child list as it grows, the tables' own growth steps, and each
-// store's first static package after an iteration restart. A package
-// allocated per move puts the count at 0.76, a node or a store allocated per
-// added leaf, or tables rebuilt per restart, at 1.75.
+// the centralized engine answers growTrace with at most 0.05 heap
+// allocations a request (0.044). Packages are values in their stores and
+// cost none, and a store keeps its backing array across iteration restarts;
+// what is left is a node's child list as it grows and the tables' own growth
+// steps. 8-byte links with each store's array dropped at every restart put
+// the count at 0.100, a package allocated per move at 0.76, a node or a
+// store allocated per added leaf, or tables rebuilt per restart, at 1.75.
 func TestEngineGrowAllocs(t *testing.T) {
 	perReq, e := replayAllocs(t, growTrace)
 	if it, n := e.d.Iterations(), e.tr.Size(); it < 10 || n < 20_000 {
 		t.Fatalf("trace ran %d iterations to %d nodes: not the grow-mix shape (12 iterations, about 25 000 nodes)", it, n)
 	}
-	if perReq > 0.2 {
-		t.Errorf("%.3f allocations a request, want at most 0.2", perReq)
+	if perReq > 0.05 {
+		t.Errorf("%.3f allocations a request, want at most 0.05", perReq)
 	}
 }
 
 // TestEngineDeepAllocs gates the slow path: on deepTrace nearly every
 // request below the top of the path climbs to a filler, splits it at the
 // drop points and lands a static package, and the centralized engine does it
-// with at most 0.1 allocations a request (0.057; 0.35 with a package
-// allocated per split).
+// with at most 0.04 allocations a request (0.032; 0.047 with a store's array
+// dropped by each Clear, 0.35 with a package allocated per split).
 func TestEngineDeepAllocs(t *testing.T) {
-	if perReq, _ := replayAllocs(t, deepTrace); perReq > 0.1 {
-		t.Errorf("%.3f allocations a request, want at most 0.1", perReq)
+	if perReq, _ := replayAllocs(t, deepTrace); perReq > 0.04 {
+		t.Errorf("%.3f allocations a request, want at most 0.04", perReq)
 	}
 }
 
 // TestEngineChurnAllocs gates graceful deletions: on churnTrace the
 // centralized handoff appends a deleted node's packages straight into its
 // parent's store, without copying them into a slice of their own first, and
-// the engine answers with at most 1.95 allocations a request (1.936; 2.23
-// with the packages copied out first, 3.0 with every package allocated too).
-// What is left is tree child lists, each new node's first static package and
-// the parents' stores growing as they absorb.
+// the engine answers with at most 0.8 allocations a request (0.732; 1.314
+// with 8-byte links and each store's array dropped at every restart, 2.23
+// then with the packages copied out first too, 3.0 with every package
+// allocated as well). What is left is tree child lists, each new node's first static
+// package and the parents' stores growing as they absorb.
 func TestEngineChurnAllocs(t *testing.T) {
-	if perReq, _ := replayAllocs(t, churnTrace); perReq > 1.95 {
-		t.Errorf("%.3f allocations a request, want at most 1.95", perReq)
+	if perReq, _ := replayAllocs(t, churnTrace); perReq > 0.8 {
+		t.Errorf("%.3f allocations a request, want at most 0.8", perReq)
 	}
 }
 
-// TestTableBytesPerID bounds what the centralized engine keeps in its per-id
-// tables on growTrace: the tree's node entries and child-list slots and the
-// whiteboards' stores, at most 48 B for every id ever handed out, where
-// almost all of the 25 000 leaves the trace adds hold neither a child nor a
-// package. A node entry that carries two slice headers for its children and
-// a store that carries one for each of its two sections put it at 120.
+// TestTableBytesPerID bounds every byte the centralized engine keeps for an
+// id on growTrace: the tree's node, list and express tables, its child lists'
+// backing arrays and its parent and depth slices, and the whiteboards' store
+// table, level masks and block rows, each at its capacity. Almost all of the
+// 25 000 leaves the trace adds hold neither a child nor a package, and the
+// engine keeps at most 72 B for every id ever handed out (70.6). 8-byte
+// parent and express links, masks and child-list entries put it at 90.0.
 func TestTableBytesPerID(t *testing.T) {
 	reqs := recordTrace(t, growTrace)
 	e := newEngine(t, false, growTrace)
 	e.replay(reqs, make([]controller.BatchResult, 0, 128))
-	nodes, stores, ids := e.tr.TableBytes(), e.d.StoreTableBytes(), e.tr.EverExisted()+1
-	perID := float64(nodes+stores) / float64(ids)
-	t.Logf("%d ids: %d B of node and list tables, %d B of stores, %.1f B an id", ids, nodes, stores, perID)
-	if perID > 48 {
-		t.Errorf("%.1f B an id in the node, list and store tables, want at most 48", perID)
+	tree, boards, ids := e.tr.TableBytes(), e.d.TableBytes(), e.tr.EverExisted()+1
+	perID := float64(tree+boards) / float64(ids)
+	t.Logf("%d ids: %d B of tree tables, %d B of whiteboard tables, %.1f B an id", ids, tree, boards, perID)
+	if perID > 72 {
+		t.Errorf("%.1f B an id in the tree's and the whiteboards' tables, want at most 72", perID)
 	}
 }

@@ -448,10 +448,11 @@ func (s *Store) Empty() bool {
 }
 
 // Clear drops every package including the reject flag; the store itself
-// stays.
+// stays, and so does its backing array, at length 0, for the packages it
+// takes next.
 func (s *Store) Clear() {
 	s.reject = false
-	s.pkgs, s.statics = nil, 0
+	s.pkgs, s.statics = s.pkgs[:0], 0
 }
 
 // MemoryBits estimates the whiteboard memory of this store in bits using

@@ -431,6 +431,16 @@ func TestGracefulShutdownAnswersInFlight(t *testing.T) {
 	}
 }
 
+// TestNoIDLeftIsABadRequest: an addition the tree has no id left for is
+// refused for the request, as an unknown node is, and answered with
+// CodeBadRequest; the connection and the tenant carry on.
+func TestNoIDLeftIsABadRequest(t *testing.T) {
+	err := fmt.Errorf("submit: %w", fmt.Errorf("add node 4294967296: %w", tree.ErrNoIDLeft))
+	if code := resultCode(err); code != wire.CodeBadRequest {
+		t.Fatalf("%v is answered with wire code %d, want CodeBadRequest (%d)", err, code, wire.CodeBadRequest)
+	}
+}
+
 // TestRefusingTenantDecidesNothing: once a tenant refuses, because the drain
 // is over or because its WAL broke, every request of a run is answered with
 // the refusal's wire code and the run touches nothing: not the controller,

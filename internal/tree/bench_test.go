@@ -120,7 +120,7 @@ func BenchmarkTreeClimb(b *testing.B) {
 	for end := 64; end <= n/2; end *= 2 {
 		bands = append(bands, end)
 	}
-	marks, banded := make([]uint64, n+1), make([]uint64, n+1)
+	marks, banded := make([]uint32, n+1), make([]uint32, n+1)
 	for id := 64; id <= n; id += 64 {
 		marks[id] = 1
 	}
@@ -133,7 +133,7 @@ func BenchmarkTreeClimb(b *testing.B) {
 	for _, row := range []struct {
 		name   string
 		bands  []int
-		marks  []uint64
+		marks  []uint32
 		blocks []uint64
 		visits int
 	}{

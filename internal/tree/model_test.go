@@ -155,7 +155,7 @@ func (r *refTree) checkDense(tr *Tree) error {
 				}
 			}
 		}
-		if tr.parent[id] != parent || int(tr.depth[id]) != depth || *tr.express.At(id) != express || tr.Express(id) != express {
+		if NodeID(tr.parent[id]) != parent || int(tr.depth[id]) != depth || NodeID(*tr.express.At(id)) != express || tr.Express(id) != express {
 			return fmt.Errorf("id %d: parent %d at depth %d with express link %d, the model says parent %d at depth %d with link %d",
 				id, tr.parent[id], tr.depth[id], *tr.express.At(id), parent, depth, express)
 		}
@@ -411,6 +411,18 @@ var corruptions = map[string]func(s *Snapshot){
 	"deleted id live":    func(s *Snapshot) { s.Deleted[0] = s.Root },
 	"deleted id twice":   func(s *Snapshot) { s.Deleted[1] = s.Deleted[0] },
 	"child out of range": func(s *Snapshot) { s.Nodes[0].Children[0] = 1 << 40 },
+	// Ids the tables would narrow to the slot of a live node: each must be
+	// refused for its range before it is narrowed, or it becomes that node.
+	"child aliasing a live id past 2^32": func(s *Snapshot) { s.Nodes[0].Children[0] += 1 << 32 },
+	"parent aliasing a live id past 2^32": func(s *Snapshot) {
+		for i := range s.Nodes {
+			if s.Nodes[i].Parent != InvalidNode {
+				s.Nodes[i].Parent += 1 << 32
+				return
+			}
+		}
+		panic("no node with a parent")
+	},
 	// Not an id, but a snapshot no live tree can be in, which Restore must
 	// refuse on its own and not leave to a caller's Validate: the one child
 	// would reach its parent twice, on one port.

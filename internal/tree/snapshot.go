@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file is the tree's state-capture boundary for the durability engine
 // (internal/persist): Snapshot copies the complete structural state of a
@@ -57,11 +54,7 @@ func (t *Tree) Snapshot() *Snapshot {
 		}
 		// Built the same way whatever list the node's history left it, so
 		// equal trees give deeply equal snapshots: a leaf lists nil children.
-		var kids []NodeID
-		if k := t.kids(n); len(k) > 0 {
-			kids = slices.Clone(k)
-		}
-		s.Nodes = append(s.Nodes, NodeSnapshot{ID: id, Parent: t.parent[id], Children: kids})
+		s.Nodes = append(s.Nodes, NodeSnapshot{ID: id, Parent: NodeID(t.parent[id]), Children: widen(t.kids(n))})
 	}
 	return s
 }
@@ -71,8 +64,10 @@ func (t *Tree) Snapshot() *Snapshot {
 // recovery, not a topological change: the change count becomes the snapshot's
 // and Generation moves on. The restored tree is validated before the
 // receiver is touched; on error the tree is left unchanged. It refuses ids
-// that disagree with the snapshot's own counts (before sizing anything), a
-// walk that would push more nodes than are listed (cycles cost no more than
+// that disagree with the snapshot's own counts or lie past the last id the
+// tree hands out (before sizing anything), a listed parent or child outside
+// the snapshot's ids (before narrowing it to a slot), and a walk that would
+// push more nodes than are listed (cycles cost no more than the listing).
 func (t *Tree) Restore(s *Snapshot) error {
 	// Ids are dense, so the next id, the count of nodes that ever existed
 	// and the lengths of the two lists determine one another. Checked before
@@ -83,13 +78,18 @@ func (t *Tree) Restore(s *Snapshot) error {
 		return fmt.Errorf("restore: next id %d and %d nodes ever existed, but %d live and %d deleted listed",
 			s.NextID, s.EverExisted, len(s.Nodes), len(s.Deleted))
 	}
+	if s.NextID-1 > idLimit {
+		return fmt.Errorf("restore: next id %d: %w", s.NextID, ErrNoIDLeft)
+	}
+	// Every id a node lists is held to the range below before it is
+	// narrowed to its slot, so an id past 2^32 cannot alias a live one.
 	inRange := func(id NodeID) bool { return id > InvalidNode && id < s.NextID }
 	// Built as a tree of its own, so the live tree's bounds-checked lookup
 	// serves the checks below and nothing of t is touched before they pass.
 	// Every id starts out not live, at depth -1; a listed node is live at
 	// depth 0 until the walk from the root below gives it its depth.
 	r := &Tree{
-		parent: make([]NodeID, s.NextID),
+		parent: make([]uint32, s.NextID),
 		depth:  make([]int32, s.NextID),
 	}
 	for id := range r.depth {
@@ -105,10 +105,20 @@ func (t *Tree) Restore(s *Snapshot) error {
 		if r.Contains(ns.ID) {
 			return fmt.Errorf("restore: node %d listed twice: %w", ns.ID, ErrAlreadyExists)
 		}
-		if len(ns.Children) > 0 {
-			*r.takeList(r.nodes.At(ns.ID)) = slices.Clone(ns.Children)
+		if ns.Parent != InvalidNode && !inRange(ns.Parent) {
+			return fmt.Errorf("restore: parent %d of %d outside 1..%d: %w", ns.Parent, ns.ID, s.NextID-1, ErrNoSuchNode)
 		}
-		r.parent[ns.ID] = ns.Parent
+		if len(ns.Children) > 0 {
+			kids := make([]uint32, len(ns.Children))
+			for i, c := range ns.Children {
+				if !inRange(c) {
+					return fmt.Errorf("restore: child %d of %d outside 1..%d: %w", c, ns.ID, s.NextID-1, ErrNoSuchNode)
+				}
+				kids[i] = slot(c)
+			}
+			*r.takeList(r.nodes.At(ns.ID)) = kids
+		}
+		r.parent[ns.ID] = slot(ns.Parent)
 		r.depth[ns.ID] = 0
 	}
 	// The deleted ids are the entries not live; with the counts above,
@@ -133,7 +143,8 @@ func (t *Tree) Restore(s *Snapshot) error {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for i, cid := range r.kids(r.nodes.At(id)) {
+		for i, k := range r.kids(r.nodes.At(id)) {
+			cid := NodeID(k)
 			if pushed++; pushed > len(s.Nodes) {
 				return fmt.Errorf("restore: node %d reachable twice", cid)
 			}

@@ -15,11 +15,11 @@ const (
 // reused, so a table only ever grows at its end, and it grows in chunks of
 // 512 entries that never move: growing copies nothing and abandons nothing,
 // a table holds at most one chunk more than it needs whatever it has grown
-// to, and a pointer to an entry stays good until Reset. The tree keeps its
-// nodes in one and the whiteboards their package stores; measured against a
-// flat slice grown by half or doubled, it is what took the copies, the fresh
-// pages under them and a megabyte of resident memory off a tree growing to
-// 25 000 nodes (CHANGES.md, PR 19). The zero Table is empty.
+// to, and a pointer to an entry stays good as long as the table. The tree
+// keeps its nodes in one and the whiteboards their package stores; measured
+// against a flat slice grown by half or doubled, it is what took the copies,
+// the fresh pages under them and a megabyte of resident memory off a tree
+// growing to 25 000 nodes (CHANGES.md, PR 19). The zero Table is empty.
 type Table[T any] struct {
 	chunks []*[chunkLen]T
 	n      int
@@ -69,13 +69,4 @@ func (t *Table[T]) Grow(n int) {
 		t.chunks = append(t.chunks, new([chunkLen]T))
 	}
 	t.n = n
-}
-
-// Reset empties the table and keeps its chunks, zeroed, for the entries the
-// next Grow uncovers.
-func (t *Table[T]) Reset() {
-	for _, c := range t.chunks[:(t.n+chunkLen-1)>>chunkBits] {
-		clear(c[:])
-	}
-	t.n = 0
 }

@@ -7,8 +7,8 @@ import (
 
 // TestNodeIsOneCacheLine pins the size the node table's layout rests on: an
 // entry holds no slice header and no pointer, and takes at most two 64-bit
-// words (three 32-bit fields, 12 bytes on every word size), so a cache line
-// holds five entries and a chunk of the table 6 KiB.
+// words (two 32-bit fields, 8 bytes on every word size), so a cache line
+// holds eight entries and a chunk of the table 4 KiB.
 func TestNodeIsOneCacheLine(t *testing.T) {
 	if size := unsafe.Sizeof(node{}); size > 2*8 {
 		t.Fatalf("a node takes %d bytes, want at most 16", size)
@@ -16,9 +16,8 @@ func TestNodeIsOneCacheLine(t *testing.T) {
 }
 
 // TestTable holds a Table to what its users rely on: entries start zero, keep
-// their address while the table grows, are visited once each in id order
-// whatever the length is against the chunk size, and come back zero after a
-// Reset however far the table is grown again.
+// their address while the table grows and are visited once each in id order
+// whatever the length is against the chunk size.
 func TestTable(t *testing.T) {
 	type entry struct {
 		id  NodeID
@@ -82,24 +81,4 @@ func TestTable(t *testing.T) {
 		t.Fatal("a write through All's entry did not reach the table")
 	}
 
-	chunks := len(tb.chunks)
-	tb.Reset()
-	if tb.Len() != 0 {
-		t.Fatalf("Reset left %d entries", tb.Len())
-	}
-	tb.Grow(2*chunkLen + 5)
-	for id, e := range tb.All() {
-		if *e != (entry{}) {
-			t.Fatalf("entry %d survived the Reset: %+v", id, *e)
-		}
-	}
-	tb.Grow(at)
-	for id, e := range tb.All() {
-		if *e != (entry{}) {
-			t.Fatalf("entry %d survived the Reset: %+v", id, *e)
-		}
-	}
-	if tb.At(1) != first || len(tb.chunks) != chunks {
-		t.Fatalf("Reset did not keep the chunks: %d before, %d after", chunks, len(tb.chunks))
-	}
 }

@@ -35,7 +35,7 @@ func (t *Tree) Intervals() [][2]int32 {
 		// Push children in reverse so they pop in insertion order.
 		kids := t.kids(t.nodes.At(id))
 		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
+			stack = append(stack, NodeID(kids[i]))
 		}
 	}
 	return out
@@ -50,9 +50,9 @@ func (t *Tree) Subtree(head NodeID) iter.Seq[NodeID] {
 		if !t.Contains(head) {
 			return
 		}
-		stack := append(t.stack[:0], head)
+		stack := append(t.stack[:0], slot(head))
 		for len(stack) > 0 {
-			id := stack[len(stack)-1]
+			id := NodeID(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 			stack = append(stack, t.kids(t.nodes.At(id))...)
 			if !yield(id) {

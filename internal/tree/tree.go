@@ -14,23 +14,28 @@
 // Storage. Node ids are dense by construction (they count up from 1 and are
 // never reused), so the tree keeps its nodes, by value, in a Table indexed by
 // NodeID: no lookup hashes, and adding a node allocates nothing but a chunk of
-// the table every 512 ids. An entry holds no pointer and no slice header: a
-// node's children are a list of ids in a second Table, which only a node
-// with children holds a slot of, and a node knows its own slot in its
-// parent's list, so linking is an append and unlinking is a swap-remove. A
-// list slot a node gives up, because its last child left or it was deleted,
-// keeps its backing array and is the next one handed out, so the list table
-// grows only to the most nodes that have had children at once. Nodes, Leaves
-// and Snapshot walk the node table and therefore answer in ascending id
-// order.
+// the table every 512 ids. Every id the tables hold, as an index or as a
+// link, sits in a 32-bit slot: a NodeID is 8 bytes in the API, on the wire and
+// on disk, and 4 in the tables, so the tree hands out ids up to 2^32-1
+// (math.MaxInt where int is 32 bits) and no further. An addition
+// past that last id is refused with ErrNoIDLeft before it changes anything,
+// and slot is the one place a NodeID is narrowed. An entry holds no pointer
+// and no slice header: a node's children are a list of ids in a second
+// Table, which only a node with children holds a slot of, and a node knows
+// its own slot in its parent's list, so linking is an append and unlinking is
+// a swap-remove. A list slot a node gives up, because its last child left or
+// it was deleted, keeps its backing array and is the next one handed out, so
+// the list table grows only to the most nodes that have had children at
+// once. Nodes, Leaves and Snapshot walk the node table and therefore answer
+// in ascending id order.
 //
 // What an ancestor walk reads lives apart from the nodes: the parent link
 // and the cached depth of every id sit in two more slices indexed by NodeID,
-// and nowhere else. Liveness lives in depth too: a deleted id, and id 0, has
-// depth -1, and there is no other copy of it. A hop of Climb, Ancestor,
-// Distance or a path is then one load from the parent slice, the start node's
-// depth and liveness one load from the other, and no walk dereferences a
-// node.
+// 4 bytes an id each, and nowhere else. Liveness lives in depth too: a
+// deleted id, and id 0, has depth -1, and there is no other copy of it. A
+// hop of Climb, Ancestor, Distance or a path is then one load from the
+// parent slice, the start node's depth and liveness one load from the other,
+// and no walk dereferences a node.
 //
 // Express links let a walk skip hops. The link of an id names its nearest
 // proper ancestor at a depth that is a multiple of expressStride, a stop: a
@@ -94,7 +99,26 @@ var (
 	ErrIsRoot        = errors.New("tree: operation not allowed on the root")
 	ErrNotRelated    = errors.New("tree: nodes are not in a parent-child relation")
 	ErrAlreadyExists = errors.New("tree: node already exists")
+	ErrNoIDLeft      = errors.New("tree: no node id left")
 )
+
+// lastSlot is the largest id a 32-bit slot of the tree's tables holds, and
+// where int is 32 bits the largest index a table reaches.
+const lastSlot = min(math.MaxUint32, math.MaxInt)
+
+// idLimit is the largest id the tree hands out: lastSlot, which the
+// package's own tests lower to reach it.
+var idLimit NodeID = lastSlot
+
+// slot narrows id to the 32-bit slot the tables hold it in, and is the one
+// conversion of a NodeID to uint32 in the package. No id the tree hands out
+// or restores lies past lastSlot, so one that does is a bug, not an input.
+func slot(id NodeID) uint32 {
+	if uint64(id) > lastSlot {
+		panic("tree: node id past the last 32-bit slot")
+	}
+	return uint32(id)
+}
 
 // ChangeKind enumerates the topological change types of Section 2.1.
 type ChangeKind int
@@ -150,7 +174,9 @@ type Request struct {
 // Tree.nodes, where it sits by value: the zero node is an id that is not in
 // the tree. The struct holds two 32-bit fields, 8 bytes an entry and 4 KiB a
 // chunk of the table; a slot or a list index counts nodes alive at once,
-// which no memory holds 2^31 of.
+// which no memory holds 2^31 of. With the 4-byte parent, depth and express
+// entries and a 4-byte entry in its parent's list, a leaf costs its tree 24
+// bytes.
 type node struct {
 	slot int32 // position of this node in its parent's children
 	list int32 // index of the node's children in Tree.lists; 0 for none
@@ -170,19 +196,19 @@ type Tree struct {
 	// does. Index 0 is no list, and free holds the indices no node owns,
 	// each an empty list keeping its backing array; a list is taken from
 	// free before the table grows.
-	lists Table[[]NodeID]
+	lists Table[[]uint32]
 	free  []int32
 	// parent and depth are indexed by NodeID like nodes and as long. They
-	// hold the only copy of each live node's parent link (InvalidNode for
-	// the root and for a node between unlink and link) and of its hop
-	// distance from the root, maintained incrementally; a deleted id keeps
-	// InvalidNode and depth -1, as index 0 does. A depth of -1 is what makes
+	// hold the only copy of each live node's parent link (0, InvalidNode's
+	// slot, for the root and for a node between unlink and link) and of its
+	// hop distance from the root, maintained incrementally; a deleted id
+	// keeps 0 and depth -1, as index 0 does. A depth of -1 is what makes
 	// an id not live: Contains reads it and nothing else.
-	parent    []NodeID
+	parent    []uint32
 	depth     []int32
 	live      int // live entries of nodes
 	root      NodeID
-	stack     []NodeID // recomputeDepths' and Subtree's scratch, empty between calls
+	stack     []uint32 // recomputeDepths' and Subtree's scratch, empty between calls
 	changeSeq uint64   // applied topological changes; snapshots carry it
 	// generation counts the applied changes like changeSeq and the Restores
 	// as well; no snapshot carries it.
@@ -195,9 +221,9 @@ type Tree struct {
 
 	// express is indexed by NodeID like depth, follows from it and is written
 	// wherever it is: the entry of id is its nearest proper ancestor at a
-	// depth that is a multiple of expressStride, InvalidNode for the root
-	// and for a deleted id. No snapshot carries it.
-	express Table[NodeID]
+	// depth that is a multiple of expressStride, 0 for the root and for a
+	// deleted id. No snapshot carries it.
+	express Table[uint32]
 	// expressEpoch moves when the link of an existing node may have: when a
 	// subtree changes depth and on Restore, not when a leaf joins or leaves.
 	expressEpoch uint64
@@ -207,7 +233,7 @@ type Tree struct {
 // the root's id.
 func New() (*Tree, NodeID) {
 	t := &Tree{
-		parent: make([]NodeID, 1),
+		parent: make([]uint32, 1),
 		depth:  []int32{-1},
 	}
 	t.nodes.Grow(1) // index 0 is InvalidNode
@@ -217,8 +243,20 @@ func New() (*Tree, NodeID) {
 	return t, t.root
 }
 
+// CheckAdd reports whether the tree can take one more node: nil, or
+// ErrNoIDLeft (wrapped) once the next id would lie past idLimit. The
+// controller asks before it takes a permit for an addition; ApplyAddLeaf and
+// ApplyAddInternal ask for the callers that hold none.
+func (t *Tree) CheckAdd() error {
+	if next := NodeID(t.nodes.Len()); next > idLimit {
+		return fmt.Errorf("add node %d: %w", next, ErrNoIDLeft)
+	}
+	return nil
+}
+
 // allocNode creates the node of the next id, recorded as a child-to-be of
-// parent at the given depth but not yet linked.
+// parent at the given depth but not yet linked. The caller has checked that
+// the id is within idLimit.
 func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 	id := NodeID(t.nodes.Len())
 	if int(id) == cap(t.parent) {
@@ -233,7 +271,7 @@ func (t *Tree) allocNode(parent NodeID, depth int32) NodeID {
 		t.depth = slices.Grow(t.depth, int(id))
 	}
 	t.nodes.Grow(int(id) + 1)
-	t.parent = append(t.parent, parent)
+	t.parent = append(t.parent, slot(parent))
 	t.depth = append(t.depth, depth)
 	if int(depth) == len(t.atDepth) {
 		t.atDepth = append(t.atDepth, 0) // its parent is the deepest node
@@ -276,9 +314,9 @@ func linkSpan(depth int) int {
 
 // expressVia returns the express link of a child of p: p itself when p is a
 // stop, else p's own link; InvalidNode when there is no p.
-func (t *Tree) expressVia(p NodeID) NodeID {
+func (t *Tree) expressVia(p NodeID) uint32 {
 	if p != InvalidNode && t.depth[p]%expressStride == 0 {
-		return p
+		return slot(p)
 	}
 	return *t.express.At(p)
 }
@@ -293,7 +331,7 @@ func (t *Tree) get(id NodeID) *node {
 
 // kids returns n's child list, nil for a leaf. It is good until the list
 // next changes.
-func (t *Tree) kids(n *node) []NodeID {
+func (t *Tree) kids(n *node) []uint32 {
 	if n.list == 0 {
 		return nil
 	}
@@ -302,7 +340,7 @@ func (t *Tree) kids(n *node) []NodeID {
 
 // takeList gives n an empty child list: a freed one if there is one, else a
 // new slot at the end of the table.
-func (t *Tree) takeList(n *node) *[]NodeID {
+func (t *Tree) takeList(n *node) *[]uint32 {
 	if last := len(t.free) - 1; last >= 0 {
 		n.list, t.free = t.free[last], t.free[:last]
 	} else {
@@ -332,7 +370,7 @@ func (t *Tree) remove(id NodeID) {
 	t.atDepth[t.depth[id]]--
 	t.trimDepths()
 	t.depth[id] = -1
-	*t.express.At(id) = InvalidNode
+	*t.express.At(id) = 0
 	t.live--
 }
 
@@ -358,11 +396,15 @@ func (t *Tree) EverExisted() int {
 	return t.nodes.Len() - 1
 }
 
-// TableBytes returns the bytes of the node table and the child-list table:
-// what the tree keeps for every id beside its parent, depth and express
-// links, not counting the lists' backing arrays.
+// TableBytes returns the bytes the tree keeps for its ids: the node, list
+// and express tables, the lists' backing arrays and the parent and depth
+// slices, each at its capacity.
 func (t *Tree) TableBytes() int {
-	return t.nodes.Bytes() + t.lists.Bytes()
+	n := t.nodes.Bytes() + t.lists.Bytes() + t.express.Bytes() + 4*(cap(t.parent)+cap(t.depth))
+	for _, l := range t.lists.All() {
+		n += 4 * cap(*l)
+	}
+	return n
 }
 
 // Generation returns a count that moves whenever the node set may have: on
@@ -380,7 +422,7 @@ func (t *Tree) Generation() uint64 {
 // ClimbMarked reads it here.
 func (t *Tree) Express(id NodeID) NodeID {
 	if uint64(id) < uint64(t.express.Len()) {
-		return *t.express.At(id)
+		return NodeID(*t.express.At(id))
 	}
 	return InvalidNode
 }
@@ -411,7 +453,7 @@ func (t *Tree) Parent(id NodeID) (NodeID, error) {
 	if !t.Contains(id) {
 		return InvalidNode, fmt.Errorf("parent of %d: %w", id, ErrNoSuchNode)
 	}
-	return t.parent[id], nil
+	return NodeID(t.parent[id]), nil
 }
 
 // Children returns a copy of id's children, in insertion order.
@@ -420,7 +462,19 @@ func (t *Tree) Children(id NodeID) ([]NodeID, error) {
 	if n == nil {
 		return nil, fmt.Errorf("children of %d: %w", id, ErrNoSuchNode)
 	}
-	return slices.Clone(t.kids(n)), nil
+	return widen(t.kids(n)), nil
+}
+
+// widen returns the ids of a child list as NodeIDs, nil for none.
+func widen(kids []uint32) []NodeID {
+	if len(kids) == 0 {
+		return nil
+	}
+	out := make([]NodeID, len(kids))
+	for i, k := range kids {
+		out[i] = NodeID(k)
+	}
+	return out
 }
 
 // ChildCount returns the number of children of id (the child-degree deg(v)
@@ -452,6 +506,9 @@ func (t *Tree) ApplyAddLeaf(parent NodeID) (NodeID, error) {
 	if !t.Contains(parent) {
 		return InvalidNode, fmt.Errorf("add leaf under %d: %w", parent, ErrNoSuchNode)
 	}
+	if err := t.CheckAdd(); err != nil {
+		return InvalidNode, err
+	}
 	id := t.allocNode(parent, t.depth[parent]+1)
 	t.link(parent, id)
 	t.notify()
@@ -470,7 +527,7 @@ func (t *Tree) ApplyRemoveLeaf(id NodeID) error {
 	if n.list != 0 {
 		return fmt.Errorf("remove leaf %d: %w", id, ErrNotLeaf)
 	}
-	parent := t.parent[id]
+	parent := NodeID(t.parent[id])
 	t.unlink(parent, id)
 	t.remove(id)
 	t.notify()
@@ -487,7 +544,10 @@ func (t *Tree) ApplyAddInternal(child NodeID) (NodeID, error) {
 	if child == t.root {
 		return InvalidNode, fmt.Errorf("add internal above root %d: %w", child, ErrIsRoot)
 	}
-	p := t.parent[child]
+	if err := t.CheckAdd(); err != nil {
+		return InvalidNode, err
+	}
+	p := NodeID(t.parent[child])
 	u := t.allocNode(p, t.depth[p]+1)
 	// Replace child with u in p's child list, then make child a child of u.
 	t.unlink(p, child)
@@ -511,13 +571,13 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 	if n.list == 0 {
 		return fmt.Errorf("remove internal %d: %w", id, ErrNotInternal)
 	}
-	p := t.parent[id]
+	p := NodeID(t.parent[id])
 	// The children move over in order; n leaves whole, so they need no
 	// unlinking from it one by one. They join p's list, which holds id and
 	// so is not the one being walked.
 	for _, c := range t.kids(n) {
-		t.link(p, c)
-		t.recomputeDepths(c)
+		t.link(p, NodeID(c))
+		t.recomputeDepths(NodeID(c))
 	}
 	t.unlink(p, id)
 	t.remove(id)
@@ -530,13 +590,13 @@ func (t *Tree) ApplyRemoveInternal(id NodeID) error {
 // recomputeDepths.
 func (t *Tree) link(p, c NodeID) {
 	pn, cn := t.nodes.At(p), t.nodes.At(c)
-	t.parent[c] = p
+	t.parent[c] = slot(p)
 	list := t.lists.At(NodeID(pn.list))
 	if pn.list == 0 {
 		list = t.takeList(pn)
 	}
 	cn.slot = int32(len(*list))
-	*list = append(*list, c)
+	*list = append(*list, slot(c))
 }
 
 // unlink removes c from p's child list; p's last child takes c's slot, and
@@ -548,14 +608,14 @@ func (t *Tree) unlink(p, c NodeID) {
 	last := int32(len(kids) - 1)
 	if cn.slot != last {
 		moved := kids[last]
-		t.nodes.At(moved).slot = cn.slot
+		t.nodes.At(NodeID(moved)).slot = cn.slot
 		kids[cn.slot] = moved
 	}
 	*list = kids[:last]
 	if last == 0 {
 		t.dropList(pn)
 	}
-	t.parent[c] = InvalidNode
+	t.parent[c] = 0
 }
 
 // recomputeDepths refreshes cached depths, and the express links that follow
@@ -567,11 +627,11 @@ func (t *Tree) recomputeDepths(c NodeID) {
 	// bottom holds every new depth; trimDepths drops it if it stays empty.
 	t.atDepth = append(t.atDepth, 0)
 	atDepth := t.atDepth
-	stack := append(t.stack[:0], c)
+	stack := append(t.stack[:0], slot(c))
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		id := NodeID(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		p := t.parent[id]
+		p := NodeID(t.parent[id])
 		old, d := t.depth[id], t.depth[p]+1
 		t.depth[id] = d
 		atDepth[old]--
@@ -614,11 +674,11 @@ func (t *Tree) ancestor(u NodeID, dist int) NodeID {
 		if step > dist {
 			break
 		}
-		u, at, dist = *express.At(u), at-step, dist-step
+		u, at, dist = NodeID(*express.At(u)), at-step, dist-step
 	}
 	parent := t.parent
 	for ; dist > 0; dist-- {
-		u = parent[u]
+		u = NodeID(parent[u])
 	}
 	return u
 }
@@ -685,7 +745,7 @@ func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, in
 		if visit(u, d) {
 			return u, d, nil
 		}
-		p := parent[u]
+		p := NodeID(parent[u])
 		if p == InvalidNode {
 			return u, d, nil
 		}
@@ -697,7 +757,7 @@ func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, in
 // A mark counts at some distances only. The distances from u fall into
 // bands, which ascend: band 0 up to bands[0], band b on (bands[b-1],
 // bands[b]], and band len(bands) beyond the last bound, so nil bands make one
-// band of every distance. Bit b of a mark, bit 63 for every band from 63 on,
+// band of every distance. Bit b of a mark, bit 31 for every band from 31 on,
 // marks a node only where its distance lies in band b: visit is called only
 // at nodes whose entry in marks, a slice indexed by NodeID, has the bit of the
 // node's band, and an id beyond the slice counts as unmarked. A hop past an
@@ -722,7 +782,7 @@ func (t *Tree) Climb(u NodeID, visit func(id NodeID, dist int) bool) (NodeID, in
 // not, and returns that node with its hop distance from u. visit runs inside
 // the walk: it reads the caller's own state, writes neither marks nor
 // blocks, and must not call back into the tree.
-func (t *Tree) ClimbMarked(u NodeID, bands []int, marks, blocks []uint64, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
+func (t *Tree) ClimbMarked(u NodeID, bands []int, marks []uint32, blocks []uint64, visit func(id NodeID, dist int) bool) (NodeID, int, error) {
 	if !t.Contains(u) {
 		return InvalidNode, 0, fmt.Errorf("climb from %d: %w", u, ErrNoSuchNode)
 	}
@@ -733,22 +793,22 @@ func (t *Tree) ClimbMarked(u NodeID, bands []int, marks, blocks []uint64, visit 
 	// started or on a stop, top-d hops below the root, and reads the link of
 	// that node.
 	band, end := 0, bandEnd(bands, 0)
-	bit, lane := uint64(1), uint64(0xff)
+	bit, lane := uint32(1), uint64(0xff)
 	for d, walk := 0, 0; ; {
 		for d > end {
 			band++
 			end = bandEnd(bands, band)
-			bit, lane = 1<<min(band, 63), 0xff<<(8*min(band, 7))
+			bit, lane = 1<<min(band, 31), 0xff<<(8*min(band, 7))
 		}
 		if uint64(u) < uint64(len(marks)) && marks[u]&bit != 0 && visit(u, d) {
 			return u, d, nil
 		}
-		p := parent[u]
+		p := NodeID(parent[u])
 		if p == InvalidNode {
 			return u, d, nil
 		}
 		if walk == 0 {
-			r := *express.At(u)
+			r := NodeID(*express.At(u))
 			walk = linkSpan(top - d)
 			// The link passes the distances d+1 to d+walk-1, which mostly lie
 			// in band; with one of them the stop is the parent, and the link
@@ -818,7 +878,7 @@ func (t *Tree) appendPath(u NodeID, d int, buf []NodeID) []NodeID {
 	parent := t.parent
 	for ; d >= 0; d-- {
 		buf = append(buf, u)
-		u = parent[u]
+		u = NodeID(parent[u])
 	}
 	return buf
 }
@@ -880,7 +940,7 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("validate: %d node slots but %d parent links, %d depths and %d express links",
 			t.nodes.Len(), len(t.parent), len(t.depth), t.express.Len())
 	}
-	if p := t.parent[t.root]; p != InvalidNode {
+	if p := t.parent[t.root]; p != 0 {
 		return fmt.Errorf("validate: root %d has parent %d", t.root, p)
 	}
 	if t.depth[InvalidNode] != -1 {
@@ -890,7 +950,7 @@ func (t *Tree) Validate() error {
 		if t.depth[id] >= 0 {
 			continue
 		}
-		if t.parent[id] != InvalidNode || t.depth[id] != -1 || *t.express.At(id) != InvalidNode {
+		if t.parent[id] != 0 || t.depth[id] != -1 || *t.express.At(id) != 0 {
 			return fmt.Errorf("validate: dead id %d keeps parent %d, depth %d and express link %d",
 				id, t.parent[id], t.depth[id], *t.express.At(id))
 		}
@@ -923,7 +983,7 @@ func (t *Tree) Validate() error {
 		if n == nil {
 			return fmt.Errorf("validate: reachable node %d missing: %w", f.id, ErrNoSuchNode)
 		}
-		var kids []NodeID
+		var kids []uint32
 		if n.list != 0 {
 			if _, taken := owner[n.list]; taken || n.list < 0 || int(n.list) >= t.lists.Len() {
 				return fmt.Errorf("validate: node %d holds list slot %d, out of range or not its own", f.id, n.list)
@@ -936,16 +996,17 @@ func (t *Tree) Validate() error {
 		if int(t.depth[f.id]) != f.depth {
 			return fmt.Errorf("validate: node %d cached depth %d, actual %d", f.id, t.depth[f.id], f.depth)
 		}
-		if want := t.expressVia(t.parent[f.id]); *t.express.At(f.id) != want {
+		if want := t.expressVia(NodeID(t.parent[f.id])); *t.express.At(f.id) != want {
 			return fmt.Errorf("validate: node %d at depth %d has express link %d, its parent gives %d",
 				f.id, f.depth, *t.express.At(f.id), want)
 		}
-		for i, cid := range kids {
+		for i, k := range kids {
+			cid := NodeID(k)
 			c := t.get(cid)
 			if c == nil {
 				return fmt.Errorf("validate: child %d of %d missing: %w", cid, f.id, ErrNoSuchNode)
 			}
-			if t.parent[cid] != f.id {
+			if NodeID(t.parent[cid]) != f.id {
 				return fmt.Errorf("validate: child %d of %d has parent %d", cid, f.id, t.parent[cid])
 			}
 			if int(c.slot) != i {

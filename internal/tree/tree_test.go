@@ -314,8 +314,8 @@ func TestClimb(t *testing.T) {
 	// it says so or at the root. Under nil bands every distance is in band 0,
 	// so bit 0 marks a node; under the bands {1} the distances 0 and 1 are
 	// band 0 and the farther ones band 1.
-	marks := func(bits uint64, ids ...NodeID) []uint64 {
-		m := make([]uint64, tr.EverExisted()+1)
+	marks := func(bits uint32, ids ...NodeID) []uint32 {
+		m := make([]uint32, tr.EverExisted()+1)
 		for _, id := range ids {
 			m[id] = bits
 		}
@@ -324,7 +324,7 @@ func TestClimb(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		bands  []int
-		marks  []uint64
+		marks  []uint32
 		stopAt NodeID
 		want   []visit
 		at     NodeID
@@ -340,7 +340,7 @@ func TestClimb(t *testing.T) {
 		// mid was created after b: a slice that stops short of its id leaves
 		// it unmarked, and the climb passes it on the way to a.
 		{"marks shorter than the id space", nil, marks(1, a, mid, b)[:mid], InvalidNode, []visit{{b, 0}, {a, 2}}, root, 3},
-		{"bits of other bands", nil, marks(1<<1|1<<63, a, mid, b, root), InvalidNode, nil, root, 3},
+		{"bits of other bands", nil, marks(1<<1|1<<31, a, mid, b, root), InvalidNode, nil, root, 3},
 		{"band 0 then band 1", []int{1}, marks(1, a, mid, b, root), InvalidNode, []visit{{b, 0}, {mid, 1}}, root, 3},
 		{"band 1 only", []int{1}, marks(1<<1, a, mid, b, root), root, []visit{{a, 2}, {root, 3}}, root, 3},
 		{"beyond the last bound", []int{0, 1}, marks(1<<2, a, mid, b, root), InvalidNode, []visit{{a, 2}, {root, 3}}, root, 3},
@@ -377,7 +377,7 @@ type visit struct {
 // row ClimbMarked reads: byte b counts the marks with bit b, the top byte
 // those with any bit from 7 on, and a byte that reaches 255 stays there. It
 // is what a caller of ClimbMarked keeps beside its marks.
-func blockRows(tr *Tree, marks []uint64) []uint64 {
+func blockRows(tr *Tree, marks []uint32) []uint64 {
 	rows := make([]uint64, tr.EverExisted()+1)
 	for id, m := range marks {
 		r := tr.Express(NodeID(id))
@@ -396,8 +396,8 @@ func blockRows(tr *Tree, marks []uint64) []uint64 {
 
 // bandBit is the mark bit of the band distance d lies in, found by a search
 // of its own: the first bound at or above d.
-func bandBit(bands []int, d int) uint64 {
-	return 1 << min(sort.SearchInts(bands, d), 63)
+func bandBit(bands []int, d int) uint32 {
+	return 1 << min(sort.SearchInts(bands, d), 31)
 }
 
 // TestClimbMarkedSkipsMarksOfOtherBands is a path of eight strides whose
@@ -417,16 +417,16 @@ func TestClimbMarkedSkipsMarksOfOtherBands(t *testing.T) {
 	// Bounds on stops, so that every block lies in one band: 0..48, 49..96
 	// and beyond.
 	bands := []int{3 * expressStride, 6 * expressStride}
-	marks := make([]uint64, tr.EverExisted()+1)
-	counted := make([]uint64, len(marks))
-	for u, d := tip, 0; u != tr.Root(); u, d = tr.parent[u], d+1 {
+	marks := make([]uint32, tr.EverExisted()+1)
+	counted := make([]uint32, len(marks))
+	for u, d := tip, 0; u != tr.Root(); u, d = NodeID(tr.parent[u]), d+1 {
 		if d%expressStride == 0 {
 			continue // a stop, or the tip: the climb stands there anyway
 		}
 		band := sort.SearchInts(bands, d)
 		marks[u] = 1 << band // the tripwire
 		if d%expressStride == expressStride/2 {
-			other := uint64(1) << ((band + 1) % 3)
+			other := uint32(1) << ((band + 1) % 3)
 			marks[u] |= other
 			counted[u] = other
 		}
@@ -490,7 +490,7 @@ func TestClimbMarkedJumpsWhereBlocksAreClean(t *testing.T) {
 		for _, bands := range [][]int{nil, {2, 5, 6, 20, 30, 31, 45, 60, 75}} {
 			saturated := false
 			for _, oneIn := range []int{1, 2, 24, 1 << 20} {
-				marks := make([]uint64, tr.EverExisted()+1)
+				marks := make([]uint32, tr.EverExisted()+1)
 				for id := range marks {
 					switch {
 					case oneIn == 1:
