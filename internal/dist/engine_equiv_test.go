@@ -16,9 +16,10 @@ import (
 // under two execution models, and everything an observer can see of it must
 // coincide: {centralized, distributed} × {Submit loop, SubmitBatch in
 // chunks} × {uninterrupted, State → Restore at a mid-trace cut} all answer
-// a trace with the same (outcome, serial, new node) sequence, end in the
-// same driver State and the same tree, and differ only in what the
-// transport costs.
+// a trace with the same (outcome, serial, new node) sequence, hold the same
+// driver State, whiteboard by whiteboard and store by store, after every
+// request (every chunk, batched), end with the same tree, and differ only in
+// what the transport costs.
 
 // engine is one unknown-U controller under test with everything it runs on.
 type engine struct {
@@ -124,12 +125,17 @@ type answer struct {
 }
 
 // play answers reqs with a Submit loop or with SubmitBatch in chunks of a
-// size that straddles every boundary of interest.
-func (e *engine) play(reqs []controller.Request, batch bool, out []answer) []answer {
+// size that straddles every boundary of interest. check, when not nil, is
+// called with the number of answers so far after every request, or after
+// every chunk.
+func (e *engine) play(reqs []controller.Request, batch bool, out []answer, check func(n int)) []answer {
 	if !batch {
 		for _, req := range reqs {
 			g, err := e.d.Submit(req)
 			out = append(out, answer{g, err != nil})
+			if check != nil {
+				check(len(out))
+			}
 		}
 		return out
 	}
@@ -140,6 +146,9 @@ func (e *engine) play(reqs []controller.Request, batch bool, out []answer) []ans
 		res = e.d.SubmitBatch(reqs[:n], res[:0])
 		for _, r := range res {
 			out = append(out, answer{r.Grant, r.Err != nil})
+		}
+		if check != nil {
+			check(len(out))
 		}
 		reqs = reqs[n:]
 	}
@@ -159,6 +168,7 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 			}
 			var reqs []controller.Request
 			var want []answer
+			var wantStates []*controller.DynamicState // after each request
 			tailAt, rejects := -1, 0
 			for i := 0; i < tc.steps; i++ {
 				req, ok := gen.Next()
@@ -166,7 +176,8 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 					break
 				}
 				reqs = append(reqs, req)
-				want = ref.play(reqs[i:], false, want)
+				want = ref.play(reqs[i:], false, want, nil)
+				wantStates = append(wantStates, ref.d.State())
 				if want[i].grant.Outcome == controller.Rejected {
 					rejects++
 				}
@@ -212,11 +223,17 @@ func testDriversMatchAcrossEngines(t *testing.T) {
 						}
 						t.Run(name, func(t *testing.T) {
 							e := newEngine(t, distributed, tc)
-							got := e.play(reqs[:cut], batch, nil)
+							check := func(n int) {
+								if st := e.d.State(); !reflect.DeepEqual(st, wantStates[n-1]) {
+									t.Fatalf("state diverged at request %d (%+v):\n got %+v\nwant %+v",
+										n-1, reqs[n-1], st.Inner.Board, wantStates[n-1].Inner.Board)
+								}
+							}
+							got := e.play(reqs[:cut], batch, nil, check)
 							if restored {
 								e.restart(t)
 							}
-							got = e.play(reqs[cut:], batch, got)
+							got = e.play(reqs[cut:], batch, got, check)
 							for i := range want {
 								if got[i] != want[i] {
 									t.Fatalf("request %d (%+v): answered %+v, reference %+v", i, reqs[i], got[i], want[i])
