@@ -67,16 +67,22 @@ type Grant struct {
 // shared whiteboards plus a transport that moves a package across d edges
 // in one step at a cost of d moves. It is not safe for concurrent use; the
 // centralized setting is sequential by definition.
+//
+// A Core is built for every iteration of the drivers and holds only what
+// every slow path uses; the domain tracker, which tests switch on, and the
+// path scratch of a descent observer sit with the whiteboards.
 type Core struct {
 	*Whiteboard
-	domains *DomainTracker
+
+	// carried is the package the slow path moves: copied out of the
+	// filler's store, or funded straight from the root's storage, then
+	// split and converted here on its way down to the requesting node.
+	carried pkgstore.Package
 
 	// Scratch of distribute, reused across requests: the hop distances of
-	// the drop points u_0..u_{j-1} from the requesting node, and the nodes;
-	// and of moveDown, the path a package descends under a descent observer.
+	// the drop points u_0..u_{j-1} from the requesting node, and the nodes.
 	dropDists []int
 	drops     []tree.NodeID
-	path      []tree.NodeID
 }
 
 // NewCore creates a fixed-U (m, w)-Controller over tr assuming at most u
@@ -106,15 +112,16 @@ func (c *Core) Submit(req Request) (Grant, error) {
 		return Grant{}, err
 	}
 	u := req.Node
+	s := c.Store(u)
 
 	// Item 1: a reject package at u rejects the request outright.
-	if c.Store(u).HasReject() {
+	if s.HasReject() {
 		return c.Reject(), nil
 	}
 
 	// Item 2: grant from a local static package when possible.
-	if static := c.Store(u).Static(); static != nil {
-		return c.grantFromStatic(req, static)
+	if static := s.Static(); static != nil {
+		return c.Grant(req, s, static, c.handoff)
 	}
 
 	// Item 3: find the closest filler node with respect to u.
@@ -122,15 +129,23 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	if err != nil {
 		return Grant{}, err
 	}
-	if pkg == nil {
-		// Item 3b: no filler, so the search ended at the root; create a
+	if pkg != nil {
+		c.carried = *pkg
+		if err := c.RemoveMobile(host, pkg); err != nil {
+			return Grant{}, fmt.Errorf("distribute: %w", err)
+		}
+		if c.domains != nil {
+			c.domains.onConsumed(c.carried)
+		}
+	} else {
+		// Item 3b: no filler, so the search ended at the root; fund a
 		// package there if the storage suffices, otherwise reject with a
 		// reject wave.
-		pkg, err = c.CreateAtRoot(dist)
+		funded, err := c.FundAtRoot(dist, &c.carried)
 		if err != nil {
 			return Grant{}, err
 		}
-		if pkg == nil {
+		if !funded {
 			if c.noRejects {
 				return Grant{Outcome: WouldReject}, nil
 			}
@@ -140,11 +155,10 @@ func (c *Core) Submit(req Request) (Grant, error) {
 	}
 
 	// Item 4: distribute the package's content along the path to u.
-	static, err := c.distribute(pkg, host, u, dist)
-	if err != nil {
+	if err := c.distribute(host, u, dist); err != nil {
 		return Grant{}, err
 	}
-	return c.grantFromStatic(req, c.Store(u).AddStatic(static))
+	return c.Deliver(req, s, &c.carried, c.handoff)
 }
 
 // findFiller climbs from u toward the root in one tree call and stops at
@@ -167,56 +181,44 @@ func (c *Core) findFiller(u tree.NodeID) (tree.NodeID, int64, *pkgstore.Package,
 }
 
 // distribute implements procedure Proc (Section 3.1, item 4): the level-j
-// package found (or created) in host's store is moved down toward u,
-// splitting at each drop point u_k so that for every k ∈ {0..j-1} one level-k
-// mobile package remains at the ancestor u_k of u at distance 3·2^{k-1}ψ, and
-// a final static package reaches u, curDist hops below host. It returns that
-// static package (not yet added to u's store).
-func (c *Core) distribute(found *pkgstore.Package, host, u tree.NodeID, curDist int64) (pkgstore.Package, error) {
-	pkg := *found
-	if err := c.RemoveMobile(host, found); err != nil {
-		return pkgstore.Package{}, fmt.Errorf("distribute: %w", err)
-	}
-	if c.domains != nil {
-		c.domains.onConsumed(pkg)
-	}
-	// The drop points lie on one path, u_0 nearest u: one ascending walk
-	// finds them all before the package starts down past them.
-	c.dropDists = c.dropDists[:0]
-	for k := 0; k < pkg.Level; k++ {
-		c.dropDists = append(c.dropDists, int(c.params.UKDistance(k)))
-	}
-	var err error
-	c.drops, err = c.tr.AppendAncestors(u, c.dropDists, c.drops[:0])
-	if err != nil {
-		return pkgstore.Package{}, fmt.Errorf("distribute: drop points u_0..u_%d up to distance %d: %w",
-			pkg.Level-1, c.params.UKDistance(pkg.Level-1), err)
-	}
-	cur := pkg
-	curHost := host
-	for k := cur.Level; k > 0; k-- {
-		targetDist, target := int64(c.dropDists[k-1]), c.drops[k-1]
-		c.moveDown(cur.Size, curHost, target, curDist-targetDist)
-		p1, p2, err := cur.Split()
+// package in c.carried, taken from host's store or funded at the root, is
+// moved down toward u, splitting at each drop point u_k so that for every
+// k ∈ {0..j-1} one level-k mobile package remains at the ancestor u_k of u
+// at distance 3·2^{k-1}ψ, and the level-0 rest reaches u, curDist hops below
+// host, still in c.carried.
+func (c *Core) distribute(host, u tree.NodeID, curDist int64) error {
+	pk := &c.carried
+	if pk.Level > 0 {
+		// The drop points lie on one path, u_0 nearest u: one ascending
+		// walk finds them all before the package starts down past them.
+		c.dropDists = c.dropDists[:0]
+		for k := 0; k < pk.Level; k++ {
+			c.dropDists = append(c.dropDists, int(c.params.UKDistance(k)))
+		}
+		var err error
+		c.drops, err = c.tr.AppendAncestors(u, c.dropDists, c.drops[:0])
 		if err != nil {
-			return pkgstore.Package{}, err
+			return fmt.Errorf("distribute: drop points u_0..u_%d up to distance %d: %w",
+				pk.Level-1, c.params.UKDistance(pk.Level-1), err)
+		}
+	}
+	for pk.Level > 0 {
+		targetDist, target := int64(c.dropDists[pk.Level-1]), c.drops[pk.Level-1]
+		c.moveDown(pk.Size, host, target, curDist-targetDist)
+		var lower pkgstore.Package
+		if err := pk.Split(&lower); err != nil {
+			return err
 		}
 		if c.domains != nil {
-			if err := c.domains.onFormed(&p1, u, target); err != nil {
-				return pkgstore.Package{}, err
+			if err := c.domains.onFormed(&lower, u, target); err != nil {
+				return err
 			}
 		}
-		c.AddMobile(target, p1)
-		cur = p2
-		curHost = target
-		curDist = targetDist
+		c.AddMobile(target, lower)
+		host, curDist = target, targetDist
 	}
-	// cur has level 0: move it to u and convert to static.
-	c.moveDown(cur.Size, curHost, u, curDist)
-	if err := cur.BecomeStatic(); err != nil {
-		return pkgstore.Package{}, err
-	}
-	return cur, nil
+	c.moveDown(pk.Size, host, u, curDist)
+	return nil
 }
 
 // moveDown accounts for a move of a package of the given size over the given
@@ -226,28 +228,17 @@ func (c *Core) moveDown(size int64, host, target tree.NodeID, dist int64) {
 		dist = 0
 	}
 	c.counters.Add(stats.CounterMoves, dist)
-	if c.descent != nil && dist > 0 {
-		path, err := c.tr.AppendPathBetween(target, host, c.path[:0])
+	if obs := c.descent; obs != nil && dist > 0 {
+		path, err := c.tr.AppendPathBetween(target, host, obs.path[:0])
 		if err == nil {
 			// path is target..host bottom-up; the package enters every
 			// node strictly below host, top-down.
 			for i := len(path) - 2; i >= 0; i-- {
-				c.descent(size, path[i])
+				obs.fn(size, path[i])
 			}
-			c.path = path
+			obs.path = path
 		}
 	}
-}
-
-// grantFromStatic grants one permit of the static package in the store of
-// the request's node (item 2) and keeps the domain bookkeeping in step with
-// the change.
-func (c *Core) grantFromStatic(req Request, static *pkgstore.Package) (Grant, error) {
-	g, err := c.Grant(req, static, c.handoff)
-	if err == nil && req.Kind == tree.AddInternal && c.domains != nil {
-		c.domains.onAddInternal(g.NewNode, req.Child)
-	}
-	return g, err
 }
 
 // handoff is the graceful deletion of item 2: one move carries the whole

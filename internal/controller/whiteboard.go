@@ -65,7 +65,8 @@ type Whiteboard struct {
 	storage  int64             // permits remaining at the root's storage
 	serials  pkgstore.Interval // serial numbers backing the storage, if any
 	counters *stats.Counters
-	descent  func(size int64, enters tree.NodeID) // nil unless an application listens
+	descent  *descentObserver // nil unless an application listens
+	domains  *DomainTracker   // Core.EnableDomainTracking's analysis, else nil
 
 	noRejects  bool
 	rejectWave bool
@@ -109,7 +110,14 @@ func withNoRejects() CoreOption {
 // passed through each node, and needs the root counted for ω̃(root) to
 // dominate the root's super-weight.
 func WithDescentObserver(fn func(size int64, enters tree.NodeID)) CoreOption {
-	return func(wb *Whiteboard) { wb.descent = fn }
+	return func(wb *Whiteboard) { wb.descent = &descentObserver{fn: fn} }
+}
+
+// descentObserver is a registered descent observer with the scratch the
+// centralized core lists a package's path in for it (Core.moveDown).
+type descentObserver struct {
+	fn   func(size int64, enters tree.NodeID)
+	path []tree.NodeID
 }
 
 // newWhiteboard creates the whiteboards of a fixed-U (m, w)-controller over
@@ -261,7 +269,7 @@ func (wb *Whiteboard) clearPackages() {
 // nodes join with empty stores). Callers read it, and add or take static
 // packages and the reject flag through it; its mobile packages change only
 // through AddMobile, RemoveMobile and Absorb. A *pkgstore.Package taken from
-// it, or from Filler or CreateAtRoot, is good until that store next changes.
+// it, or from Filler or AddMobile, is good until that store next changes.
 func (wb *Whiteboard) Store(id tree.NodeID) *pkgstore.Store {
 	if s := wb.lookup(id); s != nil {
 		return s
@@ -499,65 +507,86 @@ func (wb *Whiteboard) StartRejectWave() bool {
 	return true
 }
 
-// CreateAtRoot handles a filler search that reached the root from dRoot
-// hops below without finding a filler (item 3b): it funds a mobile package
-// of level j(u) from the root storage and places it in the root's store.
-// It returns the package in the root's store, or nil when the storage cannot
-// fund it; the caller then rejects. The funded package enters the root: the
-// descent observer hears of it here, once for both transports.
-func (wb *Whiteboard) CreateAtRoot(dRoot int64) (*pkgstore.Package, error) {
+// FundAtRoot handles a filler search that reached the root from dRoot hops
+// below without finding a filler (item 3b): it funds a mobile package of
+// level j(u) from the root storage into *pk, the slot the caller carries it
+// down from the root in. It reports false, leaving *pk alone, when the
+// storage cannot fund it; the caller then rejects. The package enters the
+// root only to leave it on its way down, so it is never stored there: the
+// root's store, mask and block row do not change. The descent observer hears
+// of it entering the root here, once for both transports.
+func (wb *Whiteboard) FundAtRoot(dRoot int64, pk *pkgstore.Package) (bool, error) {
 	level := wb.params.RootLevel(dRoot)
 	size := wb.params.MobileSize(level)
 	if wb.storage < size {
-		return nil, nil
+		return false, nil
 	}
-	var pk pkgstore.Package
+	var iv pkgstore.Interval
 	if wb.serials.Valid() {
-		iv := pkgstore.Interval{Lo: wb.serials.Lo, Hi: wb.serials.Lo + size - 1}
+		iv = pkgstore.Interval{Lo: wb.serials.Lo, Hi: wb.serials.Lo + size - 1}
 		if iv.Hi > wb.serials.Hi {
-			return nil, fmt.Errorf("root serials exhausted: need %d, have %d", size, wb.serials.Len())
-		}
-		var err error
-		pk, err = pkgstore.NewMobileWithSerials(wb.params, level, iv)
-		if err != nil {
-			return nil, err
+			return false, fmt.Errorf("root serials exhausted: need %d, have %d", size, wb.serials.Len())
 		}
 		wb.serials.Lo = iv.Hi + 1
-	} else {
-		pk = pkgstore.NewMobile(wb.params, level)
 	}
+	*pk = pkgstore.NewMobile(wb.params, level)
+	pk.Serials = iv
 	wb.storage -= size
-	in := wb.AddMobile(wb.root, pk)
 	wb.Entered(size, wb.root)
-	return in, nil
+	return true, nil
 }
 
 // Entered tells the descent observer, if there is one, that a package of
 // the given size entered the node id.
 func (wb *Whiteboard) Entered(size int64, id tree.NodeID) {
 	if wb.descent != nil {
-		wb.descent(size, id)
+		wb.descent.fn(size, id)
 	}
 }
 
 // Grant implements item 2 of Protocol GrantOrReject: one permit of the
-// static package in the store of the request's node is granted, the package
-// shrinks (and is canceled when empty), and a granted topological request is
-// applied to the tree. A deleted node's objects leave through handoff before
-// the node does: it carries the packages (and the reject package, if any)
-// in the store of the node being gracefully deleted across the edge to its
-// parent, one move centrally, one message distributed. The store is
-// discarded once handoff returns.
-func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff func(from, parent tree.NodeID, child *pkgstore.Store)) (Grant, error) {
+// static package in s, the store of the request's node as Store returned
+// it, is granted, the package shrinks (and is canceled when empty), and a
+// granted topological request is applied to the tree. A deleted node's
+// objects leave through handoff before the node does: it carries the
+// packages (and the reject package, if any) in the store of the node being
+// gracefully deleted across the edge to its parent, one move centrally, one
+// message distributed. The store is discarded once handoff returns.
+func (wb *Whiteboard) Grant(req Request, s *pkgstore.Store, static *pkgstore.Package, handoff func(from, parent tree.NodeID, child *pkgstore.Store)) (Grant, error) {
 	serial, empty, err := static.TakePermit()
 	if err != nil {
 		return Grant{}, err
 	}
 	if empty {
-		if err := wb.Store(req.Node).RemoveStatic(static); err != nil {
+		if err := s.RemoveStatic(static); err != nil {
 			return Grant{}, err
 		}
 	}
+	return wb.grantTail(req, s, serial, handoff)
+}
+
+// Deliver ends procedure Proc (item 4) at the request's node, whose store s
+// is as Store returned it: the level-0 package *pk that reached the node
+// becomes static and grants the request its first permit, as item 2 would
+// from s, and is stored in s only if permits remain in it (φ > 1). *pk is
+// the caller's slot, not a package in any store. handoff is Grant's.
+func (wb *Whiteboard) Deliver(req Request, s *pkgstore.Store, pk *pkgstore.Package, handoff func(from, parent tree.NodeID, child *pkgstore.Store)) (Grant, error) {
+	if err := pk.BecomeStatic(); err != nil {
+		return Grant{}, err
+	}
+	serial, empty, err := pk.TakePermit()
+	if err != nil {
+		return Grant{}, err
+	}
+	if !empty {
+		s.AddStatic(*pk)
+	}
+	return wb.grantTail(req, s, serial, handoff)
+}
+
+// grantTail is what Grant and Deliver share once the permit is taken: it
+// counts the grant and applies a granted topological request to the tree.
+func (wb *Whiteboard) grantTail(req Request, s *pkgstore.Store, serial int64, handoff func(from, parent tree.NodeID, child *pkgstore.Store)) (Grant, error) {
 	wb.granted++
 	wb.counters.Inc(stats.CounterGrants)
 
@@ -566,22 +595,25 @@ func (wb *Whiteboard) Grant(req Request, static *pkgstore.Package, handoff func(
 	case tree.None:
 		return g, nil
 	case tree.AddLeaf, tree.AddInternal:
-		g.NewNode, err = wb.applyChange(req)
-		if err != nil {
+		var err error
+		if g.NewNode, err = wb.applyChange(req); err != nil {
 			return Grant{}, err
 		}
 		wb.Store(g.NewNode)
+		if req.Kind == tree.AddInternal && wb.domains != nil {
+			wb.domains.onAddInternal(g.NewNode, req.Child)
+		}
 	case tree.RemoveLeaf, tree.RemoveInternal:
 		parent, err := wb.tr.Parent(req.Node)
 		if err != nil {
 			return Grant{}, err
 		}
-		if child := wb.Store(req.Node); !child.Empty() {
-			handoff(req.Node, parent, child)
+		if !s.Empty() {
+			handoff(req.Node, parent, s)
 		}
 		// The node's mask leaves its block's row while the tree still
 		// knows the node's link.
-		*wb.stores.At(req.Node) = pkgstore.Store{}
+		*s = pkgstore.Store{}
 		wb.setMask(req.Node, 0)
 		if _, err := wb.applyChange(req); err != nil {
 			return Grant{}, err

@@ -60,12 +60,13 @@ func (c *core) Submit(req controller.Request) (controller.Grant, error) {
 // filler search, and the degenerate u = root case. No message is spent on
 // the request's arrival (requests originate at their node).
 func (c *core) localStep(u tree.NodeID) {
-	if c.Store(u).HasReject() {
+	s := c.Store(u)
+	if s.HasReject() {
 		c.finish(c.Reject())
 		return
 	}
-	if static := c.Store(u).Static(); static != nil {
-		c.finishGrant(static)
+	if static := s.Static(); static != nil {
+		c.finishGrant(c.Grant(c.cur.req, s, static, c.handoff))
 		return
 	}
 	if pk := c.Filler(u, 0); pk != nil {
@@ -130,14 +131,15 @@ func (c *core) handleSearch(w tree.NodeID, pl *searchUp) {
 }
 
 // rootStep handles a search that reached the root without finding a filler
-// (item 3b): fund a fresh package of level j(u) from the storage, or reject.
+// (item 3b): fund a fresh package of level j(u) from the storage straight
+// into the descent envelope and send it down, or reject.
 func (c *core) rootStep(root, origin tree.NodeID, dRoot int64) {
-	pk, err := c.CreateAtRoot(dRoot)
+	funded, err := c.FundAtRoot(dRoot, &c.env.down.pkg)
 	if err != nil {
 		c.fail(err)
 		return
 	}
-	if pk == nil {
+	if !funded {
 		if c.NoRejects() {
 			c.finish(controller.Grant{Outcome: controller.WouldReject})
 			return
@@ -146,20 +148,25 @@ func (c *core) rootStep(root, origin tree.NodeID, dRoot int64) {
 		c.finish(c.Reject())
 		return
 	}
-	c.startDescent(root, pk, origin)
+	c.descend(root, origin)
 }
 
-// startDescent takes the package found points at out of host's store and
-// sends it down the tree toward origin, one message per edge (procedure
-// Proc, item 4). The path is the breadcrumb trail the upward search
-// established; it lives in the transport's descend envelope, whose buffer is
-// reused across requests.
+// startDescent takes the package found points at out of host's store into
+// the descent envelope and sends it down toward origin.
 func (c *core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tree.NodeID) {
-	pkg := *found
+	c.env.down.pkg = *found
 	if err := c.RemoveMobile(host, found); err != nil {
 		c.fail(fmt.Errorf("distribute: %w", err))
 		return
 	}
+	c.descend(host, origin)
+}
+
+// descend sends the package in the descent envelope from host down the tree
+// toward origin, one message per edge (procedure Proc, item 4). The path is
+// the breadcrumb trail the upward search established; it lives in the
+// envelope too, whose buffer is reused across requests.
+func (c *core) descend(host, origin tree.NodeID) {
 	pl := &c.env.down
 	path, err := c.Tree().AppendPathBetween(origin, host, pl.path[:0])
 	if err != nil {
@@ -171,14 +178,14 @@ func (c *core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tr
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
+	pl.path = path
 	if len(path) == 1 {
 		// The package was found at origin itself (a level-0 filler at
 		// d = 0): no transport needed.
-		pl.path = path
-		c.arrive(pkg, origin)
+		c.arrive(origin)
 		return
 	}
-	pl.pkg, pl.path, pl.idx = pkg, path, 1
+	pl.idx = 1
 	c.rt.Send(host, path[1], pl)
 }
 
@@ -189,44 +196,36 @@ func (c *core) startDescent(host tree.NodeID, found *pkgstore.Package, origin tr
 func (c *core) handleDescend(pl *descend) {
 	node := pl.path[pl.idx]
 	dist := int64(len(pl.path) - 1 - pl.idx)
-	pkg := pl.pkg
-	c.Entered(pkg.Size, node)
+	pk := &pl.pkg
+	c.Entered(pk.Size, node)
 	// Split at drop points: for every level k > 0 whose drop distance
-	// matches, one half stays here and the other half continues (the drop
-	// distances are strictly decreasing in k, so at most one level fires).
-	for pkg.Level > 0 && dist == c.Params().UKDistance(pkg.Level-1) {
-		p1, p2, err := pkg.Split()
-		if err != nil {
+	// matches, the lower half stays here and the upper half continues (the
+	// drop distances are strictly decreasing in k, so at most one level
+	// fires).
+	for pk.Level > 0 && dist == c.Params().UKDistance(pk.Level-1) {
+		var lower pkgstore.Package
+		if err := pk.Split(&lower); err != nil {
 			c.fail(err)
 			return
 		}
-		c.AddMobile(node, p1)
-		pkg = p2
+		c.AddMobile(node, lower)
 	}
 	if dist == 0 {
-		c.arrive(pkg, node)
+		c.arrive(node)
 		return
 	}
-	pl.pkg = pkg
 	pl.idx++
 	c.rt.Send(node, pl.path[pl.idx], pl)
 }
 
-// arrive converts the level-0 package to static at the requesting node and
-// grants the pending request from it.
-func (c *core) arrive(pkg pkgstore.Package, u tree.NodeID) {
-	if err := pkg.BecomeStatic(); err != nil {
-		c.fail(err)
-		return
-	}
-	c.finishGrant(c.Store(u).AddStatic(pkg))
+// arrive grants the pending request from the level-0 package the descent
+// envelope brought to the requesting node u.
+func (c *core) arrive(u tree.NodeID) {
+	c.finishGrant(c.Deliver(c.cur.req, c.Store(u), &c.env.down.pkg, c.handoff))
 }
 
-// finishGrant grants the pending request one permit of the static package
-// in the store of its node (item 2 of Protocol GrantOrReject) and completes
-// it.
-func (c *core) finishGrant(static *pkgstore.Package) {
-	g, err := c.Grant(c.cur.req, static, c.handoff)
+// finishGrant completes the pending request with a grant, or its error.
+func (c *core) finishGrant(g controller.Grant, err error) {
 	if err != nil {
 		c.fail(err)
 		return

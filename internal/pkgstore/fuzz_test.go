@@ -83,11 +83,8 @@ func FuzzPackageSplitMerge(f *testing.F) {
 				if storage < size || unissued.Len() < size {
 					continue
 				}
-				iv := Interval{Lo: unissued.Lo, Hi: unissued.Lo + size - 1}
-				pk, err := NewMobileWithSerials(p, level, iv)
-				if err != nil {
-					t.Fatalf("create level %d: %v", level, err)
-				}
+				pk := NewMobile(p, level)
+				pk.Serials = Interval{Lo: unissued.Lo, Hi: unissued.Lo + size - 1}
 				unissued.Lo += size
 				storage -= size
 				s.AddMobile(pk)
@@ -101,12 +98,12 @@ func FuzzPackageSplitMerge(f *testing.F) {
 				if err := s.RemoveMobile(found); err != nil {
 					t.Fatalf("remove for split: %v", err)
 				}
-				p1, p2, err := pk.Split()
-				if err != nil {
+				var lower Package
+				if err := pk.Split(&lower); err != nil {
 					t.Fatalf("split level %d: %v", pk.Level, err)
 				}
-				s.AddMobile(p1)
-				s.AddMobile(p2)
+				s.AddMobile(lower)
+				s.AddMobile(pk)
 				check("split")
 			case 2: // graceful-deletion handoff: move everything across
 				from, to := stores[sel%2], stores[(sel+1)%2]

@@ -22,7 +22,10 @@
 // AddMobile or AddStatic hands out points into the store: it is good until
 // that store next changes (an add may move the backing array or the mobile
 // packages, a removal moves packages into the freed slot), and RemoveMobile
-// and RemoveStatic take exactly such a pointer.
+// and RemoveStatic take exactly such a pointer. Split, BecomeStatic and
+// TakePermit change a package in place, wherever it is: in a store, or in
+// the one slot a controller carries a package in from its filler or the
+// root's storage down to the requesting node.
 package pkgstore
 
 import (
@@ -196,39 +199,31 @@ func NewMobile(p Params, level int) Package {
 	return Package{Level: level, Size: p.MobileSize(level), Mobile: true}
 }
 
-// NewMobileWithSerials creates a mobile package carrying explicit serials;
-// the interval length must equal the level's size.
-func NewMobileWithSerials(p Params, level int, iv Interval) (Package, error) {
-	want := p.MobileSize(level)
-	if iv.Len() != want {
-		return Package{}, fmt.Errorf("serial interval length %d, level %d needs %d", iv.Len(), level, want)
-	}
-	return Package{Level: level, Size: want, Mobile: true, Serials: iv}, nil
-}
-
 // Split splits a mobile package of level k ≥ 1 into two mobile packages of
-// level k−1 (Section 3.1, action 2). The receiver is consumed and must not
-// be used afterwards. Serial intervals, when present, are halved.
-func (pk *Package) Split() (p1, p2 Package, err error) {
+// level k−1 (Section 3.1, action 2), in place: *lower is set to the lower
+// half and pk keeps the upper one. Serial intervals, when present, are
+// halved the same way, and neither half keeps the tag. On an error neither
+// package changes.
+func (pk *Package) Split(lower *Package) error {
 	if !pk.Mobile {
-		return Package{}, Package{}, errNotMobile
+		return errNotMobile
 	}
 	if pk.Level < 1 {
-		return Package{}, Package{}, errLevelZero
+		return errLevelZero
 	}
-	half := pk.Size / 2
-	p1 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
-	p2 = Package{Level: pk.Level - 1, Size: half, Mobile: true}
+	var lo, hi Interval
 	if pk.Serials.Valid() {
-		lo, hi, err := pk.Serials.split()
-		if err != nil {
-			return Package{}, Package{}, err
+		var err error
+		if lo, hi, err = pk.Serials.split(); err != nil {
+			return err
 		}
-		p1.Serials = lo
-		p2.Serials = hi
 	}
-	pk.Size = 0
-	return p1, p2, nil
+	pk.Level--
+	pk.Size /= 2
+	pk.Tag = 0
+	pk.Serials = hi
+	*lower = Package{Level: pk.Level, Size: pk.Size, Mobile: true, Serials: lo}
+	return nil
 }
 
 // BecomeStatic converts a level-zero mobile package into a static package

@@ -173,21 +173,17 @@ func TestPackageSplitChain(t *testing.T) {
 	if pk.Size != 8*p.Phi {
 		t.Fatalf("level-3 size = %d, want 8φ", pk.Size)
 	}
-	p1, p2, err := pk.Split()
-	if err != nil {
+	var lower Package
+	if err := pk.Split(&lower); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	if p1.Level != 2 || p2.Level != 2 || p1.Size != 4*p.Phi || p2.Size != 4*p.Phi {
-		t.Fatalf("split results wrong: %+v %+v", p1, p2)
-	}
-	if pk.Size != 0 {
-		t.Fatal("split must consume the source package")
+	if lower.Level != 2 || pk.Level != 2 || lower.Size != 4*p.Phi || pk.Size != 4*p.Phi || !lower.Mobile {
+		t.Fatalf("split results wrong: %+v %+v", lower, pk)
 	}
 	// Chain down to level 0 and convert to static.
-	cur := p2
+	cur := pk
 	for cur.Level > 0 {
-		_, cur, err = cur.Split()
-		if err != nil {
+		if err := cur.Split(&lower); err != nil {
 			t.Fatalf("Split at level %d: %v", cur.Level, err)
 		}
 	}
@@ -197,7 +193,7 @@ func TestPackageSplitChain(t *testing.T) {
 	if cur.Mobile || cur.Size != p.Phi {
 		t.Fatalf("static conversion wrong: %+v", cur)
 	}
-	if _, _, err := cur.Split(); !errors.Is(err, errNotMobile) {
+	if err := cur.Split(&lower); !errors.Is(err, errNotMobile) {
 		t.Fatalf("splitting static: err = %v, want errNotMobile", err)
 	}
 }
@@ -205,8 +201,12 @@ func TestPackageSplitChain(t *testing.T) {
 func TestSplitLevelZeroFails(t *testing.T) {
 	p := NewParams(16, 100, 1)
 	pk := NewMobile(p, 0)
-	if _, _, err := pk.Split(); !errors.Is(err, errLevelZero) {
+	var lower Package
+	if err := pk.Split(&lower); !errors.Is(err, errLevelZero) {
 		t.Fatalf("err = %v, want errLevelZero", err)
+	}
+	if pk != NewMobile(p, 0) || lower != (Package{}) {
+		t.Fatalf("a failed split changed the packages: %+v %+v", pk, lower)
 	}
 	if l1 := NewMobile(p, 1); l1.BecomeStatic() == nil {
 		t.Fatal("BecomeStatic at level 1 should fail")
@@ -215,19 +215,20 @@ func TestSplitLevelZeroFails(t *testing.T) {
 
 func TestSerialsSplitAndGrant(t *testing.T) {
 	p := NewParams(4, 64, 1) // φ = 1
-	pk, err := NewMobileWithSerials(p, 2, Interval{Lo: 100, Hi: 103})
-	if err != nil {
-		t.Fatalf("NewMobileWithSerials: %v", err)
-	}
-	p1, p2, err := pk.Split()
-	if err != nil {
+	pk := NewMobile(p, 2)
+	pk.Serials, pk.Tag = Interval{Lo: 100, Hi: 103}, 7
+	var lower Package
+	if err := pk.Split(&lower); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	if p1.Serials != (Interval{100, 101}) || p2.Serials != (Interval{102, 103}) {
-		t.Fatalf("serials after split: %v %v", p1.Serials, p2.Serials)
+	if lower.Serials != (Interval{100, 101}) || pk.Serials != (Interval{102, 103}) {
+		t.Fatalf("serials after split: %v %v", lower.Serials, pk.Serials)
 	}
-	_, q2, err := p2.Split()
-	if err != nil {
+	if lower.Tag != 0 || pk.Tag != 0 {
+		t.Fatalf("tags after split: %d %d, want both dropped", lower.Tag, pk.Tag)
+	}
+	q2 := pk
+	if err := q2.Split(&lower); err != nil {
 		t.Fatalf("Split: %v", err)
 	}
 	if err := q2.BecomeStatic(); err != nil {
@@ -242,9 +243,6 @@ func TestSerialsSplitAndGrant(t *testing.T) {
 	}
 	if _, _, err := q2.TakePermit(); !errors.Is(err, errEmptyStatic) {
 		t.Fatalf("TakePermit on empty: %v, want errEmptyStatic", err)
-	}
-	if _, err := NewMobileWithSerials(p, 2, Interval{Lo: 1, Hi: 2}); err == nil {
-		t.Fatal("mismatched serial interval should fail")
 	}
 }
 
@@ -464,11 +462,11 @@ func TestSplitPreservesPermitsProperty(t *testing.T) {
 			pk := queue[0]
 			queue = queue[1:]
 			if pk.Level > 0 && rng.Intn(2) == 0 {
-				p1, p2, err := pk.Split()
-				if err != nil {
+				var lower Package
+				if err := pk.Split(&lower); err != nil {
 					return false
 				}
-				queue = append(queue, p1, p2)
+				queue = append(queue, lower, pk)
 				continue
 			}
 			if pk.Size != p.MobileSize(pk.Level) {
