@@ -73,9 +73,14 @@ var (
 	errCorruptRecord = errors.New("persist: corrupt block")
 )
 
-// castagnoli is the CRC-32C table shared by blocks, segment headers and
-// snapshots.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// crc32c is the CRC-32C checksum shared by blocks, segment headers, the
+// MANIFEST and snapshots. crc32.MakeTable builds the Castagnoli table on its
+// first call and returns that table after, so the table is built when the
+// first checksum is taken, not when the program starts: a daemon without a
+// WAL never builds it.
+func crc32c(b []byte) uint32 {
+	return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+}
 
 // Record is one decoded WAL record.
 type Record struct {
@@ -237,7 +242,7 @@ func closeBlock(buf []byte, start int, next uint64) {
 func checksumBlocks(buf []byte) {
 	for off := 0; off < len(buf); {
 		end := off + blockHeaderLen + int(binary.LittleEndian.Uint32(buf[off:]))
-		binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(buf[off+blockHeaderLen:end], castagnoli))
+		binary.LittleEndian.PutUint32(buf[off+4:], crc32c(buf[off+blockHeaderLen:end]))
 		off = end
 	}
 }
@@ -276,7 +281,7 @@ func DecodeWALRecords(p []byte, out []Record) ([]Record, int, error) {
 		return out, 0, errShortRecord
 	}
 	payload := p[blockHeaderLen : blockHeaderLen+n]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	if crc32c(payload) != crc {
 		return out, 0, fmt.Errorf("%w: block checksum mismatch", errCorruptRecord)
 	}
 	firstIndex := binary.LittleEndian.Uint64(payload)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"slices"
 
@@ -295,7 +294,7 @@ func AppendState(buf []byte, st *State) []byte {
 	c.state(st)
 	payload := c.b[start+snapshotHeaderLen:]
 	binary.LittleEndian.PutUint64(c.b[start+6:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(c.b[start+14:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(c.b[start+14:], crc32c(payload))
 	return c.b
 }
 
@@ -322,7 +321,7 @@ func DecodeSnapshot(p []byte) (*State, error) {
 	if uint64(len(payload)) != n {
 		return nil, fmt.Errorf("persist: snapshot payload %d bytes, header declares %d", len(payload), n)
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(p[14:]) {
+	if crc32c(payload) != binary.LittleEndian.Uint32(p[14:]) {
 		return nil, fmt.Errorf("persist: snapshot checksum mismatch")
 	}
 	c := codec{b: payload, reading: true, format: format}

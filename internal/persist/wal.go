@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -70,7 +69,7 @@ func (s stamp) bytes() []byte {
 	for _, f := range s.fields {
 		b = binary.LittleEndian.AppendUint64(b, *f)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return binary.LittleEndian.AppendUint32(b, crc32c(b))
 }
 
 // read checks the stamp at the front of p and reads its fields.
@@ -85,7 +84,7 @@ func (s stamp) read(p []byte) error {
 	if f := binary.LittleEndian.Uint16(p[4:]); f != segmentFormat {
 		return fmt.Errorf("persist: %s format %d, this build reads %d", s.what, f, segmentFormat)
 	}
-	if crc32.Checksum(p[:n-4], castagnoli) != binary.LittleEndian.Uint32(p[n-4:]) {
+	if crc32c(p[:n-4]) != binary.LittleEndian.Uint32(p[n-4:]) {
 		return fmt.Errorf("persist: %s checksum mismatch", s.what)
 	}
 	for i, f := range s.fields {
