@@ -141,7 +141,7 @@ func replayAllocs(t *testing.T, wl engineTrace) (float64, *engine) {
 
 // TestEngineGrowAllocs gates what a topological change costs the allocator:
 // the centralized engine answers growTrace with at most 0.05 heap
-// allocations a request (0.044). Packages are values in their stores and
+// allocations a request (0.043). Packages are values in their stores and
 // cost none, and a store keeps its backing array across iteration restarts;
 // what is left is a node's child list as it grows and the tables' own growth
 // steps. 8-byte links with each store's array dropped at every restart put
